@@ -4,7 +4,7 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test race benchbuild expbuild bench torture realcrash churn
+.PHONY: check vet build test lockcpu race benchbuild expbuild benchsmoke bench torture realcrash churn
 
 ## check: everything CI runs — vet, build, tests, the race detector over
 ## the concurrency-critical packages (including the commit-pipeline and
@@ -13,8 +13,11 @@ REAL_ROUNDS ?= 20
 ## bench-only code can't rot between bench runs, a compile+link of the
 ## experiment runner (T20 and friends live outside _test files), a short
 ## seeded fault-injection torture run, the real-crash (SIGKILL) recovery
-## gate over real files, and the sustained-churn steady-state gate.
-check: vet build test race benchbuild expbuild torture realcrash churn
+## gate over real files, the sustained-churn steady-state gate, the lock
+## manager's tests at 1, 2 and 4 CPUs (its deadlock-detector bugs never
+## showed at one), and the repo benchmark's own smoke test (a nested
+## module `go test ./...` does not enter).
+check: vet build test lockcpu race benchbuild expbuild benchsmoke torture realcrash churn
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +27,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+## lockcpu: the lock package at -cpu 1,2,4, repeated: waits-for edges that
+## outlive their wait only misfire when a second CPU runs the granter and
+## the waiter at once.
+lockcpu:
+	$(GO) test -cpu 1,2,4 -count 10 ./internal/lock
 
 race:
 	$(GO) test -race ./internal/storage ./internal/wal ./internal/latch ./internal/core ./internal/lock ./internal/txn ./internal/tsb ./internal/spatial ./internal/recovery ./internal/engine ./internal/maint
@@ -37,6 +46,11 @@ benchbuild:
 ## a broken one until the next full bench run.
 expbuild:
 	$(GO) build -o /dev/null ./cmd/pitree-bench
+
+## benchsmoke: the benchmark module's tests — every workload run small,
+## end to end, through benchmark/'s own driver.
+benchsmoke:
+	cd benchmark && $(GO) test ./...
 
 ## torture: seeded crash-point fault-injection rounds across all three
 ## access methods. Failures print the reproducing seed and failpoint.

@@ -88,7 +88,6 @@ func runRealChild(dir, treeName, syncPol string, seed int64, workers, ops int, p
 		PoolCapacity:      40,
 		PageOriented:      pageOriented,
 		WriteBackInterval: time.Millisecond,
-		WriteBackBatch:    16,
 		PrefetchWindow:    8,
 	})
 	if err != nil {

@@ -122,6 +122,20 @@ func T18FileStorage(w io.Writer, p Params) {
 			p.Report.Add("T18", "file.segments_created."+tag, float64(ws.SegmentsCreated), "segments")
 			p.Report.Add("T18", "file.segments_recycled."+tag, float64(ws.SegmentsRecycled), "segments")
 			p.Report.Add("T18", "file.checksum_verifies."+tag, float64(cksums), "checks")
+			if dir != "" {
+				// The write-back subsystem's counters and LSN watermarks,
+				// read before Close flushes everything.
+				wb := e.WriteBackStats()
+				p.Report.Add("T18", "writeback.pages_flushed."+tag, float64(wb.Flushed), "pages")
+				p.Report.Add("T18", "writeback.ticks."+tag, float64(wb.Ticks), "ticks")
+				p.Report.Add("T18", "writeback.idle_ticks."+tag, float64(wb.IdleTicks), "ticks")
+				p.Report.Add("T18", "writeback.skipped_in_window."+tag, float64(wb.SkippedInWindow), "page-ticks")
+				p.Report.Add("T18", "writeback.window_bytes."+tag, float64(wb.WindowBytes), "bytes")
+				p.Report.Add("T18", "writeback.redo_window_bytes."+tag, float64(wb.RedoWindow), "bytes")
+				p.Report.Add("T18", "writeback.oldest_dirty_reclsn."+tag, float64(wb.OldestDirty), "lsn")
+				p.Report.Add("T18", "wal.buffered_bytes."+tag, float64(wb.LogBuffered), "bytes")
+				p.Report.Add("T18", "wal.buffer_start_lsn."+tag, float64(wb.LogBufferFrom), "lsn")
+			}
 
 			tree.Close()
 			if err := e.Close(); err != nil {

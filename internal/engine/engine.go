@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -61,13 +62,13 @@ type Options struct {
 	SlotSize int
 	// Sync selects the fsync policy of the file-backed WAL.
 	Sync wal.SyncPolicy
-	// WriteBackInterval enables the background writer: every interval it
-	// flushes the dirtiest-oldest pages so checkpoints find a short DPT
-	// and restart's redo window stays small. Zero disables it.
+	// WriteBackInterval enables the background writer and sets how often
+	// it looks: a tick writes only the dirty pages whose recLSN lags the
+	// log tail by more than the redo window (wal.RedoWindowSegments x
+	// SegmentSize) or predates the last checkpoint, plus — in a bounded
+	// pool more than half dirty — the oldest excess, and releases the
+	// in-memory log below the oldest live transaction. Zero disables it.
 	WriteBackInterval time.Duration
-	// WriteBackBatch bounds pages flushed per background-writer tick
-	// (0 = 32).
-	WriteBackBatch int
 	// SerialCommit disables the pipelined commit path: group commit runs
 	// one write+sync round at a time and user commits hold their locks
 	// across the force (the pre-pipeline behavior). The T19 experiment's
@@ -97,10 +98,21 @@ type Engine struct {
 	mu      sync.Mutex
 	stores  map[uint32]*storage.Store
 	closers []func()
+	// pools is the published list of every store's pool, replaced (never
+	// mutated) by AttachStore so readers iterate it without a lock.
+	pools atomic.Pointer[[]*storage.Pool]
 
 	fileWAL   *wal.FileWAL
 	fileDisks map[uint32]*storage.FileDisk
 	bg        *bgWriter
+
+	// bootImage is the log image this incarnation was built from, kept
+	// until restart analysis has read it. recovering holds the in-memory
+	// log whole from Open until the undo pass ends: analysis reads it
+	// from the start, and losers are only adopted (and so only pin
+	// TM.LogFloor) once undo begins.
+	bootImage  *wal.Reader
+	recovering atomic.Bool
 }
 
 func newEngine(opts Options, log *wal.Log) *Engine {
@@ -160,8 +172,10 @@ func Open(opts Options) (e *Engine, recovered bool, err error) {
 	l.SetSink(fw)
 	e = newEngine(opts, l)
 	e.fileWAL = fw
+	e.bootImage = rd
+	e.recovering.Store(recovered)
 	if opts.WriteBackInterval > 0 {
-		e.bg = startBgWriter(e, opts.WriteBackInterval, opts.WriteBackBatch)
+		e.bg = startBgWriter(e, opts.WriteBackInterval)
 	}
 	return e, recovered, nil
 }
@@ -207,6 +221,11 @@ func (e *Engine) AttachStore(storeID uint32, codec storage.Codec, disk storage.D
 		panic(fmt.Sprintf("engine: duplicate store %d", storeID))
 	}
 	e.stores[storeID] = st
+	pools := make([]*storage.Pool, 0, len(e.stores))
+	for _, s := range e.stores {
+		pools = append(pools, s.Pool)
+	}
+	e.pools.Store(&pools)
 	e.mu.Unlock()
 	return st
 }
@@ -218,15 +237,13 @@ func (e *Engine) Store(storeID uint32) *storage.Store {
 	return e.stores[storeID]
 }
 
-// Pools returns every store's pool.
+// Pools returns every store's pool. The slice is shared and must not be
+// modified.
 func (e *Engine) Pools() []*storage.Pool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]*storage.Pool, 0, len(e.stores))
-	for _, s := range e.stores {
-		out = append(out, s.Pool)
+	if p := e.pools.Load(); p != nil {
+		return *p
 	}
-	return out
+	return nil
 }
 
 // BeginSnapshot captures a consistent read snapshot: a point in version
@@ -255,7 +272,22 @@ func (e *Engine) Checkpoint() (wal.LSN, error) {
 	if e.bg != nil {
 		e.bg.noteCheckpoint(lsn)
 	}
+	e.trimLog()
 	return lsn, nil
+}
+
+// trimLog releases the in-memory log below what normal processing can
+// still read — the oldest unfinished transaction's begin record — once a
+// file sink holds those bytes (a memory-backed engine's buffer is its
+// stable storage and keeps everything). This bound is independent of the
+// file recycle horizon: the files must keep whatever redo after a crash
+// could need, back to the oldest dirty page's recLSN, while memory only
+// serves rollback, because redo never runs from it.
+func (e *Engine) trimLog() {
+	if e.fileWAL == nil || e.recovering.Load() {
+		return
+	}
+	e.Log.ReleaseBelow(e.TM.LogFloor())
 }
 
 // syncFileDisks fsyncs every file-backed store's page file.
@@ -404,7 +436,9 @@ func (e *Engine) Crash(truncateAt *wal.LSN) *CrashImage {
 // open, and opening a tree needs the redone meta pages. Recover bundles
 // the phases for callers without that ordering constraint.
 func Restarted(img *CrashImage, opts Options) *Engine {
-	return newEngine(opts, wal.NewFromImage(img.LogImage))
+	e := newEngine(opts, wal.NewFromImage(img.LogImage))
+	e.bootImage = img.LogImage
+	return e
 }
 
 // recoveryOpts translates the engine options into restart options.
@@ -412,12 +446,25 @@ func (e *Engine) recoveryOpts() recovery.Opts {
 	return recovery.Opts{Workers: e.Opts.RecoveryWorkers, Serial: e.Opts.SerialRestart}
 }
 
+// takeBootImage returns the image restart analysis reads: the one the log
+// was built from when nothing has been appended since (the restart
+// protocol appends nothing before analysis), else a fresh copy of the
+// buffered log. The engine's reference is dropped either way.
+func (e *Engine) takeBootImage() *wal.Reader {
+	img := e.bootImage
+	e.bootImage = nil
+	if img == nil || img.EndLSN() != e.Log.EndLSN() {
+		img = e.Log.FullImage()
+	}
+	return img
+}
+
 // AnalyzeAndRedo runs restart analysis and redo. The transaction manager
 // is seeded with the recovered transaction-ID and version-clock high
 // waters here — before the caller re-opens its trees, which read the
 // clock high water to reseed their version clocks.
 func (e *Engine) AnalyzeAndRedo() (*recovery.Pending, error) {
-	p, err := recovery.AnalyzeAndRedoOpts(e.Log, e.Reg, e.recoveryOpts())
+	p, err := recovery.AnalyzeAndRedoImage(e.takeBootImage(), e.Reg, e.recoveryOpts())
 	if p != nil {
 		e.TM.SeedRecovered(p.Stats.MaxTxnID, p.Stats.ClockHW)
 	}
@@ -426,10 +473,19 @@ func (e *Engine) AnalyzeAndRedo() (*recovery.Pending, error) {
 
 // FinishRecovery runs the undo pass.
 func (e *Engine) FinishRecovery(p *recovery.Pending) error {
-	return p.UndoLosers(e.TM)
+	err := p.UndoLosers(e.TM)
+	if err == nil {
+		e.recovering.Store(false)
+	}
+	return err
 }
 
 // Recover runs the complete restart (analysis, redo, undo) in one call.
 func (e *Engine) Recover() (recovery.Stats, error) {
-	return recovery.RestartOpts(e.Log, e.Reg, e.TM, e.recoveryOpts())
+	p, err := e.AnalyzeAndRedo()
+	if err != nil {
+		return p.Stats, err
+	}
+	err = e.FinishRecovery(p)
+	return p.Stats, err
 }

@@ -199,7 +199,7 @@ func TestEngineFileCloseReopen(t *testing.T) {
 // actually drains the dirty page table without any explicit flush.
 func TestEngineFileBackgroundWriter(t *testing.T) {
 	dir := t.TempDir()
-	e, _, err := Open(Options{DataDir: dir, WriteBackInterval: time.Millisecond, WriteBackBatch: 8})
+	e, _, err := Open(Options{DataDir: dir, WriteBackInterval: time.Millisecond})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -239,9 +239,9 @@ func TestEngineFileBackgroundWriter(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	flushed, ticks := e.WriteBackStats()
-	if flushed == 0 || ticks == 0 {
-		t.Fatalf("writer stats: flushed=%d ticks=%d", flushed, ticks)
+	ws := e.WriteBackStats()
+	if ws.Flushed == 0 || ws.Ticks == 0 {
+		t.Fatalf("writer stats: %+v", ws)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)

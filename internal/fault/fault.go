@@ -134,6 +134,11 @@ type Spec struct {
 	Delay time.Duration
 }
 
+// maxTrips bounds the firing history: a permanent fault probed in a retry
+// loop fires without end, and the post-mortem wants the first firings —
+// the ones that started the trouble — not the millionth repeat.
+const maxTrips = 1024
+
 // Trip records one firing, for post-mortem reporting.
 type Trip struct {
 	Point string
@@ -240,7 +245,9 @@ func (i *Injector) check(name string) error {
 	p.fired++
 	frac := i.rng.Float64()
 	tr := Trip{Point: name, Kind: p.spec.Kind, Hit: p.hits}
-	i.trips = append(i.trips, tr)
+	if len(i.trips) < maxTrips {
+		i.trips = append(i.trips, tr)
+	}
 	if p.spec.Crash {
 		i.crashed.Store(true)
 	}
@@ -268,7 +275,7 @@ func (i *Injector) TripCrash() {
 	i.crashed.Store(true)
 }
 
-// Trips returns a copy of every firing so far, in order.
+// Trips returns a copy of the first maxTrips firings, in order.
 func (i *Injector) Trips() []Trip {
 	if i == nil {
 		return nil

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"encoding/binary"
 	"runtime"
 	"testing"
 	"time"
@@ -155,5 +156,46 @@ func TestDepBookkeepingZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("dep bookkeeping cycle allocates %.1f objects per run, want 0", avg)
+	}
+}
+
+// TestPendingDrainsUnderBatchedCommits: early-lock-release commits of 256
+// keys park 256 dependency-only entries each; once the stable point has
+// passed a commit, the next releases must drain what it parked. The queue
+// then holds the last commit's entries, not every key ever committed.
+func TestPendingDrainsUnderBatchedCommits(t *testing.T) {
+	m := NewManager()
+	const batch, commits = 256, 1000
+	names := make([]Name, batch)
+	var key [8]byte
+	lsn := uint64(1000)
+	for c := 0; c < commits; c++ {
+		txn := wal.TxnID(c + 1)
+		for i := range names {
+			binary.LittleEndian.PutUint64(key[:], uint64(c*batch+i))
+			names[i] = KeyName(1, key[:])
+		}
+		if _, fail := m.TryLockDepBatch(txn, names, X); fail >= 0 {
+			t.Fatalf("commit %d: key %d not granted", c, fail)
+		}
+		lsn += 100
+		m.ReleaseAllAt(txn, lsn)
+		m.NoteStable(lsn + 1) // the commit's force returns
+		if got := m.PendingDeps(); got > 2*batch {
+			t.Fatalf("after %d commits %d entries are parked, want at most %d", c+1, got, 2*batch)
+		}
+	}
+	// A few ordinary transactions later nothing is left but what they
+	// themselves could park: O(open transactions), not O(history).
+	for i := 0; i < 32*len(m.stripes); i++ {
+		txn := wal.TxnID(commits + 1 + i)
+		binary.LittleEndian.PutUint64(key[:], uint64(i))
+		if err := m.Lock(txn, KeyName(2, key[:]), X); err != nil {
+			t.Fatal(err)
+		}
+		m.ReleaseAll(txn)
+	}
+	if got := m.PendingDeps(); got > len(m.stripes) {
+		t.Fatalf("%d entries still parked after the stable point passed them all", got)
 	}
 }

@@ -202,10 +202,15 @@ type stripe struct {
 	freeStates []*lockState
 	freeNames  [][]Name
 
-	// pending holds names of retained dependency-only entries, in rough
-	// park order; sweepPending prunes a bounded few per stripe visit once
-	// the stable prefix passes their depLSN.
-	pending []Name
+	// pending is the queue of retained dependency-only entries, in rough
+	// park order: pending[pendHead:] are parked, the slots before are
+	// spent. sweepPending pops from the head once the stable prefix
+	// passes an entry's depLSN.
+	pending  []Name
+	pendHead int
+
+	// det is the manager's waits-for graph (lock order: mu → det.mu).
+	det *detector
 
 	waits     int64
 	deadlocks int64
@@ -287,26 +292,38 @@ func (s *stripe) freeState(name Name, ls *lockState) {
 	}
 }
 
-// sweepPending frees a bounded few parked dependency-only entries whose
-// depLSN the stable prefix has passed. Entries park in roughly
-// ascending depLSN order, so a still-pinned head ends the sweep early.
-// An entry that was re-acquired while parked is unparked here and
-// re-parks (or frees) on its next release. Caller holds s.mu.
-func (s *stripe) sweepPending(stable uint64) {
-	const sweepBatch = 4
-	for n := 0; n < sweepBatch && len(s.pending) > 0; n++ {
-		name := s.pending[0]
+// sweepBase is the least a release sweeps even when it parks nothing
+// itself, so an idle tail of parked entries still drains.
+const sweepBase = 4
+
+// sweepPending frees up to budget parked dependency-only entries whose
+// depLSN the stable prefix has passed. Entries park in roughly ascending
+// depLSN order, so a still-pinned head ends the sweep early. Callers
+// size budget to twice what their own release can park (plus sweepBase):
+// the queue then drains faster than it fills, and holds only entries
+// still above the stable point instead of every key ever committed. An
+// entry that was re-acquired while parked is unparked here and re-parks
+// (or frees) on its next release. Caller holds s.mu.
+func (s *stripe) sweepPending(stable uint64, budget int) {
+	for ; budget > 0 && s.pendHead < len(s.pending); budget-- {
+		name := s.pending[s.pendHead]
 		ls, ok := s.locks[name]
 		if ok && ls.depLSN != 0 && ls.depLSN >= stable && len(ls.holders) == 0 && len(ls.queue) == 0 {
-			return
+			break
 		}
-		copy(s.pending, s.pending[1:])
-		s.pending = s.pending[:len(s.pending)-1]
+		s.pendHead++
 		if !ok {
 			continue
 		}
 		ls.retained = false
 		s.maybeFree(name, ls, stable)
+	}
+	// Reclaim the spent prefix once it is the larger part (amortized
+	// O(1) per entry; maybeFree above may have appended behind it).
+	if s.pendHead > len(s.pending)/2 {
+		n := copy(s.pending, s.pending[s.pendHead:])
+		s.pending = s.pending[:n]
+		s.pendHead = 0
 	}
 }
 
@@ -354,6 +371,10 @@ func (s *stripe) grantQueued(name Name, ls *lockState) {
 		}
 		s.grants++
 		w.dep = ls.depLSN
+		// The waiter stops waiting now, not when its goroutine next runs:
+		// edges left in the graph until then would let a third party close
+		// a cycle through a transaction that is blocked on nothing.
+		s.det.clear(w.txn)
 		w.ready <- struct{}{}
 	}
 }
@@ -380,6 +401,14 @@ func (s *stripe) releaseLocked(txn wal.TxnID, name Name, depLSN, stable uint64) 
 		}
 	}
 	s.grantQueued(name, ls)
+	// Whoever is still queued now waits on fewer transactions: the one
+	// that released, and any waiter just granted in a compatible mode,
+	// no longer block it. Re-derive their edges, or a later request by
+	// one of those transactions would find a path back to itself through
+	// a wait that ended here.
+	for _, w := range ls.queue {
+		s.det.set(w.txn, ls.blockersOf(w))
+	}
 	s.maybeFree(name, ls, stable)
 }
 
@@ -427,7 +456,17 @@ func (d *detector) blockOrDetect(txn wal.TxnID, blockers map[wal.TxnID]struct{})
 	return nil
 }
 
-// clear removes txn's waits-for edges after its wait ends.
+// set replaces a still-blocked txn's waits-for edges with its current
+// blockers after a release on the lock it waits for. A release only ends
+// waits, so no cycle check runs.
+func (d *detector) set(txn wal.TxnID, blockers map[wal.TxnID]struct{}) {
+	d.mu.Lock()
+	d.waitingOn[txn] = blockers
+	d.mu.Unlock()
+}
+
+// clear removes txn's waits-for edges when its wait ends: the granter
+// calls it, under the stripe mutex, at the moment of the grant.
 func (d *detector) clear(txn wal.TxnID) {
 	d.mu.Lock()
 	delete(d.waitingOn, txn)
@@ -491,6 +530,7 @@ func NewManager() *Manager {
 	for i := range m.stripes {
 		m.stripes[i].locks = make(map[Name]*lockState)
 		m.stripes[i].byTxn = make(map[wal.TxnID][]Name)
+		m.stripes[i].det = &m.det
 	}
 	m.det.waitingOn = make(map[wal.TxnID]map[wal.TxnID]struct{})
 	for i := range m.owners {
@@ -595,7 +635,6 @@ func (m *Manager) LockDep(txn wal.TxnID, name Name, mode Mode) (uint64, error) {
 	s.mu.Unlock()
 
 	<-w.ready
-	m.det.clear(txn)
 	if !held {
 		m.noteStripe(txn, idx)
 	}
@@ -787,7 +826,7 @@ func (m *Manager) Unlock(txn wal.TxnID, name Name) {
 		}
 	}
 	st := m.stable.Load()
-	s.sweepPending(st)
+	s.sweepPending(st, sweepBase)
 	s.releaseLocked(txn, name, 0, st)
 	s.mu.Unlock()
 	// The stripe-mask bit stays set; ReleaseAll tolerates stripes with no
@@ -823,7 +862,7 @@ func (m *Manager) releaseAll(txn wal.TxnID, depLSN uint64) {
 		mask &^= 1 << idx
 		s := &m.stripes[idx]
 		s.mu.Lock()
-		s.sweepPending(st)
+		s.sweepPending(st, sweepBase+2*len(s.byTxn[txn]))
 		if ns, ok := s.byTxn[txn]; ok {
 			delete(s.byTxn, txn)
 			for _, name := range ns {
@@ -895,7 +934,7 @@ func (m *Manager) PendingDeps() int {
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		s.mu.Lock()
-		total += len(s.pending)
+		total += len(s.pending) - s.pendHead
 		s.mu.Unlock()
 	}
 	return total

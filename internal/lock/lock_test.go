@@ -563,3 +563,68 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestNoDeadlockThroughEndedWait: a waits-for edge must end when the wait
+// it stands for ends. T2 queues an upgrade behind holders T1 and T3; T1
+// then releases, so T2 waits on T3 alone. When T1 comes back for the same
+// lock it queues behind T2 — holding nothing, it cannot be part of any
+// cycle, yet a stale T2→T1 edge would make the detector refuse it.
+func TestNoDeadlockThroughEndedWait(t *testing.T) {
+	m := NewManager()
+	a := nm("a")
+	for _, id := range []wal.TxnID{1, 2, 3} {
+		if err := m.Lock(id, a, S); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upgraded := make(chan error, 1)
+	go func() { upgraded <- m.Lock(2, a, X) }()
+	waitForWaiters(t, m, 1)
+	m.ReleaseAll(1)
+
+	back := make(chan error, 1)
+	go func() { back <- m.Lock(1, a, S) }()
+	waitForWaiters(t, m, 2) // fails here, with ErrDeadlock below, if the edge survived
+	m.ReleaseAll(3)
+	if err := <-upgraded; err != nil {
+		t.Fatalf("upgrade: %v", err)
+	}
+	m.ReleaseAll(2)
+	if err := <-back; err != nil {
+		t.Fatalf("T1 holds nothing and was refused: %v", err)
+	}
+	m.ReleaseAll(1)
+}
+
+// TestGrantClearsWaitsForEdges: a granted waiter's edges go at grant time,
+// under the granter's stripe mutex — not when the waiter's goroutine next
+// runs. T1 (holding b) waits for a, held by T2. T2 releases a and at once
+// asks for b: it must queue behind T1, not be refused over the T1→T2 edge
+// of a wait that has just been granted.
+func TestGrantClearsWaitsForEdges(t *testing.T) {
+	a, b := nm("a"), nm("b")
+	for i := 0; i < 200; i++ {
+		m := NewManager()
+		if err := m.Lock(1, b, X); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Lock(2, a, X); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			err := m.Lock(1, a, X)
+			m.ReleaseAll(1)
+			done <- err
+		}()
+		waitForWaiters(t, m, 1)
+		m.ReleaseAll(2)
+		if err := m.Lock(2, b, X); err != nil {
+			t.Fatalf("round %d: T2 refused behind a granted waiter: %v", i, err)
+		}
+		m.ReleaseAll(2)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -337,11 +337,17 @@ func AnalyzeAndRedo(log *wal.Log, reg *storage.Registry) (*Pending, error) {
 
 // AnalyzeAndRedoOpts is AnalyzeAndRedo with explicit restart options.
 func AnalyzeAndRedoOpts(log *wal.Log, reg *storage.Registry, o Opts) (*Pending, error) {
+	return AnalyzeAndRedoImage(log.FullImage(), reg, o)
+}
+
+// AnalyzeAndRedoImage is AnalyzeAndRedoOpts over a log image the caller
+// already holds — the one the log was continued from — instead of a
+// fresh copy of the whole buffered log.
+func AnalyzeAndRedoImage(img *wal.Reader, reg *storage.Registry, o Opts) (*Pending, error) {
 	o = o.withDefaults()
 	p := &Pending{workers: o.Workers}
 	st := &p.Stats
 	st.Workers = o.Workers
-	img := log.FullImage()
 
 	// --- Analysis (fused with redo planning unless Serial) ------------
 	began := time.Now()

@@ -55,9 +55,15 @@ type Frame struct {
 	// which only starts redo earlier — never too late.
 	recLSN atomic.Uint64
 
-	pins atomic.Int64
+	pins     atomic.Int64
 	ref      atomic.Uint32 // clock reference bit (bounded pools)
 	clockIdx int           // position in the owning shard's clock ring; shard mu
+
+	// pool owns the frame and indexes it while dirty; dirtyPos is its
+	// 1-based position in pool.dirty's heap (0 = clean), guarded by that
+	// table's mu.
+	pool     *Pool
+	dirtyPos int
 
 	// preloaded marks a frame warmed by the async prefetcher and not yet
 	// touched by a foreground fetch; the first fetch that finds it set
@@ -152,6 +158,9 @@ func (f *Frame) MarkDirty(lsn wal.LSN) {
 			f.recLSN.Store(uint64(lsn))
 		}
 		if f.meta.CompareAndSwap(old, dirtyBit|uint64(lsn)) {
+			if old&dirtyBit == 0 {
+				f.pool.dirty.enter(f, lsn)
+			}
 			return
 		}
 	}
@@ -328,7 +337,7 @@ type Pool struct {
 	disk    Disk
 	log     *wal.Log
 	codec   Codec
-	cap     int // 0 = unbounded
+	cap     int             // 0 = unbounded
 	inj     *fault.Injector // set once before concurrent use; may be nil
 
 	// Unbounded regime.
@@ -337,6 +346,9 @@ type Pool struct {
 	// Bounded regime.
 	shards    []poolShard
 	shardMask uint64
+
+	// dirty indexes the dirty frames by recLSN (dirty.go) in both regimes.
+	dirty dirtyTable
 
 	flushCount atomic.Int64
 	missCount  atomic.Int64
@@ -572,6 +584,7 @@ func (p *Pool) fetch(pid PageID, warm bool) (*Frame, error) {
 	// between lookup and install can never admit a stale image over newer
 	// buffered (or freshly flushed) state.
 	f := sh.takeFrame()
+	f.pool = p
 	f.ID = pid
 	f.Data = nil
 	f.meta.Store(0)
@@ -654,7 +667,7 @@ func (p *Pool) loadFromDisk(pid PageID) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Frame{ID: pid, Data: data}
+	f := &Frame{ID: pid, Data: data, pool: p}
 	f.meta.Store(lsn &^ dirtyBit)
 	return f, nil
 }
@@ -666,7 +679,7 @@ func (p *Pool) loadFromDisk(pid PageID) (*Frame, error) {
 // fails only if making room required a write-back that failed.
 func (p *Pool) Create(pid PageID) (*Frame, error) {
 	if p.cap == 0 {
-		f := &Frame{ID: pid}
+		f := &Frame{ID: pid, pool: p}
 		af, _ := p.ftab.getOrInstall(pid, f)
 		af.pins.Add(1)
 		return af, nil
@@ -703,6 +716,7 @@ func (p *Pool) Create(pid PageID) (*Frame, error) {
 		op.wait(sh)
 	}
 	f := sh.takeFrame()
+	f.pool = p
 	f.ID = pid
 	f.Data = nil
 	f.meta.Store(0)
@@ -887,6 +901,7 @@ func (p *Pool) flush(f *Frame) error {
 	// means a concurrent flusher of the same contents already cleaned it.
 	if f.meta.CompareAndSwap(m, uint64(lsn)) {
 		p.flushCount.Add(1)
+		p.dirty.leave(f)
 	}
 	return nil
 }
@@ -951,6 +966,7 @@ func (p *Pool) Drop(pid PageID) {
 				panic(fmt.Sprintf("storage: drop of pinned page %d", pid))
 			}
 			p.ftab.delete(pid)
+			p.dirty.leave(f)
 		}
 		return
 	}
@@ -962,6 +978,7 @@ func (p *Pool) Drop(pid PageID) {
 			panic(fmt.Sprintf("storage: drop of pinned page %d", pid))
 		}
 		sh.removeAt(f.clockIdx)
+		p.dirty.leave(f)
 		sh.recycle(f)
 	}
 	sh.mu.Unlock()
@@ -1145,6 +1162,23 @@ func (p *Pool) DirtyPages() map[PageID]wal.LSN {
 	}
 	return out
 }
+
+// DirtyWatermark returns the oldest recLSN among the pool's dirty pages
+// (NilLSN when none is dirty) and the dirty count, from the incrementally
+// maintained dirty index: two atomic loads, no lock, pin or scan.
+func (p *Pool) DirtyWatermark() (oldest wal.LSN, n int) {
+	return wal.LSN(p.dirty.oldest.Load()), int(p.dirty.count.Load())
+}
+
+// DirtyBelow appends to dst the IDs of the dirty pages whose recLSN is
+// below cutoff, the oldest limit of them when more qualify. The cost
+// follows the number that qualify, not the pool size.
+func (p *Pool) DirtyBelow(cutoff wal.LSN, limit int, dst []PageID) []PageID {
+	return p.dirty.below(cutoff, limit, dst)
+}
+
+// Capacity returns the pool's frame bound (0 = unbounded).
+func (p *Pool) Capacity() int { return p.cap }
 
 // Stats returns cumulative pool counters.
 func (p *Pool) Stats() PoolStats {

@@ -131,10 +131,15 @@ type Txn struct {
 	ID     wal.TxnID
 	System bool // true for atomic actions
 
-	mgr      *Manager
-	mu       sync.Mutex
-	lastLSN  wal.LSN
-	firstLSN wal.LSN // begin record; floor for the WAL recycle horizon
+	mgr     *Manager
+	mu      sync.Mutex
+	lastLSN wal.LSN
+	// firstLSN is the begin record: no record of this transaction precedes
+	// it, so it floors both the WAL recycle horizon and the in-memory log
+	// (LogFloor). Zero until the begin record is appended, and for adopted
+	// losers — both read as "pin everything". Atomic so LogFloor can scan
+	// the table under m.mu alone.
+	firstLSN atomic.Uint64
 	state    State
 	// beginClock is the version clock observed when the transaction began
 	// (under m.mu, so it orders against snapshot capture); every version
@@ -181,8 +186,8 @@ func (m *Manager) begin(system bool) *Txn {
 	lsn := m.Log.Append(&wal.Record{Type: wal.RecBegin, Flags: flags, TxnID: id})
 	t.mu.Lock()
 	t.lastLSN = lsn
-	t.firstLSN = lsn
 	t.mu.Unlock()
+	t.firstLSN.Store(uint64(lsn))
 	return t
 }
 
@@ -241,10 +246,34 @@ func (m *Manager) SnapshotATT() []ATTEntry {
 			runtime.Gosched()
 			t.mu.Lock()
 		}
-		out = append(out, ATTEntry{ID: t.ID, LastLSN: t.lastLSN, FirstLSN: t.firstLSN, System: t.System, Committed: t.state == Committed})
+		out = append(out, ATTEntry{ID: t.ID, LastLSN: t.lastLSN, FirstLSN: wal.LSN(t.firstLSN.Load()), System: t.System, Committed: t.state == Committed})
 		t.mu.Unlock()
 	}
 	return out
+}
+
+// LogFloor returns the lowest LSN normal processing may still read from
+// the log buffer: the begin record of the oldest unfinished transaction
+// (rollback walks a transaction's chain no further back), or the log's
+// end when none is active. NilLSN — keep everything — while any
+// transaction's begin record is still unknown (just begun, or an adopted
+// restart loser). The engine hands it to wal.Log.ReleaseBelow.
+func (m *Manager) LogFloor() wal.LSN {
+	// Read the end before the table: a transaction this scan misses
+	// registers after it, so its begin record lands at or above this end.
+	floor := m.Log.EndLSN()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, t := range m.active {
+		first := wal.LSN(t.firstLSN.Load())
+		if first == wal.NilLSN {
+			return wal.NilLSN
+		}
+		if first < floor {
+			floor = first
+		}
+	}
+	return floor
 }
 
 // FinishRecovered writes the end record for a transaction that restart
@@ -265,7 +294,8 @@ func (m *Manager) Adopt(id wal.TxnID, system bool, lastLSN wal.LSN) *Txn {
 		m.nextID = id + 1
 	}
 	// Adopted losers keep firstLSN 0: restart never recycles segments, so
-	// the conservative floor is harmless.
+	// the conservative floor is harmless — and it keeps every record the
+	// loser's rollback will read in the log buffer.
 	t := &Txn{ID: id, System: system, mgr: m, lastLSN: lastLSN}
 	m.active[id] = t
 	return t

@@ -102,6 +102,7 @@ type FileWALStats struct {
 	SegmentsCreated  int64 // brand-new segment files
 	SegmentsRecycled int64 // segments reused from the free pool
 	SegmentsRetired  int64 // segments dropped below the recycle horizon
+	SegmentsRemoved  int64 // retired segments unlinked because the free pool was full
 	ReplayRecords    int64 // records accepted by the last replay
 	ReplayTruncated  int64 // bytes discarded at the corrupt/torn tail
 }
@@ -286,9 +287,31 @@ func (fw *FileWAL) syncDir() error {
 	return err
 }
 
-// toFree renames path into the free pool for later reuse.
+// RedoWindowSegments is the redo window in WAL segments: the engine's
+// background writer lets a dirty page lag the log tail by this many
+// segments before writing it, so between two checkpoints the log grows by
+// about this much — which is also all the free pool is ever asked for.
+const RedoWindowSegments = 16
+
+// removeIfPoolFull unlinks path, and reports that it did, when the free
+// pool already holds its cap. Caller holds fw.mu.
+func (fw *FileWAL) removeIfPoolFull(path string) bool {
+	if len(fw.free) < RedoWindowSegments {
+		return false
+	}
+	os.Remove(path)
+	fw.stats.SegmentsRemoved++
+	return true
+}
+
+// toFree renames path into the free pool for later reuse, or unlinks it
+// when the pool already holds a redo window's worth: a retired segment
+// beyond that is never reused, only counted against the directory's size.
 // Caller holds fw.mu.
 func (fw *FileWAL) toFree(path string) {
+	if fw.removeIfPoolFull(path) {
+		return
+	}
 	fw.freeSeq++
 	dst := filepath.Join(fw.dir, fmt.Sprintf("%s%d%s", freePrefix, fw.freeSeq, segSuffix))
 	if err := os.Rename(path, dst); err == nil {
@@ -325,6 +348,11 @@ func (fw *FileWAL) replay() (*Reader, error) {
 		}
 		path := filepath.Join(fw.dir, name)
 		if strings.HasPrefix(name, freePrefix) {
+			// Over the cap: a directory written before the cap existed, or
+			// dead segments this scan already pooled.
+			if fw.removeIfPoolFull(path) {
+				continue
+			}
 			fw.free = append(fw.free, path)
 			idxStr := strings.TrimSuffix(strings.TrimPrefix(name, freePrefix), segSuffix)
 			if n, err := strconv.Atoi(idxStr); err == nil && n > fw.freeSeq {
@@ -416,21 +444,20 @@ func (fw *FileWAL) replay() (*Reader, error) {
 		end = start
 	}
 
-	// Load the byte stream and walk records from the horizon.
-	buf := make([]byte, end)
+	// Load the byte stream [start, end) and walk records from the horizon.
+	// buf is indexed relative to start, so its size follows the live
+	// log, not the absolute LSN.
+	buf := make([]byte, end-start)
 	for _, s := range chain {
-		hi := s.base + fw.segCap
-		if hi > end {
-			hi = end
-		}
-		if hi <= s.base {
+		lo, hi := max(s.base, start), min(s.base+fw.segCap, end)
+		if hi <= lo {
 			continue
 		}
 		f, err := os.Open(s.path)
 		if err != nil {
 			return nil, err
 		}
-		_, err = f.ReadAt(buf[s.base:hi], segHdrLen)
+		_, err = f.ReadAt(buf[lo-start:hi-start], int64(segHdrLen+(lo-s.base)))
 		f.Close()
 		if err != nil {
 			return nil, err
@@ -439,7 +466,7 @@ func (fw *FileWAL) replay() (*Reader, error) {
 	pos := start
 	var rec Record
 	for pos < end {
-		n, err := decodeSharedInto(buf[pos:], &rec)
+		n, err := decodeSharedInto(buf[pos-start:], &rec)
 		if err != nil || rec.LSN != LSN(pos) {
 			break
 		}
@@ -501,7 +528,7 @@ func (fw *FileWAL) replay() (*Reader, error) {
 		}
 		rdCkpt = NilLSN
 	}
-	return &Reader{buf: buf[:end], ckptLSN: rdCkpt, start: LSN(start)}, nil
+	return &Reader{buf: buf[:end-start], ckptLSN: rdCkpt, base: LSN(start)}, nil
 }
 
 // roll finalizes the active segment and opens the next one, reusing a

@@ -206,6 +206,9 @@ func TestFileWALSegmentRollAndRecycle(t *testing.T) {
 	if rd2.StartLSN() != horizon {
 		t.Fatalf("replay start %d, want horizon %d", rd2.StartLSN(), horizon)
 	}
+	if len(rd2.buf) != int(end-horizon) {
+		t.Fatalf("replay image holds %d bytes for the live log [%d,%d)", len(rd2.buf), horizon, end)
+	}
 	if rd2.CheckpointLSN() != anchor {
 		t.Fatalf("replay anchor %d, want %d", rd2.CheckpointLSN(), anchor)
 	}
@@ -344,5 +347,61 @@ func TestFileWALStaleRecycledBytes(t *testing.T) {
 	}
 	if rd2.EndLSN() != LSN(end) {
 		t.Fatalf("replay end %d, want %d", rd2.EndLSN(), end)
+	}
+}
+
+// TestFileWALFreePoolCapped: retiring more segments than one redo window
+// can reuse unlinks the excess, so dead segments stop counting against
+// the directory; the capped pool still feeds continued appends, and a
+// reopen keeps the cap.
+func TestFileWALFreePoolCapped(t *testing.T) {
+	dir := t.TempDir()
+	const segSz = 4096
+	fw, _, err := OpenFileWAL(dir, segSz, SyncNever)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	l := New()
+	l.SetSink(fw)
+	lsns := fileAppendN(t, l, 4000, 'f') // ~70 segments
+	created := fw.Stats().SegmentsCreated
+	if created < 3*RedoWindowSegments {
+		t.Fatalf("want several windows of segments, created %d", created)
+	}
+	if err := fw.NoteCheckpoint(lsns[3990]); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Recycle(lsns[3990]); err != nil {
+		t.Fatalf("recycle: %v", err)
+	}
+	countFiles := func() (free, total int) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), freePrefix) {
+				free++
+			}
+		}
+		return free, len(entries)
+	}
+	st := fw.Stats()
+	free, total := countFiles()
+	if free != RedoWindowSegments || st.SegmentsRemoved != st.SegmentsRetired-RedoWindowSegments {
+		t.Fatalf("%d free files, %d retired, %d removed; want the pool capped at %d", free, st.SegmentsRetired, st.SegmentsRemoved, RedoWindowSegments)
+	}
+	if total > RedoWindowSegments+4 { // the pool, the live tail, the master
+		t.Fatalf("%d files left in the WAL directory after recycling", total)
+	}
+	fileAppendN(t, l, 600, 'g')
+	if got := fw.Stats().SegmentsRecycled; got == 0 {
+		t.Fatal("the capped pool did not feed continued appends")
+	}
+	fw.Close()
+	fw2, _, _ := replayRecords(t, dir, segSz)
+	defer fw2.Close()
+	if free, _ := countFiles(); free > RedoWindowSegments {
+		t.Fatalf("%d free files after reopen", free)
 	}
 }

@@ -244,16 +244,6 @@ func decodeSharedInto(b []byte, r *Record) (int, error) {
 	return total, nil
 }
 
-// decode parses one record starting at b[0]. It returns the record and its
-// encoded length. The payload is an independent copy.
-func decode(b []byte) (Record, int, error) {
-	r, total, err := decodeShared(b)
-	if err == nil && len(r.Payload) > 0 {
-		r.Payload = append([]byte(nil), r.Payload...)
-	}
-	return r, total, err
-}
-
 // Log buffer geometry. The log lives in fixed-size segments so that the
 // buffer grows without ever re-copying earlier records (a single
 // append-grown slice re-copies the whole log on every doubling) and so
@@ -294,8 +284,8 @@ type Log struct {
 	tail    atomic.Uint64 // next free byte offset; offset 0 is a pad so LSN 0 is invalid
 	appends atomic.Int64
 
-	segs   atomic.Pointer[[][]byte] // grow-only directory of segSize segments
-	growMu sync.Mutex               // serializes segment allocation only
+	segs   atomic.Pointer[segDir] // current generation of the segment directory
+	growMu sync.Mutex             // serializes directory growth and trimming only
 
 	inflight [inflightSlots]inflightSlot
 	slotHint atomic.Uint32 // rotates claim start points across appenders
@@ -417,14 +407,37 @@ func (l *Log) SetSink(s StableSink) { l.sink = s }
 // stable and readable.
 func (l *Log) Damaged() bool { return l.damaged.Load() }
 
+// segDir is one generation of the log buffer's segment directory: the
+// segSize segments covering byte offsets [first<<segShift, end()). A
+// published generation is immutable except that its backing array may be
+// appended to within capacity (see ensure), which readers of an older
+// generation never observe. Growth and trimming publish a fresh
+// generation; a goroutine keeps using the one it loaded, whose segments
+// stay alive (and shared with every later generation that still covers
+// them) for as long as it holds the pointer.
+type segDir struct {
+	first uint64 // offset>>segShift of segs[0]
+	segs  [][]byte
+}
+
+// seg returns the segment containing byte offset off.
+func (d *segDir) seg(off uint64) []byte { return d.segs[(off>>segShift)-d.first] }
+
+// start and end bound the byte offsets the directory covers.
+func (d *segDir) start() uint64 { return d.first << segShift }
+func (d *segDir) end() uint64   { return (d.first + uint64(len(d.segs))) << segShift }
+
 // New returns an empty log with the flush pipeline enabled.
-func New() *Log {
-	l := &Log{stableLSN: 1, writtenLSN: 1, start: 1}
+func New() *Log { return newLog(1) }
+
+// newLog returns an empty log whose first record will sit at start: the
+// buffer holds nothing below start's segment.
+func newLog(start LSN) *Log {
+	l := &Log{stableLSN: start, writtenLSN: start, start: start}
 	l.gcCond = sync.NewCond(&l.gcMu)
-	l.tail.Store(1)
+	l.tail.Store(uint64(start))
 	l.pipelined.Store(true)
-	segs := [][]byte{make([]byte, segSize)}
-	l.segs.Store(&segs)
+	l.segs.Store(&segDir{first: uint64(start) >> segShift, segs: [][]byte{make([]byte, segSize)}})
 	for i := range l.inflight {
 		l.inflight[i].v.Store(idleSlot)
 	}
@@ -441,34 +454,34 @@ func (l *Log) SetPipelined(on bool) { l.pipelined.Store(on) }
 
 // NewFromImage continues a log from a crash image: the image's contents
 // become the stable prefix and appends resume after it, preserving LSN
-// continuity across restart exactly as a real single log would.
+// continuity across restart exactly as a real single log would. The
+// buffer starts at the image's first readable record, so its size follows
+// the live log, not the absolute LSN.
 func NewFromImage(r *Reader) *Log {
-	l := New()
-	start := uint64(r.effStart())
-	if end := uint64(len(r.buf)); end > start {
-		segs := l.ensure(end)
-		copyIn(segs, start, r.buf[start:])
+	l := newLog(r.base)
+	if len(r.buf) > 0 {
+		end := uint64(r.EndLSN())
+		copyIn(l.ensure(end), uint64(r.base), r.buf)
 		l.tail.Store(end)
 		l.stableLSN = LSN(end)
 		l.writtenLSN = LSN(end)
 	}
-	l.start = r.effStart()
 	l.ckptLSN = r.ckptLSN
 	return l
 }
 
-// ensure returns a segment directory covering bytes [0:end), allocating
-// segments as needed.
-func (l *Log) ensure(end uint64) [][]byte {
-	need := int((end + segSize - 1) >> segShift)
-	segs := *l.segs.Load()
-	if len(segs) >= need {
-		return segs
+// ensure returns a segment directory covering every byte below end,
+// allocating segments as needed.
+func (l *Log) ensure(end uint64) *segDir {
+	d := l.segs.Load()
+	if d.end() >= end {
+		return d
 	}
 	l.growMu.Lock()
-	segs = *l.segs.Load()
-	if len(segs) < need {
-		ns := segs
+	d = l.segs.Load()
+	if d.end() < end {
+		need := int((end+segSize-1)>>segShift - d.first)
+		ns := d.segs
 		if cap(ns) < need {
 			// Grow the directory geometrically so the pointer array is
 			// not re-copied on every new segment.
@@ -479,27 +492,76 @@ func (l *Log) ensure(end uint64) [][]byte {
 			if newCap < 64 {
 				newCap = 64
 			}
-			ns = make([][]byte, len(segs), newCap)
-			copy(ns, segs)
+			ns = make([][]byte, len(d.segs), newCap)
+			copy(ns, d.segs)
 		}
 		// Appending within capacity only writes indices at or beyond
-		// every published header's length, so concurrent readers of the
-		// old header never observe them.
+		// every published generation's length, so concurrent readers of
+		// an older generation never observe them.
 		for len(ns) < need {
 			ns = append(ns, make([]byte, segSize))
 		}
-		l.segs.Store(&ns)
-		segs = ns
+		d = &segDir{first: d.first, segs: ns}
+		l.segs.Store(d)
 	}
 	l.growMu.Unlock()
-	return segs
+	return d
+}
+
+// ReleaseBelow lets a log that has a durable sink drop the buffered bytes
+// no in-memory reader can ask for again: whole segments below
+// min(floor, stable point). floor is the caller's retention bound — the
+// begin record of the oldest transaction that may still roll back, since
+// rollback is the only reader of old records during normal processing
+// (redo and analysis only ever run from the sink's files, after a crash).
+// It must be a record boundary; it becomes the log's first readable LSN.
+// The stable point bounds the release because a failed or torn sync
+// re-reads the written-but-unsynced range from memory.
+//
+// A log without a sink keeps everything: in the simulated-crash model the
+// buffer is the stable storage CrashImage reads back. The call is O(1)
+// when no whole segment lies below the bound.
+func (l *Log) ReleaseBelow(floor LSN) {
+	if l.sink == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if floor > l.stableLSN {
+		floor = l.stableLSN
+	}
+	keep := uint64(floor) >> segShift
+	if keep <= l.segs.Load().first {
+		return
+	}
+	l.growMu.Lock()
+	d := l.segs.Load()
+	// keep is at most one past the last segment: the floor is no higher
+	// than the tail, and every byte below the tail is allocated.
+	drop := int(keep - d.first)
+	// A fresh backing array, so the released segments lose their last
+	// reference once every holder of an older generation moves on.
+	ns := make([][]byte, len(d.segs)-drop, len(d.segs)-drop+64)
+	copy(ns, d.segs[drop:])
+	l.segs.Store(&segDir{first: keep, segs: ns})
+	l.growMu.Unlock()
+	l.start = floor
+}
+
+// BufferStats reports the in-memory log buffer's extent: the bytes of
+// segment memory it holds and its first readable LSN (1, or a recovered
+// image's start, until ReleaseBelow advances it).
+func (l *Log) BufferStats() (bufferedBytes uint64, start LSN) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return uint64(len(l.segs.Load().segs)) << segShift, l.start
 }
 
 // copyIn copies b into the segmented buffer at off; the range must lie
 // within already-allocated segments.
-func copyIn(segs [][]byte, off uint64, b []byte) {
+func copyIn(d *segDir, off uint64, b []byte) {
 	for len(b) > 0 {
-		n := copy(segs[off>>segShift][off&segMask:], b)
+		n := copy(d.seg(off)[off&segMask:], b)
 		b = b[n:]
 		off += uint64(n)
 	}
@@ -507,9 +569,9 @@ func copyIn(segs [][]byte, off uint64, b []byte) {
 
 // copyOut copies len(dst) bytes starting at off out of the segmented
 // buffer.
-func copyOut(segs [][]byte, dst []byte, off uint64) {
+func copyOut(d *segDir, dst []byte, off uint64) {
 	for len(dst) > 0 {
-		n := copy(dst, segs[off>>segShift][off&segMask:])
+		n := copy(dst, d.seg(off)[off&segMask:])
 		dst = dst[n:]
 		off += uint64(n)
 	}
@@ -618,7 +680,7 @@ func (l *Log) Append(r *Record) LSN {
 	if start>>segShift == (end-1)>>segShift {
 		// Common case: the record fits one segment; encode in place.
 		so := start & segMask
-		encodeInto(segs[start>>segShift][so:so+total], r)
+		encodeInto(segs.seg(start)[so:so+total], r)
 	} else {
 		b := make([]byte, total)
 		encodeInto(b, r)
@@ -662,7 +724,7 @@ func (l *Log) AppendGroup(recs []*Record) LSN {
 		sz := uint64(headerSize + len(r.Payload))
 		if off>>segShift == (off+sz-1)>>segShift {
 			so := off & segMask
-			encodeInto(segs[off>>segShift][so:so+sz], r)
+			encodeInto(segs.seg(off)[so:so+sz], r)
 		} else {
 			b := make([]byte, sz)
 			encodeInto(b, r)
@@ -755,11 +817,11 @@ func (l *Log) stageWrite(target uint64) error {
 // (zero copies), through the contiguous scratch buffer otherwise.
 // Caller holds wrMu.
 func (l *Log) persistRange(from, to uint64) error {
-	segs := *l.segs.Load()
+	segs := l.segs.Load()
 	if v, ok := l.sink.(sinkVectored); ok {
 		bufs := l.iovecs[:0]
 		for off := from; off < to; {
-			seg := segs[off>>segShift]
+			seg := segs.seg(off)
 			lo := off & segMask
 			n := uint64(segSize) - lo
 			if off+n > to {
@@ -888,7 +950,7 @@ func (l *Log) rewindSink(to uint64) {
 // target, selected by the seeded draw frac. Returns from when no record
 // completes inside the range.
 func (l *Log) tearBoundary(from, target uint64, frac float64) uint64 {
-	segs := *l.segs.Load()
+	segs := l.segs.Load()
 	var bounds []uint64
 	pos := from
 	for {
@@ -1129,7 +1191,7 @@ func (l *Log) tornSink(b, pub uint64, frac float64) {
 	if !ok || b+4 > pub {
 		return
 	}
-	segs := *l.segs.Load()
+	segs := l.segs.Load()
 	var lenb [4]byte
 	copyOut(segs, lenb[:], b)
 	total := uint64(binary.LittleEndian.Uint32(lenb[:]))
@@ -1208,7 +1270,8 @@ func (l *Log) Stats() (appends, flushes int64) {
 
 // Read returns the record starting at lsn, reading from the full buffered
 // log (normal processing, e.g. rollback, sees unforced records too). The
-// caller must have learned lsn from a completed Append.
+// caller must have learned lsn from a completed Append, and — on a log
+// with a sink — must be covered by the floor it hands ReleaseBelow.
 func (l *Log) Read(lsn LSN) (Record, error) {
 	end := l.tail.Load()
 	if lsn == NilLSN || uint64(lsn) >= end {
@@ -1218,7 +1281,8 @@ func (l *Log) Read(lsn LSN) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
-	r, _, err := decode(b)
+	// b is this call's private copy, so the payload may alias it.
+	r, _, err := decodeShared(b)
 	if err != nil {
 		return Record{}, err
 	}
@@ -1231,7 +1295,10 @@ func (l *Log) Read(lsn LSN) (Record, error) {
 // copyRecord copies the encoded record starting at off into a fresh
 // contiguous buffer; end bounds the readable offset space.
 func (l *Log) copyRecord(off, end uint64) ([]byte, error) {
-	segs := *l.segs.Load()
+	segs := l.segs.Load()
+	if off < segs.start() {
+		return nil, fmt.Errorf("wal: read at %d below the buffered log (starts at %d)", off, segs.start())
+	}
 	if off+4 > end {
 		return nil, ErrBadRecord
 	}
@@ -1246,20 +1313,27 @@ func (l *Log) copyRecord(off, end uint64) ([]byte, error) {
 	return b, nil
 }
 
-// contiguous returns a fresh contiguous copy of bytes [0:end).
-func (l *Log) contiguous(end uint64) []byte {
-	img := make([]byte, end)
-	segs := *l.segs.Load()
-	if end > 1 {
-		copyOut(segs, img[1:], 1)
+// image returns a Reader over a fresh contiguous copy of the buffered
+// bytes [l.start, end), dropping a checkpoint anchor outside it. Caller
+// holds l.mu.
+func (l *Log) image(end LSN, ckpt LSN) *Reader {
+	if end < l.start {
+		end = l.start
 	}
-	return img
+	if ckpt < l.start || ckpt >= end {
+		ckpt = NilLSN
+	}
+	buf := make([]byte, end-l.start)
+	copyOut(l.segs.Load(), buf, uint64(l.start))
+	return &Reader{buf: buf, base: l.start, ckptLSN: ckpt}
 }
 
 // CrashImage returns the stable prefix of the log as a Reader, simulating
 // loss of the volatile tail. If truncateAt is non-nil and lies at a record
 // boundary before the stable point, the image is truncated there instead,
-// which lets the crash matrix test every prefix of a run.
+// which lets the crash matrix test every prefix of a run. On a log whose
+// sink let it release its oldest bytes the image starts at the first
+// buffered record; the sink's files hold the rest.
 func (l *Log) CrashImage(truncateAt *LSN) *Reader {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1267,11 +1341,7 @@ func (l *Log) CrashImage(truncateAt *LSN) *Reader {
 	if truncateAt != nil && *truncateAt < end {
 		end = *truncateAt
 	}
-	ckpt := l.ckptLSN
-	if ckpt >= end {
-		ckpt = NilLSN
-	}
-	return &Reader{buf: l.contiguous(uint64(end)), ckptLSN: ckpt, start: l.start}
+	return l.image(end, l.ckptLSN)
 }
 
 // FullImage returns a Reader over the fully-published buffered log, for
@@ -1279,17 +1349,16 @@ func (l *Log) CrashImage(truncateAt *LSN) *Reader {
 func (l *Log) FullImage() *Reader {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	end := l.publishedPrefix(l.tail.Load())
-	return &Reader{buf: l.contiguous(end), ckptLSN: l.ckptLSN, start: l.start}
+	return l.image(LSN(l.publishedPrefix(l.tail.Load())), l.ckptLSN)
 }
 
-// Reader iterates a (possibly truncated) log image during restart. buf is
-// indexed by absolute LSN; bytes below start are unreadable (zero after
-// segment recycling dropped them).
+// Reader iterates a (possibly truncated) log image during restart. The
+// image holds the bytes [base, base+len(buf)): buf is indexed relative to
+// base, so its size follows the live log rather than the absolute LSN.
 type Reader struct {
 	buf     []byte
+	base    LSN // LSN of buf[0]: the first readable record position (1, or the recycle horizon / trim point)
 	ckptLSN LSN
-	start   LSN // first readable record position; 0 means 1
 }
 
 // CheckpointLSN returns the image's checkpoint anchor, or NilLSN if no
@@ -1298,13 +1367,18 @@ func (r *Reader) CheckpointLSN() LSN { return r.ckptLSN }
 
 // StartLSN returns the first readable record position of the image. It is
 // 1 for a never-recycled log and the recycle horizon afterwards.
-func (r *Reader) StartLSN() LSN { return r.effStart() }
+func (r *Reader) StartLSN() LSN { return r.base }
 
-func (r *Reader) effStart() LSN {
-	if r.start <= 1 {
-		return 1
+// EndLSN returns one past the last byte of the image.
+func (r *Reader) EndLSN() LSN { return r.base + LSN(len(r.buf)) }
+
+// from returns the image bytes starting at lsn, or nil when lsn lies
+// outside the image.
+func (r *Reader) from(lsn LSN) []byte {
+	if lsn < r.base || lsn >= r.EndLSN() {
+		return nil
 	}
-	return r.start
+	return r.buf[lsn-r.base:]
 }
 
 // Scan calls fn for each record from lsn (NilLSN means the start of the
@@ -1313,20 +1387,13 @@ func (r *Reader) effStart() LSN {
 // not match its position — terminates the scan silently, as restart
 // would.
 func (r *Reader) Scan(lsn LSN, fn func(Record) bool) {
-	pos := int(lsn)
-	if pos < int(r.effStart()) {
-		pos = int(r.effStart())
-	}
-	for pos < len(r.buf) {
-		rec, n, err := decode(r.buf[pos:])
-		if err != nil || rec.LSN != LSN(pos) {
-			return
+	r.ScanShared(lsn, func(rec *Record) bool {
+		c := *rec
+		if len(c.Payload) > 0 {
+			c.Payload = append([]byte(nil), c.Payload...)
 		}
-		if !fn(rec) {
-			return
-		}
-		pos += n
-	}
+		return fn(c)
+	})
 }
 
 // ScanShared is Scan without the per-record payload copy: records are
@@ -1335,20 +1402,17 @@ func (r *Reader) Scan(lsn LSN, fn func(Record) bool) {
 // read-only and must not retain the record past the callback without
 // copying it. Restart's fused analysis+planning scan runs through this.
 func (r *Reader) ScanShared(lsn LSN, fn func(*Record) bool) {
-	pos := int(lsn)
-	if pos < int(r.effStart()) {
-		pos = int(r.effStart())
-	}
+	pos := max(lsn, r.base)
 	var rec Record
-	for pos < len(r.buf) {
-		n, err := decodeSharedInto(r.buf[pos:], &rec)
-		if err != nil || rec.LSN != LSN(pos) {
+	for b := r.from(pos); b != nil; b = r.from(pos) {
+		n, err := decodeSharedInto(b, &rec)
+		if err != nil || rec.LSN != pos {
 			return
 		}
 		if !fn(&rec) {
 			return
 		}
-		pos += n
+		pos += LSN(n)
 	}
 }
 
@@ -1368,10 +1432,11 @@ func (r *Reader) RecordAt(lsn LSN) (Record, error) {
 // redo worker can materialize a page's whole batch without a struct copy
 // per record.
 func (r *Reader) RecordAtInto(lsn LSN, rec *Record) error {
-	if lsn < r.effStart() || int(lsn) >= len(r.buf) {
+	b := r.from(lsn)
+	if b == nil {
 		return fmt.Errorf("wal: image read at invalid LSN %d", lsn)
 	}
-	if _, err := decodeSharedInto(r.buf[lsn:], rec); err != nil {
+	if _, err := decodeSharedInto(b, rec); err != nil {
 		return err
 	}
 	if rec.LSN != lsn {
@@ -1380,38 +1445,26 @@ func (r *Reader) RecordAtInto(lsn LSN, rec *Record) error {
 	return nil
 }
 
-// Read returns the record at lsn within the image.
+// Read returns the record at lsn within the image; its payload is an
+// independent copy.
 func (r *Reader) Read(lsn LSN) (Record, error) {
-	if lsn < r.effStart() || int(lsn) >= len(r.buf) {
-		return Record{}, fmt.Errorf("wal: image read at invalid LSN %d", lsn)
+	rec, err := r.RecordAt(lsn)
+	if err == nil && len(rec.Payload) > 0 {
+		rec.Payload = append([]byte(nil), rec.Payload...)
 	}
-	rec, _, err := decode(r.buf[lsn:])
-	if err != nil {
-		return Record{}, err
-	}
-	if rec.LSN != lsn {
-		return Record{}, fmt.Errorf("wal: record at %d carries LSN %d: %w", lsn, rec.LSN, ErrCorruptRecord)
-	}
-	return rec, nil
+	return rec, err
 }
-
-// EndLSN returns one past the last byte of the image.
-func (r *Reader) EndLSN() LSN { return LSN(len(r.buf)) }
 
 // Boundaries returns the LSN of every record boundary in the image,
 // including the final end-of-log position. The crash matrix uses these as
 // truncation points.
 func (r *Reader) Boundaries() []LSN {
 	var out []LSN
-	pos := int(r.effStart())
-	for pos < len(r.buf) {
-		out = append(out, LSN(pos))
-		rec, n, err := decode(r.buf[pos:])
-		if err != nil || rec.LSN != LSN(pos) {
-			break
-		}
-		pos += n
-	}
-	out = append(out, LSN(pos))
-	return out
+	pos := r.base
+	r.ScanShared(pos, func(rec *Record) bool {
+		out = append(out, rec.LSN)
+		pos = rec.LSN + LSN(headerSize+len(rec.Payload))
+		return true
+	})
+	return append(out, pos)
 }

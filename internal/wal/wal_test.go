@@ -138,7 +138,7 @@ func TestTornRecordStopsScan(t *testing.T) {
 	l.ForceAll()
 	img := l.CrashImage(nil)
 	// Corrupt a byte inside the second record.
-	img.buf[int(lsn2)+headerSize] ^= 0xFF
+	img.from(lsn2)[headerSize] ^= 0xFF
 	count := 0
 	img.Scan(NilLSN, func(r Record) bool { count++; return true })
 	if count != 1 {
