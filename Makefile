@@ -4,7 +4,7 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test lockcpu race benchbuild expbuild benchsmoke bench torture realcrash churn
+.PHONY: check vet build test lockcpu race benchbuild expbuild benchsmoke bench torture realcrash churn loc
 
 ## check: everything CI runs — vet, build, tests, the race detector over
 ## the concurrency-critical packages (including the commit-pipeline and
@@ -35,7 +35,7 @@ lockcpu:
 	$(GO) test -cpu 1,2,4 -count 10 ./internal/lock
 
 race:
-	$(GO) test -race ./internal/storage ./internal/wal ./internal/latch ./internal/core ./internal/lock ./internal/txn ./internal/tsb ./internal/spatial ./internal/recovery ./internal/engine ./internal/maint
+	$(GO) test -race ./internal/storage ./internal/wal ./internal/latch ./internal/pitree ./internal/core ./internal/lock ./internal/txn ./internal/tsb ./internal/spatial ./internal/recovery ./internal/engine ./internal/maint
 
 benchbuild:
 	$(GO) test -run '^$$' -bench '^$$' ./... >/dev/null
@@ -68,6 +68,15 @@ realcrash:
 ## over repeatedly must leave the store size flat with pages recycled.
 churn:
 	$(GO) run ./cmd/pitree-verify -churn
+
+## loc: non-test Go lines per internal package — the number ROADMAP's
+## "least code" aim tracks. Raw lines, comments and blanks included, so a
+## change cannot shrink it by stripping comments without that showing in
+## the diff.
+loc:
+	@for d in internal/*/; do \
+		printf '%-10s %6d\n' $$(basename $$d) $$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l); \
+	done
 
 ## bench: all microbenchmarks with allocation stats (root experiment
 ## benchmarks plus the lock/txn/wal substrate benchmarks). Set

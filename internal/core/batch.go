@@ -76,7 +76,7 @@ func sortIdx(idx []int, ks []keys.Key) {
 // suffix contiguous).
 func runEnd(leaf *nref, ks []keys.Key, idx []int, pos int) int {
 	end := pos + 1
-	for end < len(idx) && leaf.n.DirectlyContains(ks[idx[end]]) {
+	for end < len(idx) && leaf.N.DirectlyContains(ks[idx[end]]) {
 		end++
 	}
 	return end
@@ -91,7 +91,7 @@ func runEnd(leaf *nref, ks []keys.Key, idx []int, pos int) int {
 // single-key writer falls back to the blocking path, where the waits-for
 // detector remains the backstop.
 func (t *Tree) lockRun(o *opCtx, leaf *nref, ks []keys.Key, run []int, sc *batchScratch, mode lock.Mode) error {
-	if o.txn == nil {
+	if o.Txn == nil {
 		return nil
 	}
 	names := sc.names[:0]
@@ -99,15 +99,7 @@ func (t *Tree) lockRun(o *opCtx, leaf *nref, ks []keys.Key, run []int, sc *batch
 		names = append(names, t.recLockName(ks[i]))
 	}
 	sc.names = names
-	fail := o.txn.TryLockBatch(names, mode)
-	if fail < 0 {
-		return nil
-	}
-	o.release(leaf)
-	if err := o.txn.Lock(names[fail], mode); err != nil {
-		return err
-	}
-	return errRetry
+	return o.LockDanceBatch(o.Txn, leaf, names, mode)
 }
 
 // MultiGet looks up a batch of keys with one descent and one latch hold
@@ -125,11 +117,11 @@ func (t *Tree) MultiGet(tx *txn.Txn, ks []keys.Key, vals [][]byte, found []bool)
 	t.Stats.Searches.Add(int64(len(ks)))
 	sc := takeBatchScratch(len(ks))
 	sortIdx(sc.idx, ks)
-	// Hand-rolled retry loop, like SearchInto: a retryLoop closure would
+	// Hand-rolled retry loop, like SearchInto: a RetryLoop closure would
 	// capture the slices and allocate on every batch.
 	pos := 0
 	for pos < len(ks) {
-		o := t.newOp(tx)
+		o := t.kern.NewOp(tx)
 		leaf, err := t.descendTo(o, ks[sc.idx[pos]], 0, latch.S, true, nil)
 		if err == nil {
 			end := runEnd(&leaf, ks, sc.idx, pos)
@@ -137,20 +129,20 @@ func (t *Tree) MultiGet(tx *txn.Txn, ks []keys.Key, vals [][]byte, found []bool)
 			err = t.lockRun(o, &leaf, ks, run, sc, lock.S)
 			if err == nil {
 				for _, i := range run {
-					if j, ok := leaf.n.search(ks[i]); ok {
-						vals[i] = append(vals[i][:0], leaf.n.Entries[j].Value...)
+					if j, ok := leaf.N.search(ks[i]); ok {
+						vals[i] = append(vals[i][:0], leaf.N.Entries[j].Value...)
 						found[i] = true
 					} else {
 						found[i] = false
 					}
 				}
-				o.release(&leaf)
+				o.Release(&leaf)
 				t.Stats.BatchOps.Add(1)
 				t.Stats.LeafVisitsSaved.Add(int64(len(run) - 1))
 				pos = end
 			}
 		}
-		o.done()
+		o.Done()
 		if err != nil {
 			if errors.Is(err, errRetry) {
 				t.Stats.Restarts.Add(1)
@@ -195,8 +187,8 @@ func (t *Tree) batchMutate(tx *txn.Txn, ks []keys.Key, vals [][]byte, del bool) 
 	sortIdx(sc.idx, ks)
 	pos := 0
 	for pos < len(ks) {
-		if err := t.retryLoop(func() error {
-			return t.mutateRun(tx, ks, vals, del, sc, &pos)
+		if err := t.kern.RetryLoop(tx, func(o *opCtx) error {
+			return t.mutateRun(o, ks, vals, del, sc, &pos)
 		}); err != nil {
 			return err
 		}
@@ -211,9 +203,8 @@ func (t *Tree) batchMutate(tx *txn.Txn, ks []keys.Key, vals [][]byte, del bool) 
 // On success pos advances past the applied keys; errRetry re-enters with
 // pos unchanged (or advanced past a partial run when the leaf filled
 // mid-run, with the remainder re-descending into the post-split leaves).
-func (t *Tree) mutateRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, del bool, sc *batchScratch, pos *int) error {
-	o := t.newOp(tx)
-	defer o.done()
+func (t *Tree) mutateRun(o *opCtx, ks []keys.Key, vals [][]byte, del bool, sc *batchScratch, pos *int) error {
+	tx := o.Txn
 	path := newPath()
 	leaf, err := t.descendTo(o, ks[sc.idx[*pos]], 0, latch.U, true, path)
 	if err != nil {
@@ -226,7 +217,7 @@ func (t *Tree) mutateRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, del bool, sc
 		return err
 	}
 
-	if len(leaf.n.Entries) >= t.opts.LeafCapacity {
+	if len(leaf.N.Entries) >= t.opts.LeafCapacity {
 		if err := t.splitLeaf(o, &leaf, path); err != nil {
 			return err
 		}
@@ -236,10 +227,8 @@ func (t *Tree) mutateRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, del bool, sc
 	// Page-granule IX lock, as in modify: marks this transaction as an
 	// updater of the leaf for later move locks to wait on.
 	if tx != nil && t.binding.PageOriented() {
-		if restart, err := o.lockDance(&leaf, t.pageLockName(leaf.pid()), lock.IX); err != nil {
+		if err := o.LockDance(tx, &leaf, t.pageLockName(leaf.Pid()), lock.IX); err != nil {
 			return err
-		} else if restart {
-			return errRetry
 		}
 	}
 
@@ -257,66 +246,66 @@ func (t *Tree) mutateRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, del bool, sc
 		if aa != nil {
 			_ = aa.Abort() // nothing logged; empty abort keeps the log tidy
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return err
 	}
 
-	o.promote(&leaf)
-	oldCount := len(leaf.n.Entries)
+	o.Promote(&leaf)
+	oldCount := len(leaf.N.Entries)
 	ups := sc.ups[:0]
 	applied := 0
 	for _, i := range run {
 		k := ks[i]
 		if del {
-			j, exists := leaf.n.search(k)
+			j, exists := leaf.N.search(k)
 			if exists {
-				old := leaf.n.Entries[j].Value
+				old := leaf.N.Entries[j].Value
 				ups = append(ups, txn.GroupUpdate{Kind: KindDeleteRecord, Payload: encKV(k, old)})
-				leaf.n.deleteEntry(k)
+				leaf.N.deleteEntry(k)
 				t.Stats.Deletes.Add(1)
 			}
-		} else if j, exists := leaf.n.search(k); exists {
-			old := leaf.n.Entries[j].Value
+		} else if j, exists := leaf.N.search(k); exists {
+			old := leaf.N.Entries[j].Value
 			ups = append(ups, txn.GroupUpdate{Kind: KindUpdateRecord, Payload: encKVV(k, vals[i], old)})
-			leaf.n.Entries[j].Value = append([]byte(nil), vals[i]...)
+			leaf.N.Entries[j].Value = append([]byte(nil), vals[i]...)
 			t.Stats.Updates.Add(1)
 		} else {
-			if len(leaf.n.Entries) >= t.opts.LeafCapacity {
+			if len(leaf.N.Entries) >= t.opts.LeafCapacity {
 				// The leaf filled mid-run. Stop here: the applied prefix is
 				// logged below, and the remainder restarts with a fresh
 				// descent that splits this leaf first.
 				break
 			}
 			ups = append(ups, txn.GroupUpdate{Kind: KindInsertRecord, Payload: encKV(k, vals[i])})
-			leaf.n.insertEntry(Entry{Key: keys.Clone(k), Value: append([]byte(nil), vals[i]...)})
+			leaf.N.insertEntry(Entry{Key: keys.Clone(k), Value: append([]byte(nil), vals[i]...)})
 			t.Stats.Inserts.Add(1)
 		}
 		applied++
 	}
 	sc.ups = ups
 	if len(ups) > 0 {
-		first, last := act.LogUpdateGroup(t.store.Pool.StoreID, uint64(leaf.pid()), ups)
+		first, last := act.LogUpdateGroup(t.store.Pool.StoreID, uint64(leaf.Pid()), ups)
 		// Both marks matter: the first publishes recLSN covering the whole
 		// run if the page was clean, the second advances pageLSN to the
 		// run's last record.
-		leaf.f.MarkDirty(first)
-		leaf.f.MarkDirty(last)
+		leaf.F.MarkDirty(first)
+		leaf.F.MarkDirty(last)
 	}
-	t.Stats.NoteLeafUtil(oldCount, len(leaf.n.Entries), t.opts.LeafCapacity)
+	t.Stats.NoteLeafUtil(oldCount, len(leaf.N.Entries), t.opts.LeafCapacity)
 	t.Stats.BatchOps.Add(1)
 	t.Stats.LeafVisitsSaved.Add(int64(applied - 1))
 	// Commit before unlatching, as in modify: the atomic action's effects
 	// must be durable-ordered before any dependent action can observe them.
 	if aa != nil {
 		if cerr := aa.Commit(); cerr != nil {
-			o.release(&leaf)
+			o.Release(&leaf)
 			return cerr
 		}
 	}
 	if del {
 		t.maybeScheduleConsolidation(&leaf)
 	}
-	o.release(&leaf)
+	o.Release(&leaf)
 	*pos += applied
 	return nil
 }

@@ -93,3 +93,23 @@ func TestEngineCloseDrainsScheduledConsolidations(t *testing.T) {
 		}
 	}
 }
+
+// TestCompletionHotPathAllocs: a side traversal schedules its posting
+// under the traversed node's latch, and nearly always finds it already
+// queued; folding that duplicate (and asking whether a task is live) must
+// not allocate.
+func TestCompletionHotPathAllocs(t *testing.T) {
+	fx := newFixture(t, engine.Options{}, defaultTestOpts()) // SyncCompletion: queued until drained
+	task := postTask{level: 1, sep: keys.Uint64(42), newPid: 9, path: newPath()}
+	fx.tree.schedulePost(task)
+	if a := testing.AllocsPerRun(100, func() { fx.tree.schedulePost(task) }); a != 0 {
+		t.Fatalf("duplicate schedulePost allocates %.1f objects", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if !fx.tree.comp.Refs(postKey(task)) {
+			t.Error("queued posting not visible to Refs")
+		}
+	}); a != 0 {
+		t.Fatalf("Refs allocates %.1f objects", a)
+	}
+}

@@ -1,41 +1,17 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/keys"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 )
 
-// taskKey identifies a pending completion for duplicate folding. It is a
-// comparable value — scheduling a task from the hot path allocates no
-// strings. Post tasks carry the separator as an FNV-1a fingerprint; a
-// collision folds two distinct posts, which lazy completion repairs the
-// next time a traversal crosses the unposted sibling (§5.1: every
-// completing action re-tests the tree state anyway).
-type taskKey struct {
-	kind  uint8
-	level int
-	pid   storage.PageID
-	sep   uint64
-}
-
+// Completing-action kinds, for the kernel queue's duplicate folding.
 const (
 	taskPost uint8 = iota + 1
 	taskConsolidate
 	taskRootShrink
 )
-
-// fingerprint is FNV-1a over a key, for taskKey dedup.
-func fingerprint(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
-}
 
 // postTask asks for the index term describing a split to be posted at
 // `level` (§5.3's LEVEL): sep is the new node's low key (the KEY searched
@@ -47,10 +23,6 @@ type postTask struct {
 	path   *Path
 }
 
-func (t postTask) key() taskKey {
-	return taskKey{kind: taskPost, level: t.level, pid: t.newPid, sep: fingerprint(t.sep)}
-}
-
 // consolidateTask asks for an attempt to consolidate the under-utilized
 // node pid (whose responsible space starts at low) at `level`.
 type consolidateTask struct {
@@ -59,184 +31,62 @@ type consolidateTask struct {
 	pid   storage.PageID
 }
 
-func (t consolidateTask) key() taskKey {
-	return taskKey{kind: taskConsolidate, level: t.level, pid: t.pid}
+// task is one queued completing action: a posting, a consolidation
+// attempt, or (neither payload used) a height-reduction attempt.
+type task struct {
+	kind uint8
+	post postTask
+	cons consolidateTask
 }
 
-// rootShrinkTask asks for a height-reduction attempt.
-type rootShrinkTask struct{}
-
-func (rootShrinkTask) key() taskKey { return taskKey{kind: taskRootShrink} }
-
-type completionTask interface{ key() taskKey }
-
-// completer schedules and executes completing atomic actions: index-term
-// postings and node consolidations. Scheduling is non-blocking and safe
-// to call while holding latches; execution happens on worker goroutines
-// (or inside DrainCompletions when SyncCompletion is set). Duplicate
-// schedulings of the same pending task are folded together — additional
-// duplicates that slip through are harmless because every completing
-// action re-tests the tree state before changing anything (§5.1).
-type completer struct {
-	t       *Tree
-	mu      sync.Mutex
-	cond    *sync.Cond
-	tasks   []completionTask
-	pending map[taskKey]struct{}
-	active  int
-	stopped bool
-	wg      sync.WaitGroup
-	// draining suspends governor pacing so shutdown drains at full speed.
-	draining atomic.Bool
-}
-
-// depth reports the current queue depth (scheduled, unpopped tasks).
-func (c *completer) depth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.tasks)
-}
+// completer is the kernel's completion queue carrying this tree's tasks.
+// Duplicate schedulings of a queued task are folded together; duplicates
+// that slip through are harmless because every completing action
+// re-tests the tree state before changing anything (§5.1).
+type completer = pitree.Queue[task]
 
 func newCompleter(t *Tree) *completer {
-	c := &completer{
-		t:       t,
-		pending: make(map[taskKey]struct{}),
-	}
-	c.cond = sync.NewCond(&c.mu)
-	if !t.opts.SyncCompletion {
-		for i := 0; i < t.opts.CompletionWorkers; i++ {
-			c.wg.Add(1)
-			go c.worker()
-		}
-	}
-	return c
+	return pitree.NewQueue(pitree.QueueConfig[task]{
+		Run: t.runTask,
+		// Consolidation is paced so merges never convoy foreground
+		// mutators; index-term posts complete structure changes the
+		// foreground is already navigating around.
+		Paced:    func(k task) bool { return k.kind != taskPost },
+		Governor: t.opts.Governor,
+		Workers:  t.opts.CompletionWorkers,
+		Sync:     t.opts.SyncCompletion,
+	})
 }
 
-func (c *completer) schedule(task completionTask) {
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		return
-	}
-	if _, dup := c.pending[task.key()]; dup {
-		c.mu.Unlock()
-		return
-	}
-	c.pending[task.key()] = struct{}{}
-	c.tasks = append(c.tasks, task)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-func (c *completer) schedulePost(task postTask) {
-	if task.path == nil {
-		task.path = newPath()
-	}
-	c.t.Stats.PostsScheduled.Add(1)
-	c.schedule(task)
-}
-
-func (c *completer) scheduleConsolidate(task consolidateTask) {
-	c.schedule(task)
-}
-
-func (c *completer) scheduleRootShrink() {
-	c.schedule(rootShrinkTask{})
-}
-
-// pop removes the next task, or returns nil if none (and, when block is
-// true, waits for one unless stopped).
-func (c *completer) pop(block bool) completionTask {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.tasks) == 0 {
-		if !block || c.stopped {
-			return nil
-		}
-		c.cond.Wait()
-	}
-	task := c.tasks[0]
-	c.tasks = c.tasks[1:]
-	delete(c.pending, task.key())
-	c.active++
-	return task
-}
-
-func (c *completer) done() {
-	c.mu.Lock()
-	c.active--
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-func (c *completer) run(task completionTask) {
-	defer c.done()
-	switch task := task.(type) {
-	case postTask:
-		c.t.postIndexTerm(task)
-	case consolidateTask:
-		c.t.consolidate(task)
-	case rootShrinkTask:
-		c.t.shrinkRoot()
+func (t *Tree) runTask(k task) {
+	switch k.kind {
+	case taskPost:
+		t.postIndexTerm(k.post)
+	case taskConsolidate:
+		t.consolidate(k.cons)
+	case taskRootShrink:
+		t.shrinkRoot()
 	}
 }
 
-func (c *completer) worker() {
-	defer c.wg.Done()
-	for {
-		task := c.pop(true)
-		if task == nil {
-			return
-		}
-		// Consolidation work is paced by the maintenance governor so
-		// merges never convoy foreground mutators; index-term posts run
-		// unpaced (they complete structure changes the foreground is
-		// already navigating around). Draining bypasses the pacer.
-		switch task.(type) {
-		case consolidateTask, rootShrinkTask:
-			if !c.draining.Load() {
-				c.t.opts.Governor.Admit(c.depth())
-			}
-		}
-		c.run(task)
+// schedulePost queues a posting. The dedup key carries the separator as
+// a fingerprint, so scheduling from the hot path allocates no strings.
+func (t *Tree) schedulePost(p postTask) {
+	if p.path == nil {
+		p.path = newPath()
 	}
+	t.Stats.PostsScheduled.Add(1)
+	t.comp.Schedule(postKey(p), task{kind: taskPost, post: p})
 }
 
-// drain processes or waits out every scheduled task. In SyncCompletion
-// mode the calling goroutine executes them; otherwise it waits for the
-// workers to go idle with an empty queue.
-func (c *completer) drain() {
-	if c.t.opts.SyncCompletion {
-		for {
-			task := c.pop(false)
-			if task == nil {
-				return
-			}
-			c.run(task)
-		}
-	}
-	c.mu.Lock()
-	for len(c.tasks) > 0 || c.active > 0 {
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
+func postKey(p postTask) pitree.TaskKey {
+	return pitree.TaskKey{Kind: taskPost, Level: p.level, Pid: p.newPid, Sep: pitree.Fingerprint(p.sep)}
 }
 
-func (c *completer) stop() {
-	c.mu.Lock()
-	c.stopped = true
-	c.tasks = nil
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.wg.Wait()
+func (t *Tree) scheduleConsolidate(c consolidateTask) {
+	t.comp.Schedule(pitree.TaskKey{Kind: taskConsolidate, Level: c.level, Pid: c.pid}, task{kind: taskConsolidate, cons: c})
 }
 
-// closeDrain is the orderly shutdown: work off every pending completion
-// (including consolidations they escalate into), then stop the workers.
-// Unlike stop alone, nothing pending is discarded, so a close-then-reopen
-// never finds structure changes that were scheduled but silently dropped.
-func (c *completer) closeDrain() {
-	c.draining.Store(true)
-	c.drain()
-	c.stop()
+func (t *Tree) scheduleRootShrink() {
+	t.comp.Schedule(pitree.TaskKey{Kind: taskRootShrink}, task{kind: taskRootShrink})
 }

@@ -26,9 +26,7 @@ func (t *Tree) consolidate(task consolidateTask) {
 		return
 	}
 	t.Stats.ConsolidateTries.Add(1)
-	_ = t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	_ = t.kern.RetryLoop(nil, func(o *opCtx) error {
 		parent, err := t.descendTo(o, task.low, task.level+1, latch.U, false, nil)
 		if err != nil {
 			if errors.Is(err, errLevelGone) {
@@ -38,15 +36,15 @@ func (t *Tree) consolidate(task consolidateTask) {
 		}
 
 		// Locate the task's index term; its node is the merge seed.
-		i, exact := parent.n.search(task.low)
-		if !exact || parent.n.Entries[i].Child != task.pid {
-			o.release(&parent)
+		i, exact := parent.N.search(task.low)
+		if !exact || parent.N.Entries[i].Child != task.pid {
+			o.Release(&parent)
 			return nil // already consolidated or never posted: obsolete
 		}
 		// Promote the parent before latching any child (§4.1.1 promotion
 		// rule); the whole batched sweep below runs under this one X hold,
 		// which is what amortizes the parent pin+latch over several merges.
-		o.promote(&parent)
+		o.Promote(&parent)
 
 		// Batched sweep: starting one term left of the seed, try adjacent
 		// pairs under the single parent hold. A committed merge keeps the
@@ -59,11 +57,11 @@ func (t *Tree) consolidate(task consolidateTask) {
 		if idx < 0 {
 			idx = 0
 		}
-		for idx+1 < len(parent.n.Entries) && merges < budget && probes < 2*budget {
+		for idx+1 < len(parent.N.Entries) && merges < budget && probes < 2*budget {
 			probes++
 			merged, stop, err := t.tryMerge(o, &parent, idx, idx+1)
 			if err != nil {
-				o.release(&parent)
+				o.Release(&parent)
 				return err
 			}
 			if stop {
@@ -76,11 +74,11 @@ func (t *Tree) consolidate(task consolidateTask) {
 			}
 		}
 
-		parentEntries := len(parent.n.Entries)
-		parentIsRoot := parent.pid() == t.root
-		parentPid := parent.pid()
-		parentLow := keys.Clone(parent.n.Low)
-		parentLevel := parent.n.Level
+		parentEntries := len(parent.N.Entries)
+		parentIsRoot := parent.Pid() == t.root
+		parentPid := parent.Pid()
+		parentLow := keys.Clone(parent.N.Low)
+		parentLevel := parent.N.Level
 		// A sweep cut short — batch budget, probe cap, or move-lock
 		// contention — may leave qualifying pairs behind, and nothing
 		// re-triggers them: the drained leaves' deletes are done, so without
@@ -88,11 +86,11 @@ func (t *Tree) consolidate(task consolidateTask) {
 		// change happens to land under this parent (under churn: never).
 		// Re-seed a task at the stopping position; a task only reschedules
 		// after freeing at least one node, so the chain terminates.
-		if merges > 0 && idx+1 < len(parent.n.Entries) {
-			e := parent.n.Entries[idx]
-			t.comp.scheduleConsolidate(consolidateTask{level: task.level, low: keys.Clone(e.Key), pid: e.Child})
+		if merges > 0 && idx+1 < len(parent.N.Entries) {
+			e := parent.N.Entries[idx]
+			t.scheduleConsolidate(consolidateTask{level: task.level, low: keys.Clone(e.Key), pid: e.Child})
 		}
-		o.release(&parent)
+		o.Release(&parent)
 
 		if merges == 0 {
 			return nil
@@ -104,10 +102,10 @@ func (t *Tree) consolidate(task consolidateTask) {
 		// node consolidation, escalating tree changes to the next level").
 		if parentIsRoot {
 			if parentEntries == 1 {
-				t.comp.scheduleRootShrink()
+				t.scheduleRootShrink()
 			}
 		} else if parentEntries < int(float64(t.opts.IndexCapacity)*t.opts.MinUtilization) {
-			t.comp.scheduleConsolidate(consolidateTask{level: parentLevel, low: parentLow, pid: parentPid})
+			t.scheduleConsolidate(consolidateTask{level: parentLevel, low: parentLow, pid: parentPid})
 		}
 		return nil
 	})
@@ -121,9 +119,9 @@ func (t *Tree) consolidate(task consolidateTask) {
 // parent stays latched in every case — the caller owns its release — so
 // one parent visit can try several pairs.
 func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bool, err error) {
-	bEntry := parent.n.Entries[bIdx]
-	cEntry := parent.n.Entries[cIdx]
-	level := parent.n.Level - 1
+	bEntry := parent.N.Entries[bIdx]
+	cEntry := parent.N.Entries[cIdx]
+	level := parent.N.Level - 1
 	capacity := t.opts.IndexCapacity
 	if level == 0 {
 		capacity = t.opts.LeafCapacity
@@ -136,32 +134,31 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 	// the parent while already holding a child's U latch deadlocks with a
 	// reader that holds parent-S and waits for that child — the exact
 	// cycle the rule exists to prevent.) The caller promoted the parent.
-	b, err := o.acquire(bEntry.Child, latch.U, level)
+	b, err := o.Acquire(bEntry.Child, latch.U, level)
 	if err != nil {
 		return false, true, err
 	}
-	structOK := !b.n.Dead && b.n.Right == cEntry.Child &&
-		!b.n.High.Unbounded && keys.Equal(b.n.High.Key, cEntry.Key)
+	structOK := !b.N.Dead && b.N.Right == cEntry.Child &&
+		!b.N.High.Unbounded && keys.Equal(b.N.High.Key, cEntry.Key)
 	if !structOK {
-		o.release(&b)
+		o.Release(&b)
 		return false, false, nil
 	}
-	o.promote(&b)
-	c, err := o.acquire(cEntry.Child, latch.U, level)
+	o.Promote(&b)
+	c, err := o.Acquire(cEntry.Child, latch.U, level)
 	if err != nil {
-		o.release(&b)
+		o.Release(&b)
 		return false, true, err
 	}
 	threshold := int(float64(capacity) * t.opts.MinUtilization)
-	ok := !c.n.Dead && keys.Equal(c.n.Low, cEntry.Key) &&
-		len(b.n.Entries)+len(c.n.Entries) <= capacity &&
-		(len(b.n.Entries) < threshold || len(c.n.Entries) < threshold)
+	ok := !c.N.Dead && keys.Equal(c.N.Low, cEntry.Key) &&
+		len(b.N.Entries)+len(c.N.Entries) <= capacity &&
+		(len(b.N.Entries) < threshold || len(c.N.Entries) < threshold)
 	if !ok {
-		o.release(&c)
-		o.release(&b)
+		o.Release(&c, &b)
 		return false, false, nil
 	}
-	o.promote(&c)
+	o.Promote(&c)
 
 	aa := t.tm.BeginAtomicAction()
 	if level == 0 && t.binding.PageOriented() {
@@ -169,49 +166,46 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 		// transaction with undoable updates on either page. TryLock only —
 		// holding three latches while waiting for locks would break the
 		// No-Wait rule; contention simply defers the consolidation.
-		if !aa.TryLock(t.pageLockName(b.pid()), lock.MV) ||
-			!aa.TryLock(t.pageLockName(c.pid()), lock.MV) {
+		if !aa.TryLock(t.pageLockName(b.Pid()), lock.MV) ||
+			!aa.TryLock(t.pageLockName(c.Pid()), lock.MV) {
 			_ = aa.Abort()
-			o.release(&c)
-			o.release(&b)
+			o.Release(&c, &b)
 			return false, true, nil
 		}
 	}
 
-	bLen, cLen := len(b.n.Entries), len(c.n.Entries)
-	absorbed := c.n.clone()
-	preB := b.n.clone()
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(b.pid()), KindConsolidateMove, encConsolidateMove(absorbed, preB))
+	bLen, cLen := len(b.N.Entries), len(c.N.Entries)
+	absorbed := c.N.clone()
+	preB := b.N.clone()
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(b.Pid()), KindConsolidateMove, encConsolidateMove(absorbed, preB))
 	for _, e := range absorbed.Entries {
-		b.n.insertEntry(e)
+		b.N.insertEntry(e)
 	}
-	b.n.High = absorbed.High
-	b.n.Right = absorbed.Right
-	b.f.MarkDirty(lsn)
+	b.N.High = absorbed.High
+	b.N.Right = absorbed.Right
+	b.F.MarkDirty(lsn)
 
-	lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.pid()), KindRemoveIndexTerm, encTerm(cEntry.Key, cEntry.Child))
-	parent.n.deleteEntry(cEntry.Key)
-	parent.f.MarkDirty(lsn)
+	lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveIndexTerm, encTerm(cEntry.Key, cEntry.Child))
+	parent.N.deleteEntry(cEntry.Key)
+	parent.F.MarkDirty(lsn)
 
 	if t.opts.DeallocIsUpdate {
 		// Strategy (b): bump the victim's state identifier so saved-path
 		// verification can prove de-allocation happened (§5.2.2(b)).
-		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(c.pid()), KindMarkDead, nil)
-		c.n.Dead = true
-		c.f.MarkDirty(lsn)
+		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(c.Pid()), KindMarkDead, nil)
+		c.N.Dead = true
+		c.F.MarkDirty(lsn)
 	}
-	cPid := c.pid()
-	if err := t.store.Free(aa, &o.tr, cPid); err != nil {
+	cPid := c.Pid()
+	if err := t.store.Free(aa, &o.Tr, cPid); err != nil {
 		// The free is the last change; abandoning the action rolls back
 		// the move and term removal too.
-		o.release(&c)
-		o.release(&b)
+		o.Release(&c, &b)
 		_ = aa.Abort()
 		return false, true, err
 	}
 	if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
-		o.release(&c)
-		o.release(&b)
+		o.Release(&c, &b)
 		_ = aa.Abort()
 		return false, true, err
 	}
@@ -219,8 +213,7 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 	// Commit before unlatching: nothing may observe the consolidated
 	// state until the action's commit record is in the log.
 	cerr := aa.Commit()
-	o.release(&c)
-	o.release(&b)
+	o.Release(&c, &b)
 	if cerr != nil {
 		return false, true, cerr
 	}
@@ -237,7 +230,7 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 		// each index merge would otherwise strand one under-filled child
 		// per junction. Seed a task at the junction's left term.
 		j := preB.Entries[len(preB.Entries)-1]
-		t.comp.scheduleConsolidate(consolidateTask{level: level - 1, low: keys.Clone(j.Key), pid: j.Child})
+		t.scheduleConsolidate(consolidateTask{level: level - 1, low: keys.Clone(j.Key), pid: j.Child})
 	}
 	return true, false, nil
 }
@@ -250,34 +243,30 @@ func (t *Tree) shrinkRoot() {
 	if !t.opts.Consolidation {
 		return
 	}
-	_ = t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
-		root, err := o.acquire(t.root, latch.U, maxLevel)
+	_ = t.kern.RetryLoop(nil, func(o *opCtx) error {
+		root, err := o.Acquire(t.root, latch.U, maxLevel)
 		if err != nil {
 			return err
 		}
-		if root.n.IsLeaf() || len(root.n.Entries) != 1 {
-			o.release(&root)
+		if root.N.IsLeaf() || len(root.N.Entries) != 1 {
+			o.Release(&root)
 			return nil
 		}
-		childPid := root.n.Entries[0].Child
-		child, err := o.acquire(childPid, latch.U, root.n.Level-1)
+		childPid := root.N.Entries[0].Child
+		child, err := o.Acquire(childPid, latch.U, root.N.Level-1)
 		if err != nil {
-			o.release(&root)
+			o.Release(&root)
 			return err
 		}
-		if child.n.Dead || child.n.Right != storage.NilPage || !child.n.High.Unbounded {
-			o.release(&child)
-			o.release(&root)
+		if child.N.Dead || child.N.Right != storage.NilPage || !child.N.High.Unbounded {
+			o.Release(&child, &root)
 			return nil
 		}
 		aa := t.tm.BeginAtomicAction()
-		if child.n.IsLeaf() && t.binding.PageOriented() {
+		if child.N.IsLeaf() && t.binding.PageOriented() {
 			if !aa.TryLock(t.pageLockName(childPid), lock.MV) {
 				_ = aa.Abort()
-				o.release(&child)
-				o.release(&root)
+				o.Release(&child, &root)
 				return nil
 			}
 		}
@@ -286,56 +275,52 @@ func (t *Tree) shrinkRoot() {
 		// the child's promotion begins — but the root promotion must not
 		// happen while the child U latch is held either. Re-order: drop
 		// the child, promote the root, re-latch and re-verify the child.
-		o.release(&child)
-		o.promote(&root)
-		if len(root.n.Entries) != 1 || root.n.Entries[0].Child != childPid {
-			o.release(&root)
+		o.Release(&child)
+		o.Promote(&root)
+		if len(root.N.Entries) != 1 || root.N.Entries[0].Child != childPid {
+			o.Release(&root)
 			_ = aa.Abort()
 			return nil
 		}
-		child, err = o.acquire(childPid, latch.U, root.n.Level-1)
+		child, err = o.Acquire(childPid, latch.U, root.N.Level-1)
 		if err != nil {
-			o.release(&root)
+			o.Release(&root)
 			_ = aa.Abort()
 			return err
 		}
-		if child.n.Dead || child.n.Right != storage.NilPage || !child.n.High.Unbounded {
-			o.release(&child)
-			o.release(&root)
+		if child.N.Dead || child.N.Right != storage.NilPage || !child.N.High.Unbounded {
+			o.Release(&child, &root)
 			_ = aa.Abort()
 			return nil
 		}
-		o.promote(&child)
+		o.Promote(&child)
 
-		absorbed := child.n.clone()
-		pre := root.n.clone()
+		absorbed := child.N.clone()
+		pre := root.N.clone()
 		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(t.root), KindRootShrink, encConsolidateMove(absorbed, pre))
-		root.n.Level = absorbed.Level
-		root.n.Entries = absorbed.Entries
-		root.n.High = absorbed.High
-		root.n.Right = absorbed.Right
-		root.f.MarkDirty(lsn)
+		root.N.Level = absorbed.Level
+		root.N.Entries = absorbed.Entries
+		root.N.High = absorbed.High
+		root.N.Right = absorbed.Right
+		root.F.MarkDirty(lsn)
 
 		if t.opts.DeallocIsUpdate {
 			lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(childPid), KindMarkDead, nil)
-			child.n.Dead = true
-			child.f.MarkDirty(lsn)
+			child.N.Dead = true
+			child.F.MarkDirty(lsn)
 		}
-		if err := t.store.Free(aa, &o.tr, childPid); err != nil {
-			o.release(&child)
-			o.release(&root)
+		if err := t.store.Free(aa, &o.Tr, childPid); err != nil {
+			o.Release(&child, &root)
 			_ = aa.Abort()
 			return err
 		}
 		if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
-			o.release(&child)
-			o.release(&root)
+			o.Release(&child, &root)
 			_ = aa.Abort()
 			return err
 		}
 		cerr := aa.Commit()
-		o.release(&child)
-		o.release(&root)
+		o.Release(&child, &root)
 		if cerr != nil {
 			return cerr
 		}

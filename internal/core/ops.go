@@ -11,26 +11,6 @@ import (
 	"repro/internal/txn"
 )
 
-// lockDance acquires a database lock for tx under the No-Wait rule
-// (§4.1.2): if the lock is free it is taken without waiting; otherwise the
-// held data-node latch is released before blocking, and the operation is
-// restarted afterwards (the lock stays held, so the retry's TryLock
-// succeeds immediately). A nil error with restart=false means the lock is
-// held and the latch was kept.
-func (o *opCtx) lockDance(r *nref, name lock.Name, mode lock.Mode) (restart bool, err error) {
-	if o.txn == nil {
-		return false, nil
-	}
-	if o.txn.TryLock(name, mode) {
-		return false, nil
-	}
-	o.release(r)
-	if err := o.txn.Lock(name, mode); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // Search looks up key and returns a copy of its value. With a non-nil
 // transaction the record is read under an S lock held to transaction end
 // (degree-3 reads); with nil it is a latched-only read.
@@ -45,29 +25,26 @@ func (t *Tree) Search(tx *txn.Txn, key keys.Key) (val []byte, found bool, err er
 // capacity. Locking semantics match Search.
 func (t *Tree) SearchInto(tx *txn.Txn, key keys.Key, buf []byte) (val []byte, found bool, err error) {
 	t.Stats.Searches.Add(1)
-	// The retry loop is written out instead of going through t.retryLoop:
+	// The retry loop is written out instead of going through RetryLoop:
 	// a closure there would capture key/buf/val and is the one heap
 	// allocation left on the point-lookup path (see TestSearchIntoAllocs).
 	for {
-		o := t.newOp(tx)
+		o := t.kern.NewOp(tx)
 		leaf, err := t.descendTo(o, key, 0, latch.S, true, nil)
 		if err == nil {
-			var restart bool
-			restart, err = o.lockDance(&leaf, t.recLockName(key), lock.S)
-			if err == nil && restart {
-				err = errRetry // lock acquired; redo the descent under it
-			}
-			if err == nil {
-				if i, ok := leaf.n.search(key); ok {
-					val = append(buf[:0], leaf.n.Entries[i].Value...)
+			// errRetry here means the lock was waited for and is now held;
+			// redo the descent under it.
+			if err = o.LockDance(tx, &leaf, t.recLockName(key), lock.S); err == nil {
+				if i, ok := leaf.N.search(key); ok {
+					val = append(buf[:0], leaf.N.Entries[i].Value...)
 					found = true
 				}
-				o.release(&leaf)
-				o.done()
+				o.Release(&leaf)
+				o.Done()
 				return val, found, nil
 			}
 		}
-		o.done()
+		o.Done()
 		if errors.Is(err, errRetry) {
 			t.Stats.Restarts.Add(1)
 			continue
@@ -83,14 +60,14 @@ func (t *Tree) SearchInto(tx *txn.Txn, key keys.Key, buf []byte) (val []byte, fo
 func (t *Tree) Insert(tx *txn.Txn, key keys.Key, value []byte) error {
 	t.Stats.Inserts.Add(1)
 	return t.modify(tx, key, func(o *opCtx, leaf *nref, lg storage.UpdateLogger) error {
-		if _, exists := leaf.n.search(key); exists {
+		if _, exists := leaf.N.search(key); exists {
 			return ErrKeyExists
 		}
-		o.promote(leaf)
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.pid()), KindInsertRecord, encKV(key, value))
-		leaf.n.insertEntry(Entry{Key: keys.Clone(key), Value: append([]byte(nil), value...)})
-		leaf.f.MarkDirty(lsn)
-		t.Stats.NoteLeafUtil(len(leaf.n.Entries)-1, len(leaf.n.Entries), t.opts.LeafCapacity)
+		o.Promote(leaf)
+		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertRecord, encKV(key, value))
+		leaf.N.insertEntry(Entry{Key: keys.Clone(key), Value: append([]byte(nil), value...)})
+		leaf.F.MarkDirty(lsn)
+		t.Stats.NoteLeafUtil(len(leaf.N.Entries)-1, len(leaf.N.Entries), t.opts.LeafCapacity)
 		return nil
 	})
 }
@@ -99,15 +76,15 @@ func (t *Tree) Insert(tx *txn.Txn, key keys.Key, value []byte) error {
 func (t *Tree) Update(tx *txn.Txn, key keys.Key, value []byte) error {
 	t.Stats.Updates.Add(1)
 	return t.modify(tx, key, func(o *opCtx, leaf *nref, lg storage.UpdateLogger) error {
-		i, exists := leaf.n.search(key)
+		i, exists := leaf.N.search(key)
 		if !exists {
 			return ErrKeyNotFound
 		}
-		o.promote(leaf)
-		old := leaf.n.Entries[i].Value
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.pid()), KindUpdateRecord, encKVV(key, value, old))
-		leaf.n.Entries[i].Value = append([]byte(nil), value...)
-		leaf.f.MarkDirty(lsn)
+		o.Promote(leaf)
+		old := leaf.N.Entries[i].Value
+		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindUpdateRecord, encKVV(key, value, old))
+		leaf.N.Entries[i].Value = append([]byte(nil), value...)
+		leaf.F.MarkDirty(lsn)
 		return nil
 	})
 }
@@ -117,16 +94,16 @@ func (t *Tree) Update(tx *txn.Txn, key keys.Key, value []byte) error {
 func (t *Tree) Delete(tx *txn.Txn, key keys.Key) error {
 	t.Stats.Deletes.Add(1)
 	return t.modify(tx, key, func(o *opCtx, leaf *nref, lg storage.UpdateLogger) error {
-		i, exists := leaf.n.search(key)
+		i, exists := leaf.N.search(key)
 		if !exists {
 			return ErrKeyNotFound
 		}
-		o.promote(leaf)
-		old := leaf.n.Entries[i].Value
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.pid()), KindDeleteRecord, encKV(key, old))
-		leaf.n.deleteEntry(key)
-		leaf.f.MarkDirty(lsn)
-		t.Stats.NoteLeafUtil(len(leaf.n.Entries)+1, len(leaf.n.Entries), t.opts.LeafCapacity)
+		o.Promote(leaf)
+		old := leaf.N.Entries[i].Value
+		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindDeleteRecord, encKV(key, old))
+		leaf.N.deleteEntry(key)
+		leaf.F.MarkDirty(lsn)
+		t.Stats.NoteLeafUtil(len(leaf.N.Entries)+1, len(leaf.N.Entries), t.opts.LeafCapacity)
 		t.maybeScheduleConsolidation(leaf)
 		return nil
 	})
@@ -138,21 +115,17 @@ func (t *Tree) Delete(tx *txn.Txn, key keys.Key) error {
 // under the X latch. With tx == nil the change is logged in a fresh
 // atomic action that commits immediately.
 func (t *Tree) modify(tx *txn.Txn, key keys.Key, apply func(o *opCtx, leaf *nref, lg storage.UpdateLogger) error) error {
-	return t.retryLoop(func() error {
-		o := t.newOp(tx)
-		defer o.done()
+	return t.kern.RetryLoop(tx, func(o *opCtx) error {
 		path := newPath()
 		leaf, err := t.descendTo(o, key, 0, latch.U, true, path)
 		if err != nil {
 			return err
 		}
-		if restart, err := o.lockDance(&leaf, t.recLockName(key), lock.X); err != nil {
+		if err := o.LockDance(tx, &leaf, t.recLockName(key), lock.X); err != nil {
 			return err
-		} else if restart {
-			return errRetry
 		}
 
-		if len(leaf.n.Entries) >= t.opts.LeafCapacity {
+		if len(leaf.N.Entries) >= t.opts.LeafCapacity {
 			// Full: split first, then retry the modification. The split
 			// runs either as an independent atomic action or inside tx
 			// (page-oriented mode when tx already updated this node).
@@ -167,10 +140,8 @@ func (t *Tree) modify(tx *txn.Txn, key keys.Key, apply func(o *opCtx, leaf *nref
 		// page-oriented mode, and only now that we know we will modify
 		// this page.
 		if tx != nil && t.binding.PageOriented() {
-			if restart, err := o.lockDance(&leaf, t.pageLockName(leaf.pid()), lock.IX); err != nil {
+			if err := o.LockDance(tx, &leaf, t.pageLockName(leaf.Pid()), lock.IX); err != nil {
 				return err
-			} else if restart {
-				return errRetry
 			}
 		}
 
@@ -192,11 +163,11 @@ func (t *Tree) modify(tx *txn.Txn, key keys.Key, apply func(o *opCtx, leaf *nref
 				// Nothing was logged; an empty abort keeps the log tidy.
 				_ = aa.Abort()
 			} else if cerr := aa.Commit(); cerr != nil {
-				o.release(&leaf)
+				o.Release(&leaf)
 				return cerr
 			}
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return err
 	})
 }
@@ -213,8 +184,8 @@ func (t *Tree) modify(tx *txn.Txn, key keys.Key, apply func(o *opCtx, leaf *nref
 // lock held to end of transaction and its index-term posting deferred to
 // commit.
 func (t *Tree) splitLeaf(o *opCtx, leaf *nref, path *Path) error {
-	tx := o.txn
-	pageName := t.pageLockName(leaf.pid())
+	tx := o.Txn
+	pageName := t.pageLockName(leaf.Pid())
 
 	inTxn := false
 	if t.binding.PageOriented() && tx != nil {
@@ -236,37 +207,23 @@ func (t *Tree) splitLeaf(o *opCtx, leaf *nref, path *Path) error {
 			// an undoable update on a to-be-moved record; the No-Wait
 			// rule forces the latch down before blocking, and the retry
 			// re-examines the (possibly changed) node.
-			mid := len(leaf.n.Entries) / 2
-			for _, e := range leaf.n.Entries[mid:] {
-				name := t.recLockName(e.Key)
-				if aa.TryLock(name, lock.MV) {
-					continue
-				}
-				o.release(leaf)
-				t.Stats.MoveLockWaits.Add(1)
-				err := aa.Lock(name, lock.MV)
-				_ = aa.Abort()
-				if err != nil {
+			mid := len(leaf.N.Entries) / 2
+			for _, e := range leaf.N.Entries[mid:] {
+				if err := t.moveLockDance(o, aa, leaf, t.recLockName(e.Key)); err != nil {
+					_ = aa.Abort()
 					return err
 				}
-				return errRetry
 			}
 		} else {
 			// Page-granule realization: one lock that waits for every
 			// transaction updating records on this page.
-			if !aa.TryLock(pageName, lock.MV) {
-				o.release(leaf)
-				t.Stats.MoveLockWaits.Add(1)
-				err := aa.Lock(pageName, lock.MV)
+			if err := t.moveLockDance(o, aa, leaf, pageName); err != nil {
 				_ = aa.Abort()
-				if err != nil {
-					return err
-				}
-				return errRetry
+				return err
 			}
 		}
 	}
-	o.promote(leaf)
+	o.Promote(leaf)
 	sep, newPid, err := t.splitNode(o, leaf, aa)
 	if err != nil {
 		_ = aa.Abort()
@@ -276,21 +233,32 @@ func (t *Tree) splitLeaf(o *opCtx, leaf *nref, path *Path) error {
 	// reachable only once the old node's latch drops, by which time the
 	// split's commit record precedes anything a dependent action can log.
 	if cerr := aa.Commit(); cerr != nil {
-		o.release(leaf)
+		o.Release(leaf)
 		return cerr
 	}
-	o.release(leaf)
+	o.Release(leaf)
 	if newPid != storage.NilPage {
 		t.schedulePostAfterSplit(path, sep, newPid)
 	}
 	return nil
 }
 
+// moveLockDance takes the MV lock on name for act under the No-Wait rule,
+// counting the wait when the conflicting updaters had to be waited out
+// (the latch is then gone and the split returns the error).
+func (t *Tree) moveLockDance(o *opCtx, act *txn.Txn, leaf *nref, name lock.Name) error {
+	err := o.LockDance(act, leaf, name, lock.MV)
+	if err != nil {
+		t.Stats.MoveLockWaits.Add(1)
+	}
+	return err
+}
+
 // handleSplitError releases the latch and, for a new-page lock conflict
 // (a stale page-granule lock surviving from the page's previous
 // incarnation), waits the holder out before retrying.
 func (t *Tree) handleSplitError(o *opCtx, held *nref, err error) error {
-	o.release(held)
+	o.Release(held)
 	var pl *errPageLocked
 	if errors.As(err, &pl) {
 		t.Stats.MoveLockWaits.Add(1)
@@ -307,18 +275,13 @@ func (t *Tree) handleSplitError(o *opCtx, held *nref, err error) error {
 
 // splitLeafInTxn performs the split inside the updating transaction.
 func (t *Tree) splitLeafInTxn(o *opCtx, leaf *nref, path *Path, pageName lock.Name) error {
-	tx := o.txn
+	tx := o.Txn
 	// Upgrade our IX to the move lock; other updaters force the No-Wait
 	// dance.
-	if !tx.TryLock(pageName, lock.MV) {
-		o.release(leaf)
-		t.Stats.MoveLockWaits.Add(1)
-		if err := tx.Lock(pageName, lock.MV); err != nil {
-			return err
-		}
-		return errRetry
+	if err := t.moveLockDance(o, tx, leaf, pageName); err != nil {
+		return err
 	}
-	o.promote(leaf)
+	o.Promote(leaf)
 
 	// Under the CNS invariant nodes are immortal: the new page must not
 	// be freed even if tx aborts, because a concurrent traversal may
@@ -338,7 +301,7 @@ func (t *Tree) splitLeafInTxn(o *opCtx, leaf *nref, path *Path, pageName lock.Na
 	if err != nil {
 		return t.handleSplitError(o, leaf, err)
 	}
-	o.release(leaf)
+	o.Release(leaf)
 	if newPid != storage.NilPage {
 		t.Stats.InTxnSplits.Add(1)
 		sepCopy := keys.Clone(sep)
@@ -374,7 +337,7 @@ func (t *Tree) lockNewDataPage(o *opCtx, act *txn.Txn, level int, pid storage.Pa
 	if act.TryLock(name, lock.MV) {
 		return nil
 	}
-	if err := t.store.Free(act, &o.tr, pid); err != nil {
+	if err := t.store.Free(act, &o.Tr, pid); err != nil {
 		return err
 	}
 	return &errPageLocked{name: name}
@@ -388,19 +351,19 @@ func (t *Tree) lockNewDataPage(o *opCtx, act *txn.Txn, level int, pid storage.Pa
 // (§5.3: the root never moves) and returns NilPage — no posting is
 // needed, both terms were installed here.
 func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.PageID, error) {
-	n := r.n
+	n := r.N
 	if len(n.Entries) < 2 {
-		return nil, storage.NilPage, fmt.Errorf("core: split of node %d with %d entries", r.pid(), len(n.Entries))
+		return nil, storage.NilPage, fmt.Errorf("core: split of node %d with %d entries", r.Pid(), len(n.Entries))
 	}
 	mid := len(n.Entries) / 2
 	sep := keys.Clone(n.Entries[mid].Key)
 	pre := n.clone()
 
-	if r.pid() == t.root {
+	if r.Pid() == t.root {
 		return t.growRoot(o, r, act, pre, sep, mid)
 	}
 
-	newPid, err := t.store.Alloc(act, &o.tr)
+	newPid, err := t.store.Alloc(act, &o.Tr)
 	if err != nil {
 		return nil, storage.NilPage, err
 	}
@@ -414,24 +377,15 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 		Right:   pre.Right,
 		Entries: append([]Entry(nil), pre.Entries[mid:]...),
 	}
-	fnew, err := t.store.Pool.Create(newPid)
-	if err != nil {
+	if err := o.Format(act, newPid, sibling, n.Level, KindFormatNode, encNodeImage(sibling)); err != nil {
 		return nil, storage.NilPage, err
 	}
-	fnew.Latch.AcquireX()
-	o.tr.Acquired(&fnew.Latch, o.rank(n.Level), latch.X)
-	lsnF := act.LogUpdate(t.store.Pool.StoreID, uint64(newPid), KindFormatNode, encNodeImage(sibling))
-	fnew.Data = sibling
-	fnew.MarkDirty(lsnF)
-	o.tr.Released(&fnew.Latch)
-	fnew.Latch.ReleaseX()
-	t.store.Pool.Unpin(fnew)
 
-	lsnT := act.LogUpdate(t.store.Pool.StoreID, uint64(r.pid()), KindSplitTruncate, encSplitTruncate(sep, newPid, pre))
+	lsnT := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindSplitTruncate, encSplitTruncate(sep, newPid, pre))
 	n.Entries = n.Entries[:mid]
 	n.High = keys.At(sep)
 	n.Right = newPid
-	r.f.MarkDirty(lsnT)
+	r.F.MarkDirty(lsnT)
 
 	if n.Level == 0 {
 		t.Stats.LeafSplits.Add(1)
@@ -449,15 +403,15 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 // the root page never moves and is never de-allocated (§5.2.2 relies on
 // this).
 func (t *Tree) growRoot(o *opCtx, r *nref, act *txn.Txn, pre *Node, sep keys.Key, mid int) (keys.Key, storage.PageID, error) {
-	n := r.n
-	pidB, err := t.store.Alloc(act, &o.tr)
+	n := r.N
+	pidB, err := t.store.Alloc(act, &o.Tr)
 	if err != nil {
 		return nil, storage.NilPage, err
 	}
 	if err := t.lockNewDataPage(o, act, pre.Level, pidB); err != nil {
 		return nil, storage.NilPage, err
 	}
-	pidA, err := t.store.Alloc(act, &o.tr)
+	pidA, err := t.store.Alloc(act, &o.Tr)
 	if err != nil {
 		return nil, storage.NilPage, err
 	}
@@ -487,28 +441,19 @@ func (t *Tree) growRoot(o *opCtx, r *nref, act *txn.Txn, pre *Node, sep keys.Key
 		pid  storage.PageID
 		node *Node
 	}{{pidB, nodeB}, {pidA, nodeA}} {
-		f, err := t.store.Pool.Create(nn.pid)
-		if err != nil {
+		if err := o.Format(act, nn.pid, nn.node, pre.Level, KindFormatNode, encNodeImage(nn.node)); err != nil {
 			return nil, storage.NilPage, err
 		}
-		f.Latch.AcquireX()
-		o.tr.Acquired(&f.Latch, o.rank(pre.Level), latch.X)
-		lsn := act.LogUpdate(t.store.Pool.StoreID, uint64(nn.pid), KindFormatNode, encNodeImage(nn.node))
-		f.Data = nn.node
-		f.MarkDirty(lsn)
-		o.tr.Released(&f.Latch)
-		f.Latch.ReleaseX()
-		t.store.Pool.Unpin(f)
 	}
 
 	termA := Entry{Key: keys.Clone(pre.Low), Child: pidA}
 	termB := Entry{Key: keys.Clone(sep), Child: pidB}
-	lsn := act.LogUpdate(t.store.Pool.StoreID, uint64(r.pid()), KindRootGrow, encRootGrow(termA, termB, pre))
+	lsn := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindRootGrow, encRootGrow(termA, termB, pre))
 	n.Level++
 	n.Entries = []Entry{termA, termB}
 	n.High = keys.Inf
 	n.Right = storage.NilPage
-	r.f.MarkDirty(lsn)
+	r.F.MarkDirty(lsn)
 
 	t.Stats.RootGrowths.Add(1)
 	if pre.Level == 0 {
@@ -524,10 +469,10 @@ func (t *Tree) growRoot(o *opCtx, r *nref, act *txn.Txn, pre *Node, sep keys.Key
 // a committed split (§3.2.1 step 6: "Posting occurs in a separate atomic
 // action from the action that performs the split").
 func (t *Tree) schedulePostAfterSplit(path *Path, sep keys.Key, newPid storage.PageID) {
-	if t.opts.NoCompletion || t.comp == nil {
+	if t.opts.NoCompletion {
 		return
 	}
-	t.comp.schedulePost(postTask{
+	t.schedulePost(postTask{
 		level:  1, // a leaf split posts one level up
 		sep:    sep,
 		newPid: newPid,
@@ -538,19 +483,19 @@ func (t *Tree) schedulePostAfterSplit(path *Path, sep keys.Key, newPid storage.P
 // maybeScheduleConsolidation queues a consolidation attempt for an
 // under-utilized non-root node (CP invariant only).
 func (t *Tree) maybeScheduleConsolidation(r *nref) {
-	if !t.opts.Consolidation || t.opts.NoCompletion || t.comp == nil {
+	if !t.opts.Consolidation || t.opts.NoCompletion {
 		return
 	}
-	if r.pid() == t.root {
+	if r.Pid() == t.root {
 		return
 	}
-	if len(r.n.Entries) >= int(float64(t.opts.LeafCapacity)*t.opts.MinUtilization) {
+	if len(r.N.Entries) >= int(float64(t.opts.LeafCapacity)*t.opts.MinUtilization) {
 		return
 	}
-	t.comp.scheduleConsolidate(consolidateTask{
-		level: r.n.Level,
-		low:   keys.Clone(r.n.Low),
-		pid:   r.pid(),
+	t.scheduleConsolidate(consolidateTask{
+		level: r.N.Level,
+		low:   keys.Clone(r.N.Low),
+		pid:   r.Pid(),
 	})
 }
 
@@ -569,10 +514,8 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 		var batch []rec
 		var nextCursor keys.Key
 		done := false
-		err := t.retryLoop(func() error {
+		err := t.kern.RetryLoop(tx, func(o *opCtx) error {
 			batch = batch[:0]
-			o := t.newOp(tx)
-			defer o.done()
 			leaf, err := t.descendTo(o, cursor, 0, latch.S, true, nil)
 			if err != nil {
 				return err
@@ -580,7 +523,7 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 			// Collect this leaf's qualifying records, then move on; locks
 			// (if any) are taken after release, one record at a time, per
 			// the No-Wait rule.
-			for _, e := range leaf.n.Entries {
+			for _, e := range leaf.N.Entries {
 				if keys.Compare(e.Key, cursor) < 0 {
 					continue
 				}
@@ -591,10 +534,10 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 				batch = append(batch, rec{k: keys.Clone(e.Key), v: append([]byte(nil), e.Value...)})
 			}
 			if !done {
-				if leaf.n.High.Unbounded {
+				if leaf.N.High.Unbounded {
 					done = true
 				} else {
-					nextCursor = keys.Clone(leaf.n.High.Key)
+					nextCursor = keys.Clone(leaf.N.High.Key)
 					if hi != nil && keys.Compare(nextCursor, hi) >= 0 {
 						done = true
 					}
@@ -603,9 +546,9 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 			if !done {
 				// Read-ahead: start the successor leaf's disk read now so it
 				// overlaps the callback work on this leaf's batch.
-				t.store.Pool.PrefetchAsync(leaf.n.Right)
+				t.store.Pool.PrefetchAsync(leaf.N.Right)
 			}
-			o.release(&leaf)
+			o.Release(&leaf)
 			return nil
 		})
 		if err != nil {

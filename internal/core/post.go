@@ -16,9 +16,7 @@ import (
 // duplicate schedulings harmless.
 func (t *Tree) postIndexTerm(task postTask) {
 	t.Stats.PostAttempts.Add(1)
-	err := t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	err := t.kern.RetryLoop(nil, func(o *opCtx) error {
 
 		// Step 1 — Search: reach the U-latched NODE at LEVEL whose
 		// directly contained space includes KEY, exploiting the saved
@@ -33,9 +31,9 @@ func (t *Tree) postIndexTerm(task postTask) {
 		}
 
 		// Step 2 — Verify Split: re-test the state.
-		if _, posted := node.n.search(task.sep); posted {
+		if _, posted := node.N.search(task.sep); posted {
 			t.Stats.PostsAlreadyDone.Add(1)
-			o.release(&node)
+			o.Release(&node)
 			return nil
 		}
 		termKey := keys.Clone(task.sep)
@@ -46,36 +44,34 @@ func (t *Tree) postIndexTerm(task postTask) {
 			// largest index term key below KEY and checking its sibling
 			// term (§5.3). The term actually posted is that sibling —
 			// possibly "a new ADDRESS".
-			e, ok := node.n.childFor(task.sep)
+			e, ok := node.N.childFor(task.sep)
 			if !ok {
 				t.Stats.PostsObsolete.Add(1)
-				o.release(&node)
+				o.Release(&node)
 				return nil
 			}
-			child, err := o.acquire(e.Child, latch.S, node.n.Level-1)
+			child, err := o.Acquire(e.Child, latch.S, node.N.Level-1)
 			if err != nil {
-				o.release(&node)
+				o.Release(&node)
 				return err
 			}
-			if child.n.Dead {
-				o.release(&child)
-				o.release(&node)
+			if child.N.Dead {
+				o.Release(&child, &node)
 				return errRetry
 			}
-			if child.n.DirectlyContains(task.sep) || child.n.Right == storage.NilPage {
+			if child.N.DirectlyContains(task.sep) || child.N.Right == storage.NilPage {
 				// The space containing KEY has been reabsorbed: the node
 				// whose index term was to be posted has been deleted.
 				t.Stats.PostsObsolete.Add(1)
-				o.release(&child)
-				o.release(&node)
+				o.Release(&child, &node)
 				return nil
 			}
-			termKey = keys.Clone(child.n.High.Key)
-			termChild = child.n.Right
-			o.release(&child)
-			if _, posted := node.n.search(termKey); posted {
+			termKey = keys.Clone(child.N.High.Key)
+			termChild = child.N.Right
+			o.Release(&child)
+			if _, posted := node.N.search(termKey); posted {
 				t.Stats.PostsAlreadyDone.Add(1)
-				o.release(&node)
+				o.Release(&node)
 				return nil
 			}
 		}
@@ -85,7 +81,7 @@ func (t *Tree) postIndexTerm(task postTask) {
 		// a crash-recovered queue entry or stale task could.)
 		if t.binding.PageOriented() && t.lm.MoveLocked(t.pageLockName(termChild)) {
 			t.Stats.PostsSuppressedMV.Add(1)
-			o.release(&node)
+			o.Release(&node)
 			return nil
 		}
 
@@ -101,16 +97,16 @@ func (t *Tree) postIndexTerm(task postTask) {
 		var followUps []postTask
 		var held []nref
 		releaseAll := func() {
-			o.release(&node)
+			o.Release(&node)
 			for i := len(held) - 1; i >= 0; i-- {
-				o.release(&held[i])
+				o.Release(&held[i])
 			}
 			held = nil
 		}
-		o.promote(&node)
+		o.Promote(&node)
 
 		// Step 3 — Space Test.
-		for len(node.n.Entries) >= t.opts.IndexCapacity {
+		for len(node.N.Entries) >= t.opts.IndexCapacity {
 			sep2, newPid2, err := t.splitNode(o, &node, aa)
 			if err != nil {
 				releaseAll()
@@ -121,13 +117,13 @@ func (t *Tree) postIndexTerm(task postTask) {
 				// The root grew in place; NODE's old contents are now one
 				// level down. Descend to whichever new node directly
 				// contains KEY and repeat the space test there.
-				childEntry, ok := node.n.childFor(termKey)
+				childEntry, ok := node.N.childFor(termKey)
 				if !ok {
 					releaseAll()
 					_ = aa.Abort()
 					return errRetry
 				}
-				next, err := o.acquire(childEntry.Child, latch.X, node.n.Level-1)
+				next, err := o.Acquire(childEntry.Child, latch.X, node.N.Level-1)
 				if err != nil {
 					releaseAll()
 					_ = aa.Abort()
@@ -140,13 +136,13 @@ func (t *Tree) postIndexTerm(task postTask) {
 			// Regular split: keep the half that directly contains KEY,
 			// and queue the posting of this split one level up.
 			followUps = append(followUps, postTask{
-				level:  node.n.Level + 1,
+				level:  node.N.Level + 1,
 				sep:    keys.Clone(sep2),
 				newPid: newPid2,
 				path:   task.path.clone(),
 			})
-			if !node.n.DirectlyContains(termKey) {
-				next, err := o.acquire(node.n.Right, latch.X, node.n.Level)
+			if !node.N.DirectlyContains(termKey) {
+				next, err := o.Acquire(node.N.Right, latch.X, node.N.Level)
 				if err != nil {
 					releaseAll()
 					_ = aa.Abort()
@@ -158,16 +154,16 @@ func (t *Tree) postIndexTerm(task postTask) {
 		}
 
 		// Step 4 — Update NODE, commit, and only then release latches.
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.pid()), KindPostIndexTerm, encTerm(termKey, termChild))
-		node.n.insertEntry(Entry{Key: termKey, Child: termChild})
-		node.f.MarkDirty(lsn)
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindPostIndexTerm, encTerm(termKey, termChild))
+		node.N.insertEntry(Entry{Key: termKey, Child: termChild})
+		node.F.MarkDirty(lsn)
 		err = aa.Commit()
 		releaseAll()
 		if err != nil {
 			return err
 		}
 		for _, fu := range followUps {
-			t.comp.schedulePost(fu)
+			t.schedulePost(fu)
 		}
 		t.Stats.PostsPerformed.Add(1)
 		return nil
@@ -192,36 +188,24 @@ func (t *Tree) postIndexTerm(task postTask) {
 //     at the root, which never moves and is never de-allocated.
 func (t *Tree) searchToLevel(o *opCtx, task postTask) (nref, error) {
 	if pe, ok := task.path.get(task.level); ok && (!t.opts.Consolidation || t.opts.DeallocIsUpdate) {
-		r, err := o.acquire(pe.pid, latch.U, task.level)
+		r, err := o.Acquire(pe.pid, latch.U, task.level)
 		if err == nil {
-			trusted := r.n.Level == task.level &&
-				(r.n.Low == nil || keys.Compare(task.sep, r.n.Low) >= 0)
+			trusted := r.N.Level == task.level &&
+				(r.N.Low == nil || keys.Compare(task.sep, r.N.Low) >= 0)
 			if t.opts.Consolidation {
 				// Strategy (b): unchanged state id proves the node is
 				// still allocated and exactly as remembered.
-				trusted = trusted && r.f.PageLSN() == pe.lsn && !r.n.Dead
+				trusted = trusted && r.F.PageLSN() == pe.lsn && !r.N.Dead
 			}
 			if trusted {
-				if r.f.PageLSN() == pe.lsn {
+				if r.F.PageLSN() == pe.lsn {
 					t.Stats.PathVerifyHits.Add(1)
 				} else {
 					t.Stats.PathVerifyMisses.Add(1)
 				}
-				for !r.n.DirectlyContains(task.sep) {
-					if r.n.Right == storage.NilPage {
-						o.release(&r)
-						return nref{}, errRetry
-					}
-					t.Stats.SideTraversals.Add(1)
-					next, err := t.step(o, &r, r.n.Right, latch.U, task.level)
-					if err != nil {
-						return nref{}, err
-					}
-					r = next
-				}
-				return r, nil
+				return t.kern.DescendFrom(o, r, task.sep, task.level, latch.U, false, nil)
 			}
-			o.release(&r)
+			o.Release(&r)
 		}
 		t.Stats.PathVerifyMisses.Add(1)
 	}

@@ -2,15 +2,13 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/keys"
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/maint"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -238,18 +236,8 @@ type Tree struct {
 	binding *Binding
 	opts    Options
 	root    storage.PageID
+	kern    *pitree.Kernel[*Node, keys.Key]
 	comp    *completer
-
-	// opPool recycles opCtx values across operations; see newOp/done.
-	opPool sync.Pool
-
-	// rootf caches the root's buffer frame with one permanent pin, taken
-	// lazily on first use and dropped by Close. The root page ID is fixed
-	// for the tree's lifetime and the root node is never de-allocated, so
-	// the frame never goes stale; the cache turns the hottest fetch of
-	// every descent — the root, visited by every operation — into a single
-	// atomic load instead of a page-table lookup.
-	rootf atomic.Pointer[storage.Frame]
 
 	// Stats are the tree's event counters.
 	Stats Stats
@@ -260,10 +248,6 @@ var ErrKeyExists = errors.New("core: key already exists")
 
 // ErrKeyNotFound is returned by Update and Delete for a missing key.
 var ErrKeyNotFound = errors.New("core: key not found")
-
-// errRetry restarts an operation from the descent; it never escapes the
-// package.
-var errRetry = errors.New("core: internal retry")
 
 // Create builds a new, empty Π-tree named name in store (bootstrapping
 // the store's meta page if needed) and returns it ready for use. The
@@ -278,46 +262,14 @@ func Create(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding,
 		binding:   b,
 		opts:      opts.normalized(),
 	}
-	aa := tm.BeginAtomicAction()
-	o := t.newOp(aa)
-	defer o.done()
-
-	if f, err := store.Pool.Fetch(storage.MetaPage); err == nil {
-		store.Pool.Unpin(f)
-	} else if errors.Is(err, storage.ErrPageNotFound) {
-		if err := store.Bootstrap(aa); err != nil {
-			return nil, err
-		}
-	} else {
-		return nil, err
-	}
-
-	rootPid, err := store.Alloc(aa, &o.tr)
+	rootPid, err := pitree.Create(store, tm, name, 1, KindFormatNode, func([]storage.PageID) []*Node {
+		return []*Node{{Level: 0, High: keys.Inf, Right: storage.NilPage}}
+	}, encNodeImage)
 	if err != nil {
 		return nil, err
 	}
-	f, err := store.Pool.Create(rootPid)
-	if err != nil {
-		return nil, err
-	}
-	f.Latch.AcquireX()
-	root := &Node{Level: 0, Low: nil, High: keys.Inf, Right: storage.NilPage}
-	f.Data = root
-	lsn := aa.LogUpdate(store.Pool.StoreID, uint64(rootPid), KindFormatNode, encNodeImage(root))
-	f.MarkDirty(lsn)
-	f.Latch.ReleaseX()
-	store.Pool.Unpin(f)
-
-	if err := store.SetRoot(aa, &o.tr, name, rootPid); err != nil {
-		return nil, err
-	}
-	if err := aa.Commit(); err != nil {
-		return nil, err
-	}
-	t.root = rootPid
-	t.comp = newCompleter(t)
+	t.start(rootPid)
 	t.Stats.NoteLeafUtil(-1, 0, t.opts.LeafCapacity)
-	b.Bind(t)
 	return t, nil
 }
 
@@ -336,55 +288,24 @@ func Open(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, n
 		lm:        lm,
 		binding:   b,
 		opts:      opts.normalized(),
-		root:      rootPid,
 	}
-	t.comp = newCompleter(t)
-	b.Bind(t)
+	t.start(rootPid)
 	return t, nil
 }
 
 // Close drains every pending completing action (no scheduled structure
 // change is silently dropped — a close-then-reopen must never replay
 // against half-merged nodes), stops the background workers, and waits
-// for in-flight actions to finish. It also drops the cached root pin (a
-// straggling operation may briefly re-cache it; the pin is process-local
-// bookkeeping, so that is harmless).
+// for in-flight actions to finish. It also drops the cached root pin.
 func (t *Tree) Close() {
-	t.comp.closeDrain()
-	if f := t.rootf.Swap(nil); f != nil {
-		t.store.Pool.Unpin(f)
-	}
-}
-
-// rootFrame returns the root's frame, pinned for the caller, via the
-// cache in t.rootf. The first call fetches and keeps one extra permanent
-// pin; later calls re-pin the cached frame (safe: the permanent pin keeps
-// the count non-zero, see Frame.Pin).
-func (t *Tree) rootFrame() (*storage.Frame, error) {
-	if f := t.rootf.Load(); f != nil {
-		f.Pin()
-		return f, nil
-	}
-	f, err := t.store.Pool.Fetch(t.root)
-	if err != nil {
-		return nil, err
-	}
-	if !t.rootf.CompareAndSwap(nil, f) {
-		// Lost the race to cache; use the winner's entry (the same frame —
-		// one page ID maps to one buffered frame) and return our fetch pin
-		// as the caller's.
-		return f, nil
-	}
-	// Our fetch pin becomes the cache's permanent pin; take another for
-	// the caller.
-	f.Pin()
-	return f, nil
+	t.comp.CloseDrain()
+	t.kern.Close()
 }
 
 // DrainCompletions blocks until every scheduled completing action has been
 // processed. Tests and experiments use it to reach a quiescent state.
 func (t *Tree) DrainCompletions() {
-	t.comp.drain()
+	t.comp.Drain()
 }
 
 // Options returns the tree's normalized options.
@@ -406,113 +327,99 @@ func (t *Tree) pageLockName(pid storage.PageID) lock.Name {
 	return lock.PageName(t.lockSpace, uint64(pid))
 }
 
-// --- operation context ----------------------------------------------------
+// --- protocol kernel binding -------------------------------------------------
 
-// opCtx carries per-operation latch-order state. Ranks are derived from
-// the tree level (parents before children) plus a per-operation sequence
-// number (containing nodes before contained nodes along a side chain).
-// Contexts are pooled per tree: obtain one with newOp, return it with
-// done (which also asserts no latches leaked).
-type opCtx struct {
-	t   *Tree
-	txn *txn.Txn // nil for plain reads outside any transaction
-	tr  latch.Tracker
-	seq uint64
-}
+// The operation context, latched node reference, restart sentinels and
+// rank ceiling are the kernel's; the aliases keep the tree's own code
+// reading in its own terms.
+type (
+	opCtx = pitree.Op[*Node]
+	nref  = pitree.Ref[*Node]
+)
 
-func (t *Tree) newOp(tx *txn.Txn) *opCtx {
-	o, _ := t.opPool.Get().(*opCtx)
-	if o == nil {
-		o = new(opCtx)
+const maxLevel = pitree.MaxLevel
+
+var (
+	errRetry     = pitree.ErrRetry
+	errLevelGone = pitree.ErrLevelGone
+)
+
+// space is the B-link tree's side of the kernel contract: a
+// one-dimensional key space with one side pointer per node.
+type space struct{ t *Tree }
+
+func (space) Level(n *Node) int   { return n.Level }
+func (space) Dead(n *Node) bool   { return n.Dead }
+func (space) Clone(n *Node) *Node { return n.clone() }
+
+// Route sends keys at or above High through the side pointer and keys
+// below Low back to the root: those cannot be reached by following right
+// pointers, so the structure changed under the traversal.
+func (space) Route(n *Node, key keys.Key, stop bool) pitree.Route {
+	if n.Low != nil && keys.Compare(key, n.Low) < 0 {
+		return pitree.Route{Kind: pitree.Restart}
 	}
-	o.t = t
-	o.txn = tx
-	o.seq = 0
-	o.tr.Reset(t.opts.CheckLatchOrder)
-	return o
-}
-
-// done asserts the operation released everything and returns the context
-// to the tree's pool. Callers must not touch o afterwards.
-func (o *opCtx) done() {
-	o.tr.AssertNoneHeld()
-	o.txn = nil
-	o.t.opPool.Put(o)
-}
-
-// maxLevel bounds the tree height for rank arithmetic.
-const maxLevel = 63
-
-func (o *opCtx) rank(level int) latch.Rank {
-	o.seq++
-	return latch.Rank(uint64(maxLevel-level)<<40 | (o.seq & (1<<40 - 1)))
-}
-
-func (o *opCtx) txnID() wal.TxnID {
-	if o.txn == nil {
-		return wal.NilTxn
+	if !n.High.ContainsBelow(key) {
+		if n.Right == storage.NilPage {
+			return pitree.Route{Kind: pitree.Restart}
+		}
+		return pitree.Route{Kind: pitree.Side, Pid: n.Right}
 	}
-	return o.txn.ID
-}
-
-// nref is a pinned, latched node reference.
-type nref struct {
-	f     *storage.Frame
-	n     *Node
-	mode  latch.Mode
-	since time.Time // set for instrumented index-node holds
-	timed bool
-}
-
-func (r *nref) pid() storage.PageID { return r.f.ID }
-func (r *nref) valid() bool         { return r.f != nil }
-
-// acquire pins and latches pid in mode.
-func (o *opCtx) acquire(pid storage.PageID, mode latch.Mode, level int) (nref, error) {
-	f, err := o.t.store.Pool.Fetch(pid)
-	if err != nil {
-		return nref{}, err
+	if stop {
+		return pitree.Route{Kind: pitree.Here}
 	}
-	f.Latch.Acquire(mode)
-	o.tr.Acquired(&f.Latch, o.rank(level), mode)
-	n, ok := f.Data.(*Node)
+	e, ok := n.childFor(key)
 	if !ok {
-		o.tr.Released(&f.Latch)
-		f.Latch.Release(mode)
-		o.t.store.Pool.Unpin(f)
-		return nref{}, fmt.Errorf("core: page %d holds %T, not a node", pid, f.Data)
+		return pitree.Route{Kind: pitree.Restart}
 	}
-	r := nref{f: f, n: n, mode: mode}
-	if o.t.opts.IndexHold != nil && level >= 1 && mode != latch.S {
-		r.since = time.Now()
-		r.timed = true
-	}
-	return r, nil
+	return pitree.Route{Kind: pitree.Child, Pid: e.Child}
 }
 
-// release unlatches and unpins r.
-func (o *opCtx) release(r *nref) {
-	if !r.valid() {
+// Edge saves the path on the way down (§5.2) and, on a side traversal,
+// counts it and schedules the sibling's posting (§5.1).
+func (s space) Edge(n *Node, f *storage.Frame, r pitree.Route, sched bool, trace any) {
+	path, _ := trace.(*Path)
+	if r.Kind == pitree.Child {
+		path.set(n.Level, f.ID, f.PageLSN())
 		return
 	}
-	if r.timed {
-		o.t.opts.IndexHold.Observe(time.Since(r.since))
+	s.t.Stats.SideTraversals.Add(1)
+	if sched {
+		s.t.noteIncomplete(n, f.ID, path)
 	}
-	o.tr.Released(&r.f.Latch)
-	r.f.Latch.Release(r.mode)
-	o.t.store.Pool.Unpin(r.f)
-	r.f = nil
-	r.n = nil
 }
 
-// promote upgrades r from U to X, honoring the §4.1.1 promotion rule.
-func (o *opCtx) promote(r *nref) {
-	if r.mode != latch.U {
-		panic("core: promote of non-U reference")
+// start binds the tree to its root: the kernel, the completion queue and
+// the recovery binding all need the root's page ID.
+func (t *Tree) start(root storage.PageID) {
+	t.root = root
+	t.kern = pitree.New[*Node, keys.Key](pitree.Config{
+		Name:                "core",
+		Pool:                t.store.Pool,
+		Root:                root,
+		Couple:              t.opts.Consolidation,
+		Pessimistic:         t.opts.PessimisticDescent,
+		CheckLatchOrder:     t.opts.CheckLatchOrder,
+		IndexHold:           t.opts.IndexHold,
+		Restarts:            &t.Stats.Restarts,
+		OptimisticHits:      &t.Stats.OptimisticHits,
+		OptimisticRetries:   &t.Stats.OptimisticRetries,
+		OptimisticFallbacks: &t.Stats.OptimisticFallbacks,
+	}, space{t})
+	t.comp = newCompleter(t)
+	t.binding.Bind(t)
+}
+
+// descendTo walks from the root to the node at stopLevel whose directly
+// contained space includes key, latched in finalMode, remembering the
+// path when one is passed. Side-pointer traversals schedule lazy
+// completion when sched is true (§5.1).
+func (t *Tree) descendTo(o *opCtx, key keys.Key, stopLevel int, finalMode latch.Mode, sched bool, path *Path) (nref, error) {
+	var trace any
+	if path != nil {
+		trace = path
 	}
-	r.f.Latch.Promote()
-	o.tr.Promoted(&r.f.Latch)
-	r.mode = latch.X
+	return t.kern.Descend(o, key, stopLevel, finalMode, sched, trace)
 }
 
 // --- saved paths -----------------------------------------------------------
@@ -548,406 +455,13 @@ func (p *Path) clone() *Path {
 	return c
 }
 
-// --- descent ----------------------------------------------------------------
-
-// rootLevel reads the root's current level.
-func (t *Tree) rootLevel(o *opCtx) (int, error) {
-	r, err := o.acquire(t.root, latch.S, maxLevel)
-	if err != nil {
-		return 0, err
-	}
-	lvl := r.n.Level
-	o.release(&r)
-	return lvl, nil
-}
-
-// errLevelGone reports a descent target level above the current root.
-var errLevelGone = errors.New("core: target level no longer exists")
-
-// descendTo walks from the root to the node at stopLevel whose directly
-// contained space includes key, returning it latched in finalMode along
-// with the remembered path. Interior levels are navigated optimistically
-// (version-validated snapshot reads, no latches, no pins held across
-// levels); after bounded validation failures the whole descent falls
-// back to the fully latched discipline. Side-pointer traversals below
-// the root trigger lazy completion scheduling when sched is true (§5.1).
-func (t *Tree) descendTo(o *opCtx, key keys.Key, stopLevel int, finalMode latch.Mode, sched bool, path *Path) (nref, error) {
-	if !t.opts.PessimisticDescent {
-		if r, err, ok := t.descendOptimistic(o, key, stopLevel, finalMode, sched, path); ok {
-			return r, err
-		}
-		t.Stats.OptimisticFallbacks.Add(1)
-	}
-	return t.descendLatched(o, key, stopLevel, finalMode, sched, path)
-}
-
-// descendLatched is the fully latched descent. Latch discipline follows
-// the invariant in force: CP couples (two latches held across each
-// edge), CNS holds one latch at a time.
-func (t *Tree) descendLatched(o *opCtx, key keys.Key, stopLevel int, finalMode latch.Mode, sched bool, path *Path) (nref, error) {
-	// The root is acquired in finalMode directly when it is the target;
-	// its level is only known once latched, so retry on mismatch.
-	cur, err := o.acquire(t.root, latch.S, maxLevel)
-	if err != nil {
-		return nref{}, err
-	}
-	if cur.n.Level < stopLevel {
-		o.release(&cur)
-		return nref{}, errLevelGone
-	}
-	if cur.n.Level == stopLevel && finalMode != latch.S {
-		// Re-acquire in the requested mode. The root never moves, so
-		// dropping the S latch first is safe in both invariants.
-		lvl := cur.n.Level
-		o.release(&cur)
-		cur, err = o.acquire(t.root, finalMode, lvl)
-		if err != nil {
-			return nref{}, err
-		}
-		if cur.n.Level != stopLevel {
-			o.release(&cur)
-			return nref{}, errRetry
-		}
-	}
-	return t.descendFrom(o, cur, key, stopLevel, finalMode, sched, path)
-}
-
-// descendFrom continues a latched descent from cur (already latched, at
-// or above stopLevel) down to the stopLevel node directly containing
-// key. The optimistic descent also lands here for the final level's side
-// traversal, which always runs latched.
-func (t *Tree) descendFrom(o *opCtx, cur nref, key keys.Key, stopLevel int, finalMode latch.Mode, sched bool, path *Path) (nref, error) {
-	for {
-		// Side traversal: the key has been delegated to a sibling.
-		for !cur.n.DirectlyContains(key) {
-			if cur.n.Low != nil && keys.Compare(key, cur.n.Low) < 0 {
-				// Keys below Low cannot be reached by following right
-				// pointers; the structure changed under us.
-				o.release(&cur)
-				return nref{}, errRetry
-			}
-			sib := cur.n.Right
-			if sib == storage.NilPage {
-				o.release(&cur)
-				return nref{}, errRetry
-			}
-			t.Stats.SideTraversals.Add(1)
-			if sched {
-				t.noteIncomplete(o, cur.n, cur.pid(), path)
-			}
-			next, err := t.step(o, &cur, sib, cur.mode, cur.n.Level)
-			if err != nil {
-				return nref{}, err
-			}
-			cur = next
-		}
-
-		if cur.n.Level == stopLevel {
-			return cur, nil
-		}
-
-		e, ok := cur.n.childFor(key)
-		if !ok {
-			o.release(&cur)
-			return nref{}, errRetry
-		}
-		childLevel := cur.n.Level - 1
-		childMode := latch.S
-		if childLevel == stopLevel {
-			childMode = finalMode
-		}
-		if path != nil {
-			path.set(cur.n.Level, cur.pid(), cur.f.PageLSN())
-		}
-		next, err := t.step(o, &cur, e.Child, childMode, childLevel)
-		if err != nil {
-			return nref{}, err
-		}
-		cur = next
-	}
-}
-
-// --- optimistic descent ------------------------------------------------------
-
-// optRetries bounds full-descent restarts after validation failures
-// before the operation falls back to the latched path. Restarting from
-// the root is cheap (a handful of atomic loads per level), so a small
-// budget absorbs transient SMO interference without risking livelock
-// against a write-heavy run.
-const optRetries = 3
-
-// navRef is an unlatched, pinned view of a node: an immutable snapshot n
-// proved current at latch version v. The pin keeps the frame (and its
-// version counter) from being recycled while the reference is live.
-type navRef struct {
-	f *storage.Frame
-	n *Node
-	v uint64
-}
-
-// optCounters accumulates a descent's snapshot-read outcomes locally so
-// the hot path touches the shared Stats words once per operation instead
-// of once per level (on a multicore run those are contended cache lines).
-type optCounters struct {
-	hits    int64
-	retries int64
-}
-
-// navLoad returns a validated snapshot of the pinned frame f. The fast
-// path is three atomic loads (published snapshot, version check); when
-// the published snapshot is missing or stale a brief S latch refreshes
-// it — the only latch traffic an optimistic descent ever generates, paid
-// once per node mutation rather than once per visit. ok is false when
-// the frame does not hold a node (the caller falls back to the latched
-// path, which surfaces the real error).
-func (t *Tree) navLoad(f *storage.Frame, c *optCounters) (navRef, bool) {
-	if data, pub, ok := f.NavSnapshot(); ok {
-		if v, quiet := f.Latch.OptimisticRead(); quiet && v == pub {
-			n, isNode := data.(*Node)
-			if !isNode {
-				return navRef{}, false
-			}
-			c.hits++
-			return navRef{f: f, n: n, v: v}, true
-		}
-		c.retries++
-	}
-	f.Latch.AcquireS()
-	n, isNode := f.Data.(*Node)
-	if !isNode {
-		f.Latch.ReleaseS()
-		return navRef{}, false
-	}
-	snap := n.clone()
-	v := f.Latch.Version()
-	f.PublishNav(snap, v)
-	f.Latch.ReleaseS()
-	return navRef{f: f, n: snap, v: v}, true
-}
-
-// descendOptimistic runs bounded optimistic passes from the root; ok is
-// false when the budget is exhausted (or a frame held a non-node) and
-// the caller must fall back to the latched descent.
-func (t *Tree) descendOptimistic(o *opCtx, key keys.Key, stopLevel int, finalMode latch.Mode, sched bool, path *Path) (nref, error, bool) {
-	var c optCounters
-	r, err, ok := nref{}, error(nil), false
-	for attempt := 0; attempt <= optRetries; attempt++ {
-		var done bool
-		r, err, done = t.optPass(o, &c, key, stopLevel, finalMode, sched, path)
-		if done {
-			ok = true
-			break
-		}
-	}
-	if c.hits > 0 {
-		t.Stats.OptimisticHits.Add(c.hits)
-	}
-	if c.retries > 0 {
-		t.Stats.OptimisticRetries.Add(c.retries)
-	}
-	return r, err, ok
-}
-
-// optPass is one optimistic descent from the root. done is false when a
-// validation failure (or non-node frame) aborted the pass; the caller
-// restarts or falls back. The protocol per edge, following Lomet &
-// Salzberg's well-formedness argument (§3-§4, see DESIGN.md):
-//
-//  1. read the source node through a validated snapshot (navLoad);
-//  2. pin the target frame named by the snapshot;
-//  3. load the target's own validated snapshot;
-//  4. re-validate the source's version, with the source still pinned.
-//
-// Step 4 closes the free/re-allocate window: every de-allocation of a
-// node is preceded — inside the same atomic action, under X latches — by
-// removing the last reference to it (the parent's index term, or the
-// left sibling's side pointer), so an unchanged source proves the target
-// was still live when step 3 read it. A target snapshot so validated is
-// exactly what a latched reader could have seen, and side pointers make
-// any such well-formed state navigable. Leaves are never read
-// optimistically: the final node is latched in finalMode (then the
-// source is re-validated), keeping the No-Wait rule, move locks, and
-// degree-3 locking untouched.
-func (t *Tree) optPass(o *opCtx, c *optCounters, key keys.Key, stopLevel int, finalMode latch.Mode, sched bool, path *Path) (nref, error, bool) {
-	pool := t.store.Pool
-	f, err := t.rootFrame()
-	if err != nil {
-		return nref{}, err, true
-	}
-	cur, ok := t.navLoad(f, c)
-	if !ok {
-		pool.Unpin(f)
-		return nref{}, nil, false
-	}
-	if cur.n.Level < stopLevel {
-		pool.Unpin(f)
-		return nref{}, errLevelGone, true
-	}
-	if cur.n.Level == stopLevel {
-		// The root is the target. It never moves and is never
-		// de-allocated, so no source validation is needed — just latch it
-		// and re-check the level like the latched path does.
-		lvl := cur.n.Level
-		pool.Unpin(f)
-		r, err := o.acquire(t.root, finalMode, lvl)
-		if err != nil {
-			return nref{}, err, true
-		}
-		if r.n.Level != stopLevel {
-			o.release(&r)
-			return nref{}, errRetry, true
-		}
-		r2, err := t.descendFrom(o, r, key, stopLevel, finalMode, sched, path)
-		return r2, err, true
-	}
-
-	for {
-		// Side traversal on validated snapshots.
-		if !cur.n.DirectlyContains(key) {
-			if cur.n.Low != nil && keys.Compare(key, cur.n.Low) < 0 {
-				pool.Unpin(cur.f)
-				return nref{}, errRetry, true
-			}
-			sib := cur.n.Right
-			if sib == storage.NilPage {
-				pool.Unpin(cur.f)
-				return nref{}, errRetry, true
-			}
-			t.Stats.SideTraversals.Add(1)
-			if sched {
-				t.noteIncomplete(o, cur.n, cur.f.ID, path)
-			}
-			next, err, done := t.optStep(cur, c, sib, cur.n.Level)
-			if !done {
-				return nref{}, nil, false
-			}
-			if err != nil {
-				return nref{}, err, true
-			}
-			cur = next
-			continue
-		}
-
-		e, ok := cur.n.childFor(key)
-		if !ok {
-			pool.Unpin(cur.f)
-			return nref{}, errRetry, true
-		}
-		childLevel := cur.n.Level - 1
-		if path != nil {
-			path.set(cur.n.Level, cur.f.ID, cur.f.PageLSN())
-		}
-		if childLevel == stopLevel {
-			// Final edge: latch the child in finalMode, then prove the
-			// parent still references it before trusting it.
-			r, err := o.acquire(e.Child, finalMode, childLevel)
-			if err != nil {
-				stale := !cur.f.Latch.Validate(cur.v)
-				pool.Unpin(cur.f)
-				if stale {
-					return nref{}, nil, false
-				}
-				return nref{}, err, true
-			}
-			if !cur.f.Latch.Validate(cur.v) {
-				o.release(&r)
-				pool.Unpin(cur.f)
-				return nref{}, nil, false
-			}
-			pool.Unpin(cur.f)
-			if r.n.Dead {
-				o.release(&r)
-				return nref{}, errRetry, true
-			}
-			if r.n.Level != stopLevel {
-				o.release(&r)
-				return nref{}, nil, false
-			}
-			r2, err := t.descendFrom(o, r, key, stopLevel, finalMode, sched, path)
-			return r2, err, true
-		}
-		next, err, done := t.optStep(cur, c, e.Child, childLevel)
-		if !done {
-			return nref{}, nil, false
-		}
-		if err != nil {
-			return nref{}, err, true
-		}
-		cur = next
-	}
-}
-
-// optStep follows one validated edge from cur to pid (expected at
-// level): pin the target, snapshot it, then re-validate the source (see
-// optPass steps 2-4). cur's pin is consumed. done=false aborts the pass
-// on validation failure; a non-nil error is terminal for the operation.
-func (t *Tree) optStep(cur navRef, c *optCounters, pid storage.PageID, level int) (navRef, error, bool) {
-	pool := t.store.Pool
-	nf, err := pool.Fetch(pid)
-	if err != nil {
-		// The pointer came from a validated snapshot, but the target may
-		// have been freed since; distinguish a stale pointer from a real
-		// I/O error by re-validating the source.
-		stale := !cur.f.Latch.Validate(cur.v)
-		pool.Unpin(cur.f)
-		if stale {
-			return navRef{}, nil, false
-		}
-		return navRef{}, err, true
-	}
-	next, ok := t.navLoad(nf, c)
-	if !ok || !cur.f.Latch.Validate(cur.v) {
-		pool.Unpin(nf)
-		pool.Unpin(cur.f)
-		return navRef{}, nil, false
-	}
-	pool.Unpin(cur.f)
-	if next.n.Dead {
-		// Strategy (b) leaves de-allocated nodes marked; a pointer read
-		// before the consolidation committed can still land here. Retry
-		// from the root, as the latched step does.
-		pool.Unpin(nf)
-		return navRef{}, errRetry, true
-	}
-	if next.n.Level != level {
-		// Defense in depth: a validated chain cannot produce a level
-		// mismatch (see optPass), so treat one as staleness.
-		pool.Unpin(nf)
-		return navRef{}, nil, false
-	}
-	return next, nil, true
-}
-
-// step moves from *cur to pid, applying the coupling discipline: under CP
-// the new node is latched before cur is released; under CNS cur is
-// released first ("only one latch at a time", §5.2.1).
-func (t *Tree) step(o *opCtx, cur *nref, pid storage.PageID, mode latch.Mode, level int) (nref, error) {
-	if t.opts.Consolidation {
-		next, err := o.acquire(pid, mode, level)
-		o.release(cur)
-		if err != nil {
-			return nref{}, err
-		}
-		if next.n.Dead {
-			// Strategy (b) leaves de-allocated nodes marked; a pointer
-			// read before the consolidation committed can still land
-			// here. Retry from the root.
-			o.release(&next)
-			return nref{}, errRetry
-		}
-		return next, nil
-	}
-	o.release(cur)
-	return o.acquire(pid, mode, level)
-}
-
 // noteIncomplete schedules the completing atomic action for a detected
 // intermediate state: cur has a sibling not yet posted in the parent (or
 // the parent simply was not on our search path). Move-locked splits are
 // skipped: their posting must await the updating transaction's commit
 // (§4.2.2).
-func (t *Tree) noteIncomplete(o *opCtx, n *Node, pid storage.PageID, path *Path) {
-	if t.opts.NoCompletion || t.comp == nil {
+func (t *Tree) noteIncomplete(n *Node, pid storage.PageID, path *Path) {
+	if t.opts.NoCompletion {
 		return
 	}
 	if n.High.Unbounded || n.Right == storage.NilPage {
@@ -963,26 +477,10 @@ func (t *Tree) noteIncomplete(o *opCtx, n *Node, pid storage.PageID, path *Path)
 	} else {
 		p = newPath()
 	}
-	t.comp.schedulePost(postTask{
+	t.schedulePost(postTask{
 		level:  n.Level + 1,
 		sep:    keys.Clone(n.High.Key),
 		newPid: n.Right,
 		path:   p,
 	})
-}
-
-// retryLoop runs fn until it succeeds or fails with a real error,
-// translating errRetry and errLevelGone into restarts.
-func (t *Tree) retryLoop(fn func() error) error {
-	for {
-		err := fn()
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, errRetry) {
-			t.Stats.Restarts.Add(1)
-			continue
-		}
-		return err
-	}
 }

@@ -37,27 +37,25 @@ func (t *Tree) logicalUndoDelete(rec *wal.Record, k keys.Key) error {
 	if err != nil {
 		return err
 	}
-	return t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
 		leaf, err := t.descendTo(o, k, 0, latch.U, false, nil)
 		if err != nil {
 			return err
 		}
-		i, ok := leaf.n.search(k)
+		i, ok := leaf.N.search(k)
 		if !ok {
 			// Repeating history guarantees the record is present; if it
 			// is not, the chain must still advance past this record.
-			o.release(&leaf)
+			o.Release(&leaf)
 			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
 			return nil
 		}
-		old := leaf.n.Entries[i].Value
-		o.promote(&leaf)
-		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.pid()), KindDeleteRecord, encKV(k, old), rec.PrevLSN)
-		leaf.n.deleteEntry(k)
-		leaf.f.MarkDirty(lsn)
-		o.release(&leaf)
+		old := leaf.N.Entries[i].Value
+		o.Promote(&leaf)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindDeleteRecord, encKV(k, old), rec.PrevLSN)
+		leaf.N.deleteEntry(k)
+		leaf.F.MarkDirty(lsn)
+		o.Release(&leaf)
 		return nil
 	})
 }
@@ -69,33 +67,31 @@ func (t *Tree) logicalUndoInsert(rec *wal.Record, k keys.Key, v []byte) error {
 	if err != nil {
 		return err
 	}
-	return t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
 		path := newPath()
 		leaf, err := t.descendTo(o, k, 0, latch.U, false, path)
 		if err != nil {
 			return err
 		}
-		if len(leaf.n.Entries) >= t.opts.LeafCapacity {
+		if len(leaf.N.Entries) >= t.opts.LeafCapacity {
 			// Undo can split: in logical-undo mode every split is an
-			// independent atomic action (o.txn is nil here, so splitLeaf
+			// independent atomic action (o.Txn is nil here, so splitLeaf
 			// takes that path).
 			if err := t.splitLeaf(o, &leaf, path); err != nil {
 				return err
 			}
 			return errRetry
 		}
-		if _, dup := leaf.n.search(k); dup {
-			o.release(&leaf)
+		if _, dup := leaf.N.search(k); dup {
+			o.Release(&leaf)
 			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
 			return nil
 		}
-		o.promote(&leaf)
-		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.pid()), KindInsertRecord, encKV(k, v), rec.PrevLSN)
-		leaf.n.insertEntry(Entry{Key: keys.Clone(k), Value: append([]byte(nil), v...)})
-		leaf.f.MarkDirty(lsn)
-		o.release(&leaf)
+		o.Promote(&leaf)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertRecord, encKV(k, v), rec.PrevLSN)
+		leaf.N.insertEntry(Entry{Key: keys.Clone(k), Value: append([]byte(nil), v...)})
+		leaf.F.MarkDirty(lsn)
+		o.Release(&leaf)
 		return nil
 	})
 }
@@ -106,25 +102,23 @@ func (t *Tree) logicalUndoUpdate(rec *wal.Record, k keys.Key, oldVal []byte) err
 	if err != nil {
 		return err
 	}
-	return t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
 		leaf, err := t.descendTo(o, k, 0, latch.U, false, nil)
 		if err != nil {
 			return err
 		}
-		i, ok := leaf.n.search(k)
+		i, ok := leaf.N.search(k)
 		if !ok {
-			o.release(&leaf)
+			o.Release(&leaf)
 			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
 			return nil
 		}
-		cur := leaf.n.Entries[i].Value
-		o.promote(&leaf)
-		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.pid()), KindUpdateRecord, encKVV(k, oldVal, cur), rec.PrevLSN)
-		leaf.n.Entries[i].Value = append([]byte(nil), oldVal...)
-		leaf.f.MarkDirty(lsn)
-		o.release(&leaf)
+		cur := leaf.N.Entries[i].Value
+		o.Promote(&leaf)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindUpdateRecord, encKVV(k, oldVal, cur), rec.PrevLSN)
+		leaf.N.Entries[i].Value = append([]byte(nil), oldVal...)
+		leaf.F.MarkDirty(lsn)
+		o.Release(&leaf)
 		return nil
 	})
 }

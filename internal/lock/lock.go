@@ -406,10 +406,16 @@ func (s *stripe) releaseLocked(txn wal.TxnID, name Name, depLSN, stable uint64) 
 	// no longer block it. Re-derive their edges, or a later request by
 	// one of those transactions would find a path back to itself through
 	// a wait that ended here.
-	for _, w := range ls.queue {
+	s.rederive(ls.queue, ls)
+	s.maybeFree(name, ls, stable)
+}
+
+// rederive replaces the waits-for edges of the given queued waiters of ls
+// with their current blockers. Caller holds s.mu.
+func (s *stripe) rederive(waiters []*waiter, ls *lockState) {
+	for _, w := range waiters {
 		s.det.set(w.txn, ls.blockersOf(w))
 	}
-	s.maybeFree(name, ls, stable)
 }
 
 // detector owns the waits-for graph. It is consulted only when a request
@@ -457,8 +463,10 @@ func (d *detector) blockOrDetect(txn wal.TxnID, blockers map[wal.TxnID]struct{})
 }
 
 // set replaces a still-blocked txn's waits-for edges with its current
-// blockers after a release on the lock it waits for. A release only ends
-// waits, so no cycle check runs.
+// blockers. No cycle check runs: a release only ends waits, and the one
+// caller that adds edges — an upgrader jumping the queue — runs its own
+// blockOrDetect next, which sees every cycle the new edges can close
+// (they all lead to the upgrader).
 func (d *detector) set(txn wal.TxnID, blockers map[wal.TxnID]struct{}) {
 	d.mu.Lock()
 	d.waitingOn[txn] = blockers
@@ -623,9 +631,20 @@ func (m *Manager) LockDep(txn wal.TxnID, name Name, mode Mode) (uint64, error) {
 		ls.queue = append(ls.queue, w)
 	}
 
+	if held {
+		// The upgrader now blocks every waiter it jumped, including ones
+		// its held mode never conflicted with. Give them that edge before
+		// the cycle check, or a cycle closed through the upgrader — a
+		// jumped waiter that one of the upgrader's blockers waits for —
+		// is never seen, and no later event re-checks it.
+		s.rederive(ls.queue[1:], ls)
+	}
 	blockers := ls.blockersOf(w)
 	if err := m.det.blockOrDetect(txn, blockers); err != nil {
 		ls.removeWaiter(w)
+		if held {
+			s.rederive(ls.queue, ls) // the victim no longer queues ahead of them
+		}
 		s.deadlocks++
 		s.maybeFree(name, ls, m.stable.Load())
 		s.mu.Unlock()

@@ -628,3 +628,81 @@ func TestGrantClearsWaitsForEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestUpgraderBlocksJumpedWaiters: an upgrader that jumps the queue
+// becomes a blocker of every waiter it jumped, including ones its held
+// mode never conflicted with. T1 and T2 hold S on a, T3 holds IX; T4,
+// holding b, queues for MV on a — blocked by T3 alone, since MV tolerates
+// readers. T1's upgrade to X then queues ahead of T4 and waits for T2
+// and T3, and T2 wants b: T1→T2→T4→T1, closed through the edge T4→T1
+// that only the queue jump creates. Whichever of T1 and T2 blocks last
+// must be refused — exactly one ErrDeadlock — and once the victim aborts
+// everyone else finishes. Without that edge neither request is refused,
+// and nothing re-checks afterwards: the three wait forever.
+func TestUpgraderBlocksJumpedWaiters(t *testing.T) {
+	a, b := nm("a"), nm("b")
+	for _, upgradeFirst := range []bool{false, true} {
+		m := NewManager()
+		for _, l := range []struct {
+			id   wal.TxnID
+			name Name
+			mode Mode
+		}{{1, a, S}, {2, a, S}, {3, a, IX}, {4, b, X}} {
+			if err := m.Lock(l.id, l.name, l.mode); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lockAsync := func(id wal.TxnID, name Name, mode Mode) chan error {
+			c := make(chan error, 1)
+			go func() { c <- m.Lock(id, name, mode) }()
+			return c
+		}
+		res := map[wal.TxnID]chan error{4: lockAsync(4, a, MV)}
+		waitForWaiters(t, m, 1)
+		first, second := wal.TxnID(2), wal.TxnID(1)
+		if upgradeFirst {
+			first, second = 1, 2
+		}
+		request := func(id wal.TxnID) chan error {
+			if id == 1 {
+				return lockAsync(1, a, X)
+			}
+			return lockAsync(2, b, S)
+		}
+		res[first] = request(first)
+		waitForWaiters(t, m, 2)
+		res[second] = request(second)
+		select {
+		case err := <-res[second]:
+			if !errors.Is(err, ErrDeadlock) {
+				t.Fatalf("upgradeFirst=%v: T%d closed the cycle and got %v", upgradeFirst, second, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("upgradeFirst=%v: T1→T2→T4→T1 went undetected; all three hang", upgradeFirst)
+		}
+		m.ReleaseAll(second) // the victim aborts
+		m.ReleaseAll(3)
+		if second == 2 {
+			// T1 upgrades once T2 and T3 are gone, and finishes; T4 follows.
+			if err := <-res[1]; err != nil {
+				t.Fatal(err)
+			}
+			m.ReleaseAll(1)
+			if err := <-res[4]; err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			// T4's MV tolerates T2's S; when T4 finishes T2 gets b.
+			if err := <-res[4]; err != nil {
+				t.Fatal(err)
+			}
+			m.ReleaseAll(4)
+			if err := <-res[2]; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, deadlocks := m.Stats(); deadlocks != 1 {
+			t.Fatalf("upgradeFirst=%v: %d deadlocks reported, want exactly 1", upgradeFirst, deadlocks)
+		}
+	}
+}

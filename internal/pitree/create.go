@@ -1,0 +1,68 @@
+package pitree
+
+import (
+	"errors"
+
+	"repro/internal/latch"
+	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
+)
+
+// Create runs the one atomic action that creates a tree named name in
+// store: it bootstraps the store's meta page if this is the store's first
+// tree, allocates npages pages, formats them with the nodes build returns
+// for those page IDs, and records the first page as the tree's root,
+// which it returns. Nodes are formatted last to first, so a root listed
+// first is logged after the children it references.
+func Create[N any](store *storage.Store, tm *txn.Manager, name string, npages int, kind wal.Kind,
+	build func(pids []storage.PageID) []N, image func(N) []byte) (storage.PageID, error) {
+	aa := tm.BeginAtomicAction()
+	pool := store.Pool
+	if f, err := pool.Fetch(storage.MetaPage); err == nil {
+		pool.Unpin(f)
+	} else if !errors.Is(err, storage.ErrPageNotFound) {
+		return storage.NilPage, err
+	} else if err := store.Bootstrap(aa); err != nil {
+		return storage.NilPage, err
+	}
+	var tr latch.Tracker
+	pids := make([]storage.PageID, npages)
+	for i := range pids {
+		pid, err := store.Alloc(aa, &tr)
+		if err != nil {
+			return storage.NilPage, err
+		}
+		pids[i] = pid
+	}
+	nodes := build(pids)
+	for i := len(nodes) - 1; i >= 0; i-- {
+		if err := formatPage(pool, &tr, 0, aa, pids[i], nodes[i], kind, image(nodes[i])); err != nil {
+			return storage.NilPage, err
+		}
+	}
+	if err := store.SetRoot(aa, &tr, name, pids[0]); err != nil {
+		return storage.NilPage, err
+	}
+	return pids[0], aa.Commit()
+}
+
+// formatPage installs data as the contents of the freshly allocated page
+// pid and logs its image through lg. Nothing references the page yet; it
+// is X-latched for the write all the same, so the tracker sees every
+// latch the action takes.
+func formatPage(pool *storage.Pool, tr *latch.Tracker, rank latch.Rank, lg storage.UpdateLogger, pid storage.PageID, data any, kind wal.Kind, image []byte) error {
+	f, err := pool.Create(pid)
+	if err != nil {
+		return err
+	}
+	f.Latch.AcquireX()
+	tr.Acquired(&f.Latch, rank, latch.X)
+	lsn := lg.LogUpdate(pool.StoreID, uint64(pid), kind, image)
+	f.Data = data
+	f.MarkDirty(lsn)
+	tr.Released(&f.Latch)
+	f.Latch.ReleaseX()
+	pool.Unpin(f)
+	return nil
+}

@@ -1,0 +1,163 @@
+package pitree
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/latch"
+	"repro/internal/lock"
+	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
+)
+
+// Op carries one operation's latch-order state. Ranks are derived from
+// the tree level (parents before children) plus a per-operation sequence
+// number (containing nodes before the contained nodes along a side
+// chain). Contexts are pooled per kernel: obtain one with NewOp, return
+// it with Done (which also asserts no latches leaked).
+type Op[N any] struct {
+	s *shared
+	// Txn is the transaction the operation runs for; nil for plain reads
+	// and for atomic actions that log through their own handle.
+	Txn *txn.Txn
+	// Tr is the operation's latch-order tracker; space management takes
+	// it so the meta page's latch is ordered after every node's.
+	Tr  latch.Tracker
+	seq uint64
+}
+
+// NewOp checks out a pooled operation context.
+func (k *Kernel[N, K]) NewOp(tx *txn.Txn) *Op[N] {
+	o, _ := k.s.ops.Get().(*Op[N])
+	if o == nil {
+		o = &Op[N]{s: &k.s}
+	}
+	o.Txn = tx
+	o.seq = 0
+	o.Tr.Reset(k.s.CheckLatchOrder)
+	return o
+}
+
+// Done asserts the operation released everything and returns the context
+// to the pool. Callers must not touch o afterwards.
+func (o *Op[N]) Done() {
+	o.Tr.AssertNoneHeld()
+	o.Txn = nil
+	o.s.ops.Put(o)
+}
+
+// Rank returns the next latch rank at level: higher levels first, then
+// acquisition order within the operation.
+func (o *Op[N]) Rank(level int) latch.Rank {
+	o.seq++
+	return latch.Rank(uint64(MaxLevel-level)<<40 | (o.seq & (1<<40 - 1)))
+}
+
+// Ref is a pinned, latched node reference.
+type Ref[N any] struct {
+	F    *storage.Frame
+	N    N
+	Mode latch.Mode
+	// since is the acquisition time of an instrumented index-node hold, as
+	// an offset from epoch (monotonic); zero for untimed holds.
+	since time.Duration
+}
+
+var epoch = time.Now()
+
+// Pid returns the referenced page's ID.
+func (r *Ref[N]) Pid() storage.PageID { return r.F.ID }
+
+// Acquire pins and latches pid in mode. A frame that does not hold a
+// node of this tree is an error, not a panic: the page ID may have come
+// from a log record or a stale pointer.
+func (o *Op[N]) Acquire(pid storage.PageID, mode latch.Mode, level int) (Ref[N], error) {
+	f, err := o.s.Pool.Fetch(pid)
+	if err != nil {
+		return Ref[N]{}, err
+	}
+	f.Latch.Acquire(mode)
+	o.Tr.Acquired(&f.Latch, o.Rank(level), mode)
+	n, ok := f.Data.(N)
+	if !ok {
+		o.Tr.Released(&f.Latch)
+		f.Latch.Release(mode)
+		o.s.Pool.Unpin(f)
+		return Ref[N]{}, fmt.Errorf("%s: page %d holds %T, not a node", o.s.Name, pid, f.Data)
+	}
+	r := Ref[N]{F: f, N: n, Mode: mode}
+	if o.s.IndexHold != nil && level >= 1 && mode != latch.S {
+		r.since = time.Since(epoch)
+	}
+	return r, nil
+}
+
+// Release unlatches and unpins each reference, in the order given;
+// releasing a released reference is a no-op.
+func (o *Op[N]) Release(refs ...*Ref[N]) {
+	for _, r := range refs {
+		if r.F == nil {
+			continue
+		}
+		if r.since != 0 {
+			o.s.IndexHold.Observe(time.Since(epoch) - r.since)
+		}
+		o.Tr.Released(&r.F.Latch)
+		r.F.Latch.Release(r.Mode)
+		o.s.Pool.Unpin(r.F)
+		*r = Ref[N]{}
+	}
+}
+
+// Promote upgrades r from U to X, honoring the §4.1.1 promotion rule
+// (the tracker panics if a higher-ranked latch is held).
+func (o *Op[N]) Promote(r *Ref[N]) {
+	if r.Mode != latch.U {
+		panic(o.s.Name + ": promote of non-U reference")
+	}
+	r.F.Latch.Promote()
+	o.Tr.Promoted(&r.F.Latch)
+	r.Mode = latch.X
+}
+
+// Format installs n, a node at level, as the contents of the freshly
+// allocated page pid and logs its image through lg (see formatPage).
+func (o *Op[N]) Format(lg storage.UpdateLogger, pid storage.PageID, n N, level int, kind wal.Kind, image []byte) error {
+	return formatPage(o.s.Pool, &o.Tr, o.Rank(level), lg, pid, n, kind, image)
+}
+
+// LockDance acquires a database lock for tx under the No-Wait rule
+// (§4.1.2): if the lock is free it is taken without waiting and nil is
+// returned with the latch kept. Otherwise the held latch is released
+// before blocking, and the result is the lock error or, once the lock is
+// granted, ErrRetry: the operation restarts (the lock stays held, so the
+// retry's TryLock succeeds immediately). A nil tx takes no lock.
+func (o *Op[N]) LockDance(tx *txn.Txn, r *Ref[N], name lock.Name, mode lock.Mode) error {
+	if tx == nil || tx.TryLock(name, mode) {
+		return nil
+	}
+	o.Release(r)
+	if err := tx.Lock(name, mode); err != nil {
+		return err
+	}
+	return ErrRetry
+}
+
+// LockDanceBatch is LockDance for a run of names taken in one lock-
+// manager interaction; on conflict it blocks on the first name that
+// could not be granted.
+func (o *Op[N]) LockDanceBatch(tx *txn.Txn, r *Ref[N], names []lock.Name, mode lock.Mode) error {
+	if tx == nil {
+		return nil
+	}
+	fail := tx.TryLockBatch(names, mode)
+	if fail < 0 {
+		return nil
+	}
+	o.Release(r)
+	if err := tx.Lock(names[fail], mode); err != nil {
+		return err
+	}
+	return ErrRetry
+}

@@ -1,0 +1,202 @@
+// Package pitree is the Π-tree protocol kernel: the one concurrency-and-
+// recovery protocol of Lomet & Salzberg (SIGMOD 1992) that every Π-tree
+// shares, written once and generic over the tree's node type N and
+// search-key type K.
+//
+// The kernel owns
+//
+//   - the per-operation context (Op), its latch-rank arithmetic, and the
+//     pinned, latched node reference (Ref) with Acquire / Release /
+//     Promote / Format (§4.1.1 resource ordering and the promotion rule);
+//   - Step, the edge rule: acquire the target, then release the source —
+//     coupled where nodes can be de-allocated (CP), one latch at a time
+//     where they cannot (CNS, §5.2);
+//   - both descents: the fully latched one and the optimistic one, which
+//     reads interior nodes through version-validated snapshots and
+//     re-validates the source after loading the target of every edge;
+//   - RetryLoop and the No-Wait lock dance (§4.1.2), and the atomic
+//     action that creates a tree (Create);
+//   - the completion queue (queue.go) that schedules completing atomic
+//     actions lazily (§5.1).
+//
+// A tree supplies a Space: how to read a node's level and dead mark, how
+// to clone it for a navigation snapshot, where a key routes from it, and
+// what to do when a descent follows a side pointer. Everything else —
+// key space, split choice, clipping, version visibility, consolidation,
+// codecs, undo — stays in the tree's own package.
+package pitree
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/latch"
+	"repro/internal/storage"
+	"repro/internal/txn"
+)
+
+// RouteKind says where a key lives relative to a node.
+type RouteKind uint8
+
+const (
+	// Here: the node directly contains the key and the descent stops.
+	Here RouteKind = iota
+	// Side: the key's space was delegated to the sibling Route.Pid.
+	Side
+	// Child: the node directly contains the key; Route.Pid is the child
+	// responsible for it (approximately, when postings are pending).
+	Child
+	// Restart: the key cannot be reached from this node (the structure
+	// changed under the traversal); the operation restarts.
+	Restart
+)
+
+// Route is a Space's answer for one key at one node. Tag is the tree's
+// own annotation on a Side route (which kind of sibling, which sibling
+// term); the kernel hands it back to Edge untouched.
+type Route struct {
+	Kind RouteKind
+	Pid  storage.PageID
+	Tag  int
+}
+
+// Space is the contract a Π-tree supplies to the kernel. Nodes handed to
+// Level, Dead and Route are either latched or immutable validated
+// snapshots; Edge may run under the node's latch and must not block.
+type Space[N, K any] interface {
+	// Level is the node's level: 0 for data nodes, parents one above
+	// their children.
+	Level(n N) int
+	// Dead reports a de-allocated node still marked in place (§5.2.2(b));
+	// a traversal that lands on one restarts.
+	Dead(n N) bool
+	// Clone returns an immutable deep copy for a navigation snapshot.
+	Clone(n N) N
+	// Route answers where key lives relative to n. stop is true when n is
+	// at the descent's target level: a node that directly contains key
+	// then answers Here rather than choosing a child.
+	Route(n N, key K, stop bool) Route
+	// Edge is the hook on an edge the descent is about to follow out of n
+	// (the page in f): every Side route — the tree counts the traversal
+	// and, when sched is set, schedules the completing action that posts
+	// the sibling (§5.1) — and, when the caller passed a trace, every
+	// Child route, so the tree can save the path (§5.2).
+	Edge(n N, f *storage.Frame, r Route, sched bool, trace any)
+}
+
+// MaxLevel bounds the tree height for rank arithmetic; acquiring the root
+// at MaxLevel ranks it before every other node.
+const MaxLevel = 63
+
+// ErrRetry restarts an operation from the descent; it never escapes a
+// tree package.
+var ErrRetry = errors.New("pitree: internal retry")
+
+// ErrLevelGone reports a descent target level above the current root.
+var ErrLevelGone = errors.New("pitree: target level does not exist")
+
+// Config is the per-tree state the kernel reads.
+type Config struct {
+	// Name prefixes the kernel's error messages ("core", "tsb", ...).
+	Name string
+	Pool *storage.Pool
+	// Root is the root's page ID, fixed for the tree's lifetime; the root
+	// node is never de-allocated.
+	Root storage.PageID
+	// Couple makes latched edges couple (§5.2.2, the CP invariant): the
+	// target is latched before the source is released, because a node can
+	// be de-allocated while only a pointer to it is held. False is the
+	// CNS invariant's one latch at a time (§5.2.1).
+	Couple bool
+	// Pessimistic forces every descent onto the fully latched path.
+	Pessimistic bool
+	// CheckLatchOrder enables the per-operation latch order assertions.
+	CheckLatchOrder bool
+	// IndexHold, when set, records hold durations of U/X latches on index
+	// nodes.
+	IndexHold *latch.HoldTimer
+	// Restarts counts RetryLoop restarts; the Optimistic counters count
+	// snapshot reads served without a latch, snapshot refreshes, and
+	// descents abandoned to the latched path.
+	Restarts            *atomic.Int64
+	OptimisticHits      *atomic.Int64
+	OptimisticRetries   *atomic.Int64
+	OptimisticFallbacks *atomic.Int64
+}
+
+// shared is the non-generic part of a kernel that operation contexts
+// point back to.
+type shared struct {
+	Config
+	ops sync.Pool
+
+	// rootf caches the root's buffer frame with one permanent pin, taken
+	// lazily on first use and dropped by Close. The root page ID is fixed
+	// and the root is never de-allocated, so the frame never goes stale;
+	// the cache turns the hottest fetch of every descent into a single
+	// atomic load instead of a page-table lookup.
+	rootf atomic.Pointer[storage.Frame]
+}
+
+// Kernel runs the protocol for one tree.
+type Kernel[N, K any] struct {
+	s  shared
+	sp Space[N, K]
+}
+
+// New returns the kernel for the tree described by cfg and sp.
+func New[N, K any](cfg Config, sp Space[N, K]) *Kernel[N, K] {
+	k := &Kernel[N, K]{sp: sp}
+	k.s.Config = cfg
+	return k
+}
+
+// Close drops the cached root pin. A straggling operation may briefly
+// re-cache it; the pin is process-local bookkeeping, so that is harmless.
+func (k *Kernel[N, K]) Close() {
+	if f := k.s.rootf.Swap(nil); f != nil {
+		k.s.Pool.Unpin(f)
+	}
+}
+
+// rootFrame returns the root's frame, pinned for the caller. The first
+// call fetches and keeps one extra permanent pin; later calls re-pin the
+// cached frame (safe: the permanent pin keeps the count non-zero, see
+// Frame.Pin).
+func (k *Kernel[N, K]) rootFrame() (*storage.Frame, error) {
+	if f := k.s.rootf.Load(); f != nil {
+		f.Pin()
+		return f, nil
+	}
+	f, err := k.s.Pool.Fetch(k.s.Root)
+	if err != nil {
+		return nil, err
+	}
+	if !k.s.rootf.CompareAndSwap(nil, f) {
+		// Lost the race to cache; the winner cached the same frame (one
+		// page ID maps to one buffered frame), and our fetch pin is the
+		// caller's.
+		return f, nil
+	}
+	// Our fetch pin becomes the cache's permanent pin; take another for
+	// the caller.
+	f.Pin()
+	return f, nil
+}
+
+// RetryLoop runs fn, each attempt under a fresh operation context for tx,
+// until it succeeds or fails with a real error; ErrRetry is a counted
+// restart. Every attempt must have released its latches by the time fn
+// returns.
+func (k *Kernel[N, K]) RetryLoop(tx *txn.Txn, fn func(o *Op[N]) error) error {
+	for {
+		o := k.NewOp(tx)
+		err := fn(o)
+		o.Done()
+		if !errors.Is(err, ErrRetry) {
+			return err
+		}
+		k.s.Restarts.Add(1)
+	}
+}

@@ -1,0 +1,191 @@
+package pitree
+
+import (
+	"math"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/latch"
+	"repro/internal/storage"
+	"repro/internal/wal"
+)
+
+// A fourth Π-tree, defined only here: an in-memory B-link tree over int
+// keys with hand-built nodes. It supplies nothing but the Space contract,
+// which is the point — if the kernel can run it, the contract is
+// sufficient — and its hooks let a test act at the exact instants the
+// three real trees reach only by luck of scheduling.
+
+type toyNode struct {
+	level int
+	low   int // directly contains [low, high)
+	high  int
+	right storage.PageID
+	dead  bool
+	seps  []int // index nodes: kids[i] is responsible for [seps[i], seps[i+1])
+	kids  []storage.PageID
+}
+
+type toy struct {
+	pool *storage.Pool
+	kern *Kernel[*toyNode, int]
+
+	restarts, hits, retries, fallbacks atomic.Int64
+
+	op      *Op[*toyNode] // the operation whose tracker the hooks sample
+	maxHeld int           // most latches op held at any hook call
+	sides   int           // Side edges reported
+	posted  int           // Side edges reported with sched set
+	clones  map[*toyNode]int
+	onClone func(n *toyNode) // runs inside Clone, under n's S latch
+	onRoute func(n *toyNode) // runs inside Route
+}
+
+const (
+	toyRoot storage.PageID = iota + 1
+	toyLeft
+	toyRight
+	toyLeafA
+	toyLeafB
+	toyLeafC // reachable only through toyLeafB's side pointer
+	toyLeafD
+)
+
+// newToy builds a three-level tree:
+//
+//	root[0,inf) -> left[0,100) -> leafA[0,50)  leafB[50,75) ~> leafC[75,100)
+//	            -> right[100,inf) -> leafD[100,inf)
+//
+// leafC's index term is unposted: keys 75..99 route to leafB and side-
+// traverse.
+func newToy(t *testing.T, couple, pessimistic bool) *toy {
+	t.Helper()
+	ty := &toy{pool: storage.NewPool(1, storage.NewDisk(), wal.New(), nil, 0), clones: map[*toyNode]int{}}
+	inf := math.MaxInt
+	ty.put(t, toyRoot, &toyNode{level: 2, high: inf, seps: []int{0, 100}, kids: []storage.PageID{toyLeft, toyRight}})
+	ty.put(t, toyLeft, &toyNode{level: 1, high: 100, right: toyRight, seps: []int{0, 50}, kids: []storage.PageID{toyLeafA, toyLeafB}})
+	ty.put(t, toyRight, &toyNode{level: 1, low: 100, high: inf, seps: []int{100}, kids: []storage.PageID{toyLeafD}})
+	ty.put(t, toyLeafA, &toyNode{high: 50, right: toyLeafB})
+	ty.put(t, toyLeafB, &toyNode{low: 50, high: 75, right: toyLeafC})
+	ty.put(t, toyLeafC, &toyNode{low: 75, high: 100, right: toyLeafD})
+	ty.put(t, toyLeafD, &toyNode{low: 100, high: inf})
+	ty.kern = New[*toyNode, int](Config{
+		Name: "toy", Pool: ty.pool, Root: toyRoot, Couple: couple, Pessimistic: pessimistic, CheckLatchOrder: true,
+		Restarts: &ty.restarts, OptimisticHits: &ty.hits, OptimisticRetries: &ty.retries, OptimisticFallbacks: &ty.fallbacks,
+	}, ty)
+	t.Cleanup(ty.kern.Close)
+	return ty
+}
+
+func (ty *toy) put(t *testing.T, pid storage.PageID, data any) {
+	t.Helper()
+	f, err := ty.pool.Create(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Data = data
+	ty.pool.Unpin(f)
+}
+
+// node returns pid's live node (quiescent helper).
+func (ty *toy) node(t *testing.T, pid storage.PageID) *toyNode {
+	t.Helper()
+	f, err := ty.pool.Fetch(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ty.pool.Unpin(f)
+	return f.Data.(*toyNode)
+}
+
+// setDead marks pid's node under its X latch, as a consolidation would.
+func (ty *toy) setDead(t *testing.T, pid storage.PageID, dead bool) {
+	t.Helper()
+	f, err := ty.pool.Fetch(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Latch.AcquireX()
+	f.Data.(*toyNode).dead = dead
+	f.Latch.ReleaseX()
+	ty.pool.Unpin(f)
+}
+
+// bump moves pid's latch version, as any update of the node would. It
+// only tries the latch, so it is a no-op when the caller's own descent
+// holds the node latched.
+func (ty *toy) bump(pid storage.PageID) {
+	f, err := ty.pool.Fetch(pid)
+	if err != nil {
+		panic(err)
+	}
+	if f.Latch.TryAcquireX() {
+		f.Latch.ReleaseX()
+	}
+	ty.pool.Unpin(f)
+}
+
+// descend runs one kernel descent for key and releases its result.
+func (ty *toy) descend(key, stopLevel int, mode latch.Mode) (storage.PageID, error) {
+	o := ty.kern.NewOp(nil)
+	defer o.Done()
+	ty.op, ty.maxHeld = o, 0
+	r, err := ty.kern.Descend(o, key, stopLevel, mode, true, nil)
+	if err != nil {
+		return storage.NilPage, err
+	}
+	pid := r.Pid()
+	o.Release(&r)
+	return pid, nil
+}
+
+func (ty *toy) sample() {
+	if ty.op == nil {
+		return
+	}
+	if h := ty.op.Tr.HeldCount(); h > ty.maxHeld {
+		ty.maxHeld = h
+	}
+}
+
+func (ty *toy) Level(n *toyNode) int { ty.sample(); return n.level }
+func (ty *toy) Dead(n *toyNode) bool { ty.sample(); return n.dead }
+
+func (ty *toy) Clone(n *toyNode) *toyNode {
+	ty.clones[n]++
+	if ty.onClone != nil {
+		ty.onClone(n)
+	}
+	c := *n
+	return &c
+}
+
+func (ty *toy) Route(n *toyNode, key int, stop bool) Route {
+	ty.sample()
+	if ty.onRoute != nil {
+		ty.onRoute(n)
+	}
+	switch {
+	case key < n.low || (key >= n.high && n.right == storage.NilPage):
+		return Route{Kind: Restart}
+	case key >= n.high:
+		return Route{Kind: Side, Pid: n.right}
+	case stop:
+		return Route{Kind: Here}
+	}
+	i := len(n.seps) - 1
+	for n.seps[i] > key {
+		i--
+	}
+	return Route{Kind: Child, Pid: n.kids[i]}
+}
+
+func (ty *toy) Edge(n *toyNode, f *storage.Frame, r Route, sched bool, trace any) {
+	ty.sample()
+	if r.Kind == Side {
+		ty.sides++
+		if sched {
+			ty.posted++
+		}
+	}
+}

@@ -37,7 +37,7 @@ package spatial
 //     postTerm.
 //
 // Readers cannot be stranded on the victim: under Reclaim every latched
-// traversal couples (Tree.step, RegionQuery's held-parent DFS) and the
+// traversal couples (pitree.Step, RegionQuery's held-parent DFS) and the
 // optimistic descent re-validates the source of its final edge, so a
 // reader either holds the victim's latch — which the absorber's X
 // acquisition waits out — or arrives after the cut and never sees the
@@ -185,10 +185,8 @@ func (t *Tree) scanAbsorbCandidates() ([]absorbCand, error) {
 // Returns 1 if the victim's page was freed, 0 if any screen failed.
 func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 	freed := 0
-	err := t.retryLoop(func() error {
+	err := t.kern.RetryLoop(nil, func(o *opCtx) error {
 		freed = 0
-		o := t.newOp(nil)
-		defer o.done()
 
 		// The victim's sole parent lies on the search path of its term's
 		// low corner: an unclipped term was never cut by its holder's
@@ -203,46 +201,45 @@ func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 		if err != nil {
 			return err
 		}
-		i, ok := parent.n.termFor(victimPid)
+		i, ok := parent.N.termFor(victimPid)
 		if !ok {
 			// Unposted (completion pending) or already elsewhere: defer.
-			o.release(&parent)
+			o.Release(&parent)
 			t.Stats.AbsorbDeferred.Add(1)
 			return nil
 		}
-		term := parent.n.Entries[i]
+		term := parent.N.Entries[i]
 		if term.Clipped {
-			o.release(&parent)
+			o.Release(&parent)
 			t.Stats.AbsorbMultiParent.Add(1)
 			return nil
 		}
-		if len(parent.n.Entries) <= 1 {
-			o.release(&parent)
+		if len(parent.N.Entries) <= 1 {
+			o.Release(&parent)
 			return nil
 		}
 		survivor := false
-		for j, e := range parent.n.Entries {
+		for j, e := range parent.N.Entries {
 			if j != i && e.Rect.ContainsRect(term.Rect) {
 				survivor = true
 				break
 			}
 		}
 		if !survivor {
-			o.release(&parent)
+			o.Release(&parent)
 			t.Stats.AbsorbDeferred.Add(1)
 			return nil
 		}
-		o.promote(&parent)
+		o.Promote(&parent)
 
-		deleg, err := o.acquire(delegPid, latch.U, 0)
+		deleg, err := o.Acquire(delegPid, latch.U, 0)
 		if err != nil {
-			o.release(&parent)
+			o.Release(&parent)
 			return err
 		}
-		ns := len(deleg.n.Sibs)
-		if ns == 0 || deleg.n.Sibs[ns-1].Pid != victimPid || deleg.n.Sibs[ns-1].Rect != term.Rect || !deleg.n.IsData() {
-			o.release(&deleg)
-			o.release(&parent)
+		ns := len(deleg.N.Sibs)
+		if ns == 0 || deleg.N.Sibs[ns-1].Pid != victimPid || deleg.N.Sibs[ns-1].Rect != term.Rect || !deleg.N.IsData() {
+			o.Release(&deleg, &parent)
 			return nil
 		}
 		// With the delegator still only U-latched no new task can commit a
@@ -251,43 +248,37 @@ func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 		// the X excludes. Tasks already scheduled (or running) are visible
 		// in the pending set; stale-snapshot schedules after the free are
 		// postTerm's deadPages problem.
-		if t.comp.refsChild(victimPid) {
-			o.release(&deleg)
-			o.release(&parent)
+		if t.refsChild(victimPid) {
+			o.Release(&deleg, &parent)
 			t.Stats.AbsorbDeferred.Add(1)
 			return nil
 		}
-		o.promote(&deleg)
+		o.Promote(&deleg)
 
-		victim, err := o.acquire(victimPid, latch.X, 0)
+		victim, err := o.Acquire(victimPid, latch.X, 0)
 		if err != nil {
-			o.release(&deleg)
-			o.release(&parent)
+			o.Release(&deleg, &parent)
 			return err
 		}
-		if !victim.n.IsData() || len(victim.n.Entries) != 0 || len(victim.n.Sibs) != 0 {
-			o.release(&victim)
-			o.release(&deleg)
-			o.release(&parent)
+		if !victim.N.IsData() || len(victim.N.Entries) != 0 || len(victim.N.Sibs) != 0 {
+			o.Release(&victim, &deleg, &parent)
 			return nil
 		}
 
 		aa := t.tm.BeginAtomicAction()
 		fail := func(err error) error {
-			o.release(&victim)
-			o.release(&deleg)
-			o.release(&parent)
+			o.Release(&victim, &deleg, &parent)
 			_ = aa.Abort()
 			return err
 		}
-		pre := deleg.n.clone()
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(deleg.pid()), KindAbsorbSib, encAbsorbSib(pre))
-		applyAbsorbSib(deleg.n)
-		deleg.f.MarkDirty(lsn)
-		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.pid()), KindRemoveTerm, encTerm(term))
-		parent.n.Entries = append(parent.n.Entries[:i], parent.n.Entries[i+1:]...)
-		parent.f.MarkDirty(lsn)
-		if err := t.store.Free(aa, &o.tr, victimPid); err != nil {
+		pre := deleg.N.clone()
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(deleg.Pid()), KindAbsorbSib, encAbsorbSib(pre))
+		applyAbsorbSib(deleg.N)
+		deleg.F.MarkDirty(lsn)
+		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveTerm, encTerm(term))
+		parent.N.Entries = append(parent.N.Entries[:i], parent.N.Entries[i+1:]...)
+		parent.F.MarkDirty(lsn)
+		if err := t.store.Free(aa, &o.Tr, victimPid); err != nil {
 			return fail(err)
 		}
 		if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
@@ -297,9 +288,7 @@ func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 		if cerr == nil {
 			t.deadPages.Store(victimPid, struct{}{})
 		}
-		o.release(&victim)
-		o.release(&deleg)
-		o.release(&parent)
+		o.Release(&victim, &deleg, &parent)
 		if cerr != nil {
 			return cerr
 		}

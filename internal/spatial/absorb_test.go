@@ -248,3 +248,29 @@ func TestAbsorbConcurrentChurn(t *testing.T) {
 	}
 	fx.mustVerify(t)
 }
+
+// TestCompletionHotPathAllocs: a side traversal schedules its posting
+// under the traversed node's latch, and the absorber asks refsChild under
+// the delegator's latch; folding a duplicate and answering the lookup
+// must not allocate (the dedup key is a comparable struct, not a string).
+func TestCompletionHotPathAllocs(t *testing.T) {
+	fx := newFixture(t, smallOpts()) // SyncCompletion: queued until drained
+	f, err := fx.tree.store.Pool.Fetch(fx.tree.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := f.Data.(*Node).Entries[0].Child
+	fx.tree.store.Pool.Unpin(f)
+	task := postTask{parentLevel: 1, child: data, rect: FullSpace()}
+	fx.tree.schedule(task)
+	if a := testing.AllocsPerRun(100, func() { fx.tree.schedule(task) }); a != 0 {
+		t.Fatalf("duplicate schedule allocates %.1f objects", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if !fx.tree.refsChild(data) {
+			t.Error("queued posting not visible to refsChild")
+		}
+	}); a != 0 {
+		t.Fatalf("refsChild allocates %.1f objects", a)
+	}
+}

@@ -151,14 +151,15 @@ type Node struct {
 // IsData reports whether the node holds points.
 func (n *Node) IsData() bool { return n.Level == 0 }
 
-// routeSib returns the sibling term whose region contains p, if any.
-func (n *Node) routeSib(p Point) (SibTerm, bool) {
-	for _, s := range n.Sibs {
-		if s.Rect.Contains(p) {
-			return s, true
+// routeSib returns the index of the sibling term whose region contains
+// p, if any.
+func (n *Node) routeSib(p Point) (int, bool) {
+	for i := range n.Sibs {
+		if n.Sibs[i].Rect.Contains(p) {
+			return i, true
 		}
 	}
-	return SibTerm{}, false
+	return 0, false
 }
 
 // findPoint returns the index of p among the entries.

@@ -1,14 +1,11 @@
 package spatial
 
 import (
-	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/latch"
+	"repro/internal/pitree"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // postTask asks for the index term describing child (responsible for
@@ -26,153 +23,50 @@ type postTask struct {
 	absorb      bool
 }
 
-func (t postTask) key() string {
+// Completing-action kinds, for the kernel queue's duplicate folding.
+const (
+	taskPost uint8 = iota + 1
+	taskAbsorb
+)
+
+func (t postTask) key() pitree.TaskKey {
 	if t.absorb {
-		return "absorb"
+		return pitree.TaskKey{Kind: taskAbsorb}
 	}
-	return fmt.Sprintf("%d:%d", t.parentLevel, t.child)
+	return pitree.TaskKey{Kind: taskPost, Level: t.parentLevel, Pid: t.child}
 }
 
-type completer struct {
-	t        *Tree
-	mu       sync.Mutex
-	cond     *sync.Cond
-	tasks    []postTask
-	pending  map[string]struct{}
-	active   int
-	stopped  bool
-	draining atomic.Bool
-	wg       sync.WaitGroup
-}
+// completer is the kernel's completion queue carrying this tree's tasks.
+type completer = pitree.Queue[postTask]
 
 func newCompleter(t *Tree) *completer {
-	c := &completer{t: t, pending: make(map[string]struct{})}
-	c.cond = sync.NewCond(&c.mu)
-	if !t.opts.SyncCompletion {
-		for i := 0; i < t.opts.CompletionWorkers; i++ {
-			c.wg.Add(1)
-			go c.worker()
-		}
-	}
-	return c
+	return pitree.NewQueue(pitree.QueueConfig[postTask]{
+		Run: t.run,
+		// Absorb passes are maintenance: paced so background consolidation
+		// never convoys foreground writers.
+		Paced:    func(task postTask) bool { return task.absorb },
+		Governor: t.opts.Governor,
+		Workers:  t.opts.CompletionWorkers,
+		Sync:     t.opts.SyncCompletion,
+	})
 }
 
-func (c *completer) schedule(task postTask) {
-	if c.t.opts.NoCompletion {
+// schedule queues a completing action; safe under latches.
+func (t *Tree) schedule(task postTask) {
+	if t.opts.NoCompletion {
 		return
 	}
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		return
+	if t.comp.Schedule(task.key(), task) {
+		t.Stats.PostsScheduled.Add(1)
 	}
-	if _, dup := c.pending[task.key()]; dup {
-		c.mu.Unlock()
-		return
-	}
-	c.pending[task.key()] = struct{}{}
-	c.tasks = append(c.tasks, task)
-	c.t.Stats.PostsScheduled.Add(1)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// pop hands out a task. The pending key stays set until done(task): a
-// popped-but-running task must still be visible to refsChild, which the
-// absorber consults before freeing a page a running postTerm may name.
-func (c *completer) pop(block bool) (postTask, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.tasks) == 0 {
-		if !block || c.stopped {
-			return postTask{}, false
-		}
-		c.cond.Wait()
-	}
-	task := c.tasks[0]
-	c.tasks = c.tasks[1:]
-	c.active++
-	return task, true
-}
-
-func (c *completer) done(task postTask) {
-	c.mu.Lock()
-	delete(c.pending, task.key())
-	c.active--
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// depth reports the current queue depth (scheduled, unpopped tasks).
-func (c *completer) depth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.tasks)
 }
 
 // refsChild reports whether a level-1 posting task referencing pid is
-// pending or running. Data-node postings are the only tasks that can name
-// a reclaimable page; the absorber defers freeing while one is live.
-func (c *completer) refsChild(pid storage.PageID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.pending[fmt.Sprintf("%d:%d", 1, pid)]
-	return ok
-}
-
-func (c *completer) worker() {
-	defer c.wg.Done()
-	for {
-		task, ok := c.pop(true)
-		if !ok {
-			return
-		}
-		// Absorb passes are maintenance: pace them with the governor so
-		// background consolidation never convoys foreground writers. Term
-		// postings run unpaced (the foreground is already navigating
-		// around the unposted structure). Draining bypasses the pacer.
-		if task.absorb && !c.draining.Load() {
-			c.t.opts.Governor.Admit(c.depth())
-		}
-		c.t.run(task)
-		c.done(task)
-	}
-}
-
-func (c *completer) drain() {
-	if c.t.opts.SyncCompletion {
-		for {
-			task, ok := c.pop(false)
-			if !ok {
-				return
-			}
-			c.t.run(task)
-			c.done(task)
-		}
-	}
-	c.mu.Lock()
-	for len(c.tasks) > 0 || c.active > 0 {
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
-}
-
-func (c *completer) stop() {
-	c.mu.Lock()
-	c.stopped = true
-	c.tasks = nil
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.wg.Wait()
-}
-
-// closeDrain is the orderly shutdown: work off every pending completion,
-// then stop the workers. Nothing pending is discarded, so a close-then-
-// reopen never finds a scheduled posting or absorb silently dropped.
-func (c *completer) closeDrain() {
-	c.draining.Store(true)
-	c.drain()
-	c.stop()
+// queued or running. Data-node postings are the only tasks that can name
+// a reclaimable page; the absorber defers freeing while one is live,
+// because a running postTerm may be about to latch the page.
+func (t *Tree) refsChild(pid storage.PageID) bool {
+	return t.comp.Refs(postTask{parentLevel: 1, child: pid}.key())
 }
 
 // run dispatches one completing task: an absorb pass or a term posting.
@@ -188,7 +82,7 @@ func (t *Tree) run(task postTask) {
 // a traversal (lazy completion). The delegated rectangle IS the sibling's
 // responsibility.
 func (t *Tree) notePendingSib(n *Node, sib SibTerm) {
-	t.comp.schedule(postTask{parentLevel: n.Level + 1, child: sib.Pid, rect: sib.Rect})
+	t.schedule(postTask{parentLevel: n.Level + 1, child: sib.Pid, rect: sib.Rect})
 }
 
 // choosePlane picks a split hyperplane for the X-latched node: the wider
@@ -253,41 +147,41 @@ func choosePlane(n *Node) (alongX bool, coord uint64, ok bool) {
 // index term is scheduled as a separate action (step 6).
 func (t *Tree) splitNodeAction(o *opCtx, leaf *nref) error {
 	aa := t.tm.BeginAtomicAction()
-	o.promote(leaf)
-	n := leaf.n
+	o.Promote(leaf)
+	n := leaf.N
 	alongX, coord, ok := choosePlane(n)
 	if !ok {
-		o.release(leaf)
+		o.Release(leaf)
 		_ = aa.Abort()
 		t.Stats.SoftOverflows.Add(1)
 		return nil
 	}
 	pre := n.clone()
-	sibPid, err := t.store.Alloc(aa, &o.tr)
+	sibPid, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
-		o.release(leaf)
+		o.Release(leaf)
 		_ = aa.Abort()
 		return err
 	}
 	entries, off, clipped := splitOffContents(pre, alongX, coord)
 	sib := &Node{Level: n.Level, Direct: off, Entries: entries}
 	if err := t.logFormat(o, aa, sibPid, sib); err != nil {
-		o.release(leaf)
+		o.Release(leaf)
 		_ = aa.Abort()
 		return err
 	}
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(leaf.pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, pre))
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, pre))
 	applySplitOff(n, alongX, coord, sibPid)
-	leaf.f.MarkDirty(lsn)
+	leaf.F.MarkDirty(lsn)
 	t.Stats.DataSplits.Add(1)
 	t.Stats.ClippedTerms.Add(int64(clipped))
 
 	cerr := aa.Commit()
-	o.release(leaf)
+	o.Release(leaf)
 	if cerr != nil {
 		return cerr
 	}
-	t.comp.schedule(postTask{parentLevel: 1, child: sibPid, rect: off})
+	t.schedule(postTask{parentLevel: 1, child: sibPid, rect: off})
 	return nil
 }
 
@@ -296,7 +190,7 @@ func (t *Tree) splitNodeAction(o *opCtx, leaf *nref) error {
 // the parent (with clipping) or growing the root as needed. Latches are
 // retained until the action commits.
 func (t *Tree) postTerm(task postTask) {
-	_ = t.retryLoop(func() error {
+	_ = t.kern.RetryLoop(nil, func(o *opCtx) error {
 		// A task scheduled from a stale optimistic snapshot can name a
 		// page the absorber already freed; posting a term for it (or for
 		// whatever the recycled page now holds) would corrupt the index.
@@ -304,8 +198,6 @@ func (t *Tree) postTerm(task postTask) {
 			t.Stats.PostsNoop.Add(1)
 			return nil
 		}
-		o := t.newOp(nil)
-		defer o.done()
 		corner := Point{X: task.rect.X0, Y: task.rect.Y0}
 		node, err := t.descend(o, corner, task.parentLevel, latch.U, false)
 		if err != nil {
@@ -315,33 +207,33 @@ func (t *Tree) postTerm(task postTask) {
 			}
 			return err
 		}
-		if _, posted := node.n.termFor(task.child); posted {
+		if _, posted := node.N.termFor(task.child); posted {
 			t.Stats.PostsNoop.Add(1)
-			o.release(&node)
+			o.Release(&node)
 			return nil
 		}
 
 		aa := t.tm.BeginAtomicAction()
 		var held []nref
 		releaseAll := func() {
-			o.release(&node)
+			o.Release(&node)
 			for i := len(held) - 1; i >= 0; i-- {
-				o.release(&held[i])
+				o.Release(&held[i])
 			}
 			held = nil
 		}
-		o.promote(&node)
+		o.Promote(&node)
 
-		for len(node.n.Entries) >= t.opts.IndexCapacity {
-			alongX, coord, ok := choosePlane(node.n)
-			if !ok || (node.pid() != t.root && !splitHelps(node.n, alongX, coord)) {
+		for len(node.N.Entries) >= t.opts.IndexCapacity {
+			alongX, coord, ok := choosePlane(node.N)
+			if !ok || (node.Pid() != t.root && !splitHelps(node.N, alongX, coord)) {
 				// No cut reduces this node (heavy clipping keeps spanning
 				// terms in both halves): grow past nominal capacity
 				// rather than split unproductively.
 				t.Stats.SoftOverflows.Add(1)
 				break
 			}
-			if node.pid() == t.root {
+			if node.Pid() == t.root {
 				next, err := t.growRootAction(o, aa, &node, alongX, coord, corner)
 				if err != nil {
 					releaseAll()
@@ -352,28 +244,28 @@ func (t *Tree) postTerm(task postTask) {
 				node = next
 				continue
 			}
-			pre := node.n.clone()
-			sibPid, err := t.store.Alloc(aa, &o.tr)
+			pre := node.N.clone()
+			sibPid, err := t.store.Alloc(aa, &o.Tr)
 			if err != nil {
 				releaseAll()
 				_ = aa.Abort()
 				return err
 			}
 			entries, off, clipped := splitOffContents(pre, alongX, coord)
-			sib := &Node{Level: node.n.Level, Direct: off, Entries: entries}
+			sib := &Node{Level: node.N.Level, Direct: off, Entries: entries}
 			if err := t.logFormat(o, aa, sibPid, sib); err != nil {
 				releaseAll()
 				_ = aa.Abort()
 				return err
 			}
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, pre))
-			applySplitOff(node.n, alongX, coord, sibPid)
-			node.f.MarkDirty(lsn)
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, pre))
+			applySplitOff(node.N, alongX, coord, sibPid)
+			node.F.MarkDirty(lsn)
 			t.Stats.IndexSplits.Add(1)
 			t.Stats.ClippedTerms.Add(int64(clipped))
-			t.comp.schedule(postTask{parentLevel: node.n.Level + 1, child: sibPid, rect: off})
+			t.schedule(postTask{parentLevel: node.N.Level + 1, child: sibPid, rect: off})
 			if off.Contains(corner) {
-				next, err := o.acquire(sibPid, latch.X, node.n.Level)
+				next, err := o.Acquire(sibPid, latch.X, node.N.Level)
 				if err != nil {
 					releaseAll()
 					_ = aa.Abort()
@@ -385,9 +277,9 @@ func (t *Tree) postTerm(task postTask) {
 		}
 
 		term := Entry{Rect: task.rect, Child: task.child}
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.pid()), KindPostTerm, encTerm(term))
-		node.n.Entries = append(node.n.Entries, term)
-		node.f.MarkDirty(lsn)
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindPostTerm, encTerm(term))
+		node.N.Entries = append(node.N.Entries, term)
+		node.F.MarkDirty(lsn)
 		err = aa.Commit()
 		releaseAll()
 		if err != nil {
@@ -399,24 +291,8 @@ func (t *Tree) postTerm(task postTask) {
 }
 
 // logFormat creates and logs a fresh node image under the action.
-func (t *Tree) logFormat(o *opCtx, aa logUpdater, pid storage.PageID, n *Node) error {
-	f, err := t.store.Pool.Create(pid)
-	if err != nil {
-		return err
-	}
-	f.Latch.AcquireX()
-	o.tr.Acquired(&f.Latch, o.rank(n.Level), latch.X)
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(pid), KindFormat, encNodeImage(n))
-	f.Data = n
-	f.MarkDirty(lsn)
-	o.tr.Released(&f.Latch)
-	f.Latch.ReleaseX()
-	t.store.Pool.Unpin(f)
-	return nil
-}
-
-type logUpdater interface {
-	LogUpdate(storeID uint32, pageID uint64, kind wal.Kind, payload []byte) wal.LSN
+func (t *Tree) logFormat(o *opCtx, aa storage.UpdateLogger, pid storage.PageID, n *Node) error {
+	return o.Format(aa, pid, n, n.Level, KindFormat, encNodeImage(n))
 }
 
 // growRootAction raises the tree height: the root's contents move to two
@@ -424,14 +300,14 @@ type logUpdater interface {
 // term for the upper, and the root becomes an index node one level up
 // with a term for each half. Returns the half containing corner,
 // X-latched.
-func (t *Tree) growRootAction(o *opCtx, aa logUpdater, root *nref, alongX bool, coord uint64, corner Point) (nref, error) {
-	n := root.n
+func (t *Tree) growRootAction(o *opCtx, aa storage.UpdateLogger, root *nref, alongX bool, coord uint64, corner Point) (nref, error) {
+	n := root.N
 	pre := n.clone()
-	pidB, err := t.store.Alloc(aa, &o.tr)
+	pidB, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
 		return nref{}, err
 	}
-	pidA, err := t.store.Alloc(aa, &o.tr)
+	pidA, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
 		return nref{}, err
 	}
@@ -466,12 +342,12 @@ func (t *Tree) growRootAction(o *opCtx, aa logUpdater, root *nref, alongX bool, 
 
 	termA := Entry{Rect: kept, Child: pidA}
 	termB := Entry{Rect: off, Child: pidB}
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(root.pid()), KindRootGrow, encRootGrow(termA, termB, pre))
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(root.Pid()), KindRootGrow, encRootGrow(termA, termB, pre))
 	n.Level++
 	n.Entries = []Entry{termA, termB}
 	n.Direct = FullSpace()
 	n.Sibs = nil
-	root.f.MarkDirty(lsn)
+	root.F.MarkDirty(lsn)
 	t.Stats.RootGrowths.Add(1)
 	t.Stats.ClippedTerms.Add(int64(clippedB))
 
@@ -479,5 +355,5 @@ func (t *Tree) growRootAction(o *opCtx, aa logUpdater, root *nref, alongX bool, 
 	if off.Contains(corner) {
 		pid = pidB
 	}
-	return o.acquire(pid, latch.X, pre.Level)
+	return o.Acquire(pid, latch.X, pre.Level)
 }

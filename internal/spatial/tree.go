@@ -9,6 +9,7 @@ import (
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/maint"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -112,8 +113,8 @@ type Tree struct {
 	binding *Binding
 	opts    Options
 	root    storage.PageID
+	kern    *pitree.Kernel[*Node, Point]
 	comp    *completer
-	opPool  sync.Pool
 
 	// absorbMu serializes absorb passes (background task vs on-demand
 	// RunConsolidation): concurrent passes would race to absorb the same
@@ -126,11 +127,6 @@ type Tree struct {
 	// two die together in a crash.
 	deadPages sync.Map
 
-	// rootf caches the root's buffer frame with one permanent pin (the
-	// root page ID is fixed and the root is never de-allocated); see the
-	// core package's rootFrame.
-	rootf atomic.Pointer[storage.Frame]
-
 	Stats Stats
 }
 
@@ -140,59 +136,20 @@ var ErrPointExists = errors.New("spatial: point already exists")
 // ErrPointNotFound reports a missing point.
 var ErrPointNotFound = errors.New("spatial: point not found")
 
-var errRetry = errors.New("spatial: internal retry")
-
 // Create builds a new spatial tree: a level-1 root over one data node
 // covering the full space.
 func Create(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, name string, opts Options) (*Tree, error) {
 	t := &Tree{Name: name, lockSpace: lock.SpaceID("spatial", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized()}
-	aa := tm.BeginAtomicAction()
-	o := t.newOp(nil)
-
-	if f, err := store.Pool.Fetch(storage.MetaPage); err == nil {
-		store.Pool.Unpin(f)
-	} else if errors.Is(err, storage.ErrPageNotFound) {
-		if err := store.Bootstrap(aa); err != nil {
-			return nil, err
+	rootPid, err := pitree.Create(store, tm, name, 2, KindFormat, func(pids []storage.PageID) []*Node {
+		return []*Node{
+			{Level: 1, Direct: FullSpace(), Entries: []Entry{{Rect: FullSpace(), Child: pids[1]}}},
+			{Level: 0, Direct: FullSpace()},
 		}
-	} else {
-		return nil, err
-	}
-
-	rootPid, err := store.Alloc(aa, &o.tr)
+	}, encNodeImage)
 	if err != nil {
 		return nil, err
 	}
-	dataPid, err := store.Alloc(aa, &o.tr)
-	if err != nil {
-		return nil, err
-	}
-	data := &Node{Level: 0, Direct: FullSpace()}
-	root := &Node{Level: 1, Direct: FullSpace(), Entries: []Entry{{Rect: FullSpace(), Child: dataPid}}}
-	for _, nn := range []struct {
-		pid  storage.PageID
-		node *Node
-	}{{dataPid, data}, {rootPid, root}} {
-		f, err := store.Pool.Create(nn.pid)
-		if err != nil {
-			return nil, err
-		}
-		f.Latch.AcquireX()
-		lsn := aa.LogUpdate(store.Pool.StoreID, uint64(nn.pid), KindFormat, encNodeImage(nn.node))
-		f.Data = nn.node
-		f.MarkDirty(lsn)
-		f.Latch.ReleaseX()
-		store.Pool.Unpin(f)
-	}
-	if err := store.SetRoot(aa, &o.tr, name, rootPid); err != nil {
-		return nil, err
-	}
-	if err := aa.Commit(); err != nil {
-		return nil, err
-	}
-	t.root = rootPid
-	t.comp = newCompleter(t)
-	b.Bind(t)
+	t.start(rootPid)
 	return t, nil
 }
 
@@ -202,9 +159,8 @@ func Open(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, n
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{Name: name, lockSpace: lock.SpaceID("spatial", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized(), root: rootPid}
-	t.comp = newCompleter(t)
-	b.Bind(t)
+	t := &Tree{Name: name, lockSpace: lock.SpaceID("spatial", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized()}
+	t.start(rootPid)
 	return t, nil
 }
 
@@ -212,32 +168,12 @@ func Open(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, n
 // close-then-reopen never finds a posting or absorb silently dropped),
 // stops the workers, and drops the cached root pin.
 func (t *Tree) Close() {
-	t.comp.closeDrain()
-	if f := t.rootf.Swap(nil); f != nil {
-		t.store.Pool.Unpin(f)
-	}
-}
-
-// rootFrame returns the root's frame pinned for the caller via the cache
-// in t.rootf; the first call keeps one extra permanent pin.
-func (t *Tree) rootFrame() (*storage.Frame, error) {
-	if f := t.rootf.Load(); f != nil {
-		f.Pin()
-		return f, nil
-	}
-	f, err := t.store.Pool.Fetch(t.root)
-	if err != nil {
-		return nil, err
-	}
-	if !t.rootf.CompareAndSwap(nil, f) {
-		return f, nil // lost the cache race; our fetch pin is the caller's
-	}
-	f.Pin()
-	return f, nil
+	t.comp.CloseDrain()
+	t.kern.Close()
 }
 
 // DrainCompletions blocks until scheduled completing actions ran.
-func (t *Tree) DrainCompletions() { t.comp.drain() }
+func (t *Tree) DrainCompletions() { t.comp.Drain() }
 
 // Options returns the normalized options.
 func (t *Tree) Options() Options { return t.opts }
@@ -246,413 +182,93 @@ func (t *Tree) recLockName(p Point) lock.Name {
 	return lock.PointName(t.lockSpace, p.X, p.Y)
 }
 
-// --- operation context -------------------------------------------------------
+// --- protocol kernel binding -------------------------------------------------
 
-type opCtx struct {
-	t   *Tree
-	txn *txn.Txn
-	tr  latch.Tracker
-	seq uint64
-}
+// The operation context, latched node reference, restart sentinels and
+// rank ceiling are the kernel's.
+type (
+	opCtx = pitree.Op[*Node]
+	nref  = pitree.Ref[*Node]
+)
 
-// newOp checks out a pooled operation context; done returns it. Pooling
-// keeps the tracker's hold slice (and the context itself) off the
-// per-operation allocation path.
-func (t *Tree) newOp(tx *txn.Txn) *opCtx {
-	o, _ := t.opPool.Get().(*opCtx)
-	if o == nil {
-		o = new(opCtx)
+const maxLevel = pitree.MaxLevel
+
+var (
+	errRetry     = pitree.ErrRetry
+	errLevelGone = pitree.ErrLevelGone
+)
+
+// space is the spatial tree's side of the kernel contract: points routed
+// through rectangles, with any number of sibling terms per node. Nodes
+// carry no dead mark — an absorbed node is unlinked under latches before
+// its page is freed, and coupling keeps readers off it.
+type space struct{ t *Tree }
+
+func (space) Level(n *Node) int   { return n.Level }
+func (space) Dead(*Node) bool     { return false }
+func (space) Clone(n *Node) *Node { return n.clone() }
+
+// Route sends a point outside the direct region through the sibling term
+// that was delegated it; the Side route's Tag is that term's index.
+func (space) Route(n *Node, p Point, stop bool) pitree.Route {
+	if !n.Direct.Contains(p) {
+		i, ok := n.routeSib(p)
+		if !ok {
+			return pitree.Route{Kind: pitree.Restart}
+		}
+		return pitree.Route{Kind: pitree.Side, Pid: n.Sibs[i].Pid, Tag: i}
 	}
-	o.t = t
-	o.txn = tx
-	o.seq = 0
-	o.tr.Reset(t.opts.CheckLatchOrder)
-	return o
-}
-
-func (o *opCtx) done() {
-	o.tr.AssertNoneHeld()
-	o.txn = nil
-	o.t.opPool.Put(o)
-}
-
-const maxLevel = 63
-
-func (o *opCtx) rank(level int) latch.Rank {
-	o.seq++
-	return latch.Rank(uint64(maxLevel-level)<<40 | (o.seq & (1<<40 - 1)))
-}
-
-type nref struct {
-	f    *storage.Frame
-	n    *Node
-	mode latch.Mode
-}
-
-func (r *nref) pid() storage.PageID { return r.f.ID }
-
-func (o *opCtx) acquire(pid storage.PageID, mode latch.Mode, level int) (nref, error) {
-	f, err := o.t.store.Pool.Fetch(pid)
-	if err != nil {
-		return nref{}, err
+	if stop {
+		return pitree.Route{Kind: pitree.Here}
 	}
-	f.Latch.Acquire(mode)
-	o.tr.Acquired(&f.Latch, o.rank(level), mode)
-	n, ok := f.Data.(*Node)
+	e, ok := n.chooseChild(p)
 	if !ok {
-		o.tr.Released(&f.Latch)
-		f.Latch.Release(mode)
-		o.t.store.Pool.Unpin(f)
-		return nref{}, fmt.Errorf("spatial: page %d holds %T", pid, f.Data)
+		return pitree.Route{Kind: pitree.Restart}
 	}
-	return nref{f: f, n: n, mode: mode}, nil
+	return pitree.Route{Kind: pitree.Child, Pid: e.Child}
 }
 
-func (o *opCtx) release(r *nref) {
-	if r.f == nil {
+// Edge counts a side traversal and schedules the posting of the sibling
+// term it crossed (lazy completion, §5.1); the tree saves no paths.
+func (s space) Edge(n *Node, f *storage.Frame, r pitree.Route, sched bool, _ any) {
+	if r.Kind != pitree.Side {
 		return
 	}
-	o.tr.Released(&r.f.Latch)
-	r.f.Latch.Release(r.mode)
-	o.t.store.Pool.Unpin(r.f)
-	r.f = nil
-	r.n = nil
-}
-
-func (o *opCtx) promote(r *nref) {
-	r.f.Latch.Promote()
-	o.tr.Promoted(&r.f.Latch)
-	r.mode = latch.X
-}
-
-// step follows one edge from cur to pid. Under pure CNS the source latch
-// drops before the target is acquired (one latch at a time; the target is
-// immortal). Under Reclaim, traversals latch-couple: the target is
-// acquired while the source latch is still held, so the absorber — which
-// holds the edge's source X while it frees the target — cannot free a
-// page between a reader's pointer load and its latch acquisition. Ranks
-// ascend source-to-target (same level: seq order; child level: higher
-// rank), so coupling respects the latch order.
-func (t *Tree) step(o *opCtx, cur *nref, pid storage.PageID, mode latch.Mode, level int) (nref, error) {
-	if t.opts.Reclaim {
-		next, err := o.acquire(pid, mode, level)
-		o.release(cur)
-		return next, err
+	s.t.Stats.SideTraversals.Add(1)
+	if sched {
+		s.t.notePendingSib(n, n.Sibs[r.Tag])
 	}
-	o.release(cur)
-	return o.acquire(pid, mode, level)
 }
 
-var errLevelGone = errors.New("spatial: target level does not exist yet")
+// start binds the tree to its root: the kernel, the completion queue and
+// the recovery binding.
+func (t *Tree) start(root storage.PageID) {
+	t.root = root
+	t.kern = pitree.New[*Node, Point](pitree.Config{
+		Name: "spatial",
+		Pool: t.store.Pool,
+		Root: root,
+		// Pure CNS holds one latch at a time; the target is immortal.
+		// Under Reclaim the absorber holds an edge's source X while it
+		// frees the target, so edges couple: it cannot free a page between
+		// a reader's pointer load and its latch acquisition.
+		Couple:              t.opts.Reclaim,
+		Pessimistic:         t.opts.PessimisticDescent,
+		CheckLatchOrder:     t.opts.CheckLatchOrder,
+		Restarts:            &t.Stats.Restarts,
+		OptimisticHits:      &t.Stats.OptimisticHits,
+		OptimisticRetries:   &t.Stats.OptimisticRetries,
+		OptimisticFallbacks: &t.Stats.OptimisticFallbacks,
+	}, space{t})
+	t.comp = newCompleter(t)
+	t.binding.Bind(t)
+}
 
 // descend walks to the node at stopLevel whose directly contained region
 // includes p, latched in finalMode. Side traversals through sibling
-// terms schedule completing postings when sched is true. Interior levels
-// are navigated optimistically (version-validated snapshot reads, no
-// latches); after bounded validation failures the descent falls back to
-// the latched path.
+// terms schedule completing postings when sched is true.
 func (t *Tree) descend(o *opCtx, p Point, stopLevel int, finalMode latch.Mode, sched bool) (nref, error) {
-	if !t.opts.PessimisticDescent {
-		if r, err, ok := t.descendOptimistic(o, p, stopLevel, finalMode, sched); ok {
-			return r, err
-		}
-		t.Stats.OptimisticFallbacks.Add(1)
-	}
-	return t.descendLatched(o, p, stopLevel, finalMode, sched)
-}
-
-// descendLatched is the fully latched descent (CNS: one latch at a
-// time).
-func (t *Tree) descendLatched(o *opCtx, p Point, stopLevel int, finalMode latch.Mode, sched bool) (nref, error) {
-	cur, err := o.acquire(t.root, latch.S, maxLevel)
-	if err != nil {
-		return nref{}, err
-	}
-	if cur.n.Level < stopLevel {
-		o.release(&cur)
-		return nref{}, errLevelGone
-	}
-	if cur.n.Level == stopLevel && finalMode != latch.S {
-		lvl := cur.n.Level
-		o.release(&cur)
-		cur, err = o.acquire(t.root, finalMode, lvl)
-		if err != nil {
-			return nref{}, err
-		}
-		if cur.n.Level != stopLevel {
-			o.release(&cur)
-			return nref{}, errRetry
-		}
-	}
-	return t.descendFrom(o, cur, p, stopLevel, finalMode, sched)
-}
-
-// descendFrom continues a latched descent from cur (already latched, at
-// or above stopLevel). The optimistic descent also lands here for the
-// final level's side traversals, which always run latched.
-func (t *Tree) descendFrom(o *opCtx, cur nref, p Point, stopLevel int, finalMode latch.Mode, sched bool) (nref, error) {
-	for {
-		for !cur.n.Direct.Contains(p) {
-			sib, ok := cur.n.routeSib(p)
-			if !ok {
-				o.release(&cur)
-				return nref{}, errRetry
-			}
-			t.Stats.SideTraversals.Add(1)
-			if sched {
-				t.notePendingSib(cur.n, sib)
-			}
-			next, err := t.step(o, &cur, sib.Pid, cur.mode, cur.n.Level)
-			if err != nil {
-				return nref{}, err
-			}
-			cur = next
-		}
-		if cur.n.Level == stopLevel {
-			return cur, nil
-		}
-		e, ok := cur.n.chooseChild(p)
-		if !ok {
-			o.release(&cur)
-			return nref{}, errRetry
-		}
-		childLevel := cur.n.Level - 1
-		childMode := latch.S
-		if childLevel == stopLevel {
-			childMode = finalMode
-		}
-		next, err := t.step(o, &cur, e.Child, childMode, childLevel)
-		if err != nil {
-			return nref{}, err
-		}
-		cur = next
-	}
-}
-
-// --- optimistic descent ------------------------------------------------------
-
-// optRetries bounds full-descent restarts after validation failures
-// before the operation falls back to the latched path.
-const optRetries = 3
-
-// navRef is an unlatched, pinned view of a node: an immutable snapshot n
-// proved current at latch version v. The pin keeps the frame (and its
-// version counter) from being recycled while the reference is live.
-type navRef struct {
-	f *storage.Frame
-	n *Node
-	v uint64
-}
-
-// optCounters accumulates a descent's snapshot-read outcomes locally;
-// the shared Stats words are touched once per operation, not per level.
-type optCounters struct {
-	hits    int64
-	retries int64
-}
-
-// navLoad returns a validated snapshot of the pinned frame f; see the
-// core package's navLoad for the protocol. ok is false when the frame
-// does not hold a node (the caller falls back to the latched path).
-func (t *Tree) navLoad(f *storage.Frame, c *optCounters) (navRef, bool) {
-	if data, pub, ok := f.NavSnapshot(); ok {
-		if v, quiet := f.Latch.OptimisticRead(); quiet && v == pub {
-			n, isNode := data.(*Node)
-			if !isNode {
-				return navRef{}, false
-			}
-			c.hits++
-			return navRef{f: f, n: n, v: v}, true
-		}
-		c.retries++
-	}
-	f.Latch.AcquireS()
-	n, isNode := f.Data.(*Node)
-	if !isNode {
-		f.Latch.ReleaseS()
-		return navRef{}, false
-	}
-	snap := n.clone()
-	v := f.Latch.Version()
-	f.PublishNav(snap, v)
-	f.Latch.ReleaseS()
-	return navRef{f: f, n: snap, v: v}, true
-}
-
-// descendOptimistic runs bounded optimistic passes from the root; ok is
-// false when the budget is exhausted and the caller must fall back.
-func (t *Tree) descendOptimistic(o *opCtx, p Point, stopLevel int, finalMode latch.Mode, sched bool) (nref, error, bool) {
-	var c optCounters
-	r, err, ok := nref{}, error(nil), false
-	for attempt := 0; attempt <= optRetries; attempt++ {
-		var done bool
-		r, err, done = t.optPass(o, &c, p, stopLevel, finalMode, sched)
-		if done {
-			ok = true
-			break
-		}
-	}
-	if c.hits > 0 {
-		t.Stats.OptimisticHits.Add(c.hits)
-	}
-	if c.retries > 0 {
-		t.Stats.OptimisticRetries.Add(c.retries)
-	}
-	return r, err, ok
-}
-
-// optPass is one optimistic descent from the root. The spatial tree
-// obeys the CNS invariant on interior nodes — they never move and are
-// never de-allocated — so, as in the TSB tree, an interior pointer read
-// from a validated snapshot always names a live node and no source
-// re-validation is needed after following it; a stale snapshot routes
-// like a slightly earlier latched reader, and sibling terms make every
-// well-formed state navigable. Under Options.Reclaim, DATA nodes are the
-// exception (empty ones are absorbed and freed), so the final
-// interior-to-data edge re-validates the source after latching the
-// child. The final node is latched in finalMode and its side traversals
-// run latched in descendFrom.
-func (t *Tree) optPass(o *opCtx, c *optCounters, p Point, stopLevel int, finalMode latch.Mode, sched bool) (nref, error, bool) {
-	pool := t.store.Pool
-	f, err := t.rootFrame()
-	if err != nil {
-		return nref{}, err, true
-	}
-	cur, ok := t.navLoad(f, c)
-	if !ok {
-		pool.Unpin(f)
-		return nref{}, nil, false
-	}
-	if cur.n.Level < stopLevel {
-		pool.Unpin(f)
-		return nref{}, errLevelGone, true
-	}
-	if cur.n.Level == stopLevel {
-		// The root is the target: latch it and re-check like the latched
-		// path does (the root never moves).
-		lvl := cur.n.Level
-		pool.Unpin(f)
-		r, err := o.acquire(t.root, finalMode, lvl)
-		if err != nil {
-			return nref{}, err, true
-		}
-		if r.n.Level != stopLevel {
-			o.release(&r)
-			return nref{}, errRetry, true
-		}
-		r2, err := t.descendFrom(o, r, p, stopLevel, finalMode, sched)
-		return r2, err, true
-	}
-
-	for {
-		// Side traversal on validated snapshots.
-		if !cur.n.Direct.Contains(p) {
-			sib, ok := cur.n.routeSib(p)
-			if !ok {
-				pool.Unpin(cur.f)
-				return nref{}, errRetry, true
-			}
-			t.Stats.SideTraversals.Add(1)
-			if sched {
-				t.notePendingSib(cur.n, sib)
-			}
-			next, err, done := t.optStep(cur, c, sib.Pid, cur.n.Level)
-			if !done {
-				return nref{}, nil, false
-			}
-			if err != nil {
-				return nref{}, err, true
-			}
-			cur = next
-			continue
-		}
-
-		e, ok := cur.n.chooseChild(p)
-		if !ok {
-			pool.Unpin(cur.f)
-			return nref{}, errRetry, true
-		}
-		childLevel := cur.n.Level - 1
-		if childLevel == stopLevel {
-			// Final edge: latch the child in finalMode. Pure CNS needs no
-			// source validation — the child is immortal. Under Reclaim,
-			// data nodes can be freed, so the source snapshot must still
-			// be current once the child latch is held: a validated source
-			// proves the edge existed at acquisition time, and from then
-			// on the absorber (which holds the source X to commit) cannot
-			// have freed the latched child. A stale source aborts the
-			// pass; so does a fetch error on a stale source (the pointer
-			// may name a freed, dropped page).
-			r, err := o.acquire(e.Child, finalMode, childLevel)
-			if t.opts.Reclaim {
-				if err != nil {
-					stale := !cur.f.Latch.Validate(cur.v)
-					pool.Unpin(cur.f)
-					if stale {
-						return nref{}, nil, false
-					}
-					return nref{}, err, true
-				}
-				if !cur.f.Latch.Validate(cur.v) {
-					o.release(&r)
-					pool.Unpin(cur.f)
-					return nref{}, nil, false
-				}
-			}
-			pool.Unpin(cur.f)
-			if err != nil {
-				return nref{}, err, true
-			}
-			if r.n.Level != stopLevel {
-				o.release(&r)
-				return nref{}, nil, false
-			}
-			r2, err := t.descendFrom(o, r, p, stopLevel, finalMode, sched)
-			return r2, err, true
-		}
-		next, err, done := t.optStep(cur, c, e.Child, childLevel)
-		if !done {
-			return nref{}, nil, false
-		}
-		if err != nil {
-			return nref{}, err, true
-		}
-		cur = next
-	}
-}
-
-// optStep follows one edge from cur to pid (expected at level). cur's
-// pin is consumed. CNS: the target is immortal, so no source
-// re-validation is performed after loading it. done=false aborts the
-// pass (non-node frame or defensive level mismatch).
-func (t *Tree) optStep(cur navRef, c *optCounters, pid storage.PageID, level int) (navRef, error, bool) {
-	pool := t.store.Pool
-	pool.Unpin(cur.f)
-	nf, err := pool.Fetch(pid)
-	if err != nil {
-		return navRef{}, err, true
-	}
-	next, ok := t.navLoad(nf, c)
-	if !ok {
-		pool.Unpin(nf)
-		return navRef{}, nil, false
-	}
-	if next.n.Level != level {
-		pool.Unpin(nf)
-		return navRef{}, nil, false
-	}
-	return next, nil, true
-}
-
-func (t *Tree) retryLoop(fn func() error) error {
-	for {
-		err := fn()
-		if errors.Is(err, errRetry) {
-			t.Stats.Restarts.Add(1)
-			continue
-		}
-		return err
-	}
+	return t.kern.Descend(o, p, stopLevel, finalMode, sched, nil)
 }
 
 // --- public operations ---------------------------------------------------------
@@ -661,25 +277,19 @@ func (t *Tree) retryLoop(fn func() error) error {
 // a nil transaction the insert runs as its own atomic action.
 func (t *Tree) Insert(tx *txn.Txn, p Point, value []byte) error {
 	t.Stats.Inserts.Add(1)
-	return t.retryLoop(func() error {
-		o := t.newOp(tx)
-		defer o.done()
+	return t.kern.RetryLoop(tx, func(o *opCtx) error {
 		leaf, err := t.descend(o, p, 0, latch.U, true)
 		if err != nil {
 			return err
 		}
-		if tx != nil && !tx.TryLock(t.recLockName(p), lock.X) {
-			o.release(&leaf)
-			if err := tx.Lock(t.recLockName(p), lock.X); err != nil {
-				return err
-			}
-			return errRetry
+		if err := o.LockDance(tx, &leaf, t.recLockName(p), lock.X); err != nil {
+			return err
 		}
-		if _, dup := leaf.n.findPoint(p); dup {
-			o.release(&leaf)
+		if _, dup := leaf.N.findPoint(p); dup {
+			o.Release(&leaf)
 			return ErrPointExists
 		}
-		if len(leaf.n.Entries) >= t.opts.DataCapacity {
+		if len(leaf.N.Entries) >= t.opts.DataCapacity {
 			if err := t.splitNodeAction(o, &leaf); err != nil {
 				return err
 			}
@@ -691,18 +301,18 @@ func (t *Tree) Insert(tx *txn.Txn, p Point, value []byte) error {
 		} else {
 			lg = t.tm.BeginAtomicAction()
 		}
-		o.promote(&leaf)
+		o.Promote(&leaf)
 		e := Entry{P: p, Value: append([]byte(nil), value...)}
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.pid()), KindInsertPoint, encPoint(e))
-		leaf.n.insertPoint(e)
-		leaf.f.MarkDirty(lsn)
+		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertPoint, encPoint(e))
+		leaf.N.insertPoint(e)
+		leaf.F.MarkDirty(lsn)
 		if tx == nil {
 			if cerr := lg.Commit(); cerr != nil {
-				o.release(&leaf)
+				o.Release(&leaf)
 				return cerr
 			}
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return nil
 	})
 }
@@ -710,50 +320,44 @@ func (t *Tree) Insert(tx *txn.Txn, p Point, value []byte) error {
 // Delete removes a point; ErrPointNotFound if absent.
 func (t *Tree) Delete(tx *txn.Txn, p Point) error {
 	t.Stats.Deletes.Add(1)
-	return t.retryLoop(func() error {
-		o := t.newOp(tx)
-		defer o.done()
+	return t.kern.RetryLoop(tx, func(o *opCtx) error {
 		leaf, err := t.descend(o, p, 0, latch.U, true)
 		if err != nil {
 			return err
 		}
-		if tx != nil && !tx.TryLock(t.recLockName(p), lock.X) {
-			o.release(&leaf)
-			if err := tx.Lock(t.recLockName(p), lock.X); err != nil {
-				return err
-			}
-			return errRetry
+		if err := o.LockDance(tx, &leaf, t.recLockName(p), lock.X); err != nil {
+			return err
 		}
-		i, ok := leaf.n.findPoint(p)
+		i, ok := leaf.N.findPoint(p)
 		if !ok {
-			o.release(&leaf)
+			o.Release(&leaf)
 			return ErrPointNotFound
 		}
-		old := leaf.n.Entries[i]
-		o.promote(&leaf)
+		old := leaf.N.Entries[i]
+		o.Promote(&leaf)
 		var lg *txn.Txn
 		if tx != nil {
 			lg = tx
 		} else {
 			lg = t.tm.BeginAtomicAction()
 		}
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.pid()), KindRemovePoint, encPoint(old))
-		leaf.n.removePoint(p)
-		leaf.f.MarkDirty(lsn)
-		emptied := len(leaf.n.Entries) == 0 && len(leaf.n.Sibs) == 0
+		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindRemovePoint, encPoint(old))
+		leaf.N.removePoint(p)
+		leaf.F.MarkDirty(lsn)
+		emptied := len(leaf.N.Entries) == 0 && len(leaf.N.Sibs) == 0
 		if tx == nil {
 			if cerr := lg.Commit(); cerr != nil {
-				o.release(&leaf)
+				o.Release(&leaf)
 				return cerr
 			}
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		if emptied && t.opts.Reclaim {
 			// The leaf may now be absorbable; schedule a background pass.
 			// If this delete belongs to a transaction that later aborts,
 			// logical undo re-inserts the point through a fresh descent,
 			// so absorbing under an uncommitted delete is safe.
-			t.comp.schedule(postTask{absorb: true})
+			t.schedule(postTask{absorb: true})
 		}
 		return nil
 	})
@@ -764,27 +368,21 @@ func (t *Tree) Search(tx *txn.Txn, p Point) ([]byte, bool, error) {
 	t.Stats.Searches.Add(1)
 	var val []byte
 	var found bool
-	err := t.retryLoop(func() error {
-		o := t.newOp(tx)
-		defer o.done()
+	err := t.kern.RetryLoop(tx, func(o *opCtx) error {
 		leaf, err := t.descend(o, p, 0, latch.S, true)
 		if err != nil {
 			return err
 		}
-		if tx != nil && !tx.TryLock(t.recLockName(p), lock.S) {
-			o.release(&leaf)
-			if err := tx.Lock(t.recLockName(p), lock.S); err != nil {
-				return err
-			}
-			return errRetry
+		if err := o.LockDance(tx, &leaf, t.recLockName(p), lock.S); err != nil {
+			return err
 		}
-		if i, ok := leaf.n.findPoint(p); ok {
-			val = append([]byte(nil), leaf.n.Entries[i].Value...)
+		if i, ok := leaf.N.findPoint(p); ok {
+			val = append([]byte(nil), leaf.N.Entries[i].Value...)
 			found = true
 		} else {
 			val, found = nil, false
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return nil
 	})
 	return val, found, err
@@ -798,8 +396,8 @@ func (t *Tree) Search(tx *txn.Txn, p Point) ([]byte, bool, error) {
 // releases each node before recursing.
 func (t *Tree) RegionQuery(q Rect, fn func(p Point, v []byte) bool) error {
 	t.Stats.RegionQueries.Add(1)
-	o := t.newOp(nil)
-	defer o.done()
+	o := t.kern.NewOp(nil)
+	defer o.Done()
 	seen := make(map[storage.PageID]bool)
 	var visit func(pid storage.PageID, level int) (bool, error)
 	visit = func(pid storage.PageID, level int) (bool, error) {
@@ -807,7 +405,7 @@ func (t *Tree) RegionQuery(q Rect, fn func(p Point, v []byte) bool) error {
 			return true, nil
 		}
 		seen[pid] = true
-		r, err := o.acquire(pid, latch.S, level)
+		r, err := o.Acquire(pid, latch.S, level)
 		if err != nil {
 			return false, err
 		}
@@ -823,28 +421,28 @@ func (t *Tree) RegionQuery(q Rect, fn func(p Point, v []byte) bool) error {
 			v []byte
 		}
 		var hits []hit
-		for _, s := range r.n.Sibs {
+		for _, s := range r.N.Sibs {
 			if s.Rect.Intersects(q) {
-				kids = append(kids, kid{s.Pid, r.n.Level})
+				kids = append(kids, kid{s.Pid, r.N.Level})
 			}
 		}
-		if r.n.IsData() {
-			for _, e := range r.n.Entries {
+		if r.N.IsData() {
+			for _, e := range r.N.Entries {
 				if q.Contains(e.P) {
 					hits = append(hits, hit{e.P, append([]byte(nil), e.Value...)})
 				}
 			}
 		} else {
-			for _, e := range r.n.Entries {
+			for _, e := range r.N.Entries {
 				if e.Rect.Intersects(q) {
-					kids = append(kids, kid{e.Child, r.n.Level - 1})
+					kids = append(kids, kid{e.Child, r.N.Level - 1})
 				}
 			}
 		}
 		if !t.opts.Reclaim {
-			o.release(&r)
+			o.Release(&r)
 		} else {
-			defer o.release(&r)
+			defer o.Release(&r)
 		}
 		for _, h := range hits {
 			if !fn(h.p, h.v) {
@@ -947,23 +545,21 @@ func (t *Tree) logicalUndoInsert(rec *wal.Record, e Entry) error {
 	if !ok {
 		return fmt.Errorf("spatial: logical undo for unknown txn %d", rec.TxnID)
 	}
-	return t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
 		leaf, err := t.descend(o, e.P, 0, latch.U, false)
 		if err != nil {
 			return err
 		}
-		if i, ok := leaf.n.findPoint(e.P); ok {
-			old := leaf.n.Entries[i]
-			o.promote(&leaf)
-			lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.pid()), KindRemovePoint, encPoint(old), rec.PrevLSN)
-			leaf.n.removePoint(e.P)
-			leaf.f.MarkDirty(lsn)
+		if i, ok := leaf.N.findPoint(e.P); ok {
+			old := leaf.N.Entries[i]
+			o.Promote(&leaf)
+			lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindRemovePoint, encPoint(old), rec.PrevLSN)
+			leaf.N.removePoint(e.P)
+			leaf.F.MarkDirty(lsn)
 		} else {
 			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return nil
 	})
 }
@@ -974,29 +570,27 @@ func (t *Tree) logicalUndoRemove(rec *wal.Record, e Entry) error {
 	if !ok {
 		return fmt.Errorf("spatial: logical undo for unknown txn %d", rec.TxnID)
 	}
-	return t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
 		leaf, err := t.descend(o, e.P, 0, latch.U, false)
 		if err != nil {
 			return err
 		}
-		if len(leaf.n.Entries) >= t.opts.DataCapacity {
+		if len(leaf.N.Entries) >= t.opts.DataCapacity {
 			if err := t.splitNodeAction(o, &leaf); err != nil {
 				return err
 			}
 			return errRetry
 		}
-		if _, dup := leaf.n.findPoint(e.P); dup {
-			o.release(&leaf)
+		if _, dup := leaf.N.findPoint(e.P); dup {
+			o.Release(&leaf)
 			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
 			return nil
 		}
-		o.promote(&leaf)
-		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.pid()), KindInsertPoint, encPoint(e), rec.PrevLSN)
-		leaf.n.insertPoint(Entry{P: e.P, Value: append([]byte(nil), e.Value...)})
-		leaf.f.MarkDirty(lsn)
-		o.release(&leaf)
+		o.Promote(&leaf)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertPoint, encPoint(e), rec.PrevLSN)
+		leaf.N.insertPoint(Entry{P: e.P, Value: append([]byte(nil), e.Value...)})
+		leaf.F.MarkDirty(lsn)
+		o.Release(&leaf)
 		return nil
 	})
 }

@@ -67,7 +67,7 @@ func sortIdx(idx []int, ks []keys.Key) {
 // current leaf's key range contains.
 func runEnd(leaf *nref, ks []keys.Key, idx []int, pos int) int {
 	end := pos + 1
-	for end < len(idx) && leaf.n.Rect.ContainsKey(ks[idx[end]]) {
+	for end < len(idx) && leaf.N.Rect.ContainsKey(ks[idx[end]]) {
 		end++
 	}
 	return end
@@ -76,7 +76,7 @@ func runEnd(leaf *nref, ks []keys.Key, idx []int, pos int) int {
 // lockRun takes a run's record locks in one lock-manager interaction,
 // with the usual No-Wait dance on conflict (see the core tree's lockRun).
 func (t *Tree) lockRun(o *opCtx, leaf *nref, ks []keys.Key, run []int, sc *batchScratch, mode lock.Mode) error {
-	if o.txn == nil {
+	if o.Txn == nil {
 		return nil
 	}
 	names := sc.names[:0]
@@ -84,15 +84,7 @@ func (t *Tree) lockRun(o *opCtx, leaf *nref, ks []keys.Key, run []int, sc *batch
 		names = append(names, t.recLockName(ks[i]))
 	}
 	sc.names = names
-	fail := o.txn.TryLockBatch(names, mode)
-	if fail < 0 {
-		return nil
-	}
-	o.release(leaf)
-	if err := o.txn.Lock(names[fail], mode); err != nil {
-		return err
-	}
-	return errRetry
+	return o.LockDanceBatch(o.Txn, leaf, names, mode)
 }
 
 // MultiPut writes a new version of every ks[i] with vals[i], grouped into
@@ -123,8 +115,8 @@ func (t *Tree) batchPut(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool)
 	sortIdx(sc.idx, ks)
 	pos := 0
 	for pos < len(ks) {
-		if err := t.retryLoop(func() error {
-			return t.putRun(tx, ks, vals, deleted, sc, &pos)
+		if err := t.kern.RetryLoop(tx, func(o *opCtx) error {
+			return t.putRun(o, ks, vals, deleted, sc, &pos)
 		}); err != nil {
 			return err
 		}
@@ -135,15 +127,14 @@ func (t *Tree) batchPut(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool)
 // putRun applies one leaf-run of a batched put; see the core tree's
 // mutateRun for the shape. The run stops early when the leaf fills; the
 // remainder re-descends and splits first.
-func (t *Tree) putRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool, sc *batchScratch, pos *int) error {
-	o := t.newOp(tx)
-	defer o.done()
+func (t *Tree) putRun(o *opCtx, ks []keys.Key, vals [][]byte, deleted bool, sc *batchScratch, pos *int) error {
+	tx := o.Txn
 	leaf, err := t.descend(o, ks[sc.idx[*pos]], NoEnd-1, 0, latch.U, true)
 	if err != nil {
 		return err
 	}
-	if !leaf.n.Current() {
-		o.release(&leaf)
+	if !leaf.N.Current() {
+		o.Release(&leaf)
 		return errRetry
 	}
 	end := runEnd(&leaf, ks, sc.idx, *pos)
@@ -153,7 +144,7 @@ func (t *Tree) putRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool, s
 		return err
 	}
 
-	if len(leaf.n.Entries) >= t.opts.DataCapacity {
+	if len(leaf.N.Entries) >= t.opts.DataCapacity {
 		if err := t.splitData(o, &leaf); err != nil {
 			return err
 		}
@@ -170,11 +161,11 @@ func (t *Tree) putRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool, s
 		if tx == nil {
 			_ = lg.Abort()
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return err
 	}
 
-	o.promote(&leaf)
+	o.Promote(&leaf)
 	var writer wal.TxnID
 	if tx != nil {
 		writer = tx.ID
@@ -182,7 +173,7 @@ func (t *Tree) putRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool, s
 	ups := sc.ups[:0]
 	applied := 0
 	for _, i := range run {
-		if len(leaf.n.Entries) >= t.opts.DataCapacity {
+		if len(leaf.N.Entries) >= t.opts.DataCapacity {
 			break // leaf filled mid-run; the rest re-descends and splits
 		}
 		var value []byte
@@ -191,28 +182,28 @@ func (t *Tree) putRun(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted bool, s
 		}
 		e := Entry{Key: keys.Clone(ks[i]), Start: t.tick(), Value: append([]byte(nil), value...), Deleted: deleted, Txn: writer}
 		ups = append(ups, txn.GroupUpdate{Kind: KindPut, Payload: encPut(e)})
-		leaf.n.insertVersion(e)
+		leaf.N.insertVersion(e)
 		t.Stats.Puts.Add(1)
 		applied++
 	}
 	sc.ups = ups
 	if len(ups) > 0 {
-		first, last := lg.LogUpdateGroup(t.store.Pool.StoreID, uint64(leaf.pid()), ups)
+		first, last := lg.LogUpdateGroup(t.store.Pool.StoreID, uint64(leaf.Pid()), ups)
 		// Both marks matter: the first publishes recLSN covering the whole
 		// run if the page was clean, the second advances pageLSN to the
 		// run's last record.
-		leaf.f.MarkDirty(first)
-		leaf.f.MarkDirty(last)
+		leaf.F.MarkDirty(first)
+		leaf.F.MarkDirty(last)
 	}
 	t.Stats.BatchOps.Add(1)
 	t.Stats.LeafVisitsSaved.Add(int64(applied - 1))
 	if tx == nil {
 		if cerr := lg.Commit(); cerr != nil {
-			o.release(&leaf)
+			o.Release(&leaf)
 			return cerr
 		}
 	}
-	o.release(&leaf)
+	o.Release(&leaf)
 	*pos += applied
 	return nil
 }
@@ -235,9 +226,7 @@ func (t *Tree) MultiGet(tx *txn.Txn, ks []keys.Key, vals [][]byte, found []bool)
 	sortIdx(sc.idx, ks)
 	pos := 0
 	for pos < len(ks) {
-		if err := t.retryLoop(func() error {
-			o := t.newOp(tx)
-			defer o.done()
+		if err := t.kern.RetryLoop(tx, func(o *opCtx) error {
 			leaf, err := t.descend(o, ks[sc.idx[pos]], NoEnd-1, 0, latch.S, true)
 			if err != nil {
 				return err
@@ -249,14 +238,14 @@ func (t *Tree) MultiGet(tx *txn.Txn, ks []keys.Key, vals [][]byte, found []bool)
 			}
 			now := t.Now()
 			for _, i := range run {
-				if j, ok := leaf.n.searchVersion(ks[i], now); ok && !leaf.n.Entries[j].Deleted {
-					vals[i] = append(vals[i][:0], leaf.n.Entries[j].Value...)
+				if j, ok := leaf.N.searchVersion(ks[i], now); ok && !leaf.N.Entries[j].Deleted {
+					vals[i] = append(vals[i][:0], leaf.N.Entries[j].Value...)
 					found[i] = true
 				} else {
 					found[i] = false
 				}
 			}
-			o.release(&leaf)
+			o.Release(&leaf)
 			t.Stats.BatchOps.Add(1)
 			t.Stats.LeafVisitsSaved.Add(int64(len(run) - 1))
 			pos = end

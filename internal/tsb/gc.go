@@ -56,20 +56,18 @@ func (t *Tree) RunGC() (int, error) {
 		var head storage.PageID
 		var next keys.Key
 		done := false
-		err := t.retryLoop(func() error {
-			o := t.newOp(nil)
-			defer o.done()
+		err := t.kern.RetryLoop(nil, func(o *opCtx) error {
 			leaf, err := t.descend(o, cursor, NoEnd-1, 0, latch.S, false)
 			if err != nil {
 				return err
 			}
-			head = leaf.pid()
-			if leaf.n.Rect.KeyHigh.Unbounded {
+			head = leaf.Pid()
+			if leaf.N.Rect.KeyHigh.Unbounded {
 				done = true
 			} else {
-				next = keys.Clone(leaf.n.Rect.KeyHigh.Key)
+				next = keys.Clone(leaf.N.Rect.KeyHigh.Key)
 			}
-			o.release(&leaf)
+			o.Release(&leaf)
 			return nil
 		})
 		if err != nil {
@@ -111,17 +109,17 @@ func (t *Tree) gcChain(head storage.PageID) (int, error) {
 	// nodes whose whole time range is below the horizon. The current node
 	// (TimeHigh = NoEnd) is never a victim.
 	var victims []gcVictim
-	o := t.newOp(nil)
-	cur, err := o.acquire(head, latch.S, 0)
+	o := t.kern.NewOp(nil)
+	cur, err := o.Acquire(head, latch.S, 0)
 	if err != nil {
-		o.done()
+		o.Done()
 		return 0, err
 	}
 	for {
-		n := cur.n
+		n := cur.N
 		if n.Rect.TimeHigh <= horizon {
 			victims = append(victims, gcVictim{
-				pid:     cur.pid(),
+				pid:     cur.Pid(),
 				rect:    cloneRect(n.Rect),
 				retired: n.Retired,
 				entries: len(n.Entries),
@@ -131,15 +129,15 @@ func (t *Tree) gcChain(head storage.PageID) (int, error) {
 		if sib == storage.NilPage {
 			break
 		}
-		next, err := t.step(o, &cur, sib, latch.S, 0)
+		next, err := t.kern.Step(o, &cur, sib, latch.S, 0)
 		if err != nil {
-			o.done()
+			o.Done()
 			return 0, err
 		}
 		cur = next
 	}
-	o.release(&cur)
-	o.done()
+	o.Release(&cur)
+	o.Done()
 
 	// Phase 2: retire oldest-first so a crash mid-pass leaves a chain
 	// whose reclaimed tail is contiguous. Only the newest victim (index
@@ -170,9 +168,7 @@ func (t *Tree) gcChain(head storage.PageID) (int, error) {
 // Clipped terms mean several level-1 parents can reference the victim, so
 // the removal walks the key-sibling chain across the victim's key range.
 func (t *Tree) retireNode(v gcVictim, unlink bool) error {
-	return t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
 		node, err := t.descend(o, v.rect.KeyLow, NoEnd-1, 1, latch.U, false)
 		if err != nil {
 			return err
@@ -180,9 +176,9 @@ func (t *Tree) retireNode(v gcVictim, unlink bool) error {
 		aa := t.tm.BeginAtomicAction()
 		var held []nref
 		releaseAll := func() {
-			o.release(&node)
+			o.Release(&node)
 			for i := len(held) - 1; i >= 0; i-- {
-				o.release(&held[i])
+				o.Release(&held[i])
 			}
 			held = nil
 		}
@@ -192,31 +188,31 @@ func (t *Tree) retireNode(v gcVictim, unlink bool) error {
 			return err
 		}
 		for {
-			if i, ok := node.n.termFor(v.pid); ok && len(node.n.Entries) > 1 {
+			if i, ok := node.N.termFor(v.pid); ok && len(node.N.Entries) > 1 {
 				// Never remove a level-1 node's last term: an empty index
 				// node is unnavigable (and fails verification). One stale
 				// term to a retired node is harmless — it still routes to
 				// a well-formed empty page.
-				if node.mode != latch.X {
-					o.promote(&node)
+				if node.Mode != latch.X {
+					o.Promote(&node)
 				}
-				e := node.n.Entries[i]
-				lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.pid()), KindRemoveTerm, encTerm(e))
-				node.n.Entries = append(node.n.Entries[:i], node.n.Entries[i+1:]...)
-				node.f.MarkDirty(lsn)
+				e := node.N.Entries[i]
+				lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindRemoveTerm, encTerm(e))
+				node.N.Entries = append(node.N.Entries[:i], node.N.Entries[i+1:]...)
+				node.F.MarkDirty(lsn)
 				t.Stats.GCRemovedTerms.Add(1)
 			}
-			if node.n.Rect.KeyHigh.Unbounded {
+			if node.N.Rect.KeyHigh.Unbounded {
 				break
 			}
-			if !v.rect.KeyHigh.Unbounded && keys.Compare(node.n.Rect.KeyHigh.Key, v.rect.KeyHigh.Key) >= 0 {
+			if !v.rect.KeyHigh.Unbounded && keys.Compare(node.N.Rect.KeyHigh.Key, v.rect.KeyHigh.Key) >= 0 {
 				break
 			}
-			sib := node.n.KeySib
+			sib := node.N.KeySib
 			if sib == storage.NilPage {
 				break
 			}
-			next, err := o.acquire(sib, latch.U, 1)
+			next, err := o.Acquire(sib, latch.U, 1)
 			if err != nil {
 				return fail(err)
 			}
@@ -224,11 +220,11 @@ func (t *Tree) retireNode(v gcVictim, unlink bool) error {
 			node = next
 		}
 
-		vic, err := o.acquire(v.pid, latch.X, 0)
+		vic, err := o.Acquire(v.pid, latch.X, 0)
 		if err != nil {
 			return fail(err)
 		}
-		if vic.n.Retired {
+		if vic.N.Retired {
 			// Lost a race we thought gcMu excluded (defensive): keep the
 			// term removals, skip the retire.
 			held = append(held, vic)
@@ -236,10 +232,10 @@ func (t *Tree) retireNode(v gcVictim, unlink bool) error {
 			releaseAll()
 			return err
 		}
-		pre := vic.n.clone()
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(vic.pid()), KindRetireNode, encRetire(unlink, pre))
-		applyRetire(vic.n, unlink)
-		vic.f.MarkDirty(lsn)
+		pre := vic.N.clone()
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(vic.Pid()), KindRetireNode, encRetire(unlink, pre))
+		applyRetire(vic.N, unlink)
+		vic.F.MarkDirty(lsn)
 		held = append(held, vic)
 		err = aa.Commit()
 		releaseAll()

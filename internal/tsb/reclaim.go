@@ -36,7 +36,7 @@ package tsb
 //     freed and recycled under it, it would read the impostor.
 //  5. QUIESCED EDGE: the cut holds the referencer X and the victim X to
 //     commit. Traversals latch-couple history edges under Reclaim
-//     (Tree.step, carryRepair), so a reader either passes the referencer
+//     (pitree.Step, carryRepair), so a reader either passes the referencer
 //     before the cut — and then holds the victim's latch, which the
 //     reaper's X acquisition waits out — or arrives after and finds the
 //     edge gone. The X hold on the referencer also freezes HistShared
@@ -117,57 +117,54 @@ func (t *Tree) reclaimTail(head storage.PageID) (int, error) {
 	// Episode 3: the cut. Latch the referencer U, re-verify the edge,
 	// promote to X (§4.1.1: before any lower latch, so coupled readers
 	// drain downward), then latch the victim X and free it.
-	o := t.newOp(nil)
-	defer o.done()
-	prev, err := o.acquire(prevPid, latch.U, 0)
+	o := t.kern.NewOp(nil)
+	defer o.Done()
+	prev, err := o.Acquire(prevPid, latch.U, 0)
 	if err != nil {
 		return 0, err
 	}
-	if prev.n.HistSib != tailPid {
+	if prev.N.HistSib != tailPid {
 		// The chain changed shape since the walk (only the head can, via
 		// a concurrent time split); retry on the next pass.
-		o.release(&prev)
+		o.Release(&prev)
 		return 0, nil
 	}
-	if prev.n.HistShared {
-		o.release(&prev)
+	if prev.N.HistShared {
+		o.Release(&prev)
 		t.Stats.GCSharedSkips.Add(1)
 		return 0, nil
 	}
-	o.promote(&prev)
+	o.Promote(&prev)
 	// With the sole incoming edge X-held, no new task can be scheduled
 	// against the victim (noteHistSibling reads the referencer under its
 	// latch); a task already pending or running defers the free.
-	if t.comp.refsChild(tailPid) {
-		o.release(&prev)
+	if t.refsChild(tailPid) {
+		o.Release(&prev)
 		t.Stats.GCDeferredFrees.Add(1)
 		return 0, nil
 	}
-	tail, err := o.acquire(tailPid, latch.X, 0)
+	tail, err := o.Acquire(tailPid, latch.X, 0)
 	if err != nil {
-		o.release(&prev)
+		o.Release(&prev)
 		return 0, err
 	}
-	if !tail.n.Retired || tail.n.HistSib != storage.NilPage || len(tail.n.Entries) != 0 {
-		o.release(&tail)
-		o.release(&prev)
+	if !tail.N.Retired || tail.N.HistSib != storage.NilPage || len(tail.N.Entries) != 0 {
+		o.Release(&tail, &prev)
 		return 0, nil
 	}
 
 	aa := t.tm.BeginAtomicAction()
-	pre := prev.n.clone()
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(prev.pid()), KindCutHist, encCutHist(pre))
-	applyCutHist(prev.n)
-	prev.f.MarkDirty(lsn)
-	if err := t.store.Free(aa, &o.tr, tailPid); err != nil {
-		o.release(&tail)
-		o.release(&prev)
+	pre := prev.N.clone()
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(prev.Pid()), KindCutHist, encCutHist(pre))
+	applyCutHist(prev.N)
+	prev.F.MarkDirty(lsn)
+	if err := t.store.Free(aa, &o.Tr, tailPid); err != nil {
+		o.Release(&tail, &prev)
 		_ = aa.Abort()
 		return 0, err
 	}
 	if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
-		o.release(&tail)
-		o.release(&prev)
+		o.Release(&tail, &prev)
 		_ = aa.Abort()
 		return 0, err
 	}
@@ -178,8 +175,7 @@ func (t *Tree) reclaimTail(head storage.PageID) (int, error) {
 		// closes the set for good.
 		t.deadPages.Store(tailPid, struct{}{})
 	}
-	o.release(&tail)
-	o.release(&prev)
+	o.Release(&tail, &prev)
 	if cerr != nil {
 		return 0, cerr
 	}
@@ -191,23 +187,23 @@ func (t *Tree) reclaimTail(head storage.PageID) (int, error) {
 // interior nodes immutable) and returns the last node, its referencer,
 // and the facts the caller screens on. tailPid == head means no history.
 func (t *Tree) findTail(head storage.PageID) (prevPid, tailPid storage.PageID, rect Rect, retired bool, err error) {
-	o := t.newOp(nil)
-	defer o.done()
-	cur, aerr := o.acquire(head, latch.S, 0)
+	o := t.kern.NewOp(nil)
+	defer o.Done()
+	cur, aerr := o.Acquire(head, latch.S, 0)
 	if aerr != nil {
 		return storage.NilPage, storage.NilPage, Rect{}, false, aerr
 	}
 	prevPid, tailPid = storage.NilPage, head
 	for {
-		rect = cloneRect(cur.n.Rect)
-		retired = cur.n.Retired
-		sib := cur.n.HistSib
+		rect = cloneRect(cur.N.Rect)
+		retired = cur.N.Retired
+		sib := cur.N.HistSib
 		if sib == storage.NilPage {
-			o.release(&cur)
+			o.Release(&cur)
 			return prevPid, tailPid, rect, retired, nil
 		}
 		prevPid, tailPid = tailPid, sib
-		next, serr := t.step(o, &cur, sib, latch.S, 0)
+		next, serr := t.kern.Step(o, &cur, sib, latch.S, 0)
 		if serr != nil {
 			return storage.NilPage, storage.NilPage, Rect{}, false, serr
 		}
@@ -219,36 +215,34 @@ func (t *Tree) findTail(head storage.PageID) (prevPid, tailPid storage.PageID, r
 // sweeping the key-sibling chain across rect's key range with S latches.
 func (t *Tree) noTermsFor(rect Rect, pid storage.PageID) (bool, error) {
 	found := false
-	err := t.retryLoop(func() error {
+	err := t.kern.RetryLoop(nil, func(o *opCtx) error {
 		found = false
-		o := t.newOp(nil)
-		defer o.done()
 		node, err := t.descend(o, rect.KeyLow, NoEnd-1, 1, latch.S, false)
 		if err != nil {
 			return err
 		}
 		for {
-			if _, ok := node.n.termFor(pid); ok {
+			if _, ok := node.N.termFor(pid); ok {
 				found = true
 				break
 			}
-			if node.n.Rect.KeyHigh.Unbounded {
+			if node.N.Rect.KeyHigh.Unbounded {
 				break
 			}
-			if !rect.KeyHigh.Unbounded && keys.Compare(node.n.Rect.KeyHigh.Key, rect.KeyHigh.Key) >= 0 {
+			if !rect.KeyHigh.Unbounded && keys.Compare(node.N.Rect.KeyHigh.Key, rect.KeyHigh.Key) >= 0 {
 				break
 			}
-			sib := node.n.KeySib
+			sib := node.N.KeySib
 			if sib == storage.NilPage {
 				break
 			}
-			next, err := t.step(o, &node, sib, latch.S, 1)
+			next, err := t.kern.Step(o, &node, sib, latch.S, 1)
 			if err != nil {
 				return err
 			}
 			node = next
 		}
-		o.release(&node)
+		o.Release(&node)
 		return nil
 	})
 	return !found, err

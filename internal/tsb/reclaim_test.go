@@ -275,3 +275,35 @@ func TestReclaimBackgroundGC(t *testing.T) {
 		}
 	}
 }
+
+// TestCompletionHotPathAllocs: a sibling walk schedules its posting under
+// the walked node's latch, and the reaper asks refsChild under the
+// referencer's X latch; folding a duplicate and answering the lookup must
+// not allocate (the dedup key is a comparable struct, not a string).
+func TestCompletionHotPathAllocs(t *testing.T) {
+	fx := newFixture(t, smallOpts()) // SyncCompletion: queued until drained
+	data := firstChild(t, fx.tree.store.Pool, fx.tree.root)
+	task := postTask{parentLevel: 1, child: data, rect: EntireRect()}
+	fx.tree.schedule(task)
+	if a := testing.AllocsPerRun(100, func() { fx.tree.schedule(task) }); a != 0 {
+		t.Fatalf("duplicate schedule allocates %.1f objects", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if !fx.tree.refsChild(data) {
+			t.Error("queued posting not visible to refsChild")
+		}
+	}); a != 0 {
+		t.Fatalf("refsChild allocates %.1f objects", a)
+	}
+}
+
+// firstChild returns the first child of the index node pid (quiescent).
+func firstChild(t *testing.T, pool *storage.Pool, pid storage.PageID) storage.PageID {
+	t.Helper()
+	f, err := pool.Fetch(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Unpin(f)
+	return f.Data.(*Node).Entries[0].Child
+}

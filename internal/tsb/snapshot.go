@@ -74,8 +74,8 @@ func (t *Tree) SnapshotGet(snap *txn.Snapshot, key keys.Key, buf []byte) ([]byte
 }
 
 func (t *Tree) snapshotGetOnce(snap *txn.Snapshot, key keys.Key, buf []byte) ([]byte, bool, error) {
-	o := t.newOp(nil)
-	defer o.done()
+	o := t.kern.NewOp(nil)
+	defer o.Done()
 	// Descend to the CURRENT leaf for the key (not the leaf covering the
 	// snapshot timestamp): the reader's own writes start above the
 	// snapshot ts, and the current node carries the newest below-TimeLow
@@ -86,17 +86,17 @@ func (t *Tree) snapshotGetOnce(snap *txn.Snapshot, key keys.Key, buf []byte) ([]
 		return buf, false, err
 	}
 	for {
-		n := cur.n
+		n := cur.N
 		lo, hi := keyGroup(n, key)
 		for i := hi - 1; i >= lo; i-- {
 			e := &n.Entries[i]
 			if snap.Visible(e.Txn, e.Start) {
 				if e.Deleted {
-					o.release(&cur)
+					o.Release(&cur)
 					return buf, false, nil
 				}
 				out := append(buf[:0], e.Value...)
-				o.release(&cur)
+				o.Release(&cur)
 				return out, true, nil
 			}
 		}
@@ -104,11 +104,11 @@ func (t *Tree) snapshotGetOnce(snap *txn.Snapshot, key keys.Key, buf []byte) ([]
 		// if the group's oldest entry itself predates the node's time
 		// range (and is invisible — an in-flight writer's carried write).
 		if hi == lo || n.Entries[lo].Start >= n.Rect.TimeLow || n.HistSib == storage.NilPage {
-			o.release(&cur)
+			o.Release(&cur)
 			return buf, false, nil
 		}
 		t.Stats.SnapshotHistWalks.Add(1)
-		next, err := t.step(o, &cur, n.HistSib, latch.S, 0)
+		next, err := t.kern.Step(o, &cur, n.HistSib, latch.S, 0)
 		if err != nil {
 			return buf, false, err
 		}
@@ -135,16 +135,14 @@ func (t *Tree) SnapshotScan(snap *txn.Snapshot, lo, hi keys.Key, fn func(k keys.
 		var batch []rec
 		var next keys.Key
 		done := false
-		err := t.retryLoop(func() error {
+		err := t.kern.RetryLoop(nil, func(o *opCtx) error {
 			batch = batch[:0]
 			next, done = nil, false
-			o := t.newOp(nil)
-			defer o.done()
 			leaf, err := t.descend(o, cursor, NoEnd-1, 0, latch.S, true)
 			if err != nil {
 				return err
 			}
-			n := leaf.n
+			n := leaf.N
 			ents := n.Entries
 			for i := 0; i < len(ents); {
 				k := ents[i].Key
@@ -182,7 +180,7 @@ func (t *Tree) SnapshotScan(snap *txn.Snapshot, lo, hi keys.Key, fn func(k keys.
 				// Read-ahead of the key sibling; see ScanAsOf.
 				t.store.Pool.PrefetchAsync(n.KeySib)
 			}
-			o.release(&leaf)
+			o.Release(&leaf)
 			return nil
 		})
 		if err != nil {

@@ -2,14 +2,11 @@ package tsb
 
 import (
 	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/keys"
 	"repro/internal/latch"
+	"repro/internal/pitree"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // postTask asks for the index term describing a committed split to be
@@ -23,157 +20,50 @@ type postTask struct {
 	gcHead      storage.PageID
 }
 
-func (t postTask) key() string {
+// Completing-action kinds, for the kernel queue's duplicate folding.
+const (
+	taskPost uint8 = iota + 1
+	taskGC
+)
+
+func (t postTask) key() pitree.TaskKey {
 	if t.gcHead != storage.NilPage {
-		return fmt.Sprintf("gc:%d", t.gcHead)
+		return pitree.TaskKey{Kind: taskGC, Pid: t.gcHead}
 	}
-	return fmt.Sprintf("%d:%d", t.parentLevel, t.child)
+	return pitree.TaskKey{Kind: taskPost, Level: t.parentLevel, Pid: t.child}
 }
 
-// completer mirrors internal/core's: schedule is non-blocking and safe
-// under latches; execution re-tests state, so duplicates are no-ops. A
-// task stays in the pending set until done — not merely until popped —
-// so refsChild covers in-flight tasks too: the page reaper must not free
-// a page a running postTerm is still about to latch.
-type completer struct {
-	t       *Tree
-	mu      sync.Mutex
-	cond    *sync.Cond
-	tasks   []postTask
-	pending map[string]struct{}
-	active  int
-	stopped bool
-	wg      sync.WaitGroup
-	// draining suspends governor pacing so shutdown drains at full speed.
-	draining atomic.Bool
-}
+// completer is the kernel's completion queue carrying this tree's tasks.
+type completer = pitree.Queue[postTask]
 
 func newCompleter(t *Tree) *completer {
-	c := &completer{t: t, pending: make(map[string]struct{})}
-	c.cond = sync.NewCond(&c.mu)
-	if !t.opts.SyncCompletion {
-		for i := 0; i < t.opts.CompletionWorkers; i++ {
-			c.wg.Add(1)
-			go c.worker()
-		}
-	}
-	return c
+	return pitree.NewQueue(pitree.QueueConfig[postTask]{
+		Run: t.run,
+		// Chain maintenance (GC + reclamation) is paced so background
+		// sweeps never convoy foreground writers.
+		Paced:    func(task postTask) bool { return task.gcHead != storage.NilPage },
+		Governor: t.opts.Governor,
+		Workers:  t.opts.CompletionWorkers,
+		Sync:     t.opts.SyncCompletion,
+	})
 }
 
-func (c *completer) schedule(task postTask) {
-	if c.t.opts.NoCompletion {
+// schedule queues a completing action; safe under latches.
+func (t *Tree) schedule(task postTask) {
+	if t.opts.NoCompletion {
 		return
 	}
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		return
+	if t.comp.Schedule(task.key(), task) {
+		t.Stats.PostsScheduled.Add(1)
 	}
-	if _, dup := c.pending[task.key()]; dup {
-		c.mu.Unlock()
-		return
-	}
-	c.pending[task.key()] = struct{}{}
-	c.tasks = append(c.tasks, task)
-	c.t.Stats.PostsScheduled.Add(1)
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// depth reports the current queue depth (scheduled, unpopped tasks).
-func (c *completer) depth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.tasks)
 }
 
 // refsChild reports whether a level-1 posting task referencing pid is
-// pending or running. History-chain postings are the only tasks that can
+// queued or running. History-chain postings are the only tasks that can
 // name a reclaimable page; the reaper defers freeing while one is live,
 // because a running postTerm may be about to latch the page.
-func (c *completer) refsChild(pid storage.PageID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.pending[fmt.Sprintf("%d:%d", 1, pid)]
-	return ok
-}
-
-func (c *completer) pop(block bool) (postTask, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.tasks) == 0 {
-		if !block || c.stopped {
-			return postTask{}, false
-		}
-		c.cond.Wait()
-	}
-	task := c.tasks[0]
-	c.tasks = c.tasks[1:]
-	c.active++
-	return task, true
-}
-
-func (c *completer) done(task postTask) {
-	c.mu.Lock()
-	delete(c.pending, task.key())
-	c.active--
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-func (c *completer) worker() {
-	defer c.wg.Done()
-	for {
-		task, ok := c.pop(true)
-		if !ok {
-			return
-		}
-		// Chain maintenance (GC + reclamation) is paced by the governor so
-		// background sweeps never convoy foreground writers; term postings
-		// run unpaced (the foreground is already navigating around the
-		// unposted structure). Draining bypasses the pacer.
-		if task.gcHead != storage.NilPage && !c.draining.Load() {
-			c.t.opts.Governor.Admit(c.depth())
-		}
-		c.t.run(task)
-		c.done(task)
-	}
-}
-
-func (c *completer) drain() {
-	if c.t.opts.SyncCompletion {
-		for {
-			task, ok := c.pop(false)
-			if !ok {
-				return
-			}
-			c.t.run(task)
-			c.done(task)
-		}
-	}
-	c.mu.Lock()
-	for len(c.tasks) > 0 || c.active > 0 {
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
-}
-
-func (c *completer) stop() {
-	c.mu.Lock()
-	c.stopped = true
-	c.tasks = nil
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.wg.Wait()
-}
-
-// closeDrain is the orderly shutdown: work off every pending completion,
-// then stop the workers. Nothing pending is discarded, so a close-then-
-// reopen never finds a scheduled posting or GC pass silently dropped.
-func (c *completer) closeDrain() {
-	c.draining.Store(true)
-	c.drain()
-	c.stop()
+func (t *Tree) refsChild(pid storage.PageID) bool {
+	return t.comp.Refs(postTask{parentLevel: 1, child: pid}.key())
 }
 
 // run dispatches one completing task: a GC chain sweep (plus page
@@ -193,11 +83,11 @@ func (t *Tree) run(task postTask) {
 // traversal (lazy completion, §5.1). The sibling's current direct
 // rectangle is read under its latch when posted; here the delegation
 // boundary suffices.
-func (t *Tree) noteKeySibling(n *Node, pid storage.PageID) {
+func (t *Tree) noteKeySibling(n *Node) {
 	if n.KeySib == storage.NilPage || n.Rect.KeyHigh.Unbounded {
 		return
 	}
-	t.comp.schedule(postTask{
+	t.schedule(postTask{
 		parentLevel: n.Level + 1,
 		child:       n.KeySib,
 		rect: Rect{
@@ -214,7 +104,7 @@ func (t *Tree) noteHistSibling(n *Node) {
 	if n.HistSib == storage.NilPage || !n.IsData() {
 		return
 	}
-	t.comp.schedule(postTask{
+	t.schedule(postTask{
 		parentLevel: 1,
 		child:       n.HistSib,
 		rect: Rect{
@@ -232,8 +122,8 @@ func (t *Tree) noteHistSibling(n *Node) {
 // released on return; the caller retries its operation.
 func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 	aa := t.tm.BeginAtomicAction()
-	o.promote(leaf)
-	n := leaf.n
+	o.Promote(leaf)
+	n := leaf.N
 	pre := n.clone()
 
 	distinct := 0
@@ -254,9 +144,9 @@ func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 		timeSplit = false
 	}
 
-	newPid, err := t.store.Alloc(aa, &o.tr)
+	newPid, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
-		o.release(leaf)
+		o.Release(leaf)
 		_ = aa.Abort()
 		return err
 	}
@@ -284,13 +174,13 @@ func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 		newNode.Rect.KeyHigh.Key = keys.Clone(newNode.Rect.KeyHigh.Key)
 		taskRect = cloneRect(newNode.Rect)
 		if err := t.formatNode(o, aa, newPid, newNode); err != nil {
-			o.release(leaf)
+			o.Release(leaf)
 			_ = aa.Abort()
 			return err
 		}
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(leaf.pid()), KindTimeSplit, encTimeSplit(ts, newPid, pre))
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindTimeSplit, encTimeSplit(ts, newPid, pre))
 		applyTimeSplit(n, ts, newPid)
-		leaf.f.MarkDirty(lsn)
+		leaf.F.MarkDirty(lsn)
 		t.Stats.TimeSplits.Add(1)
 	} else {
 		k := t.medianKey(n)
@@ -319,29 +209,29 @@ func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 		}
 		taskRect = cloneRect(newNode.Rect)
 		if err := t.formatNode(o, aa, newPid, newNode); err != nil {
-			o.release(leaf)
+			o.Release(leaf)
 			_ = aa.Abort()
 			return err
 		}
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(leaf.pid()), KindKeySplit, encKeySplit(k, newPid, pre))
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindKeySplit, encKeySplit(k, newPid, pre))
 		applyKeySplit(n, k, newPid)
-		leaf.f.MarkDirty(lsn)
+		leaf.F.MarkDirty(lsn)
 		t.Stats.KeySplits.Add(1)
 	}
 
 	// Commit before unlatching, then schedule the separate posting
 	// action (§3.2.1 step 6).
-	leafPid := leaf.pid()
+	leafPid := leaf.Pid()
 	cerr := aa.Commit()
-	o.release(leaf)
+	o.Release(leaf)
 	if cerr != nil {
 		return cerr
 	}
-	t.comp.schedule(postTask{parentLevel: 1, child: newPid, rect: taskRect})
+	t.schedule(postTask{parentLevel: 1, child: newPid, rect: taskRect})
 	if timeSplit && t.opts.GC {
 		// The split just grew this leaf's history chain; sweep it for
 		// nodes that fell below the visibility horizon.
-		t.comp.schedule(postTask{gcHead: leafPid})
+		t.schedule(postTask{gcHead: leafPid})
 	}
 	return nil
 }
@@ -363,25 +253,8 @@ func (t *Tree) medianKey(n *Node) keys.Key {
 }
 
 // formatNode creates and logs a fresh node image under the action.
-func (t *Tree) formatNode(o *opCtx, aa logUpdater, pid storage.PageID, n *Node) error {
-	f, err := t.store.Pool.Create(pid)
-	if err != nil {
-		return err
-	}
-	f.Latch.AcquireX()
-	o.tr.Acquired(&f.Latch, o.rank(n.Level), latch.X)
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(pid), KindFormat, encNodeImage(n))
-	f.Data = n
-	f.MarkDirty(lsn)
-	o.tr.Released(&f.Latch)
-	f.Latch.ReleaseX()
-	t.store.Pool.Unpin(f)
-	return nil
-}
-
-// logUpdater is the logging slice of txn.Txn used here.
-type logUpdater interface {
-	LogUpdate(storeID uint32, pageID uint64, kind wal.Kind, payload []byte) wal.LSN
+func (t *Tree) formatNode(o *opCtx, aa storage.UpdateLogger, pid storage.PageID, n *Node) error {
+	return o.Format(aa, pid, n, n.Level, KindFormat, encNodeImage(n))
 }
 
 // postTerm is the completing atomic action for TSB splits: post the index
@@ -400,9 +273,7 @@ func (t *Tree) postTerm(task postTask) {
 		t.Stats.PostsNoop.Add(1)
 		return
 	}
-	_ = t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	_ = t.kern.RetryLoop(nil, func(o *opCtx) error {
 		node, err := t.descend(o, task.rect.KeyLow, NoEnd-1, task.parentLevel, latch.U, false)
 		if errors.Is(err, errLevelGone) {
 			t.Stats.PostsNoop.Add(1)
@@ -412,25 +283,25 @@ func (t *Tree) postTerm(task postTask) {
 			return err
 		}
 
-		if _, posted := node.n.termFor(task.child); posted {
+		if _, posted := node.N.termFor(task.child); posted {
 			t.Stats.PostsNoop.Add(1)
-			o.release(&node)
+			o.Release(&node)
 			return nil
 		}
 
 		if task.parentLevel == 1 {
 			// A side traversal may re-schedule posting for a node GC has
 			// since retired; don't resurrect its term.
-			child, err := o.acquire(task.child, latch.S, 0)
+			child, err := o.Acquire(task.child, latch.S, 0)
 			if err != nil {
-				o.release(&node)
+				o.Release(&node)
 				return err
 			}
-			retired := child.n.Retired
-			o.release(&child)
+			retired := child.N.Retired
+			o.Release(&child)
 			if retired {
 				t.Stats.PostsNoop.Add(1)
-				o.release(&node)
+				o.Release(&node)
 				return nil
 			}
 		}
@@ -438,17 +309,17 @@ func (t *Tree) postTerm(task postTask) {
 		aa := t.tm.BeginAtomicAction()
 		var held []nref
 		releaseAll := func() {
-			o.release(&node)
+			o.Release(&node)
 			for i := len(held) - 1; i >= 0; i-- {
-				o.release(&held[i])
+				o.Release(&held[i])
 			}
 			held = nil
 		}
-		o.promote(&node)
+		o.Promote(&node)
 
 		// Space Test.
-		for len(node.n.Entries) >= t.opts.IndexCapacity {
-			k, ok := t.indexSplitKey(node.n)
+		for len(node.N.Entries) >= t.opts.IndexCapacity {
+			k, ok := t.indexSplitKey(node.N)
 			if !ok {
 				// No usable boundary (e.g. the node is all history terms
 				// of one key range): soft overflow rather than a complex
@@ -456,7 +327,7 @@ func (t *Tree) postTerm(task postTask) {
 				t.Stats.SoftOverflows.Add(1)
 				break
 			}
-			if node.pid() == t.root {
+			if node.Pid() == t.root {
 				next, err := t.growRoot(o, aa, &node, k, task.rect.KeyLow)
 				if err != nil {
 					releaseAll()
@@ -473,30 +344,30 @@ func (t *Tree) postTerm(task postTask) {
 				_ = aa.Abort()
 				return err
 			}
-			if next.f != nil {
+			if next.F != nil {
 				held = append(held, node)
 				node = next
 			}
 		}
 
-		if node.n.Level == 1 {
+		if node.N.Level == 1 {
 			term := Entry{Child: task.child, ChildRect: cloneRect(task.rect)}
-			if term.ChildRect.KeyHigh.Unbounded && !node.n.Rect.KeyHigh.Unbounded {
+			if term.ChildRect.KeyHigh.Unbounded && !node.N.Rect.KeyHigh.Unbounded {
 				// Key-sibling tasks carry an open key bound; tighten it to
 				// the child's actual direct bound by reading the child.
-				child, err := o.acquire(task.child, latch.S, 0)
+				child, err := o.Acquire(task.child, latch.S, 0)
 				if err == nil {
-					term.ChildRect = cloneRect(child.n.Rect)
-					o.release(&child)
+					term.ChildRect = cloneRect(child.N.Rect)
+					o.Release(&child)
 				}
 			}
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.pid()), KindPostTerm, encTerm(term))
-			node.n.insertTerm(term)
-			node.f.MarkDirty(lsn)
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindPostTerm, encTerm(term))
+			node.N.insertTerm(term)
+			node.F.MarkDirty(lsn)
 		} else {
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.pid()), KindPostKeyTerm, encKeyTerm(task.rect.KeyLow, task.child))
-			node.n.insertKeyTerm(Entry{Key: keys.Clone(task.rect.KeyLow), Child: task.child})
-			node.f.MarkDirty(lsn)
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindPostKeyTerm, encKeyTerm(task.rect.KeyLow, task.child))
+			node.N.insertKeyTerm(Entry{Key: keys.Clone(task.rect.KeyLow), Child: task.child})
+			node.F.MarkDirty(lsn)
 		}
 		err = aa.Commit()
 		releaseAll()
@@ -555,10 +426,10 @@ func sortKeys(ks []keys.Key) {
 // the enclosing action commits via the completer (safe: the sibling is
 // only reachable through the side pointer until then, and the whole
 // action holds its latches to commit).
-func (t *Tree) splitIndex(o *opCtx, aa logUpdater, node *nref, k keys.Key, searchKey keys.Key) (nref, error) {
-	n := node.n
+func (t *Tree) splitIndex(o *opCtx, aa storage.UpdateLogger, node *nref, k keys.Key, searchKey keys.Key) (nref, error) {
+	n := node.N
 	pre := n.clone()
-	sibPid, err := t.store.Alloc(aa, &o.tr)
+	sibPid, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
 		return nref{}, err
 	}
@@ -578,18 +449,18 @@ func (t *Tree) splitIndex(o *opCtx, aa logUpdater, node *nref, k keys.Key, searc
 	if err := t.formatNode(o, aa, sibPid, sib); err != nil {
 		return nref{}, err
 	}
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.pid()), KindIndexKeySplit, encKeySplit(k, sibPid, pre))
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindIndexKeySplit, encKeySplit(k, sibPid, pre))
 	applyIndexKeySplit(n, k, sibPid)
-	node.f.MarkDirty(lsn)
+	node.F.MarkDirty(lsn)
 	t.Stats.IndexSplits.Add(1)
 	t.Stats.ClippedTerms.Add(int64(clipped))
-	t.comp.schedule(postTask{
+	t.schedule(postTask{
 		parentLevel: n.Level + 1,
 		child:       sibPid,
 		rect:        cloneRect(sib.Rect),
 	})
 	if keys.Compare(searchKey, k) >= 0 {
-		return o.acquire(sibPid, latch.X, n.Level)
+		return o.Acquire(sibPid, latch.X, n.Level)
 	}
 	return nref{}, nil
 }
@@ -598,14 +469,14 @@ func (t *Tree) splitIndex(o *opCtx, aa logUpdater, node *nref, k keys.Key, searc
 // nodes A (low half, side pointer to B) and B (high half), and the root
 // becomes an index node one level up with two key terms. The root page
 // never moves. Returns the half covering searchKey, X-latched.
-func (t *Tree) growRoot(o *opCtx, aa logUpdater, root *nref, k keys.Key, searchKey keys.Key) (nref, error) {
-	n := root.n
+func (t *Tree) growRoot(o *opCtx, aa storage.UpdateLogger, root *nref, k keys.Key, searchKey keys.Key) (nref, error) {
+	n := root.N
 	pre := n.clone()
-	pidB, err := t.store.Alloc(aa, &o.tr)
+	pidB, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
 		return nref{}, err
 	}
-	pidA, err := t.store.Alloc(aa, &o.tr)
+	pidA, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
 		return nref{}, err
 	}
@@ -642,13 +513,13 @@ func (t *Tree) growRoot(o *opCtx, aa logUpdater, root *nref, k keys.Key, searchK
 
 	termA := Entry{Key: nil, Child: pidA}
 	termB := Entry{Key: keys.Clone(k), Child: pidB}
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(root.pid()), KindRootGrow, encRootGrow(termA, termB, pre))
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(root.Pid()), KindRootGrow, encRootGrow(termA, termB, pre))
 	n.Level++
 	n.Entries = []Entry{termA, termB}
 	n.Rect = EntireRect()
 	n.KeySib = storage.NilPage
 	n.HistSib = storage.NilPage
-	root.f.MarkDirty(lsn)
+	root.F.MarkDirty(lsn)
 	t.Stats.RootGrowths.Add(1)
 	t.Stats.ClippedTerms.Add(int64(clippedB))
 
@@ -656,5 +527,5 @@ func (t *Tree) growRoot(o *opCtx, aa logUpdater, root *nref, k keys.Key, searchK
 	if keys.Compare(searchKey, k) >= 0 {
 		pid = pidB
 	}
-	return o.acquire(pid, latch.X, pre.Level)
+	return o.Acquire(pid, latch.X, pre.Level)
 }

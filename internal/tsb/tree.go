@@ -10,6 +10,7 @@ import (
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/maint"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -117,11 +118,11 @@ type Stats struct {
 	// version slots dropped from retired nodes; GCRetiredNodes counts the
 	// nodes. SnapshotHistWalks counts history-sibling steps taken by
 	// snapshot point reads chasing invisible versions.
-	SnapshotGets     atomic.Int64
-	SnapshotScans    atomic.Int64
-	SnapshotHistWalks atomic.Int64
-	GCPasses           atomic.Int64
-	GCRetiredNodes     atomic.Int64
+	SnapshotGets        atomic.Int64
+	SnapshotScans       atomic.Int64
+	SnapshotHistWalks   atomic.Int64
+	GCPasses            atomic.Int64
+	GCRetiredNodes      atomic.Int64
 	GCReclaimedVersions atomic.Int64
 	GCRemovedTerms      atomic.Int64
 
@@ -152,9 +153,9 @@ type Tree struct {
 	binding *Binding
 	opts    Options
 	root    storage.PageID
+	kern    *pitree.Kernel[*Node, point]
 	comp    *completer
 	clock   atomic.Uint64
-	opPool  sync.Pool
 	// gcMu serializes GC passes: two concurrent passes over one chain
 	// would race to retire the same victim, and the loser's atomic-action
 	// abort would re-post index terms the winner removed. Page reclamation
@@ -167,77 +168,26 @@ type Tree struct {
 	// unrelated node — so postTerm consults this set first.
 	deadPages sync.Map
 
-	// rootf caches the root's buffer frame with one permanent pin (the
-	// root page ID is fixed and the root is never de-allocated); see the
-	// core package's rootFrame.
-	rootf atomic.Pointer[storage.Frame]
-
 	Stats Stats
 }
 
 // ErrKeyNotFound reports a missing (or deleted-as-of) key.
 var ErrKeyNotFound = errors.New("tsb: key not found")
 
-var errRetry = errors.New("tsb: internal retry")
-
-// errLevelGone reports a descent target level above the current root; the
-// posting that wanted it is obsolete until the root grows, and side
-// traversals will reschedule it.
-var errLevelGone = errors.New("tsb: target level does not exist yet")
-
 // Create builds a new TSB tree: a level-1 index root over one data node
 // covering all keys at all times. One atomic action.
 func Create(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, name string, opts Options) (*Tree, error) {
 	t := &Tree{Name: name, lockSpace: lock.SpaceID("tsb", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized()}
-	aa := tm.BeginAtomicAction()
-	o := t.newOp(nil)
-
-	if f, err := store.Pool.Fetch(storage.MetaPage); err == nil {
-		store.Pool.Unpin(f)
-	} else if errors.Is(err, storage.ErrPageNotFound) {
-		if err := store.Bootstrap(aa); err != nil {
-			return nil, err
+	rootPid, err := pitree.Create(store, tm, name, 2, KindFormat, func(pids []storage.PageID) []*Node {
+		return []*Node{
+			{Level: 1, Rect: EntireRect(), Entries: []Entry{{Child: pids[1], ChildRect: EntireRect()}}},
+			{Level: 0, Rect: EntireRect()},
 		}
-	} else {
-		return nil, err
-	}
-
-	rootPid, err := store.Alloc(aa, &o.tr)
+	}, encNodeImage)
 	if err != nil {
 		return nil, err
 	}
-	dataPid, err := store.Alloc(aa, &o.tr)
-	if err != nil {
-		return nil, err
-	}
-
-	data := &Node{Level: 0, Rect: EntireRect()}
-	root := &Node{Level: 1, Rect: EntireRect(), Entries: []Entry{{Child: dataPid, ChildRect: EntireRect()}}}
-	for _, nn := range []struct {
-		pid  storage.PageID
-		node *Node
-	}{{dataPid, data}, {rootPid, root}} {
-		f, err := store.Pool.Create(nn.pid)
-		if err != nil {
-			return nil, err
-		}
-		f.Latch.AcquireX()
-		lsn := aa.LogUpdate(store.Pool.StoreID, uint64(nn.pid), KindFormat, encNodeImage(nn.node))
-		f.Data = nn.node
-		f.MarkDirty(lsn)
-		f.Latch.ReleaseX()
-		store.Pool.Unpin(f)
-	}
-	if err := store.SetRoot(aa, &o.tr, name, rootPid); err != nil {
-		return nil, err
-	}
-	if err := aa.Commit(); err != nil {
-		return nil, err
-	}
-	t.root = rootPid
-	t.comp = newCompleter(t)
-	b.Bind(t)
-	tm.SetVersionClock(t.Now, t.tick)
+	t.start(rootPid)
 	return t, nil
 }
 
@@ -256,11 +206,9 @@ func Open(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, n
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{Name: name, lockSpace: lock.SpaceID("tsb", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized(), root: rootPid}
+	t := &Tree{Name: name, lockSpace: lock.SpaceID("tsb", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized()}
 	t.clock.Store(tm.RecoveredClockHW())
-	t.comp = newCompleter(t)
-	b.Bind(t)
-	tm.SetVersionClock(t.Now, t.tick)
+	t.start(rootPid)
 	return t, nil
 }
 
@@ -269,32 +217,12 @@ func Open(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, n
 // Draining first means a close-then-reopen never recovers against a
 // structure change that was scheduled but silently dropped.
 func (t *Tree) Close() {
-	t.comp.closeDrain()
-	if f := t.rootf.Swap(nil); f != nil {
-		t.store.Pool.Unpin(f)
-	}
-}
-
-// rootFrame returns the root's frame pinned for the caller via the cache
-// in t.rootf; the first call keeps one extra permanent pin.
-func (t *Tree) rootFrame() (*storage.Frame, error) {
-	if f := t.rootf.Load(); f != nil {
-		f.Pin()
-		return f, nil
-	}
-	f, err := t.store.Pool.Fetch(t.root)
-	if err != nil {
-		return nil, err
-	}
-	if !t.rootf.CompareAndSwap(nil, f) {
-		return f, nil // lost the cache race; our fetch pin is the caller's
-	}
-	f.Pin()
-	return f, nil
+	t.comp.CloseDrain()
+	t.kern.Close()
 }
 
 // DrainCompletions blocks until all scheduled completing actions ran.
-func (t *Tree) DrainCompletions() { t.comp.drain() }
+func (t *Tree) DrainCompletions() { t.comp.Drain() }
 
 // Now returns the tree's current logical time; versions written later get
 // strictly larger timestamps.
@@ -308,464 +236,133 @@ func (t *Tree) Options() Options { return t.opts }
 
 func (t *Tree) recLockName(k keys.Key) lock.Name { return lock.KeyName(t.lockSpace, k) }
 
-// --- operation context (CNS: one latch at a time) ---------------------------
+// --- protocol kernel binding -------------------------------------------------
 
-type opCtx struct {
-	t   *Tree
-	txn *txn.Txn
-	tr  latch.Tracker
-	seq uint64
+// The operation context, latched node reference, restart sentinels and
+// rank ceiling are the kernel's.
+type (
+	opCtx = pitree.Op[*Node]
+	nref  = pitree.Ref[*Node]
+)
+
+const maxLevel = pitree.MaxLevel
+
+var (
+	errRetry = pitree.ErrRetry
+	// errLevelGone reports a descent target level above the current root;
+	// the posting that wanted it is obsolete until the root grows, and
+	// side traversals will reschedule it.
+	errLevelGone = pitree.ErrLevelGone
+)
+
+// point is the TSB search key: a key at a time.
+type point struct {
+	key  keys.Key
+	time uint64
 }
 
-// newOp checks out a pooled operation context; done returns it. Pooling
-// keeps the tracker's hold slice (and the context itself) off the
-// per-operation allocation path.
-func (t *Tree) newOp(tx *txn.Txn) *opCtx {
-	o, _ := t.opPool.Get().(*opCtx)
-	if o == nil {
-		o = new(opCtx)
+// Side-route tags: which of a node's two side pointers a route follows.
+const (
+	viaKeySib = iota
+	viaHistSib
+)
+
+// space is the TSB tree's side of the kernel contract: key × time
+// rectangles, a key sibling at every level and a history sibling at the
+// data level. Nodes carry no dead mark — a reclaimed tail is unlinked
+// under latches before its page is freed, and coupling keeps readers off
+// it.
+type space struct{ t *Tree }
+
+func (space) Level(n *Node) int   { return n.Level }
+func (space) Dead(*Node) bool     { return false }
+func (space) Clone(n *Node) *Node { return n.clone() }
+
+// Route follows the key sibling until the key range contains the key,
+// then — at the data level only; index nodes span all time — the history
+// sibling until the time range does. A missing history sibling means no
+// history before the tree existed: land here. A history node's key range
+// can be wider than the search path suggests; keys stay inside by
+// construction.
+func (space) Route(n *Node, p point, stop bool) pitree.Route {
+	if !n.Rect.ContainsKey(p.key) {
+		if (n.Rect.KeyLow != nil && keys.Compare(p.key, n.Rect.KeyLow) < 0) || n.KeySib == storage.NilPage {
+			return pitree.Route{Kind: pitree.Restart}
+		}
+		return pitree.Route{Kind: pitree.Side, Pid: n.KeySib, Tag: viaKeySib}
 	}
-	o.t = t
-	o.txn = tx
-	o.seq = 0
-	o.tr.Reset(t.opts.CheckLatchOrder)
-	return o
-}
-
-func (o *opCtx) done() {
-	o.tr.AssertNoneHeld()
-	o.txn = nil
-	o.t.opPool.Put(o)
-}
-
-const maxLevel = 63
-
-func (o *opCtx) rank(level int) latch.Rank {
-	o.seq++
-	return latch.Rank(uint64(maxLevel-level)<<40 | (o.seq & (1<<40 - 1)))
-}
-
-type nref struct {
-	f    *storage.Frame
-	n    *Node
-	mode latch.Mode
-}
-
-func (r *nref) pid() storage.PageID { return r.f.ID }
-
-func (o *opCtx) acquire(pid storage.PageID, mode latch.Mode, level int) (nref, error) {
-	f, err := o.t.store.Pool.Fetch(pid)
-	if err != nil {
-		return nref{}, err
+	if n.IsData() && p.time < n.Rect.TimeLow && n.HistSib != storage.NilPage {
+		return pitree.Route{Kind: pitree.Side, Pid: n.HistSib, Tag: viaHistSib}
 	}
-	f.Latch.Acquire(mode)
-	o.tr.Acquired(&f.Latch, o.rank(level), mode)
-	n, ok := f.Data.(*Node)
+	if stop {
+		return pitree.Route{Kind: pitree.Here}
+	}
+	var e Entry
+	var ok bool
+	if n.Level == 1 {
+		e, ok = n.chooseTerm(p.key, p.time)
+	} else {
+		e, ok = n.keyChildFor(p.key)
+	}
 	if !ok {
-		o.tr.Released(&f.Latch)
-		f.Latch.Release(mode)
-		o.t.store.Pool.Unpin(f)
-		return nref{}, fmt.Errorf("tsb: page %d holds %T, not a node", pid, f.Data)
+		return pitree.Route{Kind: pitree.Restart}
 	}
-	return nref{f: f, n: n, mode: mode}, nil
+	return pitree.Route{Kind: pitree.Child, Pid: e.Child}
 }
 
-func (o *opCtx) release(r *nref) {
-	if r.f == nil {
+// Edge counts a sibling walk and schedules the sibling's posting (lazy
+// completion, §5.1); the tree saves no paths.
+func (s space) Edge(n *Node, f *storage.Frame, r pitree.Route, sched bool, _ any) {
+	if r.Kind != pitree.Side {
 		return
 	}
-	o.tr.Released(&r.f.Latch)
-	r.f.Latch.Release(r.mode)
-	o.t.store.Pool.Unpin(r.f)
-	r.f = nil
-	r.n = nil
-}
-
-func (o *opCtx) promote(r *nref) {
-	r.f.Latch.Promote()
-	o.tr.Promoted(&r.f.Latch)
-	r.mode = latch.X
-}
-
-// step releases cur and acquires pid. Without reclamation no coupling is
-// needed (CNS: nodes are immortal, a saved pointer always names a live
-// node). With Options.Reclaim the target of a saved pointer may have been
-// freed — and its page recycled — between the release and the acquire, so
-// the step latch-couples: the reaper removes a page's last reference
-// under the referencer's X latch before freeing, so a reader holding the
-// source while acquiring the target either passes before the cut or
-// finds the edge already gone.
-func (t *Tree) step(o *opCtx, cur *nref, pid storage.PageID, mode latch.Mode, level int) (nref, error) {
-	if t.opts.Reclaim {
-		next, err := o.acquire(pid, mode, level)
-		o.release(cur)
-		return next, err
+	if r.Tag == viaKeySib {
+		s.t.Stats.KeySibWalks.Add(1)
+		if sched {
+			s.t.noteKeySibling(n)
+		}
+		return
 	}
-	o.release(cur)
-	return o.acquire(pid, mode, level)
+	s.t.Stats.HistSibWalks.Add(1)
+	if sched {
+		s.t.noteHistSibling(n)
+	}
+}
+
+// start binds the tree to its root: the kernel, the completion queue,
+// the recovery binding and the version clock.
+func (t *Tree) start(root storage.PageID) {
+	t.root = root
+	t.kern = pitree.New[*Node, point](pitree.Config{
+		Name: "tsb",
+		Pool: t.store.Pool,
+		Root: root,
+		// Without reclamation nodes are immortal (CNS) and a saved pointer
+		// always names a live node. With it the target of a history edge may
+		// have been freed — and its page recycled — so edges couple: the
+		// reaper removes a page's last reference under the referencer's X
+		// latch before freeing, and a reader holding the source while
+		// acquiring the target either passes before the cut or finds the
+		// edge already gone.
+		Couple:              t.opts.Reclaim,
+		Pessimistic:         t.opts.PessimisticDescent,
+		CheckLatchOrder:     t.opts.CheckLatchOrder,
+		Restarts:            &t.Stats.Restarts,
+		OptimisticHits:      &t.Stats.OptimisticHits,
+		OptimisticRetries:   &t.Stats.OptimisticRetries,
+		OptimisticFallbacks: &t.Stats.OptimisticFallbacks,
+	}, space{t})
+	t.comp = newCompleter(t)
+	t.binding.Bind(t)
+	t.tm.SetVersionClock(t.Now, t.tick)
 }
 
 // descend walks from the root to the node at stopLevel whose directly
 // contained rectangle includes (k, time), latched in finalMode. Sibling
 // traversals at any level schedule the corresponding completing posting
-// when sched is true. Interior levels are navigated optimistically
-// (version-validated snapshot reads, no latches); after bounded
-// validation failures the descent falls back to the latched path.
+// when sched is true.
 func (t *Tree) descend(o *opCtx, k keys.Key, time uint64, stopLevel int, finalMode latch.Mode, sched bool) (nref, error) {
-	if !t.opts.PessimisticDescent {
-		if r, err, ok := t.descendOptimistic(o, k, time, stopLevel, finalMode, sched); ok {
-			return r, err
-		}
-		t.Stats.OptimisticFallbacks.Add(1)
-	}
-	return t.descendLatched(o, k, time, stopLevel, finalMode, sched)
-}
-
-// descendLatched is the fully latched descent (CNS: one latch at a
-// time).
-func (t *Tree) descendLatched(o *opCtx, k keys.Key, time uint64, stopLevel int, finalMode latch.Mode, sched bool) (nref, error) {
-	cur, err := o.acquire(t.root, latch.S, maxLevel)
-	if err != nil {
-		return nref{}, err
-	}
-	if cur.n.Level < stopLevel {
-		o.release(&cur)
-		return nref{}, errLevelGone
-	}
-	if cur.n.Level == stopLevel && finalMode != latch.S {
-		lvl := cur.n.Level
-		o.release(&cur)
-		cur, err = o.acquire(t.root, finalMode, lvl)
-		if err != nil {
-			return nref{}, err
-		}
-		if cur.n.Level != stopLevel {
-			o.release(&cur)
-			return nref{}, errRetry
-		}
-	}
-	return t.descendFrom(o, cur, k, time, stopLevel, finalMode, sched)
-}
-
-// descendFrom continues a latched descent from cur (already latched, at
-// or above stopLevel). The optimistic descent also lands here for the
-// final level's sibling traversals, which always run latched.
-func (t *Tree) descendFrom(o *opCtx, cur nref, k keys.Key, time uint64, stopLevel int, finalMode latch.Mode, sched bool) (nref, error) {
-	for {
-		// Key-sibling traversal (any level).
-		for !cur.n.Rect.ContainsKey(k) {
-			if cur.n.Rect.KeyLow != nil && keys.Compare(k, cur.n.Rect.KeyLow) < 0 {
-				o.release(&cur)
-				return nref{}, errRetry
-			}
-			sib := cur.n.KeySib
-			if sib == storage.NilPage {
-				o.release(&cur)
-				return nref{}, errRetry
-			}
-			t.Stats.KeySibWalks.Add(1)
-			if sched {
-				t.noteKeySibling(cur.n, cur.pid())
-			}
-			next, err := t.step(o, &cur, sib, cur.mode, cur.n.Level)
-			if err != nil {
-				return nref{}, err
-			}
-			cur = next
-		}
-		// History-sibling traversal (data level only; index nodes span
-		// all time).
-		for cur.n.IsData() && time < cur.n.Rect.TimeLow {
-			hist := cur.n.HistSib
-			if hist == storage.NilPage {
-				// No history before the tree existed: land here.
-				break
-			}
-			t.Stats.HistSibWalks.Add(1)
-			if sched {
-				t.noteHistSibling(cur.n)
-			}
-			next, err := t.step(o, &cur, hist, cur.mode, cur.n.Level)
-			if err != nil {
-				return nref{}, err
-			}
-			cur = next
-			// A history node's key range can be wider than the search
-			// path suggests; keys stay inside by construction.
-		}
-		if cur.n.Level == stopLevel {
-			return cur, nil
-		}
-		var child storage.PageID
-		if cur.n.Level == 1 {
-			e, ok := cur.n.chooseTerm(k, time)
-			if !ok {
-				o.release(&cur)
-				return nref{}, errRetry
-			}
-			child = e.Child
-		} else {
-			e, ok := cur.n.keyChildFor(k)
-			if !ok {
-				o.release(&cur)
-				return nref{}, errRetry
-			}
-			child = e.Child
-		}
-		childLevel := cur.n.Level - 1
-		childMode := latch.S
-		if childLevel == stopLevel {
-			childMode = finalMode
-		}
-		next, err := t.step(o, &cur, child, childMode, childLevel)
-		if err != nil {
-			return nref{}, err
-		}
-		cur = next
-	}
-}
-
-// --- optimistic descent ------------------------------------------------------
-
-// optRetries bounds full-descent restarts after validation failures
-// before the operation falls back to the latched path.
-const optRetries = 3
-
-// navRef is an unlatched, pinned view of a node: an immutable snapshot n
-// proved current at latch version v. The pin keeps the frame (and its
-// version counter) from being recycled while the reference is live.
-type navRef struct {
-	f *storage.Frame
-	n *Node
-	v uint64
-}
-
-// optCounters accumulates a descent's snapshot-read outcomes locally;
-// the shared Stats words are touched once per operation, not per level.
-type optCounters struct {
-	hits    int64
-	retries int64
-}
-
-// navLoad returns a validated snapshot of the pinned frame f; see the
-// core package's navLoad for the protocol. ok is false when the frame
-// does not hold a node (the caller falls back to the latched path).
-func (t *Tree) navLoad(f *storage.Frame, c *optCounters) (navRef, bool) {
-	if data, pub, ok := f.NavSnapshot(); ok {
-		if v, quiet := f.Latch.OptimisticRead(); quiet && v == pub {
-			n, isNode := data.(*Node)
-			if !isNode {
-				return navRef{}, false
-			}
-			c.hits++
-			return navRef{f: f, n: n, v: v}, true
-		}
-		c.retries++
-	}
-	f.Latch.AcquireS()
-	n, isNode := f.Data.(*Node)
-	if !isNode {
-		f.Latch.ReleaseS()
-		return navRef{}, false
-	}
-	snap := n.clone()
-	v := f.Latch.Version()
-	f.PublishNav(snap, v)
-	f.Latch.ReleaseS()
-	return navRef{f: f, n: snap, v: v}, true
-}
-
-// descendOptimistic runs bounded optimistic passes from the root; ok is
-// false when the budget is exhausted and the caller must fall back.
-func (t *Tree) descendOptimistic(o *opCtx, k keys.Key, time uint64, stopLevel int, finalMode latch.Mode, sched bool) (nref, error, bool) {
-	var c optCounters
-	r, err, ok := nref{}, error(nil), false
-	for attempt := 0; attempt <= optRetries; attempt++ {
-		var done bool
-		r, err, done = t.optPass(o, &c, k, time, stopLevel, finalMode, sched)
-		if done {
-			ok = true
-			break
-		}
-	}
-	if c.hits > 0 {
-		t.Stats.OptimisticHits.Add(c.hits)
-	}
-	if c.retries > 0 {
-		t.Stats.OptimisticRetries.Add(c.retries)
-	}
-	return r, err, ok
-}
-
-// optPass is one optimistic descent from the root. The TSB tree obeys
-// the CNS invariant — nodes never move and index nodes are never
-// de-allocated — so a pointer read from a validated snapshot always
-// names a live node and no source re-validation is needed after
-// following it: a stale snapshot routes exactly like a slightly earlier
-// latched reader, and sibling pointers make every well-formed state
-// navigable. Validation here only bounds staleness (navLoad refreshes a
-// snapshot whose version moved). The one exception is the final
-// level-1→data edge under Options.Reclaim: data pages CAN then be freed
-// and recycled, so after latching the child the source snapshot is
-// re-validated, exactly like the core (CP) tree's final edge — a stale
-// term in an old snapshot must not hand back a recycled page. The final
-// node is latched in finalMode; history-sibling walks happen only at the
-// data level, which is the stop level for every data access, so they
-// always run latched in descendFrom.
-func (t *Tree) optPass(o *opCtx, c *optCounters, k keys.Key, time uint64, stopLevel int, finalMode latch.Mode, sched bool) (nref, error, bool) {
-	pool := t.store.Pool
-	f, err := t.rootFrame()
-	if err != nil {
-		return nref{}, err, true
-	}
-	cur, ok := t.navLoad(f, c)
-	if !ok {
-		pool.Unpin(f)
-		return nref{}, nil, false
-	}
-	if cur.n.Level < stopLevel {
-		pool.Unpin(f)
-		return nref{}, errLevelGone, true
-	}
-	if cur.n.Level == stopLevel {
-		// The root is the target: latch it and re-check like the latched
-		// path does (the root never moves).
-		lvl := cur.n.Level
-		pool.Unpin(f)
-		r, err := o.acquire(t.root, finalMode, lvl)
-		if err != nil {
-			return nref{}, err, true
-		}
-		if r.n.Level != stopLevel {
-			o.release(&r)
-			return nref{}, errRetry, true
-		}
-		r2, err := t.descendFrom(o, r, k, time, stopLevel, finalMode, sched)
-		return r2, err, true
-	}
-
-	for {
-		// Key-sibling traversal on validated snapshots. (History-sibling
-		// walks never occur here: they exist only at the data level.)
-		if !cur.n.Rect.ContainsKey(k) {
-			if cur.n.Rect.KeyLow != nil && keys.Compare(k, cur.n.Rect.KeyLow) < 0 {
-				pool.Unpin(cur.f)
-				return nref{}, errRetry, true
-			}
-			sib := cur.n.KeySib
-			if sib == storage.NilPage {
-				pool.Unpin(cur.f)
-				return nref{}, errRetry, true
-			}
-			t.Stats.KeySibWalks.Add(1)
-			if sched {
-				t.noteKeySibling(cur.n, cur.f.ID)
-			}
-			next, err, done := t.optStep(cur, c, sib, cur.n.Level)
-			if !done {
-				return nref{}, nil, false
-			}
-			if err != nil {
-				return nref{}, err, true
-			}
-			cur = next
-			continue
-		}
-
-		var child storage.PageID
-		if cur.n.Level == 1 {
-			e, ok := cur.n.chooseTerm(k, time)
-			if !ok {
-				pool.Unpin(cur.f)
-				return nref{}, errRetry, true
-			}
-			child = e.Child
-		} else {
-			e, ok := cur.n.keyChildFor(k)
-			if !ok {
-				pool.Unpin(cur.f)
-				return nref{}, errRetry, true
-			}
-			child = e.Child
-		}
-		childLevel := cur.n.Level - 1
-		if childLevel == stopLevel {
-			// Final edge: latch the child in finalMode. Without Reclaim no
-			// source validation is needed — the child is immortal. With it,
-			// the term may be stale and the page freed or recycled: prove
-			// the source snapshot still current after the acquire (and
-			// blame staleness, not I/O, for a failed fetch) before
-			// trusting the child.
-			r, err := o.acquire(child, finalMode, childLevel)
-			if t.opts.Reclaim {
-				if err != nil {
-					stale := !cur.f.Latch.Validate(cur.v)
-					pool.Unpin(cur.f)
-					if stale {
-						return nref{}, nil, false
-					}
-					return nref{}, err, true
-				}
-				if !cur.f.Latch.Validate(cur.v) {
-					o.release(&r)
-					pool.Unpin(cur.f)
-					return nref{}, nil, false
-				}
-			}
-			pool.Unpin(cur.f)
-			if err != nil {
-				return nref{}, err, true
-			}
-			if r.n.Level != stopLevel {
-				o.release(&r)
-				return nref{}, nil, false
-			}
-			r2, err := t.descendFrom(o, r, k, time, stopLevel, finalMode, sched)
-			return r2, err, true
-		}
-		next, err, done := t.optStep(cur, c, child, childLevel)
-		if !done {
-			return nref{}, nil, false
-		}
-		if err != nil {
-			return nref{}, err, true
-		}
-		cur = next
-	}
-}
-
-// optStep follows one edge from cur to pid (expected at level). cur's
-// pin is consumed. CNS: the target is immortal, so no source
-// re-validation is performed after loading it. done=false aborts the
-// pass (non-node frame or defensive level mismatch).
-func (t *Tree) optStep(cur navRef, c *optCounters, pid storage.PageID, level int) (navRef, error, bool) {
-	pool := t.store.Pool
-	pool.Unpin(cur.f)
-	nf, err := pool.Fetch(pid)
-	if err != nil {
-		return navRef{}, err, true
-	}
-	next, ok := t.navLoad(nf, c)
-	if !ok {
-		pool.Unpin(nf)
-		return navRef{}, nil, false
-	}
-	if next.n.Level != level {
-		pool.Unpin(nf)
-		return navRef{}, nil, false
-	}
-	return next, nil, true
-}
-
-func (t *Tree) retryLoop(fn func() error) error {
-	for {
-		err := fn()
-		if errors.Is(err, errRetry) {
-			t.Stats.Restarts.Add(1)
-			continue
-		}
-		return err
-	}
+	return t.kern.Descend(o, point{k, time}, stopLevel, finalMode, sched, nil)
 }
 
 // --- public operations -------------------------------------------------------
@@ -784,27 +381,21 @@ func (t *Tree) Delete(tx *txn.Txn, key keys.Key) error {
 
 func (t *Tree) put(tx *txn.Txn, key keys.Key, value []byte, deleted bool) error {
 	t.Stats.Puts.Add(1)
-	return t.retryLoop(func() error {
-		o := t.newOp(tx)
-		defer o.done()
+	return t.kern.RetryLoop(tx, func(o *opCtx) error {
 		leaf, err := t.descend(o, key, NoEnd-1, 0, latch.U, true)
 		if err != nil {
 			return err
 		}
-		if !leaf.n.Current() {
+		if !leaf.N.Current() {
 			// Writes must land on a current node; an approximate descent
 			// that ends in history restarts (selection makes this rare).
-			o.release(&leaf)
+			o.Release(&leaf)
 			return errRetry
 		}
-		if tx != nil && !tx.TryLock(t.recLockName(key), lock.X) {
-			o.release(&leaf)
-			if err := tx.Lock(t.recLockName(key), lock.X); err != nil {
-				return err
-			}
-			return errRetry
+		if err := o.LockDance(tx, &leaf, t.recLockName(key), lock.X); err != nil {
+			return err
 		}
-		if len(leaf.n.Entries) >= t.opts.DataCapacity {
+		if len(leaf.N.Entries) >= t.opts.DataCapacity {
 			if err := t.splitData(o, &leaf); err != nil {
 				return err
 			}
@@ -816,23 +407,23 @@ func (t *Tree) put(tx *txn.Txn, key keys.Key, value []byte, deleted bool) error 
 		} else {
 			lg = t.tm.BeginAtomicAction()
 		}
-		o.promote(&leaf)
+		o.Promote(&leaf)
 		ts := t.tick()
 		var writer wal.TxnID
 		if tx != nil {
 			writer = tx.ID // snapshot visibility resolves it; AA puts (0) are atomic under the latch
 		}
 		e := Entry{Key: keys.Clone(key), Start: ts, Value: append([]byte(nil), value...), Deleted: deleted, Txn: writer}
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.pid()), KindPut, encPut(e))
-		leaf.n.insertVersion(e)
-		leaf.f.MarkDirty(lsn)
+		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindPut, encPut(e))
+		leaf.N.insertVersion(e)
+		leaf.F.MarkDirty(lsn)
 		if tx == nil {
 			if cerr := lg.Commit(); cerr != nil {
-				o.release(&leaf)
+				o.Release(&leaf)
 				return cerr
 			}
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return nil
 	})
 }
@@ -849,29 +440,23 @@ func (t *Tree) GetAsOf(tx *txn.Txn, key keys.Key, time uint64) ([]byte, bool, er
 	t.Stats.Gets.Add(1)
 	var val []byte
 	var found bool
-	err := t.retryLoop(func() error {
-		o := t.newOp(tx)
-		defer o.done()
+	err := t.kern.RetryLoop(tx, func(o *opCtx) error {
 		leaf, err := t.descend(o, key, time, 0, latch.S, true)
 		if err != nil {
 			return err
 		}
-		if tx != nil && time >= t.Now() {
-			if !tx.TryLock(t.recLockName(key), lock.S) {
-				o.release(&leaf)
-				if err := tx.Lock(t.recLockName(key), lock.S); err != nil {
-					return err
-				}
-				return errRetry
+		if time >= t.Now() {
+			if err := o.LockDance(tx, &leaf, t.recLockName(key), lock.S); err != nil {
+				return err
 			}
 		}
-		if i, ok := leaf.n.searchVersion(key, time); ok && !leaf.n.Entries[i].Deleted {
-			val = append([]byte(nil), leaf.n.Entries[i].Value...)
+		if i, ok := leaf.N.searchVersion(key, time); ok && !leaf.N.Entries[i].Deleted {
+			val = append([]byte(nil), leaf.N.Entries[i].Value...)
 			found = true
 		} else {
 			val, found = nil, false
 		}
-		o.release(&leaf)
+		o.Release(&leaf)
 		return nil
 	})
 	return val, found, err
@@ -889,10 +474,8 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 		var batch []rec
 		var next keys.Key
 		done := false
-		err := t.retryLoop(func() error {
+		err := t.kern.RetryLoop(nil, func(o *opCtx) error {
 			batch = batch[:0]
-			o := t.newOp(nil)
-			defer o.done()
 			leaf, err := t.descend(o, cursor, time, 0, latch.S, true)
 			if err != nil {
 				return err
@@ -909,7 +492,7 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 				}
 				curKey, curVal, curDel = nil, nil, false
 			}
-			for _, e := range leaf.n.Entries {
+			for _, e := range leaf.N.Entries {
 				if keys.Compare(e.Key, cursor) < 0 {
 					continue
 				}
@@ -926,10 +509,10 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 				curVal, curDel = e.Value, e.Deleted
 			}
 			flush()
-			if leaf.n.Rect.KeyHigh.Unbounded {
+			if leaf.N.Rect.KeyHigh.Unbounded {
 				done = true
 			} else {
-				next = keys.Clone(leaf.n.Rect.KeyHigh.Key)
+				next = keys.Clone(leaf.N.Rect.KeyHigh.Key)
 				if hi != nil && keys.Compare(next, hi) >= 0 {
 					done = true
 				}
@@ -938,9 +521,9 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 				// Read-ahead: the key sibling is the next leaf the scan will
 				// descend to; start its disk read under this leaf's latch so
 				// it overlaps the callback work on this batch.
-				t.store.Pool.PrefetchAsync(leaf.n.KeySib)
+				t.store.Pool.PrefetchAsync(leaf.N.KeySib)
 			}
-			o.release(&leaf)
+			o.Release(&leaf)
 			return nil
 		})
 		if err != nil {
@@ -982,9 +565,7 @@ func (t *Tree) logicalUndoPut(rec *wal.Record, e Entry) error {
 	if !ok {
 		return fmt.Errorf("tsb: logical undo for unknown txn %d", rec.TxnID)
 	}
-	return t.retryLoop(func() error {
-		o := t.newOp(nil)
-		defer o.done()
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
 		cur, err := t.descend(o, e.Key, NoEnd-1, 0, latch.U, false)
 		if err != nil {
 			return err
@@ -993,35 +574,35 @@ func (t *Tree) logicalUndoPut(rec *wal.Record, e Entry) error {
 		// a crash mid-undo re-runs the whole logical undo, which is
 		// idempotent. Only the terminal CLR advances past rec.
 		for {
-			if _, ok := cur.n.versionPos(e.Key, e.Start); ok {
+			if _, ok := cur.N.versionPos(e.Key, e.Start); ok {
 				// Fetch the carryover repair before mutating anything:
 				// the chain walk can fail with errRetry, and the whole
 				// undo must be restartable with the node still intact.
 				repair, repaired, err := t.carryRepair(o, &cur, e)
 				if err != nil {
-					o.release(&cur)
+					o.Release(&cur)
 					return err
 				}
-				o.promote(&cur)
-				lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(cur.pid()), KindRemoveVersion, encVersionRef(e.Key, e.Start), rec.LSN)
-				cur.n.removeVersion(e.Key, e.Start)
+				o.Promote(&cur)
+				lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(cur.Pid()), KindRemoveVersion, encVersionRef(e.Key, e.Start), rec.LSN)
+				cur.N.removeVersion(e.Key, e.Start)
 				if repaired {
-					lsn = tx.LogCLR(t.store.Pool.StoreID, uint64(cur.pid()), KindPut, encPut(repair), rec.LSN)
-					cur.n.insertVersion(repair)
+					lsn = tx.LogCLR(t.store.Pool.StoreID, uint64(cur.Pid()), KindPut, encPut(repair), rec.LSN)
+					cur.N.insertVersion(repair)
 				}
-				cur.f.MarkDirty(lsn)
+				cur.F.MarkDirty(lsn)
 			}
-			if cur.n.Rect.TimeLow <= e.Start || cur.n.HistSib == storage.NilPage {
+			if cur.N.Rect.TimeLow <= e.Start || cur.N.HistSib == storage.NilPage {
 				break
 			}
-			hist := cur.n.HistSib
-			next, err := t.step(o, &cur, hist, latch.U, 0)
+			hist := cur.N.HistSib
+			next, err := t.kern.Step(o, &cur, hist, latch.U, 0)
 			if err != nil {
 				return err
 			}
 			cur = next
 		}
-		o.release(&cur)
+		o.Release(&cur)
 		tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
 		return nil
 	})
@@ -1043,37 +624,37 @@ func (t *Tree) logicalUndoPut(rec *wal.Record, e Entry) error {
 // required every newer live node to carry the survivors' newest copies,
 // so the predecessor would have been found before reaching it).
 func (t *Tree) carryRepair(o *opCtx, cur *nref, e Entry) (Entry, bool, error) {
-	if e.Start >= cur.n.Rect.TimeLow || cur.n.HistSib == storage.NilPage {
+	if e.Start >= cur.N.Rect.TimeLow || cur.N.HistSib == storage.NilPage {
 		return Entry{}, false, nil
 	}
-	lo, hi := keyGroup(cur.n, e.Key)
+	lo, hi := keyGroup(cur.N, e.Key)
 	for i := lo; i < hi; i++ {
-		if cur.n.Entries[i].Start < cur.n.Rect.TimeLow && cur.n.Entries[i].Start != e.Start {
+		if cur.N.Entries[i].Start < cur.N.Rect.TimeLow && cur.N.Entries[i].Start != e.Start {
 			return Entry{}, false, nil // another below-TimeLow copy remains
 		}
 	}
 	var prev nref
-	for pid := cur.n.HistSib; pid != storage.NilPage; {
-		h, err := o.acquire(pid, latch.S, 0)
-		o.release(&prev) // no-op on the first edge: cur itself stays held
+	for pid := cur.N.HistSib; pid != storage.NilPage; {
+		h, err := o.Acquire(pid, latch.S, 0)
+		o.Release(&prev) // no-op on the first edge: cur itself stays held
 		if err != nil {
 			return Entry{}, false, err
 		}
-		lo, hi := keyGroup(h.n, e.Key)
+		lo, hi := keyGroup(h.N, e.Key)
 		for i := hi - 1; i >= lo; i-- {
-			if h.n.Entries[i].Start < e.Start {
-				out := cloneEntry(h.n.Entries[i])
-				o.release(&h)
+			if h.N.Entries[i].Start < e.Start {
+				out := cloneEntry(h.N.Entries[i])
+				o.Release(&h)
 				return out, true, nil
 			}
 		}
-		if hi == lo || h.n.Entries[lo].Start >= h.n.Rect.TimeLow {
-			o.release(&h)
+		if hi == lo || h.N.Entries[lo].Start >= h.N.Rect.TimeLow {
+			o.Release(&h)
 			return Entry{}, false, nil
 		}
-		pid = h.n.HistSib
+		pid = h.N.HistSib
 		prev = h
 	}
-	o.release(&prev)
+	o.Release(&prev)
 	return Entry{}, false, nil
 }
