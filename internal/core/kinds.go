@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/enc"
 	"repro/internal/keys"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -178,39 +176,13 @@ func decConsolidateMove(b []byte) (absorbed, pre *Node, err error) {
 // that logical (non-page-oriented) undo can re-traverse. One Binding
 // serves all Π-trees in an engine.
 type Binding struct {
-	mu           sync.RWMutex
-	trees        map[uint32]*Tree
+	pitree.Binding[*Tree]
 	pageOriented bool
 }
 
 // PageOriented reports whether record undo is page-oriented in this
 // engine.
 func (b *Binding) PageOriented() bool { return b.pageOriented }
-
-// Bind registers a tree for its store ID.
-func (b *Binding) Bind(t *Tree) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.trees[t.store.Pool.StoreID] = t
-}
-
-func (b *Binding) tree(storeID uint32) (*Tree, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.trees[storeID]
-	if !ok {
-		return nil, fmt.Errorf("core: no tree bound for store %d", storeID)
-	}
-	return t, nil
-}
-
-func nodeOf(f *storage.Frame) (*Node, error) {
-	n, ok := f.Data.(*Node)
-	if !ok {
-		return nil, fmt.Errorf("core: page %d holds %T, not a node", f.ID, f.Data)
-	}
-	return n, nil
-}
 
 // Register installs the Π-tree record kinds into reg. pageOriented selects
 // the record-undo discipline for data records (§4.2): when true, undo is
@@ -219,7 +191,7 @@ func nodeOf(f *storage.Frame) (*Node, error) {
 // undo re-traverses the tree, and all splits run as independent atomic
 // actions.
 func Register(reg *storage.Registry, pageOriented bool) *Binding {
-	b := &Binding{trees: make(map[uint32]*Tree), pageOriented: pageOriented}
+	b := &Binding{pageOriented: pageOriented}
 
 	reg.Register(KindFormatNode, storage.Handler{
 		Redo: func(f *storage.Frame, rec *wal.Record) error {
@@ -247,11 +219,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 	})
 
 	reg.Register(KindSplitTruncate, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			sep, right, _, err := decSplitTruncate(rec.Payload)
 			if err != nil {
 				return err
@@ -261,7 +229,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.High = keys.At(sep)
 			n.Right = right
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			_, _, pre, err := decSplitTruncate(rec.Payload)
 			if err != nil {
@@ -272,18 +240,14 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 	})
 
 	insertHandler := storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			k, v, err := decKV(rec.Payload)
 			if err != nil {
 				return err
 			}
 			n.insertEntry(Entry{Key: k, Value: v})
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			k, v, err := decKV(rec.Payload)
 			if err != nil {
@@ -293,18 +257,14 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 		},
 	}
 	deleteHandler := storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			k, _, err := decKV(rec.Payload)
 			if err != nil {
 				return err
 			}
 			n.deleteEntry(k)
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			k, v, err := decKV(rec.Payload)
 			if err != nil {
@@ -314,11 +274,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 		},
 	}
 	updateHandler := storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			k, nv, _, err := decKVV(rec.Payload)
 			if err != nil {
 				return err
@@ -327,7 +283,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 				n.Entries[i].Value = nv
 			}
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			k, nv, ov, err := decKVV(rec.Payload)
 			if err != nil {
@@ -342,7 +298,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 		// need undoing against moved records, which is why this mode lets
 		// even data-node splits run outside the transaction (§6).
 		insertHandler.LogicalUndo = func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}
@@ -353,7 +309,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			return t.logicalUndoDelete(rec, k)
 		}
 		deleteHandler.LogicalUndo = func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}
@@ -364,7 +320,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			return t.logicalUndoInsert(rec, k, v)
 		}
 		updateHandler.LogicalUndo = func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}
@@ -380,47 +336,35 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 	reg.Register(KindUpdateRecord, updateHandler)
 
 	reg.Register(KindPostIndexTerm, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			k, child, err := decTerm(rec.Payload)
 			if err != nil {
 				return err
 			}
 			n.insertEntry(Entry{Key: k, Child: child})
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindRemoveIndexTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
 
 	reg.Register(KindRemoveIndexTerm, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			k, _, err := decTerm(rec.Payload)
 			if err != nil {
 				return err
 			}
 			n.deleteEntry(k)
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindPostIndexTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
 
 	reg.Register(KindRootGrow, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			termA, termB, _, err := decRootGrow(rec.Payload)
 			if err != nil {
 				return err
@@ -430,7 +374,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.High = keys.Inf
 			n.Right = storage.NilPage
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			_, _, pre, err := decRootGrow(rec.Payload)
 			if err != nil {
@@ -441,11 +385,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 	})
 
 	reg.Register(KindConsolidateMove, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			absorbed, _, err := decConsolidateMove(rec.Payload)
 			if err != nil {
 				return err
@@ -456,7 +396,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.High = absorbed.High
 			n.Right = absorbed.Right
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			_, pre, err := decConsolidateMove(rec.Payload)
 			if err != nil {
@@ -467,38 +407,26 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 	})
 
 	reg.Register(KindMarkDead, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			n.Dead = true
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindMarkAlive, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID)}, nil
 		},
 	})
 	reg.Register(KindMarkAlive, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			n.Dead = false
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindMarkDead, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID)}, nil
 		},
 	})
 
 	reg.Register(KindRootShrink, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			absorbed, _, err := decConsolidateMove(rec.Payload)
 			if err != nil {
 				return err
@@ -508,7 +436,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.High = absorbed.High
 			n.Right = absorbed.Right
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			_, pre, err := decConsolidateMove(rec.Payload)
 			if err != nil {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/keys"
+	"repro/internal/lock"
+	"repro/internal/txn"
 )
 
 // TestRecordMoveLocksBlockSplit exercises the record-set realization of
@@ -104,4 +107,66 @@ func TestRecordMoveLocksCorrectness(t *testing.T) {
 	if shape2.Records != 40 {
 		t.Fatalf("after restart: records = %d", shape2.Records)
 	}
+}
+
+// TestSplitMoveLockDeadlockDetected: two transactions each fill a leaf
+// with their own inserts (so each holds the page's IX lock), then each
+// inserts into the other's full leaf. Both splits run as independent
+// atomic actions whose move lock waits for the other transaction's IX —
+// a cycle in which every wait belongs to an atomic action, not to the
+// transaction blocked behind it. The detector must see through that: one
+// insert gets ErrDeadlock, and once its transaction aborts the other
+// completes.
+func TestSplitMoveLockDeadlockDetected(t *testing.T) {
+	opts := defaultTestOpts()
+	opts.LeafCapacity = 4
+	fx := newFixture(t, engine.Options{PageOriented: true}, opts)
+	insert := func(tx *txn.Txn, ks ...uint64) {
+		t.Helper()
+		for _, k := range ks {
+			if err := fx.tree.Insert(tx, keys.Uint64(k), val(int(k))); err != nil {
+				t.Fatalf("insert %d: %v", k, err)
+			}
+		}
+	}
+	// The fifth insert splits the root leaf into [0 10] and [20 30 40].
+	insert(nil, 0, 10, 20, 30, 40)
+	txs := [2]*txn.Txn{fx.e.TM.Begin(), fx.e.TM.Begin()}
+	insert(txs[0], 1, 2) // fills the low leaf under txs[0]'s IX
+	insert(txs[1], 50)   // fills the high leaf under txs[1]'s IX
+
+	type result struct {
+		who int
+		err error
+	}
+	results := make(chan result, 2)
+	for who, k := range [2]uint64{25, 5} { // each into the other's leaf
+		go func(who int, k uint64) {
+			results <- result{who, fx.tree.Insert(txs[who], keys.Uint64(k), val(int(k)))}
+		}(who, k)
+	}
+	var victim result
+	select {
+	case victim = <-results:
+	case <-time.After(2 * time.Second):
+		t.Fatal("both inserts still blocked: the splits' move-lock waits form an undetected deadlock")
+	}
+	if !errors.Is(victim.err, lock.ErrDeadlock) {
+		t.Fatalf("first insert to return: %v, want ErrDeadlock", victim.err)
+	}
+	if err := txs[victim.who].Abort(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case survivor := <-results:
+		if survivor.err != nil {
+			t.Fatalf("surviving insert: %v", survivor.err)
+		}
+		if err := txs[survivor.who].Commit(); err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("survivor still blocked after the victim aborted")
+	}
+	fx.mustVerify(t)
 }

@@ -59,117 +59,126 @@ func (t *Tree) SearchInto(tx *txn.Txn, key keys.Key, buf []byte) (val []byte, fo
 // commit).
 func (t *Tree) Insert(tx *txn.Txn, key keys.Key, value []byte) error {
 	t.Stats.Inserts.Add(1)
-	return t.modify(tx, key, func(o *opCtx, leaf *nref, lg storage.UpdateLogger) error {
-		if _, exists := leaf.N.search(key); exists {
-			return ErrKeyExists
-		}
-		o.Promote(leaf)
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertRecord, encKV(key, value))
-		leaf.N.insertEntry(Entry{Key: keys.Clone(key), Value: append([]byte(nil), value...)})
-		leaf.F.MarkDirty(lsn)
-		t.Stats.NoteLeafUtil(len(leaf.N.Entries)-1, len(leaf.N.Entries), t.opts.LeafCapacity)
-		return nil
-	})
+	return t.write(tx, opInsert, []keys.Key{key}, [][]byte{value})
 }
 
 // Update replaces the value of an existing key; ErrKeyNotFound otherwise.
 func (t *Tree) Update(tx *txn.Txn, key keys.Key, value []byte) error {
 	t.Stats.Updates.Add(1)
-	return t.modify(tx, key, func(o *opCtx, leaf *nref, lg storage.UpdateLogger) error {
-		i, exists := leaf.N.search(key)
-		if !exists {
-			return ErrKeyNotFound
-		}
-		o.Promote(leaf)
-		old := leaf.N.Entries[i].Value
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindUpdateRecord, encKVV(key, value, old))
-		leaf.N.Entries[i].Value = append([]byte(nil), value...)
-		leaf.F.MarkDirty(lsn)
-		return nil
-	})
+	return t.write(tx, opUpdate, []keys.Key{key}, [][]byte{value})
 }
 
 // Delete removes key; ErrKeyNotFound if absent. Under the CP invariant a
 // leaf left under-utilized schedules a consolidation attempt (§5.1).
 func (t *Tree) Delete(tx *txn.Txn, key keys.Key) error {
 	t.Stats.Deletes.Add(1)
-	return t.modify(tx, key, func(o *opCtx, leaf *nref, lg storage.UpdateLogger) error {
-		i, exists := leaf.N.search(key)
-		if !exists {
-			return ErrKeyNotFound
-		}
-		o.Promote(leaf)
-		old := leaf.N.Entries[i].Value
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindDeleteRecord, encKV(key, old))
-		leaf.N.deleteEntry(key)
-		leaf.F.MarkDirty(lsn)
-		t.Stats.NoteLeafUtil(len(leaf.N.Entries)+1, len(leaf.N.Entries), t.opts.LeafCapacity)
-		t.maybeScheduleConsolidation(leaf)
-		return nil
-	})
+	return t.write(tx, opDelete, []keys.Key{key}, nil)
 }
 
-// modify is the shared write path: descend with a U latch on the target
-// leaf, take the record X lock and (page-oriented mode) the page IX lock
-// under the No-Wait rule, split if the leaf is full, and then run apply
-// under the X latch. With tx == nil the change is logged in a fresh
-// atomic action that commits immediately.
-func (t *Tree) modify(tx *txn.Txn, key keys.Key, apply func(o *opCtx, leaf *nref, lg storage.UpdateLogger) error) error {
-	return t.kern.RetryLoop(tx, func(o *opCtx) error {
-		path := newPath()
-		leaf, err := t.descendTo(o, key, 0, latch.U, true, path)
-		if err != nil {
-			return err
-		}
-		if err := o.LockDance(tx, &leaf, t.recLockName(key), lock.X); err != nil {
-			return err
-		}
+// writeOp says what a leaf write does with a key it finds or misses.
+type writeOp uint8
 
-		if len(leaf.N.Entries) >= t.opts.LeafCapacity {
-			// Full: split first, then retry the modification. The split
-			// runs either as an independent atomic action or inside tx
-			// (page-oriented mode when tx already updated this node).
-			if err := t.splitLeaf(o, &leaf, path); err != nil {
-				return err
-			}
-			return errRetry
-		}
+const (
+	opInsert writeOp = iota // ErrKeyExists if present
+	opUpdate                // ErrKeyNotFound if absent
+	opDelete                // ErrKeyNotFound if absent
+	opUpsert                // MultiPut: insert or replace
+	opRemove                // MultiDelete: an absent key is skipped
+)
 
-		// Page-granule IX lock marks us as an updater of this leaf, which
-		// is what a later move lock must wait for (§4.2.2). Taken only in
-		// page-oriented mode, and only now that we know we will modify
-		// this page.
-		if tx != nil && t.binding.PageOriented() {
-			if err := o.LockDance(tx, &leaf, t.pageLockName(leaf.Pid()), lock.IX); err != nil {
-				return err
-			}
-		}
+// batched: the Multi* operations count their runs, and count each key as
+// what it turned out to be.
+func (op writeOp) batched() bool { return op >= opUpsert }
 
-		var lg storage.UpdateLogger
-		var aa *txn.Txn
-		if tx != nil {
-			lg = tx
-		} else {
-			aa = t.tm.BeginAtomicAction()
-			lg = aa
-		}
-		err = apply(o, &leaf, lg)
-		// Commit before unlatching: no other action may observe this
-		// action's changes until its commit record is in the log, or a
-		// dependent commit could force the log without it and a crash
-		// would undo a change others built on.
-		if aa != nil {
-			if err != nil {
-				// Nothing was logged; an empty abort keeps the log tidy.
-				_ = aa.Abort()
-			} else if cerr := aa.Commit(); cerr != nil {
-				o.Release(&leaf)
-				return cerr
+// leafWrite is the tree's side of the kernel's leaf update action
+// (pitree.LeafWriter): every write, single-key or batched, is the kernel's
+// Update over ks with these hooks.
+type leafWrite struct {
+	t    *Tree
+	op   writeOp
+	ks   []keys.Key
+	vals [][]byte
+	// path is the current attempt's saved path, for the posting a split
+	// schedules.
+	path *Path
+	// cons is the consolidation a delete found worthwhile under the latch;
+	// After schedules it once the run is committed.
+	cons   consolidateTask
+	shrunk bool
+}
+
+func (t *Tree) write(tx *txn.Txn, op writeOp, ks []keys.Key, vals [][]byte) error {
+	w := &leafWrite{t: t, op: op, ks: ks, vals: vals}
+	return t.kern.Update(tx, len(ks), w.less, w)
+}
+
+func (w *leafWrite) less(i, j int) bool       { return keys.Compare(w.ks[i], w.ks[j]) < 0 }
+func (w *leafWrite) Key(i int) keys.Key       { return w.ks[i] }
+func (w *leafWrite) LockName(i int) lock.Name { return w.t.recLockName(w.ks[i]) }
+
+func (w *leafWrite) Trace() any {
+	w.path = newPath()
+	return w.path
+}
+
+// Full: any write to a full leaf splits it first, whether or not the
+// write itself needs room.
+func (w *leafWrite) Full(n *Node, _ int) bool { return len(n.Entries) >= w.t.opts.LeafCapacity }
+
+func (w *leafWrite) Split(o *opCtx, leaf nref) error { return w.t.splitLeaf(o, &leaf, w.path) }
+
+func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
+	t, n, k := w.t, leaf.N, w.ks[i]
+	batched := w.op.batched()
+	j, exists := n.search(k)
+	var up txn.GroupUpdate
+	switch {
+	case w.op == opDelete || w.op == opRemove:
+		if !exists {
+			if w.op == opRemove {
+				return up, nil
 			}
+			return up, ErrKeyNotFound
 		}
-		o.Release(&leaf)
-		return err
-	})
+		up = txn.GroupUpdate{Kind: KindDeleteRecord, Payload: encKV(k, n.Entries[j].Value)}
+		n.deleteEntry(k)
+		t.Stats.NoteLeafUtil(len(n.Entries)+1, len(n.Entries), t.opts.LeafCapacity)
+		if batched {
+			t.Stats.Deletes.Add(1)
+		}
+		w.cons, w.shrunk = t.consolidationFor(&leaf)
+	case exists:
+		if w.op == opInsert {
+			return up, ErrKeyExists
+		}
+		up = txn.GroupUpdate{Kind: KindUpdateRecord, Payload: encKVV(k, w.vals[i], n.Entries[j].Value)}
+		n.Entries[j].Value = append([]byte(nil), w.vals[i]...)
+		if batched {
+			t.Stats.Updates.Add(1)
+		}
+	default:
+		if w.op == opUpdate {
+			return up, ErrKeyNotFound
+		}
+		up = txn.GroupUpdate{Kind: KindInsertRecord, Payload: encKV(k, w.vals[i])}
+		n.insertEntry(Entry{Key: keys.Clone(k), Value: append([]byte(nil), w.vals[i]...)})
+		t.Stats.NoteLeafUtil(len(n.Entries)-1, len(n.Entries), t.opts.LeafCapacity)
+		if batched {
+			t.Stats.Inserts.Add(1)
+		}
+	}
+	return up, nil
+}
+
+func (w *leafWrite) After(applied int) {
+	if w.op.batched() {
+		w.t.Stats.BatchOps.Add(1)
+		w.t.Stats.LeafVisitsSaved.Add(int64(applied - 1))
+	}
+	if w.shrunk {
+		w.shrunk = false
+		w.t.scheduleConsolidate(w.cons)
+	}
 }
 
 // splitLeaf splits the U-latched leaf. On return the latch is released
@@ -263,7 +272,7 @@ func (t *Tree) handleSplitError(o *opCtx, held *nref, err error) error {
 	if errors.As(err, &pl) {
 		t.Stats.MoveLockWaits.Add(1)
 		w := t.tm.BeginAtomicAction()
-		lerr := w.Lock(pl.name, lock.MV)
+		lerr := o.LockWait(w, pl.name, lock.MV)
 		_ = w.Abort()
 		if lerr != nil {
 			return lerr
@@ -480,23 +489,15 @@ func (t *Tree) schedulePostAfterSplit(path *Path, sep keys.Key, newPid storage.P
 	})
 }
 
-// maybeScheduleConsolidation queues a consolidation attempt for an
-// under-utilized non-root node (CP invariant only).
-func (t *Tree) maybeScheduleConsolidation(r *nref) {
-	if !t.opts.Consolidation || t.opts.NoCompletion {
-		return
+// consolidationFor reports the consolidation attempt worth scheduling
+// for the latched non-root node r, if it is now under-utilized (CP
+// invariant only).
+func (t *Tree) consolidationFor(r *nref) (consolidateTask, bool) {
+	if !t.opts.Consolidation || t.opts.NoCompletion || r.Pid() == t.root ||
+		len(r.N.Entries) >= int(float64(t.opts.LeafCapacity)*t.opts.MinUtilization) {
+		return consolidateTask{}, false
 	}
-	if r.Pid() == t.root {
-		return
-	}
-	if len(r.N.Entries) >= int(float64(t.opts.LeafCapacity)*t.opts.MinUtilization) {
-		return
-	}
-	t.scheduleConsolidate(consolidateTask{
-		level: r.N.Level,
-		low:   keys.Clone(r.N.Low),
-		pid:   r.Pid(),
-	})
+	return consolidateTask{level: r.N.Level, low: keys.Clone(r.N.Low), pid: r.Pid()}, true
 }
 
 // RangeScan calls fn for each key in [lo, hi) in order, stopping early if

@@ -172,6 +172,9 @@ func utilBucket(n, capacity int) int {
 // are entry counts, with a negative value meaning the leaf does not
 // exist on that side (created when old < 0, dropped when new < 0).
 func (s *Stats) NoteLeafUtil(old, newCount, capacity int) {
+	if old >= 0 && newCount >= 0 && utilBucket(old, capacity) == utilBucket(newCount, capacity) {
+		return // most single-entry changes stay in their bucket
+	}
 	if old >= 0 {
 		s.UtilHist[utilBucket(old, capacity)].Add(-1)
 	}
@@ -351,6 +354,7 @@ type space struct{ t *Tree }
 func (space) Level(n *Node) int   { return n.Level }
 func (space) Dead(n *Node) bool   { return n.Dead }
 func (space) Clone(n *Node) *Node { return n.clone() }
+func (space) Writable(*Node) bool { return true }
 
 // Route sends keys at or above High through the side pointer and keys
 // below Low back to the root: those cannot be reached by following right
@@ -393,10 +397,19 @@ func (s space) Edge(n *Node, f *storage.Frame, r pitree.Route, sched bool, trace
 // the recovery binding all need the root's page ID.
 func (t *Tree) start(root storage.PageID) {
 	t.root = root
+	// Page-granule IX lock marks a transaction as an updater of a leaf,
+	// which is what a later move lock must wait for (§4.2.2); only
+	// page-oriented undo needs it.
+	var pageLock func(storage.PageID) lock.Name
+	if t.binding.PageOriented() {
+		pageLock = t.pageLockName
+	}
 	t.kern = pitree.New[*Node, keys.Key](pitree.Config{
 		Name:                "core",
 		Pool:                t.store.Pool,
+		TM:                  t.tm,
 		Root:                root,
+		PageLock:            pageLock,
 		Couple:              t.opts.Consolidation,
 		Pessimistic:         t.opts.PessimisticDescent,
 		CheckLatchOrder:     t.opts.CheckLatchOrder,
@@ -407,7 +420,7 @@ func (t *Tree) start(root storage.PageID) {
 		OptimisticFallbacks: &t.Stats.OptimisticFallbacks,
 	}, space{t})
 	t.comp = newCompleter(t)
-	t.binding.Bind(t)
+	t.binding.Bind(t.store.Pool.StoreID, t)
 }
 
 // descendTo walks from the root to the node at stopLevel whose directly

@@ -104,7 +104,11 @@ type holder struct {
 }
 
 type waiter struct {
-	txn     wal.TxnID
+	txn wal.TxnID
+	// parent, when nonzero, is the transaction whose goroutine is blocked
+	// in this wait on txn's behalf (LockFor); it carries the same
+	// waits-for edges for as long as the wait lasts.
+	parent  wal.TxnID
 	mode    Mode
 	upgrade bool
 	dep     uint64        // lock's depLSN at grant time, published via ready
@@ -374,7 +378,7 @@ func (s *stripe) grantQueued(name Name, ls *lockState) {
 		// The waiter stops waiting now, not when its goroutine next runs:
 		// edges left in the graph until then would let a third party close
 		// a cycle through a transaction that is blocked on nothing.
-		s.det.clear(w.txn)
+		s.det.clear(w)
 		w.ready <- struct{}{}
 	}
 }
@@ -414,7 +418,7 @@ func (s *stripe) releaseLocked(txn wal.TxnID, name Name, depLSN, stable uint64) 
 // with their current blockers. Caller holds s.mu.
 func (s *stripe) rederive(waiters []*waiter, ls *lockState) {
 	for _, w := range waiters {
-		s.det.set(w.txn, ls.blockersOf(w))
+		s.det.set(w, ls.blockersOf(w))
 	}
 }
 
@@ -428,18 +432,21 @@ type detector struct {
 	waitingOn map[wal.TxnID]map[wal.TxnID]struct{}
 }
 
-// blockOrDetect atomically checks whether blocking txn on blockers would
+// blockOrDetect atomically checks whether blocking w on blockers would
 // close a waits-for cycle, and if not, registers the edges. The
 // registration and check are one critical section so that of two
 // transactions concurrently completing a cycle, the second observes the
-// first's edges and aborts.
-func (d *detector) blockOrDetect(txn wal.TxnID, blockers map[wal.TxnID]struct{}) error {
+// first's edges and aborts. A wait made on behalf of a parent blocks the
+// parent too: a path back to either closes a cycle, and both carry the
+// edges, so a transaction waiting for the parent's locks reaches what the
+// parent's atomic action waits for.
+func (d *detector) blockOrDetect(w *waiter, blockers map[wal.TxnID]struct{}) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	seen := make(map[wal.TxnID]struct{})
 	var visit func(t wal.TxnID) bool
 	visit = func(t wal.TxnID) bool {
-		if t == txn {
+		if t == w.txn || t == w.parent { // no transaction has ID 0
 			return true
 		}
 		if _, ok := seen[t]; ok {
@@ -458,26 +465,36 @@ func (d *detector) blockOrDetect(txn wal.TxnID, blockers map[wal.TxnID]struct{})
 			return ErrDeadlock
 		}
 	}
-	d.waitingOn[txn] = blockers
+	d.setLocked(w, blockers)
 	return nil
 }
 
-// set replaces a still-blocked txn's waits-for edges with its current
+// set replaces a still-blocked waiter's waits-for edges with its current
 // blockers. No cycle check runs: a release only ends waits, and the one
 // caller that adds edges — an upgrader jumping the queue — runs its own
 // blockOrDetect next, which sees every cycle the new edges can close
 // (they all lead to the upgrader).
-func (d *detector) set(txn wal.TxnID, blockers map[wal.TxnID]struct{}) {
+func (d *detector) set(w *waiter, blockers map[wal.TxnID]struct{}) {
 	d.mu.Lock()
-	d.waitingOn[txn] = blockers
+	d.setLocked(w, blockers)
 	d.mu.Unlock()
 }
 
-// clear removes txn's waits-for edges when its wait ends: the granter
+func (d *detector) setLocked(w *waiter, blockers map[wal.TxnID]struct{}) {
+	d.waitingOn[w.txn] = blockers
+	if w.parent != 0 {
+		d.waitingOn[w.parent] = blockers
+	}
+}
+
+// clear removes w's waits-for edges when its wait ends: the granter
 // calls it, under the stripe mutex, at the moment of the grant.
-func (d *detector) clear(txn wal.TxnID) {
+func (d *detector) clear(w *waiter) {
 	d.mu.Lock()
-	delete(d.waitingOn, txn)
+	delete(d.waitingOn, w.txn)
+	if w.parent != 0 {
+		delete(d.waitingOn, w.parent)
+	}
 	d.mu.Unlock()
 }
 
@@ -583,6 +600,17 @@ func (m *Manager) Lock(txn wal.TxnID, name Name, mode Mode) error {
 // own commit before the dependency is stable. Dependencies the stable
 // prefix already covers are filtered to zero.
 func (m *Manager) LockDep(txn wal.TxnID, name Name, mode Mode) (uint64, error) {
+	return m.LockFor(txn, 0, name, mode)
+}
+
+// LockFor is LockDep for a transaction whose wait also blocks parent: an
+// atomic action started on a user transaction's goroutine, which cannot
+// run again until the action's lock is granted. While txn waits, parent
+// carries the same waits-for edges (cleared with txn's when the wait
+// ends), so a cycle that closes through the locks parent holds is
+// detected; the victim is whichever request completes the cycle, and it
+// gets ErrDeadlock as usual. A zero parent is plain LockDep.
+func (m *Manager) LockFor(txn, parent wal.TxnID, name Name, mode Mode) (uint64, error) {
 	idx := m.stripeIndex(name)
 	s := &m.stripes[idx]
 	s.mu.Lock()
@@ -622,7 +650,7 @@ func (m *Manager) LockDep(txn wal.TxnID, name Name, mode Mode) (uint64, error) {
 	// blocking. Upgrades go to the head of the queue: the holder already
 	// excludes conflicting newcomers, and queue-jumping bounds the
 	// promotion wait.
-	w := &waiter{txn: txn, mode: mode, upgrade: held, ready: make(chan struct{}, 1)}
+	w := &waiter{txn: txn, parent: parent, mode: mode, upgrade: held, ready: make(chan struct{}, 1)}
 	if held {
 		ls.queue = append(ls.queue, nil)
 		copy(ls.queue[1:], ls.queue)
@@ -640,7 +668,7 @@ func (m *Manager) LockDep(txn wal.TxnID, name Name, mode Mode) (uint64, error) {
 		s.rederive(ls.queue[1:], ls)
 	}
 	blockers := ls.blockersOf(w)
-	if err := m.det.blockOrDetect(txn, blockers); err != nil {
+	if err := m.det.blockOrDetect(w, blockers); err != nil {
 		ls.removeWaiter(w)
 		if held {
 			s.rederive(ls.queue, ls) // the victim no longer queues ahead of them

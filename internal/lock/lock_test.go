@@ -706,3 +706,44 @@ func TestUpgraderBlocksJumpedWaiters(t *testing.T) {
 		}
 	}
 }
+
+// TestLockForBlocksParent: T1's atomic action A waits for b on T1's own
+// goroutine, so T1 cannot run until A is granted. T2, which holds b, then
+// asks for a, which T1 holds: T2→T1 is a real cycle only through the
+// edge T1 carries on A's behalf. T2 must be refused; once it releases, A
+// is granted and both sets of edges are gone — T1 asking for more is not
+// refused on account of a wait that ended.
+func TestLockForBlocksParent(t *testing.T) {
+	const t1, t2, act = 1, 2, 3
+	a, b, c := nm("a"), nm("b"), nm("c")
+	m := NewManager()
+	if err := m.Lock(t1, a, X); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Lock(t2, b, X); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Lock(t2, c, X); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.LockFor(act, t1, b, X)
+		done <- err
+	}()
+	waitForWaiters(t, m, 1)
+	if err := m.Lock(t2, a, X); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("T2 waiting for the blocked action's parent: %v, want ErrDeadlock", err)
+	}
+	m.Unlock(t2, b)
+	if err := <-done; err != nil {
+		t.Fatalf("action's lock after the victim let go: %v", err)
+	}
+	// T2 still holds c. T1 waiting for it is no cycle: T2 waits for nothing.
+	go func() { done <- m.Lock(t1, c, X) }()
+	waitForWaiters(t, m, 2)
+	m.ReleaseAll(t2)
+	if err := <-done; err != nil {
+		t.Fatalf("T1 refused through edges of a wait that had ended: %v", err)
+	}
+}

@@ -138,7 +138,7 @@ func (o *Op[N]) LockDance(tx *txn.Txn, r *Ref[N], name lock.Name, mode lock.Mode
 		return nil
 	}
 	o.Release(r)
-	if err := tx.Lock(name, mode); err != nil {
+	if err := o.LockWait(tx, name, mode); err != nil {
 		return err
 	}
 	return ErrRetry
@@ -156,8 +156,18 @@ func (o *Op[N]) LockDanceBatch(tx *txn.Txn, r *Ref[N], names []lock.Name, mode l
 		return nil
 	}
 	o.Release(r)
-	if err := tx.Lock(names[fail], mode); err != nil {
+	if err := o.LockWait(tx, names[fail], mode); err != nil {
 		return err
 	}
 	return ErrRetry
+}
+
+// LockWait blocks until tx holds name in mode; the caller holds no latch.
+// Every wait that follows a released latch comes through here. When tx
+// is an atomic action running inside the operation's own transaction (a
+// split's move lock, §4.2.2), that transaction is blocked too, and the
+// deadlock detector is told so: a cycle through the locks it holds then
+// has a victim instead of hanging.
+func (o *Op[N]) LockWait(tx *txn.Txn, name lock.Name, mode lock.Mode) error {
+	return tx.LockFor(o.Txn, name, mode)
 }

@@ -16,6 +16,9 @@
 //     re-validates the source after loading the target of every edge;
 //   - RetryLoop and the No-Wait lock dance (§4.1.2), and the atomic
 //     action that creates a tree (Create);
+//   - the leaf update action (Update): every tree's one write path, from
+//     the U-latched descent to the commit before the latch drops, for a
+//     sorted run of one or more keys, and its read-side twin (ReadRuns);
 //   - the completion queue (queue.go) that schedules completing atomic
 //     actions lazily (§5.1).
 //
@@ -32,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/latch"
+	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -73,6 +77,9 @@ type Space[N, K any] interface {
 	Dead(n N) bool
 	// Clone returns an immutable deep copy for a navigation snapshot.
 	Clone(n N) N
+	// Writable reports whether a leaf may take writes; a write whose
+	// descent ends on one that may not (a TSB history node) restarts.
+	Writable(n N) bool
 	// Route answers where key lives relative to n. stop is true when n is
 	// at the descent's target level: a node that directly contains key
 	// then answers Here rather than choosing a child.
@@ -101,6 +108,8 @@ type Config struct {
 	// Name prefixes the kernel's error messages ("core", "tsb", ...).
 	Name string
 	Pool *storage.Pool
+	// TM starts the atomic actions of non-transactional leaf writes.
+	TM *txn.Manager
 	// Root is the root's page ID, fixed for the tree's lifetime; the root
 	// node is never de-allocated.
 	Root storage.PageID
@@ -111,6 +120,11 @@ type Config struct {
 	Couple bool
 	// Pessimistic forces every descent onto the fully latched path.
 	Pessimistic bool
+	// PageLock, when set, names the page-granule lock a transaction takes
+	// in IX mode on every leaf it updates — what a later move lock on the
+	// page must wait for (§4.2.2). Nil for a tree whose record undo is
+	// not page-oriented.
+	PageLock func(storage.PageID) lock.Name
 	// CheckLatchOrder enables the per-operation latch order assertions.
 	CheckLatchOrder bool
 	// IndexHold, when set, records hold durations of U/X latches on index

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/latch"
+	"repro/internal/lock"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -24,10 +26,14 @@ type toyNode struct {
 	dead  bool
 	seps  []int // index nodes: kids[i] is responsible for [seps[i], seps[i+1])
 	kids  []storage.PageID
+	keys  []int // leaves: the stored keys, sorted, at most toyCap
 }
 
 type toy struct {
 	pool *storage.Pool
+	log  *wal.Log
+	lm   *lock.Manager
+	tm   *txn.Manager
 	kern *Kernel[*toyNode, int]
 
 	restarts, hits, retries, fallbacks atomic.Int64
@@ -60,7 +66,9 @@ const (
 // traverse.
 func newToy(t *testing.T, couple, pessimistic bool) *toy {
 	t.Helper()
-	ty := &toy{pool: storage.NewPool(1, storage.NewDisk(), wal.New(), nil, 0), clones: map[*toyNode]int{}}
+	ty := &toy{log: wal.New(), lm: lock.NewManager(), clones: map[*toyNode]int{}}
+	ty.pool = storage.NewPool(1, storage.NewDisk(), ty.log, nil, 0)
+	ty.tm = txn.NewManager(ty.log, ty.lm, storage.NewRegistry(), txn.Options{})
 	inf := math.MaxInt
 	ty.put(t, toyRoot, &toyNode{level: 2, high: inf, seps: []int{0, 100}, kids: []storage.PageID{toyLeft, toyRight}})
 	ty.put(t, toyLeft, &toyNode{level: 1, high: 100, right: toyRight, seps: []int{0, 50}, kids: []storage.PageID{toyLeafA, toyLeafB}})
@@ -70,7 +78,7 @@ func newToy(t *testing.T, couple, pessimistic bool) *toy {
 	ty.put(t, toyLeafC, &toyNode{low: 75, high: 100, right: toyLeafD})
 	ty.put(t, toyLeafD, &toyNode{low: 100, high: inf})
 	ty.kern = New[*toyNode, int](Config{
-		Name: "toy", Pool: ty.pool, Root: toyRoot, Couple: couple, Pessimistic: pessimistic, CheckLatchOrder: true,
+		Name: "toy", Pool: ty.pool, TM: ty.tm, Root: toyRoot, Couple: couple, Pessimistic: pessimistic, CheckLatchOrder: true,
 		Restarts: &ty.restarts, OptimisticHits: &ty.hits, OptimisticRetries: &ty.retries, OptimisticFallbacks: &ty.fallbacks,
 	}, ty)
 	t.Cleanup(ty.kern.Close)
@@ -148,8 +156,9 @@ func (ty *toy) sample() {
 	}
 }
 
-func (ty *toy) Level(n *toyNode) int { ty.sample(); return n.level }
-func (ty *toy) Dead(n *toyNode) bool { ty.sample(); return n.dead }
+func (ty *toy) Level(n *toyNode) int   { ty.sample(); return n.level }
+func (ty *toy) Dead(n *toyNode) bool   { ty.sample(); return n.dead }
+func (ty *toy) Writable(*toyNode) bool { return true }
 
 func (ty *toy) Clone(n *toyNode) *toyNode {
 	ty.clones[n]++

@@ -1,0 +1,282 @@
+package pitree
+
+import (
+	"errors"
+	"sync"
+
+	"repro/internal/latch"
+	"repro/internal/lock"
+	"repro/internal/txn"
+)
+
+// FPBatchApply is the failpoint every leaf write probes once its locks
+// are granted and before anything is logged or applied. An injected crash
+// there lands exactly between two leaf-runs of one batch: some runs fully
+// logged and applied, the rest never started. Recovery must resolve that
+// to the per-record oracle — there is no batch-granule atomicity to
+// restore. (The name predates the kernel; torture rounds arm it by name.)
+const FPBatchApply = "core.batchapply"
+
+// LeafWriter is what a tree supplies to Update: the parts of a leaf write
+// that differ between trees and between operations. Item i is the i-th
+// key of the caller's batch; a single-key write is a batch of one.
+// Methods handed a node or a reference run under its latch and, Split
+// apart, must not block.
+type LeafWriter[N, K any] interface {
+	// Key is item i's search key and LockName its record lock.
+	Key(i int) K
+	LockName(i int) lock.Name
+	// Trace is called once per attempt, before the descent; a non-nil
+	// result is handed to Space.Edge on every edge (a tree that saves its
+	// path starts a fresh one here).
+	Trace() any
+	// Full is the space test: true when applying item i needs room the
+	// leaf lacks. Before a run's first item the leaf is then split and
+	// the attempt restarts; later in a run it ends the run, and the
+	// remainder re-descends into the split leaves.
+	Full(n N, i int) bool
+	// Split splits the U-latched full leaf in its own atomic action (or
+	// however the tree's undo discipline requires). The reference is the
+	// callee's from here on: it releases the latch whatever the outcome,
+	// and after a nil error the attempt restarts.
+	Split(o *Op[N], leaf Ref[N]) error
+	// Apply makes item i's change to the X-latched leaf and returns the
+	// log record describing it, which the kernel appends under the acting
+	// transaction; a nil Payload means the item needed no change. An
+	// error (ErrKeyExists and the like) must be returned before the node
+	// is touched: nothing is logged for the item and the write ends with
+	// that error.
+	Apply(leaf Ref[N], i int) (txn.GroupUpdate, error)
+	// After runs once a run is committed and unlatched, with the number of
+	// items it covered: counters, and scheduling of the consolidation the
+	// run made worthwhile (from what Apply noted under the latch).
+	After(applied int)
+}
+
+// runs walks a batch of items in search-key order, one leaf-run at a
+// time: the items from the cursor on that one leaf directly contains.
+// Pooled, with the run's lock names and log records as scratch, so a
+// steady stream of batches allocates nothing.
+type runs struct {
+	idx   []int // item indices, sorted by key
+	pos   int   // first item not yet done
+	names []lock.Name
+	ups   []txn.GroupUpdate
+}
+
+var runsPool sync.Pool
+
+// takeRuns returns an iterator over items 0..n-1 ordered by less, items
+// that compare equal staying in batch order. Insertion sort: the
+// batch sizes this path is built for are modest, and sort.Slice's
+// closure is a heap allocation the zero-allocation read path cannot
+// afford.
+func takeRuns(n int, less func(i, j int) bool) *runs {
+	rs, _ := runsPool.Get().(*runs)
+	if rs == nil {
+		rs = new(runs)
+	}
+	if cap(rs.idx) < n {
+		rs.idx = make([]int, n)
+	}
+	rs.idx, rs.pos = rs.idx[:n], 0
+	for i := range rs.idx {
+		rs.idx[i] = i
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && less(rs.idx[j], rs.idx[j-1]); j-- {
+			rs.idx[j-1], rs.idx[j] = rs.idx[j], rs.idx[j-1]
+		}
+	}
+	return rs
+}
+
+func (rs *runs) free() {
+	for i := range rs.ups {
+		rs.ups[i] = txn.GroupUpdate{} // drop payload references
+	}
+	rs.ups = rs.ups[:0]
+	runsPool.Put(rs)
+}
+
+// openRun descends to the leaf containing the cursor item — U-latched
+// for a write, S for a read — extends the run over every following item
+// that leaf directly contains (sorted order makes them contiguous), and
+// takes the run's record locks, X or S, under the No-Wait rule — a run of
+// several in one lock-manager interaction. Every batch locks its keys in sorted order, so
+// two batches' acquisition orders agree and these locks alone cannot
+// deadlock batch against batch; a conflict with a single-key writer falls
+// back to the blocking path, where the waits-for detector is the
+// backstop.
+func (k *Kernel[N, K]) openRun(o *Op[N], rs *runs, key func(i int) K, name func(i int) lock.Name, write bool, trace any) (Ref[N], []int, error) {
+	lm, mode := latch.S, lock.S
+	if write {
+		lm, mode = latch.U, lock.X
+	}
+	leaf, err := k.Descend(o, key(rs.idx[rs.pos]), 0, lm, true, trace)
+	if err != nil {
+		return Ref[N]{}, nil, err
+	}
+	if write && !k.sp.Writable(leaf.N) {
+		o.Release(&leaf)
+		return Ref[N]{}, nil, ErrRetry
+	}
+	end := rs.pos + 1
+	for end < len(rs.idx) && k.sp.Route(leaf.N, key(rs.idx[end]), true).Kind == Here {
+		end++
+	}
+	run := rs.idx[rs.pos:end]
+	if o.Txn == nil {
+		return leaf, run, nil
+	}
+	if len(run) == 1 {
+		err = o.LockDance(o.Txn, &leaf, name(run[0]), mode)
+	} else {
+		rs.names = rs.names[:0]
+		for _, i := range run {
+			rs.names = append(rs.names, name(i))
+		}
+		err = o.LockDanceBatch(o.Txn, &leaf, rs.names, mode)
+	}
+	if err != nil {
+		return Ref[N]{}, nil, err
+	}
+	return leaf, run, nil
+}
+
+// Update is the leaf update action, the one write path of every tree
+// (§4.1.2, §4.2.2, §4.3.1). Items 0..n-1, ordered by less (nil for a
+// single item), are applied one leaf-run at a time; for each run:
+//
+//  1. descend with a U latch to the leaf containing the first item, let
+//     the tree admit it (Space.Writable), and extend the run over the
+//     items the leaf directly contains;
+//  2. take the run's record X locks under the No-Wait rule;
+//  3. space-test: a full leaf is split by the tree and the run restarts;
+//  4. take the tree's page-granule updater lock, if it has one
+//     (Config.PageLock) — only now that this page will be modified;
+//  5. log under tx, or with tx == nil under a fresh atomic action;
+//  6. probe FPBatchApply: nothing of the run is logged or applied yet;
+//  7. promote to X, apply item by item until the leaf fills, and append
+//     the run's records — one as a plain update, several as one group;
+//  8. commit the atomic action before unlatching: no other action may
+//     observe its changes until its commit record is in the log, or a
+//     dependent commit could force the log without it and a crash would
+//     undo a change others built on (relative durability);
+//  9. unlatch, and let the tree count and schedule (LeafWriter.After).
+//
+// Undo and redo stay per record, so a crash mid-batch recovers each
+// logged record independently — committed runs stay, the rest never
+// happened.
+func (k *Kernel[N, K]) Update(tx *txn.Txn, n int, less func(i, j int) bool, w LeafWriter[N, K]) error {
+	rs := takeRuns(n, less)
+	defer rs.free()
+	attempt := func(o *Op[N]) error { return k.updateRun(o, rs, w) }
+	for rs.pos < n {
+		if err := k.RetryLoop(tx, attempt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// updateRun is one attempt at the run under the cursor; on success the
+// cursor moves past the items applied.
+func (k *Kernel[N, K]) updateRun(o *Op[N], rs *runs, w LeafWriter[N, K]) error {
+	tx := o.Txn
+	leaf, run, err := k.openRun(o, rs, w.Key, w.LockName, true, w.Trace())
+	if err != nil {
+		return err
+	}
+	if w.Full(leaf.N, run[0]) {
+		if err := w.Split(o, leaf); err != nil {
+			return err
+		}
+		return ErrRetry
+	}
+	if tx != nil && k.s.PageLock != nil {
+		if err := o.LockDance(tx, &leaf, k.s.PageLock(leaf.Pid()), lock.IX); err != nil {
+			return err
+		}
+	}
+	act := tx
+	if act == nil {
+		act = k.s.TM.BeginAtomicAction()
+	}
+
+	ups, applied := rs.ups[:0], 0
+	err = k.s.Pool.Probe(FPBatchApply)
+	if err == nil {
+		o.Promote(&leaf)
+		for _, i := range run {
+			if applied > 0 && w.Full(leaf.N, i) {
+				break
+			}
+			var up txn.GroupUpdate
+			if up, err = w.Apply(leaf, i); err != nil {
+				break
+			}
+			if up.Payload != nil {
+				ups = append(ups, up)
+			}
+			applied++
+		}
+		rs.ups = ups
+	}
+	store, pid := k.s.Pool.StoreID, uint64(leaf.Pid())
+	switch len(ups) {
+	case 0:
+	case 1:
+		leaf.F.MarkDirty(act.LogUpdate(store, pid, ups[0].Kind, ups[0].Payload))
+	default:
+		first, last := act.LogUpdateGroup(store, pid, ups)
+		// Both marks matter: the first publishes a recLSN covering the
+		// whole run if the page was clean, the second advances pageLSN to
+		// the run's last record.
+		leaf.F.MarkDirty(first)
+		leaf.F.MarkDirty(last)
+	}
+	// Commit before unlatching (step 8).
+	if tx == nil {
+		if err != nil && len(ups) == 0 {
+			_ = act.Abort() // nothing logged; an empty abort keeps the log tidy
+		} else if cerr := act.Commit(); cerr != nil {
+			err = cerr
+		}
+	}
+	o.Release(&leaf)
+	if err != nil {
+		return err
+	}
+	rs.pos += applied
+	w.After(applied)
+	return nil
+}
+
+// ReadRuns is the read-side counterpart of Update: items 0..n-1, ordered
+// by less, are looked up with one descent, one S-latch hold and — under
+// a transaction — one lock-manager interaction per distinct leaf. read is
+// handed each latched leaf with the items it directly contains. The
+// retry loop is written out rather than going through RetryLoop, and the
+// callbacks are only ever called, never stored, so a caller's closures
+// stay on its stack: a batch of point reads allocates nothing.
+func (k *Kernel[N, K]) ReadRuns(tx *txn.Txn, n int, less func(i, j int) bool, key func(i int) K, name func(i int) lock.Name, read func(leaf N, run []int)) error {
+	rs := takeRuns(n, less)
+	defer rs.free()
+	for rs.pos < n {
+		o := k.NewOp(tx)
+		leaf, run, err := k.openRun(o, rs, key, name, false, nil)
+		if err == nil {
+			read(leaf.N, run)
+			o.Release(&leaf)
+			rs.pos += len(run)
+		}
+		o.Done()
+		if errors.Is(err, ErrRetry) {
+			k.s.Restarts.Add(1)
+		} else if err != nil {
+			return err
+		}
+	}
+	return nil
+}

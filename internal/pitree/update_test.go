@@ -1,0 +1,290 @@
+package pitree
+
+import (
+	"encoding/binary"
+	"errors"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/fault"
+	"repro/internal/lock"
+	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
+)
+
+// The toy tree's leaf writes: each leaf holds up to toyCap sorted int
+// keys, a write adds keys, and a full leaf splits in place (unlogged — the
+// toy has no recovery) with the upper half reachable through the side
+// pointer only.
+
+const (
+	toyCap             = 4
+	toyKindAdd         = wal.Kind(200)
+	toySplitPage       = storage.PageID(100) // first page ID a toy split allocates
+	toyLockSpace       = 9
+	toyWaitForBlocking = 5 * time.Second
+)
+
+var errToyExists = errors.New("toy: key exists")
+
+// toyWrite is the toy's LeafWriter. Its hooks and counters expose the
+// instants the kernel's Update passes through.
+type toyWrite struct {
+	ty      *toy
+	ks      []int
+	splits  int
+	afters  []int                    // After's argument, per run
+	onApply func(leaf Ref[*toyNode]) // runs in Apply, under the X latch
+}
+
+func (w *toyWrite) less(i, j int) bool { return w.ks[i] < w.ks[j] }
+func (w *toyWrite) Key(i int) int      { return w.ks[i] }
+func (w *toyWrite) Trace() any         { return nil }
+func (w *toyWrite) After(applied int)  { w.afters = append(w.afters, applied) }
+
+func (w *toyWrite) LockName(i int) lock.Name { return toyLockName(w.ks[i]) }
+
+func toyLockName(key int) lock.Name { return lock.PageName(toyLockSpace, uint64(key)) }
+
+func (w *toyWrite) Full(n *toyNode, _ int) bool { return len(n.keys) >= toyCap }
+
+func (w *toyWrite) Split(o *Op[*toyNode], leaf Ref[*toyNode]) error {
+	o.Promote(&leaf)
+	n, mid := leaf.N, len(leaf.N.keys)/2
+	pid := toySplitPage + storage.PageID(w.splits)
+	w.splits++
+	f, err := w.ty.pool.Create(pid)
+	if err != nil {
+		o.Release(&leaf)
+		return err
+	}
+	f.Data = &toyNode{low: n.keys[mid], high: n.high, right: n.right, keys: slices.Clone(n.keys[mid:])}
+	w.ty.pool.Unpin(f)
+	n.high, n.right, n.keys = n.keys[mid], pid, n.keys[:mid]
+	o.Release(&leaf)
+	return nil
+}
+
+func (w *toyWrite) Apply(leaf Ref[*toyNode], i int) (txn.GroupUpdate, error) {
+	if w.onApply != nil {
+		w.onApply(leaf)
+	}
+	n, k := leaf.N, w.ks[i]
+	at, exists := slices.BinarySearch(n.keys, k)
+	if exists {
+		return txn.GroupUpdate{}, errToyExists
+	}
+	n.keys = slices.Insert(n.keys, at, k)
+	return txn.GroupUpdate{Kind: toyKindAdd, Payload: binary.LittleEndian.AppendUint64(nil, uint64(k))}, nil
+}
+
+func (ty *toy) write(tx *txn.Txn, w *toyWrite) error {
+	w.ty = ty
+	return ty.kern.Update(tx, len(w.ks), w.less, w)
+}
+
+// records returns every log record from lsn on.
+func (ty *toy) records(lsn wal.LSN) []wal.Record {
+	var out []wal.Record
+	ty.log.FullImage().Scan(lsn, func(r wal.Record) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
+func recTypes(recs []wal.Record) []wal.RecType {
+	out := make([]wal.RecType, len(recs))
+	for i, r := range recs {
+		out[i] = r.Type
+	}
+	return out
+}
+
+// TestUpdateRunStopsWhenLeafFills: six keys of one leaf's range against a
+// capacity of four. The first run applies four as one group under one
+// atomic action; the remainder re-descends, splits the full leaf, and
+// lands — in key order, whatever the batch order — on the new sibling.
+func TestUpdateRunStopsWhenLeafFills(t *testing.T) {
+	ty := newToy(t, false, false)
+	from := ty.log.EndLSN()
+	w := &toyWrite{ks: []int{5, 1, 6, 2, 4, 3}}
+	if err := ty.write(nil, w); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(w.afters, []int{4, 2}) || w.splits != 1 {
+		t.Fatalf("runs %v, %d splits; want [4 2], 1", w.afters, w.splits)
+	}
+	if got := ty.restarts.Load(); got != 1 {
+		t.Fatalf("%d restarts, want 1 (the split)", got)
+	}
+	if a, b := ty.node(t, toyLeafA).keys, ty.node(t, toySplitPage).keys; !slices.Equal(a, []int{1, 2}) || !slices.Equal(b, []int{3, 4, 5, 6}) {
+		t.Fatalf("leaves hold %v and %v", a, b)
+	}
+	want := []wal.RecType{
+		wal.RecBegin, wal.RecUpdate, wal.RecUpdate, wal.RecUpdate, wal.RecUpdate, wal.RecCommit, wal.RecEnd,
+		wal.RecBegin, wal.RecUpdate, wal.RecUpdate, wal.RecCommit, wal.RecEnd,
+	}
+	recs := ty.records(from)
+	if !slices.Equal(recTypes(recs), want) {
+		t.Fatalf("log holds %v, want %v", recTypes(recs), want)
+	}
+	// Each run's records chain through its own atomic action.
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Type != wal.RecBegin && (recs[i].TxnID != recs[i-1].TxnID || recs[i].PrevLSN != recs[i-1].LSN) {
+			t.Fatalf("record %d (%+v) does not chain to %+v", i, recs[i], recs[i-1])
+		}
+	}
+}
+
+// TestUpdateNoWaitLock: a write meeting a held record lock must drop its
+// latch before it blocks, restart once the lock is granted, and find the
+// lock still held on the retry.
+func TestUpdateNoWaitLock(t *testing.T) {
+	ty := newToy(t, false, false)
+	holder, tx := ty.tm.Begin(), ty.tm.Begin()
+	if err := holder.Lock(toyLockName(10), lock.X); err != nil {
+		t.Fatal(err)
+	}
+	w := &toyWrite{ks: []int{10}}
+	done := make(chan error, 1)
+	go func() { done <- ty.write(tx, w) }()
+
+	deadline := time.Now().Add(toyWaitForBlocking)
+	for waits, _ := ty.lm.Stats(); waits == 0; waits, _ = ty.lm.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("the write never blocked on the held lock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	f, err := ty.pool.Fetch(toyLeafA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Latch.TryAcquireX() {
+		t.Fatal("leaf still latched while its writer waits for a database lock")
+	}
+	f.Latch.ReleaseX()
+	ty.pool.Unpin(f)
+	if len(w.afters) != 0 {
+		t.Fatal("write applied before its lock was granted")
+	}
+
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := ty.restarts.Load(); got != 1 {
+		t.Fatalf("%d restarts, want exactly the one after the wait", got)
+	}
+	if mode, held := ty.lm.HeldMode(tx.ID, toyLockName(10)); !held || mode != lock.X {
+		t.Fatalf("after the retry tx holds %v (held=%v), want X", mode, held)
+	}
+	if !slices.Equal(ty.node(t, toyLeafA).keys, []int{10}) {
+		t.Fatalf("leaf holds %v", ty.node(t, toyLeafA).keys)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUpdateFailpointBeforeLog: the failpoint fires with the run's locks
+// granted and nothing logged or applied; a non-transactional write's
+// atomic action is aborted empty.
+func TestUpdateFailpointBeforeLog(t *testing.T) {
+	ty := newToy(t, false, false)
+	inj := fault.New(1)
+	ty.pool.SetInjector(inj)
+
+	inj.Arm(FPBatchApply, fault.Spec{Kind: fault.Permanent})
+	tx := ty.tm.Begin()
+	from := ty.log.EndLSN()
+	w := &toyWrite{ks: []int{10, 11}}
+	if err := ty.write(tx, w); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("write over the armed failpoint: %v", err)
+	}
+	for _, k := range w.ks {
+		if _, held := ty.lm.HeldMode(tx.ID, toyLockName(k)); !held {
+			t.Fatalf("failpoint fired before key %d was locked", k)
+		}
+	}
+	if recs := ty.records(from); len(recs) != 0 || len(ty.node(t, toyLeafA).keys) != 0 || len(w.afters) != 0 {
+		t.Fatalf("failed run left %d log records, keys %v, %d After calls", len(recs), ty.node(t, toyLeafA).keys, len(w.afters))
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	inj.Arm(FPBatchApply, fault.Spec{Kind: fault.Permanent})
+	from = ty.log.EndLSN()
+	if err := ty.write(nil, &toyWrite{ks: []int{10}}); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("non-transactional write over the armed failpoint: %v", err)
+	}
+	if got, want := recTypes(ty.records(from)), []wal.RecType{wal.RecBegin, wal.RecAbort, wal.RecEnd}; !slices.Equal(got, want) {
+		t.Fatalf("log holds %v, want the empty aborted action %v", got, want)
+	}
+}
+
+// TestUpdateCommitBeforeUnlatch: a reader queued on the leaf's latch
+// while the run is being applied must, the moment it gets the latch, find
+// the atomic action's commit record already in the log. The commit is
+// stalled just before its record is appended, so a latch released first
+// would hand the reader a log without it.
+func TestUpdateCommitBeforeUnlatch(t *testing.T) {
+	ty := newToy(t, false, false)
+	inj := fault.New(1)
+	ty.tm.SetInjector(inj)
+	inj.Arm(txn.FPAACommit, fault.Spec{Delay: 20 * time.Millisecond})
+	from := ty.log.EndLSN()
+	seen := make(chan []wal.RecType, 1)
+	w := &toyWrite{ks: []int{10}}
+	w.onApply = func(leaf Ref[*toyNode]) {
+		f := leaf.F
+		f.Pin()
+		go func() {
+			f.Latch.AcquireS() // granted by the writer's release
+			seen <- recTypes(ty.records(from))
+			f.Latch.ReleaseS()
+			ty.pool.Unpin(f)
+		}()
+	}
+	if err := ty.write(nil, w); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-seen; !slices.Contains(got, wal.RecCommit) {
+		t.Fatalf("latch released with the log at %v: no commit record yet", got)
+	}
+}
+
+// TestUpdateSemanticError: an error from Apply ends the write with
+// nothing changed and no update logged, and After is not called.
+func TestUpdateSemanticError(t *testing.T) {
+	ty := newToy(t, false, false)
+	if err := ty.write(nil, &toyWrite{ks: []int{10}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range []*txn.Txn{nil, ty.tm.Begin()} {
+		from := ty.log.EndLSN()
+		w := &toyWrite{ks: []int{10}}
+		if err := ty.write(tx, w); err != errToyExists {
+			t.Fatalf("duplicate write: %v, want errToyExists unwrapped", err)
+		}
+		for _, r := range ty.records(from) {
+			if r.Type == wal.RecUpdate || r.Type == wal.RecCommit {
+				t.Fatalf("refused write logged %+v", r)
+			}
+		}
+		if len(w.afters) != 0 || !slices.Equal(ty.node(t, toyLeafA).keys, []int{10}) {
+			t.Fatalf("refused write ran After %v, leaf holds %v", w.afters, ty.node(t, toyLeafA).keys)
+		}
+		if tx != nil {
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

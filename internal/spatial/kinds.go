@@ -1,10 +1,8 @@
 package spatial
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/enc"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -234,41 +232,13 @@ func splitHelps(pre *Node, alongX bool, coord uint64) bool {
 // --- binding & registration ---------------------------------------------------
 
 // Binding connects record kinds to live trees for logical undo.
-type Binding struct {
-	mu    sync.RWMutex
-	trees map[uint32]*Tree
-}
-
-// Bind registers a tree for its store ID.
-func (b *Binding) Bind(t *Tree) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.trees[t.store.Pool.StoreID] = t
-}
-
-func (b *Binding) tree(storeID uint32) (*Tree, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.trees[storeID]
-	if !ok {
-		return nil, fmt.Errorf("spatial: no tree bound for store %d", storeID)
-	}
-	return t, nil
-}
-
-func nodeOf(f *storage.Frame) (*Node, error) {
-	n, ok := f.Data.(*Node)
-	if !ok {
-		return nil, fmt.Errorf("spatial: page %d holds %T, not a node", f.ID, f.Data)
-	}
-	return n, nil
-}
+type Binding = pitree.Binding[*Tree]
 
 // Register installs the spatial record kinds. Point undo is logical
 // (re-traversal), so every structure change is an independent atomic
 // action.
 func Register(reg *storage.Registry) *Binding {
-	b := &Binding{trees: make(map[uint32]*Tree)}
+	b := new(Binding)
 
 	restore := func(rec *wal.Record, pre *Node) (storage.Compensation, error) {
 		return storage.Compensation{Kind: KindRestore, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
@@ -295,18 +265,14 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindSplitOff, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			alongX, coord, sib, _, err := decSplitOff(rec.Payload)
 			if err != nil {
 				return err
 			}
 			applySplitOff(n, alongX, coord, sib)
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			_, _, _, pre, err := decSplitOff(rec.Payload)
 			if err != nil {
@@ -316,20 +282,16 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindInsertPoint, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			e, err := decPoint(rec.Payload)
 			if err != nil {
 				return err
 			}
 			n.insertPoint(e)
 			return nil
-		},
+		}),
 		LogicalUndo: func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}
@@ -341,20 +303,16 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindRemovePoint, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			e, err := decPoint(rec.Payload)
 			if err != nil {
 				return err
 			}
 			n.removePoint(e.P)
 			return nil
-		},
+		}),
 		LogicalUndo: func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}
@@ -366,11 +324,7 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindPostTerm, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			e, err := decTerm(rec.Payload)
 			if err != nil {
 				return err
@@ -379,17 +333,13 @@ func Register(reg *storage.Registry) *Binding {
 				n.Entries = append(n.Entries, e)
 			}
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindRemoveTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindRemoveTerm, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			e, err := decTerm(rec.Payload)
 			if err != nil {
 				return err
@@ -398,20 +348,16 @@ func Register(reg *storage.Registry) *Binding {
 				n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
 			}
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindPostTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindAbsorbSib, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			applyAbsorbSib(n)
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			pre, err := decodeNode(enc.NewReader(rec.Payload))
 			if err != nil {
@@ -421,11 +367,7 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindRootGrow, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			termA, termB, _, err := decRootGrow(rec.Payload)
 			if err != nil {
 				return err
@@ -435,7 +377,7 @@ func Register(reg *storage.Registry) *Binding {
 			n.Direct = FullSpace()
 			n.Sibs = nil
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			_, _, pre, err := decRootGrow(rec.Payload)
 			if err != nil {

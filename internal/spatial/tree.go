@@ -207,6 +207,7 @@ type space struct{ t *Tree }
 func (space) Level(n *Node) int   { return n.Level }
 func (space) Dead(*Node) bool     { return false }
 func (space) Clone(n *Node) *Node { return n.clone() }
+func (space) Writable(*Node) bool { return true }
 
 // Route sends a point outside the direct region through the sibling term
 // that was delegated it; the Side route's Tag is that term's index.
@@ -247,6 +248,7 @@ func (t *Tree) start(root storage.PageID) {
 	t.kern = pitree.New[*Node, Point](pitree.Config{
 		Name: "spatial",
 		Pool: t.store.Pool,
+		TM:   t.tm,
 		Root: root,
 		// Pure CNS holds one latch at a time; the target is immortal.
 		// Under Reclaim the absorber holds an edge's source X while it
@@ -261,7 +263,7 @@ func (t *Tree) start(root storage.PageID) {
 		OptimisticFallbacks: &t.Stats.OptimisticFallbacks,
 	}, space{t})
 	t.comp = newCompleter(t)
-	t.binding.Bind(t)
+	t.binding.Bind(t.store.Pool.StoreID, t)
 }
 
 // descend walks to the node at stopLevel whose directly contained region
@@ -277,90 +279,70 @@ func (t *Tree) descend(o *opCtx, p Point, stopLevel int, finalMode latch.Mode, s
 // a nil transaction the insert runs as its own atomic action.
 func (t *Tree) Insert(tx *txn.Txn, p Point, value []byte) error {
 	t.Stats.Inserts.Add(1)
-	return t.kern.RetryLoop(tx, func(o *opCtx) error {
-		leaf, err := t.descend(o, p, 0, latch.U, true)
-		if err != nil {
-			return err
-		}
-		if err := o.LockDance(tx, &leaf, t.recLockName(p), lock.X); err != nil {
-			return err
-		}
-		if _, dup := leaf.N.findPoint(p); dup {
-			o.Release(&leaf)
-			return ErrPointExists
-		}
-		if len(leaf.N.Entries) >= t.opts.DataCapacity {
-			if err := t.splitNodeAction(o, &leaf); err != nil {
-				return err
-			}
-			return errRetry
-		}
-		var lg *txn.Txn
-		if tx != nil {
-			lg = tx
-		} else {
-			lg = t.tm.BeginAtomicAction()
-		}
-		o.Promote(&leaf)
-		e := Entry{P: p, Value: append([]byte(nil), value...)}
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertPoint, encPoint(e))
-		leaf.N.insertPoint(e)
-		leaf.F.MarkDirty(lsn)
-		if tx == nil {
-			if cerr := lg.Commit(); cerr != nil {
-				o.Release(&leaf)
-				return cerr
-			}
-		}
-		o.Release(&leaf)
-		return nil
-	})
+	return t.kern.Update(tx, 1, nil, &pointWrite{t: t, p: p, value: value})
 }
 
 // Delete removes a point; ErrPointNotFound if absent.
 func (t *Tree) Delete(tx *txn.Txn, p Point) error {
 	t.Stats.Deletes.Add(1)
-	return t.kern.RetryLoop(tx, func(o *opCtx) error {
-		leaf, err := t.descend(o, p, 0, latch.U, true)
-		if err != nil {
-			return err
+	return t.kern.Update(tx, 1, nil, &pointWrite{t: t, p: p, del: true})
+}
+
+// pointWrite is the tree's side of the kernel's leaf update action
+// (pitree.LeafWriter) for one point: an insert, or with del a removal.
+type pointWrite struct {
+	t     *Tree
+	p     Point
+	value []byte
+	del   bool
+	// emptied: the removal left the leaf with no points and no siblings.
+	emptied bool
+}
+
+func (w *pointWrite) Key(int) Point          { return w.p }
+func (w *pointWrite) LockName(int) lock.Name { return w.t.recLockName(w.p) }
+func (w *pointWrite) Trace() any             { return nil }
+
+// Full: an insert into a full leaf splits it first, unless the point is
+// already there and Apply will refuse it; a removal needs no room.
+func (w *pointWrite) Full(n *Node, _ int) bool {
+	if w.del || len(n.Entries) < w.t.opts.DataCapacity {
+		return false
+	}
+	_, dup := n.findPoint(w.p)
+	return !dup
+}
+
+func (w *pointWrite) Split(o *opCtx, leaf nref) error { return w.t.splitNodeAction(o, &leaf) }
+
+func (w *pointWrite) Apply(leaf nref, _ int) (txn.GroupUpdate, error) {
+	n := leaf.N
+	i, found := n.findPoint(w.p)
+	if !w.del {
+		if found {
+			return txn.GroupUpdate{}, ErrPointExists
 		}
-		if err := o.LockDance(tx, &leaf, t.recLockName(p), lock.X); err != nil {
-			return err
-		}
-		i, ok := leaf.N.findPoint(p)
-		if !ok {
-			o.Release(&leaf)
-			return ErrPointNotFound
-		}
-		old := leaf.N.Entries[i]
-		o.Promote(&leaf)
-		var lg *txn.Txn
-		if tx != nil {
-			lg = tx
-		} else {
-			lg = t.tm.BeginAtomicAction()
-		}
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindRemovePoint, encPoint(old))
-		leaf.N.removePoint(p)
-		leaf.F.MarkDirty(lsn)
-		emptied := len(leaf.N.Entries) == 0 && len(leaf.N.Sibs) == 0
-		if tx == nil {
-			if cerr := lg.Commit(); cerr != nil {
-				o.Release(&leaf)
-				return cerr
-			}
-		}
-		o.Release(&leaf)
-		if emptied && t.opts.Reclaim {
-			// The leaf may now be absorbable; schedule a background pass.
-			// If this delete belongs to a transaction that later aborts,
-			// logical undo re-inserts the point through a fresh descent,
-			// so absorbing under an uncommitted delete is safe.
-			t.schedule(postTask{absorb: true})
-		}
-		return nil
-	})
+		e := Entry{P: w.p, Value: append([]byte(nil), w.value...)}
+		n.insertPoint(e)
+		return txn.GroupUpdate{Kind: KindInsertPoint, Payload: encPoint(e)}, nil
+	}
+	if !found {
+		return txn.GroupUpdate{}, ErrPointNotFound
+	}
+	up := txn.GroupUpdate{Kind: KindRemovePoint, Payload: encPoint(n.Entries[i])}
+	n.removePoint(w.p)
+	w.emptied = len(n.Entries) == 0 && len(n.Sibs) == 0
+	return up, nil
+}
+
+func (w *pointWrite) After(int) {
+	if w.emptied && w.t.opts.Reclaim {
+		// The leaf may now be absorbable; schedule a background pass. If
+		// this delete belongs to a transaction that later aborts, logical
+		// undo re-inserts the point through a fresh descent, so absorbing
+		// under an uncommitted delete is safe.
+		w.t.schedule(postTask{absorb: true})
+	}
 }
 
 // Search returns the value stored at p.

@@ -3,9 +3,12 @@ package tsb
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/keys"
+	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 func TestMultiPutMultiGetRoundTrip(t *testing.T) {
@@ -208,6 +211,55 @@ func TestBatchCheckpointRecLSN(t *testing.T) {
 		}
 		if string(v) != string(vs[i]) {
 			t.Fatalf("key %d = %q after recovery, batch committed %q", i, v, vs[i])
+		}
+	}
+}
+
+// TestMultiOfOneLogsLikeSingle: a Multi* call with one key and the
+// single-key call are the same run of one through the same kernel action,
+// so on identical trees they must append byte-identical log records —
+// kind, payload (timestamp and writer included), transaction chain, LSNs.
+func TestMultiOfOneLogsLikeSingle(t *testing.T) {
+	k, v := keys.Uint64(30), []byte("new")
+	for _, tc := range []struct {
+		name   string
+		single func(tr *Tree, tx *txn.Txn) error
+		multi  func(tr *Tree, tx *txn.Txn) error
+	}{
+		{"put", func(tr *Tree, tx *txn.Txn) error { return tr.Put(tx, k, v) },
+			func(tr *Tree, tx *txn.Txn) error { return tr.MultiPut(tx, []keys.Key{k}, [][]byte{v}) }},
+		{"delete", func(tr *Tree, tx *txn.Txn) error { return tr.Delete(tx, k) },
+			func(tr *Tree, tx *txn.Txn) error { return tr.MultiDelete(tx, []keys.Key{k}) }},
+	} {
+		for _, inTxn := range []bool{false, true} {
+			var logs [2][]wal.Record
+			for side, op := range []func(*Tree, *txn.Txn) error{tc.single, tc.multi} {
+				fx := newFixture(t, smallOpts())
+				for i := 0; i < 20; i++ { // several leaves, key 30 among them
+					if err := fx.tree.Put(nil, keys.Uint64(uint64(i*10)), []byte("seed")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fx.tree.DrainCompletions()
+				from := fx.e.Log.EndLSN()
+				var tx *txn.Txn
+				if inTxn {
+					tx = fx.e.TM.Begin()
+				}
+				if err := op(fx.tree, tx); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				fx.e.Log.FullImage().Scan(from, func(r wal.Record) bool {
+					logs[side] = append(logs[side], r)
+					return true
+				})
+				if tx != nil {
+					_ = tx.Abort()
+				}
+			}
+			if len(logs[0]) == 0 || !reflect.DeepEqual(logs[0], logs[1]) {
+				t.Fatalf("%s inTxn=%v: single-key call logged\n%+v\nMulti* of one key logged\n%+v", tc.name, inTxn, logs[0], logs[1])
+			}
 		}
 	}
 }

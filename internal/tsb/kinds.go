@@ -1,11 +1,9 @@
 package tsb
 
 import (
-	"fmt"
-	"sync"
-
 	"repro/internal/enc"
 	"repro/internal/keys"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -320,42 +318,14 @@ func indexSiblingEntries(pre *Node, k keys.Key) (entries []Entry, clipped int) {
 // --- binding and registration -----------------------------------------------
 
 // Binding connects record kinds to live trees for logical undo.
-type Binding struct {
-	mu    sync.RWMutex
-	trees map[uint32]*Tree
-}
-
-// Bind registers a tree for its store ID.
-func (b *Binding) Bind(t *Tree) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.trees[t.store.Pool.StoreID] = t
-}
-
-func (b *Binding) tree(storeID uint32) (*Tree, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.trees[storeID]
-	if !ok {
-		return nil, fmt.Errorf("tsb: no tree bound for store %d", storeID)
-	}
-	return t, nil
-}
-
-func nodeOf(f *storage.Frame) (*Node, error) {
-	n, ok := f.Data.(*Node)
-	if !ok {
-		return nil, fmt.Errorf("tsb: page %d holds %T, not a node", f.ID, f.Data)
-	}
-	return n, nil
-}
+type Binding = pitree.Binding[*Tree]
 
 // Register installs the TSB record kinds into reg. Record undo is always
 // logical for the TSB tree — re-traversal by (key, start) — so structure
 // changes are never constrained by record undo and all splits run as
 // independent atomic actions (the paper's preferred regime, §6).
 func Register(reg *storage.Registry) *Binding {
-	b := &Binding{trees: make(map[uint32]*Tree)}
+	b := new(Binding)
 
 	restore := func(rec *wal.Record, pre *Node) (storage.Compensation, error) {
 		return storage.Compensation{Kind: KindRestoreImage, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
@@ -382,18 +352,14 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindTimeSplit, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			ts, hist, _, err := decTimeSplit(rec.Payload)
 			if err != nil {
 				return err
 			}
 			applyTimeSplit(n, ts, hist)
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			_, _, pre, err := decTimeSplit(rec.Payload)
 			if err != nil {
@@ -403,18 +369,14 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindKeySplit, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			k, sib, _, err := decKeySplit(rec.Payload)
 			if err != nil {
 				return err
 			}
 			applyKeySplit(n, k, sib)
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			_, _, pre, err := decKeySplit(rec.Payload)
 			if err != nil {
@@ -424,18 +386,14 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindIndexKeySplit, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			k, sib, _, err := decKeySplit(rec.Payload)
 			if err != nil {
 				return err
 			}
 			applyIndexKeySplit(n, k, sib)
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			_, _, pre, err := decKeySplit(rec.Payload)
 			if err != nil {
@@ -445,20 +403,16 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindPut, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			e, err := decPut(rec.Payload)
 			if err != nil {
 				return err
 			}
 			n.insertVersion(e)
 			return nil
-		},
+		}),
 		LogicalUndo: func(rec *wal.Record) error {
-			t, err := b.tree(rec.StoreID)
+			t, err := b.Tree(rec.StoreID)
 			if err != nil {
 				return err
 			}
@@ -470,26 +424,18 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindRemoveVersion, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			k, start, err := decVersionRef(rec.Payload)
 			if err != nil {
 				return err
 			}
 			n.removeVersion(k, start)
 			return nil
-		},
+		}),
 		// CLR-only; never undone.
 	})
 	reg.Register(KindPostTerm, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			e, err := decTerm(rec.Payload)
 			if err != nil {
 				return err
@@ -498,17 +444,13 @@ func Register(reg *storage.Registry) *Binding {
 				n.insertTerm(e)
 			}
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindRemoveTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindRemoveTerm, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			e, err := decTerm(rec.Payload)
 			if err != nil {
 				return err
@@ -517,34 +459,26 @@ func Register(reg *storage.Registry) *Binding {
 				n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
 			}
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindPostTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindPostKeyTerm, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			k, child, err := decKeyTerm(rec.Payload)
 			if err != nil {
 				return err
 			}
 			n.insertKeyTerm(Entry{Key: k, Child: child})
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindRemoveKeyTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindRemoveKeyTerm, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			k, _, err := decKeyTerm(rec.Payload)
 			if err != nil {
 				return err
@@ -556,24 +490,20 @@ func Register(reg *storage.Registry) *Binding {
 				}
 			}
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindPostKeyTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindRetireNode, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			unlink, _, err := decRetire(rec.Payload)
 			if err != nil {
 				return err
 			}
 			applyRetire(n, unlink)
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			_, pre, err := decRetire(rec.Payload)
 			if err != nil {
@@ -583,14 +513,10 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindCutHist, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			applyCutHist(n)
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			pre, err := decodeNode(enc.NewReader(rec.Payload))
 			if err != nil {
@@ -600,11 +526,7 @@ func Register(reg *storage.Registry) *Binding {
 		},
 	})
 	reg.Register(KindRootGrow, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := nodeOf(f)
-			if err != nil {
-				return err
-			}
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			termA, termB, _, err := decRootGrow(rec.Payload)
 			if err != nil {
 				return err
@@ -615,7 +537,7 @@ func Register(reg *storage.Registry) *Binding {
 			n.KeySib = storage.NilPage
 			n.HistSib = storage.NilPage
 			return nil
-		},
+		}),
 		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
 			_, _, pre, err := decRootGrow(rec.Payload)
 			if err != nil {

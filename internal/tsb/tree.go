@@ -278,6 +278,10 @@ func (space) Level(n *Node) int   { return n.Level }
 func (space) Dead(*Node) bool     { return false }
 func (space) Clone(n *Node) *Node { return n.clone() }
 
+// Writable: writes must land on a current node; an approximate descent
+// that ends in history restarts (selection makes this rare).
+func (space) Writable(n *Node) bool { return n.Current() }
+
 // Route follows the key sibling until the key range contains the key,
 // then — at the data level only; index nodes span all time — the history
 // sibling until the time range does. A missing history sibling means no
@@ -336,6 +340,7 @@ func (t *Tree) start(root storage.PageID) {
 	t.kern = pitree.New[*Node, point](pitree.Config{
 		Name: "tsb",
 		Pool: t.store.Pool,
+		TM:   t.tm,
 		Root: root,
 		// Without reclamation nodes are immortal (CNS) and a saved pointer
 		// always names a live node. With it the target of a history edge may
@@ -353,7 +358,7 @@ func (t *Tree) start(root storage.PageID) {
 		OptimisticFallbacks: &t.Stats.OptimisticFallbacks,
 	}, space{t})
 	t.comp = newCompleter(t)
-	t.binding.Bind(t)
+	t.binding.Bind(t.store.Pool.StoreID, t)
 	t.tm.SetVersionClock(t.Now, t.tick)
 }
 
@@ -370,62 +375,67 @@ func (t *Tree) descend(o *opCtx, k keys.Key, time uint64, stopLevel int, finalMo
 // Put writes a new version of key with value, timestamped now. With a nil
 // transaction the put runs as its own atomic action.
 func (t *Tree) Put(tx *txn.Txn, key keys.Key, value []byte) error {
-	return t.put(tx, key, value, false)
+	return t.write(tx, []keys.Key{key}, [][]byte{value}, false, false)
 }
 
 // Delete writes a tombstone version of key: as-of reads at earlier times
 // still see the old versions.
 func (t *Tree) Delete(tx *txn.Txn, key keys.Key) error {
-	return t.put(tx, key, nil, true)
+	return t.write(tx, []keys.Key{key}, nil, true, false)
 }
 
-func (t *Tree) put(tx *txn.Txn, key keys.Key, value []byte, deleted bool) error {
-	t.Stats.Puts.Add(1)
-	return t.kern.RetryLoop(tx, func(o *opCtx) error {
-		leaf, err := t.descend(o, key, NoEnd-1, 0, latch.U, true)
-		if err != nil {
-			return err
-		}
-		if !leaf.N.Current() {
-			// Writes must land on a current node; an approximate descent
-			// that ends in history restarts (selection makes this rare).
-			o.Release(&leaf)
-			return errRetry
-		}
-		if err := o.LockDance(tx, &leaf, t.recLockName(key), lock.X); err != nil {
-			return err
-		}
-		if len(leaf.N.Entries) >= t.opts.DataCapacity {
-			if err := t.splitData(o, &leaf); err != nil {
-				return err
-			}
-			return errRetry
-		}
-		var lg *txn.Txn
-		if tx != nil {
-			lg = tx
-		} else {
-			lg = t.tm.BeginAtomicAction()
-		}
-		o.Promote(&leaf)
-		ts := t.tick()
-		var writer wal.TxnID
-		if tx != nil {
-			writer = tx.ID // snapshot visibility resolves it; AA puts (0) are atomic under the latch
-		}
-		e := Entry{Key: keys.Clone(key), Start: ts, Value: append([]byte(nil), value...), Deleted: deleted, Txn: writer}
-		lsn := lg.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindPut, encPut(e))
-		leaf.N.insertVersion(e)
-		leaf.F.MarkDirty(lsn)
-		if tx == nil {
-			if cerr := lg.Commit(); cerr != nil {
-				o.Release(&leaf)
-				return cerr
-			}
-		}
-		o.Release(&leaf)
-		return nil
-	})
+// leafWrite is the tree's side of the kernel's leaf update action
+// (pitree.LeafWriter): every write is a run of new versions — tombstones
+// when deleted — appended to the current leaf of their keys. The kernel
+// restarts a descent that ends in a history node (space.Writable).
+type leafWrite struct {
+	t       *Tree
+	ks      []keys.Key
+	vals    [][]byte
+	deleted bool
+	batched bool // MultiPut / MultiDelete: runs are counted
+	// writer stamps each version for snapshot visibility; atomic-action
+	// puts (0) are atomic under the latch.
+	writer wal.TxnID
+}
+
+func (t *Tree) write(tx *txn.Txn, ks []keys.Key, vals [][]byte, deleted, batched bool) error {
+	w := &leafWrite{t: t, ks: ks, vals: vals, deleted: deleted, batched: batched}
+	if tx != nil {
+		w.writer = tx.ID
+	}
+	return t.kern.Update(tx, len(ks), w.less, w)
+}
+
+func (w *leafWrite) less(i, j int) bool       { return keys.Compare(w.ks[i], w.ks[j]) < 0 }
+func (w *leafWrite) Key(i int) point          { return point{w.ks[i], NoEnd - 1} }
+func (w *leafWrite) LockName(i int) lock.Name { return w.t.recLockName(w.ks[i]) }
+func (w *leafWrite) Trace() any               { return nil }
+
+// Full: every write adds a version, so it needs a free slot.
+func (w *leafWrite) Full(n *Node, _ int) bool { return len(n.Entries) >= w.t.opts.DataCapacity }
+
+func (w *leafWrite) Split(o *opCtx, leaf nref) error { return w.t.splitData(o, &leaf) }
+
+// Apply gives each version its own strictly increasing timestamp and its
+// own log record, so time splits, logical undo and snapshot visibility
+// see a batched put exactly as they see single ones.
+func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
+	var value []byte
+	if !w.deleted {
+		value = w.vals[i]
+	}
+	e := Entry{Key: keys.Clone(w.ks[i]), Start: w.t.tick(), Value: append([]byte(nil), value...), Deleted: w.deleted, Txn: w.writer}
+	leaf.N.insertVersion(e)
+	w.t.Stats.Puts.Add(1)
+	return txn.GroupUpdate{Kind: KindPut, Payload: encPut(e)}, nil
+}
+
+func (w *leafWrite) After(applied int) {
+	if w.batched {
+		w.t.Stats.BatchOps.Add(1)
+		w.t.Stats.LeafVisitsSaved.Add(int64(applied - 1))
+	}
 }
 
 // Get returns the current value of key.

@@ -422,7 +422,20 @@ func (t *Txn) LogCLR(storeID uint32, pageID uint64, kind wal.Kind, payload []byt
 // committing writer carries that writer's commit LSN; acquiring it makes
 // this transaction commit-dependent on it.
 func (t *Txn) Lock(name lock.Name, mode lock.Mode) error {
-	dep, err := t.mgr.Locks.LockDep(t.ID, name, mode)
+	return t.LockFor(nil, name, mode)
+}
+
+// LockFor is Lock called on the goroutine of another transaction: parent
+// cannot proceed until this one's lock is granted (an atomic action run
+// inside a user transaction's operation), so the deadlock detector must
+// see parent waiting too — see lock.Manager.LockFor. A nil parent, or t
+// itself, is plain Lock.
+func (t *Txn) LockFor(parent *Txn, name lock.Name, mode lock.Mode) error {
+	var pid wal.TxnID
+	if parent != nil && parent != t {
+		pid = parent.ID
+	}
+	dep, err := t.mgr.Locks.LockFor(t.ID, pid, name, mode)
 	if dep > t.depLSN {
 		t.depLSN = dep
 	}
