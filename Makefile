@@ -4,7 +4,7 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test lockcpu corecpu race benchbuild expbuild benchsmoke bench torture realcrash churn loc
+.PHONY: check vet build test lockcpu corecpu enginecpu race benchbuild expbuild benchsmoke bench torture realcrash churn loc
 
 ## check: everything CI runs — vet, build, tests, the race detector over
 ## the concurrency-critical packages (including the commit-pipeline and
@@ -15,10 +15,10 @@ REAL_ROUNDS ?= 20
 ## seeded fault-injection torture run, the real-crash (SIGKILL) recovery
 ## gate over real files, the sustained-churn steady-state gate, the lock
 ## manager's tests at 1, 2 and 4 CPUs (its deadlock-detector bugs never
-## showed at one), the B-link tree's and the kernel's likewise, and the
-## repo benchmark's own smoke test (a nested module `go test ./...` does
-## not enter).
-check: vet build test lockcpu corecpu race benchbuild expbuild benchsmoke torture realcrash churn
+## showed at one), the B-link tree's, the kernel's and the engine's
+## likewise, and the repo benchmark's own smoke test (a nested module
+## `go test ./...` does not enter).
+check: vet build test lockcpu corecpu enginecpu race benchbuild expbuild benchsmoke torture realcrash churn
 
 vet:
 	$(GO) vet ./...
@@ -41,6 +41,12 @@ lockcpu:
 ## CPU to form.
 corecpu:
 	$(GO) test -cpu 1,2,4 -count 5 ./internal/core ./internal/pitree
+
+## enginecpu: the engine at -cpu 1,2,4, repeated: Checkpoint and the
+## background writer's tick apply one write-back rule to the same pools,
+## and only a second CPU runs them at once.
+enginecpu:
+	$(GO) test -cpu 1,2,4 -count 5 ./internal/engine
 
 race:
 	$(GO) test -race ./internal/storage ./internal/wal ./internal/latch ./internal/pitree ./internal/core ./internal/lock ./internal/txn ./internal/tsb ./internal/spatial ./internal/recovery ./internal/engine ./internal/maint
@@ -67,8 +73,10 @@ torture:
 
 ## realcrash: each round runs a seeded workload in a forked child
 ## against real WAL segments and page files, SIGKILLs it at a seeded
-## moment, then recovers in the parent and audits the streamed ack
-## oracle: acked commits durable, no ghosts, space map exact.
+## moment — every fourth round inside Engine.Close, between its flush,
+## its shutdown checkpoint and the segment unlinks — then recovers in
+## the parent and audits the streamed ack oracle: acked commits durable,
+## no ghosts, space map exact.
 realcrash:
 	$(GO) run ./cmd/pitree-verify -torture -real -rounds $(REAL_ROUNDS) -seed $(TORTURE_SEED)
 

@@ -14,7 +14,8 @@
 //	ack <w> <k>              Commit returned nil — durable, must survive
 //	nak <w> <k>              Commit failed — rolled back, must be absent
 //	abt <w> <k> <val>        deliberate abort — must be absent
-//	done                     workload finished; engine closed cleanly
+//	closing                  workload finished; shutdown begins
+//	done                     engine closed cleanly
 //
 // A try is printed before Commit starts, so any value that reaches the
 // tree has its try on the pipe; an ack is printed after Commit returns,
@@ -27,6 +28,12 @@
 // in-flight state — and because the in-flight commit is atomic, its
 // keys must resolve uniformly: all applied or all rolled back. A mixed
 // outcome is a partial batch. Everything else is a ghost or a loss.
+//
+// Every fourth round aims the kill at the shutdown instead: the workload
+// is short, and the SIGKILL lands a seeded delay after the child's
+// closing line — inside Engine.Close, between its flush, the shutdown
+// checkpoint's force, the master writes and the segment unlinks. Nothing
+// is in flight by then, so the same audit demands every ack exactly.
 package main
 
 import (
@@ -41,7 +48,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/recovery"
 	"repro/internal/wal"
 )
 
@@ -238,6 +244,7 @@ func runRealChild(dir, treeName, syncPol string, seed int64, workers, ops int, p
 	wg.Wait()
 	close(stop)
 	chaosWG.Wait()
+	emit("closing")
 	tree.drain()
 	tree.close()
 	if err := e.Close(); err != nil {
@@ -337,6 +344,7 @@ func parseRealAcks(out []byte, workers int) (*realOracle, error) {
 				return nil, fmt.Errorf("bad abt line %q", line)
 			}
 			o.tried[w][k] = true
+		case "closing":
 		case "done":
 			o.clean = true
 		default:
@@ -433,23 +441,51 @@ func runRealCrash(cfg tortureConfig) error {
 		syncPol := []string{"always", "never"}[rng.Intn(2)]
 		killAfter := time.Duration(2+rng.Intn(150)) * time.Millisecond
 		recWorkers := 1 << rng.Intn(4)
-		clean, err := realCrashRound(bin, seed, kind, syncPol, killAfter, recWorkers, cfg)
+		rcfg, at, atClose := cfg, "start", round%4 == 3
+		if atClose {
+			// A Close of this little state takes 1.5 to 4 ms.
+			killAfter = time.Duration(rng.Intn(2500)) * time.Microsecond
+			rcfg.ops, at = cfg.ops/4, "closing"
+		}
+		clean, err := realCrashRound(bin, seed, kind, syncPol, killAfter, atClose, recWorkers, rcfg)
 		if err != nil {
-			return fmt.Errorf("real round %d (tree=%s sync=%s kill=%v workers=%d seed=%d): %w\nreproduce with: pitree-verify -torture -real -seed %d -rounds %d",
-				round, kind.name, syncPol, killAfter, recWorkers, seed, err, cfg.seed, round+1)
+			return fmt.Errorf("real round %d (tree=%s sync=%s kill=%s+%v workers=%d seed=%d): %w\nreproduce with: pitree-verify -torture -real -seed %d -rounds %d",
+				round, kind.name, syncPol, at, killAfter, recWorkers, seed, err, cfg.seed, round+1)
 		}
 		outcome := "killed"
 		if clean {
 			outcome = "finished"
 		}
-		fmt.Printf("real round %d ok (tree=%s sync=%s kill=%v recovery-workers=%d child=%s)\n",
-			round, kind.name, syncPol, killAfter, recWorkers, outcome)
+		fmt.Printf("real round %d ok (tree=%s sync=%s kill=%s+%v recovery-workers=%d child=%s)\n",
+			round, kind.name, syncPol, at, killAfter, recWorkers, outcome)
 	}
 	fmt.Println("all real-crash rounds verified: acked commits durable, no ghosts, trees well-formed")
 	return nil
 }
 
-func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killAfter time.Duration, recWorkers int, cfg tortureConfig) (clean bool, err error) {
+// closeWatch is the child's stdout: it keeps the stream and closes
+// closing when the child's closing line has passed.
+type closeWatch struct {
+	buf     bytes.Buffer
+	closing chan struct{}
+	seen    bool
+}
+
+func (w *closeWatch) Write(p []byte) (int, error) {
+	// No other line holds the word. It may straddle two writes: look
+	// again from just before p.
+	from := max(0, w.buf.Len()-len("closing\n"))
+	w.buf.Write(p)
+	if !w.seen && bytes.Contains(w.buf.Bytes()[from:], []byte("closing\n")) {
+		w.seen = true
+		close(w.closing)
+	}
+	return len(p), nil
+}
+
+// realCrashRound runs one child and kills it killAfter after its start,
+// or with atClose after its closing line.
+func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killAfter time.Duration, atClose bool, recWorkers int, cfg tortureConfig) (clean bool, err error) {
 	dir, err := os.MkdirTemp("", "pitree-real-*")
 	if err != nil {
 		return false, err
@@ -465,28 +501,41 @@ func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killA
 		args = append(args, "-page-undo")
 	}
 	cmd := exec.Command(bin, args...)
-	var out, errOut bytes.Buffer
-	cmd.Stdout = &out
+	out := &closeWatch{closing: make(chan struct{})}
+	var errOut bytes.Buffer
+	cmd.Stdout = out
 	cmd.Stderr = &errOut
 	if err := cmd.Start(); err != nil {
 		return false, fmt.Errorf("fork child: %v", err)
 	}
 	waitErr := make(chan error, 1)
 	go func() { waitErr <- cmd.Wait() }()
+	// The kill timer starts with the child, or — a nil channel never
+	// fires — once the child says it is closing.
+	closing, timer := out.closing, (<-chan time.Time)(nil)
+	if !atClose {
+		closing, timer = nil, time.After(killAfter)
+	}
 	killed := false
-	select {
-	case <-time.After(killAfter):
-		killed = true
-		_ = cmd.Process.Kill()
-		<-waitErr
-	case werr := <-waitErr:
-		// Child finished before the kill: it must have exited clean.
-		if werr != nil {
-			return false, fmt.Errorf("child failed before kill: %v\nchild stderr:\n%s", werr, errOut.String())
+	for running := true; running; {
+		select {
+		case <-closing:
+			closing, timer = nil, time.After(killAfter)
+		case <-timer:
+			killed = true
+			_ = cmd.Process.Kill()
+			<-waitErr
+			running = false
+		case werr := <-waitErr:
+			// Child finished before the kill: it must have exited clean.
+			if werr != nil {
+				return false, fmt.Errorf("child failed before kill: %v\nchild stderr:\n%s", werr, errOut.String())
+			}
+			running = false
 		}
 	}
 
-	oracle, err := parseRealAcks(out.Bytes(), cfg.workers)
+	oracle, err := parseRealAcks(out.buf.Bytes(), cfg.workers)
 	if err != nil {
 		return false, err
 	}
@@ -528,20 +577,11 @@ func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killA
 		return !killed, nil
 	}
 	defer tree2.close()
-	if pend.finish != nil {
-		if err := pend.finish(); err != nil {
-			return false, fmt.Errorf("undo losers: %v", err)
-		}
-	}
-
-	// Space audit over the replayed log (the shadow seeds itself from
-	// the checkpoint's space image, so segment recycling is fine).
-	shadow, err := recovery.AuditSpace(e2.Log.FullImage())
-	if err != nil {
-		return false, fmt.Errorf("space audit: %v", err)
-	}
-	if err := recovery.CheckSpace(shadow, e2.Pools()...); err != nil {
-		return false, fmt.Errorf("space audit: %v", err)
+	// Undo, inside the space audit over the replayed log (the shadow
+	// seeds itself from the checkpoint's space image, so segment
+	// recycling is fine).
+	if err := finishAudited(e2, pend.finish); err != nil {
+		return false, err
 	}
 
 	if err := tree2.verify(); err != nil {

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -300,41 +301,44 @@ func tortureKinds() []treeKind {
 // --- failure menu -------------------------------------------------------
 
 // menuEntry is one way a round can hurt the system. spread bounds the
-// randomized After (which hit of the failpoint fires).
+// randomized After (which hit of the failpoint fires). An atClose entry
+// runs its round fault-free on a file-backed engine and arms the
+// failpoint only when the workload is over and Engine.Close begins.
 type menuEntry struct {
-	name   string
-	point  string
-	spec   fault.Spec
-	spread int
+	name    string
+	point   string
+	spec    fault.Spec
+	spread  int
+	atClose bool
 }
 
 func tortureMenu() []menuEntry {
 	return []menuEntry{
-		{"torn-page-write+crash", "disk.write", fault.Spec{Kind: fault.Torn, Crash: true}, 12},
-		{"permanent-disk-write", "disk.write", fault.Spec{Kind: fault.Permanent}, 12},
-		{"transient-disk-write", "disk.write", fault.Spec{Kind: fault.Transient, Count: 3}, 12},
-		{"transient-disk-read", "disk.read", fault.Spec{Kind: fault.Transient, Count: 3}, 12},
-		{"torn-log-sync+crash", wal.FPSync, fault.Spec{Kind: fault.Torn, Crash: true}, 40},
-		{"permanent-log-sync", wal.FPSync, fault.Spec{Kind: fault.Permanent}, 40},
-		{"crash-at-log-sync", wal.FPSync, fault.Spec{Kind: fault.None, Crash: true}, 40},
-		{"crash-mid-eviction", "pool.evict", fault.Spec{Kind: fault.None, Crash: true}, 20},
-		{"crash-mid-smo-commit", txn.FPAACommit, fault.Spec{Kind: fault.None, Crash: true}, 30},
-		{"crash-mid-user-commit", txn.FPUserCommit, fault.Spec{Kind: fault.None, Crash: true}, 40},
+		{"torn-page-write+crash", "disk.write", fault.Spec{Kind: fault.Torn, Crash: true}, 12, false},
+		{"permanent-disk-write", "disk.write", fault.Spec{Kind: fault.Permanent}, 12, false},
+		{"transient-disk-write", "disk.write", fault.Spec{Kind: fault.Transient, Count: 3}, 12, false},
+		{"transient-disk-read", "disk.read", fault.Spec{Kind: fault.Transient, Count: 3}, 12, false},
+		{"torn-log-sync+crash", wal.FPSync, fault.Spec{Kind: fault.Torn, Crash: true}, 40, false},
+		{"permanent-log-sync", wal.FPSync, fault.Spec{Kind: fault.Permanent}, 40, false},
+		{"crash-at-log-sync", wal.FPSync, fault.Spec{Kind: fault.None, Crash: true}, 40, false},
+		{"crash-mid-eviction", "pool.evict", fault.Spec{Kind: fault.None, Crash: true}, 20, false},
+		{"crash-mid-smo-commit", txn.FPAACommit, fault.Spec{Kind: fault.None, Crash: true}, 30, false},
+		{"crash-mid-user-commit", txn.FPUserCommit, fault.Spec{Kind: fault.None, Crash: true}, 40, false},
 		// Pipelined-commit crash points: after early lock release but
 		// before the commit record is stable (dependents may already have
 		// read the doomed state — no ack of theirs may survive either),
 		// and between the flush pipeline's write and sync stages (bytes
 		// are in the sink but not fsynced; recovery must not treat them
 		// as stable under SyncAlways semantics).
-		{"crash-at-elr", txn.FPELR, fault.Spec{Kind: fault.None, Crash: true}, 40},
-		{"crash-between-write-and-sync", wal.FPWrite, fault.Spec{Kind: fault.None, Crash: true}, 40},
+		{"crash-at-elr", txn.FPELR, fault.Spec{Kind: fault.None, Crash: true}, 40, false},
+		{"crash-between-write-and-sync", wal.FPWrite, fault.Spec{Kind: fault.None, Crash: true}, 40, false},
 		// Maintenance crash points: mid-consolidation (between the merge's
 		// page free and its commit) and mid-free (before the free-space map
 		// meta write). They only fire on rounds whose draws turn the
 		// relevant maintenance on — otherwise the round degenerates to a
 		// clean end-of-round freeze, which is itself a valid case.
-		{"crash-mid-consolidate", storage.FPConsolidate, fault.Spec{Kind: fault.None, Crash: true}, 8},
-		{"crash-mid-free", storage.FPStoreFree, fault.Spec{Kind: fault.None, Crash: true}, 8},
+		{"crash-mid-consolidate", storage.FPConsolidate, fault.Spec{Kind: fault.None, Crash: true}, 8, false},
+		{"crash-mid-free", storage.FPStoreFree, fault.Spec{Kind: fault.None, Crash: true}, 8, false},
 		// Vectorized-path crash points. crash-mid-batch-apply fires between
 		// two leaf-runs of one batched MultiPut — earlier runs fully logged,
 		// later runs never started — so recovery must resolve the batch per
@@ -343,8 +347,16 @@ func tortureMenu() []menuEntry {
 		// background read-ahead; scans must fall back to synchronous fetches
 		// and never surface wrong data. Rounds on trees without the batch or
 		// scan surface degenerate to a clean end-of-round freeze.
-		{"crash-mid-batch-apply", core.FPBatchApply, fault.Spec{Kind: fault.None, Crash: true}, 6},
-		{"transient-prefetch", storage.FPPoolPrefetch, fault.Spec{Kind: fault.Transient, Count: 3}, 6},
+		{"crash-mid-batch-apply", core.FPBatchApply, fault.Spec{Kind: fault.None, Crash: true}, 6, false},
+		{"transient-prefetch", storage.FPPoolPrefetch, fault.Spec{Kind: fault.Transient, Count: 3}, 6, false},
+		// Shutdown crash points. Close forces the log, flushes every page,
+		// then takes a checkpoint and recycles the whole log: the crash
+		// lands on one of Close's two log syncs (the force, the checkpoint
+		// record) or on one of its page writes, and the directory it
+		// leaves — or the clean one, when After outruns Close — must reopen
+		// to exactly the acknowledged state.
+		{"crash-mid-shutdown-checkpoint", wal.FPSync, fault.Spec{Kind: fault.None, Crash: true}, 2, true},
+		{"crash-mid-shutdown-flush", storage.FPDiskWrite, fault.Spec{Kind: fault.None, Crash: true}, 6, true},
 	}
 }
 
@@ -488,6 +500,41 @@ func runSnapReader(e *engine.Engine, inj *fault.Injector, t *tsb.Tree, s *snapOr
 	}
 }
 
+// finishAudited runs a restart's undo pass inside the space audit: the
+// alloc/free history of e's replayed log goes through the alternation
+// oracle and e's free-space maps are cross-checked against it, once as
+// redo left them and once more after undo, with this restart's CLRs
+// applied on top. A file-backed FinishRecovery releases the replayed log
+// from memory, the checkpoint the audit seeds from included, so the audit
+// cannot simply run afterwards; it keeps only what the oldest live
+// transaction could read, so an idle transaction begun before undo holds
+// the undo pass's own records in memory for the second half.
+func finishAudited(e *engine.Engine, finish func() error) error {
+	pin := e.TM.Begin()
+	defer pin.Abort()
+	img := e.Log.FullImage()
+	shadow, err := recovery.AuditSpace(img)
+	if err == nil {
+		err = recovery.CheckSpace(shadow, e.Pools()...)
+	}
+	if err != nil {
+		return fmt.Errorf("space audit before undo: %v", err)
+	}
+	if finish != nil {
+		if err := finish(); err != nil {
+			return fmt.Errorf("undo losers: %v", err)
+		}
+	}
+	shadow, err = recovery.AuditSpaceTail(shadow, e.Log.FullImage(), img.EndLSN())
+	if err == nil {
+		err = recovery.CheckSpace(shadow, e.Pools()...)
+	}
+	if err != nil {
+		return fmt.Errorf("space audit: %v", err)
+	}
+	return nil
+}
+
 func runTorture(cfg tortureConfig) error {
 	kinds := tortureKinds()
 	menu := tortureMenu()
@@ -521,11 +568,24 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 	inj := fault.New(seed)
 	spec := entry.spec
 	spec.After = 1 + int64(rng.Intn(entry.spread))
-	inj.Arm(entry.point, spec)
 
 	eopts := engine.Options{Injector: inj, PoolCapacity: 40, PageOriented: cfg.pageOriented,
 		PrefetchWindow: 8}
-	e := engine.New(eopts)
+	var e *engine.Engine
+	if entry.atClose {
+		dir, err := os.MkdirTemp("", "pitree-tort-*")
+		if err != nil {
+			return 0, err
+		}
+		defer os.RemoveAll(dir)
+		eopts.DataDir, eopts.SegmentSize, eopts.SlotSize, eopts.Sync = dir, 1<<15, 4096, wal.SyncNever
+		if e, _, err = engine.Open(eopts); err != nil {
+			return 0, fmt.Errorf("open: %v", err)
+		}
+	} else {
+		inj.Arm(entry.point, spec)
+		e = engine.New(eopts)
+	}
 	tree, err := kind.create(e, draws)
 	if err != nil {
 		// Creation can only fail if the fault fired this early; the round
@@ -697,23 +757,40 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 		}
 	}
 
-	// Freeze the world if the armed fault never crashed it (permanent /
-	// transient entries, or an After past the workload's hit count).
-	if !inj.Crashed() {
-		inj.TripCrash()
-	}
-	tree.close()
-	// Park the read-ahead workers: the crash image is about to be taken
-	// and this engine abandoned, so no prefetcher may outlive the round.
-	for _, p := range e.Pools() {
-		p.StopPrefetch()
-	}
-	img := e.Crash(nil)
-
 	// Restart clean: the injector died with the process. The drawn worker
 	// count routes recovery through the serial or parallel pipeline.
-	restartStart := time.Now()
-	e2 := engine.Restarted(img, engine.Options{PageOriented: cfg.pageOriented, RecoveryWorkers: recWorkers})
+	ropts := engine.Options{PageOriented: cfg.pageOriented, RecoveryWorkers: recWorkers}
+	var img *engine.CrashImage
+	var e2 *engine.Engine
+	var restartStart time.Time
+	if entry.atClose {
+		// The shutdown is the crash site. A Close cut short by the fault
+		// still releases its files, and the next incarnation reads them.
+		inj.Arm(entry.point, spec)
+		tree.close()
+		_ = e.Close()
+		restartStart = time.Now()
+		ropts.DataDir = eopts.DataDir
+		if e2, _, err = engine.Open(ropts); err != nil {
+			return 0, fmt.Errorf("reopen after shutdown: %v\ntrips: %v", err, inj.Trips())
+		}
+		defer e2.Close()
+	} else {
+		// Freeze the world if the armed fault never crashed it (permanent /
+		// transient entries, or an After past the workload's hit count).
+		if !inj.Crashed() {
+			inj.TripCrash()
+		}
+		tree.close()
+		// Park the read-ahead workers: the crash image is about to be taken
+		// and this engine abandoned, so no prefetcher may outlive the round.
+		for _, p := range e.Pools() {
+			p.StopPrefetch()
+		}
+		img = e.Crash(nil)
+		restartStart = time.Now()
+		e2 = engine.Restarted(img, ropts)
+	}
 	var pend recoveryPending
 	tree2, err := kind.open(e2, img, &pend, draws)
 	if err != nil {
@@ -729,23 +806,10 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 		return time.Since(restartStart), nil
 	}
 	defer tree2.close()
-	if pend.finish != nil {
-		if err := pend.finish(); err != nil {
-			return 0, fmt.Errorf("undo losers: %v", err)
-		}
+	if err := finishAudited(e2, pend.finish); err != nil {
+		return 0, fmt.Errorf("%v\ntrips: %v", err, inj.Trips())
 	}
 	restart := time.Since(restartStart)
-
-	// Space audit: replay the full log's alloc/free history (including this
-	// restart's CLRs) through the alternation oracle and cross-check the
-	// recovered free-space map against it.
-	shadow, err := recovery.AuditSpace(e2.Log.FullImage())
-	if err != nil {
-		return 0, fmt.Errorf("space audit: %v\ntrips: %v", err, inj.Trips())
-	}
-	if err := recovery.CheckSpace(shadow, e2.Pools()...); err != nil {
-		return 0, fmt.Errorf("space audit: %v\ntrips: %v", err, inj.Trips())
-	}
 
 	if err := tree2.verify(); err != nil {
 		return 0, fmt.Errorf("tree ill-formed after recovery: %v\ntrips: %v", err, inj.Trips())

@@ -135,6 +135,8 @@ func T18FileStorage(w io.Writer, p Params) {
 				p.Report.Add("T18", "writeback.oldest_dirty_reclsn."+tag, float64(wb.OldestDirty), "lsn")
 				p.Report.Add("T18", "wal.buffered_bytes."+tag, float64(wb.LogBuffered), "bytes")
 				p.Report.Add("T18", "wal.buffer_start_lsn."+tag, float64(wb.LogBufferFrom), "lsn")
+				p.Report.Add("T18", "wal.checkpoint_lsn."+tag, float64(wb.CheckpointLSN), "lsn")
+				p.Report.Add("T18", "wal.recycle_horizon_lsn."+tag, float64(wb.RecycleHorizon), "lsn")
 			}
 
 			tree.Close()

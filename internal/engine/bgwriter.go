@@ -10,13 +10,24 @@ import (
 
 // maxWriteBackPerTick bounds the pages one tick writes per pool, so a
 // burst of newly due pages (every pre-checkpoint page at once, say) is
-// paced over a few ticks instead of monopolizing the device.
+// paced over a few ticks instead of monopolizing the device. It is also
+// the batch — one log force — of a checkpoint's unlimited pass.
 const maxWriteBackPerTick = 128
 
-// bgWriter is the redo-window controller. The WAL protocol only requires
+// writeBack is the redo-window rule's state, shared by its two callers:
+// the background writer's tick and Engine.Checkpoint.
+type writeBack struct {
+	window   wal.LSN       // the redo window in log bytes; 0 on a memory-backed engine
+	lastCkpt atomic.Uint64 // LSN of the last checkpoint: pages dirtied before it are due
+	flushed  atomic.Int64
+	skipped  atomic.Int64 // dirty pages a pass looked at and left in the window
+	rearmed  atomic.Int64 // pages whose flush failed and stay dirty for a later pass
+}
+
+// writeBackDue is the redo-window rule. The WAL protocol only requires
 // that a page's log records reach stable storage before the page does —
-// never that the page follow soon — so the writer leaves a dirty page
-// alone until keeping it dirty costs something:
+// never that the page follow soon — so a dirty page is left alone until
+// keeping it dirty costs something:
 //
 //   - its recLSN lags the log tail by more than the redo window (the page
 //     pins restart's redo start, and with it the live WAL segments, that
@@ -27,22 +38,67 @@ const maxWriteBackPerTick = 128
 //     otherwise pay the write-back in the foreground).
 //
 // A page updated many times inside the window is thus written once, not
-// once per tick. Each pool keeps its oldest dirty recLSN and dirty count
-// incrementally, so a tick that finds every pool in budget does no
-// per-frame work at all. The tick also releases the in-memory log below
-// what any live transaction could still roll back over (see
-// Engine.trimLog).
+// once per pass. Each pool keeps its oldest dirty recLSN and dirty count
+// incrementally, so a pass that finds every pool in budget — which it
+// reports — does no per-frame work at all.
+//
+// At most limit pages per pool are written, in batches of
+// maxWriteBackPerTick with one log force each. A batch that writes
+// nothing ends its pool's pass, so a permanent write fault cannot spin
+// an unlimited pass; the pages it leaves stay dirty and indexed, and a
+// later pass finds them due again. pids is the caller's scratch.
+func (e *Engine) writeBackDue(limit int, pids []storage.PageID) ([]storage.PageID, bool) {
+	// A page is due once its recLSN falls below the cutoff: out of the
+	// window, or older than the last checkpoint.
+	cutoff := wal.LSN(e.wb.lastCkpt.Load())
+	if end := e.Log.EndLSN(); end > e.wb.window && end-e.wb.window > cutoff {
+		cutoff = end - e.wb.window
+	}
+	idle := true
+	for _, p := range e.Pools() {
+		// A bounded pool more than half dirty gets its oldest pages
+		// written down to half, whatever their age.
+		excess := 0
+		if c := p.Capacity(); c > 0 {
+			_, dirty := p.DirtyWatermark()
+			excess = max(0, dirty-c/2)
+		}
+		for left := limit; left > 0; {
+			oldest, dirty := p.DirtyWatermark()
+			if dirty == 0 || (oldest >= cutoff && excess <= 0) {
+				e.wb.skipped.Add(int64(dirty))
+				break
+			}
+			idle = false
+			n := min(left, maxWriteBackPerTick)
+			pids = p.DirtyBelow(cutoff, n, pids[:0])
+			if x := min(excess, n); len(pids) < x {
+				// Fewer pages are due than the pool needs cleaned: take its
+				// oldest excess pages instead (the due ones are among them).
+				pids = p.DirtyBelow(^wal.LSN(0), x, pids[:0])
+			}
+			flushed, failed, _ := p.FlushBatch(pids)
+			e.wb.flushed.Add(int64(flushed))
+			e.wb.rearmed.Add(int64(len(failed)))
+			left, excess = left-n, excess-flushed
+			if flushed == 0 || left <= 0 {
+				e.wb.skipped.Add(int64(max(0, dirty-flushed)))
+				break
+			}
+		}
+	}
+	return pids, idle
+}
+
+// bgWriter applies the rule on a timer, maxWriteBackPerTick pages per
+// pool at a time, and releases the in-memory log below what any live
+// transaction could still roll back over (see Engine.trimLog).
 type bgWriter struct {
 	e        *Engine
 	interval time.Duration
-	window   wal.LSN // the redo window in log bytes
 
-	target  atomic.Uint64 // last checkpoint: flush everything with recLSN below it
-	flushed atomic.Int64
-	ticks   atomic.Int64
-	idle    atomic.Int64 // ticks that found every pool in budget
-	skipped atomic.Int64 // dirty pages a tick looked at and left in the window
-	rearmed atomic.Int64 // pages whose flush failed and stay dirty for a later tick
+	ticks atomic.Int64
+	idle  atomic.Int64 // ticks that found every pool in budget
 
 	pids    []storage.PageID // tick-local scratch
 	done    chan struct{}
@@ -50,20 +106,11 @@ type bgWriter struct {
 }
 
 func startBgWriter(e *Engine, interval time.Duration) *bgWriter {
-	seg := e.Opts.SegmentSize
-	if seg <= 0 {
-		seg = wal.DefaultSegmentSize
-	}
 	w := &bgWriter{e: e, interval: interval,
-		window: wal.LSN(wal.RedoWindowSegments * seg),
-		done:   make(chan struct{}), stopped: make(chan struct{})}
+		done: make(chan struct{}), stopped: make(chan struct{})}
 	go w.run()
 	return w
 }
-
-// noteCheckpoint records the latest checkpoint LSN: pages dirtied before
-// it become due.
-func (w *bgWriter) noteCheckpoint(lsn wal.LSN) { w.target.Store(uint64(lsn)) }
 
 func (w *bgWriter) stop() {
 	close(w.done)
@@ -90,78 +137,39 @@ func (w *bgWriter) tick() {
 		return
 	}
 	w.e.trimLog()
-	// A page is due once its recLSN falls below the cutoff: out of the
-	// window, or older than the last checkpoint.
-	cutoff := wal.LSN(w.target.Load())
-	if end := w.e.Log.EndLSN(); end > w.window && end-w.window > cutoff {
-		cutoff = end - w.window
-	}
-	idle := true
-	for _, p := range w.e.Pools() {
-		oldest, dirty := p.DirtyWatermark()
-		if dirty == 0 {
-			continue
-		}
-		// A bounded pool more than half dirty gets its oldest pages
-		// written down to half, whatever their age.
-		excess := 0
-		if c := p.Capacity(); c > 0 && dirty > c/2 {
-			excess = dirty - c/2
-		}
-		if oldest >= cutoff && excess == 0 {
-			w.skipped.Add(int64(dirty))
-			continue
-		}
-		idle = false
-		select {
-		case <-w.done:
-			return
-		default:
-		}
-		w.pids = p.DirtyBelow(cutoff, maxWriteBackPerTick, w.pids[:0])
-		if excess = min(excess, maxWriteBackPerTick); len(w.pids) < excess {
-			// Fewer pages are due than the pool needs cleaned: take its
-			// oldest excess pages instead (the due ones are among them).
-			w.pids = p.DirtyBelow(^wal.LSN(0), excess, w.pids[:0])
-		}
-		// One log force covers the batch. A failed flush leaves its page
-		// dirty and indexed, so a later tick finds it due again (or gives
-		// up for good once the engine is degraded).
-		flushed, failed, _ := p.FlushBatch(w.pids)
-		w.flushed.Add(int64(flushed))
-		w.rearmed.Add(int64(len(failed)))
-		if left := dirty - flushed; left > 0 {
-			w.skipped.Add(int64(left))
-		}
-	}
-	if idle {
+	var idle bool
+	if w.pids, idle = w.e.writeBackDue(maxWriteBackPerTick, w.pids); idle {
 		w.idle.Add(1)
 	}
 }
 
-// WriteBackStats is the background writer's and the log buffer's state:
+// WriteBackStats is the write-back rule's and the log buffer's state:
 // cumulative counters plus the LSN watermarks of this subsystem.
 type WriteBackStats struct {
-	Flushed         int64 // pages written by the writer
+	Flushed         int64 // pages written by ticks and checkpoints under the rule
 	Ticks           int64
 	IdleTicks       int64 // ticks short-circuited: every pool within budget
-	SkippedInWindow int64 // dirty pages ticks looked at and left unwritten, summed over ticks
-	Rearmed         int64 // failed flushes left for a later tick
+	SkippedInWindow int64 // dirty pages a pass looked at and left unwritten, summed over passes
+	Rearmed         int64 // failed flushes left for a later pass
 	WindowBytes     uint64
 	RedoWindow      uint64  // log end minus OldestDirty now; 0 with nothing dirty
 	OldestDirty     wal.LSN // oldest dirty recLSN over all pools; NilLSN with nothing dirty
 	LogBuffered     uint64  // bytes of log segments held in memory
 	LogBufferFrom   wal.LSN // first LSN still readable from memory
+	CheckpointLSN   wal.LSN // the master record's checkpoint anchor; NilLSN on a memory-backed engine
+	RecycleHorizon  wal.LSN // the master record's horizon: the WAL files hold nothing below it
 }
 
-// WriteBackStats snapshots the write-back subsystem. The counters are
-// zero when the writer is disabled; the watermarks are always live.
+// WriteBackStats snapshots the write-back subsystem. The tick counters
+// are zero when the writer is disabled; the watermarks are always live.
 func (e *Engine) WriteBackStats() WriteBackStats {
-	var s WriteBackStats
+	s := WriteBackStats{Flushed: e.wb.flushed.Load(), SkippedInWindow: e.wb.skipped.Load(),
+		Rearmed: e.wb.rearmed.Load(), WindowBytes: uint64(e.wb.window)}
 	if w := e.bg; w != nil {
-		s.Flushed, s.Ticks, s.IdleTicks = w.flushed.Load(), w.ticks.Load(), w.idle.Load()
-		s.SkippedInWindow, s.Rearmed = w.skipped.Load(), w.rearmed.Load()
-		s.WindowBytes = uint64(w.window)
+		s.Ticks, s.IdleTicks = w.ticks.Load(), w.idle.Load()
+	}
+	if e.fileWAL != nil {
+		s.CheckpointLSN, s.RecycleHorizon = e.fileWAL.Watermarks()
 	}
 	for _, p := range e.Pools() {
 		if oldest, n := p.DirtyWatermark(); n > 0 && (s.OldestDirty == wal.NilLSN || oldest < s.OldestDirty) {

@@ -8,6 +8,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -67,7 +68,8 @@ type Options struct {
 	// log tail by more than the redo window (wal.RedoWindowSegments x
 	// SegmentSize) or predates the last checkpoint, plus — in a bounded
 	// pool more than half dirty — the oldest excess, and releases the
-	// in-memory log below the oldest live transaction. Zero disables it.
+	// in-memory log below the oldest live transaction. Zero disables it;
+	// Checkpoint then applies the same rule by itself, all at once.
 	WriteBackInterval time.Duration
 	// SerialCommit disables the pipelined commit path: group commit runs
 	// one write+sync round at a time and user commits hold their locks
@@ -105,6 +107,7 @@ type Engine struct {
 	fileWAL   *wal.FileWAL
 	fileDisks map[uint32]*storage.FileDisk
 	bg        *bgWriter
+	wb        writeBack
 
 	// bootImage is the log image this incarnation was built from, kept
 	// until restart analysis has read it. recovering holds the in-memory
@@ -174,6 +177,7 @@ func Open(opts Options) (e *Engine, recovered bool, err error) {
 	e.fileWAL = fw
 	e.bootImage = rd
 	e.recovering.Store(recovered)
+	e.wb.window = wal.LSN(wal.RedoWindowSegments * fw.SegmentSize())
 	if opts.WriteBackInterval > 0 {
 		e.bg = startBgWriter(e, opts.WriteBackInterval)
 	}
@@ -253,10 +257,24 @@ func (e *Engine) Pools() []*storage.Pool {
 func (e *Engine) BeginSnapshot() *txn.Snapshot { return e.TM.BeginSnapshot(nil) }
 
 // Checkpoint takes a fuzzy checkpoint over all stores. On a file-backed
-// engine it then syncs every page file and recycles WAL segments below
-// the checkpoint's horizon — in that order: redo below the horizon is
-// only impossible once the page images that replace it are durable.
+// engine it first writes back every page the redo-window rule makes due
+// (see writeBackDue), so that the horizon it establishes lies within one
+// window of the log tail whether or not a background writer runs; it
+// then syncs every page file and recycles WAL segments below that
+// horizon — in that order: redo below the horizon is only impossible
+// once the page images that replace it are durable.
+//
+// It is refused between Open and the end of FinishRecovery: the losers
+// are not in the transaction table until undo adopts them, so a
+// checkpoint taken there would record none and recycle the log they are
+// to be rolled back from.
 func (e *Engine) Checkpoint() (wal.LSN, error) {
+	if e.recovering.Load() {
+		return wal.NilLSN, fmt.Errorf("engine: checkpoint before restart has finished")
+	}
+	if e.fileWAL != nil {
+		e.writeBackDue(math.MaxInt, nil)
+	}
 	lsn, horizon, err := recovery.TakeCheckpointHorizon(e.Log, e.TM, e.Pools()...)
 	if err != nil {
 		return lsn, err
@@ -269,9 +287,7 @@ func (e *Engine) Checkpoint() (wal.LSN, error) {
 			return lsn, err
 		}
 	}
-	if e.bg != nil {
-		e.bg.noteCheckpoint(lsn)
-	}
+	e.wb.lastCkpt.Store(uint64(lsn))
 	e.trimLog()
 	return lsn, nil
 }
@@ -364,6 +380,13 @@ func (e *Engine) RegisterCloser(fn func()) {
 // to repair until a traversal stumbles over them. Draining first means
 // the stable state a reopen recovers from contains no structure change
 // that was promised but dropped.
+//
+// A file-backed engine then takes a shutdown checkpoint: with every page
+// clean its horizon is the log's end, so the whole log is recycled and a
+// reopen analyses one record and redoes none. It is skipped — the log
+// stays, as after a crash — when the force or the flush failed, the
+// engine is degraded, or restart has not finished (a later Open then
+// retries it over the same log). The files are released either way.
 func (e *Engine) Close() error {
 	if e.bg != nil {
 		e.bg.stop()
@@ -380,12 +403,14 @@ func (e *Engine) Close() error {
 	for _, p := range e.Pools() {
 		p.StopPrefetch()
 	}
-	if err := e.Log.ForceAll(); err != nil {
-		return err
+	err := e.Log.ForceAll()
+	if err == nil {
+		_, err = e.FlushAll()
 	}
-	_, err := e.FlushAll()
 	if e.fileWAL != nil {
-		if serr := e.syncFileDisks(); err == nil {
+		if err == nil && !e.Degraded() && !e.recovering.Load() {
+			_, err = e.Checkpoint()
+		} else if serr := e.syncFileDisks(); err == nil {
 			err = serr
 		}
 		e.mu.Lock()
@@ -471,11 +496,13 @@ func (e *Engine) AnalyzeAndRedo() (*recovery.Pending, error) {
 	return p, err
 }
 
-// FinishRecovery runs the undo pass.
+// FinishRecovery runs the undo pass, then releases the replayed log from
+// memory: nothing reads it again (see trimLog).
 func (e *Engine) FinishRecovery(p *recovery.Pending) error {
 	err := p.UndoLosers(e.TM)
 	if err == nil {
 		e.recovering.Store(false)
+		e.trimLog()
 	}
 	return err
 }

@@ -47,7 +47,14 @@ const wbWindow = wal.RedoWindowSegments * wbSegment
 
 func openWB(t *testing.T, dir string, interval time.Duration) (*wbEnv, bool) {
 	t.Helper()
-	e, recovered, err := Open(Options{DataDir: dir, SegmentSize: wbSegment, Sync: wal.SyncNever, WriteBackInterval: interval})
+	return openWBOpts(t, Options{DataDir: dir, WriteBackInterval: interval})
+}
+
+// openWBOpts is openWB with the caller's options beside the fixed ones.
+func openWBOpts(t *testing.T, o Options) (*wbEnv, bool) {
+	t.Helper()
+	o.SegmentSize, o.Sync = wbSegment, wal.SyncNever
+	e, recovered, err := Open(o)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/storage"
@@ -133,6 +134,7 @@ func runRestart(t *testing.T, e *env, cut wal.LSN, o Opts) restartResult {
 		t.Fatal(err)
 	}
 	redoDisk := e2.pool.Disk().Snapshot()
+	redone := e2.log.FullImage()
 	if err := p.UndoLosers(e2.tm); err != nil {
 		t.Fatalf("undo (%+v): %v", o, err)
 	}
@@ -148,6 +150,15 @@ func runRestart(t *testing.T, e *env, cut wal.LSN, o Opts) restartResult {
 	}
 	if err := CheckSpace(shadow, e2.pool); err != nil {
 		t.Fatalf("space check (%+v): %v", o, err)
+	}
+	// The audit taken in two halves around undo — all a caller can do
+	// once the replayed log is released — reaches the same state.
+	half, err := AuditSpace(redone)
+	if err == nil {
+		half, err = AuditSpaceTail(half, e2.log.FullImage(), redone.EndLSN())
+	}
+	if err != nil || !reflect.DeepEqual(half, shadow) {
+		t.Fatalf("space audit split at undo (%+v): %v\n%+v\nwhole: %+v", o, err, half, shadow)
 	}
 	return restartResult{stats: p.Stats, redoDisk: redoDisk, undoDisk: e2.pool.Disk().Snapshot(), space: shadow[1]}
 }

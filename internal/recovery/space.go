@@ -28,6 +28,15 @@ type spaceShadow struct {
 	seeded bool // formatted, or seeded from a checkpoint snapshot
 }
 
+// seededShadow starts a shadow from a known space state.
+func seededShadow(si SpaceImage) *spaceShadow {
+	sh := &spaceShadow{next: si.Next, free: make(map[uint64]bool, len(si.Free)), seeded: true}
+	for _, pid := range si.Free {
+		sh.free[pid] = true
+	}
+	return sh
+}
+
 func (s *spaceShadow) applyLoose(kind wal.Kind, pid uint64) {
 	// Tolerant replay for the fuzzy checkpoint window: the record may
 	// already be reflected in the snapshot, so apply idempotently.
@@ -81,11 +90,7 @@ func AuditSpace(img *wal.Reader) (map[uint32]SpaceImage, error) {
 		if err == nil && rec.Type == wal.RecCheckpoint {
 			if c, err := decodeCheckpoint(rec.Payload); err == nil && c.Space != nil {
 				for store, si := range c.Space {
-					sh := &spaceShadow{next: si.Next, free: make(map[uint64]bool, len(si.Free)), seeded: true}
-					for _, pid := range si.Free {
-						sh.free[pid] = true
-					}
-					shadows[store] = sh
+					shadows[store] = seededShadow(si)
 				}
 				scanFrom = ckpt
 				if c.StartLSN != wal.NilLSN && c.StartLSN < scanFrom {
@@ -96,6 +101,34 @@ func AuditSpace(img *wal.Reader) (map[uint32]SpaceImage, error) {
 		}
 	}
 
+	if err := scanSpace(shadows, img, scanFrom, strictFrom); err != nil {
+		return nil, err
+	}
+	return spaceImages(shadows), nil
+}
+
+// AuditSpaceTail continues an audit past the image it was taken over:
+// shadow is the state AuditSpace reached at from, the end of that image,
+// and tail holds the log from there on — all a restart's undo pass leaves
+// in memory once the engine has released the replayed log. Every space
+// record of tail at or above from is applied strictly.
+func AuditSpaceTail(shadow map[uint32]SpaceImage, tail *wal.Reader, from wal.LSN) (map[uint32]SpaceImage, error) {
+	if tail.StartLSN() > from {
+		return nil, fmt.Errorf("recovery: space audit: log released up to %d, past the audited prefix's end %d", tail.StartLSN(), from)
+	}
+	shadows := make(map[uint32]*spaceShadow, len(shadow))
+	for store, si := range shadow {
+		shadows[store] = seededShadow(si)
+	}
+	if err := scanSpace(shadows, tail, from, from); err != nil {
+		return nil, err
+	}
+	return spaceImages(shadows), nil
+}
+
+// scanSpace applies img's space records from scanFrom on to shadows:
+// tolerantly below strictFrom, strictly from there.
+func scanSpace(shadows map[uint32]*spaceShadow, img *wal.Reader, scanFrom, strictFrom wal.LSN) error {
 	var verr error
 	img.Scan(scanFrom, func(rec wal.Record) bool {
 		if rec.Type != wal.RecUpdate && rec.Type != wal.RecCLR {
@@ -139,10 +172,11 @@ func AuditSpace(img *wal.Reader) (map[uint32]SpaceImage, error) {
 		}
 		return true
 	})
-	if verr != nil {
-		return nil, verr
-	}
+	return verr
+}
 
+// spaceImages is the final state of every seeded shadow.
+func spaceImages(shadows map[uint32]*spaceShadow) map[uint32]SpaceImage {
 	out := make(map[uint32]SpaceImage, len(shadows))
 	for store, sh := range shadows {
 		if !sh.seeded {
@@ -155,7 +189,7 @@ func AuditSpace(img *wal.Reader) (map[uint32]SpaceImage, error) {
 		sort.Slice(img.Free, func(i, j int) bool { return img.Free[i] < img.Free[j] })
 		out[store] = img
 	}
-	return out, nil
+	return out
 }
 
 // CheckSpace compares an audit's final shadow state against the

@@ -298,6 +298,14 @@ func (t *Tree) postTerm(task postTask) {
 				return err
 			}
 			retired := child.N.Retired
+			if task.rect.TimeHigh == NoEnd {
+				// A current node's term describes the node, not the task: a
+				// key-sibling task rediscovered by a side traversal carries
+				// the time bound of the node it was found FROM, which may
+				// have time-split since the key split and then starts after
+				// the sibling does (and an open key bound besides).
+				task.rect = cloneRect(child.N.Rect)
+			}
 			o.Release(&child)
 			if retired {
 				t.Stats.PostsNoop.Add(1)
@@ -352,15 +360,6 @@ func (t *Tree) postTerm(task postTask) {
 
 		if node.N.Level == 1 {
 			term := Entry{Child: task.child, ChildRect: cloneRect(task.rect)}
-			if term.ChildRect.KeyHigh.Unbounded && !node.N.Rect.KeyHigh.Unbounded {
-				// Key-sibling tasks carry an open key bound; tighten it to
-				// the child's actual direct bound by reading the child.
-				child, err := o.Acquire(task.child, latch.S, 0)
-				if err == nil {
-					term.ChildRect = cloneRect(child.N.Rect)
-					o.Release(&child)
-				}
-			}
 			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindPostTerm, encTerm(term))
 			node.N.insertTerm(term)
 			node.F.MarkDirty(lsn)

@@ -445,3 +445,44 @@ func TestClippingUnderIndexSplits(t *testing.T) {
 		}
 	}
 }
+
+// TestRediscoveredKeySiblingTermTimeBound: a key split's posting is lost
+// (as a crash loses the queue), the LEFT half then time-splits, and only
+// after that does a side traversal rediscover the right half and post its
+// term. The task is built from the left half, whose time bound is by now
+// later than the right half's own; the term must describe the right half.
+func TestRediscoveredKeySiblingTermTimeBound(t *testing.T) {
+	opts := smallOpts()
+	opts.NoCompletion = true
+	fx := newFixture(t, opts)
+	put := func(k uint64, v string) {
+		t.Helper()
+		tx := fx.e.TM.Begin()
+		if err := fx.tree.Put(tx, keys.Uint64(k), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := uint64(0)
+	for ; fx.tree.Stats.KeySplits.Load() == 0; k++ {
+		put(k, "v")
+	}
+	for i := 0; fx.tree.Stats.TimeSplits.Load() == 0; i++ {
+		put(0, fmt.Sprintf("v%d", i)) // key 0 lives in the left half
+	}
+	if ks, ts := fx.tree.Stats.KeySplits.Load(), fx.tree.Stats.TimeSplits.Load(); ks != 1 || ts != 1 {
+		t.Fatalf("%d key splits and %d time splits, want one of each", ks, ts)
+	}
+
+	fx.tree.opts.NoCompletion = false
+	fx2 := fx.crashRestart(t)
+	if _, ok, err := fx2.tree.Get(nil, keys.Uint64(k-1)); err != nil || !ok {
+		t.Fatalf("key %d in the unposted right half: ok=%v err=%v", k-1, ok, err)
+	}
+	fx2.mustVerify(t)
+	if fx2.tree.Stats.PostsPerformed.Load() == 0 {
+		t.Fatal("the side traversal posted nothing")
+	}
+}

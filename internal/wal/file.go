@@ -178,8 +178,23 @@ func (fw *FileWAL) Stats() FileWALStats {
 // Dir returns the WAL directory.
 func (fw *FileWAL) Dir() string { return fw.dir }
 
-// Close closes the active segment file and any roll-deferred segments.
-// It does not sync: callers that need durability force the log first.
+// SegmentSize returns the data capacity of one segment: the size asked
+// for, or the size of the segments an existing directory already holds.
+func (fw *FileWAL) SegmentSize() int { return int(fw.segCap) }
+
+// Watermarks returns the durable checkpoint anchor and recycle horizon:
+// what the master record holds.
+func (fw *FileWAL) Watermarks() (ckpt, horizon LSN) {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.ckpt, fw.horizon
+}
+
+// Close closes the active segment file and any roll-deferred segments,
+// and unlinks the free pool: it only saves an open log the cost of
+// creating its next segment, so a closed directory holds no dead file
+// (replay starts an empty pool). It does not sync: callers that need
+// durability force the log first.
 func (fw *FileWAL) Close() error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
@@ -188,6 +203,10 @@ func (fw *FileWAL) Close() error {
 		f.Close()
 	}
 	fw.pendSync = nil
+	for _, path := range fw.free {
+		os.Remove(path)
+	}
+	fw.free = nil
 	if fw.cur != nil {
 		err := fw.cur.Close()
 		fw.cur = nil

@@ -12,14 +12,35 @@ import (
 // TestPipelineOverlapsWriteAndSync: with every sync stalled by the
 // wal.sync.slow latency failpoint, concurrent committers must start the
 // next round's write stage while the previous round's sync is still in
-// flight — the Overlaps counter observes it deterministically.
+// flight — the Overlaps counter observes it. The committers alone can
+// fall into lockstep (all eight in every round leaves nobody to start the
+// next one), so a straggler waits half a stall after each of its acks:
+// the others have begun the next round by then and it commits inside
+// that round's sync.
 func TestPipelineOverlapsWriteAndSync(t *testing.T) {
+	const stall = 2 * time.Millisecond
 	l, inj := newFaultyLog(1)
-	inj.Arm(FPSyncSlow, fault.Spec{Kind: fault.None, Count: -1, Delay: 2 * time.Millisecond})
+	inj.Arm(FPSyncSlow, fault.Spec{Kind: fault.None, Count: -1, Delay: stall})
 
 	const committers = 8
 	const perG = 10
 	var wg sync.WaitGroup
+	done := make(chan struct{})
+	straggled := make(chan struct{})
+	go func() {
+		defer close(straggled)
+		for id := TxnID(1000); ; id++ {
+			select {
+			case <-done:
+				return
+			case <-time.After(stall / 2):
+			}
+			if err := l.ForceGroup(l.Append(&Record{Type: RecCommit, TxnID: id})); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	for g := 0; g < committers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -34,6 +55,8 @@ func TestPipelineOverlapsWriteAndSync(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(done)
+	<-straggled
 	st := l.PipelineStatsSnapshot()
 	if st.Overlaps == 0 {
 		t.Fatalf("no write round overlapped a stalled sync: %+v", st)
