@@ -4,7 +4,7 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test lockcpu corecpu enginecpu race benchbuild expbuild benchsmoke bench torture realcrash churn loc
+.PHONY: check vet build test lockcpu corecpu enginecpu pagefile race benchbuild expbuild benchsmoke bench torture realcrash churn loc
 
 ## check: everything CI runs — vet, build, tests, the race detector over
 ## the concurrency-critical packages (including the commit-pipeline and
@@ -16,9 +16,10 @@ REAL_ROUNDS ?= 20
 ## gate over real files, the sustained-churn steady-state gate, the lock
 ## manager's tests at 1, 2 and 4 CPUs (its deadlock-detector bugs never
 ## showed at one), the B-link tree's, the kernel's and the engine's
-## likewise, and the repo benchmark's own smoke test (a nested module
-## `go test ./...` does not enter).
-check: vet build test lockcpu corecpu enginecpu race benchbuild expbuild benchsmoke torture realcrash churn
+## likewise, the page file's slot allocator against its crash model and a
+## short fuzz of its open path, and the repo benchmark's own smoke test (a
+## nested module `go test ./...` does not enter).
+check: vet build test lockcpu corecpu enginecpu pagefile race benchbuild expbuild benchsmoke torture realcrash churn
 
 vet:
 	$(GO) vet ./...
@@ -47,6 +48,14 @@ corecpu:
 ## and only a second CPU runs them at once.
 enginecpu:
 	$(GO) test -cpu 1,2,4 -count 5 ./internal/engine
+
+## pagefile: the page file's tests at -cpu 1,2,4, repeated (the model-based
+## crash test of the slot allocator, and reads racing a demand sync), then
+## ten seconds of arbitrary bytes through OpenFileDisk. Minimizing each new
+## input would otherwise eat most of the ten seconds.
+pagefile:
+	$(GO) test -cpu 1,2,4 -count 20 ./internal/storage -run FileDisk
+	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzOpenFileDisk -fuzztime 10s -fuzzminimizetime 1s
 
 race:
 	$(GO) test -race ./internal/storage ./internal/wal ./internal/latch ./internal/pitree ./internal/core ./internal/lock ./internal/txn ./internal/tsb ./internal/spatial ./internal/recovery ./internal/engine ./internal/maint

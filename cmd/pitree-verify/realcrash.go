@@ -558,6 +558,7 @@ func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killA
 		return false, fmt.Errorf("reopen: %v", err)
 	}
 	defer e2.Close()
+	defer func() { err = withPageFiles(err, e2) }()
 	if !recovered {
 		// No log survived at all: legal only if nothing was ever acked.
 		if oracle.anyAcked() || oracle.clean {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -564,7 +565,27 @@ func runTorture(cfg tortureConfig) error {
 	return nil
 }
 
-func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, draws tortDraws, rng *rand.Rand, cfg tortureConfig) (time.Duration, error) {
+// withPageFiles appends to a failed round's error each page file's slot
+// occupancy at the time of the failure; memory-backed engines have none.
+func withPageFiles(err error, e *engine.Engine) error {
+	if err == nil || e == nil {
+		return err
+	}
+	_, disks := e.FileStats()
+	ids := make([]uint32, 0, len(disks))
+	for id := range disks {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		d := disks[id]
+		err = fmt.Errorf("%w\nstore %d page file: slots=%d free=%d limbo=%d demand_syncs=%d fsyncs=%d pages_written=%d checksum_fails=%d",
+			err, id, d.Slots, d.FreeSlots, d.LimboSlots, d.DemandSyncs, d.Fsyncs, d.PagesWritten, d.ChecksumFails)
+	}
+	return err
+}
+
+func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, draws tortDraws, rng *rand.Rand, cfg tortureConfig) (restart time.Duration, err error) {
 	inj := fault.New(seed)
 	spec := entry.spec
 	spec.After = 1 + int64(rng.Intn(entry.spread))
@@ -762,6 +783,7 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 	ropts := engine.Options{PageOriented: cfg.pageOriented, RecoveryWorkers: recWorkers}
 	var img *engine.CrashImage
 	var e2 *engine.Engine
+	defer func() { err = withPageFiles(err, e2) }()
 	var restartStart time.Time
 	if entry.atClose {
 		// The shutdown is the crash site. A Close cut short by the fault
@@ -809,7 +831,7 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 	if err := finishAudited(e2, pend.finish); err != nil {
 		return 0, fmt.Errorf("%v\ntrips: %v", err, inj.Trips())
 	}
-	restart := time.Since(restartStart)
+	restart = time.Since(restartStart)
 
 	if err := tree2.verify(); err != nil {
 		return 0, fmt.Errorf("tree ill-formed after recovery: %v\ntrips: %v", err, inj.Trips())

@@ -23,7 +23,7 @@ import (
 // write and one fsync per round, so fsyncs/commit falls as threads
 // rise. The file columns also surface the physical-work counters: WAL
 // segments created and recycled across the mid-run checkpoint, and
-// page-slot checksum verifications performed by the dual-slot store.
+// page-slot checksum verifications performed by the page file.
 func T18FileStorage(w io.Writer, p Params) {
 	ops := p.OpsPerThread / 4
 	if ops < 1_000 {

@@ -52,14 +52,17 @@ type Options struct {
 	SerialRestart bool
 	// DataDir, when non-empty, makes the engine file-backed: the WAL
 	// lives in segment files under DataDir and every store's pages in a
-	// checksummed dual-slot page file. Use Open (not New) to construct a
+	// checksummed copy-on-write page file. Use Open (not New) to construct a
 	// file-backed engine so a previous incarnation's state is replayed.
 	DataDir string
 	// SegmentSize is the WAL segment data capacity in bytes (0 =
 	// wal.DefaultSegmentSize).
 	SegmentSize int
-	// SlotSize is the per-page slot size of file-backed stores (0 =
-	// storage.DefaultSlotSize). Each page owns two slots.
+	// SlotSize is the slot size of file-backed stores' page files (0 =
+	// storage.DefaultSlotSize): the largest page image plus a 40-byte
+	// frame header. A page occupies one slot, and the file holds at most
+	// an eighth more slots than pages, plus 64. Only a new page file
+	// takes it; an existing one keeps the size it was created with.
 	SlotSize int
 	// Sync selects the fsync policy of the file-backed WAL.
 	Sync wal.SyncPolicy

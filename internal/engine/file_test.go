@@ -72,7 +72,7 @@ func fileWorkload(t *testing.T, e *Engine, st *storage.Store) {
 // engine via the crash image, the file engine by abandoning the process
 // state and replaying its directory), recovers both, and demands the
 // recovered disk images be byte-identical. The file layer — CRC framing,
-// segment stitching, master anchors, dual-slot page files — must be
+// segment stitching, master anchors, copy-on-write page files — must be
 // invisible to recovery semantics.
 func TestEngineFileMemRecoveryEquivalence(t *testing.T) {
 	// Memory side.

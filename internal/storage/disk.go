@@ -189,8 +189,8 @@ func (d *FaultyDisk) Write(pid PageID, img []byte) error {
 		if fault.IsTorn(err) {
 			if pw, ok := d.inner.(PartialWriter); ok {
 				// File-backed device: tear for real — a seeded prefix of
-				// the framed page lands on disk. The dual-slot layout
-				// keeps the prior image intact, so the observable
+				// the framed page lands on disk, in a slot of its own.
+				// The prior image stays intact, so the observable
 				// semantics match MemDisk's simulated tear.
 				_ = pw.WritePartial(pid, img, fault.AsError(err).Frac)
 			}

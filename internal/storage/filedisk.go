@@ -1,42 +1,60 @@
 // FileDisk: a page-addressed data file with per-page checksums, torn-page
 // detection, and careful replacement.
 //
-// Each page owns two fixed-size slots (ping-pong). A write always targets
-// the slot NOT holding the current image and carries a monotonically
-// increasing sequence number, so the prior image stays intact until the
-// new one is completely on disk — the paper's careful replacement
-// discipline (§2.2) realized at the file layer. A torn write therefore
-// leaves the page readable at its previous version, which is exactly the
-// semantics the in-memory fault simulation (FaultyDisk over MemDisk)
-// models, and what keeps the MemDisk-vs-FileDisk recovery equivalence
-// oracle exact.
+// The file is an array of fixed-size slots and every page image lives in
+// exactly one of them. A write never lands on the image it replaces: it
+// takes a free slot and carries a sequence number one higher, so the
+// prior image stays intact until the new one is completely on disk — the
+// paper's careful replacement discipline (§2.2) realized at the file
+// layer. A torn write therefore leaves the page readable at its previous
+// version, which is exactly the semantics the in-memory fault simulation
+// (FaultyDisk over MemDisk) models, and what keeps the MemDisk-vs-FileDisk
+// recovery equivalence oracle exact.
+//
+// A superseded slot that holds a page's durable image (the one the last
+// Sync covered) waits in limbo until the next Sync has made its
+// replacement durable, and only then becomes free. A superseded slot whose
+// image was itself written since the last Sync is free at once: the
+// durable image behind it is the one in limbo. The file is kept at
+//
+//	slots <= pages + pages/8 + 64
+//
+// by one rule: a write that finds no free slot while the file is at that
+// bound fsyncs the file itself — always legal, the log was forced before
+// the pool called Write — and takes what limbo releases.
 //
 // On-disk format (little-endian):
 //
 //	file header (32 bytes):
 //	  [0:8)   magic "PITRPAGE"
-//	  [8:12)  format version (1)
+//	  [8:12)  format version (2)
 //	  [12:16) slot size in bytes
 //	  [16:20) CRC32C over bytes [0:16)
 //	  [20:32) zero pad
 //
-//	page pid (pid >= 1) occupies two slots at
-//	  off(pid, s) = 32 + (pid-1)*2*slotSize + s*slotSize, s in {0,1}
+//	slot i (i >= 0) is at off(i) = 32 + i*slotSize
 //
-//	slot frame (28-byte header + content):
+//	slot frame (40-byte header + content):
 //	  [0:4)   magic "PGSL"
 //	  [4:12)  sequence number (monotone per page; higher wins)
-//	  [12:20) page ID (self-check against cross-linked offsets)
+//	  [12:20) page ID
 //	  [20:24) content length
-//	  [24:28) CRC32C over bytes [4:24) + content
-//	  [28:..) page image (pageLSN header + tag + codec content)
+//	  [24:32) base: sequence number of the durable image this write
+//	          supersedes, 0 if no image of the page was ever synced
+//	  [32:36) CRC32C over the content
+//	  [36:40) CRC32C over bytes [0:36)
+//	  [40:..) page image (pageLSN header + tag + codec content)
 //
-// Reads verify the active slot's checksum; on open both slots are
-// scanned and the newest intact one wins. Both slots present but corrupt
-// means the stable image is genuinely lost — ErrTornPage, fatal, because
-// redo needs an intact base image. One corrupt slot and one zero slot is
-// a torn FIRST write: the page was never completely flushed, so it reads
-// as never-written (ok=false) and redo recreates it from the log.
+// Reads verify the elected slot's checksums. Open scans every slot and
+// elects each page's intact frame of highest sequence number; all other
+// slots are free. A frame whose header verifies but whose content does not
+// is a torn (or rotted) write of a known page: with base > 0 and no intact
+// image of that page at sequence >= base, the durable image the write was
+// replacing is gone — ErrTornPage, fatal, because redo needs an intact
+// base image. With base == 0 nothing of the page was ever synced, so the
+// log still holds its whole history: it reads as never-written (ok=false)
+// and redo recreates it. A frame whose header does not verify cannot be
+// attributed to any page and is ignored.
 package storage
 
 import (
@@ -44,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -52,30 +71,71 @@ import (
 const (
 	fdHdrLen   = 32
 	fdMagic    = "PITRPAGE"
-	fdVersion  = 1
-	slotHdrLen = 28
+	fdVersion  = 2
+	slotHdrLen = 40
 	slotMagic  = 0x4c534750 // "PGSL"
 	// DefaultSlotSize is the default per-slot size; an image must fit in
 	// slotSize-slotHdrLen bytes.
 	DefaultSlotSize = 8192
+	minSlotSize     = slotHdrLen + 16
+	maxSlotSize     = 1 << 20
+	// slotReserve is the constant term of the file-size bound: the spare
+	// slots a small file may hold between two fsyncs.
+	slotReserve = 64
+	// scanChunk is how much of the file Open reads at a time.
+	scanChunk = 256 << 10
 )
+
+// ErrPageFileVersion reports a page file written in a format this build
+// does not read (version 1 gave every page a fixed pair of slots).
+var ErrPageFileVersion = errors.New("storage: unsupported page file format version")
+
+// ErrSlotSize reports a slot size, passed in or read from a page file's
+// header, outside [56, 1 MiB].
+var ErrSlotSize = errors.New("storage: page file slot size out of range")
 
 var fdCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// FileDiskStats counts the data file's physical work.
+// FileDiskStats counts the data file's physical work and reports its slot
+// occupancy.
 type FileDiskStats struct {
 	PagesWritten   int64
 	BytesWritten   int64
 	PartialWrites  int64
 	ChecksumChecks int64 // slot checksum verifications (reads + open scan)
 	ChecksumFails  int64
-	Fsyncs         int64
+	Fsyncs         int64 // Sync calls plus DemandSyncs
+	DemandSyncs    int64 // fsyncs a Write issued to reuse limbo at the size bound
+	Slots          int64 // slots in the file; <= pages + pages/8 + 64
+	FreeSlots      int64
+	LimboSlots     int64 // superseded durable images awaiting the next fsync
 }
 
-type fdSlotState struct {
-	active int    // slot holding the current image (0 or 1)
-	seq    uint64 // its sequence number
-	torn   bool   // both slots corrupt: image lost
+// fdPage is one page's elected image.
+type fdPage struct {
+	slot  int    // slot holding it; -1 when the image is lost (torn)
+	n     int    // frame length, header included
+	seq   uint64 // its sequence number (torn: the highest one seen)
+	base  uint64 // durable sequence number it superseded when written
+	epoch uint64 // FileDisk.epoch at the time it was written
+}
+
+// pageFile is what FileDisk needs of its file; tests wrap the *os.File to
+// record and fail individual writes.
+type pageFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Sync() error
+	Close() error
+}
+
+// slotHdr is a frame header whose checksum verified.
+type slotHdr struct {
+	seq  uint64
+	pid  PageID
+	n    int // content length
+	base uint64
+	crc  uint32 // content checksum
 }
 
 // FileDisk implements Disk over a real file. Write is a single pwrite
@@ -87,240 +147,318 @@ type FileDisk struct {
 	path     string
 	slotSize int
 
-	mu    sync.RWMutex
-	f     *os.File
-	pages map[PageID]*fdSlotState
+	mu     sync.RWMutex
+	f      pageFile
+	pages  map[PageID]*fdPage
+	nslots int
+	free   []int
+	limbo  []int
+	// epoch counts fsyncs; an image written in an earlier epoch is durable.
+	epoch uint64
+	frame []byte // Write's framing buffer
 
-	checks atomic.Int64
-	fails  atomic.Int64
-	writes atomic.Int64
-	bytes  atomic.Int64
-	parts  atomic.Int64
-	syncs  atomic.Int64
+	checks  atomic.Int64
+	fails   atomic.Int64
+	writes  atomic.Int64
+	bytes   atomic.Int64
+	parts   atomic.Int64
+	syncs   atomic.Int64
+	demands atomic.Int64
 }
 
 // OpenFileDisk opens or creates the page file at path. slotSize <= 0
-// means DefaultSlotSize. An existing file is scanned: every page's
-// newest intact slot becomes its stable image.
+// means DefaultSlotSize; an existing file keeps the slot size it was
+// created with. An existing file is scanned: every page's newest intact
+// frame becomes its stable image, and what the scan finds is taken as
+// durable.
 func OpenFileDisk(path string, slotSize int) (*FileDisk, error) {
 	if slotSize <= 0 {
 		slotSize = DefaultSlotSize
 	}
-	if slotSize < slotHdrLen+16 {
-		return nil, fmt.Errorf("storage: slot size %d too small", slotSize)
+	if slotSize < minSlotSize || slotSize > maxSlotSize {
+		return nil, fmt.Errorf("storage: slot size %d: %w", slotSize, ErrSlotSize)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	d := &FileDisk{path: path, slotSize: slotSize, f: f, pages: make(map[PageID]*fdSlotState)}
-	st, err := f.Stat()
-	if err != nil {
+	d := &FileDisk{path: path, slotSize: slotSize, f: f, pages: make(map[PageID]*fdPage), epoch: 1}
+	if err := d.load(f); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if st.Size() == 0 {
-		var hdr [fdHdrLen]byte
-		copy(hdr[0:8], fdMagic)
-		binary.LittleEndian.PutUint32(hdr[8:], fdVersion)
-		binary.LittleEndian.PutUint32(hdr[12:], uint32(slotSize))
-		binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[0:16], fdCRCTable))
-		if _, err := f.WriteAt(hdr[:], 0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return d, nil
-	}
-	var hdr [fdHdrLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: page file %s: %w", path, ErrTornPage)
-	}
-	if string(hdr[0:8]) != fdMagic ||
-		binary.LittleEndian.Uint32(hdr[8:]) != fdVersion ||
-		binary.LittleEndian.Uint32(hdr[16:]) != crc32.Checksum(hdr[0:16], fdCRCTable) {
-		f.Close()
-		return nil, fmt.Errorf("storage: page file %s header corrupt: %w", path, ErrTornPage)
-	}
-	d.slotSize = int(binary.LittleEndian.Uint32(hdr[12:]))
-	if err := d.scan(st.Size()); err != nil {
-		f.Close()
-		return nil, err
-	}
+	d.frame = make([]byte, d.slotSize)
 	return d, nil
 }
 
-// scan walks every slot pair, electing each page's newest intact image.
+// fileHeader builds a page file's header.
+func fileHeader(version, slotSize uint32) []byte {
+	hdr := make([]byte, fdHdrLen)
+	copy(hdr, fdMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], version)
+	binary.LittleEndian.PutUint32(hdr[12:], slotSize)
+	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], fdCRCTable))
+	return hdr
+}
+
+// load writes the header of a new file, or checks the header of an
+// existing one and scans its slots.
+func (d *FileDisk) load(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if st.Size() == 0 {
+		_, err := f.WriteAt(fileHeader(fdVersion, uint32(d.slotSize)), 0)
+		return err
+	}
+	var hdr [fdHdrLen]byte
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return fmt.Errorf("storage: page file %s: %w", d.path, ErrTornPage)
+	}
+	if string(hdr[0:8]) != fdMagic ||
+		binary.LittleEndian.Uint32(hdr[16:]) != crc32.Checksum(hdr[0:16], fdCRCTable) {
+		return fmt.Errorf("storage: page file %s header corrupt: %w", d.path, ErrTornPage)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[8:]); v != fdVersion {
+		return fmt.Errorf("storage: page file %s has format version %d, want %d: %w", d.path, v, fdVersion, ErrPageFileVersion)
+	}
+	// The slot size sizes what scan allocates; nothing outside the range
+	// a FileDisk can create is taken from a file.
+	ss := binary.LittleEndian.Uint32(hdr[12:])
+	if ss < minSlotSize || ss > maxSlotSize {
+		return fmt.Errorf("storage: page file %s slot size %d: %w", d.path, ss, ErrSlotSize)
+	}
+	d.slotSize = int(ss)
+	return d.scan(st.Size())
+}
+
+// scan elects each page's newest intact frame, frees every other slot,
+// and marks as torn the pages whose durable image a torn write outlived.
 func (d *FileDisk) scan(size int64) error {
-	pairBytes := int64(2 * d.slotSize)
-	npages := (size - fdHdrLen + pairBytes - 1) / pairBytes
-	buf := make([]byte, pairBytes)
-	for i := int64(0); i < npages; i++ {
-		off := fdHdrLen + i*pairBytes
-		n, _ := d.f.ReadAt(buf, off)
-		pid := PageID(i + 1)
-		pair := buf[:n]
-		var st fdSlotState
-		haveValid := false
-		nonzeroCorrupt := 0
-		for s := 0; s < 2; s++ {
-			lo := s * d.slotSize
-			if lo >= len(pair) {
-				break
+	ss := int64(d.slotSize)
+	// A trailing partial slot is a write cut short while extending the
+	// file; it counts as a slot so the next extension lands on its offset.
+	d.nslots = int((size - fdHdrLen + ss - 1) / ss)
+	per := max(1, scanChunk/d.slotSize)
+	buf := make([]byte, min(int64(per)*ss, size-fdHdrLen))
+	// lost is, per page, the highest base (and sequence number) among its
+	// content-torn frames with base > 0.
+	type tornFrame struct{ base, seq uint64 }
+	lost := make(map[PageID]tornFrame)
+	for first := 0; first < d.nslots; first += per {
+		n, err := d.f.ReadAt(buf, d.slotOff(first))
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("storage: page file %s: scan: %w", d.path, err)
+		}
+		for i := 0; i < per && first+i < d.nslots; i++ {
+			slot := first + i
+			b := buf[min(i*d.slotSize, n):min((i+1)*d.slotSize, n)]
+			h, ok := d.parseHdr(b)
+			if !ok {
+				d.free = append(d.free, slot)
+				continue
 			}
-			hi := lo + d.slotSize
-			if hi > len(pair) {
-				hi = len(pair)
-			}
-			slot := pair[lo:hi]
-			img, seq, ok := d.verifySlot(slot, pid)
-			if ok {
-				if !haveValid || seq > st.seq {
-					st.active, st.seq = s, seq
+			if _, ok := d.content(b, h); !ok {
+				if t := lost[h.pid]; h.base > 0 {
+					lost[h.pid] = tornFrame{max(t.base, h.base), max(t.seq, h.seq)}
 				}
-				haveValid = true
-				_ = img
-			} else if !allZero(slot) {
-				nonzeroCorrupt++
+				d.free = append(d.free, slot)
+				continue
 			}
+			p := d.pages[h.pid]
+			switch {
+			case p == nil:
+				p = &fdPage{}
+				d.pages[h.pid] = p
+			case h.seq <= p.seq:
+				d.free = append(d.free, slot)
+				continue
+			default:
+				d.free = append(d.free, p.slot)
+			}
+			*p = fdPage{slot: slot, n: slotHdrLen + h.n, seq: h.seq}
 		}
-		switch {
-		case haveValid:
-			cp := st
-			d.pages[pid] = &cp
-		case nonzeroCorrupt >= 2:
-			// Both versions corrupt: the stable image is lost for good.
-			d.pages[pid] = &fdSlotState{torn: true}
-		default:
-			// All-zero (never written) or a single torn first write:
-			// the page reads as never flushed.
+	}
+	for pid, t := range lost {
+		p := d.pages[pid]
+		if p != nil && p.seq >= t.base {
+			continue
 		}
+		// No intact image as new as the durable one a torn write was
+		// replacing: whatever older copy survives is stale.
+		if p != nil {
+			d.free = append(d.free, p.slot)
+		}
+		d.pages[pid] = &fdPage{slot: -1, seq: max(t.base, t.seq)}
 	}
 	return nil
 }
 
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
+// parseHdr checks a frame header against its own checksum. An all-zero or
+// foreign slot fails without counting as a checksum failure.
+func (d *FileDisk) parseHdr(b []byte) (slotHdr, bool) {
+	d.checks.Add(1)
+	if len(b) < slotHdrLen || binary.LittleEndian.Uint32(b[0:]) != slotMagic {
+		return slotHdr{}, false
+	}
+	h := slotHdr{
+		seq:  binary.LittleEndian.Uint64(b[4:]),
+		pid:  PageID(binary.LittleEndian.Uint64(b[12:])),
+		n:    int(binary.LittleEndian.Uint32(b[20:])),
+		base: binary.LittleEndian.Uint64(b[24:]),
+		crc:  binary.LittleEndian.Uint32(b[32:]),
+	}
+	if binary.LittleEndian.Uint32(b[36:]) != crc32.Checksum(b[0:36], fdCRCTable) || h.pid == NilPage {
+		d.fails.Add(1)
+		return slotHdr{}, false
+	}
+	return h, true
+}
+
+// content returns the image of the frame in b, whose header is h, if it
+// is all there and matches its checksum.
+func (d *FileDisk) content(b []byte, h slotHdr) ([]byte, bool) {
+	if h.n > len(b)-slotHdrLen {
+		d.fails.Add(1)
+		return nil, false
+	}
+	img := b[slotHdrLen : slotHdrLen+h.n]
+	if crc32.Checksum(img, fdCRCTable) != h.crc {
+		d.fails.Add(1)
+		return nil, false
+	}
+	return img, true
+}
+
+func (d *FileDisk) slotOff(slot int) int64 {
+	return fdHdrLen + int64(slot)*int64(d.slotSize)
+}
+
+// bound is the number of slots the file may grow to.
+func (d *FileDisk) bound() int {
+	return len(d.pages) + len(d.pages)/8 + slotReserve
+}
+
+// takeSlot returns a slot no elected or durable image lives in: a free
+// one, else a new one at the end of the file, else — at the size bound —
+// one of those an fsync releases from limbo.
+func (d *FileDisk) takeSlot() (int, error) {
+	if len(d.free) == 0 && len(d.limbo) > 0 && d.nslots >= d.bound() {
+		if err := d.syncLocked(); err != nil {
+			return 0, err
+		}
+		d.demands.Add(1)
+	}
+	if n := len(d.free); n > 0 {
+		slot := d.free[n-1]
+		d.free = d.free[:n-1]
+		return slot, nil
+	}
+	d.nslots++
+	return d.nslots - 1, nil
+}
+
+// stage takes the slot pid's next image goes to and frames img for it in
+// d.frame. It runs after takeSlot because a demand sync there makes the
+// current image durable, which changes the base the frame must carry.
+func (d *FileDisk) stage(pid PageID, img []byte) (b []byte, next fdPage, err error) {
+	if len(img) > d.slotSize-slotHdrLen {
+		return nil, next, fmt.Errorf("storage: page %d image %dB exceeds slot capacity %dB", pid, len(img), d.slotSize-slotHdrLen)
+	}
+	slot, err := d.takeSlot()
+	if err != nil {
+		return nil, next, err
+	}
+	next = fdPage{slot: slot, n: slotHdrLen + len(img), seq: 1, epoch: d.epoch}
+	if p := d.pages[pid]; p != nil {
+		next.seq = p.seq + 1
+		switch {
+		case p.slot < 0: // lost: nothing durable to supersede
+		case p.epoch < d.epoch:
+			next.base = p.seq
+		default:
+			next.base = p.base
 		}
 	}
-	return true
-}
-
-// verifySlot checks one slot frame; returns the content and sequence.
-func (d *FileDisk) verifySlot(slot []byte, pid PageID) ([]byte, uint64, bool) {
-	d.checks.Add(1)
-	if len(slot) < slotHdrLen || binary.LittleEndian.Uint32(slot[0:]) != slotMagic {
-		return nil, 0, false
-	}
-	seq := binary.LittleEndian.Uint64(slot[4:])
-	if PageID(binary.LittleEndian.Uint64(slot[12:])) != pid {
-		d.fails.Add(1)
-		return nil, 0, false
-	}
-	ln := int(binary.LittleEndian.Uint32(slot[20:]))
-	if ln < 0 || slotHdrLen+ln > len(slot) {
-		d.fails.Add(1)
-		return nil, 0, false
-	}
-	crc := binary.LittleEndian.Uint32(slot[24:])
-	h := crc32.Checksum(slot[4:24], fdCRCTable)
-	h = crc32.Update(h, fdCRCTable, slot[slotHdrLen:slotHdrLen+ln])
-	if h != crc {
-		d.fails.Add(1)
-		return nil, 0, false
-	}
-	return slot[slotHdrLen : slotHdrLen+ln], seq, true
-}
-
-func (d *FileDisk) slotOff(pid PageID, slot int) int64 {
-	return fdHdrLen + (int64(pid)-1)*2*int64(d.slotSize) + int64(slot)*int64(d.slotSize)
-}
-
-// frameSlot builds the on-disk slot frame for img.
-func (d *FileDisk) frameSlot(pid PageID, seq uint64, img []byte) ([]byte, error) {
-	if len(img) > d.slotSize-slotHdrLen {
-		return nil, fmt.Errorf("storage: page %d image %dB exceeds slot capacity %dB", pid, len(img), d.slotSize-slotHdrLen)
-	}
-	b := make([]byte, slotHdrLen+len(img))
+	b = d.frame[:next.n]
 	binary.LittleEndian.PutUint32(b[0:], slotMagic)
-	binary.LittleEndian.PutUint64(b[4:], seq)
+	binary.LittleEndian.PutUint64(b[4:], next.seq)
 	binary.LittleEndian.PutUint64(b[12:], uint64(pid))
 	binary.LittleEndian.PutUint32(b[20:], uint32(len(img)))
+	binary.LittleEndian.PutUint64(b[24:], next.base)
+	binary.LittleEndian.PutUint32(b[32:], crc32.Checksum(img, fdCRCTable))
+	binary.LittleEndian.PutUint32(b[36:], crc32.Checksum(b[0:36], fdCRCTable))
 	copy(b[slotHdrLen:], img)
-	h := crc32.Checksum(b[4:24], fdCRCTable)
-	h = crc32.Update(h, fdCRCTable, b[slotHdrLen:])
-	binary.LittleEndian.PutUint32(b[24:], h)
-	return b, nil
+	return b, next, nil
 }
 
 // Write replaces the stable image of pid via careful replacement: the
-// frame lands in the inactive slot and only then does the in-memory
-// election flip to it.
+// frame lands in a slot of its own and only then does the in-memory
+// election move to it. The slot it leaves is free at once if its image
+// was never synced, and otherwise waits in limbo for the next fsync.
 func (d *FileDisk) Write(pid PageID, img []byte) error {
 	if pid == NilPage {
 		return errors.New("storage: write to nil page")
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := d.pages[pid]
-	target, seq := 0, uint64(1)
-	if st != nil && !st.torn {
-		target, seq = 1-st.active, st.seq+1
-	}
-	b, err := d.frameSlot(pid, seq, img)
+	b, next, err := d.stage(pid, img)
 	if err != nil {
 		return err
 	}
-	if _, err := d.f.WriteAt(b, d.slotOff(pid, target)); err != nil {
+	if _, err := d.f.WriteAt(b, d.slotOff(next.slot)); err != nil {
+		d.free = append(d.free, next.slot)
 		return err
 	}
 	d.writes.Add(1)
 	d.bytes.Add(int64(len(b)))
-	if st == nil || st.torn {
-		d.pages[pid] = &fdSlotState{active: target, seq: seq}
-	} else {
-		st.active, st.seq = target, seq
+	p := d.pages[pid]
+	switch {
+	case p == nil:
+		p = &fdPage{}
+		d.pages[pid] = p
+	case p.slot < 0:
+	case p.epoch < d.epoch:
+		d.limbo = append(d.limbo, p.slot)
+	default:
+		d.free = append(d.free, p.slot)
 	}
+	*p = next
 	return nil
 }
 
 // WritePartial writes only a seeded prefix of the framed image into the
-// target slot — a genuine torn pwrite. The in-memory election is NOT
-// updated: the prior image (or never-written state) remains the page's
-// stable version, and a post-crash rescan elects the same way because
-// the partial frame fails its checksum.
+// slot a Write would have taken — a genuine torn pwrite. The in-memory
+// election is NOT updated and the slot stays free: the prior image (or
+// never-written state) remains the page's stable version, and a
+// post-crash rescan elects the same way because the partial frame fails
+// its header or content checksum.
 func (d *FileDisk) WritePartial(pid PageID, img []byte, frac float64) error {
 	if pid == NilPage {
 		return nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.pages[pid]
-	target, seq := 0, uint64(1)
-	if st != nil && !st.torn {
-		target, seq = 1-st.active, st.seq+1
-	}
-	b, err := d.frameSlot(pid, seq, img)
-	if err != nil {
-		return err
-	}
-	n := int(frac * float64(len(b)))
-	if n >= len(b) {
-		n = len(b) - 1 // a complete frame would not be torn
-	}
+	// A complete frame would not be torn.
+	n := min(int(frac*float64(slotHdrLen+len(img))), slotHdrLen+len(img)-1)
 	if n <= 0 {
 		return nil
 	}
-	if _, err := d.f.WriteAt(b[:n], d.slotOff(pid, target)); err != nil {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	b, next, err := d.stage(pid, img)
+	if err != nil {
+		return err
+	}
+	d.free = append(d.free, next.slot)
+	if _, err := d.f.WriteAt(b[:n], d.slotOff(next.slot)); err != nil {
 		return err
 	}
 	d.parts.Add(1)
 	return nil
 }
 
-// Read returns the stable image of pid, verifying its checksum.
+// Read returns the stable image of pid, verifying its checksum. The
+// caller must not modify the returned slice.
 func (d *FileDisk) Read(pid PageID) ([]byte, bool, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -328,22 +466,23 @@ func (d *FileDisk) Read(pid PageID) ([]byte, bool, error) {
 }
 
 func (d *FileDisk) readLocked(pid PageID) ([]byte, bool, error) {
-	st := d.pages[pid]
-	if st == nil {
+	p := d.pages[pid]
+	if p == nil {
 		return nil, false, nil
 	}
-	if st.torn {
-		return nil, false, fmt.Errorf("storage: page %d: both slots corrupt: %w", pid, ErrTornPage)
+	if p.slot < 0 {
+		return nil, false, fmt.Errorf("storage: page %d: durable image lost: %w", pid, ErrTornPage)
 	}
-	slot := make([]byte, d.slotSize)
-	n, _ := d.f.ReadAt(slot, d.slotOff(pid, st.active))
-	img, _, ok := d.verifySlot(slot[:n], pid)
-	if !ok {
-		return nil, false, fmt.Errorf("storage: page %d slot %d checksum mismatch: %w", pid, st.active, ErrTornPage)
+	b := make([]byte, p.n)
+	n, _ := d.f.ReadAt(b, d.slotOff(p.slot))
+	if h, ok := d.parseHdr(b[:n]); ok {
+		if h.pid != pid || h.seq != p.seq {
+			d.fails.Add(1)
+		} else if img, ok := d.content(b[:n], h); ok {
+			return img, true, nil
+		}
 	}
-	cp := make([]byte, len(img))
-	copy(cp, img)
-	return cp, true, nil
+	return nil, false, fmt.Errorf("storage: page %d slot %d checksum mismatch: %w", pid, p.slot, ErrTornPage)
 }
 
 // Snapshot copies every intact stable image into a MemDisk.
@@ -351,8 +490,8 @@ func (d *FileDisk) Snapshot() *MemDisk {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	cp := make(map[PageID][]byte, len(d.pages))
-	for pid, st := range d.pages {
-		if st.torn {
+	for pid, p := range d.pages {
+		if p.slot < 0 {
 			continue
 		}
 		if img, ok, err := d.readLocked(pid); err == nil && ok {
@@ -385,10 +524,19 @@ func (d *FileDisk) PageIDs() []PageID {
 func (d *FileDisk) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.syncLocked()
+}
+
+// syncLocked fsyncs and starts a new epoch: every image written so far is
+// durable, so the images they superseded are no longer needed.
+func (d *FileDisk) syncLocked() error {
 	if err := d.f.Sync(); err != nil {
 		return err
 	}
 	d.syncs.Add(1)
+	d.epoch++
+	d.free = append(d.free, d.limbo...)
+	d.limbo = d.limbo[:0]
 	return nil
 }
 
@@ -399,8 +547,12 @@ func (d *FileDisk) Close() error {
 	return d.f.Close()
 }
 
-// Stats returns a snapshot of the physical-work counters.
+// Stats returns a snapshot of the physical-work counters and the slot
+// occupancy.
 func (d *FileDisk) Stats() FileDiskStats {
+	d.mu.RLock()
+	slots, free, limbo := d.nslots, len(d.free), len(d.limbo)
+	d.mu.RUnlock()
 	return FileDiskStats{
 		PagesWritten:   d.writes.Load(),
 		BytesWritten:   d.bytes.Load(),
@@ -408,5 +560,9 @@ func (d *FileDisk) Stats() FileDiskStats {
 		ChecksumChecks: d.checks.Load(),
 		ChecksumFails:  d.fails.Load(),
 		Fsyncs:         d.syncs.Load(),
+		DemandSyncs:    d.demands.Load(),
+		Slots:          int64(slots),
+		FreeSlots:      int64(free),
+		LimboSlots:     int64(limbo),
 	}
 }
