@@ -15,7 +15,7 @@ REAL_ROUNDS ?= 20
 ## seeded fault-injection torture run, the real-crash (SIGKILL) recovery
 ## gate over real files, the sustained-churn steady-state gate, the lock
 ## manager's tests at 1, 2 and 4 CPUs (its deadlock-detector bugs never
-## showed at one), the B-link tree's, the kernel's and the engine's
+## showed at one), the three trees', the kernel's and the engine's
 ## likewise, the page file's slot allocator against its crash model and a
 ## short fuzz of its open path, and the repo benchmark's own smoke test (a
 ## nested module `go test ./...` does not enter).
@@ -36,12 +36,13 @@ test:
 lockcpu:
 	$(GO) test -cpu 1,2,4 -count 10 ./internal/lock
 
-## corecpu: the B-link tree and the protocol kernel at -cpu 1,2,4,
+## corecpu: the three trees and the protocol kernel at -cpu 1,2,4,
 ## repeated: a deadlock between two transactions' splits (each atomic
-## action waiting for the other transaction's page lock) needs a second
-## CPU to form.
+## action waiting for the other transaction's page lock), or a completion
+## worker running a posting that was queued too early, needs a second CPU
+## to form.
 corecpu:
-	$(GO) test -cpu 1,2,4 -count 5 ./internal/core ./internal/pitree
+	$(GO) test -cpu 1,2,4 -count 5 ./internal/core ./internal/pitree ./internal/tsb ./internal/spatial
 
 ## enginecpu: the engine at -cpu 1,2,4, repeated: Checkpoint and the
 ## background writer's tick apply one write-back rule to the same pools,

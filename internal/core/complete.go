@@ -61,7 +61,14 @@ func newCompleter(t *Tree) *completer {
 func (t *Tree) runTask(k task) {
 	switch k.kind {
 	case taskPost:
-		t.postIndexTerm(k.post)
+		// Completing actions are best-effort: the intermediate state is
+		// well-formed and a later traversal will rediscover it.
+		t.Stats.PostAttempts.Add(1)
+		if posted, err := t.kern.Post(&indexPost{t: t, task: k.post}); err != nil {
+			t.Stats.PostsFailed.Add(1)
+		} else if posted {
+			t.Stats.PostsPerformed.Add(1)
+		}
 	case taskConsolidate:
 		t.consolidate(k.cons)
 	case taskRootShrink:

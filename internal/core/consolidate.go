@@ -7,7 +7,25 @@ import (
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
+
+// errAbandoned ends a consolidating action whose last re-test, made with
+// the action already begun, found nothing to do: the action is aborted
+// empty and the attempt counts as a no-op.
+var errAbandoned = errors.New("core: consolidation abandoned")
+
+// freeNode de-allocates the X-latched victim as part of aa, marking it
+// dead first under strategy (b): the bumped state identifier lets saved-
+// path verification prove the de-allocation happened (§5.2.2(b)).
+func (t *Tree) freeNode(o *opCtx, aa *txn.Txn, victim *nref) error {
+	if t.opts.DeallocIsUpdate {
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(victim.Pid()), KindMarkDead, nil)
+		victim.N.Dead = true
+		victim.F.MarkDirty(lsn)
+	}
+	return t.store.Free(aa, &o.Tr, victim.Pid())
+}
 
 // consolidate attempts to absorb an under-utilized node into an adjacent
 // node at the same level (§3.3, §5): contents always move from the
@@ -160,62 +178,48 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 	}
 	o.Promote(&c)
 
-	aa := t.tm.BeginAtomicAction()
-	if level == 0 && t.binding.PageOriented() {
-		// Records move between pages: the move lock must exclude every
-		// transaction with undoable updates on either page. TryLock only —
-		// holding three latches while waiting for locks would break the
-		// No-Wait rule; contention simply defers the consolidation.
-		if !aa.TryLock(t.pageLockName(b.Pid()), lock.MV) ||
-			!aa.TryLock(t.pageLockName(c.Pid()), lock.MV) {
-			_ = aa.Abort()
-			o.Release(&c, &b)
-			return false, true, nil
-		}
-	}
-
 	bLen, cLen := len(b.N.Entries), len(c.N.Entries)
-	absorbed := c.N.clone()
 	preB := b.N.clone()
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(b.Pid()), KindConsolidateMove, encConsolidateMove(absorbed, preB))
-	for _, e := range absorbed.Entries {
-		b.N.insertEntry(e)
-	}
-	b.N.High = absorbed.High
-	b.N.Right = absorbed.Right
-	b.F.MarkDirty(lsn)
+	err = o.Atomic(func(aa *txn.Txn) error {
+		o.Hold(&b, &c)
+		if level == 0 && t.binding.PageOriented() {
+			// Records move between pages: the move lock must exclude every
+			// transaction with undoable updates on either page. TryLock only —
+			// holding three latches while waiting for locks would break the
+			// No-Wait rule; contention simply defers the consolidation.
+			if !aa.TryLock(t.pageLockName(b.Pid()), lock.MV) ||
+				!aa.TryLock(t.pageLockName(c.Pid()), lock.MV) {
+				return errAbandoned
+			}
+		}
+		absorbed := c.N.clone()
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(b.Pid()), KindConsolidateMove, encConsolidateMove(absorbed, preB))
+		for _, e := range absorbed.Entries {
+			b.N.insertEntry(e)
+		}
+		b.N.High = absorbed.High
+		b.N.Right = absorbed.Right
+		b.F.MarkDirty(lsn)
 
-	lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveIndexTerm, encTerm(cEntry.Key, cEntry.Child))
-	parent.N.deleteEntry(cEntry.Key)
-	parent.F.MarkDirty(lsn)
-
-	if t.opts.DeallocIsUpdate {
-		// Strategy (b): bump the victim's state identifier so saved-path
-		// verification can prove de-allocation happened (§5.2.2(b)).
-		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(c.Pid()), KindMarkDead, nil)
-		c.N.Dead = true
-		c.F.MarkDirty(lsn)
-	}
-	cPid := c.Pid()
-	if err := t.store.Free(aa, &o.Tr, cPid); err != nil {
-		// The free is the last change; abandoning the action rolls back
-		// the move and term removal too.
-		o.Release(&c, &b)
-		_ = aa.Abort()
+		if err := t.freeNode(o, aa, &c); err != nil {
+			return err
+		}
+		if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
+			return err
+		}
+		// The parent is changed last, once nothing can fail any more: it
+		// stays latched by the caller's sweep, so an abort's undo — which
+		// X-latches every page it compensates — must never reach it.
+		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveIndexTerm, encTerm(cEntry.Key, cEntry.Child))
+		parent.N.deleteEntry(cEntry.Key)
+		parent.F.MarkDirty(lsn)
+		return nil
+	})
+	if err != nil {
+		if err == errAbandoned {
+			err = nil
+		}
 		return false, true, err
-	}
-	if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
-		o.Release(&c, &b)
-		_ = aa.Abort()
-		return false, true, err
-	}
-
-	// Commit before unlatching: nothing may observe the consolidated
-	// state until the action's commit record is in the log.
-	cerr := aa.Commit()
-	o.Release(&c, &b)
-	if cerr != nil {
-		return false, true, cerr
 	}
 	t.Stats.Consolidations.Add(1)
 	if level == 0 {
@@ -262,67 +266,49 @@ func (t *Tree) shrinkRoot() {
 			o.Release(&child, &root)
 			return nil
 		}
-		aa := t.tm.BeginAtomicAction()
-		if child.N.IsLeaf() && t.binding.PageOriented() {
-			if !aa.TryLock(t.pageLockName(childPid), lock.MV) {
-				_ = aa.Abort()
-				o.Release(&child, &root)
-				return nil
-			}
-		}
 		// Top-down promotion per §4.1.1: the child's U latch would block
 		// the root promotion's reader drain, so the root must be X before
-		// the child's promotion begins — but the root promotion must not
-		// happen while the child U latch is held either. Re-order: drop
-		// the child, promote the root, re-latch and re-verify the child.
+		// the child is latched for good. Drop the child, promote the root,
+		// re-latch and re-verify the child.
 		o.Release(&child)
 		o.Promote(&root)
 		if len(root.N.Entries) != 1 || root.N.Entries[0].Child != childPid {
 			o.Release(&root)
-			_ = aa.Abort()
 			return nil
 		}
-		child, err = o.Acquire(childPid, latch.U, root.N.Level-1)
+		err = o.Atomic(func(aa *txn.Txn) error {
+			o.Hold(&root)
+			if root.N.Level == 1 && t.binding.PageOriented() && !aa.TryLock(t.pageLockName(childPid), lock.MV) {
+				return errAbandoned
+			}
+			child, err := o.Acquire(childPid, latch.U, root.N.Level-1)
+			if err != nil {
+				return err
+			}
+			o.Hold(&child)
+			if child.N.Dead || child.N.Right != storage.NilPage || !child.N.High.Unbounded {
+				return errAbandoned
+			}
+			o.Promote(&child)
+
+			absorbed := child.N.clone()
+			pre := root.N.clone()
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(t.root), KindRootShrink, encConsolidateMove(absorbed, pre))
+			root.N.Level = absorbed.Level
+			root.N.Entries = absorbed.Entries
+			root.N.High = absorbed.High
+			root.N.Right = absorbed.Right
+			root.F.MarkDirty(lsn)
+			if err := t.freeNode(o, aa, &child); err != nil {
+				return err
+			}
+			return t.store.Pool.Probe(storage.FPConsolidate)
+		})
 		if err != nil {
-			o.Release(&root)
-			_ = aa.Abort()
+			if err == errAbandoned {
+				err = nil
+			}
 			return err
-		}
-		if child.N.Dead || child.N.Right != storage.NilPage || !child.N.High.Unbounded {
-			o.Release(&child, &root)
-			_ = aa.Abort()
-			return nil
-		}
-		o.Promote(&child)
-
-		absorbed := child.N.clone()
-		pre := root.N.clone()
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(t.root), KindRootShrink, encConsolidateMove(absorbed, pre))
-		root.N.Level = absorbed.Level
-		root.N.Entries = absorbed.Entries
-		root.N.High = absorbed.High
-		root.N.Right = absorbed.Right
-		root.F.MarkDirty(lsn)
-
-		if t.opts.DeallocIsUpdate {
-			lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(childPid), KindMarkDead, nil)
-			child.N.Dead = true
-			child.F.MarkDirty(lsn)
-		}
-		if err := t.store.Free(aa, &o.Tr, childPid); err != nil {
-			o.Release(&child, &root)
-			_ = aa.Abort()
-			return err
-		}
-		if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
-			o.Release(&child, &root)
-			_ = aa.Abort()
-			return err
-		}
-		cerr := aa.Commit()
-		o.Release(&child, &root)
-		if cerr != nil {
-			return cerr
 		}
 		t.Stats.RootShrinks.Add(1)
 		return nil

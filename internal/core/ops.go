@@ -207,49 +207,40 @@ func (t *Tree) splitLeaf(o *opCtx, leaf *nref, path *Path) error {
 		return t.splitLeafInTxn(o, leaf, path, pageName)
 	}
 
-	// Independent atomic action.
-	aa := t.tm.BeginAtomicAction()
-	if t.binding.PageOriented() {
-		if t.opts.RecordMoveLocks {
-			// Record-set realization (§4.2.2): MV-lock every record that
-			// the split will move. A conflict means some transaction has
-			// an undoable update on a to-be-moved record; the No-Wait
-			// rule forces the latch down before blocking, and the retry
+	// Independent atomic action. It commits before the latch drops (see
+	// pitree.Op.Atomic): the new sibling becomes reachable only once the
+	// old node's latch is released, by which time the split's commit
+	// record precedes anything a dependent action can log.
+	err := o.Atomic(func(aa *txn.Txn) error {
+		if t.binding.PageOriented() {
+			// A conflicting move lock forces the latch down before blocking
+			// (No-Wait); the action is then abandoned and the retry
 			// re-examines the (possibly changed) node.
-			mid := len(leaf.N.Entries) / 2
-			for _, e := range leaf.N.Entries[mid:] {
-				if err := t.moveLockDance(o, aa, leaf, t.recLockName(e.Key)); err != nil {
-					_ = aa.Abort()
-					return err
+			if t.opts.RecordMoveLocks {
+				// Record-set realization (§4.2.2): MV-lock every record that
+				// the split will move. A conflict means some transaction has
+				// an undoable update on a to-be-moved record.
+				mid := len(leaf.N.Entries) / 2
+				for _, e := range leaf.N.Entries[mid:] {
+					if err := t.moveLockDance(o, aa, leaf, t.recLockName(e.Key)); err != nil {
+						return err
+					}
 				}
-			}
-		} else {
-			// Page-granule realization: one lock that waits for every
-			// transaction updating records on this page.
-			if err := t.moveLockDance(o, aa, leaf, pageName); err != nil {
-				_ = aa.Abort()
+			} else if err := t.moveLockDance(o, aa, leaf, pageName); err != nil {
+				// Page-granule realization: one lock that waits for every
+				// transaction updating records on this page.
 				return err
 			}
 		}
-	}
-	o.Promote(leaf)
-	sep, newPid, err := t.splitNode(o, leaf, aa)
-	if err != nil {
-		_ = aa.Abort()
-		return t.handleSplitError(o, leaf, err)
-	}
-	// Commit before unlatching (see modify): the new sibling becomes
-	// reachable only once the old node's latch drops, by which time the
-	// split's commit record precedes anything a dependent action can log.
-	if cerr := aa.Commit(); cerr != nil {
-		o.Release(leaf)
-		return cerr
-	}
-	o.Release(leaf)
-	if newPid != storage.NilPage {
-		t.schedulePostAfterSplit(path, sep, newPid)
-	}
-	return nil
+		o.Hold(leaf)
+		o.Promote(leaf)
+		sep, newPid, err := t.splitNode(o, leaf, aa)
+		if err == nil && newPid != storage.NilPage {
+			aa.OnCommit(func() { t.schedulePostAfterSplit(path, sep, newPid) })
+		}
+		return err
+	})
+	return t.waitOutPageLock(o, err)
 }
 
 // moveLockDance takes the MV lock on name for act under the No-Wait rule,
@@ -263,17 +254,19 @@ func (t *Tree) moveLockDance(o *opCtx, act *txn.Txn, leaf *nref, name lock.Name)
 	return err
 }
 
-// handleSplitError releases the latch and, for a new-page lock conflict
-// (a stale page-granule lock surviving from the page's previous
-// incarnation), waits the holder out before retrying.
-func (t *Tree) handleSplitError(o *opCtx, held *nref, err error) error {
-	o.Release(held)
+// waitOutPageLock passes on the outcome of a split whose latch is already
+// released, except that for a new-page lock conflict (a stale page-granule
+// lock surviving from the page's previous incarnation) it first waits the
+// holder out and then asks for a retry. The wait needs a lock owner and
+// touches no latch, so it is the one atomic action begun outside the
+// kernel's frame.
+func (t *Tree) waitOutPageLock(o *opCtx, err error) error {
 	var pl *errPageLocked
 	if errors.As(err, &pl) {
 		t.Stats.MoveLockWaits.Add(1)
 		w := t.tm.BeginAtomicAction()
 		lerr := o.LockWait(w, pl.name, lock.MV)
-		_ = w.Abort()
+		_ = w.Abort() // empty: all it ever held was the lock
 		if lerr != nil {
 			return lerr
 		}
@@ -307,10 +300,10 @@ func (t *Tree) splitLeafInTxn(o *opCtx, leaf *nref, path *Path, pageName lock.Na
 	if useNTA {
 		tx.CommitNested(nt)
 	}
-	if err != nil {
-		return t.handleSplitError(o, leaf, err)
-	}
 	o.Release(leaf)
+	if err != nil {
+		return t.waitOutPageLock(o, err)
+	}
 	if newPid != storage.NilPage {
 		t.Stats.InTxnSplits.Add(1)
 		sepCopy := keys.Clone(sep)
@@ -333,23 +326,25 @@ func (e *errPageLocked) Error() string {
 	return "core: new page's lock name still held: " + e.name.String()
 }
 
-// lockNewDataPage takes the move lock on a just-allocated data page
-// before the page becomes reachable, so that no updater can slip a record
-// into it before the splitting action is committed (or, for an
-// in-transaction split, finished). On a stale-lock conflict the
-// allocation is compensated (freed) and errPageLocked returned.
-func (t *Tree) lockNewDataPage(o *opCtx, act *txn.Txn, level int, pid storage.PageID) error {
-	if level != 0 || !t.binding.PageOriented() {
-		return nil
+// allocNode allocates the page of a new node at level and, for a data
+// page under page-oriented undo, takes its move lock before the page
+// becomes reachable, so that no updater can slip a record into it before
+// the splitting action is committed (or, for an in-transaction split,
+// finished). On a stale-lock conflict the allocation is compensated
+// (freed) and errPageLocked returned.
+func (t *Tree) allocNode(o *opCtx, act *txn.Txn, level int) (storage.PageID, error) {
+	pid, err := t.store.Alloc(act, &o.Tr)
+	if err != nil || level != 0 || !t.binding.PageOriented() {
+		return pid, err
 	}
 	name := t.pageLockName(pid)
 	if act.TryLock(name, lock.MV) {
-		return nil
+		return pid, nil
 	}
 	if err := t.store.Free(act, &o.Tr, pid); err != nil {
-		return err
+		return storage.NilPage, err
 	}
-	return &errPageLocked{name: name}
+	return storage.NilPage, &errPageLocked{name: name}
 }
 
 // splitNode performs the mechanical split of the X-latched node r,
@@ -368,26 +363,25 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 	sep := keys.Clone(n.Entries[mid].Key)
 	pre := n.clone()
 
-	if r.Pid() == t.root {
-		return t.growRoot(o, r, act, pre, sep, mid)
-	}
-
-	newPid, err := t.store.Alloc(act, &o.Tr)
+	newPid, err := t.allocNode(o, act, n.Level)
 	if err != nil {
 		return nil, storage.NilPage, err
 	}
-	if err := t.lockNewDataPage(o, act, n.Level, newPid); err != nil {
-		return nil, storage.NilPage, err
-	}
-	sibling := &Node{
+	// The upper half must NOT share pre's backing array: an in-place
+	// append during a later insert into one node would overwrite the
+	// other's entries.
+	upper := &Node{
 		Level:   n.Level,
 		Low:     sep,
 		High:    pre.High,
 		Right:   pre.Right,
 		Entries: append([]Entry(nil), pre.Entries[mid:]...),
 	}
-	if err := o.Format(act, newPid, sibling, n.Level, KindFormatNode, encNodeImage(sibling)); err != nil {
+	if err := o.Format(act, newPid, upper, n.Level, KindFormatNode, encNodeImage(upper)); err != nil {
 		return nil, storage.NilPage, err
+	}
+	if r.Pid() == t.root {
+		return nil, storage.NilPage, t.growRoot(o, r, act, pre, sep, mid, newPid)
 	}
 
 	lsnT := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindSplitTruncate, encSplitTruncate(sep, newPid, pre))
@@ -406,37 +400,16 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 	return sep, newPid, nil
 }
 
-// growRoot splits the root in place: the lower half moves to a new node
-// A, the upper half to a new node B with A's side pointer referencing B,
-// and the root becomes an index node over both. Height increases by one;
-// the root page never moves and is never de-allocated (§5.2.2 relies on
-// this).
-func (t *Tree) growRoot(o *opCtx, r *nref, act *txn.Txn, pre *Node, sep keys.Key, mid int) (keys.Key, storage.PageID, error) {
+// growRoot finishes a split of the root in place: the upper half is
+// already in the new node B (pidB); the lower half moves to a new node A
+// whose side pointer references B, and the root becomes an index node
+// over both. Height increases by one; the root page never moves and is
+// never de-allocated (§5.2.2 relies on this).
+func (t *Tree) growRoot(o *opCtx, r *nref, act *txn.Txn, pre *Node, sep keys.Key, mid int, pidB storage.PageID) error {
 	n := r.N
-	pidB, err := t.store.Alloc(act, &o.Tr)
+	pidA, err := t.allocNode(o, act, pre.Level)
 	if err != nil {
-		return nil, storage.NilPage, err
-	}
-	if err := t.lockNewDataPage(o, act, pre.Level, pidB); err != nil {
-		return nil, storage.NilPage, err
-	}
-	pidA, err := t.store.Alloc(act, &o.Tr)
-	if err != nil {
-		return nil, storage.NilPage, err
-	}
-	if err := t.lockNewDataPage(o, act, pre.Level, pidA); err != nil {
-		return nil, storage.NilPage, err
-	}
-
-	// The halves must NOT share pre's backing array: an in-place append
-	// during a later insert into one node would overwrite the other's
-	// entries.
-	nodeB := &Node{
-		Level:   pre.Level,
-		Low:     sep,
-		High:    pre.High,
-		Right:   pre.Right,
-		Entries: append([]Entry(nil), pre.Entries[mid:]...),
+		return err
 	}
 	nodeA := &Node{
 		Level:   pre.Level,
@@ -445,14 +418,8 @@ func (t *Tree) growRoot(o *opCtx, r *nref, act *txn.Txn, pre *Node, sep keys.Key
 		Right:   pidB,
 		Entries: append([]Entry(nil), pre.Entries[:mid]...),
 	}
-
-	for _, nn := range []struct {
-		pid  storage.PageID
-		node *Node
-	}{{pidB, nodeB}, {pidA, nodeA}} {
-		if err := o.Format(act, nn.pid, nn.node, pre.Level, KindFormatNode, encNodeImage(nn.node)); err != nil {
-			return nil, storage.NilPage, err
-		}
+	if err := o.Format(act, pidA, nodeA, pre.Level, KindFormatNode, encNodeImage(nodeA)); err != nil {
+		return err
 	}
 
 	termA := Entry{Key: keys.Clone(pre.Low), Child: pidA}
@@ -471,7 +438,7 @@ func (t *Tree) growRoot(o *opCtx, r *nref, act *txn.Txn, pre *Node, sep keys.Key
 		t.Stats.NoteLeafUtil(-1, mid, t.opts.LeafCapacity)
 		t.Stats.NoteLeafUtil(-1, len(pre.Entries)-mid, t.opts.LeafCapacity)
 	}
-	return nil, storage.NilPage, nil
+	return nil
 }
 
 // schedulePostAfterSplit queues the index-term posting atomic action for

@@ -215,8 +215,8 @@ func TestCompletionIdempotence(t *testing.T) {
 		t.Fatal("no unposted siblings found")
 	}
 	for rep := 0; rep < 5; rep++ {
-		for _, task := range tasks {
-			fx.tree.postIndexTerm(task)
+		for _, pt := range tasks {
+			fx.tree.runTask(task{kind: taskPost, post: pt})
 		}
 	}
 	performed := fx.tree.Stats.PostsPerformed.Load()

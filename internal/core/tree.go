@@ -118,6 +118,7 @@ type Stats struct {
 	PostsAlreadyDone  atomic.Int64
 	PostsObsolete     atomic.Int64
 	PostsSuppressedMV atomic.Int64
+	PostsFailed       atomic.Int64 // posting actions ended by an error
 	Consolidations    atomic.Int64
 	ConsolidateTries  atomic.Int64
 	RootShrinks       atomic.Int64
@@ -190,6 +191,7 @@ type StatsSnapshot struct {
 	SideTraversals                                     int64
 	PostsScheduled, PostAttempts, PostsPerformed       int64
 	PostsAlreadyDone, PostsObsolete, PostsSuppressedMV int64
+	PostsFailed                                        int64
 	Consolidations, ConsolidateTries, RootShrinks      int64
 	PathVerifyHits, PathVerifyMisses                   int64
 	Restarts, InTxnSplits, MoveLockWaits               int64
@@ -214,6 +216,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		SideTraversals: s.SideTraversals.Load(),
 		PostsScheduled: s.PostsScheduled.Load(), PostAttempts: s.PostAttempts.Load(), PostsPerformed: s.PostsPerformed.Load(),
 		PostsAlreadyDone: s.PostsAlreadyDone.Load(), PostsObsolete: s.PostsObsolete.Load(), PostsSuppressedMV: s.PostsSuppressedMV.Load(),
+		PostsFailed:    s.PostsFailed.Load(),
 		Consolidations: s.Consolidations.Load(), ConsolidateTries: s.ConsolidateTries.Load(), RootShrinks: s.RootShrinks.Load(),
 		PathVerifyHits: s.PathVerifyHits.Load(), PathVerifyMisses: s.PathVerifyMisses.Load(),
 		Restarts: s.Restarts.Load(), InTxnSplits: s.InTxnSplits.Load(), MoveLockWaits: s.MoveLockWaits.Load(),

@@ -25,6 +25,9 @@ type Op[N any] struct {
 	// it so the meta page's latch is ordered after every node's.
 	Tr  latch.Tracker
 	seq uint64
+	// held is the atomic-action frame's state (Atomic): the latches kept
+	// to the action's end, in acquisition order.
+	held []*Ref[N]
 }
 
 // NewOp checks out a pooled operation context.
@@ -126,6 +129,50 @@ func (o *Op[N]) Promote(r *Ref[N]) {
 func (o *Op[N]) Format(lg storage.UpdateLogger, pid storage.PageID, n N, level int, kind wal.Kind, image []byte) error {
 	return formatPage(o.s.Pool, &o.Tr, o.Rank(level), lg, pid, n, kind, image)
 }
+
+// Atomic runs body as one atomic action of the operation — the bracket of
+// §4.3.1 around every structure change. body logs, locks and allocates
+// through aa and hands the latches to be kept to the action's end to Hold.
+//
+//   - body returns nil: the action commits BEFORE any latch drops, so no
+//     other action can observe its changes, build on them and commit ahead
+//     of it (relative durability); then the held latches are released,
+//     last acquired first. What must wait for the commit — scheduling the
+//     posting of a node the action created, marking a page it freed — is
+//     registered with aa.OnCommit: it runs only if the commit succeeded,
+//     and still under the latches.
+//   - body returns an error: the held latches are released first, and only
+//     then is the action aborted — undo X-latches each page it compensates
+//     and would deadlock against a latch of this operation. The error is
+//     returned as it came.
+//
+// Actions of one operation run one after another, never nested.
+func (o *Op[N]) Atomic(body func(aa *txn.Txn) error) error {
+	aa := o.s.TM.BeginAtomicAction()
+	err := body(aa)
+	failed := err != nil
+	if !failed {
+		err = aa.Commit()
+	}
+	for i := len(o.held) - 1; i >= 0; i-- {
+		o.Release(o.held[i])
+		o.held[i] = nil
+	}
+	o.held = o.held[:0]
+	if failed {
+		// A rollback that fails leaves a loser for restart undo; what the
+		// caller needs is the error that ended the action.
+		_ = aa.Abort()
+	}
+	return err
+}
+
+// Hold keeps the references, given in acquisition order, latched until
+// the current atomic action ends, whichever way it ends; Atomic releases
+// them then and zeroes the variables. The caller goes on reading,
+// promoting and changing the nodes through them, and must not reuse a
+// variable for another latch meanwhile.
+func (o *Op[N]) Hold(refs ...*Ref[N]) { o.held = append(o.held, refs...) }
 
 // LockDance acquires a database lock for tx under the No-Wait rule
 // (§4.1.2): if the lock is free it is taken without waiting and nil is

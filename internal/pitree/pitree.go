@@ -19,6 +19,8 @@
 //   - the leaf update action (Update): every tree's one write path, from
 //     the U-latched descent to the commit before the latch drops, for a
 //     sorted run of one or more keys, and its read-side twin (ReadRuns);
+//   - the bracket every structure change runs in (Op.Atomic, §4.3.1) and
+//     on it the index-term posting action (Post, §5.3);
 //   - the completion queue (queue.go) that schedules completing atomic
 //     actions lazily (§5.1).
 //

@@ -52,6 +52,7 @@ package spatial
 import (
 	"repro/internal/latch"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 // absorbCand is one (delegator, victim) pair found by the scan.
@@ -265,32 +266,25 @@ func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 			return nil
 		}
 
-		aa := t.tm.BeginAtomicAction()
-		fail := func(err error) error {
-			o.Release(&victim, &deleg, &parent)
-			_ = aa.Abort()
+		err = o.Atomic(func(aa *txn.Txn) error {
+			o.Hold(&parent, &deleg, &victim)
+			pre := deleg.N.clone()
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(deleg.Pid()), KindAbsorbSib, encAbsorbSib(pre))
+			applyAbsorbSib(deleg.N)
+			deleg.F.MarkDirty(lsn)
+			lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveTerm, encTerm(term))
+			parent.N.Entries = append(parent.N.Entries[:i], parent.N.Entries[i+1:]...)
+			parent.F.MarkDirty(lsn)
+			if err := t.store.Free(aa, &o.Tr, victimPid); err != nil {
+				return err
+			}
+			// Marked under the latches, so no task scheduled after the
+			// committed cut can name the victim.
+			aa.OnCommit(func() { t.deadPages.Store(victimPid, struct{}{}) })
+			return t.store.Pool.Probe(storage.FPConsolidate)
+		})
+		if err != nil {
 			return err
-		}
-		pre := deleg.N.clone()
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(deleg.Pid()), KindAbsorbSib, encAbsorbSib(pre))
-		applyAbsorbSib(deleg.N)
-		deleg.F.MarkDirty(lsn)
-		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveTerm, encTerm(term))
-		parent.N.Entries = append(parent.N.Entries[:i], parent.N.Entries[i+1:]...)
-		parent.F.MarkDirty(lsn)
-		if err := t.store.Free(aa, &o.Tr, victimPid); err != nil {
-			return fail(err)
-		}
-		if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
-			return fail(err)
-		}
-		cerr := aa.Commit()
-		if cerr == nil {
-			t.deadPages.Store(victimPid, struct{}{})
-		}
-		o.Release(&victim, &deleg, &parent)
-		if cerr != nil {
-			return cerr
 		}
 		t.Stats.Absorbs.Add(1)
 		freed = 1

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 )
 
@@ -72,5 +73,66 @@ func TestSpatialTornDataWriteMidSMORecovery(t *testing.T) {
 	}
 	if _, err := fx2.tree.Verify(); err != nil {
 		t.Fatalf("after completion: %v", err)
+	}
+}
+
+// TestAbortedPostingSchedulesNoFollowUp: a posting action that has split
+// its index node and then fails must leave nothing behind — the sibling's
+// page goes back to the free map with the abort, so a posting for that
+// sibling, had it been queued before the commit, would install a term
+// naming an unallocated page one level up (the "reachable page N not
+// allocated" of the torture rounds). Completion is synchronous and the
+// inserts are seeded, so a dry run finds the insert whose posting is the
+// first to split a (non-root) index node; the real run replays up to it
+// and makes that posting fail behind its space test.
+func TestAbortedPostingSchedulesNoFollowUp(t *testing.T) {
+	opts := smallOpts()
+	opts.DataCapacity, opts.IndexCapacity = 4, 4
+	rng := rand.New(rand.NewSource(7))
+	pts := make([]Point, 2000)
+	for i := range pts {
+		pts[i] = randPoint(rng)
+	}
+	insert := func(fx *fixture, i int) {
+		t.Helper()
+		if err := fx.tree.Insert(nil, pts[i], []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dry, trigger := newFixture(t, opts), -1
+	for i := 0; i < len(pts) && trigger < 0; i++ {
+		insert(dry, i)
+		before := dry.tree.Stats.IndexSplits.Load()
+		dry.tree.DrainCompletions()
+		if dry.tree.Stats.IndexSplits.Load() > before {
+			trigger = i
+		}
+	}
+	if trigger < 0 {
+		t.Fatal("no posting ever split an index node")
+	}
+
+	fx := newFixture(t, opts)
+	for i := 0; i < trigger; i++ {
+		insert(fx, i)
+		fx.tree.DrainCompletions()
+	}
+	insert(fx, trigger)
+	inj := fault.New(1)
+	fx.tree.store.Pool.SetInjector(inj)
+	inj.Arm(pitree.FPPost, fault.Spec{Kind: fault.Transient})
+	st := &fx.tree.Stats
+	scheduled, splits := st.PostsScheduled.Load(), st.IndexSplits.Load()
+	fx.tree.DrainCompletions()
+	if st.PostsFailed.Load() != 1 || st.IndexSplits.Load() != splits+1 {
+		t.Fatalf("%d postings failed after %d index splits; want the one that split to fail",
+			st.PostsFailed.Load(), st.IndexSplits.Load()-splits)
+	}
+	if got := st.PostsScheduled.Load() - scheduled; got != 0 {
+		t.Fatalf("the aborted posting scheduled %d follow-ups for a sibling that no longer exists", got)
+	}
+	// Verify includes the store's space check: no reachable page is free.
+	if _, err := fx.tree.Verify(); err != nil {
+		t.Fatalf("after the aborted posting: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/latch"
 	"repro/internal/pitree"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 // postTask asks for the index term describing child (responsible for
@@ -75,7 +76,17 @@ func (t *Tree) run(task postTask) {
 		_, _ = t.absorbPass()
 		return
 	}
-	t.postTerm(task)
+	// Completing actions are best-effort: the intermediate state is
+	// well-formed and a later traversal rediscovers an unposted sibling.
+	posted, err := t.kern.Post(&termPost{t: t, task: task})
+	switch {
+	case err != nil:
+		t.Stats.PostsFailed.Add(1)
+	case posted:
+		t.Stats.PostsPerformed.Add(1)
+	default:
+		t.Stats.PostsNoop.Add(1)
+	}
 }
 
 // notePendingSib schedules the posting for a sibling term crossed during
@@ -143,151 +154,109 @@ func choosePlane(n *Node) (alongX bool, coord uint64, ok bool) {
 
 // splitNodeAction splits the U-latched data node as an independent
 // atomic action: half of its direct region is delegated to a fresh
-// sibling via a sibling term (§3.2.1), and the posting of the sibling's
-// index term is scheduled as a separate action (step 6).
+// sibling via a sibling term (§3.2.1).
 func (t *Tree) splitNodeAction(o *opCtx, leaf *nref) error {
-	aa := t.tm.BeginAtomicAction()
-	o.Promote(leaf)
-	n := leaf.N
-	alongX, coord, ok := choosePlane(n)
+	alongX, coord, ok := choosePlane(leaf.N)
 	if !ok {
 		o.Release(leaf)
-		_ = aa.Abort()
 		t.Stats.SoftOverflows.Add(1)
 		return nil
 	}
-	pre := n.clone()
-	sibPid, err := t.store.Alloc(aa, &o.Tr)
-	if err != nil {
-		o.Release(leaf)
-		_ = aa.Abort()
+	o.Promote(leaf)
+	return o.Atomic(func(aa *txn.Txn) error {
+		o.Hold(leaf)
+		_, _, err := t.splitOff(o, aa, leaf, alongX, coord)
 		return err
-	}
-	entries, off, clipped := splitOffContents(pre, alongX, coord)
-	sib := &Node{Level: n.Level, Direct: off, Entries: entries}
-	if err := t.logFormat(o, aa, sibPid, sib); err != nil {
-		o.Release(leaf)
-		_ = aa.Abort()
-		return err
-	}
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, pre))
-	applySplitOff(n, alongX, coord, sibPid)
-	leaf.F.MarkDirty(lsn)
-	t.Stats.DataSplits.Add(1)
-	t.Stats.ClippedTerms.Add(int64(clipped))
-
-	cerr := aa.Commit()
-	o.Release(leaf)
-	if cerr != nil {
-		return cerr
-	}
-	t.schedule(postTask{parentLevel: 1, child: sibPid, rect: off})
-	return nil
+	})
 }
 
-// postTerm is the completing atomic action: post the child's index term
-// in the parent on the search path of the child's low corner, splitting
-// the parent (with clipping) or growing the root as needed. Latches are
-// retained until the action commits.
-func (t *Tree) postTerm(task postTask) {
-	_ = t.kern.RetryLoop(nil, func(o *opCtx) error {
-		// A task scheduled from a stale optimistic snapshot can name a
-		// page the absorber already freed; posting a term for it (or for
-		// whatever the recycled page now holds) would corrupt the index.
-		if _, dead := t.deadPages.Load(task.child); dead {
-			t.Stats.PostsNoop.Add(1)
-			return nil
-		}
-		corner := Point{X: task.rect.X0, Y: task.rect.Y0}
-		node, err := t.descend(o, corner, task.parentLevel, latch.U, false)
-		if err != nil {
-			if err == errLevelGone {
-				t.Stats.PostsNoop.Add(1)
-				return nil
-			}
-			return err
-		}
-		if _, posted := node.N.termFor(task.child); posted {
-			t.Stats.PostsNoop.Add(1)
-			o.Release(&node)
-			return nil
-		}
+// splitOff delegates the part of the X-latched node's direct region
+// beyond the hyperplane to a fresh sibling, as part of the action aa: the
+// one split of a data node and of an index node alike (an index node's
+// spanning terms are clipped into both halves, §3.2.2). The posting of the
+// sibling's index term, a separate action (§3.2.1 step 6), is queued when
+// and only when aa commits: a completing action must never post a term
+// for a page whose creation is then undone. Returns the sibling's page
+// and region.
+func (t *Tree) splitOff(o *opCtx, aa *txn.Txn, node *nref, alongX bool, coord uint64) (storage.PageID, Rect, error) {
+	pre := node.N.clone()
+	sibPid, err := t.store.Alloc(aa, &o.Tr)
+	if err != nil {
+		return storage.NilPage, Rect{}, err
+	}
+	entries, off, clipped := splitOffContents(pre, alongX, coord)
+	sib := &Node{Level: pre.Level, Direct: off, Entries: entries}
+	if err := t.logFormat(o, aa, sibPid, sib); err != nil {
+		return storage.NilPage, Rect{}, err
+	}
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, pre))
+	applySplitOff(node.N, alongX, coord, sibPid)
+	node.F.MarkDirty(lsn)
+	if pre.IsData() {
+		t.Stats.DataSplits.Add(1)
+	} else {
+		t.Stats.IndexSplits.Add(1)
+	}
+	t.Stats.ClippedTerms.Add(int64(clipped))
+	up := postTask{parentLevel: pre.Level + 1, child: sibPid, rect: off}
+	aa.OnCommit(func() { t.schedule(up) })
+	return sibPid, off, nil
+}
 
-		aa := t.tm.BeginAtomicAction()
-		var held []nref
-		releaseAll := func() {
-			o.Release(&node)
-			for i := len(held) - 1; i >= 0; i-- {
-				o.Release(&held[i])
-			}
-			held = nil
-		}
-		o.Promote(&node)
+// termPost is the tree's side of the kernel's posting action
+// (pitree.Poster), the completing atomic action: post the child's index
+// term in the parent on the search path of the child's low corner,
+// splitting the parent (with clipping) or growing the root as needed.
+type termPost struct {
+	t    *Tree
+	task postTask
+}
 
-		for len(node.N.Entries) >= t.opts.IndexCapacity {
-			alongX, coord, ok := choosePlane(node.N)
-			if !ok || (node.Pid() != t.root && !splitHelps(node.N, alongX, coord)) {
-				// No cut reduces this node (heavy clipping keeps spanning
-				// terms in both halves): grow past nominal capacity
-				// rather than split unproductively.
-				t.Stats.SoftOverflows.Add(1)
-				break
-			}
-			if node.Pid() == t.root {
-				next, err := t.growRootAction(o, aa, &node, alongX, coord, corner)
-				if err != nil {
-					releaseAll()
-					_ = aa.Abort()
-					return err
-				}
-				held = append(held, node)
-				node = next
-				continue
-			}
-			pre := node.N.clone()
-			sibPid, err := t.store.Alloc(aa, &o.Tr)
-			if err != nil {
-				releaseAll()
-				_ = aa.Abort()
-				return err
-			}
-			entries, off, clipped := splitOffContents(pre, alongX, coord)
-			sib := &Node{Level: node.N.Level, Direct: off, Entries: entries}
-			if err := t.logFormat(o, aa, sibPid, sib); err != nil {
-				releaseAll()
-				_ = aa.Abort()
-				return err
-			}
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, pre))
-			applySplitOff(node.N, alongX, coord, sibPid)
-			node.F.MarkDirty(lsn)
-			t.Stats.IndexSplits.Add(1)
-			t.Stats.ClippedTerms.Add(int64(clipped))
-			t.schedule(postTask{parentLevel: node.N.Level + 1, child: sibPid, rect: off})
-			if off.Contains(corner) {
-				next, err := o.Acquire(sibPid, latch.X, node.N.Level)
-				if err != nil {
-					releaseAll()
-					_ = aa.Abort()
-					return err
-				}
-				held = append(held, node)
-				node = next
-			}
-		}
+func (p *termPost) corner() Point { return Point{X: p.task.rect.X0, Y: p.task.rect.Y0} }
 
-		term := Entry{Rect: task.rect, Child: task.child}
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindPostTerm, encTerm(term))
-		node.N.Entries = append(node.N.Entries, term)
-		node.F.MarkDirty(lsn)
-		err = aa.Commit()
-		releaseAll()
-		if err != nil {
-			return err
-		}
-		t.Stats.PostsPerformed.Add(1)
-		return nil
-	})
+func (p *termPost) Search(o *opCtx) (nref, error) {
+	return p.t.descend(o, p.corner(), p.task.parentLevel, latch.U, false)
+}
+
+func (p *termPost) Verify(_ *opCtx, node *nref) (bool, error) {
+	// A task scheduled from a stale optimistic snapshot can name a page
+	// the absorber already freed; posting a term for it (or for whatever
+	// the recycled page now holds) would corrupt the index.
+	_, dead := p.t.deadPages.Load(p.task.child)
+	_, posted := node.N.termFor(p.task.child)
+	return !dead && !posted, nil
+}
+
+func (p *termPost) Full(n *Node) bool { return len(n.Entries) >= p.t.opts.IndexCapacity }
+
+func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, error) {
+	t := p.t
+	alongX, coord, ok := choosePlane(node.N)
+	if !ok || (node.Pid() != t.root && !splitHelps(node.N, alongX, coord)) {
+		// No cut reduces this node (heavy clipping keeps spanning terms
+		// in both halves): grow past nominal capacity rather than split
+		// unproductively.
+		t.Stats.SoftOverflows.Add(1)
+		return storage.NilPage, nil
+	}
+	if node.Pid() == t.root {
+		return t.growRootAction(o, aa, node, alongX, coord, p.corner())
+	}
+	sibPid, off, err := t.splitOff(o, aa, node, alongX, coord)
+	if err != nil {
+		return storage.NilPage, err
+	}
+	if off.Contains(p.corner()) {
+		return sibPid, nil
+	}
+	return node.Pid(), nil
+}
+
+func (p *termPost) Apply(aa *txn.Txn, node *nref) {
+	term := Entry{Rect: p.task.rect, Child: p.task.child}
+	lsn := aa.LogUpdate(p.t.store.Pool.StoreID, uint64(node.Pid()), KindPostTerm, encTerm(term))
+	node.N.Entries = append(node.N.Entries, term)
+	node.F.MarkDirty(lsn)
 }
 
 // logFormat creates and logs a fresh node image under the action.
@@ -296,51 +265,33 @@ func (t *Tree) logFormat(o *opCtx, aa storage.UpdateLogger, pid storage.PageID, 
 }
 
 // growRootAction raises the tree height: the root's contents move to two
-// new nodes split by the hyperplane, the lower node carrying a sibling
-// term for the upper, and the root becomes an index node one level up
-// with a term for each half. Returns the half containing corner,
-// X-latched.
-func (t *Tree) growRootAction(o *opCtx, aa storage.UpdateLogger, root *nref, alongX bool, coord uint64, corner Point) (nref, error) {
+// new nodes split by the hyperplane — B, the sibling a split there would
+// create, and A, what that split would leave behind, sibling term for B
+// included — and the root becomes an index node one level up with a term
+// for each half. Returns the page of the half containing corner.
+func (t *Tree) growRootAction(o *opCtx, aa storage.UpdateLogger, root *nref, alongX bool, coord uint64, corner Point) (storage.PageID, error) {
 	n := root.N
 	pre := n.clone()
 	pidB, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
-		return nref{}, err
+		return storage.NilPage, err
 	}
 	pidA, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
-		return nref{}, err
+		return storage.NilPage, err
 	}
 	entriesB, off, clippedB := splitOffContents(pre, alongX, coord)
 	nodeB := &Node{Level: pre.Level, Direct: off, Entries: entriesB}
-
-	var kept Rect
-	if alongX {
-		kept, _ = pre.Direct.SplitX(coord)
-	} else {
-		kept, _ = pre.Direct.SplitY(coord)
-	}
-	nodeA := &Node{Level: pre.Level, Direct: kept, Sibs: append([]SibTerm(nil), pre.Sibs...)}
-	nodeA.Sibs = append(nodeA.Sibs, SibTerm{Rect: off, Pid: pidB})
-	for _, e := range pre.Entries {
-		switch {
-		case !e.Rect.Intersects(off):
-			nodeA.Entries = append(nodeA.Entries, e)
-		case !e.Rect.Intersects(kept):
-		default:
-			c := e
-			c.Clipped = true
-			nodeA.Entries = append(nodeA.Entries, c)
-		}
-	}
+	nodeA := pre.clone()
+	applySplitOff(nodeA, alongX, coord, pidB)
 	if err := t.logFormat(o, aa, pidB, nodeB); err != nil {
-		return nref{}, err
+		return storage.NilPage, err
 	}
 	if err := t.logFormat(o, aa, pidA, nodeA); err != nil {
-		return nref{}, err
+		return storage.NilPage, err
 	}
 
-	termA := Entry{Rect: kept, Child: pidA}
+	termA := Entry{Rect: nodeA.Direct, Child: pidA}
 	termB := Entry{Rect: off, Child: pidB}
 	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(root.Pid()), KindRootGrow, encRootGrow(termA, termB, pre))
 	n.Level++
@@ -351,9 +302,8 @@ func (t *Tree) growRootAction(o *opCtx, aa storage.UpdateLogger, root *nref, alo
 	t.Stats.RootGrowths.Add(1)
 	t.Stats.ClippedTerms.Add(int64(clippedB))
 
-	pid := pidA
 	if off.Contains(corner) {
-		pid = pidB
+		return pidB, nil
 	}
-	return o.Acquire(pid, latch.X, pre.Level)
+	return pidA, nil
 }

@@ -35,6 +35,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/latch"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 // gcVictim is a chain node selected for retirement, captured under latch.
@@ -163,82 +164,68 @@ func (t *Tree) gcChain(head storage.PageID) (int, error) {
 	return retired, nil
 }
 
+// endsKeyRange reports whether n is the last node of its level whose key
+// range reaches into rect's: a walk along the key-sibling chain across
+// rect stops there.
+func endsKeyRange(n *Node, rect Rect) bool {
+	return n.Rect.KeyHigh.Unbounded || n.KeySib == storage.NilPage ||
+		(!rect.KeyHigh.Unbounded && keys.Compare(n.Rect.KeyHigh.Key, rect.KeyHigh.Key) >= 0)
+}
+
 // retireNode removes the victim's level-1 index terms and clears it, as
-// one atomic action holding all latches to commit (the postTerm idiom).
-// Clipped terms mean several level-1 parents can reference the victim, so
-// the removal walks the key-sibling chain across the victim's key range.
+// one atomic action holding all latches to commit. Clipped terms mean
+// several level-1 parents can reference the victim, so the removal walks
+// the key-sibling chain across the victim's key range.
 func (t *Tree) retireNode(v gcVictim, unlink bool) error {
 	return t.kern.RetryLoop(nil, func(o *opCtx) error {
-		node, err := t.descend(o, v.rect.KeyLow, NoEnd-1, 1, latch.U, false)
+		first, err := t.descend(o, v.rect.KeyLow, NoEnd-1, 1, latch.U, false)
 		if err != nil {
 			return err
 		}
-		aa := t.tm.BeginAtomicAction()
-		var held []nref
-		releaseAll := func() {
-			o.Release(&node)
-			for i := len(held) - 1; i >= 0; i-- {
-				o.Release(&held[i])
-			}
-			held = nil
-		}
-		fail := func(err error) error {
-			releaseAll()
-			_ = aa.Abort()
-			return err
-		}
-		for {
-			if i, ok := node.N.termFor(v.pid); ok && len(node.N.Entries) > 1 {
-				// Never remove a level-1 node's last term: an empty index
-				// node is unnavigable (and fails verification). One stale
-				// term to a retired node is harmless — it still routes to
-				// a well-formed empty page.
-				if node.Mode != latch.X {
-					o.Promote(&node)
+		return o.Atomic(func(aa *txn.Txn) error {
+			node := &first
+			o.Hold(node)
+			for {
+				if i, ok := node.N.termFor(v.pid); ok && len(node.N.Entries) > 1 {
+					// Never remove a level-1 node's last term: an empty index
+					// node is unnavigable (and fails verification). One stale
+					// term to a retired node is harmless — it still routes to
+					// a well-formed empty page.
+					o.Promote(node)
+					e := node.N.Entries[i]
+					lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindRemoveTerm, encTerm(e))
+					node.N.Entries = append(node.N.Entries[:i], node.N.Entries[i+1:]...)
+					node.F.MarkDirty(lsn)
+					t.Stats.GCRemovedTerms.Add(1)
 				}
-				e := node.N.Entries[i]
-				lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindRemoveTerm, encTerm(e))
-				node.N.Entries = append(node.N.Entries[:i], node.N.Entries[i+1:]...)
-				node.F.MarkDirty(lsn)
-				t.Stats.GCRemovedTerms.Add(1)
+				if endsKeyRange(node.N, v.rect) {
+					break
+				}
+				// next is a fresh variable each time round: Hold keeps its
+				// address.
+				next, err := o.Acquire(node.N.KeySib, latch.U, 1)
+				if err != nil {
+					return err
+				}
+				node = &next
+				o.Hold(node)
 			}
-			if node.N.Rect.KeyHigh.Unbounded {
-				break
-			}
-			if !v.rect.KeyHigh.Unbounded && keys.Compare(node.N.Rect.KeyHigh.Key, v.rect.KeyHigh.Key) >= 0 {
-				break
-			}
-			sib := node.N.KeySib
-			if sib == storage.NilPage {
-				break
-			}
-			next, err := o.Acquire(sib, latch.U, 1)
-			if err != nil {
-				return fail(err)
-			}
-			held = append(held, node)
-			node = next
-		}
 
-		vic, err := o.Acquire(v.pid, latch.X, 0)
-		if err != nil {
-			return fail(err)
-		}
-		if vic.N.Retired {
-			// Lost a race we thought gcMu excluded (defensive): keep the
-			// term removals, skip the retire.
-			held = append(held, vic)
-			err := aa.Commit()
-			releaseAll()
-			return err
-		}
-		pre := vic.N.clone()
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(vic.Pid()), KindRetireNode, encRetire(unlink, pre))
-		applyRetire(vic.N, unlink)
-		vic.F.MarkDirty(lsn)
-		held = append(held, vic)
-		err = aa.Commit()
-		releaseAll()
-		return err
+			vic, err := o.Acquire(v.pid, latch.X, 0)
+			if err != nil {
+				return err
+			}
+			o.Hold(&vic)
+			if vic.N.Retired {
+				// Lost a race we thought gcMu excluded (defensive): keep the
+				// term removals, skip the retire.
+				return nil
+			}
+			pre := vic.N.clone()
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(vic.Pid()), KindRetireNode, encRetire(unlink, pre))
+			applyRetire(vic.N, unlink)
+			vic.F.MarkDirty(lsn)
+			return nil
+		})
 	})
 }

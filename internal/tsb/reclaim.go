@@ -59,9 +59,9 @@ package tsb
 // volatile and die together in a crash.
 
 import (
-	"repro/internal/keys"
 	"repro/internal/latch"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 // reclaimChain frees the reclaimable tail(s) of the history chain hanging
@@ -153,31 +153,23 @@ func (t *Tree) reclaimTail(head storage.PageID) (int, error) {
 		return 0, nil
 	}
 
-	aa := t.tm.BeginAtomicAction()
-	pre := prev.N.clone()
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(prev.Pid()), KindCutHist, encCutHist(pre))
-	applyCutHist(prev.N)
-	prev.F.MarkDirty(lsn)
-	if err := t.store.Free(aa, &o.Tr, tailPid); err != nil {
-		o.Release(&tail, &prev)
-		_ = aa.Abort()
+	err = o.Atomic(func(aa *txn.Txn) error {
+		o.Hold(&prev, &tail)
+		pre := prev.N.clone()
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(prev.Pid()), KindCutHist, encCutHist(pre))
+		applyCutHist(prev.N)
+		prev.F.MarkDirty(lsn)
+		if err := t.store.Free(aa, &o.Tr, tailPid); err != nil {
+			return err
+		}
+		// Any task for the victim scheduled once the cut has committed
+		// would read the committed cut and never name it; marking before
+		// the latches drop closes the set for good.
+		aa.OnCommit(func() { t.deadPages.Store(tailPid, struct{}{}) })
+		return t.store.Pool.Probe(storage.FPConsolidate)
+	})
+	if err != nil {
 		return 0, err
-	}
-	if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
-		o.Release(&tail, &prev)
-		_ = aa.Abort()
-		return 0, err
-	}
-	cerr := aa.Commit()
-	if cerr == nil {
-		// Any task for the victim scheduled from here on would read the
-		// committed cut and never name it; marking before the latches drop
-		// closes the set for good.
-		t.deadPages.Store(tailPid, struct{}{})
-	}
-	o.Release(&tail, &prev)
-	if cerr != nil {
-		return 0, cerr
 	}
 	t.Stats.GCFreedPages.Add(1)
 	return 1, nil
@@ -226,17 +218,10 @@ func (t *Tree) noTermsFor(rect Rect, pid storage.PageID) (bool, error) {
 				found = true
 				break
 			}
-			if node.N.Rect.KeyHigh.Unbounded {
+			if endsKeyRange(node.N, rect) {
 				break
 			}
-			if !rect.KeyHigh.Unbounded && keys.Compare(node.N.Rect.KeyHigh.Key, rect.KeyHigh.Key) >= 0 {
-				break
-			}
-			sib := node.N.KeySib
-			if sib == storage.NilPage {
-				break
-			}
-			next, err := t.kern.Step(o, &node, sib, latch.S, 1)
+			next, err := t.kern.Step(o, &node, node.N.KeySib, latch.S, 1)
 			if err != nil {
 				return err
 			}

@@ -1,12 +1,14 @@
 package tsb
 
 import (
-	"errors"
+	"slices"
 
 	"repro/internal/keys"
 	"repro/internal/latch"
 	"repro/internal/pitree"
 	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // postTask asks for the index term describing a committed split to be
@@ -76,7 +78,17 @@ func (t *Tree) run(task postTask) {
 		}
 		return
 	}
-	t.postTerm(task)
+	// Completing actions are best-effort: the intermediate state is
+	// well-formed and a later traversal rediscovers an unposted sibling.
+	posted, err := t.kern.Post(&termPost{t: t, task: task})
+	switch {
+	case err != nil:
+		t.Stats.PostsFailed.Add(1)
+	case posted:
+		t.Stats.PostsPerformed.Add(1)
+	default:
+		t.Stats.PostsNoop.Add(1)
+	}
 }
 
 // noteKeySibling schedules posting for a key sibling discovered by a side
@@ -121,20 +133,17 @@ func (t *Tree) noteHistSibling(n *Node) {
 // versions), a KEY split otherwise (§2.2.2, Figure 1). The latch is
 // released on return; the caller retries its operation.
 func (t *Tree) splitData(o *opCtx, leaf *nref) error {
-	aa := t.tm.BeginAtomicAction()
 	o.Promote(leaf)
-	n := leaf.N
+	n, leafPid := leaf.N, leaf.Pid()
 	pre := n.clone()
 
-	distinct := 0
-	var prevKey keys.Key
-	for _, e := range n.Entries {
-		if prevKey == nil || !keys.Equal(prevKey, e.Key) {
-			distinct++
-			prevKey = e.Key
+	var keysIn []keys.Key // the node's distinct keys, in order
+	for i, e := range n.Entries {
+		if i == 0 || !keys.Equal(n.Entries[i-1].Key, e.Key) {
+			keysIn = append(keysIn, e.Key)
 		}
 	}
-
+	distinct := len(keysIn)
 	timeSplit := distinct <= int(float64(len(n.Entries))*t.opts.CurrentFraction) && distinct < len(n.Entries)
 	if distinct < 2 {
 		timeSplit = true // single-key node: only history can leave
@@ -144,107 +153,75 @@ func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 		timeSplit = false
 	}
 
-	newPid, err := t.store.Alloc(aa, &o.Tr)
-	if err != nil {
-		o.Release(leaf)
-		_ = aa.Abort()
-		return err
-	}
-
-	var newNode *Node
-	var taskRect Rect
-	if timeSplit {
-		ts := t.tick()
-		newNode = &Node{
-			Level: 0,
-			Rect: Rect{
-				KeyLow:   keys.Clone(n.Rect.KeyLow),
-				KeyHigh:  n.Rect.KeyHigh,
-				TimeLow:  n.Rect.TimeLow,
-				TimeHigh: ts,
-			},
-			// "New historic nodes contain copies of old history
-			// pointers" (Figure 1). The edge's shared mark transfers with
-			// it; the current node's replacement edge is fresh
-			// (applyTimeSplit clears its mark).
-			HistSib:    n.HistSib,
-			HistShared: n.HistShared,
-			Entries:    historyContents(pre, ts),
-		}
-		newNode.Rect.KeyHigh.Key = keys.Clone(newNode.Rect.KeyHigh.Key)
-		taskRect = cloneRect(newNode.Rect)
-		if err := t.formatNode(o, aa, newPid, newNode); err != nil {
-			o.Release(leaf)
-			_ = aa.Abort()
+	return o.Atomic(func(aa *txn.Txn) error {
+		o.Hold(leaf)
+		newPid, err := t.store.Alloc(aa, &o.Tr)
+		if err != nil {
 			return err
 		}
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindTimeSplit, encTimeSplit(ts, newPid, pre))
-		applyTimeSplit(n, ts, newPid)
-		leaf.F.MarkDirty(lsn)
-		t.Stats.TimeSplits.Add(1)
-	} else {
-		k := t.medianKey(n)
-		newNode = &Node{
-			Level: 0,
-			Rect: Rect{
-				KeyLow:   keys.Clone(k),
-				KeyHigh:  n.Rect.KeyHigh,
-				TimeLow:  n.Rect.TimeLow,
-				TimeHigh: NoEnd,
-			},
-			KeySib: n.KeySib,
+		// Either new node starts from the old one's rectangle (a current
+		// node's, so open-ended in time) and a copy of its history pointer.
+		newNode := &Node{Level: 0, Rect: cloneRect(n.Rect), HistSib: n.HistSib}
+		var ts uint64
+		var k keys.Key
+		if timeSplit {
+			// "New historic nodes contain copies of old history pointers"
+			// (Figure 1). The edge's shared mark transfers with it; the
+			// current node's replacement edge is fresh (applyTimeSplit
+			// clears its mark).
+			ts = t.tick()
+			newNode.Rect.TimeHigh = ts
+			newNode.HistShared = n.HistShared
+			newNode.Entries = historyContents(pre, ts)
+		} else {
 			// "The new node will contain a copy of the history sibling
-			// pointer": the new current node is responsible for the
-			// entire history of its key space. Both halves now reach the
-			// same chain, so both edges are marked shared (applyKeySplit
-			// marks the trimmed half).
-			HistSib:    n.HistSib,
-			HistShared: n.HistSib != storage.NilPage,
-		}
-		newNode.Rect.KeyHigh.Key = keys.Clone(newNode.Rect.KeyHigh.Key)
-		for _, e := range pre.Entries {
-			if keys.Compare(e.Key, k) >= 0 {
-				newNode.Entries = append(newNode.Entries, cloneEntry(e))
+			// pointer": the new current node is responsible for the entire
+			// history of its key space. Both halves now reach the same
+			// chain, so both edges are marked shared (applyKeySplit marks
+			// the trimmed half).
+			k = medianKey(n, keysIn)
+			newNode.Rect.KeyLow = keys.Clone(k)
+			newNode.KeySib = n.KeySib
+			newNode.HistShared = n.HistSib != storage.NilPage
+			for _, e := range pre.Entries {
+				if keys.Compare(e.Key, k) >= 0 {
+					newNode.Entries = append(newNode.Entries, cloneEntry(e))
+				}
 			}
 		}
-		taskRect = cloneRect(newNode.Rect)
+		// The separate posting action (§3.2.1 step 6) is queued when and
+		// only when this one commits; its rectangle is copied now, before
+		// the new node goes live.
+		post := postTask{parentLevel: 1, child: newPid, rect: cloneRect(newNode.Rect)}
+		aa.OnCommit(func() {
+			t.schedule(post)
+			if timeSplit && t.opts.GC {
+				// The split just grew this leaf's history chain; sweep it
+				// for nodes that fell below the visibility horizon.
+				t.schedule(postTask{gcHead: leafPid})
+			}
+		})
 		if err := t.formatNode(o, aa, newPid, newNode); err != nil {
-			o.Release(leaf)
-			_ = aa.Abort()
 			return err
 		}
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(leaf.Pid()), KindKeySplit, encKeySplit(k, newPid, pre))
-		applyKeySplit(n, k, newPid)
+		var lsn wal.LSN
+		if timeSplit {
+			lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(leafPid), KindTimeSplit, encTimeSplit(ts, newPid, pre))
+			applyTimeSplit(n, ts, newPid)
+			t.Stats.TimeSplits.Add(1)
+		} else {
+			lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(leafPid), KindKeySplit, encKeySplit(k, newPid, pre))
+			applyKeySplit(n, k, newPid)
+			t.Stats.KeySplits.Add(1)
+		}
 		leaf.F.MarkDirty(lsn)
-		t.Stats.KeySplits.Add(1)
-	}
-
-	// Commit before unlatching, then schedule the separate posting
-	// action (§3.2.1 step 6).
-	leafPid := leaf.Pid()
-	cerr := aa.Commit()
-	o.Release(leaf)
-	if cerr != nil {
-		return cerr
-	}
-	t.schedule(postTask{parentLevel: 1, child: newPid, rect: taskRect})
-	if timeSplit && t.opts.GC {
-		// The split just grew this leaf's history chain; sweep it for
-		// nodes that fell below the visibility horizon.
-		t.schedule(postTask{gcHead: leafPid})
-	}
-	return nil
+		return nil
+	})
 }
 
-// medianKey picks the median distinct key of a data node (strictly above
-// its low bound, so both halves are non-empty).
-func (t *Tree) medianKey(n *Node) keys.Key {
-	var distinct []keys.Key
-	for i, e := range n.Entries {
-		if i == 0 || !keys.Equal(n.Entries[i-1].Key, e.Key) {
-			distinct = append(distinct, e.Key)
-		}
-	}
+// medianKey picks the median of a data node's distinct keys (strictly
+// above its low bound, so both halves are non-empty).
+func medianKey(n *Node, distinct []keys.Key) keys.Key {
 	k := distinct[len(distinct)/2]
 	if len(distinct) >= 2 && (n.Rect.KeyLow == nil || keys.Compare(k, n.Rect.KeyLow) > 0) {
 		return keys.Clone(k)
@@ -257,125 +234,93 @@ func (t *Tree) formatNode(o *opCtx, aa storage.UpdateLogger, pid storage.PageID,
 	return o.Format(aa, pid, n, n.Level, KindFormat, encNodeImage(n))
 }
 
-// postTerm is the completing atomic action for TSB splits: post the index
-// term describing the child in the level task.parentLevel index node
-// whose key range covers the child's low key. It follows §5.3 — Search,
-// Verify (posted-test; under CNS the child's existence needs no
+// termPost is the tree's side of the kernel's posting action
+// (pitree.Poster), the completing atomic action for TSB splits: post the
+// index term describing task.child in the level task.parentLevel index
+// node whose key range covers the child's low key — a rectangle term at
+// level 1, a key-only term higher up. The kernel runs §5.3 with it:
+// Search, Verify (posted-test; under CNS the child's existence needs no
 // verification, nodes are immortal), Space Test (index key split with
-// clipping, or root growth), Update — with all latches retained until the
-// action commits.
-func (t *Tree) postTerm(task postTask) {
-	if _, dead := t.deadPages.Load(task.child); dead {
+// clipping, or root growth), Update.
+type termPost struct {
+	t    *Tree
+	task postTask
+}
+
+func (p *termPost) Search(o *opCtx) (nref, error) {
+	return p.t.descend(o, p.task.rect.KeyLow, NoEnd-1, p.task.parentLevel, latch.U, false)
+}
+
+func (p *termPost) Verify(o *opCtx, node *nref) (bool, error) {
+	if _, dead := p.t.deadPages.Load(p.task.child); dead {
 		// The child was reclaimed (and its page possibly recycled as an
 		// unrelated node) after this task was scheduled; latching it to
 		// re-test would read the impostor. The reaper only frees a page
 		// with no remaining terms and no pending task, so nothing is owed.
-		t.Stats.PostsNoop.Add(1)
-		return
+		return false, nil
 	}
-	_ = t.kern.RetryLoop(nil, func(o *opCtx) error {
-		node, err := t.descend(o, task.rect.KeyLow, NoEnd-1, task.parentLevel, latch.U, false)
-		if errors.Is(err, errLevelGone) {
-			t.Stats.PostsNoop.Add(1)
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+	if _, posted := node.N.termFor(p.task.child); posted {
+		return false, nil
+	}
+	if p.task.parentLevel != 1 {
+		return true, nil
+	}
+	child, err := o.Acquire(p.task.child, latch.S, 0)
+	if err != nil {
+		return false, err
+	}
+	// A side traversal may re-schedule posting for a node GC has since
+	// retired; don't resurrect its term.
+	retired := child.N.Retired
+	if p.task.rect.TimeHigh == NoEnd {
+		// A current node's term describes the node, not the task: a
+		// key-sibling task rediscovered by a side traversal carries the
+		// time bound of the node it was found FROM, which may have
+		// time-split since the key split and then starts after the
+		// sibling does (and an open key bound besides).
+		p.task.rect = cloneRect(child.N.Rect)
+	}
+	o.Release(&child)
+	return !retired, nil
+}
 
-		if _, posted := node.N.termFor(task.child); posted {
-			t.Stats.PostsNoop.Add(1)
-			o.Release(&node)
-			return nil
-		}
+func (p *termPost) Full(n *Node) bool { return len(n.Entries) >= p.t.opts.IndexCapacity }
 
-		if task.parentLevel == 1 {
-			// A side traversal may re-schedule posting for a node GC has
-			// since retired; don't resurrect its term.
-			child, err := o.Acquire(task.child, latch.S, 0)
-			if err != nil {
-				o.Release(&node)
-				return err
-			}
-			retired := child.N.Retired
-			if task.rect.TimeHigh == NoEnd {
-				// A current node's term describes the node, not the task: a
-				// key-sibling task rediscovered by a side traversal carries
-				// the time bound of the node it was found FROM, which may
-				// have time-split since the key split and then starts after
-				// the sibling does (and an open key bound besides).
-				task.rect = cloneRect(child.N.Rect)
-			}
-			o.Release(&child)
-			if retired {
-				t.Stats.PostsNoop.Add(1)
-				o.Release(&node)
-				return nil
-			}
-		}
+func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, error) {
+	t, searchKey := p.t, p.task.rect.KeyLow
+	k, ok := t.indexSplitKey(node.N)
+	if !ok {
+		// No usable boundary (e.g. the node is all history terms of one
+		// key range): soft overflow rather than a complex index time
+		// split; documented simplification.
+		t.Stats.SoftOverflows.Add(1)
+		return storage.NilPage, nil
+	}
+	if node.Pid() == t.root {
+		return t.growRoot(o, aa, node, k, searchKey)
+	}
+	sibPid, err := t.splitIndex(o, aa, node, k)
+	if err != nil {
+		return storage.NilPage, err
+	}
+	if keys.Compare(searchKey, k) >= 0 {
+		return sibPid, nil
+	}
+	return node.Pid(), nil
+}
 
-		aa := t.tm.BeginAtomicAction()
-		var held []nref
-		releaseAll := func() {
-			o.Release(&node)
-			for i := len(held) - 1; i >= 0; i-- {
-				o.Release(&held[i])
-			}
-			held = nil
-		}
-		o.Promote(&node)
-
-		// Space Test.
-		for len(node.N.Entries) >= t.opts.IndexCapacity {
-			k, ok := t.indexSplitKey(node.N)
-			if !ok {
-				// No usable boundary (e.g. the node is all history terms
-				// of one key range): soft overflow rather than a complex
-				// index time split; documented simplification.
-				t.Stats.SoftOverflows.Add(1)
-				break
-			}
-			if node.Pid() == t.root {
-				next, err := t.growRoot(o, aa, &node, k, task.rect.KeyLow)
-				if err != nil {
-					releaseAll()
-					_ = aa.Abort()
-					return err
-				}
-				held = append(held, node)
-				node = next
-				continue
-			}
-			next, err := t.splitIndex(o, aa, &node, k, task.rect.KeyLow)
-			if err != nil {
-				releaseAll()
-				_ = aa.Abort()
-				return err
-			}
-			if next.F != nil {
-				held = append(held, node)
-				node = next
-			}
-		}
-
-		if node.N.Level == 1 {
-			term := Entry{Child: task.child, ChildRect: cloneRect(task.rect)}
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindPostTerm, encTerm(term))
-			node.N.insertTerm(term)
-			node.F.MarkDirty(lsn)
-		} else {
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindPostKeyTerm, encKeyTerm(task.rect.KeyLow, task.child))
-			node.N.insertKeyTerm(Entry{Key: keys.Clone(task.rect.KeyLow), Child: task.child})
-			node.F.MarkDirty(lsn)
-		}
-		err = aa.Commit()
-		releaseAll()
-		if err != nil {
-			return err
-		}
-		t.Stats.PostsPerformed.Add(1)
-		return nil
-	})
+func (p *termPost) Apply(aa *txn.Txn, node *nref) {
+	task, storeID := p.task, p.t.store.Pool.StoreID
+	var lsn wal.LSN
+	if node.N.Level == 1 {
+		term := Entry{Child: task.child, ChildRect: cloneRect(task.rect)}
+		lsn = aa.LogUpdate(storeID, uint64(node.Pid()), KindPostTerm, encTerm(term))
+		node.N.insertTerm(term)
+	} else {
+		lsn = aa.LogUpdate(storeID, uint64(node.Pid()), KindPostKeyTerm, encKeyTerm(task.rect.KeyLow, task.child))
+		node.N.insertKeyTerm(Entry{Key: keys.Clone(task.rect.KeyLow), Child: task.child})
+	}
+	node.F.MarkDirty(lsn)
 }
 
 // indexSplitKey picks a key boundary that puts at least one whole term on
@@ -384,130 +329,88 @@ func (t *Tree) postTerm(task postTask) {
 // that span the chosen key.
 func (t *Tree) indexSplitKey(n *Node) (keys.Key, bool) {
 	var bounds []keys.Key
-	seen := map[string]bool{}
 	for _, e := range n.Entries {
-		var b keys.Key
+		b := e.Key
 		if n.Level == 1 {
 			b = e.ChildRect.KeyLow
-		} else {
-			b = e.Key
 		}
-		if b == nil {
-			continue
-		}
-		if n.Rect.KeyLow != nil && keys.Compare(b, n.Rect.KeyLow) <= 0 {
-			continue
-		}
-		if !seen[string(b)] {
-			seen[string(b)] = true
+		if b != nil && (n.Rect.KeyLow == nil || keys.Compare(b, n.Rect.KeyLow) > 0) {
 			bounds = append(bounds, b)
 		}
 	}
 	if len(bounds) == 0 {
 		return nil, false
 	}
-	sortKeys(bounds)
+	slices.SortFunc(bounds, keys.Compare)
+	bounds = slices.CompactFunc(bounds, keys.Equal)
 	return keys.Clone(bounds[len(bounds)/2]), true
 }
 
-func sortKeys(ks []keys.Key) {
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && keys.Compare(ks[j], ks[j-1]) < 0; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
-}
-
-// splitIndex key-splits the X-latched index node at k inside the posting
-// action, CLIPPING spanning level-1 terms into both halves (§3.2.2). It
-// returns the half that covers searchKey X-latched (a zero nref when the
-// original node still covers it), schedules the upper-level posting after
-// the enclosing action commits via the completer (safe: the sibling is
-// only reachable through the side pointer until then, and the whole
-// action holds its latches to commit).
-func (t *Tree) splitIndex(o *opCtx, aa storage.UpdateLogger, node *nref, k keys.Key, searchKey keys.Key) (nref, error) {
-	n := node.N
-	pre := n.clone()
-	sibPid, err := t.store.Alloc(aa, &o.Tr)
-	if err != nil {
-		return nref{}, err
-	}
+// indexSibling builds the node an index key split of pre at k creates:
+// the terms at or above k, with level-1 terms spanning k CLIPPED into both
+// halves (§3.2.2).
+func indexSibling(pre *Node, k keys.Key) (sib *Node, clipped int) {
 	entries, clipped := indexSiblingEntries(pre, k)
-	sib := &Node{
-		Level: n.Level,
-		Rect: Rect{
-			KeyLow:   keys.Clone(k),
-			KeyHigh:  pre.Rect.KeyHigh,
-			TimeLow:  0,
-			TimeHigh: NoEnd,
-		},
+	sib = &Node{
+		Level:   pre.Level,
+		Rect:    Rect{KeyLow: keys.Clone(k), KeyHigh: pre.Rect.KeyHigh, TimeLow: 0, TimeHigh: NoEnd},
 		KeySib:  pre.KeySib,
 		Entries: entries,
 	}
 	sib.Rect.KeyHigh.Key = keys.Clone(sib.Rect.KeyHigh.Key)
-	if err := t.formatNode(o, aa, sibPid, sib); err != nil {
-		return nref{}, err
+	return sib, clipped
+}
+
+// splitIndex key-splits the X-latched index node at k inside the posting
+// action aa and returns the new sibling's page. The sibling's own posting,
+// one level up, is queued when and only when aa commits (until then the
+// sibling is reachable through the side pointer only, and the whole
+// action holds its latches to commit): a completing action must never
+// post a term for a page whose creation is then undone.
+func (t *Tree) splitIndex(o *opCtx, aa *txn.Txn, node *nref, k keys.Key) (storage.PageID, error) {
+	pre := node.N.clone()
+	sibPid, err := t.store.Alloc(aa, &o.Tr)
+	if err != nil {
+		return storage.NilPage, err
 	}
+	sib, clipped := indexSibling(pre, k)
+	if err := t.formatNode(o, aa, sibPid, sib); err != nil {
+		return storage.NilPage, err
+	}
+	up := postTask{parentLevel: pre.Level + 1, child: sibPid, rect: cloneRect(sib.Rect)}
+	aa.OnCommit(func() { t.schedule(up) })
 	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindIndexKeySplit, encKeySplit(k, sibPid, pre))
-	applyIndexKeySplit(n, k, sibPid)
+	applyIndexKeySplit(node.N, k, sibPid)
 	node.F.MarkDirty(lsn)
 	t.Stats.IndexSplits.Add(1)
 	t.Stats.ClippedTerms.Add(int64(clipped))
-	t.schedule(postTask{
-		parentLevel: n.Level + 1,
-		child:       sibPid,
-		rect:        cloneRect(sib.Rect),
-	})
-	if keys.Compare(searchKey, k) >= 0 {
-		return o.Acquire(sibPid, latch.X, n.Level)
-	}
-	return nref{}, nil
+	return sibPid, nil
 }
 
 // growRoot raises the tree height: the root's contents move to two new
-// nodes A (low half, side pointer to B) and B (high half), and the root
-// becomes an index node one level up with two key terms. The root page
-// never moves. Returns the half covering searchKey, X-latched.
-func (t *Tree) growRoot(o *opCtx, aa storage.UpdateLogger, root *nref, k keys.Key, searchKey keys.Key) (nref, error) {
+// nodes — B, the sibling a key split at k would create, and A, what that
+// split would leave behind, side pointer to B — and the root becomes an
+// index node one level up with two key terms. The root page never moves.
+// Returns the page of the half covering searchKey.
+func (t *Tree) growRoot(o *opCtx, aa storage.UpdateLogger, root *nref, k keys.Key, searchKey keys.Key) (storage.PageID, error) {
 	n := root.N
 	pre := n.clone()
 	pidB, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
-		return nref{}, err
+		return storage.NilPage, err
 	}
 	pidA, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
-		return nref{}, err
+		return storage.NilPage, err
 	}
-	entriesB, clippedB := indexSiblingEntries(pre, k)
-	nodeB := &Node{
-		Level:   pre.Level,
-		Rect:    Rect{KeyLow: keys.Clone(k), KeyHigh: keys.Inf, TimeLow: 0, TimeHigh: NoEnd},
-		Entries: entriesB,
-	}
-	nodeA := &Node{
-		Level:  pre.Level,
-		Rect:   Rect{KeyLow: nil, KeyHigh: keys.At(k), TimeLow: 0, TimeHigh: NoEnd},
-		KeySib: pidB,
-	}
-	for _, e := range pre.Entries {
-		if pre.Level == 1 {
-			if keys.Compare(e.ChildRect.KeyLow, k) < 0 {
-				c := cloneEntry(e)
-				if e.ChildRect.SpansKey(k) {
-					c.Clipped = true
-				}
-				nodeA.Entries = append(nodeA.Entries, c)
-			}
-		} else if keys.Compare(e.Key, k) < 0 {
-			nodeA.Entries = append(nodeA.Entries, cloneEntry(e))
-		}
-	}
+	nodeB, clippedB := indexSibling(pre, k)
+	nodeA := pre.clone()
+	applyIndexKeySplit(nodeA, k, pidB)
 	if err := t.formatNode(o, aa, pidB, nodeB); err != nil {
-		return nref{}, err
+		return storage.NilPage, err
 	}
 	if err := t.formatNode(o, aa, pidA, nodeA); err != nil {
-		return nref{}, err
+		return storage.NilPage, err
 	}
 
 	termA := Entry{Key: nil, Child: pidA}
@@ -522,9 +425,8 @@ func (t *Tree) growRoot(o *opCtx, aa storage.UpdateLogger, root *nref, k keys.Ke
 	t.Stats.RootGrowths.Add(1)
 	t.Stats.ClippedTerms.Add(int64(clippedB))
 
-	pid := pidA
 	if keys.Compare(searchKey, k) >= 0 {
-		pid = pidB
+		return pidB, nil
 	}
-	return o.Acquire(pid, latch.X, pre.Level)
+	return pidA, nil
 }

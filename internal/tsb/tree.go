@@ -95,6 +95,7 @@ type Stats struct {
 	PostsScheduled atomic.Int64
 	PostsPerformed atomic.Int64
 	PostsNoop      atomic.Int64
+	PostsFailed    atomic.Int64 // posting actions ended by an error
 	ClippedTerms   atomic.Int64
 	SoftOverflows  atomic.Int64
 	Restarts       atomic.Int64
