@@ -4,7 +4,7 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test lockcpu corecpu enginecpu pagefile race benchbuild expbuild benchsmoke bench torture realcrash churn loc
+.PHONY: check vet build test lockcpu corecpu enginecpu pagefile walfuzz race benchbuild expbuild benchsmoke bench torture realcrash churn loc
 
 ## check: everything CI runs — vet, build, tests, the race detector over
 ## the concurrency-critical packages (including the commit-pipeline and
@@ -17,9 +17,11 @@ REAL_ROUNDS ?= 20
 ## manager's tests at 1, 2 and 4 CPUs (its deadlock-detector bugs never
 ## showed at one), the three trees', the kernel's and the engine's
 ## likewise, the page file's slot allocator against its crash model and a
-## short fuzz of its open path, and the repo benchmark's own smoke test (a
-## nested module `go test ./...` does not enter).
-check: vet build test lockcpu corecpu enginecpu pagefile race benchbuild expbuild benchsmoke torture realcrash churn
+## short fuzz of its open path, short fuzzes of the log's record decoder
+## and segment replay and of the three trees' structure-change payload
+## decoders, and the repo benchmark's own smoke test (a nested module
+## `go test ./...` does not enter).
+check: vet build test lockcpu corecpu enginecpu pagefile walfuzz race benchbuild expbuild benchsmoke torture realcrash churn
 
 vet:
 	$(GO) vet ./...
@@ -57,6 +59,17 @@ enginecpu:
 pagefile:
 	$(GO) test -cpu 1,2,4 -count 20 ./internal/storage -run FileDisk
 	$(GO) test ./internal/storage -run '^$$' -fuzz FuzzOpenFileDisk -fuzztime 10s -fuzzminimizetime 1s
+
+## walfuzz: ten seconds each of arbitrary bytes through the log's record
+## decoder and segment replay (ErrCorruptRecord or a clean prefix, never a
+## panic) and through each tree's decoders of the structure-change payloads
+## restart undo reads (an error, never a panic or an allocation sized by an
+## unchecked count).
+walfuzz:
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/tsb -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/spatial -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s
 
 race:
 	$(GO) test -race ./internal/storage ./internal/wal ./internal/latch ./internal/pitree ./internal/core ./internal/lock ./internal/txn ./internal/tsb ./internal/spatial ./internal/recovery ./internal/engine ./internal/maint

@@ -14,6 +14,13 @@
 // no-ghost-uncommitted, and well-formedness after recovery:
 //
 //	pitree-verify -torture -rounds 60 -seed 7
+//
+// With -logstat it checks nothing: it reads the WAL segments under a
+// directory (a data directory's wal/) and prints records, bytes, mean size
+// and share per record type and kind, and the bytes per committed
+// transaction:
+//
+//	pitree-verify -logstat <datadir>/wal
 package main
 
 import (
@@ -41,7 +48,16 @@ func main() {
 	childDir := flag.String("dir", "", "internal: real-crash child data directory")
 	childTree := flag.String("tree", "", "internal: real-crash child tree kind")
 	childSync := flag.String("sync", "always", "internal: real-crash child WAL sync policy (always|never)")
+	logStat := flag.String("logstat", "", "print what the log records under this WAL directory are made of (read-only) and exit")
 	flag.Parse()
+
+	if *logStat != "" {
+		if err := runLogStat(os.Stdout, *logStat); err != nil {
+			fmt.Fprintf(os.Stderr, "logstat: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *realChild {
 		if err := runRealChild(*childDir, *childTree, *childSync, *seed, *workers, *ops, *pageOriented); err != nil {

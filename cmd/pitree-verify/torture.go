@@ -508,10 +508,13 @@ func runSnapReader(e *engine.Engine, inj *fault.Injector, t *tsb.Tree, s *snapOr
 // applied on top. A file-backed FinishRecovery releases the replayed log
 // from memory, the checkpoint the audit seeds from included, so the audit
 // cannot simply run afterwards; it keeps only what the oldest live
-// transaction could read, so an idle transaction begun before undo holds
-// the undo pass's own records in memory for the second half.
+// transaction could read, so a transaction that has logged something
+// before undo holds the undo pass's own records in memory for the second
+// half. (One that has logged nothing pins nothing: the empty nested
+// action is its one record.)
 func finishAudited(e *engine.Engine, finish func() error) error {
 	pin := e.TM.Begin()
+	pin.CommitNested(pin.BeginNested())
 	defer pin.Abort()
 	img := e.Log.FullImage()
 	shadow, err := recovery.AuditSpace(img)

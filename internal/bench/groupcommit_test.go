@@ -58,8 +58,8 @@ func TestGroupCommitCrashReplay(t *testing.T) {
 	}
 
 	// Crash with the stable prefix only: acknowledged commits are in it
-	// by the ForceGroup contract, unforced tails (end records, trailing
-	// completions) are lost.
+	// by the ForceGroup contract, unforced tails (trailing completions)
+	// are lost.
 	img := e.Crash(nil)
 	e2 := engine.Restarted(img, eopts)
 	b2 := core.Register(e2.Reg, false)

@@ -179,7 +179,13 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 	o.Promote(&c)
 
 	bLen, cLen := len(b.N.Entries), len(c.N.Entries)
-	preB := b.N.clone()
+	// An index container's last own term, read while it is latched: the
+	// action releases b, and the cascade below starts from this junction.
+	var junction consolidateTask
+	if level > 0 {
+		j := b.N.Entries[bLen-1]
+		junction = consolidateTask{level: level - 1, low: keys.Clone(j.Key), pid: j.Child}
+	}
 	err = o.Atomic(func(aa *txn.Txn) error {
 		o.Hold(&b, &c)
 		if level == 0 && t.binding.PageOriented() {
@@ -193,7 +199,7 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 			}
 		}
 		absorbed := c.N.clone()
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(b.Pid()), KindConsolidateMove, encConsolidateMove(absorbed, preB))
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(b.Pid()), KindConsolidateMove, encConsolidateMove(c.Pid(), encNodeImage(absorbed)))
 		for _, e := range absorbed.Entries {
 			b.N.insertEntry(e)
 		}
@@ -233,8 +239,7 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 		// them — their deletes are long done — so under sustained churn
 		// each index merge would otherwise strand one under-filled child
 		// per junction. Seed a task at the junction's left term.
-		j := preB.Entries[len(preB.Entries)-1]
-		t.scheduleConsolidate(consolidateTask{level: level - 1, low: keys.Clone(j.Key), pid: j.Child})
+		t.scheduleConsolidate(junction)
 	}
 	return true, false, nil
 }
@@ -293,7 +298,7 @@ func (t *Tree) shrinkRoot() {
 
 			absorbed := child.N.clone()
 			pre := root.N.clone()
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(t.root), KindRootShrink, encConsolidateMove(absorbed, pre))
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(t.root), KindRootShrink, encRootShrink(absorbed, pre))
 			root.N.Level = absorbed.Level
 			root.N.Entries = absorbed.Entries
 			root.N.High = absorbed.High

@@ -19,10 +19,11 @@ const (
 	// aborting the allocator entry reclaims the page.
 	KindFormatNode wal.Kind = 10
 	// KindSplitTruncate removes the delegated upper part from a split
-	// node and installs its new sibling term.
+	// node and installs its new sibling term. Its inverse is
+	// KindConsolidateMove of the sibling's image, and it is that kind's.
 	KindSplitTruncate wal.Kind = 11
-	// KindRestoreImage replaces a node with a stored pre-image; it is the
-	// compensation for multi-entry structural updates.
+	// KindRestoreImage replaces a node with a stored pre-image; only ever a
+	// CLR, the compensation for the two root kinds, which keep an image.
 	KindRestoreImage wal.Kind = 12
 	// KindInsertRecord adds a data record to a leaf.
 	KindInsertRecord wal.Kind = 13
@@ -106,25 +107,20 @@ func decNodeImage(b []byte) (*Node, error) {
 	return decodeNode(enc.NewReader(b))
 }
 
-// splitTruncate payload: the separator, the new sibling, and the full
-// pre-image for compensation.
-func encSplitTruncate(sep keys.Key, right storage.PageID, pre *Node) []byte {
+// splitTruncate payload: the separator and the new sibling. What left the
+// node is in the sibling's format record, logged just before.
+func encSplitTruncate(sep keys.Key, right storage.PageID) []byte {
 	var w enc.Writer
 	w.Bytes32(sep)
 	w.U64(uint64(right))
-	encodeNode(&w, pre)
 	return w.Bytes()
 }
 
-func decSplitTruncate(b []byte) (sep keys.Key, right storage.PageID, pre *Node, err error) {
+func decSplitTruncate(b []byte) (sep keys.Key, right storage.PageID, err error) {
 	r := enc.NewReader(b)
 	sep = r.Bytes32()
 	right = storage.PageID(r.U64())
-	pre, err = decodeNode(r)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return sep, right, pre, r.Err()
+	return sep, right, r.Err()
 }
 
 // rootGrow payload: the two index terms of the grown root plus the full
@@ -151,16 +147,32 @@ func decRootGrow(b []byte) (termA, termB Entry, pre *Node, err error) {
 	return
 }
 
-// consolidateMove payload: the absorbed node's image (entries plus the
-// sibling term the container takes over) and the container's pre-image.
-func encConsolidateMove(absorbed, pre *Node) []byte {
+// consolidateMove payload: the absorbed node's page and its image (entries
+// plus the sibling term the container takes over). The container's own
+// entries are not logged: undo cuts it again at the absorbed node's low key.
+func encConsolidateMove(from storage.PageID, absorbed []byte) []byte {
+	var w enc.Writer
+	w.U64(uint64(from))
+	return append(w.Bytes(), absorbed...)
+}
+
+func decConsolidateMove(b []byte) (from storage.PageID, absorbed *Node, err error) {
+	r := enc.NewReader(b)
+	from = storage.PageID(r.U64())
+	absorbed, err = decodeNode(r)
+	return
+}
+
+// rootShrink payload: the absorbed child's image and the root's pre-image
+// (a one-term index node).
+func encRootShrink(absorbed, pre *Node) []byte {
 	var w enc.Writer
 	encodeNode(&w, absorbed)
 	encodeNode(&w, pre)
 	return w.Bytes()
 }
 
-func decConsolidateMove(b []byte) (absorbed, pre *Node, err error) {
+func decRootShrink(b []byte) (absorbed, pre *Node, err error) {
 	r := enc.NewReader(b)
 	absorbed, err = decodeNode(r)
 	if err != nil {
@@ -220,7 +232,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 
 	reg.Register(KindSplitTruncate, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			sep, right, _, err := decSplitTruncate(rec.Payload)
+			sep, right, err := decSplitTruncate(rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -230,12 +242,18 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.Right = right
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
-			_, _, pre, err := decSplitTruncate(rec.Payload)
+		// Undo takes the sibling back: its entries, high bound and side
+		// pointer are what the node lost.
+		MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
+			_, right, err := decSplitTruncate(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindRestoreImage, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
+			image, err := pitree.SiblingImage(log, rec, KindFormatNode, right)
+			if err != nil {
+				return storage.Compensation{}, err
+			}
+			return storage.Compensation{Kind: KindConsolidateMove, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encConsolidateMove(right, image)}, nil
 		},
 	})
 
@@ -248,7 +266,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.insertEntry(Entry{Key: k, Value: v})
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			k, v, err := decKV(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
@@ -265,7 +283,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.deleteEntry(k)
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			k, v, err := decKV(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
@@ -284,7 +302,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			}
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			k, nv, ov, err := decKVV(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
@@ -344,7 +362,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.insertEntry(Entry{Key: k, Child: child})
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindRemoveIndexTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
@@ -358,7 +376,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.deleteEntry(k)
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindPostIndexTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
@@ -375,7 +393,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.Right = storage.NilPage
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			_, _, pre, err := decRootGrow(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
@@ -386,7 +404,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 
 	reg.Register(KindConsolidateMove, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			absorbed, _, err := decConsolidateMove(rec.Payload)
+			_, absorbed, err := decConsolidateMove(rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -397,12 +415,14 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.Right = absorbed.Right
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
-			_, pre, err := decConsolidateMove(rec.Payload)
+		// Undo splits the absorbed node off again: everything from its low
+		// key up goes, and the container's sibling term points back at it.
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
+			from, absorbed, err := decConsolidateMove(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindRestoreImage, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
+			return storage.Compensation{Kind: KindSplitTruncate, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encSplitTruncate(absorbed.Low, from)}, nil
 		},
 	})
 
@@ -411,7 +431,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.Dead = true
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindMarkAlive, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID)}, nil
 		},
 	})
@@ -420,14 +440,14 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.Dead = false
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindMarkDead, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID)}, nil
 		},
 	})
 
 	reg.Register(KindRootShrink, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			absorbed, _, err := decConsolidateMove(rec.Payload)
+			absorbed, _, err := decRootShrink(rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -437,8 +457,8 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			n.Right = absorbed.Right
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
-			_, pre, err := decConsolidateMove(rec.Payload)
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
+			_, pre, err := decRootShrink(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
 			}

@@ -195,6 +195,9 @@ func decodeNode(r *enc.Reader) (*Node, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	if cnt > r.Remaining()/minEntryBytes {
+		return nil, enc.ErrTruncated
+	}
 	n.Entries = make([]Entry, 0, cnt)
 	for i := 0; i < cnt; i++ {
 		e, err := decodeEntry(r)
@@ -205,6 +208,10 @@ func decodeNode(r *enc.Reader) (*Node, error) {
 	}
 	return n, r.Err()
 }
+
+// minEntryBytes is the least an encoded entry occupies; it bounds the
+// entry count a decoder accepts by the bytes that are left to hold them.
+const minEntryBytes = 4 + 4 + 8
 
 func encodeEntry(w *enc.Writer, e Entry) {
 	w.Bytes32(e.Key)

@@ -384,7 +384,7 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 		return nil, storage.NilPage, t.growRoot(o, r, act, pre, sep, mid, newPid)
 	}
 
-	lsnT := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindSplitTruncate, encSplitTruncate(sep, newPid, pre))
+	lsnT := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindSplitTruncate, encSplitTruncate(sep, newPid))
 	n.Entries = n.Entries[:mid]
 	n.High = keys.At(sep)
 	n.Right = newPid
@@ -469,9 +469,13 @@ func (t *Tree) consolidationFor(r *nref) (consolidateTask, bool) {
 
 // RangeScan calls fn for each key in [lo, hi) in order, stopping early if
 // fn returns false. hi may be nil for an unbounded scan. The scan is
-// latch-consistent per leaf; with a non-nil transaction each returned
-// record is S-locked first (held to transaction end). Keys and values
-// passed to fn are copies.
+// latch-consistent per leaf. With a non-nil transaction every record is
+// S-locked (to transaction end) before its value is read: under the leaf's
+// latch if the lock is free, else — No-Wait — the latch is dropped for the
+// wait and the leaf read again, so fn never sees a value an uncommitted
+// writer left. What was delivered is repeatable; there is no phantom
+// protection (a key inserted, or whose delete rolls back, behind the scan
+// is not seen). Keys and values passed to fn are copies.
 func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
 	type rec struct {
 		k keys.Key
@@ -483,14 +487,12 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 		var nextCursor keys.Key
 		done := false
 		err := t.kern.RetryLoop(tx, func(o *opCtx) error {
-			batch = batch[:0]
+			batch, done = batch[:0], false
 			leaf, err := t.descendTo(o, cursor, 0, latch.S, true, nil)
 			if err != nil {
 				return err
 			}
-			// Collect this leaf's qualifying records, then move on; locks
-			// (if any) are taken after release, one record at a time, per
-			// the No-Wait rule.
+			// Collect this leaf's qualifying records, then move on.
 			for _, e := range leaf.N.Entries {
 				if keys.Compare(e.Key, cursor) < 0 {
 					continue
@@ -498,6 +500,13 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 				if hi != nil && keys.Compare(e.Key, hi) >= 0 {
 					done = true
 					break
+				}
+				if tx != nil {
+					// errRetry: the lock was waited for and is now held, as
+					// are those of the records before it; read the leaf anew.
+					if err := o.LockDance(tx, &leaf, t.recLockName(e.Key), lock.S); err != nil {
+						return err
+					}
 				}
 				batch = append(batch, rec{k: keys.Clone(e.Key), v: append([]byte(nil), e.Value...)})
 			}
@@ -523,11 +532,6 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 			return err
 		}
 		for _, r := range batch {
-			if tx != nil {
-				if err := tx.Lock(t.recLockName(r.k), lock.S); err != nil {
-					return err
-				}
-			}
 			if !fn(r.k, r.v) {
 				return nil
 			}

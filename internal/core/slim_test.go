@@ -1,0 +1,400 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/fault"
+	"repro/internal/keys"
+	"repro/internal/latch"
+	"repro/internal/pitree"
+	"repro/internal/pitree/pitreetest"
+	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
+)
+
+// The structure-change records carry no node pre-image: a split says where
+// it cut and finds what left in the sibling's format record, a consolidate
+// move carries what came and cuts it off again. These tests hold that the
+// undo so built is exact, that it works from a live log and from a restart
+// image, and that the records stay small.
+
+// undoRoundTrip applies a record of kind to a copy of n — sib is the
+// sibling it made, if any — and then its compensation; see
+// pitreetest.UndoRoundTrip.
+func undoRoundTrip(t *testing.T, reg *storage.Registry, n *Node, sibPid storage.PageID, sib *Node, kind wal.Kind, payload []byte) (applied, undone []byte) {
+	t.Helper()
+	var sibImage []byte
+	if sib != nil {
+		sibImage = encNodeImage(sib)
+	}
+	return pitreetest.UndoRoundTrip(t, reg, n.clone(), func(d any) []byte { return encNodeImage(d.(*Node)) },
+		KindFormatNode, sibPid, sibImage, kind, payload)
+}
+
+// randomNode builds a node of up to 24 entries over keys above low.
+func randomNode(rng *rand.Rand, level int, low uint64) (*Node, uint64) {
+	n := &Node{Level: level, Right: storage.PageID(rng.Intn(1000)), Dead: false}
+	if low > 0 {
+		n.Low = keys.Uint64(low)
+	}
+	k := low
+	for i, cnt := 0, 2+rng.Intn(23); i < cnt; i++ {
+		e := Entry{Key: keys.Uint64(k)}
+		if level == 0 {
+			e.Value = make([]byte, 1+rng.Intn(40))
+			rng.Read(e.Value)
+		} else {
+			e.Child = storage.PageID(1 + rng.Intn(1000))
+		}
+		n.Entries = append(n.Entries, e)
+		k += 1 + uint64(rng.Intn(9))
+	}
+	if rng.Intn(4) == 0 {
+		n.High, n.Right = keys.Inf, storage.NilPage
+	} else {
+		n.High = keys.At(keys.Uint64(k))
+	}
+	return n, k
+}
+
+func TestSlimUndoRestoresNode(t *testing.T) {
+	reg := storage.NewRegistry()
+	Register(reg, false)
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 300; i++ {
+		n, high := randomNode(rng, rng.Intn(3), uint64(rng.Intn(50)))
+		want := encNodeImage(n)
+
+		// Split, as splitNode does it.
+		mid := len(n.Entries) / 2
+		sep := keys.Clone(n.Entries[mid].Key)
+		upper := &Node{Level: n.Level, Low: sep, High: n.High, Right: n.Right, Entries: append([]Entry(nil), n.Entries[mid:]...)}
+		applied, undone := undoRoundTrip(t, reg, n, 901, upper, KindSplitTruncate, encSplitTruncate(sep, 901))
+		lower := n.clone()
+		lower.Entries, lower.High, lower.Right = lower.Entries[:mid], keys.At(sep), 901
+		if !bytes.Equal(applied, encNodeImage(lower)) {
+			t.Fatalf("node %d: split left %x, want the lower half %x", i, applied, encNodeImage(lower))
+		}
+		if !bytes.Equal(undone, want) {
+			t.Fatalf("node %d: undo of the split gives\n%x, want\n%x", i, undone, want)
+		}
+
+		// Consolidate move: absorb a right neighbour, where there can be one.
+		if n.High.Unbounded {
+			continue
+		}
+		c, _ := randomNode(rng, n.Level, high)
+		n.Right = 902
+		want = encNodeImage(n)
+		applied, undone = undoRoundTrip(t, reg, n, 0, nil, KindConsolidateMove, encConsolidateMove(902, encNodeImage(c)))
+		merged := n.clone()
+		merged.Entries, merged.High, merged.Right = append(merged.Entries, c.clone().Entries...), c.High, c.Right
+		if !bytes.Equal(applied, encNodeImage(merged)) {
+			t.Fatalf("node %d: consolidate move gives %x, want %x", i, applied, encNodeImage(merged))
+		}
+		if !bytes.Equal(undone, want) {
+			t.Fatalf("node %d: undo of the consolidate move gives\n%x, want\n%x", i, undone, want)
+		}
+	}
+}
+
+// TestSplitUndoNeedsTheSiblingsFormatRecord: the undo refuses a chain whose
+// previous record is not the format of the sibling the split names.
+func TestSplitUndoNeedsTheSiblingsFormatRecord(t *testing.T) {
+	reg := storage.NewRegistry()
+	Register(reg, false)
+	h, _ := reg.Handler(KindSplitTruncate)
+	log := wal.New()
+	n, _ := randomNode(rand.New(rand.NewSource(1)), 0, 0)
+	prev := log.Append(&wal.Record{Type: wal.RecUpdate, Kind: KindFormatNode, TxnID: 1, StoreID: 1, PageID: 5, Payload: encNodeImage(n)})
+	for name, rec := range map[string]*wal.Record{
+		"other sibling":     {Type: wal.RecUpdate, Kind: KindSplitTruncate, TxnID: 1, PrevLSN: prev, StoreID: 1, PageID: 7, Payload: encSplitTruncate(keys.Uint64(3), 6)},
+		"other transaction": {Type: wal.RecUpdate, Kind: KindSplitTruncate, TxnID: 2, PrevLSN: prev, StoreID: 1, PageID: 7, Payload: encSplitTruncate(keys.Uint64(3), 5)},
+		"no previous":       {Type: wal.RecUpdate, Kind: KindSplitTruncate, TxnID: 1, StoreID: 1, PageID: 7, Payload: encSplitTruncate(keys.Uint64(3), 5)},
+	} {
+		log.Append(rec)
+		if _, err := h.MakeUndo(rec, log); err == nil {
+			t.Fatalf("%s: undo built a compensation from a record that is not the sibling's format", name)
+		}
+	}
+}
+
+// slimOpts are small nodes, synchronous completion.
+func slimOpts() Options {
+	o := defaultTestOpts()
+	o.LeafCapacity, o.IndexCapacity = 4, 4
+	return o
+}
+
+// contents reads the whole tree.
+func (fx *fixture) contents(t *testing.T) map[uint64]string {
+	t.Helper()
+	got := map[uint64]string{}
+	err := fx.tree.RangeScan(nil, nil, nil, func(k keys.Key, v []byte) bool {
+		got[keys.ToUint64(k)] = string(v)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func sameContents(t *testing.T, label string, got, want map[uint64]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("%s: key %d = %q, want %q", label, k, got[k], v)
+		}
+	}
+}
+
+// slimCase drives one structure change of a kind and says what the tree
+// must hold if the change's action never commits.
+type slimCase struct {
+	name string
+	kind wal.Kind
+	// run builds a tree and performs the change as its last logged action
+	// (with fail set: as an action that fails after logging it, and is
+	// rolled back at run time). It returns the contents from just before.
+	run func(t *testing.T, fail bool) (*fixture, map[uint64]string)
+}
+
+// growUntil inserts ascending keys, draining completions after each, until
+// the counter moves; it returns the contents before the insert that moved
+// it (whose key is their number).
+func growUntil(t *testing.T, fx *fixture, counter func() int64, before func(key uint64)) map[uint64]string {
+	t.Helper()
+	want := map[uint64]string{}
+	for k, base := uint64(0), counter(); k < 10000; k++ {
+		before(k)
+		if err := fx.tree.Insert(nil, keys.Uint64(k), val(int(k))); err != nil && !errors.Is(err, fault.ErrInjected) {
+			t.Fatal(err)
+		}
+		fx.tree.DrainCompletions()
+		if counter() != base {
+			return want
+		}
+		want[k] = string(val(int(k)))
+	}
+	t.Fatal("the structure change never happened")
+	return nil
+}
+
+var slimCases = []slimCase{
+	{
+		// A leaf split is its own action and nothing in it can fail behind
+		// the split record: the run-time abort is of the same action made
+		// to fail by hand.
+		name: "leaf split", kind: KindSplitTruncate,
+		run: func(t *testing.T, fail bool) (*fixture, map[uint64]string) {
+			fx := newFixture(t, engine.Options{}, slimOpts())
+			want := growUntil(t, fx, fx.tree.Stats.LeafSplits.Load, func(uint64) {})
+			if !fail {
+				return fx, want
+			}
+			want = fx.contents(t)
+			o := fx.tree.kern.NewOp(nil)
+			defer o.Done()
+			leaf, err := fx.tree.descendTo(o, keys.Uint64(0), 0, latch.U, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = o.Atomic(func(aa *txn.Txn) error {
+				o.Hold(&leaf)
+				o.Promote(&leaf)
+				if _, _, err := fx.tree.splitNode(o, &leaf, aa); err != nil {
+					return err
+				}
+				return errAbandoned
+			})
+			if err != errAbandoned {
+				t.Fatal(err)
+			}
+			return fx, want
+		},
+	},
+	{
+		// Page-oriented undo: a transaction that fills a leaf it has
+		// updated splits it itself, and its abort undoes the split.
+		name: "leaf split in transaction", kind: KindSplitTruncate,
+		run: func(t *testing.T, fail bool) (*fixture, map[uint64]string) {
+			fx := newFixture(t, engine.Options{PageOriented: true}, slimOpts())
+			for k := uint64(0); k < 400; k += 10 {
+				if err := fx.tree.Insert(nil, keys.Uint64(k), val(int(k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fx.tree.DrainCompletions()
+			want := fx.contents(t)
+			tx := fx.e.TM.Begin()
+			for k := uint64(1); fx.tree.Stats.InTxnSplits.Load() == 0; k++ {
+				if k == 10 {
+					t.Fatal("the transaction never split a leaf")
+				}
+				if err := fx.tree.Insert(tx, keys.Uint64(k), val(int(k))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if fail {
+				if err := tx.Abort(); err != nil {
+					t.Fatal(err)
+				}
+				return fx, want
+			}
+			// Restart finds the transaction without a commit record; give
+			// the cut one to aim at.
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			return fx, want
+		},
+	},
+	{
+		name: "index split", kind: KindSplitTruncate,
+		run: func(t *testing.T, fail bool) (*fixture, map[uint64]string) {
+			opts := slimOpts()
+			dry := newFixture(t, engine.Options{}, opts)
+			trigger := uint64(len(growUntil(t, dry, dry.tree.Stats.IndexSplits.Load, func(uint64) {})))
+			inj := fault.New(1)
+			fx := newFixture(t, engine.Options{Injector: inj}, opts)
+			want := growUntil(t, fx, fx.tree.Stats.IndexSplits.Load, func(k uint64) {
+				if fail && k == trigger {
+					// Fails the posting that is about to split its node, after
+					// the split.
+					inj.Arm(pitree.FPPost, fault.Spec{Kind: fault.Transient})
+				}
+			})
+			if fail && fx.tree.Stats.PostsFailed.Load() != 1 {
+				t.Fatalf("%d postings failed, want the one that split", fx.tree.Stats.PostsFailed.Load())
+			}
+			want[trigger] = string(val(int(trigger))) // the insert is committed before its leaf's posting runs
+			return fx, want
+		},
+	},
+	{
+		name: "consolidate move", kind: KindConsolidateMove,
+		run: func(t *testing.T, fail bool) (*fixture, map[uint64]string) {
+			inj := fault.New(1)
+			fx := newFixture(t, engine.Options{Injector: inj}, slimOpts())
+			want := map[uint64]string{}
+			for k := uint64(0); k < 64; k++ {
+				if err := fx.tree.Insert(nil, keys.Uint64(k), val(int(k))); err != nil {
+					t.Fatal(err)
+				}
+				want[k] = string(val(int(k)))
+			}
+			fx.tree.DrainCompletions()
+			if fail {
+				inj.Arm(storage.FPConsolidate, fault.Spec{Kind: fault.Transient})
+			}
+			for k := uint64(0); k < 64; k++ {
+				if err := fx.tree.Delete(nil, keys.Uint64(k)); err != nil {
+					t.Fatal(err)
+				}
+				delete(want, k)
+				fx.tree.DrainCompletions()
+				if fx.tree.Stats.Consolidations.Load() > 0 || len(inj.Trips()) > 0 {
+					return fx, want
+				}
+			}
+			t.Fatal("no consolidation was attempted")
+			return nil, nil
+		},
+	},
+}
+
+// TestSlimRecordRolledBack: a structure change whose record is in the log
+// and whose action's commit record is not — because the action failed and
+// was rolled back at run time, or because a crash cut the log there — leaves
+// a well-formed tree holding what it held before.
+func TestSlimRecordRolledBack(t *testing.T) {
+	for _, tc := range slimCases {
+		t.Run(tc.name+"/abort", func(t *testing.T) {
+			fx, want := tc.run(t, true)
+			fx.mustVerify(t)
+			sameContents(t, "after the runtime abort", fx.contents(t), want)
+		})
+		t.Run(tc.name+"/restart", func(t *testing.T) {
+			fx, want := tc.run(t, false)
+			cut := pitreetest.CutBeforeCommit(t, fx.e.Log, tc.kind)
+			fx2 := fx.crashRestart(t, &cut)
+			fx2.mustVerify(t)
+			sameContents(t, "after restart", fx2.contents(t), want)
+		})
+	}
+}
+
+// TestStructureRecordsStaySmall: with 64-entry nodes of 100-byte values no
+// structure-change record but a node image — a format, the node a
+// consolidation absorbs, the root kinds' pre-image — reaches 512 bytes. A
+// node pre-image would be some 7 KiB.
+func TestStructureRecordsStaySmall(t *testing.T) {
+	opts := defaultTestOpts()
+	opts.LeafCapacity, opts.IndexCapacity = 64, 64
+	fx := newFixture(t, engine.Options{}, opts)
+	value := bytes.Repeat([]byte{'v'}, 100)
+	const n = 64 * 80
+	for k := uint64(0); k < n; k++ {
+		if err := fx.tree.Insert(nil, keys.Uint64(k*7919%n), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(0); k < n; k += 2 {
+		if err := fx.tree.Delete(nil, keys.Uint64(k)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.tree.Delete(nil, keys.Uint64(k+1)); err != nil && k%8 != 0 {
+			t.Fatal(err)
+		}
+	}
+	fx.mustVerify(t)
+	images := map[wal.Kind]bool{KindFormatNode: true, KindConsolidateMove: true, KindRootGrow: true, KindRootShrink: true}
+	seen := map[wal.Kind]int{}
+	fx.e.Log.FullImage().Scan(wal.NilLSN, func(r wal.Record) bool {
+		seen[r.Kind]++
+		if !images[r.Kind] && r.Size() >= 512 {
+			t.Errorf("%s record of kind %d at LSN %d is %d bytes", r.Type, r.Kind, r.LSN, r.Size())
+		}
+		return true
+	})
+	for _, k := range []wal.Kind{KindSplitTruncate, KindConsolidateMove, KindPostIndexTerm, KindRemoveIndexTerm} {
+		if seen[k] == 0 {
+			t.Errorf("the workload logged no record of kind %d", k)
+		}
+	}
+	if seen[KindSplitTruncate] < 64 {
+		t.Errorf("only %d splits: no index node split", seen[KindSplitTruncate])
+	}
+}
+
+// FuzzSlimPayloads: the decoders of the slimmed payloads, and the node
+// decoder under them, fail on arbitrary bytes; they do not panic or size an
+// allocation by a count they have not checked against the input.
+func FuzzSlimPayloads(f *testing.F) {
+	n, _ := randomNode(rand.New(rand.NewSource(3)), 0, 5)
+	f.Add(encSplitTruncate(keys.Uint64(9), 4))
+	f.Add(encConsolidateMove(4, encNodeImage(n)))
+	f.Add(encRootShrink(n, n))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xfe, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if sep, right, err := decSplitTruncate(b); err == nil {
+			if got := encSplitTruncate(sep, right); !bytes.Equal(got, b[:len(got)]) {
+				t.Fatalf("split payload %x decodes to one that encodes as %x", b, got)
+			}
+		}
+		if _, n, err := decConsolidateMove(b); err == nil && len(n.Entries) > len(b) {
+			t.Fatalf("%d entries out of %d bytes", len(n.Entries), len(b))
+		}
+		_, _, _ = decRootShrink(b)
+		_, _, _, _ = decRootGrow(b)
+	})
+}

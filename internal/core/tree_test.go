@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/keys"
@@ -185,6 +187,57 @@ func TestUpdateDelete(t *testing.T) {
 	shape := fx.mustVerify(t)
 	if shape.Records != 100 {
 		t.Fatalf("records = %d, want 100", shape.Records)
+	}
+}
+
+// TestRangeScanReadsNoDirtyValue: T1 updates key 1 and is still active when
+// T2 scans over it; T1 then aborts. T2 must wait for T1's lock and deliver
+// the value it reads once it holds the lock — never the one T1 wrote.
+func TestRangeScanReadsNoDirtyValue(t *testing.T) {
+	fx := newFixture(t, engine.Options{}, defaultTestOpts())
+	for i := 0; i < 3; i++ {
+		if err := fx.tree.Insert(nil, keys.Uint64(uint64(i)), []byte("clean")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t1 := fx.e.TM.Begin()
+	if err := fx.tree.Update(t1, keys.Uint64(1), []byte("doomed")); err != nil {
+		t.Fatal(err)
+	}
+	waits, _ := fx.e.Locks.Stats()
+	t2 := fx.e.TM.Begin()
+	seen := map[uint64]string{}
+	scanned := make(chan error, 1)
+	go func() {
+		scanned <- fx.tree.RangeScan(t2, nil, nil, func(k keys.Key, v []byte) bool {
+			seen[keys.ToUint64(k)] = string(v)
+			return true
+		})
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		if w, _ := fx.e.Locks.Stats(); w > waits {
+			break // T2 is queued behind T1's X lock on key 1
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the scan never waited for the updater's lock")
+		}
+	}
+	if err := t1.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-scanned; err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 3; k++ {
+		if seen[k] != "clean" {
+			t.Fatalf("scan delivered key %d = %q; every key holds %q once T1 is rolled back", k, seen[k], "clean")
+		}
+		if _, held := fx.e.Locks.HeldMode(t2.ID, fx.tree.recLockName(keys.Uint64(k))); !held {
+			t.Fatalf("scan delivered key %d without holding its lock", k)
+		}
+	}
+	if err := t2.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -296,7 +296,7 @@ func (e *Engine) Checkpoint() (wal.LSN, error) {
 }
 
 // trimLog releases the in-memory log below what normal processing can
-// still read — the oldest unfinished transaction's begin record — once a
+// still read — the oldest unfinished transaction's first record — once a
 // file sink holds those bytes (a memory-backed engine's buffer is its
 // stable storage and keeps everything). This bound is independent of the
 // file recycle horizon: the files must keep whatever redo after a crash

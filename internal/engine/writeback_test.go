@@ -27,7 +27,7 @@ func registerSwap(reg *storage.Registry) {
 			f.Data = append([]byte(nil), new...)
 			return nil
 		},
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			old, _ := split(rec.Payload)
 			return storage.Compensation{Kind: kindSet, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: old}, nil
 		},
@@ -236,7 +236,7 @@ func TestLogBufferFollowsTheLiveLog(t *testing.T) {
 }
 
 // TestOldTransactionRollsBackPastTheWindow: a transaction older than the
-// window pins the log buffer at its begin record, so its rollback can
+// window pins the log buffer at its first record, so its rollback can
 // still read what it wrote.
 func TestOldTransactionRollsBackPastTheWindow(t *testing.T) {
 	v, _ := openWB(t, t.TempDir(), time.Millisecond)

@@ -28,8 +28,9 @@ type Poster[N any] interface {
 	// the term is still to be posted: not when it is there already, when
 	// the child it names was consolidated away, retired or freed, or when
 	// the posting must wait for a move lock. It may visit the child (S,
-	// released before it returns) and replace the term by the one that now
-	// describes it. The kernel releases node after a false or an error.
+	// released before it returns: node is still to be promoted, and the
+	// promotion rule forbids a lower latch meanwhile). The kernel releases
+	// node after a false or an error.
 	Verify(o *Op[N], node *Ref[N]) (bool, error)
 	// Full is the space test: the X-latched node has no room for the term.
 	Full(n N) bool
@@ -42,7 +43,11 @@ type Poster[N any] interface {
 	// aa.OnCommit, never before.
 	Split(o *Op[N], aa *txn.Txn, node *Ref[N]) (storage.PageID, error)
 	// Apply logs the term under aa and inserts it into the X-latched node.
-	Apply(aa *txn.Txn, node *Ref[N])
+	// A term that describes the child's present state is built here, from
+	// the child latched S — after every index latch of the action: parents
+	// before children — and handed to o.Hold: what the term says cannot
+	// move before the action's commit record is in the log.
+	Apply(o *Op[N], aa *txn.Txn, node *Ref[N]) error
 }
 
 // Post is the index-term posting action of §5.3, the one completing
@@ -108,8 +113,7 @@ func (k *Kernel[N, K]) Post(p Poster[N]) (posted bool, err error) {
 			if err := k.s.Pool.Probe(FPPost); err != nil {
 				return err
 			}
-			p.Apply(aa, node)
-			return nil
+			return p.Apply(o, aa, node)
 		})
 		posted = err == nil
 		return err

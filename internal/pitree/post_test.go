@@ -15,7 +15,14 @@ import (
 
 // The toy tree's postings: toyLeafC is unposted, so the term (75, leafC)
 // is owed to toyLeft. An index node holds up to cap separators and splits
-// in place (unlogged — the toy has no recovery), the root by growing.
+// in place, the root by growing; a split and a term each log one redo-only
+// record (the toy has no recovery), so the action has a chain to commit
+// or to roll back over.
+
+const (
+	toyKindSplit = wal.Kind(201)
+	toyKindTerm  = wal.Kind(202)
+)
 
 var errToySplit = errors.New("toy: split refused")
 
@@ -57,6 +64,7 @@ func (p *toyPost) Split(o *Op[*toyNode], aa *txn.Txn, node *Ref[*toyNode]) (stor
 		return storage.NilPage, nil
 	}
 	aa.OnCommit(func() { p.committed++ })
+	aa.LogUpdate(1, uint64(node.Pid()), toyKindSplit, nil)
 	n, mid := node.N, len(node.N.seps)/2
 	upper := &toyNode{level: n.level, low: n.seps[mid], high: n.high, right: n.right,
 		seps: slices.Clone(n.seps[mid:]), kids: slices.Clone(n.kids[mid:])}
@@ -80,14 +88,16 @@ func (p *toyPost) Split(o *Op[*toyNode], aa *txn.Txn, node *Ref[*toyNode]) (stor
 	return pidA, nil
 }
 
-func (p *toyPost) Apply(aa *txn.Txn, node *Ref[*toyNode]) {
+func (p *toyPost) Apply(_ *Op[*toyNode], aa *txn.Txn, node *Ref[*toyNode]) error {
 	if p.onApply != nil {
 		p.onApply(node)
 	}
 	aa.OnCommit(func() { p.committed++ })
+	aa.LogUpdate(1, uint64(node.Pid()), toyKindTerm, nil)
 	n := node.N
 	at, _ := slices.BinarySearch(n.seps, p.sep)
 	n.seps, n.kids = slices.Insert(n.seps, at, p.sep), slices.Insert(n.kids, at, p.child)
+	return nil
 }
 
 func (ty *toy) post(t *testing.T, p *toyPost) (bool, error) {
@@ -259,7 +269,8 @@ func TestPostFailureAborts(t *testing.T) {
 		if posted, err := ty.post(t, p); posted || !errors.Is(err, tc.want) {
 			t.Fatalf("%s: posted=%v err=%v", tc.name, posted, err)
 		}
-		if got, want := recTypes(ty.records(from)), []wal.RecType{wal.RecBegin, wal.RecAbort, wal.RecEnd}; !slices.Equal(got, want) {
+		// The one split that succeeded is backed over; no term, no commit.
+		if got, want := recTypes(ty.records(from)), []wal.RecType{wal.RecUpdate, wal.RecAbort, wal.RecCLR, wal.RecEnd}; !slices.Equal(got, want) {
 			t.Fatalf("%s: log holds %v, want the aborted action %v", tc.name, got, want)
 		}
 		if p.committed != 0 || p.splits == 0 {
@@ -278,7 +289,7 @@ func TestPostFailureAborts(t *testing.T) {
 // error, no commit hook runs, and the latches are released all the same.
 func TestPostCommitFailure(t *testing.T) {
 	ty := newToy(t, false, false)
-	ty.kern.s.TM = txn.NewManager(ty.log, ty.lm, storage.NewRegistry(), txn.Options{ForceOnAACommit: true})
+	ty.kern.s.TM = txn.NewManager(ty.log, ty.lm, toyRegistry(), txn.Options{ForceOnAACommit: true})
 	inj := fault.New(1)
 	ty.log.SetInjector(inj)
 	inj.Arm(wal.FPSync, fault.Spec{Kind: fault.Permanent})

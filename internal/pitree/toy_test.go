@@ -68,7 +68,7 @@ func newToy(t *testing.T, couple, pessimistic bool) *toy {
 	t.Helper()
 	ty := &toy{log: wal.New(), lm: lock.NewManager(), clones: map[*toyNode]int{}}
 	ty.pool = storage.NewPool(1, storage.NewDisk(), ty.log, nil, 0)
-	ty.tm = txn.NewManager(ty.log, ty.lm, storage.NewRegistry(), txn.Options{})
+	ty.tm = txn.NewManager(ty.log, ty.lm, toyRegistry(), txn.Options{})
 	inf := math.MaxInt
 	ty.put(t, toyRoot, &toyNode{level: 2, high: inf, seps: []int{0, 100}, kids: []storage.PageID{toyLeft, toyRight}})
 	ty.put(t, toyLeft, &toyNode{level: 1, high: 100, right: toyRight, seps: []int{0, 50}, kids: []storage.PageID{toyLeafA, toyLeafB}})
@@ -83,6 +83,16 @@ func newToy(t *testing.T, couple, pessimistic bool) *toy {
 	}, ty)
 	t.Cleanup(ty.kern.Close)
 	return ty
+}
+
+// toyRegistry knows the toy's record kinds, all redo-only (the toy has no
+// recovery; rollback backs its chain over them).
+func toyRegistry() *storage.Registry {
+	reg := storage.NewRegistry()
+	for _, k := range []wal.Kind{toyKindAdd, toyKindSplit, toyKindTerm} {
+		reg.Register(k, storage.Handler{Redo: func(*storage.Frame, *wal.Record) error { return nil }})
+	}
+	return reg
 }
 
 func (ty *toy) put(t *testing.T, pid storage.PageID, data any) {

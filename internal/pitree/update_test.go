@@ -15,9 +15,9 @@ import (
 )
 
 // The toy tree's leaf writes: each leaf holds up to toyCap sorted int
-// keys, a write adds keys, and a full leaf splits in place (unlogged — the
-// toy has no recovery) with the upper half reachable through the side
-// pointer only.
+// keys, a write adds keys, and a full leaf splits in place (unlogged, and
+// every logged kind redo-only — the toy has no recovery) with the upper
+// half reachable through the side pointer only.
 
 const (
 	toyCap             = 4
@@ -124,17 +124,22 @@ func TestUpdateRunStopsWhenLeafFills(t *testing.T) {
 		t.Fatalf("leaves hold %v and %v", a, b)
 	}
 	want := []wal.RecType{
-		wal.RecBegin, wal.RecUpdate, wal.RecUpdate, wal.RecUpdate, wal.RecUpdate, wal.RecCommit, wal.RecEnd,
-		wal.RecBegin, wal.RecUpdate, wal.RecUpdate, wal.RecCommit, wal.RecEnd,
+		wal.RecUpdate, wal.RecUpdate, wal.RecUpdate, wal.RecUpdate, wal.RecCommit,
+		wal.RecUpdate, wal.RecUpdate, wal.RecCommit,
 	}
 	recs := ty.records(from)
 	if !slices.Equal(recTypes(recs), want) {
 		t.Fatalf("log holds %v, want %v", recTypes(recs), want)
 	}
-	// Each run's records chain through its own atomic action.
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Type != wal.RecBegin && (recs[i].TxnID != recs[i-1].TxnID || recs[i].PrevLSN != recs[i-1].LSN) {
-			t.Fatalf("record %d (%+v) does not chain to %+v", i, recs[i], recs[i-1])
+	// Each run's records chain through its own atomic action, whose first
+	// record (nil PrevLSN) is all the begin it has.
+	for i, r := range recs {
+		first := i == 0 || recs[i-1].Type == wal.RecCommit
+		if first && (r.PrevLSN != wal.NilLSN || !r.IsSystem()) {
+			t.Fatalf("record %d (%+v) does not begin an atomic action", i, r)
+		}
+		if !first && (r.TxnID != recs[i-1].TxnID || r.PrevLSN != recs[i-1].LSN) {
+			t.Fatalf("record %d (%+v) does not chain to %+v", i, r, recs[i-1])
 		}
 	}
 }
@@ -224,8 +229,8 @@ func TestUpdateFailpointBeforeLog(t *testing.T) {
 	if err := ty.write(nil, &toyWrite{ks: []int{10}}); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("non-transactional write over the armed failpoint: %v", err)
 	}
-	if got, want := recTypes(ty.records(from)), []wal.RecType{wal.RecBegin, wal.RecAbort, wal.RecEnd}; !slices.Equal(got, want) {
-		t.Fatalf("log holds %v, want the empty aborted action %v", got, want)
+	if got := recTypes(ty.records(from)); len(got) != 0 {
+		t.Fatalf("log holds %v: an aborted action that logged nothing leaves no record", got)
 	}
 }
 

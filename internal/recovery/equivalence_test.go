@@ -210,7 +210,6 @@ func compareStats(t *testing.T, label string, want, got Stats) {
 		{"RedoStartLSN", int(want.RedoStartLSN), int(got.RedoStartLSN)},
 		{"LoserTxns", want.LoserTxns, got.LoserTxns},
 		{"LoserActions", want.LoserActions, got.LoserActions},
-		{"WinnerTxns", want.WinnerTxns, got.WinnerTxns},
 	} {
 		if r.w != r.g {
 			t.Fatalf("%s: %s = %d, serial oracle says %d", label, r.name, r.g, r.w)

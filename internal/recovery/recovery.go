@@ -43,11 +43,10 @@ import (
 
 // AttEntry is one transaction-table row in a checkpoint.
 type AttEntry struct {
-	ID        wal.TxnID
-	LastLSN   wal.LSN
-	FirstLSN  wal.LSN // begin record; zero in images from before the field existed
-	System    bool
-	Committed bool
+	ID       wal.TxnID
+	LastLSN  wal.LSN
+	FirstLSN wal.LSN // first record; zero when unknown (an adopted restart loser)
+	System   bool
 }
 
 // Checkpoint is the fuzzy-checkpoint payload: the live transaction table
@@ -114,14 +113,16 @@ func TakeCheckpoint(log *wal.Log, tm *txn.Manager, pools ...*storage.Pool) (wal.
 // could need, min(StartLSN, every DPT recLSN, every active transaction's
 // FirstLSN). Segments wholly below it are dead — analysis scans from
 // StartLSN at the earliest, redo from the oldest recLSN, and undo walks
-// no loser chain below its begin record. A zero FirstLSN (adopted loser
-// of unknown origin) pins the horizon at NilLSN: no recycling.
+// no loser chain below its first record. A zero FirstLSN (adopted loser
+// of unknown origin) pins the horizon at NilLSN: no recycling. A
+// transaction that has logged nothing is not in the table and pins
+// nothing.
 func TakeCheckpointHorizon(log *wal.Log, tm *txn.Manager, pools ...*storage.Pool) (wal.LSN, wal.LSN, error) {
 	c := Checkpoint{StartLSN: log.EndLSN(), DPT: make(map[uint32]map[uint64]wal.LSN)}
 	c.MaxTxnID, c.ClockHW = tm.RecoveryBounds()
 	horizon := c.StartLSN
 	for _, e := range tm.SnapshotATT() {
-		c.ATT = append(c.ATT, AttEntry{ID: e.ID, LastLSN: e.LastLSN, FirstLSN: e.FirstLSN, System: e.System, Committed: e.Committed})
+		c.ATT = append(c.ATT, AttEntry{ID: e.ID, LastLSN: e.LastLSN, FirstLSN: e.FirstLSN, System: e.System})
 		if e.FirstLSN == wal.NilLSN {
 			horizon = wal.NilLSN
 		} else if horizon != wal.NilLSN && e.FirstLSN < horizon {
@@ -211,9 +212,6 @@ type Stats struct {
 	// atomic actions.
 	LoserTxns    int
 	LoserActions int
-	// WinnerTxns is the number of committed-but-unended transactions that
-	// only needed their end records.
-	WinnerTxns int
 	// RedoStartLSN is where the serial redo scan begins (the earliest
 	// recLSN in the final dirty page table); the fused path reports the
 	// same value for comparability even though its plan already carries
@@ -275,16 +273,18 @@ func (s Stats) Summary() string {
 		redo += fmt.Sprintf(", %d pages fetch-skipped", s.FetchSkippedPages)
 	}
 	redo += ")"
-	return fmt.Sprintf("analysis %v (%d rec, %.2fM rec/s) | %s | undo %v (%d losers, %d actions, %d winners)",
+	return fmt.Sprintf("analysis %v (%d rec, %.2fM rec/s) | %s | undo %v (%d losers, %d actions)",
 		s.AnalysisTime.Round(time.Microsecond), s.AnalyzedRecords, s.AnalysisRate()/1e6,
 		redo,
-		s.UndoTime.Round(time.Microsecond), s.LoserTxns, s.LoserActions, s.WinnerTxns)
+		s.UndoTime.Round(time.Microsecond), s.LoserTxns, s.LoserActions)
 }
 
+// attState is one row of analysis's transaction table: a transaction with
+// records in the log and neither a commit nor an end record — a loser, if
+// the scan ends with it still there.
 type attState struct {
-	lastLSN   wal.LSN
-	system    bool
-	committed bool
+	lastLSN wal.LSN
+	system  bool
 }
 
 // Pending is the state between the redo and undo passes of a restart.
@@ -299,10 +299,9 @@ type Pending struct {
 }
 
 type pendingTxn struct {
-	id        wal.TxnID
-	lastLSN   wal.LSN
-	system    bool
-	committed bool
+	id      wal.TxnID
+	lastLSN wal.LSN
+	system  bool
 }
 
 // Restart performs full crash recovery: analysis, redo, undo. log must
@@ -402,7 +401,7 @@ func AnalyzeAndRedoImage(img *wal.Reader, reg *storage.Registry, o Opts) (*Pendi
 	sort.Slice(ids, func(i, j int) bool { return att[ids[i]].lastLSN > att[ids[j]].lastLSN })
 	for _, id := range ids {
 		e := att[id]
-		p.losers = append(p.losers, pendingTxn{id: id, lastLSN: e.lastLSN, system: e.system, committed: e.committed})
+		p.losers = append(p.losers, pendingTxn{id: id, lastLSN: e.lastLSN, system: e.system})
 	}
 	return p, nil
 }
@@ -425,7 +424,7 @@ func loadCheckpoint(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32
 	st.MaxTxnID = c.MaxTxnID
 	st.ClockHW = c.ClockHW
 	for _, e := range c.ATT {
-		att[e.ID] = &attState{lastLSN: e.LastLSN, system: e.System, committed: e.Committed}
+		att[e.ID] = &attState{lastLSN: e.LastLSN, system: e.System}
 	}
 	for store, pages := range c.DPT {
 		dpt[store] = make(map[uint64]wal.LSN, len(pages))
@@ -492,9 +491,9 @@ func analyze(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32]map[ui
 		})
 	}
 
-	// newState recycles attState structs freed by RecEnd: short
-	// transactions (every atomic action) are born and ended inside one
-	// scan, and without the freelist each costs a heap allocation on a
+	// newState recycles attState structs freed by a commit or end record:
+	// short transactions (every atomic action) are born and finished inside
+	// one scan, and without the freelist each costs a heap allocation on a
 	// path that runs once per logged transaction.
 	var free []*attState
 	newState := func(s attState) *attState {
@@ -530,8 +529,6 @@ func analyze(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32]map[ui
 			st.MaxTxnID = rec.TxnID
 		}
 		switch rec.Type {
-		case wal.RecBegin:
-			att[rec.TxnID] = newState(attState{lastLSN: rec.LSN, system: rec.IsSystem()})
 		case wal.RecUpdate, wal.RecCLR:
 			e := att[rec.TxnID]
 			if e == nil {
@@ -593,12 +590,10 @@ func analyze(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32]map[ui
 					st.ClockHW = cts
 				}
 			}
-			if e := att[rec.TxnID]; e != nil {
-				e.committed = true
-				e.lastLSN = rec.LSN
-			} else {
-				att[rec.TxnID] = newState(attState{lastLSN: rec.LSN, system: rec.IsSystem(), committed: true})
-			}
+			// A committed transaction needs nothing more from restart: its
+			// updates are redone like any others and no end record follows.
+			// An end record closes a rollback the same way.
+			fallthrough
 		case wal.RecEnd:
 			if e := att[rec.TxnID]; e != nil {
 				free = append(free, e)
@@ -663,20 +658,13 @@ func redoScan(img *wal.Reader, reg *storage.Registry, dpt map[uint32]map[uint64]
 // undoCounters accumulate the undo pass's outcomes; atomics so the
 // parallel path folds them in without a lock.
 type undoCounters struct {
-	winners atomic.Int64
 	txns    atomic.Int64
 	actions atomic.Int64
 }
 
-// settleOne adopts one surviving transaction and settles it: winners get
-// their end records, losers roll back with CLRs.
+// settleOne adopts one loser and rolls it back with CLRs.
 func settleOne(tm *txn.Manager, e pendingTxn, c *undoCounters) error {
 	t := tm.Adopt(e.id, e.system, e.lastLSN)
-	if e.committed {
-		t.FinishRecovered()
-		c.winners.Add(1)
-		return nil
-	}
 	if err := t.RollbackLoser(); err != nil {
 		return fmt.Errorf("recovery undo of txn %d: %w", e.id, err)
 	}
@@ -688,10 +676,10 @@ func settleOne(tm *txn.Manager, e pendingTxn, c *undoCounters) error {
 	return nil
 }
 
-// UndoLosers is the undo pass: committed-but-unended transactions get
-// their end records; every other surviving transaction — user or atomic
-// action — is rolled back with CLRs, which is exactly the all-or-nothing
-// guarantee the paper's atomic actions rely on (§4.3).
+// UndoLosers is the undo pass: every transaction analysis was left with —
+// user or atomic action, records in the log but no commit record — is
+// rolled back with CLRs, which is exactly the all-or-nothing guarantee the
+// paper's atomic actions rely on (§4.3).
 //
 // With restart parallelism above one, losers are settled by a pool of
 // workers draining a queue. They are independent: each loser's surviving
@@ -709,7 +697,6 @@ func (p *Pending) UndoLosers(tm *txn.Manager) error {
 	tm.SeedRecovered(st.MaxTxnID, st.ClockHW)
 	var c undoCounters
 	defer func() {
-		st.WinnerTxns += int(c.winners.Load())
 		st.LoserTxns += int(c.txns.Load())
 		st.LoserActions += int(c.actions.Load())
 		st.UndoTime += time.Since(began)

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/lock"
@@ -43,7 +44,7 @@ func registerCounter(reg *storage.Registry) {
 			f.Data.(*counter).v += int64(binary.LittleEndian.Uint64(rec.Payload))
 			return nil
 		},
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			d := int64(binary.LittleEndian.Uint64(rec.Payload))
 			return storage.Compensation{Kind: counterKind, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: delta(-d)}, nil
 		},
@@ -116,9 +117,7 @@ func TestRedoRebuildsFromEmptyDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The end record may trail the commit's force and be lost, in which
-	// case restart re-ends the winner; either way nothing is undone.
-	if st.RedoneRecords == 0 || st.LoserTxns != 0 || st.WinnerTxns > 1 {
+	if st.RedoneRecords == 0 || st.LoserTxns != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if e2.value(t, 5) != 10 || e2.value(t, 6) != 20 {
@@ -193,35 +192,31 @@ func TestUnforcedAACommitLostEntirely(t *testing.T) {
 	}
 }
 
-func TestCommittedButUnendedGetsEnd(t *testing.T) {
+// A transaction's last record is its commit record: a log that ends there
+// holds a winner, and restart neither undoes it nor appends anything for it.
+func TestCommitRecordEndsTransaction(t *testing.T) {
 	e := newEnv(storage.NewDisk(), wal.New())
 	tx := e.tm.Begin()
 	e.add(tx, 5, 3)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Truncate right after the commit record: drop the end record.
-	img := e.log.FullImage()
-	var commitLSN wal.LSN
-	var afterCommit wal.LSN
-	img.Scan(wal.NilLSN, func(r wal.Record) bool {
-		if r.Type == wal.RecCommit {
-			commitLSN = r.LSN
-		} else if commitLSN != wal.NilLSN && afterCommit == wal.NilLSN {
-			afterCommit = r.LSN
-		}
+	var types []wal.RecType
+	e.log.FullImage().Scan(wal.NilLSN, func(r wal.Record) bool {
+		types = append(types, r.Type)
 		return true
 	})
-	if afterCommit == wal.NilLSN {
-		t.Fatal("no record after commit")
+	if want := []wal.RecType{wal.RecUpdate, wal.RecCommit}; !slices.Equal(types, want) {
+		t.Fatalf("one-update transaction logged %v, want %v", types, want)
 	}
-	e2 := e.crash(&afterCommit)
+	e2 := e.crash(nil)
+	end := e2.log.EndLSN()
 	st, err := Restart(e2.log, e2.reg, e2.tm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.WinnerTxns != 1 {
-		t.Fatalf("winners = %d", st.WinnerTxns)
+	if st.LoserTxns != 0 || st.LoserActions != 0 || e2.log.EndLSN() != end {
+		t.Fatalf("restart over a committed transaction: %+v, log grew %d -> %d", st, end, e2.log.EndLSN())
 	}
 	if e2.value(t, 5) != 3 {
 		t.Fatal("committed effect lost")

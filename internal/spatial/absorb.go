@@ -268,9 +268,16 @@ func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 
 		err = o.Atomic(func(aa *txn.Txn) error {
 			o.Hold(&parent, &deleg, &victim)
-			pre := deleg.N.clone()
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(deleg.Pid()), KindAbsorbSib, encAbsorbSib(pre))
-			applyAbsorbSib(deleg.N)
+			// The victim was split off along X iff it abuts the delegator's
+			// direct region on the X side; undo cuts there again.
+			alongX, coord := term.Rect.X0 == deleg.N.Direct.X1, term.Rect.Y0
+			if alongX {
+				coord = term.Rect.X0
+			}
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(deleg.Pid()), KindAbsorbSib, encAbsorbSib(alongX, coord, victimPid, returning{}))
+			if err := applyAbsorbSib(deleg.N, returning{}); err != nil {
+				return err
+			}
 			deleg.F.MarkDirty(lsn)
 			lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveTerm, encTerm(term))
 			parent.N.Entries = append(parent.N.Entries[:i], parent.N.Entries[i+1:]...)

@@ -1,6 +1,8 @@
 package spatial
 
 import (
+	"fmt"
+
 	"repro/internal/enc"
 	"repro/internal/pitree"
 	"repro/internal/storage"
@@ -11,12 +13,14 @@ import (
 const (
 	// KindFormat installs a complete node image on a fresh page.
 	KindFormat wal.Kind = 60
-	// KindRestore replaces a node with a stored pre-image (compensation).
+	// KindRestore replaces a node with a stored pre-image; only ever a CLR,
+	// the compensation for KindRootGrow, which keeps an image.
 	KindRestore wal.Kind = 61
 	// KindSplitOff delegates one half of a node's direct region to a new
 	// sibling: entries in the half leave, index terms cut by the
 	// hyperplane are clipped (kept AND copied), and a sibling term is
-	// appended.
+	// appended. Its inverse is KindAbsorbSib of the sibling's entries, and
+	// it is that kind's.
 	KindSplitOff wal.Kind = 62
 	// KindInsertPoint adds a data entry.
 	KindInsertPoint wal.Kind = 63
@@ -32,8 +36,11 @@ const (
 	// (Options.Reclaim): the last sibling term is removed and the direct
 	// region grows back to their union — which is exactly the node's
 	// pre-split direct region, and therefore rectangular, only for the
-	// newest term (delegations nest LIFO). Payload: the node's pre-image
-	// (for undo); redo derives the cut from the node's own state. The
+	// newest term (delegations nest LIFO). Redo derives the cut from the
+	// node's own state; the payload names it (for undo, which splits the
+	// sibling off again) and lists the entries that come back with the
+	// region: none when the absorber runs, its victim being empty, and what
+	// the split moved out when the record compensates a KindSplitOff. The
 	// freed victim's page is returned to the store in the same atomic
 	// action, alongside the removal of its parent index term.
 	KindAbsorbSib wal.Kind = 68
@@ -41,22 +48,115 @@ const (
 
 // --- payloads ----------------------------------------------------------------
 
-func encSplitOff(alongX bool, coord uint64, sib storage.PageID, pre *Node) []byte {
+// An entry's fate under a split of its node.
+const (
+	fateKept      byte = iota // stays as it is
+	fateLeft                  // leaves for the sibling
+	fateClipped               // index term cut by the plane: stays AND is copied, newly marked Clipped
+	fateReclipped             // the same, but marked before already
+)
+
+// splitFates lists, for an index node about to be split, each term's fate
+// in entry order. The split record carries it: undo then knows which of
+// the sibling's terms left this node and where they stood (index entries
+// are unordered), and which clipped marks the split set. Data entries are
+// sorted and never clipped, so a data node's record carries none.
+func splitFates(n *Node, alongX bool, coord uint64) []byte {
+	if n.IsData() {
+		return nil
+	}
+	var kept, off Rect
+	if alongX {
+		kept, off = n.Direct.SplitX(coord)
+	} else {
+		kept, off = n.Direct.SplitY(coord)
+	}
+	fates := make([]byte, len(n.Entries))
+	for i, e := range n.Entries {
+		switch {
+		case !e.Rect.Intersects(off):
+			fates[i] = fateKept
+		case !e.Rect.Intersects(kept):
+			fates[i] = fateLeft
+		case e.Clipped:
+			fates[i] = fateReclipped
+		default:
+			fates[i] = fateClipped
+		}
+	}
+	return fates
+}
+
+// splitOff payload: the plane, the new sibling and the index terms' fates.
+// What left the node is in the sibling's format record, logged just before.
+func encSplitOff(alongX bool, coord uint64, sib storage.PageID, fates []byte) []byte {
 	var w enc.Writer
 	w.Bool(alongX)
 	w.U64(coord)
 	w.U64(uint64(sib))
-	encodeNode(&w, pre)
+	w.Bytes32(fates)
 	return w.Bytes()
 }
 
-func decSplitOff(b []byte) (alongX bool, coord uint64, sib storage.PageID, pre *Node, err error) {
+func decSplitOff(b []byte) (alongX bool, coord uint64, sib storage.PageID, fates []byte, err error) {
 	r := enc.NewReader(b)
 	alongX = r.Bool()
 	coord = r.U64()
 	sib = storage.PageID(r.U64())
-	pre, err = decodeNode(r)
-	return
+	fates = r.Bytes32()
+	return alongX, coord, sib, fates, r.Err()
+}
+
+// returning is what an absorb brings back into the node besides the region:
+// entries, for an index node each with the position it goes to (ascending),
+// and the positions of the terms whose Clipped mark is cleared.
+type returning struct {
+	entries []Entry
+	pos     []uint16
+	unclip  []uint16
+}
+
+// absorbSib payload: the cut that made the absorbed sibling — plane and
+// page, as in the split record — and what returns.
+func encAbsorbSib(alongX bool, coord uint64, sib storage.PageID, ret returning) []byte {
+	var w enc.Writer
+	w.Bool(alongX)
+	w.U64(coord)
+	w.U64(uint64(sib))
+	w.U32(uint32(len(ret.entries)))
+	for _, e := range ret.entries {
+		encodeEntry(&w, e)
+	}
+	for _, ps := range [][]uint16{ret.pos, ret.unclip} {
+		w.U32(uint32(len(ps)))
+		for _, p := range ps {
+			w.U16(p)
+		}
+	}
+	return w.Bytes()
+}
+
+func decAbsorbSib(b []byte) (alongX bool, coord uint64, sib storage.PageID, ret returning, err error) {
+	r := enc.NewReader(b)
+	alongX = r.Bool()
+	coord = r.U64()
+	sib = storage.PageID(r.U64())
+	if ret.entries, err = decodeEntries(r); err != nil {
+		return
+	}
+	for _, ps := range []*[]uint16{&ret.pos, &ret.unclip} {
+		n := int(r.U32())
+		if r.Err() != nil || n > r.Remaining()/2 {
+			return alongX, coord, sib, ret, enc.ErrTruncated
+		}
+		for i := 0; i < n; i++ {
+			*ps = append(*ps, r.U16())
+		}
+	}
+	if !(len(ret.pos) == 0 || len(ret.pos) == len(ret.entries)) {
+		return alongX, coord, sib, ret, fmt.Errorf("spatial: absorb record with %d entries and %d positions", len(ret.entries), len(ret.pos))
+	}
+	return alongX, coord, sib, ret, r.Err()
 }
 
 func encPoint(e Entry) []byte {
@@ -144,15 +244,15 @@ func applySplitOff(n *Node, alongX bool, coord uint64, sib storage.PageID) {
 }
 
 // splitOffContents returns what the new sibling receives.
-func splitOffContents(pre *Node, alongX bool, coord uint64) (entries []Entry, off Rect, clipped int) {
+func splitOffContents(n *Node, alongX bool, coord uint64) (entries []Entry, off Rect, clipped int) {
 	var kept Rect
 	if alongX {
-		kept, off = pre.Direct.SplitX(coord)
+		kept, off = n.Direct.SplitX(coord)
 	} else {
-		kept, off = pre.Direct.SplitY(coord)
+		kept, off = n.Direct.SplitY(coord)
 	}
-	for _, e := range pre.Entries {
-		if pre.IsData() {
+	for _, e := range n.Entries {
+		if n.IsData() {
 			if off.Contains(e.P) {
 				c := e
 				if e.Value != nil {
@@ -176,15 +276,65 @@ func splitOffContents(pre *Node, alongX bool, coord uint64) (entries []Entry, of
 	return entries, off, clipped
 }
 
-// encAbsorbSib carries the delegator's pre-image for compensation.
-func encAbsorbSib(pre *Node) []byte { return encNodeImage(pre) }
-
 // applyAbsorbSib is the shared runtime/redo semantics of KindAbsorbSib:
-// pop the newest sibling term and grow the direct region back over it.
-func applyAbsorbSib(n *Node) {
+// pop the newest sibling term and grow the direct region back over it,
+// then take in what returns with it.
+func applyAbsorbSib(n *Node, ret returning) error {
+	if len(n.Sibs) == 0 {
+		return fmt.Errorf("spatial: absorb into a node without sibling terms")
+	}
 	s := n.Sibs[len(n.Sibs)-1]
 	n.Sibs = n.Sibs[:len(n.Sibs)-1]
 	n.Direct = rectUnion(n.Direct, s.Rect)
+	for _, p := range ret.unclip {
+		if int(p) >= len(n.Entries) {
+			return fmt.Errorf("spatial: absorb un-clips term %d of %d", p, len(n.Entries))
+		}
+		n.Entries[p].Clipped = false
+	}
+	for i, e := range ret.entries {
+		if n.IsData() {
+			n.insertPoint(e)
+			continue
+		}
+		at := len(n.Entries)
+		if i < len(ret.pos) {
+			at = min(int(ret.pos[i]), at)
+		}
+		n.Entries = append(n.Entries, Entry{})
+		copy(n.Entries[at+1:], n.Entries[at:])
+		n.Entries[at] = e
+	}
+	return nil
+}
+
+// unsplitOff works out, from a split's fates and the sibling it made, what
+// returns to the split node when the split is undone.
+func unsplitOff(fates []byte, sib *Node) (returning, error) {
+	if sib.IsData() {
+		return returning{entries: sib.Entries}, nil
+	}
+	var ret returning
+	next, stayed := 0, 0 // cursors: into sib's entries, into the split node's
+	for i, f := range fates {
+		if f != fateKept && next >= len(sib.Entries) {
+			return ret, fmt.Errorf("spatial: split fates name more terms than the sibling's %d", len(sib.Entries))
+		}
+		switch f {
+		case fateLeft:
+			ret.entries = append(ret.entries, sib.Entries[next])
+			ret.pos = append(ret.pos, uint16(i))
+			next++
+			continue
+		case fateClipped:
+			ret.unclip = append(ret.unclip, uint16(stayed))
+			next++
+		case fateReclipped:
+			next++
+		}
+		stayed++
+	}
+	return ret, nil
 }
 
 // rectUnion returns the bounding rectangle of a and b; the absorber only
@@ -196,20 +346,20 @@ func rectUnion(a, b Rect) Rect {
 	}
 }
 
-// splitHelps reports whether cutting pre at the plane actually shrinks
+// splitHelps reports whether cutting n at the plane actually shrinks
 // it: with heavy clipping a split can leave (nearly) all terms in both
 // halves, and a split that does not reduce the node is useless — the
 // caller soft-overflows instead of splitting forever.
-func splitHelps(pre *Node, alongX bool, coord uint64) bool {
+func splitHelps(n *Node, alongX bool, coord uint64) bool {
 	var kept, off Rect
 	if alongX {
-		kept, off = pre.Direct.SplitX(coord)
+		kept, off = n.Direct.SplitX(coord)
 	} else {
-		kept, off = pre.Direct.SplitY(coord)
+		kept, off = n.Direct.SplitY(coord)
 	}
 	keptN, offN := 0, 0
-	for _, e := range pre.Entries {
-		if pre.IsData() {
+	for _, e := range n.Entries {
+		if n.IsData() {
 			if kept.Contains(e.P) {
 				keptN++
 			} else {
@@ -226,7 +376,7 @@ func splitHelps(pre *Node, alongX bool, coord uint64) bool {
 			offN++
 		}
 	}
-	return keptN < len(pre.Entries) && offN < len(pre.Entries) && keptN > 0 && offN > 0
+	return keptN < len(n.Entries) && offN < len(n.Entries) && keptN > 0 && offN > 0
 }
 
 // --- binding & registration ---------------------------------------------------
@@ -242,6 +392,9 @@ func Register(reg *storage.Registry) *Binding {
 
 	restore := func(rec *wal.Record, pre *Node) (storage.Compensation, error) {
 		return storage.Compensation{Kind: KindRestore, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
+	}
+	comp := func(rec *wal.Record, kind wal.Kind, payload []byte) storage.Compensation {
+		return storage.Compensation{Kind: kind, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: payload}
 	}
 
 	reg.Register(KindFormat, storage.Handler{
@@ -273,12 +426,26 @@ func Register(reg *storage.Registry) *Binding {
 			applySplitOff(n, alongX, coord, sib)
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
-			_, _, _, pre, err := decSplitOff(rec.Payload)
+		// Undo absorbs the sibling back: region, sibling term and the
+		// entries that left.
+		MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
+			alongX, coord, sib, fates, err := decSplitOff(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return restore(rec, pre)
+			image, err := pitree.SiblingImage(log, rec, KindFormat, sib)
+			if err != nil {
+				return storage.Compensation{}, err
+			}
+			sibNode, err := decodeNode(enc.NewReader(image))
+			if err != nil {
+				return storage.Compensation{}, err
+			}
+			ret, err := unsplitOff(fates, sibNode)
+			if err != nil {
+				return storage.Compensation{}, err
+			}
+			return comp(rec, KindAbsorbSib, encAbsorbSib(alongX, coord, sib, ret)), nil
 		},
 	})
 	reg.Register(KindInsertPoint, storage.Handler{
@@ -334,7 +501,7 @@ func Register(reg *storage.Registry) *Binding {
 			}
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindRemoveTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
@@ -349,21 +516,25 @@ func Register(reg *storage.Registry) *Binding {
 			}
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindPostTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindAbsorbSib, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			applyAbsorbSib(n)
-			return nil
+			_, _, _, ret, err := decAbsorbSib(rec.Payload)
+			if err != nil {
+				return err
+			}
+			return applyAbsorbSib(n, ret)
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
-			pre, err := decodeNode(enc.NewReader(rec.Payload))
+		// Undo splits the sibling off again, at the plane that made it.
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
+			alongX, coord, sib, _, err := decAbsorbSib(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return restore(rec, pre)
+			return comp(rec, KindSplitOff, encSplitOff(alongX, coord, sib, nil)), nil
 		},
 	})
 	reg.Register(KindRootGrow, storage.Handler{
@@ -378,7 +549,7 @@ func Register(reg *storage.Registry) *Binding {
 			n.Sibs = nil
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			_, _, pre, err := decRootGrow(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err

@@ -292,28 +292,42 @@ func encodeNode(w *enc.Writer, n *Node) {
 	}
 }
 
+// Encoded sizes: a sibling term's, and the least an entry's. They bound the
+// counts a decoder accepts by the bytes that are left to hold them.
+const (
+	sibTermBytes  = 4*8 + 8
+	minEntryBytes = 8 + 8 + 4 + 4*8 + 8 + 1
+)
+
 func decodeNode(r *enc.Reader) (*Node, error) {
 	n := &Node{}
 	n.Level = int(r.U16())
 	n.Direct = decodeRect(r)
 	ns := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
+	if r.Err() != nil || ns > r.Remaining()/sibTermBytes {
+		return nil, enc.ErrTruncated
 	}
 	for i := 0; i < ns; i++ {
 		s := SibTerm{Rect: decodeRect(r)}
 		s.Pid = storage.PageID(r.U64())
 		n.Sibs = append(n.Sibs, s)
 	}
+	var err error
+	n.Entries, err = decodeEntries(r)
+	return n, err
+}
+
+// decodeEntries reads a counted list of entries.
+func decodeEntries(r *enc.Reader) ([]Entry, error) {
 	ne := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
+	if r.Err() != nil || ne > r.Remaining()/minEntryBytes {
+		return nil, enc.ErrTruncated
 	}
-	n.Entries = make([]Entry, 0, ne)
+	entries := make([]Entry, 0, ne)
 	for i := 0; i < ne; i++ {
-		n.Entries = append(n.Entries, decodeEntry(r))
+		entries = append(entries, decodeEntry(r))
 	}
-	return n, r.Err()
+	return entries, r.Err()
 }
 
 func encNodeImage(n *Node) []byte {

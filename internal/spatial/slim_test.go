@@ -1,0 +1,356 @@
+package spatial
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/enc"
+	"repro/internal/fault"
+	"repro/internal/latch"
+	"repro/internal/pitree"
+	"repro/internal/pitree/pitreetest"
+	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
+)
+
+// The structure-change records carry no node pre-image: a split says where
+// it cut and what became of each index term, and finds what left in the
+// sibling's format record; its undo is an absorb of that sibling, and an
+// absorb's undo is the split again. These tests hold that the undo so built
+// is exact, that it works from a live log and from a restart image, and that
+// the records stay small.
+
+// undoRoundTrip applies a record of kind to a copy of n — sib is the
+// sibling it made, if any — and then its compensation, and returns the
+// node's image after that; see pitreetest.UndoRoundTrip.
+func undoRoundTrip(t *testing.T, reg *storage.Registry, n *Node, sibPid storage.PageID, sib *Node, kind wal.Kind, payload []byte) []byte {
+	t.Helper()
+	var sibImage []byte
+	if sib != nil {
+		sibImage = encNodeImage(sib)
+	}
+	_, undone := pitreetest.UndoRoundTrip(t, reg, n.clone(), func(d any) []byte { return encNodeImage(d.(*Node)) },
+		KindFormat, sibPid, sibImage, kind, payload)
+	return undone
+}
+
+// randomNode builds a node over a random direct region with up to three
+// sibling terms: a data node of sorted points, or an index node of terms in
+// no order, some reaching across the region and some clipped already.
+func randomNode(rng *rand.Rand, level int) *Node {
+	x0, y0 := uint64(rng.Intn(1000)), uint64(rng.Intn(1000))
+	n := &Node{Level: level, Direct: Rect{X0: x0, Y0: y0, X1: x0 + 100 + uint64(rng.Intn(900)), Y1: y0 + 100 + uint64(rng.Intn(900))}}
+	for i, cnt := 0, rng.Intn(4); i < cnt; i++ {
+		n.Sibs = append(n.Sibs, SibTerm{Rect: Rect{X0: uint64(rng.Intn(50)), Y0: uint64(rng.Intn(50)), X1: 60, Y1: 60}, Pid: storage.PageID(500 + i)})
+	}
+	d := n.Direct
+	within := func(lo, hi uint64) uint64 { return lo + uint64(rng.Int63n(int64(hi-lo))) }
+	for i, cnt := 0, 4+rng.Intn(20); i < cnt; i++ {
+		if level == 0 {
+			e := Entry{P: Point{X: within(d.X0, d.X1), Y: within(d.Y0, d.Y1)}, Value: make([]byte, 1+rng.Intn(30))}
+			rng.Read(e.Value)
+			n.insertPoint(e)
+			continue
+		}
+		a, b := within(d.X0, d.X1), within(d.Y0, d.Y1)
+		e := Entry{Rect: Rect{X0: a, Y0: b, X1: a + 1 + uint64(rng.Intn(300)), Y1: b + 1 + uint64(rng.Intn(300))}, Child: storage.PageID(1000 + i), Clipped: rng.Intn(4) == 0}
+		n.Entries = append(n.Entries, e)
+	}
+	return n
+}
+
+func TestSlimUndoRestoresNode(t *testing.T) {
+	reg := storage.NewRegistry()
+	Register(reg)
+	rng := rand.New(rand.NewSource(23))
+	axes, clippedNow := map[bool]int{}, 0
+	for i := 0; i < 400; i++ {
+		n := randomNode(rng, rng.Intn(2))
+		want := encNodeImage(n)
+
+		// Split along the plane the tree would choose, or the other axis'.
+		alongX, coord, ok := choosePlane(n)
+		if !ok {
+			t.Fatalf("node %d cannot be cut", i)
+		}
+		if rng.Intn(2) == 0 {
+			alongX = !alongX
+			coord = n.Direct.Y0 + (n.Direct.Y1-n.Direct.Y0)/2
+			if alongX {
+				coord = n.Direct.X0 + (n.Direct.X1-n.Direct.X0)/2
+			}
+		}
+		entries, off, clipped := splitOffContents(n, alongX, coord)
+		axes[alongX]++
+		clippedNow += clipped
+		sib := &Node{Level: n.Level, Direct: off, Entries: entries}
+		got := undoRoundTrip(t, reg, n, 901, sib, KindSplitOff, encSplitOff(alongX, coord, 901, splitFates(n, alongX, coord)))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("node %d (level %d): undo of the split along x=%v at %d gives\n%x, want\n%x", i, n.Level, alongX, coord, got, want)
+		}
+
+		// Absorb of the newest sibling, where the node has one that is a
+		// half of its region (the absorber's only kind of victim).
+		if n.Level != 0 {
+			continue
+		}
+		d := n.Direct
+		half := SibTerm{Rect: Rect{X0: d.X1, Y0: d.Y0, X1: d.X1 + 70, Y1: d.Y1}, Pid: 902}
+		ax, c := true, d.X1
+		if rng.Intn(2) == 0 {
+			half.Rect, ax, c = Rect{X0: d.X0, Y0: d.Y1, X1: d.X1, Y1: d.Y1 + 70}, false, d.Y1
+		}
+		n.Sibs = append(n.Sibs, half)
+		want = encNodeImage(n)
+		if got := undoRoundTrip(t, reg, n, 0, nil, KindAbsorbSib, encAbsorbSib(ax, c, 902, returning{})); !bytes.Equal(got, want) {
+			t.Fatalf("node %d: undo of the absorb gives\n%x, want\n%x", i, got, want)
+		}
+	}
+	if axes[true] == 0 || axes[false] == 0 || clippedNow == 0 {
+		t.Fatalf("splits along x: %d, along y: %d, terms clipped: %d", axes[true], axes[false], clippedNow)
+	}
+}
+
+// slimOpts are small nodes, synchronous completion.
+func slimOpts() Options {
+	o := smallOpts()
+	o.DataCapacity, o.IndexCapacity = 4, 4
+	return o
+}
+
+// contents reads every point of the tree.
+func (fx *fixture) contents(t *testing.T) map[Point]string {
+	t.Helper()
+	got := map[Point]string{}
+	if err := fx.tree.RegionQuery(FullSpace(), func(p Point, v []byte) bool {
+		got[p] = string(v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func sameContents(t *testing.T, label string, got, want map[Point]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d points, want %d", label, len(got), len(want))
+	}
+	for p, v := range want {
+		if got[p] != v {
+			t.Fatalf("%s: point %v = %q, want %q", label, p, got[p], v)
+		}
+	}
+}
+
+var errFailedByHand = errors.New("the test fails this action")
+
+// slimCase drives one structure change of a kind. run builds a tree and
+// performs the change as its last logged action — with fail set: as an
+// action that fails after logging it, and is rolled back at run time — and
+// returns the tree with the contents from just before the action.
+type slimCase struct {
+	name string
+	kind wal.Kind
+	run  func(t *testing.T, fail bool) (*fixture, map[Point]string)
+}
+
+// pointNo is the i-th point of a fixed scatter.
+func pointNo(i int) Point {
+	return Point{X: uint64(i) * 2654435761 % MaxCoord, Y: uint64(i) * 40503 * 65537 % MaxCoord}
+}
+
+func insertNo(t *testing.T, fx *fixture, i int) {
+	t.Helper()
+	if err := fx.tree.Insert(nil, pointNo(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		t.Fatal(err)
+	}
+	fx.tree.DrainCompletions()
+}
+
+var slimCases = []slimCase{
+	{
+		// A data split is its own action and nothing in it can fail behind
+		// the split record: the run-time abort is of the same action made
+		// to fail by hand.
+		name: "data split", kind: KindSplitOff,
+		run: func(t *testing.T, fail bool) (*fixture, map[Point]string) {
+			fx := newFixture(t, slimOpts())
+			for i := 0; i < 4; i++ {
+				insertNo(t, fx, i)
+			}
+			want := fx.contents(t)
+			if !fail {
+				insertNo(t, fx, 4) // splits the full root child first
+				if fx.tree.Stats.DataSplits.Load() != 1 {
+					t.Fatalf("%d data splits, want one", fx.tree.Stats.DataSplits.Load())
+				}
+				return fx, want
+			}
+			tr := fx.tree
+			o := tr.kern.NewOp(nil)
+			defer o.Done()
+			leaf, err := tr.descend(o, pointNo(0), 0, latch.U, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alongX, coord, ok := choosePlane(leaf.N)
+			if !ok {
+				t.Fatal("the full node cannot be cut")
+			}
+			o.Promote(&leaf)
+			err = o.Atomic(func(aa *txn.Txn) error {
+				o.Hold(&leaf)
+				if _, _, err := tr.splitOff(o, aa, &leaf, alongX, coord); err != nil {
+					return err
+				}
+				return errFailedByHand
+			})
+			if err != errFailedByHand {
+				t.Fatal(err)
+			}
+			return fx, want
+		},
+	},
+	{
+		name: "index split", kind: KindSplitOff,
+		run: func(t *testing.T, fail bool) (*fixture, map[Point]string) {
+			// The inserts are fixed: a dry run finds the one whose posting
+			// splits a non-root index node.
+			dry, trigger := newFixture(t, slimOpts()), 0
+			for ; dry.tree.Stats.IndexSplits.Load() == 0; trigger++ {
+				insertNo(t, dry, trigger)
+			}
+			trigger--
+			inj := fault.New(1)
+			fx := newFixture(t, slimOpts())
+			fx.tree.store.Pool.SetInjector(inj)
+			for i := 0; i < trigger; i++ {
+				insertNo(t, fx, i)
+			}
+			if fail {
+				// Fails the posting that is about to split its node, after
+				// the split.
+				inj.Arm(pitree.FPPost, fault.Spec{Kind: fault.Transient})
+			}
+			insertNo(t, fx, trigger)
+			want := fx.contents(t) // the insert itself is committed before its posting runs
+			if fail && fx.tree.Stats.PostsFailed.Load() != 1 {
+				t.Fatalf("%d postings failed, want the one that split", fx.tree.Stats.PostsFailed.Load())
+			}
+			if fx.tree.Stats.IndexSplits.Load() != 1 {
+				t.Fatalf("%d index splits, want one", fx.tree.Stats.IndexSplits.Load())
+			}
+			return fx, want
+		},
+	},
+	{
+		name: "absorb", kind: KindAbsorbSib,
+		run: func(t *testing.T, fail bool) (*fixture, map[Point]string) {
+			opts := slimOpts()
+			opts.Reclaim = true
+			inj := fault.New(1)
+			fx := newFixture(t, opts)
+			fx.tree.store.Pool.SetInjector(inj)
+			for i := 0; i < 40; i++ {
+				insertNo(t, fx, i)
+			}
+			for i := 4; i < 40; i++ {
+				if err := fx.tree.Delete(nil, pointNo(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fx.tree.DrainCompletions()
+			want := fx.contents(t)
+			if fail {
+				inj.Arm(storage.FPConsolidate, fault.Spec{Kind: fault.Transient})
+			}
+			freed, err := fx.tree.RunConsolidation()
+			if fail != (err != nil) || (!fail && freed == 0) {
+				t.Fatalf("consolidation freed %d pages, err=%v", freed, err)
+			}
+			return fx, want
+		},
+	},
+}
+
+// TestSlimRecordRolledBack: a structure change whose record is in the log
+// and whose action's commit record is not — because the action failed and
+// was rolled back at run time, or because a crash cut the log there — leaves
+// a well-formed tree holding what it held before.
+func TestSlimRecordRolledBack(t *testing.T) {
+	for _, tc := range slimCases {
+		t.Run(tc.name+"/abort", func(t *testing.T) {
+			fx, want := tc.run(t, true)
+			fx.mustVerify(t)
+			sameContents(t, "after the runtime abort", fx.contents(t), want)
+		})
+		t.Run(tc.name+"/restart", func(t *testing.T) {
+			fx, want := tc.run(t, false)
+			cut := pitreetest.CutBeforeCommit(t, fx.e.Log, tc.kind)
+			fx2 := fx.restartFrom(t, fx.e.Crash(&cut))
+			fx2.mustVerify(t)
+			sameContents(t, "after restart", fx2.contents(t), want)
+		})
+	}
+}
+
+// TestStructureRecordsStaySmall: with 64-entry nodes of 100-byte values no
+// structure-change record but a node image — a format, the root's
+// pre-image — reaches 512 bytes. A node pre-image would be some 10 KiB.
+func TestStructureRecordsStaySmall(t *testing.T) {
+	opts := smallOpts()
+	opts.DataCapacity, opts.IndexCapacity = 64, 64
+	fx := newFixture(t, opts)
+	value := bytes.Repeat([]byte{'v'}, 100)
+	for i := 0; i < 64*120; i++ {
+		if err := fx.tree.Insert(nil, pointNo(i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fx.mustVerify(t)
+	images := map[wal.Kind]bool{KindFormat: true, KindRootGrow: true}
+	seen := map[wal.Kind]int{}
+	fx.e.Log.FullImage().Scan(wal.NilLSN, func(r wal.Record) bool {
+		seen[r.Kind]++
+		if !images[r.Kind] && r.Size() >= 512 {
+			t.Errorf("%s record of kind %d at LSN %d is %d bytes", r.Type, r.Kind, r.LSN, r.Size())
+		}
+		return true
+	})
+	if seen[KindSplitOff] < 64 || seen[KindPostTerm] == 0 || fx.tree.Stats.IndexSplits.Load() == 0 {
+		t.Errorf("%d splits (%d of index nodes), %d terms posted: the workload is too small", seen[KindSplitOff], fx.tree.Stats.IndexSplits.Load(), seen[KindPostTerm])
+	}
+}
+
+// FuzzSlimPayloads: the decoders of the slimmed payloads, and the node
+// decoder under them, fail on arbitrary bytes; they do not panic or size an
+// allocation by a count they have not checked against the input.
+func FuzzSlimPayloads(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	n, in := randomNode(rng, 0), randomNode(rng, 1)
+	f.Add(encSplitOff(true, 500, 4, nil))
+	f.Add(encSplitOff(false, 500, 4, splitFates(in, false, in.Direct.Y0+50)))
+	f.Add(encAbsorbSib(true, 500, 4, returning{}))
+	f.Add(encAbsorbSib(true, 500, 4, returning{entries: in.Entries[:3], pos: []uint16{0, 2, 5}, unclip: []uint16{1}}))
+	f.Add(encNodeImage(n))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if _, _, _, fates, err := decSplitOff(b); err == nil {
+			_, _ = unsplitOff(fates, in)
+		}
+		if _, _, _, ret, err := decAbsorbSib(b); err == nil {
+			if len(ret.entries) > len(b) || len(ret.pos) > len(b) || len(ret.unclip) > len(b) {
+				t.Fatalf("%d entries, %d positions, %d marks out of %d bytes", len(ret.entries), len(ret.pos), len(ret.unclip), len(b))
+			}
+			for _, target := range []*Node{n.clone(), in.clone(), {}} {
+				target.Sibs = append(target.Sibs, SibTerm{Rect: Rect{X1: 5, Y1: 5}, Pid: 9})
+				_ = applyAbsorbSib(target, ret)
+			}
+		}
+		_, _ = decodeNode(enc.NewReader(b))
+	})
+}

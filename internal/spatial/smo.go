@@ -189,7 +189,7 @@ func (t *Tree) splitOff(o *opCtx, aa *txn.Txn, node *nref, alongX bool, coord ui
 	if err := t.logFormat(o, aa, sibPid, sib); err != nil {
 		return storage.NilPage, Rect{}, err
 	}
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, pre))
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, splitFates(pre, alongX, coord)))
 	applySplitOff(node.N, alongX, coord, sibPid)
 	node.F.MarkDirty(lsn)
 	if pre.IsData() {
@@ -252,11 +252,12 @@ func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, err
 	return node.Pid(), nil
 }
 
-func (p *termPost) Apply(aa *txn.Txn, node *nref) {
+func (p *termPost) Apply(_ *opCtx, aa *txn.Txn, node *nref) error {
 	term := Entry{Rect: p.task.rect, Child: p.task.child}
 	lsn := aa.LogUpdate(p.t.store.Pool.StoreID, uint64(node.Pid()), KindPostTerm, encTerm(term))
 	node.N.Entries = append(node.N.Entries, term)
 	node.F.MarkDirty(lsn)
+	return nil
 }
 
 // logFormat creates and logs a fresh node image under the action.

@@ -42,7 +42,12 @@ func newFixture(t testing.TB, opts Options) *fixture {
 
 func (fx *fixture) crashRestart(t testing.TB) *fixture {
 	t.Helper()
-	img := fx.e.Crash(nil)
+	return fx.restartFrom(t, fx.e.Crash(nil))
+}
+
+// restartFrom restarts over a crash image of fx's engine.
+func (fx *fixture) restartFrom(t testing.TB, img *engine.CrashImage) *fixture {
+	t.Helper()
 	fx.tree.Close()
 	e2 := engine.Restarted(img, fx.e.Opts)
 	b2 := Register(e2.Reg)

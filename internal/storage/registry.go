@@ -18,6 +18,12 @@ type Compensation struct {
 	Payload []byte
 }
 
+// LogReader reads back a log record by LSN: the log of the running system,
+// or a restart image.
+type LogReader interface {
+	Read(lsn wal.LSN) (wal.Record, error)
+}
+
 // Handler gives redo/undo semantics to one record Kind.
 type Handler struct {
 	// Redo applies the record's effect to the frame's decoded contents.
@@ -26,8 +32,13 @@ type Handler struct {
 	// function of (page state, record).
 	Redo func(f *Frame, rec *wal.Record) error
 	// MakeUndo returns the page-oriented compensation for rec. It must
-	// not touch pages. Nil for redo-only kinds (never undone).
-	MakeUndo func(rec *wal.Record) (Compensation, error)
+	// not touch pages. A record that says what it changed but not what
+	// the page held before reads that from an earlier record of its own
+	// transaction through log (a split finds what left the node in the
+	// sibling's format record, rec.PrevLSN); the compensation carries it,
+	// so its redo stays a pure function of (page, payload). Nil for
+	// redo-only kinds (never undone).
+	MakeUndo func(rec *wal.Record, log LogReader) (Compensation, error)
 	// LogicalUndo, if set, performs a non-page-oriented undo: a full
 	// logical operation (e.g. a tree re-traversal delete) that does its
 	// own logging, ending with a CLR whose UndoNext is rec.PrevLSN. When

@@ -409,7 +409,7 @@ func RegisterMetaHandlers(reg *Registry) {
 			}
 			return nil
 		},
-		MakeUndo: func(rec *wal.Record) (Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ LogReader) (Compensation, error) {
 			return Compensation{Kind: KindMetaFree, StoreID: rec.StoreID, PageID: PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
@@ -428,7 +428,7 @@ func RegisterMetaHandlers(reg *Registry) {
 			}
 			return nil
 		},
-		MakeUndo: func(rec *wal.Record) (Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ LogReader) (Compensation, error) {
 			return Compensation{Kind: KindMetaAlloc, StoreID: rec.StoreID, PageID: PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
@@ -448,7 +448,7 @@ func RegisterMetaHandlers(reg *Registry) {
 		// Root creation happens in the index-creation atomic action; undo
 		// removes the entry.
 		LogicalUndo: nil,
-		MakeUndo: func(rec *wal.Record) (Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ LogReader) (Compensation, error) {
 			// Compensate by pointing the name at NilPage; lookups treat
 			// that as absent. (Index creation aborting is the only path.)
 			name, _, err := decodeSetRoot(rec.Payload)

@@ -28,8 +28,11 @@ package tsb
 //
 // Each victim is one atomic action: remove its level-1 index terms (all
 // of them — clipping can spread terms over several parents), then clear
-// the node, holding every latch to commit. Redo replays the retirement;
-// undo restores the pre-image and re-posts the terms.
+// the node, holding every latch to commit. Redo replays the retirement.
+// The retire record is redo-only — it is the action's last, and the
+// versions it destroys are not worth logging: an action rolled back after
+// it re-posts the terms and leaves the node retired, which the next pass
+// skips (reclamation then leaves that page be: its terms block the free).
 
 import (
 	"repro/internal/keys"
@@ -182,50 +185,54 @@ func (t *Tree) retireNode(v gcVictim, unlink bool) error {
 		if err != nil {
 			return err
 		}
-		return o.Atomic(func(aa *txn.Txn) error {
-			node := &first
-			o.Hold(node)
-			for {
-				if i, ok := node.N.termFor(v.pid); ok && len(node.N.Entries) > 1 {
-					// Never remove a level-1 node's last term: an empty index
-					// node is unnavigable (and fails verification). One stale
-					// term to a retired node is harmless — it still routes to
-					// a well-formed empty page.
-					o.Promote(node)
-					e := node.N.Entries[i]
-					lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindRemoveTerm, encTerm(e))
-					node.N.Entries = append(node.N.Entries[:i], node.N.Entries[i+1:]...)
-					node.F.MarkDirty(lsn)
-					t.Stats.GCRemovedTerms.Add(1)
-				}
-				if endsKeyRange(node.N, v.rect) {
-					break
-				}
-				// next is a fresh variable each time round: Hold keeps its
-				// address.
-				next, err := o.Acquire(node.N.KeySib, latch.U, 1)
-				if err != nil {
-					return err
-				}
-				node = &next
-				o.Hold(node)
-			}
-
-			vic, err := o.Acquire(v.pid, latch.X, 0)
-			if err != nil {
-				return err
-			}
-			o.Hold(&vic)
-			if vic.N.Retired {
-				// Lost a race we thought gcMu excluded (defensive): keep the
-				// term removals, skip the retire.
-				return nil
-			}
-			pre := vic.N.clone()
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(vic.Pid()), KindRetireNode, encRetire(unlink, pre))
-			applyRetire(vic.N, unlink)
-			vic.F.MarkDirty(lsn)
-			return nil
-		})
+		return o.Atomic(func(aa *txn.Txn) error { return t.retireIn(o, aa, &first, v, unlink) })
 	})
+}
+
+// retireIn is retireNode's action: first is the U-latched level-1 node on
+// the search path of the victim's low key.
+func (t *Tree) retireIn(o *opCtx, aa *txn.Txn, first *nref, v gcVictim, unlink bool) error {
+	node := first
+	o.Hold(node)
+	for {
+		if i, ok := node.N.termFor(v.pid); ok && len(node.N.Entries) > 1 {
+			// Never remove a level-1 node's last term: an empty index
+			// node is unnavigable (and fails verification). One stale
+			// term to a retired node is harmless — it still routes to
+			// a well-formed empty page.
+			o.Promote(node)
+			e := node.N.Entries[i]
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindRemoveTerm, encTerm(e))
+			node.N.Entries = append(node.N.Entries[:i], node.N.Entries[i+1:]...)
+			node.F.MarkDirty(lsn)
+			t.Stats.GCRemovedTerms.Add(1)
+		}
+		if endsKeyRange(node.N, v.rect) {
+			break
+		}
+		// next is a fresh variable each time round: Hold keeps its
+		// address.
+		next, err := o.Acquire(node.N.KeySib, latch.U, 1)
+		if err != nil {
+			return err
+		}
+		node = &next
+		o.Hold(node)
+	}
+
+	vic, err := o.Acquire(v.pid, latch.X, 0)
+	if err != nil {
+		return err
+	}
+	o.Hold(&vic)
+	if vic.N.Retired {
+		// Lost a race we thought gcMu excluded (defensive): keep the
+		// term removals, skip the retire.
+		return nil
+	}
+	// The action's last record, and redo-only: see KindRetireNode.
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(vic.Pid()), KindRetireNode, encRetire(unlink))
+	applyRetire(vic.N, unlink)
+	vic.F.MarkDirty(lsn)
+	return nil
 }

@@ -15,8 +15,8 @@ const (
 	// KindTimeSplit trims a current node to [ts, now): versions dead
 	// before ts leave for the new history sibling.
 	KindTimeSplit wal.Kind = 41
-	// KindRestoreImage replaces a node with a stored pre-image
-	// (compensation for structural updates).
+	// KindRestoreImage replaces a node with a stored pre-image; only ever a
+	// CLR, the compensation for KindRootGrow, which keeps an image.
 	KindRestoreImage wal.Kind = 42
 	// KindKeySplit trims a node to the low part of its key range.
 	KindKeySplit wal.Kind = 43
@@ -44,48 +44,126 @@ const (
 	// node is marked Retired (the page is never freed — CNS). The payload
 	// optionally also clears the history side pointer, cutting the chain
 	// of already-retired older nodes loose when the suffix head retires.
+	// Redo-only: the versions it destroys are below the visibility horizon
+	// and are not logged, so a retire that is rolled back — it is the last
+	// record of its action — leaves the node retired, under index terms
+	// the rollback restored (a term to a retired node routes to a
+	// well-formed empty page).
 	KindRetireNode wal.Kind = 52
 	// KindCutHist unlinks a fully-retired history-chain tail from its sole
 	// referencer so the tail's page can be freed and recycled
 	// (Options.Reclaim): the logged node drops its history pointer and its
 	// shared-edge mark. The tail's de-allocation is meta-logged by the
 	// store's free record inside the same atomic action; undo restores the
-	// pre-image (and the meta undo un-frees the page).
+	// logged header (and the meta undo un-frees the page).
 	KindCutHist wal.Kind = 53
+	// KindUnsplit is the compensation for the split kinds and KindCutHist,
+	// only ever a CLR: it restores the node's header — side pointers,
+	// bounds, marks — to the logged one, re-adds the entries that left, and
+	// clears the clipped marks the split set.
+	KindUnsplit wal.Kind = 54
 )
 
 // --- payload codecs --------------------------------------------------------
 
-func encTimeSplit(ts uint64, hist storage.PageID, pre *Node) []byte {
+// A split record carries the cut, the new sibling and the node's header as
+// it was: what left the node is in the sibling's format record, logged just
+// before (undo reads it there), and everything else a split overwrites is
+// header.
+
+func encTimeSplit(ts uint64, hist storage.PageID, old *Node) []byte {
 	var w enc.Writer
 	w.U64(ts)
 	w.U64(uint64(hist))
-	encodeNode(&w, pre)
+	encodeHeader(&w, old)
 	return w.Bytes()
 }
 
-func decTimeSplit(b []byte) (ts uint64, hist storage.PageID, pre *Node, err error) {
+func decTimeSplit(b []byte) (ts uint64, hist storage.PageID, old *Node, err error) {
 	r := enc.NewReader(b)
 	ts = r.U64()
 	hist = storage.PageID(r.U64())
-	pre, err = decodeNode(r)
-	return
+	old = decodeHeader(r)
+	return ts, hist, old, r.Err()
 }
 
-func encKeySplit(k keys.Key, sib storage.PageID, pre *Node) []byte {
+// A key split of an index node also lists the children whose terms it
+// marked clipped (a data node's list is empty).
+func encKeySplit(k keys.Key, sib storage.PageID, old *Node, clipped []storage.PageID) []byte {
 	var w enc.Writer
 	w.Bytes32(k)
 	w.U64(uint64(sib))
-	encodeNode(&w, pre)
+	encodeHeader(&w, old)
+	encodePIDs(&w, clipped)
 	return w.Bytes()
 }
 
-func decKeySplit(b []byte) (k keys.Key, sib storage.PageID, pre *Node, err error) {
+func decKeySplit(b []byte) (k keys.Key, sib storage.PageID, old *Node, clipped []storage.PageID, err error) {
 	r := enc.NewReader(b)
 	k = r.Bytes32()
 	sib = storage.PageID(r.U64())
-	pre, err = decodeNode(r)
-	return
+	old = decodeHeader(r)
+	clipped, err = decodePIDs(r)
+	return k, sib, old, clipped, err
+}
+
+func encodePIDs(w *enc.Writer, pids []storage.PageID) {
+	w.U32(uint32(len(pids)))
+	for _, pid := range pids {
+		w.U64(uint64(pid))
+	}
+}
+
+func decodePIDs(r *enc.Reader) ([]storage.PageID, error) {
+	n := int(r.U32())
+	if r.Err() != nil || n > r.Remaining()/8 {
+		return nil, enc.ErrTruncated
+	}
+	var pids []storage.PageID
+	for i := 0; i < n; i++ {
+		pids = append(pids, storage.PageID(r.U64()))
+	}
+	return pids, nil
+}
+
+// unsplit payload: the header to restore with the entries to re-add (a
+// node image holding just those), then the children to un-clip.
+func encUnsplit(old *Node, readd []Entry, unclip []storage.PageID) []byte {
+	var w enc.Writer
+	img := *old
+	img.Entries = readd
+	encodeNode(&w, &img)
+	encodePIDs(&w, unclip)
+	return w.Bytes()
+}
+
+func decUnsplit(b []byte) (img *Node, unclip []storage.PageID, err error) {
+	r := enc.NewReader(b)
+	if img, err = decodeNode(r); err != nil {
+		return nil, nil, err
+	}
+	unclip, err = decodePIDs(r)
+	return img, unclip, err
+}
+
+// applyUnsplit is the redo of KindUnsplit.
+func applyUnsplit(n, img *Node, unclip []storage.PageID) {
+	n.setHeader(img)
+	for _, e := range img.Entries {
+		switch n.Level {
+		case 0:
+			n.insertVersion(e)
+		case 1:
+			n.insertTerm(e)
+		default:
+			n.insertKeyTerm(e)
+		}
+	}
+	for _, child := range unclip {
+		if i, ok := n.termFor(child); ok {
+			n.Entries[i].Clipped = false
+		}
+	}
 }
 
 func encPut(e Entry) []byte {
@@ -154,18 +232,16 @@ func decKeyTerm(b []byte) (keys.Key, storage.PageID, error) {
 	return k, c, r.Err()
 }
 
-func encRetire(unlink bool, pre *Node) []byte {
+func encRetire(unlink bool) []byte {
 	var w enc.Writer
 	w.Bool(unlink)
-	encodeNode(&w, pre)
 	return w.Bytes()
 }
 
-func decRetire(b []byte) (unlink bool, pre *Node, err error) {
+func decRetire(b []byte) (unlink bool, err error) {
 	r := enc.NewReader(b)
 	unlink = r.Bool()
-	pre, err = decodeNode(r)
-	return
+	return unlink, r.Err()
 }
 
 // applyRetire garbage-collects a historical node in place: versions go,
@@ -181,7 +257,12 @@ func applyRetire(n *Node, unlink bool) {
 	}
 }
 
-func encCutHist(pre *Node) []byte { return encNodeImage(pre) }
+// cutHist payload: the node's header as it was.
+func encCutHist(old *Node) []byte {
+	var w enc.Writer
+	encodeHeader(&w, old)
+	return w.Bytes()
+}
 
 // applyCutHist drops a node's history edge: the tail behind it is about
 // to be (or was, on redo) de-allocated. The edge mark goes with the edge.
@@ -239,11 +320,24 @@ func applyTimeSplit(n *Node, ts uint64, hist storage.PageID) {
 
 // historyContents returns the versions the new history node receives:
 // every version with Start < ts.
-func historyContents(pre *Node, ts uint64) []Entry {
+func historyContents(n *Node, ts uint64) []Entry {
 	var out []Entry
-	for _, e := range pre.Entries {
+	for _, e := range n.Entries {
 		if e.Start < ts {
 			out = append(out, cloneEntry(e))
+		}
+	}
+	return out
+}
+
+// timeSplitLeavers returns, of a history node's image, the versions a time
+// split REMOVED from the current node: all but the last version of each key
+// (that one was alive at the split time and stayed, copied).
+func timeSplitLeavers(hist *Node) []Entry {
+	var out []Entry
+	for i, e := range hist.Entries {
+		if i+1 < len(hist.Entries) && keys.Equal(hist.Entries[i+1].Key, e.Key) {
+			out = append(out, e)
 		}
 	}
 	return out
@@ -293,11 +387,42 @@ func applyIndexKeySplit(n *Node, k keys.Key, sib storage.PageID) {
 	n.KeySib = sib
 }
 
+// newlyClipped returns the children whose terms an index key split of n at
+// k marks Clipped: those spanning k and not clipped before.
+func newlyClipped(n *Node, k keys.Key) []storage.PageID {
+	var out []storage.PageID
+	if n.Level != 1 {
+		return nil
+	}
+	for _, e := range n.Entries {
+		if !e.Clipped && keys.Compare(e.ChildRect.KeyLow, k) < 0 && e.ChildRect.SpansKey(k) {
+			out = append(out, e.Child)
+		}
+	}
+	return out
+}
+
+// indexSplitLeavers returns, of an index sibling's image, the terms the
+// key split at k REMOVED from the node: all of them but the clipped copies
+// of level-1 terms spanning k, which stayed as well.
+func indexSplitLeavers(sib *Node, k keys.Key) []Entry {
+	if sib.Level != 1 {
+		return sib.Entries
+	}
+	var out []Entry
+	for _, e := range sib.Entries {
+		if keys.Compare(e.ChildRect.KeyLow, k) >= 0 {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // indexSiblingEntries returns the terms the new index sibling receives:
 // those at or above k, plus clipped copies of spanning level-1 terms.
-func indexSiblingEntries(pre *Node, k keys.Key) (entries []Entry, clipped int) {
-	for _, e := range pre.Entries {
-		if pre.Level == 1 {
+func indexSiblingEntries(n *Node, k keys.Key) (entries []Entry, clipped int) {
+	for _, e := range n.Entries {
+		if n.Level == 1 {
 			if keys.Compare(e.ChildRect.KeyLow, k) >= 0 {
 				entries = append(entries, cloneEntry(e))
 			} else if e.ChildRect.SpansKey(k) {
@@ -330,6 +455,20 @@ func Register(reg *storage.Registry) *Binding {
 	restore := func(rec *wal.Record, pre *Node) (storage.Compensation, error) {
 		return storage.Compensation{Kind: KindRestoreImage, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
 	}
+	// unsplit compensates a split of rec's page that created sib: it puts
+	// back the header old and those entries of sib's image, as logged in
+	// its format record just before rec, that leavers picks.
+	unsplit := func(rec *wal.Record, log storage.LogReader, sib storage.PageID, old *Node, unclip []storage.PageID, leavers func(sib *Node) []Entry) (storage.Compensation, error) {
+		image, err := pitree.SiblingImage(log, rec, KindFormat, sib)
+		if err != nil {
+			return storage.Compensation{}, err
+		}
+		sibNode, err := decodeNode(enc.NewReader(image))
+		if err != nil {
+			return storage.Compensation{}, err
+		}
+		return storage.Compensation{Kind: KindUnsplit, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encUnsplit(old, leavers(sibNode), unclip)}, nil
+	}
 
 	reg.Register(KindFormat, storage.Handler{
 		Redo: func(f *storage.Frame, rec *wal.Record) error {
@@ -351,6 +490,16 @@ func Register(reg *storage.Registry) *Binding {
 			return nil
 		},
 	})
+	reg.Register(KindUnsplit, storage.Handler{
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
+			img, unclip, err := decUnsplit(rec.Payload)
+			if err != nil {
+				return err
+			}
+			applyUnsplit(n, img, unclip)
+			return nil
+		}),
+	})
 	reg.Register(KindTimeSplit, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			ts, hist, _, err := decTimeSplit(rec.Payload)
@@ -360,46 +509,46 @@ func Register(reg *storage.Registry) *Binding {
 			applyTimeSplit(n, ts, hist)
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
-			_, _, pre, err := decTimeSplit(rec.Payload)
+		MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
+			_, hist, old, err := decTimeSplit(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return restore(rec, pre)
+			return unsplit(rec, log, hist, old, nil, timeSplitLeavers)
 		},
 	})
 	reg.Register(KindKeySplit, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			k, sib, _, err := decKeySplit(rec.Payload)
+			k, sib, _, _, err := decKeySplit(rec.Payload)
 			if err != nil {
 				return err
 			}
 			applyKeySplit(n, k, sib)
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
-			_, _, pre, err := decKeySplit(rec.Payload)
+		MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
+			_, sib, old, _, err := decKeySplit(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return restore(rec, pre)
+			return unsplit(rec, log, sib, old, nil, func(sib *Node) []Entry { return sib.Entries })
 		},
 	})
 	reg.Register(KindIndexKeySplit, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			k, sib, _, err := decKeySplit(rec.Payload)
+			k, sib, _, _, err := decKeySplit(rec.Payload)
 			if err != nil {
 				return err
 			}
 			applyIndexKeySplit(n, k, sib)
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
-			_, _, pre, err := decKeySplit(rec.Payload)
+		MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
+			k, sib, old, clipped, err := decKeySplit(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return restore(rec, pre)
+			return unsplit(rec, log, sib, old, clipped, func(sib *Node) []Entry { return indexSplitLeavers(sib, k) })
 		},
 	})
 	reg.Register(KindPut, storage.Handler{
@@ -445,7 +594,7 @@ func Register(reg *storage.Registry) *Binding {
 			}
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindRemoveTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
@@ -460,7 +609,7 @@ func Register(reg *storage.Registry) *Binding {
 			}
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindPostTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
@@ -473,7 +622,7 @@ func Register(reg *storage.Registry) *Binding {
 			n.insertKeyTerm(Entry{Key: k, Child: child})
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindRemoveKeyTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
@@ -491,38 +640,33 @@ func Register(reg *storage.Registry) *Binding {
 			}
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindPostKeyTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindRetireNode, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			unlink, _, err := decRetire(rec.Payload)
+			unlink, err := decRetire(rec.Payload)
 			if err != nil {
 				return err
 			}
 			applyRetire(n, unlink)
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
-			_, pre, err := decRetire(rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			return restore(rec, pre)
-		},
+		// Redo-only; see KindRetireNode.
 	})
 	reg.Register(KindCutHist, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			applyCutHist(n)
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
-			pre, err := decodeNode(enc.NewReader(rec.Payload))
-			if err != nil {
-				return storage.Compensation{}, err
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
+			r := enc.NewReader(rec.Payload)
+			old := decodeHeader(r)
+			if r.Err() != nil {
+				return storage.Compensation{}, r.Err()
 			}
-			return restore(rec, pre)
+			return storage.Compensation{Kind: KindUnsplit, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encUnsplit(old, nil, nil)}, nil
 		},
 	})
 	reg.Register(KindRootGrow, storage.Handler{
@@ -538,7 +682,7 @@ func Register(reg *storage.Registry) *Binding {
 			n.HistSib = storage.NilPage
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			_, _, pre, err := decRootGrow(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err

@@ -397,20 +397,19 @@ func decodeEntry(r *enc.Reader) Entry {
 	return e
 }
 
-func encodeNode(w *enc.Writer, n *Node) {
+// encodeHeader serializes everything of a node but its entries: what a
+// structure change can overwrite besides them, and so what its log record
+// carries of the node's previous state.
+func encodeHeader(w *enc.Writer, n *Node) {
 	w.U16(uint16(n.Level))
 	encodeRect(w, n.Rect)
 	w.U64(uint64(n.KeySib))
 	w.U64(uint64(n.HistSib))
 	w.Bool(n.Retired)
 	w.Bool(n.HistShared)
-	w.U32(uint32(len(n.Entries)))
-	for _, e := range n.Entries {
-		encodeEntry(w, e)
-	}
 }
 
-func decodeNode(r *enc.Reader) (*Node, error) {
+func decodeHeader(r *enc.Reader) *Node {
 	n := &Node{}
 	n.Level = int(r.U16())
 	n.Rect = decodeRect(r)
@@ -418,9 +417,36 @@ func decodeNode(r *enc.Reader) (*Node, error) {
 	n.HistSib = storage.PageID(r.U64())
 	n.Retired = r.Bool()
 	n.HistShared = r.Bool()
+	return n
+}
+
+// setHeader overwrites n's header with hdr's; the entries stay.
+func (n *Node) setHeader(hdr *Node) {
+	entries := n.Entries
+	*n = *hdr
+	n.Entries = entries
+}
+
+// minEntryBytes is the least an encoded entry occupies; it bounds the
+// entry count a decoder accepts by the bytes that are left to hold them.
+const minEntryBytes = 4 + 8 + 4 + 1 + 8 + 8 + (4 + 1 + 4 + 8 + 8) + 1
+
+func encodeNode(w *enc.Writer, n *Node) {
+	encodeHeader(w, n)
+	w.U32(uint32(len(n.Entries)))
+	for _, e := range n.Entries {
+		encodeEntry(w, e)
+	}
+}
+
+func decodeNode(r *enc.Reader) (*Node, error) {
+	n := decodeHeader(r)
 	cnt := int(r.U32())
 	if r.Err() != nil {
 		return nil, r.Err()
+	}
+	if cnt > r.Remaining()/minEntryBytes {
+		return nil, enc.ErrTruncated
 	}
 	n.Entries = make([]Entry, 0, cnt)
 	for i := 0; i < cnt; i++ {

@@ -52,7 +52,7 @@ package tsb
 // node they would have visited still exists, and the coupled walk makes
 // the visit-or-stop decision atomic with the cut.
 //
-// Crash consistency: the cut (KindCutHist, pre-image undo) and the free
+// Crash consistency: the cut (KindCutHist, undone from its logged header) and the free
 // (the store's meta records) are one atomic action — redo replays both,
 // an incomplete action undoes both, so a page is free if and only if it
 // is unlinked. The deadPages set and the completion queue are both
@@ -155,8 +155,7 @@ func (t *Tree) reclaimTail(head storage.PageID) (int, error) {
 
 	err = o.Atomic(func(aa *txn.Txn) error {
 		o.Hold(&prev, &tail)
-		pre := prev.N.clone()
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(prev.Pid()), KindCutHist, encCutHist(pre))
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(prev.Pid()), KindCutHist, encCutHist(prev.N))
 		applyCutHist(prev.N)
 		prev.F.MarkDirty(lsn)
 		if err := t.store.Free(aa, &o.Tr, tailPid); err != nil {

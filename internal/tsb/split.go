@@ -134,15 +134,8 @@ func (t *Tree) noteHistSibling(n *Node) {
 // released on return; the caller retries its operation.
 func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 	o.Promote(leaf)
-	n, leafPid := leaf.N, leaf.Pid()
-	pre := n.clone()
-
-	var keysIn []keys.Key // the node's distinct keys, in order
-	for i, e := range n.Entries {
-		if i == 0 || !keys.Equal(n.Entries[i-1].Key, e.Key) {
-			keysIn = append(keysIn, e.Key)
-		}
-	}
+	n := leaf.N
+	keysIn := distinctKeys(n)
 	distinct := len(keysIn)
 	timeSplit := distinct <= int(float64(len(n.Entries))*t.opts.CurrentFraction) && distinct < len(n.Entries)
 	if distinct < 2 {
@@ -155,68 +148,87 @@ func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 
 	return o.Atomic(func(aa *txn.Txn) error {
 		o.Hold(leaf)
-		newPid, err := t.store.Alloc(aa, &o.Tr)
-		if err != nil {
-			return err
-		}
-		// Either new node starts from the old one's rectangle (a current
-		// node's, so open-ended in time) and a copy of its history pointer.
-		newNode := &Node{Level: 0, Rect: cloneRect(n.Rect), HistSib: n.HistSib}
-		var ts uint64
-		var k keys.Key
-		if timeSplit {
-			// "New historic nodes contain copies of old history pointers"
-			// (Figure 1). The edge's shared mark transfers with it; the
-			// current node's replacement edge is fresh (applyTimeSplit
-			// clears its mark).
-			ts = t.tick()
-			newNode.Rect.TimeHigh = ts
-			newNode.HistShared = n.HistShared
-			newNode.Entries = historyContents(pre, ts)
-		} else {
-			// "The new node will contain a copy of the history sibling
-			// pointer": the new current node is responsible for the entire
-			// history of its key space. Both halves now reach the same
-			// chain, so both edges are marked shared (applyKeySplit marks
-			// the trimmed half).
-			k = medianKey(n, keysIn)
-			newNode.Rect.KeyLow = keys.Clone(k)
-			newNode.KeySib = n.KeySib
-			newNode.HistShared = n.HistSib != storage.NilPage
-			for _, e := range pre.Entries {
-				if keys.Compare(e.Key, k) >= 0 {
-					newNode.Entries = append(newNode.Entries, cloneEntry(e))
-				}
-			}
-		}
-		// The separate posting action (§3.2.1 step 6) is queued when and
-		// only when this one commits; its rectangle is copied now, before
-		// the new node goes live.
-		post := postTask{parentLevel: 1, child: newPid, rect: cloneRect(newNode.Rect)}
-		aa.OnCommit(func() {
-			t.schedule(post)
-			if timeSplit && t.opts.GC {
-				// The split just grew this leaf's history chain; sweep it
-				// for nodes that fell below the visibility horizon.
-				t.schedule(postTask{gcHead: leafPid})
-			}
-		})
-		if err := t.formatNode(o, aa, newPid, newNode); err != nil {
-			return err
-		}
-		var lsn wal.LSN
-		if timeSplit {
-			lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(leafPid), KindTimeSplit, encTimeSplit(ts, newPid, pre))
-			applyTimeSplit(n, ts, newPid)
-			t.Stats.TimeSplits.Add(1)
-		} else {
-			lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(leafPid), KindKeySplit, encKeySplit(k, newPid, pre))
-			applyKeySplit(n, k, newPid)
-			t.Stats.KeySplits.Add(1)
-		}
-		leaf.F.MarkDirty(lsn)
-		return nil
+		return t.splitDataIn(o, aa, leaf, timeSplit, keysIn)
 	})
+}
+
+// distinctKeys returns a data node's distinct keys, in order.
+func distinctKeys(n *Node) []keys.Key {
+	var out []keys.Key
+	for i, e := range n.Entries {
+		if i == 0 || !keys.Equal(n.Entries[i-1].Key, e.Key) {
+			out = append(out, e.Key)
+		}
+	}
+	return out
+}
+
+// splitDataIn splits the X-latched data node as part of the action aa: by
+// time at the clock's next tick, or by key at the median of keysIn, its
+// distinct keys.
+func (t *Tree) splitDataIn(o *opCtx, aa *txn.Txn, leaf *nref, timeSplit bool, keysIn []keys.Key) error {
+	n, leafPid := leaf.N, leaf.Pid()
+	newPid, err := t.store.Alloc(aa, &o.Tr)
+	if err != nil {
+		return err
+	}
+	// Either new node starts from the old one's rectangle (a current
+	// node's, so open-ended in time) and a copy of its history pointer.
+	newNode := &Node{Level: 0, Rect: cloneRect(n.Rect), HistSib: n.HistSib}
+	var ts uint64
+	var k keys.Key
+	if timeSplit {
+		// "New historic nodes contain copies of old history pointers"
+		// (Figure 1). The edge's shared mark transfers with it; the
+		// current node's replacement edge is fresh (applyTimeSplit
+		// clears its mark).
+		ts = t.tick()
+		newNode.Rect.TimeHigh = ts
+		newNode.HistShared = n.HistShared
+		newNode.Entries = historyContents(n, ts)
+	} else {
+		// "The new node will contain a copy of the history sibling
+		// pointer": the new current node is responsible for the entire
+		// history of its key space. Both halves now reach the same
+		// chain, so both edges are marked shared (applyKeySplit marks
+		// the trimmed half).
+		k = medianKey(n, keysIn)
+		newNode.Rect.KeyLow = keys.Clone(k)
+		newNode.KeySib = n.KeySib
+		newNode.HistShared = n.HistSib != storage.NilPage
+		for _, e := range n.Entries {
+			if keys.Compare(e.Key, k) >= 0 {
+				newNode.Entries = append(newNode.Entries, cloneEntry(e))
+			}
+		}
+	}
+	// The separate posting action (§3.2.1 step 6) is queued when and
+	// only when this one commits; its rectangle is copied now, before
+	// the new node goes live.
+	post := postTask{parentLevel: 1, child: newPid, rect: cloneRect(newNode.Rect)}
+	aa.OnCommit(func() {
+		t.schedule(post)
+		if timeSplit && t.opts.GC {
+			// The split just grew this leaf's history chain; sweep it
+			// for nodes that fell below the visibility horizon.
+			t.schedule(postTask{gcHead: leafPid})
+		}
+	})
+	if err := t.formatNode(o, aa, newPid, newNode); err != nil {
+		return err
+	}
+	var lsn wal.LSN
+	if timeSplit {
+		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(leafPid), KindTimeSplit, encTimeSplit(ts, newPid, n))
+		applyTimeSplit(n, ts, newPid)
+		t.Stats.TimeSplits.Add(1)
+	} else {
+		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(leafPid), KindKeySplit, encKeySplit(k, newPid, n, nil))
+		applyKeySplit(n, k, newPid)
+		t.Stats.KeySplits.Add(1)
+	}
+	leaf.F.MarkDirty(lsn)
+	return nil
 }
 
 // medianKey picks the median of a data node's distinct keys (strictly
@@ -262,7 +274,9 @@ func (p *termPost) Verify(o *opCtx, node *nref) (bool, error) {
 	if _, posted := node.N.termFor(p.task.child); posted {
 		return false, nil
 	}
-	if p.task.parentLevel != 1 {
+	if p.task.parentLevel != 1 || p.task.rect.TimeHigh == NoEnd {
+		// Key terms name index nodes, and a current data node is never
+		// retired (Apply visits it, for its rectangle).
 		return true, nil
 	}
 	child, err := o.Acquire(p.task.child, latch.S, 0)
@@ -270,16 +284,9 @@ func (p *termPost) Verify(o *opCtx, node *nref) (bool, error) {
 		return false, err
 	}
 	// A side traversal may re-schedule posting for a node GC has since
-	// retired; don't resurrect its term.
+	// retired; don't resurrect its term. (The answer holds to the end of the
+	// action: retireNode latches this node before it retires the child.)
 	retired := child.N.Retired
-	if p.task.rect.TimeHigh == NoEnd {
-		// A current node's term describes the node, not the task: a
-		// key-sibling task rediscovered by a side traversal carries the
-		// time bound of the node it was found FROM, which may have
-		// time-split since the key split and then starts after the
-		// sibling does (and an open key bound besides).
-		p.task.rect = cloneRect(child.N.Rect)
-	}
 	o.Release(&child)
 	return !retired, nil
 }
@@ -309,11 +316,27 @@ func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, err
 	return node.Pid(), nil
 }
 
-func (p *termPost) Apply(aa *txn.Txn, node *nref) {
+func (p *termPost) Apply(o *opCtx, aa *txn.Txn, node *nref) error {
 	task, storeID := p.task, p.t.store.Pool.StoreID
 	var lsn wal.LSN
 	if node.N.Level == 1 {
-		term := Entry{Child: task.child, ChildRect: cloneRect(task.rect)}
+		rect := task.rect
+		if rect.TimeHigh == NoEnd {
+			// A current node's term describes the node, not the task: a
+			// key-sibling task rediscovered by a side traversal carries the
+			// time bound of the node it was found FROM, which may have
+			// time-split since the key split and then starts after the
+			// sibling does (and an open key bound besides). And the node
+			// goes on splitting: its rectangle is read under an S latch kept
+			// until the term's action has committed.
+			child, err := o.Acquire(task.child, latch.S, 0)
+			if err != nil {
+				return err
+			}
+			o.Hold(&child)
+			rect = child.N.Rect
+		}
+		term := Entry{Child: task.child, ChildRect: cloneRect(rect)}
 		lsn = aa.LogUpdate(storeID, uint64(node.Pid()), KindPostTerm, encTerm(term))
 		node.N.insertTerm(term)
 	} else {
@@ -321,6 +344,7 @@ func (p *termPost) Apply(aa *txn.Txn, node *nref) {
 		node.N.insertKeyTerm(Entry{Key: keys.Clone(task.rect.KeyLow), Child: task.child})
 	}
 	node.F.MarkDirty(lsn)
+	return nil
 }
 
 // indexSplitKey picks a key boundary that puts at least one whole term on
@@ -379,7 +403,7 @@ func (t *Tree) splitIndex(o *opCtx, aa *txn.Txn, node *nref, k keys.Key) (storag
 	}
 	up := postTask{parentLevel: pre.Level + 1, child: sibPid, rect: cloneRect(sib.Rect)}
 	aa.OnCommit(func() { t.schedule(up) })
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindIndexKeySplit, encKeySplit(k, sibPid, pre))
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindIndexKeySplit, encKeySplit(k, sibPid, node.N, newlyClipped(node.N, k)))
 	applyIndexKeySplit(node.N, k, sibPid)
 	node.F.MarkDirty(lsn)
 	t.Stats.IndexSplits.Add(1)

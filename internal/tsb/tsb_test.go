@@ -3,12 +3,17 @@ package tsb
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/keys"
+	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 const testStoreID = 9
@@ -43,7 +48,12 @@ func newFixture(t testing.TB, opts Options) *fixture {
 
 func (fx *fixture) crashRestart(t testing.TB) *fixture {
 	t.Helper()
-	img := fx.e.Crash(nil)
+	return fx.restartFrom(t, fx.e.Crash(nil))
+}
+
+// restartFrom restarts over a crash image of fx's engine.
+func (fx *fixture) restartFrom(t testing.TB, img *engine.CrashImage) *fixture {
+	t.Helper()
 	fx.tree.Close()
 	e2 := engine.Restarted(img, fx.e.Opts)
 	b2 := Register(e2.Reg)
@@ -485,4 +495,66 @@ func TestRediscoveredKeySiblingTermTimeBound(t *testing.T) {
 	if fx2.tree.Stats.PostsPerformed.Load() == 0 {
 		t.Fatal("the side traversal posted nothing")
 	}
+}
+
+// TestPostedTermChildLatchedToCommit: a current node's index term is built
+// from the node's rectangle, which the node's next split changes. The
+// posting must therefore keep the child latched from reading the rectangle
+// until its action's commit record is in the log: a splitter queued on the
+// child's latch must, the moment it gets the latch, find that record (the
+// commit is stalled just before its record is appended, so a latch released
+// first would show a log without it).
+func TestPostedTermChildLatchedToCommit(t *testing.T) {
+	fx := newFixture(t, smallOpts())
+	for k := uint64(0); fx.tree.Stats.KeySplits.Load() == 0; k++ {
+		if err := fx.tree.Put(nil, keys.Uint64(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj := fault.New(1)
+	fx.e.TM.SetInjector(inj)
+	inj.Arm(txn.FPAACommit, fault.Spec{Delay: 50 * time.Millisecond})
+	from := fx.e.Log.EndLSN()
+	posting := func() (term, commit *wal.Record) {
+		fx.e.Log.FullImage().Scan(from, func(r wal.Record) bool {
+			switch {
+			case r.Kind == KindPostTerm:
+				term = &r
+			case term != nil && r.Type == wal.RecCommit && r.TxnID == term.TxnID:
+				commit = &r
+			}
+			return true
+		})
+		return term, commit
+	}
+
+	drained := make(chan struct{})
+	go func() {
+		fx.tree.DrainCompletions() // the key sibling's posting
+		close(drained)
+	}()
+	var term *wal.Record
+	for deadline := time.Now().Add(5 * time.Second); term == nil; term, _ = posting() {
+		if time.Now().After(deadline) {
+			t.Fatal("the posting never logged its term")
+		}
+		runtime.Gosched()
+	}
+	e, err := decTerm(term.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fx.tree.store.Pool.Fetch(e.Child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Latch.AcquireX() // as the child's next split would
+	_, commit := posting()
+	f.Latch.ReleaseX()
+	fx.tree.store.Pool.Unpin(f)
+	<-drained
+	if commit == nil {
+		t.Fatal("the child's latch was free with its term logged and the posting's commit record not yet in the log")
+	}
+	fx.mustVerify(t)
 }

@@ -88,9 +88,9 @@ func TestELRReaderParksUntilWriterStable(t *testing.T) {
 		t.Fatalf("reader commit: %v", err)
 	}
 	// Both acks implied stability: the stable prefix covers the writer's
-	// commit record (its lastLSN is now the end record, appended after).
-	if e.log.StableLSN() <= 1 {
-		t.Fatal("nothing became stable")
+	// commit record, the last record it logged.
+	if e.log.StableLSN() <= writer.LastLSN() {
+		t.Fatalf("stable LSN %d does not cover the writer's commit record at %d", e.log.StableLSN(), writer.LastLSN())
 	}
 	if v := e.value(t, storage.PageID(1)); v != 1 {
 		t.Fatalf("page value %d, want 1", v)

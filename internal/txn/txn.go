@@ -134,11 +134,15 @@ type Txn struct {
 	mgr     *Manager
 	mu      sync.Mutex
 	lastLSN wal.LSN
-	// firstLSN is the begin record: no record of this transaction precedes
-	// it, so it floors both the WAL recycle horizon and the in-memory log
-	// (LogFloor). Zero until the begin record is appended, and for adopted
-	// losers — both read as "pin everything". Atomic so LogFloor can scan
-	// the table under m.mu alone.
+	// firstLSN is the first record the transaction logged — it has no begin
+	// record; no record of it precedes this one, so it floors both the WAL
+	// recycle horizon and the in-memory log (LogFloor). Two values are not
+	// LSNs: noRecord until the transaction logs anything (it pins nothing),
+	// and NilLSN — "pin everything" — for an adopted restart loser, whose
+	// origin is unknown, and while the first append is in flight (logLocked
+	// publishes it before appending, so a floor computed meanwhile cannot
+	// pass the record). Atomic so LogFloor can scan the table under m.mu
+	// alone; written under t.mu.
 	firstLSN atomic.Uint64
 	state    State
 	// beginClock is the version clock observed when the transaction began
@@ -159,9 +163,8 @@ type Txn struct {
 	depLSN uint64
 }
 
-// OnCommit registers fn to run after the transaction commits, its locks
-// are released, and its end record is written. Aborted transactions never
-// run their hooks. The Π-tree uses this to defer index-term posting for
+// OnCommit registers fn to run after the transaction commits and its locks
+// are released. Aborted transactions never run their hooks. The Π-tree uses this to defer index-term posting for
 // in-transaction data-node splits until the split is durable (§4.2.2:
 // "the posting of the index term for splits cannot occur until and unless
 // T commits").
@@ -171,23 +174,19 @@ func (t *Txn) OnCommit(fn func()) {
 	t.mu.Unlock()
 }
 
+// noRecord is the firstLSN of a transaction that has logged nothing.
+const noRecord = ^uint64(0)
+
+// begin registers a transaction. It logs nothing: the first record the
+// transaction appends, with a nil PrevLSN, is what restart sees begin.
 func (m *Manager) begin(system bool) *Txn {
 	m.mu.Lock()
 	id := m.nextID
 	m.nextID++
 	t := &Txn{ID: id, System: system, mgr: m, beginClock: m.clockNowLocked()}
+	t.firstLSN.Store(noRecord)
 	m.active[id] = t
 	m.mu.Unlock()
-
-	flags := wal.Flags(0)
-	if system {
-		flags |= wal.FlagSystem
-	}
-	lsn := m.Log.Append(&wal.Record{Type: wal.RecBegin, Flags: flags, TxnID: id})
-	t.mu.Lock()
-	t.lastLSN = lsn
-	t.mu.Unlock()
-	t.firstLSN.Store(uint64(lsn))
 	return t
 }
 
@@ -216,21 +215,21 @@ func (m *Manager) ActiveCount() int {
 }
 
 // ATTEntry is a snapshot row of the active-transaction table, taken for
-// fuzzy checkpoints. Committed marks a transaction whose commit record is
-// already in the log but whose end record is not; analysis must treat it
-// as a winner even when the commit record predates the checkpoint's scan
-// window.
+// fuzzy checkpoints.
 type ATTEntry struct {
-	ID        wal.TxnID
-	LastLSN   wal.LSN
-	FirstLSN  wal.LSN // begin record: no record of this txn precedes it
-	System    bool
-	Committed bool
+	ID       wal.TxnID
+	LastLSN  wal.LSN
+	FirstLSN wal.LSN // first record of this txn; NilLSN = unknown (adopted loser)
+	System   bool
 }
 
-// SnapshotATT returns the live transaction table for a fuzzy checkpoint.
-// It waits out any in-flight commit-record append so each entry's
-// (LastLSN, Committed) pair is consistent with the log contents.
+// SnapshotATT returns the live transaction table for a fuzzy checkpoint:
+// every transaction that has logged something and has no commit record.
+// It waits out any in-flight commit-record append so each entry is
+// consistent with the log contents. A transaction that has logged nothing
+// is left out — whatever it logs later lands above the checkpoint's
+// StartLSN, where analysis finds it — and so is one whose commit record is
+// in the log: analysis is done with a transaction at its commit record.
 func (m *Manager) SnapshotATT() []ATTEntry {
 	m.mu.Lock()
 	txns := make([]*Txn, 0, len(m.active))
@@ -246,21 +245,24 @@ func (m *Manager) SnapshotATT() []ATTEntry {
 			runtime.Gosched()
 			t.mu.Lock()
 		}
-		out = append(out, ATTEntry{ID: t.ID, LastLSN: t.lastLSN, FirstLSN: wal.LSN(t.firstLSN.Load()), System: t.System, Committed: t.state == Committed})
+		if first := t.firstLSN.Load(); first != noRecord && t.state != Committed {
+			out = append(out, ATTEntry{ID: t.ID, LastLSN: t.lastLSN, FirstLSN: wal.LSN(first), System: t.System})
+		}
 		t.mu.Unlock()
 	}
 	return out
 }
 
 // LogFloor returns the lowest LSN normal processing may still read from
-// the log buffer: the begin record of the oldest unfinished transaction
+// the log buffer: the first record of the oldest unfinished transaction
 // (rollback walks a transaction's chain no further back), or the log's
-// end when none is active. NilLSN — keep everything — while any
-// transaction's begin record is still unknown (just begun, or an adopted
-// restart loser). The engine hands it to wal.Log.ReleaseBelow.
+// end when none has logged anything. NilLSN — keep everything — while any
+// transaction's first record is unknown (its append in flight, or an
+// adopted restart loser). The engine hands it to wal.Log.ReleaseBelow.
 func (m *Manager) LogFloor() wal.LSN {
-	// Read the end before the table: a transaction this scan misses
-	// registers after it, so its begin record lands at or above this end.
+	// Read the end before the table: a transaction this scan misses, or
+	// finds with nothing logged yet, appends its first record after the
+	// read, so at or above this end.
 	floor := m.Log.EndLSN()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -269,20 +271,11 @@ func (m *Manager) LogFloor() wal.LSN {
 		if first == wal.NilLSN {
 			return wal.NilLSN
 		}
-		if first < floor {
+		if first < floor { // never true of noRecord
 			floor = first
 		}
 	}
 	return floor
-}
-
-// FinishRecovered writes the end record for a transaction that restart
-// found committed but unended.
-func (t *Txn) FinishRecovered() {
-	t.mu.Lock()
-	t.state = Committed
-	t.mu.Unlock()
-	t.finish(wal.RecEnd)
 }
 
 // Adopt registers a reconstructed loser transaction during restart so
@@ -293,9 +286,9 @@ func (m *Manager) Adopt(id wal.TxnID, system bool, lastLSN wal.LSN) *Txn {
 	if id >= m.nextID {
 		m.nextID = id + 1
 	}
-	// Adopted losers keep firstLSN 0: restart never recycles segments, so
-	// the conservative floor is harmless — and it keeps every record the
-	// loser's rollback will read in the log buffer.
+	// Adopted losers keep firstLSN NilLSN, "unknown": restart never
+	// recycles segments, so the conservative floor is harmless — and it
+	// keeps every record the loser's rollback will read in the log buffer.
 	t := &Txn{ID: id, System: system, mgr: m, lastLSN: lastLSN}
 	m.active[id] = t
 	return t
@@ -333,18 +326,31 @@ func (t *Txn) LogUpdate(storeID uint32, pageID uint64, kind wal.Kind, payload []
 	if t.state != Active {
 		panic(fmt.Sprintf("txn %d: LogUpdate in state %d", t.ID, t.state))
 	}
-	lsn := t.mgr.Log.Append(&wal.Record{
-		Type:    wal.RecUpdate,
-		Flags:   t.flags(),
-		Kind:    kind,
-		TxnID:   t.ID,
-		PrevLSN: t.lastLSN,
-		StoreID: storeID,
-		PageID:  pageID,
-		Payload: payload,
-	})
-	t.lastLSN = lsn
-	return lsn
+	return t.logLocked(&wal.Record{Type: wal.RecUpdate, Kind: kind, StoreID: storeID, PageID: pageID, Payload: payload})
+}
+
+// logLocked appends rec as the next record of the transaction's chain —
+// it fills in the transaction's ID, flags and PrevLSN — and returns its
+// LSN. The caller holds t.mu.
+func (t *Txn) logLocked(rec *wal.Record) wal.LSN {
+	rec.TxnID, rec.Flags, rec.PrevLSN = t.ID, t.flags(), t.lastLSN
+	first := t.pendFirst()
+	t.lastLSN = t.mgr.Log.Append(rec)
+	if first {
+		t.firstLSN.Store(uint64(t.lastLSN))
+	}
+	return t.lastLSN
+}
+
+// pendFirst reports whether the transaction has logged nothing yet, and if
+// so marks its first record as in flight: until the caller stores the
+// record's LSN, LogFloor keeps everything. The caller holds t.mu.
+func (t *Txn) pendFirst() bool {
+	if t.firstLSN.Load() != noRecord {
+		return false
+	}
+	t.firstLSN.Store(uint64(wal.NilLSN))
+	return true
 }
 
 // GroupUpdate is one update in a LogUpdateGroup batch.
@@ -387,7 +393,11 @@ func (t *Txn) LogUpdateGroup(storeID uint32, pageID uint64, ups []GroupUpdate) (
 		}
 	}
 	recs[0].PrevLSN = t.lastLSN
+	isFirst := t.pendFirst()
 	lsn := t.mgr.Log.AppendGroup(recs)
+	if isFirst {
+		t.firstLSN.Store(uint64(recs[0].LSN))
+	}
 	t.lastLSN = lsn
 	return recs[0].LSN, lsn
 }
@@ -401,19 +411,7 @@ func (t *Txn) LogUpdateGroup(storeID uint32, pageID uint64, ups []GroupUpdate) (
 func (t *Txn) LogCLR(storeID uint32, pageID uint64, kind wal.Kind, payload []byte, undoNext wal.LSN) wal.LSN {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	lsn := t.mgr.Log.Append(&wal.Record{
-		Type:     wal.RecCLR,
-		Flags:    t.flags(),
-		Kind:     kind,
-		TxnID:    t.ID,
-		PrevLSN:  t.lastLSN,
-		UndoNext: undoNext,
-		StoreID:  storeID,
-		PageID:   pageID,
-		Payload:  payload,
-	})
-	t.lastLSN = lsn
-	return lsn
+	return t.logLocked(&wal.Record{Type: wal.RecCLR, Kind: kind, UndoNext: undoNext, StoreID: storeID, PageID: pageID, Payload: payload})
 }
 
 // Lock acquires a database lock for this transaction; see lock.Manager.
@@ -588,7 +586,9 @@ func (t *Txn) Commit() error {
 		t.mgr.Locks.NoteStable(uint64(t.mgr.Log.StableLSN()))
 		t.mgr.advanceStable(cts)
 	}
-	t.finish(wal.RecEnd)
+	// No end record: restart analysis is done with a transaction at its
+	// commit record.
+	t.end()
 	t.mu.Lock()
 	hooks := t.onCommit
 	t.onCommit = nil
@@ -606,27 +606,37 @@ func (t *Txn) Abort() error {
 		t.mu.Unlock()
 		return ErrNotActive
 	}
-	lsn := t.mgr.Log.Append(&wal.Record{Type: wal.RecAbort, Flags: t.flags(), TxnID: t.ID, PrevLSN: t.lastLSN})
-	t.lastLSN = lsn
-	from := t.lastLSN
+	if t.lastLSN == wal.NilLSN {
+		// Nothing logged: nothing to undo and nothing for restart to see.
+		t.state = Aborted
+		t.mu.Unlock()
+		t.end()
+		return nil
+	}
+	from := t.logLocked(&wal.Record{Type: wal.RecAbort})
 	t.mu.Unlock()
+	return t.rollbackAndEnd(from)
+}
 
+// rollbackAndEnd undoes everything from LSN from backwards, writes the end
+// record — a rolled-back transaction, unlike a committed one, is still in
+// restart's table until its rollback is known complete — and releases the
+// transaction's resources.
+func (t *Txn) rollbackAndEnd(from wal.LSN) error {
 	if err := t.rollbackTo(from, wal.NilLSN); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	t.state = Aborted
+	t.logLocked(&wal.Record{Type: wal.RecEnd})
 	t.mu.Unlock()
-	t.finish(wal.RecEnd)
+	t.end()
 	return nil
 }
 
-// finish writes the end record and releases the transaction's resources.
-func (t *Txn) finish(end wal.RecType) {
-	t.mu.Lock()
-	lsn := t.mgr.Log.Append(&wal.Record{Type: end, Flags: t.flags(), TxnID: t.ID, PrevLSN: t.lastLSN})
-	t.lastLSN = lsn
-	t.mu.Unlock()
+// end releases the finished transaction's locks and drops it from the
+// table.
+func (t *Txn) end() {
 	t.mgr.Locks.ReleaseAll(t.ID)
 	t.mgr.mu.Lock()
 	delete(t.mgr.active, t.ID)
@@ -654,14 +664,7 @@ func (t *Txn) CommitNested(tok NestedToken) {
 	if t.state != Active {
 		panic("txn: CommitNested on finished transaction")
 	}
-	lsn := t.mgr.Log.Append(&wal.Record{
-		Type:     wal.RecDummyCLR,
-		Flags:    t.flags(),
-		TxnID:    t.ID,
-		PrevLSN:  t.lastLSN,
-		UndoNext: tok.savedLSN,
-	})
-	t.lastLSN = lsn
+	t.logLocked(&wal.Record{Type: wal.RecDummyCLR, UndoNext: tok.savedLSN})
 }
 
 // AbortNested rolls back only the records logged since BeginNested,
@@ -674,7 +677,7 @@ func (t *Txn) AbortNested(tok NestedToken) error {
 }
 
 // rollbackTo undoes this transaction's updates from LSN `from` backwards
-// until the chain reaches `until` (NilLSN = the begin record). It is also
+// until the chain reaches `until` (NilLSN = all of them). It is also
 // the restart-undo engine: recovery adopts losers and calls it.
 func (t *Txn) rollbackTo(from, until wal.LSN) error {
 	next := from
@@ -711,18 +714,11 @@ func (t *Txn) undoOne(rec *wal.Record) error {
 		// Redo-only record: back the chain over it with a CLR so restart
 		// does not revisit it.
 		t.mu.Lock()
-		t.lastLSN = t.mgr.Log.Append(&wal.Record{
-			Type:     wal.RecCLR,
-			Flags:    t.flags(),
-			Kind:     0,
-			TxnID:    t.ID,
-			PrevLSN:  t.lastLSN,
-			UndoNext: rec.PrevLSN,
-		})
+		t.logLocked(&wal.Record{Type: wal.RecCLR, UndoNext: rec.PrevLSN})
 		t.mu.Unlock()
 		return nil
 	}
-	comp, err := h.MakeUndo(rec)
+	comp, err := h.MakeUndo(rec, t.mgr.Log)
 	if err != nil {
 		return err
 	}
@@ -747,17 +743,13 @@ func (t *Txn) undoOne(rec *wal.Record) error {
 	t.mu.Lock()
 	clr := &wal.Record{
 		Type:     wal.RecCLR,
-		Flags:    t.flags(),
 		Kind:     comp.Kind,
-		TxnID:    t.ID,
-		PrevLSN:  t.lastLSN,
 		UndoNext: rec.PrevLSN,
 		StoreID:  comp.StoreID,
 		PageID:   uint64(comp.PageID),
 		Payload:  comp.Payload,
 	}
-	t.mgr.Log.Append(clr)
-	t.lastLSN = clr.LSN
+	t.logLocked(clr)
 	t.mu.Unlock()
 	return t.mgr.Reg.ApplyRedoFrame(f, clr)
 }
@@ -768,12 +760,5 @@ func (t *Txn) RollbackLoser() error {
 	t.mu.Lock()
 	from := t.lastLSN
 	t.mu.Unlock()
-	if err := t.rollbackTo(from, wal.NilLSN); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.state = Aborted
-	t.mu.Unlock()
-	t.finish(wal.RecEnd)
-	return nil
+	return t.rollbackAndEnd(from)
 }

@@ -43,7 +43,7 @@ func registerCounter(reg *storage.Registry) {
 			f.Data.(*counter).v += int64(binary.LittleEndian.Uint64(rec.Payload))
 			return nil
 		},
-		MakeUndo: func(rec *wal.Record) (storage.Compensation, error) {
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			d := int64(binary.LittleEndian.Uint64(rec.Payload))
 			return storage.Compensation{Kind: counterKind, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: delta(-d)}, nil
 		},
@@ -127,9 +127,8 @@ func TestAACommitRelativeDurability(t *testing.T) {
 	if _, after := e.log.Stats(); after != before {
 		t.Fatal("atomic action commit forced the log despite relative durability")
 	}
-	// The next user commit carries it to stability. (The commit's own
-	// end record trails the force, so compare against the pre-commit
-	// end of log, which covers every atomic-action record.)
+	// The next user commit carries it to stability: the pre-commit end of
+	// log covers every atomic-action record.
 	tx := e.tm.Begin()
 	e.add(tx, 6, 1)
 	preCommit := e.log.EndLSN()
@@ -192,10 +191,10 @@ func TestAbortWritesCLRChain(t *testing.T) {
 	if clrs != 2 {
 		t.Fatalf("CLRs = %d, want 2", clrs)
 	}
-	// The final CLR's UndoNext must point at the begin record's LSN (1),
-	// i.e. before the first update.
-	if lastUndoNext != 1 {
-		t.Fatalf("final UndoNext = %d, want 1", lastUndoNext)
+	// The first update is the transaction's first record: the CLR that
+	// compensates it ends the undo chain.
+	if lastUndoNext != wal.NilLSN {
+		t.Fatalf("final UndoNext = %d, want NilLSN", lastUndoNext)
 	}
 }
 
@@ -296,11 +295,54 @@ func TestDoubleFinishRejected(t *testing.T) {
 	}
 }
 
+// TestReadOnlyTxnLogsNothing: a transaction has no begin record, so one
+// that updates nothing — whether or not it took locks — commits or aborts
+// without a log record and without joining a group force.
+func TestReadOnlyTxnLogsNothing(t *testing.T) {
+	e := newEnv(t, Options{})
+	appends0, _ := e.log.Stats()
+	forces0, _ := e.log.GroupCommitStats()
+	name := lock.KeyName(1, []byte("ro"))
+	for _, tc := range []struct {
+		name   string
+		lock   bool
+		finish func(*Txn) error
+	}{
+		{"begin-commit", false, (*Txn).Commit},
+		{"begin-lock-commit", true, (*Txn).Commit},
+		{"begin-abort", false, (*Txn).Abort},
+		{"begin-lock-abort", true, (*Txn).Abort},
+	} {
+		tx := e.tm.Begin()
+		if tc.lock {
+			if err := tx.Lock(name, lock.S); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if floor := e.tm.LogFloor(); floor != e.log.EndLSN() {
+			t.Errorf("%s: an idle transaction holds the log floor at %d, log end %d", tc.name, floor, e.log.EndLSN())
+		}
+		if err := tc.finish(tx); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		appends, _ := e.log.Stats()
+		forces, _ := e.log.GroupCommitStats()
+		if appends != appends0 || forces != forces0 {
+			t.Fatalf("%s: %d records appended, %d forces requested; want none", tc.name, appends-appends0, forces-forces0)
+		}
+		if _, held := e.lm.HeldMode(tx.ID, name); held || e.tm.ActiveCount() != 0 {
+			t.Fatalf("%s: lock held=%v, %d transactions active after the end", tc.name, held, e.tm.ActiveCount())
+		}
+	}
+}
+
 func TestSnapshotATT(t *testing.T) {
 	e := newEnv(t, Options{})
 	t1 := e.tm.Begin()
 	aa := e.tm.BeginAtomicAction()
+	idle := e.tm.Begin() // logs nothing: in no ATT
 	e.add(t1, 5, 1)
+	e.add(aa, 6, 1)
 	att := e.tm.SnapshotATT()
 	if len(att) != 2 {
 		t.Fatalf("ATT rows = %d", len(att))
@@ -308,8 +350,8 @@ func TestSnapshotATT(t *testing.T) {
 	bySys := map[bool]int{}
 	for _, row := range att {
 		bySys[row.System]++
-		if row.LastLSN == wal.NilLSN {
-			t.Fatal("ATT row without lastLSN")
+		if row.LastLSN == wal.NilLSN || row.FirstLSN != row.LastLSN {
+			t.Fatalf("ATT row %+v: one record logged, want FirstLSN == LastLSN != 0", row)
 		}
 	}
 	if bySys[true] != 1 || bySys[false] != 1 {
@@ -317,6 +359,7 @@ func TestSnapshotATT(t *testing.T) {
 	}
 	_ = t1.Commit()
 	_ = aa.Commit()
+	_ = idle.Commit()
 }
 
 func TestManyTxnIDsUnique(t *testing.T) {

@@ -276,8 +276,9 @@ func (fw *FileWAL) writeMaster() error {
 	return fw.syncDir()
 }
 
-func (fw *FileWAL) readMaster() (ckpt, horizon LSN, ok bool) {
-	b, err := os.ReadFile(filepath.Join(fw.dir, masterName))
+// readMaster reads the master record of the WAL directory dir.
+func readMaster(dir string) (ckpt, horizon LSN, ok bool) {
+	b, err := os.ReadFile(filepath.Join(dir, masterName))
 	if err != nil || len(b) < masterLen || string(b[0:8]) != masterMagic {
 		return 0, 0, false
 	}
@@ -351,7 +352,7 @@ func (fw *FileWAL) replay() (*Reader, error) {
 	}
 	var ckpt, horizon LSN
 	masterOK := false
-	if c, h, ok := fw.readMaster(); ok {
+	if c, h, ok := readMaster(fw.dir); ok {
 		ckpt, horizon, masterOK = c, h, true
 	}
 	start := uint64(horizon)

@@ -47,14 +47,16 @@ type RecType uint16
 // payloads.
 const (
 	RecInvalid RecType = iota
-	// RecBegin marks the start of a transaction or atomic action.
+	// RecBegin is reserved and no longer written: a transaction's first
+	// record — the one with a nil PrevLSN — is all the begin it has.
 	RecBegin
 	// RecCommit marks a commit. For user transactions commit forces the
 	// log; atomic-action commits rely on relative durability and do not.
 	RecCommit
 	// RecAbort marks the decision to roll back.
 	RecAbort
-	// RecEnd marks the completion of commit or rollback processing.
+	// RecEnd marks the completion of a rollback. A commit is complete at
+	// its commit record and writes none.
 	RecEnd
 	// RecUpdate is a physiological page update with redo and undo parts.
 	RecUpdate
@@ -130,6 +132,10 @@ type Record struct {
 func (r *Record) IsSystem() bool { return r.Flags&FlagSystem != 0 }
 
 const headerSize = 4 + 4 + 8 + 2 + 2 + 2 + 8 + 8 + 8 + 4 + 8 // len,crc,lsn,type,flags,kind,txn,prev,undonext,store,page
+
+// Size returns the bytes the record occupies in the log: the next record
+// starts at r.LSN + Size.
+func (r *Record) Size() int { return headerSize + len(r.Payload) }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -511,7 +517,7 @@ func (l *Log) ensure(end uint64) *segDir {
 // ReleaseBelow lets a log that has a durable sink drop the buffered bytes
 // no in-memory reader can ask for again: whole segments below
 // min(floor, stable point). floor is the caller's retention bound — the
-// begin record of the oldest transaction that may still roll back, since
+// first record of the oldest transaction that may still roll back, since
 // rollback is the only reader of old records during normal processing
 // (redo and analysis only ever run from the sink's files, after a crash).
 // It must be a record boundary; it becomes the log's first readable LSN.
