@@ -18,9 +18,10 @@ REAL_ROUNDS ?= 20
 ## showed at one), the three trees', the kernel's and the engine's
 ## likewise, the page file's slot allocator against its crash model and a
 ## short fuzz of its open path, short fuzzes of the log's record decoder
-## and segment replay and of the three trees' structure-change payload
-## decoders, and the repo benchmark's own smoke test (a nested module
-## `go test ./...` does not enter).
+## and segment replay, of its master record, of the checkpoint payload, of
+## the node record buffer's loader and of the three trees'
+## structure-change payload decoders, and the repo benchmark's own smoke
+## test (a nested module `go test ./...` does not enter).
 check: vet build test lockcpu corecpu enginecpu pagefile walfuzz race benchbuild expbuild benchsmoke torture realcrash churn
 
 vet:
@@ -62,11 +63,16 @@ pagefile:
 
 ## walfuzz: ten seconds each of arbitrary bytes through the log's record
 ## decoder and segment replay (ErrCorruptRecord or a clean prefix, never a
-## panic) and through each tree's decoders of the structure-change payloads
-## restart undo reads (an error, never a panic or an allocation sized by an
-## unchecked count).
+## panic), its master record (the exact bytes or no record), the checkpoint
+## payload (ErrCorruptCheckpoint), the loader of a node's record buffer
+## (ErrTruncated, every slot inside the input) and each tree's decoders of
+## the structure-change payloads restart undo reads (an error, never a
+## panic or an allocation sized by an unchecked count).
 walfuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzMasterRecord -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/recovery -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/enc -run '^$$' -fuzz FuzzRecordsLoad -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/tsb -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/spatial -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s

@@ -301,7 +301,9 @@ func BenchmarkT12Recovery(b *testing.B) {
 // microbenchmarks only).
 type benchCodec struct{}
 
-func (benchCodec) EncodePage(v any) ([]byte, error) { return append([]byte(nil), v.([]byte)...), nil }
+func (benchCodec) AppendPage(dst []byte, v any) ([]byte, error) {
+	return append(dst, v.([]byte)...), nil
+}
 func (benchCodec) DecodePage(b []byte) (any, error) { return append([]byte(nil), b...), nil }
 
 // BenchmarkWALAppendParallel measures raw log-append throughput with all

@@ -34,7 +34,7 @@ func (t *Tree) MultiGet(tx *txn.Txn, ks []keys.Key, vals [][]byte, found []bool)
 			for _, i := range run {
 				j, ok := leaf.search(ks[i])
 				if ok {
-					vals[i] = append(vals[i][:0], leaf.Entries[j].Value...)
+					vals[i] = append(vals[i][:0], leaf.entry(j).Value...)
 				}
 				found[i] = ok
 			}

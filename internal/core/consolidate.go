@@ -55,7 +55,7 @@ func (t *Tree) consolidate(task consolidateTask) {
 
 		// Locate the task's index term; its node is the merge seed.
 		i, exact := parent.N.search(task.low)
-		if !exact || parent.N.Entries[i].Child != task.pid {
+		if !exact || parent.N.entry(i).Child != task.pid {
 			o.Release(&parent)
 			return nil // already consolidated or never posted: obsolete
 		}
@@ -75,7 +75,7 @@ func (t *Tree) consolidate(task consolidateTask) {
 		if idx < 0 {
 			idx = 0
 		}
-		for idx+1 < len(parent.N.Entries) && merges < budget && probes < 2*budget {
+		for idx+1 < parent.N.Len() && merges < budget && probes < 2*budget {
 			probes++
 			merged, stop, err := t.tryMerge(o, &parent, idx, idx+1)
 			if err != nil {
@@ -92,7 +92,7 @@ func (t *Tree) consolidate(task consolidateTask) {
 			}
 		}
 
-		parentEntries := len(parent.N.Entries)
+		parentEntries := parent.N.Len()
 		parentIsRoot := parent.Pid() == t.root
 		parentPid := parent.Pid()
 		parentLow := keys.Clone(parent.N.Low)
@@ -104,8 +104,8 @@ func (t *Tree) consolidate(task consolidateTask) {
 		// change happens to land under this parent (under churn: never).
 		// Re-seed a task at the stopping position; a task only reschedules
 		// after freeing at least one node, so the chain terminates.
-		if merges > 0 && idx+1 < len(parent.N.Entries) {
-			e := parent.N.Entries[idx]
+		if merges > 0 && idx+1 < parent.N.Len() {
+			e := parent.N.entry(idx)
 			t.scheduleConsolidate(consolidateTask{level: task.level, low: keys.Clone(e.Key), pid: e.Child})
 		}
 		o.Release(&parent)
@@ -137,8 +137,10 @@ func (t *Tree) consolidate(task consolidateTask) {
 // parent stays latched in every case — the caller owns its release — so
 // one parent visit can try several pairs.
 func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bool, err error) {
-	bEntry := parent.N.Entries[bIdx]
-	cEntry := parent.N.Entries[cIdx]
+	// The terms are read as views: cEntry's key is logged (copied) before
+	// its term is deleted, the last use of either.
+	bEntry := parent.N.entry(bIdx)
+	cEntry := parent.N.entry(cIdx)
 	level := parent.N.Level - 1
 	capacity := t.opts.IndexCapacity
 	if level == 0 {
@@ -170,20 +172,20 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 	}
 	threshold := int(float64(capacity) * t.opts.MinUtilization)
 	ok := !c.N.Dead && keys.Equal(c.N.Low, cEntry.Key) &&
-		len(b.N.Entries)+len(c.N.Entries) <= capacity &&
-		(len(b.N.Entries) < threshold || len(c.N.Entries) < threshold)
+		b.N.Len()+c.N.Len() <= capacity &&
+		(b.N.Len() < threshold || c.N.Len() < threshold)
 	if !ok {
 		o.Release(&c, &b)
 		return false, false, nil
 	}
 	o.Promote(&c)
 
-	bLen, cLen := len(b.N.Entries), len(c.N.Entries)
+	bLen, cLen := b.N.Len(), c.N.Len()
 	// An index container's last own term, read while it is latched: the
 	// action releases b, and the cascade below starts from this junction.
 	var junction consolidateTask
 	if level > 0 {
-		j := b.N.Entries[bLen-1]
+		j := b.N.entry(bLen - 1)
 		junction = consolidateTask{level: level - 1, low: keys.Clone(j.Key), pid: j.Child}
 	}
 	err = o.Atomic(func(aa *txn.Txn) error {
@@ -198,13 +200,10 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 				return errAbandoned
 			}
 		}
-		absorbed := c.N.clone()
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(b.Pid()), KindConsolidateMove, encConsolidateMove(c.Pid(), encNodeImage(absorbed)))
-		for _, e := range absorbed.Entries {
-			b.N.insertEntry(e)
-		}
-		b.N.High = absorbed.High
-		b.N.Right = absorbed.Right
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(b.Pid()), KindConsolidateMove, encConsolidateMove(c.Pid(), encNodeImage(c.N)))
+		b.N.absorb(c.N)
+		b.N.High = c.N.High
+		b.N.Right = c.N.Right
 		b.F.MarkDirty(lsn)
 
 		if err := t.freeNode(o, aa, &c); err != nil {
@@ -217,7 +216,7 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 		// stays latched by the caller's sweep, so an abort's undo — which
 		// X-latches every page it compensates — must never reach it.
 		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveIndexTerm, encTerm(cEntry.Key, cEntry.Child))
-		parent.N.deleteEntry(cEntry.Key)
+		parent.N.recs.Delete(cIdx)
 		parent.F.MarkDirty(lsn)
 		return nil
 	})
@@ -257,11 +256,11 @@ func (t *Tree) shrinkRoot() {
 		if err != nil {
 			return err
 		}
-		if root.N.IsLeaf() || len(root.N.Entries) != 1 {
+		if root.N.IsLeaf() || root.N.Len() != 1 {
 			o.Release(&root)
 			return nil
 		}
-		childPid := root.N.Entries[0].Child
+		childPid := root.N.entry(0).Child
 		child, err := o.Acquire(childPid, latch.U, root.N.Level-1)
 		if err != nil {
 			o.Release(&root)
@@ -277,7 +276,7 @@ func (t *Tree) shrinkRoot() {
 		// re-latch and re-verify the child.
 		o.Release(&child)
 		o.Promote(&root)
-		if len(root.N.Entries) != 1 || root.N.Entries[0].Child != childPid {
+		if root.N.Len() != 1 || root.N.entry(0).Child != childPid {
 			o.Release(&root)
 			return nil
 		}
@@ -296,11 +295,10 @@ func (t *Tree) shrinkRoot() {
 			}
 			o.Promote(&child)
 
-			absorbed := child.N.clone()
-			pre := root.N.clone()
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(t.root), KindRootShrink, encRootShrink(absorbed, pre))
+			absorbed := child.N
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(t.root), KindRootShrink, encRootShrink(absorbed, root.N))
 			root.N.Level = absorbed.Level
-			root.N.Entries = absorbed.Entries
+			root.N.recs = absorbed.recs.Clone()
 			root.N.High = absorbed.High
 			root.N.Right = absorbed.Right
 			root.F.MarkDirty(lsn)

@@ -103,48 +103,32 @@ func encNodeImage(n *Node) []byte {
 	return w.Bytes()
 }
 
+// decNodeImage decodes a whole image; the node's entries alias b.
 func decNodeImage(b []byte) (*Node, error) {
 	return decodeNode(enc.NewReader(b))
 }
 
-// splitTruncate payload: the separator and the new sibling. What left the
-// node is in the sibling's format record, logged just before.
-func encSplitTruncate(sep keys.Key, right storage.PageID) []byte {
-	var w enc.Writer
-	w.Bytes32(sep)
-	w.U64(uint64(right))
-	return w.Bytes()
-}
-
-func decSplitTruncate(b []byte) (sep keys.Key, right storage.PageID, err error) {
-	r := enc.NewReader(b)
-	sep = r.Bytes32()
-	right = storage.PageID(r.U64())
-	return sep, right, r.Err()
-}
+// splitTruncate payload: the separator and the new sibling, laid out like
+// the sibling's index term. What left the node is in the sibling's format
+// record, logged just before.
+var encSplitTruncate, decSplitTruncate = encTerm, decTerm
 
 // rootGrow payload: the two index terms of the grown root plus the full
 // pre-image for compensation.
 func encRootGrow(termA, termB Entry, pre *Node) []byte {
 	var w enc.Writer
-	encodeEntry(&w, termA)
-	encodeEntry(&w, termB)
+	w.Reset(appendEntry(appendEntry(nil, termA), termB))
 	encodeNode(&w, pre)
 	return w.Bytes()
 }
 
 func decRootGrow(b []byte) (termA, termB Entry, pre *Node, err error) {
 	r := enc.NewReader(b)
-	termA, err = decodeEntry(r)
-	if err != nil {
+	terms := r.Records(2, entryLayout)
+	if pre, err = decodeNode(r); err != nil {
 		return
 	}
-	termB, err = decodeEntry(r)
-	if err != nil {
-		return
-	}
-	pre, err = decodeNode(r)
-	return
+	return viewEntry(terms.At(0)), viewEntry(terms.At(1)), pre, nil
 }
 
 // consolidateMove payload: the absorbed node's page and its image (entries
@@ -205,30 +189,11 @@ func (b *Binding) PageOriented() bool { return b.pageOriented }
 func Register(reg *storage.Registry, pageOriented bool) *Binding {
 	b := &Binding{pageOriented: pageOriented}
 
-	reg.Register(KindFormatNode, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := decNodeImage(rec.Payload)
-			if err != nil {
-				return err
-			}
-			f.Data = n
-			return nil
-		},
-		// Redo-only: the page itself needs no compensation; undoing the
-		// allocation reclaims it.
-	})
-
-	reg.Register(KindRestoreImage, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := decNodeImage(rec.Payload)
-			if err != nil {
-				return err
-			}
-			f.Data = n
-			return nil
-		},
-		// Only ever appears as a CLR; never undone.
-	})
+	// Redo-only: the page itself needs no compensation; undoing the
+	// allocation reclaims it.
+	reg.Register(KindFormatNode, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
+	// Only ever appears as a CLR; never undone.
+	reg.Register(KindRestoreImage, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
 
 	reg.Register(KindSplitTruncate, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
@@ -237,7 +202,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 				return err
 			}
 			i, _ := n.search(sep)
-			n.Entries = n.Entries[:i]
+			n.recs = n.recs.Slice(0, i)
 			n.High = keys.At(sep)
 			n.Right = right
 			return nil
@@ -298,7 +263,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 				return err
 			}
 			if i, ok := n.search(k); ok {
-				n.Entries[i].Value = nv
+				n.setValue(i, nv)
 			}
 			return nil
 		}),
@@ -388,7 +353,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 				return err
 			}
 			n.Level++
-			n.Entries = []Entry{termA, termB}
+			n.setTerms(termA, termB)
 			n.High = keys.Inf
 			n.Right = storage.NilPage
 			return nil
@@ -408,9 +373,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			if err != nil {
 				return err
 			}
-			for _, e := range absorbed.Entries {
-				n.insertEntry(e)
-			}
+			n.absorb(absorbed)
 			n.High = absorbed.High
 			n.Right = absorbed.Right
 			return nil
@@ -452,7 +415,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 				return err
 			}
 			n.Level = absorbed.Level
-			n.Entries = absorbed.Entries
+			n.recs = absorbed.recs.Clone() // absorbed aliases the payload
 			n.High = absorbed.High
 			n.Right = absorbed.Right
 			return nil

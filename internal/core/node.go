@@ -24,6 +24,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/enc"
@@ -34,7 +35,8 @@ import (
 // Entry is one slot of a node: a data record (Value) in leaves, an index
 // term (Child) in index nodes. For an index term, Key is the low bound of
 // the space the child is responsible for; the term's space extends to the
-// next entry's key (or the node's High).
+// next entry's key (or the node's High). An Entry read from a node is a
+// view: Key and Value alias the node's buffer (DESIGN.md §17).
 type Entry struct {
 	Key   keys.Key
 	Value []byte
@@ -64,10 +66,12 @@ type Node struct {
 	// update" strategy (§5.2.2(b)); the state identifier bump that sets
 	// it is what re-traversals detect.
 	Dead bool
-	// Entries are sorted by Key. In an index node the first entry's key
-	// equals Low: the union of index-term spaces must cover the directly
-	// contained space (well-formedness rule 4).
-	Entries []Entry
+	// recs are the entries as the page image stores them, sorted by key;
+	// views of them hold under the node's latch until the next mutation.
+	// In an index node the first entry's key equals Low: the union of
+	// index-term spaces must cover the directly contained space
+	// (well-formedness rule 4).
+	recs enc.Records
 }
 
 // IsLeaf reports whether the node is a data node.
@@ -82,6 +86,17 @@ func (n *Node) DirectlyContains(k keys.Key) bool {
 	return n.High.ContainsBelow(k)
 }
 
+// Len returns the number of entries.
+func (n *Node) Len() int { return n.recs.Len() }
+
+// keyAt returns entry i's key, and entry all of it, as views.
+func (n *Node) keyAt(i int) keys.Key {
+	k, _ := enc.Field32(n.recs.At(i), 0)
+	return k
+}
+
+func (n *Node) entry(i int) Entry { return viewEntry(n.recs.At(i)) }
+
 // search returns the position of k among the entries and whether an entry
 // with exactly key k exists. The binary search is written out rather than
 // going through sort.Search: node lookups run several times per descent
@@ -90,10 +105,10 @@ func (n *Node) DirectlyContains(k keys.Key) bool {
 // hit costs one comparison per level of the search instead of a full
 // lower-bound pass plus an equality check.
 func (n *Node) search(k keys.Key) (int, bool) {
-	lo, hi := 0, len(n.Entries)
+	lo, hi := 0, n.Len()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		c := keys.Compare(n.Entries[mid].Key, k)
+		c := keys.Compare(n.keyAt(mid), k)
 		if c < 0 {
 			lo = mid + 1
 		} else if c > 0 {
@@ -111,62 +126,71 @@ func (n *Node) search(k keys.Key) (int, bool) {
 func (n *Node) childFor(k keys.Key) (Entry, bool) {
 	i, exact := n.search(k)
 	if exact {
-		return n.Entries[i], true
+		return n.entry(i), true
 	}
 	if i == 0 {
 		return Entry{}, false
 	}
-	return n.Entries[i-1], true
+	return n.entry(i - 1), true
 }
 
-// insertEntry places e at its sorted position. It reports whether an
-// entry with the same key already existed (in which case nothing changes).
+// insertEntry places a copy of e at its sorted position. It reports whether
+// an entry with the same key already existed (in which case nothing changes).
 func (n *Node) insertEntry(e Entry) bool {
 	i, exact := n.search(e.Key)
 	if exact {
 		return false
 	}
-	n.Entries = append(n.Entries, Entry{})
-	copy(n.Entries[i+1:], n.Entries[i:])
-	n.Entries[i] = e
+	var scratch [256]byte
+	n.recs.Insert(i, appendEntry(scratch[:0], e))
 	return true
 }
 
-// deleteEntry removes the entry with key k, reporting whether it existed.
-func (n *Node) deleteEntry(k keys.Key) (Entry, bool) {
-	i, exact := n.search(k)
-	if !exact {
-		return Entry{}, false
-	}
-	e := n.Entries[i]
-	n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
-	return e, true
+// setValue replaces entry i's value with a copy of v: in place when the
+// length is unchanged.
+func (n *Node) setValue(i int, v []byte) {
+	e := n.entry(i)
+	e.Value = v
+	var scratch [256]byte
+	n.recs.Replace(i, appendEntry(scratch[:0], e))
 }
 
-// clone returns a deep copy of the node, used for undo payloads.
+// setTerms makes a and b the node's only entries: a grown root's two terms.
+func (n *Node) setTerms(a, b Entry) {
+	n.recs = enc.Records{}
+	n.insertEntry(a)
+	n.insertEntry(b)
+}
+
+// absorb takes in copies of c's entries (consolidation: all above n's own).
+func (n *Node) absorb(c *Node) {
+	for i := 0; i < c.Len(); i++ {
+		n.insertEntry(c.entry(i))
+	}
+}
+
+// deleteEntry removes the entry with key k, reporting whether it existed.
+func (n *Node) deleteEntry(k keys.Key) bool {
+	i, exact := n.search(k)
+	if exact {
+		n.recs.Delete(i)
+	}
+	return exact
+}
+
+// clone returns a deep copy of the node: a navigation snapshot.
 func (n *Node) clone() *Node {
-	c := &Node{
-		Level: n.Level,
-		Low:   keys.Clone(n.Low),
-		High:  n.High,
-		Right: n.Right,
-		Dead:  n.Dead,
-	}
+	c := *n
+	c.Low = keys.Clone(n.Low)
 	c.High.Key = keys.Clone(n.High.Key)
-	c.Entries = make([]Entry, len(n.Entries))
-	for i, e := range n.Entries {
-		c.Entries[i] = Entry{Key: keys.Clone(e.Key), Child: e.Child}
-		if e.Value != nil {
-			c.Entries[i].Value = append([]byte(nil), e.Value...)
-		}
-	}
-	return c
+	c.recs = n.recs.Clone()
+	return &c
 }
 
 // String renders a compact diagnostic form.
 func (n *Node) String() string {
 	iv := keys.Interval{Low: n.Low, High: n.High}
-	return fmt.Sprintf("node{L%d %s right=%d n=%d dead=%v}", n.Level, iv, n.Right, len(n.Entries), n.Dead)
+	return fmt.Sprintf("node{L%d %s right=%d n=%d dead=%v}", n.Level, iv, n.Right, n.Len(), n.Dead)
 }
 
 // encodeNode serializes a node (page image or log payload).
@@ -177,12 +201,14 @@ func encodeNode(w *enc.Writer, n *Node) {
 	w.Bool(n.High.Unbounded)
 	w.Bytes32(n.High.Key)
 	w.U64(uint64(n.Right))
-	w.U32(uint32(len(n.Entries)))
-	for _, e := range n.Entries {
-		encodeEntry(w, e)
-	}
+	w.U32(uint32(n.Len()))
+	w.Reset(n.recs.AppendTo(w.Bytes()))
 }
 
+// decodeNode reads a node whose entries ALIAS r's input: a page image the
+// caller hands over, a payload it only reads, or a copy of one
+// (pitree.RedoImage). The bounds are copied: a few key bytes must not pin
+// a buffer the entries have outgrown.
 func decodeNode(r *enc.Reader) (*Node, error) {
 	n := &Node{}
 	n.Level = int(r.U16())
@@ -191,61 +217,45 @@ func decodeNode(r *enc.Reader) (*Node, error) {
 	n.High.Unbounded = r.Bool()
 	n.High.Key = r.Bytes32()
 	n.Right = storage.PageID(r.U64())
-	cnt := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if cnt > r.Remaining()/minEntryBytes {
-		return nil, enc.ErrTruncated
-	}
-	n.Entries = make([]Entry, 0, cnt)
-	for i := 0; i < cnt; i++ {
-		e, err := decodeEntry(r)
-		if err != nil {
-			return nil, err
-		}
-		n.Entries = append(n.Entries, e)
-	}
+	n.recs = r.Records(int(r.U32()), entryLayout)
 	return n, r.Err()
 }
 
-// minEntryBytes is the least an encoded entry occupies; it bounds the
-// entry count a decoder accepts by the bytes that are left to hold them.
-const minEntryBytes = 4 + 4 + 8
+// entryLayout is an entry on the page: key, value, child.
+var entryLayout = enc.Layout{enc.Var, enc.Var, 8}
 
-func encodeEntry(w *enc.Writer, e Entry) {
-	w.Bytes32(e.Key)
-	w.Bytes32(e.Value)
-	w.U64(uint64(e.Child))
+// appendEntry appends e's record to dst: plain appends, not a Writer, so
+// that a caller's scratch buffer stays on its stack.
+func appendEntry(dst []byte, e Entry) []byte {
+	dst = enc.AppendBytes32(dst, e.Key)
+	dst = enc.AppendBytes32(dst, e.Value)
+	return binary.LittleEndian.AppendUint64(dst, uint64(e.Child))
 }
 
-func decodeEntry(r *enc.Reader) (Entry, error) {
-	e := Entry{
-		Key:   r.Bytes32(),
-		Value: r.Bytes32(),
-	}
-	e.Child = storage.PageID(r.U64())
-	return e, r.Err()
+// viewEntry reads a record of entryLayout; Key and Value alias it.
+func viewEntry(rec []byte) Entry {
+	k, off := enc.Field32(rec, 0)
+	v, off := enc.Field32(rec, off)
+	return Entry{Key: k, Value: v, Child: storage.PageID(binary.LittleEndian.Uint64(rec[off:]))}
 }
 
 // Codec is the storage.Codec for Π-tree pages.
 type Codec struct{}
 
-// EncodePage implements storage.Codec.
-func (Codec) EncodePage(v any) ([]byte, error) {
+// AppendPage implements storage.Codec.
+func (Codec) AppendPage(dst []byte, v any) ([]byte, error) {
 	n, ok := v.(*Node)
 	if !ok {
 		return nil, fmt.Errorf("core: cannot encode page of type %T", v)
 	}
 	var w enc.Writer
+	w.Reset(dst)
 	encodeNode(&w, n)
 	return w.Bytes(), nil
 }
 
-// DecodePage implements storage.Codec.
-func (Codec) DecodePage(b []byte) (any, error) {
-	return decodeNode(enc.NewReader(b))
-}
+// DecodePage implements storage.Codec: the node keeps b.
+func (Codec) DecodePage(b []byte) (any, error) { return decNodeImage(b) }
 
 // SuccessorHint implements storage.SuccessorCodec: a leaf's scan-order
 // successor is its side pointer, which is what RangeScan follows. Index

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/enc"
 	"repro/internal/keys"
 	"repro/internal/latch"
 	"repro/internal/lock"
@@ -36,7 +37,7 @@ func (t *Tree) SearchInto(tx *txn.Txn, key keys.Key, buf []byte) (val []byte, fo
 			// redo the descent under it.
 			if err = o.LockDance(tx, &leaf, t.recLockName(key), lock.S); err == nil {
 				if i, ok := leaf.N.search(key); ok {
-					val = append(buf[:0], leaf.N.Entries[i].Value...)
+					val = append(buf[:0], leaf.N.entry(i).Value...)
 					found = true
 				}
 				o.Release(&leaf)
@@ -123,7 +124,7 @@ func (w *leafWrite) Trace() any {
 
 // Full: any write to a full leaf splits it first, whether or not the
 // write itself needs room.
-func (w *leafWrite) Full(n *Node, _ int) bool { return len(n.Entries) >= w.t.opts.LeafCapacity }
+func (w *leafWrite) Full(n *Node, _ int) bool { return n.Len() >= w.t.opts.LeafCapacity }
 
 func (w *leafWrite) Split(o *opCtx, leaf nref) error { return w.t.splitLeaf(o, &leaf, w.path) }
 
@@ -140,9 +141,9 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 			}
 			return up, ErrKeyNotFound
 		}
-		up = txn.GroupUpdate{Kind: KindDeleteRecord, Payload: encKV(k, n.Entries[j].Value)}
-		n.deleteEntry(k)
-		t.Stats.NoteLeafUtil(len(n.Entries)+1, len(n.Entries), t.opts.LeafCapacity)
+		up = txn.GroupUpdate{Kind: KindDeleteRecord, Payload: encKV(k, n.entry(j).Value)}
+		n.recs.Delete(j)
+		t.Stats.NoteLeafUtil(n.Len()+1, n.Len(), t.opts.LeafCapacity)
 		if batched {
 			t.Stats.Deletes.Add(1)
 		}
@@ -151,8 +152,8 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 		if w.op == opInsert {
 			return up, ErrKeyExists
 		}
-		up = txn.GroupUpdate{Kind: KindUpdateRecord, Payload: encKVV(k, w.vals[i], n.Entries[j].Value)}
-		n.Entries[j].Value = append([]byte(nil), w.vals[i]...)
+		up = txn.GroupUpdate{Kind: KindUpdateRecord, Payload: encKVV(k, w.vals[i], n.entry(j).Value)}
+		n.setValue(j, enc.NilIfEmpty(w.vals[i]))
 		if batched {
 			t.Stats.Updates.Add(1)
 		}
@@ -161,8 +162,8 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 			return up, ErrKeyNotFound
 		}
 		up = txn.GroupUpdate{Kind: KindInsertRecord, Payload: encKV(k, w.vals[i])}
-		n.insertEntry(Entry{Key: keys.Clone(k), Value: append([]byte(nil), w.vals[i]...)})
-		t.Stats.NoteLeafUtil(len(n.Entries)-1, len(n.Entries), t.opts.LeafCapacity)
+		n.insertEntry(Entry{Key: k, Value: enc.NilIfEmpty(w.vals[i])})
+		t.Stats.NoteLeafUtil(n.Len()-1, n.Len(), t.opts.LeafCapacity)
 		if batched {
 			t.Stats.Inserts.Add(1)
 		}
@@ -220,9 +221,8 @@ func (t *Tree) splitLeaf(o *opCtx, leaf *nref, path *Path) error {
 				// Record-set realization (§4.2.2): MV-lock every record that
 				// the split will move. A conflict means some transaction has
 				// an undoable update on a to-be-moved record.
-				mid := len(leaf.N.Entries) / 2
-				for _, e := range leaf.N.Entries[mid:] {
-					if err := t.moveLockDance(o, aa, leaf, t.recLockName(e.Key)); err != nil {
+				for i := leaf.N.Len() / 2; i < leaf.N.Len(); i++ {
+					if err := t.moveLockDance(o, aa, leaf, t.recLockName(leaf.N.keyAt(i))); err != nil {
 						return err
 					}
 				}
@@ -356,44 +356,44 @@ func (t *Tree) allocNode(o *opCtx, act *txn.Txn, level int) (storage.PageID, err
 // needed, both terms were installed here.
 func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.PageID, error) {
 	n := r.N
-	if len(n.Entries) < 2 {
-		return nil, storage.NilPage, fmt.Errorf("core: split of node %d with %d entries", r.Pid(), len(n.Entries))
+	count := n.Len()
+	if count < 2 {
+		return nil, storage.NilPage, fmt.Errorf("core: split of node %d with %d entries", r.Pid(), count)
 	}
-	mid := len(n.Entries) / 2
-	sep := keys.Clone(n.Entries[mid].Key)
-	pre := n.clone()
+	mid := count / 2
+	sep := keys.Clone(n.keyAt(mid))
 
 	newPid, err := t.allocNode(o, act, n.Level)
 	if err != nil {
 		return nil, storage.NilPage, err
 	}
-	// The upper half must NOT share pre's backing array: an in-place
-	// append during a later insert into one node would overwrite the
-	// other's entries.
+	// The upper half is copied out while the node is still whole: the
+	// node changes only once its own record is logged, after a format
+	// that can fail.
 	upper := &Node{
-		Level:   n.Level,
-		Low:     sep,
-		High:    pre.High,
-		Right:   pre.Right,
-		Entries: append([]Entry(nil), pre.Entries[mid:]...),
+		Level: n.Level,
+		Low:   sep,
+		High:  n.High,
+		Right: n.Right,
+		recs:  n.recs.Slice(mid, count),
 	}
 	if err := o.Format(act, newPid, upper, n.Level, KindFormatNode, encNodeImage(upper)); err != nil {
 		return nil, storage.NilPage, err
 	}
 	if r.Pid() == t.root {
-		return nil, storage.NilPage, t.growRoot(o, r, act, pre, sep, mid, newPid)
+		return nil, storage.NilPage, t.growRoot(o, r, act, sep, mid, newPid)
 	}
 
 	lsnT := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindSplitTruncate, encSplitTruncate(sep, newPid))
-	n.Entries = n.Entries[:mid]
+	n.recs = n.recs.Slice(0, mid)
 	n.High = keys.At(sep)
 	n.Right = newPid
 	r.F.MarkDirty(lsnT)
 
 	if n.Level == 0 {
 		t.Stats.LeafSplits.Add(1)
-		t.Stats.NoteLeafUtil(len(pre.Entries), mid, t.opts.LeafCapacity)
-		t.Stats.NoteLeafUtil(-1, len(pre.Entries)-mid, t.opts.LeafCapacity)
+		t.Stats.NoteLeafUtil(count, mid, t.opts.LeafCapacity)
+		t.Stats.NoteLeafUtil(-1, count-mid, t.opts.LeafCapacity)
 	} else {
 		t.Stats.IndexSplits.Add(1)
 	}
@@ -405,38 +405,40 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 // whose side pointer references B, and the root becomes an index node
 // over both. Height increases by one; the root page never moves and is
 // never de-allocated (§5.2.2 relies on this).
-func (t *Tree) growRoot(o *opCtx, r *nref, act *txn.Txn, pre *Node, sep keys.Key, mid int, pidB storage.PageID) error {
+func (t *Tree) growRoot(o *opCtx, r *nref, act *txn.Txn, sep keys.Key, mid int, pidB storage.PageID) error {
 	n := r.N
-	pidA, err := t.allocNode(o, act, pre.Level)
+	level, count := n.Level, n.Len()
+	pidA, err := t.allocNode(o, act, level)
 	if err != nil {
 		return err
 	}
 	nodeA := &Node{
-		Level:   pre.Level,
-		Low:     keys.Clone(pre.Low),
-		High:    keys.At(sep),
-		Right:   pidB,
-		Entries: append([]Entry(nil), pre.Entries[:mid]...),
+		Level: level,
+		Low:   keys.Clone(n.Low),
+		High:  keys.At(sep),
+		Right: pidB,
+		recs:  n.recs.Slice(0, mid),
 	}
-	if err := o.Format(act, pidA, nodeA, pre.Level, KindFormatNode, encNodeImage(nodeA)); err != nil {
+	if err := o.Format(act, pidA, nodeA, level, KindFormatNode, encNodeImage(nodeA)); err != nil {
 		return err
 	}
 
-	termA := Entry{Key: keys.Clone(pre.Low), Child: pidA}
-	termB := Entry{Key: keys.Clone(sep), Child: pidB}
-	lsn := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindRootGrow, encRootGrow(termA, termB, pre))
+	termA := Entry{Key: n.Low, Child: pidA}
+	termB := Entry{Key: sep, Child: pidB}
+	// The record keeps the root whole, for compensation.
+	lsn := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindRootGrow, encRootGrow(termA, termB, n))
 	n.Level++
-	n.Entries = []Entry{termA, termB}
+	n.setTerms(termA, termB)
 	n.High = keys.Inf
 	n.Right = storage.NilPage
 	r.F.MarkDirty(lsn)
 
 	t.Stats.RootGrowths.Add(1)
-	if pre.Level == 0 {
+	if level == 0 {
 		// The root leaf's entries moved into two new leaves.
-		t.Stats.NoteLeafUtil(len(pre.Entries), -1, t.opts.LeafCapacity)
+		t.Stats.NoteLeafUtil(count, -1, t.opts.LeafCapacity)
 		t.Stats.NoteLeafUtil(-1, mid, t.opts.LeafCapacity)
-		t.Stats.NoteLeafUtil(-1, len(pre.Entries)-mid, t.opts.LeafCapacity)
+		t.Stats.NoteLeafUtil(-1, count-mid, t.opts.LeafCapacity)
 	}
 	return nil
 }
@@ -461,7 +463,7 @@ func (t *Tree) schedulePostAfterSplit(path *Path, sep keys.Key, newPid storage.P
 // invariant only).
 func (t *Tree) consolidationFor(r *nref) (consolidateTask, bool) {
 	if !t.opts.Consolidation || t.opts.NoCompletion || r.Pid() == t.root ||
-		len(r.N.Entries) >= int(float64(t.opts.LeafCapacity)*t.opts.MinUtilization) {
+		r.N.Len() >= int(float64(t.opts.LeafCapacity)*t.opts.MinUtilization) {
 		return consolidateTask{}, false
 	}
 	return consolidateTask{level: r.N.Level, low: keys.Clone(r.N.Low), pid: r.Pid()}, true
@@ -493,10 +495,9 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 				return err
 			}
 			// Collect this leaf's qualifying records, then move on.
-			for _, e := range leaf.N.Entries {
-				if keys.Compare(e.Key, cursor) < 0 {
-					continue
-				}
+			first, _ := leaf.N.search(cursor)
+			for i := first; i < leaf.N.Len(); i++ {
+				e := leaf.N.entry(i)
 				if hi != nil && keys.Compare(e.Key, hi) >= 0 {
 					done = true
 					break

@@ -90,7 +90,7 @@ func (p *indexPost) Verify(o *opCtx, node *nref) (bool, error) {
 }
 
 // Full is step 3, the Space Test.
-func (p *indexPost) Full(n *Node) bool { return len(n.Entries) >= p.t.opts.IndexCapacity }
+func (p *indexPost) Full(n *Node) bool { return n.Len() >= p.t.opts.IndexCapacity }
 
 func (p *indexPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, error) {
 	sep, newPid, err := p.t.splitNode(o, node, aa)

@@ -23,14 +23,16 @@ func TestNodeEncodeDecodeProperty(t *testing.T) {
 			Right: storage.PageID(right),
 			Dead:  dead,
 		}
+		var want []Entry
 		for i := range ks {
 			e := Entry{Key: ks[i]}
 			if i < len(vs) {
 				e.Value = vs[i]
 			}
-			n.Entries = append(n.Entries, e)
+			want = append(want, e)
 		}
-		enc, err := (Codec{}).EncodePage(n)
+		appendEntries(n, want...)
+		enc, err := (Codec{}).AppendPage(nil, n)
 		if err != nil {
 			return false
 		}
@@ -48,14 +50,15 @@ func TestNodeEncodeDecodeProperty(t *testing.T) {
 		if m.High.Unbounded != n.High.Unbounded || !bytes.Equal(m.High.Key, n.High.Key) && !(m.High.Key == nil && n.High.Key == nil) {
 			return false
 		}
-		if len(m.Entries) != len(n.Entries) {
+		got := entriesOf(m)
+		if len(got) != len(want) {
 			return false
 		}
-		for i := range m.Entries {
-			if !bytes.Equal(m.Entries[i].Key, n.Entries[i].Key) && !(m.Entries[i].Key == nil && n.Entries[i].Key == nil) {
+		for i := range got {
+			if !bytes.Equal(got[i].Key, want[i].Key) || (got[i].Key == nil) != (want[i].Key == nil) {
 				return false
 			}
-			if !bytes.Equal(m.Entries[i].Value, n.Entries[i].Value) && !(m.Entries[i].Value == nil && n.Entries[i].Value == nil) {
+			if !bytes.Equal(got[i].Value, want[i].Value) || (got[i].Value == nil) != (want[i].Value == nil) {
 				return false
 			}
 		}
@@ -81,21 +84,21 @@ func TestNodeEntryOpsProperty(t *testing.T) {
 				}
 				oracle[k] = true
 			} else {
-				_, removed := n.deleteEntry(keys.Uint64(k))
+				removed := n.deleteEntry(keys.Uint64(k))
 				if removed != oracle[k] {
 					return false
 				}
 				delete(oracle, k)
 			}
 			// Invariant: sorted, unique, matches oracle.
-			if len(n.Entries) != len(oracle) {
+			if n.Len() != len(oracle) {
 				return false
 			}
-			for i := range n.Entries {
-				if i > 0 && keys.Compare(n.Entries[i-1].Key, n.Entries[i].Key) >= 0 {
+			for i := 0; i < n.Len(); i++ {
+				if i > 0 && keys.Compare(n.keyAt(i-1), n.keyAt(i)) >= 0 {
 					return false
 				}
-				if !oracle[keys.ToUint64(n.Entries[i].Key)] {
+				if !oracle[keys.ToUint64(n.keyAt(i))] {
 					return false
 				}
 			}

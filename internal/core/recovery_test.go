@@ -274,7 +274,7 @@ func (t *Tree) leftmostOfLevel(tb testing.TB, level int) storage.PageID {
 			pool.Unpin(f)
 			return cur
 		}
-		next := n.Entries[0].Child
+		next := n.entry(0).Child
 		pool.Unpin(f)
 		cur = next
 	}

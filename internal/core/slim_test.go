@@ -51,7 +51,7 @@ func randomNode(rng *rand.Rand, level int, low uint64) (*Node, uint64) {
 		} else {
 			e.Child = storage.PageID(1 + rng.Intn(1000))
 		}
-		n.Entries = append(n.Entries, e)
+		appendEntries(n, e)
 		k += 1 + uint64(rng.Intn(9))
 	}
 	if rng.Intn(4) == 0 {
@@ -71,12 +71,12 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 		want := encNodeImage(n)
 
 		// Split, as splitNode does it.
-		mid := len(n.Entries) / 2
-		sep := keys.Clone(n.Entries[mid].Key)
-		upper := &Node{Level: n.Level, Low: sep, High: n.High, Right: n.Right, Entries: append([]Entry(nil), n.Entries[mid:]...)}
+		mid := n.Len() / 2
+		sep := keys.Clone(n.keyAt(mid))
+		upper := &Node{Level: n.Level, Low: sep, High: n.High, Right: n.Right, recs: n.recs.Slice(mid, n.Len())}
 		applied, undone := undoRoundTrip(t, reg, n, 901, upper, KindSplitTruncate, encSplitTruncate(sep, 901))
 		lower := n.clone()
-		lower.Entries, lower.High, lower.Right = lower.Entries[:mid], keys.At(sep), 901
+		lower.recs, lower.High, lower.Right = lower.recs.Slice(0, mid), keys.At(sep), 901
 		if !bytes.Equal(applied, encNodeImage(lower)) {
 			t.Fatalf("node %d: split left %x, want the lower half %x", i, applied, encNodeImage(lower))
 		}
@@ -93,7 +93,8 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 		want = encNodeImage(n)
 		applied, undone = undoRoundTrip(t, reg, n, 0, nil, KindConsolidateMove, encConsolidateMove(902, encNodeImage(c)))
 		merged := n.clone()
-		merged.Entries, merged.High, merged.Right = append(merged.Entries, c.clone().Entries...), c.High, c.Right
+		appendEntries(merged, entriesOf(c)...)
+		merged.High, merged.Right = c.High, c.Right
 		if !bytes.Equal(applied, encNodeImage(merged)) {
 			t.Fatalf("node %d: consolidate move gives %x, want %x", i, applied, encNodeImage(merged))
 		}
@@ -391,8 +392,8 @@ func FuzzSlimPayloads(f *testing.F) {
 				t.Fatalf("split payload %x decodes to one that encodes as %x", b, got)
 			}
 		}
-		if _, n, err := decConsolidateMove(b); err == nil && len(n.Entries) > len(b) {
-			t.Fatalf("%d entries out of %d bytes", len(n.Entries), len(b))
+		if _, n, err := decConsolidateMove(b); err == nil && n.Len() > len(b) {
+			t.Fatalf("%d entries out of %d bytes", n.Len(), len(b))
 		}
 		_, _, _ = decRootShrink(b)
 		_, _, _, _ = decRootGrow(b)

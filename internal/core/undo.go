@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/enc"
 	"repro/internal/keys"
 	"repro/internal/latch"
 	"repro/internal/wal"
@@ -50,10 +51,9 @@ func (t *Tree) logicalUndoDelete(rec *wal.Record, k keys.Key) error {
 			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
 			return nil
 		}
-		old := leaf.N.Entries[i].Value
 		o.Promote(&leaf)
-		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindDeleteRecord, encKV(k, old), rec.PrevLSN)
-		leaf.N.deleteEntry(k)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindDeleteRecord, encKV(k, leaf.N.entry(i).Value), rec.PrevLSN)
+		leaf.N.recs.Delete(i)
 		leaf.F.MarkDirty(lsn)
 		o.Release(&leaf)
 		return nil
@@ -73,7 +73,7 @@ func (t *Tree) logicalUndoInsert(rec *wal.Record, k keys.Key, v []byte) error {
 		if err != nil {
 			return err
 		}
-		if len(leaf.N.Entries) >= t.opts.LeafCapacity {
+		if leaf.N.Len() >= t.opts.LeafCapacity {
 			// Undo can split: in logical-undo mode every split is an
 			// independent atomic action (o.Txn is nil here, so splitLeaf
 			// takes that path).
@@ -89,7 +89,7 @@ func (t *Tree) logicalUndoInsert(rec *wal.Record, k keys.Key, v []byte) error {
 		}
 		o.Promote(&leaf)
 		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertRecord, encKV(k, v), rec.PrevLSN)
-		leaf.N.insertEntry(Entry{Key: keys.Clone(k), Value: append([]byte(nil), v...)})
+		leaf.N.insertEntry(Entry{Key: k, Value: enc.NilIfEmpty(v)})
 		leaf.F.MarkDirty(lsn)
 		o.Release(&leaf)
 		return nil
@@ -113,10 +113,9 @@ func (t *Tree) logicalUndoUpdate(rec *wal.Record, k keys.Key, oldVal []byte) err
 			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
 			return nil
 		}
-		cur := leaf.N.Entries[i].Value
 		o.Promote(&leaf)
-		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindUpdateRecord, encKVV(k, oldVal, cur), rec.PrevLSN)
-		leaf.N.Entries[i].Value = append([]byte(nil), oldVal...)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindUpdateRecord, encKVV(k, oldVal, leaf.N.entry(i).Value), rec.PrevLSN)
+		leaf.N.setValue(i, enc.NilIfEmpty(oldVal))
 		leaf.F.MarkDirty(lsn)
 		o.Release(&leaf)
 		return nil

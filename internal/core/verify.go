@@ -115,8 +115,9 @@ func (t *Tree) Verify() (TreeShape, error) {
 			}
 
 			// Per-node entry checks.
-			for i, e := range n.Entries {
-				if i > 0 && keys.Compare(n.Entries[i-1].Key, e.Key) >= 0 {
+			for i := 0; i < n.Len(); i++ {
+				e := n.entry(i)
+				if i > 0 && keys.Compare(n.keyAt(i-1), e.Key) >= 0 {
 					return shape, fmt.Errorf("core verify: page %d entries out of order at %d", pid, i)
 				}
 				if n.Low != nil && keys.Compare(e.Key, n.Low) < 0 {
@@ -166,14 +167,13 @@ func (t *Tree) Verify() (TreeShape, error) {
 				// Rule 4: terms must cover the directly contained space
 				// from Low; an index node's first term starts its
 				// coverage at or below Low.
-				if len(n.Entries) == 0 {
+				if n.Len() == 0 {
 					return shape, fmt.Errorf("core verify: index node %d is empty", pid)
 				}
-				if n.Low != nil && keys.Compare(n.Entries[0].Key, n.Low) > 0 {
-					return shape, fmt.Errorf("core verify: index node %d coverage starts at %x, after low %x", pid, n.Entries[0].Key, n.Low)
-				}
-				if n.Low == nil && n.Entries[0].Key != nil && len(n.Entries[0].Key) > 0 {
-					return shape, fmt.Errorf("core verify: leftmost index node %d coverage starts at %x, not -inf", pid, n.Entries[0].Key)
+				if k := n.keyAt(0); n.Low != nil && keys.Compare(k, n.Low) > 0 {
+					return shape, fmt.Errorf("core verify: index node %d coverage starts at %x, after low %x", pid, k, n.Low)
+				} else if n.Low == nil && len(k) > 0 {
+					return shape, fmt.Errorf("core verify: leftmost index node %d coverage starts at %x, not -inf", pid, k)
 				}
 			}
 			shape.NodesAtLevel[level]++
@@ -190,7 +190,7 @@ func (t *Tree) Verify() (TreeShape, error) {
 			if err != nil {
 				return shape, err
 			}
-			leftmost = first.Entries[0].Child
+			leftmost = first.entry(0).Child
 		}
 	}
 	if err := t.store.SpaceCheck(reachable); err != nil {

@@ -24,16 +24,22 @@ type Writer struct {
 // Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }
 
+// Reset makes w append to dst: Bytes then returns dst with the encoding
+// behind it, for a caller that has a prefix or a scratch buffer.
+func (w *Writer) Reset(dst []byte) { w.buf = dst }
+
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
 // Bool appends a boolean as one byte.
-func (w *Writer) Bool(v bool) {
+func (w *Writer) Bool(v bool) { w.U8(Bit(v)) }
+
+// Bit is the byte a boolean is encoded as.
+func Bit(v bool) byte {
 	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
+		return 1
 	}
+	return 0
 }
 
 // U16 appends a 16-bit integer.
@@ -58,13 +64,25 @@ func (w *Writer) U64(v uint64) {
 }
 
 // Bytes32 appends a length-prefixed byte string, preserving nil-ness.
-func (w *Writer) Bytes32(b []byte) {
+func (w *Writer) Bytes32(b []byte) { w.buf = AppendBytes32(w.buf, b) }
+
+// AppendBytes32 is Writer.Bytes32 on a plain slice, for an encoder whose
+// scratch buffer has to stay on its caller's stack.
+func AppendBytes32(dst, b []byte) []byte {
 	if b == nil {
-		w.U32(nilMarker)
-		return
+		return binary.LittleEndian.AppendUint32(dst, nilMarker)
 	}
-	w.U32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(b))), b...)
+}
+
+// NilIfEmpty returns nil for an empty v and v otherwise. The trees' writes
+// store an empty value as a nil one — the nil marker on the page — which
+// is how the copy they once made of every value came out.
+func NilIfEmpty(v []byte) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return v
 }
 
 // Reader consumes an encoding produced by Writer.
@@ -82,6 +100,17 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
+// Records reads count records with Load and moves behind them. They alias
+// the reader's input.
+func (r *Reader) Records(count int, l Layout) Records {
+	if r.err != nil {
+		return Records{}
+	}
+	recs, n, err := Load(r.buf[r.off:], count, l)
+	r.off, r.err = r.off+n, err
+	return recs
+}
 
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {

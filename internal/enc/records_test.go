@@ -1,0 +1,185 @@
+package enc
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+)
+
+// testLayout is a record of a byte string and a fixed trailer, like a
+// tree's entry; rec builds one.
+var testLayout = Layout{Var, 3}
+
+func rec(rng *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	rng.Read(b)
+	return append(AppendBytes32(nil, b), 1, 2, 3)
+}
+
+// sizeClass is what the allocator rounds n bytes up to.
+func sizeClass(n int) int { return cap(append([]byte(nil), make([]byte, n)...)) }
+
+func check(t *testing.T, step int, r *Records, model [][]byte) {
+	t.Helper()
+	if r.Len() != len(model) {
+		t.Fatalf("step %d: %d records, model has %d", step, r.Len(), len(model))
+	}
+	size := 0
+	for i, want := range model {
+		if got := r.At(i); !bytes.Equal(got, want) {
+			t.Fatalf("step %d: record %d is %x, model has %x", step, i, got, want)
+		}
+		size += len(want)
+	}
+	if r.Size() != size {
+		t.Fatalf("step %d: Size %d, the model's records take %d", step, r.Size(), size)
+	}
+	if !bytes.Equal(r.AppendTo(nil), bytes.Join(model, nil)) {
+		t.Fatalf("step %d: AppendTo differs from the model's records in order", step)
+	}
+	if holes := len(r.buf) - size; holes > size {
+		t.Fatalf("step %d: %d bytes of holes beside %d live", step, holes, size)
+	}
+}
+
+// exact asserts that r holds nothing but its records: a buffer of their
+// size, up to the allocator's rounding.
+func exact(t *testing.T, step int, what string, r *Records) {
+	t.Helper()
+	if len(r.buf) != r.size || cap(r.buf) > sizeClass(r.size) {
+		t.Fatalf("step %d: %s left a buffer of len %d cap %d for %d live bytes (size class %d)",
+			step, what, len(r.buf), cap(r.buf), r.size, sizeClass(r.size))
+	}
+	if cap(r.slots) > sizeClass(8*len(r.slots))/8 {
+		t.Fatalf("step %d: %s left a slot table of cap %d for %d records", step, what, cap(r.slots), len(r.slots))
+	}
+}
+
+// TestRecordsModel drives seeded Insert / Replace (same and other length) /
+// Delete / Slice / Pick / Clone / AppendTo → Load against a [][]byte model.
+func TestRecordsModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var r Records
+		var model [][]byte
+		for step := 0; step < 2000; step++ {
+			switch op := rng.Intn(20); {
+			case op < 8 || len(model) == 0:
+				i, b := rng.Intn(len(model)+1), rec(rng, rng.Intn(60))
+				r.Insert(i, b)
+				model = append(model[:i], append([][]byte{b}, model[i:]...)...)
+			case op < 11:
+				i := rng.Intn(len(model))
+				b := rec(rng, len(model[i])-7) // the length it has: in place
+				before := &r.buf[r.slots[i].off]
+				r.Replace(i, b)
+				if &r.buf[r.slots[i].off] != before {
+					t.Fatalf("seed %d step %d: a same-length Replace moved the record", seed, step)
+				}
+				model[i] = b
+			case op < 13:
+				i, b := rng.Intn(len(model)), rec(rng, rng.Intn(60))
+				r.Replace(i, b)
+				model[i] = b
+			case op < 17:
+				i := rng.Intn(len(model))
+				before := len(r.buf) - r.size
+				r.Delete(i)
+				model = append(model[:i], model[i+1:]...)
+				if len(r.buf)-r.size < before { // the holes shrank: a repack
+					exact(t, step, "the repack in Delete", &r)
+				}
+			case op == 17: // a split: the tail to a sibling, the head stays
+				mid := rng.Intn(len(model) + 1)
+				tail := r.Slice(mid, r.Len())
+				r = r.Slice(0, mid)
+				exact(t, step, "Slice (tail)", &tail)
+				exact(t, step, "Slice (head)", &r)
+				check(t, step, &tail, model[mid:])
+				model = model[:mid:mid]
+			case op == 18: // every other record, as a time split picks
+				var idx []int
+				var want [][]byte
+				for i := rng.Intn(2); i < len(model); i += 2 {
+					idx, want = append(idx, i), append(want, model[i])
+				}
+				p := r.Pick(idx)
+				exact(t, step, "Pick", &p)
+				check(t, step, &p, want)
+			default: // image round trip, and a clone that shares nothing
+				img := r.AppendTo(nil)
+				back, n, err := Load(img, r.Len(), testLayout)
+				if err != nil || n != len(img) {
+					t.Fatalf("seed %d step %d: Load of AppendTo: %d of %d bytes, %v", seed, step, n, len(img), err)
+				}
+				check(t, step, &back, model)
+				c := r.Clone()
+				exact(t, step, "Clone", &c)
+				for i := range model {
+					c.Replace(i, rec(rng, len(model[i])-7))
+				}
+			}
+			check(t, step, &r, model)
+		}
+	}
+}
+
+// TestRecordsViewsAliasUntilMutation pins the aliasing rule: At aliases the
+// buffer (a same-length Replace shows through it), and a record handed to
+// Insert or Replace is copied (changing it afterwards changes nothing).
+func TestRecordsViewsAliasUntilMutation(t *testing.T) {
+	var r Records
+	in := []byte("abcdef")
+	r.Insert(0, in)
+	in[0] = 'X'
+	if got := r.At(0); string(got) != "abcdef" {
+		t.Fatalf("Insert kept the caller's slice: %q", got)
+	}
+	view := r.At(0)
+	r.Replace(0, []byte("uvwxyz"))
+	if string(view) != "uvwxyz" {
+		t.Fatalf("a same-length Replace did not write in place: the old view reads %q", view)
+	}
+	if len(view) != cap(view) {
+		t.Fatal("a view has room to be appended to: it would run into the next record")
+	}
+}
+
+// FuzzRecordsLoad: arbitrary bytes and counts load or fail with
+// ErrTruncated; what loads lies inside the input, record for record, and
+// the slot table is no longer than the input could fill.
+func FuzzRecordsLoad(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	f.Add(append(rec(rng, 5), rec(rng, 0)...), 2)
+	f.Add(rec(rng, 9), 3)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, 1) // a nil string
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3}, 1) // a length far past the end
+	f.Add([]byte{}, 1<<31-1)
+	f.Fuzz(func(t *testing.T, b []byte, count int) {
+		r, n, err := Load(b, count, testLayout)
+		if err != nil {
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("Load fails with %v, not ErrTruncated", err)
+			}
+			return
+		}
+		if r.Len() != count || n > len(b) || r.Size() != n || cap(r.slots) > len(b) {
+			t.Fatalf("%d records (asked %d) in %d of %d bytes, %d slots", r.Len(), count, n, len(b), cap(r.slots))
+		}
+		off := 0
+		for i := 0; i < r.Len(); i++ {
+			got := r.At(i)
+			if len(got) < 7 || !bytes.Equal(got, b[off:off+len(got)]) {
+				t.Fatalf("record %d is not the input at %d", i, off)
+			}
+			if s, _ := Field32(got, 0); len(s) != max(len(got)-7, 0) {
+				t.Fatalf("record %d: string of %d in a record of %d", i, len(s), len(got))
+			}
+			off += len(got)
+		}
+		if !bytes.Equal(r.AppendTo(nil), b[:n]) {
+			t.Fatal("what was loaded does not append back as the input")
+		}
+	})
+}

@@ -11,7 +11,9 @@ import (
 // byteCodec stores raw byte slices.
 type byteCodec struct{}
 
-func (byteCodec) EncodePage(v any) ([]byte, error) { return append([]byte(nil), v.([]byte)...), nil }
+func (byteCodec) AppendPage(dst []byte, v any) ([]byte, error) {
+	return append(dst, v.([]byte)...), nil
+}
 func (byteCodec) DecodePage(b []byte) (any, error) { return append([]byte(nil), b...), nil }
 
 // A trivial record kind for engine-level tests: set page contents.

@@ -1,10 +1,16 @@
-// Package pitreetest holds what the three trees' log-record tests share.
+// Package pitreetest holds what the three trees' tests share.
 package pitreetest
 
 import (
 	"bytes"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -76,4 +82,85 @@ func CutBeforeCommit(t testing.TB, log *wal.Log, kind wal.Kind) wal.LSN {
 		t.Fatalf("no committed transaction logged a record of kind %d", kind)
 	}
 	return commit
+}
+
+// CopyDir copies the directory tree at src into a fresh temporary
+// directory and returns it: a checked-in data directory is opened — and
+// written to — through a copy.
+func CopyDir(t testing.TB, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatalf("copy %s: %v", src, err)
+	}
+	return dst
+}
+
+// HeapPerRecord measures what one stored record costs in live heap: it
+// opens a file-backed engine in a temporary directory — so neither the log
+// nor the stable pages are heap — and hands it to load, which builds a tree
+// and then calls measure(phase, records, budget) at every point of interest.
+// measure writes the pages back, checkpoints (the in-memory log is trimmed
+// to the checkpoint), collects garbage, and fails the test if the heap grown
+// since before the engine existed, divided by records, exceeds budget bytes.
+func HeapPerRecord(t *testing.T, load func(e *engine.Engine, measure func(phase string, records int, budget float64))) {
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := heap()
+	e, _, err := engine.Open(engine.Options{DataDir: t.TempDir(), SlotSize: 32 << 10, Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load(e, func(phase string, records int, budget float64) {
+		t.Helper()
+		if _, err := e.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		per := float64(int64(heap()-base)) / float64(records)
+		t.Logf("%s: %.1f bytes of live heap per record (%d records, budget %.1f)", phase, per, records, budget)
+		if per > budget {
+			t.Errorf("%s: %.1f bytes of live heap per record, budget %.1f: the heap holds more than the records", phase, per, budget)
+		}
+	})
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Inside reports whether b's first byte lies inside one of the byte ranges
+// in spans: whether b, a slice some API returned or kept, aliases memory the
+// caller does not own — a node's records, say.
+func Inside(b []byte, spans [][]byte) bool {
+	if len(b) == 0 {
+		return false
+	}
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	for _, s := range spans {
+		if start := uintptr(unsafe.Pointer(unsafe.SliceData(s))); len(s) > 0 && p >= start && p < start+uintptr(len(s)) {
+			return true
+		}
+	}
+	return false
 }

@@ -29,6 +29,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -92,10 +93,14 @@ func encodeCheckpoint(c *Checkpoint) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// ErrCorruptCheckpoint reports a checkpoint record whose payload does not
+// decode.
+var ErrCorruptCheckpoint = errors.New("recovery: corrupt checkpoint record")
+
 func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 	var c Checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
 	}
 	return &c, nil
 }

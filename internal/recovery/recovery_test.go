@@ -19,10 +19,8 @@ type counter struct{ v int64 }
 
 type counterCodec struct{}
 
-func (counterCodec) EncodePage(v any) ([]byte, error) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v.(*counter).v))
-	return b[:], nil
+func (counterCodec) AppendPage(dst []byte, v any) ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(dst, uint64(v.(*counter).v)), nil
 }
 
 func (counterCodec) DecodePage(b []byte) (any, error) {

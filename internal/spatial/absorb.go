@@ -136,7 +136,7 @@ func (t *Tree) scanAbsorbCandidates() ([]absorbCand, error) {
 		if err != nil {
 			return false, err
 		}
-		return n != nil && n.IsData() && len(n.Entries) == 0 && len(n.Sibs) == 0, nil
+		return n != nil && n.IsData() && n.Len() == 0 && len(n.Sibs) == 0, nil
 	}
 	var visit func(pid storage.PageID) error
 	visit = func(pid storage.PageID) error {
@@ -165,8 +165,8 @@ func (t *Tree) scanAbsorbCandidates() ([]absorbCand, error) {
 			}
 		}
 		if !cp.IsData() {
-			for _, e := range cp.Entries {
-				if err := visit(e.Child); err != nil {
+			for i := 0; i < cp.Len(); i++ {
+				if err := visit(cp.entry(i).Child); err != nil {
 					return err
 				}
 			}
@@ -209,19 +209,19 @@ func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 			t.Stats.AbsorbDeferred.Add(1)
 			return nil
 		}
-		term := parent.N.Entries[i]
+		term := parent.N.entry(i) // no Value: nothing of it aliases the node
 		if term.Clipped {
 			o.Release(&parent)
 			t.Stats.AbsorbMultiParent.Add(1)
 			return nil
 		}
-		if len(parent.N.Entries) <= 1 {
+		if parent.N.Len() <= 1 {
 			o.Release(&parent)
 			return nil
 		}
 		survivor := false
-		for j, e := range parent.N.Entries {
-			if j != i && e.Rect.ContainsRect(term.Rect) {
+		for j := 0; j < parent.N.Len(); j++ {
+			if r, _ := parent.N.termAt(j); j != i && r.ContainsRect(term.Rect) {
 				survivor = true
 				break
 			}
@@ -261,7 +261,7 @@ func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 			o.Release(&deleg, &parent)
 			return err
 		}
-		if !victim.N.IsData() || len(victim.N.Entries) != 0 || len(victim.N.Sibs) != 0 {
+		if !victim.N.IsData() || victim.N.Len() != 0 || len(victim.N.Sibs) != 0 {
 			o.Release(&victim, &deleg, &parent)
 			return nil
 		}
@@ -280,7 +280,7 @@ func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 			}
 			deleg.F.MarkDirty(lsn)
 			lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveTerm, encTerm(term))
-			parent.N.Entries = append(parent.N.Entries[:i], parent.N.Entries[i+1:]...)
+			parent.N.recs.Delete(i)
 			parent.F.MarkDirty(lsn)
 			if err := t.store.Free(aa, &o.Tr, victimPid); err != nil {
 				return err

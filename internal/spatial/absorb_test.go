@@ -259,7 +259,7 @@ func TestCompletionHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := f.Data.(*Node).Entries[0].Child
+	data := f.Data.(*Node).entry(0).Child
 	fx.tree.store.Pool.Unpin(f)
 	task := postTask{parentLevel: 1, child: data, rect: FullSpace()}
 	fx.tree.schedule(task)

@@ -65,14 +65,10 @@ func splitFates(n *Node, alongX bool, coord uint64) []byte {
 	if n.IsData() {
 		return nil
 	}
-	var kept, off Rect
-	if alongX {
-		kept, off = n.Direct.SplitX(coord)
-	} else {
-		kept, off = n.Direct.SplitY(coord)
-	}
-	fates := make([]byte, len(n.Entries))
-	for i, e := range n.Entries {
+	kept, off := n.Direct.Split(alongX, coord)
+	fates := make([]byte, n.Len())
+	for i := range fates {
+		e := n.entry(i)
 		switch {
 		case !e.Rect.Intersects(off):
 			fates[i] = fateKept
@@ -111,7 +107,7 @@ func decSplitOff(b []byte) (alongX bool, coord uint64, sib storage.PageID, fates
 // entries, for an index node each with the position it goes to (ascending),
 // and the positions of the terms whose Clipped mark is cleared.
 type returning struct {
-	entries []Entry
+	entries enc.Records
 	pos     []uint16
 	unclip  []uint16
 }
@@ -123,10 +119,7 @@ func encAbsorbSib(alongX bool, coord uint64, sib storage.PageID, ret returning) 
 	w.Bool(alongX)
 	w.U64(coord)
 	w.U64(uint64(sib))
-	w.U32(uint32(len(ret.entries)))
-	for _, e := range ret.entries {
-		encodeEntry(&w, e)
-	}
+	encodeEntries(&w, &ret.entries)
 	for _, ps := range [][]uint16{ret.pos, ret.unclip} {
 		w.U32(uint32(len(ps)))
 		for _, p := range ps {
@@ -141,9 +134,7 @@ func decAbsorbSib(b []byte) (alongX bool, coord uint64, sib storage.PageID, ret 
 	alongX = r.Bool()
 	coord = r.U64()
 	sib = storage.PageID(r.U64())
-	if ret.entries, err = decodeEntries(r); err != nil {
-		return
-	}
+	ret.entries = decodeEntries(r)
 	for _, ps := range []*[]uint16{&ret.pos, &ret.unclip} {
 		n := int(r.U32())
 		if r.Err() != nil || n > r.Remaining()/2 {
@@ -153,8 +144,8 @@ func decAbsorbSib(b []byte) (alongX bool, coord uint64, sib storage.PageID, ret 
 			*ps = append(*ps, r.U16())
 		}
 	}
-	if !(len(ret.pos) == 0 || len(ret.pos) == len(ret.entries)) {
-		return alongX, coord, sib, ret, fmt.Errorf("spatial: absorb record with %d entries and %d positions", len(ret.entries), len(ret.pos))
+	if !(len(ret.pos) == 0 || len(ret.pos) == ret.entries.Len()) {
+		return alongX, coord, sib, ret, fmt.Errorf("spatial: absorb record with %d entries and %d positions", ret.entries.Len(), len(ret.pos))
 	}
 	return alongX, coord, sib, ret, r.Err()
 }
@@ -195,84 +186,63 @@ func decTerm(b []byte) (Entry, error) {
 
 func encRootGrow(termA, termB Entry, pre *Node) []byte {
 	var w enc.Writer
-	encodeEntry(&w, termA)
-	encodeEntry(&w, termB)
+	w.Reset(appendEntry(appendEntry(nil, termA), termB))
 	encodeNode(&w, pre)
 	return w.Bytes()
 }
 
 func decRootGrow(b []byte) (termA, termB Entry, pre *Node, err error) {
 	r := enc.NewReader(b)
-	termA = decodeEntry(r)
-	termB = decodeEntry(r)
-	pre, err = decodeNode(r)
-	return
+	terms := r.Records(2, entryLayout)
+	if pre, err = decodeNode(r); err != nil {
+		return
+	}
+	return viewEntry(terms.At(0)), viewEntry(terms.At(1)), pre, nil
 }
 
 // applySplitOff is the shared runtime/redo semantics of KindSplitOff.
 func applySplitOff(n *Node, alongX bool, coord uint64, sib storage.PageID) {
-	var kept, off Rect
-	if alongX {
-		kept, off = n.Direct.SplitX(coord)
-	} else {
-		kept, off = n.Direct.SplitY(coord)
-	}
-	out := n.Entries[:0:0]
-	for _, e := range n.Entries {
-		if n.IsData() {
-			if kept.Contains(e.P) {
-				out = append(out, e)
-			}
-			continue
-		}
-		switch {
-		case !e.Rect.Intersects(off):
-			out = append(out, e) // fully kept
-		case !e.Rect.Intersects(kept):
-			// fully delegated: leaves this node
-		default:
-			// Clipped: the child's region crosses the hyperplane, so its
-			// term stays here AND goes to the sibling — the child is now
-			// multi-parent (§3.2.2, §3.3).
-			e.Clipped = true
-			out = append(out, e)
-		}
-	}
-	n.Entries = out
+	kept, off := n.Direct.Split(alongX, coord)
+	n.recs, _ = splitPick(n, kept, off, false)
 	n.Direct = kept
 	n.Sibs = append(n.Sibs, SibTerm{Rect: off, Pid: sib})
 }
 
-// splitOffContents returns what the new sibling receives.
-func splitOffContents(n *Node, alongX bool, coord uint64) (entries []Entry, off Rect, clipped int) {
-	var kept Rect
-	if alongX {
-		kept, off = n.Direct.SplitX(coord)
-	} else {
-		kept, off = n.Direct.SplitY(coord)
-	}
-	for _, e := range n.Entries {
+// splitPick copies out one side of a split of n into regions kept and off:
+// what stays (the points in kept; every term that does not lie wholly in
+// off) or, with leaving set, what the sibling receives (the points in off;
+// every term that reaches into off). A term that reaches into both regions
+// is on both sides and marked Clipped: the child's region crosses the
+// hyperplane, so the child is now multi-parent (§3.2.2, §3.3).
+func splitPick(n *Node, kept, off Rect, leaving bool) (picked enc.Records, clipped int) {
+	var idx, cut []int
+	for i := 0; i < n.Len(); i++ {
 		if n.IsData() {
-			if off.Contains(e.P) {
-				c := e
-				if e.Value != nil {
-					c.Value = append([]byte(nil), e.Value...)
-				}
-				entries = append(entries, c)
+			if p := n.pointAt(i); (leaving && off.Contains(p)) || (!leaving && kept.Contains(p)) {
+				idx = append(idx, i)
 			}
 			continue
 		}
-		switch {
-		case !e.Rect.Intersects(off):
-		case !e.Rect.Intersects(kept):
-			entries = append(entries, e)
-		default:
-			c := e
-			c.Clipped = true
-			entries = append(entries, c)
-			clipped++
+		r, _ := n.termAt(i)
+		inOff, inKept := r.Intersects(off), r.Intersects(kept)
+		if (leaving && inOff) || (!leaving && (inKept || !inOff)) {
+			if inOff && inKept {
+				cut = append(cut, len(idx))
+			}
+			idx = append(idx, i)
 		}
 	}
+	picked = n.recs.Pick(idx)
+	for _, i := range cut {
+		setClipped(&picked, i, true)
+	}
+	return picked, len(cut)
+}
+
+// splitOffContents returns what the new sibling receives.
+func splitOffContents(n *Node, alongX bool, coord uint64) (entries enc.Records, off Rect, clipped int) {
+	kept, off := n.Direct.Split(alongX, coord)
+	entries, clipped = splitPick(n, kept, off, true)
 	return entries, off, clipped
 }
 
@@ -287,23 +257,22 @@ func applyAbsorbSib(n *Node, ret returning) error {
 	n.Sibs = n.Sibs[:len(n.Sibs)-1]
 	n.Direct = rectUnion(n.Direct, s.Rect)
 	for _, p := range ret.unclip {
-		if int(p) >= len(n.Entries) {
-			return fmt.Errorf("spatial: absorb un-clips term %d of %d", p, len(n.Entries))
+		if int(p) >= n.Len() {
+			return fmt.Errorf("spatial: absorb un-clips term %d of %d", p, n.Len())
 		}
-		n.Entries[p].Clipped = false
+		setClipped(&n.recs, int(p), false)
 	}
-	for i, e := range ret.entries {
+	for i := 0; i < ret.entries.Len(); i++ {
+		e := viewEntry(ret.entries.At(i))
 		if n.IsData() {
 			n.insertPoint(e)
 			continue
 		}
-		at := len(n.Entries)
+		at := n.Len()
 		if i < len(ret.pos) {
 			at = min(int(ret.pos[i]), at)
 		}
-		n.Entries = append(n.Entries, Entry{})
-		copy(n.Entries[at+1:], n.Entries[at:])
-		n.Entries[at] = e
+		n.insertAt(at, e)
 	}
 	return nil
 }
@@ -312,17 +281,18 @@ func applyAbsorbSib(n *Node, ret returning) error {
 // returns to the split node when the split is undone.
 func unsplitOff(fates []byte, sib *Node) (returning, error) {
 	if sib.IsData() {
-		return returning{entries: sib.Entries}, nil
+		return returning{entries: sib.recs}, nil
 	}
 	var ret returning
+	var left []int       // sib's terms that left the split node
 	next, stayed := 0, 0 // cursors: into sib's entries, into the split node's
 	for i, f := range fates {
-		if f != fateKept && next >= len(sib.Entries) {
-			return ret, fmt.Errorf("spatial: split fates name more terms than the sibling's %d", len(sib.Entries))
+		if f != fateKept && next >= sib.Len() {
+			return ret, fmt.Errorf("spatial: split fates name more terms than the sibling's %d", sib.Len())
 		}
 		switch f {
 		case fateLeft:
-			ret.entries = append(ret.entries, sib.Entries[next])
+			left = append(left, next)
 			ret.pos = append(ret.pos, uint16(i))
 			next++
 			continue
@@ -334,6 +304,7 @@ func unsplitOff(fates []byte, sib *Node) (returning, error) {
 		}
 		stayed++
 	}
+	ret.entries = sib.recs.Pick(left)
 	return ret, nil
 }
 
@@ -351,32 +322,26 @@ func rectUnion(a, b Rect) Rect {
 // halves, and a split that does not reduce the node is useless — the
 // caller soft-overflows instead of splitting forever.
 func splitHelps(n *Node, alongX bool, coord uint64) bool {
-	var kept, off Rect
-	if alongX {
-		kept, off = n.Direct.SplitX(coord)
-	} else {
-		kept, off = n.Direct.SplitY(coord)
-	}
+	kept, off := n.Direct.Split(alongX, coord)
 	keptN, offN := 0, 0
-	for _, e := range n.Entries {
+	for i := 0; i < n.Len(); i++ {
 		if n.IsData() {
-			if kept.Contains(e.P) {
+			if kept.Contains(n.pointAt(i)) {
 				keptN++
 			} else {
 				offN++
 			}
 			continue
 		}
-		ik := e.Rect.Intersects(kept)
-		io := e.Rect.Intersects(off)
-		if ik {
+		r, _ := n.termAt(i)
+		if r.Intersects(kept) {
 			keptN++
 		}
-		if io {
+		if r.Intersects(off) {
 			offN++
 		}
 	}
-	return keptN < len(n.Entries) && offN < len(n.Entries) && keptN > 0 && offN > 0
+	return keptN < n.Len() && offN < n.Len() && keptN > 0 && offN > 0
 }
 
 // --- binding & registration ---------------------------------------------------
@@ -397,26 +362,8 @@ func Register(reg *storage.Registry) *Binding {
 		return storage.Compensation{Kind: kind, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: payload}
 	}
 
-	reg.Register(KindFormat, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := decodeNode(enc.NewReader(rec.Payload))
-			if err != nil {
-				return err
-			}
-			f.Data = n
-			return nil
-		},
-	})
-	reg.Register(KindRestore, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := decodeNode(enc.NewReader(rec.Payload))
-			if err != nil {
-				return err
-			}
-			f.Data = n
-			return nil
-		},
-	})
+	reg.Register(KindFormat, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
+	reg.Register(KindRestore, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
 	reg.Register(KindSplitOff, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			alongX, coord, sib, _, err := decSplitOff(rec.Payload)
@@ -437,7 +384,7 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			sibNode, err := decodeNode(enc.NewReader(image))
+			sibNode, err := decNodeImage(image)
 			if err != nil {
 				return storage.Compensation{}, err
 			}
@@ -475,7 +422,9 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return err
 			}
-			n.removePoint(e.P)
+			if i, ok := n.findPoint(e.P); ok {
+				n.recs.Delete(i)
+			}
 			return nil
 		}),
 		LogicalUndo: func(rec *wal.Record) error {
@@ -497,7 +446,7 @@ func Register(reg *storage.Registry) *Binding {
 				return err
 			}
 			if _, dup := n.termFor(e.Child); !dup {
-				n.Entries = append(n.Entries, e)
+				n.insertAt(n.Len(), e)
 			}
 			return nil
 		}),
@@ -512,7 +461,7 @@ func Register(reg *storage.Registry) *Binding {
 				return err
 			}
 			if i, ok := n.termFor(e.Child); ok {
-				n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
+				n.recs.Delete(i)
 			}
 			return nil
 		}),
@@ -544,7 +493,7 @@ func Register(reg *storage.Registry) *Binding {
 				return err
 			}
 			n.Level++
-			n.Entries = []Entry{termA, termB}
+			n.setEntries(termA, termB)
 			n.Direct = FullSpace()
 			n.Sibs = nil
 			return nil

@@ -22,6 +22,7 @@
 package spatial
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -113,6 +114,15 @@ func (r Rect) SplitY(y uint64) (Rect, Rect) {
 	return Rect{r.X0, r.Y0, r.X1, y}, Rect{r.X0, y, r.X1, r.Y1}
 }
 
+// Split cuts r at coord on the X axis (alongX) or the Y axis: kept is the
+// low half, off the high one.
+func (r Rect) Split(alongX bool, coord uint64) (kept, off Rect) {
+	if alongX {
+		return r.SplitX(coord)
+	}
+	return r.SplitY(coord)
+}
+
 // String renders the rectangle.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d)x[%d,%d)", r.X0, r.X1, r.Y0, r.Y1)
@@ -124,7 +134,8 @@ type SibTerm struct {
 	Pid  storage.PageID
 }
 
-// Entry is a data point (level 0) or an index term (levels >= 1).
+// Entry is a data point (level 0) or an index term (levels >= 1). An Entry
+// read from a node is a view: Value aliases the node's buffer (DESIGN.md §17).
 type Entry struct {
 	// Data fields.
 	P     Point
@@ -144,12 +155,54 @@ type Node struct {
 	// responsibility minus everything delegated through Sibs.
 	Direct Rect
 	// Sibs are the node's sibling terms, newest last.
-	Sibs    []SibTerm
-	Entries []Entry
+	Sibs []SibTerm
+	// recs are the entries as the page image stores them: points sorted
+	// by (X, Y) in a data node, terms in posting order in an index node;
+	// views of them hold under the node's latch until the next mutation.
+	recs enc.Records
 }
 
 // IsData reports whether the node holds points.
 func (n *Node) IsData() bool { return n.Level == 0 }
+
+// Len returns the number of entries.
+func (n *Node) Len() int { return n.recs.Len() }
+
+// entry returns entry i as a view; pointAt reads its point alone and
+// termAt its index fields alone, which sit at fixed offsets from the
+// record's ends.
+func (n *Node) entry(i int) Entry { return viewEntry(n.recs.At(i)) }
+
+func (n *Node) pointAt(i int) Point {
+	rec := n.recs.At(i)
+	return Point{X: binary.LittleEndian.Uint64(rec), Y: binary.LittleEndian.Uint64(rec[8:])}
+}
+
+func (n *Node) termAt(i int) (Rect, storage.PageID) {
+	rec := n.recs.At(i)
+	rec = rec[len(rec)-termBytes:]
+	return viewRect(rec), storage.PageID(binary.LittleEndian.Uint64(rec[4*8:]))
+}
+
+// setClipped rewrites term i's clipped mark in rs: the record's last byte.
+func setClipped(rs *enc.Records, i int, clipped bool) {
+	rec := rs.At(i)
+	rec[len(rec)-1] = enc.Bit(clipped)
+}
+
+// insertAt places a copy of e at position i.
+func (n *Node) insertAt(i int, e Entry) {
+	var scratch [256]byte
+	n.recs.Insert(i, appendEntry(scratch[:0], e))
+}
+
+// setEntries makes copies of es the node's only entries, in that order.
+func (n *Node) setEntries(es ...Entry) {
+	n.recs = enc.Records{}
+	for i, e := range es {
+		n.insertAt(i, e)
+	}
+}
 
 // routeSib returns the index of the sibling term whose region contains
 // p, if any.
@@ -164,42 +217,30 @@ func (n *Node) routeSib(p Point) (int, bool) {
 
 // findPoint returns the index of p among the entries.
 func (n *Node) findPoint(p Point) (int, bool) {
-	i := sort.Search(len(n.Entries), func(i int) bool {
-		return !n.Entries[i].P.Less(p)
+	i := sort.Search(n.Len(), func(i int) bool {
+		return !n.pointAt(i).Less(p)
 	})
-	if i < len(n.Entries) && n.Entries[i].P == p {
+	if i < n.Len() && n.pointAt(i) == p {
 		return i, true
 	}
 	return i, false
 }
 
-// insertPoint places a data entry in sorted position; false on duplicate.
+// insertPoint places a copy of a data entry in sorted position; false on
+// duplicate.
 func (n *Node) insertPoint(e Entry) bool {
 	i, dup := n.findPoint(e.P)
 	if dup {
 		return false
 	}
-	n.Entries = append(n.Entries, Entry{})
-	copy(n.Entries[i+1:], n.Entries[i:])
-	n.Entries[i] = e
+	n.insertAt(i, e)
 	return true
-}
-
-// removePoint deletes the entry at p.
-func (n *Node) removePoint(p Point) (Entry, bool) {
-	i, ok := n.findPoint(p)
-	if !ok {
-		return Entry{}, false
-	}
-	e := n.Entries[i]
-	n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
-	return e, true
 }
 
 // termFor returns the position of the term referencing child.
 func (n *Node) termFor(child storage.PageID) (int, bool) {
-	for i := range n.Entries {
-		if n.Entries[i].Child == child {
+	for i := 0; i < n.Len(); i++ {
+		if _, c := n.termAt(i); c == child {
 			return i, true
 		}
 	}
@@ -211,70 +252,69 @@ func (n *Node) termFor(child storage.PageID) (int, bool) {
 // a containing ancestor's term, whose node's side pointers finish the
 // search). Preference goes to the smallest containing rect — the most
 // specific child.
-func (n *Node) chooseChild(p Point) (Entry, bool) {
-	best := -1
-	for i := range n.Entries {
-		if !n.Entries[i].Rect.Contains(p) {
-			continue
-		}
-		if best == -1 {
-			best = i
-			continue
-		}
-		if n.Entries[best].Rect.ContainsRect(n.Entries[i].Rect) {
-			best = i
+func (n *Node) chooseChild(p Point) (storage.PageID, bool) {
+	var best Rect
+	child := storage.NilPage
+	for i := 0; i < n.Len(); i++ {
+		r, c := n.termAt(i)
+		if r.Contains(p) && (child == storage.NilPage || best.ContainsRect(r)) {
+			best, child = r, c
 		}
 	}
-	if best == -1 {
-		return Entry{}, false
-	}
-	return n.Entries[best], true
+	return child, child != storage.NilPage
 }
 
 // clone returns a deep copy.
 func (n *Node) clone() *Node {
-	c := &Node{Level: n.Level, Direct: n.Direct}
+	c := *n
 	c.Sibs = append([]SibTerm(nil), n.Sibs...)
-	c.Entries = make([]Entry, len(n.Entries))
-	for i, e := range n.Entries {
-		c.Entries[i] = e
-		if e.Value != nil {
-			c.Entries[i].Value = append([]byte(nil), e.Value...)
-		}
-	}
-	return c
+	c.recs = n.recs.Clone()
+	return &c
 }
 
 // --- serialization ----------------------------------------------------------
 
-func encodeRect(w *enc.Writer, r Rect) {
-	w.U64(r.X0)
-	w.U64(r.Y0)
-	w.U64(r.X1)
-	w.U64(r.Y1)
+// The entry encoders are plain appends, not Writer methods, so that a
+// caller's scratch buffer stays on its stack.
+func appendRect(dst []byte, r Rect) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, r.X0)
+	dst = binary.LittleEndian.AppendUint64(dst, r.Y0)
+	dst = binary.LittleEndian.AppendUint64(dst, r.X1)
+	return binary.LittleEndian.AppendUint64(dst, r.Y1)
 }
+
+func encodeRect(w *enc.Writer, r Rect) { w.Reset(appendRect(w.Bytes(), r)) }
 
 func decodeRect(r *enc.Reader) Rect {
 	return Rect{X0: r.U64(), Y0: r.U64(), X1: r.U64(), Y1: r.U64()}
 }
 
-func encodeEntry(w *enc.Writer, e Entry) {
-	w.U64(e.P.X)
-	w.U64(e.P.Y)
-	w.Bytes32(e.Value)
-	encodeRect(w, e.Rect)
-	w.U64(uint64(e.Child))
-	w.Bool(e.Clipped)
+// viewRect reads the rectangle at the head of b.
+func viewRect(b []byte) Rect {
+	return Rect{
+		X0: binary.LittleEndian.Uint64(b), Y0: binary.LittleEndian.Uint64(b[8:]),
+		X1: binary.LittleEndian.Uint64(b[16:]), Y1: binary.LittleEndian.Uint64(b[24:]),
+	}
 }
 
-func decodeEntry(r *enc.Reader) Entry {
-	var e Entry
-	e.P.X = r.U64()
-	e.P.Y = r.U64()
-	e.Value = r.Bytes32()
-	e.Rect = decodeRect(r)
-	e.Child = storage.PageID(r.U64())
-	e.Clipped = r.Bool()
+// appendEntry appends e's record to dst.
+func appendEntry(dst []byte, e Entry) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, e.P.X)
+	dst = binary.LittleEndian.AppendUint64(dst, e.P.Y)
+	dst = enc.AppendBytes32(dst, e.Value)
+	dst = appendRect(dst, e.Rect)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Child))
+	return append(dst, enc.Bit(e.Clipped))
+}
+
+// viewEntry reads a record of entryLayout; Value aliases it.
+func viewEntry(rec []byte) Entry {
+	e := Entry{P: Point{X: binary.LittleEndian.Uint64(rec), Y: binary.LittleEndian.Uint64(rec[8:])}}
+	var off int
+	e.Value, off = enc.Field32(rec, 16)
+	e.Rect = viewRect(rec[off:])
+	e.Child = storage.PageID(binary.LittleEndian.Uint64(rec[off+4*8:]))
+	e.Clipped = rec[off+4*8+8] != 0
 	return e
 }
 
@@ -286,19 +326,29 @@ func encodeNode(w *enc.Writer, n *Node) {
 		encodeRect(w, s.Rect)
 		w.U64(uint64(s.Pid))
 	}
-	w.U32(uint32(len(n.Entries)))
-	for _, e := range n.Entries {
-		encodeEntry(w, e)
-	}
+	encodeEntries(w, &n.recs)
 }
 
-// Encoded sizes: a sibling term's, and the least an entry's. They bound the
-// counts a decoder accepts by the bytes that are left to hold them.
+// encodeEntries writes a counted list of entries.
+func encodeEntries(w *enc.Writer, rs *enc.Records) {
+	w.U32(uint32(rs.Len()))
+	w.Reset(rs.AppendTo(w.Bytes()))
+}
+
+// Encoded sizes: a sibling term's, which bounds the count a decoder accepts
+// by the bytes that are left to hold them, and the index fields' at the end
+// of every entry (rectangle, child, clipped mark).
 const (
-	sibTermBytes  = 4*8 + 8
-	minEntryBytes = 8 + 8 + 4 + 4*8 + 8 + 1
+	sibTermBytes = 4*8 + 8
+	termBytes    = 4*8 + 8 + 1
 )
 
+// entryLayout is an entry on the page: point, value, index fields.
+var entryLayout = enc.Layout{8 + 8, enc.Var, termBytes}
+
+// decodeNode reads a node whose entries ALIAS r's input: a page image the
+// caller hands over, a payload it only reads, or a copy of one
+// (pitree.RedoImage).
 func decodeNode(r *enc.Reader) (*Node, error) {
 	n := &Node{}
 	n.Level = int(r.U16())
@@ -312,22 +362,13 @@ func decodeNode(r *enc.Reader) (*Node, error) {
 		s.Pid = storage.PageID(r.U64())
 		n.Sibs = append(n.Sibs, s)
 	}
-	var err error
-	n.Entries, err = decodeEntries(r)
-	return n, err
+	n.recs = decodeEntries(r)
+	return n, r.Err()
 }
 
-// decodeEntries reads a counted list of entries.
-func decodeEntries(r *enc.Reader) ([]Entry, error) {
-	ne := int(r.U32())
-	if r.Err() != nil || ne > r.Remaining()/minEntryBytes {
-		return nil, enc.ErrTruncated
-	}
-	entries := make([]Entry, 0, ne)
-	for i := 0; i < ne; i++ {
-		entries = append(entries, decodeEntry(r))
-	}
-	return entries, r.Err()
+// decodeEntries reads a counted list of entries, aliasing r's input.
+func decodeEntries(r *enc.Reader) enc.Records {
+	return r.Records(int(r.U32()), entryLayout)
 }
 
 func encNodeImage(n *Node) []byte {
@@ -336,21 +377,25 @@ func encNodeImage(n *Node) []byte {
 	return w.Bytes()
 }
 
+// decNodeImage decodes a whole image; the node's entries alias b.
+func decNodeImage(b []byte) (*Node, error) {
+	return decodeNode(enc.NewReader(b))
+}
+
 // Codec is the storage.Codec for spatial pages.
 type Codec struct{}
 
-// EncodePage implements storage.Codec.
-func (Codec) EncodePage(v any) ([]byte, error) {
+// AppendPage implements storage.Codec.
+func (Codec) AppendPage(dst []byte, v any) ([]byte, error) {
 	n, ok := v.(*Node)
 	if !ok {
 		return nil, fmt.Errorf("spatial: cannot encode page of type %T", v)
 	}
 	var w enc.Writer
+	w.Reset(dst)
 	encodeNode(&w, n)
 	return w.Bytes(), nil
 }
 
-// DecodePage implements storage.Codec.
-func (Codec) DecodePage(b []byte) (any, error) {
-	return decodeNode(enc.NewReader(b))
-}
+// DecodePage implements storage.Codec: the node keeps b.
+func (Codec) DecodePage(b []byte) (any, error) { return decNodeImage(b) }

@@ -1,0 +1,167 @@
+package spatial
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"repro/internal/enc"
+	"repro/internal/storage"
+)
+
+// appendEntries puts es behind n's entries, in the order given.
+func appendEntries(n *Node, es ...Entry) {
+	for _, e := range es {
+		n.insertAt(n.Len(), e)
+	}
+}
+
+// entriesOf returns views of all of n's entries.
+func entriesOf(n *Node) []Entry {
+	var es []Entry
+	for i := 0; i < n.Len(); i++ {
+		es = append(es, n.entry(i))
+	}
+	return es
+}
+
+// oracleNode is the node as it was decoded before it kept its records
+// encoded — one struct per entry — with the field-by-field codec of that
+// time: the reference the page format is held to.
+type oracleNode struct {
+	Level   int
+	Direct  Rect
+	Sibs    []SibTerm
+	Entries []Entry
+}
+
+func oracleEncodeRect(w *enc.Writer, r Rect) {
+	w.U64(r.X0)
+	w.U64(r.Y0)
+	w.U64(r.X1)
+	w.U64(r.Y1)
+}
+
+func oracleEncodeNode(w *enc.Writer, n *oracleNode) {
+	w.U16(uint16(n.Level))
+	oracleEncodeRect(w, n.Direct)
+	w.U32(uint32(len(n.Sibs)))
+	for _, s := range n.Sibs {
+		oracleEncodeRect(w, s.Rect)
+		w.U64(uint64(s.Pid))
+	}
+	w.U32(uint32(len(n.Entries)))
+	for _, e := range n.Entries {
+		w.U64(e.P.X)
+		w.U64(e.P.Y)
+		w.Bytes32(e.Value)
+		oracleEncodeRect(w, e.Rect)
+		w.U64(uint64(e.Child))
+		w.Bool(e.Clipped)
+	}
+}
+
+func oracleDecodeNode(r *enc.Reader) (*oracleNode, error) {
+	n := &oracleNode{}
+	n.Level = int(r.U16())
+	n.Direct = decodeRect(r)
+	ns := int(r.U32())
+	if r.Err() != nil || ns > r.Remaining()/sibTermBytes {
+		return nil, enc.ErrTruncated
+	}
+	for i := 0; i < ns; i++ {
+		s := SibTerm{Rect: decodeRect(r)}
+		s.Pid = storage.PageID(r.U64())
+		n.Sibs = append(n.Sibs, s)
+	}
+	ne := int(r.U32())
+	if r.Err() != nil || ne > r.Remaining()/(8+8+4+4*8+8+1) {
+		return nil, enc.ErrTruncated
+	}
+	n.Entries = make([]Entry, 0, ne)
+	for i := 0; i < ne; i++ {
+		var e Entry
+		e.P.X = r.U64()
+		e.P.Y = r.U64()
+		e.Value = r.Bytes32()
+		e.Rect = decodeRect(r)
+		e.Child = storage.PageID(r.U64())
+		e.Clipped = r.Bool()
+		n.Entries = append(n.Entries, e)
+	}
+	return n, r.Err()
+}
+
+// TestImageByteIdentity: for seeded random nodes of both levels — nil and
+// empty values, sibling terms, clipped terms — the image the oracle codec
+// writes decodes and re-encodes to itself through the oracle and through
+// the node codec, field for field, also after every record was taken out of
+// the buffer and put back.
+func TestImageByteIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	rect := func() Rect { return Rect{X0: rng.Uint64(), Y0: rng.Uint64(), X1: rng.Uint64(), Y1: rng.Uint64()} }
+	for i := 0; i < 500; i++ {
+		o := &oracleNode{Level: rng.Intn(3), Direct: rect()}
+		for j, cnt := 0, rng.Intn(4); j < cnt; j++ {
+			o.Sibs = append(o.Sibs, SibTerm{Rect: rect(), Pid: storage.PageID(rng.Uint64())})
+		}
+		for j, cnt := 0, rng.Intn(40); j < cnt; j++ {
+			e := Entry{Rect: rect(), Child: storage.PageID(rng.Uint64()), Clipped: rng.Intn(3) == 0}
+			if o.Level == 0 {
+				e = Entry{P: Point{X: rng.Uint64(), Y: rng.Uint64()}}
+				switch rng.Intn(6) {
+				case 0:
+				case 1:
+					e.Value = []byte{}
+				default:
+					e.Value = make([]byte, 1+rng.Intn(120))
+					rng.Read(e.Value)
+				}
+			}
+			o.Entries = append(o.Entries, e)
+		}
+		var w enc.Writer
+		oracleEncodeNode(&w, o)
+		img := w.Bytes()
+
+		od, err := oracleDecodeNode(enc.NewReader(img))
+		if err != nil {
+			t.Fatalf("node %d: oracle decode: %v", i, err)
+		}
+		var ow enc.Writer
+		oracleEncodeNode(&ow, od)
+		if !bytes.Equal(ow.Bytes(), img) {
+			t.Fatalf("node %d: oracle round trip differs", i)
+		}
+
+		dec, err := (Codec{}).DecodePage(bytes.Clone(img))
+		if err != nil {
+			t.Fatalf("node %d: decode: %v", i, err)
+		}
+		n := dec.(*Node)
+		if got, _ := (Codec{}).AppendPage(nil, n); !bytes.Equal(got, img) {
+			t.Fatalf("node %d: image\n%x re-encodes as\n%x", i, img, got)
+		}
+		if n.Len() != len(o.Entries) {
+			t.Fatalf("node %d: %d entries, want %d", i, n.Len(), len(o.Entries))
+		}
+		for j, want := range o.Entries {
+			e := n.entry(j)
+			if e.P != want.P || !bytes.Equal(e.Value, want.Value) || (e.Value == nil) != (want.Value == nil) ||
+				e.Rect != want.Rect || e.Child != want.Child || e.Clipped != want.Clipped {
+				t.Fatalf("node %d entry %d: %+v, want %+v", i, j, e, want)
+			}
+			if r, c := n.termAt(j); n.pointAt(j) != want.P || r != want.Rect || c != want.Child {
+				t.Fatalf("node %d entry %d: pointAt / termAt disagree with the entry", i, j)
+			}
+		}
+		for _, j := range rng.Perm(n.Len()) {
+			rec := bytes.Clone(n.recs.At(j))
+			n.recs.Delete(j)
+			n.recs.Insert(j, rec)
+		}
+		if got, _ := (Codec{}).AppendPage(nil, n); !bytes.Equal(got, img) {
+			t.Fatalf("node %d: after delete and re-insert of every record the image is\n%x, want\n%x", i, got, img)
+		}
+	}
+}

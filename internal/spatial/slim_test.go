@@ -58,7 +58,7 @@ func randomNode(rng *rand.Rand, level int) *Node {
 		}
 		a, b := within(d.X0, d.X1), within(d.Y0, d.Y1)
 		e := Entry{Rect: Rect{X0: a, Y0: b, X1: a + 1 + uint64(rng.Intn(300)), Y1: b + 1 + uint64(rng.Intn(300))}, Child: storage.PageID(1000 + i), Clipped: rng.Intn(4) == 0}
-		n.Entries = append(n.Entries, e)
+		appendEntries(n, e)
 	}
 	return n
 }
@@ -87,7 +87,7 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 		entries, off, clipped := splitOffContents(n, alongX, coord)
 		axes[alongX]++
 		clippedNow += clipped
-		sib := &Node{Level: n.Level, Direct: off, Entries: entries}
+		sib := &Node{Level: n.Level, Direct: off, recs: entries}
 		got := undoRoundTrip(t, reg, n, 901, sib, KindSplitOff, encSplitOff(alongX, coord, 901, splitFates(n, alongX, coord)))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("node %d (level %d): undo of the split along x=%v at %d gives\n%x, want\n%x", i, n.Level, alongX, coord, got, want)
@@ -336,15 +336,15 @@ func FuzzSlimPayloads(f *testing.F) {
 	f.Add(encSplitOff(true, 500, 4, nil))
 	f.Add(encSplitOff(false, 500, 4, splitFates(in, false, in.Direct.Y0+50)))
 	f.Add(encAbsorbSib(true, 500, 4, returning{}))
-	f.Add(encAbsorbSib(true, 500, 4, returning{entries: in.Entries[:3], pos: []uint16{0, 2, 5}, unclip: []uint16{1}}))
+	f.Add(encAbsorbSib(true, 500, 4, returning{entries: in.recs.Slice(0, 3), pos: []uint16{0, 2, 5}, unclip: []uint16{1}}))
 	f.Add(encNodeImage(n))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if _, _, _, fates, err := decSplitOff(b); err == nil {
 			_, _ = unsplitOff(fates, in)
 		}
 		if _, _, _, ret, err := decAbsorbSib(b); err == nil {
-			if len(ret.entries) > len(b) || len(ret.pos) > len(b) || len(ret.unclip) > len(b) {
-				t.Fatalf("%d entries, %d positions, %d marks out of %d bytes", len(ret.entries), len(ret.pos), len(ret.unclip), len(b))
+			if ret.entries.Len() > len(b) || len(ret.pos) > len(b) || len(ret.unclip) > len(b) {
+				t.Fatalf("%d entries, %d positions, %d marks out of %d bytes", ret.entries.Len(), len(ret.pos), len(ret.unclip), len(b))
 			}
 			for _, target := range []*Node{n.clone(), in.clone(), {}} {
 				target.Sibs = append(target.Sibs, SibTerm{Rect: Rect{X1: 5, Y1: 5}, Pid: 9})

@@ -119,20 +119,20 @@ func choosePlane(n *Node) (alongX bool, coord uint64, ok bool) {
 				cands = append(cands, c)
 			}
 		}
-		for _, e := range n.Entries {
+		for i := 0; i < n.Len(); i++ {
 			if n.IsData() {
-				if alongX {
-					add(e.P.X)
+				if p := n.pointAt(i); alongX {
+					add(p.X)
 				} else {
-					add(e.P.Y)
+					add(p.Y)
 				}
 			} else {
-				if alongX {
-					add(e.Rect.X0)
-					add(e.Rect.X1)
+				if r, _ := n.termAt(i); alongX {
+					add(r.X0)
+					add(r.X1)
 				} else {
-					add(e.Rect.Y0)
-					add(e.Rect.Y1)
+					add(r.Y0)
+					add(r.Y1)
 				}
 			}
 		}
@@ -179,26 +179,29 @@ func (t *Tree) splitNodeAction(o *opCtx, leaf *nref) error {
 // for a page whose creation is then undone. Returns the sibling's page
 // and region.
 func (t *Tree) splitOff(o *opCtx, aa *txn.Txn, node *nref, alongX bool, coord uint64) (storage.PageID, Rect, error) {
-	pre := node.N.clone()
+	n := node.N
 	sibPid, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
 		return storage.NilPage, Rect{}, err
 	}
-	entries, off, clipped := splitOffContents(pre, alongX, coord)
-	sib := &Node{Level: pre.Level, Direct: off, Entries: entries}
+	// The sibling's contents are copied out while the node is still whole:
+	// the node changes only once its own record is logged, after a format
+	// that can fail.
+	entries, off, clipped := splitOffContents(n, alongX, coord)
+	sib := &Node{Level: n.Level, Direct: off, recs: entries}
 	if err := t.logFormat(o, aa, sibPid, sib); err != nil {
 		return storage.NilPage, Rect{}, err
 	}
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, splitFates(pre, alongX, coord)))
-	applySplitOff(node.N, alongX, coord, sibPid)
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, splitFates(n, alongX, coord)))
+	applySplitOff(n, alongX, coord, sibPid)
 	node.F.MarkDirty(lsn)
-	if pre.IsData() {
+	if n.IsData() {
 		t.Stats.DataSplits.Add(1)
 	} else {
 		t.Stats.IndexSplits.Add(1)
 	}
 	t.Stats.ClippedTerms.Add(int64(clipped))
-	up := postTask{parentLevel: pre.Level + 1, child: sibPid, rect: off}
+	up := postTask{parentLevel: n.Level + 1, child: sibPid, rect: off}
 	aa.OnCommit(func() { t.schedule(up) })
 	return sibPid, off, nil
 }
@@ -227,7 +230,7 @@ func (p *termPost) Verify(_ *opCtx, node *nref) (bool, error) {
 	return !dead && !posted, nil
 }
 
-func (p *termPost) Full(n *Node) bool { return len(n.Entries) >= p.t.opts.IndexCapacity }
+func (p *termPost) Full(n *Node) bool { return n.Len() >= p.t.opts.IndexCapacity }
 
 func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, error) {
 	t := p.t
@@ -255,7 +258,7 @@ func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, err
 func (p *termPost) Apply(_ *opCtx, aa *txn.Txn, node *nref) error {
 	term := Entry{Rect: p.task.rect, Child: p.task.child}
 	lsn := aa.LogUpdate(p.t.store.Pool.StoreID, uint64(node.Pid()), KindPostTerm, encTerm(term))
-	node.N.Entries = append(node.N.Entries, term)
+	node.N.insertAt(node.N.Len(), term)
 	node.F.MarkDirty(lsn)
 	return nil
 }
@@ -272,7 +275,6 @@ func (t *Tree) logFormat(o *opCtx, aa storage.UpdateLogger, pid storage.PageID, 
 // for each half. Returns the page of the half containing corner.
 func (t *Tree) growRootAction(o *opCtx, aa storage.UpdateLogger, root *nref, alongX bool, coord uint64, corner Point) (storage.PageID, error) {
 	n := root.N
-	pre := n.clone()
 	pidB, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
 		return storage.NilPage, err
@@ -281,9 +283,9 @@ func (t *Tree) growRootAction(o *opCtx, aa storage.UpdateLogger, root *nref, alo
 	if err != nil {
 		return storage.NilPage, err
 	}
-	entriesB, off, clippedB := splitOffContents(pre, alongX, coord)
-	nodeB := &Node{Level: pre.Level, Direct: off, Entries: entriesB}
-	nodeA := pre.clone()
+	entriesB, off, clippedB := splitOffContents(n, alongX, coord)
+	nodeB := &Node{Level: n.Level, Direct: off, recs: entriesB}
+	nodeA := n.clone()
 	applySplitOff(nodeA, alongX, coord, pidB)
 	if err := t.logFormat(o, aa, pidB, nodeB); err != nil {
 		return storage.NilPage, err
@@ -294,9 +296,10 @@ func (t *Tree) growRootAction(o *opCtx, aa storage.UpdateLogger, root *nref, alo
 
 	termA := Entry{Rect: nodeA.Direct, Child: pidA}
 	termB := Entry{Rect: off, Child: pidB}
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(root.Pid()), KindRootGrow, encRootGrow(termA, termB, pre))
+	// The record keeps the root whole, for compensation.
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(root.Pid()), KindRootGrow, encRootGrow(termA, termB, n))
 	n.Level++
-	n.Entries = []Entry{termA, termB}
+	n.setEntries(termA, termB)
 	n.Direct = FullSpace()
 	n.Sibs = nil
 	root.F.MarkDirty(lsn)

@@ -223,7 +223,7 @@ func TestClippingProducesMultiParents(t *testing.T) {
 	// consolidatable; find one via the index walk.
 	var clippedChild storage.PageID
 	err := fx.tree.walkIndex(func(n *Node) bool {
-		for _, e := range n.Entries {
+		for _, e := range entriesOf(n) {
 			if e.Clipped {
 				clippedChild = e.Child
 				return false

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/enc"
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/maint"
@@ -142,10 +143,9 @@ var ErrPointNotFound = errors.New("spatial: point not found")
 func Create(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, name string, opts Options) (*Tree, error) {
 	t := &Tree{Name: name, lockSpace: lock.SpaceID("spatial", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized()}
 	rootPid, err := pitree.Create(store, tm, name, 2, KindFormat, func(pids []storage.PageID) []*Node {
-		return []*Node{
-			{Level: 1, Direct: FullSpace(), Entries: []Entry{{Rect: FullSpace(), Child: pids[1]}}},
-			{Level: 0, Direct: FullSpace()},
-		}
+		root := &Node{Level: 1, Direct: FullSpace()}
+		root.setEntries(Entry{Rect: FullSpace(), Child: pids[1]})
+		return []*Node{root, {Level: 0, Direct: FullSpace()}}
 	}, encNodeImage)
 	if err != nil {
 		return nil, err
@@ -223,11 +223,11 @@ func (space) Route(n *Node, p Point, stop bool) pitree.Route {
 	if stop {
 		return pitree.Route{Kind: pitree.Here}
 	}
-	e, ok := n.chooseChild(p)
+	child, ok := n.chooseChild(p)
 	if !ok {
 		return pitree.Route{Kind: pitree.Restart}
 	}
-	return pitree.Route{Kind: pitree.Child, Pid: e.Child}
+	return pitree.Route{Kind: pitree.Child, Pid: child}
 }
 
 // Edge counts a side traversal and schedules the posting of the sibling
@@ -307,7 +307,7 @@ func (w *pointWrite) Trace() any             { return nil }
 // Full: an insert into a full leaf splits it first, unless the point is
 // already there and Apply will refuse it; a removal needs no room.
 func (w *pointWrite) Full(n *Node, _ int) bool {
-	if w.del || len(n.Entries) < w.t.opts.DataCapacity {
+	if w.del || n.Len() < w.t.opts.DataCapacity {
 		return false
 	}
 	_, dup := n.findPoint(w.p)
@@ -323,16 +323,16 @@ func (w *pointWrite) Apply(leaf nref, _ int) (txn.GroupUpdate, error) {
 		if found {
 			return txn.GroupUpdate{}, ErrPointExists
 		}
-		e := Entry{P: w.p, Value: append([]byte(nil), w.value...)}
-		n.insertPoint(e)
+		e := Entry{P: w.p, Value: enc.NilIfEmpty(w.value)}
+		n.insertAt(i, e)
 		return txn.GroupUpdate{Kind: KindInsertPoint, Payload: encPoint(e)}, nil
 	}
 	if !found {
 		return txn.GroupUpdate{}, ErrPointNotFound
 	}
-	up := txn.GroupUpdate{Kind: KindRemovePoint, Payload: encPoint(n.Entries[i])}
-	n.removePoint(w.p)
-	w.emptied = len(n.Entries) == 0 && len(n.Sibs) == 0
+	up := txn.GroupUpdate{Kind: KindRemovePoint, Payload: encPoint(n.entry(i))}
+	n.recs.Delete(i)
+	w.emptied = n.Len() == 0 && len(n.Sibs) == 0
 	return up, nil
 }
 
@@ -360,7 +360,7 @@ func (t *Tree) Search(tx *txn.Txn, p Point) ([]byte, bool, error) {
 			return err
 		}
 		if i, ok := leaf.N.findPoint(p); ok {
-			val = append([]byte(nil), leaf.N.Entries[i].Value...)
+			val = append([]byte(nil), leaf.N.entry(i).Value...)
 			found = true
 		} else {
 			val, found = nil, false
@@ -371,9 +371,9 @@ func (t *Tree) Search(tx *txn.Txn, p Point) ([]byte, bool, error) {
 	return val, found, err
 }
 
-// RegionQuery calls fn for every point in q. Visits are latch-consistent
-// per node; nodes reachable through multiple (clipped) parents are
-// visited once. Under Options.Reclaim the holder of each edge stays
+// RegionQuery calls fn for every point in q, with a copy of its value.
+// Visits are latch-consistent per node; nodes reachable through multiple
+// (clipped) parents are visited once. Under Options.Reclaim the holder of each edge stays
 // S-latched while its children are visited (DFS latch coupling), so a
 // collected data-node pid cannot be freed before its visit; pure CNS
 // releases each node before recursing.
@@ -410,15 +410,15 @@ func (t *Tree) RegionQuery(q Rect, fn func(p Point, v []byte) bool) error {
 			}
 		}
 		if r.N.IsData() {
-			for _, e := range r.N.Entries {
-				if q.Contains(e.P) {
-					hits = append(hits, hit{e.P, append([]byte(nil), e.Value...)})
+			for i := 0; i < r.N.Len(); i++ {
+				if p := r.N.pointAt(i); q.Contains(p) {
+					hits = append(hits, hit{p, append([]byte(nil), r.N.entry(i).Value...)})
 				}
 			}
 		} else {
-			for _, e := range r.N.Entries {
-				if e.Rect.Intersects(q) {
-					kids = append(kids, kid{e.Child, r.N.Level - 1})
+			for i := 0; i < r.N.Len(); i++ {
+				if rect, child := r.N.termAt(i); rect.Intersects(q) {
+					kids = append(kids, kid{child, r.N.Level - 1})
 				}
 			}
 		}
@@ -453,8 +453,8 @@ func (t *Tree) RegionQuery(q Rect, fn func(p Point, v []byte) bool) error {
 func (t *Tree) CanConsolidate(child storage.PageID) (bool, error) {
 	parents := 0
 	err := t.walkIndex(func(n *Node) bool {
-		for _, e := range n.Entries {
-			if e.Child == child {
+		for i := 0; i < n.Len(); i++ {
+			if e := n.entry(i); e.Child == child {
 				parents++
 				if e.Clipped {
 					// Marked multi-parent: assume more parents exist.
@@ -510,8 +510,8 @@ func (t *Tree) walkIndex(fn func(n *Node) bool) error {
 				return cont, err
 			}
 		}
-		for _, e := range cp.Entries {
-			if cont, err := visit(e.Child); err != nil || !cont {
+		for i := 0; i < cp.Len(); i++ {
+			if cont, err := visit(cp.entry(i).Child); err != nil || !cont {
 				return cont, err
 			}
 		}
@@ -534,10 +534,9 @@ func (t *Tree) logicalUndoInsert(rec *wal.Record, e Entry) error {
 			return err
 		}
 		if i, ok := leaf.N.findPoint(e.P); ok {
-			old := leaf.N.Entries[i]
 			o.Promote(&leaf)
-			lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindRemovePoint, encPoint(old), rec.PrevLSN)
-			leaf.N.removePoint(e.P)
+			lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindRemovePoint, encPoint(leaf.N.entry(i)), rec.PrevLSN)
+			leaf.N.recs.Delete(i)
 			leaf.F.MarkDirty(lsn)
 		} else {
 			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
@@ -558,7 +557,7 @@ func (t *Tree) logicalUndoRemove(rec *wal.Record, e Entry) error {
 		if err != nil {
 			return err
 		}
-		if len(leaf.N.Entries) >= t.opts.DataCapacity {
+		if leaf.N.Len() >= t.opts.DataCapacity {
 			if err := t.splitNodeAction(o, &leaf); err != nil {
 				return err
 			}
@@ -571,7 +570,7 @@ func (t *Tree) logicalUndoRemove(rec *wal.Record, e Entry) error {
 		}
 		o.Promote(&leaf)
 		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertPoint, encPoint(e), rec.PrevLSN)
-		leaf.N.insertPoint(Entry{P: e.P, Value: append([]byte(nil), e.Value...)})
+		leaf.N.insertPoint(Entry{P: e.P, Value: enc.NilIfEmpty(e.Value)})
 		leaf.F.MarkDirty(lsn)
 		o.Release(&leaf)
 		return nil

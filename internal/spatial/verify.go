@@ -84,10 +84,10 @@ func (t *Tree) Verify() (Shape, error) {
 		}
 		if n.IsData() {
 			shape.DataNodes++
-			shape.Points += len(n.Entries)
-			for _, e := range n.Entries {
-				if !n.Direct.Contains(e.P) {
-					return shape, fmt.Errorf("spatial verify: point (%d,%d) outside direct %v of page %d", e.P.X, e.P.Y, n.Direct, it.pid)
+			shape.Points += n.Len()
+			for i := 0; i < n.Len(); i++ {
+				if p := n.pointAt(i); !n.Direct.Contains(p) {
+					return shape, fmt.Errorf("spatial verify: point (%d,%d) outside direct %v of page %d", p.X, p.Y, n.Direct, it.pid)
 				}
 			}
 			dataRects = append(dataRects, n.Direct)
@@ -95,7 +95,8 @@ func (t *Tree) Verify() (Shape, error) {
 			continue
 		}
 		shape.IndexNodes++
-		for _, e := range n.Entries {
+		for i := 0; i < n.Len(); i++ {
+			e := n.entry(i)
 			if e.Clipped {
 				shape.Clipped++
 			}

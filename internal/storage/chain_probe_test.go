@@ -12,7 +12,9 @@ import (
 // prefetcher's chain walk can be driven directly.
 type chainCodec struct{}
 
-func (chainCodec) EncodePage(v any) ([]byte, error) { return v.([]byte), nil }
+func (chainCodec) AppendPage(dst []byte, v any) ([]byte, error) {
+	return append(dst, v.([]byte)...), nil
+}
 func (chainCodec) DecodePage(b []byte) (any, error) {
 	return append([]byte(nil), b...), nil
 }

@@ -10,9 +10,13 @@ import (
 // access method supplies one Codec for all of its node types; the pool
 // handles the meta page itself.
 type Codec interface {
-	// EncodePage serializes v. It must not retain v.
-	EncodePage(v any) ([]byte, error)
-	// DecodePage parses bytes produced by EncodePage.
+	// AppendPage appends the serialization of v to dst and returns the
+	// extended slice, as append does. It must not retain v or dst.
+	AppendPage(dst []byte, v any) ([]byte, error)
+	// DecodePage parses bytes produced by AppendPage. Ownership of b passes
+	// to the codec: the pool read b from the stable layer for this call
+	// alone (Disk.Read) and never touches it again, so the decoded page may
+	// keep b, alias it and write into it instead of copying it out.
 	DecodePage(b []byte) (any, error)
 }
 
@@ -38,14 +42,6 @@ const (
 
 var errShortImage = errors.New("storage: page image too short")
 
-func frameImage(pageLSN uint64, tag byte, content []byte) []byte {
-	img := make([]byte, 9+len(content))
-	binary.LittleEndian.PutUint64(img[0:8], pageLSN)
-	img[8] = tag
-	copy(img[9:], content)
-	return img
-}
-
 func unframeImage(img []byte) (pageLSN uint64, tag byte, content []byte, err error) {
 	if len(img) < 9 {
 		return 0, 0, nil, errShortImage
@@ -53,14 +49,15 @@ func unframeImage(img []byte) (pageLSN uint64, tag byte, content []byte, err err
 	return binary.LittleEndian.Uint64(img[0:8]), img[8], img[9:], nil
 }
 
-// encodeFrameData serializes a frame's decoded contents using the store
-// codec or the built-in meta codec.
-func (p *Pool) encodeFrameData(data any) (tag byte, content []byte, err error) {
+// appendImage appends the framed image of a frame's decoded contents at
+// pageLSN to dst: the (pageLSN, tag) prefix, and behind it the content as
+// the store codec or the built-in meta codec writes it.
+func (p *Pool) appendImage(dst []byte, pageLSN uint64, data any) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint64(dst, pageLSN)
 	if m, ok := data.(*Meta); ok {
-		return tagMeta, m.encode(), nil
+		return m.appendTo(append(dst, tagMeta)), nil
 	}
-	content, err = p.codec.EncodePage(data)
-	return tagUser, content, err
+	return p.codec.AppendPage(append(dst, tagUser), data)
 }
 
 // decodeFrameData parses a stable image's content portion.

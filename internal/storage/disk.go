@@ -14,6 +14,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -44,10 +45,13 @@ type Disk interface {
 	// Write atomically replaces the stable image of pid. The page write
 	// itself is atomic, as sector-sized writes are on real devices;
 	// torn multi-page states are represented by some pages having old
-	// images and others new.
+	// images and others new. Write does not retain img: the pool builds
+	// the next image in the same buffer.
 	Write(pid PageID, img []byte) error
 	// Read returns the stable image of pid; ok=false means the page was
-	// never flushed (not an error).
+	// never flushed (not an error). The slice is the caller's: nothing
+	// else references it, and the page decoded from it may keep and
+	// change it (Codec.DecodePage).
 	Read(pid PageID) (img []byte, ok bool, err error)
 	// Snapshot returns an independent in-memory copy of the current
 	// stable state, used to build crash images while the original keeps
@@ -82,11 +86,12 @@ func (d *MemDisk) Write(pid PageID, img []byte) error {
 	return nil
 }
 
-// Read returns the stable image of pid, or ok=false if the page was never
-// flushed.
+// Read returns a copy of the stable image of pid, or ok=false if the page
+// was never flushed.
 func (d *MemDisk) Read(pid PageID) (img []byte, ok bool, err error) {
 	d.mu.RLock()
 	img, ok = d.pages[pid]
+	img = bytes.Clone(img)
 	d.mu.RUnlock()
 	return img, ok, nil
 }

@@ -457,8 +457,8 @@ func (d *FileDisk) WritePartial(pid PageID, img []byte, frac float64) error {
 	return nil
 }
 
-// Read returns the stable image of pid, verifying its checksum. The
-// caller must not modify the returned slice.
+// Read returns the stable image of pid, verifying its checksum, in a
+// buffer allocated for this call: it is the caller's.
 func (d *FileDisk) Read(pid PageID) ([]byte, bool, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

@@ -85,14 +85,13 @@ func (m *Meta) IsFree(pid PageID) bool {
 	return present
 }
 
-// encode serializes the meta page.
-func (m *Meta) encode() []byte {
+// appendTo appends the serialized meta page to b.
+func (m *Meta) appendTo(b []byte) []byte {
 	names := make([]string, 0, len(m.Roots))
 	for n := range m.Roots {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var b []byte
 	var tmp [8]byte
 	put64 := func(v uint64) {
 		binary.LittleEndian.PutUint64(tmp[:], v)

@@ -350,6 +350,9 @@ type Pool struct {
 	// dirty indexes the dirty frames by recLSN (dirty.go) in both regimes.
 	dirty dirtyTable
 
+	// scratch holds the image buffers (*[]byte) flush builds pages in.
+	scratch sync.Pool
+
 	flushCount atomic.Int64
 	missCount  atomic.Int64
 	hitCount   atomic.Int64 // unbounded regime; bounded hits are per-shard
@@ -887,14 +890,22 @@ func (p *Pool) flush(f *Frame) error {
 		return nil
 	}
 	lsn := wal.LSN(m &^ dirtyBit)
-	tag, content, err := p.encodeFrameData(f.Data)
+	// The image is built in a scratch buffer the pool keeps between
+	// flushes: no Disk retains what Write is handed.
+	scratch, _ := p.scratch.Get().(*[]byte)
+	if scratch == nil {
+		scratch = new([]byte)
+	}
+	defer p.scratch.Put(scratch)
+	img, err := p.appendImage((*scratch)[:0], uint64(lsn), f.Data)
 	if err != nil {
 		return fmt.Errorf("storage: encode page %d: %w", f.ID, err)
 	}
+	*scratch = img
 	if err := p.log.Force(lsn); err != nil {
 		return fmt.Errorf("storage: flush page %d: %w", f.ID, err)
 	}
-	if err := p.writeImage(f.ID, frameImage(uint64(lsn), tag, content)); err != nil {
+	if err := p.writeImage(f.ID, img); err != nil {
 		return err
 	}
 	// Clean again; recLSN is left stale (see its comment). A lost race

@@ -13,12 +13,12 @@ import (
 // byteCodec stores raw byte slices as pages.
 type byteCodec struct{}
 
-func (byteCodec) EncodePage(v any) ([]byte, error) {
+func (byteCodec) AppendPage(dst []byte, v any) ([]byte, error) {
 	b, ok := v.([]byte)
 	if !ok {
 		return nil, fmt.Errorf("byteCodec: %T", v)
 	}
-	return append([]byte(nil), b...), nil
+	return append(dst, b...), nil
 }
 
 func (byteCodec) DecodePage(b []byte) (any, error) {
@@ -238,7 +238,7 @@ func TestMetaEncodeDecode(t *testing.T) {
 	m.Roots["tree-a"] = 3
 	m.Roots["tree-b"] = 4
 
-	got, err := decodeMeta(m.encode())
+	got, err := decodeMeta(m.appendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,10 @@ func (t *Tree) MultiGet(tx *txn.Txn, ks []keys.Key, vals [][]byte, found []bool)
 			now := t.Now()
 			for _, i := range run {
 				j, ok := leaf.searchVersion(ks[i], now)
-				found[i] = ok && !leaf.Entries[j].Deleted
-				if found[i] {
-					vals[i] = append(vals[i][:0], leaf.Entries[j].Value...)
+				if found[i] = false; ok {
+					if e := leaf.entry(j); !e.Deleted {
+						found[i], vals[i] = true, append(vals[i][:0], e.Value...)
+					}
 				}
 			}
 			t.Stats.BatchOps.Add(1)

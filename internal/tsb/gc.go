@@ -126,7 +126,7 @@ func (t *Tree) gcChain(head storage.PageID) (int, error) {
 				pid:     cur.Pid(),
 				rect:    cloneRect(n.Rect),
 				retired: n.Retired,
-				entries: len(n.Entries),
+				entries: n.Len(),
 			})
 		}
 		sib := n.HistSib
@@ -195,15 +195,14 @@ func (t *Tree) retireIn(o *opCtx, aa *txn.Txn, first *nref, v gcVictim, unlink b
 	node := first
 	o.Hold(node)
 	for {
-		if i, ok := node.N.termFor(v.pid); ok && len(node.N.Entries) > 1 {
+		if i, ok := node.N.termFor(v.pid); ok && node.N.Len() > 1 {
 			// Never remove a level-1 node's last term: an empty index
 			// node is unnavigable (and fails verification). One stale
 			// term to a retired node is harmless — it still routes to
 			// a well-formed empty page.
 			o.Promote(node)
-			e := node.N.Entries[i]
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindRemoveTerm, encTerm(e))
-			node.N.Entries = append(node.N.Entries[:i], node.N.Entries[i+1:]...)
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindRemoveTerm, encTerm(node.N.entry(i)))
+			node.N.recs.Delete(i)
 			node.F.MarkDirty(lsn)
 			t.Stats.GCRemovedTerms.Add(1)
 		}

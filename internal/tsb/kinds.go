@@ -1,6 +1,8 @@
 package tsb
 
 import (
+	"sort"
+
 	"repro/internal/enc"
 	"repro/internal/keys"
 	"repro/internal/pitree"
@@ -128,10 +130,10 @@ func decodePIDs(r *enc.Reader) ([]storage.PageID, error) {
 
 // unsplit payload: the header to restore with the entries to re-add (a
 // node image holding just those), then the children to un-clip.
-func encUnsplit(old *Node, readd []Entry, unclip []storage.PageID) []byte {
+func encUnsplit(old *Node, readd enc.Records, unclip []storage.PageID) []byte {
 	var w enc.Writer
 	img := *old
-	img.Entries = readd
+	img.recs = readd
 	encodeNode(&w, &img)
 	encodePIDs(&w, unclip)
 	return w.Bytes()
@@ -149,7 +151,8 @@ func decUnsplit(b []byte) (img *Node, unclip []storage.PageID, err error) {
 // applyUnsplit is the redo of KindUnsplit.
 func applyUnsplit(n, img *Node, unclip []storage.PageID) {
 	n.setHeader(img)
-	for _, e := range img.Entries {
+	for i := 0; i < img.Len(); i++ {
+		e := img.entry(i)
 		switch n.Level {
 		case 0:
 			n.insertVersion(e)
@@ -161,7 +164,7 @@ func applyUnsplit(n, img *Node, unclip []storage.PageID) {
 	}
 	for _, child := range unclip {
 		if i, ok := n.termFor(child); ok {
-			n.Entries[i].Clipped = false
+			setClipped(&n.recs, i, false)
 		}
 	}
 }
@@ -250,7 +253,7 @@ func decRetire(b []byte) (unlink bool, err error) {
 // retiring node is the newest of the reclaimed suffix; everything behind
 // it is already retired).
 func applyRetire(n *Node, unlink bool) {
-	n.Entries = nil
+	n.recs = enc.Records{}
 	n.Retired = true
 	if unlink {
 		n.HistSib = storage.NilPage
@@ -273,18 +276,18 @@ func applyCutHist(n *Node) {
 
 func encRootGrow(termA, termB Entry, pre *Node) []byte {
 	var w enc.Writer
-	encodeEntry(&w, termA)
-	encodeEntry(&w, termB)
+	w.Reset(appendEntry(appendEntry(nil, termA), termB))
 	encodeNode(&w, pre)
 	return w.Bytes()
 }
 
 func decRootGrow(b []byte) (termA, termB Entry, pre *Node, err error) {
 	r := enc.NewReader(b)
-	termA = decodeEntry(r)
-	termB = decodeEntry(r)
-	pre, err = decodeNode(r)
-	return
+	terms := r.Records(2, entryLayout)
+	if pre, err = decodeNode(r); err != nil {
+		return
+	}
+	return viewEntry(terms.At(0)), viewEntry(terms.At(1)), pre, nil
 }
 
 // --- semantic helpers shared by runtime application and redo ----------------
@@ -296,23 +299,13 @@ func decRootGrow(b []byte) (termA, termB Entry, pre *Node, err error) {
 // moved to the new history node (splitData builds its image that way), so
 // the current node's new edge to it is fresh and single-referenced.
 func applyTimeSplit(n *Node, ts uint64, hist storage.PageID) {
-	kept := n.Entries[:0:0]
-	for i, e := range n.Entries {
-		if e.Start >= ts {
-			kept = append(kept, e)
-			continue
-		}
-		// Alive at ts iff no later version of the same key with
-		// Start < ts... i.e. this is the last version of its key below
-		// ts. Entries are sorted by (Key, Start).
-		lastBelow := i+1 >= len(n.Entries) ||
-			!keys.Equal(n.Entries[i+1].Key, e.Key) ||
-			n.Entries[i+1].Start >= ts
-		if lastBelow {
-			kept = append(kept, e)
-		}
-	}
-	n.Entries = kept
+	// Below ts a version stays iff it is alive at ts: no later version of
+	// the same key with Start < ts, i.e. it is the last version of its key
+	// below ts. Entries are sorted by (Key, Start).
+	n.recs = n.pick(func(i int) bool {
+		return n.startAt(i) >= ts || i+1 >= n.Len() ||
+			!keys.Equal(n.keyAt(i+1), n.keyAt(i)) || n.startAt(i+1) >= ts
+	})
 	n.Rect.TimeLow = ts
 	n.HistSib = hist
 	n.HistShared = false
@@ -320,27 +313,22 @@ func applyTimeSplit(n *Node, ts uint64, hist storage.PageID) {
 
 // historyContents returns the versions the new history node receives:
 // every version with Start < ts.
-func historyContents(n *Node, ts uint64) []Entry {
-	var out []Entry
-	for _, e := range n.Entries {
-		if e.Start < ts {
-			out = append(out, cloneEntry(e))
-		}
-	}
-	return out
+func historyContents(n *Node, ts uint64) enc.Records {
+	return n.pick(func(i int) bool { return n.startAt(i) < ts })
 }
 
 // timeSplitLeavers returns, of a history node's image, the versions a time
 // split REMOVED from the current node: all but the last version of each key
 // (that one was alive at the split time and stayed, copied).
-func timeSplitLeavers(hist *Node) []Entry {
-	var out []Entry
-	for i, e := range hist.Entries {
-		if i+1 < len(hist.Entries) && keys.Equal(hist.Entries[i+1].Key, e.Key) {
-			out = append(out, e)
-		}
-	}
-	return out
+func timeSplitLeavers(hist *Node) enc.Records {
+	return hist.pick(func(i int) bool { return i+1 < hist.Len() && keys.Equal(hist.keyAt(i+1), hist.keyAt(i)) })
+}
+
+// firstKeyAtOrAbove returns the position of the first entry of a data node,
+// or of an index node above level 1, whose key is not below k: where a key
+// split at k cuts the sorted entries.
+func (n *Node) firstKeyAtOrAbove(k keys.Key) int {
+	return sort.Search(n.Len(), func(i int) bool { return keys.Compare(n.keyAt(i), k) >= 0 })
 }
 
 // applyKeySplit trims a data node to keys below k. The new sibling copies
@@ -349,13 +337,7 @@ func timeSplitLeavers(hist *Node) []Entry {
 // its own mark) so reclamation never frees the chain's tail out from
 // under the other referencer.
 func applyKeySplit(n *Node, k keys.Key, sib storage.PageID) {
-	kept := n.Entries[:0:0]
-	for _, e := range n.Entries {
-		if keys.Compare(e.Key, k) < 0 {
-			kept = append(kept, e)
-		}
-	}
-	n.Entries = kept
+	n.recs = n.recs.Slice(0, n.firstKeyAtOrAbove(k))
 	n.Rect.KeyHigh = keys.At(k)
 	n.KeySib = sib
 	if n.HistSib != storage.NilPage {
@@ -367,22 +349,23 @@ func applyKeySplit(n *Node, k keys.Key, sib storage.PageID) {
 // clipped terms (level 1) whose rectangles span k; spanning terms are
 // also marked Clipped, flagging their children as multi-parent (§3.3).
 func applyIndexKeySplit(n *Node, k keys.Key, sib storage.PageID) {
-	kept := n.Entries[:0:0]
-	for _, e := range n.Entries {
-		if n.Level == 1 {
-			if keys.Compare(e.ChildRect.KeyLow, k) < 0 {
-				if e.ChildRect.SpansKey(k) {
-					e.Clipped = true
+	if n.Level == 1 {
+		var kept, spanning []int
+		for i := 0; i < n.Len(); i++ {
+			if r := n.rectAt(i); keys.Compare(r.KeyLow, k) < 0 {
+				if r.SpansKey(k) {
+					spanning = append(spanning, len(kept))
 				}
-				kept = append(kept, e)
-			}
-		} else {
-			if keys.Compare(e.Key, k) < 0 {
-				kept = append(kept, e)
+				kept = append(kept, i)
 			}
 		}
+		n.recs = n.recs.Pick(kept)
+		for _, i := range spanning {
+			setClipped(&n.recs, i, true)
+		}
+	} else {
+		n.recs = n.recs.Slice(0, n.firstKeyAtOrAbove(k))
 	}
-	n.Entries = kept
 	n.Rect.KeyHigh = keys.At(k)
 	n.KeySib = sib
 }
@@ -394,8 +377,8 @@ func newlyClipped(n *Node, k keys.Key) []storage.PageID {
 	if n.Level != 1 {
 		return nil
 	}
-	for _, e := range n.Entries {
-		if !e.Clipped && keys.Compare(e.ChildRect.KeyLow, k) < 0 && e.ChildRect.SpansKey(k) {
+	for i := 0; i < n.Len(); i++ {
+		if e := n.entry(i); !e.Clipped && keys.Compare(e.ChildRect.KeyLow, k) < 0 && e.ChildRect.SpansKey(k) {
 			out = append(out, e.Child)
 		}
 	}
@@ -405,39 +388,11 @@ func newlyClipped(n *Node, k keys.Key) []storage.PageID {
 // indexSplitLeavers returns, of an index sibling's image, the terms the
 // key split at k REMOVED from the node: all of them but the clipped copies
 // of level-1 terms spanning k, which stayed as well.
-func indexSplitLeavers(sib *Node, k keys.Key) []Entry {
+func indexSplitLeavers(sib *Node, k keys.Key) enc.Records {
 	if sib.Level != 1 {
-		return sib.Entries
+		return sib.recs
 	}
-	var out []Entry
-	for _, e := range sib.Entries {
-		if keys.Compare(e.ChildRect.KeyLow, k) >= 0 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// indexSiblingEntries returns the terms the new index sibling receives:
-// those at or above k, plus clipped copies of spanning level-1 terms.
-func indexSiblingEntries(n *Node, k keys.Key) (entries []Entry, clipped int) {
-	for _, e := range n.Entries {
-		if n.Level == 1 {
-			if keys.Compare(e.ChildRect.KeyLow, k) >= 0 {
-				entries = append(entries, cloneEntry(e))
-			} else if e.ChildRect.SpansKey(k) {
-				c := cloneEntry(e)
-				c.Clipped = true
-				entries = append(entries, c)
-				clipped++
-			}
-		} else {
-			if keys.Compare(e.Key, k) >= 0 {
-				entries = append(entries, cloneEntry(e))
-			}
-		}
-	}
-	return entries, clipped
+	return sib.pick(func(i int) bool { return keys.Compare(sib.rectAt(i).KeyLow, k) >= 0 })
 }
 
 // --- binding and registration -----------------------------------------------
@@ -458,38 +413,20 @@ func Register(reg *storage.Registry) *Binding {
 	// unsplit compensates a split of rec's page that created sib: it puts
 	// back the header old and those entries of sib's image, as logged in
 	// its format record just before rec, that leavers picks.
-	unsplit := func(rec *wal.Record, log storage.LogReader, sib storage.PageID, old *Node, unclip []storage.PageID, leavers func(sib *Node) []Entry) (storage.Compensation, error) {
+	unsplit := func(rec *wal.Record, log storage.LogReader, sib storage.PageID, old *Node, unclip []storage.PageID, leavers func(sib *Node) enc.Records) (storage.Compensation, error) {
 		image, err := pitree.SiblingImage(log, rec, KindFormat, sib)
 		if err != nil {
 			return storage.Compensation{}, err
 		}
-		sibNode, err := decodeNode(enc.NewReader(image))
+		sibNode, err := decNodeImage(image)
 		if err != nil {
 			return storage.Compensation{}, err
 		}
 		return storage.Compensation{Kind: KindUnsplit, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encUnsplit(old, leavers(sibNode), unclip)}, nil
 	}
 
-	reg.Register(KindFormat, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := decodeNode(enc.NewReader(rec.Payload))
-			if err != nil {
-				return err
-			}
-			f.Data = n
-			return nil
-		},
-	})
-	reg.Register(KindRestoreImage, storage.Handler{
-		Redo: func(f *storage.Frame, rec *wal.Record) error {
-			n, err := decodeNode(enc.NewReader(rec.Payload))
-			if err != nil {
-				return err
-			}
-			f.Data = n
-			return nil
-		},
-	})
+	reg.Register(KindFormat, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
+	reg.Register(KindRestoreImage, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
 	reg.Register(KindUnsplit, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			img, unclip, err := decUnsplit(rec.Payload)
@@ -531,7 +468,7 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return unsplit(rec, log, sib, old, nil, func(sib *Node) []Entry { return sib.Entries })
+			return unsplit(rec, log, sib, old, nil, func(sib *Node) enc.Records { return sib.recs })
 		},
 	})
 	reg.Register(KindIndexKeySplit, storage.Handler{
@@ -548,7 +485,7 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return unsplit(rec, log, sib, old, clipped, func(sib *Node) []Entry { return indexSplitLeavers(sib, k) })
+			return unsplit(rec, log, sib, old, clipped, func(sib *Node) enc.Records { return indexSplitLeavers(sib, k) })
 		},
 	})
 	reg.Register(KindPut, storage.Handler{
@@ -605,7 +542,7 @@ func Register(reg *storage.Registry) *Binding {
 				return err
 			}
 			if i, ok := n.termFor(e.Child); ok {
-				n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
+				n.recs.Delete(i)
 			}
 			return nil
 		}),
@@ -632,11 +569,8 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return err
 			}
-			for i := range n.Entries {
-				if keys.Equal(n.Entries[i].Key, k) {
-					n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
-					break
-				}
+			if i := n.firstKeyAtOrAbove(k); i < n.Len() && keys.Equal(n.keyAt(i), k) {
+				n.recs.Delete(i)
 			}
 			return nil
 		}),
@@ -666,7 +600,7 @@ func Register(reg *storage.Registry) *Binding {
 			if r.Err() != nil {
 				return storage.Compensation{}, r.Err()
 			}
-			return storage.Compensation{Kind: KindUnsplit, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encUnsplit(old, nil, nil)}, nil
+			return storage.Compensation{Kind: KindUnsplit, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encUnsplit(old, enc.Records{}, nil)}, nil
 		},
 	})
 	reg.Register(KindRootGrow, storage.Handler{
@@ -676,7 +610,7 @@ func Register(reg *storage.Registry) *Binding {
 				return err
 			}
 			n.Level++
-			n.Entries = []Entry{termA, termB}
+			n.setEntries(termA, termB)
 			n.Rect = EntireRect()
 			n.KeySib = storage.NilPage
 			n.HistSib = storage.NilPage

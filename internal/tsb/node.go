@@ -23,6 +23,7 @@
 package tsb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -103,6 +104,9 @@ func (r Rect) String() string {
 //     is alive from Start until the next version of the same key.
 //   - Index nodes (level 1): an index term — ChildRect and Child.
 //   - Index nodes (level >= 2): a key-only term — Key (low bound), Child.
+//
+// An Entry read from a node is a view: its keys and Value alias the node's
+// buffer (DESIGN.md §17).
 type Entry struct {
 	Key     keys.Key
 	Start   uint64
@@ -152,10 +156,11 @@ type Node struct {
 	// (Options.Reclaim) refuses to free a tail whose incoming edge
 	// carries it, since a second referencer may exist.
 	HistShared bool
-	// Entries are sorted by (Key, Start) in data nodes, by
-	// (KeyLow=Key of rect, TimeLow) in level-1 nodes, and by Key in
-	// higher index nodes.
-	Entries []Entry
+	// recs are the entries as the page image stores them, sorted by
+	// (Key, Start) in data nodes, by (KeyLow of rect, TimeLow) in level-1
+	// nodes, and by Key in higher index nodes; views of them hold under
+	// the node's latch until the next mutation.
+	recs enc.Records
 }
 
 // IsData reports whether the node is a data node.
@@ -164,19 +169,85 @@ func (n *Node) IsData() bool { return n.Level == 0 }
 // Current reports whether the node's time range is open-ended.
 func (n *Node) Current() bool { return n.Rect.TimeHigh == NoEnd }
 
+// Len returns the number of entries.
+func (n *Node) Len() int { return n.recs.Len() }
+
+// entry returns entry i as a view; keyAt, startAt, childAt and rectAt read
+// one field of it, for the search loops.
+func (n *Node) entry(i int) Entry { return viewEntry(n.recs.At(i)) }
+
+func (n *Node) keyAt(i int) keys.Key {
+	k, _ := enc.Field32(n.recs.At(i), 0)
+	return k
+}
+
+func (n *Node) startAt(i int) uint64 {
+	rec := n.recs.At(i)
+	_, off := enc.Field32(rec, 0)
+	return binary.LittleEndian.Uint64(rec[off:])
+}
+
+// fixedTail is entry i behind its value: deleted 1, txn 8, child 8, rectangle, clipped 1.
+func (n *Node) fixedTail(i int) []byte {
+	rec := n.recs.At(i)
+	_, off := enc.Field32(rec, 0)
+	_, off = enc.Field32(rec, off+8)
+	return rec[off:]
+}
+
+func (n *Node) childAt(i int) storage.PageID {
+	return storage.PageID(binary.LittleEndian.Uint64(n.fixedTail(i)[1+8:]))
+}
+
+func (n *Node) rectAt(i int) Rect {
+	r, _ := viewRect(n.fixedTail(i), 1+8+8)
+	return r
+}
+
+// setClipped rewrites term i's clipped mark in rs: the record's last byte.
+func setClipped(rs *enc.Records, i int, clipped bool) {
+	rec := rs.At(i)
+	rec[len(rec)-1] = enc.Bit(clipped)
+}
+
+// insertAt places a copy of e at position i.
+func (n *Node) insertAt(i int, e Entry) {
+	var scratch [320]byte
+	n.recs.Insert(i, appendEntry(scratch[:0], e))
+}
+
+// setEntries makes copies of es the node's only entries, in that order.
+func (n *Node) setEntries(es ...Entry) {
+	n.recs = enc.Records{}
+	for i, e := range es {
+		n.insertAt(i, e)
+	}
+}
+
+// pick returns copies of the entries whose position passes keep.
+func (n *Node) pick(keep func(i int) bool) enc.Records {
+	var idx []int
+	for i := 0; i < n.Len(); i++ {
+		if keep(i) {
+			idx = append(idx, i)
+		}
+	}
+	return n.recs.Pick(idx)
+}
+
 // searchVersion returns the index of the live-at-t version of key, if
 // any: the entry with the largest Start <= t among entries of that key.
 func (n *Node) searchVersion(k keys.Key, t uint64) (int, bool) {
 	// First entry with Key >= k.
-	i := sort.Search(len(n.Entries), func(i int) bool {
-		c := keys.Compare(n.Entries[i].Key, k)
-		return c > 0 || (c == 0 && n.Entries[i].Start > t)
+	i := sort.Search(n.Len(), func(i int) bool {
+		c := keys.Compare(n.keyAt(i), k)
+		return c > 0 || (c == 0 && n.startAt(i) > t)
 	})
 	// The candidate is the previous entry if it is a version of k.
 	if i == 0 {
 		return 0, false
 	}
-	if !keys.Equal(n.Entries[i-1].Key, k) {
+	if !keys.Equal(n.keyAt(i-1), k) {
 		return i - 1, false
 	}
 	return i - 1, true
@@ -185,59 +256,54 @@ func (n *Node) searchVersion(k keys.Key, t uint64) (int, bool) {
 // versionPos returns the insertion position for (k, start) and whether an
 // identical version exists.
 func (n *Node) versionPos(k keys.Key, start uint64) (int, bool) {
-	i := sort.Search(len(n.Entries), func(i int) bool {
-		c := keys.Compare(n.Entries[i].Key, k)
-		return c > 0 || (c == 0 && n.Entries[i].Start >= start)
+	i := sort.Search(n.Len(), func(i int) bool {
+		c := keys.Compare(n.keyAt(i), k)
+		return c > 0 || (c == 0 && n.startAt(i) >= start)
 	})
-	if i < len(n.Entries) && keys.Equal(n.Entries[i].Key, k) && n.Entries[i].Start == start {
+	if i < n.Len() && keys.Equal(n.keyAt(i), k) && n.startAt(i) == start {
 		return i, true
 	}
 	return i, false
 }
 
-// insertVersion places a version at its sorted position; it reports false
-// if an identical (key, start) version already exists.
+// insertVersion places a copy of the version at its sorted position; it
+// reports false if an identical (key, start) version already exists.
 func (n *Node) insertVersion(e Entry) bool {
 	i, dup := n.versionPos(e.Key, e.Start)
 	if dup {
 		return false
 	}
-	n.Entries = append(n.Entries, Entry{})
-	copy(n.Entries[i+1:], n.Entries[i:])
-	n.Entries[i] = e
+	n.insertAt(i, e)
 	return true
 }
 
 // removeVersion deletes the exact (key, start) version.
 func (n *Node) removeVersion(k keys.Key, start uint64) bool {
 	i, ok := n.versionPos(k, start)
-	if !ok {
-		return false
+	if ok {
+		n.recs.Delete(i)
 	}
-	n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
-	return true
+	return ok
 }
 
-// termPos returns the insertion position for a level-1 term sorted by
-// (KeyLow, TimeLow), and whether a term for the same child exists.
+// termFor returns the position of the term for child, if there is one.
 func (n *Node) termFor(child storage.PageID) (int, bool) {
-	for i := range n.Entries {
-		if n.Entries[i].Child == child {
+	for i := 0; i < n.Len(); i++ {
+		if n.childAt(i) == child {
 			return i, true
 		}
 	}
 	return 0, false
 }
 
-// insertTerm places a level-1 rect-term sorted by (KeyLow, TimeLow).
+// insertTerm places a copy of a level-1 rect-term sorted by (KeyLow, TimeLow).
 func (n *Node) insertTerm(e Entry) {
-	i := sort.Search(len(n.Entries), func(i int) bool {
-		c := keys.Compare(n.Entries[i].ChildRect.KeyLow, e.ChildRect.KeyLow)
-		return c > 0 || (c == 0 && n.Entries[i].ChildRect.TimeLow >= e.ChildRect.TimeLow)
+	i := sort.Search(n.Len(), func(i int) bool {
+		r := n.rectAt(i)
+		c := keys.Compare(r.KeyLow, e.ChildRect.KeyLow)
+		return c > 0 || (c == 0 && r.TimeLow >= e.ChildRect.TimeLow)
 	})
-	n.Entries = append(n.Entries, Entry{})
-	copy(n.Entries[i+1:], n.Entries[i:])
-	n.Entries[i] = e
+	n.insertAt(i, e)
 }
 
 // chooseTerm picks the level-1 term to descend to for the point (k, t).
@@ -273,21 +339,21 @@ func (n *Node) chooseTerm(k keys.Key, t uint64) (Entry, bool) {
 	// common current-time lookup a binary search plus a handful of
 	// entries instead of a full scan of a node that soft overflow may
 	// have grown far past its nominal capacity.
-	hi := sort.Search(len(n.Entries), func(i int) bool {
-		return keys.Compare(n.Entries[i].ChildRect.KeyLow, k) > 0
+	hi := sort.Search(n.Len(), func(i int) bool {
+		return keys.Compare(n.rectAt(i).KeyLow, k) > 0
 	})
 	current, belowKey := -1, -1
+	belowOpen := false // the belowKey term's time range is open-ended
 	for j := hi - 1; j >= 0; j-- {
-		r := n.Entries[j].ChildRect
-		if belowKey == -1 ||
-			(r.TimeHigh == NoEnd && n.Entries[belowKey].ChildRect.TimeHigh != NoEnd) {
-			belowKey = j
+		r := n.rectAt(j)
+		if belowKey == -1 || (r.TimeHigh == NoEnd && !belowOpen) {
+			belowKey, belowOpen = j, r.TimeHigh == NoEnd
 		}
 		if !r.ContainsKey(k) {
 			continue
 		}
 		if r.Contains(k, t) {
-			return n.Entries[j], true
+			return n.entry(j), true
 		}
 		if r.TimeHigh == NoEnd && current == -1 {
 			current = j
@@ -295,46 +361,40 @@ func (n *Node) chooseTerm(k keys.Key, t uint64) (Entry, bool) {
 	}
 	switch {
 	case current >= 0:
-		return n.Entries[current], true
+		return n.entry(current), true
 	case belowKey >= 0:
-		return n.Entries[belowKey], true
+		return n.entry(belowKey), true
 	}
 	return Entry{}, false
 }
 
 // keyChildFor is the level->=2 lookup: largest entry Key <= k.
 func (n *Node) keyChildFor(k keys.Key) (Entry, bool) {
-	i := sort.Search(len(n.Entries), func(i int) bool {
-		return keys.Compare(n.Entries[i].Key, k) > 0
+	i := sort.Search(n.Len(), func(i int) bool {
+		return keys.Compare(n.keyAt(i), k) > 0
 	})
 	if i == 0 {
 		return Entry{}, false
 	}
-	return n.Entries[i-1], true
+	return n.entry(i - 1), true
 }
 
-// insertKeyTerm places a key-only term (level >= 2).
+// insertKeyTerm places a copy of a key-only term (level >= 2).
 func (n *Node) insertKeyTerm(e Entry) bool {
-	i := sort.Search(len(n.Entries), func(i int) bool {
-		return keys.Compare(n.Entries[i].Key, e.Key) >= 0
-	})
-	if i < len(n.Entries) && keys.Equal(n.Entries[i].Key, e.Key) {
+	i := n.firstKeyAtOrAbove(e.Key)
+	if i < n.Len() && keys.Equal(n.keyAt(i), e.Key) {
 		return false
 	}
-	n.Entries = append(n.Entries, Entry{})
-	copy(n.Entries[i+1:], n.Entries[i:])
-	n.Entries[i] = e
+	n.insertAt(i, e)
 	return true
 }
 
 // clone returns a deep copy.
 func (n *Node) clone() *Node {
-	c := &Node{Level: n.Level, Rect: cloneRect(n.Rect), KeySib: n.KeySib, HistSib: n.HistSib, Retired: n.Retired, HistShared: n.HistShared}
-	c.Entries = make([]Entry, len(n.Entries))
-	for i, e := range n.Entries {
-		c.Entries[i] = cloneEntry(e)
-	}
-	return c
+	c := *n
+	c.Rect = cloneRect(n.Rect)
+	c.recs = n.recs.Clone()
+	return &c
 }
 
 func cloneRect(r Rect) Rect {
@@ -343,25 +403,19 @@ func cloneRect(r Rect) Rect {
 	return r
 }
 
-func cloneEntry(e Entry) Entry {
-	out := e
-	out.Key = keys.Clone(e.Key)
-	if e.Value != nil {
-		out.Value = append([]byte(nil), e.Value...)
-	}
-	out.ChildRect = cloneRect(e.ChildRect)
-	return out
-}
-
 // --- serialization --------------------------------------------------------
 
-func encodeRect(w *enc.Writer, r Rect) {
-	w.Bytes32(r.KeyLow)
-	w.Bool(r.KeyHigh.Unbounded)
-	w.Bytes32(r.KeyHigh.Key)
-	w.U64(r.TimeLow)
-	w.U64(r.TimeHigh)
+// The encoders are plain appends, not Writer methods, so that a caller's
+// scratch buffer stays on its stack.
+func appendRect(dst []byte, r Rect) []byte {
+	dst = enc.AppendBytes32(dst, r.KeyLow)
+	dst = append(dst, enc.Bit(r.KeyHigh.Unbounded))
+	dst = enc.AppendBytes32(dst, r.KeyHigh.Key)
+	dst = binary.LittleEndian.AppendUint64(dst, r.TimeLow)
+	return binary.LittleEndian.AppendUint64(dst, r.TimeHigh)
 }
+
+func encodeRect(w *enc.Writer, r Rect) { w.Reset(appendRect(w.Bytes(), r)) }
 
 func decodeRect(r *enc.Reader) Rect {
 	var out Rect
@@ -373,27 +427,41 @@ func decodeRect(r *enc.Reader) Rect {
 	return out
 }
 
-func encodeEntry(w *enc.Writer, e Entry) {
-	w.Bytes32(e.Key)
-	w.U64(e.Start)
-	w.Bytes32(e.Value)
-	w.Bool(e.Deleted)
-	w.U64(uint64(e.Txn))
-	w.U64(uint64(e.Child))
-	encodeRect(w, e.ChildRect)
-	w.Bool(e.Clipped)
+// viewRect reads the rectangle at rec[off:], its keys aliasing rec.
+func viewRect(rec []byte, off int) (Rect, int) {
+	var r Rect
+	r.KeyLow, off = enc.Field32(rec, off)
+	r.KeyHigh.Unbounded = rec[off] != 0
+	r.KeyHigh.Key, off = enc.Field32(rec, off+1)
+	r.TimeLow = binary.LittleEndian.Uint64(rec[off:])
+	r.TimeHigh = binary.LittleEndian.Uint64(rec[off+8:])
+	return r, off + 16
 }
 
-func decodeEntry(r *enc.Reader) Entry {
+// appendEntry appends e's record to dst.
+func appendEntry(dst []byte, e Entry) []byte {
+	dst = enc.AppendBytes32(dst, e.Key)
+	dst = binary.LittleEndian.AppendUint64(dst, e.Start)
+	dst = enc.AppendBytes32(dst, e.Value)
+	dst = append(dst, enc.Bit(e.Deleted))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Txn))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Child))
+	dst = appendRect(dst, e.ChildRect)
+	return append(dst, enc.Bit(e.Clipped))
+}
+
+// viewEntry reads a record of entryLayout; keys and Value alias it.
+func viewEntry(rec []byte) Entry {
 	var e Entry
-	e.Key = r.Bytes32()
-	e.Start = r.U64()
-	e.Value = r.Bytes32()
-	e.Deleted = r.Bool()
-	e.Txn = wal.TxnID(r.U64())
-	e.Child = storage.PageID(r.U64())
-	e.ChildRect = decodeRect(r)
-	e.Clipped = r.Bool()
+	var off int
+	e.Key, off = enc.Field32(rec, 0)
+	e.Start = binary.LittleEndian.Uint64(rec[off:])
+	e.Value, off = enc.Field32(rec, off+8)
+	e.Deleted = rec[off] != 0
+	e.Txn = wal.TxnID(binary.LittleEndian.Uint64(rec[off+1:]))
+	e.Child = storage.PageID(binary.LittleEndian.Uint64(rec[off+9:]))
+	e.ChildRect, off = viewRect(rec, off+17)
+	e.Clipped = rec[off] != 0
 	return e
 }
 
@@ -422,36 +490,29 @@ func decodeHeader(r *enc.Reader) *Node {
 
 // setHeader overwrites n's header with hdr's; the entries stay.
 func (n *Node) setHeader(hdr *Node) {
-	entries := n.Entries
+	recs := n.recs
 	*n = *hdr
-	n.Entries = entries
+	n.recs = recs
 }
 
-// minEntryBytes is the least an encoded entry occupies; it bounds the
-// entry count a decoder accepts by the bytes that are left to hold them.
-const minEntryBytes = 4 + 8 + 4 + 1 + 8 + 8 + (4 + 1 + 4 + 8 + 8) + 1
+// entryLayout is an entry on the page: key, start, value, deleted, txn,
+// child, the child's rectangle (key low, unbounded, key high, the times),
+// clipped.
+var entryLayout = enc.Layout{enc.Var, 8, enc.Var, 1 + 8 + 8, enc.Var, 1, enc.Var, 8 + 8, 1}
 
 func encodeNode(w *enc.Writer, n *Node) {
 	encodeHeader(w, n)
-	w.U32(uint32(len(n.Entries)))
-	for _, e := range n.Entries {
-		encodeEntry(w, e)
-	}
+	w.U32(uint32(n.Len()))
+	w.Reset(n.recs.AppendTo(w.Bytes()))
 }
 
+// decodeNode reads a node whose entries ALIAS r's input: a page image the
+// caller hands over, a payload it only reads, or a copy of one
+// (pitree.RedoImage). The header's keys are copied: they must not pin a
+// buffer the entries have outgrown.
 func decodeNode(r *enc.Reader) (*Node, error) {
 	n := decodeHeader(r)
-	cnt := int(r.U32())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if cnt > r.Remaining()/minEntryBytes {
-		return nil, enc.ErrTruncated
-	}
-	n.Entries = make([]Entry, 0, cnt)
-	for i := 0; i < cnt; i++ {
-		n.Entries = append(n.Entries, decodeEntry(r))
-	}
+	n.recs = r.Records(int(r.U32()), entryLayout)
 	return n, r.Err()
 }
 
@@ -461,24 +522,28 @@ func encNodeImage(n *Node) []byte {
 	return w.Bytes()
 }
 
+// decNodeImage decodes a whole image; the node's entries alias b.
+func decNodeImage(b []byte) (*Node, error) {
+	return decodeNode(enc.NewReader(b))
+}
+
 // Codec is the storage.Codec for TSB pages.
 type Codec struct{}
 
-// EncodePage implements storage.Codec.
-func (Codec) EncodePage(v any) ([]byte, error) {
+// AppendPage implements storage.Codec.
+func (Codec) AppendPage(dst []byte, v any) ([]byte, error) {
 	n, ok := v.(*Node)
 	if !ok {
 		return nil, fmt.Errorf("tsb: cannot encode page of type %T", v)
 	}
 	var w enc.Writer
+	w.Reset(dst)
 	encodeNode(&w, n)
 	return w.Bytes(), nil
 }
 
-// DecodePage implements storage.Codec.
-func (Codec) DecodePage(b []byte) (any, error) {
-	return decodeNode(enc.NewReader(b))
-}
+// DecodePage implements storage.Codec: the node keeps b.
+func (Codec) DecodePage(b []byte) (any, error) { return decNodeImage(b) }
 
 // SuccessorHint implements storage.SuccessorCodec: a data node's
 // key-order successor is its key sibling, the pointer a key-ordered

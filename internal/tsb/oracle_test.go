@@ -1,0 +1,178 @@
+package tsb
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"repro/internal/enc"
+	"repro/internal/keys"
+	"repro/internal/storage"
+	"repro/internal/wal"
+)
+
+// appendEntries puts es behind n's entries, in the order given.
+func appendEntries(n *Node, es ...Entry) {
+	for _, e := range es {
+		n.insertAt(n.Len(), e)
+	}
+}
+
+// entriesOf returns views of all of n's entries.
+func entriesOf(n *Node) []Entry {
+	var es []Entry
+	for i := 0; i < n.Len(); i++ {
+		es = append(es, n.entry(i))
+	}
+	return es
+}
+
+// oracleNode is the node as it was decoded before it kept its records
+// encoded — one struct per entry — with the field-by-field codec of that
+// time: the reference the page format is held to.
+type oracleNode struct {
+	hdr     Node // the header fields; its recs stay empty
+	Entries []Entry
+}
+
+func oracleEncodeRect(w *enc.Writer, r Rect) {
+	w.Bytes32(r.KeyLow)
+	w.Bool(r.KeyHigh.Unbounded)
+	w.Bytes32(r.KeyHigh.Key)
+	w.U64(r.TimeLow)
+	w.U64(r.TimeHigh)
+}
+
+func oracleEncodeNode(w *enc.Writer, n *oracleNode) {
+	w.U16(uint16(n.hdr.Level))
+	oracleEncodeRect(w, n.hdr.Rect)
+	w.U64(uint64(n.hdr.KeySib))
+	w.U64(uint64(n.hdr.HistSib))
+	w.Bool(n.hdr.Retired)
+	w.Bool(n.hdr.HistShared)
+	w.U32(uint32(len(n.Entries)))
+	for _, e := range n.Entries {
+		w.Bytes32(e.Key)
+		w.U64(e.Start)
+		w.Bytes32(e.Value)
+		w.Bool(e.Deleted)
+		w.U64(uint64(e.Txn))
+		w.U64(uint64(e.Child))
+		oracleEncodeRect(w, e.ChildRect)
+		w.Bool(e.Clipped)
+	}
+}
+
+func oracleDecodeNode(r *enc.Reader) (*oracleNode, error) {
+	n := &oracleNode{hdr: *decodeHeader(r)}
+	cnt := int(r.U32())
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if cnt > r.Remaining()/(4+8+4+1+8+8+(4+1+4+8+8)+1) {
+		return nil, enc.ErrTruncated
+	}
+	n.Entries = make([]Entry, 0, cnt)
+	for i := 0; i < cnt; i++ {
+		var e Entry
+		e.Key = r.Bytes32()
+		e.Start = r.U64()
+		e.Value = r.Bytes32()
+		e.Deleted = r.Bool()
+		e.Txn = wal.TxnID(r.U64())
+		e.Child = storage.PageID(r.U64())
+		e.ChildRect = decodeRect(r)
+		e.Clipped = r.Bool()
+		n.Entries = append(n.Entries, e)
+	}
+	return n, r.Err()
+}
+
+func sameBytes(a, b []byte) bool { return bytes.Equal(a, b) && (a == nil) == (b == nil) }
+
+func sameRect(a, b Rect) bool {
+	return sameBytes(a.KeyLow, b.KeyLow) && a.KeyHigh.Unbounded == b.KeyHigh.Unbounded &&
+		sameBytes(a.KeyHigh.Key, b.KeyHigh.Key) && a.TimeLow == b.TimeLow && a.TimeHigh == b.TimeHigh
+}
+
+// TestImageByteIdentity: for seeded random nodes of every level — nil,
+// empty and unbounded keys, tombstones, retired and shared marks, clipped
+// terms — the image the oracle codec writes decodes and re-encodes to itself
+// through the oracle and through the node codec, field for field, also
+// after every record was taken out of the buffer and put back.
+func TestImageByteIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	blob := func(max int) []byte {
+		switch rng.Intn(6) {
+		case 0:
+			return nil
+		case 1:
+			return []byte{}
+		}
+		b := make([]byte, 1+rng.Intn(max))
+		rng.Read(b)
+		return b
+	}
+	rect := func() Rect {
+		return Rect{KeyLow: blob(12), KeyHigh: keys.Bound{Unbounded: rng.Intn(3) == 0, Key: blob(12)}, TimeLow: rng.Uint64(), TimeHigh: rng.Uint64()}
+	}
+	for i := 0; i < 500; i++ {
+		o := &oracleNode{hdr: Node{Level: rng.Intn(3), Rect: rect(), KeySib: storage.PageID(rng.Intn(99)), HistSib: storage.PageID(rng.Intn(99)),
+			Retired: rng.Intn(8) == 0, HistShared: rng.Intn(2) == 0}}
+		for j, cnt := 0, rng.Intn(30); j < cnt; j++ {
+			var e Entry
+			switch o.hdr.Level {
+			case 0:
+				e = Entry{Key: blob(24), Start: rng.Uint64(), Value: blob(120), Deleted: rng.Intn(6) == 0, Txn: wal.TxnID(rng.Intn(4))}
+			case 1:
+				e = Entry{Child: storage.PageID(rng.Uint64()), ChildRect: rect(), Clipped: rng.Intn(3) == 0}
+			default:
+				e = Entry{Key: blob(24), Child: storage.PageID(rng.Uint64())}
+			}
+			o.Entries = append(o.Entries, e)
+		}
+		var w enc.Writer
+		oracleEncodeNode(&w, o)
+		img := w.Bytes()
+
+		od, err := oracleDecodeNode(enc.NewReader(img))
+		if err != nil {
+			t.Fatalf("node %d: oracle decode: %v", i, err)
+		}
+		var ow enc.Writer
+		oracleEncodeNode(&ow, od)
+		if !bytes.Equal(ow.Bytes(), img) {
+			t.Fatalf("node %d: oracle round trip differs", i)
+		}
+
+		dec, err := (Codec{}).DecodePage(bytes.Clone(img))
+		if err != nil {
+			t.Fatalf("node %d: decode: %v", i, err)
+		}
+		n := dec.(*Node)
+		if got, _ := (Codec{}).AppendPage(nil, n); !bytes.Equal(got, img) {
+			t.Fatalf("node %d: image\n%x re-encodes as\n%x", i, img, got)
+		}
+		if n.Len() != len(o.Entries) {
+			t.Fatalf("node %d: %d entries, want %d", i, n.Len(), len(o.Entries))
+		}
+		for j, want := range o.Entries {
+			e := n.entry(j)
+			if !sameBytes(e.Key, want.Key) || e.Start != want.Start || !sameBytes(e.Value, want.Value) || e.Deleted != want.Deleted ||
+				e.Txn != want.Txn || e.Child != want.Child || !sameRect(e.ChildRect, want.ChildRect) || e.Clipped != want.Clipped {
+				t.Fatalf("node %d entry %d: %+v, want %+v", i, j, e, want)
+			}
+			if !sameBytes(n.keyAt(j), want.Key) || n.startAt(j) != want.Start || n.childAt(j) != want.Child || !sameRect(n.rectAt(j), want.ChildRect) {
+				t.Fatalf("node %d entry %d: keyAt / startAt / childAt / rectAt disagree with the entry", i, j)
+			}
+		}
+		for _, j := range rng.Perm(n.Len()) {
+			rec := bytes.Clone(n.recs.At(j))
+			n.recs.Delete(j)
+			n.recs.Insert(j, rec)
+		}
+		if got, _ := (Codec{}).AppendPage(nil, n); !bytes.Equal(got, img) {
+			t.Fatalf("node %d: after delete and re-insert of every record the image is\n%x, want\n%x", i, got, img)
+		}
+	}
+}

@@ -148,7 +148,7 @@ func (t *Tree) reclaimTail(head storage.PageID) (int, error) {
 		o.Release(&prev)
 		return 0, err
 	}
-	if !tail.N.Retired || tail.N.HistSib != storage.NilPage || len(tail.N.Entries) != 0 {
+	if !tail.N.Retired || tail.N.HistSib != storage.NilPage || tail.N.Len() != 0 {
 		o.Release(&tail, &prev)
 		return 0, nil
 	}

@@ -305,5 +305,5 @@ func firstChild(t *testing.T, pool *storage.Pool, pid storage.PageID) storage.Pa
 		t.Fatal(err)
 	}
 	defer pool.Unpin(f)
-	return f.Data.(*Node).Entries[0].Child
+	return f.Data.(*Node).entry(0).Child
 }

@@ -61,7 +61,7 @@ func randomDataNode(rng *rand.Rand) *Node {
 			start += 1 + uint64(rng.Intn(20))
 			e := Entry{Key: keys.Uint64(k), Start: start, Value: make([]byte, 1+rng.Intn(30)), Deleted: rng.Intn(8) == 0, Txn: wal.TxnID(rng.Intn(3))}
 			rng.Read(e.Value)
-			n.Entries = append(n.Entries, e)
+			appendEntries(n, e)
 		}
 	}
 	return n
@@ -83,7 +83,7 @@ func randomIndexNode(rng *rand.Rand, level int) *Node {
 		k += 1 + uint64(rng.Intn(40))
 		if level > 1 {
 			e.Key = low
-			n.Entries = append(n.Entries, e)
+			appendEntries(n, e)
 			continue
 		}
 		e.ChildRect = Rect{KeyLow: low, KeyHigh: keys.At(keys.Uint64(k)), TimeLow: uint64(rng.Intn(40)), TimeHigh: NoEnd}
@@ -107,27 +107,27 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 		want := encNodeImage(n)
 
 		// Time split at a time inside the node's versions, as splitDataIn does.
-		ts := n.Entries[rng.Intn(len(n.Entries))].Start + uint64(rng.Intn(2))
-		hist := &Node{Rect: cloneRect(n.Rect), HistSib: n.HistSib, HistShared: n.HistShared, Entries: historyContents(n, ts)}
+		ts := n.startAt(rng.Intn(n.Len())) + uint64(rng.Intn(2))
+		hist := &Node{Rect: cloneRect(n.Rect), HistSib: n.HistSib, HistShared: n.HistShared, recs: historyContents(n, ts)}
 		hist.Rect.TimeHigh = ts
-		for j, e := range hist.Entries { // a version alive across ts is in both nodes
-			if j+1 == len(hist.Entries) || !keys.Equal(hist.Entries[j+1].Key, e.Key) {
+		for j := 0; j < hist.Len(); j++ { // a version alive across ts is in both nodes
+			if j+1 == hist.Len() || !keys.Equal(hist.keyAt(j+1), hist.keyAt(j)) {
 				spanned++
 			}
 		}
-		if len(hist.Entries) > 0 {
+		if hist.Len() > 0 {
 			if got := undoRoundTrip(t, reg, n, 901, hist, KindTimeSplit, encTimeSplit(ts, 901, n)); !bytes.Equal(got, want) {
 				t.Fatalf("node %d: undo of the time split at %d gives\n%x, want\n%x", i, ts, got, want)
 			}
 		}
 
 		// Key split at a key of the node.
-		k := n.Entries[len(n.Entries)/2].Key
+		k := keys.Clone(n.keyAt(n.Len() / 2))
 		sib := &Node{Rect: cloneRect(n.Rect), KeySib: n.KeySib, HistSib: n.HistSib, HistShared: n.HistSib != storage.NilPage}
 		sib.Rect.KeyLow = keys.Clone(k)
-		for _, e := range n.Entries {
+		for _, e := range entriesOf(n) {
 			if keys.Compare(e.Key, k) >= 0 {
-				sib.Entries = append(sib.Entries, cloneEntry(e))
+				appendEntries(sib, e)
 			}
 		}
 		if got := undoRoundTrip(t, reg, n, 902, sib, KindKeySplit, encKeySplit(k, 902, n, nil)); !bytes.Equal(got, want) {
@@ -447,7 +447,7 @@ func TestRetireRolledBackStaysRetired(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := f.Data.(*Node)
-			v = gcVictim{pid: pid, rect: cloneRect(n.Rect), entries: len(n.Entries)}
+			v = gcVictim{pid: pid, rect: cloneRect(n.Rect), entries: n.Len()}
 			pid = n.HistSib
 			tr.store.Pool.Unpin(f)
 		}
@@ -477,8 +477,8 @@ func TestRetireRolledBackStaysRetired(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := f.Data.(*Node); !n.Retired || len(n.Entries) != 0 {
-			t.Fatalf("victim after the rollback: retired=%v with %d versions; the retire is not undone", n.Retired, len(n.Entries))
+		if n := f.Data.(*Node); !n.Retired || n.Len() != 0 {
+			t.Fatalf("victim after the rollback: retired=%v with %d versions; the retire is not undone", n.Retired, n.Len())
 		}
 		tr.store.Pool.Unpin(f)
 		settled(t, fx, times, want)
@@ -542,8 +542,8 @@ func FuzzSlimPayloads(f *testing.F) {
 	f.Add(encTimeSplit(9, 4, n))
 	f.Add(encKeySplit(keys.Uint64(300), 4, in, []storage.PageID{1001, 1002}))
 	f.Add(encRetire(true))
-	f.Add(encUnsplit(n, n.Entries[:2], nil))
-	f.Add(encUnsplit(in, in.Entries[:1], []storage.PageID{1001}))
+	f.Add(encUnsplit(n, n.recs.Slice(0, 2), nil))
+	f.Add(encUnsplit(in, in.recs.Slice(0, 1), []storage.PageID{1001}))
 	f.Add(encCutHist(n))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, _, _, _ = decTimeSplit(b)
@@ -552,8 +552,8 @@ func FuzzSlimPayloads(f *testing.F) {
 		}
 		_, _ = decRetire(b)
 		if img, unclip, err := decUnsplit(b); err == nil {
-			if len(img.Entries) > len(b) || len(unclip) > len(b) {
-				t.Fatalf("%d entries and %d pages out of %d bytes", len(img.Entries), len(unclip), len(b))
+			if img.Len() > len(b) || len(unclip) > len(b) {
+				t.Fatalf("%d entries and %d pages out of %d bytes", img.Len(), len(unclip), len(b))
 			}
 			applyUnsplit(randomDataNode(rand.New(rand.NewSource(4))), img, unclip)
 		}

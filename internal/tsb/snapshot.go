@@ -39,17 +39,17 @@ import (
 // entries. Hand-rolled binary search: the closure sort.Search would need
 // escapes and this sits on the zero-allocation point-read path.
 func keyGroup(n *Node, key keys.Key) (int, int) {
-	lo, hi := 0, len(n.Entries)
+	lo, hi := 0, n.Len()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if keys.Compare(n.Entries[mid].Key, key) < 0 {
+		if keys.Compare(n.keyAt(mid), key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	g := lo
-	for g < len(n.Entries) && keys.Equal(n.Entries[g].Key, key) {
+	for g < n.Len() && keys.Equal(n.keyAt(g), key) {
 		g++
 	}
 	return lo, g
@@ -89,7 +89,7 @@ func (t *Tree) snapshotGetOnce(snap *txn.Snapshot, key keys.Key, buf []byte) ([]
 		n := cur.N
 		lo, hi := keyGroup(n, key)
 		for i := hi - 1; i >= lo; i-- {
-			e := &n.Entries[i]
+			e := n.entry(i)
 			if snap.Visible(e.Txn, e.Start) {
 				if e.Deleted {
 					o.Release(&cur)
@@ -103,7 +103,7 @@ func (t *Tree) snapshotGetOnce(snap *txn.Snapshot, key keys.Key, buf []byte) ([]
 		// No visible version here. By carryover, older versions exist only
 		// if the group's oldest entry itself predates the node's time
 		// range (and is invisible — an in-flight writer's carried write).
-		if hi == lo || n.Entries[lo].Start >= n.Rect.TimeLow || n.HistSib == storage.NilPage {
+		if hi == lo || n.startAt(lo) >= n.Rect.TimeLow || n.HistSib == storage.NilPage {
 			o.Release(&cur)
 			return buf, false, nil
 		}
@@ -122,7 +122,8 @@ func (t *Tree) snapshotGetOnce(snap *txn.Snapshot, key keys.Key, buf []byte) ([]
 // S latch; keys whose visible version lies behind the leaf's history
 // chain (an in-flight writer's carried version masks them) are resolved
 // by per-key chases after the latch is released, so the latch hold time
-// stays proportional to the leaf size.
+// stays proportional to the leaf size. Keys and values passed to fn are
+// copies.
 func (t *Tree) SnapshotScan(snap *txn.Snapshot, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
 	t.Stats.SnapshotScans.Add(1)
 	cursor := keys.Clone(lo)
@@ -143,17 +144,16 @@ func (t *Tree) SnapshotScan(snap *txn.Snapshot, lo, hi keys.Key, fn func(k keys.
 				return err
 			}
 			n := leaf.N
-			ents := n.Entries
-			for i := 0; i < len(ents); {
-				k := ents[i].Key
+			for i := 0; i < n.Len(); {
+				k := n.keyAt(i)
 				j := i + 1
-				for j < len(ents) && keys.Equal(ents[j].Key, k) {
+				for j < n.Len() && keys.Equal(n.keyAt(j), k) {
 					j++
 				}
 				if keys.Compare(k, cursor) >= 0 && (hi == nil || keys.Compare(k, hi) < 0) {
 					resolved := false
 					for p := j - 1; p >= i; p-- {
-						e := &ents[p]
+						e := n.entry(p)
 						if snap.Visible(e.Txn, e.Start) {
 							if !e.Deleted {
 								batch = append(batch, rec{k: keys.Clone(k), v: append([]byte(nil), e.Value...)})
@@ -162,7 +162,7 @@ func (t *Tree) SnapshotScan(snap *txn.Snapshot, lo, hi keys.Key, fn func(k keys.
 							break
 						}
 					}
-					if !resolved && ents[i].Start < n.Rect.TimeLow && n.HistSib != storage.NilPage {
+					if !resolved && n.startAt(i) < n.Rect.TimeLow && n.HistSib != storage.NilPage {
 						batch = append(batch, rec{k: keys.Clone(k), chase: true})
 					}
 				}

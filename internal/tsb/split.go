@@ -137,11 +137,11 @@ func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 	n := leaf.N
 	keysIn := distinctKeys(n)
 	distinct := len(keysIn)
-	timeSplit := distinct <= int(float64(len(n.Entries))*t.opts.CurrentFraction) && distinct < len(n.Entries)
+	timeSplit := distinct <= int(float64(n.Len())*t.opts.CurrentFraction) && distinct < n.Len()
 	if distinct < 2 {
 		timeSplit = true // single-key node: only history can leave
 	}
-	if timeSplit && distinct == len(n.Entries) {
+	if timeSplit && distinct == n.Len() {
 		// Nothing would leave: forced to key split (distinct >= 2 here).
 		timeSplit = false
 	}
@@ -152,12 +152,13 @@ func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 	})
 }
 
-// distinctKeys returns a data node's distinct keys, in order.
+// distinctKeys returns a data node's distinct keys, in order, as views:
+// the split that asked copies the one it keeps (medianKey).
 func distinctKeys(n *Node) []keys.Key {
 	var out []keys.Key
-	for i, e := range n.Entries {
-		if i == 0 || !keys.Equal(n.Entries[i-1].Key, e.Key) {
-			out = append(out, e.Key)
+	for i := 0; i < n.Len(); i++ {
+		if k := n.keyAt(i); i == 0 || !keys.Equal(n.keyAt(i-1), k) {
+			out = append(out, k)
 		}
 	}
 	return out
@@ -185,7 +186,7 @@ func (t *Tree) splitDataIn(o *opCtx, aa *txn.Txn, leaf *nref, timeSplit bool, ke
 		ts = t.tick()
 		newNode.Rect.TimeHigh = ts
 		newNode.HistShared = n.HistShared
-		newNode.Entries = historyContents(n, ts)
+		newNode.recs = historyContents(n, ts)
 	} else {
 		// "The new node will contain a copy of the history sibling
 		// pointer": the new current node is responsible for the entire
@@ -196,11 +197,7 @@ func (t *Tree) splitDataIn(o *opCtx, aa *txn.Txn, leaf *nref, timeSplit bool, ke
 		newNode.Rect.KeyLow = keys.Clone(k)
 		newNode.KeySib = n.KeySib
 		newNode.HistShared = n.HistSib != storage.NilPage
-		for _, e := range n.Entries {
-			if keys.Compare(e.Key, k) >= 0 {
-				newNode.Entries = append(newNode.Entries, cloneEntry(e))
-			}
-		}
+		newNode.recs = n.recs.Slice(n.firstKeyAtOrAbove(k), n.Len())
 	}
 	// The separate posting action (§3.2.1 step 6) is queued when and
 	// only when this one commits; its rectangle is copied now, before
@@ -291,7 +288,7 @@ func (p *termPost) Verify(o *opCtx, node *nref) (bool, error) {
 	return !retired, nil
 }
 
-func (p *termPost) Full(n *Node) bool { return len(n.Entries) >= p.t.opts.IndexCapacity }
+func (p *termPost) Full(n *Node) bool { return n.Len() >= p.t.opts.IndexCapacity }
 
 func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, error) {
 	t, searchKey := p.t, p.task.rect.KeyLow
@@ -336,12 +333,12 @@ func (p *termPost) Apply(o *opCtx, aa *txn.Txn, node *nref) error {
 			o.Hold(&child)
 			rect = child.N.Rect
 		}
-		term := Entry{Child: task.child, ChildRect: cloneRect(rect)}
+		term := Entry{Child: task.child, ChildRect: rect}
 		lsn = aa.LogUpdate(storeID, uint64(node.Pid()), KindPostTerm, encTerm(term))
 		node.N.insertTerm(term)
 	} else {
 		lsn = aa.LogUpdate(storeID, uint64(node.Pid()), KindPostKeyTerm, encKeyTerm(task.rect.KeyLow, task.child))
-		node.N.insertKeyTerm(Entry{Key: keys.Clone(task.rect.KeyLow), Child: task.child})
+		node.N.insertKeyTerm(Entry{Key: task.rect.KeyLow, Child: task.child})
 	}
 	node.F.MarkDirty(lsn)
 	return nil
@@ -353,10 +350,10 @@ func (p *termPost) Apply(o *opCtx, aa *txn.Txn, node *nref) error {
 // that span the chosen key.
 func (t *Tree) indexSplitKey(n *Node) (keys.Key, bool) {
 	var bounds []keys.Key
-	for _, e := range n.Entries {
-		b := e.Key
+	for i := 0; i < n.Len(); i++ {
+		b := n.keyAt(i)
 		if n.Level == 1 {
-			b = e.ChildRect.KeyLow
+			b = n.rectAt(i).KeyLow
 		}
 		if b != nil && (n.Rect.KeyLow == nil || keys.Compare(b, n.Rect.KeyLow) > 0) {
 			bounds = append(bounds, b)
@@ -374,15 +371,32 @@ func (t *Tree) indexSplitKey(n *Node) (keys.Key, bool) {
 // the terms at or above k, with level-1 terms spanning k CLIPPED into both
 // halves (§3.2.2).
 func indexSibling(pre *Node, k keys.Key) (sib *Node, clipped int) {
-	entries, clipped := indexSiblingEntries(pre, k)
 	sib = &Node{
-		Level:   pre.Level,
-		Rect:    Rect{KeyLow: keys.Clone(k), KeyHigh: pre.Rect.KeyHigh, TimeLow: 0, TimeHigh: NoEnd},
-		KeySib:  pre.KeySib,
-		Entries: entries,
+		Level:  pre.Level,
+		Rect:   Rect{KeyLow: keys.Clone(k), KeyHigh: pre.Rect.KeyHigh, TimeLow: 0, TimeHigh: NoEnd},
+		KeySib: pre.KeySib,
 	}
 	sib.Rect.KeyHigh.Key = keys.Clone(sib.Rect.KeyHigh.Key)
-	return sib, clipped
+	if pre.Level != 1 {
+		sib.recs = pre.recs.Slice(pre.firstKeyAtOrAbove(k), pre.Len())
+		return sib, 0
+	}
+	var idx, spanning []int
+	for i := 0; i < pre.Len(); i++ {
+		r := pre.rectAt(i)
+		if keys.Compare(r.KeyLow, k) < 0 {
+			if !r.SpansKey(k) {
+				continue
+			}
+			spanning = append(spanning, len(idx))
+		}
+		idx = append(idx, i)
+	}
+	sib.recs = pre.recs.Pick(idx)
+	for _, i := range spanning {
+		setClipped(&sib.recs, i, true)
+	}
+	return sib, len(spanning)
 }
 
 // splitIndex key-splits the X-latched index node at k inside the posting
@@ -392,16 +406,15 @@ func indexSibling(pre *Node, k keys.Key) (sib *Node, clipped int) {
 // action holds its latches to commit): a completing action must never
 // post a term for a page whose creation is then undone.
 func (t *Tree) splitIndex(o *opCtx, aa *txn.Txn, node *nref, k keys.Key) (storage.PageID, error) {
-	pre := node.N.clone()
 	sibPid, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
 		return storage.NilPage, err
 	}
-	sib, clipped := indexSibling(pre, k)
+	sib, clipped := indexSibling(node.N, k)
 	if err := t.formatNode(o, aa, sibPid, sib); err != nil {
 		return storage.NilPage, err
 	}
-	up := postTask{parentLevel: pre.Level + 1, child: sibPid, rect: cloneRect(sib.Rect)}
+	up := postTask{parentLevel: node.N.Level + 1, child: sibPid, rect: cloneRect(sib.Rect)}
 	aa.OnCommit(func() { t.schedule(up) })
 	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindIndexKeySplit, encKeySplit(k, sibPid, node.N, newlyClipped(node.N, k)))
 	applyIndexKeySplit(node.N, k, sibPid)
@@ -418,7 +431,6 @@ func (t *Tree) splitIndex(o *opCtx, aa *txn.Txn, node *nref, k keys.Key) (storag
 // Returns the page of the half covering searchKey.
 func (t *Tree) growRoot(o *opCtx, aa storage.UpdateLogger, root *nref, k keys.Key, searchKey keys.Key) (storage.PageID, error) {
 	n := root.N
-	pre := n.clone()
 	pidB, err := t.store.Alloc(aa, &o.Tr)
 	if err != nil {
 		return storage.NilPage, err
@@ -427,8 +439,8 @@ func (t *Tree) growRoot(o *opCtx, aa storage.UpdateLogger, root *nref, k keys.Ke
 	if err != nil {
 		return storage.NilPage, err
 	}
-	nodeB, clippedB := indexSibling(pre, k)
-	nodeA := pre.clone()
+	nodeB, clippedB := indexSibling(n, k)
+	nodeA := n.clone()
 	applyIndexKeySplit(nodeA, k, pidB)
 	if err := t.formatNode(o, aa, pidB, nodeB); err != nil {
 		return storage.NilPage, err
@@ -438,10 +450,11 @@ func (t *Tree) growRoot(o *opCtx, aa storage.UpdateLogger, root *nref, k keys.Ke
 	}
 
 	termA := Entry{Key: nil, Child: pidA}
-	termB := Entry{Key: keys.Clone(k), Child: pidB}
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(root.Pid()), KindRootGrow, encRootGrow(termA, termB, pre))
+	termB := Entry{Key: k, Child: pidB}
+	// The record keeps the root whole, for compensation.
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(root.Pid()), KindRootGrow, encRootGrow(termA, termB, n))
 	n.Level++
-	n.Entries = []Entry{termA, termB}
+	n.setEntries(termA, termB)
 	n.Rect = EntireRect()
 	n.KeySib = storage.NilPage
 	n.HistSib = storage.NilPage

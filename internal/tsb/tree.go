@@ -1,11 +1,13 @@
 package tsb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/enc"
 	"repro/internal/keys"
 	"repro/internal/latch"
 	"repro/internal/lock"
@@ -180,10 +182,9 @@ var ErrKeyNotFound = errors.New("tsb: key not found")
 func Create(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, name string, opts Options) (*Tree, error) {
 	t := &Tree{Name: name, lockSpace: lock.SpaceID("tsb", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized()}
 	rootPid, err := pitree.Create(store, tm, name, 2, KindFormat, func(pids []storage.PageID) []*Node {
-		return []*Node{
-			{Level: 1, Rect: EntireRect(), Entries: []Entry{{Child: pids[1], ChildRect: EntireRect()}}},
-			{Level: 0, Rect: EntireRect()},
-		}
+		root := &Node{Level: 1, Rect: EntireRect()}
+		root.setEntries(Entry{Child: pids[1], ChildRect: EntireRect()})
+		return []*Node{root, {Level: 0, Rect: EntireRect()}}
 	}, encNodeImage)
 	if err != nil {
 		return nil, err
@@ -414,7 +415,7 @@ func (w *leafWrite) LockName(i int) lock.Name { return w.t.recLockName(w.ks[i]) 
 func (w *leafWrite) Trace() any               { return nil }
 
 // Full: every write adds a version, so it needs a free slot.
-func (w *leafWrite) Full(n *Node, _ int) bool { return len(n.Entries) >= w.t.opts.DataCapacity }
+func (w *leafWrite) Full(n *Node, _ int) bool { return n.Len() >= w.t.opts.DataCapacity }
 
 func (w *leafWrite) Split(o *opCtx, leaf nref) error { return w.t.splitData(o, &leaf) }
 
@@ -426,7 +427,7 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 	if !w.deleted {
 		value = w.vals[i]
 	}
-	e := Entry{Key: keys.Clone(w.ks[i]), Start: w.t.tick(), Value: append([]byte(nil), value...), Deleted: w.deleted, Txn: w.writer}
+	e := Entry{Key: w.ks[i], Start: w.t.tick(), Value: enc.NilIfEmpty(value), Deleted: w.deleted, Txn: w.writer}
 	leaf.N.insertVersion(e)
 	w.t.Stats.Puts.Add(1)
 	return txn.GroupUpdate{Kind: KindPut, Payload: encPut(e)}, nil
@@ -461,11 +462,11 @@ func (t *Tree) GetAsOf(tx *txn.Txn, key keys.Key, time uint64) ([]byte, bool, er
 				return err
 			}
 		}
-		if i, ok := leaf.N.searchVersion(key, time); ok && !leaf.N.Entries[i].Deleted {
-			val = append([]byte(nil), leaf.N.Entries[i].Value...)
-			found = true
-		} else {
-			val, found = nil, false
+		val, found = nil, false
+		if i, ok := leaf.N.searchVersion(key, time); ok {
+			if e := leaf.N.entry(i); !e.Deleted {
+				val, found = append([]byte(nil), e.Value...), true
+			}
 		}
 		o.Release(&leaf)
 		return nil
@@ -474,7 +475,8 @@ func (t *Tree) GetAsOf(tx *txn.Txn, key keys.Key, time uint64) ([]byte, bool, er
 }
 
 // ScanAsOf calls fn for every key in [lo, hi) alive as of time, in key
-// order. hi may be nil for an unbounded scan.
+// order. hi may be nil for an unbounded scan. Keys and values passed to fn
+// are copies.
 func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
 	cursor := keys.Clone(lo)
 	for {
@@ -503,10 +505,8 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 				}
 				curKey, curVal, curDel = nil, nil, false
 			}
-			for _, e := range leaf.N.Entries {
-				if keys.Compare(e.Key, cursor) < 0 {
-					continue
-				}
+			for i := leaf.N.firstKeyAtOrAbove(cursor); i < leaf.N.Len(); i++ {
+				e := leaf.N.entry(i)
 				if hi != nil && keys.Compare(e.Key, hi) >= 0 {
 					break
 				}
@@ -640,7 +640,7 @@ func (t *Tree) carryRepair(o *opCtx, cur *nref, e Entry) (Entry, bool, error) {
 	}
 	lo, hi := keyGroup(cur.N, e.Key)
 	for i := lo; i < hi; i++ {
-		if cur.N.Entries[i].Start < cur.N.Rect.TimeLow && cur.N.Entries[i].Start != e.Start {
+		if s := cur.N.startAt(i); s < cur.N.Rect.TimeLow && s != e.Start {
 			return Entry{}, false, nil // another below-TimeLow copy remains
 		}
 	}
@@ -653,13 +653,14 @@ func (t *Tree) carryRepair(o *opCtx, cur *nref, e Entry) (Entry, bool, error) {
 		}
 		lo, hi := keyGroup(h.N, e.Key)
 		for i := hi - 1; i >= lo; i-- {
-			if h.N.Entries[i].Start < e.Start {
-				out := cloneEntry(h.N.Entries[i])
+			if h.N.startAt(i) < e.Start {
+				out := h.N.entry(i) // a version, copied out of its node
+				out.Key, out.Value = keys.Clone(out.Key), bytes.Clone(out.Value)
 				o.Release(&h)
 				return out, true, nil
 			}
 		}
-		if hi == lo || h.N.Entries[lo].Start >= h.N.Rect.TimeLow {
+		if hi == lo || h.N.startAt(lo) >= h.N.Rect.TimeLow {
 			o.Release(&h)
 			return Entry{}, false, nil
 		}

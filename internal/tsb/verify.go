@@ -81,14 +81,15 @@ func (t *Tree) Verify() (Shape, error) {
 			if !started && n.Rect.KeyLow != nil {
 				return shape, fmt.Errorf("tsb verify: leftmost of level %d starts at %x", level, n.Rect.KeyLow)
 			}
-			if len(n.Entries) == 0 {
+			if n.Len() == 0 {
 				return shape, fmt.Errorf("tsb verify: empty index node %d", pid)
 			}
-			for i, e := range n.Entries {
+			for i := 0; i < n.Len(); i++ {
+				e := n.entry(i)
 				// chooseTerm binary-searches level-1 terms, so the
 				// (KeyLow, TimeLow) sort order is load-bearing.
 				if level == 1 && i > 0 {
-					prev := n.Entries[i-1].ChildRect
+					prev := n.rectAt(i - 1)
 					if c := keys.Compare(prev.KeyLow, e.ChildRect.KeyLow); c > 0 || (c == 0 && prev.TimeLow > e.ChildRect.TimeLow) {
 						return shape, fmt.Errorf("tsb verify: node %d terms out of (KeyLow, TimeLow) order at %d", pid, i)
 					}
@@ -164,8 +165,8 @@ func (t *Tree) Verify() (Shape, error) {
 			return shape, err
 		}
 		shape.CurrentNodes++
-		shape.Versions += len(n.Entries)
-		shape.CurrentVersions += len(n.Entries)
+		shape.Versions += n.Len()
+		shape.CurrentVersions += n.Len()
 
 		// History chain: partitions [0, n.TimeLow).
 		expectHigh := n.Rect.TimeLow
@@ -195,7 +196,7 @@ func (t *Tree) Verify() (Shape, error) {
 			if !seenHist[hpid] {
 				seenHist[hpid] = true
 				shape.HistoryNodes++
-				shape.Versions += len(h.Entries)
+				shape.Versions += h.Len()
 			}
 			expectHigh = h.Rect.TimeLow
 			if h.Rect.TimeLow == 0 {
@@ -223,7 +224,8 @@ func (t *Tree) Verify() (Shape, error) {
 }
 
 func (t *Tree) verifyVersions(n *Node, pid storage.PageID) error {
-	for i, e := range n.Entries {
+	for i := 0; i < n.Len(); i++ {
+		e := n.entry(i)
 		if !n.Rect.ContainsKey(e.Key) {
 			return fmt.Errorf("tsb verify: node %d version %x outside key range %v", pid, e.Key, n.Rect)
 		}
@@ -231,8 +233,8 @@ func (t *Tree) verifyVersions(n *Node, pid storage.PageID) error {
 			return fmt.Errorf("tsb verify: node %d version (%x,%d) at/after time high %d", pid, e.Key, e.Start, n.Rect.TimeHigh)
 		}
 		if i > 0 {
-			c := keys.Compare(n.Entries[i-1].Key, e.Key)
-			if c > 0 || (c == 0 && n.Entries[i-1].Start >= e.Start) {
+			c := keys.Compare(n.keyAt(i-1), e.Key)
+			if c > 0 || (c == 0 && n.startAt(i-1) >= e.Start) {
 				return fmt.Errorf("tsb verify: node %d versions out of order at %d", pid, i)
 			}
 		}

@@ -244,12 +244,7 @@ func decodeSegHeader(b []byte) (segCap, base uint64, ok bool) {
 // writeMaster durably replaces the master record via tmp+rename.
 // Caller holds fw.mu.
 func (fw *FileWAL) writeMaster() error {
-	var b [masterLen]byte
-	copy(b[0:8], masterMagic)
-	binary.LittleEndian.PutUint32(b[8:], fileVersion)
-	binary.LittleEndian.PutUint64(b[12:], uint64(fw.ckpt))
-	binary.LittleEndian.PutUint64(b[20:], uint64(fw.horizon))
-	binary.LittleEndian.PutUint32(b[28:], crc32.Checksum(b[0:28], crcTable))
+	b := encodeMaster(fw.ckpt, fw.horizon)
 	tmp := filepath.Join(fw.dir, masterName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -276,10 +271,31 @@ func (fw *FileWAL) writeMaster() error {
 	return fw.syncDir()
 }
 
+// encodeMaster lays out the master record: the checkpoint anchor and the
+// recycle horizon under a magic, the file version and a checksum.
+func encodeMaster(ckpt, horizon LSN) (b [masterLen]byte) {
+	copy(b[0:8], masterMagic)
+	binary.LittleEndian.PutUint32(b[8:], fileVersion)
+	binary.LittleEndian.PutUint64(b[12:], uint64(ckpt))
+	binary.LittleEndian.PutUint64(b[20:], uint64(horizon))
+	binary.LittleEndian.PutUint32(b[28:], crc32.Checksum(b[0:28], crcTable))
+	return b
+}
+
 // readMaster reads the master record of the WAL directory dir.
 func readMaster(dir string) (ckpt, horizon LSN, ok bool) {
 	b, err := os.ReadFile(filepath.Join(dir, masterName))
-	if err != nil || len(b) < masterLen || string(b[0:8]) != masterMagic {
+	if err != nil {
+		return 0, 0, false
+	}
+	return decodeMaster(b)
+}
+
+// decodeMaster parses a master record; anything but a whole record of this
+// version with a matching checksum is no record (ok false: replay then
+// scans every segment).
+func decodeMaster(b []byte) (ckpt, horizon LSN, ok bool) {
+	if len(b) < masterLen || string(b[0:8]) != masterMagic {
 		return 0, 0, false
 	}
 	if binary.LittleEndian.Uint32(b[8:]) != fileVersion {

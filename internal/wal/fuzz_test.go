@@ -88,3 +88,23 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMasterRecord: arbitrary bytes are a master record — the checkpoint
+// anchor and recycle horizon replay starts from — only if they are exactly
+// what encodeMaster writes for what they decode to; anything else is no
+// record, never a panic.
+func FuzzMasterRecord(f *testing.F) {
+	good := encodeMaster(4096, 1024)
+	f.Add(good[:])
+	f.Add(good[:masterLen-1])
+	f.Add(append([]byte("PITRMSTR"), make([]byte, 40)...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ckpt, horizon, ok := decodeMaster(b)
+		if !ok {
+			return
+		}
+		if want := encodeMaster(ckpt, horizon); !bytes.Equal(b[:masterLen], want[:]) {
+			t.Fatalf("%x accepted as anchor %d horizon %d, which encodes as %x", b, ckpt, horizon, want)
+		}
+	})
+}
