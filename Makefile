@@ -6,12 +6,13 @@ REAL_ROUNDS ?= 20
 
 .PHONY: check vet build test lockcpu corecpu enginecpu pagefile walfuzz race benchbuild expbuild benchsmoke bench torture realcrash churn loc
 
-## check: everything CI runs — vet, build, tests, the race detector over
+## check: everything CI runs — vet (the nested benchmark module
+## included), build, tests, the race detector over
 ## the concurrency-critical packages (including the commit-pipeline and
 ## early-lock-release tests in internal/wal and internal/txn), a
 ## compile+link of every benchmark binary (run with zero iterations) so
 ## bench-only code can't rot between bench runs, a compile+link of the
-## experiment runner (T20 and friends live outside _test files), a short
+## experiment runner (T1–T12, F1, F2 live outside _test files), a short
 ## seeded fault-injection torture run, the real-crash (SIGKILL) recovery
 ## gate over real files, the sustained-churn steady-state gate, the lock
 ## manager's tests at 1, 2 and 4 CPUs (its deadlock-detector bugs never
@@ -26,6 +27,7 @@ check: vet build test lockcpu corecpu enginecpu pagefile walfuzz race benchbuild
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -83,10 +85,10 @@ race:
 benchbuild:
 	$(GO) test -run '^$$' -bench '^$$' ./... >/dev/null
 
-## expbuild: compile+link the experiment runner so the T20 vectorized-
-## paths experiment (and the rest of internal/bench) can't rot: experiments
+## expbuild: compile+link the experiment runner so cmd/pitree-bench and
+## the paper's experiments in internal/bench can't rot: experiments
 ## are plain package code, not _test files, so `test` alone won't catch
-## a broken one until the next full bench run.
+## a broken command until the next full bench run.
 expbuild:
 	$(GO) build -o /dev/null ./cmd/pitree-bench
 

@@ -19,9 +19,8 @@ import (
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids (T1..T20, F1, F2) or 'all'")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids (T1..T12, F1, F2) or 'all'")
 	full := flag.Bool("full", false, "larger workload sizes (slower, stabler numbers)")
-	jsonPath := flag.String("json", "", "also write machine-readable metrics to this file")
 	flag.Parse()
 
 	p := bench.Quick()
@@ -29,9 +28,6 @@ func main() {
 		p.Preload = 200_000
 		p.OpsPerThread = 100_000
 		p.Threads = []int{1, 2, 4, 8, 16, 32}
-	}
-	if *jsonPath != "" {
-		p.Report = &bench.Report{}
 	}
 
 	runners := []struct {
@@ -53,13 +49,6 @@ func main() {
 		{"T10", func() { bench.T10TSB(os.Stdout, p) }, "TSB-tree time splits"},
 		{"T11", func() { bench.T11Spatial(os.Stdout, p) }, "multi-attribute clipping"},
 		{"T12", func() { bench.T12Recovery(os.Stdout, p) }, "recovery & relative durability"},
-		{"T13", func() { bench.T13GroupCommit(os.Stdout, p) }, "group commit: forces per commit"},
-		{"T15", func() { bench.T15ParallelRestart(os.Stdout, p) }, "parallel restart: log x dirty pages x workers"},
-		{"T16", func() { bench.T16SnapshotReads(os.Stdout, p) }, "snapshot reads: lock-free MVCC vs locked reads"},
-		{"T17", func() { bench.T17Churn(os.Stdout, p) }, "sustained churn: consolidation + free-space recycling"},
-		{"T18", func() { bench.T18FileStorage(os.Stdout, p) }, "durable file-backed storage: fsync tax + group commit"},
-		{"T19", func() { bench.T19PipelinedCommit(os.Stdout, p) }, "pipelined commit: ELR + write/sync overlap vs serial"},
-		{"T20", func() { bench.T20BatchedOps(os.Stdout, p) }, "vectorized paths: batched MultiPut + scan read-ahead"},
 	}
 
 	want := map[string]bool{}
@@ -83,12 +72,5 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr)
 		os.Exit(2)
-	}
-	if *jsonPath != "" {
-		if err := p.Report.WriteJSON(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote metrics to %s\n", *jsonPath)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // It fails if the store does not reach a steady state — allocated pages
 // trending up, or freed pages never recycled into new splits — or if the
 // tree or its free-space map is ill-formed afterwards. This is the CI
-// guard for the steady-state property T17 measures.
+// guard for the steady-state property T17 (EXPERIMENTS.md) measured.
 func runChurn() error {
 	const (
 		window = 3000

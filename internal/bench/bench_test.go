@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,28 +32,41 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestExperimentsSmoke runs the cheap experiment printers at reduced
-// sizes and sanity-checks their output.
+// TestExperimentsSmoke runs every experiment printer at reduced sizes and
+// checks that each prints its header and at least one data row.
 func TestExperimentsSmoke(t *testing.T) {
-	p := Params{Threads: []int{1, 2}, Preload: 2000, OpsPerThread: 500, Capacity: 16, Report: &Report{}}
-	var buf bytes.Buffer
-	T4CrashMatrix(&buf, p)
-	T5LazyCompletion(&buf, p)
-	T9SavedPath(&buf, p)
-	T13GroupCommit(&buf, p)
-	out := buf.String()
-	for _, want := range []string{"T4:", "logical-undo/CP", "T5:", "residual side traversals", "T9:", "T13:", "relative durability"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-	if len(p.Report.Metrics) == 0 {
-		t.Fatal("experiments recorded no metrics")
-	}
-	for _, m := range p.Report.Metrics {
-		if m.Name == "aa-only-forces" && m.Value != 0 {
-			t.Fatalf("aa-only-forces = %v, want 0 (relative durability)", m.Value)
-		}
+	p := Params{Threads: []int{1, 2}, Preload: 2000, OpsPerThread: 500, Capacity: 16}
+	for _, e := range []struct {
+		id  string // the header line starts with it and a colon
+		run func(io.Writer, Params)
+		row string // starts a data row
+	}{
+		{"T1", T1SearchScaling, "pi-tree"},
+		{"T2", T2MixedScaling, "pi-tree"},
+		{"F1", F1Figure, "search,pi-tree,1,"},
+		{"T3", T3SMORate, "pi-tree"},
+		{"F2", F2Crossover, "pi-tree,64,"},
+		{"T4", T4CrashMatrix, "logical-undo/CP"},
+		{"T5", T5LazyCompletion, "residual side traversals"},
+		{"T6", T6LatchHold, "holds="},
+		{"T7", T7MoveLocks, "page-oriented"},
+		{"T8", T8Invariants, "CP"},
+		{"T9", T9SavedPath, "CP, dealloc is update"},
+		{"T10", T10TSB, "time splits"},
+		{"T11", T11Spatial, "data nodes="},
+		{"T12", T12Recovery, "log forces"},
+	} {
+		t.Run(e.id, func(t *testing.T) {
+			var buf bytes.Buffer
+			e.run(&buf, p)
+			out := buf.String()
+			if !strings.Contains(out, "\n"+e.id+":") {
+				t.Fatalf("no header:\n%s", out)
+			}
+			if !strings.Contains(out, "\n"+e.row) {
+				t.Fatalf("no data row starting %q:\n%s", e.row, out)
+			}
+		})
 	}
 }
 
@@ -94,7 +108,7 @@ func benchmarkSearchDescent(b *testing.B, pessimistic bool) {
 }
 
 func BenchmarkSearchDescentOptimistic(b *testing.B) { benchmarkSearchDescent(b, false) }
-func BenchmarkSearchDescentLatched(b *testing.B)   { benchmarkSearchDescent(b, true) }
+func BenchmarkSearchDescentLatched(b *testing.B)    { benchmarkSearchDescent(b, true) }
 
 // TestPercentileDur pins the percentile helper.
 func TestPercentileDur(t *testing.T) {

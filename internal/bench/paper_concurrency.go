@@ -14,16 +14,16 @@ import (
 	"repro/internal/latch"
 )
 
+// The paper's concurrency claims: T1 / T2 / F1 (scaling against the
+// baselines), T3 / F2 (decomposed against serial structure changes), T6
+// (index latch holds), T8 (CNS against CP), T9 (saved-path verification).
+
 // Params tune experiment sizes; Quick() keeps everything laptop-fast.
 type Params struct {
 	Threads      []int
 	Preload      int
 	OpsPerThread int
 	Capacity     int
-
-	// Report, when non-nil, collects machine-readable metrics alongside
-	// the printed tables (pitree-bench -json).
-	Report *Report
 }
 
 // Quick returns the default parameter set.
@@ -41,12 +41,12 @@ func Quick() Params {
 // that the B-link family scales where subtree latching and coarse locks
 // do not.
 func T1SearchScaling(w io.Writer, p Params) {
-	runScaling(w, p, Mix{SearchPct: 100}, "T1", "T1: search-only throughput (kops/s) vs threads")
+	runScaling(w, p, Mix{SearchPct: 100}, "T1: search-only throughput (kops/s) vs threads")
 }
 
 // T2MixedScaling is experiment T2: 50% search / 50% insert.
 func T2MixedScaling(w io.Writer, p Params) {
-	runScaling(w, p, Mix{SearchPct: 50, InsertPct: 50}, "T2", "T2: 50/50 search/insert throughput (kops/s) vs threads")
+	runScaling(w, p, Mix{SearchPct: 50, InsertPct: 50}, "T2: 50/50 search/insert throughput (kops/s) vs threads")
 }
 
 // F1Figure prints the same data as CSV series for plotting (the paper's
@@ -69,7 +69,7 @@ func F1Figure(w io.Writer, p Params) {
 	}
 }
 
-func runScaling(w io.Writer, p Params, mix Mix, id, title string) {
+func runScaling(w io.Writer, p Params, mix Mix, title string) {
 	rows := make(map[string][]Result)
 	order := []string{}
 	var poolLines []string
@@ -79,7 +79,6 @@ func runScaling(w io.Writer, p Params, mix Mix, id, title string) {
 			kv, closer := method.New(p.Capacity)
 			Preload(kv, p.Preload)
 			r := Run(kv, tc, p.OpsPerThread, p.Preload, mix)
-			p.Report.Add(id, fmt.Sprintf("%s/threads=%d", method.Name, tc), r.OpsPerSec(), "ops/s")
 			if pt, ok := kv.(*PiTree); ok {
 				s := pt.PoolStats()
 				ts := pt.T.Stats.Snapshot()
@@ -87,8 +86,6 @@ func runScaling(w io.Writer, p Params, mix Mix, id, title string) {
 				if ts.OptimisticHits+ts.OptimisticRetries > 0 {
 					optRatio = float64(ts.OptimisticHits) / float64(ts.OptimisticHits+ts.OptimisticRetries)
 				}
-				p.Report.Add(id, fmt.Sprintf("%s/threads=%d/opt-hit-ratio", method.Name, tc), optRatio, "ratio")
-				p.Report.Add(id, fmt.Sprintf("%s/threads=%d/opt-fallbacks", method.Name, tc), float64(ts.OptimisticFallbacks), "count")
 				poolLines = append(poolLines, fmt.Sprintf(
 					"  threads=%-2d hits=%d misses=%d evictions=%d hit-ratio=%.2f%% opt-hits=%d opt-retries=%d opt-fallbacks=%d opt-hit-ratio=%.2f%%",
 					tc, s.Hits, s.Misses, s.Evictions, 100*s.HitRatio(),
@@ -173,8 +170,6 @@ func T3SMORate(w io.Writer, p Params) {
 		Preload(kv, p.Preload/10)
 		lat := measureSearchLatency(kv, p.Preload/10, p.OpsPerThread/4)
 		closer()
-		p.Report.Add("T3b", method.Name+"/p50", float64(percentileDur(lat, 50).Nanoseconds()), "ns")
-		p.Report.Add("T3b", method.Name+"/p99", float64(percentileDur(lat, 99).Nanoseconds()), "ns")
 		fmt.Fprintf(w, "%-16s%12v%12v%12v%14v\n", method.Name,
 			percentileDur(lat, 50), percentileDur(lat, 99), percentileDur(lat, 99.9), percentileDur(lat, 100))
 	}

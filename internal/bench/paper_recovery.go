@@ -13,6 +13,10 @@ import (
 	"repro/internal/tsb"
 )
 
+// The paper's recovery claims, and its protocol on the other two trees:
+// T4 (crash matrix), T5 (lazy completion), T7 (undo regimes and move
+// locks), T10 (TSB), T11 (hB), T12 (restart cost, relative durability).
+
 // T4CrashMatrix is experiment T4: run a scripted transactional workload,
 // crash at every log-record boundary, restart, and verify the tree is
 // well-formed and contains exactly the surviving committed data. This is
@@ -194,10 +198,6 @@ func T7MoveLocks(w io.Writer, p Params) {
 		kops := float64(total) / elapsed.Seconds() / 1000
 		fmt.Fprintf(w, "%-24s%10.1f%14d%12d%11d%9d%9d%9d\n", rg.name,
 			kops, st.MoveLockWaits, st.InTxnSplits, lm.Deadlocks, lm.Waits, lm.Grants, lm.Stripes)
-		p.Report.Add("T7", rg.name+"/kops", kops, "kops/s")
-		p.Report.Add("T7", rg.name+"/lock-waits", float64(lm.Waits), "count")
-		p.Report.Add("T7", rg.name+"/deadlocks", float64(lm.Deadlocks), "count")
-		p.Report.Add("T7", rg.name+"/lock-grants", float64(lm.Grants), "count")
 		pi.Close()
 	}
 }
@@ -341,8 +341,10 @@ func T11Spatial(w io.Writer, p Params) {
 
 // T12Recovery is experiment T12: restart cost vs checkpointing, and the
 // log-force savings of relative durability for atomic actions (§4.3.1).
+// Quick() sizes it at 20 000 inserts and a checkpoint every 5 000.
 func T12Recovery(w io.Writer, p Params) {
 	fmt.Fprintf(w, "\nT12: recovery and relative durability\n")
+	inserts, every := p.OpsPerThread, p.OpsPerThread/4
 
 	run := func(checkpoint bool) (recovery.Stats, time.Duration, int64) {
 		e := engine.New(engine.Options{})
@@ -352,11 +354,11 @@ func T12Recovery(w io.Writer, p Params) {
 		if err != nil {
 			panic(err)
 		}
-		for i := 0; i < 20000; i++ {
+		for i := 0; i < inserts; i++ {
 			if err := tree.Insert(nil, keys.Uint64(uint64(i)), []byte("v")); err != nil {
 				panic(err)
 			}
-			if checkpoint && i%5000 == 4999 {
+			if checkpoint && i%every == every-1 {
 				tree.DrainCompletions()
 				if _, err := e.FlushAll(); err != nil {
 					panic(err)
@@ -389,7 +391,7 @@ func T12Recovery(w io.Writer, p Params) {
 	withCkpt, dYes, _ := run(true)
 	fmt.Fprintf(w, "%-32s%14s%14s%12s\n", "variant", "redo records", "skipped", "restart")
 	fmt.Fprintf(w, "%-32s%14d%14d%12v\n", "no checkpoint", noCkpt.RedoneRecords, noCkpt.RedoSkipped, dNo.Round(time.Millisecond))
-	fmt.Fprintf(w, "%-32s%14d%14d%12v\n", "checkpoint every 5k inserts", withCkpt.RedoneRecords, withCkpt.RedoSkipped, dYes.Round(time.Millisecond))
+	fmt.Fprintf(w, "%-32s%14d%14d%12v\n", fmt.Sprintf("checkpoint every %d inserts", every), withCkpt.RedoneRecords, withCkpt.RedoSkipped, dYes.Round(time.Millisecond))
 
 	// Relative durability: count physical log forces with and without
 	// forcing on every atomic-action commit.
@@ -398,7 +400,7 @@ func T12Recovery(w io.Writer, p Params) {
 		b := core.Register(e.Reg, false)
 		st := e.AddStore(1, core.Codec{})
 		tree, _ := core.Create(st, e.TM, e.Locks, b, "t12b", core.Options{LeafCapacity: 16, IndexCapacity: 16, Consolidation: true, SyncCompletion: true})
-		for i := 0; i < 5000; i++ {
+		for i := 0; i < every; i++ {
 			_ = tree.Insert(nil, keys.Uint64(uint64(i)), []byte("v"))
 		}
 		tree.DrainCompletions()
@@ -407,12 +409,8 @@ func T12Recovery(w io.Writer, p Params) {
 		return flushes
 	}
 	relForces, aaForces := forceCount(false), forceCount(true)
-	fmt.Fprintf(w, "log forces for 5k inserts: relative durability=%d, force-per-AA-commit=%d\n",
-		relForces, aaForces)
-	p.Report.Add("T12", "restart-no-ckpt", dNo.Seconds()*1000, "ms")
-	p.Report.Add("T12", "restart-with-ckpt", dYes.Seconds()*1000, "ms")
-	p.Report.Add("T12", "forces/relative-durability", float64(relForces), "count")
-	p.Report.Add("T12", "forces/force-per-aa-commit", float64(aaForces), "count")
+	fmt.Fprintf(w, "log forces for %d inserts: relative durability=%d, force-per-AA-commit=%d\n",
+		every, relForces, aaForces)
 }
 
 // tiny deterministic rng without math/rand import gymnastics.

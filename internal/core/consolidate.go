@@ -69,7 +69,7 @@ func (t *Tree) consolidate(task consolidateTask) {
 		// index in place (the removed term shifted its successor in); a
 		// skipped pair moves right. Both the merge count and the probe
 		// count are bounded so one sweep cannot monopolize the parent.
-		budget := t.opts.MergeBatch
+		budget := mergeBatch
 		merges, probes := 0, 0
 		idx := i - 1
 		if idx < 0 {
@@ -122,7 +122,7 @@ func (t *Tree) consolidate(task consolidateTask) {
 			if parentEntries == 1 {
 				t.scheduleRootShrink()
 			}
-		} else if parentEntries < int(float64(t.opts.IndexCapacity)*t.opts.MinUtilization) {
+		} else if parentEntries < minEntries(t.opts.IndexCapacity) {
 			t.scheduleConsolidate(consolidateTask{level: parentLevel, low: parentLow, pid: parentPid})
 		}
 		return nil
@@ -170,7 +170,7 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 		o.Release(&b)
 		return false, true, err
 	}
-	threshold := int(float64(capacity) * t.opts.MinUtilization)
+	threshold := minEntries(capacity)
 	ok := !c.N.Dead && keys.Equal(c.N.Low, cEntry.Key) &&
 		b.N.Len()+c.N.Len() <= capacity &&
 		(b.N.Len() < threshold || c.N.Len() < threshold)

@@ -463,7 +463,7 @@ func (t *Tree) schedulePostAfterSplit(path *Path, sep keys.Key, newPid storage.P
 // invariant only).
 func (t *Tree) consolidationFor(r *nref) (consolidateTask, bool) {
 	if !t.opts.Consolidation || t.opts.NoCompletion || r.Pid() == t.root ||
-		r.N.Len() >= int(float64(t.opts.LeafCapacity)*t.opts.MinUtilization) {
+		r.N.Len() >= minEntries(t.opts.LeafCapacity) {
 		return consolidateTask{}, false
 	}
 	return consolidateTask{level: r.N.Level, low: keys.Clone(r.N.Low), pid: r.Pid()}, true

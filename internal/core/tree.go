@@ -20,9 +20,6 @@ type Options struct {
 	// and index nodes; they stand in for page size. Defaults: 64, 64.
 	LeafCapacity  int
 	IndexCapacity int
-	// MinUtilization is the fraction of capacity below which a node is
-	// considered for consolidation (CP mode only). Default 0.25.
-	MinUtilization float64
 	// Consolidation selects the CP invariant (§5.2.2): nodes may be
 	// consolidated and de-allocated, so traversals latch-couple and
 	// postings verify. When false the CNS invariant (§5.2.1) holds: nodes
@@ -70,11 +67,16 @@ type Options struct {
 	// Several trees may share one governor: the budget is then a global
 	// maintenance budget for the engine.
 	Governor *maint.Governor
-	// MergeBatch bounds how many adjacent-pair merges one consolidation
-	// task may commit under a single parent X hold, amortizing the parent
-	// latch and descent over several merges. Default 4.
-	MergeBatch int
 }
+
+// mergeBatch bounds how many adjacent-pair merges one consolidation
+// task may commit under a single parent X hold, amortizing the parent
+// latch and descent over several merges.
+const mergeBatch = 4
+
+// minEntries is the entry count below which a node of the given capacity
+// is considered for consolidation (CP mode only): a quarter full.
+func minEntries(capacity int) int { return capacity / 4 }
 
 func (o Options) normalized() Options {
 	if o.LeafCapacity <= 0 {
@@ -89,14 +91,8 @@ func (o Options) normalized() Options {
 	if o.IndexCapacity < 4 {
 		o.IndexCapacity = 4
 	}
-	if o.MinUtilization <= 0 {
-		o.MinUtilization = 0.25
-	}
 	if o.CompletionWorkers <= 0 {
 		o.CompletionWorkers = 2
-	}
-	if o.MergeBatch <= 0 {
-		o.MergeBatch = 4
 	}
 	return o
 }

@@ -46,10 +46,6 @@ type Options struct {
 	// page-partitioned redo workers and concurrent loser-undo workers
 	// recovery runs with. 0 means GOMAXPROCS.
 	RecoveryWorkers int
-	// SerialRestart selects the classic two-scan serial restart instead of
-	// the parallel pipeline — the oracle path equivalence tests and the
-	// T15 experiment compare against.
-	SerialRestart bool
 	// DataDir, when non-empty, makes the engine file-backed: the WAL
 	// lives in segment files under DataDir and every store's pages in a
 	// checksummed copy-on-write page file. Use Open (not New) to construct a
@@ -74,11 +70,6 @@ type Options struct {
 	// in-memory log below the oldest live transaction. Zero disables it;
 	// Checkpoint then applies the same rule by itself, all at once.
 	WriteBackInterval time.Duration
-	// SerialCommit disables the pipelined commit path: group commit runs
-	// one write+sync round at a time and user commits hold their locks
-	// across the force (the pre-pipeline behavior). The T19 experiment's
-	// baseline; production leaves it false.
-	SerialCommit bool
 	// PrefetchWindow enables scan read-ahead on every store's pool: scans
 	// hand the pool leaf-successor hints and an async worker warms those
 	// pages before the scan's own fetch, bounded to this many outstanding
@@ -132,11 +123,7 @@ func newEngine(opts Options, log *wal.Log) *Engine {
 	if opts.Injector != nil {
 		log.SetInjector(opts.Injector)
 	}
-	log.SetPipelined(!opts.SerialCommit)
-	e.TM = txn.NewManager(log, e.Locks, e.Reg, txn.Options{
-		ForceOnAACommit:  opts.ForceOnAACommit,
-		EarlyLockRelease: !opts.SerialCommit,
-	})
+	e.TM = txn.NewManager(log, e.Locks, e.Reg, txn.Options{ForceOnAACommit: opts.ForceOnAACommit})
 	if opts.Injector != nil {
 		e.TM.SetInjector(opts.Injector)
 	}
@@ -469,11 +456,6 @@ func Restarted(img *CrashImage, opts Options) *Engine {
 	return e
 }
 
-// recoveryOpts translates the engine options into restart options.
-func (e *Engine) recoveryOpts() recovery.Opts {
-	return recovery.Opts{Workers: e.Opts.RecoveryWorkers, Serial: e.Opts.SerialRestart}
-}
-
 // takeBootImage returns the image restart analysis reads: the one the log
 // was built from when nothing has been appended since (the restart
 // protocol appends nothing before analysis), else a fresh copy of the
@@ -492,7 +474,7 @@ func (e *Engine) takeBootImage() *wal.Reader {
 // waters here — before the caller re-opens its trees, which read the
 // clock high water to reseed their version clocks.
 func (e *Engine) AnalyzeAndRedo() (*recovery.Pending, error) {
-	p, err := recovery.AnalyzeAndRedoImage(e.takeBootImage(), e.Reg, e.recoveryOpts())
+	p, err := recovery.AnalyzeAndRedoImage(e.takeBootImage(), e.Reg, recovery.Opts{Workers: e.Opts.RecoveryWorkers})
 	if p != nil {
 		e.TM.SeedRecovered(p.Stats.MaxTxnID, p.Stats.ClockHW)
 	}

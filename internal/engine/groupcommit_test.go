@@ -1,11 +1,10 @@
-package bench
+package engine
 
 import (
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/keys"
 )
 
@@ -16,9 +15,9 @@ import (
 // restart, and require every acknowledged transaction's key to be
 // present and the tree well-formed.
 func TestGroupCommitCrashReplay(t *testing.T) {
-	eopts := engine.Options{}
+	eopts := Options{}
 	topts := core.Options{LeafCapacity: 8, IndexCapacity: 8, Consolidation: true}
-	e := engine.New(eopts)
+	e := New(eopts)
 	b := core.Register(e.Reg, false)
 	st := e.AddStore(1, core.Codec{})
 	tree, err := core.Create(st, e.TM, e.Locks, b, "gc", topts)
@@ -61,7 +60,7 @@ func TestGroupCommitCrashReplay(t *testing.T) {
 	// by the ForceGroup contract, unforced tails (trailing completions)
 	// are lost.
 	img := e.Crash(nil)
-	e2 := engine.Restarted(img, eopts)
+	e2 := Restarted(img, eopts)
 	b2 := core.Register(e2.Reg, false)
 	st2 := e2.AttachStore(1, core.Codec{}, img.Disks[1])
 	pend, err := e2.AnalyzeAndRedo()

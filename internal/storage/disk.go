@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fault"
 )
@@ -228,38 +227,3 @@ func (d *FaultyDisk) Len() int { return d.inner.Len() }
 
 // PageIDs returns the wrapped device's page IDs.
 func (d *FaultyDisk) PageIDs() []PageID { return d.inner.PageIDs() }
-
-// LatencyDisk wraps a Disk and adds a fixed delay to every Read,
-// emulating device read latency. Benchmarks use it to measure latency
-// hiding (scan read-ahead) on hosts whose temp filesystems answer reads
-// from memory: without emulated latency there is no stall to overlap,
-// and the experiment would measure only the prefetcher's overhead.
-// Writes are not delayed — the pool's write-back path is asynchronous
-// already and is not what read-ahead targets.
-type LatencyDisk struct {
-	inner   Disk
-	readLat time.Duration
-}
-
-// NewLatencyDisk wraps inner with readLat of emulated read latency.
-func NewLatencyDisk(inner Disk, readLat time.Duration) *LatencyDisk {
-	return &LatencyDisk{inner: inner, readLat: readLat}
-}
-
-// Write delegates unchanged.
-func (d *LatencyDisk) Write(pid PageID, img []byte) error { return d.inner.Write(pid, img) }
-
-// Read sleeps the emulated latency, then delegates.
-func (d *LatencyDisk) Read(pid PageID) (img []byte, ok bool, err error) {
-	time.Sleep(d.readLat)
-	return d.inner.Read(pid)
-}
-
-// Snapshot delegates unchanged.
-func (d *LatencyDisk) Snapshot() *MemDisk { return d.inner.Snapshot() }
-
-// Len delegates unchanged.
-func (d *LatencyDisk) Len() int { return d.inner.Len() }
-
-// PageIDs delegates unchanged.
-func (d *LatencyDisk) PageIDs() []PageID { return d.inner.PageIDs() }

@@ -128,6 +128,11 @@ func (t *Tree) noteHistSibling(n *Node) {
 	})
 }
 
+// currentFraction is the time-vs-key split policy: when fewer than this
+// fraction of a full data node's versions are alive, the node is
+// time-split (history moves out); otherwise it is key-split.
+const currentFraction = 0.67
+
 // splitData splits the full, U-latched data node as an independent atomic
 // action: a TIME split when enough of the node is history (dead
 // versions), a KEY split otherwise (§2.2.2, Figure 1). The latch is
@@ -137,7 +142,7 @@ func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 	n := leaf.N
 	keysIn := distinctKeys(n)
 	distinct := len(keysIn)
-	timeSplit := distinct <= int(float64(n.Len())*t.opts.CurrentFraction) && distinct < n.Len()
+	timeSplit := distinct <= int(float64(n.Len())*currentFraction) && distinct < n.Len()
 	if distinct < 2 {
 		timeSplit = true // single-key node: only history can leave
 	}

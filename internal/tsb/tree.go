@@ -24,11 +24,6 @@ type Options struct {
 	// stand-ins). Defaults: 64, 64.
 	DataCapacity  int
 	IndexCapacity int
-	// CurrentFraction is the time-vs-key split policy knob: when fewer
-	// than this fraction of a full data node's versions are alive, the
-	// node is time-split (history moves out); otherwise it is key-split.
-	// Default 0.67.
-	CurrentFraction float64
 	// SyncCompletion, CompletionWorkers and NoCompletion mirror the core
 	// tree's lazy-completion controls.
 	SyncCompletion    bool
@@ -74,9 +69,6 @@ func (o Options) normalized() Options {
 		} else {
 			o.IndexCapacity = 4
 		}
-	}
-	if o.CurrentFraction <= 0 || o.CurrentFraction > 1 {
-		o.CurrentFraction = 0.67
 	}
 	if o.CompletionWorkers <= 0 {
 		o.CompletionWorkers = 2

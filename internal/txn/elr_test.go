@@ -38,7 +38,7 @@ func (b *blockSink) Commit() error {
 // of its own to force — its "own force" completes trivially first — but
 // its ack must still wait for the writer's commit LSN to become stable.
 func TestELRReaderParksUntilWriterStable(t *testing.T) {
-	e := newEnv(t, Options{EarlyLockRelease: true})
+	e := newEnv(t, Options{})
 	sink := &blockSink{gate: make(chan struct{})}
 	e.log.SetSink(sink)
 
@@ -103,7 +103,7 @@ func TestELRReaderParksUntilWriterStable(t *testing.T) {
 // automatic — the regression here is that the dependent's ack never
 // lands while the log is still parked before the writer's record.
 func TestELRUpdateDependentParksToo(t *testing.T) {
-	e := newEnv(t, Options{EarlyLockRelease: true})
+	e := newEnv(t, Options{})
 	sink := &blockSink{gate: make(chan struct{})}
 	e.log.SetSink(sink)
 
@@ -148,46 +148,10 @@ func TestELRUpdateDependentParksToo(t *testing.T) {
 	}
 }
 
-// TestELROffHoldsLocksAcrossForce: with EarlyLockRelease disabled (the
-// serial baseline), the lock stays held until after the force — a
-// second transaction cannot acquire it while the commit is parked.
-func TestELROffHoldsLocksAcrossForce(t *testing.T) {
-	e := newEnv(t, Options{})
-	sink := &blockSink{gate: make(chan struct{})}
-	e.log.SetSink(sink)
-
-	name := lock.KeyName(1, []byte("held"))
-	writer := e.tm.Begin()
-	if err := writer.Lock(name, lock.X); err != nil {
-		t.Fatal(err)
-	}
-	e.add(writer, storage.PageID(3), 1)
-	writerDone := make(chan error, 1)
-	go func() { writerDone <- writer.Commit() }()
-
-	// Give the commit time to reach the parked sync stage, then verify
-	// the lock is still held.
-	time.Sleep(50 * time.Millisecond)
-	probe := e.tm.Begin()
-	if probe.TryLock(name, lock.S) {
-		t.Fatal("lock released before stability with EarlyLockRelease off")
-	}
-	close(sink.gate)
-	if err := <-writerDone; err != nil {
-		t.Fatal(err)
-	}
-	if !probe.TryLock(name, lock.S) {
-		t.Fatal("lock not released after commit completed")
-	}
-	if err := probe.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestELRDepBookkeepingZeroAlloc: folding inherited commit dependencies
 // into the transaction on the lock hot path must not allocate.
 func TestELRDepBookkeepingZeroAlloc(t *testing.T) {
-	e := newEnv(t, Options{EarlyLockRelease: true})
+	e := newEnv(t, Options{})
 	names := make([]lock.Name, 4)
 	for i := range names {
 		names[i] = lock.PageName(7, uint64(i))

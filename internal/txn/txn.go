@@ -74,14 +74,6 @@ type Options struct {
 	// ForceOnAACommit disables relative durability: every atomic-action
 	// commit forces the log. Experiment T12 measures what that costs.
 	ForceOnAACommit bool
-	// EarlyLockRelease makes user commits release their two-phase locks
-	// as soon as the commit record is appended to the log buffer,
-	// tagging each released lock with the commit LSN, then park until
-	// the stable prefix covers that LSN. A transaction that later
-	// acquires such a lock inherits the tag as a commit dependency and
-	// its own ack is held until max(ownLSN, depLSN) is stable, so no ack
-	// ever precedes the durability of state it observed.
-	EarlyLockRelease bool
 }
 
 // Manager creates transactions and atomic actions over one log.
@@ -555,8 +547,7 @@ func (t *Txn) Commit() error {
 		// dependency. The ack below still waits for stability; only the
 		// lock hold time shrinks. Atomic actions keep their locks: their
 		// relative durability already rides a dependent user commit.
-		elr := !t.System && t.mgr.opts.EarlyLockRelease
-		if elr {
+		if !t.System {
 			t.mgr.Locks.ReleaseAllAt(t.ID, uint64(lsn))
 			// Crash here = locks released, dependents possibly reading,
 			// commit record not yet stable.

@@ -69,38 +69,6 @@ func TestPipelineOverlapsWriteAndSync(t *testing.T) {
 	}
 }
 
-// TestSerialModeNeverOverlaps: with the pipeline off (the PR 8 baseline
-// the T19 experiment compares against), rounds run strictly one at a
-// time and durability is unchanged.
-func TestSerialModeNeverOverlaps(t *testing.T) {
-	l, inj := newFaultyLog(2)
-	l.SetPipelined(false)
-	inj.Arm(FPSyncSlow, fault.Spec{Kind: fault.None, Count: -1, Delay: time.Millisecond})
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				lsn := l.Append(&Record{Type: RecCommit, TxnID: TxnID(g*10 + i + 1)})
-				if err := l.ForceGroup(lsn); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := l.PipelineStatsSnapshot()
-	if st.Overlaps != 0 {
-		t.Fatalf("serial mode overlapped rounds: %+v", st)
-	}
-	if l.StableLSN() != l.EndLSN() {
-		t.Fatalf("stable %d != end %d", l.StableLSN(), l.EndLSN())
-	}
-}
-
 // TestCrashBetweenWriteAndSync: a crash tripped at the wal.write point —
 // bytes handed to the sink, fsync never issued — must freeze the stable
 // point where it was. Nothing written-but-unsynced may ever be acked.

@@ -322,17 +322,15 @@ type Log struct {
 	// path and never while holding l.mu, wrMu, or syMu.
 	gcMu       sync.Mutex
 	gcCond     *sync.Cond
-	gcLeader   bool  // serial mode: a leader is currently inside Force
-	wLeader    bool  // pipelined mode: a committer is driving the write stage
-	sLeader    bool  // pipelined mode: a committer is driving the sync stage
+	wLeader    bool  // a committer is driving the write stage
+	sLeader    bool  // a committer is driving the sync stage
 	gcMax      LSN   // highest LSN registered by any committer
 	gcErr      error // sticky first round failure (the log is damaged)
-	gcRounds   int64 // sync rounds (serial mode: leader rounds)
-	wRounds    int64 // pipelined write rounds
+	gcRounds   int64 // sync rounds
+	wRounds    int64 // write rounds
 	overlaps   int64 // write rounds begun while a sync was in flight
 	gcRequests atomic.Int64
 	syncNanos  atomic.Int64 // cumulative wall time inside device syncs
-	pipelined  atomic.Bool  // overlap rounds (on by default); off = PR 8 serial rounds
 
 	// Fault injection. inj is set once before concurrent use; damaged
 	// latches sticky on the first failed sync.
@@ -433,7 +431,7 @@ func (d *segDir) seg(off uint64) []byte { return d.segs[(off>>segShift)-d.first]
 func (d *segDir) start() uint64 { return d.first << segShift }
 func (d *segDir) end() uint64   { return (d.first + uint64(len(d.segs))) << segShift }
 
-// New returns an empty log with the flush pipeline enabled.
+// New returns an empty log.
 func New() *Log { return newLog(1) }
 
 // newLog returns an empty log whose first record will sit at start: the
@@ -442,7 +440,6 @@ func newLog(start LSN) *Log {
 	l := &Log{stableLSN: start, writtenLSN: start, start: start}
 	l.gcCond = sync.NewCond(&l.gcMu)
 	l.tail.Store(uint64(start))
-	l.pipelined.Store(true)
 	l.segs.Store(&segDir{first: uint64(start) >> segShift, segs: [][]byte{make([]byte, segSize)}})
 	for i := range l.inflight {
 		l.inflight[i].v.Store(idleSlot)
@@ -450,13 +447,9 @@ func newLog(start LSN) *Log {
 	return l
 }
 
-// SetPipelined toggles flush pipelining in ForceGroup. On (the default),
-// group-commit rounds overlap: the next round's write stage runs while
-// the previous round's sync is in flight. Off restores strictly serial
-// rounds (one leader does write+sync end to end), the pre-pipeline
-// behavior benchmarks compare against. Must not be toggled while forces
-// are in flight.
-func (l *Log) SetPipelined(on bool) { l.pipelined.Store(on) }
+// SetPipelined is a no-op: pipelining is unconditional. Kept until the
+// benchmark module drops its call (benchmark/probes.go).
+func (l *Log) SetPipelined(bool) {}
 
 // NewFromImage continues a log from a crash image: the image's contents
 // become the stable prefix and appends resume after it, preserving LSN
@@ -993,7 +986,7 @@ func (l *Log) tearBoundary(from, target uint64, frac float64) uint64 {
 // next one, so N concurrent commits pay far fewer than N forces.
 // Durability on return is identical to Force(lsn).
 //
-// In pipelined mode (the default) the two flush stages overlap across
+// The two flush stages overlap across
 // rounds: while one leader fsyncs round k, another leader is already
 // waiting out publication and handing round k+1's bytes to the sink, so
 // the unamortized stall per round is max(write, sync) rather than their
@@ -1011,9 +1004,6 @@ func (l *Log) ForceGroup(lsn LSN) error {
 		return nil
 	}
 	l.gcRequests.Add(1)
-	if !l.pipelined.Load() {
-		return l.forceGroupSerial(lsn)
-	}
 	l.gcMu.Lock()
 	if lsn > l.gcMax {
 		l.gcMax = lsn
@@ -1092,58 +1082,6 @@ func (l *Log) ForceGroup(lsn LSN) error {
 		}
 		l.gcCond.Broadcast()
 	}
-}
-
-// forceGroupSerial is the pre-pipeline group commit: one leader drives
-// both stages back to back while followers wait — each round pays
-// write+sync with no overlap. Kept selectable (SetPipelined(false)) as
-// the baseline for the pipeline experiments.
-func (l *Log) forceGroupSerial(lsn LSN) error {
-	l.gcMu.Lock()
-	if lsn > l.gcMax {
-		l.gcMax = lsn
-	}
-	for {
-		if l.stableBeyond(lsn) {
-			l.gcMu.Unlock()
-			return nil
-		}
-		if l.gcErr != nil {
-			err := l.gcErr
-			l.gcMu.Unlock()
-			return err
-		}
-		if !l.wLeader {
-			break
-		}
-		l.gcCond.Wait()
-	}
-	l.wLeader = true
-	l.gcMu.Unlock()
-	runtime.Gosched()
-	l.gcMu.Lock()
-	target := l.gcMax
-	l.gcMu.Unlock()
-
-	err := l.Force(target)
-
-	l.gcMu.Lock()
-	l.wLeader = false
-	l.gcRounds++
-	l.wRounds++
-	if err != nil {
-		// Force failures are sticky (the log is damaged), so parking the
-		// error is final: current waiters and future committers alike
-		// must not be acknowledged.
-		l.gcErr = err
-	}
-	l.gcCond.Broadcast()
-	l.gcMu.Unlock()
-	if err != nil && l.stableBeyond(lsn) {
-		// The round tore but this record survived inside the prefix.
-		return nil
-	}
-	return err
 }
 
 // stableBeyond reports whether the record at lsn is already stable.
