@@ -4,7 +4,7 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test lockcpu corecpu enginecpu pagefile walfuzz race benchbuild expbuild benchsmoke bench torture realcrash churn loc
+.PHONY: check vet build test kernelonly lockcpu corecpu enginecpu pagefile walfuzz race benchbuild expbuild benchsmoke bench torture realcrash churn loc
 
 ## check: everything CI runs — vet (the nested benchmark module
 ## included), build, tests, the race detector over
@@ -21,9 +21,10 @@ REAL_ROUNDS ?= 20
 ## short fuzz of its open path, short fuzzes of the log's record decoder
 ## and segment replay, of its master record, of the checkpoint payload, of
 ## the node record buffer's loader and of the three trees'
-## structure-change payload decoders, and the repo benchmark's own smoke
-## test (a nested module `go test ./...` does not enter).
-check: vet build test lockcpu corecpu enginecpu pagefile walfuzz race benchbuild expbuild benchsmoke torture realcrash churn
+## structure-change payload decoders, the repo benchmark's own smoke test
+## (a nested module `go test ./...` does not enter), and a count of the
+## kernel-only call sites in the three trees.
+check: vet build test kernelonly lockcpu corecpu enginecpu pagefile walfuzz race benchbuild expbuild benchsmoke torture realcrash churn
 
 vet:
 	$(GO) vet ./...
@@ -34,6 +35,24 @@ build:
 
 test:
 	$(GO) test ./...
+
+## kernelonly: the leaf paths the kernel owns stay there. Counts call
+## sites in the non-test files of internal/{core,tsb,spatial} and fails
+## past each limit:
+##   PrefetchAsync(      0  read-ahead is step 4 of pitree.Kernel.Scan, the
+##                          one leaf walk of every scan;
+##   .LogCLR(            3  all three in tsb.logicalUndoPut (removal, carry
+##                          repair, terminal), the history-chain undo
+##                          Kernel.Compensate does not cover; every other
+##                          CLR is Compensate's;
+##   BeginAtomicAction(  1  core.waitOutPageLock, a lock wait that touches
+##                          no latch; every other action begins in
+##                          Op.Atomic or in Kernel.Update.
+KERNELONLY_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go internal/tsb/*.go internal/spatial/*.go))
+kernelonly:
+	@check() { n=$$(cat $(KERNELONLY_SRC) | grep -c -F "$$1"); \
+		if [ $$n -gt $$2 ]; then echo "kernelonly: $$n call sites of $$1 in core/tsb/spatial, limit $$2"; return 1; fi; }; \
+	check 'PrefetchAsync(' 0 && check '.LogCLR(' 3 && check 'BeginAtomicAction(' 1
 
 ## lockcpu: the lock package at -cpu 1,2,4, repeated: waits-for edges that
 ## outlive their wait only misfire when a second CPU runs the granter and

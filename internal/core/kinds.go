@@ -180,6 +180,24 @@ type Binding struct {
 // engine.
 func (b *Binding) PageOriented() bool { return b.pageOriented }
 
+// logicalUndo returns the logical undo of a data record (§4.2, §6): the
+// write op of the key and value dec reads from its payload, applied by the
+// kernel's Compensate to whatever leaf holds the key now.
+func (b *Binding) logicalUndo(op writeOp, dec func([]byte) (keys.Key, []byte, error)) func(*wal.Record, storage.CLRLogger) error {
+	return func(rec *wal.Record, tx storage.CLRLogger) error {
+		t, err := b.Tree(rec.StoreID)
+		if err != nil {
+			return err
+		}
+		k, v, err := dec(rec.Payload)
+		if err != nil {
+			return err
+		}
+		w := &leafWrite{t: t, op: op, ks: []keys.Key{k}, vals: [][]byte{v}, undo: true}
+		return t.kern.Compensate(tx, rec.PrevLSN, w)
+	}
+}
+
 // Register installs the Π-tree record kinds into reg. pageOriented selects
 // the record-undo discipline for data records (§4.2): when true, undo is
 // on the same page and splits that move uncommitted updates must run
@@ -280,39 +298,15 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 		// tree to wherever the record lives now. Structure changes never
 		// need undoing against moved records, which is why this mode lets
 		// even data-node splits run outside the transaction (§6).
-		insertHandler.LogicalUndo = func(rec *wal.Record) error {
-			t, err := b.Tree(rec.StoreID)
-			if err != nil {
-				return err
-			}
-			k, _, err := decKV(rec.Payload)
-			if err != nil {
-				return err
-			}
-			return t.logicalUndoDelete(rec, k)
-		}
-		deleteHandler.LogicalUndo = func(rec *wal.Record) error {
-			t, err := b.Tree(rec.StoreID)
-			if err != nil {
-				return err
-			}
-			k, v, err := decKV(rec.Payload)
-			if err != nil {
-				return err
-			}
-			return t.logicalUndoInsert(rec, k, v)
-		}
-		updateHandler.LogicalUndo = func(rec *wal.Record) error {
-			t, err := b.Tree(rec.StoreID)
-			if err != nil {
-				return err
-			}
-			k, _, ov, err := decKVV(rec.Payload)
-			if err != nil {
-				return err
-			}
-			return t.logicalUndoUpdate(rec, k, ov)
-		}
+		insertHandler.LogicalUndo = b.logicalUndo(opDelete, func(p []byte) (keys.Key, []byte, error) {
+			k, _, err := decKV(p)
+			return k, nil, err
+		})
+		deleteHandler.LogicalUndo = b.logicalUndo(opInsert, decKV)
+		updateHandler.LogicalUndo = b.logicalUndo(opUpdate, func(p []byte) (keys.Key, []byte, error) {
+			k, _, ov, err := decKVV(p)
+			return k, ov, err
+		})
 	}
 	reg.Register(KindInsertRecord, insertHandler)
 	reg.Register(KindDeleteRecord, deleteHandler)

@@ -93,12 +93,16 @@ func (op writeOp) batched() bool { return op >= opUpsert }
 
 // leafWrite is the tree's side of the kernel's leaf update action
 // (pitree.LeafWriter): every write, single-key or batched, is the kernel's
-// Update over ks with these hooks.
+// Update over ks with these hooks, and every logical undo its Compensate
+// of one key.
 type leafWrite struct {
 	t    *Tree
 	op   writeOp
 	ks   []keys.Key
 	vals [][]byte
+	// undo marks a compensation (§4.2): a key already as the undo would
+	// leave it is skipped, not refused, and only an insert needs room.
+	undo bool
 	// path is the current attempt's saved path, for the posting a split
 	// schedules.
 	path *Path
@@ -123,10 +127,23 @@ func (w *leafWrite) Trace() any {
 }
 
 // Full: any write to a full leaf splits it first, whether or not the
-// write itself needs room.
-func (w *leafWrite) Full(n *Node, _ int) bool { return n.Len() >= w.t.opts.LeafCapacity }
+// write itself needs room — except a compensation, where only an insert
+// does.
+func (w *leafWrite) Full(n *Node, _ int) bool {
+	return n.Len() >= w.t.opts.LeafCapacity && (!w.undo || w.op == opInsert)
+}
 
 func (w *leafWrite) Split(o *opCtx, leaf nref) error { return w.t.splitLeaf(o, &leaf, w.path) }
+
+// miss is Apply's answer for a key found in the wrong state: err, or no
+// change for MultiDelete's absent key and for a compensation — repeating
+// history makes that rare, and the undo chain moves past it all the same.
+func (w *leafWrite) miss(err error) (txn.GroupUpdate, error) {
+	if w.undo || w.op == opRemove {
+		err = nil
+	}
+	return txn.GroupUpdate{}, err
+}
 
 func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 	t, n, k := w.t, leaf.N, w.ks[i]
@@ -136,10 +153,7 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 	switch {
 	case w.op == opDelete || w.op == opRemove:
 		if !exists {
-			if w.op == opRemove {
-				return up, nil
-			}
-			return up, ErrKeyNotFound
+			return w.miss(ErrKeyNotFound)
 		}
 		up = txn.GroupUpdate{Kind: KindDeleteRecord, Payload: encKV(k, n.entry(j).Value)}
 		n.recs.Delete(j)
@@ -150,7 +164,7 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 		w.cons, w.shrunk = t.consolidationFor(&leaf)
 	case exists:
 		if w.op == opInsert {
-			return up, ErrKeyExists
+			return w.miss(ErrKeyExists)
 		}
 		up = txn.GroupUpdate{Kind: KindUpdateRecord, Payload: encKVV(k, w.vals[i], n.entry(j).Value)}
 		n.setValue(j, enc.NilIfEmpty(w.vals[i]))
@@ -159,7 +173,7 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 		}
 	default:
 		if w.op == opUpdate {
-			return up, ErrKeyNotFound
+			return w.miss(ErrKeyNotFound)
 		}
 		up = txn.GroupUpdate{Kind: KindInsertRecord, Payload: encKV(k, w.vals[i])}
 		n.insertEntry(Entry{Key: k, Value: enc.NilIfEmpty(w.vals[i])})
@@ -470,76 +484,49 @@ func (t *Tree) consolidationFor(r *nref) (consolidateTask, bool) {
 }
 
 // RangeScan calls fn for each key in [lo, hi) in order, stopping early if
-// fn returns false. hi may be nil for an unbounded scan. The scan is
-// latch-consistent per leaf. With a non-nil transaction every record is
-// S-locked (to transaction end) before its value is read: under the leaf's
-// latch if the lock is free, else — No-Wait — the latch is dropped for the
-// wait and the leaf read again, so fn never sees a value an uncommitted
-// writer left. What was delivered is repeatable; there is no phantom
-// protection (a key inserted, or whose delete rolls back, behind the scan
-// is not seen). Keys and values passed to fn are copies.
+// fn returns false. hi may be nil for an unbounded scan. The scan is the
+// kernel's leaf walk (pitree.Kernel.Scan): latch-consistent per leaf, and
+// with a non-nil transaction every record is S-locked to transaction end
+// and its value read under the lock, so fn never sees a value an
+// uncommitted writer left; what was delivered is repeatable, and there is
+// no phantom protection. Keys and values passed to fn are copies.
 func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
-	type rec struct {
-		k keys.Key
-		v []byte
+	return t.kern.Scan(tx, keys.Clone(lo), &rangeScan{t: t, hi: hi, fn: fn})
+}
+
+// rangeScan is RangeScan's side of the kernel's leaf walk
+// (pitree.Scanner): batch holds copies of one leaf's records in the range.
+type rangeScan struct {
+	t     *Tree
+	hi    keys.Key
+	fn    func(k keys.Key, v []byte) bool
+	batch []Entry
+}
+
+func (s *rangeScan) Collect(leaf nref, cursor keys.Key) (int, keys.Key, storage.PageID, bool) {
+	n := leaf.N
+	s.batch = s.batch[:0]
+	first, _ := n.search(cursor)
+	for i := first; i < n.Len(); i++ {
+		e := n.entry(i)
+		if s.hi != nil && keys.Compare(e.Key, s.hi) >= 0 {
+			return len(s.batch), nil, storage.NilPage, false
+		}
+		s.batch = append(s.batch, Entry{Key: keys.Clone(e.Key), Value: append([]byte(nil), e.Value...)})
 	}
-	cursor := keys.Clone(lo)
-	for {
-		var batch []rec
-		var nextCursor keys.Key
-		done := false
-		err := t.kern.RetryLoop(tx, func(o *opCtx) error {
-			batch, done = batch[:0], false
-			leaf, err := t.descendTo(o, cursor, 0, latch.S, true, nil)
-			if err != nil {
-				return err
-			}
-			// Collect this leaf's qualifying records, then move on.
-			first, _ := leaf.N.search(cursor)
-			for i := first; i < leaf.N.Len(); i++ {
-				e := leaf.N.entry(i)
-				if hi != nil && keys.Compare(e.Key, hi) >= 0 {
-					done = true
-					break
-				}
-				if tx != nil {
-					// errRetry: the lock was waited for and is now held, as
-					// are those of the records before it; read the leaf anew.
-					if err := o.LockDance(tx, &leaf, t.recLockName(e.Key), lock.S); err != nil {
-						return err
-					}
-				}
-				batch = append(batch, rec{k: keys.Clone(e.Key), v: append([]byte(nil), e.Value...)})
-			}
-			if !done {
-				if leaf.N.High.Unbounded {
-					done = true
-				} else {
-					nextCursor = keys.Clone(leaf.N.High.Key)
-					if hi != nil && keys.Compare(nextCursor, hi) >= 0 {
-						done = true
-					}
-				}
-			}
-			if !done {
-				// Read-ahead: start the successor leaf's disk read now so it
-				// overlaps the callback work on this leaf's batch.
-				t.store.Pool.PrefetchAsync(leaf.N.Right)
-			}
-			o.Release(&leaf)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for _, r := range batch {
-			if !fn(r.k, r.v) {
-				return nil
-			}
-		}
-		if done {
-			return nil
-		}
-		cursor = nextCursor
+	if n.High.Unbounded || (s.hi != nil && keys.Compare(n.High.Key, s.hi) >= 0) {
+		return len(s.batch), nil, storage.NilPage, false
 	}
+	return len(s.batch), keys.Clone(n.High.Key), n.Right, true
+}
+
+func (s *rangeScan) LockName(i int) lock.Name { return s.t.recLockName(s.batch[i].Key) }
+
+func (s *rangeScan) Emit() (bool, error) {
+	for _, e := range s.batch {
+		if !s.fn(e.Key, e.Value) {
+			return false, nil
+		}
+	}
+	return true, nil
 }

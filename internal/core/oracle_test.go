@@ -7,7 +7,10 @@ import (
 
 	"repro/internal/enc"
 	"repro/internal/keys"
+	"repro/internal/latch"
 	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // appendEntries puts es behind n's entries, in the order given.
@@ -175,4 +178,105 @@ func headerOf(t *testing.T, img []byte) []byte {
 		t.Fatal(r.Err())
 	}
 	return img[:len(img)-r.Remaining()]
+}
+
+// The logical undo as PR 24 wrote it (internal/core/undo.go): one
+// hand-written re-traversal per record kind, taking the rolling-back
+// transaction directly instead of looking it up. The reference the
+// kernel's Compensate is held to (TestCompensateCLRIdentity).
+
+func (t *Tree) oracleUndoDelete(rec *wal.Record, tx storage.CLRLogger, k keys.Key) error {
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
+		leaf, err := t.descendTo(o, k, 0, latch.U, false, nil)
+		if err != nil {
+			return err
+		}
+		i, ok := leaf.N.search(k)
+		if !ok {
+			o.Release(&leaf)
+			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
+			return nil
+		}
+		o.Promote(&leaf)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindDeleteRecord, encKV(k, leaf.N.entry(i).Value), rec.PrevLSN)
+		leaf.N.recs.Delete(i)
+		leaf.F.MarkDirty(lsn)
+		o.Release(&leaf)
+		return nil
+	})
+}
+
+func (t *Tree) oracleUndoInsert(rec *wal.Record, tx storage.CLRLogger, k keys.Key, v []byte) error {
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
+		path := newPath()
+		leaf, err := t.descendTo(o, k, 0, latch.U, false, path)
+		if err != nil {
+			return err
+		}
+		if leaf.N.Len() >= t.opts.LeafCapacity {
+			if err := t.splitLeaf(o, &leaf, path); err != nil {
+				return err
+			}
+			return errRetry
+		}
+		if _, dup := leaf.N.search(k); dup {
+			o.Release(&leaf)
+			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
+			return nil
+		}
+		o.Promote(&leaf)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertRecord, encKV(k, v), rec.PrevLSN)
+		leaf.N.insertEntry(Entry{Key: k, Value: enc.NilIfEmpty(v)})
+		leaf.F.MarkDirty(lsn)
+		o.Release(&leaf)
+		return nil
+	})
+}
+
+func (t *Tree) oracleUndoUpdate(rec *wal.Record, tx storage.CLRLogger, k keys.Key, oldVal []byte) error {
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
+		leaf, err := t.descendTo(o, k, 0, latch.U, false, nil)
+		if err != nil {
+			return err
+		}
+		i, ok := leaf.N.search(k)
+		if !ok {
+			o.Release(&leaf)
+			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
+			return nil
+		}
+		o.Promote(&leaf)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindUpdateRecord, encKVV(k, oldVal, leaf.N.entry(i).Value), rec.PrevLSN)
+		leaf.N.setValue(i, enc.NilIfEmpty(oldVal))
+		leaf.F.MarkDirty(lsn)
+		o.Release(&leaf)
+		return nil
+	})
+}
+
+// oracleRollback undoes tx's data records through the oracle, newest
+// first, as txn's rollback walks the chain.
+func (t *Tree) oracleRollback(log *wal.Log, tx *txn.Txn) error {
+	for lsn := tx.LastLSN(); lsn != wal.NilLSN; {
+		rec, err := log.Read(lsn)
+		if err != nil {
+			return err
+		}
+		switch rec.Kind {
+		case KindInsertRecord:
+			k, _, _ := decKV(rec.Payload)
+			err = t.oracleUndoDelete(&rec, tx, k)
+		case KindDeleteRecord:
+			k, v, _ := decKV(rec.Payload)
+			err = t.oracleUndoInsert(&rec, tx, k, v)
+		case KindUpdateRecord:
+			k, _, ov, _ := decKVV(rec.Payload)
+			err = t.oracleUndoUpdate(&rec, tx, k, ov)
+		}
+		if err != nil {
+			return err
+		}
+		lsn = rec.PrevLSN
+	}
+	return nil
 }

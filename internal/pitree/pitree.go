@@ -19,6 +19,8 @@
 //   - the leaf update action (Update): every tree's one write path, from
 //     the U-latched descent to the commit before the latch drops, for a
 //     sorted run of one or more keys, and its read-side twin (ReadRuns);
+//   - the leaf walk of every range scan (Scan) and the logical undo of a
+//     record (Compensate, §4.2);
 //   - the bracket every structure change runs in (Op.Atomic, §4.3.1) and
 //     on it the index-term posting action (Post, §5.3);
 //   - the completion queue (queue.go) that schedules completing atomic
@@ -28,7 +30,7 @@
 // to clone it for a navigation snapshot, where a key routes from it, and
 // what to do when a descent follows a side pointer. Everything else —
 // key space, split choice, clipping, version visibility, consolidation,
-// codecs, undo — stays in the tree's own package.
+// codecs, what an undo changes — stays in the tree's own package.
 package pitree
 
 import (

@@ -26,7 +26,8 @@ type toyNode struct {
 	dead  bool
 	seps  []int // index nodes: kids[i] is responsible for [seps[i], seps[i+1])
 	kids  []storage.PageID
-	keys  []int // leaves: the stored keys, sorted, at most toyCap
+	keys  []int       // leaves: the stored keys, sorted, at most toyCap
+	vals  map[int]int // leaves: a key's value, 0 when absent (scans read it)
 }
 
 type toy struct {
@@ -45,6 +46,7 @@ type toy struct {
 	clones  map[*toyNode]int
 	onClone func(n *toyNode) // runs inside Clone, under n's S latch
 	onRoute func(n *toyNode) // runs inside Route
+	warmed  chan *toyNode    // nodes read-ahead warmed, when set (toyCodec)
 }
 
 const (
@@ -67,7 +69,7 @@ const (
 func newToy(t *testing.T, couple, pessimistic bool) *toy {
 	t.Helper()
 	ty := &toy{log: wal.New(), lm: lock.NewManager(), clones: map[*toyNode]int{}}
-	ty.pool = storage.NewPool(1, storage.NewDisk(), ty.log, nil, 0)
+	ty.pool = storage.NewPool(1, storage.NewDisk(), ty.log, toyCodec{ty}, 0)
 	ty.tm = txn.NewManager(ty.log, ty.lm, toyRegistry(), txn.Options{})
 	inf := math.MaxInt
 	ty.put(t, toyRoot, &toyNode{level: 2, high: inf, seps: []int{0, 100}, kids: []storage.PageID{toyLeft, toyRight}})

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/latch"
 	"repro/internal/lock"
+	"repro/internal/storage"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // FPBatchApply is the failpoint every leaf write probes once its locks
@@ -17,9 +19,10 @@ import (
 // restore. (The name predates the kernel; torture rounds arm it by name.)
 const FPBatchApply = "core.batchapply"
 
-// LeafWriter is what a tree supplies to Update: the parts of a leaf write
-// that differ between trees and between operations. Item i is the i-th
-// key of the caller's batch; a single-key write is a batch of one.
+// LeafWriter is what a tree supplies to Update (and, for the one item of a
+// compensation, to Compensate): the parts of a leaf write that differ
+// between trees and between operations. Item i is the i-th key of the
+// caller's batch; a single-key write is a batch of one.
 // Methods handed a node or a reference run under its latch and, Split
 // apart, must not block.
 type LeafWriter[N, K any] interface {
@@ -251,6 +254,49 @@ func (k *Kernel[N, K]) updateRun(o *Op[N], rs *runs, w LeafWriter[N, K]) error {
 	rs.pos += applied
 	w.After(applied)
 	return nil
+}
+
+// Compensate is the logical undo of one record (§4.2, §6): item 0 of w
+// changes back on whatever leaf holds it now, found by a fresh descent,
+// and the change is logged as a CLR of tx, the transaction rolling back,
+// with UndoNext undoNext. It is Update's leaf step for one item:
+//
+//  1. descend with a U latch to the leaf containing the item, scheduling
+//     no completions;
+//  2. space-test: a full leaf is split by the tree (an atomic action of
+//     its own: the operation runs for no transaction) and the descent
+//     restarts;
+//  3. promote, Apply, and append the item's record as the CLR — or, when
+//     Apply finds nothing to do, a terminal CLR that only moves the undo
+//     chain past the record.
+//
+// What belongs to a forward write stays out: no record lock (the item is
+// tx's own write), no atomic action of its own (the CLR is tx's), no
+// FPBatchApply probe and no After — a rollback is not a user operation.
+func (k *Kernel[N, K]) Compensate(tx storage.CLRLogger, undoNext wal.LSN, w LeafWriter[N, K]) error {
+	return k.RetryLoop(nil, func(o *Op[N]) error {
+		leaf, err := k.Descend(o, w.Key(0), 0, latch.U, false, w.Trace())
+		if err != nil {
+			return err
+		}
+		if w.Full(leaf.N, 0) {
+			if err := w.Split(o, leaf); err != nil {
+				return err
+			}
+			return ErrRetry
+		}
+		o.Promote(&leaf)
+		up, err := w.Apply(leaf, 0)
+		switch {
+		case err != nil:
+		case up.Payload == nil:
+			tx.LogCLR(0, 0, 0, nil, undoNext)
+		default:
+			leaf.F.MarkDirty(tx.LogCLR(k.s.Pool.StoreID, uint64(leaf.Pid()), up.Kind, up.Payload, undoNext))
+		}
+		o.Release(&leaf)
+		return err
+	})
 }
 
 // ReadRuns is the read-side counterpart of Update: items 0..n-1, ordered

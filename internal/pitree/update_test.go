@@ -34,6 +34,7 @@ var errToyExists = errors.New("toy: key exists")
 type toyWrite struct {
 	ty      *toy
 	ks      []int
+	undo    bool // a compensation: a key already there is no change
 	splits  int
 	afters  []int                    // After's argument, per run
 	onApply func(leaf Ref[*toyNode]) // runs in Apply, under the X latch
@@ -74,6 +75,9 @@ func (w *toyWrite) Apply(leaf Ref[*toyNode], i int) (txn.GroupUpdate, error) {
 	n, k := leaf.N, w.ks[i]
 	at, exists := slices.BinarySearch(n.keys, k)
 	if exists {
+		if w.undo {
+			return txn.GroupUpdate{}, nil
+		}
 		return txn.GroupUpdate{}, errToyExists
 	}
 	n.keys = slices.Insert(n.keys, at, k)
@@ -291,5 +295,114 @@ func TestUpdateSemanticError(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// compensate runs the toy's logical undo of key under tx, UndoNext next.
+func (ty *toy) compensate(tx *txn.Txn, next wal.LSN, key int) (*toyWrite, error) {
+	w := &toyWrite{ty: ty, ks: []int{key}, undo: true}
+	return w, ty.kern.Compensate(tx, next, w)
+}
+
+// TestCompensateTakesNoLockBeginsNoAction: a compensation logs one CLR
+// under the rolling-back transaction and nothing else — no record lock, no
+// atomic action of its own, no After.
+func TestCompensateTakesNoLockBeginsNoAction(t *testing.T) {
+	ty := newToy(t, false, false)
+	tx := ty.tm.Begin()
+	next := tx.LogUpdate(1, uint64(toyLeafA), toyKindAdd, nil)
+	grants, from := ty.lm.Grants(), ty.log.EndLSN()
+	w, err := ty.compensate(tx, next, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := ty.records(from)
+	if len(recs) != 1 || recs[0].Type != wal.RecCLR || recs[0].TxnID != tx.ID || recs[0].UndoNext != next ||
+		recs[0].Kind != toyKindAdd || recs[0].PageID != uint64(toyLeafA) {
+		t.Fatalf("compensation logged %+v, want one CLR of txn %d on page %d with UndoNext %d", recs, tx.ID, toyLeafA, next)
+	}
+	if !slices.Equal(ty.node(t, toyLeafA).keys, []int{10}) || len(w.afters) != 0 {
+		t.Fatalf("leaf holds %v, After ran %v", ty.node(t, toyLeafA).keys, w.afters)
+	}
+	if got := ty.lm.Grants(); got != grants {
+		t.Fatalf("compensation took %d locks", got-grants)
+	}
+	if after := ty.tm.Begin(); after.ID != tx.ID+1 {
+		t.Fatalf("next transaction is %d, want %d: the compensation began an atomic action", after.ID, tx.ID+1)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompensateIgnoresBatchFailpoint: FPBatchApply is a forward write's
+// failpoint; a rollback armed over it still compensates, and the point
+// stays armed for the next write.
+func TestCompensateIgnoresBatchFailpoint(t *testing.T) {
+	ty := newToy(t, false, false)
+	inj := fault.New(1)
+	ty.pool.SetInjector(inj)
+	inj.Arm(FPBatchApply, fault.Spec{Kind: fault.Permanent})
+	tx := ty.tm.Begin()
+	if _, err := ty.compensate(tx, wal.NilLSN, 10); err != nil {
+		t.Fatalf("compensation over the armed failpoint: %v", err)
+	}
+	if !slices.Equal(ty.node(t, toyLeafA).keys, []int{10}) {
+		t.Fatalf("leaf holds %v", ty.node(t, toyLeafA).keys)
+	}
+	if err := ty.write(nil, &toyWrite{ks: []int{11}}); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("write after the compensation: %v, want the failpoint still armed", err)
+	}
+}
+
+// TestCompensateSplitsFullLeaf: an insert's compensation that meets a full
+// leaf splits it and retries, and its CLR names the leaf the key went to.
+func TestCompensateSplitsFullLeaf(t *testing.T) {
+	ty := newToy(t, false, false)
+	if err := ty.write(nil, &toyWrite{ks: []int{1, 2, 3, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	tx := ty.tm.Begin()
+	from := ty.log.EndLSN()
+	w, err := ty.compensate(tx, wal.NilLSN, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.splits != 1 || ty.restarts.Load() != 1 {
+		t.Fatalf("%d splits, %d restarts; want 1 and 1", w.splits, ty.restarts.Load())
+	}
+	if b := ty.node(t, toySplitPage).keys; !slices.Equal(b, []int{3, 4, 5}) {
+		t.Fatalf("split sibling holds %v", b)
+	}
+	recs := ty.records(from)
+	if len(recs) != 1 || recs[0].Type != wal.RecCLR || recs[0].PageID != uint64(toySplitPage) {
+		t.Fatalf("compensation logged %+v, want one CLR on page %d", recs, toySplitPage)
+	}
+}
+
+// TestCompensateTerminalCLR: a compensation whose item is already as the
+// undo would leave it changes nothing and logs the terminal CLR, which
+// only carries the undo chain past the record.
+func TestCompensateTerminalCLR(t *testing.T) {
+	ty := newToy(t, false, false)
+	if err := ty.write(nil, &toyWrite{ks: []int{10}}); err != nil {
+		t.Fatal(err)
+	}
+	tx := ty.tm.Begin()
+	next := tx.LogUpdate(1, uint64(toyLeafA), toyKindAdd, nil)
+	from := ty.log.EndLSN()
+	if _, err := ty.compensate(tx, next, 10); err != nil {
+		t.Fatal(err)
+	}
+	recs := ty.records(from)
+	if len(recs) != 1 || recs[0].Type != wal.RecCLR || recs[0].UndoNext != next ||
+		recs[0].Kind != 0 || recs[0].StoreID != 0 || recs[0].PageID != 0 || len(recs[0].Payload) != 0 {
+		t.Fatalf("compensation logged %+v, want one terminal CLR with UndoNext %d", recs, next)
+	}
+	if !slices.Equal(ty.node(t, toyLeafA).keys, []int{10}) {
+		t.Fatalf("leaf holds %v", ty.node(t, toyLeafA).keys)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -108,75 +108,36 @@ func (t *Tree) absorbPass() (int, error) {
 	return freed, nil
 }
 
-// scanAbsorbCandidates walks every reachable node (one S latch at a
-// time, cloning under it — CNS reading, same as the tsb GC scan) and
-// collects delegators whose newest sibling is an empty data node.
+// scanAbsorbCandidates walks every reachable node (t.walk: one S latch at
+// a time, a copy taken under it — CNS reading, same as the tsb GC scan)
+// and collects delegators whose newest sibling is an empty data node.
 // Everything is re-verified under latches before any cut, so a stale
 // observation costs only a wasted attempt.
 func (t *Tree) scanAbsorbCandidates() ([]absorbCand, error) {
-	pool := t.store.Pool
-	snap := func(pid storage.PageID) (*Node, error) {
-		f, err := pool.Fetch(pid)
-		if err != nil {
-			return nil, err
-		}
-		defer pool.Unpin(f)
-		f.Latch.AcquireS()
-		defer f.Latch.ReleaseS()
-		n, ok := f.Data.(*Node)
-		if !ok {
-			return nil, nil
-		}
-		return n.clone(), nil
-	}
 	var cands []absorbCand
-	seen := make(map[storage.PageID]bool)
-	isEmptyData := func(pid storage.PageID) (bool, error) {
-		n, err := snap(pid)
-		if err != nil {
-			return false, err
-		}
-		return n != nil && n.IsData() && n.Len() == 0 && len(n.Sibs) == 0, nil
-	}
-	var visit func(pid storage.PageID) error
-	visit = func(pid storage.PageID) error {
-		if seen[pid] {
+	empty := make(map[storage.PageID]bool)
+	err := t.walk(0, func(pid storage.PageID, n *Node, _ int) error {
+		if !n.IsData() {
 			return nil
 		}
-		seen[pid] = true
-		cp, err := snap(pid)
-		if err != nil {
-			return err
-		}
-		if cp == nil {
-			return nil
-		}
-		if ns := len(cp.Sibs); ns > 0 && cp.IsData() {
-			newest := cp.Sibs[ns-1]
-			if empty, err := isEmptyData(newest.Pid); err != nil {
-				return err
-			} else if empty {
-				cands = append(cands, absorbCand{deleg: pid, victim: newest.Pid})
-			}
-		}
-		for _, s := range cp.Sibs {
-			if err := visit(s.Pid); err != nil {
-				return err
-			}
-		}
-		if !cp.IsData() {
-			for i := 0; i < cp.Len(); i++ {
-				if err := visit(cp.entry(i).Child); err != nil {
-					return err
-				}
-			}
+		empty[pid] = n.Len() == 0 && len(n.Sibs) == 0
+		if ns := len(n.Sibs); ns > 0 {
+			cands = append(cands, absorbCand{deleg: pid, victim: n.Sibs[ns-1].Pid})
 		}
 		return nil
-	}
-	if err := visit(t.root); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	return cands, nil
+	// A victim is reachable through its delegator's sibling term, so the
+	// walk has seen it.
+	kept := cands[:0]
+	for _, c := range cands {
+		if empty[c.victim] {
+			kept = append(kept, c)
+		}
+	}
+	return kept, nil
 }
 
 // absorbAction performs one absorb as an atomic action, re-verifying

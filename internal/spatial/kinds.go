@@ -349,6 +349,23 @@ func splitHelps(n *Node, alongX bool, coord uint64) bool {
 // Binding connects record kinds to live trees for logical undo.
 type Binding = pitree.Binding[*Tree]
 
+// logicalUndo returns the logical undo of a point record (§4.2): with del
+// the removal of the point it names, else its re-insertion, applied by the
+// kernel's Compensate to whatever data node holds the point now.
+func logicalUndo(b *Binding, del bool) func(*wal.Record, storage.CLRLogger) error {
+	return func(rec *wal.Record, tx storage.CLRLogger) error {
+		t, err := b.Tree(rec.StoreID)
+		if err != nil {
+			return err
+		}
+		e, err := decPoint(rec.Payload)
+		if err != nil {
+			return err
+		}
+		return t.kern.Compensate(tx, rec.PrevLSN, &pointWrite{t: t, p: e.P, value: e.Value, del: del, undo: true})
+	}
+}
+
 // Register installs the spatial record kinds. Point undo is logical
 // (re-traversal), so every structure change is an independent atomic
 // action.
@@ -404,17 +421,7 @@ func Register(reg *storage.Registry) *Binding {
 			n.insertPoint(e)
 			return nil
 		}),
-		LogicalUndo: func(rec *wal.Record) error {
-			t, err := b.Tree(rec.StoreID)
-			if err != nil {
-				return err
-			}
-			e, err := decPoint(rec.Payload)
-			if err != nil {
-				return err
-			}
-			return t.logicalUndoInsert(rec, e)
-		},
+		LogicalUndo: logicalUndo(b, true), // removes the point again
 	})
 	reg.Register(KindRemovePoint, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
@@ -427,17 +434,7 @@ func Register(reg *storage.Registry) *Binding {
 			}
 			return nil
 		}),
-		LogicalUndo: func(rec *wal.Record) error {
-			t, err := b.Tree(rec.StoreID)
-			if err != nil {
-				return err
-			}
-			e, err := decPoint(rec.Payload)
-			if err != nil {
-				return err
-			}
-			return t.logicalUndoRemove(rec, e)
-		},
+		LogicalUndo: logicalUndo(b, false), // puts the point back
 	})
 	reg.Register(KindPostTerm, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {

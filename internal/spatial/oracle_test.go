@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/enc"
+	"repro/internal/latch"
 	"repro/internal/storage"
+	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // appendEntries puts es behind n's entries, in the order given.
@@ -164,4 +167,80 @@ func TestImageByteIdentity(t *testing.T) {
 			t.Fatalf("node %d: after delete and re-insert of every record the image is\n%x, want\n%x", i, got, img)
 		}
 	}
+}
+
+// The logical undo as PR 24 wrote it (internal/spatial/tree.go): one
+// hand-written re-traversal per record kind, taking the rolling-back
+// transaction directly instead of looking it up. The reference the
+// kernel's Compensate is held to (TestCompensateCLRIdentity).
+
+func (t *Tree) oracleUndoInsert(rec *wal.Record, tx storage.CLRLogger, e Entry) error {
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
+		leaf, err := t.descend(o, e.P, 0, latch.U, false)
+		if err != nil {
+			return err
+		}
+		if i, ok := leaf.N.findPoint(e.P); ok {
+			o.Promote(&leaf)
+			lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindRemovePoint, encPoint(leaf.N.entry(i)), rec.PrevLSN)
+			leaf.N.recs.Delete(i)
+			leaf.F.MarkDirty(lsn)
+		} else {
+			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
+		}
+		o.Release(&leaf)
+		return nil
+	})
+}
+
+func (t *Tree) oracleUndoRemove(rec *wal.Record, tx storage.CLRLogger, e Entry) error {
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
+		leaf, err := t.descend(o, e.P, 0, latch.U, false)
+		if err != nil {
+			return err
+		}
+		if leaf.N.Len() >= t.opts.DataCapacity {
+			if err := t.splitNodeAction(o, &leaf); err != nil {
+				return err
+			}
+			return errRetry
+		}
+		if _, dup := leaf.N.findPoint(e.P); dup {
+			o.Release(&leaf)
+			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
+			return nil
+		}
+		o.Promote(&leaf)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertPoint, encPoint(e), rec.PrevLSN)
+		leaf.N.insertPoint(Entry{P: e.P, Value: enc.NilIfEmpty(e.Value)})
+		leaf.F.MarkDirty(lsn)
+		o.Release(&leaf)
+		return nil
+	})
+}
+
+// oracleRollback undoes tx's point records through the oracle, newest
+// first, as txn's rollback walks the chain.
+func (t *Tree) oracleRollback(log *wal.Log, tx *txn.Txn) error {
+	for lsn := tx.LastLSN(); lsn != wal.NilLSN; {
+		rec, err := log.Read(lsn)
+		if err != nil {
+			return err
+		}
+		e, err := decPoint(rec.Payload)
+		if err != nil {
+			return err
+		}
+		switch rec.Kind {
+		case KindInsertPoint:
+			err = t.oracleUndoInsert(&rec, tx, e)
+		case KindRemovePoint:
+			err = t.oracleUndoRemove(&rec, tx, e)
+		}
+		if err != nil {
+			return err
+		}
+		lsn = rec.PrevLSN
+	}
+	return nil
 }

@@ -222,14 +222,13 @@ func TestClippingProducesMultiParents(t *testing.T) {
 	// §3.3: a clipped (multi-parent) child must be detected as not
 	// consolidatable; find one via the index walk.
 	var clippedChild storage.PageID
-	err := fx.tree.walkIndex(func(n *Node) bool {
+	err := fx.tree.walk(1, func(_ storage.PageID, n *Node, _ int) error {
 		for _, e := range entriesOf(n) {
-			if e.Clipped {
+			if e.Clipped && clippedChild == storage.NilPage {
 				clippedChild = e.Child
-				return false
 			}
 		}
-		return true
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

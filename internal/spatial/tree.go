@@ -13,7 +13,6 @@ import (
 	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/txn"
-	"repro/internal/wal"
 )
 
 // Options configure one spatial tree.
@@ -290,12 +289,16 @@ func (t *Tree) Delete(tx *txn.Txn, p Point) error {
 }
 
 // pointWrite is the tree's side of the kernel's leaf update action
-// (pitree.LeafWriter) for one point: an insert, or with del a removal.
+// (pitree.LeafWriter) for one point: an insert, or with del a removal —
+// and, with undo, of its Compensate.
 type pointWrite struct {
 	t     *Tree
 	p     Point
 	value []byte
 	del   bool
+	// undo marks a compensation (§4.2): a point already as the undo would
+	// leave it is skipped, not refused.
+	undo bool
 	// emptied: the removal left the leaf with no points and no siblings.
 	emptied bool
 }
@@ -316,19 +319,28 @@ func (w *pointWrite) Full(n *Node, _ int) bool {
 
 func (w *pointWrite) Split(o *opCtx, leaf nref) error { return w.t.splitNodeAction(o, &leaf) }
 
+// miss is Apply's answer for a point found in the wrong state: err, or no
+// change for a compensation.
+func (w *pointWrite) miss(err error) (txn.GroupUpdate, error) {
+	if w.undo {
+		err = nil
+	}
+	return txn.GroupUpdate{}, err
+}
+
 func (w *pointWrite) Apply(leaf nref, _ int) (txn.GroupUpdate, error) {
 	n := leaf.N
 	i, found := n.findPoint(w.p)
 	if !w.del {
 		if found {
-			return txn.GroupUpdate{}, ErrPointExists
+			return w.miss(ErrPointExists)
 		}
 		e := Entry{P: w.p, Value: enc.NilIfEmpty(w.value)}
 		n.insertAt(i, e)
 		return txn.GroupUpdate{Kind: KindInsertPoint, Payload: encPoint(e)}, nil
 	}
 	if !found {
-		return txn.GroupUpdate{}, ErrPointNotFound
+		return w.miss(ErrPointNotFound)
 	}
 	up := txn.GroupUpdate{Kind: KindRemovePoint, Payload: encPoint(n.entry(i))}
 	n.recs.Delete(i)
@@ -447,12 +459,12 @@ func (t *Tree) RegionQuery(q Rect, fn func(p Point, v []byte) bool) error {
 // CanConsolidate reports whether the child could legally be consolidated
 // under §3.3: it must be referenced by index terms in a single parent.
 // Clipped terms mark multi-parent children, which must not be
-// consolidated until a single parent remains. (This tree performs no
-// consolidation; the predicate exposes the paper's constraint for tests
-// and experiments.)
+// consolidated until a single parent remains. The census backs the
+// absorber's pre-screen (absorb.go); the authoritative test is the Clipped
+// mark, re-read under the parent's latch.
 func (t *Tree) CanConsolidate(child storage.PageID) (bool, error) {
 	parents := 0
-	err := t.walkIndex(func(n *Node) bool {
+	err := t.walk(1, func(_ storage.PageID, n *Node, _ int) error {
 		for i := 0; i < n.Len(); i++ {
 			if e := n.entry(i); e.Child == child {
 				parents++
@@ -462,7 +474,7 @@ func (t *Tree) CanConsolidate(child storage.PageID) (bool, error) {
 				}
 			}
 		}
-		return true
+		return nil
 	})
 	if err != nil {
 		return false, err
@@ -470,109 +482,59 @@ func (t *Tree) CanConsolidate(child storage.PageID) (bool, error) {
 	return parents == 1, nil
 }
 
-// walkIndex visits every index node once (quiescent helper).
-func (t *Tree) walkIndex(fn func(n *Node) bool) error {
-	pool := t.store.Pool
+// walk visits every node reachable from the root at level lowest or above
+// once — depth first, sibling terms before index terms — handing fn the
+// page, a copy of its node taken under a momentary S latch, and the level
+// the edge that reached it says the node is at (the root's own for the
+// root). Nothing is held between visits, so it runs against live writers,
+// each copy as current as its latch; an error from fn ends the walk.
+func (t *Tree) walk(lowest int, fn func(pid storage.PageID, n *Node, level int) error) error {
 	seen := make(map[storage.PageID]bool)
-	var visit func(pid storage.PageID) (bool, error)
-	visit = func(pid storage.PageID) (bool, error) {
-		if seen[pid] {
-			return true, nil
-		}
-		seen[pid] = true
-		f, err := pool.Fetch(pid)
-		if err != nil {
-			return false, err
-		}
-		// Momentary S latch for the clone: the walk also backs the §3.3
-		// census taken by background consolidation, which runs against
-		// live writers.
-		f.Latch.AcquireS()
-		n, ok := f.Data.(*Node)
-		if !ok {
-			f.Latch.ReleaseS()
-			pool.Unpin(f)
-			return false, fmt.Errorf("spatial: page %d holds %T", pid, f.Data)
-		}
-		if n.IsData() {
-			f.Latch.ReleaseS()
-			pool.Unpin(f)
-			return true, nil
-		}
-		cp := n.clone()
-		f.Latch.ReleaseS()
-		pool.Unpin(f)
-		if !fn(cp) {
-			return false, nil
-		}
-		for _, s := range cp.Sibs {
-			if cont, err := visit(s.Pid); err != nil || !cont {
-				return cont, err
-			}
-		}
-		for i := 0; i < cp.Len(); i++ {
-			if cont, err := visit(cp.entry(i).Child); err != nil || !cont {
-				return cont, err
-			}
-		}
-		return true, nil
-	}
-	_, err := visit(t.root)
-	return err
-}
-
-// logicalUndoInsert compensates an insert by removing the point from
-// wherever it now lives.
-func (t *Tree) logicalUndoInsert(rec *wal.Record, e Entry) error {
-	tx, ok := t.tm.Lookup(rec.TxnID)
-	if !ok {
-		return fmt.Errorf("spatial: logical undo for unknown txn %d", rec.TxnID)
-	}
-	return t.kern.RetryLoop(nil, func(o *opCtx) error {
-		leaf, err := t.descend(o, e.P, 0, latch.U, false)
-		if err != nil {
-			return err
-		}
-		if i, ok := leaf.N.findPoint(e.P); ok {
-			o.Promote(&leaf)
-			lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindRemovePoint, encPoint(leaf.N.entry(i)), rec.PrevLSN)
-			leaf.N.recs.Delete(i)
-			leaf.F.MarkDirty(lsn)
-		} else {
-			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
-		}
-		o.Release(&leaf)
-		return nil
-	})
-}
-
-// logicalUndoRemove compensates a delete by re-inserting the point.
-func (t *Tree) logicalUndoRemove(rec *wal.Record, e Entry) error {
-	tx, ok := t.tm.Lookup(rec.TxnID)
-	if !ok {
-		return fmt.Errorf("spatial: logical undo for unknown txn %d", rec.TxnID)
-	}
-	return t.kern.RetryLoop(nil, func(o *opCtx) error {
-		leaf, err := t.descend(o, e.P, 0, latch.U, false)
-		if err != nil {
-			return err
-		}
-		if leaf.N.Len() >= t.opts.DataCapacity {
-			if err := t.splitNodeAction(o, &leaf); err != nil {
-				return err
-			}
-			return errRetry
-		}
-		if _, dup := leaf.N.findPoint(e.P); dup {
-			o.Release(&leaf)
-			tx.LogCLR(0, 0, 0, nil, rec.PrevLSN)
+	var visit func(pid storage.PageID, level int) error
+	visit = func(pid storage.PageID, level int) error {
+		if level < lowest || seen[pid] {
 			return nil
 		}
-		o.Promote(&leaf)
-		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertPoint, encPoint(e), rec.PrevLSN)
-		leaf.N.insertPoint(Entry{P: e.P, Value: enc.NilIfEmpty(e.Value)})
-		leaf.F.MarkDirty(lsn)
-		o.Release(&leaf)
+		seen[pid] = true
+		n, err := t.snapshot(pid)
+		if err != nil {
+			return err
+		}
+		if level == maxLevel {
+			level = n.Level
+		}
+		if err := fn(pid, n, level); err != nil {
+			return err
+		}
+		for _, s := range n.Sibs {
+			if err := visit(s.Pid, n.Level); err != nil {
+				return err
+			}
+		}
+		for i := 0; !n.IsData() && i < n.Len(); i++ {
+			_, child := n.termAt(i)
+			if err := visit(child, n.Level-1); err != nil {
+				return err
+			}
+		}
 		return nil
-	})
+	}
+	return visit(t.root, maxLevel)
+}
+
+// snapshot returns a copy of pid's node, taken under a momentary S latch.
+func (t *Tree) snapshot(pid storage.PageID) (*Node, error) {
+	pool := t.store.Pool
+	f, err := pool.Fetch(pid)
+	if err != nil {
+		return nil, err
+	}
+	defer pool.Unpin(f)
+	f.Latch.AcquireS()
+	defer f.Latch.ReleaseS()
+	n, ok := f.Data.(*Node)
+	if !ok {
+		return nil, fmt.Errorf("spatial: page %d holds %T", pid, f.Data)
+	}
+	return n.clone(), nil
 }

@@ -15,7 +15,8 @@ type Shape struct {
 	Clipped    int // clipped (multi-parent) index terms observed
 }
 
-// Verify checks well-formedness at a quiescent point:
+// Verify checks well-formedness at a quiescent point (t.walk reads each
+// node under a momentary S latch, but nodes change between visits):
 //
 //   - the direct regions of all reachable data nodes PARTITION the full
 //     space: pairwise disjoint, total area exactly MaxCoord^2;
@@ -25,61 +26,27 @@ type Shape struct {
 //     (direct region plus delegations) contains the term's rectangle.
 func (t *Tree) Verify() (Shape, error) {
 	var shape Shape
-	pool := t.store.Pool
-
-	getNode := func(pid storage.PageID) (*Node, error) {
-		f, err := pool.Fetch(pid)
-		if err != nil {
-			return nil, err
-		}
-		defer pool.Unpin(f)
-		n, ok := f.Data.(*Node)
-		if !ok {
-			return nil, fmt.Errorf("page %d holds %T", pid, f.Data)
-		}
-		return n.clone(), nil
-	}
-
-	root, err := getNode(t.root)
-	if err != nil {
-		return shape, fmt.Errorf("spatial verify: root: %w", err)
-	}
-	shape.Height = root.Level + 1
-
-	// BFS over every reachable node, deduplicating (clipping and sibling
-	// terms make the graph a DAG).
-	type item struct {
-		pid   storage.PageID
-		level int
-	}
-	seen := map[storage.PageID]bool{t.root: true}
-	queue := []item{{t.root, root.Level}}
+	reachable := make(map[storage.PageID]bool)
 	var dataRects []Rect
 	var dataPids []storage.PageID
 
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		n, err := getNode(it.pid)
-		if err != nil {
-			return shape, fmt.Errorf("spatial verify: page %d: %w", it.pid, err)
+	err := t.walk(0, func(pid storage.PageID, n *Node, level int) error {
+		reachable[pid] = true
+		if pid == t.root {
+			shape.Height = n.Level + 1
 		}
-		if n.Level != it.level {
-			return shape, fmt.Errorf("spatial verify: page %d level %d, expected %d", it.pid, n.Level, it.level)
+		if n.Level != level {
+			return fmt.Errorf("page %d level %d, expected %d", pid, n.Level, level)
 		}
-		if alloc, err := t.store.IsAllocated(it.pid); err != nil || !alloc {
-			return shape, fmt.Errorf("spatial verify: reachable page %d not allocated", it.pid)
+		if alloc, err := t.store.IsAllocated(pid); err != nil || !alloc {
+			return fmt.Errorf("reachable page %d not allocated", pid)
 		}
 		for _, s := range n.Sibs {
 			if s.Rect.Empty() {
-				return shape, fmt.Errorf("spatial verify: page %d has empty sibling rect", it.pid)
+				return fmt.Errorf("page %d has empty sibling rect", pid)
 			}
 			if s.Rect.Intersects(n.Direct) {
-				return shape, fmt.Errorf("spatial verify: page %d sibling rect %v overlaps direct %v", it.pid, s.Rect, n.Direct)
-			}
-			if !seen[s.Pid] {
-				seen[s.Pid] = true
-				queue = append(queue, item{s.Pid, n.Level})
+				return fmt.Errorf("page %d sibling rect %v overlaps direct %v", pid, s.Rect, n.Direct)
 			}
 		}
 		if n.IsData() {
@@ -87,12 +54,12 @@ func (t *Tree) Verify() (Shape, error) {
 			shape.Points += n.Len()
 			for i := 0; i < n.Len(); i++ {
 				if p := n.pointAt(i); !n.Direct.Contains(p) {
-					return shape, fmt.Errorf("spatial verify: point (%d,%d) outside direct %v of page %d", p.X, p.Y, n.Direct, it.pid)
+					return fmt.Errorf("point (%d,%d) outside direct %v of page %d", p.X, p.Y, n.Direct, pid)
 				}
 			}
 			dataRects = append(dataRects, n.Direct)
-			dataPids = append(dataPids, it.pid)
-			continue
+			dataPids = append(dataPids, pid)
+			return nil
 		}
 		shape.IndexNodes++
 		for i := 0; i < n.Len(); i++ {
@@ -100,23 +67,23 @@ func (t *Tree) Verify() (Shape, error) {
 			if e.Clipped {
 				shape.Clipped++
 			}
-			child, err := getNode(e.Child)
+			child, err := t.snapshot(e.Child)
 			if err != nil {
-				return shape, fmt.Errorf("spatial verify: term child %d: %w", e.Child, err)
+				return fmt.Errorf("term child %d: %w", e.Child, err)
 			}
 			if child.Level != n.Level-1 {
-				return shape, fmt.Errorf("spatial verify: term child %d level %d, want %d", e.Child, child.Level, n.Level-1)
+				return fmt.Errorf("term child %d level %d, want %d", e.Child, child.Level, n.Level-1)
 			}
 			// The child must be responsible for the term's rectangle:
 			// its direct region plus delegated regions must cover it.
 			if !coveredBy(e.Rect, child) {
-				return shape, fmt.Errorf("spatial verify: child %d not responsible for term rect %v (direct %v, %d sibs)", e.Child, e.Rect, child.Direct, len(child.Sibs))
-			}
-			if !seen[e.Child] {
-				seen[e.Child] = true
-				queue = append(queue, item{e.Child, n.Level - 1})
+				return fmt.Errorf("child %d not responsible for term rect %v (direct %v, %d sibs)", e.Child, e.Rect, child.Direct, len(child.Sibs))
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return shape, fmt.Errorf("spatial verify: %w", err)
 	}
 
 	// Partition check: pairwise disjoint and exact total area.
@@ -141,9 +108,9 @@ func (t *Tree) Verify() (Shape, error) {
 	if sumHi != 1 || sumLo != 0 {
 		return shape, fmt.Errorf("spatial verify: data regions cover area (%d,%d), want the full space", sumHi, sumLo)
 	}
-	// The BFS seen-set is exactly the reachable set; cross-check it
+	// The walk's pages are exactly the reachable set; cross-check it
 	// against the store's free-space map.
-	if err := t.store.SpaceCheck(seen); err != nil {
+	if err := t.store.SpaceCheck(reachable); err != nil {
 		return shape, fmt.Errorf("spatial verify: %w", err)
 	}
 	return shape, nil

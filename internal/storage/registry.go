@@ -40,10 +40,18 @@ type Handler struct {
 	// redo-only kinds (never undone).
 	MakeUndo func(rec *wal.Record, log LogReader) (Compensation, error)
 	// LogicalUndo, if set, performs a non-page-oriented undo: a full
-	// logical operation (e.g. a tree re-traversal delete) that does its
-	// own logging, ending with a CLR whose UndoNext is rec.PrevLSN. When
-	// set it takes precedence over MakeUndo during rollback.
-	LogicalUndo func(rec *wal.Record) error
+	// logical operation (e.g. a tree re-traversal delete) that logs its
+	// compensation under tx, the transaction rolling back, ending with a
+	// CLR whose UndoNext is rec.PrevLSN. When set it takes precedence over
+	// MakeUndo during rollback.
+	LogicalUndo func(rec *wal.Record, tx CLRLogger) error
+}
+
+// CLRLogger is the slice of a rolling-back transaction that logical undo
+// needs: append a compensation record to its chain. *txn.Txn implements
+// it.
+type CLRLogger interface {
+	LogCLR(storeID uint32, pageID uint64, kind wal.Kind, payload []byte, undoNext wal.LSN) wal.LSN
 }
 
 // Registry maps record Kinds to Handlers and store IDs to Pools. One

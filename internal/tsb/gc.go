@@ -37,6 +37,7 @@ package tsb
 import (
 	"repro/internal/keys"
 	"repro/internal/latch"
+	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -54,44 +55,35 @@ type gcVictim struct {
 // retired. Background GC (Options.GC) runs the same per-chain pass off
 // committed time splits; RunGC is the on-demand whole-tree form.
 func (t *Tree) RunGC() (int, error) {
-	retired := 0
-	var cursor keys.Key
-	for {
-		var head storage.PageID
-		var next keys.Key
-		done := false
-		err := t.kern.RetryLoop(nil, func(o *opCtx) error {
-			leaf, err := t.descend(o, cursor, NoEnd-1, 0, latch.S, false)
-			if err != nil {
-				return err
-			}
-			head = leaf.Pid()
-			if leaf.N.Rect.KeyHigh.Unbounded {
-				done = true
-			} else {
-				next = keys.Clone(leaf.N.Rect.KeyHigh.Key)
-			}
-			o.Release(&leaf)
-			return nil
-		})
-		if err != nil {
-			return retired, err
-		}
-		n, err := t.gcChain(head)
-		retired += n
-		if err != nil {
-			return retired, err
-		}
-		if t.opts.Reclaim {
-			if _, err := t.reclaimChain(head); err != nil {
-				return retired, err
-			}
-		}
-		if done {
-			return retired, nil
-		}
-		cursor = next
+	g := &gcSweep{t: t}
+	err := t.kern.Scan(nil, point{nil, NoEnd - 1}, g)
+	return g.retired, err
+}
+
+// gcSweep is RunGC's side of the kernel's leaf walk (pitree.Scanner): it
+// collects no items, only the current leaf, whose history chain Emit
+// sweeps once the leaf's latch is gone.
+type gcSweep struct {
+	t       *Tree
+	head    storage.PageID
+	retired int
+}
+
+func (g *gcSweep) Collect(leaf nref, cursor point) (int, point, storage.PageID, bool) {
+	g.head = leaf.Pid()
+	next, succ, more := scanNext(leaf.N, cursor, nil)
+	return 0, next, succ, more
+}
+
+func (g *gcSweep) LockName(int) lock.Name { return lock.Name{} }
+
+func (g *gcSweep) Emit() (bool, error) {
+	n, err := g.t.gcChain(g.head)
+	g.retired += n
+	if err == nil && g.t.opts.Reclaim {
+		_, err = g.t.reclaimChain(g.head)
 	}
+	return err == nil, err
 }
 
 // gcChain retires the reclaimable suffix of the history chain hanging off

@@ -497,7 +497,7 @@ func Register(reg *storage.Registry) *Binding {
 			n.insertVersion(e)
 			return nil
 		}),
-		LogicalUndo: func(rec *wal.Record) error {
+		LogicalUndo: func(rec *wal.Record, tx storage.CLRLogger) error {
 			t, err := b.Tree(rec.StoreID)
 			if err != nil {
 				return err
@@ -506,7 +506,7 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return err
 			}
-			return t.logicalUndoPut(rec, e)
+			return t.logicalUndoPut(rec, tx, e)
 		},
 	})
 	reg.Register(KindRemoveVersion, storage.Handler{

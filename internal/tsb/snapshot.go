@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/keys"
 	"repro/internal/latch"
+	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -126,85 +127,100 @@ func (t *Tree) snapshotGetOnce(snap *txn.Snapshot, key keys.Key, buf []byte) ([]
 // copies.
 func (t *Tree) SnapshotScan(snap *txn.Snapshot, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
 	t.Stats.SnapshotScans.Add(1)
-	cursor := keys.Clone(lo)
-	for {
-		type rec struct {
-			k     keys.Key
-			v     []byte
-			chase bool
+	return t.kern.Scan(nil, point{keys.Clone(lo), NoEnd - 1}, &keyScan{t: t, hi: hi, fn: fn, snap: snap})
+}
+
+// keyScan is ScanAsOf's and SnapshotScan's side of the kernel's leaf walk
+// (pitree.Scanner): per key of a leaf in [cursor, hi), the newest version
+// as of time — or, with snap, the newest visible to it.
+type keyScan struct {
+	t     *Tree
+	hi    keys.Key
+	fn    func(k keys.Key, v []byte) bool
+	time  uint64
+	snap  *txn.Snapshot
+	items []scanItem
+}
+
+// scanItem is a copy of a key and its value, or, with chase, a key whose
+// visible version lies behind the leaf's history chain.
+type scanItem struct {
+	k     keys.Key
+	v     []byte
+	chase bool
+}
+
+func (s *keyScan) Collect(leaf nref, cursor point) (int, point, storage.PageID, bool) {
+	n := leaf.N
+	s.items = s.items[:0]
+	for i := n.firstKeyAtOrAbove(cursor.key); i < n.Len(); {
+		k := n.keyAt(i)
+		if s.hi != nil && keys.Compare(k, s.hi) >= 0 {
+			break
 		}
-		var batch []rec
-		var next keys.Key
-		done := false
-		err := t.kern.RetryLoop(nil, func(o *opCtx) error {
-			batch = batch[:0]
-			next, done = nil, false
-			leaf, err := t.descend(o, cursor, NoEnd-1, 0, latch.S, true)
-			if err != nil {
-				return err
-			}
-			n := leaf.N
-			for i := 0; i < n.Len(); {
-				k := n.keyAt(i)
-				j := i + 1
-				for j < n.Len() && keys.Equal(n.keyAt(j), k) {
-					j++
-				}
-				if keys.Compare(k, cursor) >= 0 && (hi == nil || keys.Compare(k, hi) < 0) {
-					resolved := false
-					for p := j - 1; p >= i; p-- {
-						e := n.entry(p)
-						if snap.Visible(e.Txn, e.Start) {
-							if !e.Deleted {
-								batch = append(batch, rec{k: keys.Clone(k), v: append([]byte(nil), e.Value...)})
-							}
-							resolved = true
-							break
-						}
-					}
-					if !resolved && n.startAt(i) < n.Rect.TimeLow && n.HistSib != storage.NilPage {
-						batch = append(batch, rec{k: keys.Clone(k), chase: true})
-					}
-				}
-				i = j
-			}
-			if n.Rect.KeyHigh.Unbounded {
-				done = true
-			} else {
-				next = keys.Clone(n.Rect.KeyHigh.Key)
-				if hi != nil && keys.Compare(next, hi) >= 0 {
-					done = true
-				}
-			}
-			if !done {
-				// Read-ahead of the key sibling; see ScanAsOf.
-				t.store.Pool.PrefetchAsync(n.KeySib)
-			}
-			o.Release(&leaf)
-			return nil
-		})
-		if err != nil {
-			return err
+		j := i + 1
+		for j < n.Len() && keys.Equal(n.keyAt(j), k) {
+			j++
 		}
-		for _, r := range batch {
-			v := r.v
-			if r.chase {
-				var found bool
-				v, found, err = t.SnapshotGet(snap, r.k, nil)
-				if err != nil {
-					return err
-				}
-				if !found {
-					continue
-				}
+		if p := s.seen(n, i, j); p >= i {
+			if e := n.entry(p); !e.Deleted {
+				s.items = append(s.items, scanItem{k: keys.Clone(k), v: append([]byte(nil), e.Value...)})
 			}
-			if !fn(r.k, v) {
-				return nil
-			}
+		} else if s.snap != nil && n.startAt(i) < n.Rect.TimeLow && n.HistSib != storage.NilPage {
+			s.items = append(s.items, scanItem{k: keys.Clone(k), chase: true})
 		}
-		if done {
-			return nil
-		}
-		cursor = next
+		i = j
 	}
+	next, succ, more := scanNext(n, cursor, s.hi)
+	return len(s.items), next, succ, more
+}
+
+// seen returns the position of the version the scan sees in the key group
+// [i, j) of n, or i-1 when it sees none there. Versions are sorted by
+// start, so the newest qualifying one is the last.
+func (s *keyScan) seen(n *Node, i, j int) int {
+	p := j - 1
+	for ; p >= i; p-- {
+		if s.snap == nil {
+			if n.startAt(p) <= s.time {
+				break
+			}
+		} else if e := n.entry(p); s.snap.Visible(e.Txn, e.Start) {
+			break
+		}
+	}
+	return p
+}
+
+func (s *keyScan) LockName(i int) lock.Name { return s.t.recLockName(s.items[i].k) }
+
+func (s *keyScan) Emit() (bool, error) {
+	for _, it := range s.items {
+		v := it.v
+		if it.chase {
+			var found bool
+			var err error
+			if v, found, err = s.t.SnapshotGet(s.snap, it.k, nil); err != nil {
+				return false, err
+			}
+			if !found {
+				continue
+			}
+		}
+		if !s.fn(it.k, v) {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// scanNext returns where a scan bounded by hi (nil: unbounded) goes on
+// after the current leaf n: the leaf's key high bound at the cursor's
+// time, in its key sibling — or more false at the end.
+func scanNext(n *Node, cursor point, hi keys.Key) (next point, succ storage.PageID, more bool) {
+	kh := n.Rect.KeyHigh
+	if kh.Unbounded || (hi != nil && keys.Compare(kh.Key, hi) >= 0) {
+		return point{}, storage.NilPage, false
+	}
+	return point{keys.Clone(kh.Key), cursor.time}, n.KeySib, true
 }

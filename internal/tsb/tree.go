@@ -3,7 +3,6 @@ package tsb
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -470,78 +469,7 @@ func (t *Tree) GetAsOf(tx *txn.Txn, key keys.Key, time uint64) ([]byte, bool, er
 // order. hi may be nil for an unbounded scan. Keys and values passed to fn
 // are copies.
 func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
-	cursor := keys.Clone(lo)
-	for {
-		type rec struct {
-			k keys.Key
-			v []byte
-		}
-		var batch []rec
-		var next keys.Key
-		done := false
-		err := t.kern.RetryLoop(nil, func(o *opCtx) error {
-			batch = batch[:0]
-			leaf, err := t.descend(o, cursor, time, 0, latch.S, true)
-			if err != nil {
-				return err
-			}
-			// The live version at `time` is, per key, the last entry with
-			// Start <= time; entries are sorted by (key, start), so track
-			// the current key group and flush on key change.
-			var curKey keys.Key
-			var curVal []byte
-			curDel := false
-			flush := func() {
-				if curKey != nil && !curDel {
-					batch = append(batch, rec{k: keys.Clone(curKey), v: append([]byte(nil), curVal...)})
-				}
-				curKey, curVal, curDel = nil, nil, false
-			}
-			for i := leaf.N.firstKeyAtOrAbove(cursor); i < leaf.N.Len(); i++ {
-				e := leaf.N.entry(i)
-				if hi != nil && keys.Compare(e.Key, hi) >= 0 {
-					break
-				}
-				if e.Start > time {
-					continue
-				}
-				if curKey == nil || !keys.Equal(curKey, e.Key) {
-					flush()
-					curKey = e.Key
-				}
-				curVal, curDel = e.Value, e.Deleted
-			}
-			flush()
-			if leaf.N.Rect.KeyHigh.Unbounded {
-				done = true
-			} else {
-				next = keys.Clone(leaf.N.Rect.KeyHigh.Key)
-				if hi != nil && keys.Compare(next, hi) >= 0 {
-					done = true
-				}
-			}
-			if !done {
-				// Read-ahead: the key sibling is the next leaf the scan will
-				// descend to; start its disk read under this leaf's latch so
-				// it overlaps the callback work on this batch.
-				t.store.Pool.PrefetchAsync(leaf.N.KeySib)
-			}
-			o.Release(&leaf)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for _, r := range batch {
-			if !fn(r.k, r.v) {
-				return nil
-			}
-		}
-		if done {
-			return nil
-		}
-		cursor = next
-	}
+	return t.kern.Scan(nil, point{keys.Clone(lo), time}, &keyScan{t: t, hi: hi, fn: fn, time: time})
 }
 
 // logicalUndoPut compensates a Put by removing the exact version from
@@ -563,11 +491,7 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 // therefore fetches the predecessor from the chain first and re-carries
 // it in the same X-latched mutation as the removal, so no reader ever
 // observes a carry-broken node.
-func (t *Tree) logicalUndoPut(rec *wal.Record, e Entry) error {
-	tx, ok := t.tm.Lookup(rec.TxnID)
-	if !ok {
-		return fmt.Errorf("tsb: logical undo for unknown txn %d", rec.TxnID)
-	}
+func (t *Tree) logicalUndoPut(rec *wal.Record, tx storage.CLRLogger, e Entry) error {
 	return t.kern.RetryLoop(nil, func(o *opCtx) error {
 		cur, err := t.descend(o, e.Key, NoEnd-1, 0, latch.U, false)
 		if err != nil {

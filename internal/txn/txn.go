@@ -699,7 +699,7 @@ func (t *Txn) undoOne(rec *wal.Record) error {
 		return err
 	}
 	if h.LogicalUndo != nil {
-		return h.LogicalUndo(rec)
+		return h.LogicalUndo(rec, t)
 	}
 	if h.MakeUndo == nil {
 		// Redo-only record: back the chain over it with a CLR so restart
