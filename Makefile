@@ -36,7 +36,7 @@ build:
 test:
 	$(GO) test ./...
 
-## kernelonly: the leaf paths the kernel owns stay there. Counts call
+## kernelonly: the paths the kernel owns stay there. Counts call
 ## sites in the non-test files of internal/{core,tsb,spatial} and fails
 ## past each limit:
 ##   PrefetchAsync(      0  read-ahead is step 4 of pitree.Kernel.Scan, the
@@ -47,12 +47,17 @@ test:
 ##                          CLR is Compensate's;
 ##   BeginAtomicAction(  1  core.waitOutPageLock, a lock wait that touches
 ##                          no latch; every other action begins in
-##                          Op.Atomic or in Kernel.Update.
+##                          Op.Atomic or in Kernel.Update;
+##   SpaceCheck(         0  the free-space cross-check of pitree.Kernel.Verify,
+##                          the one well-formedness walk of every tree;
+##   IsAllocated(        0  Kernel.Verify's, and Kernel.Responsible's, the
+##                          re-test of a posting's child.
 KERNELONLY_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go internal/tsb/*.go internal/spatial/*.go))
 kernelonly:
 	@check() { n=$$(cat $(KERNELONLY_SRC) | grep -c -F "$$1"); \
 		if [ $$n -gt $$2 ]; then echo "kernelonly: $$n call sites of $$1 in core/tsb/spatial, limit $$2"; return 1; fi; }; \
-	check 'PrefetchAsync(' 0 && check '.LogCLR(' 3 && check 'BeginAtomicAction(' 1
+	check 'PrefetchAsync(' 0 && check '.LogCLR(' 3 && check 'BeginAtomicAction(' 1 && \
+	check 'SpaceCheck(' 0 && check 'IsAllocated(' 0
 
 ## lockcpu: the lock package at -cpu 1,2,4, repeated: waits-for edges that
 ## outlive their wait only misfire when a second CPU runs the granter and

@@ -581,7 +581,7 @@ func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killA
 	// Undo, inside the space audit over the replayed log (the shadow
 	// seeds itself from the checkpoint's space image, so segment
 	// recycling is fine).
-	if err := finishAudited(e2, pend.finish); err != nil {
+	if err := finishAudited(e2, pend.finish, tree2.drain); err != nil {
 		return false, err
 	}
 

@@ -23,6 +23,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/keys"
 	"repro/internal/maint"
+	"repro/internal/pitree"
 	"repro/internal/recovery"
 	"repro/internal/spatial"
 	"repro/internal/storage"
@@ -358,6 +359,11 @@ func tortureMenu() []menuEntry {
 		// to exactly the acknowledged state.
 		{"crash-mid-shutdown-checkpoint", wal.FPSync, fault.Spec{Kind: fault.None, Crash: true}, 2, true},
 		{"crash-mid-shutdown-flush", storage.FPDiskWrite, fault.Spec{Kind: fault.None, Crash: true}, 6, true},
+		// A posting action fails once its space test is done — after any
+		// index split it needed — and before its term: the action, split
+		// included, is undone under its latches, and lazy completion must
+		// post the term later.
+		{"transient-post", pitree.FPPost, fault.Spec{Kind: fault.Transient, Count: 3}, 12, false},
 	}
 }
 
@@ -511,8 +517,11 @@ func runSnapReader(e *engine.Engine, inj *fault.Injector, t *tsb.Tree, s *snapOr
 // transaction could read, so a transaction that has logged something
 // before undo holds the undo pass's own records in memory for the second
 // half. (One that has logged nothing pins nothing: the empty nested
-// action is its one record.)
-func finishAudited(e *engine.Engine, finish func() error) error {
+// action is its one record.) A split the undo pass makes queues its
+// posting on the tree's completion workers, whose actions allocate pages
+// too: drain runs them to the end before the log and the free-space maps
+// are compared, or an allocation could land between the two reads.
+func finishAudited(e *engine.Engine, finish func() error, drain func()) error {
 	pin := e.TM.Begin()
 	pin.CommitNested(pin.BeginNested())
 	defer pin.Abort()
@@ -529,6 +538,7 @@ func finishAudited(e *engine.Engine, finish func() error) error {
 			return fmt.Errorf("undo losers: %v", err)
 		}
 	}
+	drain()
 	shadow, err = recovery.AuditSpaceTail(shadow, e.Log.FullImage(), img.EndLSN())
 	if err == nil {
 		err = recovery.CheckSpace(shadow, e.Pools()...)
@@ -831,7 +841,7 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 		return time.Since(restartStart), nil
 	}
 	defer tree2.close()
-	if err := finishAudited(e2, pend.finish); err != nil {
+	if err := finishAudited(e2, pend.finish, tree2.drain); err != nil {
 		return 0, fmt.Errorf("%v\ntrips: %v", err, inj.Trips())
 	}
 	restart = time.Since(restartStart)

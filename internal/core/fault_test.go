@@ -8,7 +8,10 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/keys"
+	"repro/internal/maint"
+	"repro/internal/pitree/pitreetest"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -79,6 +82,80 @@ func TestTornLeafWriteMidSMORecovery(t *testing.T) {
 	}
 	if _, err := fx2.tree.Verify(); err != nil {
 		t.Fatalf("after completion: %v", err)
+	}
+}
+
+// TestFailedAbortPoisonsItsLocks is the torture gate's round shape
+// core-latched × permanent-disk-write × consolidation × budget 64, made
+// deterministic: one goroutine, completions run only when drained, and a
+// pool of seven frames — one shard at every GOMAXPROCS. A transaction
+// writes across many leaves; then the disk dies for writes, so its
+// rollback needs an eviction that cannot happen and fails. The
+// transaction must end doomed — its locks poisoned, not orphaned: a later
+// writer of one of its keys gets ErrDegraded at once instead of parking
+// for ever — and a restart must roll it back with the free-space map
+// matching the log.
+func TestFailedAbortPoisonsItsLocks(t *testing.T) {
+	inj := fault.New(0xAB0)
+	eopts := engine.Options{Injector: inj, PoolCapacity: 7}
+	topts := Options{LeafCapacity: 6, IndexCapacity: 6, Consolidation: true, PessimisticDescent: true,
+		SyncCompletion: true, Governor: maint.New(64, 8, nil)}
+	fx := newFixture(t, eopts, topts)
+	const preload = 600
+	for i := 0; i < preload; i += 2 {
+		if err := fx.tree.Insert(nil, keys.Uint64(uint64(i)), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fx.tree.DrainCompletions()
+
+	tx := fx.e.TM.Begin()
+	var mine []int
+	for i := 1; i < preload; i += 24 {
+		if err := fx.tree.Insert(tx, keys.Uint64(uint64(i)), val(i)); err != nil {
+			t.Fatal(err)
+		}
+		mine = append(mine, i)
+	}
+	inj.Arm(storage.FPDiskWrite, fault.Spec{Kind: fault.Permanent})
+	err := tx.Abort()
+	if err == nil {
+		t.Fatal("rollback succeeded: no eviction needed a page write")
+	}
+	if !errors.Is(err, txn.ErrDoomed) || !errors.Is(err, engine.ErrDegraded) || tx.State() != txn.Doomed {
+		t.Fatalf("failed rollback: %v, state %d; want a doomed transaction", err, tx.State())
+	}
+	if !fx.e.Degraded() {
+		t.Fatal("a failed rollback left the engine accepting commits")
+	}
+
+	pitreetest.WriteDoomed(t, fx.e, len(mine), func(tx *txn.Txn, i int) error {
+		return fx.tree.Insert(tx, keys.Uint64(uint64(mine[i])), val(i))
+	})
+
+	inj.TripCrash()
+	img := fx.e.Crash(nil)
+	fx.tree.Close()
+	e2 := engine.Restarted(img, engine.Options{})
+	b2 := Register(e2.Reg, false)
+	st2 := e2.AttachStore(testStoreID, Codec{}, img.Disks[testStoreID])
+	p, err := e2.AnalyzeAndRedo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree2, err := Open(st2, e2.TM, e2.Locks, b2, "test", topts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree2.Close()
+	pitreetest.FinishAudited(t, e2, func() error { return e2.FinishRecovery(p) })
+	if _, err := tree2.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range mine {
+		if _, ok, err := tree2.Search(nil, keys.Uint64(uint64(i))); err != nil || ok {
+			t.Fatalf("doomed transaction's key %d after restart: ok=%v err=%v", i, ok, err)
+		}
 	}
 }
 

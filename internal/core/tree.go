@@ -392,6 +392,16 @@ func (s space) Edge(n *Node, f *storage.Frame, r pitree.Route, sched bool, trace
 	}
 }
 
+// Links: the side pointer, then an index node's children in key order.
+func (space) Links(n *Node, fn func(storage.PageID, int)) {
+	if n.Right != storage.NilPage {
+		fn(n.Right, -1)
+	}
+	for i := 0; n.Level > 0 && i < n.Len(); i++ {
+		fn(n.entry(i).Child, i)
+	}
+}
+
 // start binds the tree to its root: the kernel, the completion queue and
 // the recovery binding all need the root's page ID.
 func (t *Tree) start(root storage.PageID) {
@@ -405,7 +415,7 @@ func (t *Tree) start(root storage.PageID) {
 	}
 	t.kern = pitree.New[*Node, keys.Key](pitree.Config{
 		Name:                "core",
-		Pool:                t.store.Pool,
+		Store:               t.store,
 		TM:                  t.tm,
 		Root:                root,
 		PageLock:            pageLock,

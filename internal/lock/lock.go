@@ -36,6 +36,7 @@ package lock
 
 import (
 	"errors"
+	"fmt"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -98,6 +99,11 @@ func stronger(a, b Mode) bool { return a > b }
 // the waits-for graph; the requester should abort.
 var ErrDeadlock = errors.New("lock: deadlock detected")
 
+// ErrPoisoned reports a request for a lock held by a transaction that can
+// neither commit nor roll back (see Poison). The engine is degraded: the
+// error wraps the log's failure sentinel.
+var ErrPoisoned = fmt.Errorf("lock: held by a doomed transaction: %w", wal.ErrLogFailed)
+
 type holder struct {
 	txn  wal.TxnID
 	mode Mode
@@ -112,7 +118,8 @@ type waiter struct {
 	mode    Mode
 	upgrade bool
 	dep     uint64        // lock's depLSN at grant time, published via ready
-	ready   chan struct{} // buffered; receives when granted
+	err     error         // set instead of a grant when the lock is poisoned
+	ready   chan struct{} // buffered; receives when granted or refused
 }
 
 type lockState struct {
@@ -128,6 +135,9 @@ type lockState struct {
 	// on the stripe's pending list only because depLSN is still above the
 	// stable prefix.
 	retained bool
+	// poisoned marks a lock a doomed transaction holds for good (Poison):
+	// no request that needs a grant is queued or granted again.
+	poisoned bool
 }
 
 // holderMode returns txn's current mode on the lock.
@@ -292,6 +302,7 @@ func (s *stripe) freeState(name Name, ls *lockState) {
 		ls.queue = ls.queue[:0]
 		ls.depLSN = 0
 		ls.retained = false
+		ls.poisoned = false
 		s.freeStates = append(s.freeStates, ls)
 	}
 }
@@ -622,6 +633,10 @@ func (m *Manager) LockFor(txn, parent wal.TxnID, name Name, mode Mode) (uint64, 
 		s.mu.Unlock()
 		return m.filterDep(dep), nil // already held at sufficient strength
 	}
+	if ls.poisoned {
+		s.mu.Unlock()
+		return 0, ErrPoisoned
+	}
 
 	// Fast path: grantable immediately — no waiter, no channel, no
 	// detector involvement.
@@ -682,6 +697,9 @@ func (m *Manager) LockFor(txn, parent wal.TxnID, name Name, mode Mode) (uint64, 
 	s.mu.Unlock()
 
 	<-w.ready
+	if w.err != nil {
+		return 0, w.err
+	}
 	if !held {
 		m.noteStripe(txn, idx)
 	}
@@ -728,7 +746,7 @@ func (m *Manager) TryLockDep(txn wal.TxnID, name Name, mode Mode) (uint64, bool)
 		s.mu.Unlock()
 		return m.filterDep(dep), true
 	}
-	if len(ls.queue) > 0 {
+	if ls.poisoned || len(ls.queue) > 0 {
 		s.mu.Unlock()
 		return 0, false
 	}
@@ -826,7 +844,7 @@ func (s *stripe) tryGrantLocked(txn wal.TxnID, name Name, mode Mode) (dep uint64
 	if held && !stronger(mode, cur) {
 		return ls.depLSN, true, false
 	}
-	if len(ls.queue) > 0 {
+	if ls.poisoned || len(ls.queue) > 0 {
 		return 0, false, false
 	}
 	for _, h := range ls.holders {
@@ -916,6 +934,37 @@ func (m *Manager) releaseAll(txn wal.TxnID, depLSN uint64) {
 				s.releaseLocked(txn, name, depLSN, st)
 			}
 			s.recycleNames(ns)
+		}
+		s.mu.Unlock()
+	}
+}
+
+// Poison is for a transaction that can neither commit nor roll back — its
+// rollback failed, and restart undo will finish it. Its locks are not
+// released: that would expose its uncommitted, partly undone writes.
+// Instead every lock it holds is poisoned: the waiters queued on one are
+// woken with ErrPoisoned, and every later request for one fails with it
+// unless the requester already holds the lock strongly enough. Nobody
+// parks on a lock that will never be released.
+func (m *Manager) Poison(txn wal.TxnID) {
+	o := m.ownerShard(txn)
+	o.mu.Lock()
+	mask := o.masks[txn]
+	o.mu.Unlock()
+	for mask != 0 {
+		idx := bits.TrailingZeros64(mask)
+		mask &^= 1 << idx
+		s := &m.stripes[idx]
+		s.mu.Lock()
+		for _, name := range s.byTxn[txn] {
+			ls := s.locks[name]
+			ls.poisoned = true
+			for _, w := range ls.queue {
+				w.err = ErrPoisoned
+				s.det.clear(w)
+				w.ready <- struct{}{}
+			}
+			ls.queue = ls.queue[:0]
 		}
 		s.mu.Unlock()
 	}

@@ -103,6 +103,46 @@ func TestBlockingAndFIFO(t *testing.T) {
 	}
 }
 
+// TestPoisonRefusesAndWakes: the locks of a transaction that can neither
+// commit nor roll back stay held, poisoned. A waiter queued on one wakes
+// with ErrPoisoned — which says the engine is degraded — every later
+// request that needs a grant fails with it, and a holder that already has
+// the lock keeps it and releases it as usual.
+func TestPoisonRefusesAndWakes(t *testing.T) {
+	m := NewManager()
+	a, b := nm("a"), nm("b")
+	for _, err := range []error{m.Lock(1, a, X), m.Lock(1, b, S), m.Lock(3, b, S)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	woken := make(chan error, 1)
+	go func() { woken <- m.Lock(2, a, S) }()
+	for m.StatsSnapshot().Waits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	m.Poison(1)
+	if err := <-woken; !errors.Is(err, ErrPoisoned) || !errors.Is(err, wal.ErrLogFailed) {
+		t.Fatalf("queued waiter woke with %v, want ErrPoisoned", err)
+	}
+	if m.TryLock(4, b, S) {
+		t.Fatal("TryLock granted a poisoned lock")
+	}
+	if err := m.Lock(4, a, S); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("new request: %v, want ErrPoisoned", err)
+	}
+	if err := m.Lock(3, b, X); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("upgrade of a poisoned lock: %v, want ErrPoisoned", err)
+	}
+	if err := m.Lock(3, b, S); err != nil {
+		t.Fatalf("re-request of a held mode: %v", err)
+	}
+	m.ReleaseAll(3)
+	if mode, held := m.HeldMode(1, a); !held || mode != X {
+		t.Fatal("the doomed transaction lost its lock")
+	}
+}
+
 func TestUpgrade(t *testing.T) {
 	m := NewManager()
 	k := nm("k")

@@ -2,6 +2,7 @@ package pitree
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/latch"
 	"repro/internal/storage"
@@ -14,10 +15,18 @@ import (
 // tree, allocates npages pages, formats them with the nodes build returns
 // for those page IDs, and records the first page as the tree's root,
 // which it returns. Nodes are formatted last to first, so a root listed
-// first is logged after the children it references.
+// first is logged after the children it references. A creation that fails
+// is rolled back.
 func Create[N any](store *storage.Store, tm *txn.Manager, name string, npages int, kind wal.Kind,
-	build func(pids []storage.PageID) []N, image func(N) []byte) (storage.PageID, error) {
+	build func(pids []storage.PageID) []N, image func(N) []byte) (root storage.PageID, err error) {
 	aa := tm.BeginAtomicAction()
+	defer func() {
+		if err == nil {
+			err = aa.Commit()
+		} else if aerr := aa.Abort(); aerr != nil {
+			err = fmt.Errorf("%v: %w", err, aerr)
+		}
+	}()
 	pool := store.Pool
 	if f, err := pool.Fetch(storage.MetaPage); err == nil {
 		pool.Unpin(f)
@@ -29,11 +38,9 @@ func Create[N any](store *storage.Store, tm *txn.Manager, name string, npages in
 	var tr latch.Tracker
 	pids := make([]storage.PageID, npages)
 	for i := range pids {
-		pid, err := store.Alloc(aa, &tr)
-		if err != nil {
+		if pids[i], err = store.Alloc(aa, &tr); err != nil {
 			return storage.NilPage, err
 		}
-		pids[i] = pid
 	}
 	nodes := build(pids)
 	for i := len(nodes) - 1; i >= 0; i-- {
@@ -41,10 +48,7 @@ func Create[N any](store *storage.Store, tm *txn.Manager, name string, npages in
 			return storage.NilPage, err
 		}
 	}
-	if err := store.SetRoot(aa, &tr, name, pids[0]); err != nil {
-		return storage.NilPage, err
-	}
-	return pids[0], aa.Commit()
+	return pids[0], store.SetRoot(aa, &tr, name, pids[0])
 }
 
 // formatPage installs data as the contents of the freshly allocated page

@@ -227,7 +227,7 @@ func (k *Kernel[N, K]) navLoad(f *storage.Frame, c *optCounters) (navRef[N], boo
 // re-validated), keeping the No-Wait rule, move locks and degree-3
 // locking untouched, and its side traversals run latched in DescendFrom.
 func (k *Kernel[N, K]) optPass(o *Op[N], c *optCounters, key K, stopLevel int, finalMode latch.Mode, sched bool, trace any) (_ Ref[N], _ error, done bool) {
-	pool := k.s.Pool
+	pool := k.s.Store.Pool
 	f, err := k.rootFrame()
 	if err != nil {
 		return Ref[N]{}, err, true
@@ -317,7 +317,7 @@ func (k *Kernel[N, K]) optPass(o *Op[N], c *optCounters, key K, stopLevel int, f
 // optPass steps 2-4). cur's pin is consumed. done=false aborts the pass
 // on validation failure; a non-nil error is terminal for the operation.
 func (k *Kernel[N, K]) optStep(cur navRef[N], c *optCounters, pid storage.PageID, level int) (_ navRef[N], _ error, done bool) {
-	pool := k.s.Pool
+	pool := k.s.Store.Pool
 	nf, err := pool.Fetch(pid)
 	if err != nil {
 		// Distinguish a stale pointer from a real I/O error by

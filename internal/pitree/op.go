@@ -76,7 +76,7 @@ func (r *Ref[N]) Pid() storage.PageID { return r.F.ID }
 // node of this tree is an error, not a panic: the page ID may have come
 // from a log record or a stale pointer.
 func (o *Op[N]) Acquire(pid storage.PageID, mode latch.Mode, level int) (Ref[N], error) {
-	f, err := o.s.Pool.Fetch(pid)
+	f, err := o.s.Store.Pool.Fetch(pid)
 	if err != nil {
 		return Ref[N]{}, err
 	}
@@ -86,7 +86,7 @@ func (o *Op[N]) Acquire(pid storage.PageID, mode latch.Mode, level int) (Ref[N],
 	if !ok {
 		o.Tr.Released(&f.Latch)
 		f.Latch.Release(mode)
-		o.s.Pool.Unpin(f)
+		o.s.Store.Pool.Unpin(f)
 		return Ref[N]{}, fmt.Errorf("%s: page %d holds %T, not a node", o.s.Name, pid, f.Data)
 	}
 	r := Ref[N]{F: f, N: n, Mode: mode}
@@ -108,7 +108,7 @@ func (o *Op[N]) Release(refs ...*Ref[N]) {
 		}
 		o.Tr.Released(&r.F.Latch)
 		r.F.Latch.Release(r.Mode)
-		o.s.Pool.Unpin(r.F)
+		o.s.Store.Pool.Unpin(r.F)
 		*r = Ref[N]{}
 	}
 }
@@ -127,7 +127,7 @@ func (o *Op[N]) Promote(r *Ref[N]) {
 // Format installs n, a node at level, as the contents of the freshly
 // allocated page pid and logs its image through lg (see formatPage).
 func (o *Op[N]) Format(lg storage.UpdateLogger, pid storage.PageID, n N, level int, kind wal.Kind, image []byte) error {
-	return formatPage(o.s.Pool, &o.Tr, o.Rank(level), lg, pid, n, kind, image)
+	return formatPage(o.s.Store.Pool, &o.Tr, o.Rank(level), lg, pid, n, kind, image)
 }
 
 // Atomic runs body as one atomic action of the operation — the bracket of
@@ -138,32 +138,41 @@ func (o *Op[N]) Format(lg storage.UpdateLogger, pid storage.PageID, n N, level i
 //     other action can observe its changes, build on them and commit ahead
 //     of it (relative durability); then the held latches are released,
 //     last acquired first. What must wait for the commit — scheduling the
-//     posting of a node the action created, marking a page it freed — is
-//     registered with aa.OnCommit: it runs only if the commit succeeded,
-//     and still under the latches.
-//   - body returns an error: the held latches are released first, and only
-//     then is the action aborted — undo X-latches each page it compensates
-//     and would deadlock against a latch of this operation. The error is
-//     returned as it came.
+//     posting of a node the action created — is registered with
+//     aa.OnCommit: it runs only if the commit succeeded, and still under
+//     the latches.
+//   - body returns an error: the action is aborted, and only then are the
+//     held latches released, so no other action sees changes that are
+//     about to be undone — or builds on them and commits. Undo compensates
+//     the pages the action changed under the X latches held on them
+//     (txn.Txn.AbortHeld). The error is returned as it came, unless the
+//     rollback failed too: the action is then doomed (txn.ErrDoomed) and
+//     that is the error returned, naming body's in its text only, so that
+//     a retry body asked for cannot restart an operation on a degraded
+//     engine.
 //
 // Actions of one operation run one after another, never nested.
 func (o *Op[N]) Atomic(body func(aa *txn.Txn) error) error {
 	aa := o.s.TM.BeginAtomicAction()
 	err := body(aa)
-	failed := err != nil
-	if !failed {
+	if err == nil {
 		err = aa.Commit()
+	} else {
+		var latched []*storage.Frame
+		for _, r := range o.held {
+			if r.F != nil && r.Mode == latch.X {
+				latched = append(latched, r.F)
+			}
+		}
+		if aerr := aa.AbortHeld(latched); aerr != nil {
+			err = fmt.Errorf("%s: action failed (%v): %w", o.s.Name, err, aerr)
+		}
 	}
 	for i := len(o.held) - 1; i >= 0; i-- {
 		o.Release(o.held[i])
 		o.held[i] = nil
 	}
 	o.held = o.held[:0]
-	if failed {
-		// A rollback that fails leaves a loser for restart undo; what the
-		// caller needs is the error that ended the action.
-		_ = aa.Abort()
-	}
 	return err
 }
 

@@ -24,13 +24,16 @@
 //   - the bracket every structure change runs in (Op.Atomic, §4.3.1) and
 //     on it the index-term posting action (Post, §5.3);
 //   - the completion queue (queue.go) that schedules completing atomic
-//     actions lazily (§5.1).
+//     actions lazily (§5.1);
+//   - the walk over every reachable page (Walk) and on it the
+//     well-formedness check of §2.1.3 (Verify).
 //
 // A tree supplies a Space: how to read a node's level and dead mark, how
-// to clone it for a navigation snapshot, where a key routes from it, and
-// what to do when a descent follows a side pointer. Everything else —
-// key space, split choice, clipping, version visibility, consolidation,
-// codecs, what an undo changes — stays in the tree's own package.
+// to clone it for a navigation snapshot, where a key routes from it, what
+// to do when a descent follows a side pointer, and which pages a node
+// points to. Everything else — key space, split choice, clipping, version
+// visibility, consolidation, codecs, what an undo changes — stays in the
+// tree's own package.
 package pitree
 
 import (
@@ -94,6 +97,10 @@ type Space[N, K any] interface {
 	// the sibling (§5.1) — and, when the caller passed a trace, every
 	// Child route, so the tree can save the path (§5.2).
 	Edge(n N, f *storage.Frame, r Route, sched bool, trace any)
+	// Links calls fn with every page n points to: each side pointer, with
+	// term -1, and in an index node each index term's child, with the
+	// term's position.
+	Links(n N, fn func(pid storage.PageID, term int))
 }
 
 // MaxLevel bounds the tree height for rank arithmetic; acquiring the root
@@ -111,7 +118,9 @@ var ErrLevelGone = errors.New("pitree: target level does not exist")
 type Config struct {
 	// Name prefixes the kernel's error messages ("core", "tsb", ...).
 	Name string
-	Pool *storage.Pool
+	// Store holds the tree's pages; Verify and Responsible read its
+	// free-space map.
+	Store *storage.Store
 	// TM starts the atomic actions of non-transactional leaf writes.
 	TM *txn.Manager
 	// Root is the root's page ID, fixed for the tree's lifetime; the root
@@ -167,6 +176,7 @@ type Kernel[N, K any] struct {
 func New[N, K any](cfg Config, sp Space[N, K]) *Kernel[N, K] {
 	k := &Kernel[N, K]{sp: sp}
 	k.s.Config = cfg
+	k.s.Store.Pool = cfg.Store.Pool
 	return k
 }
 
@@ -174,7 +184,7 @@ func New[N, K any](cfg Config, sp Space[N, K]) *Kernel[N, K] {
 // re-cache it; the pin is process-local bookkeeping, so that is harmless.
 func (k *Kernel[N, K]) Close() {
 	if f := k.s.rootf.Swap(nil); f != nil {
-		k.s.Pool.Unpin(f)
+		k.s.Store.Pool.Unpin(f)
 	}
 }
 
@@ -187,7 +197,7 @@ func (k *Kernel[N, K]) rootFrame() (*storage.Frame, error) {
 		f.Pin()
 		return f, nil
 	}
-	f, err := k.s.Pool.Fetch(k.s.Root)
+	f, err := k.s.Store.Pool.Fetch(k.s.Root)
 	if err != nil {
 		return nil, err
 	}

@@ -3,15 +3,19 @@ package pitreetest
 
 import (
 	"bytes"
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/engine"
+	"repro/internal/recovery"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -82,6 +86,68 @@ func CutBeforeCommit(t testing.TB, log *wal.Log, kind wal.Kind) wal.LSN {
 		t.Fatalf("no committed transaction logged a record of kind %d", kind)
 	}
 	return commit
+}
+
+// FinishAudited runs a restart's undo pass — finish, typically the
+// engine's FinishRecovery — inside the space audit: the alloc/free history
+// of e's replayed log goes through recovery's shadow model, and e's
+// free-space maps must match it once as redo left them and once more after
+// undo. A transaction that logs one record before undo pins the log the
+// undo pass appends in memory, for the second half.
+func FinishAudited(t testing.TB, e *engine.Engine, finish func() error) {
+	t.Helper()
+	pin := e.TM.Begin()
+	pin.CommitNested(pin.BeginNested())
+	defer pin.Abort()
+	img := e.Log.FullImage()
+	shadow, err := recovery.AuditSpace(img)
+	if err == nil {
+		err = recovery.CheckSpace(shadow, e.Pools()...)
+	}
+	if err != nil {
+		t.Fatalf("space audit before undo: %v", err)
+	}
+	if err := finish(); err != nil {
+		t.Fatalf("undo losers: %v", err)
+	}
+	shadow, err = recovery.AuditSpaceTail(shadow, e.Log.FullImage(), img.EndLSN())
+	if err == nil {
+		err = recovery.CheckSpace(shadow, e.Pools()...)
+	}
+	if err != nil {
+		t.Fatalf("space audit after undo: %v", err)
+	}
+}
+
+// WriteDoomed runs write, each time in a new transaction, for items n-1
+// down to 0 of a transaction whose rollback failed, until one write gets
+// past the broken disk to the item's lock — a write whose descent needed
+// an eviction fails with storage.ErrDiskFailed first. That write must fail
+// at once with an error that says the engine is degraded, not park on a
+// lock its holder will never release.
+func WriteDoomed(t testing.TB, e *engine.Engine, n int, write func(tx *txn.Txn, i int) error) {
+	t.Helper()
+	for i := n - 1; i >= 0; i-- {
+		done := make(chan error, 1)
+		go func() {
+			tx := e.TM.Begin()
+			defer tx.Abort()
+			done <- write(tx, i)
+		}()
+		select {
+		case err := <-done:
+			if errors.Is(err, storage.ErrDiskFailed) {
+				continue
+			}
+			if !errors.Is(err, engine.ErrDegraded) {
+				t.Fatalf("write of the doomed transaction's item %d: %v, want ErrDegraded", i, err)
+			}
+			return
+		case <-time.After(10 * time.Second):
+			t.Fatalf("a write of the doomed transaction's item %d parks on its lock", i)
+		}
+	}
+	t.Fatal("no write reached a lock of the doomed transaction")
 }
 
 // CopyDir copies the directory tree at src into a fresh temporary

@@ -110,7 +110,7 @@ func (k *Kernel[N, K]) Post(p Poster[N]) (posted bool, err error) {
 				node = &next
 				o.Hold(node)
 			}
-			if err := k.s.Pool.Probe(FPPost); err != nil {
+			if err := k.s.Store.Pool.Probe(FPPost); err != nil {
 				return err
 			}
 			return p.Apply(o, aa, node)

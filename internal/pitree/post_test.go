@@ -22,6 +22,7 @@ import (
 const (
 	toyKindSplit = wal.Kind(201)
 	toyKindTerm  = wal.Kind(202)
+	toyKindStuck = wal.Kind(203) // its undo fails: the action is doomed
 )
 
 var errToySplit = errors.New("toy: split refused")
@@ -302,5 +303,44 @@ func TestPostCommitFailure(t *testing.T) {
 	}
 	if !ty.unlatched(t, toyLeft) || !ty.unlatched(t, ty.node(t, toyLeft).right) {
 		t.Fatal("a latch outlived the failed action")
+	}
+}
+
+// TestAtomicDoomedEndsRetryLoop: an action whose body asks for a retry but
+// whose rollback then fails is doomed. Atomic returns the doomed error —
+// degraded, and no longer a retry — so RetryLoop stops instead of running
+// the operation again on an engine that can commit nothing; the action
+// stays in the table for restart undo, and no latch outlives it.
+func TestAtomicDoomedEndsRetryLoop(t *testing.T) {
+	ty := newToy(t, false, false)
+	reg := toyRegistry()
+	reg.Register(toyKindStuck, storage.Handler{
+		Redo: func(*storage.Frame, *wal.Record) error { return nil },
+		MakeUndo: func(*wal.Record, storage.LogReader) (storage.Compensation, error) {
+			return storage.Compensation{}, errors.New("toy: undo cannot run")
+		},
+	})
+	ty.kern.s.TM = txn.NewManager(ty.log, ty.lm, reg, txn.Options{})
+	attempts := 0
+	err := ty.kern.RetryLoop(nil, func(o *Op[*toyNode]) error {
+		attempts++
+		leaf, err := o.Acquire(toyLeafA, latch.X, 0)
+		if err != nil {
+			return err
+		}
+		return o.Atomic(func(aa *txn.Txn) error {
+			o.Hold(&leaf)
+			leaf.F.MarkDirty(aa.LogUpdate(1, uint64(toyLeafA), toyKindStuck, nil))
+			return ErrRetry
+		})
+	})
+	if attempts != 1 || errors.Is(err, ErrRetry) || !errors.Is(err, txn.ErrDoomed) || !errors.Is(err, wal.ErrLogFailed) {
+		t.Fatalf("%d attempts, err %v; want one attempt ending doomed", attempts, err)
+	}
+	if n := ty.kern.s.TM.ActiveCount(); n != 1 || !ty.log.Damaged() {
+		t.Fatalf("%d transactions in the table, log damaged %v; want the doomed action kept and the log damaged", n, ty.log.Damaged())
+	}
+	if !ty.unlatched(t, toyLeafA) {
+		t.Fatal("a latch outlived the doomed action")
 	}
 }

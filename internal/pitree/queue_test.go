@@ -13,14 +13,23 @@ func countKey(t countTask) TaskKey { return TaskKey{Kind: 1, Pid: 1, Level: t.id
 // so a task that asks for its own continuation while it runs — the
 // consolidation sweep's pattern — gets another run.
 func TestQueueRescheduleFromRun(t *testing.T) {
+	const workers = 2
 	for _, inline := range []bool{true, false} {
 		var q *Queue[countTask]
 		var mu sync.Mutex
 		runs := 0
+		// One gate task per worker, queued first, parks every worker until
+		// the duplicate below has been scheduled: the task it duplicates is
+		// still queued then, whatever the scheduling.
+		gate := make(chan struct{})
 		q = NewQueue(QueueConfig[countTask]{
-			Workers: 2, Sync: inline,
+			Workers: workers, Sync: inline,
 			Paced: func(countTask) bool { return false },
 			Run: func(task countTask) {
+				if task.id < 0 {
+					<-gate
+					return
+				}
 				mu.Lock()
 				runs++
 				mu.Unlock()
@@ -29,12 +38,16 @@ func TestQueueRescheduleFromRun(t *testing.T) {
 				}
 			},
 		})
+		for w := 1; w <= workers; w++ {
+			q.Schedule(countKey(countTask{id: -w}), countTask{id: -w})
+		}
 		if !q.Schedule(countKey(countTask{}), countTask{left: 3}) {
 			t.Fatal("first schedule refused")
 		}
 		if q.Schedule(countKey(countTask{}), countTask{left: 99}) {
 			t.Fatal("duplicate of a queued task was not folded")
 		}
+		close(gate)
 		q.Drain()
 		if runs != 4 {
 			t.Fatalf("inline=%v: %d runs, want 4", inline, runs)

@@ -67,7 +67,7 @@ func (k *Kernel[N, K]) Scan(tx *txn.Txn, from K, s Scanner[N, K]) error {
 				}
 			}
 			if more {
-				k.s.Pool.PrefetchAsync(succ)
+				k.s.Store.Pool.PrefetchAsync(succ)
 			}
 			o.Release(&leaf)
 			return nil

@@ -80,7 +80,7 @@ func newToy(t *testing.T, couple, pessimistic bool) *toy {
 	ty.put(t, toyLeafC, &toyNode{low: 75, high: 100, right: toyLeafD})
 	ty.put(t, toyLeafD, &toyNode{low: 100, high: inf})
 	ty.kern = New[*toyNode, int](Config{
-		Name: "toy", Pool: ty.pool, TM: ty.tm, Root: toyRoot, Couple: couple, Pessimistic: pessimistic, CheckLatchOrder: true,
+		Name: "toy", Store: &storage.Store{Pool: ty.pool}, TM: ty.tm, Root: toyRoot, Couple: couple, Pessimistic: pessimistic, CheckLatchOrder: true,
 		Restarts: &ty.restarts, OptimisticHits: &ty.hits, OptimisticRetries: &ty.retries, OptimisticFallbacks: &ty.fallbacks,
 	}, ty)
 	t.Cleanup(ty.kern.Close)
@@ -208,5 +208,14 @@ func (ty *toy) Edge(n *toyNode, f *storage.Frame, r Route, sched bool, trace any
 		if sched {
 			ty.posted++
 		}
+	}
+}
+
+func (ty *toy) Links(n *toyNode, fn func(pid storage.PageID, term int)) {
+	if n.right != storage.NilPage {
+		fn(n.right, -1)
+	}
+	for i, kid := range n.kids {
+		fn(kid, i)
 	}
 }

@@ -208,7 +208,7 @@ func (k *Kernel[N, K]) updateRun(o *Op[N], rs *runs, w LeafWriter[N, K]) error {
 	}
 
 	ups, applied := rs.ups[:0], 0
-	err = k.s.Pool.Probe(FPBatchApply)
+	err = k.s.Store.Pool.Probe(FPBatchApply)
 	if err == nil {
 		o.Promote(&leaf)
 		for _, i := range run {
@@ -226,7 +226,7 @@ func (k *Kernel[N, K]) updateRun(o *Op[N], rs *runs, w LeafWriter[N, K]) error {
 		}
 		rs.ups = ups
 	}
-	store, pid := k.s.Pool.StoreID, uint64(leaf.Pid())
+	store, pid := k.s.Store.Pool.StoreID, uint64(leaf.Pid())
 	switch len(ups) {
 	case 0:
 	case 1:
@@ -292,7 +292,7 @@ func (k *Kernel[N, K]) Compensate(tx storage.CLRLogger, undoNext wal.LSN, w Leaf
 		case up.Payload == nil:
 			tx.LogCLR(0, 0, 0, nil, undoNext)
 		default:
-			leaf.F.MarkDirty(tx.LogCLR(k.s.Pool.StoreID, uint64(leaf.Pid()), up.Kind, up.Payload, undoNext))
+			leaf.F.MarkDirty(tx.LogCLR(k.s.Store.Pool.StoreID, uint64(leaf.Pid()), up.Kind, up.Payload, undoNext))
 		}
 		o.Release(&leaf)
 		return err

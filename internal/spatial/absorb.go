@@ -33,8 +33,9 @@ package spatial
 //     in the pending set until done), and none can be newly scheduled:
 //     scheduling requires reading the delegator's sibling term, which
 //     the cut holds X until commit. A task scheduled from a stale
-//     optimistic snapshot after the free is screened out by deadPages in
-//     postTerm.
+//     optimistic snapshot re-tests its child latched (termPost.Verify)
+//     and finds the page free — or handed to a node not responsible for
+//     the task's rectangle — and posts nothing.
 //
 // Readers cannot be stranded on the victim: under Reclaim every latched
 // traversal couples (pitree.Step, RegionQuery's held-parent DFS) and the
@@ -55,9 +56,11 @@ import (
 	"repro/internal/txn"
 )
 
-// absorbCand is one (delegator, victim) pair found by the scan.
+// absorbCand is one (delegator, victim) pair found by the scan, with the
+// victim's rect as the delegator's sibling term gives it.
 type absorbCand struct {
 	deleg, victim storage.PageID
+	rect          Rect
 }
 
 // RunConsolidation sweeps the tree absorbing every reclaimable empty
@@ -99,7 +102,7 @@ func (t *Tree) absorbPass() (int, error) {
 			t.Stats.AbsorbMultiParent.Add(1)
 			continue
 		}
-		n, err := t.absorbAction(c.deleg, c.victim)
+		n, err := t.absorbAction(c)
 		freed += n
 		if err != nil {
 			return freed, err
@@ -108,21 +111,22 @@ func (t *Tree) absorbPass() (int, error) {
 	return freed, nil
 }
 
-// scanAbsorbCandidates walks every reachable node (t.walk: one S latch at
-// a time, a copy taken under it — CNS reading, same as the tsb GC scan)
-// and collects delegators whose newest sibling is an empty data node.
-// Everything is re-verified under latches before any cut, so a stale
-// observation costs only a wasted attempt.
+// scanAbsorbCandidates walks every reachable node (the kernel's Walk: one
+// S latch at a time — CNS reading, same as the tsb GC scan) and collects
+// delegators whose newest sibling is an empty data node. Everything is
+// re-verified under latches before any cut, so a stale observation costs
+// only a wasted attempt.
 func (t *Tree) scanAbsorbCandidates() ([]absorbCand, error) {
 	var cands []absorbCand
 	empty := make(map[storage.PageID]bool)
-	err := t.walk(0, func(pid storage.PageID, n *Node, _ int) error {
+	err := t.kern.Walk(0, func(r nref) error {
+		n := r.N
 		if !n.IsData() {
 			return nil
 		}
-		empty[pid] = n.Len() == 0 && len(n.Sibs) == 0
+		empty[r.Pid()] = n.Len() == 0 && len(n.Sibs) == 0
 		if ns := len(n.Sibs); ns > 0 {
-			cands = append(cands, absorbCand{deleg: pid, victim: n.Sibs[ns-1].Pid})
+			cands = append(cands, absorbCand{r.Pid(), n.Sibs[ns-1].Pid, n.Sibs[ns-1].Rect})
 		}
 		return nil
 	})
@@ -145,20 +149,17 @@ func (t *Tree) scanAbsorbCandidates() ([]absorbCand, error) {
 // U→X, then victim X — descending rank order; promotions happen before
 // any lower latch is taken, §4.1.1, so coupled readers drain downward).
 // Returns 1 if the victim's page was freed, 0 if any screen failed.
-func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
+func (t *Tree) absorbAction(c absorbCand) (int, error) {
+	delegPid, victimPid := c.deleg, c.victim
 	freed := 0
 	err := t.kern.RetryLoop(nil, func(o *opCtx) error {
 		freed = 0
 
 		// The victim's sole parent lies on the search path of its term's
 		// low corner: an unclipped term was never cut by its holder's
-		// splits, so the rect sits inside the holder's direct region.
-		// First read the rect from the delegator (unlatched screen).
-		rect, ok, err := t.newestSibRect(delegPid, victimPid)
-		if err != nil || !ok {
-			return err
-		}
-		corner := Point{X: rect.X0, Y: rect.Y0}
+		// splits, so the rect sits inside the holder's direct region. A
+		// delegated rect never changes, so the scan's copy locates it.
+		corner := Point{X: c.rect.X0, Y: c.rect.Y0}
 		parent, err := t.descend(o, corner, 1, latch.U, false)
 		if err != nil {
 			return err
@@ -208,8 +209,8 @@ func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 		// read of its sibling term after this test... promotion to X comes
 		// first, and scheduling from latched traversals needs the S latch
 		// the X excludes. Tasks already scheduled (or running) are visible
-		// in the pending set; stale-snapshot schedules after the free are
-		// postTerm's deadPages problem.
+		// in the pending set; a stale-snapshot schedule after the free
+		// re-tests the page in termPost.Verify.
 		if t.refsChild(victimPid) {
 			o.Release(&deleg, &parent)
 			t.Stats.AbsorbDeferred.Add(1)
@@ -246,9 +247,6 @@ func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 			if err := t.store.Free(aa, &o.Tr, victimPid); err != nil {
 				return err
 			}
-			// Marked under the latches, so no task scheduled after the
-			// committed cut can name the victim.
-			aa.OnCommit(func() { t.deadPages.Store(victimPid, struct{}{}) })
 			return t.store.Pool.Probe(storage.FPConsolidate)
 		})
 		if err != nil {
@@ -259,26 +257,4 @@ func (t *Tree) absorbAction(delegPid, victimPid storage.PageID) (int, error) {
 		return nil
 	})
 	return freed, err
-}
-
-// newestSibRect reads (under a momentary S latch) the rect of deleg's
-// newest sibling term, confirming it still references victim.
-func (t *Tree) newestSibRect(delegPid, victimPid storage.PageID) (Rect, bool, error) {
-	pool := t.store.Pool
-	f, err := pool.Fetch(delegPid)
-	if err != nil {
-		return Rect{}, false, err
-	}
-	defer pool.Unpin(f)
-	f.Latch.AcquireS()
-	defer f.Latch.ReleaseS()
-	n, ok := f.Data.(*Node)
-	if !ok || len(n.Sibs) == 0 {
-		return Rect{}, false, nil
-	}
-	s := n.Sibs[len(n.Sibs)-1]
-	if s.Pid != victimPid {
-		return Rect{}, false, nil
-	}
-	return s.Rect, true, nil
 }

@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -8,8 +9,10 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/latch"
 	"repro/internal/maint"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 // fillPoints inserts count distinct random points, returning them in
@@ -87,6 +90,107 @@ func TestAbsorbReclaimsEmptyNodes(t *testing.T) {
 	}
 	if st2.Recycled == 0 {
 		t.Fatal("refill splits did not recycle freed pages")
+	}
+	fx.mustVerify(t)
+}
+
+// TestRecycledPageGetsItsTerm: a page the absorber freed and a later split
+// recycled is a new node whose posting must go through. Once completions
+// are drained every data node has an index term; none is left reachable
+// only through a sibling term because its page once held an absorbed
+// node.
+func TestRecycledPageGetsItsTerm(t *testing.T) {
+	opts := smallOpts()
+	opts.Reclaim = true
+	fx := newFixture(t, opts)
+	rng := rand.New(rand.NewSource(17))
+	pts := fillPoints(t, fx, rng, 300)
+	for _, p := range pts[10:] {
+		if err := fx.tree.Delete(nil, p); err != nil {
+			t.Fatalf("delete %v: %v", p, err)
+		}
+	}
+	fx.tree.DrainCompletions()
+	if _, err := fx.tree.RunConsolidation(); err != nil {
+		t.Fatalf("consolidation: %v", err)
+	}
+	fillPoints(t, fx, rng, 300)
+	fx.tree.DrainCompletions()
+	if st, err := fx.tree.store.SpaceStats(); err != nil || st.Recycled == 0 {
+		t.Fatalf("refill recycled no page: %+v %v", st, err)
+	}
+	posted := make(map[storage.PageID]bool)
+	var data []storage.PageID
+	err := fx.tree.kern.Walk(0, func(r nref) error {
+		if r.N.IsData() {
+			data = append(data, r.Pid())
+		}
+		for i := 0; !r.N.IsData() && i < r.N.Len(); i++ {
+			_, child := r.N.termAt(i)
+			posted[child] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pid := range data {
+		if !posted[pid] {
+			t.Errorf("data node %d has no index term after completion", pid)
+		}
+	}
+	fx.mustVerify(t)
+}
+
+// TestPostingSkipsUncommittedChild: a completion task can name a page that
+// an action still in flight has just formatted — a stale task for a freed
+// page that a split has taken again. Its posting must not install a term:
+// the split can still be undone, and if it is not, the posting the split
+// queues at its commit covers the new node. Here the split is abandoned
+// after the posting ran; the tree must come out well-formed.
+func TestPostingSkipsUncommittedChild(t *testing.T) {
+	fx := newFixture(t, smallOpts())
+	fillPoints(t, fx, rand.New(rand.NewSource(5)), 200)
+	fx.tree.DrainCompletions()
+	var victim storage.PageID
+	err := fx.tree.kern.Walk(0, func(r nref) error {
+		if _, _, ok := choosePlane(r.N); ok && r.N.IsData() && victim == storage.NilPage {
+			victim = r.Pid()
+		}
+		return nil
+	})
+	if err != nil || victim == storage.NilPage {
+		t.Fatalf("no data node to split: %v", err)
+	}
+	o := fx.tree.kern.NewOp(nil)
+	defer o.Done()
+	node, err := o.Acquire(victim, latch.X, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errAbandon := errors.New("split abandoned")
+	err = o.Atomic(func(aa *txn.Txn) error {
+		o.Hold(&node)
+		alongX, coord, _ := choosePlane(node.N)
+		sib, rect, err := fx.tree.splitOff(o, aa, &node, alongX, coord)
+		if err != nil {
+			return err
+		}
+		posted := make(chan error, 1)
+		go func() {
+			ok, err := fx.tree.kern.Post(&termPost{t: fx.tree, task: postTask{parentLevel: 1, child: sib, rect: rect}})
+			if err == nil && ok {
+				err = fmt.Errorf("posted a term for page %d, formatted by an action that has not committed", sib)
+			}
+			posted <- err
+		}()
+		if err := <-posted; err != nil {
+			t.Error(err)
+		}
+		return errAbandon
+	})
+	if !errors.Is(err, errAbandon) {
+		t.Fatalf("split action: %v", err)
 	}
 	fx.mustVerify(t)
 }

@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,7 +9,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/pitree"
+	"repro/internal/pitree/pitreetest"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 // TestSpatialTornDataWriteMidSMORecovery mirrors the core torn-write
@@ -134,5 +137,77 @@ func TestAbortedPostingSchedulesNoFollowUp(t *testing.T) {
 	// Verify includes the store's space check: no reachable page is free.
 	if _, err := fx.tree.Verify(); err != nil {
 		t.Fatalf("after the aborted posting: %v", err)
+	}
+}
+
+// TestFailedAbortPoisonsItsLocks is the torture gate's round shape
+// spatial × permanent-disk-write × reclaim, made deterministic: one
+// goroutine, completions run only when drained, and a pool of seven
+// frames — one shard at every GOMAXPROCS. A transaction inserts points
+// across many data nodes; then the disk dies for writes, so its rollback
+// needs an eviction that cannot happen and fails. The transaction must end
+// doomed with its locks poisoned — a later writer of one of its points
+// gets ErrDegraded at once instead of parking for ever — and a restart
+// must roll it back with the free-space map matching the log.
+func TestFailedAbortPoisonsItsLocks(t *testing.T) {
+	inj := fault.New(0xAB1)
+	opts := Options{DataCapacity: 6, IndexCapacity: 6, Reclaim: true, SyncCompletion: true}
+	e := engine.New(engine.Options{Injector: inj, PoolCapacity: 7})
+	b := Register(e.Reg)
+	tree, err := Create(e.AddStore(testStoreID, Codec{}), e.TM, e.Locks, b, "points", opts)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	fx := &fixture{e: e, b: b, tree: tree}
+	rng := rand.New(rand.NewSource(0xAB1))
+	fillPoints(t, fx, rng, 300)
+	fx.tree.DrainCompletions()
+
+	tx := e.TM.Begin()
+	var mine []Point
+	for len(mine) < 24 {
+		p := randPoint(rng)
+		if err := fx.tree.Insert(tx, p, []byte("doomed")); err == ErrPointExists {
+			continue
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		mine = append(mine, p)
+	}
+	inj.Arm(storage.FPDiskWrite, fault.Spec{Kind: fault.Permanent})
+	err = tx.Abort()
+	if err == nil {
+		t.Fatal("rollback succeeded: no eviction needed a page write")
+	}
+	if !errors.Is(err, txn.ErrDoomed) || !errors.Is(err, engine.ErrDegraded) || tx.State() != txn.Doomed {
+		t.Fatalf("failed rollback: %v, state %d; want a doomed transaction", err, tx.State())
+	}
+	pitreetest.WriteDoomed(t, e, len(mine), func(tx *txn.Txn, i int) error {
+		return fx.tree.Delete(tx, mine[i])
+	})
+
+	inj.TripCrash()
+	img := e.Crash(nil)
+	fx.tree.Close()
+	e2 := engine.Restarted(img, engine.Options{})
+	b2 := Register(e2.Reg)
+	st2 := e2.AttachStore(testStoreID, Codec{}, img.Disks[testStoreID])
+	p, err := e2.AnalyzeAndRedo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree2, err := Open(st2, e2.TM, e2.Locks, b2, "points", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree2.Close()
+	pitreetest.FinishAudited(t, e2, func() error { return e2.FinishRecovery(p) })
+	if _, err := tree2.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range mine {
+		if _, ok, err := tree2.Search(nil, p); err != nil || ok {
+			t.Fatalf("doomed transaction's point %v after restart: ok=%v err=%v", p, ok, err)
+		}
 	}
 }

@@ -312,8 +312,8 @@ func unsplitOff(fates []byte, sib *Node) (returning, error) {
 // unions halves of one split, for which the bound IS the exact union.
 func rectUnion(a, b Rect) Rect {
 	return Rect{
-		X0: minU(a.X0, b.X0), Y0: minU(a.Y0, b.Y0),
-		X1: maxU(a.X1, b.X1), Y1: maxU(a.Y1, b.Y1),
+		X0: min(a.X0, b.X0), Y0: min(a.Y0, b.Y0),
+		X1: max(a.X1, b.X1), Y1: max(a.Y1, b.Y1),
 	}
 }
 

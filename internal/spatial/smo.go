@@ -221,13 +221,18 @@ func (p *termPost) Search(o *opCtx) (nref, error) {
 	return p.t.descend(o, p.corner(), p.task.parentLevel, latch.U, false)
 }
 
-func (p *termPost) Verify(_ *opCtx, node *nref) (bool, error) {
-	// A task scheduled from a stale optimistic snapshot can name a page
-	// the absorber already freed; posting a term for it (or for whatever
-	// the recycled page now holds) would corrupt the index.
-	_, dead := p.t.deadPages.Load(p.task.child)
-	_, posted := node.N.termFor(p.task.child)
-	return !dead && !posted, nil
+// Verify: a task scheduled from a stale optimistic snapshot can name a
+// page the absorber has since freed, and the store may have handed the
+// page to a new node; the kernel re-tests it latched
+// (pitree.Kernel.Responsible), so a term is posted only for a child
+// responsible for the task's rectangle.
+func (p *termPost) Verify(o *opCtx, node *nref) (bool, error) {
+	if _, posted := node.N.termFor(p.task.child); posted {
+		return false, nil
+	}
+	return p.t.kern.Responsible(o, p.task.child, p.task.parentLevel-1, func(n *Node) bool {
+		return coveredBy(p.task.rect, n)
+	})
 }
 
 func (p *termPost) Full(n *Node) bool { return n.Len() >= p.t.opts.IndexCapacity }

@@ -222,8 +222,8 @@ func TestClippingProducesMultiParents(t *testing.T) {
 	// §3.3: a clipped (multi-parent) child must be detected as not
 	// consolidatable; find one via the index walk.
 	var clippedChild storage.PageID
-	err := fx.tree.walk(1, func(_ storage.PageID, n *Node, _ int) error {
-		for _, e := range entriesOf(n) {
+	err := fx.tree.kern.Walk(1, func(r nref) error {
+		for _, e := range entriesOf(r.N) {
 			if e.Clipped && clippedChild == storage.NilPage {
 				clippedChild = e.Child
 			}

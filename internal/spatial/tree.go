@@ -2,7 +2,6 @@ package spatial
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -121,12 +120,6 @@ type Tree struct {
 	// RunConsolidation): concurrent passes would race to absorb the same
 	// victim and the loser's abort would re-post terms the winner removed.
 	absorbMu sync.Mutex
-	// deadPages is the volatile set of freed page IDs, consulted by
-	// postTerm so a stale completion task (scheduled from an optimistic
-	// snapshot read before the cut) never posts a term for — or recycled
-	// impostor of — a freed page. Volatile like the completion queue; the
-	// two die together in a crash.
-	deadPages sync.Map
 
 	Stats Stats
 }
@@ -241,15 +234,27 @@ func (s space) Edge(n *Node, f *storage.Frame, r pitree.Route, sched bool, _ any
 	}
 }
 
+// Links: the sibling terms, oldest first, then an index node's children
+// in posting order.
+func (space) Links(n *Node, fn func(storage.PageID, int)) {
+	for _, s := range n.Sibs {
+		fn(s.Pid, -1)
+	}
+	for i := 0; !n.IsData() && i < n.Len(); i++ {
+		_, child := n.termAt(i)
+		fn(child, i)
+	}
+}
+
 // start binds the tree to its root: the kernel, the completion queue and
 // the recovery binding.
 func (t *Tree) start(root storage.PageID) {
 	t.root = root
 	t.kern = pitree.New[*Node, Point](pitree.Config{
-		Name: "spatial",
-		Pool: t.store.Pool,
-		TM:   t.tm,
-		Root: root,
+		Name:  "spatial",
+		Store: t.store,
+		TM:    t.tm,
+		Root:  root,
 		// Pure CNS holds one latch at a time; the target is immortal.
 		// Under Reclaim the absorber holds an edge's source X while it
 		// frees the target, so edges couple: it cannot free a page between
@@ -464,9 +469,9 @@ func (t *Tree) RegionQuery(q Rect, fn func(p Point, v []byte) bool) error {
 // mark, re-read under the parent's latch.
 func (t *Tree) CanConsolidate(child storage.PageID) (bool, error) {
 	parents := 0
-	err := t.walk(1, func(_ storage.PageID, n *Node, _ int) error {
-		for i := 0; i < n.Len(); i++ {
-			if e := n.entry(i); e.Child == child {
+	err := t.kern.Walk(1, func(r nref) error {
+		for i := 0; i < r.N.Len(); i++ {
+			if e := r.N.entry(i); e.Child == child {
 				parents++
 				if e.Clipped {
 					// Marked multi-parent: assume more parents exist.
@@ -480,61 +485,4 @@ func (t *Tree) CanConsolidate(child storage.PageID) (bool, error) {
 		return false, err
 	}
 	return parents == 1, nil
-}
-
-// walk visits every node reachable from the root at level lowest or above
-// once — depth first, sibling terms before index terms — handing fn the
-// page, a copy of its node taken under a momentary S latch, and the level
-// the edge that reached it says the node is at (the root's own for the
-// root). Nothing is held between visits, so it runs against live writers,
-// each copy as current as its latch; an error from fn ends the walk.
-func (t *Tree) walk(lowest int, fn func(pid storage.PageID, n *Node, level int) error) error {
-	seen := make(map[storage.PageID]bool)
-	var visit func(pid storage.PageID, level int) error
-	visit = func(pid storage.PageID, level int) error {
-		if level < lowest || seen[pid] {
-			return nil
-		}
-		seen[pid] = true
-		n, err := t.snapshot(pid)
-		if err != nil {
-			return err
-		}
-		if level == maxLevel {
-			level = n.Level
-		}
-		if err := fn(pid, n, level); err != nil {
-			return err
-		}
-		for _, s := range n.Sibs {
-			if err := visit(s.Pid, n.Level); err != nil {
-				return err
-			}
-		}
-		for i := 0; !n.IsData() && i < n.Len(); i++ {
-			_, child := n.termAt(i)
-			if err := visit(child, n.Level-1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return visit(t.root, maxLevel)
-}
-
-// snapshot returns a copy of pid's node, taken under a momentary S latch.
-func (t *Tree) snapshot(pid storage.PageID) (*Node, error) {
-	pool := t.store.Pool
-	f, err := pool.Fetch(pid)
-	if err != nil {
-		return nil, err
-	}
-	defer pool.Unpin(f)
-	f.Latch.AcquireS()
-	defer f.Latch.ReleaseS()
-	n, ok := f.Data.(*Node)
-	if !ok {
-		return nil, fmt.Errorf("spatial: page %d holds %T", pid, f.Data)
-	}
-	return n.clone(), nil
 }

@@ -15,162 +15,135 @@ type Shape struct {
 	Clipped    int // clipped (multi-parent) index terms observed
 }
 
-// Verify checks well-formedness at a quiescent point (t.walk reads each
-// node under a momentary S latch, but nodes change between visits):
+// Verify checks well-formedness at a quiescent point. The kernel walks
+// the tree (pitree.Kernel.Verify: reachability, allocation, levels, the
+// free-space map); the region clauses are the checker's:
 //
+//   - the root's direct region is the full space;
+//   - a node's sibling rects are non-empty and outside its direct region;
+//   - every point lies in its node's direct region, points in (X, Y)
+//     order;
+//   - every index term references a node whose responsibility (direct
+//     region plus delegations) contains the term's rectangle;
 //   - the direct regions of all reachable data nodes PARTITION the full
-//     space: pairwise disjoint, total area exactly MaxCoord^2;
-//   - every point lies in its node's direct region;
-//   - every index term and sibling term references an allocated page;
-//     index terms reference nodes one level down whose responsibility
-//     (direct region plus delegations) contains the term's rectangle.
+//     space: pairwise disjoint, total area exactly MaxCoord^2.
 func (t *Tree) Verify() (Shape, error) {
-	var shape Shape
-	reachable := make(map[storage.PageID]bool)
-	var dataRects []Rect
-	var dataPids []storage.PageID
+	c := &checker{}
+	err := t.kern.Verify(c)
+	return c.shape, err
+}
 
-	err := t.walk(0, func(pid storage.PageID, n *Node, level int) error {
-		reachable[pid] = true
-		if pid == t.root {
-			shape.Height = n.Level + 1
+// region is what the partition check keeps of a data node.
+type region struct {
+	pid  storage.PageID
+	rect Rect
+}
+
+// checker is the spatial tree's side of pitree.Kernel.Verify.
+type checker struct {
+	shape Shape
+	data  []region
+}
+
+func (c *checker) Root(r nref) error {
+	if r.N.Direct != FullSpace() || len(r.N.Sibs) != 0 {
+		return fmt.Errorf("root %d not responsible for the entire space: direct %v, %d sibling terms", r.Pid(), r.N.Direct, len(r.N.Sibs))
+	}
+	c.shape.Height = r.N.Level + 1
+	return nil
+}
+
+func (c *checker) Node(r nref) error {
+	n, pid := r.N, r.Pid()
+	for _, s := range n.Sibs {
+		if s.Rect.Empty() {
+			return fmt.Errorf("page %d has empty sibling rect", pid)
 		}
-		if n.Level != level {
-			return fmt.Errorf("page %d level %d, expected %d", pid, n.Level, level)
+		if s.Rect.Intersects(n.Direct) {
+			return fmt.Errorf("page %d sibling rect %v overlaps direct %v", pid, s.Rect, n.Direct)
 		}
-		if alloc, err := t.store.IsAllocated(pid); err != nil || !alloc {
-			return fmt.Errorf("reachable page %d not allocated", pid)
-		}
-		for _, s := range n.Sibs {
-			if s.Rect.Empty() {
-				return fmt.Errorf("page %d has empty sibling rect", pid)
-			}
-			if s.Rect.Intersects(n.Direct) {
-				return fmt.Errorf("page %d sibling rect %v overlaps direct %v", pid, s.Rect, n.Direct)
-			}
-		}
-		if n.IsData() {
-			shape.DataNodes++
-			shape.Points += n.Len()
-			for i := 0; i < n.Len(); i++ {
-				if p := n.pointAt(i); !n.Direct.Contains(p) {
-					return fmt.Errorf("point (%d,%d) outside direct %v of page %d", p.X, p.Y, n.Direct, pid)
-				}
-			}
-			dataRects = append(dataRects, n.Direct)
-			dataPids = append(dataPids, pid)
-			return nil
-		}
-		shape.IndexNodes++
+	}
+	if !n.IsData() {
+		c.shape.IndexNodes++
 		for i := 0; i < n.Len(); i++ {
-			e := n.entry(i)
-			if e.Clipped {
-				shape.Clipped++
-			}
-			child, err := t.snapshot(e.Child)
-			if err != nil {
-				return fmt.Errorf("term child %d: %w", e.Child, err)
-			}
-			if child.Level != n.Level-1 {
-				return fmt.Errorf("term child %d level %d, want %d", e.Child, child.Level, n.Level-1)
-			}
-			// The child must be responsible for the term's rectangle:
-			// its direct region plus delegated regions must cover it.
-			if !coveredBy(e.Rect, child) {
-				return fmt.Errorf("child %d not responsible for term rect %v (direct %v, %d sibs)", e.Child, e.Rect, child.Direct, len(child.Sibs))
+			if n.entry(i).Clipped {
+				c.shape.Clipped++
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		return shape, fmt.Errorf("spatial verify: %w", err)
 	}
+	c.shape.DataNodes++
+	c.shape.Points += n.Len()
+	for i := 0; i < n.Len(); i++ {
+		p := n.pointAt(i)
+		if !n.Direct.Contains(p) {
+			return fmt.Errorf("point (%d,%d) outside direct %v of page %d", p.X, p.Y, n.Direct, pid)
+		}
+		if i > 0 && !n.pointAt(i-1).Less(p) {
+			return fmt.Errorf("page %d points out of order at %d", pid, i)
+		}
+	}
+	c.data = append(c.data, region{pid, n.Direct})
+	return nil
+}
 
-	// Partition check: pairwise disjoint and exact total area.
-	for i := range dataRects {
-		for j := i + 1; j < len(dataRects); j++ {
-			if dataRects[i].Intersects(dataRects[j]) {
-				return shape, fmt.Errorf("spatial verify: data regions overlap: page %d %v vs page %d %v",
-					dataPids[i], dataRects[i], dataPids[j], dataRects[j])
+// Link: an index term's child must be responsible for the term's
+// rectangle — its direct region plus delegated regions must cover it. A
+// sibling term is checked with its holder (Node).
+func (c *checker) Link(parent nref, i int, child nref) error {
+	if i < 0 {
+		return nil
+	}
+	rect, _ := parent.N.termAt(i)
+	if ch := child.N; !coveredBy(rect, ch) {
+		return fmt.Errorf("child %d not responsible for term rect %v (direct %v, %d sibs)", child.Pid(), rect, ch.Direct, len(ch.Sibs))
+	}
+	return nil
+}
+
+// Partition: the data regions are pairwise disjoint and their total area
+// is the full space's, 2^64.
+func (c *checker) Partition() error {
+	var sum area
+	for i, a := range c.data {
+		for _, b := range c.data[i+1:] {
+			if a.rect.Intersects(b.rect) {
+				return fmt.Errorf("data regions overlap: page %d %v vs page %d %v", a.pid, a.rect, b.pid, b.rect)
 			}
 		}
+		sum.add(a.rect)
 	}
-	var sumHi, sumLo uint64
-	for _, r := range dataRects {
-		hi, lo := r.Area()
-		sumLo += lo
-		if sumLo < lo {
-			sumHi++
-		}
-		sumHi += hi
+	if sum != (area{hi: 1}) {
+		return fmt.Errorf("data regions cover area (%d,%d), want the full space", sum.hi, sum.lo)
 	}
-	// Full space area = 2^64 exactly: hi=1, lo=0.
-	if sumHi != 1 || sumLo != 0 {
-		return shape, fmt.Errorf("spatial verify: data regions cover area (%d,%d), want the full space", sumHi, sumLo)
-	}
-	// The walk's pages are exactly the reachable set; cross-check it
-	// against the store's free-space map.
-	if err := t.store.SpaceCheck(reachable); err != nil {
-		return shape, fmt.Errorf("spatial verify: %w", err)
-	}
-	return shape, nil
+	return nil
 }
 
-// coveredBy reports whether rect is covered by the node's responsibility:
-// its direct region plus its delegated sibling rects, recursively not
-// needed — delegation rects are responsibility by definition (§2.1.1).
+// coveredBy reports whether the node's responsibility — its direct region
+// plus its delegated sibling rects (§2.1.1), pairwise disjoint — covers
+// rect: whether the areas of their intersections with rect sum to rect's.
 func coveredBy(rect Rect, n *Node) bool {
-	// Fast path: direct containment.
-	if n.Direct.ContainsRect(rect) {
-		return true
-	}
-	// General: every corner-region of rect must fall in direct or a sib.
-	// Because all regions arise from recursive halving of rect itself,
-	// checking that rect minus (direct + sibs) is empty via area
-	// accounting is exact.
-	regions := append([]Rect{n.Direct}, nil...)
-	for _, s := range n.Sibs {
-		regions = append(regions, s.Rect)
-	}
-	var wantHi, wantLo uint64 = rect.Area()
-	var sumHi, sumLo uint64
-	for _, r := range regions {
-		inter := intersect(rect, r)
-		if inter.Empty() {
-			continue
+	var want, sum area
+	want.add(rect)
+	for i := -1; i < len(n.Sibs); i++ {
+		r := n.Direct
+		if i >= 0 {
+			r = n.Sibs[i].Rect
 		}
-		hi, lo := inter.Area()
-		sumLo += lo
-		if sumLo < lo {
-			sumHi++
+		if in := (Rect{max(rect.X0, r.X0), max(rect.Y0, r.Y0), min(rect.X1, r.X1), min(rect.Y1, r.Y1)}); !in.Empty() {
+			sum.add(in)
 		}
-		sumHi += hi
 	}
-	// Regions are pairwise disjoint, so equality means exact cover.
-	return sumHi == wantHi && sumLo == wantLo
+	return sum == want
 }
 
-func intersect(a, b Rect) Rect {
-	r := Rect{
-		X0: maxU(a.X0, b.X0), Y0: maxU(a.Y0, b.Y0),
-		X1: minU(a.X1, b.X1), Y1: minU(a.Y1, b.Y1),
-	}
-	if r.X0 >= r.X1 || r.Y0 >= r.Y1 {
-		return Rect{}
-	}
-	return r
-}
+// area is a 128-bit sum of rectangle areas.
+type area struct{ hi, lo uint64 }
 
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
+func (a *area) add(r Rect) {
+	hi, lo := r.Area()
+	if a.lo += lo; a.lo < lo {
+		a.hi++
 	}
-	return b
-}
-
-func minU(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	a.hi += hi
 }

@@ -289,6 +289,58 @@ func TestStoreLoggedAllocFree(t *testing.T) {
 	}
 }
 
+// actionLogger is a testLogger with the commit hooks of an atomic action.
+type actionLogger struct {
+	testLogger
+	hooks []func()
+}
+
+func (l *actionLogger) OnCommit(fn func()) { l.hooks = append(l.hooks, fn) }
+
+func (l *actionLogger) commit() {
+	for _, fn := range l.hooks {
+		fn()
+	}
+	l.hooks = nil
+}
+
+// TestStoreSettlesAtCommit: what an action allocates or frees takes effect
+// for everyone else only once it commits. Until then a page it allocated
+// is not reported allocated — nothing may build on a node whose creation
+// can still be undone — and a page it freed is not handed to a new owner.
+func TestStoreSettlesAtCommit(t *testing.T) {
+	log := wal.New()
+	reg := NewRegistry()
+	RegisterMetaHandlers(reg)
+	st := NewStore(NewPool(1, NewDisk(), log, byteCodec{}, 0), reg)
+	tr := &latch.Tracker{}
+	if err := st.Bootstrap(&testLogger{log: log}); err != nil {
+		t.Fatal(err)
+	}
+	aa := &actionLogger{testLogger: testLogger{log: log}}
+	pid, err := st.Alloc(aa, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := st.IsAllocated(pid); ok {
+		t.Fatal("page allocated by an uncommitted action reported allocated")
+	}
+	aa.commit()
+	if ok, _ := st.IsAllocated(pid); !ok {
+		t.Fatal("committed allocation not allocated")
+	}
+	if err := st.Free(aa, tr, pid); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := st.Alloc(&testLogger{log: log}, tr); err != nil || again == pid {
+		t.Fatalf("page freed by an uncommitted action handed out again: %d, %v", again, err)
+	}
+	aa.commit()
+	if again, err := st.Alloc(&testLogger{log: log}, tr); err != nil || again != pid {
+		t.Fatalf("committed free not recycled: got %d, want %d (%v)", again, pid, err)
+	}
+}
+
 func TestMetaRedoIdempotence(t *testing.T) {
 	log := wal.New()
 	reg := NewRegistry()

@@ -68,6 +68,13 @@ type Store struct {
 	// overwritten when the page is freed again; until then the page merely
 	// sits out of the recycling pool.
 	barred map[PageID]bool
+	// unsettled holds pages allocated by an action that has not committed.
+	// IsAllocated reports them free until it does: a completing action
+	// that re-tests a child named before its page was freed and handed on
+	// must not build on a node whose creation may still be undone. Kept
+	// like barred; an entry whose action aborts goes stale with its page
+	// back on the free list.
+	unsettled map[PageID]bool
 }
 
 // SpaceCounters tracks the free-space map's runtime behaviour.
@@ -247,6 +254,7 @@ func (s *Store) Alloc(lg UpdateLogger, t *latch.Tracker) (PageID, error) {
 		}
 		lsn := lg.LogUpdate(s.Pool.StoreID, uint64(MetaPage), KindMetaAlloc, encodePID(pid))
 		f.MarkDirty(lsn)
+		s.untilCommit(&s.unsettled, lg, pid)
 		if recycled {
 			s.Space.Recycled.Add(1)
 		} else {
@@ -257,12 +265,32 @@ func (s *Store) Alloc(lg UpdateLogger, t *latch.Tracker) (PageID, error) {
 	return pid, err
 }
 
-// committer is the optional slice of UpdateLogger that Free uses to lift
-// a page's re-allocation bar once the freeing action commits. *txn.Txn
-// implements it; loggers without it (bare test harnesses) get the page
-// recyclable immediately.
+// committer is the optional slice of UpdateLogger that Alloc and Free use
+// to settle a page once the allocating or freeing action commits.
+// *txn.Txn implements it; loggers without it (bare test harnesses) get the
+// page settled immediately.
 type committer interface {
 	OnCommit(func())
+}
+
+// untilCommit keeps pid in set, under the meta latch the caller holds,
+// until lg commits.
+func (s *Store) untilCommit(set *map[PageID]bool, lg UpdateLogger, pid PageID) {
+	c, ok := lg.(committer)
+	if !ok {
+		delete(*set, pid)
+		return
+	}
+	if *set == nil {
+		*set = make(map[PageID]bool)
+	}
+	(*set)[pid] = true
+	c.OnCommit(func() {
+		_ = s.withMeta(nil, func(*Frame, *Meta) error {
+			delete(*set, pid)
+			return nil
+		})
+	})
 }
 
 // Free returns pid to the free list, logging the de-allocation. The page
@@ -282,22 +310,7 @@ func (s *Store) Free(lg UpdateLogger, t *latch.Tracker, pid PageID) error {
 		s.Space.Freed.Add(1)
 		lsn := lg.LogUpdate(s.Pool.StoreID, uint64(MetaPage), KindMetaFree, encodePID(pid))
 		f.MarkDirty(lsn)
-		if c, ok := lg.(committer); ok {
-			if s.barred == nil {
-				s.barred = make(map[PageID]bool)
-			}
-			s.barred[pid] = true
-			c.OnCommit(func() { s.unbar(pid) })
-		}
-		return nil
-	})
-}
-
-// unbar makes pid recyclable again; runs from the freeing action's commit
-// hook, after its locks are released.
-func (s *Store) unbar(pid PageID) {
-	_ = s.withMeta(nil, func(f *Frame, m *Meta) error {
-		delete(s.barred, pid)
+		s.untilCommit(&s.barred, lg, pid)
 		return nil
 	})
 }
@@ -333,8 +346,7 @@ func (s *Store) Root(name string) (PageID, error) {
 }
 
 // IsAllocated reports whether pid is currently allocated (not on the free
-// list and below the high-water mark). Node-consolidation verification in
-// CP mode uses it in tests.
+// list and below the high-water mark) by an action that has committed.
 func (s *Store) IsAllocated(pid PageID) (bool, error) {
 	f, err := s.Pool.Fetch(MetaPage)
 	if err != nil {
@@ -347,7 +359,7 @@ func (s *Store) IsAllocated(pid PageID) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("storage: meta page of store %d has wrong type %T", s.Pool.StoreID, f.Data)
 	}
-	return pid < m.Next && pid != MetaPage && !m.IsFree(pid), nil
+	return pid < m.Next && pid != MetaPage && !m.IsFree(pid) && !s.unsettled[pid], nil
 }
 
 func encodePID(pid PageID) []byte {

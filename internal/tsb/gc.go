@@ -105,35 +105,14 @@ func (t *Tree) gcChain(head storage.PageID) (int, error) {
 	// nodes whose whole time range is below the horizon. The current node
 	// (TimeHigh = NoEnd) is never a victim.
 	var victims []gcVictim
-	o := t.kern.NewOp(nil)
-	cur, err := o.Acquire(head, latch.S, 0)
+	err := t.histChain(head, func(r nref) {
+		if n := r.N; n.Rect.TimeHigh <= horizon {
+			victims = append(victims, gcVictim{pid: r.Pid(), rect: cloneRect(n.Rect), retired: n.Retired, entries: n.Len()})
+		}
+	})
 	if err != nil {
-		o.Done()
 		return 0, err
 	}
-	for {
-		n := cur.N
-		if n.Rect.TimeHigh <= horizon {
-			victims = append(victims, gcVictim{
-				pid:     cur.Pid(),
-				rect:    cloneRect(n.Rect),
-				retired: n.Retired,
-				entries: n.Len(),
-			})
-		}
-		sib := n.HistSib
-		if sib == storage.NilPage {
-			break
-		}
-		next, err := t.kern.Step(o, &cur, sib, latch.S, 0)
-		if err != nil {
-			o.Done()
-			return 0, err
-		}
-		cur = next
-	}
-	o.Release(&cur)
-	o.Done()
 
 	// Phase 2: retire oldest-first so a crash mid-pass leaves a chain
 	// whose reclaimed tail is contiguous. Only the newest victim (index

@@ -31,9 +31,11 @@ package tsb
 //     means no in-flight posting can resurrect one after the removal pass
 //     — so a clean check stays clean.
 //  4. NO PENDING TASK: no completion task naming the victim is queued or
-//     running (the completer keeps tasks pending until done). A running
-//     postTerm latches task.child to re-test state; if the page were
-//     freed and recycled under it, it would read the impostor.
+//     running (the completer keeps tasks pending until done): a running
+//     posting may have found the victim live and be about to post its
+//     term. A task scheduled later, from a stale snapshot, re-tests its
+//     child latched (termPost.Verify) and finds it retired, its page free
+//     or handed to a node the task does not describe: it posts nothing.
 //  5. QUIESCED EDGE: the cut holds the referencer X and the victim X to
 //     commit. Traversals latch-couple history edges under Reclaim
 //     (pitree.Step, carryRepair), so a reader either passes the referencer
@@ -55,8 +57,7 @@ package tsb
 // Crash consistency: the cut (KindCutHist, undone from its logged header) and the free
 // (the store's meta records) are one atomic action — redo replays both,
 // an incomplete action undoes both, so a page is free if and only if it
-// is unlinked. The deadPages set and the completion queue are both
-// volatile and die together in a crash.
+// is unlinked.
 
 import (
 	"repro/internal/latch"
@@ -161,10 +162,6 @@ func (t *Tree) reclaimTail(head storage.PageID) (int, error) {
 		if err := t.store.Free(aa, &o.Tr, tailPid); err != nil {
 			return err
 		}
-		// Any task for the victim scheduled once the cut has committed
-		// would read the committed cut and never name it; marking before
-		// the latches drop closes the set for good.
-		aa.OnCommit(func() { t.deadPages.Store(tailPid, struct{}{}) })
 		return t.store.Pool.Probe(storage.FPConsolidate)
 	})
 	if err != nil {
@@ -174,32 +171,32 @@ func (t *Tree) reclaimTail(head storage.PageID) (int, error) {
 	return 1, nil
 }
 
-// findTail walks the chain from head (S, one node at a time; gcMu holds
-// interior nodes immutable) and returns the last node, its referencer,
-// and the facts the caller screens on. tailPid == head means no history.
+// findTail walks the chain from head (gcMu holds interior nodes
+// immutable) and returns the last node, its referencer, and the facts the
+// caller screens on. tailPid == head means no history.
 func (t *Tree) findTail(head storage.PageID) (prevPid, tailPid storage.PageID, rect Rect, retired bool, err error) {
+	err = t.histChain(head, func(r nref) {
+		prevPid, tailPid, rect, retired = tailPid, r.Pid(), cloneRect(r.N.Rect), r.N.Retired
+	})
+	return prevPid, tailPid, rect, retired, err
+}
+
+// histChain hands fn each node of the history chain from head, newest
+// first, S-latched one at a time — coupled along the edge under Reclaim
+// (pitree.Kernel.Step).
+func (t *Tree) histChain(head storage.PageID, fn func(r nref)) error {
 	o := t.kern.NewOp(nil)
 	defer o.Done()
-	cur, aerr := o.Acquire(head, latch.S, 0)
-	if aerr != nil {
-		return storage.NilPage, storage.NilPage, Rect{}, false, aerr
-	}
-	prevPid, tailPid = storage.NilPage, head
-	for {
-		rect = cloneRect(cur.N.Rect)
-		retired = cur.N.Retired
-		sib := cur.N.HistSib
-		if sib == storage.NilPage {
+	cur, err := o.Acquire(head, latch.S, 0)
+	for err == nil {
+		fn(cur)
+		if cur.N.HistSib == storage.NilPage {
 			o.Release(&cur)
-			return prevPid, tailPid, rect, retired, nil
+			return nil
 		}
-		prevPid, tailPid = tailPid, sib
-		next, serr := t.kern.Step(o, &cur, sib, latch.S, 0)
-		if serr != nil {
-			return storage.NilPage, storage.NilPage, Rect{}, false, serr
-		}
-		cur = next
+		cur, err = t.kern.Step(o, &cur, cur.N.HistSib, latch.S, 0)
 	}
+	return err
 }
 
 // noTermsFor reports whether NO level-1 index term references pid,

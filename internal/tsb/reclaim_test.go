@@ -76,6 +76,48 @@ func TestReclaimFreesRetiredTails(t *testing.T) {
 	fx.mustVerify(t)
 }
 
+// TestRecycledPageGetsItsTerm: a page the reaper freed and a later split
+// recycled is a new node whose posting must go through. Once completions
+// are drained every data node GC has not retired has a level-1 term; none
+// is left reachable only through side pointers because its page once held
+// a reclaimed node.
+func TestRecycledPageGetsItsTerm(t *testing.T) {
+	opts := smallOpts()
+	opts.Reclaim = true
+	fx := newFixture(t, opts)
+	const n = 8
+	churn(t, fx, n, 0, 60)
+	fx.tree.DrainCompletions()
+	if _, err := fx.tree.RunGC(); err != nil {
+		t.Fatalf("gc: %v", err)
+	}
+	churn(t, fx, n, 60, 90)
+	fx.tree.DrainCompletions()
+	if st, err := fx.tree.store.SpaceStats(); err != nil || st.Recycled == 0 {
+		t.Fatalf("churn recycled no page: %+v %v", st, err)
+	}
+	posted := make(map[storage.PageID]bool)
+	var live []storage.PageID
+	err := fx.tree.kern.Walk(0, func(r nref) error {
+		if r.N.IsData() && !r.N.Retired {
+			live = append(live, r.Pid())
+		}
+		for i := 0; r.N.Level == 1 && i < r.N.Len(); i++ {
+			posted[r.N.childAt(i)] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pid := range live {
+		if !posted[pid] {
+			t.Errorf("data node %d has no index term after completion", pid)
+		}
+	}
+	fx.mustVerify(t)
+}
+
 // TestReclaimBoundsStoreGrowth: the same sustained churn, GC'd each
 // cycle, allocates strictly fewer pages with Reclaim on than off — the
 // point of the whole mechanism.

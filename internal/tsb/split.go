@@ -253,9 +253,8 @@ func (t *Tree) formatNode(o *opCtx, aa storage.UpdateLogger, pid storage.PageID,
 // index term describing task.child in the level task.parentLevel index
 // node whose key range covers the child's low key — a rectangle term at
 // level 1, a key-only term higher up. The kernel runs §5.3 with it:
-// Search, Verify (posted-test; under CNS the child's existence needs no
-// verification, nodes are immortal), Space Test (index key split with
-// clipping, or root growth), Update.
+// Search, Verify (posted-test, then the child re-tested latched), Space
+// Test (index key split with clipping, or root growth), Update.
 type termPost struct {
 	t    *Tree
 	task postTask
@@ -265,32 +264,35 @@ func (p *termPost) Search(o *opCtx) (nref, error) {
 	return p.t.descend(o, p.task.rect.KeyLow, NoEnd-1, p.task.parentLevel, latch.U, false)
 }
 
+// Verify: under Reclaim the child may have been freed since the task was
+// scheduled, and its page handed to a new node, so the kernel re-tests it
+// latched (pitree.Kernel.Responsible): a term is posted only for the node
+// the task describes.
 func (p *termPost) Verify(o *opCtx, node *nref) (bool, error) {
-	if _, dead := p.t.deadPages.Load(p.task.child); dead {
-		// The child was reclaimed (and its page possibly recycled as an
-		// unrelated node) after this task was scheduled; latching it to
-		// re-test would read the impostor. The reaper only frees a page
-		// with no remaining terms and no pending task, so nothing is owed.
-		return false, nil
-	}
 	if _, posted := node.N.termFor(p.task.child); posted {
 		return false, nil
 	}
-	if p.task.parentLevel != 1 || p.task.rect.TimeHigh == NoEnd {
-		// Key terms name index nodes, and a current data node is never
-		// retired (Apply visits it, for its rectangle).
-		return true, nil
+	return p.t.kern.Responsible(o, p.task.child, p.task.parentLevel-1, p.describes)
+}
+
+// describes reports whether n is the node the task describes: a node with
+// the task's low key, and at level 0 a current node for a current task or
+// a history node ending at the task's time bound. A side traversal may
+// re-schedule posting for a node GC has since retired; its term is not
+// resurrected. (The answer holds to the end of the action: retireNode
+// latches the parent before it retires the child, and the reaper frees
+// only a retired node.)
+func (p *termPost) describes(n *Node) bool {
+	r := p.task.rect
+	switch {
+	case !keys.Equal(n.Rect.KeyLow, r.KeyLow):
+		return false
+	case !n.IsData():
+		return true
+	case r.TimeHigh == NoEnd:
+		return n.Current()
 	}
-	child, err := o.Acquire(p.task.child, latch.S, 0)
-	if err != nil {
-		return false, err
-	}
-	// A side traversal may re-schedule posting for a node GC has since
-	// retired; don't resurrect its term. (The answer holds to the end of the
-	// action: retireNode latches this node before it retires the child.)
-	retired := child.N.Retired
-	o.Release(&child)
-	return !retired, nil
+	return n.Rect.TimeHigh == r.TimeHigh && !n.Retired
 }
 
 func (p *termPost) Full(n *Node) bool { return n.Len() >= p.t.opts.IndexCapacity }

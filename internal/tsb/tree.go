@@ -156,11 +156,6 @@ type Tree struct {
 	// runs under it too, so while a reaper walks a chain the only possible
 	// structure change is a split of the chain's current head.
 	gcMu sync.Mutex
-	// deadPages records pages freed by reclamation (volatile, like the
-	// completion queue): a completing task scheduled before the free must
-	// not latch the page afterwards — it may have been recycled as an
-	// unrelated node — so postTerm consults this set first.
-	deadPages sync.Map
 
 	Stats Stats
 }
@@ -326,15 +321,29 @@ func (s space) Edge(n *Node, f *storage.Frame, r pitree.Route, sched bool, _ any
 	}
 }
 
+// Links: the key sibling, the history sibling, then an index node's
+// children in term order.
+func (space) Links(n *Node, fn func(storage.PageID, int)) {
+	if n.KeySib != storage.NilPage {
+		fn(n.KeySib, -1)
+	}
+	if n.HistSib != storage.NilPage {
+		fn(n.HistSib, -1)
+	}
+	for i := 0; !n.IsData() && i < n.Len(); i++ {
+		fn(n.childAt(i), i)
+	}
+}
+
 // start binds the tree to its root: the kernel, the completion queue,
 // the recovery binding and the version clock.
 func (t *Tree) start(root storage.PageID) {
 	t.root = root
 	t.kern = pitree.New[*Node, point](pitree.Config{
-		Name: "tsb",
-		Pool: t.store.Pool,
-		TM:   t.tm,
-		Root: root,
+		Name:  "tsb",
+		Store: t.store,
+		TM:    t.tm,
+		Root:  root,
 		// Without reclamation nodes are immortal (CNS) and a saved pointer
 		// always names a live node. With it the target of a history edge may
 		// have been freed — and its page recycled — so edges couple: the

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -64,10 +65,18 @@ const (
 	Committed
 	// Aborted transactions have been fully rolled back.
 	Aborted
+	// Doomed transactions failed to roll back. They stay in the table, as
+	// losers for the next restart's undo to finish, and keep their locks,
+	// poisoned (lock.Manager.Poison).
+	Doomed
 )
 
 // ErrNotActive reports an operation on a finished transaction.
 var ErrNotActive = errors.New("txn: transaction not active")
+
+// ErrDoomed reports a rollback that failed: the transaction is Doomed and
+// the engine degraded — the error wraps the log's failure sentinel.
+var ErrDoomed = fmt.Errorf("txn: rollback failed, restart undo finishes the transaction: %w", wal.ErrLogFailed)
 
 // Options configure a Manager.
 type Options struct {
@@ -153,6 +162,9 @@ type Txn struct {
 	// until the stable prefix covers it. Only the owning goroutine
 	// touches it (lock acquisition and commit), so it needs no lock.
 	depLSN uint64
+	// latched are the frames the caller of AbortHeld holds X-latched for
+	// the rollback; only the aborting goroutine touches it.
+	latched []*storage.Frame
 }
 
 // OnCommit registers fn to run after the transaction commits and its locks
@@ -609,13 +621,23 @@ func (t *Txn) Abort() error {
 	return t.rollbackAndEnd(from)
 }
 
+// AbortHeld is Abort for an atomic action whose caller still holds X
+// latches on frames, the pages the action changed: undo compensates those
+// pages under the caller's latches instead of taking its own, so no other
+// operation sees the action's changes before they are undone. A page
+// outside frames — a store's meta page — undo latches itself.
+func (t *Txn) AbortHeld(frames []*storage.Frame) error {
+	t.latched = frames
+	return t.Abort()
+}
+
 // rollbackAndEnd undoes everything from LSN from backwards, writes the end
 // record — a rolled-back transaction, unlike a committed one, is still in
 // restart's table until its rollback is known complete — and releases the
-// transaction's resources.
+// transaction's resources. A rollback that fails dooms the transaction.
 func (t *Txn) rollbackAndEnd(from wal.LSN) error {
 	if err := t.rollbackTo(from, wal.NilLSN); err != nil {
-		return err
+		return t.doom(err)
 	}
 	t.mu.Lock()
 	t.state = Aborted
@@ -623,6 +645,22 @@ func (t *Txn) rollbackAndEnd(from wal.LSN) error {
 	t.mu.Unlock()
 	t.end()
 	return nil
+}
+
+// doom ends a transaction whose rollback failed with err, as far as it can
+// be ended: it stays in the table, Doomed, with the CLRs it logged so far,
+// and the next restart's undo finishes it as it does a crash loser. Its
+// locks are poisoned rather than released, which would expose its
+// uncommitted, partly undone writes; and the log is latched damaged,
+// because memory now holds changes restart will undo and nothing
+// committed from here on may build on them.
+func (t *Txn) doom(err error) error {
+	t.mu.Lock()
+	t.state = Doomed
+	t.mu.Unlock()
+	t.mgr.Locks.Poison(t.ID)
+	t.mgr.Log.MarkDamaged()
+	return fmt.Errorf("txn %d: %w: %w", t.ID, ErrDoomed, err)
 }
 
 // end releases the finished transaction's locks and drops it from the
@@ -728,9 +766,12 @@ func (t *Txn) undoOne(rec *wal.Record) error {
 	// the same page append in one order and apply in the other, and the
 	// pageLSN guard would then drop the lower-LSN compensation from the
 	// buffered page. Restart's concurrent loser-undo workers hit exactly
-	// that interleaving.
-	f.Latch.AcquireX()
-	defer f.Latch.ReleaseX()
+	// that interleaving. A page the aborting caller holds latched
+	// (AbortHeld) is latched already.
+	if !slices.Contains(t.latched, f) {
+		f.Latch.AcquireX()
+		defer f.Latch.ReleaseX()
+	}
 	t.mu.Lock()
 	clr := &wal.Record{
 		Type:     wal.RecCLR,

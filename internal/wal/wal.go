@@ -411,6 +411,20 @@ func (l *Log) SetSink(s StableSink) { l.sink = s }
 // stable and readable.
 func (l *Log) Damaged() bool { return l.damaged.Load() }
 
+// MarkDamaged latches the log damaged as a failed device sync does: no
+// record that is not stable yet ever becomes stable, so no later commit is
+// acknowledged, and written-but-unsynced bytes are rewound out of the sink.
+// The transaction layer calls it when memory holds changes that restart
+// will undo but that later commits could build on.
+func (l *Log) MarkDamaged() {
+	l.wrMu.Lock()
+	defer l.wrMu.Unlock()
+	l.syMu.Lock()
+	defer l.syMu.Unlock()
+	l.damaged.Store(true)
+	l.rewindSink(uint64(l.StableLSN()))
+}
+
 // segDir is one generation of the log buffer's segment directory: the
 // segSize segments covering byte offsets [first<<segShift, end()). A
 // published generation is immutable except that its backing array may be
