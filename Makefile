@@ -51,13 +51,18 @@ test:
 ##   SpaceCheck(         0  the free-space cross-check of pitree.Kernel.Verify,
 ##                          the one well-formedness walk of every tree;
 ##   IsAllocated(        0  Kernel.Verify's, and Kernel.Responsible's, the
-##                          re-test of a posting's child.
+##                          re-test of a posting's child;
+##   FPConsolidate       0  probed by pitree.Kernel.Absorb, the one action
+##                          that frees a node in every tree;
+##   store.Free(         1  core.allocNode, giving back the page it just
+##                          allocated when its move lock is taken: that page
+##                          never held a node; every node is freed by Absorb.
 KERNELONLY_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go internal/tsb/*.go internal/spatial/*.go))
 kernelonly:
 	@check() { n=$$(cat $(KERNELONLY_SRC) | grep -c -F "$$1"); \
 		if [ $$n -gt $$2 ]; then echo "kernelonly: $$n call sites of $$1 in core/tsb/spatial, limit $$2"; return 1; fi; }; \
 	check 'PrefetchAsync(' 0 && check '.LogCLR(' 3 && check 'BeginAtomicAction(' 1 && \
-	check 'SpaceCheck(' 0 && check 'IsAllocated(' 0
+	check 'SpaceCheck(' 0 && check 'IsAllocated(' 0 && check 'FPConsolidate' 0 && check 'store.Free(' 1
 
 ## lockcpu: the lock package at -cpu 1,2,4, repeated: waits-for edges that
 ## outlive their wait only misfire when a second CPU runs the granter and

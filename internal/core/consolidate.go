@@ -10,21 +10,15 @@ import (
 	"repro/internal/txn"
 )
 
-// errAbandoned ends a consolidating action whose last re-test, made with
-// the action already begun, found nothing to do: the action is aborted
-// empty and the attempt counts as a no-op.
-var errAbandoned = errors.New("core: consolidation abandoned")
-
-// freeNode de-allocates the X-latched victim as part of aa, marking it
-// dead first under strategy (b): the bumped state identifier lets saved-
-// path verification prove the de-allocation happened (§5.2.2(b)).
-func (t *Tree) freeNode(o *opCtx, aa *txn.Txn, victim *nref) error {
+// markDead marks the X-latched victim dead as part of aa under strategy
+// (b): the bumped state identifier lets saved-path verification prove the
+// de-allocation happened (§5.2.2(b)).
+func (t *Tree) markDead(aa *txn.Txn, victim *nref) {
 	if t.opts.DeallocIsUpdate {
 		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(victim.Pid()), KindMarkDead, nil)
 		victim.N.Dead = true
 		victim.F.MarkDirty(lsn)
 	}
-	return t.store.Free(aa, &o.Tr, victim.Pid())
 }
 
 // consolidate attempts to absorb an under-utilized node into an adjacent
@@ -130,106 +124,29 @@ func (t *Tree) consolidate(task consolidateTask) {
 }
 
 // tryMerge merges parent's children at term positions bIdx (container)
-// and cIdx (contained) if every §3.3 precondition still holds. It reports
-// whether a merge was committed and whether the caller's sweep should
-// stop (move-lock contention: the action's pages are busy and further
-// pairs under this parent will likely hit the same transactions). The
-// parent stays latched in every case — the caller owns its release — so
-// one parent visit can try several pairs.
+// and cIdx (contained) if every §3.3 precondition still holds, as the
+// kernel's consolidation action (pitree.Kernel.Absorb). It reports whether
+// a merge was committed and whether the caller's sweep should stop
+// (move-lock contention: the action's pages are busy and further pairs
+// under this parent will likely hit the same transactions). The parent
+// stays latched in every case — the caller owns its release — so one
+// parent visit can try several pairs.
 func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bool, err error) {
-	// The terms are read as views: cEntry's key is logged (copied) before
-	// its term is deleted, the last use of either.
-	bEntry := parent.N.entry(bIdx)
-	cEntry := parent.N.entry(cIdx)
-	level := parent.N.Level - 1
-	capacity := t.opts.IndexCapacity
-	if level == 0 {
-		capacity = t.opts.LeafCapacity
+	m := &merge{t: t, parent: parent, bIdx: bIdx, cIdx: cIdx, level: parent.N.Level - 1, capacity: t.opts.IndexCapacity}
+	if m.level == 0 {
+		m.capacity = t.opts.LeafCapacity
 	}
-
-	// Latch-and-promote strictly TOP-DOWN, honoring the §4.1.1 promotion
-	// rule: each node is promoted to X while no higher-ordered latch is
-	// held, so the coupled readers the promotion waits out can always
-	// drain downward through latches we have not taken yet. (Promoting
-	// the parent while already holding a child's U latch deadlocks with a
-	// reader that holds parent-S and waits for that child — the exact
-	// cycle the rule exists to prevent.) The caller promoted the parent.
-	b, err := o.Acquire(bEntry.Child, latch.U, level)
-	if err != nil {
+	freed, err := t.kern.Absorb(o, m)
+	if err != nil || m.busy {
 		return false, true, err
 	}
-	structOK := !b.N.Dead && b.N.Right == cEntry.Child &&
-		!b.N.High.Unbounded && keys.Equal(b.N.High.Key, cEntry.Key)
-	if !structOK {
-		o.Release(&b)
+	if !freed {
 		return false, false, nil
-	}
-	o.Promote(&b)
-	c, err := o.Acquire(cEntry.Child, latch.U, level)
-	if err != nil {
-		o.Release(&b)
-		return false, true, err
-	}
-	threshold := minEntries(capacity)
-	ok := !c.N.Dead && keys.Equal(c.N.Low, cEntry.Key) &&
-		b.N.Len()+c.N.Len() <= capacity &&
-		(b.N.Len() < threshold || c.N.Len() < threshold)
-	if !ok {
-		o.Release(&c, &b)
-		return false, false, nil
-	}
-	o.Promote(&c)
-
-	bLen, cLen := b.N.Len(), c.N.Len()
-	// An index container's last own term, read while it is latched: the
-	// action releases b, and the cascade below starts from this junction.
-	var junction consolidateTask
-	if level > 0 {
-		j := b.N.entry(bLen - 1)
-		junction = consolidateTask{level: level - 1, low: keys.Clone(j.Key), pid: j.Child}
-	}
-	err = o.Atomic(func(aa *txn.Txn) error {
-		o.Hold(&b, &c)
-		if level == 0 && t.binding.PageOriented() {
-			// Records move between pages: the move lock must exclude every
-			// transaction with undoable updates on either page. TryLock only —
-			// holding three latches while waiting for locks would break the
-			// No-Wait rule; contention simply defers the consolidation.
-			if !aa.TryLock(t.pageLockName(b.Pid()), lock.MV) ||
-				!aa.TryLock(t.pageLockName(c.Pid()), lock.MV) {
-				return errAbandoned
-			}
-		}
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(b.Pid()), KindConsolidateMove, encConsolidateMove(c.Pid(), encNodeImage(c.N)))
-		b.N.absorb(c.N)
-		b.N.High = c.N.High
-		b.N.Right = c.N.Right
-		b.F.MarkDirty(lsn)
-
-		if err := t.freeNode(o, aa, &c); err != nil {
-			return err
-		}
-		if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
-			return err
-		}
-		// The parent is changed last, once nothing can fail any more: it
-		// stays latched by the caller's sweep, so an abort's undo — which
-		// X-latches every page it compensates — must never reach it.
-		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveIndexTerm, encTerm(cEntry.Key, cEntry.Child))
-		parent.N.recs.Delete(cIdx)
-		parent.F.MarkDirty(lsn)
-		return nil
-	})
-	if err != nil {
-		if err == errAbandoned {
-			err = nil
-		}
-		return false, true, err
 	}
 	t.Stats.Consolidations.Add(1)
-	if level == 0 {
-		t.Stats.NoteLeafUtil(bLen, bLen+cLen, capacity)
-		t.Stats.NoteLeafUtil(cLen, -1, capacity)
+	if m.level == 0 {
+		t.Stats.NoteLeafUtil(m.bLen, m.bLen+m.cLen, m.capacity)
+		t.Stats.NoteLeafUtil(m.cLen, -1, m.capacity)
 	} else {
 		// Downward cascade, the counterpart of the upward escalation: the
 		// absorbing index node now holds the absorbed node's child terms
@@ -238,9 +155,88 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 		// them — their deletes are long done — so under sustained churn
 		// each index merge would otherwise strand one under-filled child
 		// per junction. Seed a task at the junction's left term.
-		t.scheduleConsolidate(junction)
+		t.scheduleConsolidate(m.junction)
 	}
 	return true, false, nil
+}
+
+// merge is tryMerge's side of the consolidation action (pitree.Absorber):
+// the contained node c, named by the parent's term cIdx, moves into its
+// containing node b, term bIdx, and c's term leaves the parent — last,
+// since the parent stays latched by the caller's sweep. The terms are
+// read as views: the parent is X-latched throughout, and cIdx's key is
+// logged (copied) before its term is deleted, the last use of either.
+type merge struct {
+	t               *Tree
+	parent          *nref
+	bIdx, cIdx      int
+	level, capacity int
+
+	b          nref
+	bLen, cLen int
+	// junction is an index container's last own term, read while it is
+	// latched: the cascade starts from it.
+	junction consolidateTask
+	// busy: a move lock was not free; the sweep stops.
+	busy bool
+}
+
+// Survivors latches b U, re-tests that its side pointer and high key
+// still lead to c, and promotes it — top-down under the X parent, so
+// coupled readers drain downward through latches not yet taken (§4.1.1).
+func (m *merge) Survivors(o *opCtx) (victim storage.PageID, level int, err error) {
+	bEntry, cEntry := m.parent.N.entry(m.bIdx), m.parent.N.entry(m.cIdx)
+	if m.b, err = o.Acquire(bEntry.Child, latch.U, m.level); err != nil {
+		return storage.NilPage, 0, err
+	}
+	o.Hold(&m.b)
+	if m.b.N.Dead || m.b.N.Right != cEntry.Child || m.b.N.High.Unbounded || !keys.Equal(m.b.N.High.Key, cEntry.Key) {
+		return storage.NilPage, 0, nil
+	}
+	o.Promote(&m.b)
+	return cEntry.Child, m.level, nil
+}
+
+// Victim: c still starts at its term's key, and together the two fit in
+// one node of which at least one is under-utilized.
+func (m *merge) Victim(c *Node) bool {
+	m.bLen, m.cLen = m.b.N.Len(), c.Len()
+	threshold := minEntries(m.capacity)
+	return !c.Dead && keys.Equal(c.Low, m.parent.N.entry(m.cIdx).Key) &&
+		m.bLen+m.cLen <= m.capacity && (m.bLen < threshold || m.cLen < threshold)
+}
+
+func (m *merge) Cut(aa *txn.Txn, c *nref) (bool, error) {
+	t, b := m.t, &m.b
+	if m.level == 0 && t.binding.PageOriented() {
+		// Records move between pages: the move lock must exclude every
+		// transaction with undoable updates on either page. TryLock only —
+		// holding three latches while waiting for locks would break the
+		// No-Wait rule; contention simply defers the consolidation.
+		if !aa.TryLock(t.pageLockName(b.Pid()), lock.MV) || !aa.TryLock(t.pageLockName(c.Pid()), lock.MV) {
+			m.busy = true
+			return false, nil
+		}
+	}
+	if m.level > 0 {
+		j := b.N.entry(m.bLen - 1)
+		m.junction = consolidateTask{level: m.level - 1, low: keys.Clone(j.Key), pid: j.Child}
+	}
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(b.Pid()), KindConsolidateMove, encConsolidateMove(c.Pid(), encNodeImage(c.N)))
+	b.N.absorb(c.N)
+	b.N.High = c.N.High
+	b.N.Right = c.N.Right
+	b.F.MarkDirty(lsn)
+	t.markDead(aa, c)
+	return true, nil
+}
+
+// Last removes c's term from the parent.
+func (m *merge) Last(aa *txn.Txn) {
+	e := m.parent.N.entry(m.cIdx)
+	lsn := aa.LogUpdate(m.t.store.Pool.StoreID, uint64(m.parent.Pid()), KindRemoveIndexTerm, encTerm(e.Key, e.Child))
+	m.parent.N.recs.Delete(m.cIdx)
+	m.parent.F.MarkDirty(lsn)
 }
 
 // shrinkRoot reduces tree height by absorbing the root's single remaining
@@ -252,68 +248,54 @@ func (t *Tree) shrinkRoot() {
 		return
 	}
 	_ = t.kern.RetryLoop(nil, func(o *opCtx) error {
-		root, err := o.Acquire(t.root, latch.U, maxLevel)
-		if err != nil {
-			return err
+		freed, err := t.kern.Absorb(o, &rootShrink{t: t})
+		if freed {
+			t.Stats.RootShrinks.Add(1)
 		}
-		if root.N.IsLeaf() || root.N.Len() != 1 {
-			o.Release(&root)
-			return nil
-		}
-		childPid := root.N.entry(0).Child
-		child, err := o.Acquire(childPid, latch.U, root.N.Level-1)
-		if err != nil {
-			o.Release(&root)
-			return err
-		}
-		if child.N.Dead || child.N.Right != storage.NilPage || !child.N.High.Unbounded {
-			o.Release(&child, &root)
-			return nil
-		}
-		// Top-down promotion per §4.1.1: the child's U latch would block
-		// the root promotion's reader drain, so the root must be X before
-		// the child is latched for good. Drop the child, promote the root,
-		// re-latch and re-verify the child.
-		o.Release(&child)
-		o.Promote(&root)
-		if root.N.Len() != 1 || root.N.entry(0).Child != childPid {
-			o.Release(&root)
-			return nil
-		}
-		err = o.Atomic(func(aa *txn.Txn) error {
-			o.Hold(&root)
-			if root.N.Level == 1 && t.binding.PageOriented() && !aa.TryLock(t.pageLockName(childPid), lock.MV) {
-				return errAbandoned
-			}
-			child, err := o.Acquire(childPid, latch.U, root.N.Level-1)
-			if err != nil {
-				return err
-			}
-			o.Hold(&child)
-			if child.N.Dead || child.N.Right != storage.NilPage || !child.N.High.Unbounded {
-				return errAbandoned
-			}
-			o.Promote(&child)
-
-			absorbed := child.N
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(t.root), KindRootShrink, encRootShrink(absorbed, root.N))
-			root.N.Level = absorbed.Level
-			root.N.recs = absorbed.recs.Clone()
-			root.N.High = absorbed.High
-			root.N.Right = absorbed.Right
-			root.F.MarkDirty(lsn)
-			if err := t.freeNode(o, aa, &child); err != nil {
-				return err
-			}
-			return t.store.Pool.Probe(storage.FPConsolidate)
-		})
-		if err != nil {
-			if err == errAbandoned {
-				err = nil
-			}
-			return err
-		}
-		t.Stats.RootShrinks.Add(1)
-		return nil
+		return err
 	})
 }
+
+// rootShrink is shrinkRoot's side of the consolidation action
+// (pitree.Absorber): the root, the one survivor, takes its only child's
+// contents in place.
+type rootShrink struct {
+	t    *Tree
+	root nref
+}
+
+// Survivors latches the root U and promotes it once it has one term: X
+// before the child is latched at all, per §4.1.1.
+func (s *rootShrink) Survivors(o *opCtx) (victim storage.PageID, level int, err error) {
+	if s.root, err = o.Acquire(s.t.root, latch.U, maxLevel); err != nil {
+		return storage.NilPage, 0, err
+	}
+	o.Hold(&s.root)
+	if s.root.N.IsLeaf() || s.root.N.Len() != 1 {
+		return storage.NilPage, 0, nil
+	}
+	o.Promote(&s.root)
+	return s.root.N.entry(0).Child, s.root.N.Level - 1, nil
+}
+
+// Victim: the child is the only node of its level.
+func (*rootShrink) Victim(child *Node) bool {
+	return !child.Dead && child.Right == storage.NilPage && child.High.Unbounded
+}
+
+func (s *rootShrink) Cut(aa *txn.Txn, child *nref) (bool, error) {
+	t, root := s.t, &s.root
+	if child.N.IsLeaf() && t.binding.PageOriented() && !aa.TryLock(t.pageLockName(child.Pid()), lock.MV) {
+		return false, nil
+	}
+	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(t.root), KindRootShrink, encRootShrink(child.N, root.N))
+	root.N.Level = child.N.Level
+	root.N.recs = child.N.recs.Clone()
+	root.N.High = child.N.High
+	root.N.Right = child.N.Right
+	root.F.MarkDirty(lsn)
+	t.markDead(aa, child)
+	return true, nil
+}
+
+func (*rootShrink) Last(*txn.Txn) {}

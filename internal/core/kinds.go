@@ -236,7 +236,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindConsolidateMove, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encConsolidateMove(right, image)}, nil
+			return storage.Compensation{Kind: KindConsolidateMove, Payload: encConsolidateMove(right, image)}, nil
 		},
 	})
 
@@ -254,7 +254,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindDeleteRecord, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encKV(k, v)}, nil
+			return storage.Compensation{Kind: KindDeleteRecord, Payload: encKV(k, v)}, nil
 		},
 	}
 	deleteHandler := storage.Handler{
@@ -271,7 +271,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindInsertRecord, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encKV(k, v)}, nil
+			return storage.Compensation{Kind: KindInsertRecord, Payload: encKV(k, v)}, nil
 		},
 	}
 	updateHandler := storage.Handler{
@@ -290,7 +290,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindUpdateRecord, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encKVV(k, ov, nv)}, nil
+			return storage.Compensation{Kind: KindUpdateRecord, Payload: encKVV(k, ov, nv)}, nil
 		},
 	}
 	if !pageOriented {
@@ -322,7 +322,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			return storage.Compensation{Kind: KindRemoveIndexTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
+			return storage.Compensation{Kind: KindRemoveIndexTerm, Payload: rec.Payload}, nil
 		},
 	})
 
@@ -336,7 +336,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			return storage.Compensation{Kind: KindPostIndexTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
+			return storage.Compensation{Kind: KindPostIndexTerm, Payload: rec.Payload}, nil
 		},
 	})
 
@@ -357,7 +357,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindRestoreImage, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
+			return storage.Compensation{Kind: KindRestoreImage, Payload: encNodeImage(pre)}, nil
 		},
 	})
 
@@ -379,7 +379,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindSplitTruncate, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encSplitTruncate(absorbed.Low, from)}, nil
+			return storage.Compensation{Kind: KindSplitTruncate, Payload: encSplitTruncate(absorbed.Low, from)}, nil
 		},
 	})
 
@@ -389,7 +389,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			return storage.Compensation{Kind: KindMarkAlive, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID)}, nil
+			return storage.Compensation{Kind: KindMarkAlive}, nil
 		},
 	})
 	reg.Register(KindMarkAlive, storage.Handler{
@@ -398,7 +398,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			return storage.Compensation{Kind: KindMarkDead, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID)}, nil
+			return storage.Compensation{Kind: KindMarkDead}, nil
 		},
 	})
 
@@ -419,7 +419,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindRestoreImage, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
+			return storage.Compensation{Kind: KindRestoreImage, Payload: encNodeImage(pre)}, nil
 		},
 	})
 

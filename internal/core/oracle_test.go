@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/enc"
 	"repro/internal/keys"
 	"repro/internal/latch"
+	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -279,4 +281,215 @@ func (t *Tree) oracleRollback(log *wal.Log, tx *txn.Txn) error {
 		lsn = rec.PrevLSN
 	}
 	return nil
+}
+
+// The free actions as they were written before Kernel.Absorb
+// (internal/core/consolidate.go): each latches its victim, frees the page,
+// probes the failpoint and commits on its own. The reference the kernel's
+// Absorb is held to (TestFreeActionLogIdentity).
+
+// errOracleAbandoned ends a consolidating action whose last re-test, made with
+// the action already begun, found nothing to do: the action is aborted
+// empty and the attempt counts as a no-op.
+var errOracleAbandoned = errors.New("core: consolidation abandoned")
+
+// oracleFreeNode de-allocates the X-latched victim as part of aa, marking it
+// dead first under strategy (b): the bumped state identifier lets saved-
+// path verification prove the de-allocation happened (§5.2.2(b)).
+func (t *Tree) oracleFreeNode(o *opCtx, aa *txn.Txn, victim *nref) error {
+	if t.opts.DeallocIsUpdate {
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(victim.Pid()), KindMarkDead, nil)
+		victim.N.Dead = true
+		victim.F.MarkDirty(lsn)
+	}
+	return t.store.Free(aa, &o.Tr, victim.Pid())
+}
+
+// oracleTryMerge merges parent's children at term positions bIdx (container)
+// and cIdx (contained) if every §3.3 precondition still holds. It reports
+// whether a merge was committed and whether the caller's sweep should
+// stop (move-lock contention: the action's pages are busy and further
+// pairs under this parent will likely hit the same transactions). The
+// parent stays latched in every case — the caller owns its release — so
+// one parent visit can try several pairs.
+func (t *Tree) oracleTryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bool, err error) {
+	// The terms are read as views: cEntry's key is logged (copied) before
+	// its term is deleted, the last use of either.
+	bEntry := parent.N.entry(bIdx)
+	cEntry := parent.N.entry(cIdx)
+	level := parent.N.Level - 1
+	capacity := t.opts.IndexCapacity
+	if level == 0 {
+		capacity = t.opts.LeafCapacity
+	}
+
+	// Latch-and-promote strictly TOP-DOWN, honoring the §4.1.1 promotion
+	// rule: each node is promoted to X while no higher-ordered latch is
+	// held, so the coupled readers the promotion waits out can always
+	// drain downward through latches we have not taken yet. (Promoting
+	// the parent while already holding a child's U latch deadlocks with a
+	// reader that holds parent-S and waits for that child — the exact
+	// cycle the rule exists to prevent.) The caller promoted the parent.
+	b, err := o.Acquire(bEntry.Child, latch.U, level)
+	if err != nil {
+		return false, true, err
+	}
+	structOK := !b.N.Dead && b.N.Right == cEntry.Child &&
+		!b.N.High.Unbounded && keys.Equal(b.N.High.Key, cEntry.Key)
+	if !structOK {
+		o.Release(&b)
+		return false, false, nil
+	}
+	o.Promote(&b)
+	c, err := o.Acquire(cEntry.Child, latch.U, level)
+	if err != nil {
+		o.Release(&b)
+		return false, true, err
+	}
+	threshold := minEntries(capacity)
+	ok := !c.N.Dead && keys.Equal(c.N.Low, cEntry.Key) &&
+		b.N.Len()+c.N.Len() <= capacity &&
+		(b.N.Len() < threshold || c.N.Len() < threshold)
+	if !ok {
+		o.Release(&c, &b)
+		return false, false, nil
+	}
+	o.Promote(&c)
+
+	bLen, cLen := b.N.Len(), c.N.Len()
+	// An index container's last own term, read while it is latched: the
+	// action releases b, and the cascade below starts from this junction.
+	var junction consolidateTask
+	if level > 0 {
+		j := b.N.entry(bLen - 1)
+		junction = consolidateTask{level: level - 1, low: keys.Clone(j.Key), pid: j.Child}
+	}
+	err = o.Atomic(func(aa *txn.Txn) error {
+		o.Hold(&b, &c)
+		if level == 0 && t.binding.PageOriented() {
+			// Records move between pages: the move lock must exclude every
+			// transaction with undoable updates on either page. TryLock only —
+			// holding three latches while waiting for locks would break the
+			// No-Wait rule; contention simply defers the consolidation.
+			if !aa.TryLock(t.pageLockName(b.Pid()), lock.MV) ||
+				!aa.TryLock(t.pageLockName(c.Pid()), lock.MV) {
+				return errOracleAbandoned
+			}
+		}
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(b.Pid()), KindConsolidateMove, encConsolidateMove(c.Pid(), encNodeImage(c.N)))
+		b.N.absorb(c.N)
+		b.N.High = c.N.High
+		b.N.Right = c.N.Right
+		b.F.MarkDirty(lsn)
+
+		if err := t.oracleFreeNode(o, aa, &c); err != nil {
+			return err
+		}
+		if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
+			return err
+		}
+		// The parent is changed last, once nothing can fail any more: it
+		// stays latched by the caller's sweep, so an abort's undo — which
+		// X-latches every page it compensates — must never reach it.
+		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveIndexTerm, encTerm(cEntry.Key, cEntry.Child))
+		parent.N.recs.Delete(cIdx)
+		parent.F.MarkDirty(lsn)
+		return nil
+	})
+	if err != nil {
+		if err == errOracleAbandoned {
+			err = nil
+		}
+		return false, true, err
+	}
+	t.Stats.Consolidations.Add(1)
+	if level == 0 {
+		t.Stats.NoteLeafUtil(bLen, bLen+cLen, capacity)
+		t.Stats.NoteLeafUtil(cLen, -1, capacity)
+	} else {
+		// Downward cascade, the counterpart of the upward escalation: the
+		// absorbing index node now holds the absorbed node's child terms
+		// adjacent to its own, so children separated by the old node
+		// boundary can pair up for the first time. Nothing else re-triggers
+		// them — their deletes are long done — so under sustained churn
+		// each index merge would otherwise strand one under-filled child
+		// per junction. Seed a task at the junction's left term.
+		t.scheduleConsolidate(junction)
+	}
+	return true, false, nil
+}
+
+// oracleShrinkRoot reduces tree height by absorbing the root's single remaining
+// child, when that child is the only node of its level. The root page
+// itself never moves and is never de-allocated (§5.2.2 depends on that),
+// so the absorption rewrites the root in place.
+func (t *Tree) oracleShrinkRoot() {
+	if !t.opts.Consolidation {
+		return
+	}
+	_ = t.kern.RetryLoop(nil, func(o *opCtx) error {
+		root, err := o.Acquire(t.root, latch.U, maxLevel)
+		if err != nil {
+			return err
+		}
+		if root.N.IsLeaf() || root.N.Len() != 1 {
+			o.Release(&root)
+			return nil
+		}
+		childPid := root.N.entry(0).Child
+		child, err := o.Acquire(childPid, latch.U, root.N.Level-1)
+		if err != nil {
+			o.Release(&root)
+			return err
+		}
+		if child.N.Dead || child.N.Right != storage.NilPage || !child.N.High.Unbounded {
+			o.Release(&child, &root)
+			return nil
+		}
+		// Top-down promotion per §4.1.1: the child's U latch would block
+		// the root promotion's reader drain, so the root must be X before
+		// the child is latched for good. Drop the child, promote the root,
+		// re-latch and re-verify the child.
+		o.Release(&child)
+		o.Promote(&root)
+		if root.N.Len() != 1 || root.N.entry(0).Child != childPid {
+			o.Release(&root)
+			return nil
+		}
+		err = o.Atomic(func(aa *txn.Txn) error {
+			o.Hold(&root)
+			if root.N.Level == 1 && t.binding.PageOriented() && !aa.TryLock(t.pageLockName(childPid), lock.MV) {
+				return errOracleAbandoned
+			}
+			child, err := o.Acquire(childPid, latch.U, root.N.Level-1)
+			if err != nil {
+				return err
+			}
+			o.Hold(&child)
+			if child.N.Dead || child.N.Right != storage.NilPage || !child.N.High.Unbounded {
+				return errOracleAbandoned
+			}
+			o.Promote(&child)
+
+			absorbed := child.N
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(t.root), KindRootShrink, encRootShrink(absorbed, root.N))
+			root.N.Level = absorbed.Level
+			root.N.recs = absorbed.recs.Clone()
+			root.N.High = absorbed.High
+			root.N.Right = absorbed.Right
+			root.F.MarkDirty(lsn)
+			if err := t.oracleFreeNode(o, aa, &child); err != nil {
+				return err
+			}
+			return t.store.Pool.Probe(storage.FPConsolidate)
+		})
+		if err != nil {
+			if err == errOracleAbandoned {
+				err = nil
+			}
+			return err
+		}
+		t.Stats.RootShrinks.Add(1)
+		return nil
+	})
 }

@@ -209,15 +209,16 @@ var slimCases = []slimCase{
 			if err != nil {
 				t.Fatal(err)
 			}
+			errAbandon := errors.New("split abandoned")
 			err = o.Atomic(func(aa *txn.Txn) error {
 				o.Hold(&leaf)
 				o.Promote(&leaf)
 				if _, _, err := fx.tree.splitNode(o, &leaf, aa); err != nil {
 					return err
 				}
-				return errAbandoned
+				return errAbandon
 			})
-			if err != errAbandoned {
+			if err != errAbandon {
 				t.Fatal(err)
 			}
 			return fx, want

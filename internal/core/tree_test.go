@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/keys"
+	"repro/internal/pitree/pitreetest"
 	"repro/internal/wal"
 )
 
@@ -77,9 +78,7 @@ func (fx *fixture) tryCrashRestart(t testing.TB, truncateAt *wal.LSN) (*fixture,
 		}
 		return nil, false
 	}
-	if err := e2.FinishRecovery(p); err != nil {
-		t.Fatalf("undo losers: %v", err)
-	}
+	pitreetest.FinishAudited(t, e2, func() error { return e2.FinishRecovery(p) })
 	// Undo may have rolled back an uncommitted tree creation that the
 	// pre-undo Open transiently observed; re-check the catalog.
 	if _, err := st2.Root("test"); err != nil {

@@ -29,7 +29,7 @@ func registerSwap(reg *storage.Registry) {
 		},
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			old, _ := split(rec.Payload)
-			return storage.Compensation{Kind: kindSet, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: old}, nil
+			return storage.Compensation{Kind: kindSet, Payload: old}, nil
 		},
 	})
 }

@@ -168,20 +168,25 @@ func (o *Op[N]) Atomic(body func(aa *txn.Txn) error) error {
 			err = fmt.Errorf("%s: action failed (%v): %w", o.s.Name, err, aerr)
 		}
 	}
+	o.unhold()
+	return err
+}
+
+// Hold keeps the references, given in acquisition order, latched until
+// the current — or, before one begins, the next — atomic action ends,
+// whichever way it ends; Atomic releases them then and zeroes the
+// variables. The caller goes on reading, promoting and changing the nodes
+// through them, and must not reuse a variable for another latch meanwhile.
+func (o *Op[N]) Hold(refs ...*Ref[N]) { o.held = append(o.held, refs...) }
+
+// unhold releases the held references, last acquired first.
+func (o *Op[N]) unhold() {
 	for i := len(o.held) - 1; i >= 0; i-- {
 		o.Release(o.held[i])
 		o.held[i] = nil
 	}
 	o.held = o.held[:0]
-	return err
 }
-
-// Hold keeps the references, given in acquisition order, latched until
-// the current atomic action ends, whichever way it ends; Atomic releases
-// them then and zeroes the variables. The caller goes on reading,
-// promoting and changing the nodes through them, and must not reuse a
-// variable for another latch meanwhile.
-func (o *Op[N]) Hold(refs ...*Ref[N]) { o.held = append(o.held, refs...) }
 
 // LockDance acquires a database lock for tx under the No-Wait rule
 // (§4.1.2): if the lock is free it is taken without waiting and nil is

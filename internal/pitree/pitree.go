@@ -22,7 +22,8 @@
 //   - the leaf walk of every range scan (Scan) and the logical undo of a
 //     record (Compensate, §4.2);
 //   - the bracket every structure change runs in (Op.Atomic, §4.3.1) and
-//     on it the index-term posting action (Post, §5.3);
+//     on it the index-term posting action (Post, §5.3) and the
+//     consolidation action that frees a node (Absorb, §3.3, §5.2.2);
 //   - the completion queue (queue.go) that schedules completing atomic
 //     actions lazily (§5.1);
 //   - the walk over every reachable page (Walk) and on it the
@@ -32,8 +33,8 @@
 // to clone it for a navigation snapshot, where a key routes from it, what
 // to do when a descent follows a side pointer, and which pages a node
 // points to. Everything else — key space, split choice, clipping, version
-// visibility, consolidation, codecs, what an undo changes — stays in the
-// tree's own package.
+// visibility, which node to consolidate, codecs, what an undo changes —
+// stays in the tree's own package.
 package pitree
 
 import (
@@ -138,6 +139,13 @@ type Config struct {
 	// page must wait for (§4.2.2). Nil for a tree whose record undo is
 	// not page-oriented.
 	PageLock func(storage.PageID) lock.Name
+	// Tasks, when set, is the tree's completion queue: Absorb does not free
+	// a page while the posting of its term (PostKey) is queued or running,
+	// and counts each such deferral in Deferred. Nil for a tree whose
+	// postings read the child they name under the parent latch a
+	// consolidation holds X (core).
+	Tasks    interface{ Refs(TaskKey) bool }
+	Deferred *atomic.Int64
 	// CheckLatchOrder enables the per-operation latch order assertions.
 	CheckLatchOrder bool
 	// IndexHold, when set, records hold durations of U/X latches on index

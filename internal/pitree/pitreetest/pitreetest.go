@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"repro/internal/engine"
+	"repro/internal/pitree"
 	"repro/internal/recovery"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -57,7 +58,7 @@ func UndoRoundTrip(t testing.TB, reg *storage.Registry, data any, image func(dat
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ch.Redo(f, &wal.Record{Type: wal.RecCLR, Kind: comp.Kind, Payload: comp.Payload}); err != nil {
+	if err := ch.Redo(f, &wal.Record{Type: wal.RecCLR, Kind: comp.Kind, StoreID: rec.StoreID, PageID: rec.PageID, Payload: comp.Payload}); err != nil {
 		t.Fatalf("apply compensation kind %d: %v", comp.Kind, err)
 	}
 	return applied, image(f.Data)
@@ -86,6 +87,84 @@ func CutBeforeCommit(t testing.TB, log *wal.Log, kind wal.Kind) wal.LSN {
 		t.Fatalf("no committed transaction logged a record of kind %d", kind)
 	}
 	return commit
+}
+
+// CutAtFailure forces the log and returns the LSN of the first abort record
+// at or after from — the rollback of an action a failpoint failed — and
+// the kind of the last update record before it: a crash image cut there
+// holds what the action logged before its failpoint and none of its undo.
+func CutAtFailure(t testing.TB, log *wal.Log, from wal.LSN) (cut wal.LSN, last wal.Kind) {
+	t.Helper()
+	if err := log.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	log.FullImage().Scan(from, func(r wal.Record) bool {
+		switch r.Type {
+		case wal.RecAbort:
+			cut = r.LSN
+			return false
+		case wal.RecUpdate:
+			last = r.Kind
+		}
+		return true
+	})
+	if cut == wal.NilLSN {
+		t.Fatal("no action was rolled back")
+	}
+	return cut, last
+}
+
+// FreeIffUnlinked fails the test unless the pages k's walk from the root
+// reaches are exactly the pages st's free-space map holds allocated.
+func FreeIffUnlinked[N, K any](t testing.TB, k *pitree.Kernel[N, K], st *storage.Store) {
+	t.Helper()
+	reachable := map[storage.PageID]bool{}
+	if err := k.Walk(0, func(r pitree.Ref[N]) error {
+		reachable[r.Pid()] = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	next, free, ok := st.Pool.SpaceSnapshot()
+	if !ok {
+		t.Fatal("store has no free-space map")
+	}
+	isFree := make(map[storage.PageID]bool, len(free))
+	for _, pid := range free {
+		isFree[pid] = true
+	}
+	for pid := storage.MetaPage + 1; pid < next; pid++ {
+		if isFree[pid] == reachable[pid] {
+			t.Fatalf("page %d: free %v, reachable %v", pid, isFree[pid], reachable[pid])
+		}
+	}
+}
+
+// RecordsFrom returns the records of log from lsn on.
+func RecordsFrom(log *wal.Log, lsn wal.LSN) []wal.Record {
+	var recs []wal.Record
+	log.FullImage().Scan(lsn, func(r wal.Record) bool {
+		recs = append(recs, r)
+		return true
+	})
+	return recs
+}
+
+// SameRecords fails the test unless got and want are the same records, in
+// the same order: LSN, type, transaction, kind, page, chain links and
+// payload.
+func SameRecords(t testing.TB, got, want []wal.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.LSN != w.LSN || g.Type != w.Type || g.TxnID != w.TxnID || g.Kind != w.Kind || g.StoreID != w.StoreID ||
+			g.PageID != w.PageID || g.PrevLSN != w.PrevLSN || g.UndoNext != w.UndoNext || !bytes.Equal(g.Payload, w.Payload) {
+			t.Fatalf("record %d is %+v, want %+v", i, g, w)
+		}
+	}
 }
 
 // FinishAudited runs a restart's undo pass — finish, typically the

@@ -21,6 +21,15 @@ type TaskKey struct {
 	Sep   uint64
 }
 
+// TaskPost is the TaskKey.Kind of every tree's postings.
+const TaskPost uint8 = 1
+
+// PostKey keys the posting of child's term at level: the task Absorb asks
+// Config.Tasks about before it frees child.
+func PostKey(level int, child storage.PageID) TaskKey {
+	return TaskKey{Kind: TaskPost, Level: level, Pid: child}
+}
+
 // Fingerprint is FNV-1a over b, for TaskKey.Sep. A collision folds two
 // distinct tasks, which lazy completion repairs the next time a
 // traversal crosses the unposted sibling (§5.1: every completing action

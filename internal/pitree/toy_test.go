@@ -49,8 +49,10 @@ type toy struct {
 	warmed  chan *toyNode    // nodes read-ahead warmed, when set (toyCodec)
 }
 
+// Toy pages start after the store's meta page, which absorb_test.go
+// formats.
 const (
-	toyRoot storage.PageID = iota + 1
+	toyRoot storage.PageID = iota + storage.MetaPage + 1
 	toyLeft
 	toyRight
 	toyLeafA

@@ -44,7 +44,7 @@ func registerCounter(reg *storage.Registry) {
 		},
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			d := int64(binary.LittleEndian.Uint64(rec.Payload))
-			return storage.Compensation{Kind: counterKind, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: delta(-d)}, nil
+			return storage.Compensation{Kind: counterKind, Payload: delta(-d)}, nil
 		},
 	})
 }

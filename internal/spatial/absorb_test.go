@@ -11,8 +11,11 @@ import (
 	"repro/internal/fault"
 	"repro/internal/latch"
 	"repro/internal/maint"
+	"repro/internal/pitree"
+	"repro/internal/pitree/pitreetest"
 	"repro/internal/storage"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // fillPoints inserts count distinct random points, returning them in
@@ -138,6 +141,47 @@ func TestRecycledPageGetsItsTerm(t *testing.T) {
 		if !posted[pid] {
 			t.Errorf("data node %d has no index term after completion", pid)
 		}
+	}
+	fx.mustVerify(t)
+}
+
+// TestAbsorbDefersUnpostedVictim: an emptied data node whose index term is
+// not posted yet has no parent at all. The absorber puts it off for the
+// posting (AbsorbDeferred); it is not a multi-parent child, and it stays
+// allocated.
+func TestAbsorbDefersUnpostedVictim(t *testing.T) {
+	opts := smallOpts()
+	opts.Reclaim = true
+	opts.NoCompletion = true // the split's posting never runs
+	fx := newFixture(t, opts)
+	fillPoints(t, fx, rand.New(rand.NewSource(3)), opts.DataCapacity+1)
+	var victim storage.PageID
+	points := map[storage.PageID][]Point{}
+	err := fx.tree.kern.Walk(0, func(r nref) error {
+		if ns := len(r.N.Sibs); ns > 0 && r.N.IsData() {
+			victim = r.N.Sibs[ns-1].Pid
+		}
+		for i := 0; r.N.IsData() && i < r.N.Len(); i++ {
+			points[r.Pid()] = append(points[r.Pid()], r.N.pointAt(i))
+		}
+		return nil
+	})
+	if err != nil || victim == storage.NilPage {
+		t.Fatalf("no data split to absorb: %v", err)
+	}
+	for _, p := range points[victim] {
+		if err := fx.tree.Delete(nil, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fx.tree.RunConsolidation(); err != nil {
+		t.Fatal(err)
+	}
+	if d, m := fx.tree.Stats.AbsorbDeferred.Load(), fx.tree.Stats.AbsorbMultiParent.Load(); d != 1 || m != 0 {
+		t.Fatalf("unposted empty victim counted %d deferred, %d multi-parent; want 1, 0", d, m)
+	}
+	if ok, err := fx.tree.store.IsAllocated(victim); err != nil || !ok {
+		t.Fatalf("unposted victim %d freed (allocated %v, err %v)", victim, ok, err)
 	}
 	fx.mustVerify(t)
 }
@@ -354,9 +398,10 @@ func TestAbsorbConcurrentChurn(t *testing.T) {
 }
 
 // TestCompletionHotPathAllocs: a side traversal schedules its posting
-// under the traversed node's latch, and the absorber asks refsChild under
-// the delegator's latch; folding a duplicate and answering the lookup
-// must not allocate (the dedup key is a comparable struct, not a string).
+// under the traversed node's latch, and the kernel's Absorb asks the queue
+// about its victim under the delegator's latch; folding a duplicate and
+// answering the lookup must not allocate (the dedup key is a comparable
+// struct, not a string).
 func TestCompletionHotPathAllocs(t *testing.T) {
 	fx := newFixture(t, smallOpts()) // SyncCompletion: queued until drained
 	f, err := fx.tree.store.Pool.Fetch(fx.tree.root)
@@ -371,10 +416,114 @@ func TestCompletionHotPathAllocs(t *testing.T) {
 		t.Fatalf("duplicate schedule allocates %.1f objects", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if !fx.tree.refsChild(data) {
-			t.Error("queued posting not visible to refsChild")
+		if !fx.tree.comp.Refs(pitree.PostKey(1, data)) {
+			t.Error("queued posting not visible to Refs")
 		}
 	}); a != 0 {
-		t.Fatalf("refsChild allocates %.1f objects", a)
+		t.Fatalf("Refs allocates %.1f objects", a)
+	}
+}
+
+// seedAbsorb fills 300 points and deletes all but the first ten, with
+// completions off from then on, so nothing is absorbed until a test asks.
+func seedAbsorb(t *testing.T) (*fixture, []Point) {
+	t.Helper()
+	opts := smallOpts()
+	opts.Reclaim = true
+	fx := newFixture(t, opts)
+	pts := fillPoints(t, fx, rand.New(rand.NewSource(17)), 300)
+	fx.tree.DrainCompletions()
+	fx.tree.opts.NoCompletion = true
+	for _, p := range pts[10:] {
+		if err := fx.tree.Delete(nil, p); err != nil {
+			t.Fatalf("delete %v: %v", p, err)
+		}
+	}
+	return fx, pts[:10]
+}
+
+// absorbAll runs absorb on every candidate of a scan, scan after scan,
+// until one frees nothing.
+func (fx *fixture) absorbAll(absorb func(absorbCand) (int, error)) error {
+	for {
+		cands, err := fx.tree.scanAbsorbCandidates()
+		if err != nil {
+			return err
+		}
+		freed := 0
+		for _, c := range cands {
+			n, err := absorb(c)
+			if err != nil {
+				return err
+			}
+			freed += n
+		}
+		if freed == 0 {
+			return nil
+		}
+	}
+}
+
+// TestFreeActionLogIdentity: on two copies of one seeded state, the
+// absorbs that run through the kernel's Absorb log, record for record and
+// in order, what the absorb action written before Absorb logged
+// (kept in oracle_test.go).
+func TestFreeActionLogIdentity(t *testing.T) {
+	run := func(oracle bool) []wal.Record {
+		fx, _ := seedAbsorb(t)
+		absorb := fx.tree.absorbAction
+		if oracle {
+			absorb = fx.tree.oracleAbsorbAction
+		}
+		from := fx.e.Log.EndLSN()
+		if err := fx.absorbAll(absorb); err != nil {
+			t.Fatal(err)
+		}
+		recs := pitreetest.RecordsFrom(fx.e.Log, from)
+		fx.mustVerify(t)
+		return recs
+	}
+	got, want := run(false), run(true)
+	seen := map[wal.Kind]int{}
+	for _, r := range got {
+		seen[r.Kind]++
+	}
+	if seen[KindAbsorbSib] == 0 || seen[KindRemoveTerm] != seen[KindAbsorbSib] || seen[storage.KindMetaFree] != seen[KindAbsorbSib] {
+		t.Fatalf("the absorbs logged %v: the test lost its point", seen)
+	}
+	pitreetest.SameRecords(t, got, want)
+}
+
+// TestCrashInsideFree: a crash inside the first absorb's free — at
+// storage.FPStoreFree, with the unlink from the delegator and the parent
+// logged and the page's free record not, and at storage.FPConsolidate,
+// with all three logged and the commit not. Restart leaves a well-formed
+// tree whose free-space map matches the log (pitreetest.FinishAudited), in
+// which a page is free if and only if it is unlinked, holding every point
+// it held.
+func TestCrashInsideFree(t *testing.T) {
+	for _, fp := range []string{storage.FPStoreFree, storage.FPConsolidate} {
+		t.Run(fp, func(t *testing.T) {
+			fx, kept := seedAbsorb(t)
+			inj := fault.New(1)
+			fx.tree.store.Pool.SetInjector(inj)
+			inj.Arm(fp, fault.Spec{Kind: fault.Transient})
+			from := fx.e.Log.EndLSN()
+			if err := fx.absorbAll(fx.tree.absorbAction); !errors.Is(err, fault.ErrInjected) || len(inj.Trips()) != 1 {
+				t.Fatalf("absorb: %v after %d trips", err, len(inj.Trips()))
+			}
+			cut, last := pitreetest.CutAtFailure(t, fx.e.Log, from)
+			if (last == storage.KindMetaFree) != (fp == storage.FPConsolidate) {
+				t.Fatalf("the action's last record before the failure is of kind %d", last)
+			}
+			fx2 := fx.restartFrom(t, fx.e.Crash(&cut))
+			fx2.mustVerify(t)
+			pitreetest.FreeIffUnlinked(t, fx2.tree.kern, fx2.tree.store)
+			for i, p := range kept {
+				if v, ok, err := fx2.tree.Search(nil, p); err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
+					t.Fatalf("point %v after restart: %q ok=%v err=%v", p, v, ok, err)
+				}
+			}
+		})
 	}
 }

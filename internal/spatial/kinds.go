@@ -372,13 +372,6 @@ func logicalUndo(b *Binding, del bool) func(*wal.Record, storage.CLRLogger) erro
 func Register(reg *storage.Registry) *Binding {
 	b := new(Binding)
 
-	restore := func(rec *wal.Record, pre *Node) (storage.Compensation, error) {
-		return storage.Compensation{Kind: KindRestore, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
-	}
-	comp := func(rec *wal.Record, kind wal.Kind, payload []byte) storage.Compensation {
-		return storage.Compensation{Kind: kind, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: payload}
-	}
-
 	reg.Register(KindFormat, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
 	reg.Register(KindRestore, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
 	reg.Register(KindSplitOff, storage.Handler{
@@ -409,7 +402,7 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return comp(rec, KindAbsorbSib, encAbsorbSib(alongX, coord, sib, ret)), nil
+			return storage.Compensation{Kind: KindAbsorbSib, Payload: encAbsorbSib(alongX, coord, sib, ret)}, nil
 		},
 	})
 	reg.Register(KindInsertPoint, storage.Handler{
@@ -448,7 +441,7 @@ func Register(reg *storage.Registry) *Binding {
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			return storage.Compensation{Kind: KindRemoveTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
+			return storage.Compensation{Kind: KindRemoveTerm, Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindRemoveTerm, storage.Handler{
@@ -463,7 +456,7 @@ func Register(reg *storage.Registry) *Binding {
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			return storage.Compensation{Kind: KindPostTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
+			return storage.Compensation{Kind: KindPostTerm, Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindAbsorbSib, storage.Handler{
@@ -480,7 +473,7 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return comp(rec, KindSplitOff, encSplitOff(alongX, coord, sib, nil)), nil
+			return storage.Compensation{Kind: KindSplitOff, Payload: encSplitOff(alongX, coord, sib, nil)}, nil
 		},
 	})
 	reg.Register(KindRootGrow, storage.Handler{
@@ -500,7 +493,7 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return restore(rec, pre)
+			return storage.Compensation{Kind: KindRestore, Payload: encNodeImage(pre)}, nil
 		},
 	})
 	return b

@@ -15,7 +15,7 @@
 //     multi-parent;
 //   - the consolidation constraint of §3.3: a multi-parent (clipped)
 //     child must not be consolidated until a single parent references
-//     it; CanConsolidate exposes the test.
+//     it; the absorber tests the mark under the parent's latch.
 //
 // Nodes are immortal here (no consolidation is performed — the CNS
 // invariant), so traversals hold one latch at a time.

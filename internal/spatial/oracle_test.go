@@ -244,3 +244,123 @@ func (t *Tree) oracleRollback(log *wal.Log, tx *txn.Txn) error {
 	}
 	return nil
 }
+
+// The absorb action as it was written before Kernel.Absorb
+// (internal/spatial/absorb.go, with refsChild inlined): it latches its
+// victim, frees the page, probes the failpoint and commits on its own. The
+// reference the kernel's Absorb is held to (TestFreeActionLogIdentity).
+
+// oracleAbsorbAction performs one absorb as an atomic action, re-verifying
+// every condition under latches (parent U→X at level 1, then delegator
+// U→X, then victim X — descending rank order; promotions happen before
+// any lower latch is taken, §4.1.1, so coupled readers drain downward).
+// Returns 1 if the victim's page was freed, 0 if any screen failed.
+func (t *Tree) oracleAbsorbAction(c absorbCand) (int, error) {
+	delegPid, victimPid := c.deleg, c.victim
+	freed := 0
+	err := t.kern.RetryLoop(nil, func(o *opCtx) error {
+		freed = 0
+
+		// The victim's sole parent lies on the search path of its term's
+		// low corner: an unclipped term was never cut by its holder's
+		// splits, so the rect sits inside the holder's direct region. A
+		// delegated rect never changes, so the scan's copy locates it.
+		corner := Point{X: c.rect.X0, Y: c.rect.Y0}
+		parent, err := t.descend(o, corner, 1, latch.U, false)
+		if err != nil {
+			return err
+		}
+		i, ok := parent.N.termFor(victimPid)
+		if !ok {
+			// Unposted (completion pending) or already elsewhere: defer.
+			o.Release(&parent)
+			t.Stats.AbsorbDeferred.Add(1)
+			return nil
+		}
+		term := parent.N.entry(i) // no Value: nothing of it aliases the node
+		if term.Clipped {
+			o.Release(&parent)
+			t.Stats.AbsorbMultiParent.Add(1)
+			return nil
+		}
+		if parent.N.Len() <= 1 {
+			o.Release(&parent)
+			return nil
+		}
+		survivor := false
+		for j := 0; j < parent.N.Len(); j++ {
+			if r, _ := parent.N.termAt(j); j != i && r.ContainsRect(term.Rect) {
+				survivor = true
+				break
+			}
+		}
+		if !survivor {
+			o.Release(&parent)
+			t.Stats.AbsorbDeferred.Add(1)
+			return nil
+		}
+		o.Promote(&parent)
+
+		deleg, err := o.Acquire(delegPid, latch.U, 0)
+		if err != nil {
+			o.Release(&parent)
+			return err
+		}
+		ns := len(deleg.N.Sibs)
+		if ns == 0 || deleg.N.Sibs[ns-1].Pid != victimPid || deleg.N.Sibs[ns-1].Rect != term.Rect || !deleg.N.IsData() {
+			o.Release(&deleg, &parent)
+			return nil
+		}
+		// With the delegator still only U-latched no new task can commit a
+		// read of its sibling term after this test... promotion to X comes
+		// first, and scheduling from latched traversals needs the S latch
+		// the X excludes. Tasks already scheduled (or running) are visible
+		// in the pending set; a stale-snapshot schedule after the free
+		// re-tests the page in termPost.Verify.
+		if t.comp.Refs(postTask{parentLevel: 1, child: victimPid}.key()) {
+			o.Release(&deleg, &parent)
+			t.Stats.AbsorbDeferred.Add(1)
+			return nil
+		}
+		o.Promote(&deleg)
+
+		victim, err := o.Acquire(victimPid, latch.X, 0)
+		if err != nil {
+			o.Release(&deleg, &parent)
+			return err
+		}
+		if !victim.N.IsData() || victim.N.Len() != 0 || len(victim.N.Sibs) != 0 {
+			o.Release(&victim, &deleg, &parent)
+			return nil
+		}
+
+		err = o.Atomic(func(aa *txn.Txn) error {
+			o.Hold(&parent, &deleg, &victim)
+			// The victim was split off along X iff it abuts the delegator's
+			// direct region on the X side; undo cuts there again.
+			alongX, coord := term.Rect.X0 == deleg.N.Direct.X1, term.Rect.Y0
+			if alongX {
+				coord = term.Rect.X0
+			}
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(deleg.Pid()), KindAbsorbSib, encAbsorbSib(alongX, coord, victimPid, returning{}))
+			if err := applyAbsorbSib(deleg.N, returning{}); err != nil {
+				return err
+			}
+			deleg.F.MarkDirty(lsn)
+			lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveTerm, encTerm(term))
+			parent.N.recs.Delete(i)
+			parent.F.MarkDirty(lsn)
+			if err := t.store.Free(aa, &o.Tr, victimPid); err != nil {
+				return err
+			}
+			return t.store.Pool.Probe(storage.FPConsolidate)
+		})
+		if err != nil {
+			return err
+		}
+		t.Stats.Absorbs.Add(1)
+		freed = 1
+		return nil
+	})
+	return freed, err
+}

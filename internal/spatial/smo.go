@@ -24,17 +24,15 @@ type postTask struct {
 	absorb      bool
 }
 
-// Completing-action kinds, for the kernel queue's duplicate folding.
-const (
-	taskPost uint8 = iota + 1
-	taskAbsorb
-)
+// taskAbsorb is the kind of an absorb pass in the kernel queue; a
+// posting's key is pitree.PostKey, the one Absorb asks the queue about.
+const taskAbsorb = pitree.TaskPost + 1
 
 func (t postTask) key() pitree.TaskKey {
 	if t.absorb {
 		return pitree.TaskKey{Kind: taskAbsorb}
 	}
-	return pitree.TaskKey{Kind: taskPost, Level: t.parentLevel, Pid: t.child}
+	return pitree.PostKey(t.parentLevel, t.child)
 }
 
 // completer is the kernel's completion queue carrying this tree's tasks.
@@ -60,14 +58,6 @@ func (t *Tree) schedule(task postTask) {
 	if t.comp.Schedule(task.key(), task) {
 		t.Stats.PostsScheduled.Add(1)
 	}
-}
-
-// refsChild reports whether a level-1 posting task referencing pid is
-// queued or running. Data-node postings are the only tasks that can name
-// a reclaimable page; the absorber defers freeing while one is live,
-// because a running postTerm may be about to latch the page.
-func (t *Tree) refsChild(pid storage.PageID) bool {
-	return t.comp.Refs(postTask{parentLevel: 1, child: pid}.key())
 }
 
 // run dispatches one completing task: an absorb pass or a term posting.

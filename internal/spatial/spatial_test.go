@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/pitree/pitreetest"
 	"repro/internal/storage"
 )
 
@@ -60,9 +61,7 @@ func (fx *fixture) restartFrom(t testing.TB, img *engine.CrashImage) *fixture {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if err := e2.FinishRecovery(p); err != nil {
-		t.Fatalf("undo: %v", err)
-	}
+	pitreetest.FinishAudited(t, e2, func() error { return e2.FinishRecovery(p) })
 	t.Cleanup(tree2.Close)
 	return &fixture{e: e2, b: b2, tree: tree2}
 }
@@ -204,8 +203,9 @@ func TestRegionQuery(t *testing.T) {
 func TestClippingProducesMultiParents(t *testing.T) {
 	opts := smallOpts()
 	opts.IndexCapacity = 4
+	opts.Reclaim = true
 	fx := newFixture(t, opts)
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 800; i++ {
 		p := randPoint(rng)
 		if err := fx.tree.Insert(nil, p, []byte("v")); err != nil && err != ErrPointExists {
@@ -219,13 +219,29 @@ func TestClippingProducesMultiParents(t *testing.T) {
 	if fx.tree.Stats.ClippedTerms.Load() == 0 {
 		t.Fatal("workload produced no clipping; the multi-attribute machinery is untested")
 	}
-	// §3.3: a clipped (multi-parent) child must be detected as not
-	// consolidatable; find one via the index walk.
-	var clippedChild storage.PageID
-	err := fx.tree.kern.Walk(1, func(r nref) error {
-		for _, e := range entriesOf(r.N) {
-			if e.Clipped && clippedChild == storage.NilPage {
-				clippedChild = e.Child
+	if shape.Clipped == 0 {
+		t.Fatal("verifier saw no clipped terms")
+	}
+	// §3.3: a clipped (multi-parent) child must not be consolidated. Find
+	// a data node behind a clipped term that the absorber would otherwise
+	// take — its delegator's newest delegation, with none of its own —
+	// and empty it.
+	clipped := map[storage.PageID]bool{}
+	newest := map[storage.PageID]bool{}
+	points := map[storage.PageID][]Point{}
+	err := fx.tree.kern.Walk(0, func(r nref) error {
+		if !r.N.IsData() {
+			for _, e := range entriesOf(r.N) {
+				clipped[e.Child] = clipped[e.Child] || e.Clipped
+			}
+			return nil
+		}
+		if ns := len(r.N.Sibs); ns > 0 {
+			newest[r.N.Sibs[ns-1].Pid] = true
+		}
+		if len(r.N.Sibs) == 0 {
+			for i := 0; i < r.N.Len(); i++ {
+				points[r.Pid()] = append(points[r.Pid()], r.N.pointAt(i))
 			}
 		}
 		return nil
@@ -233,18 +249,30 @@ func TestClippingProducesMultiParents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clippedChild != storage.NilPage {
-		ok, err := fx.tree.CanConsolidate(clippedChild)
-		if err != nil {
+	victim := storage.NilPage
+	for pid := range points {
+		if clipped[pid] && newest[pid] && (victim == storage.NilPage || pid < victim) {
+			victim = pid
+		}
+	}
+	if victim == storage.NilPage {
+		t.Fatal("no clipped data node is its delegator's newest delegation")
+	}
+	for _, p := range points[victim] {
+		if err := fx.tree.Delete(nil, p); err != nil {
 			t.Fatal(err)
 		}
-		if ok {
-			t.Fatal("clipped child reported consolidatable")
-		}
 	}
-	if shape.Clipped == 0 {
-		t.Fatal("verifier saw no clipped terms")
+	if _, err := fx.tree.RunConsolidation(); err != nil {
+		t.Fatal(err)
 	}
+	if fx.tree.Stats.AbsorbMultiParent.Load() == 0 {
+		t.Fatal("the absorber never refused a clipped child")
+	}
+	if ok, err := fx.tree.store.IsAllocated(victim); err != nil || !ok {
+		t.Fatalf("clipped child %d freed (allocated %v, err %v)", victim, ok, err)
+	}
+	fx.mustVerify(t)
 }
 
 func TestCrashRecoveryPoints(t *testing.T) {

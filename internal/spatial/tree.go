@@ -250,6 +250,7 @@ func (space) Links(n *Node, fn func(storage.PageID, int)) {
 // the recovery binding.
 func (t *Tree) start(root storage.PageID) {
 	t.root = root
+	t.comp = newCompleter(t)
 	t.kern = pitree.New[*Node, Point](pitree.Config{
 		Name:  "spatial",
 		Store: t.store,
@@ -261,13 +262,14 @@ func (t *Tree) start(root storage.PageID) {
 		// a reader's pointer load and its latch acquisition.
 		Couple:              t.opts.Reclaim,
 		Pessimistic:         t.opts.PessimisticDescent,
+		Tasks:               t.comp,
+		Deferred:            &t.Stats.AbsorbDeferred,
 		CheckLatchOrder:     t.opts.CheckLatchOrder,
 		Restarts:            &t.Stats.Restarts,
 		OptimisticHits:      &t.Stats.OptimisticHits,
 		OptimisticRetries:   &t.Stats.OptimisticRetries,
 		OptimisticFallbacks: &t.Stats.OptimisticFallbacks,
 	}, space{t})
-	t.comp = newCompleter(t)
 	t.binding.Bind(t.store.Pool.StoreID, t)
 }
 
@@ -459,30 +461,4 @@ func (t *Tree) RegionQuery(q Rect, fn func(p Point, v []byte) bool) error {
 	}
 	_, err := visit(t.root, maxLevel)
 	return err
-}
-
-// CanConsolidate reports whether the child could legally be consolidated
-// under §3.3: it must be referenced by index terms in a single parent.
-// Clipped terms mark multi-parent children, which must not be
-// consolidated until a single parent remains. The census backs the
-// absorber's pre-screen (absorb.go); the authoritative test is the Clipped
-// mark, re-read under the parent's latch.
-func (t *Tree) CanConsolidate(child storage.PageID) (bool, error) {
-	parents := 0
-	err := t.kern.Walk(1, func(r nref) error {
-		for i := 0; i < r.N.Len(); i++ {
-			if e := r.N.entry(i); e.Child == child {
-				parents++
-				if e.Clipped {
-					// Marked multi-parent: assume more parents exist.
-					parents++
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return false, err
-	}
-	return parents == 1, nil
 }

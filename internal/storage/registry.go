@@ -8,13 +8,12 @@ import (
 )
 
 // Compensation describes the page-oriented inverse of a logged update: the
-// operation that, applied through its Kind's Redo, undoes the original.
-// Rollback appends it as a CLR and applies it; restart redo replays the
-// CLR like any other record, which is what makes undo idempotent.
+// operation that, applied through its Kind's Redo to the update's own page,
+// undoes the original. Rollback appends it as a CLR addressed to that page
+// and applies it; restart redo replays the CLR like any other record, which
+// is what makes undo idempotent.
 type Compensation struct {
 	Kind    wal.Kind
-	StoreID uint32
-	PageID  PageID
 	Payload []byte
 }
 

@@ -31,10 +31,10 @@ const MetaRank latch.Rank = 1<<63 - 1
 // middle of a consolidation's de-allocation step.
 const FPStoreFree = "store.free"
 
-// FPConsolidate is the failpoint trees probe immediately before
-// committing a consolidation/reclamation atomic action (core merge, TSB
-// history reap, spatial absorb). Arming it with Crash exercises recovery
-// against a half-done merge.
+// FPConsolidate is the failpoint pitree.Kernel.Absorb probes after the
+// free of every consolidation action (core merge and root shrink, TSB
+// history reap, spatial absorb) and before its commit. Arming it with
+// Crash exercises recovery against a half-done merge.
 const FPConsolidate = "tree.consolidate"
 
 // UpdateLogger is the slice of a transaction (or atomic action) that
@@ -422,7 +422,7 @@ func RegisterMetaHandlers(reg *Registry) {
 			return nil
 		},
 		MakeUndo: func(rec *wal.Record, _ LogReader) (Compensation, error) {
-			return Compensation{Kind: KindMetaFree, StoreID: rec.StoreID, PageID: PageID(rec.PageID), Payload: rec.Payload}, nil
+			return Compensation{Kind: KindMetaFree, Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindMetaFree, Handler{
@@ -441,7 +441,7 @@ func RegisterMetaHandlers(reg *Registry) {
 			return nil
 		},
 		MakeUndo: func(rec *wal.Record, _ LogReader) (Compensation, error) {
-			return Compensation{Kind: KindMetaAlloc, StoreID: rec.StoreID, PageID: PageID(rec.PageID), Payload: rec.Payload}, nil
+			return Compensation{Kind: KindMetaAlloc, Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindMetaSetRoot, Handler{
@@ -467,7 +467,7 @@ func RegisterMetaHandlers(reg *Registry) {
 			if err != nil {
 				return Compensation{}, err
 			}
-			return Compensation{Kind: KindMetaSetRoot, StoreID: rec.StoreID, PageID: PageID(rec.PageID), Payload: encodeSetRoot(name, NilPage)}, nil
+			return Compensation{Kind: KindMetaSetRoot, Payload: encodeSetRoot(name, NilPage)}, nil
 		},
 	})
 }

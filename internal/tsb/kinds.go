@@ -407,9 +407,6 @@ type Binding = pitree.Binding[*Tree]
 func Register(reg *storage.Registry) *Binding {
 	b := new(Binding)
 
-	restore := func(rec *wal.Record, pre *Node) (storage.Compensation, error) {
-		return storage.Compensation{Kind: KindRestoreImage, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encNodeImage(pre)}, nil
-	}
 	// unsplit compensates a split of rec's page that created sib: it puts
 	// back the header old and those entries of sib's image, as logged in
 	// its format record just before rec, that leavers picks.
@@ -422,7 +419,7 @@ func Register(reg *storage.Registry) *Binding {
 		if err != nil {
 			return storage.Compensation{}, err
 		}
-		return storage.Compensation{Kind: KindUnsplit, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encUnsplit(old, leavers(sibNode), unclip)}, nil
+		return storage.Compensation{Kind: KindUnsplit, Payload: encUnsplit(old, leavers(sibNode), unclip)}, nil
 	}
 
 	reg.Register(KindFormat, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
@@ -532,7 +529,7 @@ func Register(reg *storage.Registry) *Binding {
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			return storage.Compensation{Kind: KindRemoveTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
+			return storage.Compensation{Kind: KindRemoveTerm, Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindRemoveTerm, storage.Handler{
@@ -547,7 +544,7 @@ func Register(reg *storage.Registry) *Binding {
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			return storage.Compensation{Kind: KindPostTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
+			return storage.Compensation{Kind: KindPostTerm, Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindPostKeyTerm, storage.Handler{
@@ -560,7 +557,7 @@ func Register(reg *storage.Registry) *Binding {
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			return storage.Compensation{Kind: KindRemoveKeyTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
+			return storage.Compensation{Kind: KindRemoveKeyTerm, Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindRemoveKeyTerm, storage.Handler{
@@ -575,7 +572,7 @@ func Register(reg *storage.Registry) *Binding {
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			return storage.Compensation{Kind: KindPostKeyTerm, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: rec.Payload}, nil
+			return storage.Compensation{Kind: KindPostKeyTerm, Payload: rec.Payload}, nil
 		},
 	})
 	reg.Register(KindRetireNode, storage.Handler{
@@ -600,7 +597,7 @@ func Register(reg *storage.Registry) *Binding {
 			if r.Err() != nil {
 				return storage.Compensation{}, r.Err()
 			}
-			return storage.Compensation{Kind: KindUnsplit, StoreID: rec.StoreID, PageID: storage.PageID(rec.PageID), Payload: encUnsplit(old, enc.Records{}, nil)}, nil
+			return storage.Compensation{Kind: KindUnsplit, Payload: encUnsplit(old, enc.Records{}, nil)}, nil
 		},
 	})
 	reg.Register(KindRootGrow, storage.Handler{
@@ -621,7 +618,7 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return restore(rec, pre)
+			return storage.Compensation{Kind: KindRestoreImage, Payload: encNodeImage(pre)}, nil
 		},
 	})
 	return b

@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/enc"
 	"repro/internal/keys"
+	"repro/internal/latch"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -175,4 +177,94 @@ func TestImageByteIdentity(t *testing.T) {
 			t.Fatalf("node %d: after delete and re-insert of every record the image is\n%x, want\n%x", i, got, img)
 		}
 	}
+}
+
+// The reaper's cut as it was written before Kernel.Absorb
+// (internal/tsb/reclaim.go, with refsChild inlined): it latches its victim,
+// frees the page, probes the failpoint and commits on its own. The
+// reference the kernel's Absorb is held to (TestFreeActionLogIdentity).
+
+// oracleReclaimTail frees the chain's tail if every precondition holds; it
+// returns 1 if a page was freed. Three episodes, in latch-rank order:
+// first a walk to find the tail and its referencer (S, one at a time —
+// gcMu makes interior nodes immutable and nothing else frees pages),
+// then the no-terms sweep over level-1 parents (S, released before any
+// data latch so ranks stay ascending), then the cut action itself.
+func (t *Tree) oracleReclaimTail(head storage.PageID) (int, error) {
+	prevPid, tailPid, tailRect, tailRetired, err := t.findTail(head)
+	if err != nil || tailPid == storage.NilPage || tailPid == head {
+		return 0, err
+	}
+	if !tailRetired {
+		return 0, nil
+	}
+
+	// Episode 2: no level-1 term may reference the victim. Clipping can
+	// spread terms over several parents, so sweep the key-sibling chain
+	// across the victim's key range (the same walk retireNode removes
+	// along). Terms for a retired node are monotone-decreasing, so a
+	// clean sweep cannot be invalidated later.
+	clean, err := t.noTermsFor(tailRect, tailPid)
+	if err != nil {
+		return 0, err
+	}
+	if !clean {
+		t.Stats.GCTermSkips.Add(1)
+		return 0, nil
+	}
+
+	// Episode 3: the cut. Latch the referencer U, re-verify the edge,
+	// promote to X (§4.1.1: before any lower latch, so coupled readers
+	// drain downward), then latch the victim X and free it.
+	o := t.kern.NewOp(nil)
+	defer o.Done()
+	prev, err := o.Acquire(prevPid, latch.U, 0)
+	if err != nil {
+		return 0, err
+	}
+	if prev.N.HistSib != tailPid {
+		// The chain changed shape since the walk (only the head can, via
+		// a concurrent time split); retry on the next pass.
+		o.Release(&prev)
+		return 0, nil
+	}
+	if prev.N.HistShared {
+		o.Release(&prev)
+		t.Stats.GCSharedSkips.Add(1)
+		return 0, nil
+	}
+	o.Promote(&prev)
+	// With the sole incoming edge X-held, no new task can be scheduled
+	// against the victim (noteHistSibling reads the referencer under its
+	// latch); a task already pending or running defers the free.
+	if t.comp.Refs(postTask{parentLevel: 1, child: tailPid}.key()) {
+		o.Release(&prev)
+		t.Stats.GCDeferredFrees.Add(1)
+		return 0, nil
+	}
+	tail, err := o.Acquire(tailPid, latch.X, 0)
+	if err != nil {
+		o.Release(&prev)
+		return 0, err
+	}
+	if !tail.N.Retired || tail.N.HistSib != storage.NilPage || tail.N.Len() != 0 {
+		o.Release(&tail, &prev)
+		return 0, nil
+	}
+
+	err = o.Atomic(func(aa *txn.Txn) error {
+		o.Hold(&prev, &tail)
+		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(prev.Pid()), KindCutHist, encCutHist(prev.N))
+		applyCutHist(prev.N)
+		prev.F.MarkDirty(lsn)
+		if err := t.store.Free(aa, &o.Tr, tailPid); err != nil {
+			return err
+		}
+		return t.store.Pool.Probe(storage.FPConsolidate)
+	})
+	if err != nil {
+		return 0, err
+	}
+	t.Stats.GCFreedPages.Add(1)
+	return 1, nil
 }

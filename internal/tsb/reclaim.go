@@ -8,11 +8,14 @@ package tsb
 // under sustained churn the store grows without bound even though the
 // live data is constant. Reclamation closes the loop: a retired node that
 // is the TAIL of its history chain, referenced by exactly one history
-// edge and by no level-1 index term and by no pending completion task,
-// is unlinked from its referencer and its page returned to the store's
-// free-space map, in one atomic action.
+// edge and by no level-1 index term, is unlinked from its referencer and
+// its page freed by pitree.Kernel.Absorb, which owns the rules every
+// tree's free shares. Traversals latch-couple history edges under Reclaim
+// (pitree.Step, carryRepair), so a reader either passes the referencer
+// before the cut — and then holds the victim's latch, which the X
+// acquisition waits out — or arrives after and finds the edge gone.
 //
-// Safety rests on five conditions, each checked under latches:
+// The tree's own conditions, each checked under latches:
 //
 //  1. TAIL: the victim's own history pointer is nil, so freeing it strands
 //     nothing behind it. Chains shrink strictly from the tail; interior
@@ -23,28 +26,16 @@ package tsb
 //     transferred to the history node by later time splits) rides every
 //     edge that may have a twin. A marked edge is never cut — the twin
 //     may still route readers through it — so shared chains leak their
-//     tails, bounded by the number of key splits (counted, accepted).
+//     tails, bounded by the number of key splits (counted, accepted). The
+//     X latch on the referencer freezes the mark (only a key split of the
+//     chain head can set it) and stops noteHistSibling from scheduling a
+//     posting for the victim (scheduling reads the referencer).
 //  3. NO TERMS: no level-1 term references the victim (retireNode removes
 //     them, but never a node's LAST term; a survivor blocks the free).
 //     Zero is absorbing: postTerm refuses to post terms for a Retired
 //     child, and the parent-latch serialization of retireNode vs postTerm
 //     means no in-flight posting can resurrect one after the removal pass
 //     — so a clean check stays clean.
-//  4. NO PENDING TASK: no completion task naming the victim is queued or
-//     running (the completer keeps tasks pending until done): a running
-//     posting may have found the victim live and be about to post its
-//     term. A task scheduled later, from a stale snapshot, re-tests its
-//     child latched (termPost.Verify) and finds it retired, its page free
-//     or handed to a node the task does not describe: it posts nothing.
-//  5. QUIESCED EDGE: the cut holds the referencer X and the victim X to
-//     commit. Traversals latch-couple history edges under Reclaim
-//     (pitree.Step, carryRepair), so a reader either passes the referencer
-//     before the cut — and then holds the victim's latch, which the
-//     reaper's X acquisition waits out — or arrives after and finds the
-//     edge gone. The X hold on the referencer also freezes HistShared
-//     (only a key split of the chain head can set it) and stops new
-//     noteHistSibling tasks from being scheduled against the victim
-//     (scheduling requires reading the referencer).
 //
 // Snapshot safety is inherited from GC's horizon argument: a victim was
 // retired because its whole time range lies below the visibility horizon,
@@ -53,11 +44,6 @@ package tsb
 // history from retirement; reclamation only changes whether the empty
 // node they would have visited still exists, and the coupled walk makes
 // the visit-or-stop decision atomic with the cut.
-//
-// Crash consistency: the cut (KindCutHist, undone from its logged header) and the free
-// (the store's meta records) are one atomic action — redo replays both,
-// an incomplete action undoes both, so a page is free if and only if it
-// is unlinked.
 
 import (
 	"repro/internal/latch"
@@ -91,7 +77,8 @@ func (t *Tree) reclaimChain(head storage.PageID) (int, error) {
 // first a walk to find the tail and its referencer (S, one at a time —
 // gcMu makes interior nodes immutable and nothing else frees pages),
 // then the no-terms sweep over level-1 parents (S, released before any
-// data latch so ranks stay ascending), then the cut action itself.
+// data latch so ranks stay ascending), then the cut: the kernel's
+// consolidation action, which frees the page.
 func (t *Tree) reclaimTail(head storage.PageID) (int, error) {
 	prevPid, tailPid, tailRect, tailRetired, err := t.findTail(head)
 	if err != nil || tailPid == storage.NilPage || tailPid == head {
@@ -115,61 +102,58 @@ func (t *Tree) reclaimTail(head storage.PageID) (int, error) {
 		return 0, nil
 	}
 
-	// Episode 3: the cut. Latch the referencer U, re-verify the edge,
-	// promote to X (§4.1.1: before any lower latch, so coupled readers
-	// drain downward), then latch the victim X and free it.
+	// Episode 3: the cut, as the kernel's consolidation action.
 	o := t.kern.NewOp(nil)
 	defer o.Done()
-	prev, err := o.Acquire(prevPid, latch.U, 0)
-	if err != nil {
-		return 0, err
-	}
-	if prev.N.HistSib != tailPid {
-		// The chain changed shape since the walk (only the head can, via
-		// a concurrent time split); retry on the next pass.
-		o.Release(&prev)
-		return 0, nil
-	}
-	if prev.N.HistShared {
-		o.Release(&prev)
-		t.Stats.GCSharedSkips.Add(1)
-		return 0, nil
-	}
-	o.Promote(&prev)
-	// With the sole incoming edge X-held, no new task can be scheduled
-	// against the victim (noteHistSibling reads the referencer under its
-	// latch); a task already pending or running defers the free.
-	if t.refsChild(tailPid) {
-		o.Release(&prev)
-		t.Stats.GCDeferredFrees.Add(1)
-		return 0, nil
-	}
-	tail, err := o.Acquire(tailPid, latch.X, 0)
-	if err != nil {
-		o.Release(&prev)
-		return 0, err
-	}
-	if !tail.N.Retired || tail.N.HistSib != storage.NilPage || tail.N.Len() != 0 {
-		o.Release(&tail, &prev)
-		return 0, nil
-	}
-
-	err = o.Atomic(func(aa *txn.Txn) error {
-		o.Hold(&prev, &tail)
-		lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(prev.Pid()), KindCutHist, encCutHist(prev.N))
-		applyCutHist(prev.N)
-		prev.F.MarkDirty(lsn)
-		if err := t.store.Free(aa, &o.Tr, tailPid); err != nil {
-			return err
-		}
-		return t.store.Pool.Probe(storage.FPConsolidate)
-	})
-	if err != nil {
+	if freed, err := t.kern.Absorb(o, &tailCut{t: t, prevPid: prevPid, tailPid: tailPid}); !freed {
 		return 0, err
 	}
 	t.Stats.GCFreedPages.Add(1)
 	return 1, nil
 }
+
+// tailCut is reclaimTail's side of the consolidation action
+// (pitree.Absorber): the referencer, the one survivor, loses its history
+// edge to the retired tail.
+type tailCut struct {
+	t                *Tree
+	prevPid, tailPid storage.PageID
+	prev             nref
+}
+
+// Survivors latches the referencer U, re-tests the sole edge (conditions 1
+// and 2) and promotes it.
+func (c *tailCut) Survivors(o *opCtx) (victim storage.PageID, level int, err error) {
+	if c.prev, err = o.Acquire(c.prevPid, latch.U, 0); err != nil {
+		return storage.NilPage, 0, err
+	}
+	o.Hold(&c.prev)
+	if c.prev.N.HistSib != c.tailPid {
+		// The chain changed shape since the walk (only the head can, via
+		// a concurrent time split); retry on the next pass.
+		return storage.NilPage, 0, nil
+	}
+	if c.prev.N.HistShared {
+		c.t.Stats.GCSharedSkips.Add(1)
+		return storage.NilPage, 0, nil
+	}
+	o.Promote(&c.prev)
+	return c.tailPid, 0, nil
+}
+
+// Victim: still a retired, empty tail.
+func (*tailCut) Victim(n *Node) bool {
+	return n.Retired && n.HistSib == storage.NilPage && n.Len() == 0
+}
+
+func (c *tailCut) Cut(aa *txn.Txn, _ *nref) (bool, error) {
+	lsn := aa.LogUpdate(c.t.store.Pool.StoreID, uint64(c.prev.Pid()), KindCutHist, encCutHist(c.prev.N))
+	applyCutHist(c.prev.N)
+	c.prev.F.MarkDirty(lsn)
+	return true, nil
+}
+
+func (*tailCut) Last(*txn.Txn) {}
 
 // findTail walks the chain from head (gcMu holds interior nodes
 // immutable) and returns the last node, its referencer, and the facts the

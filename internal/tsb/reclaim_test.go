@@ -1,6 +1,7 @@
 package tsb
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -8,7 +9,10 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/keys"
+	"repro/internal/pitree"
+	"repro/internal/pitree/pitreetest"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // churn overwrites the same n keys for the given rounds, forcing time
@@ -319,9 +323,10 @@ func TestReclaimBackgroundGC(t *testing.T) {
 }
 
 // TestCompletionHotPathAllocs: a sibling walk schedules its posting under
-// the walked node's latch, and the reaper asks refsChild under the
-// referencer's X latch; folding a duplicate and answering the lookup must
-// not allocate (the dedup key is a comparable struct, not a string).
+// the walked node's latch, and the kernel's Absorb asks the queue about
+// its victim under the referencer's X latch; folding a duplicate and
+// answering the lookup must not allocate (the dedup key is a comparable
+// struct, not a string).
 func TestCompletionHotPathAllocs(t *testing.T) {
 	fx := newFixture(t, smallOpts()) // SyncCompletion: queued until drained
 	data := firstChild(t, fx.tree.store.Pool, fx.tree.root)
@@ -331,11 +336,11 @@ func TestCompletionHotPathAllocs(t *testing.T) {
 		t.Fatalf("duplicate schedule allocates %.1f objects", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if !fx.tree.refsChild(data) {
-			t.Error("queued posting not visible to refsChild")
+		if !fx.tree.comp.Refs(pitree.PostKey(1, data)) {
+			t.Error("queued posting not visible to Refs")
 		}
 	}); a != 0 {
-		t.Fatalf("refsChild allocates %.1f objects", a)
+		t.Fatalf("Refs allocates %.1f objects", a)
 	}
 }
 
@@ -348,4 +353,111 @@ func firstChild(t *testing.T, pool *storage.Pool, pid storage.PageID) storage.Pa
 	}
 	defer pool.Unpin(f)
 	return f.Data.(*Node).entry(0).Child
+}
+
+// seedReclaim churns eight keys into history chains and retires what lies
+// below the horizon, returning the chain heads: each chain's retired tail
+// is left for a test to reclaim.
+func seedReclaim(t *testing.T) (*fixture, []storage.PageID) {
+	t.Helper()
+	opts := smallOpts()
+	opts.Reclaim = true
+	fx := newFixture(t, opts)
+	churn(t, fx, 8, 0, 60)
+	fx.tree.DrainCompletions()
+	var heads []storage.PageID
+	err := fx.tree.kern.Walk(0, func(r nref) error {
+		if r.N.IsData() && r.N.Current() {
+			heads = append(heads, r.Pid())
+		}
+		return nil
+	})
+	for _, h := range heads {
+		if err == nil {
+			_, err = fx.tree.gcChain(h)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fx, heads
+}
+
+// reclaimAll runs reclaim on every chain until its tail stays.
+func reclaimAll(heads []storage.PageID, reclaim func(head storage.PageID) (int, error)) error {
+	for _, h := range heads {
+		for {
+			n, err := reclaim(h)
+			if err != nil {
+				return err
+			}
+			if n == 0 {
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// TestFreeActionLogIdentity: on two copies of one seeded state, the tail
+// cuts that run through the kernel's Absorb log, record for record and in
+// order, what the reaper written before Absorb logged (kept in
+// oracle_test.go).
+func TestFreeActionLogIdentity(t *testing.T) {
+	run := func(oracle bool) []wal.Record {
+		fx, heads := seedReclaim(t)
+		reclaim := fx.tree.reclaimTail
+		if oracle {
+			reclaim = fx.tree.oracleReclaimTail
+		}
+		from := fx.e.Log.EndLSN()
+		if err := reclaimAll(heads, reclaim); err != nil {
+			t.Fatal(err)
+		}
+		recs := pitreetest.RecordsFrom(fx.e.Log, from)
+		fx.mustVerify(t)
+		return recs
+	}
+	got, want := run(false), run(true)
+	seen := map[wal.Kind]int{}
+	for _, r := range got {
+		seen[r.Kind]++
+	}
+	if seen[KindCutHist] == 0 || seen[storage.KindMetaFree] != seen[KindCutHist] {
+		t.Fatalf("the reaper logged %d cuts and %d frees: the test lost its point", seen[KindCutHist], seen[storage.KindMetaFree])
+	}
+	pitreetest.SameRecords(t, got, want)
+}
+
+// TestCrashInsideFree: a crash inside the first tail cut's free — at
+// storage.FPStoreFree, with the cut logged and the page's free record not,
+// and at storage.FPConsolidate, with both logged and the commit not.
+// Restart leaves a well-formed tree whose free-space map matches the log
+// (pitreetest.FinishAudited), in which a page is free if and only if it is
+// unlinked, and every key reads its last value.
+func TestCrashInsideFree(t *testing.T) {
+	for _, fp := range []string{storage.FPStoreFree, storage.FPConsolidate} {
+		t.Run(fp, func(t *testing.T) {
+			fx, heads := seedReclaim(t)
+			inj := fault.New(1)
+			fx.tree.store.Pool.SetInjector(inj)
+			inj.Arm(fp, fault.Spec{Kind: fault.Transient})
+			from := fx.e.Log.EndLSN()
+			if err := reclaimAll(heads, fx.tree.reclaimTail); !errors.Is(err, fault.ErrInjected) || len(inj.Trips()) != 1 {
+				t.Fatalf("reclaim: %v after %d trips", err, len(inj.Trips()))
+			}
+			cut, last := pitreetest.CutAtFailure(t, fx.e.Log, from)
+			if (last == storage.KindMetaFree) != (fp == storage.FPConsolidate) {
+				t.Fatalf("the action's last record before the failure is of kind %d", last)
+			}
+			fx2 := fx.restartFrom(t, fx.e.Crash(&cut))
+			fx2.mustVerify(t)
+			pitreetest.FreeIffUnlinked(t, fx2.tree.kern, fx2.tree.store)
+			for i := 0; i < 8; i++ {
+				if v, ok, err := fx2.tree.Get(nil, keys.Uint64(uint64(i))); err != nil || !ok || string(v) != "r59" {
+					t.Fatalf("key %d after restart: %q ok=%v err=%v", i, v, ok, err)
+				}
+			}
+		})
+	}
 }

@@ -22,17 +22,15 @@ type postTask struct {
 	gcHead      storage.PageID
 }
 
-// Completing-action kinds, for the kernel queue's duplicate folding.
-const (
-	taskPost uint8 = iota + 1
-	taskGC
-)
+// taskGC is the kind of a GC sweep in the kernel queue; a posting's key is
+// pitree.PostKey, the one Absorb asks the queue about.
+const taskGC = pitree.TaskPost + 1
 
 func (t postTask) key() pitree.TaskKey {
 	if t.gcHead != storage.NilPage {
 		return pitree.TaskKey{Kind: taskGC, Pid: t.gcHead}
 	}
-	return pitree.TaskKey{Kind: taskPost, Level: t.parentLevel, Pid: t.child}
+	return pitree.PostKey(t.parentLevel, t.child)
 }
 
 // completer is the kernel's completion queue carrying this tree's tasks.
@@ -58,14 +56,6 @@ func (t *Tree) schedule(task postTask) {
 	if t.comp.Schedule(task.key(), task) {
 		t.Stats.PostsScheduled.Add(1)
 	}
-}
-
-// refsChild reports whether a level-1 posting task referencing pid is
-// queued or running. History-chain postings are the only tasks that can
-// name a reclaimable page; the reaper defers freeing while one is live,
-// because a running postTerm may be about to latch the page.
-func (t *Tree) refsChild(pid storage.PageID) bool {
-	return t.comp.Refs(postTask{parentLevel: 1, child: pid}.key())
 }
 
 // run dispatches one completing task: a GC chain sweep (plus page

@@ -339,6 +339,7 @@ func (space) Links(n *Node, fn func(storage.PageID, int)) {
 // the recovery binding and the version clock.
 func (t *Tree) start(root storage.PageID) {
 	t.root = root
+	t.comp = newCompleter(t)
 	t.kern = pitree.New[*Node, point](pitree.Config{
 		Name:  "tsb",
 		Store: t.store,
@@ -353,13 +354,14 @@ func (t *Tree) start(root storage.PageID) {
 		// edge already gone.
 		Couple:              t.opts.Reclaim,
 		Pessimistic:         t.opts.PessimisticDescent,
+		Tasks:               t.comp,
+		Deferred:            &t.Stats.GCDeferredFrees,
 		CheckLatchOrder:     t.opts.CheckLatchOrder,
 		Restarts:            &t.Stats.Restarts,
 		OptimisticHits:      &t.Stats.OptimisticHits,
 		OptimisticRetries:   &t.Stats.OptimisticRetries,
 		OptimisticFallbacks: &t.Stats.OptimisticFallbacks,
 	}, space{t})
-	t.comp = newCompleter(t)
 	t.binding.Bind(t.store.Pool.StoreID, t)
 	t.tm.SetVersionClock(t.Now, t.tick)
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/keys"
+	"repro/internal/pitree/pitreetest"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -66,9 +67,7 @@ func (fx *fixture) restartFrom(t testing.TB, img *engine.CrashImage) *fixture {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if err := e2.FinishRecovery(p); err != nil {
-		t.Fatalf("undo: %v", err)
-	}
+	pitreetest.FinishAudited(t, e2, func() error { return e2.FinishRecovery(p) })
 	t.Cleanup(tree2.Close)
 	return &fixture{e: e2, b: b2, tree: tree2}
 }

@@ -751,11 +751,11 @@ func (t *Txn) undoOne(rec *wal.Record) error {
 	if err != nil {
 		return err
 	}
-	pool, err := t.mgr.Reg.Pool(comp.StoreID)
+	pool, err := t.mgr.Reg.Pool(rec.StoreID)
 	if err != nil {
 		return err
 	}
-	f, err := pool.FetchOrCreate(comp.PageID)
+	f, err := pool.FetchOrCreate(storage.PageID(rec.PageID))
 	if err != nil {
 		return err
 	}
@@ -777,8 +777,8 @@ func (t *Txn) undoOne(rec *wal.Record) error {
 		Type:     wal.RecCLR,
 		Kind:     comp.Kind,
 		UndoNext: rec.PrevLSN,
-		StoreID:  comp.StoreID,
-		PageID:   uint64(comp.PageID),
+		StoreID:  rec.StoreID,
+		PageID:   rec.PageID,
 		Payload:  comp.Payload,
 	}
 	t.logLocked(clr)
