@@ -4,7 +4,7 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test kernelonly lockcpu corecpu enginecpu pagefile walfuzz race benchbuild expbuild benchsmoke bench torture realcrash churn loc
+.PHONY: check vet build test kernelonly lockcpu corecpu enginecpu walcpu pagefile walfuzz race benchbuild expbuild benchsmoke bench torture realcrash churn loc
 
 ## check: everything CI runs — vet (the nested benchmark module
 ## included), build, tests, the race detector over
@@ -16,15 +16,16 @@ REAL_ROUNDS ?= 20
 ## seeded fault-injection torture run, the real-crash (SIGKILL) recovery
 ## gate over real files, the sustained-churn steady-state gate, the lock
 ## manager's tests at 1, 2 and 4 CPUs (its deadlock-detector bugs never
-## showed at one), the three trees', the kernel's and the engine's
-## likewise, the page file's slot allocator against its crash model and a
-## short fuzz of its open path, short fuzzes of the log's record decoder
+## showed at one), the three trees', the kernel's, the engine's and the
+## log, restart and transaction packages' likewise, the page file's slot
+## allocator against its crash model and a short fuzz of its open path,
+## short fuzzes of the log's record decoder
 ## and segment replay, of its master record, of the checkpoint payload, of
 ## the node record buffer's loader and of the three trees'
 ## structure-change payload decoders, the repo benchmark's own smoke test
 ## (a nested module `go test ./...` does not enter), and a count of the
 ## kernel-only call sites in the three trees.
-check: vet build test kernelonly lockcpu corecpu enginecpu pagefile walfuzz race benchbuild expbuild benchsmoke torture realcrash churn
+check: vet build test kernelonly lockcpu corecpu enginecpu walcpu pagefile walfuzz race benchbuild expbuild benchsmoke torture realcrash churn
 
 vet:
 	$(GO) vet ./...
@@ -83,6 +84,13 @@ corecpu:
 ## and only a second CPU runs them at once.
 enginecpu:
 	$(GO) test -cpu 1,2,4 -count 5 ./internal/engine
+
+## walcpu: the log, restart and transaction packages at -cpu 1,2,4,
+## repeated: appenders reserve and publish log space concurrently, and
+## group commit's write and sync stages overlap, only when a second CPU
+## runs them at once.
+walcpu:
+	$(GO) test -cpu 1,2,4 -count 5 ./internal/wal ./internal/recovery ./internal/txn
 
 ## pagefile: the page file's tests at -cpu 1,2,4, repeated (the model-based
 ## crash test of the slot allocator, and reads racing a demand sync), then

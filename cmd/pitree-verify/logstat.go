@@ -47,13 +47,15 @@ var kindNames = map[wal.Kind]string{
 
 // runLogStat scans the WAL directory dir read-only and prints what its
 // records are made of: count, bytes, mean size and share of the bytes per
-// (record type, kind), then the bytes per committed user transaction.
+// (record type, kind), and of those bytes the record frame's (everything
+// but the payload) in total and per record; then the frame's share of the
+// log and the bytes per committed user transaction.
 func runLogStat(w io.Writer, dir string) error {
 	type class struct {
 		typ  wal.RecType
 		kind wal.Kind
 	}
-	type tally struct{ records, bytes int64 }
+	type tally struct{ records, bytes, header int64 }
 	rows := map[class]*tally{}
 	var total tally
 	var userCommits, actionCommits int64
@@ -65,10 +67,13 @@ func runLogStat(w io.Writer, dir string) error {
 			rows[c] = t
 		}
 		n := int64(rec.Size())
+		h := n - int64(len(rec.Payload))
 		t.records++
 		t.bytes += n
+		t.header += h
 		total.records++
 		total.bytes += n
+		total.header += h
 		if rec.Type == wal.RecCommit {
 			if rec.IsSystem() {
 				actionCommits++
@@ -89,18 +94,22 @@ func runLogStat(w io.Writer, dir string) error {
 		classes = append(classes, c)
 	}
 	sort.Slice(classes, func(i, j int) bool { return rows[classes[i]].bytes > rows[classes[j]].bytes })
-	fmt.Fprintf(w, "%-9s %-24s %10s %12s %9s %7s\n", "type", "kind", "records", "bytes", "mean B", "share")
+	fmt.Fprintf(w, "%-9s %-24s %10s %12s %9s %7s %11s %7s\n", "type", "kind", "records", "bytes", "mean B", "share", "header B", "mean H")
+	row := func(typ, name string, t *tally) {
+		fmt.Fprintf(w, "%-9s %-24s %10d %12d %9.1f %6.2f%% %11d %7.1f\n", typ, name, t.records, t.bytes,
+			float64(t.bytes)/float64(t.records), 100*float64(t.bytes)/float64(total.bytes),
+			t.header, float64(t.header)/float64(t.records))
+	}
 	for _, c := range classes {
-		t := rows[c]
 		name, ok := kindNames[c.kind]
 		if !ok {
 			name = fmt.Sprintf("kind(%d)", c.kind)
 		}
-		fmt.Fprintf(w, "%-9s %-24s %10d %12d %9.1f %6.2f%%\n", c.typ, name, t.records, t.bytes,
-			float64(t.bytes)/float64(t.records), 100*float64(t.bytes)/float64(total.bytes))
+		row(c.typ.String(), name, rows[c])
 	}
-	fmt.Fprintf(w, "%-9s %-24s %10d %12d %9.1f %6.2f%%\n", "total", "", total.records, total.bytes,
-		float64(total.bytes)/float64(total.records), 100.0)
+	row("total", "", &total)
+	fmt.Fprintf(w, "header bytes: %d of %d, %.2f%% of the log\n", total.header, total.bytes,
+		100*float64(total.header)/float64(total.bytes))
 	fmt.Fprintf(w, "committed: %d user transactions, %d atomic actions\n", userCommits, actionCommits)
 	if userCommits > 0 {
 		fmt.Fprintf(w, "per committed user transaction: %.1f bytes, %.2f records\n",

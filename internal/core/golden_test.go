@@ -9,7 +9,7 @@ import (
 	"repro/internal/pitree/pitreetest"
 )
 
-// TestGoldenDir: the directory the parent commit's binary wrote
+// TestGoldenDir: the directory an earlier binary wrote
 // (golden_write_test.go) opens, recovers — redo over its page images, undo
 // of its loser — verifies, and scans to exactly the contents its history
 // leaves.

@@ -12,19 +12,20 @@ import (
 )
 
 // The golden directory is a small file-backed engine directory — WAL
-// segments, master record, page file — written by the binary of the commit
-// BEFORE nodes kept their records encoded (PR 21, 4f6cfeb) and abandoned
-// without a Close: page images from a checkpoint, a log tail to redo on top
-// of them, and a loser to undo. It was made by copying this file into that
-// commit's internal/spatial and running, there,
+// segments, master record, page file — abandoned without a Close: page
+// images from a checkpoint, a log tail to redo on top of them, and a loser
+// to undo, in page file format 2 and log format 2 (the compact record
+// frame). The commit that introduced log format 2 wrote it, in its own
+// tree, with
 //
-//	go test ./internal/spatial -run TestWriteGoldenDir -golden-out <repo>/internal/spatial/testdata/golden-pr21
+//	go test ./internal/spatial -run TestWriteGoldenDir -golden-out <repo>/internal/spatial/testdata/golden-pr28
 //
-// and TestGoldenDir (golden_test.go) holds today's code to it: the format
-// has not moved.
-var goldenOut = flag.String("golden-out", "", "write the golden data directory there (run on the parent commit)")
+// and TestGoldenDir (golden_test.go) holds later code to it: neither
+// format has moved. A change that bumps a format version re-makes the
+// directory the same way, under a new name, and deletes the old one.
+var goldenOut = flag.String("golden-out", "", "write the golden data directory there")
 
-const goldenDir = "testdata/golden-pr21"
+const goldenDir = "testdata/golden-pr28"
 
 var goldenEngine = engine.Options{SegmentSize: 16 << 10, SlotSize: 2 << 10}
 var goldenTree = Options{DataCapacity: 8, IndexCapacity: 6, SyncCompletion: true}

@@ -8,7 +8,7 @@
 //
 //	segment file "wal-<base16>.seg":
 //	  [0:8)   magic "PITRWAL1"
-//	  [8:12)  format version (1)
+//	  [8:12)  format version (2)
 //	  [12:16) data capacity in bytes (segment size)
 //	  [16:24) base LSN of the first data byte
 //	  [24:28) CRC32C over bytes [0:24)
@@ -17,10 +17,26 @@
 //
 //	master file "wal-master" (written via tmp+rename, so always atomic):
 //	  [0:8)   magic "PITRMSTR"
-//	  [8:12)  format version (1)
+//	  [8:12)  format version (2)
 //	  [12:20) checkpoint anchor LSN
 //	  [20:28) recycle horizon LSN
 //	  [28:32) CRC32C over bytes [0:28)
+//
+//	record frame, version 2 (wal.go has the encoder):
+//	  [0:4)   frame length
+//	  [4:8)   CRC32C over [8:length)
+//	  [8:16)  the record's own LSN
+//	  [16]    tag: type (bits 0-3), FlagSystem (4), and present: prev (5),
+//	          undo-next (6), kind + page address (7)
+//	  uvarint transaction id
+//	  prev:   uvarint PrevLSN, or 0x00 and a uvarint distance back to it
+//	          (a chained AppendGroup record)
+//	  undo:   uvarint UndoNext
+//	  kind + page address: uvarint kind, store id, page id
+//	  payload to the end of the frame
+//
+// A version-1 directory (fixed 58-byte record headers) is refused with
+// ErrLogVersion and left as it is.
 //
 // The byte stream inside segments is exactly the in-memory log: LSN =
 // absolute byte offset, each record framed as len|crc|lsn|... with the
@@ -49,6 +65,16 @@ import (
 // a gap between segment base LSNs, a segment file shorter than its
 // header, or a recycled prefix whose master record is missing.
 var ErrShortSegment = errors.New("wal: short or missing segment")
+
+// ErrLogVersion reports a WAL directory written in a format this build
+// does not read: a segment or master file whose magic and checksum hold
+// but whose format version is not this build's (version 1 framed every
+// record with a fixed 58-byte header). The directory is left untouched.
+var ErrLogVersion = errors.New("wal: unsupported log format version")
+
+// errNoHeader reports bytes that are not a segment header or master
+// record at all: torn, short or foreign.
+var errNoHeader = errors.New("wal: no header")
 
 // SyncPolicy selects when the durability layer issues fsync.
 type SyncPolicy int
@@ -85,7 +111,7 @@ const (
 	masterLen    = 32
 	segMagic     = "PITRWAL1"
 	masterMagic  = "PITRMSTR"
-	fileVersion  = 1
+	fileVersion  = 2
 	masterName   = "wal-master"
 	segPrefix    = "wal-"
 	segSuffix    = ".seg"
@@ -228,17 +254,26 @@ func encodeSegHeader(b []byte, segCap, base uint64) {
 	binary.LittleEndian.PutUint32(b[28:], 0)
 }
 
-func decodeSegHeader(b []byte) (segCap, base uint64, ok bool) {
-	if len(b) < segHdrLen || string(b[0:8]) != segMagic {
-		return 0, 0, false
+// checkHeader tests b as a header of at least n bytes that begins with
+// magic, has its format version at [8:12), and a CRC32C over [0:crcAt)
+// stored at crcAt: errNoHeader if it is not one, ErrLogVersion if it is
+// one of another version.
+func checkHeader(b []byte, n int, magic string, crcAt int) error {
+	if len(b) < n || string(b[0:8]) != magic ||
+		binary.LittleEndian.Uint32(b[crcAt:]) != crc32.Checksum(b[0:crcAt], crcTable) {
+		return errNoHeader
 	}
-	if binary.LittleEndian.Uint32(b[8:]) != fileVersion {
-		return 0, 0, false
+	if v := binary.LittleEndian.Uint32(b[8:]); v != fileVersion {
+		return fmt.Errorf("format version %d, want %d: %w", v, fileVersion, ErrLogVersion)
 	}
-	if binary.LittleEndian.Uint32(b[24:]) != crc32.Checksum(b[0:24], crcTable) {
-		return 0, 0, false
+	return nil
+}
+
+func decodeSegHeader(b []byte) (segCap, base uint64, err error) {
+	if err := checkHeader(b, segHdrLen, segMagic, 24); err != nil {
+		return 0, 0, err
 	}
-	return uint64(binary.LittleEndian.Uint32(b[12:])), binary.LittleEndian.Uint64(b[16:]), true
+	return uint64(binary.LittleEndian.Uint32(b[12:])), binary.LittleEndian.Uint64(b[16:]), nil
 }
 
 // writeMaster durably replaces the master record via tmp+rename.
@@ -282,29 +317,45 @@ func encodeMaster(ckpt, horizon LSN) (b [masterLen]byte) {
 	return b
 }
 
-// readMaster reads the master record of the WAL directory dir.
-func readMaster(dir string) (ckpt, horizon LSN, ok bool) {
-	b, err := os.ReadFile(filepath.Join(dir, masterName))
+// readMaster reads the master record of the WAL directory dir. Any error
+// but ErrLogVersion means there is no usable record: replay then scans
+// every segment.
+func readMaster(dir string) (ckpt, horizon LSN, err error) {
+	path := filepath.Join(dir, masterName)
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, false
+		return 0, 0, err
 	}
-	return decodeMaster(b)
+	if ckpt, horizon, err = decodeMaster(b); err != nil {
+		return 0, 0, fmt.Errorf("wal: master %s: %w", path, err)
+	}
+	return ckpt, horizon, nil
 }
 
-// decodeMaster parses a master record; anything but a whole record of this
-// version with a matching checksum is no record (ok false: replay then
-// scans every segment).
-func decodeMaster(b []byte) (ckpt, horizon LSN, ok bool) {
-	if len(b) < masterLen || string(b[0:8]) != masterMagic {
-		return 0, 0, false
+// decodeMaster parses a master record; anything but a whole record with a
+// matching checksum is errNoHeader, and one of another format version
+// ErrLogVersion.
+func decodeMaster(b []byte) (ckpt, horizon LSN, err error) {
+	if err := checkHeader(b, masterLen, masterMagic, 28); err != nil {
+		return 0, 0, err
 	}
-	if binary.LittleEndian.Uint32(b[8:]) != fileVersion {
-		return 0, 0, false
+	return LSN(binary.LittleEndian.Uint64(b[12:])), LSN(binary.LittleEndian.Uint64(b[20:])), nil
+}
+
+// readSegHeader reads and decodes the header of the segment file at path;
+// errNoHeader and ErrLogVersion come from decodeSegHeader.
+func readSegHeader(path string) (segCap, base uint64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, err
 	}
-	if binary.LittleEndian.Uint32(b[28:]) != crc32.Checksum(b[0:28], crcTable) {
-		return 0, 0, false
+	defer f.Close()
+	hdr := make([]byte, segHdrLen)
+	n, _ := f.ReadAt(hdr, 0)
+	if segCap, base, err = decodeSegHeader(hdr[:n]); err != nil {
+		return 0, 0, fmt.Errorf("wal: segment %s: %w", path, err)
 	}
-	return LSN(binary.LittleEndian.Uint64(b[12:])), LSN(binary.LittleEndian.Uint64(b[20:])), true
+	return segCap, base, nil
 }
 
 func (fw *FileWAL) syncDir() error {
@@ -366,17 +417,20 @@ func (fw *FileWAL) replay() (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ckpt, horizon LSN
-	masterOK := false
-	if c, h, ok := readMaster(fw.dir); ok {
-		ckpt, horizon, masterOK = c, h, true
+	ckpt, horizon, err := readMaster(fw.dir)
+	if errors.Is(err, ErrLogVersion) {
+		return nil, err
 	}
+	masterOK := err == nil
 	start := uint64(horizon)
 	if start < 1 {
 		start = 1
 	}
 
+	// Read every header before changing any file, so that a directory of
+	// another format version is refused as it is.
 	var segs []segMeta
+	var pooled, torn []string
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
@@ -384,42 +438,49 @@ func (fw *FileWAL) replay() (*Reader, error) {
 		}
 		path := filepath.Join(fw.dir, name)
 		if strings.HasPrefix(name, freePrefix) {
-			// Over the cap: a directory written before the cap existed, or
-			// dead segments this scan already pooled.
-			if fw.removeIfPoolFull(path) {
-				continue
-			}
-			fw.free = append(fw.free, path)
+			pooled = append(pooled, path)
 			idxStr := strings.TrimSuffix(strings.TrimPrefix(name, freePrefix), segSuffix)
 			if n, err := strconv.Atoi(idxStr); err == nil && n > fw.freeSeq {
 				fw.freeSeq = n
 			}
 			continue
 		}
-		hdr := make([]byte, segHdrLen)
-		f, err := os.Open(path)
-		if err != nil {
+		segCap, base, err := readSegHeader(path)
+		switch {
+		case errors.Is(err, ErrLogVersion):
 			return nil, err
+		case errors.Is(err, errNoHeader):
+			torn = append(torn, path)
+		case err != nil:
+			return nil, err
+		default:
+			segs = append(segs, segMeta{base: base, cap: segCap, path: path})
 		}
-		n, _ := f.ReadAt(hdr, 0)
-		f.Close()
-		segCap, base, ok := decodeSegHeader(hdr[:n])
-		if !ok {
-			// A crash between creating/renaming a segment file and
-			// completing its header leaves an unparseable file; no data
-			// was ever persisted into it, so it is safely recyclable.
-			fw.toFree(path)
-			continue
+	}
+	for _, path := range pooled {
+		// Over the cap: a directory written before the cap existed.
+		if !fw.removeIfPoolFull(path) {
+			fw.free = append(fw.free, path)
 		}
-		if base+segCap <= uint64(horizon) {
+	}
+	for _, path := range torn {
+		// A crash between creating/renaming a segment file and completing
+		// its header leaves an unparseable file; no data was ever
+		// persisted into it, so it is safely recyclable.
+		fw.toFree(path)
+	}
+	live := segs[:0]
+	for _, s := range segs {
+		if s.base+s.cap <= uint64(horizon) {
 			// Dead segment that survived a crash mid-recycle: the master
 			// horizon already covers it.
 			fw.stats.SegmentsRetired++
-			fw.toFree(path)
+			fw.toFree(s.path)
 			continue
 		}
-		segs = append(segs, segMeta{base: base, cap: segCap, path: path})
+		live = append(live, s)
 	}
+	segs = live
 
 	if len(segs) == 0 {
 		if horizon > 1 {

@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -267,6 +270,99 @@ func TestFileWALRecycleVsReplayRace(t *testing.T) {
 	fw2.Close()
 }
 
+// TestFileWALReplayPoolsDeadSegmentsBesideFreeFiles: a kill inside
+// Recycle, after the master moved and before the dead segments were
+// pooled, leaves them beside a free pool. Replay pools them under names
+// no free file has, so the pool lists each file once and every one exists.
+func TestFileWALReplayPoolsDeadSegmentsBesideFreeFiles(t *testing.T) {
+	dir := t.TempDir()
+	const segSz = 4096
+	fw, _, err := OpenFileWAL(dir, segSz, SyncNever)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	l := New()
+	l.SetSink(fw)
+	lsns := fileAppendN(t, l, 600, 'p')
+	fw.mu.Lock()
+	fw.ckpt, fw.horizon = lsns[500], lsns[400]
+	err = fw.writeMaster()
+	fw.mu.Unlock()
+	if err != nil {
+		t.Fatalf("write master: %v", err)
+	}
+	fw.Close()
+	if err := os.WriteFile(filepath.Join(dir, freePrefix+"1"+segSuffix), make([]byte, segHdrLen), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fw2, _, _ := replayRecords(t, dir, segSz)
+	defer fw2.Close()
+	if fw2.Stats().SegmentsRetired < 2 {
+		t.Fatalf("replay retired %d dead segments, want several", fw2.Stats().SegmentsRetired)
+	}
+	seen := map[string]bool{}
+	for _, path := range fw2.free {
+		if seen[path] {
+			t.Fatalf("free pool lists %s twice: %v", filepath.Base(path), fw2.free)
+		}
+		seen[path] = true
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("free pool lists %s: %v", filepath.Base(path), err)
+		}
+	}
+}
+
+// withVersion returns a copy of the header b stamped with format version v,
+// its CRC32C over [0:crcAt) recomputed: that header as a build of version v
+// wrote it.
+func withVersion(b []byte, v uint32, crcAt int) []byte {
+	out := bytes.Clone(b)
+	binary.LittleEndian.PutUint32(out[8:], v)
+	binary.LittleEndian.PutUint32(out[crcAt:], crc32.Checksum(out[:crcAt], crcTable))
+	return out
+}
+
+// TestFileWALRefusesVersion1: a directory a version-1 build wrote — a
+// segment, with or without a master record, whose magic and checksum hold
+// — opens and scans with ErrLogVersion and is left byte for byte as it
+// was: not recycled as an unparseable file, not replayed as an empty log.
+func TestFileWALRefusesVersion1(t *testing.T) {
+	hdr := make([]byte, segHdrLen)
+	encodeSegHeader(hdr, DefaultSegmentSize, 0)
+	seg := append(withVersion(hdr, 1, 24), bytes.Repeat([]byte{0xa5}, 300)...)
+	master := encodeMaster(1, 1)
+	for _, files := range []map[string][]byte{
+		{segName(0): seg, masterName: withVersion(master[:], 1, 28)},
+		{segName(0): seg},
+	} {
+		dir := t.TempDir()
+		for name, b := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fw, _, err := OpenFileWAL(dir, 0, SyncNever); !errors.Is(err, ErrLogVersion) {
+			if fw != nil {
+				fw.Close()
+			}
+			t.Fatalf("%d files: open returned %v, want ErrLogVersion", len(files), err)
+		}
+		if err := ScanDir(dir, func(*Record) bool { return true }); !errors.Is(err, ErrLogVersion) {
+			t.Fatalf("%d files: scan returned %v, want ErrLogVersion", len(files), err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) != len(files) {
+			t.Fatalf("%d files: the directory holds %d entries after open (%v)", len(files), len(entries), err)
+		}
+		for name, want := range files {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%d files: %s changed by the open (%v)", len(files), name, err)
+			}
+		}
+	}
+}
+
 func TestFileWALShortSegment(t *testing.T) {
 	dir := t.TempDir()
 	const segSz = 4096
@@ -363,15 +459,15 @@ func TestFileWALFreePoolCapped(t *testing.T) {
 	}
 	l := New()
 	l.SetSink(fw)
-	lsns := fileAppendN(t, l, 4000, 'f') // ~70 segments
+	lsns := fileAppendN(t, l, 6000, 'f') // ~65 segments
 	created := fw.Stats().SegmentsCreated
 	if created < 3*RedoWindowSegments {
 		t.Fatalf("want several windows of segments, created %d", created)
 	}
-	if err := fw.NoteCheckpoint(lsns[3990]); err != nil {
+	if err := fw.NoteCheckpoint(lsns[5990]); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Recycle(lsns[3990]); err != nil {
+	if err := fw.Recycle(lsns[5990]); err != nil {
 		t.Fatalf("recycle: %v", err)
 	}
 	countFiles := func() (free, total int) {

@@ -8,37 +8,39 @@ import (
 	"testing"
 )
 
-// stream encodes recs back to back as the log would hold them from LSN 1.
+// stream appends recs to a fresh log — recs[0] alone, the rest as one
+// AppendGroup, so that every frame form is present — and returns the log's
+// bytes from LSN 1.
 func stream(recs ...Record) []byte {
-	var out []byte
-	for i := range recs {
-		r := &recs[i]
-		r.LSN = LSN(1 + len(out))
-		b := make([]byte, r.Size())
-		encodeInto(b, r)
-		out = append(out, b...)
+	l := New()
+	l.Append(&recs[0])
+	group := make([]*Record, len(recs)-1)
+	for i := range group {
+		group[i] = &recs[i+1]
 	}
-	return out
+	l.AppendGroup(group)
+	return l.FullImage().buf
 }
 
 // FuzzDecodeRecord feeds arbitrary bytes to the record decoder, and to
 // segment replay as the data of a log's first segment. A record is decoded
 // or refused with ErrCorruptRecord — never a panic, and nothing is sized by
-// a length the input does not cover (a payload aliases the input). Replay
-// and the read-only scan accept exactly the same prefix of whole records at
+// a length the input does not cover (a payload aliases the input) — and a
+// decoded record re-encodes to exactly the bytes it came from. Replay and
+// the read-only scan accept exactly the same prefix of whole records at
 // their own positions and cut the rest.
 func FuzzDecodeRecord(f *testing.F) {
 	valid := stream(
 		Record{Type: RecUpdate, Kind: 44, TxnID: 7, StoreID: 1, PageID: 9, Payload: []byte("payload")},
-		Record{Type: RecCommit, TxnID: 7, PrevLSN: 1, Payload: make([]byte, 8)},
-		Record{Type: RecCLR, Flags: FlagSystem, TxnID: 8, UndoNext: 1, StoreID: 1, PageID: 9},
+		Record{Type: RecCLR, Flags: FlagSystem, TxnID: 8, PrevLSN: 1, UndoNext: 1, StoreID: 1, PageID: 9},
+		Record{Type: RecCommit, TxnID: 1 << 40, Payload: make([]byte, 8)},
 	)
 	f.Add([]byte{})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add(append(bytes.Clone(valid), 0xff, 0xff, 0xff, 0x7f))
 	flipped := bytes.Clone(valid)
-	flipped[headerSize+2] ^= 1
+	flipped[framePrefix+1] ^= 1 // the first record's transaction id
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r Record
@@ -48,6 +50,12 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("decode: %v, want ErrCorruptRecord", err)
 		case err == nil && (n != r.Size() || n > len(data)):
 			t.Fatalf("decoded %d bytes of %d into a record of size %d", n, len(data), r.Size())
+		case err == nil:
+			again := make([]byte, n)
+			encodeInto(again, &r)
+			if !bytes.Equal(again, data[:n]) {
+				t.Fatalf("%x decoded to %+v, which encodes as %x", data[:n], r, again)
+			}
 		}
 
 		dir := t.TempDir()
@@ -92,15 +100,19 @@ func FuzzDecodeRecord(f *testing.F) {
 // FuzzMasterRecord: arbitrary bytes are a master record — the checkpoint
 // anchor and recycle horizon replay starts from — only if they are exactly
 // what encodeMaster writes for what they decode to; anything else is no
-// record, never a panic.
+// record or a record of another version, never a panic.
 func FuzzMasterRecord(f *testing.F) {
 	good := encodeMaster(4096, 1024)
 	f.Add(good[:])
 	f.Add(good[:masterLen-1])
 	f.Add(append([]byte("PITRMSTR"), make([]byte, 40)...))
+	f.Add(withVersion(good[:], 1, 28))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		ckpt, horizon, ok := decodeMaster(b)
-		if !ok {
+		ckpt, horizon, err := decodeMaster(b)
+		if err != nil {
+			if !errors.Is(err, errNoHeader) && !errors.Is(err, ErrLogVersion) {
+				t.Fatalf("decode: %v", err)
+			}
 			return
 		}
 		if want := encodeMaster(ckpt, horizon); !bytes.Equal(b[:masterLen], want[:]) {

@@ -46,20 +46,23 @@ func TestAppendGroupRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendGroupSegmentStraddle forces a group across a segment boundary
-// (segments are 64 KiB of reserved space) and checks every record scans
-// back.
+// TestAppendGroupSegmentStraddle forces groups across segment boundaries
+// (segments are 64 KiB of reserved space, a straddling record is encoded
+// aside and copied in) and checks every record scans back, with the
+// transaction's PrevLSN chain unbroken across and within the groups.
 func TestAppendGroupSegmentStraddle(t *testing.T) {
 	l := New()
 	big := bytes.Repeat([]byte("y"), 7000)
-	total := 0
-	for total < 3*(1<<16) {
+	straddles := 0
+	var last LSN
+	for l.EndLSN() < 3*(1<<16) {
 		recs := make([]*Record, 4)
 		for i := range recs {
 			recs[i] = &Record{Type: RecUpdate, TxnID: 5, Kind: Kind(i), PageID: uint64(i), Payload: big}
-			total += len(big)
 		}
-		l.AppendGroup(recs)
+		recs[0].PrevLSN = last
+		last = l.AppendGroup(recs)
+		prev := recs[0].PrevLSN
 		for i, r := range recs {
 			got, err := l.Read(r.LSN)
 			if err != nil {
@@ -68,7 +71,17 @@ func TestAppendGroupSegmentStraddle(t *testing.T) {
 			if !bytes.Equal(got.Payload, big) {
 				t.Fatalf("payload mismatch at %d", r.LSN)
 			}
+			if got.PrevLSN != prev {
+				t.Fatalf("group rec %d at %d: PrevLSN %d, want %d", i, r.LSN, got.PrevLSN, prev)
+			}
+			if end := uint64(r.LSN) + uint64(got.Size()); uint64(r.LSN)>>segShift != (end-1)>>segShift {
+				straddles++
+			}
+			prev = r.LSN
 		}
+	}
+	if straddles == 0 {
+		t.Fatal("no record straddled a segment boundary")
 	}
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,13 +15,17 @@ import (
 // returns false. Unlike OpenFileWAL it changes nothing: no tail is
 // truncated, no dead segment pooled, so it may run over a directory a live
 // or killed process left as it is. A chain that breaks — a gap between
-// segment bases, a short interior segment — ends the walk there.
+// segment bases, a short interior segment — ends the walk there. A
+// directory of another format version is ErrLogVersion.
 func ScanDir(dir string, fn func(*Record) bool) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	_, horizon, _ := readMaster(dir)
+	_, horizon, err := readMaster(dir)
+	if errors.Is(err, ErrLogVersion) {
+		return err
+	}
 	start := max(uint64(horizon), 1)
 
 	var segs []segMeta
@@ -30,14 +35,13 @@ func ScanDir(dir string, fn func(*Record) bool) error {
 			continue
 		}
 		path := filepath.Join(dir, name)
-		f, err := os.Open(path)
-		if err != nil {
+		segCap, base, err := readSegHeader(path)
+		switch {
+		case errors.Is(err, errNoHeader):
+			// A header a crash tore: nothing was persisted behind it.
+		case err != nil:
 			return err
-		}
-		hdr := make([]byte, segHdrLen)
-		n, _ := f.ReadAt(hdr, 0)
-		f.Close()
-		if segCap, base, ok := decodeSegHeader(hdr[:n]); ok && base+segCap > start {
+		case base+segCap > start:
 			segs = append(segs, segMeta{base: base, cap: segCap, path: path})
 		}
 	}

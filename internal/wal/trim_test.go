@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,6 +109,11 @@ func TestReleaseBelowConcurrent(t *testing.T) {
 						t.Error(err)
 						return
 					}
+				}
+				if i%512 == 0 {
+					// On one CPU nothing else blocks the appenders: yield,
+					// or the trim may not run before they are done.
+					runtime.Gosched()
 				}
 				for _, r := range recent {
 					rec, err := l.Read(r)

@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -126,40 +128,109 @@ type Record struct {
 	StoreID  uint32
 	PageID   uint64
 	Payload  []byte
+
+	// chain is nonzero when PrevLSN is the record just before this one in
+	// an AppendGroup reservation: it is that record's size, and the frame
+	// stores it in place of PrevLSN (an appender knows its predecessor's
+	// size before it knows either LSN). Set by AppendGroup and by decoding.
+	chain uint32
 }
 
 // IsSystem reports whether the record belongs to an atomic action.
 func (r *Record) IsSystem() bool { return r.Flags&FlagSystem != 0 }
 
-const headerSize = 4 + 4 + 8 + 2 + 2 + 2 + 8 + 8 + 8 + 4 + 8 // len,crc,lsn,type,flags,kind,txn,prev,undonext,store,page
+// The record frame, format version 2 (file.go's format comment has the
+// layout, DESIGN.md §16 the reasons): a fixed len | crc | lsn prefix that
+// the boundary walkers read without decoding, one tag byte — the type in
+// its low four bits, FlagSystem, and a presence bit per optional group —
+// then uvarints. The operation group (kind, store id, page id) is written
+// when any of the three is nonzero, so a commit pays for none of them.
+const (
+	framePrefix = 4 + 4 + 8           // len, crc, lsn
+	minFrame    = framePrefix + 1 + 1 // tag and a one-byte txn
+
+	tagType   = 0x0f
+	tagSystem = 1 << 4
+	tagPrev   = 1 << 5
+	tagUndo   = 1 << 6
+	tagOp     = 1 << 7
+)
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return 1 + (bits.Len64(v|1)-1)/7 }
+
+// hasOp reports whether the record carries the operation group.
+func (r *Record) hasOp() bool { return r.Kind != 0 || r.StoreID != 0 || r.PageID != 0 }
 
 // Size returns the bytes the record occupies in the log: the next record
-// starts at r.LSN + Size.
-func (r *Record) Size() int { return headerSize + len(r.Payload) }
+// starts at r.LSN + Size. It does not depend on r.LSN, which an appender
+// learns only after reserving Size bytes.
+func (r *Record) Size() int {
+	n := minFrame - 1 + uvarintLen(uint64(r.TxnID)) + len(r.Payload)
+	switch {
+	case r.chain != 0:
+		n += 1 + uvarintLen(uint64(r.chain))
+	case r.PrevLSN != NilLSN:
+		n += uvarintLen(uint64(r.PrevLSN))
+	}
+	if r.UndoNext != NilLSN {
+		n += uvarintLen(uint64(r.UndoNext))
+	}
+	if r.hasOp() {
+		n += uvarintLen(uint64(r.Kind)) + uvarintLen(uint64(r.StoreID)) + uvarintLen(r.PageID)
+	}
+	return n
+}
+
+// mustFrame panics on a record the frame cannot carry: a type above 15 or
+// a flag other than FlagSystem. Appenders call it before reserving space.
+func mustFrame(r *Record) {
+	if r.Type > tagType || r.Flags&^FlagSystem != 0 {
+		panic(fmt.Sprintf("wal: record type %d, flags %#x not representable", r.Type, r.Flags))
+	}
+}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // encodeInto writes the wire form of r into b, which must be exactly
-// headerSize+len(r.Payload) bytes. The record's LSN is part of the frame
-// and covered by the CRC: a decoder can therefore verify not only that
-// the bytes are intact but that the record actually belongs at the
-// position it was read from, which is what gives file replay its LSN
-// continuity check (a recycled segment's stale-but-intact records carry
-// old LSNs and are rejected).
+// r.Size() bytes. The record's LSN is part of the frame and covered by the
+// CRC: a decoder can therefore verify not only that the bytes are intact
+// but that the record actually belongs at the position it was read from,
+// which is what gives file replay its LSN continuity check (a recycled
+// segment's stale-but-intact records carry old LSNs and are rejected).
 func encodeInto(b []byte, r *Record) {
 	total := len(b)
 	binary.LittleEndian.PutUint32(b[0:], uint32(total))
 	// CRC filled below over bytes [8:total].
 	binary.LittleEndian.PutUint64(b[8:], uint64(r.LSN))
-	binary.LittleEndian.PutUint16(b[16:], uint16(r.Type))
-	binary.LittleEndian.PutUint16(b[18:], uint16(r.Flags))
-	binary.LittleEndian.PutUint16(b[20:], uint16(r.Kind))
-	binary.LittleEndian.PutUint64(b[22:], uint64(r.TxnID))
-	binary.LittleEndian.PutUint64(b[30:], uint64(r.PrevLSN))
-	binary.LittleEndian.PutUint64(b[38:], uint64(r.UndoNext))
-	binary.LittleEndian.PutUint32(b[46:], r.StoreID)
-	binary.LittleEndian.PutUint64(b[50:], r.PageID)
-	copy(b[headerSize:], r.Payload)
+	tag := byte(r.Type)
+	if r.IsSystem() {
+		tag |= tagSystem
+	}
+	off := framePrefix + 1
+	off += binary.PutUvarint(b[off:], uint64(r.TxnID))
+	switch {
+	case r.chain != 0:
+		tag |= tagPrev
+		b[off] = 0
+		off++
+		off += binary.PutUvarint(b[off:], uint64(r.chain))
+	case r.PrevLSN != NilLSN:
+		tag |= tagPrev
+		off += binary.PutUvarint(b[off:], uint64(r.PrevLSN))
+	}
+	if r.UndoNext != NilLSN {
+		tag |= tagUndo
+		off += binary.PutUvarint(b[off:], uint64(r.UndoNext))
+	}
+	if r.hasOp() {
+		tag |= tagOp
+		off += binary.PutUvarint(b[off:], uint64(r.Kind))
+		off += binary.PutUvarint(b[off:], uint64(r.StoreID))
+		off += binary.PutUvarint(b[off:], r.PageID)
+	}
+	b[framePrefix] = tag
+	copy(b[off:], r.Payload)
 	crc := crc32.Checksum(b[8:total], crcTable)
 	binary.LittleEndian.PutUint32(b[4:], crc)
 }
@@ -221,33 +292,81 @@ func decodeShared(b []byte) (Record, int, error) {
 // decodeSharedInto is decodeShared writing into a caller-provided record,
 // so a scan can reuse one Record across the whole log instead of copying
 // a fresh struct per record.
+//
+// Only the bytes encodeInto writes for some record are accepted: every
+// uvarint is minimal and in range, and a group the tag marks present is
+// not all zeros — so a decoded record re-encodes to the same bytes.
 func decodeSharedInto(b []byte, r *Record) (int, error) {
-	if len(b) < headerSize {
+	if len(b) < minFrame {
 		return 0, ErrBadRecord
 	}
 	total := int(binary.LittleEndian.Uint32(b[0:]))
-	if total < headerSize || total > len(b) {
+	if total < minFrame || total > len(b) {
 		return 0, ErrBadRecord
 	}
 	crc := binary.LittleEndian.Uint32(b[4:])
 	if crc32.Checksum(b[8:total], crcTable) != crc {
 		return 0, ErrBadRecord
 	}
+	tag := b[framePrefix]
+	f := frameReader{b: b[:total], off: framePrefix + 1}
 	*r = Record{
-		LSN:      LSN(binary.LittleEndian.Uint64(b[8:])),
-		Type:     RecType(binary.LittleEndian.Uint16(b[16:])),
-		Flags:    Flags(binary.LittleEndian.Uint16(b[18:])),
-		Kind:     Kind(binary.LittleEndian.Uint16(b[20:])),
-		TxnID:    TxnID(binary.LittleEndian.Uint64(b[22:])),
-		PrevLSN:  LSN(binary.LittleEndian.Uint64(b[30:])),
-		UndoNext: LSN(binary.LittleEndian.Uint64(b[38:])),
-		StoreID:  binary.LittleEndian.Uint32(b[46:]),
-		PageID:   binary.LittleEndian.Uint64(b[50:]),
+		LSN:   LSN(binary.LittleEndian.Uint64(b[8:])),
+		Type:  RecType(tag & tagType),
+		TxnID: TxnID(f.uvarint(math.MaxUint64)),
 	}
-	if total > headerSize {
-		r.Payload = b[headerSize:total]
+	if tag&tagSystem != 0 {
+		r.Flags = FlagSystem
+	}
+	if tag&tagPrev != 0 {
+		if f.off < total && b[f.off] == 0 {
+			f.off++
+			d := f.uvarint(math.MaxUint32)
+			f.bad = f.bad || d == 0 || d >= uint64(r.LSN)
+			r.chain = uint32(d)
+			r.PrevLSN = r.LSN - LSN(d)
+		} else {
+			r.PrevLSN = LSN(f.uvarint(math.MaxUint64))
+		}
+	}
+	if tag&tagUndo != 0 {
+		r.UndoNext = LSN(f.uvarint(math.MaxUint64))
+		f.bad = f.bad || r.UndoNext == NilLSN
+	}
+	if tag&tagOp != 0 {
+		r.Kind = Kind(f.uvarint(math.MaxUint16))
+		r.StoreID = uint32(f.uvarint(math.MaxUint32))
+		r.PageID = f.uvarint(math.MaxUint64)
+		f.bad = f.bad || !r.hasOp()
+	}
+	if f.bad {
+		return 0, ErrBadRecord
+	}
+	if f.off < total {
+		r.Payload = b[f.off:total]
 	}
 	return total, nil
+}
+
+// frameReader reads the uvarints of one frame; bad latches the first
+// truncated, overlong, non-minimal or out-of-range one.
+type frameReader struct {
+	b   []byte
+	off int
+	bad bool
+}
+
+func (f *frameReader) uvarint(max uint64) uint64 {
+	if f.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(f.b[f.off:])
+	if n <= 0 || v > max || (n > 1 && f.b[f.off+n-1] == 0) {
+		f.bad = true
+		return 0
+	}
+	f.off += n
+	return v
 }
 
 // Log buffer geometry. The log lives in fixed-size segments so that the
@@ -680,7 +799,9 @@ func (l *Log) CheckpointLSN() LSN {
 // other: LSN space is reserved with an atomic add and the record bytes are
 // copied into the reservation concurrently.
 func (l *Log) Append(r *Record) LSN {
-	total := uint64(headerSize + len(r.Payload))
+	mustFrame(r)
+	r.chain = 0
+	total := uint64(r.Size())
 	slot := l.claimSlot()
 	start := l.tail.Add(total) - total
 	// Tighten the slot's bound from pre-reservation tail to the exact
@@ -713,15 +834,20 @@ func (l *Log) Append(r *Record) LSN {
 // them exactly as if they had been appended one by one. The PrevLSN of
 // recs[0] is taken as the caller set it; every later record's PrevLSN is
 // overwritten to chain to its predecessor in the group, preserving the
-// owning transaction's undo chain. Returns the LSN of the last record
-// (NilLSN for an empty group).
+// owning transaction's undo chain — its frame stores the predecessor's
+// size, known before the reservation, rather than the LSN, known only
+// after it. Returns the LSN of the last record (NilLSN for an empty
+// group).
 func (l *Log) AppendGroup(recs []*Record) LSN {
 	if len(recs) == 0 {
 		return NilLSN
 	}
-	var total uint64
+	var total, prev uint64
 	for _, r := range recs {
-		total += uint64(headerSize + len(r.Payload))
+		mustFrame(r)
+		r.chain = uint32(prev)
+		prev = uint64(r.Size())
+		total += prev
 	}
 	slot := l.claimSlot()
 	start := l.tail.Add(total) - total
@@ -734,7 +860,7 @@ func (l *Log) AppendGroup(recs []*Record) LSN {
 		if i > 0 {
 			r.PrevLSN = recs[i-1].LSN
 		}
-		sz := uint64(headerSize + len(r.Payload))
+		sz := uint64(r.Size())
 		if off>>segShift == (off+sz-1)>>segShift {
 			so := off & segMask
 			encodeInto(segs.seg(off)[so:so+sz], r)
@@ -973,7 +1099,7 @@ func (l *Log) tearBoundary(from, target uint64, frac float64) uint64 {
 		var lenb [4]byte
 		copyOut(segs, lenb[:], pos)
 		total := uint64(binary.LittleEndian.Uint32(lenb[:]))
-		if total < headerSize || pos+total > target {
+		if total < minFrame || pos+total > target {
 			break
 		}
 		pos += total
@@ -1153,7 +1279,7 @@ func (l *Log) tornSink(b, pub uint64, frac float64) {
 	var lenb [4]byte
 	copyOut(segs, lenb[:], b)
 	total := uint64(binary.LittleEndian.Uint32(lenb[:]))
-	if total < headerSize || b+total > pub {
+	if total < minFrame || b+total > pub {
 		return
 	}
 	// At most total-1 bytes: a complete record here would replay as
@@ -1263,7 +1389,7 @@ func (l *Log) copyRecord(off, end uint64) ([]byte, error) {
 	var lenb [4]byte
 	copyOut(segs, lenb[:], off)
 	total := uint64(binary.LittleEndian.Uint32(lenb[:]))
-	if total < headerSize || off+total > end {
+	if total < minFrame || off+total > end {
 		return nil, ErrBadRecord
 	}
 	b := make([]byte, total)
@@ -1421,7 +1547,7 @@ func (r *Reader) Boundaries() []LSN {
 	pos := r.base
 	r.ScanShared(pos, func(rec *Record) bool {
 		out = append(out, rec.LSN)
-		pos = rec.LSN + LSN(headerSize+len(rec.Payload))
+		pos = rec.LSN + LSN(rec.Size())
 		return true
 	})
 	return append(out, pos)
