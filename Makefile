@@ -21,10 +21,11 @@ REAL_ROUNDS ?= 20
 ## allocator against its crash model and a short fuzz of its open path,
 ## short fuzzes of the log's record decoder
 ## and segment replay, of its master record, of the checkpoint payload, of
-## the node record buffer's loader and of the three trees'
-## structure-change payload decoders, the repo benchmark's own smoke test
-## (a nested module `go test ./...` does not enter), and a count of the
-## kernel-only call sites in the three trees.
+## the node record buffer's loader, of the three trees'
+## structure-change payload decoders and of the kernel's root growth's,
+## the repo benchmark's own smoke test (a nested module `go test ./...`
+## does not enter), and a count of the kernel-only call sites in the three
+## trees.
 check: vet build test kernelonly lockcpu corecpu enginecpu walcpu pagefile walfuzz race benchbuild expbuild benchsmoke torture realcrash churn
 
 vet:
@@ -57,13 +58,17 @@ test:
 ##                          that frees a node in every tree;
 ##   store.Free(         1  core.allocNode, giving back the page it just
 ##                          allocated when its move lock is taken: that page
-##                          never held a node; every node is freed by Absorb.
+##                          never held a node; every node is freed by Absorb;
+##   RootGrow(           0  no tree encodes, decodes or applies a root growth:
+##                          pitree.Kernel.Grow logs it, NodeKinds.Register
+##                          redoes and undoes it.
 KERNELONLY_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go internal/tsb/*.go internal/spatial/*.go))
 kernelonly:
 	@check() { n=$$(cat $(KERNELONLY_SRC) | grep -c -F "$$1"); \
 		if [ $$n -gt $$2 ]; then echo "kernelonly: $$n call sites of $$1 in core/tsb/spatial, limit $$2"; return 1; fi; }; \
 	check 'PrefetchAsync(' 0 && check '.LogCLR(' 3 && check 'BeginAtomicAction(' 1 && \
-	check 'SpaceCheck(' 0 && check 'IsAllocated(' 0 && check 'FPConsolidate' 0 && check 'store.Free(' 1
+	check 'SpaceCheck(' 0 && check 'IsAllocated(' 0 && check 'FPConsolidate' 0 && check 'store.Free(' 1 && \
+	check 'RootGrow(' 0
 
 ## lockcpu: the lock package at -cpu 1,2,4, repeated: waits-for edges that
 ## outlive their wait only misfire when a second CPU runs the granter and
@@ -104,9 +109,10 @@ pagefile:
 ## decoder and segment replay (ErrCorruptRecord or a clean prefix, never a
 ## panic), its master record (the exact bytes or no record), the checkpoint
 ## payload (ErrCorruptCheckpoint), the loader of a node's record buffer
-## (ErrTruncated, every slot inside the input) and each tree's decoders of
-## the structure-change payloads restart undo reads (an error, never a
-## panic or an allocation sized by an unchecked count).
+## (ErrTruncated, every slot inside the input), each tree's decoders of
+## the structure-change payloads restart undo reads and the kernel's of a
+## root growth's (an error, never a panic or an allocation sized by an
+## unchecked count).
 walfuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzMasterRecord -fuzztime 10s -fuzzminimizetime 1s
@@ -115,6 +121,7 @@ walfuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/tsb -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/spatial -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/pitree -run '^$$' -fuzz FuzzGrowPayload -fuzztime 10s -fuzzminimizetime 1s
 
 race:
 	$(GO) test -race ./internal/storage ./internal/wal ./internal/latch ./internal/pitree ./internal/core ./internal/lock ./internal/txn ./internal/tsb ./internal/spatial ./internal/recovery ./internal/engine ./internal/maint

@@ -108,28 +108,23 @@ func decNodeImage(b []byte) (*Node, error) {
 	return decodeNode(enc.NewReader(b))
 }
 
+// nodeKinds is the kernel's description of the tree's node images. A grown
+// root spans everything over two terms, the first at its own low key.
+var nodeKinds = pitree.NodeKinds[*Node]{
+	Format: KindFormatNode, Restore: KindRestoreImage, Grow: KindRootGrow,
+	Image: encNodeImage, Decode: decNodeImage, Layout: entryLayout,
+	Raise: func(n *Node, terms enc.Records) {
+		n.Level++
+		n.recs = terms.Clone()
+		n.High = keys.Inf
+		n.Right = storage.NilPage
+	},
+}
+
 // splitTruncate payload: the separator and the new sibling, laid out like
 // the sibling's index term. What left the node is in the sibling's format
 // record, logged just before.
 var encSplitTruncate, decSplitTruncate = encTerm, decTerm
-
-// rootGrow payload: the two index terms of the grown root plus the full
-// pre-image for compensation.
-func encRootGrow(termA, termB Entry, pre *Node) []byte {
-	var w enc.Writer
-	w.Reset(appendEntry(appendEntry(nil, termA), termB))
-	encodeNode(&w, pre)
-	return w.Bytes()
-}
-
-func decRootGrow(b []byte) (termA, termB Entry, pre *Node, err error) {
-	r := enc.NewReader(b)
-	terms := r.Records(2, entryLayout)
-	if pre, err = decodeNode(r); err != nil {
-		return
-	}
-	return viewEntry(terms.At(0)), viewEntry(terms.At(1)), pre, nil
-}
 
 // consolidateMove payload: the absorbed node's page and its image (entries
 // plus the sibling term the container takes over). The container's own
@@ -206,13 +201,7 @@ func (b *Binding) logicalUndo(op writeOp, dec func([]byte) (keys.Key, []byte, er
 // actions.
 func Register(reg *storage.Registry, pageOriented bool) *Binding {
 	b := &Binding{pageOriented: pageOriented}
-
-	// Redo-only: the page itself needs no compensation; undoing the
-	// allocation reclaims it.
-	reg.Register(KindFormatNode, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
-	// Only ever appears as a CLR; never undone.
-	reg.Register(KindRestoreImage, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
-
+	nodeKinds.Register(reg)
 	reg.Register(KindSplitTruncate, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			sep, right, err := decSplitTruncate(rec.Payload)
@@ -337,27 +326,6 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			return storage.Compensation{Kind: KindPostIndexTerm, Payload: rec.Payload}, nil
-		},
-	})
-
-	reg.Register(KindRootGrow, storage.Handler{
-		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			termA, termB, _, err := decRootGrow(rec.Payload)
-			if err != nil {
-				return err
-			}
-			n.Level++
-			n.setTerms(termA, termB)
-			n.High = keys.Inf
-			n.Right = storage.NilPage
-			return nil
-		}),
-		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			_, _, pre, err := decRootGrow(rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			return storage.Compensation{Kind: KindRestoreImage, Payload: encNodeImage(pre)}, nil
 		},
 	})
 

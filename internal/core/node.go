@@ -155,13 +155,6 @@ func (n *Node) setValue(i int, v []byte) {
 	n.recs.Replace(i, appendEntry(scratch[:0], e))
 }
 
-// setTerms makes a and b the node's only entries: a grown root's two terms.
-func (n *Node) setTerms(a, b Entry) {
-	n.recs = enc.Records{}
-	n.insertEntry(a)
-	n.insertEntry(b)
-}
-
 // absorb takes in copies of c's entries (consolidation: all above n's own).
 func (n *Node) absorb(c *Node) {
 	for i := 0; i < c.Len(); i++ {
@@ -207,7 +200,7 @@ func encodeNode(w *enc.Writer, n *Node) {
 
 // decodeNode reads a node whose entries ALIAS r's input: a page image the
 // caller hands over, a payload it only reads, or a copy of one
-// (pitree.RedoImage). The bounds are copied: a few key bytes must not pin
+// (pitree.NodeKinds' redo). The bounds are copied: a few key bytes must not pin
 // a buffer the entries have outgrown.
 func decodeNode(r *enc.Reader) (*Node, error) {
 	n := &Node{}

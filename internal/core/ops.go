@@ -391,11 +391,11 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 		Right: n.Right,
 		recs:  n.recs.Slice(mid, count),
 	}
-	if err := o.Format(act, newPid, upper, n.Level, KindFormatNode, encNodeImage(upper)); err != nil {
-		return nil, storage.NilPage, err
-	}
 	if r.Pid() == t.root {
-		return nil, storage.NilPage, t.growRoot(o, r, act, sep, mid, newPid)
+		return nil, storage.NilPage, t.splitRoot(o, r, act, mid, newPid, upper)
+	}
+	if err := t.kern.Format(o, act, newPid, upper); err != nil {
+		return nil, storage.NilPage, err
 	}
 
 	lsnT := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindSplitTruncate, encSplitTruncate(sep, newPid))
@@ -414,39 +414,22 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 	return sep, newPid, nil
 }
 
-// growRoot finishes a split of the root in place: the upper half is
-// already in the new node B (pidB); the lower half moves to a new node A
-// whose side pointer references B, and the root becomes an index node
-// over both. Height increases by one; the root page never moves and is
-// never de-allocated (§5.2.2 relies on this).
-func (t *Tree) growRoot(o *opCtx, r *nref, act *txn.Txn, sep keys.Key, mid int, pidB storage.PageID) error {
+// splitRoot finishes a split of the root at mid, whose upper half is the
+// node B on the allocated page pidB: the lower half goes to a new node A
+// whose side pointer references B, and the kernel grows the root in place
+// over both (pitree.Kernel.Grow).
+func (t *Tree) splitRoot(o *opCtx, r *nref, act *txn.Txn, mid int, pidB storage.PageID, b *Node) error {
 	n := r.N
 	level, count := n.Level, n.Len()
 	pidA, err := t.allocNode(o, act, level)
 	if err != nil {
 		return err
 	}
-	nodeA := &Node{
-		Level: level,
-		Low:   keys.Clone(n.Low),
-		High:  keys.At(sep),
-		Right: pidB,
-		recs:  n.recs.Slice(0, mid),
-	}
-	if err := o.Format(act, pidA, nodeA, level, KindFormatNode, encNodeImage(nodeA)); err != nil {
+	a := &Node{Level: level, Low: keys.Clone(n.Low), High: keys.At(b.Low), Right: pidB, recs: n.recs.Slice(0, mid)}
+	terms := appendEntry(appendEntry(nil, Entry{Key: n.Low, Child: pidA}), Entry{Key: b.Low, Child: pidB})
+	if err := t.kern.Grow(o, act, r, pidA, pidB, a, b, terms); err != nil {
 		return err
 	}
-
-	termA := Entry{Key: n.Low, Child: pidA}
-	termB := Entry{Key: sep, Child: pidB}
-	// The record keeps the root whole, for compensation.
-	lsn := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindRootGrow, encRootGrow(termA, termB, n))
-	n.Level++
-	n.setTerms(termA, termB)
-	n.High = keys.Inf
-	n.Right = storage.NilPage
-	r.F.MarkDirty(lsn)
-
 	t.Stats.RootGrowths.Add(1)
 	if level == 0 {
 		// The root leaf's entries moved into two new leaves.

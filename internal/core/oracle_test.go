@@ -182,6 +182,29 @@ func headerOf(t *testing.T, img []byte) []byte {
 	return img[:len(img)-r.Remaining()]
 }
 
+// The growth record as kinds.go wrote it before Kernel.Grow: the grown
+// root's two index terms, then the root's image as it was, which its undo
+// restored. The reference the kernel's growth is held to
+// (TestGrowLogIdentity).
+
+func oracleEncRootGrow(termA, termB Entry, pre *Node) []byte {
+	var w enc.Writer
+	w.Reset(appendEntry(appendEntry(nil, termA), termB))
+	encodeNode(&w, pre)
+	return w.Bytes()
+}
+
+// oracleRestore is the payload of the restore that undid the growth b.
+func oracleRestore(b []byte) []byte {
+	r := enc.NewReader(b)
+	r.Records(2, entryLayout)
+	pre, err := decodeNode(r)
+	if err != nil {
+		panic(err)
+	}
+	return encNodeImage(pre)
+}
+
 // The logical undo as PR 24 wrote it (internal/core/undo.go): one
 // hand-written re-traversal per record kind, taking the rolling-back
 // transaction directly instead of looking it up. The reference the

@@ -84,6 +84,18 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 			t.Fatalf("node %d: undo of the split gives\n%x, want\n%x", i, undone, want)
 		}
 
+		// Root growth, logged as the parent commit logged it.
+		termA, termB := Entry{Key: n.Low, Child: 903}, Entry{Key: sep, Child: 904}
+		applied, undone = undoRoundTrip(t, reg, n, 0, nil, KindRootGrow, oracleEncRootGrow(termA, termB, n))
+		raised := &Node{Level: n.Level + 1, Low: n.Low, High: keys.Inf, Right: storage.NilPage}
+		appendEntries(raised, termA, termB)
+		if !bytes.Equal(applied, encNodeImage(raised)) {
+			t.Fatalf("node %d: growth gives %x, want %x", i, applied, encNodeImage(raised))
+		}
+		if !bytes.Equal(undone, want) {
+			t.Fatalf("node %d: undo of the growth gives\n%x, want\n%x", i, undone, want)
+		}
+
 		// Consolidate move: absorb a right neighbour, where there can be one.
 		if n.High.Unbounded {
 			continue
@@ -190,6 +202,41 @@ func growUntil(t *testing.T, fx *fixture, counter func() int64, before func(key 
 	return nil
 }
 
+// splitByHand splits the leaf of key 0 as splitLeaf would, in an action
+// that then fails and is rolled back at run time.
+func (fx *fixture) splitByHand(t *testing.T) {
+	t.Helper()
+	o := fx.tree.kern.NewOp(nil)
+	defer o.Done()
+	leaf, err := fx.tree.descendTo(o, keys.Uint64(0), 0, latch.U, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errAbandon := errors.New("split abandoned")
+	err = o.Atomic(func(aa *txn.Txn) error {
+		o.Hold(&leaf)
+		o.Promote(&leaf)
+		if _, _, err := fx.tree.splitNode(o, &leaf, aa); err != nil {
+			return err
+		}
+		return errAbandon
+	})
+	if err != errAbandon {
+		t.Fatal(err)
+	}
+}
+
+// fullRoot builds a tree whose root is a full leaf.
+func fullRoot(t *testing.T) (*fixture, map[uint64]string) {
+	fx := newFixture(t, engine.Options{}, slimOpts())
+	for k := uint64(0); k < uint64(slimOpts().LeafCapacity); k++ {
+		if err := fx.tree.Insert(nil, keys.Uint64(k), val(int(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fx, fx.contents(t)
+}
+
 var slimCases = []slimCase{
 	{
 		// A leaf split is its own action and nothing in it can fail behind
@@ -199,27 +246,25 @@ var slimCases = []slimCase{
 		run: func(t *testing.T, fail bool) (*fixture, map[uint64]string) {
 			fx := newFixture(t, engine.Options{}, slimOpts())
 			want := growUntil(t, fx, fx.tree.Stats.LeafSplits.Load, func(uint64) {})
-			if !fail {
-				return fx, want
+			if fail {
+				want = fx.contents(t)
+				fx.splitByHand(t)
 			}
-			want = fx.contents(t)
-			o := fx.tree.kern.NewOp(nil)
-			defer o.Done()
-			leaf, err := fx.tree.descendTo(o, keys.Uint64(0), 0, latch.U, false, nil)
-			if err != nil {
+			return fx, want
+		},
+	},
+	{
+		// The split of the root leaf grows the tree: likewise.
+		name: "root growth", kind: KindRootGrow,
+		run: func(t *testing.T, fail bool) (*fixture, map[uint64]string) {
+			fx, want := fullRoot(t)
+			if fail {
+				fx.splitByHand(t)
+			} else if err := fx.tree.Insert(nil, keys.Uint64(100), val(100)); err != nil {
 				t.Fatal(err)
 			}
-			errAbandon := errors.New("split abandoned")
-			err = o.Atomic(func(aa *txn.Txn) error {
-				o.Hold(&leaf)
-				o.Promote(&leaf)
-				if _, _, err := fx.tree.splitNode(o, &leaf, aa); err != nil {
-					return err
-				}
-				return errAbandon
-			})
-			if err != errAbandon {
-				t.Fatal(err)
+			if n := fx.tree.Stats.RootGrowths.Load(); n != 1 {
+				t.Fatalf("%d root growths", n)
 			}
 			return fx, want
 		},
@@ -397,6 +442,38 @@ func FuzzSlimPayloads(f *testing.F) {
 			t.Fatalf("%d entries out of %d bytes", n.Len(), len(b))
 		}
 		_, _, _ = decRootShrink(b)
-		_, _, _, _ = decRootGrow(b)
 	})
+}
+
+// TestGrowLogIdentity: the growth of a full root leaf, rolled back, logs
+// the parent commit's bytes for that root — its growth record
+// (oracleEncRootGrow) and the restore its undo made (oracleRestore) — and
+// leaves the root as it was.
+func TestGrowLogIdentity(t *testing.T) {
+	fx, _ := fullRoot(t)
+	pre := fx.rootNode(t)
+	from := fx.e.Log.EndLSN()
+	fx.splitByHand(t)
+	pitreetest.GrowIdentity(t, fx.e.Log, from, KindFormatNode, KindRootGrow, KindRestoreImage,
+		func(pidA, pidB storage.PageID, _, imageB []byte) []byte {
+			b, err := decNodeImage(imageB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return oracleEncRootGrow(Entry{Key: pre.Low, Child: pidA}, Entry{Key: b.Low, Child: pidB}, pre)
+		}, oracleRestore)
+	if got := encNodeImage(fx.rootNode(t)); !bytes.Equal(got, encNodeImage(pre)) {
+		t.Fatalf("root after the rollback is\n%x, want\n%x", got, encNodeImage(pre))
+	}
+}
+
+// rootNode returns a copy of the root (quiescent helper).
+func (fx *fixture) rootNode(t *testing.T) *Node {
+	t.Helper()
+	f, err := fx.tree.store.Pool.Fetch(fx.tree.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fx.tree.store.Pool.Unpin(f)
+	return f.Data.(*Node).clone()
 }

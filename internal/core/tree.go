@@ -264,9 +264,9 @@ func Create(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding,
 		binding:   b,
 		opts:      opts.normalized(),
 	}
-	rootPid, err := pitree.Create(store, tm, name, 1, KindFormatNode, func([]storage.PageID) []*Node {
+	rootPid, err := pitree.Create(store, tm, name, 1, &nodeKinds, func([]storage.PageID) []*Node {
 		return []*Node{{Level: 0, High: keys.Inf, Right: storage.NilPage}}
-	}, encNodeImage)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +427,7 @@ func (t *Tree) start(root storage.PageID) {
 		OptimisticHits:      &t.Stats.OptimisticHits,
 		OptimisticRetries:   &t.Stats.OptimisticRetries,
 		OptimisticFallbacks: &t.Stats.OptimisticFallbacks,
-	}, space{t})
+	}, space{t}, &nodeKinds)
 	t.comp = newCompleter(t)
 	t.binding.Bind(t.store.Pool.StoreID, t)
 }

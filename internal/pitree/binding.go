@@ -1,7 +1,6 @@
 package pitree
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
@@ -58,20 +57,6 @@ func RedoNode[N any](redo func(n N, rec *wal.Record) error) func(*storage.Frame,
 			return err
 		}
 		return redo(n, rec)
-	}
-}
-
-// RedoImage is the redo of a record whose payload is a whole node image:
-// the frame gets a node of its own, decoded from a copy of the payload —
-// decode may alias what it is given, and the log keeps its bytes.
-func RedoImage[N any](decode func(image []byte) (N, error)) func(*storage.Frame, *wal.Record) error {
-	return func(f *storage.Frame, rec *wal.Record) error {
-		n, err := decode(bytes.Clone(rec.Payload))
-		if err != nil {
-			return err
-		}
-		f.Data = n
-		return nil
 	}
 }
 

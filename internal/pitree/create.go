@@ -17,8 +17,8 @@ import (
 // which it returns. Nodes are formatted last to first, so a root listed
 // first is logged after the children it references. A creation that fails
 // is rolled back.
-func Create[N any](store *storage.Store, tm *txn.Manager, name string, npages int, kind wal.Kind,
-	build func(pids []storage.PageID) []N, image func(N) []byte) (root storage.PageID, err error) {
+func Create[N any](store *storage.Store, tm *txn.Manager, name string, npages int, nk *NodeKinds[N],
+	build func(pids []storage.PageID) []N) (root storage.PageID, err error) {
 	aa := tm.BeginAtomicAction()
 	defer func() {
 		if err == nil {
@@ -44,7 +44,7 @@ func Create[N any](store *storage.Store, tm *txn.Manager, name string, npages in
 	}
 	nodes := build(pids)
 	for i := len(nodes) - 1; i >= 0; i-- {
-		if err := formatPage(pool, &tr, 0, aa, pids[i], nodes[i], kind, image(nodes[i])); err != nil {
+		if err := formatPage(pool, &tr, 0, aa, pids[i], nodes[i], nk.Format, nk.Image(nodes[i])); err != nil {
 			return storage.NilPage, err
 		}
 	}

@@ -25,9 +25,8 @@ func TestCreateFailureEndsItsAction(t *testing.T) {
 			inj := fault.New(1)
 			inj.Arm(tc.point, fault.Spec{Kind: fault.Permanent})
 			e := engine.New(engine.Options{Injector: inj, PoolCapacity: tc.pool})
-			_, err := Create(e.AddStore(1, toyCodec{}), e.TM, "toy", 2, toyKindSplit,
-				func(pids []storage.PageID) []*toyNode { return []*toyNode{{}, {}} },
-				func(*toyNode) []byte { return nil })
+			_, err := Create(e.AddStore(1, toyCodec{}), e.TM, "toy", 2, &toyKinds,
+				func(pids []storage.PageID) []*toyNode { return []*toyNode{{}, {}} })
 			if err == nil {
 				t.Fatal("creation succeeded on a failing disk")
 			}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/txn"
-	"repro/internal/wal"
 )
 
 // Op carries one operation's latch-order state. Ranks are derived from
@@ -122,12 +121,6 @@ func (o *Op[N]) Promote(r *Ref[N]) {
 	r.F.Latch.Promote()
 	o.Tr.Promoted(&r.F.Latch)
 	r.Mode = latch.X
-}
-
-// Format installs n, a node at level, as the contents of the freshly
-// allocated page pid and logs its image through lg (see formatPage).
-func (o *Op[N]) Format(lg storage.UpdateLogger, pid storage.PageID, n N, level int, kind wal.Kind, image []byte) error {
-	return formatPage(o.s.Store.Pool, &o.Tr, o.Rank(level), lg, pid, n, kind, image)
 }
 
 // Atomic runs body as one atomic action of the operation — the bracket of

@@ -7,7 +7,7 @@
 //
 //   - the per-operation context (Op), its latch-rank arithmetic, and the
 //     pinned, latched node reference (Ref) with Acquire / Release /
-//     Promote / Format (§4.1.1 resource ordering and the promotion rule);
+//     Promote (§4.1.1 resource ordering and the promotion rule);
 //   - Step, the edge rule: acquire the target, then release the source —
 //     coupled where nodes can be de-allocated (CP), one latch at a time
 //     where they cannot (CNS, §5.2);
@@ -22,8 +22,12 @@
 //   - the leaf walk of every range scan (Scan) and the logical undo of a
 //     record (Compensate, §4.2);
 //   - the bracket every structure change runs in (Op.Atomic, §4.3.1) and
-//     on it the index-term posting action (Post, §5.3) and the
+//     on it the index-term posting action (Post, §5.3), the root's growth
+//     in place (Grow, the root case of §5.3's space test) and the
 //     consolidation action that frees a node (Absorb, §3.3, §5.2.2);
+//   - every node image in the log: the format of a fresh page (Format,
+//     Create), the growth's record, and the redo and undo of both
+//     (NodeKinds.Register);
 //   - the completion queue (queue.go) that schedules completing atomic
 //     actions lazily (§5.1);
 //   - the walk over every reachable page (Walk) and on it the
@@ -32,9 +36,10 @@
 // A tree supplies a Space: how to read a node's level and dead mark, how
 // to clone it for a navigation snapshot, where a key routes from it, what
 // to do when a descent follows a side pointer, and which pages a node
-// points to. Everything else — key space, split choice, clipping, version
-// visibility, which node to consolidate, codecs, what an undo changes —
-// stays in the tree's own package.
+// points to; and one NodeKinds: its image kinds and codec, and how a root
+// is raised over two terms. Everything else — key space, split choice,
+// clipping, version visibility, which node to consolidate, the other
+// records' codecs, what an undo changes — stays in the tree's own package.
 package pitree
 
 import (
@@ -176,13 +181,14 @@ type shared struct {
 
 // Kernel runs the protocol for one tree.
 type Kernel[N, K any] struct {
-	s  shared
-	sp Space[N, K]
+	s     shared
+	sp    Space[N, K]
+	kinds *NodeKinds[N]
 }
 
-// New returns the kernel for the tree described by cfg and sp.
-func New[N, K any](cfg Config, sp Space[N, K]) *Kernel[N, K] {
-	k := &Kernel[N, K]{sp: sp}
+// New returns the kernel for the tree described by cfg, sp and kinds.
+func New[N, K any](cfg Config, sp Space[N, K], kinds *NodeKinds[N]) *Kernel[N, K] {
+	k := &Kernel[N, K]{sp: sp, kinds: kinds}
 	k.s.Config = cfg
 	k.s.Store.Pool = cfg.Store.Pool
 	return k

@@ -167,6 +167,42 @@ func SameRecords(t testing.TB, got, want []wal.Record) {
 	}
 }
 
+// GrowIdentity holds the last root growth logged from lsn on, and the
+// restore that rolled it back, to a reference's bytes: oracle builds the
+// growth's payload from the pages and format images of the two halves — A,
+// the lower, and B, whose format comes first — and undo builds the
+// restore's payload from that.
+func GrowIdentity(t testing.TB, log *wal.Log, from wal.LSN, format, grow, restore wal.Kind,
+	oracle func(pidA, pidB storage.PageID, imageA, imageB []byte) []byte, undo func(payload []byte) []byte) {
+	t.Helper()
+	var formats []wal.Record
+	var growth, clr *wal.Record
+	for _, r := range RecordsFrom(log, from) {
+		switch {
+		case r.Type == wal.RecUpdate && r.Kind == format:
+			formats = append(formats, r)
+		case r.Type == wal.RecUpdate && r.Kind == grow:
+			growth, clr = &r, nil
+			if len(formats) < 2 || formats[len(formats)-1].PrevLSN != formats[len(formats)-2].LSN || r.PrevLSN != formats[len(formats)-1].LSN {
+				t.Fatalf("growth at LSN %d does not follow its two halves' formats", r.LSN)
+			}
+		case r.Type == wal.RecCLR && r.Kind == restore:
+			clr = &r
+		}
+	}
+	if growth == nil || clr == nil || clr.PageID != growth.PageID {
+		t.Fatal("no root growth rolled back by a restore of its page")
+	}
+	b, a := formats[len(formats)-2], formats[len(formats)-1]
+	want := oracle(storage.PageID(a.PageID), storage.PageID(b.PageID), a.Payload, b.Payload)
+	if !bytes.Equal(growth.Payload, want) {
+		t.Fatalf("growth logs\n%x, want\n%x", growth.Payload, want)
+	}
+	if want := undo(want); !bytes.Equal(clr.Payload, want) {
+		t.Fatalf("its restore logs\n%x, want\n%x", clr.Payload, want)
+	}
+}
+
 // FinishAudited runs a restart's undo pass — finish, typically the
 // engine's FinishRecovery — inside the space audit: the alloc/free history
 // of e's replayed log goes through recovery's shadow model, and e's

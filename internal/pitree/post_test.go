@@ -15,9 +15,9 @@ import (
 
 // The toy tree's postings: toyLeafC is unposted, so the term (75, leafC)
 // is owed to toyLeft. An index node holds up to cap separators and splits
-// in place, the root by growing; a split and a term each log one redo-only
-// record (the toy has no recovery), so the action has a chain to commit
-// or to roll back over.
+// in place, the root by growing (Kernel.Grow); a split and a term each log
+// one redo-only record (the toy has no recovery), so the action has a chain
+// to commit or to roll back over.
 
 const (
 	toyKindSplit = wal.Kind(201)
@@ -65,28 +65,28 @@ func (p *toyPost) Split(o *Op[*toyNode], aa *txn.Txn, node *Ref[*toyNode]) (stor
 		return storage.NilPage, nil
 	}
 	aa.OnCommit(func() { p.committed++ })
-	aa.LogUpdate(1, uint64(node.Pid()), toyKindSplit, nil)
 	n, mid := node.N, len(node.N.seps)/2
 	upper := &toyNode{level: n.level, low: n.seps[mid], high: n.high, right: n.right,
 		seps: slices.Clone(n.seps[mid:]), kids: slices.Clone(n.kids[mid:])}
 	pidB := toySplitPage + storage.PageID(2*p.splits)
-	p.ty.put(p.t, pidB, upper)
-	if node.Pid() != toyRoot {
-		n.high, n.right, n.seps, n.kids = upper.low, pidB, n.seps[:mid], n.kids[:mid]
-		if p.sep >= upper.low {
-			return pidB, nil
+	low := node.Pid()
+	if node.Pid() == toyRoot {
+		// The root grows in place over two new children.
+		low = pidB + 1
+		lower := &toyNode{level: n.level, low: n.low, high: upper.low, right: pidB,
+			seps: slices.Clone(n.seps[:mid]), kids: slices.Clone(n.kids[:mid])}
+		if err := p.ty.kern.Grow(o, aa, node, low, pidB, lower, upper, toyTerm(toyTerm(nil, n.low, low), upper.low, pidB)); err != nil {
+			return storage.NilPage, err
 		}
-		return node.Pid(), nil
+	} else {
+		aa.LogUpdate(1, uint64(node.Pid()), toyKindSplit, nil)
+		p.ty.put(p.t, pidB, upper)
+		n.high, n.right, n.seps, n.kids = upper.low, pidB, n.seps[:mid], n.kids[:mid]
 	}
-	// The root grows in place over two new children.
-	pidA := pidB + 1
-	p.ty.put(p.t, pidA, &toyNode{level: n.level, low: n.low, high: upper.low, right: pidB,
-		seps: slices.Clone(n.seps[:mid]), kids: slices.Clone(n.kids[:mid])})
-	n.level, n.seps, n.kids = n.level+1, []int{n.low, upper.low}, []storage.PageID{pidA, pidB}
 	if p.sep >= upper.low {
 		return pidB, nil
 	}
-	return pidA, nil
+	return low, nil
 }
 
 func (p *toyPost) Apply(_ *Op[*toyNode], aa *txn.Txn, node *Ref[*toyNode]) error {

@@ -1,10 +1,12 @@
 package pitree
 
 import (
+	"encoding/binary"
 	"math"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/enc"
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/storage"
@@ -72,7 +74,9 @@ func newToy(t *testing.T, couple, pessimistic bool) *toy {
 	t.Helper()
 	ty := &toy{log: wal.New(), lm: lock.NewManager(), clones: map[*toyNode]int{}}
 	ty.pool = storage.NewPool(1, storage.NewDisk(), ty.log, toyCodec{ty}, 0)
-	ty.tm = txn.NewManager(ty.log, ty.lm, toyRegistry(), txn.Options{})
+	reg := toyRegistry()
+	reg.AddPool(ty.pool) // a growth's undo compensates the root
+	ty.tm = txn.NewManager(ty.log, ty.lm, reg, txn.Options{})
 	inf := math.MaxInt
 	ty.put(t, toyRoot, &toyNode{level: 2, high: inf, seps: []int{0, 100}, kids: []storage.PageID{toyLeft, toyRight}})
 	ty.put(t, toyLeft, &toyNode{level: 1, high: 100, right: toyRight, seps: []int{0, 50}, kids: []storage.PageID{toyLeafA, toyLeafB}})
@@ -84,19 +88,70 @@ func newToy(t *testing.T, couple, pessimistic bool) *toy {
 	ty.kern = New[*toyNode, int](Config{
 		Name: "toy", Store: &storage.Store{Pool: ty.pool}, TM: ty.tm, Root: toyRoot, Couple: couple, Pessimistic: pessimistic, CheckLatchOrder: true,
 		Restarts: &ty.restarts, OptimisticHits: &ty.hits, OptimisticRetries: &ty.retries, OptimisticFallbacks: &ty.fallbacks,
-	}, ty)
+	}, ty, &toyKinds)
 	t.Cleanup(ty.kern.Close)
 	return ty
 }
 
-// toyRegistry knows the toy's record kinds, all redo-only (the toy has no
-// recovery; rollback backs its chain over them).
+// toyRegistry knows the toy's record kinds: its node images' (the kernel's
+// handlers) and its own, which are redo-only (the toy has no recovery;
+// rollback backs its chain over them).
 func toyRegistry() *storage.Registry {
 	reg := storage.NewRegistry()
+	toyKinds.Register(reg)
 	for _, k := range []wal.Kind{toyKindAdd, toyKindSplit, toyKindTerm} {
 		reg.Register(k, storage.Handler{Redo: func(*storage.Frame, *wal.Record) error { return nil }})
 	}
 	return reg
+}
+
+const (
+	toyKindFormat  = wal.Kind(210)
+	toyKindRestore = wal.Kind(211)
+	toyKindGrow    = wal.Kind(212)
+)
+
+// toyKinds describes the toy's node images: the bounds, the side pointer
+// and the index terms, enough for a root growth and its undo.
+var toyKinds = NodeKinds[*toyNode]{
+	Format: toyKindFormat, Restore: toyKindRestore, Grow: toyKindGrow,
+	Image: func(n *toyNode) []byte {
+		var w enc.Writer
+		for _, v := range []int{n.level, n.low, n.high, int(n.right), len(n.seps)} {
+			w.U64(uint64(v))
+		}
+		for i := range n.seps {
+			w.Reset(toyTerm(w.Bytes(), n.seps[i], n.kids[i]))
+		}
+		return w.Bytes()
+	},
+	Decode: func(b []byte) (*toyNode, error) {
+		r := enc.NewReader(b)
+		n := &toyNode{level: int(r.U64()), low: int(r.U64()), high: int(r.U64()), right: storage.PageID(r.U64())}
+		setToyTerms(n, r.Records(int(r.U64()), toyTermLayout))
+		return n, r.Err()
+	},
+	Layout: toyTermLayout,
+	Raise: func(n *toyNode, terms enc.Records) {
+		n.level++
+		setToyTerms(n, terms)
+	},
+}
+
+// A toy index term is its separator and its child, eight bytes each.
+var toyTermLayout = enc.Layout{8, 8}
+
+func toyTerm(dst []byte, sep int, kid storage.PageID) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(dst, uint64(sep)), uint64(kid))
+}
+
+// setToyTerms makes terms n's only index terms.
+func setToyTerms(n *toyNode, terms enc.Records) {
+	n.seps, n.kids = make([]int, terms.Len()), make([]storage.PageID, terms.Len())
+	for i := range n.seps {
+		t := terms.At(i)
+		n.seps[i], n.kids[i] = int(binary.LittleEndian.Uint64(t)), storage.PageID(binary.LittleEndian.Uint64(t[8:]))
+	}
 }
 
 func (ty *toy) put(t *testing.T, pid storage.PageID, data any) {

@@ -116,7 +116,7 @@ func pickCut(rng *rand.Rand, e *env) wal.LSN {
 
 type restartResult struct {
 	stats    Stats
-	redoDisk *storage.MemDisk // flushed right after AnalyzeAndRedo
+	redoDisk *storage.MemDisk // flushed right after analysis and redo
 	undoDisk *storage.MemDisk // flushed after UndoLosers
 	space    SpaceImage       // audited space state of store 1
 }
@@ -126,7 +126,7 @@ type restartResult struct {
 func runRestart(t *testing.T, e *env, cut wal.LSN, o Opts) restartResult {
 	t.Helper()
 	e2 := e.crash(&cut)
-	p, err := AnalyzeAndRedoOpts(e2.log, e2.reg, o)
+	p, err := e2.analyzeAndRedo(o)
 	if err != nil {
 		t.Fatalf("analyze+redo (%+v): %v", o, err)
 	}

@@ -309,44 +309,14 @@ type pendingTxn struct {
 	system  bool
 }
 
-// Restart performs full crash recovery: analysis, redo, undo. log must
-// have been created with wal.NewFromImage over the crash image, so that
-// the undo pass can read pre-crash records and append CLRs with
-// continuous LSNs. reg must have all pools and handlers registered
-// (exactly as during normal operation), and tm must be a fresh
-// transaction manager over log, reg, and a fresh lock manager.
-func Restart(log *wal.Log, reg *storage.Registry, tm *txn.Manager) (Stats, error) {
-	return RestartOpts(log, reg, tm, Opts{})
-}
-
-// RestartOpts is Restart with explicit restart options.
-func RestartOpts(log *wal.Log, reg *storage.Registry, tm *txn.Manager, o Opts) (Stats, error) {
-	p, err := AnalyzeAndRedoOpts(log, reg, o)
-	if err != nil {
-		return p.Stats, err
-	}
-	if err := p.UndoLosers(tm); err != nil {
-		return p.Stats, err
-	}
-	return p.Stats, nil
-}
-
-// AnalyzeAndRedo runs the analysis and redo passes with default options:
-// it rebuilds the transaction and dirty page tables from the last stable
-// checkpoint and repeats history so every page reflects exactly the
-// stable log. The returned Pending carries the losers for UndoLosers.
-func AnalyzeAndRedo(log *wal.Log, reg *storage.Registry) (*Pending, error) {
-	return AnalyzeAndRedoOpts(log, reg, Opts{})
-}
-
-// AnalyzeAndRedoOpts is AnalyzeAndRedo with explicit restart options.
-func AnalyzeAndRedoOpts(log *wal.Log, reg *storage.Registry, o Opts) (*Pending, error) {
-	return AnalyzeAndRedoImage(log.FullImage(), reg, o)
-}
-
-// AnalyzeAndRedoImage is AnalyzeAndRedoOpts over a log image the caller
-// already holds — the one the log was continued from — instead of a
-// fresh copy of the whole buffered log.
+// AnalyzeAndRedoImage runs restart's analysis and redo passes over img,
+// the stable log image the log was continued from (wal.NewFromImage, so
+// that the undo pass can read pre-crash records and append CLRs with
+// continuous LSNs): it rebuilds the transaction and dirty page tables from
+// the last stable checkpoint and repeats history so every page reflects
+// exactly the stable log. reg must have all pools and handlers registered,
+// exactly as during normal operation. The returned Pending carries the
+// losers for UndoLosers.
 func AnalyzeAndRedoImage(img *wal.Reader, reg *storage.Registry, o Opts) (*Pending, error) {
 	o = o.withDefaults()
 	p := &Pending{workers: o.Workers}

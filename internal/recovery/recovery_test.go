@@ -101,6 +101,21 @@ func (e *env) crash(truncateAt *wal.LSN) *env {
 	return newEnv(e.pool.Disk().Snapshot(), wal.NewFromImage(img))
 }
 
+// analyzeAndRedo runs restart's first two passes over the image e's log
+// was continued from, as the engine does.
+func (e *env) analyzeAndRedo(o Opts) (*Pending, error) {
+	return AnalyzeAndRedoImage(e.log.FullImage(), e.reg, o)
+}
+
+// restart recovers e with default options: analysis, redo, then undo.
+func (e *env) restart() (Stats, error) {
+	p, err := e.analyzeAndRedo(Opts{})
+	if err == nil {
+		err = p.UndoLosers(e.tm)
+	}
+	return p.Stats, err
+}
+
 func TestRedoRebuildsFromEmptyDisk(t *testing.T) {
 	e := newEnv(storage.NewDisk(), wal.New())
 	tx := e.tm.Begin()
@@ -111,7 +126,7 @@ func TestRedoRebuildsFromEmptyDisk(t *testing.T) {
 	}
 	// Nothing flushed: disk is empty; redo must recreate both pages.
 	e2 := e.crash(nil)
-	st, err := Restart(e2.log, e2.reg, e2.tm)
+	st, err := e2.restart()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +151,7 @@ func TestLoserRolledBack(t *testing.T) {
 	e.log.ForceAll() // loser's updates reach the stable log, then crash
 
 	e2 := e.crash(nil)
-	st, err := Restart(e2.log, e2.reg, e2.tm)
+	st, err := e2.restart()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +170,7 @@ func TestLoserAtomicActionRolledBack(t *testing.T) {
 	e.log.ForceAll() // crash before the AA commits
 
 	e2 := e.crash(nil)
-	st, err := Restart(e2.log, e2.reg, e2.tm)
+	st, err := e2.restart()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +193,7 @@ func TestUnforcedAACommitLostEntirely(t *testing.T) {
 	}
 	// No force at all: stable log is empty.
 	e2 := e.crash(nil)
-	st, err := Restart(e2.log, e2.reg, e2.tm)
+	st, err := e2.restart()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +224,7 @@ func TestCommitRecordEndsTransaction(t *testing.T) {
 	}
 	e2 := e.crash(nil)
 	end := e2.log.EndLSN()
-	st, err := Restart(e2.log, e2.reg, e2.tm)
+	st, err := e2.restart()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +247,7 @@ func TestIdempotentRestart(t *testing.T) {
 
 	// First restart.
 	e2 := e.crash(nil)
-	if _, err := Restart(e2.log, e2.reg, e2.tm); err != nil {
+	if _, err := e2.restart(); err != nil {
 		t.Fatal(err)
 	}
 	if e2.value(t, 5) != 10 {
@@ -242,7 +257,7 @@ func TestIdempotentRestart(t *testing.T) {
 	// restart a second time: same result.
 	e2.log.ForceAll()
 	e3 := e2.crash(nil)
-	if _, err := Restart(e3.log, e3.reg, e3.tm); err != nil {
+	if _, err := e3.restart(); err != nil {
 		t.Fatal(err)
 	}
 	if e3.value(t, 5) != 10 {
@@ -273,7 +288,7 @@ func TestCheckpointBoundsRedo(t *testing.T) {
 		}
 	}
 	e2 := e.crash(nil)
-	st, err := Restart(e2.log, e2.reg, e2.tm)
+	st, err := e2.restart()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +313,7 @@ func TestAnalysisSeesThroughCheckpoint(t *testing.T) {
 	e.log.ForceAll()
 
 	e2 := e.crash(nil)
-	st, err := Restart(e2.log, e2.reg, e2.tm)
+	st, err := e2.restart()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +333,7 @@ func TestFlushedLoserPagesUndone(t *testing.T) {
 	e.add(tl, 5, 42)
 	e.pool.FlushAll() // steal: forces log, writes page
 	e2 := e.crash(nil)
-	st, err := Restart(e2.log, e2.reg, e2.tm)
+	st, err := e2.restart()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,20 +184,17 @@ func decTerm(b []byte) (Entry, error) {
 	return e, r.Err()
 }
 
-func encRootGrow(termA, termB Entry, pre *Node) []byte {
-	var w enc.Writer
-	w.Reset(appendEntry(appendEntry(nil, termA), termB))
-	encodeNode(&w, pre)
-	return w.Bytes()
-}
-
-func decRootGrow(b []byte) (termA, termB Entry, pre *Node, err error) {
-	r := enc.NewReader(b)
-	terms := r.Records(2, entryLayout)
-	if pre, err = decodeNode(r); err != nil {
-		return
-	}
-	return viewEntry(terms.At(0)), viewEntry(terms.At(1)), pre, nil
+// nodeKinds is the kernel's description of the tree's node images. A grown
+// root directly contains the whole space and has no sibling terms.
+var nodeKinds = pitree.NodeKinds[*Node]{
+	Format: KindFormat, Restore: KindRestore, Grow: KindRootGrow,
+	Image: encNodeImage, Decode: decNodeImage, Layout: entryLayout,
+	Raise: func(n *Node, terms enc.Records) {
+		n.Level++
+		n.recs = terms.Clone()
+		n.Direct = FullSpace()
+		n.Sibs = nil
+	},
 }
 
 // applySplitOff is the shared runtime/redo semantics of KindSplitOff.
@@ -372,8 +369,7 @@ func logicalUndo(b *Binding, del bool) func(*wal.Record, storage.CLRLogger) erro
 func Register(reg *storage.Registry) *Binding {
 	b := new(Binding)
 
-	reg.Register(KindFormat, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
-	reg.Register(KindRestore, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
+	nodeKinds.Register(reg)
 	reg.Register(KindSplitOff, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			alongX, coord, sib, _, err := decSplitOff(rec.Payload)
@@ -474,26 +470,6 @@ func Register(reg *storage.Registry) *Binding {
 				return storage.Compensation{}, err
 			}
 			return storage.Compensation{Kind: KindSplitOff, Payload: encSplitOff(alongX, coord, sib, nil)}, nil
-		},
-	})
-	reg.Register(KindRootGrow, storage.Handler{
-		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			termA, termB, _, err := decRootGrow(rec.Payload)
-			if err != nil {
-				return err
-			}
-			n.Level++
-			n.setEntries(termA, termB)
-			n.Direct = FullSpace()
-			n.Sibs = nil
-			return nil
-		}),
-		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			_, _, pre, err := decRootGrow(rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			return storage.Compensation{Kind: KindRestore, Payload: encNodeImage(pre)}, nil
 		},
 	})
 	return b

@@ -348,7 +348,7 @@ var entryLayout = enc.Layout{8 + 8, enc.Var, termBytes}
 
 // decodeNode reads a node whose entries ALIAS r's input: a page image the
 // caller hands over, a payload it only reads, or a copy of one
-// (pitree.RedoImage).
+// (pitree.NodeKinds' redo).
 func decodeNode(r *enc.Reader) (*Node, error) {
 	n := &Node{}
 	n.Level = int(r.U16())

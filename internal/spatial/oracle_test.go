@@ -245,6 +245,29 @@ func (t *Tree) oracleRollback(log *wal.Log, tx *txn.Txn) error {
 	return nil
 }
 
+// The growth record as kinds.go wrote it before Kernel.Grow: the grown
+// root's two terms, then the root's image as it was, which its undo
+// restored. The reference the kernel's growth is held to
+// (TestGrowLogIdentity).
+
+func oracleEncRootGrow(termA, termB Entry, pre *Node) []byte {
+	var w enc.Writer
+	w.Reset(appendEntry(appendEntry(nil, termA), termB))
+	encodeNode(&w, pre)
+	return w.Bytes()
+}
+
+// oracleRestore is the payload of the restore that undid the growth b.
+func oracleRestore(b []byte) []byte {
+	r := enc.NewReader(b)
+	r.Records(2, entryLayout)
+	pre, err := decodeNode(r)
+	if err != nil {
+		panic(err)
+	}
+	return encNodeImage(pre)
+}
+
 // The absorb action as it was written before Kernel.Absorb
 // (internal/spatial/absorb.go, with refsChild inlined): it latches its
 // victim, frees the page, probes the failpoint and commits on its own. The

@@ -93,6 +93,13 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 			t.Fatalf("node %d (level %d): undo of the split along x=%v at %d gives\n%x, want\n%x", i, n.Level, alongX, coord, got, want)
 		}
 
+		// Root growth at that plane, logged as the parent commit logged it.
+		kept, _ := n.Direct.Split(alongX, coord)
+		grow := oracleEncRootGrow(Entry{Rect: kept, Child: 903}, Entry{Rect: off, Child: 904}, n)
+		if got := undoRoundTrip(t, reg, n, 0, nil, KindRootGrow, grow); !bytes.Equal(got, want) {
+			t.Fatalf("node %d: undo of the growth gives\n%x, want\n%x", i, got, want)
+		}
+
 		// Absorb of the newest sibling, where the node has one that is a
 		// half of its region (the absorber's only kind of victim).
 		if n.Level != 0 {
@@ -219,33 +226,13 @@ var slimCases = []slimCase{
 	{
 		name: "index split", kind: KindSplitOff,
 		run: func(t *testing.T, fail bool) (*fixture, map[Point]string) {
-			// The inserts are fixed: a dry run finds the one whose posting
-			// splits a non-root index node.
-			dry, trigger := newFixture(t, slimOpts()), 0
-			for ; dry.tree.Stats.IndexSplits.Load() == 0; trigger++ {
-				insertNo(t, dry, trigger)
-			}
-			trigger--
-			inj := fault.New(1)
-			fx := newFixture(t, slimOpts())
-			fx.tree.store.Pool.SetInjector(inj)
-			for i := 0; i < trigger; i++ {
-				insertNo(t, fx, i)
-			}
-			if fail {
-				// Fails the posting that is about to split its node, after
-				// the split.
-				inj.Arm(pitree.FPPost, fault.Spec{Kind: fault.Transient})
-			}
-			insertNo(t, fx, trigger)
-			want := fx.contents(t) // the insert itself is committed before its posting runs
-			if fail && fx.tree.Stats.PostsFailed.Load() != 1 {
-				t.Fatalf("%d postings failed, want the one that split", fx.tree.Stats.PostsFailed.Load())
-			}
-			if fx.tree.Stats.IndexSplits.Load() != 1 {
-				t.Fatalf("%d index splits, want one", fx.tree.Stats.IndexSplits.Load())
-			}
-			return fx, want
+			return postingCase(t, fail, func(s *Stats) int64 { return s.IndexSplits.Load() }, func(*fixture) {})
+		},
+	},
+	{
+		name: "root growth", kind: KindRootGrow,
+		run: func(t *testing.T, fail bool) (*fixture, map[Point]string) {
+			return postingCase(t, fail, func(s *Stats) int64 { return s.RootGrowths.Load() }, func(*fixture) {})
 		},
 	},
 	{
@@ -276,6 +263,76 @@ var slimCases = []slimCase{
 			return fx, want
 		},
 	},
+}
+
+// postingCase makes fixed inserts up to the one whose posting first moves
+// the counter moved finds: a dry run finds it. With fail set, that posting
+// fails after the change, at pitree.FPPost. atTrigger runs just before
+// that insert. The contents are taken after it: the insert itself is
+// committed before its posting runs.
+func postingCase(t *testing.T, fail bool, moved func(*Stats) int64, atTrigger func(*fixture)) (*fixture, map[Point]string) {
+	t.Helper()
+	dry, trigger := newFixture(t, slimOpts()), 0
+	for ; moved(&dry.tree.Stats) == 0; trigger++ {
+		insertNo(t, dry, trigger)
+	}
+	trigger--
+	inj := fault.New(1)
+	fx := newFixture(t, slimOpts())
+	fx.tree.store.Pool.SetInjector(inj)
+	for i := 0; i < trigger; i++ {
+		insertNo(t, fx, i)
+	}
+	if fail {
+		inj.Arm(pitree.FPPost, fault.Spec{Kind: fault.Transient})
+	}
+	atTrigger(fx)
+	insertNo(t, fx, trigger)
+	if fail && fx.tree.Stats.PostsFailed.Load() != 1 {
+		t.Fatalf("%d postings failed, want the one that made the change", fx.tree.Stats.PostsFailed.Load())
+	}
+	if moved(&fx.tree.Stats) != 1 {
+		t.Fatalf("the change was made %d times, want once", moved(&fx.tree.Stats))
+	}
+	return fx, fx.contents(t)
+}
+
+// TestGrowLogIdentity: the growth of the root in a posting that then fails
+// logs the parent commit's bytes for that root — its growth record
+// (oracleEncRootGrow) and the restore its undo made (oracleRestore) — and
+// leaves the root as it was.
+func TestGrowLogIdentity(t *testing.T) {
+	var pre *Node
+	var from wal.LSN
+	fx, _ := postingCase(t, true, func(s *Stats) int64 { return s.RootGrowths.Load() }, func(fx *fixture) {
+		pre, from = fx.rootNode(t), fx.e.Log.EndLSN()
+	})
+	pitreetest.GrowIdentity(t, fx.e.Log, from, KindFormat, KindRootGrow, KindRestore,
+		func(pidA, pidB storage.PageID, imageA, imageB []byte) []byte {
+			a, err := decNodeImage(imageA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := decNodeImage(imageB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return oracleEncRootGrow(Entry{Rect: a.Direct, Child: pidA}, Entry{Rect: b.Direct, Child: pidB}, pre)
+		}, oracleRestore)
+	if got := encNodeImage(fx.rootNode(t)); !bytes.Equal(got, encNodeImage(pre)) {
+		t.Fatalf("root after the rollback is\n%x, want\n%x", got, encNodeImage(pre))
+	}
+}
+
+// rootNode returns a copy of the root (quiescent helper).
+func (fx *fixture) rootNode(t *testing.T) *Node {
+	t.Helper()
+	f, err := fx.tree.store.Pool.Fetch(fx.tree.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fx.tree.store.Pool.Unpin(f)
+	return f.Data.(*Node).clone()
 }
 
 // TestSlimRecordRolledBack: a structure change whose record is in the log

@@ -179,7 +179,7 @@ func (t *Tree) splitOff(o *opCtx, aa *txn.Txn, node *nref, alongX bool, coord ui
 	// that can fail.
 	entries, off, clipped := splitOffContents(n, alongX, coord)
 	sib := &Node{Level: n.Level, Direct: off, recs: entries}
-	if err := t.logFormat(o, aa, sibPid, sib); err != nil {
+	if err := t.kern.Format(o, aa, sibPid, sib); err != nil {
 		return storage.NilPage, Rect{}, err
 	}
 	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindSplitOff, encSplitOff(alongX, coord, sibPid, splitFates(n, alongX, coord)))
@@ -237,17 +237,16 @@ func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, err
 		t.Stats.SoftOverflows.Add(1)
 		return storage.NilPage, nil
 	}
+	kept, sib, off, err := node.Pid(), storage.NilPage, Rect{}, error(nil)
 	if node.Pid() == t.root {
-		return t.growRootAction(o, aa, node, alongX, coord, p.corner())
+		kept, sib, off, err = t.splitRoot(o, aa, node, alongX, coord)
+	} else {
+		sib, off, err = t.splitOff(o, aa, node, alongX, coord)
 	}
-	sibPid, off, err := t.splitOff(o, aa, node, alongX, coord)
-	if err != nil {
-		return storage.NilPage, err
+	if err != nil || !off.Contains(p.corner()) {
+		return kept, err
 	}
-	if off.Contains(p.corner()) {
-		return sibPid, nil
-	}
-	return node.Pid(), nil
+	return sib, nil
 }
 
 func (p *termPost) Apply(_ *opCtx, aa *txn.Txn, node *nref) error {
@@ -258,51 +257,27 @@ func (p *termPost) Apply(_ *opCtx, aa *txn.Txn, node *nref) error {
 	return nil
 }
 
-// logFormat creates and logs a fresh node image under the action.
-func (t *Tree) logFormat(o *opCtx, aa storage.UpdateLogger, pid storage.PageID, n *Node) error {
-	return o.Format(aa, pid, n, n.Level, KindFormat, encNodeImage(n))
-}
-
-// growRootAction raises the tree height: the root's contents move to two
-// new nodes split by the hyperplane — B, the sibling a split there would
+// splitRoot splits the X-latched root at the hyperplane without moving it:
+// its contents go to two new nodes — B, the sibling a split there would
 // create, and A, what that split would leave behind, sibling term for B
-// included — and the root becomes an index node one level up with a term
-// for each half. Returns the page of the half containing corner.
-func (t *Tree) growRootAction(o *opCtx, aa storage.UpdateLogger, root *nref, alongX bool, coord uint64, corner Point) (storage.PageID, error) {
-	n := root.N
-	pidB, err := t.store.Alloc(aa, &o.Tr)
+// included — and the kernel grows the root in place over a term for each
+// (pitree.Kernel.Grow). It returns A's page, B's page and B's region.
+func (t *Tree) splitRoot(o *opCtx, aa *txn.Txn, root *nref, alongX bool, coord uint64) (pidA, pidB storage.PageID, off Rect, err error) {
+	if pidB, err = t.store.Alloc(aa, &o.Tr); err == nil {
+		pidA, err = t.store.Alloc(aa, &o.Tr)
+	}
 	if err != nil {
-		return storage.NilPage, err
+		return storage.NilPage, storage.NilPage, Rect{}, err
 	}
-	pidA, err := t.store.Alloc(aa, &o.Tr)
-	if err != nil {
-		return storage.NilPage, err
+	entries, off, clipped := splitOffContents(root.N, alongX, coord)
+	b := &Node{Level: root.N.Level, Direct: off, recs: entries}
+	a := root.N.clone()
+	applySplitOff(a, alongX, coord, pidB)
+	terms := appendEntry(appendEntry(nil, Entry{Rect: a.Direct, Child: pidA}), Entry{Rect: off, Child: pidB})
+	if err := t.kern.Grow(o, aa, root, pidA, pidB, a, b, terms); err != nil {
+		return storage.NilPage, storage.NilPage, Rect{}, err
 	}
-	entriesB, off, clippedB := splitOffContents(n, alongX, coord)
-	nodeB := &Node{Level: n.Level, Direct: off, recs: entriesB}
-	nodeA := n.clone()
-	applySplitOff(nodeA, alongX, coord, pidB)
-	if err := t.logFormat(o, aa, pidB, nodeB); err != nil {
-		return storage.NilPage, err
-	}
-	if err := t.logFormat(o, aa, pidA, nodeA); err != nil {
-		return storage.NilPage, err
-	}
-
-	termA := Entry{Rect: nodeA.Direct, Child: pidA}
-	termB := Entry{Rect: off, Child: pidB}
-	// The record keeps the root whole, for compensation.
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(root.Pid()), KindRootGrow, encRootGrow(termA, termB, n))
-	n.Level++
-	n.setEntries(termA, termB)
-	n.Direct = FullSpace()
-	n.Sibs = nil
-	root.F.MarkDirty(lsn)
 	t.Stats.RootGrowths.Add(1)
-	t.Stats.ClippedTerms.Add(int64(clippedB))
-
-	if off.Contains(corner) {
-		return pidB, nil
-	}
-	return pidA, nil
+	t.Stats.ClippedTerms.Add(int64(clipped))
+	return pidA, pidB, off, nil
 }

@@ -134,11 +134,11 @@ var ErrPointNotFound = errors.New("spatial: point not found")
 // covering the full space.
 func Create(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, name string, opts Options) (*Tree, error) {
 	t := &Tree{Name: name, lockSpace: lock.SpaceID("spatial", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized()}
-	rootPid, err := pitree.Create(store, tm, name, 2, KindFormat, func(pids []storage.PageID) []*Node {
+	rootPid, err := pitree.Create(store, tm, name, 2, &nodeKinds, func(pids []storage.PageID) []*Node {
 		root := &Node{Level: 1, Direct: FullSpace()}
 		root.setEntries(Entry{Rect: FullSpace(), Child: pids[1]})
 		return []*Node{root, {Level: 0, Direct: FullSpace()}}
-	}, encNodeImage)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +269,7 @@ func (t *Tree) start(root storage.PageID) {
 		OptimisticHits:      &t.Stats.OptimisticHits,
 		OptimisticRetries:   &t.Stats.OptimisticRetries,
 		OptimisticFallbacks: &t.Stats.OptimisticFallbacks,
-	}, space{t})
+	}, space{t}, &nodeKinds)
 	t.binding.Bind(t.store.Pool.StoreID, t)
 }
 

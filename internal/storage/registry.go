@@ -118,10 +118,6 @@ func (r *Registry) Handler(kind wal.Kind) (Handler, error) {
 // single code path used both when compensations are applied during normal
 // rollback and when history is repeated at restart.
 func (r *Registry) ApplyRedo(rec *wal.Record) error {
-	h, err := r.Handler(rec.Kind)
-	if err != nil {
-		return err
-	}
 	p, err := r.Pool(rec.StoreID)
 	if err != nil {
 		return err
@@ -133,14 +129,7 @@ func (r *Registry) ApplyRedo(rec *wal.Record) error {
 	defer p.Unpin(f)
 	f.Latch.AcquireX()
 	defer f.Latch.ReleaseX()
-	if f.PageLSN() >= rec.LSN {
-		return nil // already reflected
-	}
-	if err := h.Redo(f, rec); err != nil {
-		return fmt.Errorf("redo kind %d page %d at LSN %d: %w", rec.Kind, rec.PageID, rec.LSN, err)
-	}
-	f.SetPageLSN(rec.LSN)
-	return nil
+	return r.ApplyRedoFrame(f, rec)
 }
 
 // ApplyRedoFrame applies rec to an already-pinned, already-X-latched
@@ -150,18 +139,26 @@ func (r *Registry) ApplyRedo(rec *wal.Record) error {
 // transaction's later CLR for "rec already applied" and drop a
 // compensation from the buffered page.
 func (r *Registry) ApplyRedoFrame(f *Frame, rec *wal.Record) error {
+	_, err := r.redo(f, rec)
+	return err
+}
+
+// redo is the one pageLSN guard: it applies rec to the X-latched frame
+// through its kind's handler unless the page has seen it already, and
+// reports whether it did.
+func (r *Registry) redo(f *Frame, rec *wal.Record) (bool, error) {
 	h, err := r.Handler(rec.Kind)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if f.PageLSN() >= rec.LSN {
-		return nil // already reflected
+		return false, nil // already reflected
 	}
 	if err := h.Redo(f, rec); err != nil {
-		return fmt.Errorf("redo kind %d page %d at LSN %d: %w", rec.Kind, rec.PageID, rec.LSN, err)
+		return false, fmt.Errorf("redo kind %d page %d at LSN %d: %w", rec.Kind, rec.PageID, rec.LSN, err)
 	}
 	f.SetPageLSN(rec.LSN)
-	return nil
+	return true, nil
 }
 
 // ApplyRedoBatch applies one page's planned redo records — ascending LSN,
@@ -184,25 +181,15 @@ func (r *Registry) ApplyRedoBatch(storeID uint32, pid PageID, recs []wal.Record)
 	defer p.Unpin(f)
 	f.Latch.AcquireX()
 	defer f.Latch.ReleaseX()
-	// One handler-table lock for the batch; Redo handlers never call back
-	// into the registry, and registration is complete before restart runs.
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	applied := 0
 	for i := range recs {
-		rec := &recs[i]
-		if f.PageLSN() >= rec.LSN {
-			continue // already reflected
+		ok, err := r.redo(f, &recs[i])
+		if err != nil {
+			return applied, err
 		}
-		h, ok := r.handlers[rec.Kind]
-		if !ok {
-			return applied, fmt.Errorf("storage: no handler for kind %d", rec.Kind)
+		if ok {
+			applied++
 		}
-		if err := h.Redo(f, rec); err != nil {
-			return applied, fmt.Errorf("redo kind %d page %d at LSN %d: %w", rec.Kind, rec.PageID, rec.LSN, err)
-		}
-		f.SetPageLSN(rec.LSN)
-		applied++
 	}
 	return applied, nil
 }

@@ -274,20 +274,18 @@ func applyCutHist(n *Node) {
 	n.HistShared = false
 }
 
-func encRootGrow(termA, termB Entry, pre *Node) []byte {
-	var w enc.Writer
-	w.Reset(appendEntry(appendEntry(nil, termA), termB))
-	encodeNode(&w, pre)
-	return w.Bytes()
-}
-
-func decRootGrow(b []byte) (termA, termB Entry, pre *Node, err error) {
-	r := enc.NewReader(b)
-	terms := r.Records(2, entryLayout)
-	if pre, err = decodeNode(r); err != nil {
-		return
-	}
-	return viewEntry(terms.At(0)), viewEntry(terms.At(1)), pre, nil
+// nodeKinds is the kernel's description of the tree's node images. A grown
+// root is a current index node over all keys and times, with two key terms.
+var nodeKinds = pitree.NodeKinds[*Node]{
+	Format: KindFormat, Restore: KindRestoreImage, Grow: KindRootGrow,
+	Image: encNodeImage, Decode: decNodeImage, Layout: entryLayout,
+	Raise: func(n *Node, terms enc.Records) {
+		n.Level++
+		n.recs = terms.Clone()
+		n.Rect = EntireRect()
+		n.KeySib = storage.NilPage
+		n.HistSib = storage.NilPage
+	},
 }
 
 // --- semantic helpers shared by runtime application and redo ----------------
@@ -422,8 +420,7 @@ func Register(reg *storage.Registry) *Binding {
 		return storage.Compensation{Kind: KindUnsplit, Payload: encUnsplit(old, leavers(sibNode), unclip)}, nil
 	}
 
-	reg.Register(KindFormat, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
-	reg.Register(KindRestoreImage, storage.Handler{Redo: pitree.RedoImage(decNodeImage)})
+	nodeKinds.Register(reg)
 	reg.Register(KindUnsplit, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			img, unclip, err := decUnsplit(rec.Payload)
@@ -598,27 +595,6 @@ func Register(reg *storage.Registry) *Binding {
 				return storage.Compensation{}, r.Err()
 			}
 			return storage.Compensation{Kind: KindUnsplit, Payload: encUnsplit(old, enc.Records{}, nil)}, nil
-		},
-	})
-	reg.Register(KindRootGrow, storage.Handler{
-		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			termA, termB, _, err := decRootGrow(rec.Payload)
-			if err != nil {
-				return err
-			}
-			n.Level++
-			n.setEntries(termA, termB)
-			n.Rect = EntireRect()
-			n.KeySib = storage.NilPage
-			n.HistSib = storage.NilPage
-			return nil
-		}),
-		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			_, _, pre, err := decRootGrow(rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			return storage.Compensation{Kind: KindRestoreImage, Payload: encNodeImage(pre)}, nil
 		},
 	})
 	return b

@@ -508,7 +508,7 @@ func encodeNode(w *enc.Writer, n *Node) {
 
 // decodeNode reads a node whose entries ALIAS r's input: a page image the
 // caller hands over, a payload it only reads, or a copy of one
-// (pitree.RedoImage). The header's keys are copied: they must not pin a
+// (pitree.NodeKinds' redo). The header's keys are copied: they must not pin a
 // buffer the entries have outgrown.
 func decodeNode(r *enc.Reader) (*Node, error) {
 	n := decodeHeader(r)

@@ -144,6 +144,13 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 		// Index key split, with clipping at level 1.
 		in := randomIndexNode(rng, 1+rng.Intn(2))
 		want = encNodeImage(in)
+
+		// Root growth, logged as the parent commit logged it.
+		grow := oracleEncRootGrow(Entry{Child: 904}, Entry{Key: keys.Uint64(500), Child: 905}, in)
+		if got := undoRoundTrip(t, reg, in, 0, nil, KindRootGrow, grow); !bytes.Equal(got, want) {
+			t.Fatalf("node %d: undo of the growth gives\n%x, want\n%x", i, got, want)
+		}
+
 		tree := &Tree{}
 		ik, ok := tree.indexSplitKey(in)
 		if !ok {
@@ -279,41 +286,13 @@ var slimCases = []slimCase{
 	{
 		name: "index key split", kind: KindIndexKeySplit,
 		run: func(t *testing.T, fail bool) (*fixture, uint64, map[string]string) {
-			// Fresh keys and rewrites mixed, so the index node that splits
-			// holds history terms to clip. The puts are fixed: a dry run
-			// finds the one whose posting splits a non-root index node.
-			put := func(fx *fixture, i uint64) {
-				t.Helper()
-				if err := fx.tree.Put(nil, keys.Uint64(i*7919%61), []byte(sval(i, 0))); err != nil {
-					t.Fatal(err)
-				}
-				fx.tree.DrainCompletions()
-			}
-			dry, trigger := newFixture(t, slimOpts()), uint64(0)
-			for ; dry.tree.Stats.IndexSplits.Load() == 0; trigger++ {
-				put(dry, trigger)
-			}
-			trigger--
-			inj := fault.New(1)
-			fx := newFixture(t, slimOpts())
-			fx.tree.store.Pool.SetInjector(inj)
-			for i := uint64(0); i < trigger; i++ {
-				put(fx, i)
-			}
-			if fail {
-				// Fails the posting that is about to split its node, after
-				// the split.
-				inj.Arm(pitree.FPPost, fault.Spec{Kind: fault.Transient})
-			}
-			put(fx, trigger)
-			want := fx.reads(t, 61, nil) // the put itself is committed before its posting runs
-			if fail && fx.tree.Stats.PostsFailed.Load() != 1 {
-				t.Fatalf("%d postings failed, want the one that split", fx.tree.Stats.PostsFailed.Load())
-			}
-			if fx.tree.Stats.IndexSplits.Load() != 1 {
-				t.Fatalf("%d index splits, want one", fx.tree.Stats.IndexSplits.Load())
-			}
-			return fx, 61, want
+			return postingCase(t, fail, func(s *Stats) int64 { return s.IndexSplits.Load() }, func(*fixture) {})
+		},
+	},
+	{
+		name: "root growth", kind: KindRootGrow,
+		run: func(t *testing.T, fail bool) (*fixture, uint64, map[string]string) {
+			return postingCase(t, fail, func(s *Stats) int64 { return s.RootGrowths.Load() }, func(*fixture) {})
 		},
 	},
 	{
@@ -340,6 +319,80 @@ var slimCases = []slimCase{
 			return fx, 2, want
 		},
 	},
+}
+
+// postingCase makes fixed puts — fresh keys and rewrites mixed, so an index
+// node that splits holds history terms to clip — up to the one whose
+// posting first moves the counter moved finds: a dry run finds it. With
+// fail set, that posting fails after the change, at pitree.FPPost.
+// atTrigger runs just before that put. The reads are taken after it: the
+// put itself is committed before its posting runs.
+func postingCase(t *testing.T, fail bool, moved func(*Stats) int64, atTrigger func(*fixture)) (*fixture, uint64, map[string]string) {
+	t.Helper()
+	put := func(fx *fixture, i uint64) {
+		t.Helper()
+		if err := fx.tree.Put(nil, keys.Uint64(i*7919%61), []byte(sval(i, 0))); err != nil {
+			t.Fatal(err)
+		}
+		fx.tree.DrainCompletions()
+	}
+	dry, trigger := newFixture(t, slimOpts()), uint64(0)
+	for ; moved(&dry.tree.Stats) == 0; trigger++ {
+		put(dry, trigger)
+	}
+	trigger--
+	inj := fault.New(1)
+	fx := newFixture(t, slimOpts())
+	fx.tree.store.Pool.SetInjector(inj)
+	for i := uint64(0); i < trigger; i++ {
+		put(fx, i)
+	}
+	if fail {
+		inj.Arm(pitree.FPPost, fault.Spec{Kind: fault.Transient})
+	}
+	atTrigger(fx)
+	put(fx, trigger)
+	if fail && fx.tree.Stats.PostsFailed.Load() != 1 {
+		t.Fatalf("%d postings failed, want the one that made the change", fx.tree.Stats.PostsFailed.Load())
+	}
+	if moved(&fx.tree.Stats) != 1 {
+		t.Fatalf("the change was made %d times, want once", moved(&fx.tree.Stats))
+	}
+	return fx, 61, fx.reads(t, 61, nil)
+}
+
+// TestGrowLogIdentity: the growth of the root in a posting that then fails
+// logs the parent commit's bytes for that root — its growth record
+// (oracleEncRootGrow) and the restore its undo made (oracleRestore) — and
+// leaves the root as it was.
+func TestGrowLogIdentity(t *testing.T) {
+	var pre *Node
+	var from wal.LSN
+	fx, _, _ := postingCase(t, true, func(s *Stats) int64 { return s.RootGrowths.Load() }, func(fx *fixture) {
+		pre, from = fx.rootNode(t), fx.e.Log.EndLSN()
+	})
+	pitreetest.GrowIdentity(t, fx.e.Log, from, KindFormat, KindRootGrow, KindRestoreImage,
+		func(pidA, pidB storage.PageID, _, imageB []byte) []byte {
+			b, err := decNodeImage(imageB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return oracleEncRootGrow(Entry{Child: pidA}, Entry{Key: b.Rect.KeyLow, Child: pidB}, pre)
+		}, oracleRestore)
+	if got := encNodeImage(fx.rootNode(t)); !bytes.Equal(got, encNodeImage(pre)) {
+		t.Fatalf("root after the rollback is\n%x, want\n%x", got, encNodeImage(pre))
+	}
+}
+
+// rootNode returns a copy of the root (quiescent helper).
+func (fx *fixture) rootNode(t *testing.T) *Node {
+	t.Helper()
+	f, err := fx.tree.store.Pool.Fetch(fx.tree.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fx.tree.store.Pool.Unpin(f)
+	return f.Data.(*Node).clone()
 }
 
 // headOf returns the current data node of key.

@@ -206,7 +206,7 @@ func (t *Tree) splitDataIn(o *opCtx, aa *txn.Txn, leaf *nref, timeSplit bool, ke
 			t.schedule(postTask{gcHead: leafPid})
 		}
 	})
-	if err := t.formatNode(o, aa, newPid, newNode); err != nil {
+	if err := t.kern.Format(o, aa, newPid, newNode); err != nil {
 		return err
 	}
 	var lsn wal.LSN
@@ -231,11 +231,6 @@ func medianKey(n *Node, distinct []keys.Key) keys.Key {
 		return keys.Clone(k)
 	}
 	return keys.Clone(distinct[len(distinct)-1])
-}
-
-// formatNode creates and logs a fresh node image under the action.
-func (t *Tree) formatNode(o *opCtx, aa storage.UpdateLogger, pid storage.PageID, n *Node) error {
-	return o.Format(aa, pid, n, n.Level, KindFormat, encNodeImage(n))
 }
 
 // termPost is the tree's side of the kernel's posting action
@@ -297,17 +292,16 @@ func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, err
 		t.Stats.SoftOverflows.Add(1)
 		return storage.NilPage, nil
 	}
+	low, high, err := node.Pid(), storage.NilPage, error(nil)
 	if node.Pid() == t.root {
-		return t.growRoot(o, aa, node, k, searchKey)
+		low, high, err = t.splitRoot(o, aa, node, k)
+	} else {
+		high, err = t.splitIndex(o, aa, node, k)
 	}
-	sibPid, err := t.splitIndex(o, aa, node, k)
-	if err != nil {
-		return storage.NilPage, err
+	if err != nil || keys.Compare(searchKey, k) < 0 {
+		return low, err
 	}
-	if keys.Compare(searchKey, k) >= 0 {
-		return sibPid, nil
-	}
-	return node.Pid(), nil
+	return high, nil
 }
 
 func (p *termPost) Apply(o *opCtx, aa *txn.Txn, node *nref) error {
@@ -408,7 +402,7 @@ func (t *Tree) splitIndex(o *opCtx, aa *txn.Txn, node *nref, k keys.Key) (storag
 		return storage.NilPage, err
 	}
 	sib, clipped := indexSibling(node.N, k)
-	if err := t.formatNode(o, aa, sibPid, sib); err != nil {
+	if err := t.kern.Format(o, aa, sibPid, sib); err != nil {
 		return storage.NilPage, err
 	}
 	up := postTask{parentLevel: node.N.Level + 1, child: sibPid, rect: cloneRect(sib.Rect)}
@@ -421,46 +415,26 @@ func (t *Tree) splitIndex(o *opCtx, aa *txn.Txn, node *nref, k keys.Key) (storag
 	return sibPid, nil
 }
 
-// growRoot raises the tree height: the root's contents move to two new
-// nodes — B, the sibling a key split at k would create, and A, what that
-// split would leave behind, side pointer to B — and the root becomes an
-// index node one level up with two key terms. The root page never moves.
-// Returns the page of the half covering searchKey.
-func (t *Tree) growRoot(o *opCtx, aa storage.UpdateLogger, root *nref, k keys.Key, searchKey keys.Key) (storage.PageID, error) {
-	n := root.N
-	pidB, err := t.store.Alloc(aa, &o.Tr)
+// splitRoot splits the X-latched root at k without moving it: its contents
+// go to two new nodes — B, the sibling a key split at k would create, and
+// A, what that split would leave behind, side pointer to B — and the
+// kernel grows the root in place over a key term for each
+// (pitree.Kernel.Grow). It returns A's page and B's.
+func (t *Tree) splitRoot(o *opCtx, aa *txn.Txn, root *nref, k keys.Key) (pidA, pidB storage.PageID, err error) {
+	if pidB, err = t.store.Alloc(aa, &o.Tr); err == nil {
+		pidA, err = t.store.Alloc(aa, &o.Tr)
+	}
 	if err != nil {
-		return storage.NilPage, err
+		return storage.NilPage, storage.NilPage, err
 	}
-	pidA, err := t.store.Alloc(aa, &o.Tr)
-	if err != nil {
-		return storage.NilPage, err
+	b, clipped := indexSibling(root.N, k)
+	a := root.N.clone()
+	applyIndexKeySplit(a, k, pidB)
+	terms := appendEntry(appendEntry(nil, Entry{Child: pidA}), Entry{Key: k, Child: pidB})
+	if err := t.kern.Grow(o, aa, root, pidA, pidB, a, b, terms); err != nil {
+		return storage.NilPage, storage.NilPage, err
 	}
-	nodeB, clippedB := indexSibling(n, k)
-	nodeA := n.clone()
-	applyIndexKeySplit(nodeA, k, pidB)
-	if err := t.formatNode(o, aa, pidB, nodeB); err != nil {
-		return storage.NilPage, err
-	}
-	if err := t.formatNode(o, aa, pidA, nodeA); err != nil {
-		return storage.NilPage, err
-	}
-
-	termA := Entry{Key: nil, Child: pidA}
-	termB := Entry{Key: k, Child: pidB}
-	// The record keeps the root whole, for compensation.
-	lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(root.Pid()), KindRootGrow, encRootGrow(termA, termB, n))
-	n.Level++
-	n.setEntries(termA, termB)
-	n.Rect = EntireRect()
-	n.KeySib = storage.NilPage
-	n.HistSib = storage.NilPage
-	root.F.MarkDirty(lsn)
 	t.Stats.RootGrowths.Add(1)
-	t.Stats.ClippedTerms.Add(int64(clippedB))
-
-	if keys.Compare(searchKey, k) >= 0 {
-		return pidB, nil
-	}
-	return pidA, nil
+	t.Stats.ClippedTerms.Add(int64(clipped))
+	return pidA, pidB, nil
 }

@@ -167,11 +167,11 @@ var ErrKeyNotFound = errors.New("tsb: key not found")
 // covering all keys at all times. One atomic action.
 func Create(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding, name string, opts Options) (*Tree, error) {
 	t := &Tree{Name: name, lockSpace: lock.SpaceID("tsb", name), store: store, tm: tm, lm: lm, binding: b, opts: opts.normalized()}
-	rootPid, err := pitree.Create(store, tm, name, 2, KindFormat, func(pids []storage.PageID) []*Node {
+	rootPid, err := pitree.Create(store, tm, name, 2, &nodeKinds, func(pids []storage.PageID) []*Node {
 		root := &Node{Level: 1, Rect: EntireRect()}
 		root.setEntries(Entry{Child: pids[1], ChildRect: EntireRect()})
 		return []*Node{root, {Level: 0, Rect: EntireRect()}}
-	}, encNodeImage)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +361,7 @@ func (t *Tree) start(root storage.PageID) {
 		OptimisticHits:      &t.Stats.OptimisticHits,
 		OptimisticRetries:   &t.Stats.OptimisticRetries,
 		OptimisticFallbacks: &t.Stats.OptimisticFallbacks,
-	}, space{t})
+	}, space{t}, &nodeKinds)
 	t.binding.Bind(t.store.Pool.StoreID, t)
 	t.tm.SetVersionClock(t.Now, t.tick)
 }
