@@ -22,7 +22,8 @@ REAL_ROUNDS ?= 20
 ## short fuzzes of the log's record decoder
 ## and segment replay, of its master record, of the checkpoint payload, of
 ## the node record buffer's loader, of the three trees'
-## structure-change payload decoders and of the kernel's root growth's,
+## structure-change payload decoders and page images at every level, and of
+## the kernel's root growth's,
 ## the repo benchmark's own smoke test (a nested module `go test ./...`
 ## does not enter), and a count of the kernel-only call sites in the three
 ## trees.
@@ -110,9 +111,10 @@ pagefile:
 ## panic), its master record (the exact bytes or no record), the checkpoint
 ## payload (ErrCorruptCheckpoint), the loader of a node's record buffer
 ## (ErrTruncated, every slot inside the input), each tree's decoders of
-## the structure-change payloads restart undo reads and the kernel's of a
-## root growth's (an error, never a panic or an allocation sized by an
-## unchecked count).
+## the structure-change payloads restart undo reads, each tree's page codec
+## under every level's record layout, and the kernel's decoder of a root
+## growth (an error, never a panic or an allocation sized by an unchecked
+## count).
 walfuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzMasterRecord -fuzztime 10s -fuzzminimizetime 1s
@@ -121,6 +123,9 @@ walfuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/tsb -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/spatial -run '^$$' -fuzz FuzzSlimPayloads -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzNodeImage -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/tsb -run '^$$' -fuzz FuzzNodeImage -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/spatial -run '^$$' -fuzz FuzzNodeImage -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/pitree -run '^$$' -fuzz FuzzGrowPayload -fuzztime 10s -fuzzminimizetime 1s
 
 race:

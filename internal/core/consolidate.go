@@ -234,7 +234,7 @@ func (m *merge) Cut(aa *txn.Txn, c *nref) (bool, error) {
 // Last removes c's term from the parent.
 func (m *merge) Last(aa *txn.Txn) {
 	e := m.parent.N.entry(m.cIdx)
-	lsn := aa.LogUpdate(m.t.store.Pool.StoreID, uint64(m.parent.Pid()), KindRemoveIndexTerm, encTerm(e.Key, e.Child))
+	lsn := aa.LogUpdate(m.t.store.Pool.StoreID, uint64(m.parent.Pid()), KindRemoveIndexTerm, appendTerm(nil, e.Key, e.Child))
 	m.parent.N.recs.Delete(m.cIdx)
 	m.parent.F.MarkDirty(lsn)
 }

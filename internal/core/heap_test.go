@@ -13,12 +13,13 @@ import (
 // records of 100-byte values, loaded in ascending key order (the order that
 // leaves every leaf but the last half full, and that once left the moved
 // halves reachable from the slack of the kept ones), cost at most 1.6 times
-// their encoded entries: 124 bytes each — key 8, value 100, two length
-// prefixes, a child field. The same after every value was replaced by one
-// of its length (in place: no growth) and after half the records were
-// deleted and inserted again (the holes are reused or squeezed out).
+// their encoded entries: 116 bytes each — key 8, value 100, two length
+// prefixes; a leaf entry has no child field. The same after every value was
+// replaced by one of its length (in place: no growth) and after half the
+// records were deleted and inserted again (the holes are reused or squeezed
+// out).
 func TestLiveHeapPerRecord(t *testing.T) {
-	const n, entry = 50000, 8 + 100 + 4 + 4 + 8
+	const n, entry = 50000, 8 + 100 + 4 + 4
 	pitreetest.HeapPerRecord(t, func(e *engine.Engine, measure func(string, int, float64)) {
 		b := Register(e.Reg, false)
 		tree, err := Create(e.AddStore(1, Codec{}), e.TM, e.Locks, b, "heap", Options{})

@@ -53,20 +53,6 @@ const (
 
 // --- payload codecs -----------------------------------------------------
 
-func encKV(key keys.Key, val []byte) []byte {
-	var w enc.Writer
-	w.Bytes32(key)
-	w.Bytes32(val)
-	return w.Bytes()
-}
-
-func decKV(b []byte) (keys.Key, []byte, error) {
-	r := enc.NewReader(b)
-	k := r.Bytes32()
-	v := r.Bytes32()
-	return k, v, r.Err()
-}
-
 func encKVV(key keys.Key, newVal, oldVal []byte) []byte {
 	var w enc.Writer
 	w.Bytes32(key)
@@ -81,20 +67,6 @@ func decKVV(b []byte) (keys.Key, []byte, []byte, error) {
 	nv := r.Bytes32()
 	ov := r.Bytes32()
 	return k, nv, ov, r.Err()
-}
-
-func encTerm(key keys.Key, child storage.PageID) []byte {
-	var w enc.Writer
-	w.Bytes32(key)
-	w.U64(uint64(child))
-	return w.Bytes()
-}
-
-func decTerm(b []byte) (keys.Key, storage.PageID, error) {
-	r := enc.NewReader(b)
-	k := r.Bytes32()
-	c := storage.PageID(r.U64())
-	return k, c, r.Err()
 }
 
 func encNodeImage(n *Node) []byte {
@@ -112,7 +84,7 @@ func decNodeImage(b []byte) (*Node, error) {
 // root spans everything over two terms, the first at its own low key.
 var nodeKinds = pitree.NodeKinds[*Node]{
 	Format: KindFormatNode, Restore: KindRestoreImage, Grow: KindRootGrow,
-	Image: encNodeImage, Decode: decNodeImage, Layout: entryLayout,
+	Image: encNodeImage, Decode: decNodeImage, Layout: termLayout,
 	Raise: func(n *Node, terms enc.Records) {
 		n.Level++
 		n.recs = terms.Clone()
@@ -121,10 +93,9 @@ var nodeKinds = pitree.NodeKinds[*Node]{
 	},
 }
 
-// splitTruncate payload: the separator and the new sibling, laid out like
-// the sibling's index term. What left the node is in the sibling's format
-// record, logged just before.
-var encSplitTruncate, decSplitTruncate = encTerm, decTerm
+// A splitTruncate payload is the sibling's index term: the separator and the
+// new sibling. What left the node is in the sibling's format record, logged
+// just before.
 
 // consolidateMove payload: the absorbed node's page and its image (entries
 // plus the sibling term the container takes over). The container's own
@@ -178,17 +149,17 @@ func (b *Binding) PageOriented() bool { return b.pageOriented }
 // logicalUndo returns the logical undo of a data record (§4.2, §6): the
 // write op of the key and value dec reads from its payload, applied by the
 // kernel's Compensate to whatever leaf holds the key now.
-func (b *Binding) logicalUndo(op writeOp, dec func([]byte) (keys.Key, []byte, error)) func(*wal.Record, storage.CLRLogger) error {
+func (b *Binding) logicalUndo(op writeOp, dec func([]byte) (Entry, error)) func(*wal.Record, storage.CLRLogger) error {
 	return func(rec *wal.Record, tx storage.CLRLogger) error {
 		t, err := b.Tree(rec.StoreID)
 		if err != nil {
 			return err
 		}
-		k, v, err := dec(rec.Payload)
+		e, err := dec(rec.Payload)
 		if err != nil {
 			return err
 		}
-		w := &leafWrite{t: t, op: op, ks: []keys.Key{k}, vals: [][]byte{v}, undo: true}
+		w := &leafWrite{t: t, op: op, ks: []keys.Key{e.Key}, vals: [][]byte{e.Value}, undo: true}
 		return t.kern.Compensate(tx, rec.PrevLSN, w)
 	}
 }
@@ -204,64 +175,61 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 	nodeKinds.Register(reg)
 	reg.Register(KindSplitTruncate, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			sep, right, err := decSplitTruncate(rec.Payload)
+			cut, err := decRecord(1, rec.Payload)
 			if err != nil {
 				return err
 			}
-			i, _ := n.search(sep)
+			i, _ := n.search(cut.Key)
 			n.recs = n.recs.Slice(0, i)
-			n.High = keys.At(sep)
-			n.Right = right
+			n.High = keys.At(keys.Clone(cut.Key))
+			n.Right = cut.Child
 			return nil
 		}),
 		// Undo takes the sibling back: its entries, high bound and side
 		// pointer are what the node lost.
 		MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
-			_, right, err := decSplitTruncate(rec.Payload)
+			cut, err := decRecord(1, rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			image, err := pitree.SiblingImage(log, rec, KindFormatNode, right)
+			image, err := pitree.SiblingImage(log, rec, KindFormatNode, cut.Child)
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindConsolidateMove, Payload: encConsolidateMove(right, image)}, nil
+			return storage.Compensation{Kind: KindConsolidateMove, Payload: encConsolidateMove(cut.Child, image)}, nil
 		},
 	})
 
+	// An insert and a delete carry the leaf entry, which the inverse kind
+	// logs as it is.
+	leafRecord := func(p []byte) (Entry, error) { return decRecord(0, p) }
+	inverse := func(kind wal.Kind) func(*wal.Record, storage.LogReader) (storage.Compensation, error) {
+		return func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
+			_, err := leafRecord(rec.Payload)
+			return storage.Compensation{Kind: kind, Payload: rec.Payload}, err
+		}
+	}
 	insertHandler := storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			k, v, err := decKV(rec.Payload)
+			e, err := leafRecord(rec.Payload)
 			if err != nil {
 				return err
 			}
-			n.insertEntry(Entry{Key: k, Value: v})
+			n.insertEntry(e)
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			k, v, err := decKV(rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			return storage.Compensation{Kind: KindDeleteRecord, Payload: encKV(k, v)}, nil
-		},
+		MakeUndo: inverse(KindDeleteRecord),
 	}
 	deleteHandler := storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			k, _, err := decKV(rec.Payload)
+			e, err := leafRecord(rec.Payload)
 			if err != nil {
 				return err
 			}
-			n.deleteEntry(k)
+			n.deleteEntry(e.Key)
 			return nil
 		}),
-		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			k, v, err := decKV(rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			return storage.Compensation{Kind: KindInsertRecord, Payload: encKV(k, v)}, nil
-		},
+		MakeUndo: inverse(KindInsertRecord),
 	}
 	updateHandler := storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
@@ -287,14 +255,11 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 		// tree to wherever the record lives now. Structure changes never
 		// need undoing against moved records, which is why this mode lets
 		// even data-node splits run outside the transaction (§6).
-		insertHandler.LogicalUndo = b.logicalUndo(opDelete, func(p []byte) (keys.Key, []byte, error) {
-			k, _, err := decKV(p)
-			return k, nil, err
-		})
-		deleteHandler.LogicalUndo = b.logicalUndo(opInsert, decKV)
-		updateHandler.LogicalUndo = b.logicalUndo(opUpdate, func(p []byte) (keys.Key, []byte, error) {
+		insertHandler.LogicalUndo = b.logicalUndo(opDelete, leafRecord)
+		deleteHandler.LogicalUndo = b.logicalUndo(opInsert, leafRecord)
+		updateHandler.LogicalUndo = b.logicalUndo(opUpdate, func(p []byte) (Entry, error) {
 			k, _, ov, err := decKVV(p)
-			return k, ov, err
+			return Entry{Key: k, Value: ov}, err
 		})
 	}
 	reg.Register(KindInsertRecord, insertHandler)
@@ -303,11 +268,11 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 
 	reg.Register(KindPostIndexTerm, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			k, child, err := decTerm(rec.Payload)
+			e, err := decRecord(1, rec.Payload)
 			if err != nil {
 				return err
 			}
-			n.insertEntry(Entry{Key: k, Child: child})
+			n.insertEntry(e)
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
@@ -317,11 +282,11 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 
 	reg.Register(KindRemoveIndexTerm, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			k, _, err := decTerm(rec.Payload)
+			e, err := decRecord(1, rec.Payload)
 			if err != nil {
 				return err
 			}
-			n.deleteEntry(k)
+			n.deleteEntry(e.Key)
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
@@ -347,7 +312,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindSplitTruncate, Payload: encSplitTruncate(absorbed.Low, from)}, nil
+			return storage.Compensation{Kind: KindSplitTruncate, Payload: appendTerm(nil, absorbed.Low, from)}, nil
 		},
 	})
 

@@ -95,7 +95,7 @@ func (n *Node) keyAt(i int) keys.Key {
 	return k
 }
 
-func (n *Node) entry(i int) Entry { return viewEntry(n.recs.At(i)) }
+func (n *Node) entry(i int) Entry { return viewEntry(n.Level, n.recs.At(i)) }
 
 // search returns the position of k among the entries and whether an entry
 // with exactly key k exists. The binary search is written out rather than
@@ -142,17 +142,15 @@ func (n *Node) insertEntry(e Entry) bool {
 		return false
 	}
 	var scratch [256]byte
-	n.recs.Insert(i, appendEntry(scratch[:0], e))
+	n.recs.Insert(i, appendEntry(scratch[:0], n.Level, e))
 	return true
 }
 
 // setValue replaces entry i's value with a copy of v: in place when the
 // length is unchanged.
 func (n *Node) setValue(i int, v []byte) {
-	e := n.entry(i)
-	e.Value = v
 	var scratch [256]byte
-	n.recs.Replace(i, appendEntry(scratch[:0], e))
+	n.recs.Replace(i, appendLeaf(scratch[:0], n.keyAt(i), v))
 }
 
 // absorb takes in copies of c's entries (consolidation: all above n's own).
@@ -210,26 +208,71 @@ func decodeNode(r *enc.Reader) (*Node, error) {
 	n.High.Unbounded = r.Bool()
 	n.High.Key = r.Bytes32()
 	n.Right = storage.PageID(r.U64())
-	n.recs = r.Records(int(r.U32()), entryLayout)
+	n.recs = r.Records(int(r.U32()), layoutOf(n.Level))
 	return n, r.Err()
 }
 
-// entryLayout is an entry on the page: key, value, child.
-var entryLayout = enc.Layout{enc.Var, enc.Var, 8}
+// A record holds only its level's fields (DESIGN.md §17): a leaf entry is
+// its key and value, an index term its key and child. Each level has one
+// layout, one append function and one view, and they are the codec of the
+// log payloads that carry one record as well: an insert or a delete is a
+// leaf entry, a posting, a term's removal and a split's cut an index term.
+var (
+	leafLayout = enc.Layout{enc.Var, enc.Var}
+	termLayout = enc.Layout{enc.Var, 8}
+)
 
-// appendEntry appends e's record to dst: plain appends, not a Writer, so
-// that a caller's scratch buffer stays on its stack.
-func appendEntry(dst []byte, e Entry) []byte {
-	dst = enc.AppendBytes32(dst, e.Key)
-	dst = enc.AppendBytes32(dst, e.Value)
-	return binary.LittleEndian.AppendUint64(dst, uint64(e.Child))
+func layoutOf(level int) enc.Layout {
+	if level == 0 {
+		return leafLayout
+	}
+	return termLayout
 }
 
-// viewEntry reads a record of entryLayout; Key and Value alias it.
-func viewEntry(rec []byte) Entry {
+// appendLeaf and appendTerm append a record to dst: plain appends, not a
+// Writer, so that a caller's scratch buffer stays on its stack.
+func appendLeaf(dst []byte, k keys.Key, v []byte) []byte {
+	return enc.AppendBytes32(enc.AppendBytes32(dst, k), v)
+}
+
+func appendTerm(dst []byte, k keys.Key, child storage.PageID) []byte {
+	return binary.LittleEndian.AppendUint64(enc.AppendBytes32(dst, k), uint64(child))
+}
+
+// viewLeaf and viewTerm read a record of their level; Key and Value alias it.
+func viewLeaf(rec []byte) Entry {
 	k, off := enc.Field32(rec, 0)
-	v, off := enc.Field32(rec, off)
-	return Entry{Key: k, Value: v, Child: storage.PageID(binary.LittleEndian.Uint64(rec[off:]))}
+	v, _ := enc.Field32(rec, off)
+	return Entry{Key: k, Value: v}
+}
+
+func viewTerm(rec []byte) Entry {
+	k, off := enc.Field32(rec, 0)
+	return Entry{Key: k, Child: storage.PageID(binary.LittleEndian.Uint64(rec[off:]))}
+}
+
+// appendEntry appends e as a record of level; viewEntry reads one.
+func appendEntry(dst []byte, level int, e Entry) []byte {
+	if level == 0 {
+		return appendLeaf(dst, e.Key, e.Value)
+	}
+	return appendTerm(dst, e.Key, e.Child)
+}
+
+func viewEntry(level int, rec []byte) Entry {
+	if level == 0 {
+		return viewLeaf(rec)
+	}
+	return viewTerm(rec)
+}
+
+// decRecord reads a log payload that is one record of level: its view,
+// once the level's layout has checked it. The fields alias b.
+func decRecord(level int, b []byte) (Entry, error) {
+	if err := layoutOf(level).One(b); err != nil {
+		return Entry{}, err
+	}
+	return viewEntry(level, b), nil
 }
 
 // Codec is the storage.Codec for Π-tree pages.

@@ -155,7 +155,7 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 		if !exists {
 			return w.miss(ErrKeyNotFound)
 		}
-		up = txn.GroupUpdate{Kind: KindDeleteRecord, Payload: encKV(k, n.entry(j).Value)}
+		up = txn.GroupUpdate{Kind: KindDeleteRecord, Payload: appendLeaf(nil, k, n.entry(j).Value)}
 		n.recs.Delete(j)
 		t.Stats.NoteLeafUtil(n.Len()+1, n.Len(), t.opts.LeafCapacity)
 		if batched {
@@ -175,7 +175,7 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 		if w.op == opUpdate {
 			return w.miss(ErrKeyNotFound)
 		}
-		up = txn.GroupUpdate{Kind: KindInsertRecord, Payload: encKV(k, w.vals[i])}
+		up = txn.GroupUpdate{Kind: KindInsertRecord, Payload: appendLeaf(nil, k, w.vals[i])}
 		n.insertEntry(Entry{Key: k, Value: enc.NilIfEmpty(w.vals[i])})
 		t.Stats.NoteLeafUtil(n.Len()-1, n.Len(), t.opts.LeafCapacity)
 		if batched {
@@ -398,7 +398,7 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 		return nil, storage.NilPage, err
 	}
 
-	lsnT := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindSplitTruncate, encSplitTruncate(sep, newPid))
+	lsnT := act.LogUpdate(t.store.Pool.StoreID, uint64(r.Pid()), KindSplitTruncate, appendTerm(nil, sep, newPid))
 	n.recs = n.recs.Slice(0, mid)
 	n.High = keys.At(sep)
 	n.Right = newPid
@@ -426,7 +426,7 @@ func (t *Tree) splitRoot(o *opCtx, r *nref, act *txn.Txn, mid int, pidB storage.
 		return err
 	}
 	a := &Node{Level: level, Low: keys.Clone(n.Low), High: keys.At(b.Low), Right: pidB, recs: n.recs.Slice(0, mid)}
-	terms := appendEntry(appendEntry(nil, Entry{Key: n.Low, Child: pidA}), Entry{Key: b.Low, Child: pidB})
+	terms := appendTerm(appendTerm(nil, n.Low, pidA), b.Low, pidB)
 	if err := t.kern.Grow(o, act, r, pidA, pidB, a, b, terms); err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@ import (
 // appendEntries puts es behind n's entries, in the order given.
 func appendEntries(n *Node, es ...Entry) {
 	for _, e := range es {
-		n.recs.Insert(n.Len(), appendEntry(nil, e))
+		n.recs.Insert(n.Len(), appendEntry(nil, n.Level, e))
 	}
 }
 
@@ -85,11 +85,17 @@ func oracleDecodeNode(r *enc.Reader) (*oracleNode, error) {
 	return n, r.Err()
 }
 
-// TestImageByteIdentity: for seeded random nodes of both levels — nil,
-// empty and unbounded keys, nil and empty values, a dead flag — the image
-// the oracle codec writes decodes and re-encodes to itself through the
-// oracle and through the node codec, before and after the node was changed
-// and changed back.
+// sameBytes reports whether a and b are equal, nil-ness included.
+func sameBytes(a, b []byte) bool { return bytes.Equal(a, b) && (a == nil) == (b == nil) }
+
+// TestImageByteIdentity: seeded random nodes of both levels — nil, empty
+// and unbounded keys, nil and empty values, a dead flag — encoded by the
+// old codec (the oracle, every field in every entry) and by the node codec
+// (each level's fields only) read the same, header and entries field by
+// field; the node's image is smaller by exactly what the level leaves out,
+// 8 bytes a leaf entry (the child) and 4 an index term (the nil value); and
+// it decodes and re-encodes to itself, also after every record was taken
+// out of the buffer and put back in random order.
 func TestImageByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	blob := func(max int) []byte {
@@ -117,36 +123,37 @@ func TestImageByteIdentity(t *testing.T) {
 		}
 		var w enc.Writer
 		oracleEncodeNode(&w, o)
-		img := w.Bytes()
-
-		od, err := oracleDecodeNode(enc.NewReader(img))
+		old := w.Bytes()
+		od, err := oracleDecodeNode(enc.NewReader(old))
 		if err != nil {
 			t.Fatalf("node %d: oracle decode: %v", i, err)
 		}
-		var ow enc.Writer
-		oracleEncodeNode(&ow, od)
-		if !bytes.Equal(ow.Bytes(), img) {
-			t.Fatalf("node %d: oracle round trip differs", i)
-		}
 
+		built := &Node{Level: o.Level, Low: o.Low, High: o.High, Right: o.Right, Dead: o.Dead}
+		appendEntries(built, o.Entries...)
+		img, _ := (Codec{}).AppendPage(nil, built)
+		if saved, per := len(old)-len(img), []int{8, 4}[min(o.Level, 1)]; saved != per*len(o.Entries) {
+			t.Fatalf("node %d (level %d, %d entries): the image is %d bytes smaller, want %d", i, o.Level, len(o.Entries), saved, per*len(o.Entries))
+		}
 		dec, err := (Codec{}).DecodePage(bytes.Clone(img))
 		if err != nil {
 			t.Fatalf("node %d: decode: %v", i, err)
 		}
 		n := dec.(*Node)
-		got, _ := (Codec{}).AppendPage(nil, n)
-		if !bytes.Equal(got, img) {
-			t.Fatalf("node %d: image\n%x re-encodes as\n%x", i, img, got)
+		if n.Level != od.Level || n.Dead != od.Dead || n.Right != od.Right || !sameBytes(n.Low, od.Low) ||
+			n.High.Unbounded != od.High.Unbounded || !sameBytes(n.High.Key, od.High.Key) {
+			t.Fatalf("node %d: header %v, the oracle reads %+v", i, n, od)
 		}
-		if n.Len() != len(o.Entries) {
-			t.Fatalf("node %d: %d entries, want %d", i, n.Len(), len(o.Entries))
+		if n.Len() != len(od.Entries) {
+			t.Fatalf("node %d: %d entries, the oracle reads %d", i, n.Len(), len(od.Entries))
 		}
-		for j, want := range o.Entries {
-			e := n.entry(j)
-			if !bytes.Equal(e.Key, want.Key) || (e.Key == nil) != (want.Key == nil) ||
-				!bytes.Equal(e.Value, want.Value) || (e.Value == nil) != (want.Value == nil) || e.Child != want.Child {
-				t.Fatalf("node %d entry %d: %+v, want %+v", i, j, e, want)
+		for j, want := range od.Entries {
+			if e := n.entry(j); !sameBytes(e.Key, want.Key) || !sameBytes(e.Value, want.Value) || e.Child != want.Child {
+				t.Fatalf("node %d entry %d: %+v, the oracle reads %+v", i, j, e, want)
 			}
+		}
+		if got, _ := (Codec{}).AppendPage(nil, n); !bytes.Equal(got, img) {
+			t.Fatalf("node %d: image\n%x re-encodes as\n%x", i, img, got)
 		}
 		// Scramble the buffer — every record out and back in, in random
 		// order, so physical and logical order part and holes open — and
@@ -156,7 +163,7 @@ func TestImageByteIdentity(t *testing.T) {
 			n.recs.Delete(j)
 			n.recs.Insert(j, rec)
 		}
-		if got, _ = (Codec{}).AppendPage(nil, n); !bytes.Equal(got, img) {
+		if got, _ := (Codec{}).AppendPage(nil, n); !bytes.Equal(got, img) {
 			t.Fatalf("node %d: after delete and re-insert of every record the image is\n%x, want\n%x", i, got, img)
 		}
 		if n.recs.Size() != len(img)-len(headerOf(t, img)) {
@@ -189,7 +196,7 @@ func headerOf(t *testing.T, img []byte) []byte {
 
 func oracleEncRootGrow(termA, termB Entry, pre *Node) []byte {
 	var w enc.Writer
-	w.Reset(appendEntry(appendEntry(nil, termA), termB))
+	w.Reset(appendTerm(appendTerm(nil, termA.Key, termA.Child), termB.Key, termB.Child))
 	encodeNode(&w, pre)
 	return w.Bytes()
 }
@@ -197,7 +204,7 @@ func oracleEncRootGrow(termA, termB Entry, pre *Node) []byte {
 // oracleRestore is the payload of the restore that undid the growth b.
 func oracleRestore(b []byte) []byte {
 	r := enc.NewReader(b)
-	r.Records(2, entryLayout)
+	r.Records(2, termLayout)
 	pre, err := decodeNode(r)
 	if err != nil {
 		panic(err)
@@ -223,7 +230,7 @@ func (t *Tree) oracleUndoDelete(rec *wal.Record, tx storage.CLRLogger, k keys.Ke
 			return nil
 		}
 		o.Promote(&leaf)
-		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindDeleteRecord, encKV(k, leaf.N.entry(i).Value), rec.PrevLSN)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindDeleteRecord, appendLeaf(nil, k, leaf.N.entry(i).Value), rec.PrevLSN)
 		leaf.N.recs.Delete(i)
 		leaf.F.MarkDirty(lsn)
 		o.Release(&leaf)
@@ -250,7 +257,7 @@ func (t *Tree) oracleUndoInsert(rec *wal.Record, tx storage.CLRLogger, k keys.Ke
 			return nil
 		}
 		o.Promote(&leaf)
-		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertRecord, encKV(k, v), rec.PrevLSN)
+		lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(leaf.Pid()), KindInsertRecord, appendLeaf(nil, k, v), rec.PrevLSN)
 		leaf.N.insertEntry(Entry{Key: k, Value: enc.NilIfEmpty(v)})
 		leaf.F.MarkDirty(lsn)
 		o.Release(&leaf)
@@ -289,11 +296,11 @@ func (t *Tree) oracleRollback(log *wal.Log, tx *txn.Txn) error {
 		}
 		switch rec.Kind {
 		case KindInsertRecord:
-			k, _, _ := decKV(rec.Payload)
-			err = t.oracleUndoDelete(&rec, tx, k)
+			e, _ := decRecord(0, rec.Payload)
+			err = t.oracleUndoDelete(&rec, tx, e.Key)
 		case KindDeleteRecord:
-			k, v, _ := decKV(rec.Payload)
-			err = t.oracleUndoInsert(&rec, tx, k, v)
+			e, _ := decRecord(0, rec.Payload)
+			err = t.oracleUndoInsert(&rec, tx, e.Key, e.Value)
 		case KindUpdateRecord:
 			k, _, ov, _ := decKVV(rec.Payload)
 			err = t.oracleUndoUpdate(&rec, tx, k, ov)
@@ -414,7 +421,7 @@ func (t *Tree) oracleTryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, s
 		// The parent is changed last, once nothing can fail any more: it
 		// stays latched by the caller's sweep, so an abort's undo — which
 		// X-latches every page it compensates — must never reach it.
-		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveIndexTerm, encTerm(cEntry.Key, cEntry.Child))
+		lsn = aa.LogUpdate(t.store.Pool.StoreID, uint64(parent.Pid()), KindRemoveIndexTerm, appendTerm(nil, cEntry.Key, cEntry.Child))
 		parent.N.recs.Delete(cIdx)
 		parent.F.MarkDirty(lsn)
 		return nil

@@ -118,7 +118,7 @@ func (p *indexPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, er
 
 // Apply is step 4, Update NODE.
 func (p *indexPost) Apply(_ *opCtx, aa *txn.Txn, node *nref) error {
-	lsn := aa.LogUpdate(p.t.store.Pool.StoreID, uint64(node.Pid()), KindPostIndexTerm, encTerm(p.key, p.child))
+	lsn := aa.LogUpdate(p.t.store.Pool.StoreID, uint64(node.Pid()), KindPostIndexTerm, appendTerm(nil, p.key, p.child))
 	node.N.insertEntry(Entry{Key: p.key, Child: p.child})
 	node.F.MarkDirty(lsn)
 	return nil

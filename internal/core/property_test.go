@@ -13,7 +13,7 @@ import (
 )
 
 // TestNodeEncodeDecodeProperty: the page codec round-trips arbitrary
-// nodes exactly.
+// nodes exactly: values in a leaf, children in an index node.
 func TestNodeEncodeDecodeProperty(t *testing.T) {
 	f := func(level uint8, low []byte, highUnbounded bool, high []byte, right uint64, dead bool, ks [][]byte, vs [][]byte) bool {
 		n := &Node{
@@ -26,7 +26,9 @@ func TestNodeEncodeDecodeProperty(t *testing.T) {
 		var want []Entry
 		for i := range ks {
 			e := Entry{Key: ks[i]}
-			if i < len(vs) {
+			if n.Level > 0 {
+				e.Child = storage.PageID(right + uint64(i))
+			} else if i < len(vs) {
 				e.Value = vs[i]
 			}
 			want = append(want, e)
@@ -58,7 +60,7 @@ func TestNodeEncodeDecodeProperty(t *testing.T) {
 			if !bytes.Equal(got[i].Key, want[i].Key) || (got[i].Key == nil) != (want[i].Key == nil) {
 				return false
 			}
-			if !bytes.Equal(got[i].Value, want[i].Value) || (got[i].Value == nil) != (want[i].Value == nil) {
+			if !bytes.Equal(got[i].Value, want[i].Value) || (got[i].Value == nil) != (want[i].Value == nil) || got[i].Child != want[i].Child {
 				return false
 			}
 		}

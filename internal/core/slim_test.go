@@ -74,7 +74,7 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 		mid := n.Len() / 2
 		sep := keys.Clone(n.keyAt(mid))
 		upper := &Node{Level: n.Level, Low: sep, High: n.High, Right: n.Right, recs: n.recs.Slice(mid, n.Len())}
-		applied, undone := undoRoundTrip(t, reg, n, 901, upper, KindSplitTruncate, encSplitTruncate(sep, 901))
+		applied, undone := undoRoundTrip(t, reg, n, 901, upper, KindSplitTruncate, appendTerm(nil, sep, 901))
 		lower := n.clone()
 		lower.recs, lower.High, lower.Right = lower.recs.Slice(0, mid), keys.At(sep), 901
 		if !bytes.Equal(applied, encNodeImage(lower)) {
@@ -126,9 +126,9 @@ func TestSplitUndoNeedsTheSiblingsFormatRecord(t *testing.T) {
 	n, _ := randomNode(rand.New(rand.NewSource(1)), 0, 0)
 	prev := log.Append(&wal.Record{Type: wal.RecUpdate, Kind: KindFormatNode, TxnID: 1, StoreID: 1, PageID: 5, Payload: encNodeImage(n)})
 	for name, rec := range map[string]*wal.Record{
-		"other sibling":     {Type: wal.RecUpdate, Kind: KindSplitTruncate, TxnID: 1, PrevLSN: prev, StoreID: 1, PageID: 7, Payload: encSplitTruncate(keys.Uint64(3), 6)},
-		"other transaction": {Type: wal.RecUpdate, Kind: KindSplitTruncate, TxnID: 2, PrevLSN: prev, StoreID: 1, PageID: 7, Payload: encSplitTruncate(keys.Uint64(3), 5)},
-		"no previous":       {Type: wal.RecUpdate, Kind: KindSplitTruncate, TxnID: 1, StoreID: 1, PageID: 7, Payload: encSplitTruncate(keys.Uint64(3), 5)},
+		"other sibling":     {Type: wal.RecUpdate, Kind: KindSplitTruncate, TxnID: 1, PrevLSN: prev, StoreID: 1, PageID: 7, Payload: appendTerm(nil, keys.Uint64(3), 6)},
+		"other transaction": {Type: wal.RecUpdate, Kind: KindSplitTruncate, TxnID: 2, PrevLSN: prev, StoreID: 1, PageID: 7, Payload: appendTerm(nil, keys.Uint64(3), 5)},
+		"no previous":       {Type: wal.RecUpdate, Kind: KindSplitTruncate, TxnID: 1, StoreID: 1, PageID: 7, Payload: appendTerm(nil, keys.Uint64(3), 5)},
 	} {
 		log.Append(rec)
 		if _, err := h.MakeUndo(rec, log); err == nil {
@@ -428,13 +428,13 @@ func TestStructureRecordsStaySmall(t *testing.T) {
 // allocation by a count they have not checked against the input.
 func FuzzSlimPayloads(f *testing.F) {
 	n, _ := randomNode(rand.New(rand.NewSource(3)), 0, 5)
-	f.Add(encSplitTruncate(keys.Uint64(9), 4))
+	f.Add(appendTerm(nil, keys.Uint64(9), 4))
 	f.Add(encConsolidateMove(4, encNodeImage(n)))
 	f.Add(encRootShrink(n, n))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xfe, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if sep, right, err := decSplitTruncate(b); err == nil {
-			if got := encSplitTruncate(sep, right); !bytes.Equal(got, b[:len(got)]) {
+		if cut, err := decRecord(1, b); err == nil {
+			if got := appendTerm(nil, cut.Key, cut.Child); !bytes.Equal(got, b) {
 				t.Fatalf("split payload %x decodes to one that encodes as %x", b, got)
 			}
 		}

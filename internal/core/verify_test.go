@@ -54,7 +54,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		}},
 		{"entry outside the node", func(t *testing.T, fx *fixture, leaf, _ storage.PageID) {
 			corruptNode(t, fx, leaf, func(n *Node) {
-				n.recs.Insert(n.Len(), appendEntry(nil, Entry{Key: keys.Clone(n.High.Key), Value: []byte("x")}))
+				n.recs.Insert(n.Len(), appendLeaf(nil, keys.Clone(n.High.Key), []byte("x")))
 			})
 		}},
 		{"dropped index term", func(t *testing.T, fx *fixture, _, index storage.PageID) {
@@ -64,8 +64,8 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 			corruptNode(t, fx, index, func(n *Node) {
 				a, b := n.entry(1), n.entry(2)
 				a.Child, b.Child = b.Child, a.Child
-				n.recs.Replace(1, appendEntry(nil, a))
-				n.recs.Replace(2, appendEntry(nil, b))
+				n.recs.Replace(1, appendTerm(nil, a.Key, a.Child))
+				n.recs.Replace(2, appendTerm(nil, b.Key, b.Child))
 			})
 		}},
 		{"broken side chain", func(t *testing.T, fx *fixture, leaf, _ storage.PageID) {

@@ -136,13 +136,35 @@ func (r *Records) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// Layout is the shape of a tree's records, field by field: a positive
-// number is that many fixed bytes, Var a length-prefixed byte string
-// (Writer.Bytes32). It has at least one field.
+// Layout is the shape of the records of one level of a tree, field by
+// field: a positive number is that many fixed bytes, Var a length-prefixed
+// byte string (Writer.Bytes32). It has at least one field.
 type Layout []int
 
 // Var is the Layout entry of a length-prefixed byte string.
 const Var = -1
+
+// minSize returns the size of the smallest record of shape l: every
+// string empty.
+func (l Layout) minSize() int {
+	n := 0
+	for _, f := range l {
+		if f == Var {
+			f = 4
+		}
+		n += f
+	}
+	return n
+}
+
+// One checks that b is exactly one record of shape l: a log payload that
+// carries a single record passes it before the tree's view reads it.
+func (l Layout) One(b []byte) error {
+	if l.skip(b) != len(b) {
+		return ErrTruncated
+	}
+	return nil
+}
 
 // skip returns the length of the record at the head of b, or -1 if b ends
 // inside it.
@@ -163,13 +185,13 @@ func (l Layout) skip(b []byte) int {
 
 // Load indexes the count records of shape l that start at b[0] without
 // copying them; a count or a record that b is too short for is
-// ErrTruncated, and a slot table is only allocated for a count the input
-// could hold. That is the only check of the records: the tree's field
-// accessors read what l describes. The result aliases b — the caller hands
-// b over, or keeps the Records no longer than b — and n is the number of
-// bytes they occupy.
+// ErrTruncated, and a slot table is only allocated for a count of records
+// of the smallest size the input could hold. That is the only check of the
+// records: the tree's field accessors read what l describes. The result
+// aliases b — the caller hands b over, or keeps the Records no longer than
+// b — and n is the number of bytes they occupy.
 func Load(b []byte, count int, l Layout) (r Records, n int, err error) {
-	if count < 0 || count > len(b)/len(l) {
+	if count < 0 || count > len(b)/l.minSize() {
 		return Records{}, 0, ErrTruncated
 	}
 	slots := make([]slot, count)

@@ -150,6 +150,30 @@ func RecordsFrom(log *wal.Log, lsn wal.LSN) []wal.Record {
 	return recs
 }
 
+// PayloadsAreRecords fails the test unless every record of the given kinds
+// in log carries one of records — page records the caller collected from
+// the tree's nodes — byte for byte, and each kind was logged at least once.
+func PayloadsAreRecords(t testing.TB, log *wal.Log, records map[string]bool, kinds ...wal.Kind) {
+	t.Helper()
+	seen := map[wal.Kind]int{}
+	for _, k := range kinds {
+		seen[k] = 0
+	}
+	for _, r := range RecordsFrom(log, wal.NilLSN) {
+		if n, ok := seen[r.Kind]; ok {
+			seen[r.Kind] = n + 1
+			if !records[string(r.Payload)] {
+				t.Errorf("record of kind %d at LSN %d: payload %x is no node's record", r.Kind, r.LSN, r.Payload)
+			}
+		}
+	}
+	for k, n := range seen {
+		if n == 0 {
+			t.Errorf("the workload logged no record of kind %d", k)
+		}
+	}
+}
+
 // SameRecords fails the test unless got and want are the same records, in
 // the same order: LSN, type, transaction, kind, page, chain links and
 // payload.

@@ -218,7 +218,7 @@ func (a *absorber) Cut(aa *txn.Txn, _ *nref) (bool, error) {
 		return false, err
 	}
 	deleg.F.MarkDirty(lsn)
-	lsn = aa.LogUpdate(storeID, uint64(a.parent.Pid()), KindRemoveTerm, encTerm(term))
+	lsn = aa.LogUpdate(storeID, uint64(a.parent.Pid()), KindRemoveTerm, appendTerm(nil, term))
 	a.parent.N.recs.Delete(a.i)
 	a.parent.F.MarkDirty(lsn)
 	return true, nil

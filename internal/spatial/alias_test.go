@@ -11,22 +11,29 @@ import (
 	"repro/internal/wal"
 )
 
-// nodeRecords returns every record of every node buffered for the tree: the
-// memory no result and nothing a writer keeps may point into.
-func nodeRecords(t *testing.T, tree *Tree) (spans [][]byte) {
+// nodeRecords returns every node below the store's high-water mark and
+// every record in them: the memory no result and nothing a writer keeps may
+// point into.
+func nodeRecords(t *testing.T, tree *Tree) (nodes []*Node, spans [][]byte) {
 	t.Helper()
-	for pid := storage.PageID(2); ; pid++ {
+	st, err := tree.store.SpaceStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid := storage.PageID(2); pid < st.Next; pid++ {
 		f, err := tree.store.Pool.Fetch(pid)
 		if err != nil {
-			return spans
+			continue
 		}
 		if n, ok := f.Data.(*Node); ok {
+			nodes = append(nodes, n)
 			for i := 0; i < n.Len(); i++ {
 				spans = append(spans, n.recs.At(i))
 			}
 		}
 		tree.store.Pool.Unpin(f)
 	}
+	return nodes, spans
 }
 
 // TestNoResultAliasesANode: what the read APIs return are copies. Every
@@ -77,7 +84,7 @@ func TestNoResultAliasesANode(t *testing.T) {
 	if err != nil || len(held) != 2*n {
 		t.Fatalf("%d results held, want %d; %v", len(held), 2*n, err)
 	}
-	spans := nodeRecords(t, tree)
+	_, spans := nodeRecords(t, tree)
 	for _, r := range held {
 		if pitreetest.Inside(r.v, spans) {
 			t.Fatalf("%s of %v points into a node's records", r.api, r.p)
@@ -105,7 +112,7 @@ func TestNoResultAliasesANode(t *testing.T) {
 		if r.Type != wal.RecUpdate || (r.Kind != KindRemovePoint && r.Kind != KindInsertPoint) {
 			return true
 		}
-		e, err := decPoint(r.Payload)
+		e, err := decRecord(0, r.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}

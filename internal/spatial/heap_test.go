@@ -10,13 +10,16 @@ import (
 )
 
 // TestLiveHeapPerRecord: a loaded tree's heap is its records. 50 000
-// scattered points with 100-byte values cost at most 1.6 times their
-// encoded entries: 161 bytes each — point 16, value 100 and its length
-// prefix, and the 41 bytes of index-term fields every entry still carries.
-// The tree has no update; the same holds after every point was deleted and
-// inserted again with another value of the same length, half of them twice.
+// scattered points with 100-byte values cost at most 1.65 times their
+// encoded entries: 120 bytes each — point 16, value 100 and its length
+// prefix; a point has no index-term field. The factor is the tightest that
+// passes, not 1.6: the fixed cost of a record — its 8-byte slot, and the
+// allocator's rounding of a buffer — is a larger share of 120 bytes, and
+// the heap measures ≈ 193.5 bytes a record, 1.6 times 121. The tree has no
+// update; the same holds after every point was deleted and inserted again
+// with another value of the same length, half of them twice.
 func TestLiveHeapPerRecord(t *testing.T) {
-	const n, entry = 50000, 16 + 4 + 100 + 41
+	const n, entry = 50000, 16 + 4 + 100
 	pitreetest.HeapPerRecord(t, func(e *engine.Engine, measure func(string, int, float64)) {
 		tree, err := Create(e.AddStore(1, Codec{}), e.TM, e.Locks, Register(e.Reg), "heap", Options{})
 		if err != nil {
@@ -39,7 +42,7 @@ func TestLiveHeapPerRecord(t *testing.T) {
 			}
 		}
 		tree.DrainCompletions()
-		measure("scattered load", n, 1.6*entry)
+		measure("scattered load", n, 1.65*entry)
 
 		for round, part := range [][]Point{pts, pts[:n/2]} {
 			for _, p := range part {
@@ -51,7 +54,7 @@ func TestLiveHeapPerRecord(t *testing.T) {
 				}
 			}
 			tree.DrainCompletions()
-			measure([]string{"every point deleted and inserted again", "half of them once more"}[round], n, 1.6*entry)
+			measure([]string{"every point deleted and inserted again", "half of them once more"}[round], n, 1.65*entry)
 		}
 	})
 }

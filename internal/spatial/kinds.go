@@ -96,11 +96,15 @@ func encSplitOff(alongX bool, coord uint64, sib storage.PageID, fates []byte) []
 
 func decSplitOff(b []byte) (alongX bool, coord uint64, sib storage.PageID, fates []byte, err error) {
 	r := enc.NewReader(b)
-	alongX = r.Bool()
-	coord = r.U64()
-	sib = storage.PageID(r.U64())
+	alongX, coord, sib = readCut(r)
 	fates = r.Bytes32()
 	return alongX, coord, sib, fates, r.Err()
+}
+
+// readCut reads the plane and the sibling's page at the head of a split's
+// and an absorb's payload.
+func readCut(r *enc.Reader) (alongX bool, coord uint64, sib storage.PageID) {
+	return r.Bool(), r.U64(), storage.PageID(r.U64())
 }
 
 // returning is what an absorb brings back into the node besides the region:
@@ -113,82 +117,50 @@ type returning struct {
 }
 
 // absorbSib payload: the cut that made the absorbed sibling — plane and
-// page, as in the split record — and what returns.
+// page, as in the split record — and what returns, its entries last: they
+// are records of the level of the node the payload applies to, which only
+// its redo knows.
 func encAbsorbSib(alongX bool, coord uint64, sib storage.PageID, ret returning) []byte {
 	var w enc.Writer
 	w.Bool(alongX)
 	w.U64(coord)
 	w.U64(uint64(sib))
-	encodeEntries(&w, &ret.entries)
 	for _, ps := range [][]uint16{ret.pos, ret.unclip} {
 		w.U32(uint32(len(ps)))
 		for _, p := range ps {
 			w.U16(p)
 		}
 	}
+	encodeEntries(&w, &ret.entries)
 	return w.Bytes()
 }
 
-func decAbsorbSib(b []byte) (alongX bool, coord uint64, sib storage.PageID, ret returning, err error) {
+// decAbsorbSib reads what an absorb brings back, its entries as records of
+// level; the cut is read by readCut alone.
+func decAbsorbSib(b []byte, level int) (ret returning, err error) {
 	r := enc.NewReader(b)
-	alongX = r.Bool()
-	coord = r.U64()
-	sib = storage.PageID(r.U64())
-	ret.entries = decodeEntries(r)
+	readCut(r)
 	for _, ps := range []*[]uint16{&ret.pos, &ret.unclip} {
 		n := int(r.U32())
 		if r.Err() != nil || n > r.Remaining()/2 {
-			return alongX, coord, sib, ret, enc.ErrTruncated
+			return ret, enc.ErrTruncated
 		}
 		for i := 0; i < n; i++ {
 			*ps = append(*ps, r.U16())
 		}
 	}
+	ret.entries = decodeEntries(r, level)
 	if !(len(ret.pos) == 0 || len(ret.pos) == ret.entries.Len()) {
-		return alongX, coord, sib, ret, fmt.Errorf("spatial: absorb record with %d entries and %d positions", ret.entries.Len(), len(ret.pos))
+		return ret, fmt.Errorf("spatial: absorb record with %d entries and %d positions", ret.entries.Len(), len(ret.pos))
 	}
-	return alongX, coord, sib, ret, r.Err()
-}
-
-func encPoint(e Entry) []byte {
-	var w enc.Writer
-	w.U64(e.P.X)
-	w.U64(e.P.Y)
-	w.Bytes32(e.Value)
-	return w.Bytes()
-}
-
-func decPoint(b []byte) (Entry, error) {
-	r := enc.NewReader(b)
-	var e Entry
-	e.P.X = r.U64()
-	e.P.Y = r.U64()
-	e.Value = r.Bytes32()
-	return e, r.Err()
-}
-
-func encTerm(e Entry) []byte {
-	var w enc.Writer
-	encodeRect(&w, e.Rect)
-	w.U64(uint64(e.Child))
-	w.Bool(e.Clipped)
-	return w.Bytes()
-}
-
-func decTerm(b []byte) (Entry, error) {
-	r := enc.NewReader(b)
-	var e Entry
-	e.Rect = decodeRect(r)
-	e.Child = storage.PageID(r.U64())
-	e.Clipped = r.Bool()
-	return e, r.Err()
+	return ret, r.Err()
 }
 
 // nodeKinds is the kernel's description of the tree's node images. A grown
 // root directly contains the whole space and has no sibling terms.
 var nodeKinds = pitree.NodeKinds[*Node]{
 	Format: KindFormat, Restore: KindRestore, Grow: KindRootGrow,
-	Image: encNodeImage, Decode: decNodeImage, Layout: entryLayout,
+	Image: encNodeImage, Decode: decNodeImage, Layout: termLayout,
 	Raise: func(n *Node, terms enc.Records) {
 		n.Level++
 		n.recs = terms.Clone()
@@ -260,7 +232,7 @@ func applyAbsorbSib(n *Node, ret returning) error {
 		setClipped(&n.recs, int(p), false)
 	}
 	for i := 0; i < ret.entries.Len(); i++ {
-		e := viewEntry(ret.entries.At(i))
+		e := viewEntry(n.Level, ret.entries.At(i))
 		if n.IsData() {
 			n.insertPoint(e)
 			continue
@@ -355,7 +327,7 @@ func logicalUndo(b *Binding, del bool) func(*wal.Record, storage.CLRLogger) erro
 		if err != nil {
 			return err
 		}
-		e, err := decPoint(rec.Payload)
+		e, err := decRecord(0, rec.Payload)
 		if err != nil {
 			return err
 		}
@@ -403,7 +375,7 @@ func Register(reg *storage.Registry) *Binding {
 	})
 	reg.Register(KindInsertPoint, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			e, err := decPoint(rec.Payload)
+			e, err := decRecord(0, rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -414,7 +386,7 @@ func Register(reg *storage.Registry) *Binding {
 	})
 	reg.Register(KindRemovePoint, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			e, err := decPoint(rec.Payload)
+			e, err := decRecord(0, rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -427,7 +399,7 @@ func Register(reg *storage.Registry) *Binding {
 	})
 	reg.Register(KindPostTerm, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			e, err := decTerm(rec.Payload)
+			e, err := decRecord(1, rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -442,7 +414,7 @@ func Register(reg *storage.Registry) *Binding {
 	})
 	reg.Register(KindRemoveTerm, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			e, err := decTerm(rec.Payload)
+			e, err := decRecord(1, rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -457,7 +429,7 @@ func Register(reg *storage.Registry) *Binding {
 	})
 	reg.Register(KindAbsorbSib, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			_, _, _, ret, err := decAbsorbSib(rec.Payload)
+			ret, err := decAbsorbSib(rec.Payload, n.Level)
 			if err != nil {
 				return err
 			}
@@ -465,9 +437,10 @@ func Register(reg *storage.Registry) *Binding {
 		}),
 		// Undo splits the sibling off again, at the plane that made it.
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			alongX, coord, sib, _, err := decAbsorbSib(rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
+			r := enc.NewReader(rec.Payload)
+			alongX, coord, sib := readCut(r)
+			if r.Err() != nil {
+				return storage.Compensation{}, r.Err()
 			}
 			return storage.Compensation{Kind: KindSplitOff, Payload: encSplitOff(alongX, coord, sib, nil)}, nil
 		},

@@ -134,8 +134,9 @@ type SibTerm struct {
 	Pid  storage.PageID
 }
 
-// Entry is a data point (level 0) or an index term (levels >= 1). An Entry
-// read from a node is a view: Value aliases the node's buffer (DESIGN.md §17).
+// Entry is a data point (level 0) or an index term (levels >= 1); a record
+// on the page holds only its level's fields. An Entry read from a node is a
+// view: Value aliases the node's buffer (DESIGN.md §17).
 type Entry struct {
 	// Data fields.
 	P     Point
@@ -168,10 +169,9 @@ func (n *Node) IsData() bool { return n.Level == 0 }
 // Len returns the number of entries.
 func (n *Node) Len() int { return n.recs.Len() }
 
-// entry returns entry i as a view; pointAt reads its point alone and
-// termAt its index fields alone, which sit at fixed offsets from the
-// record's ends.
-func (n *Node) entry(i int) Entry { return viewEntry(n.recs.At(i)) }
+// entry returns entry i as a view; pointAt reads a point's coordinates
+// alone and termAt a term's rectangle and child alone.
+func (n *Node) entry(i int) Entry { return viewEntry(n.Level, n.recs.At(i)) }
 
 func (n *Node) pointAt(i int) Point {
 	rec := n.recs.At(i)
@@ -180,7 +180,6 @@ func (n *Node) pointAt(i int) Point {
 
 func (n *Node) termAt(i int) (Rect, storage.PageID) {
 	rec := n.recs.At(i)
-	rec = rec[len(rec)-termBytes:]
 	return viewRect(rec), storage.PageID(binary.LittleEndian.Uint64(rec[4*8:]))
 }
 
@@ -193,7 +192,7 @@ func setClipped(rs *enc.Records, i int, clipped bool) {
 // insertAt places a copy of e at position i.
 func (n *Node) insertAt(i int, e Entry) {
 	var scratch [256]byte
-	n.recs.Insert(i, appendEntry(scratch[:0], e))
+	n.recs.Insert(i, appendEntry(scratch[:0], n.Level, e))
 }
 
 // setEntries makes copies of es the node's only entries, in that order.
@@ -297,25 +296,69 @@ func viewRect(b []byte) Rect {
 	}
 }
 
-// appendEntry appends e's record to dst.
-func appendEntry(dst []byte, e Entry) []byte {
+// A record holds only its level's fields (DESIGN.md §17): a point is its
+// coordinates and value, a term its rectangle, child and clipped mark. Each
+// level has one layout, one append function and one view, and they are the
+// codec of the log payloads that carry one record as well: the insert and
+// removal of a point are that point, the posting and removal of a term that
+// term.
+var (
+	pointLayout = enc.Layout{8 + 8, enc.Var}
+	termLayout  = enc.Layout{4*8 + 8 + 1}
+)
+
+func layoutOf(level int) enc.Layout {
+	if level == 0 {
+		return pointLayout
+	}
+	return termLayout
+}
+
+func appendPoint(dst []byte, e Entry) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, e.P.X)
 	dst = binary.LittleEndian.AppendUint64(dst, e.P.Y)
-	dst = enc.AppendBytes32(dst, e.Value)
+	return enc.AppendBytes32(dst, e.Value)
+}
+
+// viewPoint and viewTerm read a record of their level; Value aliases it.
+func viewPoint(rec []byte) Entry {
+	e := Entry{P: Point{X: binary.LittleEndian.Uint64(rec), Y: binary.LittleEndian.Uint64(rec[8:])}}
+	e.Value, _ = enc.Field32(rec, 16)
+	return e
+}
+
+func appendTerm(dst []byte, e Entry) []byte {
 	dst = appendRect(dst, e.Rect)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Child))
 	return append(dst, enc.Bit(e.Clipped))
 }
 
-// viewEntry reads a record of entryLayout; Value aliases it.
-func viewEntry(rec []byte) Entry {
-	e := Entry{P: Point{X: binary.LittleEndian.Uint64(rec), Y: binary.LittleEndian.Uint64(rec[8:])}}
-	var off int
-	e.Value, off = enc.Field32(rec, 16)
-	e.Rect = viewRect(rec[off:])
-	e.Child = storage.PageID(binary.LittleEndian.Uint64(rec[off+4*8:]))
-	e.Clipped = rec[off+4*8+8] != 0
-	return e
+func viewTerm(rec []byte) Entry {
+	return Entry{Rect: viewRect(rec), Child: storage.PageID(binary.LittleEndian.Uint64(rec[4*8:])), Clipped: rec[4*8+8] != 0}
+}
+
+// appendEntry appends e as a record of level; viewEntry reads one.
+func appendEntry(dst []byte, level int, e Entry) []byte {
+	if level == 0 {
+		return appendPoint(dst, e)
+	}
+	return appendTerm(dst, e)
+}
+
+func viewEntry(level int, rec []byte) Entry {
+	if level == 0 {
+		return viewPoint(rec)
+	}
+	return viewTerm(rec)
+}
+
+// decRecord reads a log payload that is one record of level: its view,
+// once the level's layout has checked it. Value aliases b.
+func decRecord(level int, b []byte) (Entry, error) {
+	if err := layoutOf(level).One(b); err != nil {
+		return Entry{}, err
+	}
+	return viewEntry(level, b), nil
 }
 
 func encodeNode(w *enc.Writer, n *Node) {
@@ -335,16 +378,9 @@ func encodeEntries(w *enc.Writer, rs *enc.Records) {
 	w.Reset(rs.AppendTo(w.Bytes()))
 }
 
-// Encoded sizes: a sibling term's, which bounds the count a decoder accepts
-// by the bytes that are left to hold them, and the index fields' at the end
-// of every entry (rectangle, child, clipped mark).
-const (
-	sibTermBytes = 4*8 + 8
-	termBytes    = 4*8 + 8 + 1
-)
-
-// entryLayout is an entry on the page: point, value, index fields.
-var entryLayout = enc.Layout{8 + 8, enc.Var, termBytes}
+// sibTermBytes is a sibling term's encoded size, which bounds the count a
+// decoder accepts by the bytes that are left to hold them.
+const sibTermBytes = 4*8 + 8
 
 // decodeNode reads a node whose entries ALIAS r's input: a page image the
 // caller hands over, a payload it only reads, or a copy of one
@@ -362,13 +398,14 @@ func decodeNode(r *enc.Reader) (*Node, error) {
 		s.Pid = storage.PageID(r.U64())
 		n.Sibs = append(n.Sibs, s)
 	}
-	n.recs = decodeEntries(r)
+	n.recs = decodeEntries(r, n.Level)
 	return n, r.Err()
 }
 
-// decodeEntries reads a counted list of entries, aliasing r's input.
-func decodeEntries(r *enc.Reader) enc.Records {
-	return r.Records(int(r.U32()), entryLayout)
+// decodeEntries reads a counted list of records of level, aliasing r's
+// input.
+func decodeEntries(r *enc.Reader, level int) enc.Records {
+	return r.Records(int(r.U32()), layoutOf(level))
 }
 
 func encNodeImage(n *Node) []byte {

@@ -399,11 +399,11 @@ func FuzzSlimPayloads(f *testing.F) {
 		if _, _, _, fates, err := decSplitOff(b); err == nil {
 			_, _ = unsplitOff(fates, in)
 		}
-		if _, _, _, ret, err := decAbsorbSib(b); err == nil {
-			if ret.entries.Len() > len(b) || len(ret.pos) > len(b) || len(ret.unclip) > len(b) {
-				t.Fatalf("%d entries, %d positions, %d marks out of %d bytes", ret.entries.Len(), len(ret.pos), len(ret.unclip), len(b))
-			}
-			for _, target := range []*Node{n.clone(), in.clone(), {}} {
+		for _, target := range []*Node{n.clone(), in.clone(), {}} {
+			if ret, err := decAbsorbSib(b, target.Level); err == nil {
+				if ret.entries.Len() > len(b) || len(ret.pos) > len(b) || len(ret.unclip) > len(b) {
+					t.Fatalf("%d entries, %d positions, %d marks out of %d bytes", ret.entries.Len(), len(ret.pos), len(ret.unclip), len(b))
+				}
 				target.Sibs = append(target.Sibs, SibTerm{Rect: Rect{X1: 5, Y1: 5}, Pid: 9})
 				_ = applyAbsorbSib(target, ret)
 			}

@@ -251,7 +251,7 @@ func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, err
 
 func (p *termPost) Apply(_ *opCtx, aa *txn.Txn, node *nref) error {
 	term := Entry{Rect: p.task.rect, Child: p.task.child}
-	lsn := aa.LogUpdate(p.t.store.Pool.StoreID, uint64(node.Pid()), KindPostTerm, encTerm(term))
+	lsn := aa.LogUpdate(p.t.store.Pool.StoreID, uint64(node.Pid()), KindPostTerm, appendTerm(nil, term))
 	node.N.insertAt(node.N.Len(), term)
 	node.F.MarkDirty(lsn)
 	return nil
@@ -273,7 +273,7 @@ func (t *Tree) splitRoot(o *opCtx, aa *txn.Txn, root *nref, alongX bool, coord u
 	b := &Node{Level: root.N.Level, Direct: off, recs: entries}
 	a := root.N.clone()
 	applySplitOff(a, alongX, coord, pidB)
-	terms := appendEntry(appendEntry(nil, Entry{Rect: a.Direct, Child: pidA}), Entry{Rect: off, Child: pidB})
+	terms := appendTerm(appendTerm(nil, Entry{Rect: a.Direct, Child: pidA}), Entry{Rect: off, Child: pidB})
 	if err := t.kern.Grow(o, aa, root, pidA, pidB, a, b, terms); err != nil {
 		return storage.NilPage, storage.NilPage, Rect{}, err
 	}

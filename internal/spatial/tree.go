@@ -344,12 +344,12 @@ func (w *pointWrite) Apply(leaf nref, _ int) (txn.GroupUpdate, error) {
 		}
 		e := Entry{P: w.p, Value: enc.NilIfEmpty(w.value)}
 		n.insertAt(i, e)
-		return txn.GroupUpdate{Kind: KindInsertPoint, Payload: encPoint(e)}, nil
+		return txn.GroupUpdate{Kind: KindInsertPoint, Payload: appendPoint(nil, e)}, nil
 	}
 	if !found {
 		return w.miss(ErrPointNotFound)
 	}
-	up := txn.GroupUpdate{Kind: KindRemovePoint, Payload: encPoint(n.entry(i))}
+	up := txn.GroupUpdate{Kind: KindRemovePoint, Payload: appendPoint(nil, n.entry(i))}
 	n.recs.Delete(i)
 	w.emptied = n.Len() == 0 && len(n.Sibs) == 0
 	return up, nil

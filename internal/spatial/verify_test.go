@@ -55,7 +55,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 			for _, pid := range index {
 				corruptNode(t, fx, pid, func(n *Node) {
 					if i, ok := n.termFor(child); ok {
-						n.recs.Replace(i, appendEntry(nil, Entry{Rect: FullSpace(), Child: child}))
+						n.recs.Replace(i, appendTerm(nil, Entry{Rect: FullSpace(), Child: child}))
 					}
 				})
 			}

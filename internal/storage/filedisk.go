@@ -27,7 +27,7 @@
 //
 //	file header (32 bytes):
 //	  [0:8)   magic "PITRPAGE"
-//	  [8:12)  format version (2)
+//	  [8:12)  format version (3)
 //	  [12:16) slot size in bytes
 //	  [16:20) CRC32C over bytes [0:16)
 //	  [20:32) zero pad
@@ -71,7 +71,7 @@ import (
 const (
 	fdHdrLen   = 32
 	fdMagic    = "PITRPAGE"
-	fdVersion  = 2
+	fdVersion  = 3
 	slotHdrLen = 40
 	slotMagic  = 0x4c534750 // "PGSL"
 	// DefaultSlotSize is the default per-slot size; an image must fit in
@@ -87,7 +87,8 @@ const (
 )
 
 // ErrPageFileVersion reports a page file written in a format this build
-// does not read (version 1 gave every page a fixed pair of slots).
+// does not read: version 1 gave every page a fixed pair of slots, and the
+// node images of version 2 gave every record the fields of both levels.
 var ErrPageFileVersion = errors.New("storage: unsupported page file format version")
 
 // ErrSlotSize reports a slot size, passed in or read from a page file's

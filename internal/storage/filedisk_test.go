@@ -609,7 +609,8 @@ func TestFileDiskOpenRejects(t *testing.T) {
 		want error
 	}{
 		{"v1", fileHeader(1, 8192), ErrPageFileVersion},
-		{"v3", fileHeader(3, 8192), ErrPageFileVersion},
+		{"v2", fileHeader(2, 8192), ErrPageFileVersion},
+		{"v4", fileHeader(4, 8192), ErrPageFileVersion},
 		{"slot-small", fileHeader(fdVersion, minSlotSize-1), ErrSlotSize},
 		{"slot-huge", fileHeader(fdVersion, 1<<31), ErrSlotSize},
 	} {
@@ -626,6 +627,45 @@ func TestFileDiskOpenRejects(t *testing.T) {
 		if _, err := OpenFileDisk(filepath.Join(dir, "new"), size); !errors.Is(err, ErrSlotSize) {
 			t.Errorf("create with slot size %d: %v, want ErrSlotSize", size, err)
 		}
+	}
+}
+
+// TestFileDiskRefusesVersion2: a page file a version-2 build wrote — pages
+// in their slots under a header whose magic and checksum hold — opens with
+// ErrPageFileVersion and is left byte for byte as it was: its node images
+// hold records with the fields of both levels, which this build does not
+// read.
+func TestFileDiskRefusesVersion2(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store-1.pages")
+	d, err := OpenFileDisk(path, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid := PageID(1); pid <= 3; pid++ {
+		if err := d.Write(pid, mkImage(pid, byte(pid), 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := append(fileHeader(2, 128), b[fdHdrLen:]...)
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := OpenFileDisk(path, 0); !errors.Is(err, ErrPageFileVersion) {
+		if d != nil {
+			d.Close()
+		}
+		t.Fatalf("open of a version-2 file: %v, want ErrPageFileVersion", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("the version-2 file changed by the open (%v)", err)
 	}
 }
 

@@ -10,14 +10,18 @@ import (
 	"repro/internal/wal"
 )
 
-// nodeRecords returns every node buffered for the tree and every record in
-// them: the memory no result and nothing a writer keeps may point into.
+// nodeRecords returns every node below the store's high-water mark and
+// every record in them: the memory no result and nothing a writer keeps may point into.
 func nodeRecords(t *testing.T, tree *Tree) (nodes []*Node, spans [][]byte) {
 	t.Helper()
-	for pid := storage.PageID(2); ; pid++ {
+	st, err := tree.store.SpaceStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid := storage.PageID(2); pid < st.Next; pid++ {
 		f, err := tree.store.Pool.Fetch(pid)
 		if err != nil {
-			return nodes, spans
+			continue
 		}
 		if n, ok := f.Data.(*Node); ok {
 			nodes = append(nodes, n)
@@ -27,6 +31,7 @@ func nodeRecords(t *testing.T, tree *Tree) (nodes []*Node, spans [][]byte) {
 		}
 		tree.store.Pool.Unpin(f)
 	}
+	return nodes, spans
 }
 
 // TestNoResultAliasesANode: what the read APIs return, and what the writers
@@ -135,7 +140,7 @@ func TestNoResultAliasesANode(t *testing.T) {
 		if r.Type != wal.RecUpdate || r.Kind != KindPut {
 			return true
 		}
-		e, err := decPut(r.Payload)
+		e, err := decRecord(0, r.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}

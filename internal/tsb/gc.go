@@ -172,7 +172,7 @@ func (t *Tree) retireIn(o *opCtx, aa *txn.Txn, first *nref, v gcVictim, unlink b
 			// term to a retired node is harmless — it still routes to
 			// a well-formed empty page.
 			o.Promote(node)
-			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindRemoveTerm, encTerm(node.N.entry(i)))
+			lsn := aa.LogUpdate(t.store.Pool.StoreID, uint64(node.Pid()), KindRemoveTerm, appendTerm(nil, node.N.entry(i)))
 			node.N.recs.Delete(i)
 			node.F.MarkDirty(lsn)
 			t.Stats.GCRemovedTerms.Add(1)

@@ -17,18 +17,20 @@ import (
 // The golden directory is a small file-backed engine directory — WAL
 // segments, master record, page file — abandoned without a Close: page
 // images from a checkpoint, a log tail to redo on top of them, and a loser
-// to undo, in page file format 2 and log format 2 (the compact record
-// frame); beside it, in asof.txt, the tree's clock at the checkpoint. The
-// commit that introduced log format 2 wrote it, in its own tree, with
+// to undo, in page file format 3 and log format 3 (node images whose
+// records hold only their level's fields); beside it, in asof.txt, the
+// tree's clock at the checkpoint. The commit that introduced both formats
+// wrote it, in its own tree, with
 //
-//	go test ./internal/tsb -run TestWriteGoldenDir -golden-out <repo>/internal/tsb/testdata/golden-pr28
+//	go test ./internal/tsb -run TestWriteGoldenDir -golden-out <repo>/internal/tsb/testdata/golden-v3
 //
 // and TestGoldenDir (golden_test.go) holds later code to it: neither
 // format has moved. A change that bumps a format version re-makes the
-// directory the same way, under a new name, and deletes the old one.
+// directory the same way, named for the new versions, and deletes the old
+// one.
 var goldenOut = flag.String("golden-out", "", "write the golden data directory there")
 
-const goldenDir = "testdata/golden-pr28"
+const goldenDir = "testdata/golden-v3"
 
 var goldenEngine = engine.Options{SegmentSize: 16 << 10, SlotSize: 2 << 10}
 var goldenTree = Options{DataCapacity: 8, IndexCapacity: 6, SyncCompletion: true}

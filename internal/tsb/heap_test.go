@@ -12,15 +12,15 @@ import (
 
 // TestLiveHeapPerRecord: a loaded tree's heap is its records. 50 000 keys
 // put in scattered order with 100-byte values cost at most 1.6 times their
-// encoded entries: 167 bytes each — key 8, value 100, start, writer, the
-// tombstone mark, and the 34 bytes of index-term fields every entry still
-// carries. A put of an existing key is a new version, not a replacement, so
+// encoded entries: 133 bytes each — key 8 and value 100 with their length
+// prefixes, start, writer, the tombstone mark; a version has no index-term
+// field. A put of an existing key is a new version, not a replacement, so
 // the later phases count what the tree stores (Verify: every version in
 // every node, the copies a time split leaves in both nodes included): after
 // every key got a second version of the same length, and after half the
 // keys were deleted (a tombstone version) and put again.
 func TestLiveHeapPerRecord(t *testing.T) {
-	const n, entry = 50000, 167
+	const n, entry = 50000, 8 + 4 + 8 + 100 + 4 + 1 + 8
 	pitreetest.HeapPerRecord(t, func(e *engine.Engine, measure func(string, int, float64)) {
 		tree, err := Create(e.AddStore(1, Codec{}), e.TM, e.Locks, Register(e.Reg), "heap", Options{})
 		if err != nil {

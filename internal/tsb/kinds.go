@@ -1,6 +1,7 @@
 package tsb
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/enc"
@@ -148,8 +149,12 @@ func decUnsplit(b []byte) (img *Node, unclip []storage.PageID, err error) {
 	return img, unclip, err
 }
 
-// applyUnsplit is the redo of KindUnsplit.
-func applyUnsplit(n, img *Node, unclip []storage.PageID) {
+// applyUnsplit is the redo of KindUnsplit. The entries are records of the
+// node's level, which the header must not change.
+func applyUnsplit(n, img *Node, unclip []storage.PageID) error {
+	if img.Level != n.Level {
+		return fmt.Errorf("tsb: unsplit of a level-%d node to level %d", n.Level, img.Level)
+	}
 	n.setHeader(img)
 	for i := 0; i < img.Len(); i++ {
 		e := img.entry(i)
@@ -167,27 +172,7 @@ func applyUnsplit(n, img *Node, unclip []storage.PageID) {
 			setClipped(&n.recs, i, false)
 		}
 	}
-}
-
-func encPut(e Entry) []byte {
-	var w enc.Writer
-	w.Bytes32(e.Key)
-	w.U64(e.Start)
-	w.Bytes32(e.Value)
-	w.Bool(e.Deleted)
-	w.U64(uint64(e.Txn))
-	return w.Bytes()
-}
-
-func decPut(b []byte) (Entry, error) {
-	r := enc.NewReader(b)
-	var e Entry
-	e.Key = r.Bytes32()
-	e.Start = r.U64()
-	e.Value = r.Bytes32()
-	e.Deleted = r.Bool()
-	e.Txn = wal.TxnID(r.U64())
-	return e, r.Err()
+	return nil
 }
 
 func encVersionRef(k keys.Key, start uint64) []byte {
@@ -202,37 +187,6 @@ func decVersionRef(b []byte) (keys.Key, uint64, error) {
 	k := r.Bytes32()
 	s := r.U64()
 	return k, s, r.Err()
-}
-
-func encTerm(e Entry) []byte {
-	var w enc.Writer
-	w.U64(uint64(e.Child))
-	encodeRect(&w, e.ChildRect)
-	w.Bool(e.Clipped)
-	return w.Bytes()
-}
-
-func decTerm(b []byte) (Entry, error) {
-	r := enc.NewReader(b)
-	var e Entry
-	e.Child = storage.PageID(r.U64())
-	e.ChildRect = decodeRect(r)
-	e.Clipped = r.Bool()
-	return e, r.Err()
-}
-
-func encKeyTerm(k keys.Key, child storage.PageID) []byte {
-	var w enc.Writer
-	w.Bytes32(k)
-	w.U64(uint64(child))
-	return w.Bytes()
-}
-
-func decKeyTerm(b []byte) (keys.Key, storage.PageID, error) {
-	r := enc.NewReader(b)
-	k := r.Bytes32()
-	c := storage.PageID(r.U64())
-	return k, c, r.Err()
 }
 
 func encRetire(unlink bool) []byte {
@@ -278,7 +232,7 @@ func applyCutHist(n *Node) {
 // root is a current index node over all keys and times, with two key terms.
 var nodeKinds = pitree.NodeKinds[*Node]{
 	Format: KindFormat, Restore: KindRestoreImage, Grow: KindRootGrow,
-	Image: encNodeImage, Decode: decNodeImage, Layout: entryLayout,
+	Image: encNodeImage, Decode: decNodeImage, Layout: keyTermLayout,
 	Raise: func(n *Node, terms enc.Records) {
 		n.Level++
 		n.recs = terms.Clone()
@@ -427,8 +381,7 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return err
 			}
-			applyUnsplit(n, img, unclip)
-			return nil
+			return applyUnsplit(n, img, unclip)
 		}),
 	})
 	reg.Register(KindTimeSplit, storage.Handler{
@@ -484,7 +437,7 @@ func Register(reg *storage.Registry) *Binding {
 	})
 	reg.Register(KindPut, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			e, err := decPut(rec.Payload)
+			e, err := decRecord(0, rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -496,7 +449,7 @@ func Register(reg *storage.Registry) *Binding {
 			if err != nil {
 				return err
 			}
-			e, err := decPut(rec.Payload)
+			e, err := decRecord(0, rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -516,7 +469,7 @@ func Register(reg *storage.Registry) *Binding {
 	})
 	reg.Register(KindPostTerm, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			e, err := decTerm(rec.Payload)
+			e, err := decRecord(1, rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -531,7 +484,7 @@ func Register(reg *storage.Registry) *Binding {
 	})
 	reg.Register(KindRemoveTerm, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			e, err := decTerm(rec.Payload)
+			e, err := decRecord(1, rec.Payload)
 			if err != nil {
 				return err
 			}
@@ -546,11 +499,11 @@ func Register(reg *storage.Registry) *Binding {
 	})
 	reg.Register(KindPostKeyTerm, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			k, child, err := decKeyTerm(rec.Payload)
+			e, err := decRecord(2, rec.Payload)
 			if err != nil {
 				return err
 			}
-			n.insertKeyTerm(Entry{Key: k, Child: child})
+			n.insertKeyTerm(e)
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
@@ -559,11 +512,11 @@ func Register(reg *storage.Registry) *Binding {
 	})
 	reg.Register(KindRemoveKeyTerm, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			k, _, err := decKeyTerm(rec.Payload)
+			e, err := decRecord(2, rec.Payload)
 			if err != nil {
 				return err
 			}
-			if i := n.firstKeyAtOrAbove(k); i < n.Len() && keys.Equal(n.keyAt(i), k) {
+			if i := n.firstKeyAtOrAbove(e.Key); i < n.Len() && keys.Equal(n.keyAt(i), e.Key) {
 				n.recs.Delete(i)
 			}
 			return nil

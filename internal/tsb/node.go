@@ -100,13 +100,14 @@ func (r Rect) String() string {
 // Entry is one slot of a TSB node.
 //
 //   - Data nodes (level 0): a record VERSION — Key, Start (the version's
-//     creation time), Value, and Deleted (a tombstone version). A version
-//     is alive from Start until the next version of the same key.
-//   - Index nodes (level 1): an index term — ChildRect and Child.
+//     creation time), Value, Deleted (a tombstone version) and Txn. A
+//     version is alive from Start until the next version of the same key.
+//   - Index nodes (level 1): an index term — Child, ChildRect and Clipped.
 //   - Index nodes (level >= 2): a key-only term — Key (low bound), Child.
 //
-// An Entry read from a node is a view: its keys and Value alias the node's
-// buffer (DESIGN.md §17).
+// A record on the page holds only the fields of its node's level. An Entry
+// read from a node is a view: its keys and Value alias the node's buffer
+// (DESIGN.md §17).
 type Entry struct {
 	Key     keys.Key
 	Start   uint64
@@ -172,9 +173,10 @@ func (n *Node) Current() bool { return n.Rect.TimeHigh == NoEnd }
 // Len returns the number of entries.
 func (n *Node) Len() int { return n.recs.Len() }
 
-// entry returns entry i as a view; keyAt, startAt, childAt and rectAt read
-// one field of it, for the search loops.
-func (n *Node) entry(i int) Entry { return viewEntry(n.recs.At(i)) }
+// entry returns entry i as a view; keyAt (a version's or a key term's),
+// startAt (a version's), childAt (a term's) and rectAt (a level-1 term's)
+// read one field of it, for the search loops.
+func (n *Node) entry(i int) Entry { return viewEntry(n.Level, n.recs.At(i)) }
 
 func (n *Node) keyAt(i int) keys.Key {
 	k, _ := enc.Field32(n.recs.At(i), 0)
@@ -187,20 +189,18 @@ func (n *Node) startAt(i int) uint64 {
 	return binary.LittleEndian.Uint64(rec[off:])
 }
 
-// fixedTail is entry i behind its value: deleted 1, txn 8, child 8, rectangle, clipped 1.
-func (n *Node) fixedTail(i int) []byte {
-	rec := n.recs.At(i)
-	_, off := enc.Field32(rec, 0)
-	_, off = enc.Field32(rec, off+8)
-	return rec[off:]
-}
-
+// childAt reads the child at the head of a level-1 term and at the tail of
+// a key term.
 func (n *Node) childAt(i int) storage.PageID {
-	return storage.PageID(binary.LittleEndian.Uint64(n.fixedTail(i)[1+8:]))
+	rec := n.recs.At(i)
+	if n.Level != 1 {
+		rec = rec[len(rec)-8:]
+	}
+	return storage.PageID(binary.LittleEndian.Uint64(rec))
 }
 
 func (n *Node) rectAt(i int) Rect {
-	r, _ := viewRect(n.fixedTail(i), 1+8+8)
+	r, _ := viewRect(n.recs.At(i), 8)
 	return r
 }
 
@@ -213,7 +213,7 @@ func setClipped(rs *enc.Records, i int, clipped bool) {
 // insertAt places a copy of e at position i.
 func (n *Node) insertAt(i int, e Entry) {
 	var scratch [320]byte
-	n.recs.Insert(i, appendEntry(scratch[:0], e))
+	n.recs.Insert(i, appendEntry(scratch[:0], n.Level, e))
 }
 
 // setEntries makes copies of es the node's only entries, in that order.
@@ -438,20 +438,40 @@ func viewRect(rec []byte, off int) (Rect, int) {
 	return r, off + 16
 }
 
-// appendEntry appends e's record to dst.
-func appendEntry(dst []byte, e Entry) []byte {
+// A record holds only its level's fields (DESIGN.md §17): a version is
+// its key, start, value, tombstone mark and writer; a level-1 term its
+// child, the child's rectangle (key low, unbounded, key high, the times)
+// and the clipped mark; a key term its key and child. Each level has one
+// layout, one append function and one view, and they are the codec of the
+// log payloads that carry one record as well: a put is a version, the
+// posting and removal of a term are that term.
+var (
+	versionLayout = enc.Layout{enc.Var, 8, enc.Var, 1 + 8}
+	termLayout    = enc.Layout{8, enc.Var, 1, enc.Var, 8 + 8, 1}
+	keyTermLayout = enc.Layout{enc.Var, 8}
+)
+
+func layoutOf(level int) enc.Layout {
+	switch level {
+	case 0:
+		return versionLayout
+	case 1:
+		return termLayout
+	}
+	return keyTermLayout
+}
+
+func appendVersion(dst []byte, e Entry) []byte {
 	dst = enc.AppendBytes32(dst, e.Key)
 	dst = binary.LittleEndian.AppendUint64(dst, e.Start)
 	dst = enc.AppendBytes32(dst, e.Value)
 	dst = append(dst, enc.Bit(e.Deleted))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Txn))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Child))
-	dst = appendRect(dst, e.ChildRect)
-	return append(dst, enc.Bit(e.Clipped))
+	return binary.LittleEndian.AppendUint64(dst, uint64(e.Txn))
 }
 
-// viewEntry reads a record of entryLayout; keys and Value alias it.
-func viewEntry(rec []byte) Entry {
+// viewVersion, viewTerm and viewKeyTerm read a record of their level; keys
+// and Value alias it.
+func viewVersion(rec []byte) Entry {
 	var e Entry
 	var off int
 	e.Key, off = enc.Field32(rec, 0)
@@ -459,10 +479,60 @@ func viewEntry(rec []byte) Entry {
 	e.Value, off = enc.Field32(rec, off+8)
 	e.Deleted = rec[off] != 0
 	e.Txn = wal.TxnID(binary.LittleEndian.Uint64(rec[off+1:]))
-	e.Child = storage.PageID(binary.LittleEndian.Uint64(rec[off+9:]))
-	e.ChildRect, off = viewRect(rec, off+17)
+	return e
+}
+
+func appendTerm(dst []byte, e Entry) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(e.Child))
+	dst = appendRect(dst, e.ChildRect)
+	return append(dst, enc.Bit(e.Clipped))
+}
+
+func viewTerm(rec []byte) Entry {
+	e := Entry{Child: storage.PageID(binary.LittleEndian.Uint64(rec))}
+	var off int
+	e.ChildRect, off = viewRect(rec, 8)
 	e.Clipped = rec[off] != 0
 	return e
+}
+
+func appendKeyTerm(dst []byte, k keys.Key, child storage.PageID) []byte {
+	return binary.LittleEndian.AppendUint64(enc.AppendBytes32(dst, k), uint64(child))
+}
+
+func viewKeyTerm(rec []byte) Entry {
+	k, off := enc.Field32(rec, 0)
+	return Entry{Key: k, Child: storage.PageID(binary.LittleEndian.Uint64(rec[off:]))}
+}
+
+// appendEntry appends e as a record of level; viewEntry reads one.
+func appendEntry(dst []byte, level int, e Entry) []byte {
+	switch level {
+	case 0:
+		return appendVersion(dst, e)
+	case 1:
+		return appendTerm(dst, e)
+	}
+	return appendKeyTerm(dst, e.Key, e.Child)
+}
+
+func viewEntry(level int, rec []byte) Entry {
+	switch level {
+	case 0:
+		return viewVersion(rec)
+	case 1:
+		return viewTerm(rec)
+	}
+	return viewKeyTerm(rec)
+}
+
+// decRecord reads a log payload that is one record of level: its view,
+// once the level's layout has checked it. The fields alias b.
+func decRecord(level int, b []byte) (Entry, error) {
+	if err := layoutOf(level).One(b); err != nil {
+		return Entry{}, err
+	}
+	return viewEntry(level, b), nil
 }
 
 // encodeHeader serializes everything of a node but its entries: what a
@@ -495,11 +565,6 @@ func (n *Node) setHeader(hdr *Node) {
 	n.recs = recs
 }
 
-// entryLayout is an entry on the page: key, start, value, deleted, txn,
-// child, the child's rectangle (key low, unbounded, key high, the times),
-// clipped.
-var entryLayout = enc.Layout{enc.Var, 8, enc.Var, 1 + 8 + 8, enc.Var, 1, enc.Var, 8 + 8, 1}
-
 func encodeNode(w *enc.Writer, n *Node) {
 	encodeHeader(w, n)
 	w.U32(uint32(n.Len()))
@@ -512,7 +577,7 @@ func encodeNode(w *enc.Writer, n *Node) {
 // buffer the entries have outgrown.
 func decodeNode(r *enc.Reader) (*Node, error) {
 	n := decodeHeader(r)
-	n.recs = r.Records(int(r.U32()), entryLayout)
+	n.recs = r.Records(int(r.U32()), layoutOf(n.Level))
 	return n, r.Err()
 }
 

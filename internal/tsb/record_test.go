@@ -1,0 +1,101 @@
+package tsb
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"testing"
+
+	"repro/internal/keys"
+	"repro/internal/pitree/pitreetest"
+)
+
+// TestRecordBytesPerLevel: with 8-byte keys and a 100-byte value a version
+// is 133 bytes on the page — key and value with their length prefixes,
+// start, tombstone mark, writer — a level-1 term 50 (child, a rectangle of
+// two such keys, clipped mark) and a key term 20 (key, child); and every log
+// payload that carries one record is its level's page record byte for byte:
+// a put's the version, a posting's and a removal's the term.
+func TestRecordBytesPerLevel(t *testing.T) {
+	value := bytes.Repeat([]byte{'v'}, 100)
+	rect := Rect{KeyLow: keys.Uint64(7), KeyHigh: keys.At(keys.Uint64(9)), TimeLow: 3, TimeHigh: NoEnd}
+	for _, c := range []struct {
+		level, size int
+		rec         []byte
+	}{
+		{0, 133, appendVersion(nil, Entry{Key: keys.Uint64(7), Start: 3, Value: value, Txn: 5})},
+		{1, 50, appendTerm(nil, Entry{Child: 9, ChildRect: rect})},
+		{2, 20, appendKeyTerm(nil, keys.Uint64(7), 9)},
+	} {
+		n := &Node{Level: c.level}
+		n.insertAt(0, viewEntry(c.level, c.rec))
+		if len(c.rec) != c.size || n.recs.Size() != c.size || !bytes.Equal(n.recs.At(0), c.rec) {
+			t.Fatalf("level %d: a record of %d bytes, %d in the node, want %d", c.level, len(c.rec), n.recs.Size(), c.size)
+		}
+	}
+
+	// The records of every node after every operation. A posted term is not
+	// clipped, and an index split may clip it later: a level-1 record also
+	// counts with its mark cleared.
+	fx := newFixture(t, smallOpts())
+	records := map[string]bool{}
+	collect := func() {
+		nodes, _ := nodeRecords(t, fx.tree)
+		for _, n := range nodes {
+			for i := 0; i < n.Len(); i++ {
+				rec := n.recs.At(i)
+				records[string(rec)] = true
+				if n.Level == 1 {
+					records[string(append(bytes.Clone(rec[:len(rec)-1]), 0))] = true
+				}
+			}
+		}
+	}
+	for i := uint64(0); i < 8*120; i++ {
+		if err := fx.tree.Put(nil, keys.Uint64(i*7919%301), value); err != nil {
+			t.Fatal(err)
+		}
+		fx.tree.DrainCompletions()
+		collect()
+	}
+	if n, err := fx.tree.RunGC(); n == 0 || err != nil {
+		t.Fatalf("GC retired %d nodes, err=%v", n, err)
+	}
+	pitreetest.PayloadsAreRecords(t, fx.e.Log, records, KindPut, KindPostTerm, KindRemoveTerm, KindPostKeyTerm)
+}
+
+// FuzzNodeImage: arbitrary bytes behind each level's header field through
+// the page codec decode to an error or to a node whose every entry can be
+// viewed and whose image decodes to itself; never a panic, and never a slot
+// table larger than the input could fill.
+func FuzzNodeImage(f *testing.F) {
+	rng := rand.New(rand.NewSource(30))
+	f.Add(encNodeImage(randomDataNode(rng))[2:])
+	f.Add(encNodeImage(randomIndexNode(rng, 1))[2:])
+	f.Add(encNodeImage(randomIndexNode(rng, 2))[2:])
+	f.Add(bytes.Repeat([]byte{0xff}, 60))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for level := uint16(0); level < 3; level++ {
+			img := append(binary.LittleEndian.AppendUint16(nil, level), b...)
+			d, err := (Codec{}).DecodePage(bytes.Clone(img))
+			if err != nil {
+				continue
+			}
+			n := d.(*Node)
+			if n.Len() > len(b) {
+				t.Fatalf("level %d: %d entries out of %d bytes", level, n.Len(), len(b))
+			}
+			for i := 0; i < n.Len(); i++ {
+				_ = n.entry(i)
+			}
+			again, _ := (Codec{}).AppendPage(nil, n)
+			d, err = (Codec{}).DecodePage(bytes.Clone(again))
+			if err != nil {
+				t.Fatalf("level %d: image %x decodes to a node whose image %x does not decode: %v", level, img, again, err)
+			}
+			if got, _ := (Codec{}).AppendPage(nil, d); !bytes.Equal(got, again) {
+				t.Fatalf("level %d: image %x decodes to itself as %x", level, again, got)
+			}
+		}
+	})
+}

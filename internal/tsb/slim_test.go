@@ -608,7 +608,7 @@ func FuzzSlimPayloads(f *testing.F) {
 			if img.Len() > len(b) || len(unclip) > len(b) {
 				t.Fatalf("%d entries and %d pages out of %d bytes", img.Len(), len(unclip), len(b))
 			}
-			applyUnsplit(randomDataNode(rand.New(rand.NewSource(4))), img, unclip)
+			_ = applyUnsplit(randomDataNode(rand.New(rand.NewSource(4))), img, unclip)
 		}
 		_, _ = decodeNode(enc.NewReader(b))
 	})

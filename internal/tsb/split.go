@@ -325,10 +325,10 @@ func (p *termPost) Apply(o *opCtx, aa *txn.Txn, node *nref) error {
 			rect = child.N.Rect
 		}
 		term := Entry{Child: task.child, ChildRect: rect}
-		lsn = aa.LogUpdate(storeID, uint64(node.Pid()), KindPostTerm, encTerm(term))
+		lsn = aa.LogUpdate(storeID, uint64(node.Pid()), KindPostTerm, appendTerm(nil, term))
 		node.N.insertTerm(term)
 	} else {
-		lsn = aa.LogUpdate(storeID, uint64(node.Pid()), KindPostKeyTerm, encKeyTerm(task.rect.KeyLow, task.child))
+		lsn = aa.LogUpdate(storeID, uint64(node.Pid()), KindPostKeyTerm, appendKeyTerm(nil, task.rect.KeyLow, task.child))
 		node.N.insertKeyTerm(Entry{Key: task.rect.KeyLow, Child: task.child})
 	}
 	node.F.MarkDirty(lsn)
@@ -342,9 +342,11 @@ func (p *termPost) Apply(o *opCtx, aa *txn.Txn, node *nref) error {
 func (t *Tree) indexSplitKey(n *Node) (keys.Key, bool) {
 	var bounds []keys.Key
 	for i := 0; i < n.Len(); i++ {
-		b := n.keyAt(i)
+		var b keys.Key
 		if n.Level == 1 {
 			b = n.rectAt(i).KeyLow
+		} else {
+			b = n.keyAt(i)
 		}
 		if b != nil && (n.Rect.KeyLow == nil || keys.Compare(b, n.Rect.KeyLow) > 0) {
 			bounds = append(bounds, b)
@@ -430,7 +432,7 @@ func (t *Tree) splitRoot(o *opCtx, aa *txn.Txn, root *nref, k keys.Key) (pidA, p
 	b, clipped := indexSibling(root.N, k)
 	a := root.N.clone()
 	applyIndexKeySplit(a, k, pidB)
-	terms := appendEntry(appendEntry(nil, Entry{Child: pidA}), Entry{Key: k, Child: pidB})
+	terms := appendKeyTerm(appendKeyTerm(nil, nil, pidA), k, pidB)
 	if err := t.kern.Grow(o, aa, root, pidA, pidB, a, b, terms); err != nil {
 		return storage.NilPage, storage.NilPage, err
 	}

@@ -432,7 +432,7 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 	e := Entry{Key: w.ks[i], Start: w.t.tick(), Value: enc.NilIfEmpty(value), Deleted: w.deleted, Txn: w.writer}
 	leaf.N.insertVersion(e)
 	w.t.Stats.Puts.Add(1)
-	return txn.GroupUpdate{Kind: KindPut, Payload: encPut(e)}, nil
+	return txn.GroupUpdate{Kind: KindPut, Payload: appendVersion(nil, e)}, nil
 }
 
 func (w *leafWrite) After(applied int) {
@@ -525,7 +525,7 @@ func (t *Tree) logicalUndoPut(rec *wal.Record, tx storage.CLRLogger, e Entry) er
 				lsn := tx.LogCLR(t.store.Pool.StoreID, uint64(cur.Pid()), KindRemoveVersion, encVersionRef(e.Key, e.Start), rec.LSN)
 				cur.N.removeVersion(e.Key, e.Start)
 				if repaired {
-					lsn = tx.LogCLR(t.store.Pool.StoreID, uint64(cur.Pid()), KindPut, encPut(repair), rec.LSN)
+					lsn = tx.LogCLR(t.store.Pool.StoreID, uint64(cur.Pid()), KindPut, appendVersion(nil, repair), rec.LSN)
 					cur.N.insertVersion(repair)
 				}
 				cur.F.MarkDirty(lsn)

@@ -539,7 +539,7 @@ func TestPostedTermChildLatchedToCommit(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	e, err := decTerm(term.Payload)
+	e, err := decRecord(1, term.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		}},
 		{"version outside the node", func(t *testing.T, fx *fixture, _ storage.PageID, chain []storage.PageID) {
 			corruptNode(t, fx, chain[0], func(n *Node) {
-				n.recs.Insert(n.Len(), appendEntry(nil, Entry{Key: keys.Clone(n.Rect.KeyHigh.Key), Start: 1, Value: []byte("x")}))
+				n.recs.Insert(n.Len(), appendVersion(nil, Entry{Key: keys.Clone(n.Rect.KeyHigh.Key), Start: 1, Value: []byte("x")}))
 			})
 		}},
 		{"dropped index term", func(t *testing.T, fx *fixture, index storage.PageID, chain []storage.PageID) {
@@ -71,8 +71,8 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 					corruptNode(t, fx, pid, func(n *Node) {
 						a, b := n.entry(0), n.entry(j)
 						a.Child, b.Child = b.Child, a.Child
-						n.recs.Replace(0, appendEntry(nil, a))
-						n.recs.Replace(j, appendEntry(nil, b))
+						n.recs.Replace(0, appendTerm(nil, a))
+						n.recs.Replace(j, appendTerm(nil, b))
 					})
 					return
 				}

@@ -8,7 +8,7 @@
 //
 //	segment file "wal-<base16>.seg":
 //	  [0:8)   magic "PITRWAL1"
-//	  [8:12)  format version (2)
+//	  [8:12)  format version (3)
 //	  [12:16) data capacity in bytes (segment size)
 //	  [16:24) base LSN of the first data byte
 //	  [24:28) CRC32C over bytes [0:24)
@@ -17,12 +17,12 @@
 //
 //	master file "wal-master" (written via tmp+rename, so always atomic):
 //	  [0:8)   magic "PITRMSTR"
-//	  [8:12)  format version (2)
+//	  [8:12)  format version (3)
 //	  [12:20) checkpoint anchor LSN
 //	  [20:28) recycle horizon LSN
 //	  [28:32) CRC32C over bytes [0:28)
 //
-//	record frame, version 2 (wal.go has the encoder):
+//	record frame, unchanged since version 2 (wal.go has the encoder):
 //	  [0:4)   frame length
 //	  [4:8)   CRC32C over [8:length)
 //	  [8:16)  the record's own LSN
@@ -35,8 +35,11 @@
 //	  kind + page address: uvarint kind, store id, page id
 //	  payload to the end of the frame
 //
-// A version-1 directory (fixed 58-byte record headers) is refused with
-// ErrLogVersion and left as it is.
+// Version 3 changed no frame: it is the version whose format, restore and
+// grow records carry node images with level-specific records. A directory
+// of another version — version 1 had fixed 58-byte record headers, version
+// 2 node images whose every record had the fields of both levels — is
+// refused with ErrLogVersion and left as it is.
 //
 // The byte stream inside segments is exactly the in-memory log: LSN =
 // absolute byte offset, each record framed as len|crc|lsn|... with the
@@ -69,7 +72,8 @@ var ErrShortSegment = errors.New("wal: short or missing segment")
 // ErrLogVersion reports a WAL directory written in a format this build
 // does not read: a segment or master file whose magic and checksum hold
 // but whose format version is not this build's (version 1 framed every
-// record with a fixed 58-byte header). The directory is left untouched.
+// record with a fixed 58-byte header; version 2's node images held records
+// with the fields of both levels). The directory is left untouched.
 var ErrLogVersion = errors.New("wal: unsupported log format version")
 
 // errNoHeader reports bytes that are not a segment header or master
@@ -111,7 +115,7 @@ const (
 	masterLen    = 32
 	segMagic     = "PITRWAL1"
 	masterMagic  = "PITRMSTR"
-	fileVersion  = 2
+	fileVersion  = 3
 	masterName   = "wal-master"
 	segPrefix    = "wal-"
 	segSuffix    = ".seg"

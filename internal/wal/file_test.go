@@ -323,41 +323,45 @@ func withVersion(b []byte, v uint32, crcAt int) []byte {
 	return out
 }
 
-// TestFileWALRefusesVersion1: a directory a version-1 build wrote — a
-// segment, with or without a master record, whose magic and checksum hold
-// — opens and scans with ErrLogVersion and is left byte for byte as it
-// was: not recycled as an unparseable file, not replayed as an empty log.
-func TestFileWALRefusesVersion1(t *testing.T) {
+// TestFileWALRefusesOtherVersions: a directory a build of another format
+// version wrote — version 1 (fixed record headers), version 2 (node images
+// with both levels' fields in every record) or a later one — a segment,
+// with or without a master record, whose magic and checksum hold, opens and
+// scans with ErrLogVersion and is left byte for byte as it was: not
+// recycled as an unparseable file, not replayed as an empty log.
+func TestFileWALRefusesOtherVersions(t *testing.T) {
 	hdr := make([]byte, segHdrLen)
 	encodeSegHeader(hdr, DefaultSegmentSize, 0)
-	seg := append(withVersion(hdr, 1, 24), bytes.Repeat([]byte{0xa5}, 300)...)
 	master := encodeMaster(1, 1)
-	for _, files := range []map[string][]byte{
-		{segName(0): seg, masterName: withVersion(master[:], 1, 28)},
-		{segName(0): seg},
-	} {
-		dir := t.TempDir()
-		for name, b := range files {
-			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-				t.Fatal(err)
+	for _, v := range []uint32{1, 2, fileVersion + 1} {
+		seg := append(withVersion(hdr, v, 24), bytes.Repeat([]byte{0xa5}, 300)...)
+		for _, files := range []map[string][]byte{
+			{segName(0): seg, masterName: withVersion(master[:], v, 28)},
+			{segName(0): seg},
+		} {
+			dir := t.TempDir()
+			for name, b := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if fw, _, err := OpenFileWAL(dir, 0, SyncNever); !errors.Is(err, ErrLogVersion) {
-			if fw != nil {
-				fw.Close()
+			if fw, _, err := OpenFileWAL(dir, 0, SyncNever); !errors.Is(err, ErrLogVersion) {
+				if fw != nil {
+					fw.Close()
+				}
+				t.Fatalf("version %d, %d files: open returned %v, want ErrLogVersion", v, len(files), err)
 			}
-			t.Fatalf("%d files: open returned %v, want ErrLogVersion", len(files), err)
-		}
-		if err := ScanDir(dir, func(*Record) bool { return true }); !errors.Is(err, ErrLogVersion) {
-			t.Fatalf("%d files: scan returned %v, want ErrLogVersion", len(files), err)
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil || len(entries) != len(files) {
-			t.Fatalf("%d files: the directory holds %d entries after open (%v)", len(files), len(entries), err)
-		}
-		for name, want := range files {
-			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("%d files: %s changed by the open (%v)", len(files), name, err)
+			if err := ScanDir(dir, func(*Record) bool { return true }); !errors.Is(err, ErrLogVersion) {
+				t.Fatalf("version %d, %d files: scan returned %v, want ErrLogVersion", v, len(files), err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil || len(entries) != len(files) {
+				t.Fatalf("version %d, %d files: the directory holds %d entries after open (%v)", v, len(files), len(entries), err)
+			}
+			for name, want := range files {
+				if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("version %d, %d files: %s changed by the open (%v)", v, len(files), name, err)
+				}
 			}
 		}
 	}

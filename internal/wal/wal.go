@@ -139,7 +139,7 @@ type Record struct {
 // IsSystem reports whether the record belongs to an atomic action.
 func (r *Record) IsSystem() bool { return r.Flags&FlagSystem != 0 }
 
-// The record frame, format version 2 (file.go's format comment has the
+// The record frame, since format version 2 (file.go's format comment has the
 // layout, DESIGN.md §16 the reasons): a fixed len | crc | lsn prefix that
 // the boundary walkers read without decoding, one tag byte — the type in
 // its low four bits, FlagSystem, and a presence bit per optional group —
