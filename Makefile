@@ -4,7 +4,7 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test kernelonly lockcpu corecpu enginecpu walcpu elide pagefile walfuzz race benchbuild expbuild benchsmoke bench torture realcrash churn loc
+.PHONY: check vet build test kernelonly fsysonly lockcpu corecpu enginecpu walcpu elide pagefile walfuzz race benchbuild expbuild benchsmoke bench torture realcrash churn loc
 
 ## check: everything CI runs — vet (the nested benchmark module
 ## included), build, tests, the race detector over
@@ -26,9 +26,10 @@ REAL_ROUNDS ?= 20
 ## structure-change payload decoders and page images at every level, and of
 ## the kernel's root growth's,
 ## the repo benchmark's own smoke test (a nested module `go test ./...`
-## does not enter), and a count of the kernel-only call sites in the three
-## trees.
-check: vet build test kernelonly lockcpu corecpu enginecpu walcpu elide pagefile walfuzz race benchbuild expbuild benchsmoke torture realcrash churn
+## does not enter), a count of the kernel-only call sites in the three
+## trees, and a check that the page file and the log reach the operating
+## system only through internal/fsys.
+check: vet build test kernelonly fsysonly lockcpu corecpu enginecpu walcpu elide pagefile walfuzz race benchbuild expbuild benchsmoke torture realcrash churn
 
 vet:
 	$(GO) vet ./...
@@ -71,6 +72,16 @@ kernelonly:
 	check 'PrefetchAsync(' 0 && check '.LogCLR(' 3 && check 'BeginAtomicAction(' 1 && \
 	check 'SpaceCheck(' 0 && check 'IsAllocated(' 0 && check 'FPConsolidate' 0 && check 'store.Free(' 1 && \
 	check 'RootGrow(' 0
+
+## fsysonly: one storage path. The page file and the log run over an
+## fsys.FS, the operating system's or an in-memory one, so a simulated
+## crash recovers the same files a real one does. Fails on any direct file
+## system or system call in the non-test files of internal/storage and
+## internal/wal; the limit is 0 (internal/fsys holds the OS calls).
+FSYSONLY_SRC = $(filter-out %_test.go,$(wildcard internal/storage/*.go internal/wal/*.go))
+fsysonly:
+	@n=$$(cat $(FSYSONLY_SRC) | grep -c -E 'os\.OpenFile|os\.Open\(|os\.Rename|os\.Remove|os\.ReadDir|os\.ReadFile|os\.Truncate|os\.MkdirAll|syscall\.'); \
+	if [ $$n -gt 0 ]; then echo "fsysonly: $$n direct OS calls in internal/storage or internal/wal, limit 0"; exit 1; fi
 
 ## lockcpu: the lock package at -cpu 1,2,4, repeated: waits-for edges that
 ## outlive their wait only misfire when a second CPU runs the granter and
@@ -179,13 +190,15 @@ churn:
 ## loc: non-test Go lines per internal package — the number ROADMAP's
 ## "least code" aim tracks. Raw lines, comments and blanks included, so a
 ## change cannot shrink it by stripping comments without that showing in
-## the diff. The last line is the three trees plus their kernel, the sum
-## ROADMAP's target is stated in.
+## the diff. The last lines are the three trees plus their kernel, the sum
+## ROADMAP's target is stated in, and the storage path: the page file and
+## pool, the log, the file system under both, and the engine over them.
 loc:
 	@for d in internal/*/; do \
 		printf '%-10s %6d\n' $$(basename $$d) $$(cat $$(ls $$d*.go | grep -v _test.go) | wc -l); \
 	done
 	@printf '%-10s %6d\n' core+tsb+spatial+pitree $$(cat $$(ls internal/core/*.go internal/tsb/*.go internal/spatial/*.go internal/pitree/*.go | grep -v _test.go) | wc -l)
+	@printf '%-10s %6d\n' storage+wal+fsys+engine $$(cat $$(ls internal/storage/*.go internal/wal/*.go internal/fsys/*.go internal/engine/*.go | grep -v _test.go) | wc -l)
 
 ## bench: all microbenchmarks with allocation stats (root experiment
 ## benchmarks plus the lock/txn/wal substrate benchmarks). Set

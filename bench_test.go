@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/fsys"
 	"repro/internal/keys"
 	"repro/internal/spatial"
 	"repro/internal/storage"
@@ -290,7 +291,7 @@ func BenchmarkT12Recovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e2 := engine.Restarted(img, engine.Options{})
 		core.Register(e2.Reg, false)
-		e2.AttachStore(1, core.Codec{}, img.Disks[1].Snapshot())
+		e2.AddStore(1, core.Codec{})
 		if _, err := e2.Recover(); err != nil {
 			b.Fatal(err)
 		}
@@ -374,9 +375,13 @@ func BenchmarkWALAppendParallel(b *testing.B) {
 // working set 4x capacity (eviction + reload churn).
 func BenchmarkPoolFetchParallel(b *testing.B) {
 	const nPages = 1024
-	build := func() storage.Disk {
+	build := func() *storage.FileDisk {
 		log := wal.New()
-		p := storage.NewPool(1, storage.NewDisk(), log, benchCodec{}, 0)
+		d, err := storage.OpenFileDisk(fsys.NewMem(), "pages", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := storage.NewPool(1, d, log, benchCodec{}, 0)
 		for i := 0; i < nPages; i++ {
 			pid := storage.PageID(2 + i)
 			f, err := p.Create(pid)
@@ -396,11 +401,10 @@ func BenchmarkPoolFetchParallel(b *testing.B) {
 		return p.Disk()
 	}
 	disk := build()
-	// The *-disarmed variants route every disk access through a
-	// FaultyDisk carrying an injector with nothing armed, and attach the
-	// same injector to the pool's eviction failpoint: the delta against
-	// the plain variants is the full disarmed probe cost on the
-	// fetch/evict hot path.
+	// The *-disarmed variants give the page file an injector with nothing
+	// armed, and attach the same injector to the pool's eviction
+	// failpoint: the delta against the plain variants is the full
+	// disarmed probe cost on the fetch/evict hot path.
 	for _, cfg := range []struct {
 		name string
 		cap  int
@@ -412,11 +416,8 @@ func BenchmarkPoolFetchParallel(b *testing.B) {
 		{"bounded-thrash-disarmed", nPages / 4, fault.New(1)},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			d := disk
-			if cfg.inj != nil {
-				d = storage.NewFaultyDisk(disk, cfg.inj)
-			}
-			p := storage.NewPool(1, d, wal.New(), benchCodec{}, cfg.cap)
+			disk.SetInjector(cfg.inj)
+			p := storage.NewPool(1, disk, wal.New(), benchCodec{}, cfg.cap)
 			p.SetInjector(cfg.inj)
 			var seq atomic.Uint64
 			b.ResetTimer()

@@ -50,7 +50,7 @@ func main() {
 
 	e2 := engine.Restarted(img, engine.Options{})
 	b2 := core.Register(e2.Reg, false)
-	st2 := e2.AttachStore(1, core.Codec{}, img.Disks[1])
+	st2 := e2.AddStore(1, core.Codec{})
 	pend, err := e2.AnalyzeAndRedo()
 	check(err)
 	topts.NoCompletion = false // normal processing resumes with completion on

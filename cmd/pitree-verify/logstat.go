@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/fsys"
 	"repro/internal/spatial"
 	"repro/internal/storage"
 	"repro/internal/tsb"
@@ -45,13 +46,13 @@ var kindNames = map[wal.Kind]string{
 	spatial.KindAbsorbSib: "spatial.AbsorbSib",
 }
 
-// runLogStat scans the WAL directory dir read-only and prints what its
+// runLogStat scans the WAL directory dir of fs read-only and prints what its
 // records are made of: count, bytes, mean size and share of the bytes per
 // (record type, kind), and of those bytes the record frame's (everything
 // but the payload) in total and per record; then the frame's share of the
 // log and the bytes per committed user transaction. Last it checks every
 // page's chain (chains) and prints their lengths; a broken link fails it.
-func runLogStat(w io.Writer, dir string) error {
+func runLogStat(w io.Writer, fs fsys.FS, dir string) error {
 	var ch chains
 	type class struct {
 		typ  wal.RecType
@@ -61,7 +62,7 @@ func runLogStat(w io.Writer, dir string) error {
 	rows := map[class]*tally{}
 	var total tally
 	var userCommits, actionCommits int64
-	err := wal.ScanDir(dir, func(rec *wal.Record) bool {
+	err := wal.ScanDir(fs, dir, func(rec *wal.Record) bool {
 		c := class{rec.Type, rec.Kind}
 		t := rows[c]
 		if t == nil {

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fsys"
 	"repro/internal/keys"
 )
 
@@ -53,7 +54,7 @@ func main() {
 	flag.Parse()
 
 	if *logStat != "" {
-		if err := runLogStat(os.Stdout, *logStat); err != nil {
+		if err := runLogStat(os.Stdout, fsys.OS, *logStat); err != nil {
 			fmt.Fprintf(os.Stderr, "logstat: %v\n", err)
 			os.Exit(1)
 		}
@@ -171,7 +172,7 @@ func runRound(rng *rand.Rand, txns int, pageOriented bool) error {
 
 	e2 := engine.Restarted(img, eopts)
 	b2 := core.Register(e2.Reg, pageOriented)
-	st2 := e2.AttachStore(1, core.Codec{}, img.Disks[1])
+	st2 := e2.AddStore(1, core.Codec{})
 	pend, err := e2.AnalyzeAndRedo()
 	if err != nil {
 		return err

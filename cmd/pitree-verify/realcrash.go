@@ -605,6 +605,13 @@ func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killA
 	if err := finishAudited(e2, pend.finish, tree2.drain); err != nil {
 		return false, counts, err
 	}
+	if pend.absent() {
+		// Undo rolled back the tree's creation.
+		if oracle.anyAcked() {
+			return false, counts, fmt.Errorf("tree absent after undo of its creation but commits were acked")
+		}
+		return !killed, counts, nil
+	}
 
 	if err := tree2.verify(); err != nil {
 		return false, counts, fmt.Errorf("tree ill-formed after recovery: %v", err)
@@ -631,5 +638,5 @@ func openRealTree(kind treeKind, e *engine.Engine, pend *recoveryPending, draws 
 			tree, err = nil, fmt.Errorf("restart panic: %v", r)
 		}
 	}()
-	return kind.open(e, nil, pend, draws)
+	return kind.open(e, pend, draws)
 }

@@ -86,27 +86,19 @@ func (d tortDraws) String() string {
 type treeKind struct {
 	name   string
 	create func(e *engine.Engine, d tortDraws) (tortTree, error)
-	open   func(e *engine.Engine, img *engine.CrashImage, pend *recoveryPending, d tortDraws) (tortTree, error)
+	open   func(e *engine.Engine, pend *recoveryPending, d tortDraws) (tortTree, error)
 }
 
 // recoveryPending defers the undo pass until the tree is open (logical
-// record undo needs the tree bound).
+// record undo needs the tree bound). absent reports, after undo, that the
+// store has no root for the tree: undo rolled back a creation that redo
+// had applied and the open had found.
 type recoveryPending struct {
 	finish func() error
+	absent func() bool
 }
 
 const tortureStoreID = 1
-
-// tortStore binds the torture store for a restart: over a crash image's
-// disk snapshot (simulated-crash rounds) or, when img is nil, over the
-// engine's own backing — which on a file-backed engine is the store's
-// real page file, re-read from disk (real-crash rounds).
-func tortStore(e *engine.Engine, img *engine.CrashImage, codec storage.Codec) *storage.Store {
-	if img != nil {
-		return e.AttachStore(tortureStoreID, codec, img.Disks[tortureStoreID])
-	}
-	return e.AddStore(tortureStoreID, codec)
-}
 
 // --- core Π-tree adapter ------------------------------------------------
 
@@ -228,14 +220,15 @@ func tortureKinds() []treeKind {
 					}
 					return coreTort{t}, nil
 				},
-				open: func(e *engine.Engine, img *engine.CrashImage, pend *recoveryPending, d tortDraws) (tortTree, error) {
+				open: func(e *engine.Engine, pend *recoveryPending, d tortDraws) (tortTree, error) {
 					b := core.Register(e.Reg, e.Opts.PageOriented)
-					st := tortStore(e, img, core.Codec{})
+					st := e.AddStore(tortureStoreID, core.Codec{})
 					p, err := e.AnalyzeAndRedo()
 					if err != nil {
 						return nil, err
 					}
 					pend.finish = func() error { return e.FinishRecovery(p) }
+					pend.absent = func() bool { _, err := st.Root("tort"); return err != nil }
 					t, err := core.Open(st, e.TM, e.Locks, b, "tort", coreTortOpts(pess, d))
 					if err != nil {
 						return nil, err
@@ -254,14 +247,15 @@ func tortureKinds() []treeKind {
 					}
 					return tsbTort{t}, nil
 				},
-				open: func(e *engine.Engine, img *engine.CrashImage, pend *recoveryPending, d tortDraws) (tortTree, error) {
+				open: func(e *engine.Engine, pend *recoveryPending, d tortDraws) (tortTree, error) {
 					b := tsb.Register(e.Reg)
-					st := tortStore(e, img, tsb.Codec{})
+					st := e.AddStore(tortureStoreID, tsb.Codec{})
 					p, err := e.AnalyzeAndRedo()
 					if err != nil {
 						return nil, err
 					}
 					pend.finish = func() error { return e.FinishRecovery(p) }
+					pend.absent = func() bool { _, err := st.Root("tort"); return err != nil }
 					t, err := tsb.Open(st, e.TM, e.Locks, b, "tort", tsbTortOpts(pess, d))
 					if err != nil {
 						return nil, err
@@ -280,14 +274,15 @@ func tortureKinds() []treeKind {
 					}
 					return spatialTort{t}, nil
 				},
-				open: func(e *engine.Engine, img *engine.CrashImage, pend *recoveryPending, d tortDraws) (tortTree, error) {
+				open: func(e *engine.Engine, pend *recoveryPending, d tortDraws) (tortTree, error) {
 					b := spatial.Register(e.Reg)
-					st := tortStore(e, img, spatial.Codec{})
+					st := e.AddStore(tortureStoreID, spatial.Codec{})
 					p, err := e.AnalyzeAndRedo()
 					if err != nil {
 						return nil, err
 					}
 					pend.finish = func() error { return e.FinishRecovery(p) }
+					pend.absent = func() bool { _, err := st.Root("tort"); return err != nil }
 					t, err := spatial.Open(st, e.TM, e.Locks, b, "tort", spatialTortOpts(pess, d))
 					if err != nil {
 						return nil, err
@@ -538,21 +533,17 @@ func runSnapReader(e *engine.Engine, inj *fault.Injector, t *tsb.Tree, s *snapOr
 // alloc/free history of e's replayed log goes through the alternation
 // oracle and e's free-space maps are cross-checked against it, once as
 // redo left them and once more after undo, with this restart's CLRs
-// applied on top. A file-backed FinishRecovery releases the replayed log
-// from memory, the checkpoint the audit seeds from included, so the audit
-// cannot simply run afterwards; it keeps only what the oldest live
-// transaction could read, so a transaction that has logged something
-// before undo holds the undo pass's own records in memory for the second
-// half. (One that has logged nothing pins nothing: the empty nested
-// action is its one record.) A split the undo pass makes queues its
-// posting on the tree's completion workers, whose actions allocate pages
-// too: drain runs them to the end before the log and the free-space maps
-// are compared, or an allocation could land between the two reads.
+// applied on top. Both reads of the log are of its segment files
+// (Log.StableImage): FinishRecovery releases the replayed log from
+// memory. A split the undo pass makes queues its posting on the tree's
+// completion workers, whose actions allocate pages too: drain runs them
+// to the end before the log and the free-space maps are compared, or an
+// allocation could land between the two reads.
 func finishAudited(e *engine.Engine, finish func() error, drain func()) error {
-	pin := e.TM.Begin()
-	pin.CommitNested(pin.BeginNested())
-	defer pin.Abort()
-	img := e.Log.FullImage()
+	img, err := e.Log.StableImage()
+	if err != nil {
+		return fmt.Errorf("space audit: read the log: %v", err)
+	}
 	shadow, err := recovery.AuditSpace(img)
 	if err == nil {
 		err = recovery.CheckSpace(shadow, e.Pools()...)
@@ -566,7 +557,10 @@ func finishAudited(e *engine.Engine, finish func() error, drain func()) error {
 		}
 	}
 	drain()
-	shadow, err = recovery.AuditSpaceTail(shadow, e.Log.FullImage(), img.EndLSN())
+	tail, err := e.Log.StableImage()
+	if err == nil {
+		shadow, err = recovery.AuditSpaceTail(shadow, tail, img.EndLSN())
+	}
 	if err == nil {
 		err = recovery.CheckSpace(shadow, e.Pools()...)
 	}
@@ -576,10 +570,28 @@ func finishAudited(e *engine.Engine, finish func() error, drain func()) error {
 	return nil
 }
 
+// entryCoverage is what one menu entry did over a run: the rounds that
+// drew it, those whose failpoint fired at least once, and its firings.
+type entryCoverage struct{ draws, tripped, trips int64 }
+
+// printCoverage prints one line per menu entry, in menu order.
+func printCoverage(menu []menuEntry, cov map[string]*entryCoverage) {
+	fmt.Printf("coverage: %-30s %6s %8s %6s\n", "entry", "draws", "tripped", "trips")
+	for _, m := range menu {
+		c := cov[m.name]
+		fmt.Printf("coverage: %-30s %6d %8d %6d\n", m.name, c.draws, c.tripped, c.trips)
+	}
+}
+
 func runTorture(cfg tortureConfig) error {
 	kinds := tortureKinds()
 	menu := tortureMenu()
 	var total roundCounts
+	cov := make(map[string]*entryCoverage, len(menu))
+	for _, m := range menu {
+		cov[m.name] = &entryCoverage{}
+	}
+	defer printCoverage(menu, cov)
 	for round := 0; round < cfg.rounds; round++ {
 		seed := cfg.seed + int64(round)*1000003
 		kind := kinds[round%len(kinds)]
@@ -595,6 +607,12 @@ func runTorture(cfg tortureConfig) error {
 			govBudget:     []int{0, 64, 256}[rng.Intn(3)],
 		}
 		restart, counts, err := tortureRound(seed, kind, entry, recWorkers, draws, rng, cfg)
+		c := cov[entry.name]
+		c.draws++
+		if counts.trips > 0 {
+			c.tripped++
+			c.trips += counts.trips
+		}
 		if err != nil {
 			return fmt.Errorf("round %d (tree=%s fault=%s workers=%d %v seed=%d): %w\nreproduce with: pitree-verify -torture -seed %d -rounds %d",
 				round, kind.name, entry.name, recWorkers, draws, seed, err, cfg.seed, round+1)
@@ -633,6 +651,9 @@ func withPageFiles(err error, e *engine.Engine) error {
 
 func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, draws tortDraws, rng *rand.Rand, cfg tortureConfig) (restart time.Duration, counts roundCounts, err error) {
 	inj := fault.New(seed)
+	// Every firing counts, a shutdown's included, whichever way the round
+	// ends.
+	defer func() { counts.trips = int64(len(inj.Trips())) }()
 	spec := entry.spec
 	spec.After = 1 + int64(rng.Intn(entry.spread))
 
@@ -831,12 +852,10 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 	// TSB node can outgrow its 4 KiB page slots, and a bounded restart
 	// would have to write such a node back.
 	counts.add(e.Pools())
-	counts.trips = int64(len(inj.Trips()))
 	ropts := engine.Options{PageOriented: cfg.pageOriented, RecoveryWorkers: recWorkers}
 	if !entry.atClose {
 		ropts.PoolCapacity = eopts.PoolCapacity
 	}
-	var img *engine.CrashImage
 	var e2 *engine.Engine
 	defer func() { err = withPageFiles(err, e2) }()
 	var restartStart time.Time
@@ -864,27 +883,33 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 		for _, p := range e.Pools() {
 			p.StopPrefetch()
 		}
-		img = e.Crash(nil)
+		img := e.Crash(nil)
 		restartStart = time.Now()
 		e2 = engine.Restarted(img, ropts)
 	}
 	var pend recoveryPending
-	tree2, err := kind.open(e2, img, &pend, draws)
-	if err != nil {
-		// The crash may predate the tree creation becoming stable; then
-		// nothing can have committed.
+	// The crash may predate the tree creation becoming stable; then
+	// nothing can have committed.
+	noTree := func(why error) (time.Duration, roundCounts, error) {
 		for w := range oracle {
 			for k, v := range oracle[w] {
 				if v.present {
-					return 0, counts, fmt.Errorf("tree unopenable after crash (%v) but key %d was acked", err, k)
+					return 0, counts, fmt.Errorf("tree absent after crash (%v) but key %d was acked", why, k)
 				}
 			}
 		}
 		return time.Since(restartStart), counts, nil
 	}
+	tree2, err := kind.open(e2, &pend, draws)
+	if err != nil {
+		return noTree(err)
+	}
 	defer tree2.close()
 	if err := finishAudited(e2, pend.finish, tree2.drain); err != nil {
 		return 0, counts, fmt.Errorf("%v\ntrips: %v", err, inj.Trips())
+	}
+	if pend.absent() {
+		return noTree(errors.New("undo rolled back its creation"))
 	}
 	restart = time.Since(restartStart)
 	counts.add(e2.Pools())

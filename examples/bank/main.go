@@ -112,7 +112,7 @@ func main() {
 	img := e.Crash(nil)
 	e2 := engine.Restarted(img, eopts)
 	b2 := core.Register(e2.Reg, true)
-	st2 := e2.AttachStore(1, core.Codec{}, img.Disks[1])
+	st2 := e2.AddStore(1, core.Codec{})
 	pend, err := e2.AnalyzeAndRedo()
 	if err != nil {
 		log.Fatal(err)

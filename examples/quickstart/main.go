@@ -77,8 +77,8 @@ func main() {
 		return true
 	})
 
-	// Crash and recover: the stable state is the forced log prefix plus
-	// whatever pages were flushed; restart replays history.
+	// Crash and recover: the stable state is the synced log plus whatever
+	// page images were synced; restart replays history.
 	if err := e.Log.ForceAll(); err != nil {
 		panic(err)
 	}
@@ -87,7 +87,7 @@ func main() {
 
 	e2 := engine.Restarted(img, e.Opts)
 	b2 := core.Register(e2.Reg, e2.Opts.PageOriented)
-	st2 := e2.AttachStore(1, core.Codec{}, img.Disks[1])
+	st2 := e2.AddStore(1, core.Codec{})
 	pend, err := e2.AnalyzeAndRedo()
 	if err != nil {
 		log.Fatal(err)

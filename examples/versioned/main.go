@@ -68,7 +68,7 @@ func main() {
 	img := e.Crash(nil)
 	e2 := engine.Restarted(img, e.Opts)
 	b2 := tsb.Register(e2.Reg)
-	st2 := e2.AttachStore(1, tsb.Codec{}, img.Disks[1])
+	st2 := e2.AddStore(1, tsb.Codec{})
 	pend, err := e2.AnalyzeAndRedo()
 	if err != nil {
 		log.Fatal(err)

@@ -71,7 +71,7 @@ func T4CrashMatrix(w io.Writer, p Params) {
 			img := e.Crash(&cut)
 			e2 := engine.Restarted(img, rg.eopts)
 			b2 := core.Register(e2.Reg, rg.eopts.PageOriented)
-			st2 := e2.AttachStore(1, core.Codec{}, img.Disks[1])
+			st2 := e2.AddStore(1, core.Codec{})
 			pend, err := e2.AnalyzeAndRedo()
 			if err != nil {
 				panic(err)
@@ -134,7 +134,7 @@ func T5LazyCompletion(w io.Writer, p Params) {
 	topts.NoCompletion = false
 	e2 := engine.Restarted(img, engine.Options{})
 	b2 := core.Register(e2.Reg, false)
-	st2 := e2.AttachStore(1, core.Codec{}, img.Disks[1])
+	st2 := e2.AddStore(1, core.Codec{})
 	pend, _ := e2.AnalyzeAndRedo()
 	tree2, err := core.Open(st2, e2.TM, e2.Locks, b2, "t5", topts)
 	if err != nil {
@@ -378,7 +378,7 @@ func T12Recovery(w io.Writer, p Params) {
 
 		e2 := engine.Restarted(img, engine.Options{})
 		core.Register(e2.Reg, false)
-		e2.AttachStore(1, core.Codec{}, img.Disks[1])
+		e2.AddStore(1, core.Codec{})
 		start := time.Now()
 		stats, err := e2.Recover()
 		if err != nil {

@@ -56,15 +56,12 @@ func TestEngineCloseDrainsScheduledConsolidations(t *testing.T) {
 		t.Fatal("close dropped every scheduled consolidation")
 	}
 
-	// Checkpoint the quiesced engine so the reopen's redo scan is bounded
-	// by the flushed state Close produced.
-	if _, err := e.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
+	// Close's shutdown checkpoint bounds the reopen's redo scan by the
+	// flushed state Close produced.
 	img := e.Crash(nil)
 	e2 := engine.Restarted(img, e.Opts)
 	b2 := Register(e2.Reg, false)
-	st2 := e2.AttachStore(testStoreID, Codec{}, img.Disks[testStoreID])
+	st2 := e2.AddStore(testStoreID, Codec{})
 	p, err := e2.AnalyzeAndRedo()
 	if err != nil {
 		t.Fatalf("analyze+redo: %v", err)

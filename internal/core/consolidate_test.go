@@ -118,7 +118,7 @@ func TestFreeActionLogIdentity(t *testing.T) {
 				}
 				from := fx.e.Log.EndLSN()
 				fx.consolidateAll(t, merge, shrink)
-				recs := pitreetest.RecordsFrom(fx.e.Log, from)
+				recs := pitreetest.RecordsFrom(t, fx.e.Log, from)
 				fx.mustVerify(t)
 				return recs
 			}

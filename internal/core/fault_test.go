@@ -142,7 +142,7 @@ func TestFailedAbortPoisonsItsLocks(t *testing.T) {
 	fx.tree.Close()
 	e2 := engine.Restarted(img, engine.Options{})
 	b2 := Register(e2.Reg, false)
-	st2 := e2.AttachStore(testStoreID, Codec{}, img.Disks[testStoreID])
+	st2 := e2.AddStore(testStoreID, Codec{})
 	p, err := e2.AnalyzeAndRedo()
 	if err != nil {
 		t.Fatal(err)

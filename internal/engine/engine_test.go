@@ -61,13 +61,13 @@ func TestEngineMultiStoreCrashRestart(t *testing.T) {
 	e.Log.ForceAll()
 
 	img := e.Crash(nil)
-	if len(img.Disks) != 2 {
-		t.Fatalf("crash image has %d disks", len(img.Disks))
+	if names, err := img.FS.ReadDir("."); err != nil || len(names) != 2 {
+		t.Fatalf("crash image holds page files %v (%v), want two", names, err)
 	}
 	e2 := Restarted(img, Options{})
 	registerSet(e2.Reg)
-	stA2 := e2.AttachStore(1, byteCodec{}, img.Disks[1])
-	stB2 := e2.AttachStore(2, byteCodec{}, img.Disks[2])
+	stA2 := e2.AddStore(1, byteCodec{})
+	stB2 := e2.AddStore(2, byteCodec{})
 	if _, err := e2.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +102,9 @@ func TestEngineCheckpointAnchor(t *testing.T) {
 	if e.Log.CheckpointLSN() != lsn {
 		t.Fatal("anchor not recorded")
 	}
-	img := e.Crash(nil)
-	if img.LogImage.CheckpointLSN() != lsn {
-		t.Fatal("anchor lost across crash")
+	img, err := wal.DirImage(e.Crash(nil).FS, "wal")
+	if err != nil || img.CheckpointLSN() != lsn {
+		t.Fatalf("anchor lost across crash (%v)", err)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestEngineFlushAllBoundsRedo(t *testing.T) {
 	img := e.Crash(nil)
 	e2 := Restarted(img, Options{})
 	registerSet(e2.Reg)
-	e2.AttachStore(1, byteCodec{}, img.Disks[1])
+	e2.AddStore(1, byteCodec{})
 	stats, err := e2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -166,5 +166,52 @@ func TestStoreMissingFromImage(t *testing.T) {
 	st := e.AddStore(1, byteCodec{})
 	if _, err := st.Pool.Fetch(77); !errors.Is(err, storage.ErrPageNotFound) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestCheckpointMakesItsCleanPagesDurable: a page written back before a
+// checkpoint is clean in its dirty page table, so a restart from that
+// anchor redoes nothing of the page's older records; the checkpoint must
+// have synced the page file first, or a crash loses the write (the file
+// system keeps only synced bytes).
+func TestCheckpointMakesItsCleanPagesDurable(t *testing.T) {
+	e := New(Options{})
+	registerSet(e.Reg)
+	st := e.AddStore(1, byteCodec{})
+	aa := e.TM.BeginAtomicAction()
+	if err := st.Bootstrap(aa); err != nil {
+		t.Fatal(err)
+	}
+	f, err := st.Pool.Create(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Latch.AcquireX()
+	aa.LogUpdate(f, kindSet, []byte("written back"))
+	f.Data = []byte("written back")
+	f.Latch.ReleaseX()
+	st.Pool.Unpin(f)
+	if err := aa.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	e2 := Restarted(e.Crash(nil), Options{})
+	registerSet(e2.Reg)
+	st2 := e2.AddStore(1, byteCodec{})
+	if _, err := e2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	f, err = st2.Pool.Fetch(5)
+	if err != nil {
+		t.Fatalf("page written back before the checkpoint lost: %v", err)
+	}
+	defer st2.Pool.Unpin(f)
+	if string(f.Data.([]byte)) != "written back" {
+		t.Fatalf("page 5 = %q after restart", f.Data)
 	}
 }

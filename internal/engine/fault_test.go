@@ -72,7 +72,7 @@ func TestGroupCommitTransientSyncFault(t *testing.T) {
 	img := e.Crash(nil)
 	e2 := Restarted(img, Options{})
 	registerSet(e2.Reg)
-	st2 := e2.AttachStore(1, byteCodec{}, img.Disks[1])
+	st2 := e2.AddStore(1, byteCodec{})
 	stats, err := e2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestPermanentSyncFaultRejectsAndRollsBackCommits(t *testing.T) {
 	img := e.Crash(nil)
 	e2 := Restarted(img, Options{})
 	registerSet(e2.Reg)
-	st2 := e2.AttachStore(1, byteCodec{}, img.Disks[1])
+	st2 := e2.AddStore(1, byteCodec{})
 	if _, err := e2.Recover(); err != nil {
 		t.Fatal(err)
 	}

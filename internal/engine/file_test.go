@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -66,92 +65,6 @@ func fileWorkload(t *testing.T, e *Engine, st *storage.Store) {
 	}
 }
 
-// TestEngineFileMemRecoveryEquivalence runs the identical workload on a
-// memory-backed engine and a file-backed engine, crashes both (the mem
-// engine via the crash image, the file engine by abandoning the process
-// state and replaying its directory), recovers both, and demands the
-// recovered disk images be byte-identical. The file layer — CRC framing,
-// segment stitching, master anchors, copy-on-write page files — must be
-// invisible to recovery semantics.
-func TestEngineFileMemRecoveryEquivalence(t *testing.T) {
-	// Memory side.
-	em := New(Options{})
-	registerSet(em.Reg)
-	stm := em.AddStore(1, byteCodec{})
-	fileWorkload(t, em, stm)
-
-	// File side: small segments so the workload spans several and the
-	// checkpoint actually recycles some.
-	dir := t.TempDir()
-	ef, recovered, err := Open(Options{DataDir: dir, SegmentSize: 4096})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	if recovered {
-		t.Fatalf("fresh dir claims recovery")
-	}
-	registerSet(ef.Reg)
-	stf := ef.AddStore(1, byteCodec{})
-	fileWorkload(t, ef, stf)
-
-	// Crash both. The mem engine snapshots its stable state; the file
-	// engine is simply abandoned — no Close, no final flush — and its
-	// next incarnation replays the real files.
-	img := em.Crash(nil)
-	em2 := Restarted(img, Options{})
-	registerSet(em2.Reg)
-	stm2 := em2.AttachStore(1, byteCodec{}, img.Disks[1])
-	if _, err := em2.Recover(); err != nil {
-		t.Fatalf("mem recover: %v", err)
-	}
-
-	ef2, recovered, err := Open(Options{DataDir: dir, SegmentSize: 4096})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if !recovered {
-		t.Fatalf("reopen found no log to recover")
-	}
-	registerSet(ef2.Reg)
-	stf2 := ef2.AddStore(1, byteCodec{})
-	if _, err := ef2.Recover(); err != nil {
-		t.Fatalf("file recover: %v", err)
-	}
-	ws, _ := ef2.FileStats()
-	if ws.ReplayRecords == 0 {
-		t.Fatalf("file replay read no records")
-	}
-
-	// Materialize both recovered states and compare byte for byte.
-	if _, err := em2.FlushAll(); err != nil {
-		t.Fatalf("mem flush: %v", err)
-	}
-	if _, err := ef2.FlushAll(); err != nil {
-		t.Fatalf("file flush: %v", err)
-	}
-	sm := stm2.Pool.Disk().Snapshot()
-	sf := stf2.Pool.Disk().Snapshot()
-	if sm.Len() != sf.Len() {
-		t.Fatalf("recovered page counts differ: mem %d, file %d", sm.Len(), sf.Len())
-	}
-	for _, pid := range sm.PageIDs() {
-		a, aok, aerr := sm.Read(pid)
-		b, bok, berr := sf.Read(pid)
-		if aerr != nil || berr != nil || aok != bok {
-			t.Fatalf("page %d: mem ok=%v err=%v, file ok=%v err=%v", pid, aok, aerr, bok, berr)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("recovered page %d differs:\n mem  %q\n file %q", pid, a, b)
-		}
-	}
-	if err := ef2.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-}
-
-// TestEngineFileCloseReopen checks the clean-shutdown path: Close syncs
-// everything, and the next Open still replays the log and recovers the
-// same state (a clean shutdown is just a crash with no losers).
 func TestEngineFileCloseReopen(t *testing.T) {
 	dir := t.TempDir()
 	e, _, err := Open(Options{DataDir: dir})

@@ -62,7 +62,7 @@ func TestGroupCommitCrashReplay(t *testing.T) {
 	img := e.Crash(nil)
 	e2 := Restarted(img, eopts)
 	b2 := core.Register(e2.Reg, false)
-	st2 := e2.AttachStore(1, core.Codec{}, img.Disks[1])
+	st2 := e2.AddStore(1, core.Codec{})
 	pend, err := e2.AnalyzeAndRedo()
 	if err != nil {
 		t.Fatal(err)

@@ -193,22 +193,17 @@ func TestIdleTickDoesNoPerFrameWork(t *testing.T) {
 	}
 }
 
-// TestLogBufferFollowsTheLiveLog: short transactions through a file sink
-// leave nothing for memory to keep, so after ten windows of log the
-// buffer holds about one; the same history on a sink-less engine — whose
-// buffer is its stable storage — still yields the complete crash image.
+// TestLogBufferFollowsTheLiveLog: short transactions leave nothing for
+// memory to keep, so after ten windows of log the buffer holds about one.
 func TestLogBufferFollowsTheLiveLog(t *testing.T) {
-	run := func(v *wbEnv) {
-		for round := 0; v.e.Log.EndLSN() < 10*wbWindow; round++ {
-			for i := 0; i < 64; i++ {
-				pid := storage.PageID(2 + i)
-				v.put(pid, val256(pid, round))
-			}
-		}
-	}
 	v, _ := openWB(t, t.TempDir(), time.Millisecond)
 	defer v.e.Close()
-	run(v)
+	for round := 0; v.e.Log.EndLSN() < 10*wbWindow; round++ {
+		for i := 0; i < 64; i++ {
+			pid := storage.PageID(2 + i)
+			v.put(pid, val256(pid, round))
+		}
+	}
 	settle(t, "the log buffer is trimmed to the window", func() bool {
 		return v.e.WriteBackStats().LogBuffered <= wbWindow
 	})
@@ -217,22 +212,6 @@ func TestLogBufferFollowsTheLiveLog(t *testing.T) {
 		t.Fatalf("trim LSN did not move: %+v", ws)
 	}
 
-	mem := New(Options{})
-	registerSwap(mem.Reg)
-	m := &wbEnv{t: t, e: mem, st: mem.AddStore(1, byteCodec{})}
-	run(m)
-	mem.trimLog()
-	mem.Log.ReleaseBelow(mem.Log.EndLSN()) // asked directly, it still keeps everything
-	if err := mem.Log.ForceAll(); err != nil {
-		t.Fatal(err)
-	}
-	appends, _ := mem.Log.Stats()
-	img := mem.Crash(nil).LogImage
-	var scanned int64
-	img.ScanShared(wal.NilLSN, func(*wal.Record) bool { scanned++; return true })
-	if img.StartLSN() != 1 || scanned != appends {
-		t.Fatalf("sink-less crash image starts at %d with %d of %d records", img.StartLSN(), scanned, appends)
-	}
 }
 
 // TestOldTransactionRollsBackPastTheWindow: a transaction older than the

@@ -72,12 +72,9 @@ func UndoRoundTrip(t testing.TB, reg *storage.Registry, data any, image func(dat
 // crash image cut there holds the whole transaction and not its commit.
 func CutBeforeCommit(t testing.TB, log *wal.Log, kind wal.Kind) wal.LSN {
 	t.Helper()
-	if err := log.ForceAll(); err != nil {
-		t.Fatal(err)
-	}
 	var id wal.TxnID
 	var commit wal.LSN
-	log.FullImage().Scan(wal.NilLSN, func(r wal.Record) bool {
+	stable(t, log).Scan(wal.NilLSN, func(r wal.Record) bool {
 		switch {
 		case r.Type == wal.RecUpdate && r.Kind == kind:
 			id, commit = r.TxnID, wal.NilLSN
@@ -98,10 +95,7 @@ func CutBeforeCommit(t testing.TB, log *wal.Log, kind wal.Kind) wal.LSN {
 // holds what the action logged before its failpoint and none of its undo.
 func CutAtFailure(t testing.TB, log *wal.Log, from wal.LSN) (cut wal.LSN, last wal.Kind) {
 	t.Helper()
-	if err := log.ForceAll(); err != nil {
-		t.Fatal(err)
-	}
-	log.FullImage().Scan(from, func(r wal.Record) bool {
+	stable(t, log).Scan(from, func(r wal.Record) bool {
 		switch r.Type {
 		case wal.RecAbort:
 			cut = r.LSN
@@ -143,10 +137,21 @@ func FreeIffUnlinked[N, K any](t testing.TB, k *pitree.Kernel[N, K], st *storage
 	}
 }
 
-// RecordsFrom returns the records of log from lsn on.
-func RecordsFrom(log *wal.Log, lsn wal.LSN) []wal.Record {
+// stable forces log and returns the whole of it its segment files hold.
+func stable(t testing.TB, log *wal.Log) *wal.Reader {
+	t.Helper()
+	img, err := log.StableImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// RecordsFrom forces log and returns its records from lsn on.
+func RecordsFrom(t testing.TB, log *wal.Log, lsn wal.LSN) []wal.Record {
+	t.Helper()
 	var recs []wal.Record
-	log.FullImage().Scan(lsn, func(r wal.Record) bool {
+	stable(t, log).Scan(lsn, func(r wal.Record) bool {
 		recs = append(recs, r)
 		return true
 	})
@@ -162,7 +167,7 @@ func PayloadsAreRecords(t testing.TB, log *wal.Log, records map[string]bool, kin
 	for _, k := range kinds {
 		seen[k] = 0
 	}
-	for _, r := range RecordsFrom(log, wal.NilLSN) {
+	for _, r := range RecordsFrom(t, log, wal.NilLSN) {
 		if n, ok := seen[r.Kind]; ok {
 			seen[r.Kind] = n + 1
 			if !records[string(r.Payload)] {
@@ -204,7 +209,7 @@ func GrowIdentity(t testing.TB, log *wal.Log, from wal.LSN, format, grow, restor
 	t.Helper()
 	var formats []wal.Record
 	var growth, clr *wal.Record
-	for _, r := range RecordsFrom(log, from) {
+	for _, r := range RecordsFrom(t, log, from) {
 		switch {
 		case r.Type == wal.RecUpdate && r.Kind == format:
 			formats = append(formats, r)
@@ -234,14 +239,10 @@ func GrowIdentity(t testing.TB, log *wal.Log, from wal.LSN, format, grow, restor
 // engine's FinishRecovery — inside the space audit: the alloc/free history
 // of e's replayed log goes through recovery's shadow model, and e's
 // free-space maps must match it once as redo left them and once more after
-// undo. A transaction that logs one record before undo pins the log the
-// undo pass appends in memory, for the second half.
+// undo. Both reads of the log are of its segment files.
 func FinishAudited(t testing.TB, e *engine.Engine, finish func() error) {
 	t.Helper()
-	pin := e.TM.Begin()
-	pin.CommitNested(pin.BeginNested())
-	defer pin.Abort()
-	img := e.Log.FullImage()
+	img := stable(t, e.Log)
 	shadow, err := recovery.AuditSpace(img)
 	if err == nil {
 		err = recovery.CheckSpace(shadow, e.Pools()...)
@@ -252,7 +253,7 @@ func FinishAudited(t testing.TB, e *engine.Engine, finish func() error) {
 	if err := finish(); err != nil {
 		t.Fatalf("undo losers: %v", err)
 	}
-	shadow, err = recovery.AuditSpaceTail(shadow, e.Log.FullImage(), img.EndLSN())
+	shadow, err = recovery.AuditSpaceTail(shadow, stable(t, e.Log), img.EndLSN())
 	if err == nil {
 		err = recovery.CheckSpace(shadow, e.Pools()...)
 	}

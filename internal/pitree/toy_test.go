@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/enc"
+	"repro/internal/fsys"
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/storage"
@@ -73,7 +74,11 @@ const (
 func newToy(t *testing.T, couple, pessimistic bool) *toy {
 	t.Helper()
 	ty := &toy{log: wal.New(), lm: lock.NewManager(), clones: map[*toyNode]int{}}
-	ty.pool = storage.NewPool(1, storage.NewDisk(), ty.log, toyCodec{ty}, 0)
+	disk, err := storage.OpenFileDisk(fsys.NewMem(), "pages", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ty.pool = storage.NewPool(1, disk, ty.log, toyCodec{ty}, 0)
 	reg := toyRegistry()
 	reg.AddPool(ty.pool) // a growth's undo compensates the root
 	ty.tm = txn.NewManager(ty.log, ty.lm, reg, txn.Options{})

@@ -100,7 +100,7 @@ func buildWorkload(rng *rand.Rand, e *env) {
 // fabricate such a state, and in it recovery outcomes legitimately depend
 // on fresh CLR LSNs — not a divergence the oracle should flag.
 func pickCut(rng *rand.Rand, e *env) wal.LSN {
-	bounds := e.log.CrashImage(nil).Boundaries()
+	bounds := e.crash(nil).log.FullImage().Boundaries()
 	maxStable := wal.NilLSN
 	for _, pid := range e.pool.Disk().PageIDs() {
 		if lsn, ok := e.pool.StablePageLSN(pid); ok && lsn > maxStable {
@@ -116,9 +116,9 @@ func pickCut(rng *rand.Rand, e *env) wal.LSN {
 
 type restartResult struct {
 	stats    Stats
-	redoDisk *storage.MemDisk // flushed right after analysis and redo
-	undoDisk *storage.MemDisk // flushed after UndoLosers
-	space    SpaceImage       // audited space state of store 1
+	redoDisk map[storage.PageID][]byte // flushed right after analysis and redo
+	undoDisk map[storage.PageID][]byte // flushed after UndoLosers
+	space    SpaceImage                // audited space state of store 1
 }
 
 // runRestart recovers e's stable state truncated at cut with o, flushing
@@ -133,7 +133,7 @@ func runRestart(t *testing.T, e *env, cut wal.LSN, o Opts) restartResult {
 	if _, err := e2.pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	redoDisk := e2.pool.Disk().Snapshot()
+	redoDisk := imageMap(e2.pool.Disk())
 	redone := e2.log.FullImage()
 	if err := p.UndoLosers(e2.tm); err != nil {
 		t.Fatalf("undo (%+v): %v", o, err)
@@ -160,12 +160,13 @@ func runRestart(t *testing.T, e *env, cut wal.LSN, o Opts) restartResult {
 	if err != nil || !reflect.DeepEqual(half, shadow) {
 		t.Fatalf("space audit split at undo (%+v): %v\n%+v\nwhole: %+v", o, err, half, shadow)
 	}
-	return restartResult{stats: p.Stats, redoDisk: redoDisk, undoDisk: e2.pool.Disk().Snapshot(), space: shadow[1]}
+	return restartResult{stats: p.Stats, redoDisk: redoDisk, undoDisk: imageMap(e2.pool.Disk()), space: shadow[1]}
 }
 
-func imageMap(d *storage.MemDisk) map[storage.PageID][]byte {
-	m := make(map[storage.PageID][]byte, d.Len())
-	for _, pid := range d.PageIDs() {
+func imageMap(d *storage.FileDisk) map[storage.PageID][]byte {
+	pids := d.PageIDs()
+	m := make(map[storage.PageID][]byte, len(pids))
+	for _, pid := range pids {
 		img, _, _ := d.Read(pid)
 		m[pid] = img
 	}
@@ -174,9 +175,8 @@ func imageMap(d *storage.MemDisk) map[storage.PageID][]byte {
 
 // compareDisks requires the same page set with equal images; stripLSN
 // drops the 8-byte pageLSN header from the comparison (undo phase).
-func compareDisks(t *testing.T, label string, want, got *storage.MemDisk, stripLSN bool) {
+func compareDisks(t *testing.T, label string, w, g map[storage.PageID][]byte, stripLSN bool) {
 	t.Helper()
-	w, g := imageMap(want), imageMap(got)
 	if len(w) != len(g) {
 		t.Fatalf("%s: %d stable pages vs %d", label, len(w), len(g))
 	}
@@ -227,7 +227,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed)*7919 + 3))
-			e := newEnv(storage.NewDisk(), wal.New())
+			e := newEnv(nil)
 			buildWorkload(rng, e)
 			cut := pickCut(rng, e)
 

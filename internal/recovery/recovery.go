@@ -106,8 +106,9 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 }
 
 // TakeCheckpoint writes a fuzzy checkpoint covering the given pools and
-// the transaction manager's live table, forces it, and records it as the
-// log's checkpoint anchor. It returns the checkpoint's LSN.
+// the transaction manager's live table, forces it, syncs every pool's page
+// file, and records it as the log's checkpoint anchor. It returns the
+// checkpoint's LSN.
 func TakeCheckpoint(log *wal.Log, tm *txn.Manager, pools ...*storage.Pool) (wal.LSN, error) {
 	lsn, _, err := TakeCheckpointHorizon(log, tm, pools...)
 	return lsn, err
@@ -164,6 +165,14 @@ func TakeCheckpointHorizon(log *wal.Log, tm *txn.Manager, pools ...*storage.Pool
 	// survive.
 	if err := log.Force(lsn); err != nil {
 		return wal.NilLSN, wal.NilLSN, fmt.Errorf("recovery: checkpoint not stable: %w", err)
+	}
+	// A page the checkpoint found clean may have been written since the
+	// last page-file sync; restart from this anchor redoes nothing below
+	// its dirty page table, so those images must be durable first.
+	for _, p := range pools {
+		if err := p.Disk().Sync(); err != nil {
+			return wal.NilLSN, wal.NilLSN, fmt.Errorf("recovery: checkpoint: sync store %d: %w", p.StoreID, err)
+		}
 	}
 	log.NoteCheckpoint(lsn)
 	return lsn, horizon, nil

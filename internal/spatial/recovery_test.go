@@ -51,7 +51,7 @@ func TestSpatialCrashMatrix(t *testing.T) {
 		img := fx.e.Crash(&cut)
 		e2 := engine.Restarted(img, fx.e.Opts)
 		b2 := Register(e2.Reg)
-		st2 := e2.AttachStore(testStoreID, Codec{}, img.Disks[testStoreID])
+		st2 := e2.AddStore(testStoreID, Codec{})
 		pend, err := e2.AnalyzeAndRedo()
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)

@@ -31,7 +31,7 @@ func (chainCodec) SuccessorHint(data any) PageID {
 // prefetch hits.
 func TestPrefetchChainWalksSuccessors(t *testing.T) {
 	log := wal.New()
-	p := NewPool(1, NewDisk(), log, chainCodec{}, 64)
+	p := NewPool(1, memDisk(), log, chainCodec{}, 64)
 	lg := &testLogger{log: log}
 	const n = 32
 	for i := 1; i <= n; i++ {

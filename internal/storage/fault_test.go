@@ -9,12 +9,14 @@ import (
 	"repro/internal/wal"
 )
 
-// newFaultyPool builds a pool over a FaultyDisk wired to a fresh seeded
+// newFaultyPool builds a pool over a page file wired to a fresh seeded
 // injector, with the injector also on the pool's eviction path.
 func newFaultyPool(capacity int, seed int64) (*Pool, *wal.Log, *fault.Injector) {
 	log := wal.New()
 	inj := fault.New(seed)
-	p := NewPool(1, NewFaultyDisk(NewDisk(), inj), log, byteCodec{}, capacity)
+	d := memDisk()
+	d.SetInjector(inj)
+	p := NewPool(1, d, log, byteCodec{}, capacity)
 	p.SetInjector(inj)
 	return p, log, inj
 }
@@ -185,7 +187,10 @@ func TestCrashLatchFreezesDisk(t *testing.T) {
 	if err := p.FlushPage(3); err != nil {
 		t.Fatal(err)
 	}
-	snapBefore := p.Disk().Snapshot()
+	imgA, _, err := p.Disk().Read(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Dirty again, crash, and try to flush: nothing may reach the disk.
 	f, _ := p.Fetch(3)
@@ -198,7 +203,6 @@ func TestCrashLatchFreezesDisk(t *testing.T) {
 	if err := p.FlushPage(3); !errors.Is(err, ErrDiskFailed) {
 		t.Fatalf("flush after crash: %v", err)
 	}
-	imgA, _, _ := snapBefore.Read(3)
 	imgB, ok, err := p.Disk().Read(3)
 	if err != nil || !ok || !bytes.Equal(imgA, imgB) {
 		t.Fatal("disk image changed after the crash instant")

@@ -7,9 +7,7 @@
 // prior image stays intact until the new one is completely on disk — the
 // paper's careful replacement discipline (§2.2) realized at the file
 // layer. A torn write therefore leaves the page readable at its previous
-// version, which is exactly the semantics the in-memory fault simulation
-// (FaultyDisk over MemDisk) models, and what keeps the MemDisk-vs-FileDisk
-// recovery equivalence oracle exact.
+// version.
 //
 // A superseded slot that holds a page's durable image (the one the last
 // Sync covered) waits in limbo until the next Sync has made its
@@ -64,8 +62,12 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/fault"
+	"repro/internal/fsys"
 )
 
 const (
@@ -121,15 +123,6 @@ type fdPage struct {
 	epoch uint64 // FileDisk.epoch at the time it was written
 }
 
-// pageFile is what FileDisk needs of its file; tests wrap the *os.File to
-// record and fail individual writes.
-type pageFile interface {
-	io.ReaderAt
-	io.WriterAt
-	Sync() error
-	Close() error
-}
-
 // slotHdr is a frame header whose checksum verified.
 type slotHdr struct {
 	seq  uint64
@@ -139,17 +132,27 @@ type slotHdr struct {
 	crc  uint32 // content checksum
 }
 
-// FileDisk implements Disk over a real file. Write is a single pwrite
+// FileDisk is the stable layer under one store: page ID to last written
+// image, in a page file. Images include an 8-byte pageLSN header followed
+// by a type tag and the codec-encoded content. Write is a single pwrite
 // with no fsync — data-page durability rides on Sync(), which the engine
 // calls at checkpoints before recycling log segments (write-ahead
 // ordering: a page's log records are always forced before the page is
 // flushed, and its segments are only recycled after the page is synced).
+// It is safe for concurrent use; Write and Read may fail, and the pool
+// retries transient errors and propagates the rest.
+//
+// With an injector (SetInjector) it probes disk.write and disk.read, and
+// keeps two latches: a permanent write fault breaks it for good, and once
+// the injector's crash latch trips no write or sync reaches the file.
 type FileDisk struct {
 	path     string
 	slotSize int
+	inj      *fault.Injector
+	broken   atomic.Bool
 
 	mu     sync.RWMutex
-	f      pageFile
+	f      fsys.File
 	pages  map[PageID]*fdPage
 	nslots int
 	free   []int
@@ -167,30 +170,35 @@ type FileDisk struct {
 	demands atomic.Int64
 }
 
-// OpenFileDisk opens or creates the page file at path. slotSize <= 0
+// OpenFileDisk opens or creates the page file at path in fs. slotSize <= 0
 // means DefaultSlotSize; an existing file keeps the slot size it was
 // created with. An existing file is scanned: every page's newest intact
 // frame becomes its stable image, and what the scan finds is taken as
-// durable.
-func OpenFileDisk(path string, slotSize int) (*FileDisk, error) {
+// durable. A new file's header and name are made durable before it
+// returns, so a later Sync covers a file a crash keeps.
+func OpenFileDisk(fs fsys.FS, path string, slotSize int) (*FileDisk, error) {
 	if slotSize <= 0 {
 		slotSize = DefaultSlotSize
 	}
 	if slotSize < minSlotSize || slotSize > maxSlotSize {
 		return nil, fmt.Errorf("storage: slot size %d: %w", slotSize, ErrSlotSize)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR)
 	if err != nil {
 		return nil, err
 	}
 	d := &FileDisk{path: path, slotSize: slotSize, f: f, pages: make(map[PageID]*fdPage), epoch: 1}
-	if err := d.load(f); err != nil {
+	if err := d.load(fs); err != nil {
 		f.Close()
 		return nil, err
 	}
 	d.frame = make([]byte, d.slotSize)
 	return d, nil
 }
+
+// SetInjector makes d probe disk.write and disk.read and honor inj's
+// crash latch. Call it before d is used concurrently.
+func (d *FileDisk) SetInjector(inj *fault.Injector) { d.inj = inj }
 
 // fileHeader builds a page file's header.
 func fileHeader(version, slotSize uint32) []byte {
@@ -204,17 +212,22 @@ func fileHeader(version, slotSize uint32) []byte {
 
 // load writes the header of a new file, or checks the header of an
 // existing one and scans its slots.
-func (d *FileDisk) load(f *os.File) error {
-	st, err := f.Stat()
+func (d *FileDisk) load(fs fsys.FS) error {
+	size, err := d.f.Size()
 	if err != nil {
 		return err
 	}
-	if st.Size() == 0 {
-		_, err := f.WriteAt(fileHeader(fdVersion, uint32(d.slotSize)), 0)
-		return err
+	if size == 0 {
+		if _, err := d.f.WriteAt(fileHeader(fdVersion, uint32(d.slotSize)), 0); err != nil {
+			return err
+		}
+		if err := d.f.Sync(); err != nil {
+			return err
+		}
+		return fs.SyncDir(filepath.Dir(d.path))
 	}
 	var hdr [fdHdrLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+	if _, err := d.f.ReadAt(hdr[:], 0); err != nil {
 		return fmt.Errorf("storage: page file %s: %w", d.path, ErrTornPage)
 	}
 	if string(hdr[0:8]) != fdMagic ||
@@ -231,7 +244,7 @@ func (d *FileDisk) load(f *os.File) error {
 		return fmt.Errorf("storage: page file %s slot size %d: %w", d.path, ss, ErrSlotSize)
 	}
 	d.slotSize = int(ss)
-	return d.scan(st.Size())
+	return d.scan(size)
 }
 
 // scan elects each page's newest intact frame, frees every other slot,
@@ -398,9 +411,33 @@ func (d *FileDisk) stage(pid PageID, img []byte) (b []byte, next fdPage, err err
 // frame lands in a slot of its own and only then does the in-memory
 // election move to it. The slot it leaves is free at once if its image
 // was never synced, and otherwise waits in limbo for the next fsync.
+// Write does not retain img: the pool builds the next image in the same
+// buffer.
 func (d *FileDisk) Write(pid PageID, img []byte) error {
 	if pid == NilPage {
 		return errors.New("storage: write to nil page")
+	}
+	if d.inj.Crashed() {
+		return fmt.Errorf("storage: write page %d after crash: %w", pid, ErrDiskFailed)
+	}
+	if d.broken.Load() {
+		return fmt.Errorf("storage: write page %d: %w", pid, ErrDiskFailed)
+	}
+	if err := d.inj.Check(FPDiskWrite); err != nil {
+		if fault.IsPermanent(err) {
+			d.broken.Store(true)
+		}
+		if fault.IsTorn(err) {
+			// The write the fault tore lands in part, in a slot of its
+			// own; the prior image stays the page's stable one.
+			_ = d.writePartial(pid, img, fault.AsError(err).Frac)
+		}
+		return fmt.Errorf("storage: write page %d: %w", pid, err)
+	}
+	if d.inj.Crashed() {
+		// A crash-only trip on this very write: the machine died before
+		// the image landed.
+		return fmt.Errorf("storage: write page %d after crash: %w", pid, ErrDiskFailed)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -429,13 +466,13 @@ func (d *FileDisk) Write(pid PageID, img []byte) error {
 	return nil
 }
 
-// WritePartial writes only a seeded prefix of the framed image into the
+// writePartial writes only a seeded prefix of the framed image into the
 // slot a Write would have taken — a genuine torn pwrite. The in-memory
 // election is NOT updated and the slot stays free: the prior image (or
 // never-written state) remains the page's stable version, and a
 // post-crash rescan elects the same way because the partial frame fails
 // its header or content checksum.
-func (d *FileDisk) WritePartial(pid PageID, img []byte, frac float64) error {
+func (d *FileDisk) writePartial(pid PageID, img []byte, frac float64) error {
 	if pid == NilPage {
 		return nil
 	}
@@ -459,8 +496,13 @@ func (d *FileDisk) WritePartial(pid PageID, img []byte, frac float64) error {
 }
 
 // Read returns the stable image of pid, verifying its checksum, in a
-// buffer allocated for this call: it is the caller's.
+// buffer allocated for this call: it is the caller's, and the page
+// decoded from it may keep and change it (Codec.DecodePage). ok=false
+// means the page was never written (not an error).
 func (d *FileDisk) Read(pid PageID) ([]byte, bool, error) {
+	if err := d.inj.Check(FPDiskRead); err != nil {
+		return nil, false, fmt.Errorf("storage: read page %d: %w", pid, err)
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.readLocked(pid)
@@ -475,7 +517,10 @@ func (d *FileDisk) readLocked(pid PageID) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("storage: page %d: durable image lost: %w", pid, ErrTornPage)
 	}
 	b := make([]byte, p.n)
-	n, _ := d.f.ReadAt(b, d.slotOff(p.slot))
+	n, err := d.f.ReadAt(b, d.slotOff(p.slot))
+	if err != nil && err != io.EOF {
+		return nil, false, fmt.Errorf("storage: read page %d: %w", pid, err)
+	}
 	if h, ok := d.parseHdr(b[:n]); ok {
 		if h.pid != pid || h.seq != p.seq {
 			d.fails.Add(1)
@@ -484,29 +529,6 @@ func (d *FileDisk) readLocked(pid PageID) ([]byte, bool, error) {
 		}
 	}
 	return nil, false, fmt.Errorf("storage: page %d slot %d checksum mismatch: %w", pid, p.slot, ErrTornPage)
-}
-
-// Snapshot copies every intact stable image into a MemDisk.
-func (d *FileDisk) Snapshot() *MemDisk {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	cp := make(map[PageID][]byte, len(d.pages))
-	for pid, p := range d.pages {
-		if p.slot < 0 {
-			continue
-		}
-		if img, ok, err := d.readLocked(pid); err == nil && ok {
-			cp[pid] = img
-		}
-	}
-	return &MemDisk{pages: cp}
-}
-
-// Len returns the number of stable pages.
-func (d *FileDisk) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.pages)
 }
 
 // PageIDs returns the IDs of all stable pages.
@@ -531,6 +553,9 @@ func (d *FileDisk) Sync() error {
 // syncLocked fsyncs and starts a new epoch: every image written so far is
 // durable, so the images they superseded are no longer needed.
 func (d *FileDisk) syncLocked() error {
+	if d.inj.Crashed() {
+		return fmt.Errorf("storage: sync after crash: %w", ErrDiskFailed)
+	}
 	if err := d.f.Sync(); err != nil {
 		return err
 	}

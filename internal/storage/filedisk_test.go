@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/fsys"
 )
 
 func mkImage(pid PageID, fill byte, n int) []byte {
@@ -24,7 +25,7 @@ func mkImage(pid PageID, fill byte, n int) []byte {
 
 func TestFileDiskRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	d, err := OpenFileDisk(path, 512)
+	d, err := OpenFileDisk(fsys.OS, path, 512)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -51,13 +52,13 @@ func TestFileDiskRoundtrip(t *testing.T) {
 	d.Close()
 
 	// Reopen: the scan elects the newest frame of every page.
-	d2, err := OpenFileDisk(path, 512)
+	d2, err := OpenFileDisk(fsys.OS, path, 512)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer d2.Close()
-	if d2.Len() != len(want) {
-		t.Fatalf("reopen len %d, want %d", d2.Len(), len(want))
+	if n := len(d2.PageIDs()); n != len(want) {
+		t.Fatalf("reopen holds %d pages, want %d", n, len(want))
 	}
 	for pid, img := range want {
 		got, ok, err := d2.Read(pid)
@@ -80,7 +81,7 @@ func corruptContent(t *testing.T, d *FileDisk, pid PageID) {
 
 func TestFileDiskChecksumMismatchRead(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	d, err := OpenFileDisk(path, 512)
+	d, err := OpenFileDisk(fsys.OS, path, 512)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -111,7 +112,7 @@ func TestFileDiskChecksumMismatchRead(t *testing.T) {
 
 	// Reopen: careful replacement falls back to the intact durable image
 	// the corrupt frame names as its base.
-	d2, err := OpenFileDisk(path, 512)
+	d2, err := OpenFileDisk(fsys.OS, path, 512)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -124,7 +125,7 @@ func TestFileDiskChecksumMismatchRead(t *testing.T) {
 	// torn — the fatal case.
 	corruptContent(t, d2, 3)
 	d2.Close()
-	d3, err := OpenFileDisk(path, 512)
+	d3, err := OpenFileDisk(fsys.OS, path, 512)
 	if err != nil {
 		t.Fatalf("reopen 2: %v", err)
 	}
@@ -139,7 +140,7 @@ func TestFileDiskChecksumMismatchRead(t *testing.T) {
 		t.Fatalf("rewrite: %v", err)
 	}
 	d3.Close()
-	d4, err := OpenFileDisk(path, 512)
+	d4, err := OpenFileDisk(fsys.OS, path, 512)
 	if err != nil {
 		t.Fatalf("reopen 3: %v", err)
 	}
@@ -155,7 +156,7 @@ func TestFileDiskChecksumMismatchRead(t *testing.T) {
 // would hand redo a page older than the log still covers.
 func TestFileDiskStaleImageIsNotElected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	d, err := OpenFileDisk(path, 512)
+	d, err := OpenFileDisk(fsys.OS, path, 512)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -182,12 +183,12 @@ func TestFileDiskStaleImageIsNotElected(t *testing.T) {
 	// image rots, and its next write (base = 2) is torn after the header;
 	// it lands in page 2's old slot, the free list being a stack.
 	corruptContent(t, d, 1)
-	if err := d.WritePartial(1, mkImage(1, 'c', 100), 0.5); err != nil {
+	if err := d.writePartial(1, mkImage(1, 'c', 100), 0.5); err != nil {
 		t.Fatalf("partial: %v", err)
 	}
 	d.Close()
 
-	d2, err := OpenFileDisk(path, 512)
+	d2, err := OpenFileDisk(fsys.OS, path, 512)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -251,7 +252,7 @@ func checkSlots(t *testing.T, d *FileDisk, floor int) {
 // held back until a Sync has covered its replacement; the slot of an
 // image written since the last Sync is free at once.
 func TestFileDiskLimbo(t *testing.T) {
-	d, err := OpenFileDisk(filepath.Join(t.TempDir(), "pages.db"), 512)
+	d, err := OpenFileDisk(fsys.OS, filepath.Join(t.TempDir(), "pages.db"), 512)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -296,7 +297,7 @@ func TestFileDiskLimbo(t *testing.T) {
 // calling Sync: the file stops growing at its bound because Write fsyncs
 // for itself. First writes never pay that.
 func TestFileDiskDemandSyncBoundsFile(t *testing.T) {
-	d, err := OpenFileDisk(filepath.Join(t.TempDir(), "pages.db"), 256)
+	d, err := OpenFileDisk(fsys.OS, filepath.Join(t.TempDir(), "pages.db"), 256)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -334,7 +335,7 @@ func TestFileDiskDemandSyncBoundsFile(t *testing.T) {
 
 func TestFileDiskPartialWriteKeepsPriorImage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	d, err := OpenFileDisk(path, 512)
+	d, err := OpenFileDisk(fsys.OS, path, 512)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -344,7 +345,7 @@ func TestFileDiskPartialWriteKeepsPriorImage(t *testing.T) {
 	}
 	torn := mkImage(5, 'q', 120)
 	for _, frac := range []float64{0.1, 0.3, 0.5, 0.97, 1.0} { // 0.1 cuts the frame header
-		if err := d.WritePartial(5, torn, frac); err != nil {
+		if err := d.writePartial(5, torn, frac); err != nil {
 			t.Fatalf("partial %v: %v", frac, err)
 		}
 		got, ok, err := d.Read(5)
@@ -359,7 +360,7 @@ func TestFileDiskPartialWriteKeepsPriorImage(t *testing.T) {
 
 	// A crash after the torn write rescans and still elects the prior
 	// image: the partial frame fails its checksum.
-	d2, err := OpenFileDisk(path, 512)
+	d2, err := OpenFileDisk(fsys.OS, path, 512)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -371,18 +372,18 @@ func TestFileDiskPartialWriteKeepsPriorImage(t *testing.T) {
 
 	// A torn FIRST write (no prior version) reads as never-written.
 	path2 := filepath.Join(t.TempDir(), "pages2.db")
-	d3, err := OpenFileDisk(path2, 512)
+	d3, err := OpenFileDisk(fsys.OS, path2, 512)
 	if err != nil {
 		t.Fatalf("open 2: %v", err)
 	}
-	if err := d3.WritePartial(7, mkImage(7, 'z', 80), 0.6); err != nil {
+	if err := d3.writePartial(7, mkImage(7, 'z', 80), 0.6); err != nil {
 		t.Fatalf("partial first write: %v", err)
 	}
 	if _, ok, err := d3.Read(7); ok || err != nil {
 		t.Fatalf("torn first write visible: ok=%v err=%v", ok, err)
 	}
 	d3.Close()
-	d4, err := OpenFileDisk(path2, 512)
+	d4, err := OpenFileDisk(fsys.OS, path2, 512)
 	if err != nil {
 		t.Fatalf("reopen 2: %v", err)
 	}
@@ -392,19 +393,31 @@ func TestFileDiskPartialWriteKeepsPriorImage(t *testing.T) {
 	}
 }
 
+// onBoth runs fn on the operating system's file system, in a temporary
+// directory, and on a fresh in-memory one.
+func onBoth(t *testing.T, fn func(t *testing.T, fs fsys.FS, dir string)) {
+	t.Run("os", func(t *testing.T) { fn(t, fsys.OS, t.TempDir()) })
+	t.Run("mem", func(t *testing.T) { fn(t, fsys.NewMem(), ".") })
+}
+
 // TestFileDiskFaultyTornMapsToPartialWrite checks the injector plumbing:
-// a fault.Torn on disk.write over a FileDisk produces a genuine partial
-// pwrite (not just a dropped write), while the page stays readable at
-// its prior version — the same observable semantics MemDisk simulates.
+// a fault.Torn on disk.write produces a genuine partial pwrite (not just
+// a dropped write) on both file systems, while the page stays readable at
+// its prior version, then and after a reopen.
 func TestFileDiskFaultyTornMapsToPartialWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	fd, err := OpenFileDisk(path, 512)
+	onBoth(t, testTornWrite)
+}
+
+func testTornWrite(t *testing.T, fs fsys.FS, dir string) {
+	path := filepath.Join(dir, "pages.db")
+	d, err := OpenFileDisk(fs, path, 512)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	defer fd.Close()
+	defer d.Close()
 	inj := fault.New(42)
-	d := NewFaultyDisk(fd, inj)
+	d.SetInjector(inj)
+	fd := d
 	prior := mkImage(2, 'm', 90)
 	if err := d.Write(2, prior); err != nil {
 		t.Fatalf("write: %v", err)
@@ -421,41 +434,22 @@ func TestFileDiskFaultyTornMapsToPartialWrite(t *testing.T) {
 	if rerr != nil || !ok || !bytes.Equal(got, prior) {
 		t.Fatalf("read after torn write: ok=%v err=%v (want prior image)", ok, rerr)
 	}
-}
-
-func TestFileDiskSnapshotEquivalence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	fd, err := OpenFileDisk(path, 1024)
+	if size, err := fsys.Size(fs, path); err != nil || size <= fdHdrLen+512 {
+		t.Fatalf("file is %d bytes (%v): the torn frame never reached it", size, err)
+	}
+	d2, err := OpenFileDisk(fs, path, 0)
 	if err != nil {
-		t.Fatalf("open: %v", err)
+		t.Fatalf("reopen: %v", err)
 	}
-	defer fd.Close()
-	md := NewDisk()
-	for pid := PageID(1); pid <= 30; pid++ {
-		img := mkImage(pid, byte(pid*3), 50+int(pid)*7)
-		if err := fd.Write(pid, img); err != nil {
-			t.Fatalf("fd write: %v", err)
-		}
-		if err := md.Write(pid, img); err != nil {
-			t.Fatalf("md write: %v", err)
-		}
-	}
-	sf, sm := fd.Snapshot(), md.Snapshot()
-	if sf.Len() != sm.Len() {
-		t.Fatalf("snapshot len %d vs %d", sf.Len(), sm.Len())
-	}
-	for _, pid := range sm.PageIDs() {
-		a, _, _ := sf.Read(pid)
-		b, _, _ := sm.Read(pid)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("snapshot image %d differs", pid)
-		}
+	defer d2.Close()
+	if got, ok, err := d2.Read(2); err != nil || !ok || !bytes.Equal(got, prior) {
+		t.Fatalf("read after reopen: ok=%v err=%v (want prior image)", ok, err)
 	}
 }
 
 func TestFileDiskImageTooLarge(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	d, err := OpenFileDisk(path, 256)
+	d, err := OpenFileDisk(fsys.OS, path, 256)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -470,7 +464,7 @@ func TestFileDiskImageTooLarge(t *testing.T) {
 
 func TestFileDiskHeaderCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
-	d, err := OpenFileDisk(path, 512)
+	d, err := OpenFileDisk(fsys.OS, path, 512)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -486,7 +480,7 @@ func TestFileDiskHeaderCorruption(t *testing.T) {
 		t.Fatalf("corrupt header: %v", err)
 	}
 	f.Close()
-	if _, err := OpenFileDisk(path, 512); !errors.Is(err, ErrTornPage) {
+	if _, err := OpenFileDisk(fsys.OS, path, 512); !errors.Is(err, ErrTornPage) {
 		t.Fatalf("corrupt header open: %v, want ErrTornPage", err)
 	}
 }
@@ -496,7 +490,8 @@ func TestFileDiskHeaderCorruption(t *testing.T) {
 // image is built from, and reports a pwrite into a slot whose image that
 // Sync covered — the one thing careful replacement must never do.
 type recFile struct {
-	*os.File
+	fsys.File
+	fs      fsys.FS
 	t       *testing.T
 	d       *FileDisk
 	synced  []byte
@@ -510,9 +505,9 @@ type recWrite struct {
 	b   []byte
 }
 
-// record wraps d's file. What the file holds now counts as durable.
-func record(t *testing.T, d *FileDisk) *recFile {
-	r := &recFile{File: d.f.(*os.File), t: t, d: d}
+// record wraps d's file in fs. What the file holds now counts as durable.
+func record(t *testing.T, fs fsys.FS, d *FileDisk) *recFile {
+	r := &recFile{File: d.f, fs: fs, t: t, d: d}
 	r.mark()
 	d.f = r
 	return r
@@ -520,7 +515,7 @@ func record(t *testing.T, d *FileDisk) *recFile {
 
 func (r *recFile) mark() {
 	var err error
-	if r.synced, err = os.ReadFile(r.Name()); err != nil {
+	if r.synced, err = fsys.ReadFile(r.fs, r.d.path); err != nil {
 		r.t.Fatalf("read page file: %v", err)
 	}
 	r.log = nil
@@ -571,7 +566,7 @@ func (r *recFile) crashImage(rng *rand.Rand) []byte {
 }
 
 func TestFileDiskFailedWriteFreesSlot(t *testing.T) {
-	d, err := OpenFileDisk(filepath.Join(t.TempDir(), "pages.db"), 512)
+	d, err := OpenFileDisk(fsys.OS, filepath.Join(t.TempDir(), "pages.db"), 512)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -580,7 +575,7 @@ func TestFileDiskFailedWriteFreesSlot(t *testing.T) {
 	if err := d.Write(4, prior); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	r := record(t, d)
+	r := record(t, fsys.OS, d)
 	r.failing = true
 	if err := d.Write(4, mkImage(4, 'q', 90)); err == nil {
 		t.Fatalf("write through a failing file succeeded")
@@ -619,12 +614,12 @@ func TestFileDiskOpenRejects(t *testing.T) {
 		if err := os.WriteFile(path, append(c.hdr, make([]byte, 100)...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenFileDisk(path, 0); !errors.Is(err, c.want) {
+		if _, err := OpenFileDisk(fsys.OS, path, 0); !errors.Is(err, c.want) {
 			t.Errorf("%s: open: %v, want %v", c.name, err, c.want)
 		}
 	}
 	for _, size := range []int{minSlotSize - 1, maxSlotSize + 1} {
-		if _, err := OpenFileDisk(filepath.Join(dir, "new"), size); !errors.Is(err, ErrSlotSize) {
+		if _, err := OpenFileDisk(fsys.OS, filepath.Join(dir, "new"), size); !errors.Is(err, ErrSlotSize) {
 			t.Errorf("create with slot size %d: %v, want ErrSlotSize", size, err)
 		}
 	}
@@ -637,7 +632,7 @@ func TestFileDiskOpenRejects(t *testing.T) {
 // read.
 func TestFileDiskRefusesVersion2(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store-1.pages")
-	d, err := OpenFileDisk(path, 128)
+	d, err := OpenFileDisk(fsys.OS, path, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +653,7 @@ func TestFileDiskRefusesVersion2(t *testing.T) {
 	if err := os.WriteFile(path, v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if d, err := OpenFileDisk(path, 0); !errors.Is(err, ErrPageFileVersion) {
+	if d, err := OpenFileDisk(fsys.OS, path, 0); !errors.Is(err, ErrPageFileVersion) {
 		if d != nil {
 			d.Close()
 		}
@@ -682,7 +677,7 @@ func FuzzOpenFileDisk(f *testing.F) {
 	f.Add(append(fileHeader(fdVersion, 64), make([]byte, 300)...))
 	{
 		path := filepath.Join(f.TempDir(), "seed.db")
-		d, err := OpenFileDisk(path, 128)
+		d, err := OpenFileDisk(fsys.OS, path, 128)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -695,7 +690,7 @@ func FuzzOpenFileDisk(f *testing.F) {
 				if err := d.Sync(); err != nil {
 					f.Fatal(err)
 				}
-				if err := d.WritePartial(pid, mkImage(pid, 'z', 60), 0.7); err != nil {
+				if err := d.writePartial(pid, mkImage(pid, 'z', 60), 0.7); err != nil {
 					f.Fatal(err)
 				}
 			}
@@ -713,7 +708,7 @@ func FuzzOpenFileDisk(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d, err := OpenFileDisk(path, 0)
+		d, err := OpenFileDisk(fsys.OS, path, 0)
 		if err != nil {
 			if !errors.Is(err, ErrTornPage) && !errors.Is(err, ErrPageFileVersion) && !errors.Is(err, ErrSlotSize) {
 				t.Fatalf("open: %v, want a sentinel error", err)
@@ -746,7 +741,13 @@ func FuzzOpenFileDisk(f *testing.F) {
 // one the last Sync covered (a page never synced may be absent), and
 // never as ErrTornPage. recFile checks on every pwrite that no slot is
 // reused before a Sync has covered the image that replaced it.
+//
+// It runs on the operating system's file system and on an in-memory one.
 func TestFileDiskCrashModel(t *testing.T) {
+	onBoth(t, testFileDiskCrashModel)
+}
+
+func testFileDiskCrashModel(t *testing.T, fs fsys.FS, root string) {
 	// Limbo holds at most one slot per page, so only a file of more than
 	// 8/7 * 64 pages can reach its bound and sync on demand.
 	const (
@@ -757,12 +758,15 @@ func TestFileDiskCrashModel(t *testing.T) {
 	demandSyncs := int64(0)
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		dir := t.TempDir()
-		d, err := OpenFileDisk(filepath.Join(dir, "pages-0.db"), slotSize)
+		dir := filepath.Join(root, fmt.Sprint(seed))
+		if err := fs.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenFileDisk(fs, filepath.Join(dir, "pages-0.db"), slotSize)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		r := record(t, d)
+		r := record(t, fs, d)
 		floor, crashes := 0, 0
 		cur := map[PageID][]byte{}     // what Read must return now
 		durable := map[PageID][]byte{} // what the last Sync covered
@@ -799,7 +803,7 @@ func TestFileDiskCrashModel(t *testing.T) {
 			case op < 990:
 				img := randImage()
 				since[pid] = append(since[pid], img)
-				if err := d.WritePartial(pid, img, rng.Float64()); err != nil {
+				if err := d.writePartial(pid, img, rng.Float64()); err != nil {
 					t.Fatalf("seed %d step %d: partial: %v", seed, step, err)
 				}
 				if n := d.Stats().Fsyncs; n != syncs {
@@ -816,12 +820,12 @@ func TestFileDiskCrashModel(t *testing.T) {
 			default:
 				crashes++
 				path := filepath.Join(dir, fmt.Sprintf("pages-%d.db", crashes))
-				if err := os.WriteFile(path, r.crashImage(rng), 0o644); err != nil {
+				if err := fsys.WriteFile(fs, path, r.crashImage(rng)); err != nil {
 					t.Fatal(err)
 				}
 				demandSyncs += d.Stats().DemandSyncs
 				d.Close()
-				if d, err = OpenFileDisk(path, slotSize); err != nil {
+				if d, err = OpenFileDisk(fs, path, slotSize); err != nil {
 					t.Fatalf("seed %d step %d: reopen: %v", seed, step, err)
 				}
 				for pid := PageID(1); pid <= pages; pid++ {
@@ -841,7 +845,7 @@ func TestFileDiskCrashModel(t *testing.T) {
 						cur[pid] = got
 					}
 				}
-				r = record(t, d)
+				r = record(t, fs, d)
 				floor, syncs = d.nslots, 0
 				synced()
 			}
@@ -869,7 +873,7 @@ func TestFileDiskCrashModel(t *testing.T) {
 // readers. A reader must always see a whole image of the page it asked
 // for.
 func TestFileDiskReadDuringDemandSync(t *testing.T) {
-	d, err := OpenFileDisk(filepath.Join(t.TempDir(), "pages.db"), 256)
+	d, err := OpenFileDisk(fsys.OS, filepath.Join(t.TempDir(), "pages.db"), 256)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

@@ -364,7 +364,7 @@ func (s PoolStats) HitRatio() float64 {
 //     never a pool-wide lock.
 type Pool struct {
 	StoreID uint32
-	disk    Disk
+	disk    *FileDisk
 	log     *wal.Log
 	codec   Codec
 	cap     int             // 0 = unbounded
@@ -514,7 +514,7 @@ func shardCount(capacity int) int {
 // NewPool returns a pool over disk logging to log. capacity is the maximum
 // number of buffered frames (0 for unbounded). codec handles all non-meta
 // pages of the store.
-func NewPool(storeID uint32, disk Disk, log *wal.Log, codec Codec, capacity int) *Pool {
+func NewPool(storeID uint32, disk *FileDisk, log *wal.Log, codec Codec, capacity int) *Pool {
 	p := &Pool{
 		StoreID: storeID,
 		disk:    disk,
@@ -546,7 +546,7 @@ func (p *Pool) shard(pid PageID) *poolShard {
 }
 
 // Disk returns the pool's stable layer.
-func (p *Pool) Disk() Disk { return p.disk }
+func (p *Pool) Disk() *FileDisk { return p.disk }
 
 // SetInjector attaches a fault injector whose pool.evict failpoint
 // governs dirty-victim write-backs. Must be called before the pool is

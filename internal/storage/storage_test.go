@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fsys"
 	"repro/internal/latch"
 	"repro/internal/wal"
 )
@@ -44,9 +45,18 @@ func (l *testLogger) LogUpdate(f *Frame, kind wal.Kind, payload []byte) wal.LSN 
 	return l.last
 }
 
+// memDisk returns an empty page file on a fresh in-memory file system.
+func memDisk() *FileDisk {
+	d, err := OpenFileDisk(fsys.NewMem(), "pages", 0)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 func newTestPool(capacity int) (*Pool, *wal.Log) {
 	log := wal.New()
-	return NewPool(1, NewDisk(), log, byteCodec{}, capacity), log
+	return NewPool(1, memDisk(), log, byteCodec{}, capacity), log
 }
 
 func mustCreate(t testing.TB, p *Pool, pid PageID) *Frame {
@@ -198,24 +208,6 @@ func TestDirtyPagesSnapshot(t *testing.T) {
 	}
 }
 
-func TestDiskSnapshotIndependence(t *testing.T) {
-	d := NewDisk()
-	_ = d.Write(1, []byte{1, 2, 3})
-	snap := d.Snapshot()
-	_ = d.Write(1, []byte{9})
-	_ = d.Write(2, []byte{8})
-	img, ok, err := snap.Read(1)
-	if err != nil || !ok || len(img) != 3 {
-		t.Fatalf("snapshot changed: %v %v %v", img, ok, err)
-	}
-	if _, ok, _ := snap.Read(2); ok {
-		t.Fatal("snapshot gained a page")
-	}
-	if snap.Len() != 1 || d.Len() != 2 {
-		t.Fatalf("lens %d %d", snap.Len(), d.Len())
-	}
-}
-
 func TestMetaAllocFreeReuse(t *testing.T) {
 	m := NewMeta()
 	a := m.AllocLocal()
@@ -259,7 +251,7 @@ func TestStoreLoggedAllocFree(t *testing.T) {
 	log := wal.New()
 	reg := NewRegistry()
 	RegisterMetaHandlers(reg)
-	pool := NewPool(1, NewDisk(), log, byteCodec{}, 0)
+	pool := NewPool(1, memDisk(), log, byteCodec{}, 0)
 	st := NewStore(pool, reg)
 	lg := &testLogger{log: log}
 	tr := &latch.Tracker{}
@@ -317,7 +309,7 @@ func TestStoreSettlesAtCommit(t *testing.T) {
 	log := wal.New()
 	reg := NewRegistry()
 	RegisterMetaHandlers(reg)
-	st := NewStore(NewPool(1, NewDisk(), log, byteCodec{}, 0), reg)
+	st := NewStore(NewPool(1, memDisk(), log, byteCodec{}, 0), reg)
 	tr := &latch.Tracker{}
 	if err := st.Bootstrap(&testLogger{log: log}); err != nil {
 		t.Fatal(err)
@@ -350,7 +342,7 @@ func TestMetaRedoIdempotence(t *testing.T) {
 	log := wal.New()
 	reg := NewRegistry()
 	RegisterMetaHandlers(reg)
-	pool := NewPool(1, NewDisk(), log, byteCodec{}, 0)
+	pool := NewPool(1, memDisk(), log, byteCodec{}, 0)
 	st := NewStore(pool, reg)
 	lg := &testLogger{log: log}
 	tr := &latch.Tracker{}
@@ -374,7 +366,7 @@ func TestMetaRedoIdempotence(t *testing.T) {
 	}
 	reg2 := NewRegistry()
 	RegisterMetaHandlers(reg2)
-	pool2 := NewPool(1, NewDisk(), log, byteCodec{}, 0)
+	pool2 := NewPool(1, memDisk(), log, byteCodec{}, 0)
 	st2 := NewStore(pool2, reg2)
 	replay(reg2, log)
 	replay(reg2, log) // idempotent second pass

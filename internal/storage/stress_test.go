@@ -196,15 +196,22 @@ func TestFetchEvictChurn(t *testing.T) {
 }
 
 // checkWALRule asserts that every stable page image carries a pageLSN at
-// or below the log's stable watermark — the write-ahead rule. The disk is
-// snapshotted before reading StableLSN: the watermark is monotonic and
-// every image in the snapshot was forced before it was written, so the
-// later watermark read can only over-approximate.
+// or below the log's stable watermark — the write-ahead rule. The images
+// are read before StableLSN: the watermark is monotonic and every image
+// was forced before it was written, so the later watermark read can only
+// over-approximate.
 func checkWALRule(t *testing.T, p *Pool, lg *wal.Log) {
 	t.Helper()
-	snap := p.Disk().Snapshot()
+	imgs := map[PageID][]byte{}
+	for _, pid := range p.Disk().PageIDs() {
+		if img, ok, err := p.Disk().Read(pid); err != nil {
+			t.Fatalf("page %d: %v", pid, err)
+		} else if ok {
+			imgs[pid] = img
+		}
+	}
 	stable := lg.StableLSN()
-	for pid, img := range snap.pages {
+	for pid, img := range imgs {
 		lsn, _, _, err := unframeImage(img)
 		if err != nil {
 			t.Errorf("page %d: bad stable image: %v", pid, err)

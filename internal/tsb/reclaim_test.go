@@ -414,7 +414,7 @@ func TestFreeActionLogIdentity(t *testing.T) {
 		if err := reclaimAll(heads, reclaim); err != nil {
 			t.Fatal(err)
 		}
-		recs := pitreetest.RecordsFrom(fx.e.Log, from)
+		recs := pitreetest.RecordsFrom(t, fx.e.Log, from)
 		fx.mustVerify(t)
 		return recs
 	}

@@ -64,7 +64,7 @@ func (fx *fixture) restartFrom(t testing.TB, img *engine.CrashImage) *fixture {
 	fx.tree.Close()
 	e2 := engine.Restarted(img, fx.e.Opts)
 	b2 := Register(e2.Reg)
-	st2 := e2.AttachStore(testStoreID, Codec{}, img.Disks[testStoreID])
+	st2 := e2.AddStore(testStoreID, Codec{})
 	p, err := e2.AnalyzeAndRedo()
 	if err != nil {
 		t.Fatalf("analyze+redo: %v", err)

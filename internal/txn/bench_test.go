@@ -4,23 +4,15 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/lock"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // BenchmarkParallelCommit measures the user-commit path under concurrent
 // committers: each iteration is one single-update transaction ending in a
 // durable commit.
 func BenchmarkParallelCommit(b *testing.B) {
-	log := wal.New()
-	reg := storage.NewRegistry()
-	registerCounter(reg)
-	lm := lock.NewManager()
-	tm := NewManager(log, lm, reg, Options{})
-	pool := storage.NewPool(256, storage.NewDisk(), log, counterCodec{}, 0)
-	reg.AddPool(pool)
-	e := &env{log: log, reg: reg, lm: lm, tm: tm, pool: pool}
+	e := newEnv(b, Options{})
+	tm := e.tm
 
 	var nextPid atomic.Uint64
 	b.ResetTimer()
@@ -34,6 +26,6 @@ func BenchmarkParallelCommit(b *testing.B) {
 			}
 		}
 	})
-	_, flushes := log.Stats()
+	_, flushes := e.log.Stats()
 	b.ReportMetric(float64(flushes)/float64(b.N), "forces/commit")
 }

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/lock"
+	"repro/internal/fsys"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -85,12 +85,8 @@ func TestConcurrentAdoptRollbackLosers(t *testing.T) {
 	e.log.ForceAll()
 
 	// Restart environment over the stable state, as recovery builds it.
-	log2 := wal.NewFromImage(e.log.CrashImage(nil))
-	reg2 := storage.NewRegistry()
-	registerCounter(reg2)
-	tm2 := NewManager(log2, lock.NewManager(), reg2, Options{})
-	pool2 := storage.NewPool(1, e.pool.Disk().Snapshot(), log2, counterCodec{}, 0)
-	reg2.AddPool(pool2)
+	e2 := openEnv(t, e.fs.Crash(fsys.DropUnsynced), Options{})
+	log2, reg2, tm2, pool2 := e2.log, e2.reg, e2.tm, e2.pool
 
 	// Repeat history first (all updates were forced, pages never flushed).
 	img := log2.FullImage()

@@ -2,31 +2,50 @@ package txn
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/fsys"
 	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
-// blockSink is a StableSink whose Commit (the fsync) parks until the
+// blockFS is an in-memory file system whose file syncs park until the
 // gate is closed, freezing the flush pipeline's sync stage mid-flight.
-type blockSink struct {
+type blockFS struct {
+	*fsys.Mem
 	gate chan struct{}
-	mu   sync.Mutex
-	sync int
 }
 
-func (b *blockSink) Persist(from wal.LSN, p []byte) error { return nil }
+func (b *blockFS) OpenFile(name string, flag int) (fsys.File, error) {
+	f, err := b.Mem.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return blockFile{f, b.gate}, nil
+}
 
-func (b *blockSink) Commit() error {
-	<-b.gate
-	b.mu.Lock()
-	b.sync++
-	b.mu.Unlock()
-	return nil
+type blockFile struct {
+	fsys.File
+	gate chan struct{}
+}
+
+func (f blockFile) Sync() error {
+	<-f.gate
+	return f.File.Sync()
+}
+
+// blockSink moves e's log to segment files on a blockFS and returns it.
+func blockSink(t *testing.T, e *env) *blockFS {
+	t.Helper()
+	fs := &blockFS{Mem: fsys.NewMem(), gate: make(chan struct{})}
+	fw, _, err := wal.Open(fs, "wal", 0, wal.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.log.SetSink(fw)
+	return fs
 }
 
 // TestELRReleasesLocksBeforeStable: under early lock release a writer's
@@ -39,8 +58,7 @@ func (b *blockSink) Commit() error {
 // its ack must still wait for the writer's commit LSN to become stable.
 func TestELRReaderParksUntilWriterStable(t *testing.T) {
 	e := newEnv(t, Options{})
-	sink := &blockSink{gate: make(chan struct{})}
-	e.log.SetSink(sink)
+	sink := blockSink(t, e)
 
 	name := lock.KeyName(1, []byte("elr"))
 	writer := e.tm.Begin()
@@ -104,8 +122,7 @@ func TestELRReaderParksUntilWriterStable(t *testing.T) {
 // lands while the log is still parked before the writer's record.
 func TestELRUpdateDependentParksToo(t *testing.T) {
 	e := newEnv(t, Options{})
-	sink := &blockSink{gate: make(chan struct{})}
-	e.log.SetSink(sink)
+	sink := blockSink(t, e)
 
 	name := lock.KeyName(1, []byte("chain"))
 	w1 := e.tm.Begin()

@@ -66,6 +66,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/fsys"
 )
 
 // ErrShortSegment reports a WAL segment chain that cannot be replayed:
@@ -148,18 +150,25 @@ type segMeta struct {
 	path string
 }
 
-// FileWAL is a StableSink over a directory of WAL segment files. All
-// methods are called under the owning Log's mutex (the Log serializes
-// Persist/Commit/NoteCheckpoint/Recycle), but FileWAL carries its own
-// mutex so direct use from tests is safe too.
+// FileWAL holds a log's stable prefix in a directory of segment files on
+// an fsys.FS. Persist is called only from the log's single write stage
+// (never concurrently with itself) with contiguous, gap-free byte ranges
+// in LSN order; Commit is called only from the single sync stage and
+// makes everything persisted so far survive a crash, per the sync policy.
+// Persist and Commit DO overlap — that is the point of the flush pipeline.
+// Either failing latches the log damaged, exactly like a device failure:
+// the force that observed it returns an error wrapping ErrLogFailed and
+// the record is guaranteed never to be acknowledged as stable. FileWAL
+// carries its own mutex, so direct use from tests is safe too.
 type FileWAL struct {
+	fs     fsys.FS
 	dir    string
 	segCap uint64
 	policy SyncPolicy
 
 	mu      sync.Mutex
 	pos     uint64 // next byte offset to persist (LSN space)
-	cur     *os.File
+	cur     fsys.File
 	curBase uint64
 	live    []segMeta // durable segments in base order, excluding cur? no: including cur
 	free    []string  // recycled segment files awaiting reuse
@@ -172,7 +181,7 @@ type FileWAL struct {
 	// fsync was deferred to the next Commit (SyncAlways only), so the
 	// write stage never pays device latency for a roll. Commit drains it
 	// before syncing the active segment.
-	pendSync []*os.File
+	pendSync []pendSeg
 	iov      [][]byte // reusable per-segment iovec batch for PersistV
 
 	// rseg holds the readers AppendFrame opened on live segments, by base,
@@ -183,29 +192,41 @@ type FileWAL struct {
 	// under rmu held exclusively, so no read touches a file after it is cut.
 	// Lock order: mu before rmu.
 	rmu      sync.RWMutex
-	rseg     map[uint64]segReader
+	rseg     map[uint64]fsys.Mapping
 	rlo, rhi atomic.Uint64
 
 	stats FileWALStats
 }
 
-// OpenFileWAL opens (or creates) a file-backed WAL in dir. If the
+// pendSeg is a rolled-out segment whose fsync waits for the next Commit.
+type pendSeg struct {
+	f    fsys.File
+	base uint64
+}
+
+// OpenFileWAL opens (or creates) a WAL in the directory dir of the
+// operating system's file system; see Open.
+func OpenFileWAL(dir string, segSize int, policy SyncPolicy) (*FileWAL, *Reader, error) {
+	return Open(fsys.OS, dir, segSize, policy)
+}
+
+// Open opens (or creates) a WAL in the directory dir of fs. If the
 // directory holds a previous incarnation's log it is replayed: the
 // returned Reader covers the valid stable prefix (nil if the log is
 // empty) and the writer is positioned at its end, with any corrupt or
 // torn tail physically truncated. segSize is the data capacity per
 // segment (0 means DefaultSegmentSize; clamped to a sane minimum).
-func OpenFileWAL(dir string, segSize int, policy SyncPolicy) (*FileWAL, *Reader, error) {
+func Open(fs fsys.FS, dir string, segSize int, policy SyncPolicy) (*FileWAL, *Reader, error) {
 	if segSize <= 0 {
 		segSize = DefaultSegmentSize
 	}
 	if segSize < minSegmentSz {
 		segSize = minSegmentSz
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, nil, err
 	}
-	fw := &FileWAL{dir: dir, segCap: uint64(segSize), policy: policy, pos: 1}
+	fw := &FileWAL{fs: fs, dir: dir, segCap: uint64(segSize), policy: policy, pos: 1}
 	rd, err := fw.replay()
 	if err != nil {
 		fw.Close()
@@ -245,12 +266,12 @@ func (fw *FileWAL) Close() error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	fw.closed = true
-	for _, f := range fw.pendSync {
-		f.Close()
+	for _, p := range fw.pendSync {
+		p.f.Close()
 	}
 	fw.pendSync = nil
 	for _, path := range fw.free {
-		os.Remove(path)
+		fw.fs.Remove(path)
 	}
 	fw.free = nil
 	fw.rlo.Store(0)
@@ -304,11 +325,11 @@ func decodeSegHeader(b []byte) (segCap, base uint64, err error) {
 func (fw *FileWAL) writeMaster() error {
 	b := encodeMaster(fw.ckpt, fw.horizon)
 	tmp := filepath.Join(fw.dir, masterName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := fw.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b[:]); err != nil {
+	if _, err := f.WriteAt(b[:], 0); err != nil {
 		f.Close()
 		return err
 	}
@@ -322,7 +343,7 @@ func (fw *FileWAL) writeMaster() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(fw.dir, masterName)); err != nil {
+	if err := fw.fs.Rename(tmp, filepath.Join(fw.dir, masterName)); err != nil {
 		return err
 	}
 	fw.stats.MasterWrites++
@@ -343,9 +364,9 @@ func encodeMaster(ckpt, horizon LSN) (b [masterLen]byte) {
 // readMaster reads the master record of the WAL directory dir. Any error
 // but ErrLogVersion means there is no usable record: replay then scans
 // every segment.
-func readMaster(dir string) (ckpt, horizon LSN, err error) {
+func readMaster(fs fsys.FS, dir string) (ckpt, horizon LSN, err error) {
 	path := filepath.Join(dir, masterName)
-	b, err := os.ReadFile(path)
+	b, err := fsys.ReadFile(fs, path)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -367,8 +388,8 @@ func decodeMaster(b []byte) (ckpt, horizon LSN, err error) {
 
 // readSegHeader reads and decodes the header of the segment file at path;
 // errNoHeader and ErrLogVersion come from decodeSegHeader.
-func readSegHeader(path string) (segCap, base uint64, err error) {
-	f, err := os.Open(path)
+func readSegHeader(fs fsys.FS, path string) (segCap, base uint64, err error) {
+	f, err := fs.OpenFile(path, os.O_RDONLY)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -385,12 +406,7 @@ func (fw *FileWAL) syncDir() error {
 	if fw.policy == SyncNever {
 		return nil
 	}
-	d, err := os.Open(fw.dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	d.Close()
+	err := fw.fs.SyncDir(fw.dir)
 	if err == nil {
 		fw.stats.Fsyncs++
 	}
@@ -409,7 +425,7 @@ func (fw *FileWAL) removeIfPoolFull(path string) bool {
 	if len(fw.free) < RedoWindowSegments {
 		return false
 	}
-	os.Remove(path)
+	fw.fs.Remove(path)
 	fw.stats.SegmentsRemoved++
 	return true
 }
@@ -424,10 +440,10 @@ func (fw *FileWAL) toFree(path string) {
 	}
 	fw.freeSeq++
 	dst := filepath.Join(fw.dir, fmt.Sprintf("%s%d%s", freePrefix, fw.freeSeq, segSuffix))
-	if err := os.Rename(path, dst); err == nil {
+	if err := fw.fs.Rename(path, dst); err == nil {
 		fw.free = append(fw.free, dst)
 	} else {
-		os.Remove(path)
+		fw.fs.Remove(path)
 	}
 }
 
@@ -436,11 +452,7 @@ func (fw *FileWAL) toFree(path string) {
 // corrupt record, physically truncates the torn tail, and positions the
 // writer at the end. Caller is OpenFileWAL (no lock needed yet).
 func (fw *FileWAL) replay() (*Reader, error) {
-	entries, err := os.ReadDir(fw.dir)
-	if err != nil {
-		return nil, err
-	}
-	ckpt, horizon, err := readMaster(fw.dir)
+	ckpt, horizon, err := readMaster(fw.fs, fw.dir)
 	if errors.Is(err, ErrLogVersion) {
 		return nil, err
 	}
@@ -452,35 +464,15 @@ func (fw *FileWAL) replay() (*Reader, error) {
 
 	// Read every header before changing any file, so that a directory of
 	// another format version is refused as it is.
-	var segs []segMeta
-	var pooled, torn []string
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		path := filepath.Join(fw.dir, name)
-		if strings.HasPrefix(name, freePrefix) {
-			pooled = append(pooled, path)
-			idxStr := strings.TrimSuffix(strings.TrimPrefix(name, freePrefix), segSuffix)
-			if n, err := strconv.Atoi(idxStr); err == nil && n > fw.freeSeq {
-				fw.freeSeq = n
-			}
-			continue
-		}
-		segCap, base, err := readSegHeader(path)
-		switch {
-		case errors.Is(err, ErrLogVersion):
-			return nil, err
-		case errors.Is(err, errNoHeader):
-			torn = append(torn, path)
-		case err != nil:
-			return nil, err
-		default:
-			segs = append(segs, segMeta{base: base, cap: segCap, path: path})
-		}
+	segs, pooled, torn, err := segFiles(fw.fs, fw.dir)
+	if err != nil {
+		return nil, err
 	}
 	for _, path := range pooled {
+		idx := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), freePrefix), segSuffix)
+		if n, err := strconv.Atoi(idx); err == nil && n > fw.freeSeq {
+			fw.freeSeq = n
+		}
 		// Over the cap: a directory written before the cap existed.
 		if !fw.removeIfPoolFull(path) {
 			fw.free = append(fw.free, path)
@@ -514,7 +506,6 @@ func (fw *FileWAL) replay() (*Reader, error) {
 		fw.publishReadable()
 		return nil, nil
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].base < segs[j].base })
 	if !masterOK && segs[0].base > 0 {
 		// Recycling always writes the master first, so a missing master
 		// with a truncated chain means the master itself was lost.
@@ -538,14 +529,14 @@ func (fw *FileWAL) replay() (*Reader, error) {
 		if i > 0 && s.base != chain[len(chain)-1].base+fw.segCap {
 			return nil, fmt.Errorf("wal: segment gap between base %d and %d: %w", chain[len(chain)-1].base, s.base, ErrShortSegment)
 		}
-		st, err := os.Stat(s.path)
+		size, err := fsys.Size(fw.fs, s.path)
 		if err != nil {
 			return nil, err
 		}
-		if st.Size() < segHdrLen {
+		if size < segHdrLen {
 			return nil, fmt.Errorf("wal: segment %s shorter than header: %w", filepath.Base(s.path), ErrShortSegment)
 		}
-		dataLen := uint64(st.Size()) - segHdrLen
+		dataLen := uint64(size) - segHdrLen
 		if dataLen > s.cap {
 			dataLen = s.cap
 		}
@@ -574,7 +565,7 @@ func (fw *FileWAL) replay() (*Reader, error) {
 		if hi <= lo {
 			continue
 		}
-		f, err := os.Open(s.path)
+		f, err := fw.fs.OpenFile(s.path, os.O_RDONLY)
 		if err != nil {
 			return nil, err
 		}
@@ -618,7 +609,7 @@ func (fw *FileWAL) replay() (*Reader, error) {
 			if end > s.base {
 				off += int64(end - s.base)
 			}
-			if err := os.Truncate(s.path, off); err != nil {
+			if err := fw.truncate(s.path, off); err != nil {
 				return nil, err
 			}
 		}
@@ -627,7 +618,7 @@ func (fw *FileWAL) replay() (*Reader, error) {
 
 	// Position the writer at end, inside the last live segment.
 	tail := fw.live[len(fw.live)-1]
-	f, err := os.OpenFile(tail.path, os.O_RDWR, 0o644)
+	f, err := fw.fs.OpenFile(tail.path, os.O_RDWR)
 	if err != nil {
 		return nil, err
 	}
@@ -653,6 +644,50 @@ func (fw *FileWAL) replay() (*Reader, error) {
 	return &Reader{buf: buf[:end-start], ckptLSN: rdCkpt, base: LSN(start)}, nil
 }
 
+// segFiles lists the WAL directory dir: the segments whose headers parse,
+// in base order; the free pool's files; and the files whose header a
+// crash tore. A header of another format version is ErrLogVersion.
+func segFiles(fs fsys.FS, dir string) (segs []segMeta, pooled, torn []string, err error) {
+	names, err := fs.ReadDir(dir)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for _, name := range names {
+		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+			continue
+		}
+		path := filepath.Join(dir, name)
+		if strings.HasPrefix(name, freePrefix) {
+			pooled = append(pooled, path)
+			continue
+		}
+		segCap, base, err := readSegHeader(fs, path)
+		switch {
+		case errors.Is(err, errNoHeader):
+			torn = append(torn, path)
+		case err != nil:
+			return nil, nil, nil, err
+		default:
+			segs = append(segs, segMeta{base: base, cap: segCap, path: path})
+		}
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].base < segs[j].base })
+	return segs, pooled, torn, nil
+}
+
+// truncate cuts the file at path to size bytes.
+func (fw *FileWAL) truncate(path string, size int64) error {
+	f, err := fw.fs.OpenFile(path, os.O_RDWR)
+	if err != nil {
+		return err
+	}
+	err = f.Truncate(size)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // roll finalizes the active segment and opens the next one, reusing a
 // free file when available. Caller holds fw.mu.
 func (fw *FileWAL) roll() error {
@@ -668,21 +703,21 @@ func (fw *FileWAL) roll() error {
 			// Commit drains pendSync before syncing the active segment,
 			// so durability-on-ack is unchanged while the write stage
 			// never stalls on the device.
-			fw.pendSync = append(fw.pendSync, fw.cur)
+			fw.pendSync = append(fw.pendSync, pendSeg{fw.cur, fw.curBase})
 		}
 		fw.cur = nil
 		newBase = fw.curBase + fw.segCap
 	}
 	path := filepath.Join(fw.dir, segName(newBase))
-	var f *os.File
+	var f fsys.File
 	var err error
 	if n := len(fw.free); n > 0 {
 		src := fw.free[n-1]
 		fw.free = fw.free[:n-1]
-		if err = os.Rename(src, path); err != nil {
+		if err = fw.fs.Rename(src, path); err != nil {
 			return err
 		}
-		if f, err = os.OpenFile(path, os.O_RDWR, 0o644); err != nil {
+		if f, err = fw.fs.OpenFile(path, os.O_RDWR); err != nil {
 			return err
 		}
 		// Drop the previous life's bytes: stale records self-invalidate
@@ -694,7 +729,7 @@ func (fw *FileWAL) roll() error {
 		}
 		fw.stats.SegmentsRecycled++
 	} else {
-		if f, err = os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644); err != nil {
+		if f, err = fw.fs.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR); err != nil {
 			return err
 		}
 		fw.stats.SegmentsCreated++
@@ -709,40 +744,6 @@ func (fw *FileWAL) roll() error {
 	fw.curBase = newBase
 	fw.live = append(fw.live, segMeta{base: newBase, cap: fw.segCap, path: path})
 	return fw.syncDir()
-}
-
-// Persist writes the log bytes [from, from+len(b)) into segment files.
-// Ranges arrive contiguous and in order from the Log's stable-prefix
-// advancement.
-func (fw *FileWAL) Persist(from LSN, b []byte) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	if fw.closed {
-		return errors.New("wal: file sink closed")
-	}
-	if uint64(from) != fw.pos {
-		return fmt.Errorf("wal: non-contiguous persist at %d, expected %d", from, fw.pos)
-	}
-	fw.stats.Persists++
-	fw.stats.BytesPersisted += int64(len(b))
-	for len(b) > 0 {
-		if fw.cur == nil || fw.pos == fw.curBase+fw.segCap {
-			if err := fw.roll(); err != nil {
-				return err
-			}
-		}
-		n := fw.curBase + fw.segCap - fw.pos
-		if n > uint64(len(b)) {
-			n = uint64(len(b))
-		}
-		if _, err := fw.cur.WriteAt(b[:n], int64(segHdrLen+(fw.pos-fw.curBase))); err != nil {
-			return err
-		}
-		fw.pos += n
-		b = b[n:]
-		fw.publishReadable()
-	}
-	return nil
 }
 
 // PersistV writes the log bytes starting at from from a sequence of
@@ -804,7 +805,7 @@ func (fw *FileWAL) PersistV(from LSN, bufs [][]byte) error {
 		if n == 0 {
 			continue
 		}
-		if err := pwritev(fw.cur, iov, off); err != nil {
+		if err := fw.cur.WriteV(iov, off); err != nil {
 			return err
 		}
 		for i := range iov {
@@ -834,13 +835,13 @@ func (fw *FileWAL) Commit() error {
 
 	var nsync int64
 	fail := func(err error) error {
-		for _, f := range pend {
-			f.Close()
+		for _, p := range pend {
+			p.f.Close()
 		}
 		return err
 	}
 	for len(pend) > 0 {
-		f := pend[0]
+		f := pend[0].f
 		pend = pend[1:]
 		if err := f.Sync(); err != nil {
 			f.Close()
@@ -880,8 +881,13 @@ func (fw *FileWAL) Rewind(to LSN) error {
 		fw.cur.Close()
 		fw.cur = nil
 	}
-	for _, f := range fw.pendSync {
-		f.Close()
+	for _, p := range fw.pendSync {
+		// A rolled-out segment wholly below the rewind point holds bytes
+		// the caller keeps: a torn sync's surviving prefix.
+		if p.base+fw.segCap <= t && fw.policy != SyncNever {
+			_ = p.f.Sync()
+		}
+		p.f.Close()
 	}
 	fw.pendSync = nil
 	fw.pos = t
@@ -902,7 +908,7 @@ func (fw *FileWAL) Rewind(to LSN) error {
 		return nil
 	}
 	tail := fw.live[len(fw.live)-1]
-	f, err := os.OpenFile(tail.path, os.O_RDWR, 0o644)
+	f, err := fw.fs.OpenFile(tail.path, os.O_RDWR)
 	if err != nil {
 		return err
 	}
@@ -1053,10 +1059,10 @@ func (fw *FileWAL) readSeg(base uint64, dst []byte, off uint64) error {
 		fw.rmu.Lock()
 		var err error
 		if r = fw.rseg[base]; r == nil {
-			r, err = openSegReader(filepath.Join(fw.dir, segName(base)), int(segHdrLen+fw.segCap))
+			r, err = fw.fs.Map(filepath.Join(fw.dir, segName(base)), int(segHdrLen+fw.segCap))
 			if err == nil {
 				if fw.rseg == nil {
-					fw.rseg = make(map[uint64]segReader)
+					fw.rseg = make(map[uint64]fsys.Mapping)
 				}
 				fw.rseg[base] = r
 			}
@@ -1077,12 +1083,6 @@ func (fw *FileWAL) readSeg(base uint64, dst []byte, off uint64) error {
 	}
 	_, err := r.ReadAt(dst, int64(segHdrLen+off-base))
 	return err
-}
-
-// segReader reads one segment file by offset; Close releases it.
-type segReader interface {
-	ReadAt(p []byte, off int64) (int, error)
-	Close() error
 }
 
 // dropReaders closes the readers of the segments retire names. Caller

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/fsys"
 )
 
 // fileAppendN appends n records with recognizable payloads and forces them.
@@ -31,10 +33,10 @@ func fileAppendN(t *testing.T, l *Log, n int, tag byte) []LSN {
 	return lsns
 }
 
-// replayRecords reopens dir and returns the replayed record LSNs.
-func replayRecords(t *testing.T, dir string, segSize int) (*FileWAL, *Reader, []LSN) {
+// replayRecords reopens dir in fs and returns the replayed record LSNs.
+func replayRecords(t *testing.T, fs fsys.FS, dir string, segSize int) (*FileWAL, *Reader, []LSN) {
 	t.Helper()
-	fw, rd, err := OpenFileWAL(dir, segSize, SyncNever)
+	fw, rd, err := Open(fs, dir, segSize, SyncNever)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -48,9 +50,23 @@ func replayRecords(t *testing.T, dir string, segSize int) (*FileWAL, *Reader, []
 	return fw, rd, got
 }
 
-func TestFileWALRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	fw, rd, err := OpenFileWAL(dir, 0, SyncAlways)
+// onBoth runs fn over the operating system's file system, in a temporary
+// directory, and over an in-memory one. crash returns what a reopen after
+// a crash of fs finds: the directory as the operating system holds it, or
+// the durable state of the in-memory file system.
+func onBoth(t *testing.T, fn func(t *testing.T, fs fsys.FS, dir string, crash func(fsys.FS) fsys.FS)) {
+	t.Run("os", func(t *testing.T) {
+		fn(t, fsys.OS, t.TempDir(), func(fs fsys.FS) fsys.FS { return fs })
+	})
+	t.Run("mem", func(t *testing.T) {
+		fn(t, fsys.NewMem(), "wal", func(fs fsys.FS) fsys.FS { return fs.(*fsys.Mem).Crash(fsys.DropUnsynced) })
+	})
+}
+
+func TestFileWALRoundtrip(t *testing.T) { onBoth(t, testFileWALRoundtrip) }
+
+func testFileWALRoundtrip(t *testing.T, fs fsys.FS, dir string, crash func(fsys.FS) fsys.FS) {
+	fw, rd, err := Open(fs, dir, 0, SyncAlways)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -63,7 +79,8 @@ func TestFileWALRoundtrip(t *testing.T) {
 	end := l.StableLSN()
 	fw.Close()
 
-	fw2, rd2, got := replayRecords(t, dir, 0)
+	fs = crash(fs)
+	fw2, rd2, got := replayRecords(t, fs, dir, 0)
 	defer fw2.Close()
 	if rd2 == nil {
 		t.Fatalf("no reader after replay")
@@ -85,12 +102,14 @@ func TestFileWALRoundtrip(t *testing.T) {
 		t.Fatalf("read back record 7: %+v err=%v", rec, err)
 	}
 
-	// The log continues across the restart: new appends replay too.
+	// The log continues across the restart: new appends replay too. The
+	// replay's log writes under SyncNever, so the second reopen reads
+	// the files as they are, crash or not.
 	l2 := NewFromImage(rd2)
 	l2.SetSink(fw2)
 	more := fileAppendN(t, l2, 50, 'b')
 	fw2.Close()
-	_, _, got2 := replayRecords(t, dir, 0)
+	_, _, got2 := replayRecords(t, fs, dir, 0)
 	if len(got2) != len(lsns)+len(more) {
 		t.Fatalf("after continue: %d records, want %d", len(got2), len(lsns)+len(more))
 	}
@@ -100,9 +119,15 @@ func TestFileWALRoundtrip(t *testing.T) {
 // (and a swath of an interior one) and asserts replay truncates exactly
 // at the first corrupt record without panicking — no ghost records, no
 // lost intact prefix.
+//
+// It runs on both file systems; the in-memory one reopens without a
+// crash, as a process restart does.
 func TestFileWALCorruptTailTruncation(t *testing.T) {
-	dir := t.TempDir()
-	fw, _, err := OpenFileWAL(dir, 0, SyncNever)
+	onBoth(t, func(t *testing.T, fs fsys.FS, dir string, _ func(fsys.FS) fsys.FS) { testCorruptTail(t, fs, dir) })
+}
+
+func testCorruptTail(t *testing.T, fs fsys.FS, dir string) {
+	fw, _, err := Open(fs, dir, 0, SyncNever)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -113,7 +138,7 @@ func TestFileWALCorruptTailTruncation(t *testing.T) {
 	fw.Close()
 
 	seg := filepath.Join(dir, segName(0))
-	orig, err := os.ReadFile(seg)
+	orig, err := fsys.ReadFile(fs, seg)
 	if err != nil {
 		t.Fatalf("read segment: %v", err)
 	}
@@ -121,10 +146,10 @@ func TestFileWALCorruptTailTruncation(t *testing.T) {
 	for off := last; off < end; off++ {
 		mut := append([]byte(nil), orig...)
 		mut[segHdrLen+off] ^= 0xA5
-		if err := os.WriteFile(seg, mut, 0o644); err != nil {
+		if err := fsys.WriteFile(fs, seg, mut); err != nil {
 			t.Fatalf("write mutated segment: %v", err)
 		}
-		fw2, rd2, got := replayRecords(t, dir, 0)
+		fw2, rd2, got := replayRecords(t, fs, dir, 0)
 		fw2.Close()
 		if want := len(lsns) - 1; len(got) != want {
 			t.Fatalf("flip at %d: replayed %d records, want %d", off, len(got), want)
@@ -134,7 +159,7 @@ func TestFileWALCorruptTailTruncation(t *testing.T) {
 		}
 		// replay physically truncates; restore the full image for the
 		// next offset.
-		if err := os.WriteFile(seg, orig, 0o644); err != nil {
+		if err := fsys.WriteFile(fs, seg, orig); err != nil {
 			t.Fatalf("restore segment: %v", err)
 		}
 	}
@@ -144,10 +169,10 @@ func TestFileWALCorruptTailTruncation(t *testing.T) {
 	for delta := uint64(0); delta < uint64(lsns[12])-mid; delta += 3 {
 		mut := append([]byte(nil), orig...)
 		mut[segHdrLen+mid+delta] ^= 0xFF
-		if err := os.WriteFile(seg, mut, 0o644); err != nil {
+		if err := fsys.WriteFile(fs, seg, mut); err != nil {
 			t.Fatalf("write mutated segment: %v", err)
 		}
-		fw2, rd2, got := replayRecords(t, dir, 0)
+		fw2, rd2, got := replayRecords(t, fs, dir, 0)
 		fw2.Close()
 		if len(got) != 11 {
 			t.Fatalf("interior flip at +%d: replayed %d records, want 11", delta, len(got))
@@ -155,7 +180,7 @@ func TestFileWALCorruptTailTruncation(t *testing.T) {
 		if rd2.EndLSN() != lsns[11] {
 			t.Fatalf("interior flip at +%d: end %d, want %d", delta, rd2.EndLSN(), lsns[11])
 		}
-		if err := os.WriteFile(seg, orig, 0o644); err != nil {
+		if err := fsys.WriteFile(fs, seg, orig); err != nil {
 			t.Fatalf("restore segment: %v", err)
 		}
 	}
@@ -198,7 +223,7 @@ func TestFileWALSegmentRollAndRecycle(t *testing.T) {
 	end := l.StableLSN()
 	fw.Close()
 
-	fw2, rd2, got := replayRecords(t, dir, segSz)
+	fw2, rd2, got := replayRecords(t, fsys.OS, dir, segSz)
 	defer fw2.Close()
 	if rd2 == nil {
 		t.Fatalf("no reader after recycled replay")
@@ -256,7 +281,7 @@ func TestFileWALRecycleVsReplayRace(t *testing.T) {
 	}
 	fw.Close()
 
-	fw2, rd2, got := replayRecords(t, dir, segSz)
+	fw2, rd2, got := replayRecords(t, fsys.OS, dir, segSz)
 	if rd2 == nil || rd2.StartLSN() != horizon || rd2.EndLSN() != end {
 		t.Fatalf("replay start/end = %v/%v, want %d/%d", rd2.StartLSN(), rd2.EndLSN(), horizon, end)
 	}
@@ -296,7 +321,7 @@ func TestFileWALReplayPoolsDeadSegmentsBesideFreeFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fw2, _, _ := replayRecords(t, dir, segSz)
+	fw2, _, _ := replayRecords(t, fsys.OS, dir, segSz)
 	defer fw2.Close()
 	if fw2.Stats().SegmentsRetired < 2 {
 		t.Fatalf("replay retired %d dead segments, want several", fw2.Stats().SegmentsRetired)
@@ -352,7 +377,7 @@ func TestFileWALRefusesOtherVersions(t *testing.T) {
 				}
 				t.Fatalf("version %d, %d files: open returned %v, want ErrLogVersion", v, len(files), err)
 			}
-			if err := ScanDir(dir, func(*Record) bool { return true }); !errors.Is(err, ErrLogVersion) {
+			if err := ScanDir(fsys.OS, dir, func(*Record) bool { return true }); !errors.Is(err, ErrLogVersion) {
 				t.Fatalf("version %d, %d files: scan returned %v, want ErrLogVersion", v, len(files), err)
 			}
 			entries, err := os.ReadDir(dir)
@@ -441,7 +466,7 @@ func TestFileWALStaleRecycledBytes(t *testing.T) {
 	if err := os.WriteFile(seg, blob, 0o644); err != nil {
 		t.Fatalf("graft: %v", err)
 	}
-	fw2, rd2, got := replayRecords(t, dir, 0)
+	fw2, rd2, got := replayRecords(t, fsys.OS, dir, 0)
 	fw2.Close()
 	if len(got) != len(lsns) {
 		t.Fatalf("replayed %d records, want %d (stale bytes accepted?)", len(got), len(lsns))
@@ -500,7 +525,7 @@ func TestFileWALFreePoolCapped(t *testing.T) {
 		t.Fatal("the capped pool did not feed continued appends")
 	}
 	fw.Close()
-	fw2, _, _ := replayRecords(t, dir, segSz)
+	fw2, _, _ := replayRecords(t, fsys.OS, dir, segSz)
 	defer fw2.Close()
 	if free, _ := countFiles(); free > RedoWindowSegments {
 		t.Fatalf("%d free files after reopen", free)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/fsys"
 )
 
 // stream appends recs to a fresh log — recs[0] alone, the rest as one
@@ -76,7 +78,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatal(err)
 		}
 		var scanned []LSN
-		if err := ScanDir(dir, func(r *Record) bool {
+		if err := ScanDir(fsys.OS, dir, func(r *Record) bool {
 			scanned = append(scanned, r.LSN)
 			return true
 		}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/fsys"
 )
 
 // TestTornSyncRewindsFileSink: in the pipelined path the write stage
@@ -11,9 +12,13 @@ import (
 // rewind must truncate the segment files back to the tear boundary so a
 // replay of the surviving files ends exactly at the in-memory stable
 // point — no ghost records from written-but-unsynced bytes.
-func TestTornSyncRewindsFileSink(t *testing.T) {
-	dir := t.TempDir()
-	fw, rd, err := OpenFileWAL(dir, 0, SyncAlways)
+//
+// On the in-memory file system the replay is of the crash's durable state:
+// the surviving prefix must have been synced, the rest must not.
+func TestTornSyncRewindsFileSink(t *testing.T) { onBoth(t, testTornSyncRewinds) }
+
+func testTornSyncRewinds(t *testing.T, fs fsys.FS, dir string, crash func(fsys.FS) fsys.FS) {
+	fw, rd, err := Open(fs, dir, 0, SyncAlways)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -43,7 +48,7 @@ func TestTornSyncRewindsFileSink(t *testing.T) {
 	}
 	fw.Close()
 
-	fw2, rd2, _ := replayRecords(t, dir, 0)
+	fw2, rd2, _ := replayRecords(t, crash(fs), dir, 0)
 	defer fw2.Close()
 	end := LSN(1)
 	if rd2 != nil {
@@ -57,9 +62,10 @@ func TestTornSyncRewindsFileSink(t *testing.T) {
 // TestPermanentSyncRewindsFileSink: a permanent sync failure leaves
 // written-but-unsynced bytes in the sink; the rewind drops them so the
 // files agree with the frozen stable point.
-func TestPermanentSyncRewindsFileSink(t *testing.T) {
-	dir := t.TempDir()
-	fw, _, err := OpenFileWAL(dir, 0, SyncAlways)
+func TestPermanentSyncRewindsFileSink(t *testing.T) { onBoth(t, testPermanentSyncRewinds) }
+
+func testPermanentSyncRewinds(t *testing.T, fs fsys.FS, dir string, crash func(fsys.FS) fsys.FS) {
+	fw, _, err := Open(fs, dir, 0, SyncAlways)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -81,7 +87,7 @@ func TestPermanentSyncRewindsFileSink(t *testing.T) {
 	}
 	fw.Close()
 
-	fw2, rd2, _ := replayRecords(t, dir, 0)
+	fw2, rd2, _ := replayRecords(t, crash(fs), dir, 0)
 	defer fw2.Close()
 	if rd2 == nil {
 		t.Fatal("no reader after replay")
@@ -132,7 +138,7 @@ func TestPersistVSegmentCrossing(t *testing.T) {
 	}
 	fw.Close()
 
-	fw2, rd2, got := replayRecords(t, dir, minSegmentSz)
+	fw2, rd2, got := replayRecords(t, fsys.OS, dir, minSegmentSz)
 	defer fw2.Close()
 	if rd2 == nil || rd2.EndLSN() != end {
 		t.Fatalf("replay end = %v, want %d", rd2, end)

@@ -93,7 +93,7 @@ func TestCrashBetweenWriteAndSync(t *testing.T) {
 		t.Fatalf("stable point moved %d -> %d across the crash", stable, got)
 	}
 	// The frozen stable prefix is exactly what a crash image replays.
-	img := l.CrashImage(nil)
+	img := crashImage(t, l, nil)
 	if img.EndLSN() != stable {
 		t.Fatalf("crash image ends at %d, want %d", img.EndLSN(), stable)
 	}

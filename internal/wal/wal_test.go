@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/fsys"
 	"testing/quick"
 )
 
@@ -144,7 +146,7 @@ func TestForceAndCrashTruncation(t *testing.T) {
 	}
 	l.Force(lsns[4])
 	// Force flushes the whole buffer (group commit): stable covers all.
-	img := l.CrashImage(nil)
+	img := crashImage(t, l, nil)
 	count := 0
 	img.Scan(NilLSN, func(r Record) bool { count++; return true })
 	if count != 10 {
@@ -161,7 +163,7 @@ func TestForceAndCrashTruncation(t *testing.T) {
 	for i := 5; i < 10; i++ {
 		l2.Append(&Record{Type: RecUpdate, TxnID: TxnID(i)})
 	}
-	img2 := l2.CrashImage(nil)
+	img2 := crashImage(t, l2, nil)
 	count = 0
 	img2.Scan(NilLSN, func(r Record) bool { count++; return true })
 	if count != 5 {
@@ -176,7 +178,7 @@ func TestCrashImageExplicitTruncation(t *testing.T) {
 		lsns = append(lsns, l.Append(&Record{Type: RecUpdate, TxnID: TxnID(i)}))
 	}
 	l.ForceAll()
-	img := l.CrashImage(&lsns[3])
+	img := crashImage(t, l, &lsns[3])
 	count := 0
 	img.Scan(NilLSN, func(r Record) bool { count++; return true })
 	if count != 3 {
@@ -205,7 +207,7 @@ func TestTornRecordStopsScan(t *testing.T) {
 	l.Append(&Record{Type: RecUpdate, TxnID: 1})
 	lsn2 := l.Append(&Record{Type: RecUpdate, TxnID: 2, Payload: []byte("payload")})
 	l.ForceAll()
-	img := l.CrashImage(nil)
+	img := crashImage(t, l, nil)
 	// Corrupt a byte inside the second record.
 	img.from(lsn2)[framePrefix] ^= 0xFF
 	count := 0
@@ -222,7 +224,7 @@ func TestNewFromImageContinues(t *testing.T) {
 	l := New()
 	lsn1 := l.Append(&Record{Type: RecBegin, TxnID: 1})
 	l.ForceAll()
-	l2 := NewFromImage(l.CrashImage(nil))
+	l2 := NewFromImage(crashImage(t, l, nil))
 	if l2.EndLSN() != l.EndLSN() {
 		t.Fatalf("continuation EndLSN %d != %d", l2.EndLSN(), l.EndLSN())
 	}
@@ -245,13 +247,13 @@ func TestCheckpointAnchor(t *testing.T) {
 	if l.CheckpointLSN() != ck {
 		t.Fatal("anchor not recorded")
 	}
-	img := l.CrashImage(nil)
+	img := crashImage(t, l, nil)
 	if img.CheckpointLSN() != ck {
 		t.Fatal("anchor lost in crash image")
 	}
 	// An anchor beyond the truncation point must be dropped.
 	cut := ck
-	img2 := l.CrashImage(&cut)
+	img2 := crashImage(t, l, &cut)
 	if img2.CheckpointLSN() != NilLSN {
 		t.Fatal("anchor survived truncation before it")
 	}
@@ -318,7 +320,7 @@ func TestConcurrentAppendForce(t *testing.T) {
 	go func() {
 		defer verifier.Done()
 		for {
-			img := l.CrashImage(nil)
+			img := crashImage(t, l, nil)
 			end := img.EndLSN()
 			next := LSN(1)
 			img.Scan(NilLSN, func(r Record) bool {
@@ -372,7 +374,7 @@ func TestConcurrentAppendForce(t *testing.T) {
 	verifier.Wait()
 
 	l.ForceAll()
-	img := l.CrashImage(nil)
+	img := crashImage(t, l, nil)
 	count := 0
 	img.Scan(NilLSN, func(r Record) bool {
 		count++
@@ -388,4 +390,25 @@ func TestConcurrentAppendForce(t *testing.T) {
 	if flushes == 0 {
 		t.Error("no forces recorded")
 	}
+}
+
+// crashImage is what a crash leaves of l: the log its in-memory segment
+// files made durable, cut at truncateAt when that is given, as the next
+// Open replays it.
+func crashImage(t testing.TB, l *Log, truncateAt *LSN) *Reader {
+	t.Helper()
+	fs := l.sink.fs.(*fsys.Mem).Crash(fsys.DropUnsynced)
+	if truncateAt != nil {
+		if err := CutDir(fs, l.sink.dir, *truncateAt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, rd, err := Open(fs, l.sink.dir, int(l.sink.segCap), SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd == nil {
+		return &Reader{base: 1}
+	}
+	return rd
 }
