@@ -64,14 +64,22 @@ test:
 ##                          never held a node; every node is freed by Absorb;
 ##   RootGrow(           0  no tree encodes, decodes or applies a root growth:
 ##                          pitree.Kernel.Grow logs it, NodeKinds.Register
-##                          redoes and undoes it.
+##                          redoes and undoes it;
+##   .Len() >=/< …Capacity  3  the index fan-out of each tree's Poster.Full
+##                          (IndexCapacity). A node is full when its image
+##                          would outgrow its page (pitree.Kernel.Fits);
+##                          a data node's entry cap (LeafCapacity,
+##                          DataCapacity) is an optional test option read
+##                          beside that test, never compared with Len alone.
 KERNELONLY_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go internal/tsb/*.go internal/spatial/*.go))
 kernelonly:
 	@check() { n=$$(cat $(KERNELONLY_SRC) | grep -c -F "$$1"); \
 		if [ $$n -gt $$2 ]; then echo "kernelonly: $$n call sites of $$1 in core/tsb/spatial, limit $$2"; return 1; fi; }; \
 	check 'PrefetchAsync(' 0 && check '.LogCLR(' 3 && check 'BeginAtomicAction(' 1 && \
 	check 'SpaceCheck(' 0 && check 'IsAllocated(' 0 && check 'FPConsolidate' 0 && check 'store.Free(' 1 && \
-	check 'RootGrow(' 0
+	check 'RootGrow(' 0 && { \
+	n=$$(cat $(KERNELONLY_SRC) | grep -c -E '\.Len\(\) *(>=|<) *[A-Za-z_.]*Capacity'); \
+	if [ $$n -gt 3 ]; then echo "kernelonly: $$n entry-count capacity tests in core/tsb/spatial, limit 3"; exit 1; fi; }
 
 ## fsysonly: one storage path. The page file and the log run over an
 ## fsys.FS, the operating system's or an in-memory one, so a simulated

@@ -22,6 +22,13 @@
 // page-chain link names anything but an earlier record of its page:
 //
 //	pitree-verify -logstat <datadir>/wal
+//
+// With -pagestat it checks nothing either: it scans one store's page file
+// read-only and prints its slot size, slots, pages, free and stale slots,
+// the mean, median and 99th percentile image bytes, and the fill (image
+// bytes over pages times the slot payload):
+//
+//	pitree-verify -pagestat <datadir>/store-1.pages
 package main
 
 import (
@@ -51,7 +58,16 @@ func main() {
 	childTree := flag.String("tree", "", "internal: real-crash child tree kind")
 	childSync := flag.String("sync", "always", "internal: real-crash child WAL sync policy (always|never)")
 	logStat := flag.String("logstat", "", "print what the log records under this WAL directory are made of (read-only) and exit")
+	pageStat := flag.String("pagestat", "", "print how full the pages of this page file are (read-only) and exit")
 	flag.Parse()
+
+	if *pageStat != "" {
+		if err := runPageStat(os.Stdout, fsys.OS, *pageStat); err != nil {
+			fmt.Fprintf(os.Stderr, "pagestat: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	if *logStat != "" {
 		if err := runLogStat(os.Stdout, fsys.OS, *logStat); err != nil {

@@ -131,10 +131,8 @@ func (t *Tree) consolidate(task consolidateTask) {
 // stays latched in every case — the caller owns its release — so one
 // parent visit can try several pairs.
 func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bool, err error) {
-	m := &merge{t: t, parent: parent, bIdx: bIdx, cIdx: cIdx, level: parent.N.Level - 1, capacity: t.opts.IndexCapacity}
-	if m.level == 0 {
-		m.capacity = t.opts.LeafCapacity
-	}
+	m := &merge{t: t, parent: parent, bIdx: bIdx, cIdx: cIdx, level: parent.N.Level - 1}
+	m.capacity = t.capacity(m.level)
 	freed, err := t.kern.Absorb(o, m)
 	if err != nil || m.busy {
 		return false, true, err
@@ -144,7 +142,7 @@ func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bo
 	}
 	t.Stats.Consolidations.Add(1)
 	if m.level == 0 {
-		t.Stats.NoteLeafUtil(m.bLen, m.bLen+m.cLen, m.capacity)
+		t.Stats.NoteLeafUtil(m.bLen, m.merged, m.capacity)
 		t.Stats.NoteLeafUtil(m.cLen, -1, m.capacity)
 	} else {
 		// Downward cascade, the counterpart of the upward escalation: the
@@ -171,8 +169,10 @@ type merge struct {
 	bIdx, cIdx      int
 	level, capacity int
 
-	b          nref
-	bLen, cLen int
+	b nref
+	// bLen and cLen are b's and c's fills (t.fill), merged b's once it
+	// has taken c in.
+	bLen, cLen, merged int
 	// junction is an index container's last own term, read while it is
 	// latched: the cascade starts from it.
 	junction consolidateTask
@@ -199,10 +199,17 @@ func (m *merge) Survivors(o *opCtx) (victim storage.PageID, level int, err error
 // Victim: c still starts at its term's key, and together the two fit in
 // one node of which at least one is under-utilized.
 func (m *merge) Victim(c *Node) bool {
-	m.bLen, m.cLen = m.b.N.Len(), c.Len()
+	t, b := m.t, m.b.N
+	m.bLen, m.cLen = t.fill(b), t.fill(c)
+	// b takes c's records, and c's high bound for its own.
+	grow := c.recs.Size() + len(c.High.Key) - len(b.High.Key)
+	m.merged = m.bLen + m.cLen
+	if t.byBytes(m.level) {
+		m.merged = m.bLen + grow
+	}
 	threshold := minEntries(m.capacity)
 	return !c.Dead && keys.Equal(c.Low, m.parent.N.entry(m.cIdx).Key) &&
-		m.bLen+m.cLen <= m.capacity && (m.bLen < threshold || m.cLen < threshold)
+		m.merged <= m.capacity && t.kern.Fits(b, grow) && (m.bLen < threshold || m.cLen < threshold)
 }
 
 func (m *merge) Cut(aa *txn.Txn, c *nref) (bool, error) {

@@ -184,6 +184,22 @@ func (n *Node) String() string {
 	return fmt.Sprintf("node{L%d %s right=%d n=%d dead=%v}", n.Level, iv, n.Right, n.Len(), n.Dead)
 }
 
+// nodeHdrLen is the fixed part of encodeNode's header: the level, the dead
+// mark, the bounds' length prefixes and unbounded mark, the side pointer
+// and the record count.
+const nodeHdrLen = 2 + 1 + 4 + 1 + 4 + 8 + 4
+
+// EncodedSize is the length of the node's image, in O(1).
+func (n *Node) EncodedSize() int {
+	return nodeHdrLen + len(n.Low) + len(n.High.Key) + n.recs.Size()
+}
+
+// leafSize is the encoded size of a leaf record (appendLeaf).
+func leafSize(k keys.Key, v []byte) int { return 4 + len(k) + 4 + len(v) }
+
+// termSize is the encoded size of an index term (appendTerm).
+func termSize(k keys.Key) int { return 4 + len(k) + 8 }
+
 // encodeNode serializes a node (page image or log payload).
 func encodeNode(w *enc.Writer, n *Node) {
 	w.U16(uint16(n.Level))

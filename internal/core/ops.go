@@ -113,6 +113,12 @@ type leafWrite struct {
 }
 
 func (t *Tree) write(tx *txn.Txn, op writeOp, ks []keys.Key, vals [][]byte) error {
+	for i := range vals {
+		// A node's bounds and an index term may each hold the key again.
+		if err := t.kern.Admit(leafSize(ks[i], vals[i]) + len(ks[i])); err != nil {
+			return err
+		}
+	}
 	w := &leafWrite{t: t, op: op, ks: ks, vals: vals}
 	return t.kern.Update(tx, len(ks), w.less, w)
 }
@@ -126,11 +132,29 @@ func (w *leafWrite) Trace() any {
 	return w.path
 }
 
-// Full: any write to a full leaf splits it first, whether or not the
-// write itself needs room — except a compensation, where only an insert
-// does.
-func (w *leafWrite) Full(n *Node, _ int) bool {
-	return n.Len() >= w.t.opts.LeafCapacity && (!w.undo || w.op == opInsert)
+// Full: a write splits the leaf first when the bytes it adds would not
+// fit — a new record, or a replaced one's growth; a delete adds none.
+// Under an entry cap, any write to a leaf at the cap splits it as well,
+// whether or not the write itself needs room — except a compensation,
+// where only an insert does.
+func (w *leafWrite) Full(n *Node, i int) bool {
+	if c := w.t.opts.LeafCapacity; c > 0 && n.Len() >= c && (!w.undo || w.op == opInsert) {
+		return true
+	}
+	if w.op == opDelete || w.op == opRemove {
+		return false
+	}
+	need := leafSize(w.ks[i], w.vals[i])
+	if w.t.kern.Fits(n, need) {
+		return false
+	}
+	if j, ok := n.search(w.ks[i]); ok {
+		if w.op == opInsert {
+			return false // Apply refuses it, or a compensation skips it
+		}
+		need -= len(n.recs.At(j))
+	}
+	return !w.t.kern.Fits(n, need)
 }
 
 func (w *leafWrite) Split(o *opCtx, leaf nref) error { return w.t.splitLeaf(o, &leaf, w.path) }
@@ -149,6 +173,7 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 	t, n, k := w.t, leaf.N, w.ks[i]
 	batched := w.op.batched()
 	j, exists := n.search(k)
+	before := t.fill(n)
 	var up txn.GroupUpdate
 	switch {
 	case w.op == opDelete || w.op == opRemove:
@@ -157,7 +182,6 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 		}
 		up = txn.GroupUpdate{Kind: KindDeleteRecord, Payload: appendLeaf(nil, k, n.entry(j).Value)}
 		n.recs.Delete(j)
-		t.Stats.NoteLeafUtil(n.Len()+1, n.Len(), t.opts.LeafCapacity)
 		if batched {
 			t.Stats.Deletes.Add(1)
 		}
@@ -177,11 +201,11 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 		}
 		up = txn.GroupUpdate{Kind: KindInsertRecord, Payload: appendLeaf(nil, k, w.vals[i])}
 		n.insertEntry(Entry{Key: k, Value: enc.NilIfEmpty(w.vals[i])})
-		t.Stats.NoteLeafUtil(n.Len()-1, n.Len(), t.opts.LeafCapacity)
 		if batched {
 			t.Stats.Inserts.Add(1)
 		}
 	}
+	t.Stats.NoteLeafUtil(before, t.fill(n), t.capacity(0))
 	return up, nil
 }
 
@@ -376,6 +400,7 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 	}
 	mid := count / 2
 	sep := keys.Clone(n.keyAt(mid))
+	before := t.fill(n)
 
 	newPid, err := t.allocNode(o, act, n.Level)
 	if err != nil {
@@ -392,7 +417,7 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 		recs:  n.recs.Slice(mid, count),
 	}
 	if r.Pid() == t.root {
-		return nil, storage.NilPage, t.splitRoot(o, r, act, mid, newPid, upper)
+		return nil, storage.NilPage, t.splitRoot(o, r, act, mid, newPid, upper, before)
 	}
 	if err := t.kern.Format(o, act, newPid, upper); err != nil {
 		return nil, storage.NilPage, err
@@ -405,8 +430,8 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 
 	if n.Level == 0 {
 		t.Stats.LeafSplits.Add(1)
-		t.Stats.NoteLeafUtil(count, mid, t.opts.LeafCapacity)
-		t.Stats.NoteLeafUtil(-1, count-mid, t.opts.LeafCapacity)
+		t.Stats.NoteLeafUtil(before, t.fill(n), t.capacity(0))
+		t.Stats.NoteLeafUtil(-1, t.fill(upper), t.capacity(0))
 	} else {
 		t.Stats.IndexSplits.Add(1)
 	}
@@ -416,10 +441,10 @@ func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.Pag
 // splitRoot finishes a split of the root at mid, whose upper half is the
 // node B on the allocated page pidB: the lower half goes to a new node A
 // whose side pointer references B, and the kernel grows the root in place
-// over both (pitree.Kernel.Grow).
-func (t *Tree) splitRoot(o *opCtx, r *nref, act *txn.Txn, mid int, pidB storage.PageID, b *Node) error {
+// over both (pitree.Kernel.Grow). before is the root's fill.
+func (t *Tree) splitRoot(o *opCtx, r *nref, act *txn.Txn, mid int, pidB storage.PageID, b *Node, before int) error {
 	n := r.N
-	level, count := n.Level, n.Len()
+	level := n.Level
 	pidA, err := t.allocNode(o, act, level)
 	if err != nil {
 		return err
@@ -432,9 +457,9 @@ func (t *Tree) splitRoot(o *opCtx, r *nref, act *txn.Txn, mid int, pidB storage.
 	t.Stats.RootGrowths.Add(1)
 	if level == 0 {
 		// The root leaf's entries moved into two new leaves.
-		t.Stats.NoteLeafUtil(count, -1, t.opts.LeafCapacity)
-		t.Stats.NoteLeafUtil(-1, mid, t.opts.LeafCapacity)
-		t.Stats.NoteLeafUtil(-1, count-mid, t.opts.LeafCapacity)
+		t.Stats.NoteLeafUtil(before, -1, t.capacity(0))
+		t.Stats.NoteLeafUtil(-1, t.fill(a), t.capacity(0))
+		t.Stats.NoteLeafUtil(-1, t.fill(b), t.capacity(0))
 	}
 	return nil
 }
@@ -459,7 +484,7 @@ func (t *Tree) schedulePostAfterSplit(path *Path, sep keys.Key, newPid storage.P
 // invariant only).
 func (t *Tree) consolidationFor(r *nref) (consolidateTask, bool) {
 	if !t.opts.Consolidation || t.opts.NoCompletion || r.Pid() == t.root ||
-		r.N.Len() >= minEntries(t.opts.LeafCapacity) {
+		t.fill(r.N) >= minEntries(t.capacity(r.N.Level)) {
 		return consolidateTask{}, false
 	}
 	return consolidateTask{level: r.N.Level, low: keys.Clone(r.N.Low), pid: r.Pid()}, true

@@ -89,8 +89,11 @@ func (p *indexPost) Verify(o *opCtx, node *nref) (bool, error) {
 	return true, nil
 }
 
-// Full is step 3, the Space Test.
-func (p *indexPost) Full(n *Node) bool { return n.Len() >= p.t.opts.IndexCapacity }
+// Full is step 3, the Space Test: the fan-out is reached, or the term
+// would not fit in the page.
+func (p *indexPost) Full(n *Node) bool {
+	return n.Len() >= p.t.opts.IndexCapacity || !p.t.kern.Fits(n, termSize(p.key))
+}
 
 func (p *indexPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, error) {
 	sep, newPid, err := p.t.splitNode(o, node, aa)

@@ -16,9 +16,13 @@ import (
 
 // Options configure one Π-tree.
 type Options struct {
-	// LeafCapacity and IndexCapacity are the maximum entry counts of data
-	// and index nodes; they stand in for page size. Defaults: 64, 64.
-	LeafCapacity  int
+	// LeafCapacity, when set (minimum 4), caps a leaf at that many
+	// entries: small-node tests use it. At 0, the default, a leaf is full
+	// when the write's record would not fit in its page
+	// (pitree.Kernel.Fits). Either way a leaf never outgrows its page.
+	LeafCapacity int
+	// IndexCapacity is an index node's fan-out in terms (default 64,
+	// minimum 4); an index node also splits before it outgrows its page.
 	IndexCapacity int
 	// Consolidation selects the CP invariant (§5.2.2): nodes may be
 	// consolidated and de-allocated, so traversals latch-couple and
@@ -74,18 +78,41 @@ type Options struct {
 // latch and descent over several merges.
 const mergeBatch = 4
 
-// minEntries is the entry count below which a node of the given capacity
-// is considered for consolidation (CP mode only): a quarter full.
+// minEntries is the fill below which a node of the given capacity is
+// considered for consolidation (CP mode only): a quarter full.
 func minEntries(capacity int) int { return capacity / 4 }
 
-func (o Options) normalized() Options {
-	if o.LeafCapacity <= 0 {
-		o.LeafCapacity = 64
+// byBytes reports whether nodes of level are sized in bytes: leaves with
+// no entry cap. Index nodes keep their fan-out.
+func (t *Tree) byBytes(level int) bool { return level == 0 && t.opts.LeafCapacity == 0 }
+
+// capacity is a node of level's capacity in the unit fill measures it in:
+// the page's room in bytes, or the entry cap.
+func (t *Tree) capacity(level int) int {
+	switch {
+	case t.byBytes(level):
+		return t.kern.Room()
+	case level == 0:
+		return t.opts.LeafCapacity
 	}
+	return t.opts.IndexCapacity
+}
+
+// fill is how full n is: its encoded bytes, or its entries.
+func (t *Tree) fill(n *Node) int {
+	if t.byBytes(n.Level) {
+		return n.EncodedSize()
+	}
+	return n.Len()
+}
+
+func (o Options) normalized() Options {
 	if o.IndexCapacity <= 0 {
 		o.IndexCapacity = 64
 	}
-	if o.LeafCapacity < 4 {
+	if o.LeafCapacity < 0 {
+		o.LeafCapacity = 0
+	} else if o.LeafCapacity > 0 && o.LeafCapacity < 4 {
 		o.LeafCapacity = 4
 	}
 	if o.IndexCapacity < 4 {
@@ -141,9 +168,10 @@ type Stats struct {
 	BatchOps        atomic.Int64
 	LeafVisitsSaved atomic.Int64
 	// UtilHist is a leaf-utilization histogram: bucket i counts leaves
-	// whose live-entry fraction is in [i/8, (i+1)/8), with bucket 8 for
+	// whose fill — encoded bytes over the page's room, or entries over
+	// the entry cap — is in [i/8, (i+1)/8), with bucket 8 for
 	// exactly-full. Maintained incrementally at every mutation that
-	// changes a leaf's entry count — this is the utilization signal the
+	// changes a leaf's fill — this is the utilization signal the
 	// consolidation scheduler reads without sweeping the tree. Counts are
 	// relative to the tree state at Open (a freshly created tree starts
 	// exact), so an opened tree's buckets are deltas, not absolutes.
@@ -166,7 +194,7 @@ func utilBucket(n, capacity int) int {
 }
 
 // NoteLeafUtil moves one leaf between utilization buckets: old and new
-// are entry counts, with a negative value meaning the leaf does not
+// are fills, in capacity's unit, with a negative value meaning the leaf does not
 // exist on that side (created when old < 0, dropped when new < 0).
 func (s *Stats) NoteLeafUtil(old, newCount, capacity int) {
 	if old >= 0 && newCount >= 0 && utilBucket(old, capacity) == utilBucket(newCount, capacity) {
@@ -271,7 +299,7 @@ func Create(store *storage.Store, tm *txn.Manager, lm *lock.Manager, b *Binding,
 		return nil, err
 	}
 	t.start(rootPid)
-	t.Stats.NoteLeafUtil(-1, 0, t.opts.LeafCapacity)
+	t.Stats.NoteLeafUtil(-1, 0, t.capacity(0))
 	return t, nil
 }
 
@@ -350,10 +378,11 @@ var (
 // one-dimensional key space with one side pointer per node.
 type space struct{ t *Tree }
 
-func (space) Level(n *Node) int   { return n.Level }
-func (space) Dead(n *Node) bool   { return n.Dead }
-func (space) Clone(n *Node) *Node { return n.clone() }
-func (space) Writable(*Node) bool { return true }
+func (space) Level(n *Node) int       { return n.Level }
+func (space) Dead(n *Node) bool       { return n.Dead }
+func (space) Clone(n *Node) *Node     { return n.clone() }
+func (space) Writable(*Node) bool     { return true }
+func (space) EncodedSize(n *Node) int { return n.EncodedSize() }
 
 // Route sends keys at or above High through the side pointer and keys
 // below Low back to the root: those cannot be reached by following right

@@ -2,6 +2,7 @@ package pitree
 
 import (
 	"bytes"
+	"fmt"
 
 	"repro/internal/enc"
 	"repro/internal/storage"
@@ -71,9 +72,15 @@ func (nk *NodeKinds[N]) decodeGrow(b []byte) (terms enc.Records, pre N, err erro
 }
 
 // Format installs n as the contents of the freshly allocated page pid and
-// logs its image through lg (see formatPage).
+// logs its image through lg (see formatPage). An image larger than the
+// page is refused with ErrRecordTooLarge before anything is logged: the
+// page file would refuse it at write-back.
 func (k *Kernel[N, K]) Format(o *Op[N], lg storage.UpdateLogger, pid storage.PageID, n N) error {
-	return formatPage(o.s.Store.Pool, &o.Tr, o.Rank(k.sp.Level(n)), lg, pid, n, k.kinds.Format, k.kinds.Image(n))
+	img := k.kinds.Image(n)
+	if len(img) > k.room {
+		return fmt.Errorf("%w: %s page %d image %dB, room %dB", ErrRecordTooLarge, k.s.Name, pid, len(img), k.room)
+	}
+	return formatPage(o.s.Store.Pool, &o.Tr, o.Rank(k.sp.Level(n)), lg, pid, n, k.kinds.Format, img)
 }
 
 // Grow is the root case of the §5.3 space test, the one growth of every

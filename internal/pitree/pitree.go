@@ -44,6 +44,7 @@ package pitree
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -107,6 +108,9 @@ type Space[N, K any] interface {
 	// term -1, and in an index node each index term's child, with the
 	// term's position.
 	Links(n N, fn func(pid storage.PageID, term int))
+	// EncodedSize is the length of n's image as the tree's codec writes
+	// it, in O(1): what Fits holds against the page's room.
+	EncodedSize(n N) int
 }
 
 // MaxLevel bounds the tree height for rank arithmetic; acquiring the root
@@ -119,6 +123,12 @@ var ErrRetry = errors.New("pitree: internal retry")
 
 // ErrLevelGone reports a descent target level above the current root.
 var ErrLevelGone = errors.New("pitree: target level does not exist")
+
+// ErrRecordTooLarge reports a record no node can take: a write refused at
+// the call by Admit, before any lock or log record, or a structure change
+// that would have built a node image larger than its page (Format, and a
+// tree's soft overflow). Nothing of the refused write or action remains.
+var ErrRecordTooLarge = errors.New("pitree: record too large for a node")
 
 // Config is the per-tree state the kernel reads.
 type Config struct {
@@ -184,14 +194,38 @@ type Kernel[N, K any] struct {
 	s     shared
 	sp    Space[N, K]
 	kinds *NodeKinds[N]
+	// room is the most bytes a node's image may take: the store's page
+	// room (storage.Pool.Room).
+	room int
 }
 
 // New returns the kernel for the tree described by cfg, sp and kinds.
 func New[N, K any](cfg Config, sp Space[N, K], kinds *NodeKinds[N]) *Kernel[N, K] {
-	k := &Kernel[N, K]{sp: sp, kinds: kinds}
+	k := &Kernel[N, K]{sp: sp, kinds: kinds, room: cfg.Store.Pool.Room()}
 	k.s.Config = cfg
 	k.s.Store.Pool = cfg.Store.Pool
 	return k
+}
+
+// Fits is the space test of every node (the paper's nodes are pages, and
+// a page is full when it has no room): n's image, grown by extra bytes,
+// still fits its page.
+func (k *Kernel[N, K]) Fits(n N, extra int) bool { return k.sp.EncodedSize(n)+extra <= k.room }
+
+// Room returns the most bytes a node's image may take.
+func (k *Kernel[N, K]) Room() int { return k.room }
+
+// Admit refuses, with ErrRecordTooLarge, a record of size bytes: more than
+// a quarter of the room. The tree's size is the record's encoded bytes plus
+// those of every further copy of its key that a node's bounds or an index
+// term may hold. Then a node with its bounds and one record always has
+// room for a second, so a split of a full node always makes progress and
+// ends in nodes that fit.
+func (k *Kernel[N, K]) Admit(size int) error {
+	if limit := k.room / 4; size > limit {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrRecordTooLarge, size, limit)
+	}
+	return nil
 }
 
 // Close drops the cached root pin. A straggling operation may briefly

@@ -281,3 +281,7 @@ func (ty *toy) Links(n *toyNode, fn func(pid storage.PageID, term int)) {
 		fn(kid, i)
 	}
 }
+
+// EncodedSize encodes the node: the toy's images are small, and O(1) is a
+// real tree's concern.
+func (ty *toy) EncodedSize(n *toyNode) int { return len(toyKinds.Image(n)) }

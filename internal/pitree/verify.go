@@ -31,7 +31,8 @@ type Checker[N any] interface {
 // terms is visited once, under a momentary S latch, and holds an
 // allocated, live node of this tree; a side pointer stays on its level
 // and an index term's child lies one level down (checked per pointer,
-// the target latched behind its source, where c.Link checks it too); and
+// the target latched behind its source, where c.Link checks it too); each
+// node's image fits its page and is as long as Space.EncodedSize says; and
 // no reachable page is free (Store.SpaceCheck).
 func (k *Kernel[N, K]) Verify(c Checker[N]) error {
 	reachable, err := k.walk(0, func(o *Op[N], r *Ref[N]) error {
@@ -48,6 +49,9 @@ func (k *Kernel[N, K]) Verify(c Checker[N]) error {
 		}
 		if k.sp.Dead(r.N) {
 			return fmt.Errorf("reachable page %d of level %d is marked dead", pid, level)
+		}
+		if size, img := k.sp.EncodedSize(r.N), len(k.kinds.Image(r.N)); size != img || img > k.room {
+			return fmt.Errorf("page %d of level %d: image %dB, encoded size %dB, room %dB", pid, level, img, size, k.room)
 		}
 		err := c.Node(*r)
 		k.sp.Links(r.N, func(to storage.PageID, term int) {

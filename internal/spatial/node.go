@@ -304,7 +304,7 @@ func viewRect(b []byte) Rect {
 // term.
 var (
 	pointLayout = enc.Layout{8 + 8, enc.Var}
-	termLayout  = enc.Layout{4*8 + 8 + 1}
+	termLayout  = enc.Layout{termBytes}
 )
 
 func layoutOf(level int) enc.Layout {
@@ -360,6 +360,21 @@ func decRecord(level int, b []byte) (Entry, error) {
 	}
 	return viewEntry(level, b), nil
 }
+
+// nodeHdrLen is the fixed part of an image: the level, the direct region,
+// the sibling-term count and the record count.
+const nodeHdrLen = 2 + 4*8 + 4 + 4
+
+// EncodedSize is the length of the node's image, in O(1).
+func (n *Node) EncodedSize() int {
+	return nodeHdrLen + len(n.Sibs)*sibTermBytes + n.recs.Size()
+}
+
+// pointSize and termBytes are the encoded sizes of a point (appendPoint)
+// and of a term (appendTerm).
+func pointSize(v []byte) int { return 8 + 8 + 4 + len(v) }
+
+const termBytes = 4*8 + 8 + 1
 
 func encodeNode(w *enc.Writer, n *Node) {
 	w.U16(uint16(n.Level))

@@ -146,6 +146,12 @@ func choosePlane(n *Node) (alongX bool, coord uint64, ok bool) {
 // atomic action: half of its direct region is delegated to a fresh
 // sibling via a sibling term (§3.2.1).
 func (t *Tree) splitNodeAction(o *opCtx, leaf *nref) error {
+	if leaf.N.Len() == 0 {
+		// Its sibling terms leave no room for the point, and a split
+		// would only add one more.
+		o.Release(leaf)
+		return pitree.ErrRecordTooLarge
+	}
 	alongX, coord, ok := choosePlane(leaf.N)
 	if !ok {
 		o.Release(leaf)
@@ -224,15 +230,21 @@ func (p *termPost) Verify(o *opCtx, node *nref) (bool, error) {
 	})
 }
 
-func (p *termPost) Full(n *Node) bool { return n.Len() >= p.t.opts.IndexCapacity }
+// Full: the fan-out is reached, or the term would not fit in the page.
+func (p *termPost) Full(n *Node) bool {
+	return n.Len() >= p.t.opts.IndexCapacity || !p.t.kern.Fits(n, termBytes)
+}
 
 func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, error) {
 	t := p.t
 	alongX, coord, ok := choosePlane(node.N)
 	if !ok || (node.Pid() != t.root && !splitHelps(node.N, alongX, coord)) {
 		// No cut reduces this node (heavy clipping keeps spanning terms
-		// in both halves): grow past nominal capacity rather than split
-		// unproductively.
+		// in both halves): grow past the fan-out rather than split
+		// unproductively — but never past the page.
+		if !t.kern.Fits(node.N, termBytes) {
+			return storage.NilPage, pitree.ErrRecordTooLarge
+		}
 		t.Stats.SoftOverflows.Add(1)
 		return storage.NilPage, nil
 	}

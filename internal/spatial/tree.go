@@ -16,9 +16,13 @@ import (
 
 // Options configure one spatial tree.
 type Options struct {
-	// DataCapacity and IndexCapacity are maximum entry counts. Defaults
-	// 64, 64; minimum 4.
-	DataCapacity  int
+	// DataCapacity, when set (minimum 4), caps a data node at that many
+	// points: small-node tests use it. At 0, the default, a data node is
+	// full when the new point would not fit in its page
+	// (pitree.Kernel.Fits). Either way a node never outgrows its page.
+	DataCapacity int
+	// IndexCapacity is an index node's fan-out in terms (default 64,
+	// minimum 4); an index node also splits before it outgrows its page.
 	IndexCapacity int
 	// SyncCompletion, CompletionWorkers and NoCompletion mirror the
 	// other trees' lazy-completion controls.
@@ -43,10 +47,9 @@ type Options struct {
 }
 
 func (o Options) normalized() Options {
-	if o.DataCapacity <= 0 {
-		o.DataCapacity = 64
-	}
-	if o.DataCapacity < 4 {
+	if o.DataCapacity < 0 {
+		o.DataCapacity = 0
+	} else if o.DataCapacity > 0 && o.DataCapacity < 4 {
 		o.DataCapacity = 4
 	}
 	if o.IndexCapacity <= 0 {
@@ -197,10 +200,11 @@ var (
 // its page is freed, and coupling keeps readers off it.
 type space struct{ t *Tree }
 
-func (space) Level(n *Node) int   { return n.Level }
-func (space) Dead(*Node) bool     { return false }
-func (space) Clone(n *Node) *Node { return n.clone() }
-func (space) Writable(*Node) bool { return true }
+func (space) Level(n *Node) int       { return n.Level }
+func (space) Dead(*Node) bool         { return false }
+func (space) Clone(n *Node) *Node     { return n.clone() }
+func (space) Writable(*Node) bool     { return true }
+func (space) EncodedSize(n *Node) int { return n.EncodedSize() }
 
 // Route sends a point outside the direct region through the sibling term
 // that was delegated it; the Side route's Tag is that term's index.
@@ -285,6 +289,9 @@ func (t *Tree) descend(o *opCtx, p Point, stopLevel int, finalMode latch.Mode, s
 // Insert adds a point with its value; ErrPointExists on duplicates. With
 // a nil transaction the insert runs as its own atomic action.
 func (t *Tree) Insert(tx *txn.Txn, p Point, value []byte) error {
+	if err := t.kern.Admit(pointSize(value)); err != nil {
+		return err
+	}
 	t.Stats.Inserts.Add(1)
 	return t.kern.Update(tx, 1, nil, &pointWrite{t: t, p: p, value: value})
 }
@@ -314,10 +321,14 @@ func (w *pointWrite) Key(int) Point          { return w.p }
 func (w *pointWrite) LockName(int) lock.Name { return w.t.recLockName(w.p) }
 func (w *pointWrite) Trace() any             { return nil }
 
-// Full: an insert into a full leaf splits it first, unless the point is
-// already there and Apply will refuse it; a removal needs no room.
+// Full: an insert splits the leaf first when the point would not fit, or
+// under an entry cap when the leaf is at it — unless the point is already
+// there and Apply will refuse it; a removal needs no room.
 func (w *pointWrite) Full(n *Node, _ int) bool {
-	if w.del || n.Len() < w.t.opts.DataCapacity {
+	if w.del {
+		return false
+	}
+	if c := w.t.opts.DataCapacity; (c == 0 || n.Len() < c) && w.t.kern.Fits(n, pointSize(w.value)) {
 		return false
 	}
 	_, dup := n.findPoint(w.p)

@@ -38,15 +38,17 @@ type SuccessorCodec interface {
 const (
 	tagMeta byte = 0
 	tagUser byte = 1
+	// imageHdrLen is the prefix's length.
+	imageHdrLen = 9
 )
 
 var errShortImage = errors.New("storage: page image too short")
 
 func unframeImage(img []byte) (pageLSN uint64, tag byte, content []byte, err error) {
-	if len(img) < 9 {
+	if len(img) < imageHdrLen {
 		return 0, 0, nil, errShortImage
 	}
-	return binary.LittleEndian.Uint64(img[0:8]), img[8], img[9:], nil
+	return binary.LittleEndian.Uint64(img[0:8]), img[8], img[imageHdrLen:], nil
 }
 
 // appendImage appends the framed image of a frame's decoded contents at

@@ -157,6 +157,9 @@ type FileDisk struct {
 	nslots int
 	free   []int
 	limbo  []int
+	// stale counts the intact frames Open's scan found superseded by a
+	// newer image of their page.
+	stale int
 	// epoch counts fsyncs; an image written in an earlier epoch is durable.
 	epoch uint64
 	frame []byte // Write's framing buffer
@@ -287,9 +290,11 @@ func (d *FileDisk) scan(size int64) error {
 				d.pages[h.pid] = p
 			case h.seq <= p.seq:
 				d.free = append(d.free, slot)
+				d.stale++
 				continue
 			default:
 				d.free = append(d.free, p.slot)
+				d.stale++
 			}
 			*p = fdPage{slot: slot, n: slotHdrLen + h.n, seq: h.seq}
 		}
@@ -303,6 +308,7 @@ func (d *FileDisk) scan(size int64) error {
 		// replacing: whatever older copy survives is stale.
 		if p != nil {
 			d.free = append(d.free, p.slot)
+			d.stale++
 		}
 		d.pages[pid] = &fdPage{slot: -1, seq: max(t.base, t.seq)}
 	}
@@ -571,6 +577,58 @@ func (d *FileDisk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.f.Close()
+}
+
+// Payload returns the largest page image a slot holds: the slot size less
+// the frame header.
+func (d *FileDisk) Payload() int { return d.slotSize - slotHdrLen }
+
+// PageFileCensus is what a read-only scan of a page file finds.
+type PageFileCensus struct {
+	// SlotSize is the file's slot size, Payload the image bytes a slot
+	// holds (FileDisk.Payload).
+	SlotSize, Payload int
+	Slots             int
+	Bytes             int64 // the file's length
+	// Free slots hold no intact frame; Stale ones an intact frame of a
+	// page that a newer frame supersedes — in the process that wrote the
+	// file, limbo or free slots not yet reused.
+	Free, Stale int
+	// Images are the elected pages' image lengths; Torn counts the pages
+	// whose durable image a torn write outlived.
+	Images []int
+	Torn   int
+}
+
+// CensusPageFile scans the page file at path in fs as OpenFileDisk would,
+// and reports what it holds. It opens the file read-only and writes
+// nothing.
+func CensusPageFile(fs fsys.FS, path string) (PageFileCensus, error) {
+	var c PageFileCensus
+	f, err := fs.OpenFile(path, os.O_RDONLY)
+	if err != nil {
+		return c, err
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return c, err
+	} else if size == 0 {
+		return c, fmt.Errorf("storage: page file %s is empty", path)
+	}
+	d := &FileDisk{path: path, f: f, pages: make(map[PageID]*fdPage), epoch: 1}
+	if err := d.load(fs); err != nil {
+		return c, err
+	}
+	c = PageFileCensus{SlotSize: d.slotSize, Payload: d.Payload(), Slots: d.nslots, Bytes: size, Free: len(d.free) - d.stale, Stale: d.stale}
+	for _, p := range d.pages {
+		if p.slot < 0 {
+			c.Torn++
+			continue
+		}
+		c.Images = append(c.Images, p.n-slotHdrLen)
+	}
+	return c, nil
 }
 
 // Stats returns a snapshot of the physical-work counters and the slot

@@ -921,3 +921,55 @@ func TestFileDiskReadDuringDemandSync(t *testing.T) {
 	}
 	checkSlots(t, d, 0)
 }
+
+// TestCensusPageFile: a read-only scan of a page file counts its slots,
+// its pages with their image lengths, its free slots and its stale ones
+// (the synced images that newer writes superseded), and leaves the file's
+// bytes as they were.
+func TestCensusPageFile(t *testing.T) {
+	fs := fsys.NewMem()
+	d, err := OpenFileDisk(fs, "pages", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for pid := PageID(1); pid <= 10; pid++ {
+		if err := d.Write(pid, mkImage(pid, 'A', 64+int(pid))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for pid := PageID(1); pid <= 10; pid++ {
+		n := 64 + int(pid)
+		if pid <= 3 {
+			n = 200
+			if err := d.Write(pid, mkImage(pid, 'B', n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want = append(want, n)
+	}
+	slots := int(d.Stats().Slots)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := fsys.ReadFile(fs, "pages")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := CensusPageFile(fs, "pages")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(want)
+	slices.Sort(c.Images)
+	if c.SlotSize != 512 || c.Payload != 512-slotHdrLen || c.Slots != slots || c.Bytes != int64(len(before)) ||
+		!slices.Equal(c.Images, want) || c.Stale != 3 || c.Free+c.Stale+len(c.Images) != c.Slots || c.Torn != 0 {
+		t.Fatalf("census %+v; want %d slots of 512 B, images %v, 3 stale", c, slots, want)
+	}
+	if after, err := fsys.ReadFile(fs, "pages"); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the census changed the file (err %v)", err)
+	}
+}

@@ -565,6 +565,29 @@ func (n *Node) setHeader(hdr *Node) {
 	n.recs = recs
 }
 
+// nodeHdrLen is the fixed part of an image's header: encodeHeader's level,
+// rectangle without its keys, sibling pointers and marks, and the record
+// count.
+const nodeHdrLen = 2 + rectLen + 8 + 8 + 1 + 1 + 4
+
+// rectLen is the fixed part of an encoded rectangle: the keys' length
+// prefixes, the unbounded mark and the times.
+const rectLen = 4 + 1 + 4 + 8 + 8
+
+// EncodedSize is the length of the node's image, in O(1).
+func (n *Node) EncodedSize() int {
+	return nodeHdrLen + len(n.Rect.KeyLow) + len(n.Rect.KeyHigh.Key) + n.recs.Size()
+}
+
+// versionSize, termSize and keyTermSize are the encoded sizes of a version
+// (appendVersion), a level-1 term (appendTerm) and a key term
+// (appendKeyTerm).
+func versionSize(k keys.Key, v []byte) int { return 4 + len(k) + 8 + 4 + len(v) + 1 + 8 }
+
+func termSize(r Rect) int { return 8 + rectLen + len(r.KeyLow) + len(r.KeyHigh.Key) + 1 }
+
+func keyTermSize(k keys.Key) int { return 4 + len(k) + 8 }
+
 func encodeNode(w *enc.Writer, n *Node) {
 	encodeHeader(w, n)
 	w.U32(uint32(n.Len()))

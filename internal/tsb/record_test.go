@@ -89,6 +89,9 @@ func FuzzNodeImage(f *testing.F) {
 				_ = n.entry(i)
 			}
 			again, _ := (Codec{}).AppendPage(nil, n)
+			if size := n.EncodedSize(); size != len(again) {
+				t.Fatalf("level %d: encoded size %d, image %d bytes", level, size, len(again))
+			}
 			d, err = (Codec{}).DecodePage(bytes.Clone(again))
 			if err != nil {
 				t.Fatalf("level %d: image %x decodes to a node whose image %x does not decode: %v", level, img, again, err)
