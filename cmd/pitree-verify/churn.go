@@ -7,20 +7,42 @@ import (
 	"repro/internal/engine"
 	"repro/internal/keys"
 	"repro/internal/maint"
+	"repro/internal/storage"
+	"repro/internal/tsb"
 )
 
-// runChurn is the sustained-churn gate: a rolling key window (constant
-// live set) turned over several times with background consolidation on.
+// The sustained-churn gate: each leg turns a rolling window (a constant
+// live set) over several times with the tree's background maintenance on.
 // It fails if the store does not reach a steady state — allocated pages
-// trending up, or freed pages never recycled into new splits — or if the
-// tree or its free-space map is ill-formed afterwards. This is the CI
-// guard for the steady-state property T17 (EXPERIMENTS.md) measured.
+// or the page file's slots trending up, or freed pages never recycled into
+// new splits — or if the tree or its free-space map is ill-formed
+// afterwards. The core leg inserts at the window's head and deletes at
+// its tail, with consolidation; the tsb leg puts a new version of every
+// key in the window, with version GC, which must free the history it
+// retires. This is the CI guard for the steady-state property T17
+// (EXPERIMENTS.md) measured.
+
+const (
+	churnWindow = 3000
+	churnTurns  = 5
+	churnSlack  = 8 // boundary wobble allowance, in pages
+)
+
 func runChurn() error {
-	const (
-		window = 3000
-		turns  = 5
-		slack  = 8 // boundary wobble allowance, in pages
-	)
+	for _, leg := range []struct {
+		name string
+		run  func() error
+	}{{"core", churnCore}, {"tsb", churnTSB}} {
+		fmt.Printf("%s leg\n", leg.name)
+		if err := leg.run(); err != nil {
+			return fmt.Errorf("%s leg: %w", leg.name, err)
+		}
+	}
+	fmt.Println("churn gate ok: stores bounded, pages recycled, trees and free maps well-formed")
+	return nil
+}
+
+func churnCore() error {
 	e := engine.New(engine.Options{})
 	b := core.Register(e.Reg, false)
 	st := e.AddStore(1, core.Codec{})
@@ -36,45 +58,126 @@ func runChurn() error {
 	}
 	defer tree.Close()
 
-	for k := 0; k < window; k++ {
+	for k := 0; k < churnWindow; k++ {
 		if err := tree.Insert(nil, keys.Uint64(uint64(k)), []byte("c")); err != nil {
 			return err
 		}
 	}
 	tree.DrainCompletions()
 
-	var first int64
-	head := uint64(window)
-	for c := 0; c < turns; c++ {
-		for i := 0; i < window; i++ {
+	p := plateau{e: e, st: st}
+	head := uint64(churnWindow)
+	for c := 1; c <= churnTurns; c++ {
+		for i := 0; i < churnWindow; i++ {
 			if err := tree.Insert(nil, keys.Uint64(head), []byte("c")); err != nil {
 				return err
 			}
-			if err := tree.Delete(nil, keys.Uint64(head-window)); err != nil {
+			if err := tree.Delete(nil, keys.Uint64(head-churnWindow)); err != nil {
 				return err
 			}
 			head++
 		}
 		tree.DrainCompletions()
-		alloc, err := st.AllocatedPages()
-		if err != nil {
+		if err := p.check(c); err != nil {
 			return err
 		}
-		if c == 0 {
-			first = alloc
-		} else if alloc > first+slack {
-			return fmt.Errorf("store grows under churn: %d pages after turnover 1, %d after turnover %d", first, alloc, c+1)
-		}
-		fmt.Printf("  turnover %d: %d allocated pages (recycled %d, freed %d)\n",
-			c+1, alloc, st.Space.Recycled.Load(), st.Space.Freed.Load())
 	}
-
-	if st.Space.Recycled.Load() == 0 {
-		return fmt.Errorf("no pages recycled despite %d freed", st.Space.Freed.Load())
+	if err := p.recycled(); err != nil {
+		return err
 	}
 	if _, err := tree.Verify(); err != nil {
 		return fmt.Errorf("tree ill-formed after churn: %w", err)
 	}
-	fmt.Println("churn gate ok: store bounded, pages recycled, tree and free map well-formed")
+	return nil
+}
+
+func churnTSB() error {
+	e := engine.New(engine.Options{})
+	b := tsb.Register(e.Reg)
+	st := e.AddStore(1, tsb.Codec{})
+	tree, err := tsb.Create(st, e.TM, e.Locks, b, "churn", tsb.Options{GC: true, SyncCompletion: true})
+	if err != nil {
+		return err
+	}
+	defer tree.Close()
+
+	put := func(turn int) error {
+		for k := 0; k < churnWindow; k++ {
+			if err := tree.Put(nil, keys.Uint64(uint64(k)), fmt.Appendf(nil, "v%d", turn)); err != nil {
+				return err
+			}
+		}
+		tree.DrainCompletions()
+		return nil
+	}
+	// The load leaves its nodes half full, so the second version of
+	// every key fits beside the first: history, and with it GC, starts
+	// with the third. The gate measures from there.
+	for c := -1; c <= 0; c++ {
+		if err := put(c); err != nil {
+			return err
+		}
+	}
+	p := plateau{e: e, st: st}
+	for c := 1; c <= churnTurns; c++ {
+		if err := put(c); err != nil {
+			return err
+		}
+		if err := p.check(c); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("  gc: %d nodes retired, %d pages freed, tails kept: %d shared edge, %d term\n",
+		tree.Stats.GCRetiredNodes.Load(), tree.Stats.GCFreedPages.Load(),
+		tree.Stats.GCSharedSkips.Load(), tree.Stats.GCTermSkips.Load())
+	if err := p.recycled(); err != nil {
+		return err
+	}
+	if _, err := tree.Verify(); err != nil {
+		return fmt.Errorf("tree ill-formed after churn: %w", err)
+	}
+	return nil
+}
+
+// plateau holds a store to its size after the first turnover: allocated
+// pages and page ids in use (the high-water mark) within churnSlack of
+// theirs, and the page file's slots within the file's own bound
+// (ids + ids/8 + 64) for that many ids.
+type plateau struct {
+	e          *engine.Engine
+	st         *storage.Store
+	pages, ids int64
+}
+
+// check flushes the pool, so the page file holds every page, and
+// compares the store with its size after turnover 1.
+func (p *plateau) check(turn int) error {
+	if _, err := p.e.FlushAll(); err != nil {
+		return err
+	}
+	sp, err := p.st.SpaceStats()
+	if err != nil {
+		return err
+	}
+	ids := int64(sp.Next) - 1
+	alloc := ids - int64(sp.FreeLen)
+	_, disks := p.e.FileStats()
+	slots := disks[p.st.Pool.StoreID].Slots
+	if turn == 1 {
+		p.pages, p.ids = alloc, ids
+	}
+	if n := p.ids + churnSlack; alloc > p.pages+churnSlack || ids > n || slots > n+n/8+64 {
+		return fmt.Errorf("store grows under churn: %d pages of %d ids after turnover 1, %d pages of %d ids in %d slots after turnover %d",
+			p.pages, p.ids, alloc, ids, slots, turn)
+	}
+	fmt.Printf("  turnover %d: %d allocated pages of %d ids, %d slots (recycled %d, freed %d)\n",
+		turn, alloc, ids, slots, sp.Recycled, sp.Freed)
+	return nil
+}
+
+func (p *plateau) recycled() error {
+	if p.st.Space.Recycled.Load() == 0 {
+		return fmt.Errorf("no pages recycled despite %d freed", p.st.Space.Freed.Load())
+	}
 	return nil
 }

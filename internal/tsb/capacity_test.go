@@ -197,7 +197,7 @@ func checkSizes(t *testing.T, tree *Tree) {
 // clipping, root growths, version GC and page reclamation among them —
 // and checks every node's encoded size after each phase.
 func TestEncodedSizeExact(t *testing.T) {
-	fx := newFixture(t, Options{IndexCapacity: 4, SyncCompletion: true, GC: true, Reclaim: true})
+	fx := newFixture(t, Options{IndexCapacity: 4, SyncCompletion: true, GC: true})
 	rng := rand.New(rand.NewSource(34))
 	for phase := 0; phase < 4; phase++ {
 		for i := 0; i < 1500; i++ {

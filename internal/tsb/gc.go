@@ -6,12 +6,15 @@ package tsb
 // manager's visibility horizon (the oldest timestamp any live snapshot or
 // active transaction can still read) hold versions nobody can ever see
 // again. GC retires them IN PLACE: entries are cleared and the node is
-// marked Retired, but the page is never freed and its rectangle and
-// sibling pointers survive, so a stale traversal mid-flight through the
-// chain still lands on well-formed (empty) nodes — the CNS invariant is
-// preserved. The newest node of each reclaimed suffix also clears its own
-// history pointer, cutting the older retired nodes out of the chain; at
-// most one retired node stays linked per chain between passes.
+// marked Retired, its rectangle and sibling pointers kept, so every
+// retired node stays linked and a traversal mid-flight through the chain
+// still lands on a well-formed (empty) node. Then the pass reaps: the
+// page reaper (reclaim.go) cuts the chain's retired tail from its
+// referencer and frees the page, one tail at a time. Freed pages make
+// this the CP regime of §5.2.2, not CNS: history edges latch-couple
+// (pitree.Config.Couple), so a reader holding a referencer either passes
+// before the cut or finds the edge gone, and a pointer saved without a
+// latch is re-tested before it is trusted.
 //
 // Pin safety: a victim has TimeHigh <= horizon. A snapshot reader only
 // descends past a node when the newest sub-TimeLow version it carries is
@@ -80,7 +83,7 @@ func (g *gcSweep) LockName(int) lock.Name { return lock.Name{} }
 func (g *gcSweep) Emit() (bool, error) {
 	n, err := g.t.gcChain(g.head)
 	g.retired += n
-	if err == nil && g.t.opts.Reclaim {
+	if err == nil {
 		_, err = g.t.reclaimChain(g.head)
 	}
 	return err == nil, err
@@ -100,10 +103,10 @@ func (t *Tree) gcChain(head storage.PageID) (int, error) {
 		return 0, nil
 	}
 
-	// Phase 1: walk the chain newest-to-oldest (one S latch at a time;
-	// CNS makes the saved HistSib trustworthy) and collect the suffix of
-	// nodes whose whole time range is below the horizon. The current node
-	// (TimeHigh = NoEnd) is never a victim.
+	// Phase 1: walk the chain newest-to-oldest (coupled S latches; gcMu
+	// holds its interior still) and collect the suffix of nodes whose
+	// whole time range is below the horizon. The current node (TimeHigh =
+	// NoEnd) is never a victim.
 	var victims []gcVictim
 	err := t.histChain(head, func(r nref) {
 		if n := r.N; n.Rect.TimeHigh <= horizon {
@@ -115,20 +118,17 @@ func (t *Tree) gcChain(head storage.PageID) (int, error) {
 	}
 
 	// Phase 2: retire oldest-first so a crash mid-pass leaves a chain
-	// whose reclaimed tail is contiguous. Only the newest victim (index
-	// 0) unlinks: it is the one that stays reachable, and dropping its
-	// history pointer cuts the rest loose. Already-retired nodes (kept
-	// linked by an earlier pass) need no new action. Under Reclaim
-	// nothing unlinks here — retired nodes must stay reachable so the
-	// page reaper can walk to the tail and free it (the cut happens
-	// there, one tail at a time, with the page returned to the store).
+	// whose retired tail is contiguous. Already-retired nodes need no new
+	// action. Nothing unlinks here: retired nodes stay reachable so the
+	// reaper can walk to the tail and free it (the cut happens there, one
+	// tail at a time, with the page returned to the store).
 	retired := 0
 	for i := len(victims) - 1; i >= 0; i-- {
 		v := victims[i]
 		if v.retired {
 			continue
 		}
-		if err := t.retireNode(v, i == 0 && !t.opts.Reclaim); err != nil {
+		if err := t.retireNode(v); err != nil {
 			return retired, err
 		}
 		retired++
@@ -150,19 +150,19 @@ func endsKeyRange(n *Node, rect Rect) bool {
 // one atomic action holding all latches to commit. Clipped terms mean
 // several level-1 parents can reference the victim, so the removal walks
 // the key-sibling chain across the victim's key range.
-func (t *Tree) retireNode(v gcVictim, unlink bool) error {
+func (t *Tree) retireNode(v gcVictim) error {
 	return t.kern.RetryLoop(nil, func(o *opCtx) error {
 		first, err := t.descend(o, v.rect.KeyLow, NoEnd-1, 1, latch.U, false)
 		if err != nil {
 			return err
 		}
-		return o.Atomic(func(aa *txn.Txn) error { return t.retireIn(o, aa, &first, v, unlink) })
+		return o.Atomic(func(aa *txn.Txn) error { return t.retireIn(o, aa, &first, v) })
 	})
 }
 
 // retireIn is retireNode's action: first is the U-latched level-1 node on
 // the search path of the victim's low key.
-func (t *Tree) retireIn(o *opCtx, aa *txn.Txn, first *nref, v gcVictim, unlink bool) error {
+func (t *Tree) retireIn(o *opCtx, aa *txn.Txn, first *nref, v gcVictim) error {
 	node := first
 	o.Hold(node)
 	for {
@@ -200,7 +200,7 @@ func (t *Tree) retireIn(o *opCtx, aa *txn.Txn, first *nref, v gcVictim, unlink b
 		return nil
 	}
 	// The action's last record, and redo-only: see KindRetireNode.
-	aa.LogUpdate(vic.F, KindRetireNode, encRetire(unlink))
-	applyRetire(vic.N, unlink)
+	aa.LogUpdate(vic.F, KindRetireNode, encRetire())
+	applyRetire(vic.N, false)
 	return nil
 }

@@ -44,9 +44,10 @@ const (
 	KindRootGrow wal.Kind = 51
 	// KindRetireNode garbage-collects a historical node whose whole time
 	// range fell below the visibility horizon: entries are cleared and the
-	// node is marked Retired (the page is never freed — CNS). The payload
-	// optionally also clears the history side pointer, cutting the chain
-	// of already-retired older nodes loose when the suffix head retires.
+	// node is marked Retired; the page is freed later, once the node is
+	// its chain's tail (KindCutHist). The payload's flag, when set, also
+	// clears the history side pointer: the writer always logs it clear, and
+	// redo still honours a set one, which older logs of this format carry.
 	// Redo-only: the versions it destroys are below the visibility horizon
 	// and are not logged, so a retire that is rolled back — it is the last
 	// record of its action — leaves the node retired, under index terms
@@ -54,9 +55,9 @@ const (
 	// well-formed empty page).
 	KindRetireNode wal.Kind = 52
 	// KindCutHist unlinks a fully-retired history-chain tail from its sole
-	// referencer so the tail's page can be freed and recycled
-	// (Options.Reclaim): the logged node drops its history pointer and its
-	// shared-edge mark. The tail's de-allocation is meta-logged by the
+	// referencer so the tail's page can be freed and recycled (every
+	// version-GC pass reaps): the logged node drops its history pointer
+	// and its shared-edge mark. The tail's de-allocation is meta-logged by the
 	// store's free record inside the same atomic action; undo restores the
 	// logged header (and the meta undo un-frees the page).
 	KindCutHist wal.Kind = 53
@@ -189,11 +190,8 @@ func decVersionRef(b []byte) (keys.Key, uint64, error) {
 	return k, s, r.Err()
 }
 
-func encRetire(unlink bool) []byte {
-	var w enc.Writer
-	w.Bool(unlink)
-	return w.Bytes()
-}
+// encRetire is the retire payload: its unlink flag, always logged clear.
+func encRetire() []byte { return []byte{enc.Bit(false)} }
 
 func decRetire(b []byte) (unlink bool, err error) {
 	r := enc.NewReader(b)
@@ -203,9 +201,8 @@ func decRetire(b []byte) (unlink bool, err error) {
 
 // applyRetire garbage-collects a historical node in place: versions go,
 // the rectangle and sibling pointers stay so stale traversals still
-// navigate through it. unlink additionally drops the history pointer (the
-// retiring node is the newest of the reclaimed suffix; everything behind
-// it is already retired).
+// navigate through it. unlink, which only a replayed record can carry,
+// additionally drops the history pointer.
 func applyRetire(n *Node, unlink bool) {
 	n.recs = enc.Records{}
 	n.Retired = true

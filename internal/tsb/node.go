@@ -15,9 +15,10 @@
 //	 for not merely its current key space, but for the entire history of
 //	 this key space."
 //
-// Historical nodes never split again, so nodes are immortal and the CNS
-// invariant (§5.2.1) governs traversals: one latch at a time, trusted
-// saved state. Index terms carry child rectangles; index-node key splits
+// Historical nodes never split again. Version GC retires history nodes
+// below the visibility horizon and frees a chain's retired tail, so
+// history edges latch-couple (the CP invariant, §5.2.2); no other node is
+// ever freed. Index terms carry child rectangles; index-node key splits
 // may CLIP a wide historical term into both halves (§3.2.2), which is the
 // multi-parent machinery of the paper arising naturally.
 package tsb
@@ -142,11 +143,9 @@ type Node struct {
 	HistSib storage.PageID
 	// Retired marks a historical node whose versions were garbage
 	// collected: the node's entire time range fell below the visibility
-	// horizon. The page is never freed or reused (CNS: nodes are
-	// immortal, stale traversals may still arrive), but its entries are
-	// cleared; the rectangle and sibling pointers stay so the node
-	// remains navigable. Under Options.Reclaim, fully-unreferenced
-	// retired chain tails ARE eventually freed; see reclaim.go.
+	// horizon. Its entries are cleared; the rectangle and sibling
+	// pointers stay so the node remains navigable, and its page is freed
+	// once it is an unreferenced chain tail (reclaim.go).
 	Retired bool
 	// HistShared marks this node's history edge as possibly multi-
 	// referenced: a key split copies the history pointer into the new
@@ -154,7 +153,7 @@ type Node struct {
 	// sibling pointer"), after which two nodes reach the same chain. The
 	// mark rides the edge forward — a time split transfers it to the new
 	// history node along with the old pointer — and page reclamation
-	// (Options.Reclaim) refuses to free a tail whose incoming edge
+	// (reclaim.go) refuses to free a tail whose incoming edge
 	// carries it, since a second referencer may exist.
 	HistShared bool
 	// recs are the entries as the page image stores them, sorted by

@@ -1,19 +1,19 @@
 package tsb
 
-// Page reclamation for retired history-chain tails (Options.Reclaim).
+// Page reclamation for retired history-chain tails: the second half of
+// every version-GC pass.
 //
-// Version GC (gc.go) retires nodes in place but never frees them: under
-// pure CNS a stale traversal may still arrive at any saved pointer, so
-// pages are immortal. That leaks one page per retired node forever —
-// under sustained churn the store grows without bound even though the
-// live data is constant. Reclamation closes the loop: a retired node that
-// is the TAIL of its history chain, referenced by exactly one history
-// edge and by no level-1 index term, is unlinked from its referencer and
-// its page freed by pitree.Kernel.Absorb, which owns the rules every
-// tree's free shares. Traversals latch-couple history edges under Reclaim
-// (pitree.Step, carryRepair), so a reader either passes the referencer
-// before the cut — and then holds the victim's latch, which the X
-// acquisition waits out — or arrives after and finds the edge gone.
+// Version GC (gc.go) retires nodes in place; retiring alone would leak
+// one page per retired node forever — under sustained churn the store
+// would grow without bound even though the live data is constant. The
+// reaper closes the loop: a retired node that is the TAIL of its history
+// chain, referenced by exactly one history edge and by no level-1 index
+// term, is unlinked from its referencer and its page freed by
+// pitree.Kernel.Absorb, which owns the rules every tree's free shares.
+// Traversals latch-couple history edges (pitree.Step, carryRepair), so a
+// reader either passes the referencer before the cut — and then holds the
+// victim's latch, which the X acquisition waits out — or arrives after
+// and finds the edge gone.
 //
 // The tree's own conditions, each checked under latches:
 //
@@ -57,9 +57,6 @@ import (
 // with version GC: while the reaper runs, the only concurrent structure
 // change on the chain is a split of its current head.
 func (t *Tree) reclaimChain(head storage.PageID) (int, error) {
-	if !t.opts.Reclaim {
-		return 0, nil
-	}
 	t.gcMu.Lock()
 	defer t.gcMu.Unlock()
 	freed := 0
@@ -165,8 +162,7 @@ func (t *Tree) findTail(head storage.PageID) (prevPid, tailPid storage.PageID, r
 }
 
 // histChain hands fn each node of the history chain from head, newest
-// first, S-latched one at a time — coupled along the edge under Reclaim
-// (pitree.Kernel.Step).
+// first, S-latched and coupled along each edge (pitree.Kernel.Step).
 func (t *Tree) histChain(head storage.PageID, fn func(r nref)) error {
 	o := t.kern.NewOp(nil)
 	defer o.Done()

@@ -299,7 +299,6 @@ var slimCases = []slimCase{
 		name: "history cut", kind: KindCutHist,
 		run: func(t *testing.T, fail bool) (*fixture, uint64, map[string]string) {
 			opts := slimOpts()
-			opts.Reclaim = true
 			inj := fault.New(1)
 			fx := newFixture(t, opts)
 			fx.tree.store.Pool.SetInjector(inj)
@@ -514,7 +513,7 @@ func TestRetireRolledBackStaysRetired(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = o.Atomic(func(aa *txn.Txn) error {
-			if err := tr.retireIn(o, aa, &first, v, false); err != nil {
+			if err := tr.retireIn(o, aa, &first, v); err != nil {
 				return err
 			}
 			return errFailedByHand
@@ -594,7 +593,7 @@ func FuzzSlimPayloads(f *testing.F) {
 	n, in := randomDataNode(rng), randomIndexNode(rng, 1)
 	f.Add(encTimeSplit(9, 4, n))
 	f.Add(encKeySplit(keys.Uint64(300), 4, in, []storage.PageID{1001, 1002}))
-	f.Add(encRetire(true))
+	f.Add(encRetire())
 	f.Add(encUnsplit(n, n.recs.Slice(0, 2), nil))
 	f.Add(encUnsplit(in, in.recs.Slice(0, 1), []storage.PageID{1001}))
 	f.Add(encCutHist(n))

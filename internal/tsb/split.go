@@ -57,14 +57,12 @@ func (t *Tree) schedule(task postTask) {
 	}
 }
 
-// run dispatches one completing task: a GC chain sweep (plus page
-// reclamation when enabled) or a term posting.
+// run dispatches one completing task: a GC chain sweep (retire, then
+// free the retired tail) or a term posting.
 func (t *Tree) run(task postTask) {
 	if task.gcHead != storage.NilPage {
 		_, _ = t.gcChain(task.gcHead)
-		if t.opts.Reclaim {
-			_, _ = t.reclaimChain(task.gcHead)
-		}
+		_, _ = t.reclaimChain(task.gcHead)
 		return
 	}
 	// Completing actions are best-effort: the intermediate state is
@@ -269,7 +267,7 @@ func (p *termPost) Search(o *opCtx) (nref, error) {
 	return p.t.descend(o, p.task.rect.KeyLow, NoEnd-1, p.task.parentLevel, latch.U, false)
 }
 
-// Verify: under Reclaim the child may have been freed since the task was
+// Verify: version GC may have freed the child since the task was
 // scheduled, and its page handed to a new node, so the kernel re-tests it
 // latched (pitree.Kernel.Responsible): a term is posted only for the node
 // the task describes.

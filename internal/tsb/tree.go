@@ -41,17 +41,12 @@ type Options struct {
 	// GC enables background version garbage collection: every committed
 	// time split schedules a sweep of that leaf's history chain through
 	// the completion machinery, retiring nodes whose whole time range
-	// lies below the transaction manager's visibility horizon. RunGC
-	// sweeps the whole tree on demand regardless of this flag.
+	// lies below the transaction manager's visibility horizon and then
+	// freeing the pages of the chain's retired tail (reclaim.go), so
+	// sustained churn reaches a steady-state store size. RunGC sweeps the
+	// whole tree on demand, retiring and freeing alike, regardless of
+	// this flag.
 	GC bool
-	// Reclaim additionally frees the pages of fully-retired history-chain
-	// tails so sustained churn reaches a steady-state store size instead
-	// of growing without bound. It trades away part of the CNS latching
-	// economy: history-edge traversals (and the optimistic descent's final
-	// edge) latch-couple, because a saved pointer may now name a freed
-	// page. Retired non-tail nodes stay linked (gcChain stops unlinking)
-	// so the reaper can reach them; see reclaim.go for the full protocol.
-	Reclaim bool
 	// Governor, when non-nil, paces background chain maintenance (GC
 	// sweeps and page reclamation) through the shared maintenance budget;
 	// a nil governor admits immediately.
@@ -122,7 +117,7 @@ type Stats struct {
 	GCReclaimedVersions atomic.Int64
 	GCRemovedTerms      atomic.Int64
 
-	// Page-reclamation counters (Options.Reclaim). GCFreedPages counts
+	// Page-reclamation counters (reclaim.go). GCFreedPages counts
 	// chain tails whose pages were returned to the free-space map;
 	// GCSharedSkips, tails kept because their incoming edge is (possibly)
 	// multi-referenced; GCTermSkips, tails kept because a level-1 term
@@ -134,9 +129,9 @@ type Stats struct {
 	GCDeferredFrees atomic.Int64
 }
 
-// Tree is one TSB tree. Because historical nodes never split and no node
-// is ever consolidated, the CNS invariant (§5.2.1) holds: traversals hold
-// one latch at a time and saved state is trusted.
+// Tree is one TSB tree. Historical nodes never split, and the only node
+// ever freed is a retired history-chain tail (reclaim.go); because one can
+// be, latched edges couple (§5.2.2, the CP invariant).
 type Tree struct {
 	Name string
 
@@ -348,14 +343,13 @@ func (t *Tree) start(root storage.PageID) {
 		Store: t.store,
 		TM:    t.tm,
 		Root:  root,
-		// Without reclamation nodes are immortal (CNS) and a saved pointer
-		// always names a live node. With it the target of a history edge may
-		// have been freed — and its page recycled — so edges couple: the
-		// reaper removes a page's last reference under the referencer's X
-		// latch before freeing, and a reader holding the source while
-		// acquiring the target either passes before the cut or finds the
-		// edge already gone.
-		Couple:              t.opts.Reclaim,
+		// Version GC frees retired history tails, so the target of a
+		// history edge may have been freed — and its page recycled — and
+		// edges couple (CP): the reaper removes a page's last reference
+		// under the referencer's X latch before freeing, and a reader
+		// holding the source while acquiring the target either passes
+		// before the cut or finds the edge already gone.
+		Couple:              true,
 		Pessimistic:         t.opts.PessimisticDescent,
 		Tasks:               t.comp,
 		Deferred:            &t.Stats.GCDeferredFrees,
@@ -586,9 +580,9 @@ func (t *Tree) logicalUndoPut(rec *wal.Record, tx storage.CLRLogger, e Entry) er
 // the same stop rules snapshot reads use; chain nodes are latched S in
 // newer→older order while cur stays held — the acquisition order every
 // chain walker follows, so ranks ascend and no cycle can form. The walk
-// latch-couples (each node held until its successor is latched): under
-// Options.Reclaim a saved chain pointer may name a freed page, and the
-// coupling is what serializes against the reaper's edge cut. An
+// latch-couples (each node held until its successor is latched): version
+// GC frees retired tails, so a saved chain pointer may name a freed page,
+// and the coupling is what serializes against the reaper's edge cut. An
 // empty group or an all-at-or-above-TimeLow group in a chain node ends
 // the walk: by induction that node's carryover proves nothing older
 // exists (a retired node reads as empty, which is sound — retirement

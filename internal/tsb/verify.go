@@ -6,6 +6,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/pitree"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 // Shape summarizes a verified TSB tree.
@@ -34,9 +35,14 @@ type Shape struct {
 //   - each current node's history chain partitions its past time range:
 //     each history node ends where the next newer node begins, with a key
 //     range that contains that node's (key ranges only shrink going
-//     forward in time).
+//     forward in time);
+//   - a current node has history back to time 0 unless its time low is at
+//     or below the visibility horizon: version GC frees a chain's tail
+//     only below the horizon, which never moves back within a run. Across
+//     a restart it can (DESIGN.md §20), but never below the recovered
+//     clock high water, which is above every surviving free.
 func (t *Tree) Verify() (Shape, error) {
-	c := &checker{reclaim: t.opts.Reclaim, spans: make(map[storage.PageID]pitree.Span)}
+	c := &checker{tm: t.tm, spans: make(map[storage.PageID]pitree.Span)}
 	err := t.kern.Verify(c)
 	return c.shape, err
 }
@@ -46,7 +52,7 @@ func (t *Tree) Verify() (Shape, error) {
 // leftmost and the count of them (level 0: current data nodes only), for
 // the key chains.
 type checker struct {
-	reclaim  bool
+	tm       *txn.Manager
 	shape    Shape
 	spans    map[storage.PageID]pitree.Span
 	leftmost []storage.PageID
@@ -75,9 +81,9 @@ func (c *checker) Node(r nref) error {
 			c.shape.HistoryNodes++
 			return nil
 		}
-		// Reclamation frees fully-retired chain tails, so under it a
-		// truncated (even empty) history chain is legitimate.
-		if n.HistSib == storage.NilPage && rect.TimeLow != 0 && !c.reclaim {
+		// GC frees retired chain tails, so a current node may have lost
+		// its whole history — but only history below the horizon.
+		if n.HistSib == storage.NilPage && rect.TimeLow > max(c.tm.VisibilityHorizon(), c.tm.RecoveredClockHW()) {
 			return fmt.Errorf("current node %d has time low %d but no history", pid, rect.TimeLow)
 		}
 		c.shape.CurrentNodes++

@@ -6,6 +6,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/latch"
 	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // TestVerifyRejectsCorruption: one corruption per class of §2.1.3's
@@ -100,6 +101,23 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 				n.Rect.KeyHigh = keys.At(append(keys.Clone(n.keyAt(n.Len()-1)), 0))
 			})
 		}},
+		{"history cut above the horizon", func(t *testing.T, fx *fixture, _ storage.PageID, chain []storage.PageID) {
+			// A snapshot taken before the node's next time split holds the
+			// horizon below the node's new time low: GC can never have
+			// freed the history behind it.
+			snap := fx.e.BeginSnapshot()
+			t.Cleanup(snap.Release)
+			pin := fx.tree.Now()
+			churn(t, fx, 40, 6, 9)
+			fx.tree.DrainCompletions()
+			for pid := chain[0]; pid != storage.NilPage; pid = readNode(t, fx, pid).KeySib {
+				if readNode(t, fx, pid).Rect.TimeLow > pin {
+					corruptNode(t, fx, pid, func(n *Node) { n.HistSib = storage.NilPage })
+					return
+				}
+			}
+			t.Fatal("no current node time-split after the snapshot")
+		}},
 		{"history chain does not partition the past", func(t *testing.T, fx *fixture, _ storage.PageID, chain []storage.PageID) {
 			for _, pid := range chain {
 				if h := readNode(t, fx, pid).HistSib; h != storage.NilPage {
@@ -126,6 +144,51 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 			t.Log(err)
 		})
 	}
+}
+
+// TestTruncatedHistoryVerifiesAfterRestart: GC frees a current node's
+// whole history — its time low above 0, its history pointer nil — which
+// Verify accepts because the time low is at or below the visibility
+// horizon. After a crash the recovered clock high water is above the
+// commit stamp of every surviving cut, so Verify still accepts it, also
+// while a restart's adopted loser (begun, as far as restart knows, at
+// clock 0) holds the horizon at 0.
+func TestTruncatedHistoryVerifiesAfterRestart(t *testing.T) {
+	truncated := func(fx *fixture) (n int) {
+		err := fx.tree.kern.Walk(0, func(r nref) error {
+			if r.N.Current() && r.N.Rect.TimeLow != 0 && r.N.HistSib == storage.NilPage {
+				n++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	fx := newFixture(t, smallOpts())
+	churn(t, fx, 40, 0, 20)
+	fx.tree.DrainCompletions()
+	if _, err := fx.tree.RunGC(); err != nil {
+		t.Fatal(err)
+	}
+	if truncated(fx) == 0 {
+		t.Fatal("GC truncated no history chain: the check was not exercised")
+	}
+	fx.mustVerify(t)
+	if err := fx.e.Log.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
+	fx2 := fx.crashRestart(t)
+	if truncated(fx2) == 0 {
+		t.Fatal("restart restored every history chain")
+	}
+	fx2.mustVerify(t)
+	fx2.e.TM.Adopt(1<<40, false, wal.NilLSN)
+	if h := fx2.e.TM.VisibilityHorizon(); h != 0 {
+		t.Fatalf("horizon %d with a loser adopted", h)
+	}
+	fx2.mustVerify(t)
 }
 
 // readNode returns pid's buffered node (quiescent helper).
