@@ -194,7 +194,8 @@ realcrash:
 ## over repeatedly must leave the store size flat with pages recycled.
 ## Two legs: core (insert at the window's head, delete at its tail, with
 ## consolidation) and tsb at GC on (a new version of every key per
-## turnover; GC must free the history it retires). The plateau bound,
+## turnover: with snapshots pinned GC must free the history it retires;
+## unpinned, full nodes prune and no history node may exist). The plateau bound,
 ## against the store after turnover 1: allocated pages and page ids in
 ## use each within 8, and the page file's slots within ids + ids/8 + 64
 ## for those ids plus 8 (the file's own spare-slot bound).

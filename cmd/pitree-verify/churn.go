@@ -9,6 +9,7 @@ import (
 	"repro/internal/maint"
 	"repro/internal/storage"
 	"repro/internal/tsb"
+	"repro/internal/txn"
 )
 
 // The sustained-churn gate: each leg turns a rolling window (a constant
@@ -18,9 +19,10 @@ import (
 // new splits — or if the tree or its free-space map is ill-formed
 // afterwards. The core leg inserts at the window's head and deletes at
 // its tail, with consolidation; the tsb leg puts a new version of every
-// key in the window, with version GC, which must free the history it
-// retires. This is the CI guard for the steady-state property T17
-// (EXPERIMENTS.md) measured.
+// key in the window, with version GC, twice: with snapshots pinned, GC
+// must free the history it retires, and unpinned, full nodes prune and
+// make no history at all. This is the CI guard for the steady-state
+// property T17 (EXPERIMENTS.md) measured.
 
 const (
 	churnWindow = 3000
@@ -92,6 +94,23 @@ func churnCore() error {
 }
 
 func churnTSB() error {
+	for _, pinned := range []bool{true, false} {
+		if err := churnTSBPass(pinned); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// churnTSBPass runs the tsb leg once. Pinned, every turnover holds a
+// snapshot taken at its start until the end of the next, so the versions
+// of the last two turnovers are above the visibility horizon: nodes fill
+// with versions a reader may still need and time-split, and GC retires and
+// frees the history that falls below the next pin. Unpinned, a full node
+// drops the versions no reader can see (a prune) instead, so the store
+// stays flat with no history at all.
+func churnTSBPass(pinned bool) error {
+	fmt.Printf("  pinned %v\n", pinned)
 	e := engine.New(engine.Options{})
 	b := tsb.Register(e.Reg)
 	st := e.AddStore(1, tsb.Codec{})
@@ -101,19 +120,30 @@ func churnTSB() error {
 	}
 	defer tree.Close()
 
+	var held *txn.Snapshot
 	put := func(turn int) error {
+		var snap *txn.Snapshot
+		if pinned {
+			snap = e.BeginSnapshot()
+		}
 		for k := 0; k < churnWindow; k++ {
 			if err := tree.Put(nil, keys.Uint64(uint64(k)), fmt.Appendf(nil, "v%d", turn)); err != nil {
 				return err
 			}
 		}
+		if held != nil {
+			held.Release()
+		}
+		held = snap
 		tree.DrainCompletions()
 		return nil
 	}
 	// The load leaves its nodes half full, so the second version of
 	// every key fits beside the first: history, and with it GC, starts
-	// with the third. The gate measures from there.
-	for c := -1; c <= 0; c++ {
+	// with the third. Pinned, GC frees history two turnovers after it is
+	// made, so the store stops growing with the fifth. The gate measures
+	// from there.
+	for c := -3; c <= 0; c++ {
 		if err := put(c); err != nil {
 			return err
 		}
@@ -127,14 +157,24 @@ func churnTSB() error {
 			return err
 		}
 	}
-	fmt.Printf("  gc: %d nodes retired, %d pages freed, tails kept: %d shared edge, %d term\n",
+	if held != nil {
+		held.Release()
+	}
+	fmt.Printf("  gc: %d time splits, %d prunes, %d nodes retired, %d pages freed, tails kept: %d shared edge, %d term\n",
+		tree.Stats.TimeSplits.Load(), tree.Stats.Prunes.Load(),
 		tree.Stats.GCRetiredNodes.Load(), tree.Stats.GCFreedPages.Load(),
 		tree.Stats.GCSharedSkips.Load(), tree.Stats.GCTermSkips.Load())
-	if err := p.recycled(); err != nil {
-		return err
+	if pinned {
+		if err := p.recycled(); err != nil {
+			return err
+		}
 	}
-	if _, err := tree.Verify(); err != nil {
+	shape, err := tree.Verify()
+	if err != nil {
 		return fmt.Errorf("tree ill-formed after churn: %w", err)
+	}
+	if !pinned && shape.HistoryNodes != 0 {
+		return fmt.Errorf("%d history nodes after unpinned churn: a full node split by time though nothing pinned its versions", shape.HistoryNodes)
 	}
 	return nil
 }

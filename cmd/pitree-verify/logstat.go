@@ -37,7 +37,7 @@ var kindNames = map[wal.Kind]string{
 	tsb.KindPostKeyTerm: "tsb.PostKeyTerm", tsb.KindRemoveKeyTerm: "tsb.RemoveKeyTerm",
 	tsb.KindIndexKeySplit: "tsb.IndexKeySplit", tsb.KindRootGrow: "tsb.RootGrow",
 	tsb.KindRetireNode: "tsb.RetireNode", tsb.KindCutHist: "tsb.CutHist",
-	tsb.KindUnsplit: "tsb.Unsplit",
+	tsb.KindUnsplit: "tsb.Unsplit", tsb.KindPrune: "tsb.Prune",
 
 	spatial.KindFormat: "spatial.Format", spatial.KindRestore: "spatial.Restore",
 	spatial.KindSplitOff: "spatial.SplitOff", spatial.KindInsertPoint: "spatial.InsertPoint",

@@ -11,8 +11,10 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -22,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
+	"repro/internal/fsys"
 	"repro/internal/keys"
 	"repro/internal/maint"
 	"repro/internal/pitree"
@@ -376,9 +379,15 @@ func tortureMenu() []menuEntry {
 }
 
 // roundCounts is what a round's pools did with dirty victims — pages an
-// eviction dropped unwritten, and fetches that replayed one — and, on a
-// torture round, how often its armed failpoint fired.
-type roundCounts struct{ elisions, replays, trips int64 }
+// eviction dropped unwritten, and fetches that replayed one — on a
+// torture round, how often its armed failpoint fired, and on a tsb round
+// what its trees did with full nodes and retired history: time splits,
+// prunes and GC's page frees.
+type roundCounts struct {
+	elisions, replays, trips    int64
+	tsb                         bool
+	timeSplits, prunes, gcFrees int64
+}
 
 func (c *roundCounts) add(pools []*storage.Pool) {
 	for _, p := range pools {
@@ -388,8 +397,23 @@ func (c *roundCounts) add(pools []*storage.Pool) {
 	}
 }
 
+// addTree adds a tsb tree's structure counters; other trees have none.
+func (c *roundCounts) addTree(t tortTree) {
+	if tt, ok := t.(tsbTort); ok {
+		s := &tt.t.Stats
+		c.tsb = true
+		c.timeSplits += s.TimeSplits.Load()
+		c.prunes += s.Prunes.Load()
+		c.gcFrees += s.GCFreedPages.Load()
+	}
+}
+
 func (c roundCounts) String() string {
-	return fmt.Sprintf("elisions=%d replays=%d", c.elisions, c.replays)
+	out := fmt.Sprintf("elisions=%d replays=%d", c.elisions, c.replays)
+	if c.tsb {
+		out += fmt.Sprintf(" time_splits=%d prunes=%d gc_frees=%d", c.timeSplits, c.prunes, c.gcFrees)
+	}
+	return out
 }
 
 // errNoElision fails a run none of whose rounds dropped a dirty page
@@ -623,8 +647,8 @@ func runTorture(cfg tortureConfig) error {
 			c.trips += counts.trips
 		}
 		if err != nil {
-			return fmt.Errorf("round %d (tree=%s fault=%s workers=%d %v seed=%d): %w\nreproduce with: pitree-verify -torture -seed %d -rounds %d",
-				round, kind.name, entry.name, recWorkers, draws.label(kind.name), seed, err, cfg.seed, round+1)
+			return fmt.Errorf("round %d (tree=%s fault=%s workers=%d %v seed=%d %v): %w\nreproduce with: pitree-verify -torture -seed %d -rounds %d",
+				round, kind.name, entry.name, recWorkers, draws.label(kind.name), seed, counts, err, cfg.seed, round+1)
 		}
 		total.elisions += counts.elisions
 		total.replays += counts.replays
@@ -636,6 +660,53 @@ func runTorture(cfg tortureConfig) error {
 	}
 	fmt.Println("all torture rounds verified: committed data durable, no ghosts, trees well-formed")
 	return nil
+}
+
+// imageDirs are the directories of an engine's files: the page files at
+// its root, the log segments in wal.
+var imageDirs = []string{".", "wal"}
+
+// copyImage copies the engine files under from in src to under to in dst.
+func copyImage(src fsys.FS, from string, dst fsys.FS, to string) error {
+	for _, sub := range imageDirs {
+		names, err := src.ReadDir(filepath.Join(from, sub))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		} else if err != nil {
+			return err
+		}
+		if err := dst.MkdirAll(filepath.Join(to, sub)); err != nil {
+			return err
+		}
+		for _, name := range names {
+			b, err := fsys.ReadFile(src, filepath.Join(from, sub, name))
+			if err != nil {
+				return err
+			}
+			if err := fsys.WriteFile(dst, filepath.Join(to, sub, name), b); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// withCrashImage saves a failed round's crash image — the files its
+// restart began from — to a new directory and appends its path to err,
+// for -logstat and -pagestat to read.
+func withCrashImage(err error, img fsys.FS) error {
+	if err == nil || img == nil {
+		return err
+	}
+	dir, derr := os.MkdirTemp("", "pitree-tort-crash-*")
+	if derr == nil {
+		derr = copyImage(img, ".", fsys.OS, dir)
+	}
+	if derr != nil {
+		return fmt.Errorf("%w\ncrash image not saved: %v", err, derr)
+	}
+	return fmt.Errorf("%w\ncrash image saved in %s (pitree-verify -logstat %s, -pagestat %s)",
+		err, dir, filepath.Join(dir, "wal"), filepath.Join(dir, fmt.Sprintf("store-%d.pages", tortureStoreID)))
 }
 
 // withPageFiles appends to a failed round's error each page file's slot
@@ -861,12 +932,14 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 	// TSB node can outgrow its 4 KiB page slots, and a bounded restart
 	// would have to write such a node back.
 	counts.add(e.Pools())
+	counts.addTree(tree)
 	ropts := engine.Options{PageOriented: cfg.pageOriented, RecoveryWorkers: recWorkers}
 	if !entry.atClose {
 		ropts.PoolCapacity = eopts.PoolCapacity
 	}
 	var e2 *engine.Engine
-	defer func() { err = withPageFiles(err, e2) }()
+	var crashImage fsys.FS
+	defer func() { err = withCrashImage(withPageFiles(err, e2), crashImage) }()
 	var restartStart time.Time
 	if entry.atClose {
 		// The shutdown is the crash site. A Close cut short by the fault
@@ -874,6 +947,11 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 		inj.Arm(entry.point, spec)
 		tree.close()
 		_ = e.Close()
+		mem := fsys.NewMem()
+		if err := copyImage(fsys.OS, eopts.DataDir, mem, "."); err != nil {
+			return 0, counts, fmt.Errorf("copy the crash image: %v", err)
+		}
+		crashImage = mem
 		restartStart = time.Now()
 		ropts.DataDir = eopts.DataDir
 		if e2, _, err = engine.Open(ropts); err != nil {
@@ -893,6 +971,7 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 			p.StopPrefetch()
 		}
 		img := e.Crash(nil)
+		crashImage = img.FS
 		restartStart = time.Now()
 		e2 = engine.Restarted(img, ropts)
 	}
@@ -922,6 +1001,7 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 	}
 	restart = time.Since(restartStart)
 	counts.add(e2.Pools())
+	counts.addTree(tree2)
 
 	if err := tree2.verify(); err != nil {
 		return 0, counts, fmt.Errorf("tree ill-formed after recovery: %v\ntrips: %v", err, inj.Trips())

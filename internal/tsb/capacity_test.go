@@ -194,13 +194,21 @@ func checkSizes(t *testing.T, tree *Tree) {
 
 // TestEncodedSizeExact runs seeded puts and tombstones of values of every
 // length up to 600 bytes — time and key splits, index splits with
-// clipping, root growths, version GC and page reclamation among them —
-// and checks every node's encoded size after each phase.
+// clipping, root growths, prunes, version GC and page reclamation among
+// them — and checks every node's encoded size after each phase. Snapshots
+// pinned across the first three phases keep full nodes time-splitting.
 func TestEncodedSizeExact(t *testing.T) {
 	fx := newFixture(t, Options{IndexCapacity: 4, SyncCompletion: true, GC: true})
 	rng := rand.New(rand.NewSource(34))
+	p := pins{e: fx.e}
 	for phase := 0; phase < 4; phase++ {
 		for i := 0; i < 1500; i++ {
+			switch {
+			case phase < 3 && i%500 == 0:
+				p.rotate()
+			case phase == 3 && i == 0:
+				p.release()
+			}
 			k := keys.Uint64(uint64(rng.Intn(300)))
 			var err error
 			if rng.Intn(5) == 0 {

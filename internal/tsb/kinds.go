@@ -66,6 +66,13 @@ const (
 	// bounds, marks — to the logged one, re-adds the entries that left, and
 	// clears the clipped marks the split set.
 	KindUnsplit wal.Kind = 54
+	// KindPrune drops from a current data node the versions a later
+	// version of their key starting below the payload's horizon supersedes
+	// (applyTimeSplit's alive-at-ts test at ts = the horizon), touching no
+	// header field. Redo-only, like KindRetireNode: no reader can see a
+	// dropped version (DESIGN.md §21), so a rolled-back prune — its
+	// action's only record — leaves the node pruned.
+	KindPrune wal.Kind = 55
 )
 
 // --- payload codecs --------------------------------------------------------
@@ -211,6 +218,18 @@ func applyRetire(n *Node, unlink bool) {
 	}
 }
 
+// encPrune is the prune payload: the visibility horizon it pruned at.
+func encPrune(horizon uint64) []byte {
+	var w enc.Writer
+	w.U64(horizon)
+	return w.Bytes()
+}
+
+func decPrune(b []byte) (uint64, error) {
+	r := enc.NewReader(b)
+	return r.U64(), r.Err()
+}
+
 // cutHist payload: the node's header as it was.
 func encCutHist(old *Node) []byte {
 	var w enc.Writer
@@ -248,16 +267,37 @@ var nodeKinds = pitree.NodeKinds[*Node]{
 // moved to the new history node (splitData builds its image that way), so
 // the current node's new edge to it is fresh and single-referenced.
 func applyTimeSplit(n *Node, ts uint64, hist storage.PageID) {
-	// Below ts a version stays iff it is alive at ts: no later version of
-	// the same key with Start < ts, i.e. it is the last version of its key
-	// below ts. Entries are sorted by (Key, Start).
-	n.recs = n.pick(func(i int) bool {
-		return n.startAt(i) >= ts || i+1 >= n.Len() ||
-			!keys.Equal(n.keyAt(i+1), n.keyAt(i)) || n.startAt(i+1) >= ts
-	})
+	n.recs = n.pick(func(i int) bool { return aliveAt(n, i, ts) })
 	n.Rect.TimeLow = ts
 	n.HistSib = hist
 	n.HistShared = false
+}
+
+// aliveAt reports whether the version at i of a data node starts at or
+// after ts or is alive at ts. Below ts a version is alive iff no later
+// version of the same key has Start < ts, i.e. it is the last version of
+// its key below ts. Entries are sorted by (Key, Start).
+func aliveAt(n *Node, i int, ts uint64) bool {
+	return n.startAt(i) >= ts || i+1 >= n.Len() ||
+		!keys.Equal(n.keyAt(i+1), n.keyAt(i)) || n.startAt(i+1) >= ts
+}
+
+// prunable counts the versions of a data node a prune at horizon drops.
+func prunable(n *Node, horizon uint64) (dead int) {
+	for i := 0; i < n.Len(); i++ {
+		if !aliveAt(n, i, horizon) {
+			dead++
+		}
+	}
+	return dead
+}
+
+// applyPrune keeps the versions alive at horizon and every later one, the
+// header as it is, and returns how many it dropped.
+func applyPrune(n *Node, horizon uint64) int {
+	before := n.Len()
+	n.recs = n.pick(func(i int) bool { return aliveAt(n, i, horizon) })
+	return before - n.Len()
 }
 
 // historyContents returns the versions the new history node receives:
@@ -532,6 +572,16 @@ func Register(reg *storage.Registry) *Binding {
 			return nil
 		}),
 		// Redo-only; see KindRetireNode.
+	})
+	reg.Register(KindPrune, storage.Handler{
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
+			horizon, err := decPrune(rec.Payload)
+			if err == nil {
+				applyPrune(n, horizon)
+			}
+			return err
+		}),
+		// Redo-only; see KindPrune.
 	})
 	reg.Register(KindCutHist, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {

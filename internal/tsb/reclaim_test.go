@@ -280,7 +280,9 @@ func TestReclaimCrashDuringCut(t *testing.T) {
 }
 
 // TestReclaimBackgroundGC: with GC on, the completion machinery frees
-// pages with no RunGC call, under concurrent writers.
+// pages with no RunGC call, under concurrent writers. Each writer pins
+// snapshots across its first 40 rounds, so that full nodes time-split
+// rather than prune and make history for GC to free.
 func TestReclaimBackgroundGC(t *testing.T) {
 	opts := smallOpts()
 	opts.GC = true
@@ -292,7 +294,15 @@ func TestReclaimBackgroundGC(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			p := pins{e: fx.e}
+			defer p.release()
 			for round := 0; round < 60; round++ {
+				switch {
+				case round < 40 && round%8 == 0:
+					p.rotate()
+				case round == 40:
+					p.release()
+				}
 				for i := 0; i < n; i++ {
 					k := uint64(w*n + i)
 					if err := fx.tree.Put(nil, keys.Uint64(k), []byte(fmt.Sprintf("w%dr%d", w, round))); err != nil {

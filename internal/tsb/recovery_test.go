@@ -102,3 +102,57 @@ func TestTSBCrashMatrix(t *testing.T) {
 		tree2.Close()
 	}
 }
+
+// TestRecarrySurvivesCrashMidRollback: a rollback that removes a version
+// a time split carried into the current node re-carries its committed
+// predecessor there, with a second CLR. A crash between the two CLRs must
+// not lose the predecessor: the restart re-runs the undo of that put. With
+// the removal logged first, the re-run found the version already gone,
+// never re-carried, and the key read as absent (the torture's "snapshot
+// durability violation: snap key 4 = "" ok=false, committed "s1"").
+func TestRecarrySurvivesCrashMidRollback(t *testing.T) {
+	fx := newFixture(t, smallOpts())
+	tree := fx.tree
+	k := keys.Uint64(5)
+	if err := tree.Put(nil, k, []byte("pred")); err != nil {
+		t.Fatal(err)
+	}
+	doomed := fx.e.TM.Begin()
+	if err := tree.Put(doomed, k, []byte("d")); err != nil {
+		t.Fatal(err)
+	}
+	put := tree.Now()
+	for i := 0; ; i++ {
+		if _, timeLow := currentLeaf(t, tree, k); timeLow > put {
+			break // the doomed version is carried
+		}
+		if i > 1000 {
+			t.Fatal("the filler never time-split the doomed version's node")
+		}
+		if err := tree.Put(nil, keys.Uint64(uint64(i%4)), []byte("filler")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := doomed.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	fx.e.Log.ForceAll()
+	// The rollback's first two CLRs are the removal and the re-carry in
+	// the current node; the crash keeps the first.
+	var clrs []wal.Record
+	fx.e.Log.FullImage().Scan(wal.NilLSN, func(r wal.Record) bool {
+		if r.Type == wal.RecCLR && r.TxnID == doomed.ID {
+			clrs = append(clrs, r)
+		}
+		return len(clrs) < 2
+	})
+	if len(clrs) < 2 || clrs[0].PageID != clrs[1].PageID || clrs[0].Kind == clrs[1].Kind {
+		t.Fatalf("the rollback did not re-carry: first CLRs %v", clrs)
+	}
+	cut := clrs[1].LSN
+	fx2 := fx.restartFrom(t, fx.e.Crash(&cut))
+	fx2.mustVerify(t)
+	if v, ok, err := fx2.tree.Get(nil, k); err != nil || !ok || string(v) != "pred" {
+		t.Fatalf("after restart: %q found=%v err=%v; want the committed predecessor", v, ok, err)
+	}
+}

@@ -232,6 +232,33 @@ func (fx *fixture) failedSplit(t *testing.T, key uint64, timeSplit bool) {
 	}
 }
 
+// failedPrune prunes key's full data node at the visibility horizon as
+// prune does, but fails the action once the prune is logged and applied.
+func (fx *fixture) failedPrune(t *testing.T, key uint64) {
+	t.Helper()
+	tr := fx.tree
+	o := tr.kern.NewOp(nil)
+	defer o.Done()
+	leaf, err := tr.descend(o, keys.Uint64(key), NoEnd-1, 0, latch.U, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tr.tm.VisibilityHorizon()
+	if prunable(leaf.N, h) == 0 {
+		t.Fatal("the node holds nothing to prune")
+	}
+	o.Promote(&leaf)
+	err = o.Atomic(func(aa *txn.Txn) error {
+		o.Hold(&leaf)
+		aa.LogUpdate(leaf.F, KindPrune, encPrune(h))
+		applyPrune(leaf.N, h)
+		return errFailedByHand
+	})
+	if err != errFailedByHand {
+		t.Fatal(err)
+	}
+}
+
 // slimCase drives one structure change of a kind. run builds a tree and
 // performs the change as its last logged action — with fail set: as an
 // action that fails after logging it, and is rolled back at run time — and
@@ -293,6 +320,29 @@ var slimCases = []slimCase{
 		name: "root growth", kind: KindRootGrow,
 		run: func(t *testing.T, fail bool) (*fixture, uint64, map[string]string) {
 			return postingCase(t, fail, func(s *Stats) int64 { return s.RootGrowths.Load() }, func(*fixture) {})
+		},
+	},
+	{
+		name: "prune", kind: KindPrune,
+		run: func(t *testing.T, fail bool) (*fixture, uint64, map[string]string) {
+			opts := slimOpts()
+			opts.GC = true
+			fx := newFixture(t, opts)
+			// Two keys, rewritten until their full node prunes.
+			var want map[string]string
+			for round := 0; fx.tree.Stats.Prunes.Load() == 0; round++ {
+				want = fx.reads(t, 2, nil)
+				if fail && round == 2 { // four versions: the node is full
+					fx.failedPrune(t, 0)
+					break
+				}
+				for k := uint64(0); k < 2; k++ {
+					if err := fx.tree.Put(nil, keys.Uint64(k), []byte(sval(k, round))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return fx, 2, want
 		},
 	},
 	{
@@ -555,18 +605,24 @@ func TestRetireRolledBackStaysRetired(t *testing.T) {
 // pre-image — reaches 512 bytes. A node pre-image would be some 10 KiB.
 func TestStructureRecordsStaySmall(t *testing.T) {
 	opts := smallOpts()
-	opts.DataCapacity, opts.IndexCapacity = 64, 64
+	opts.DataCapacity, opts.IndexCapacity, opts.GC = 64, 64, true
 	fx := newFixture(t, opts)
 	value := bytes.Repeat([]byte{'v'}, 100)
-	for i := uint64(0); i < 64*150; i++ {
-		// Fresh keys and rewrites mixed: key and time splits both.
+	// Fresh keys and rewrites mixed: key and time splits both, under a
+	// snapshot that keeps every version visible. Released, it leaves the
+	// history to GC, and further rewrites fill nodes that then prune.
+	snap := fx.e.BeginSnapshot()
+	for i := uint64(0); i < 64*200; i++ {
+		if i == 64*150 {
+			fx.tree.DrainCompletions()
+			snap.Release()
+			if n, err := fx.tree.RunGC(); n == 0 || err != nil {
+				t.Fatalf("GC retired %d nodes, err=%v", n, err)
+			}
+		}
 		if err := fx.tree.Put(nil, keys.Uint64(i*7919%3001), value); err != nil {
 			t.Fatal(err)
 		}
-	}
-	fx.tree.DrainCompletions()
-	if n, err := fx.tree.RunGC(); n == 0 || err != nil {
-		t.Fatalf("GC retired %d nodes, err=%v", n, err)
 	}
 	fx.mustVerify(t)
 	images := map[wal.Kind]bool{KindFormat: true, KindRootGrow: true}
@@ -578,7 +634,7 @@ func TestStructureRecordsStaySmall(t *testing.T) {
 		}
 		return true
 	})
-	for _, k := range []wal.Kind{KindTimeSplit, KindKeySplit, KindIndexKeySplit, KindRetireNode, KindPostTerm, KindRemoveTerm} {
+	for _, k := range []wal.Kind{KindTimeSplit, KindKeySplit, KindIndexKeySplit, KindRetireNode, KindPostTerm, KindRemoveTerm, KindPrune} {
 		if seen[k] == 0 {
 			t.Errorf("the workload logged no record of kind %d", k)
 		}
@@ -597,12 +653,16 @@ func FuzzSlimPayloads(f *testing.F) {
 	f.Add(encUnsplit(n, n.recs.Slice(0, 2), nil))
 	f.Add(encUnsplit(in, in.recs.Slice(0, 1), []storage.PageID{1001}))
 	f.Add(encCutHist(n))
+	f.Add(encPrune(9))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, _, _, _ = decTimeSplit(b)
 		if _, _, _, clipped, err := decKeySplit(b); err == nil && len(clipped) > len(b) {
 			t.Fatalf("%d pages out of %d bytes", len(clipped), len(b))
 		}
 		_, _ = decRetire(b)
+		if h, err := decPrune(b); err == nil {
+			applyPrune(randomDataNode(rand.New(rand.NewSource(5))), h)
+		}
 		if img, unclip, err := decUnsplit(b); err == nil {
 			if img.Len() > len(b) || len(unclip) > len(b) {
 				t.Fatalf("%d entries and %d pages out of %d bytes", img.Len(), len(unclip), len(b))

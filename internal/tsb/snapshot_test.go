@@ -306,12 +306,21 @@ func TestGCPinnedByLongSnapshot(t *testing.T) {
 
 // TestBackgroundGC: with Options.GC on, committed time splits schedule
 // chain sweeps through the completion machinery — no RunGC call needed.
+// Snapshots pinned across the first 60 rounds keep the versions a time
+// split moves to history visible, so full nodes split rather than prune.
 func TestBackgroundGC(t *testing.T) {
 	opts := smallOpts()
 	opts.GC = true
 	fx := newFixture(t, opts)
 	const n = 8
+	p := pins{e: fx.e}
 	for round := 0; round < 80; round++ {
+		switch {
+		case round < 60 && round%10 == 0:
+			p.rotate()
+		case round == 60:
+			p.release()
+		}
 		for i := 0; i < n; i++ {
 			if err := fx.tree.Put(nil, keys.Uint64(uint64(i)), []byte(fmt.Sprintf("r%d", round))); err != nil {
 				t.Fatalf("put: %v", err)

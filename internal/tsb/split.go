@@ -124,9 +124,15 @@ const currentFraction = 0.67
 // action: a TIME split when enough of the node is history (dead
 // versions), a KEY split otherwise (§2.2.2, Figure 1) — and a key split
 // as well, where the node holds two keys, while it carries a version of
-// a transaction still running. The latch is released on return; the
-// caller retries its operation.
+// a transaction still running. Under GC a node holding versions that no
+// reader can see any more is pruned instead (prune). The latch is
+// released on return; the caller retries its operation.
 func (t *Tree) splitData(o *opCtx, leaf *nref) error {
+	if t.opts.GC {
+		if h := t.tm.VisibilityHorizon(); prunable(leaf.N, h) > 0 {
+			return t.prune(o, leaf, h)
+		}
+	}
 	o.Promote(leaf)
 	n := leaf.N
 	keysIn := distinctKeys(n)
@@ -146,6 +152,22 @@ func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 	return o.Atomic(func(aa *txn.Txn) error {
 		o.Hold(leaf)
 		return t.splitDataIn(o, aa, leaf, timeSplit, keysIn)
+	})
+}
+
+// prune drops, as one atomic action, the versions of the U-latched data
+// node that a later version of their key starting below the visibility
+// horizon supersedes (KindPrune). A running transaction's begin clock
+// bounds the horizon — an adopted restart loser's is 0 — so none of its
+// versions is a superseding one.
+func (t *Tree) prune(o *opCtx, leaf *nref, horizon uint64) error {
+	o.Promote(leaf)
+	return o.Atomic(func(aa *txn.Txn) error {
+		o.Hold(leaf)
+		aa.LogUpdate(leaf.F, KindPrune, encPrune(horizon))
+		t.Stats.Prunes.Add(1)
+		t.Stats.PrunedVersions.Add(int64(applyPrune(leaf.N, horizon)))
+		return nil
 	})
 }
 

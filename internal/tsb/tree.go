@@ -38,14 +38,17 @@ type Options struct {
 	// interior navigation, forcing every descent through the latched
 	// path. For comparison runs and targeted tests.
 	PessimisticDescent bool
-	// GC enables background version garbage collection: every committed
-	// time split schedules a sweep of that leaf's history chain through
-	// the completion machinery, retiring nodes whose whole time range
-	// lies below the transaction manager's visibility horizon and then
-	// freeing the pages of the chain's retired tail (reclaim.go), so
-	// sustained churn reaches a steady-state store size. RunGC sweeps the
-	// whole tree on demand, retiring and freeing alike, regardless of
-	// this flag.
+	// GC enables version garbage collection. A full current node first
+	// drops the versions a later version of their key starting below the
+	// transaction manager's visibility horizon supersedes (a prune), and
+	// splits only if it is still full. Every committed time split
+	// schedules a sweep of that leaf's history chain through the
+	// completion machinery, retiring nodes whose whole time range lies
+	// below the horizon and then freeing the pages of the chain's retired
+	// tail (reclaim.go), so sustained churn reaches a steady-state store
+	// size. Either way an as-of read below the horizon may find the
+	// versions it asks for reclaimed. RunGC sweeps the whole tree on
+	// demand, retiring and freeing alike, regardless of this flag.
 	GC bool
 	// Governor, when non-nil, paces background chain maintenance (GC
 	// sweeps and page reclamation) through the shared maintenance budget;
@@ -116,6 +119,9 @@ type Stats struct {
 	GCRetiredNodes      atomic.Int64
 	GCReclaimedVersions atomic.Int64
 	GCRemovedTerms      atomic.Int64
+	// Prunes counts prune actions; PrunedVersions, the versions dropped.
+	Prunes         atomic.Int64
+	PrunedVersions atomic.Int64
 
 	// Page-reclamation counters (reclaim.go). GCFreedPages counts
 	// chain tails whose pages were returned to the free-space map;
@@ -518,7 +524,9 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 // reader would then return not-found for a key it should see. The undo
 // therefore fetches the predecessor from the chain first and re-carries
 // it in the same X-latched mutation as the removal, so no reader ever
-// observes a carry-broken node.
+// observes a carry-broken node. The re-carry is logged first: a crash
+// between the two CLRs re-runs this undo, which finds the version beside
+// its re-carried predecessor and only removes it (DESIGN.md §19).
 func (t *Tree) logicalUndoPut(rec *wal.Record, tx storage.CLRLogger, e Entry) error {
 	return t.kern.RetryLoop(nil, func(o *opCtx) error {
 		cur, err := t.descend(o, e.Key, NoEnd-1, 0, latch.U, false)
@@ -538,24 +546,23 @@ func (t *Tree) logicalUndoPut(rec *wal.Record, tx storage.CLRLogger, e Entry) er
 					o.Release(&cur)
 					return err
 				}
-				if repaired && cur.N.Current() &&
-					!t.kern.Fits(cur.N, versionSize(repair.Key, repair.Value)-versionSize(e.Key, e.Value)) {
-					// The predecessor takes more room than the version it
-					// replaces: make it first, like Compensate's split (a
-					// key split where it can be: cur carries e, whose
-					// writer is rolling back).
+				if repaired && cur.N.Current() && !t.kern.Fits(cur.N, versionSize(repair.Key, repair.Value)) {
+					// The node holds the predecessor beside the version
+					// until the removal: make room first, like
+					// Compensate's split (a key split where it can be: cur
+					// carries e, whose writer is rolling back).
 					if err := t.splitData(o, &cur); err != nil {
 						return err
 					}
 					return errRetry
 				}
 				o.Promote(&cur)
-				tx.LogCLR(cur.F, KindRemoveVersion, encVersionRef(e.Key, e.Start), rec.LSN)
-				cur.N.removeVersion(e.Key, e.Start)
 				if repaired {
 					tx.LogCLR(cur.F, KindPut, appendVersion(nil, repair), rec.LSN)
 					cur.N.insertVersion(repair)
 				}
+				tx.LogCLR(cur.F, KindRemoveVersion, encVersionRef(e.Key, e.Start), rec.LSN)
+				cur.N.removeVersion(e.Key, e.Start)
 			}
 			if cur.N.Rect.TimeLow <= e.Start || cur.N.HistSib == storage.NilPage {
 				break

@@ -53,6 +53,31 @@ func newEngineFixture(t testing.TB, eopts engine.Options, opts Options) *fixture
 	return &fixture{e: e, b: b, tree: tree}
 }
 
+// pins rotates snapshots over a churn. Each rotate takes a snapshot and
+// releases all but the newest two, so the versions written since the older
+// of those stay above the visibility horizon: a full node holds versions a
+// reader may need and time-splits rather than prunes, and GC retires and
+// frees the history that falls below the older pin.
+type pins struct {
+	e     *engine.Engine
+	snaps []*txn.Snapshot
+}
+
+func (p *pins) rotate() {
+	p.snaps = append(p.snaps, p.e.BeginSnapshot())
+	for len(p.snaps) > 2 {
+		p.snaps[0].Release()
+		p.snaps = p.snaps[1:]
+	}
+}
+
+func (p *pins) release() {
+	for _, s := range p.snaps {
+		s.Release()
+	}
+	p.snaps = nil
+}
+
 func (fx *fixture) crashRestart(t testing.TB) *fixture {
 	t.Helper()
 	return fx.restartFrom(t, fx.e.Crash(nil))
@@ -62,6 +87,12 @@ func (fx *fixture) crashRestart(t testing.TB) *fixture {
 func (fx *fixture) restartFrom(t testing.TB, img *engine.CrashImage) *fixture {
 	t.Helper()
 	fx.tree.Close()
+	return fx.reopen(t, img)
+}
+
+// reopen restarts over a crash image of fx's engine, whose tree is closed.
+func (fx *fixture) reopen(t testing.TB, img *engine.CrashImage) *fixture {
+	t.Helper()
 	e2 := engine.Restarted(img, fx.e.Opts)
 	b2 := Register(e2.Reg)
 	st2 := e2.AddStore(testStoreID, Codec{})
