@@ -18,7 +18,7 @@ REAL_ROUNDS ?= 20
 ## manager's tests at 1, 2 and 4 CPUs (its deadlock-detector bugs never
 ## showed at one), the three trees', the kernel's, the engine's and the
 ## log, restart and transaction packages' likewise, the write-elision
-## tests of the pool and the engine likewise, the page file's slot
+## tests of the pool and the engine likewise, the page file's block
 ## allocator against its crash model and a short fuzz of its open path,
 ## short fuzzes of the log's record decoder
 ## and segment replay, of its master record, of the checkpoint payload, of
@@ -129,8 +129,11 @@ elide:
 	$(GO) test -cpu 1,2,4 -count 10 ./internal/engine -run 'TestElidedPageHoldsHorizon|TestCloseLeavesNothingElided'
 
 ## pagefile: the page file's tests at -cpu 1,2,4, repeated (the model-based
-## crash test of the slot allocator, and reads racing a demand sync), then
-## ten seconds of arbitrary bytes through OpenFileDisk. Minimizing each new
+## crash test of the block allocator, with 256-byte and 16 KiB slots so that
+## frames of 1 to 4 blocks are allocated, split, coalesced, torn and
+## re-elected; a forged frame left at a block boundary by a reused extent;
+## FuzzOpenFileDisk's seeds; and reads racing a demand sync), then ten
+## seconds of arbitrary bytes through OpenFileDisk. Minimizing each new
 ## input would otherwise eat most of the ten seconds.
 pagefile:
 	$(GO) test -cpu 1,2,4 -count 20 ./internal/storage -run FileDisk

@@ -15,7 +15,7 @@ import (
 // The sustained-churn gate: each leg turns a rolling window (a constant
 // live set) over several times with the tree's background maintenance on.
 // It fails if the store does not reach a steady state — allocated pages
-// or the page file's slots trending up, or freed pages never recycled into
+// or the page file's blocks trending up, or freed pages never recycled into
 // new splits — or if the tree or its free-space map is ill-formed
 // afterwards. The core leg inserts at the window's head and deletes at
 // its tail, with consolidation; the tsb leg puts a new version of every
@@ -181,12 +181,13 @@ func churnTSBPass(pinned bool) error {
 
 // plateau holds a store to its size after the first turnover: allocated
 // pages and page ids in use (the high-water mark) within churnSlack of
-// theirs, and the page file's slots within the file's own bound
-// (ids + ids/8 + 64) for that many ids.
+// theirs, and the page file's blocks within the file's own bound
+// (live + live/8 + 256, live being the blocks of the pages' images) or at
+// most what they were then.
 type plateau struct {
-	e          *engine.Engine
-	st         *storage.Store
-	pages, ids int64
+	e                  *engine.Engine
+	st                 *storage.Store
+	pages, ids, blocks int64
 }
 
 // check flushes the pool, so the page file holds every page, and
@@ -202,16 +203,17 @@ func (p *plateau) check(turn int) error {
 	ids := int64(sp.Next) - 1
 	alloc := ids - int64(sp.FreeLen)
 	_, disks := p.e.FileStats()
-	slots := disks[p.st.Pool.StoreID].Slots
+	d := disks[p.st.Pool.StoreID]
+	live := d.Blocks - d.FreeBlocks - d.LimboBlocks - 1
 	if turn == 1 {
-		p.pages, p.ids = alloc, ids
+		p.pages, p.ids, p.blocks = alloc, ids, d.Blocks
 	}
-	if n := p.ids + churnSlack; alloc > p.pages+churnSlack || ids > n || slots > n+n/8+64 {
-		return fmt.Errorf("store grows under churn: %d pages of %d ids after turnover 1, %d pages of %d ids in %d slots after turnover %d",
-			p.pages, p.ids, alloc, ids, slots, turn)
+	if n := p.ids + churnSlack; alloc > p.pages+churnSlack || ids > n || d.Blocks > max(p.blocks, live+live/8+256) {
+		return fmt.Errorf("store grows under churn: %d pages of %d ids after turnover 1, %d pages of %d ids in %d blocks after turnover %d",
+			p.pages, p.ids, alloc, ids, d.Blocks, turn)
 	}
-	fmt.Printf("  turnover %d: %d allocated pages of %d ids, %d slots (recycled %d, freed %d)\n",
-		turn, alloc, ids, slots, sp.Recycled, sp.Freed)
+	fmt.Printf("  turnover %d: %d allocated pages of %d ids, %d blocks, %d live (recycled %d, freed %d)\n",
+		turn, alloc, ids, d.Blocks, live, sp.Recycled, sp.Freed)
 	return nil
 }
 

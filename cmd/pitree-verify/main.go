@@ -24,9 +24,10 @@
 //	pitree-verify -logstat <datadir>/wal
 //
 // With -pagestat it checks nothing either: it scans one store's page file
-// read-only and prints its slot size, slots, pages, free and stale slots,
-// the mean, median and 99th percentile image bytes, and the fill (image
-// bytes over pages times the slot payload):
+// read-only and prints its block size and blocks, its pages, free and
+// stale blocks, how many extents take each number of blocks, the mean,
+// median and 99th percentile image bytes, and the fill (image bytes over
+// file bytes):
 //
 //	pitree-verify -pagestat <datadir>/store-1.pages
 package main

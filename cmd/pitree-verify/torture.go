@@ -709,7 +709,7 @@ func withCrashImage(err error, img fsys.FS) error {
 		err, dir, filepath.Join(dir, "wal"), filepath.Join(dir, fmt.Sprintf("store-%d.pages", tortureStoreID)))
 }
 
-// withPageFiles appends to a failed round's error each page file's slot
+// withPageFiles appends to a failed round's error each page file's block
 // occupancy at the time of the failure; memory-backed engines have none.
 func withPageFiles(err error, e *engine.Engine) error {
 	if err == nil || e == nil {
@@ -723,8 +723,8 @@ func withPageFiles(err error, e *engine.Engine) error {
 	slices.Sort(ids)
 	for _, id := range ids {
 		d := disks[id]
-		err = fmt.Errorf("%w\nstore %d page file: slots=%d free=%d limbo=%d demand_syncs=%d fsyncs=%d pages_written=%d checksum_fails=%d",
-			err, id, d.Slots, d.FreeSlots, d.LimboSlots, d.DemandSyncs, d.Fsyncs, d.PagesWritten, d.ChecksumFails)
+		err = fmt.Errorf("%w\nstore %d page file: blocks=%d free_blocks=%d limbo_blocks=%d demand_syncs=%d fsyncs=%d pages_written=%d checksum_fails=%d",
+			err, id, d.Blocks, d.FreeBlocks, d.LimboBlocks, d.DemandSyncs, d.Fsyncs, d.PagesWritten, d.ChecksumFails)
 	}
 	return err
 }

@@ -59,9 +59,9 @@ type Options struct {
 	SegmentSize int
 	// SlotSize is the slot size of file-backed stores' page files (0 =
 	// storage.DefaultSlotSize): the largest page image plus a 40-byte
-	// frame header. A page occupies one slot, and the file holds at most
-	// an eighth more slots than pages, plus 64. Only a new page file
-	// takes it; an existing one keeps the size it was created with.
+	// frame header. A page takes the blocks (a quarter slot, at most 4
+	// KiB) its frame fills. Only a new page file takes it; an existing
+	// one keeps the size it was created with.
 	SlotSize int
 	// Sync selects the fsync policy of the WAL.
 	Sync wal.SyncPolicy

@@ -28,7 +28,7 @@ const (
 const (
 	// FPDiskWrite fires inside FileDisk.Write, before the image reaches
 	// the file. A Torn fault writes a seeded part of the framed image
-	// into a slot of its own and fails the write, so the prior image
+	// into an extent of its own and fails the write, so the prior image
 	// stays the page's stable one; Transient and Permanent faults fail
 	// the write outright.
 	FPDiskWrite = "disk.write"

@@ -1,38 +1,44 @@
 // FileDisk: a page-addressed data file with per-page checksums, torn-page
 // detection, and careful replacement.
 //
-// The file is an array of fixed-size slots and every page image lives in
-// exactly one of them. A write never lands on the image it replaces: it
-// takes a free slot and carries a sequence number one higher, so the
+// The file is an array of blocks, and every page image lives in one
+// extent of them: its frame (header and image) takes ceil(frame/B)
+// contiguous blocks, B being a quarter of the slot size (the largest
+// frame), at most 4 KiB. A write never lands on the image it replaces: it
+// takes a free extent and carries a sequence number one higher, so the
 // prior image stays intact until the new one is completely on disk — the
 // paper's careful replacement discipline (§2.2) realized at the file
 // layer. A torn write therefore leaves the page readable at its previous
 // version.
 //
-// A superseded slot that holds a page's durable image (the one the last
+// A superseded extent that holds a page's durable image (the one the last
 // Sync covered) waits in limbo until the next Sync has made its
-// replacement durable, and only then becomes free. A superseded slot whose
-// image was itself written since the last Sync is free at once: the
-// durable image behind it is the one in limbo. The file is kept at
+// replacement durable, and only then becomes free. A superseded extent
+// whose image was itself written since the last Sync is free at once: the
+// durable image behind it is the one in limbo. Free blocks are kept in
+// coalesced runs and allocated best fit. The file is kept at
 //
-//	slots <= pages + pages/8 + 64
+//	blocks <= live + live/8 + 256
 //
-// by one rule: a write that finds no free slot while the file is at that
-// bound fsyncs the file itself — always legal, the log was forced before
-// the pool called Write — and takes what limbo releases.
+// (blocks: the file's, block 0 included; live: those of the elected
+// images) by one rule: a write that finds no free run to hold it, would
+// extend the file past that bound, and finds limbo non-empty fsyncs the
+// file itself — always legal, the log was forced before the pool called
+// Write — and takes what limbo releases.
 //
 // On-disk format (little-endian):
 //
-//	file header (32 bytes):
+//	block 0, the file header (32 bytes):
 //	  [0:8)   magic "PITRPAGE"
-//	  [8:12)  format version (3)
-//	  [12:16) slot size in bytes
-//	  [16:20) CRC32C over bytes [0:16)
-//	  [20:32) zero pad
+//	  [8:12)  format version (4)
+//	  [12:16) slot size in bytes: the largest frame
+//	  [16:20) salt, drawn at random when the file is made
+//	  [20:24) CRC32C over bytes [0:20)
+//	  [24:32) zero pad
 //
-//	slot i (i >= 0) is at off(i) = 32 + i*slotSize
+//	block b is at off(b) = b*B, B = min(slot size / 4, 4096)
 //
-//	slot frame (40-byte header + content):
+//	frame, at the first block of its extent (40-byte header + content):
 //	  [0:4)   magic "PGSL"
 //	  [4:12)  sequence number (monotone per page; higher wins)
 //	  [12:20) page ID
@@ -40,29 +46,38 @@
 //	  [24:32) base: sequence number of the durable image this write
 //	          supersedes, 0 if no image of the page was ever synced
 //	  [32:36) CRC32C over the content
-//	  [36:40) CRC32C over bytes [0:36)
+//	  [36:40) CRC32C over the salt, then bytes [0:36)
 //	  [40:..) page image (pageLSN header + tag + codec content)
 //
-// Reads verify the elected slot's checksums. Open scans every slot and
-// elects each page's intact frame of highest sequence number; all other
-// slots are free. A frame whose header verifies but whose content does not
-// is a torn (or rotted) write of a known page: with base > 0 and no intact
-// image of that page at sequence >= base, the durable image the write was
-// replacing is gone — ErrTornPage, fatal, because redo needs an intact
-// base image. With base == 0 nothing of the page was ever synced, so the
-// log still holds its whole history: it reads as never-written (ok=false)
-// and redo recreates it. A frame whose header does not verify cannot be
-// attributed to any page and is ignored.
+// Reads verify the elected frame's checksums. Open checks every block
+// boundary: an intact frame is an image, and the scan resumes after its
+// extent; anything else moves it one block on. It elects each page's
+// intact frame of highest sequence number; every block outside an elected
+// extent is free. A freed extent that is later partly reused leaves old
+// image bytes — user values among them — at block boundaries the scan
+// reads; the salt, unknown to whoever chose those bytes, keeps any of them
+// from passing for a frame header. A frame whose header verifies but
+// whose content does not is a torn (or rotted) write of a known page, or
+// an old image of it whose extent was partly reused: with base > 0 and no
+// intact image of that page at sequence >= base, the durable image the
+// write was replacing is gone — ErrTornPage, fatal, because redo needs an
+// intact base image. With base == 0 nothing of the page was ever synced,
+// so the log still holds its whole history: it reads as never-written
+// (ok=false) and redo recreates it. A frame whose header does not verify
+// cannot be attributed to any page and is ignored.
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -71,60 +86,67 @@ import (
 )
 
 const (
-	fdHdrLen   = 32
-	fdMagic    = "PITRPAGE"
-	fdVersion  = 3
-	slotHdrLen = 40
-	slotMagic  = 0x4c534750 // "PGSL"
-	// DefaultSlotSize is the default per-slot size; an image must fit in
-	// slotSize-slotHdrLen bytes.
+	fdHdrLen    = 32
+	fdMagic     = "PITRPAGE"
+	fdVersion   = 4
+	frameHdrLen = 40
+	frameMagic  = 0x4c534750 // "PGSL"
+	// DefaultSlotSize is the default slot size, the largest frame: an
+	// image must fit in slotSize-frameHdrLen bytes.
 	DefaultSlotSize = 8192
-	minSlotSize     = slotHdrLen + 16
-	maxSlotSize     = 1 << 20
-	// slotReserve is the constant term of the file-size bound: the spare
-	// slots a small file may hold between two fsyncs.
-	slotReserve = 64
+	// minSlotSize gives a block room for the file header.
+	minSlotSize  = 4 * fdHdrLen
+	maxSlotSize  = 1 << 20
+	maxBlockSize = 4 << 10
+	// blockReserve is the constant term of the file-size bound: the spare
+	// blocks a small file may hold between two fsyncs, 64 largest frames
+	// at the usual quarter-slot block.
+	blockReserve = 256
 	// scanChunk is how much of the file Open reads at a time.
 	scanChunk = 256 << 10
 )
 
 // ErrPageFileVersion reports a page file written in a format this build
-// does not read: version 1 gave every page a fixed pair of slots, and the
-// node images of version 2 gave every record the fields of both levels.
+// does not read: version 1 gave every page a fixed pair of slots, the node
+// images of version 2 gave every record the fields of both levels, and
+// version 3 gave every image a whole slot.
 var ErrPageFileVersion = errors.New("storage: unsupported page file format version")
 
 // ErrSlotSize reports a slot size, passed in or read from a page file's
-// header, outside [56, 1 MiB].
+// header, outside [128, 1 MiB].
 var ErrSlotSize = errors.New("storage: page file slot size out of range")
 
 var fdCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// FileDiskStats counts the data file's physical work and reports its slot
-// occupancy.
+// FileDiskStats counts the data file's physical work and reports its
+// block occupancy.
 type FileDiskStats struct {
 	PagesWritten   int64
 	BytesWritten   int64
 	PartialWrites  int64
-	ChecksumChecks int64 // slot checksum verifications (reads + open scan)
+	ChecksumChecks int64 // frame checksum verifications (reads + open scan)
 	ChecksumFails  int64
 	Fsyncs         int64 // Sync calls plus DemandSyncs
 	DemandSyncs    int64 // fsyncs a Write issued to reuse limbo at the size bound
-	Slots          int64 // slots in the file; <= pages + pages/8 + 64
-	FreeSlots      int64
-	LimboSlots     int64 // superseded durable images awaiting the next fsync
+	Blocks         int64 // blocks in the file, block 0 included
+	FreeBlocks     int64
+	LimboBlocks    int64 // superseded durable images awaiting the next fsync
 }
 
 // fdPage is one page's elected image.
 type fdPage struct {
-	slot  int    // slot holding it; -1 when the image is lost (torn)
+	start int    // first block of its extent; -1 when the image is lost (torn)
 	n     int    // frame length, header included
 	seq   uint64 // its sequence number (torn: the highest one seen)
 	base  uint64 // durable sequence number it superseded when written
 	epoch uint64 // FileDisk.epoch at the time it was written
 }
 
-// slotHdr is a frame header whose checksum verified.
-type slotHdr struct {
+// extent is a run of n blocks from start.
+type extent struct{ start, n int }
+
+// frameHdr is a frame header whose checksum verified.
+type frameHdr struct {
 	seq  uint64
 	pid  PageID
 	n    int // content length
@@ -148,17 +170,23 @@ type slotHdr struct {
 type FileDisk struct {
 	path     string
 	slotSize int
-	inj      *fault.Injector
-	broken   atomic.Bool
+	block    int
+	// seed is the CRC32C of the salt, where every frame header's
+	// checksum starts.
+	seed   uint32
+	inj    *fault.Injector
+	broken atomic.Bool
 
-	mu     sync.RWMutex
-	f      fsys.File
-	pages  map[PageID]*fdPage
-	nslots int
-	free   []int
-	limbo  []int
-	// stale counts the intact frames Open's scan found superseded by a
-	// newer image of their page.
+	mu      sync.RWMutex
+	f       fsys.File
+	pages   map[PageID]*fdPage
+	nblocks int // block 0 included
+	live    int // blocks of the elected images
+	free    freeRuns
+	limbo   []extent
+	limboN  int // blocks in limbo
+	// stale counts the blocks of the intact frames Open's scan found
+	// superseded by a newer image of their page.
 	stale int
 	// epoch counts fsyncs; an image written in an earlier epoch is durable.
 	epoch uint64
@@ -204,24 +232,38 @@ func OpenFileDisk(fs fsys.FS, path string, slotSize int) (*FileDisk, error) {
 func (d *FileDisk) SetInjector(inj *fault.Injector) { d.inj = inj }
 
 // fileHeader builds a page file's header.
-func fileHeader(version, slotSize uint32) []byte {
+func fileHeader(version, slotSize, salt uint32) []byte {
 	hdr := make([]byte, fdHdrLen)
 	copy(hdr, fdMagic)
 	binary.LittleEndian.PutUint32(hdr[8:], version)
 	binary.LittleEndian.PutUint32(hdr[12:], slotSize)
-	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], fdCRCTable))
+	binary.LittleEndian.PutUint32(hdr[16:], salt)
+	binary.LittleEndian.PutUint32(hdr[20:], crc32.Checksum(hdr[:20], fdCRCTable))
 	return hdr
 }
 
+// setLayout derives the block geometry and the frame checksum's seed from
+// the slot size and the salt, and starts an empty free space.
+func (d *FileDisk) setLayout(slotSize int, salt uint32) {
+	d.slotSize, d.block = slotSize, min(slotSize/4, maxBlockSize)
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], salt)
+	d.seed = crc32.Checksum(b[:], fdCRCTable)
+	d.free = newFreeRuns(d.blocks(slotSize))
+}
+
 // load writes the header of a new file, or checks the header of an
-// existing one and scans its slots.
+// existing one and scans its blocks.
 func (d *FileDisk) load(fs fsys.FS) error {
 	size, err := d.f.Size()
 	if err != nil {
 		return err
 	}
 	if size == 0 {
-		if _, err := d.f.WriteAt(fileHeader(fdVersion, uint32(d.slotSize)), 0); err != nil {
+		salt := rand.Uint32()
+		d.setLayout(d.slotSize, salt)
+		d.nblocks = 1
+		if _, err := d.f.WriteAt(fileHeader(fdVersion, uint32(d.slotSize), salt), 0); err != nil {
 			return err
 		}
 		if err := d.f.Sync(); err != nil {
@@ -233,11 +275,17 @@ func (d *FileDisk) load(fs fsys.FS) error {
 	if _, err := d.f.ReadAt(hdr[:], 0); err != nil {
 		return fmt.Errorf("storage: page file %s: %w", d.path, ErrTornPage)
 	}
+	v := binary.LittleEndian.Uint32(hdr[8:])
+	// Versions 1 to 3 had no salt: their checksum covered 16 bytes.
+	sum := 20
+	if v < fdVersion {
+		sum = 16
+	}
 	if string(hdr[0:8]) != fdMagic ||
-		binary.LittleEndian.Uint32(hdr[16:]) != crc32.Checksum(hdr[0:16], fdCRCTable) {
+		binary.LittleEndian.Uint32(hdr[sum:]) != crc32.Checksum(hdr[0:sum], fdCRCTable) {
 		return fmt.Errorf("storage: page file %s header corrupt: %w", d.path, ErrTornPage)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != fdVersion {
+	if v != fdVersion {
 		return fmt.Errorf("storage: page file %s has format version %d, want %d: %w", d.path, v, fdVersion, ErrPageFileVersion)
 	}
 	// The slot size sizes what scan allocates; nothing outside the range
@@ -246,58 +294,76 @@ func (d *FileDisk) load(fs fsys.FS) error {
 	if ss < minSlotSize || ss > maxSlotSize {
 		return fmt.Errorf("storage: page file %s slot size %d: %w", d.path, ss, ErrSlotSize)
 	}
-	d.slotSize = int(ss)
+	d.setLayout(int(ss), binary.LittleEndian.Uint32(hdr[16:]))
 	return d.scan(size)
 }
 
-// scan elects each page's newest intact frame, frees every other slot,
-// and marks as torn the pages whose durable image a torn write outlived.
+// scanWindow is Open's view of the file: a chunk of it, read again
+// wherever the scan moves past it.
+type scanWindow struct {
+	f    fsys.File
+	size int64
+	off  int64
+	buf  []byte
+	n    int
+}
+
+// at returns the file's bytes from off, up to want of them or the end of
+// the file.
+func (w *scanWindow) at(off int64, want int) ([]byte, error) {
+	end := min(off+int64(want), w.size)
+	if off < w.off || end > w.off+int64(w.n) {
+		n, err := w.f.ReadAt(w.buf[:min(int64(len(w.buf)), w.size-off)], off)
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		w.off, w.n = off, n
+		end = min(end, off+int64(n))
+	}
+	return w.buf[off-w.off : end-w.off], nil
+}
+
+// scan elects each page's newest intact frame, frees every block outside
+// the elected extents, and marks as torn the pages whose durable image a
+// torn write outlived.
 func (d *FileDisk) scan(size int64) error {
-	ss := int64(d.slotSize)
-	// A trailing partial slot is a write cut short while extending the
-	// file; it counts as a slot so the next extension lands on its offset.
-	d.nslots = int((size - fdHdrLen + ss - 1) / ss)
-	per := max(1, scanChunk/d.slotSize)
-	buf := make([]byte, min(int64(per)*ss, size-fdHdrLen))
+	bs := int64(d.block)
+	// A trailing partial block is a write cut short while extending the
+	// file; it counts as a block so the next extension lands after it.
+	d.nblocks = int((size + bs - 1) / bs)
+	w := &scanWindow{f: d.f, size: size, buf: make([]byte, min(int64(scanChunk+d.slotSize), size))}
 	// lost is, per page, the highest base (and sequence number) among its
 	// content-torn frames with base > 0.
 	type tornFrame struct{ base, seq uint64 }
 	lost := make(map[PageID]tornFrame)
-	for first := 0; first < d.nslots; first += per {
-		n, err := d.f.ReadAt(buf, d.slotOff(first))
-		if err != nil && err != io.EOF {
+	for b := 1; b < d.nblocks; {
+		buf, err := w.at(int64(b)*bs, d.slotSize)
+		if err != nil {
 			return fmt.Errorf("storage: page file %s: scan: %w", d.path, err)
 		}
-		for i := 0; i < per && first+i < d.nslots; i++ {
-			slot := first + i
-			b := buf[min(i*d.slotSize, n):min((i+1)*d.slotSize, n)]
-			h, ok := d.parseHdr(b)
-			if !ok {
-				d.free = append(d.free, slot)
-				continue
-			}
-			if _, ok := d.content(b, h); !ok {
-				if t := lost[h.pid]; h.base > 0 {
-					lost[h.pid] = tornFrame{max(t.base, h.base), max(t.seq, h.seq)}
-				}
-				d.free = append(d.free, slot)
-				continue
-			}
-			p := d.pages[h.pid]
-			switch {
-			case p == nil:
-				p = &fdPage{}
-				d.pages[h.pid] = p
-			case h.seq <= p.seq:
-				d.free = append(d.free, slot)
-				d.stale++
-				continue
-			default:
-				d.free = append(d.free, p.slot)
-				d.stale++
-			}
-			*p = fdPage{slot: slot, n: slotHdrLen + h.n, seq: h.seq}
+		h, ok := d.parseHdr(buf)
+		if !ok {
+			b++
+			continue
 		}
+		if _, ok := d.content(buf, h); !ok {
+			if t := lost[h.pid]; h.base > 0 {
+				lost[h.pid] = tornFrame{max(t.base, h.base), max(t.seq, h.seq)}
+			}
+			b++
+			continue
+		}
+		n := frameHdrLen + h.n
+		switch p := d.pages[h.pid]; {
+		case p == nil:
+			d.pages[h.pid] = &fdPage{start: b, n: n, seq: h.seq}
+		case h.seq <= p.seq:
+			d.stale += d.blocks(n)
+		default:
+			d.stale += d.blocks(p.n)
+			*p = fdPage{start: b, n: n, seq: h.seq}
+		}
+		b += d.blocks(n)
 	}
 	for pid, t := range lost {
 		p := d.pages[pid]
@@ -307,43 +373,67 @@ func (d *FileDisk) scan(size int64) error {
 		// No intact image as new as the durable one a torn write was
 		// replacing: whatever older copy survives is stale.
 		if p != nil {
-			d.free = append(d.free, p.slot)
-			d.stale++
+			d.stale += d.blocks(p.n)
 		}
-		d.pages[pid] = &fdPage{slot: -1, seq: max(t.base, t.seq)}
+		d.pages[pid] = &fdPage{start: -1, seq: max(t.base, t.seq)}
+	}
+	// Every block outside an elected extent is free.
+	elected := make([]extent, 0, len(d.pages))
+	for _, p := range d.pages {
+		if p.start >= 0 {
+			elected = append(elected, extent{p.start, d.blocks(p.n)})
+		}
+	}
+	slices.SortFunc(elected, func(a, b extent) int { return cmp.Compare(a.start, b.start) })
+	next := 1
+	for _, e := range elected {
+		if e.start > next {
+			d.free.insert(next, e.start-next)
+		}
+		next = e.start + e.n
+		d.live += e.n
+	}
+	if next < d.nblocks {
+		d.free.insert(next, d.nblocks-next)
 	}
 	return nil
 }
 
 // parseHdr checks a frame header against its own checksum. An all-zero or
-// foreign slot fails without counting as a checksum failure.
-func (d *FileDisk) parseHdr(b []byte) (slotHdr, bool) {
+// foreign block fails without counting as a checksum failure.
+func (d *FileDisk) parseHdr(b []byte) (frameHdr, bool) {
 	d.checks.Add(1)
-	if len(b) < slotHdrLen || binary.LittleEndian.Uint32(b[0:]) != slotMagic {
-		return slotHdr{}, false
+	if len(b) < frameHdrLen || binary.LittleEndian.Uint32(b[0:]) != frameMagic {
+		return frameHdr{}, false
 	}
-	h := slotHdr{
+	h := frameHdr{
 		seq:  binary.LittleEndian.Uint64(b[4:]),
 		pid:  PageID(binary.LittleEndian.Uint64(b[12:])),
 		n:    int(binary.LittleEndian.Uint32(b[20:])),
 		base: binary.LittleEndian.Uint64(b[24:]),
 		crc:  binary.LittleEndian.Uint32(b[32:]),
 	}
-	if binary.LittleEndian.Uint32(b[36:]) != crc32.Checksum(b[0:36], fdCRCTable) || h.pid == NilPage {
+	if binary.LittleEndian.Uint32(b[36:]) != d.hdrSum(b) || h.pid == NilPage {
 		d.fails.Add(1)
-		return slotHdr{}, false
+		return frameHdr{}, false
 	}
 	return h, true
 }
 
+// hdrSum is the checksum of the frame header at the front of b: CRC32C
+// over the salt, then the header's first 36 bytes.
+func (d *FileDisk) hdrSum(b []byte) uint32 {
+	return crc32.Update(d.seed, fdCRCTable, b[0:36])
+}
+
 // content returns the image of the frame in b, whose header is h, if it
 // is all there and matches its checksum.
-func (d *FileDisk) content(b []byte, h slotHdr) ([]byte, bool) {
-	if h.n > len(b)-slotHdrLen {
+func (d *FileDisk) content(b []byte, h frameHdr) ([]byte, bool) {
+	if h.n > len(b)-frameHdrLen {
 		d.fails.Add(1)
 		return nil, false
 	}
-	img := b[slotHdrLen : slotHdrLen+h.n]
+	img := b[frameHdrLen : frameHdrLen+h.n]
 	if crc32.Checksum(img, fdCRCTable) != h.crc {
 		d.fails.Add(1)
 		return nil, false
@@ -351,71 +441,83 @@ func (d *FileDisk) content(b []byte, h slotHdr) ([]byte, bool) {
 	return img, true
 }
 
-func (d *FileDisk) slotOff(slot int) int64 {
-	return fdHdrLen + int64(slot)*int64(d.slotSize)
+func (d *FileDisk) blockOff(block int) int64 {
+	return int64(block) * int64(d.block)
 }
 
-// bound is the number of slots the file may grow to.
+// blocks is the length in blocks of the extent a frame of n bytes takes.
+func (d *FileDisk) blocks(n int) int {
+	return (n + d.block - 1) / d.block
+}
+
+// bound is the number of blocks the file may grow to.
 func (d *FileDisk) bound() int {
-	return len(d.pages) + len(d.pages)/8 + slotReserve
+	return d.live + d.live/8 + blockReserve
 }
 
-// takeSlot returns a slot no elected or durable image lives in: a free
-// one, else a new one at the end of the file, else — at the size bound —
-// one of those an fsync releases from limbo.
-func (d *FileDisk) takeSlot() (int, error) {
-	if len(d.free) == 0 && len(d.limbo) > 0 && d.nslots >= d.bound() {
+// takeExtent returns the first of n contiguous blocks no elected or
+// durable image lives in: from the shortest free run that holds them, else
+// at the end of the file (taking in a free run that ends there), after —
+// if that would pass the size bound — an fsync that releases limbo.
+func (d *FileDisk) takeExtent(n int) (int, error) {
+	start, ok := d.free.fit(n)
+	if _, t := d.free.tail(d.nblocks); !ok && len(d.limbo) > 0 && d.nblocks+n-t > d.bound() {
 		if err := d.syncLocked(); err != nil {
 			return 0, err
 		}
 		d.demands.Add(1)
+		start, ok = d.free.fit(n)
 	}
-	if n := len(d.free); n > 0 {
-		slot := d.free[n-1]
-		d.free = d.free[:n-1]
-		return slot, nil
+	if !ok {
+		var t int
+		start, t = d.free.tail(d.nblocks)
+		d.nblocks = start + n
+		if t == 0 {
+			return start, nil
+		}
 	}
-	d.nslots++
-	return d.nslots - 1, nil
+	d.free.split(start, n)
+	return start, nil
 }
 
-// stage takes the slot pid's next image goes to and frames img for it in
-// d.frame. It runs after takeSlot because a demand sync there makes the
-// current image durable, which changes the base the frame must carry.
+// stage takes the extent pid's next image goes to and frames img for it
+// in d.frame. It runs after takeExtent because a demand sync there makes
+// the current image durable, which changes the base the frame must carry.
 func (d *FileDisk) stage(pid PageID, img []byte) (b []byte, next fdPage, err error) {
-	if len(img) > d.slotSize-slotHdrLen {
-		return nil, next, fmt.Errorf("storage: page %d image %dB exceeds slot capacity %dB", pid, len(img), d.slotSize-slotHdrLen)
+	if len(img) > d.slotSize-frameHdrLen {
+		return nil, next, fmt.Errorf("storage: page %d image %dB exceeds slot capacity %dB", pid, len(img), d.slotSize-frameHdrLen)
 	}
-	slot, err := d.takeSlot()
+	n := frameHdrLen + len(img)
+	start, err := d.takeExtent(d.blocks(n))
 	if err != nil {
 		return nil, next, err
 	}
-	next = fdPage{slot: slot, n: slotHdrLen + len(img), seq: 1, epoch: d.epoch}
+	next = fdPage{start: start, n: n, seq: 1, epoch: d.epoch}
 	if p := d.pages[pid]; p != nil {
 		next.seq = p.seq + 1
 		switch {
-		case p.slot < 0: // lost: nothing durable to supersede
+		case p.start < 0: // lost: nothing durable to supersede
 		case p.epoch < d.epoch:
 			next.base = p.seq
 		default:
 			next.base = p.base
 		}
 	}
-	b = d.frame[:next.n]
-	binary.LittleEndian.PutUint32(b[0:], slotMagic)
+	b = d.frame[:n]
+	binary.LittleEndian.PutUint32(b[0:], frameMagic)
 	binary.LittleEndian.PutUint64(b[4:], next.seq)
 	binary.LittleEndian.PutUint64(b[12:], uint64(pid))
 	binary.LittleEndian.PutUint32(b[20:], uint32(len(img)))
 	binary.LittleEndian.PutUint64(b[24:], next.base)
 	binary.LittleEndian.PutUint32(b[32:], crc32.Checksum(img, fdCRCTable))
-	binary.LittleEndian.PutUint32(b[36:], crc32.Checksum(b[0:36], fdCRCTable))
-	copy(b[slotHdrLen:], img)
+	binary.LittleEndian.PutUint32(b[36:], d.hdrSum(b))
+	copy(b[frameHdrLen:], img)
 	return b, next, nil
 }
 
 // Write replaces the stable image of pid via careful replacement: the
-// frame lands in a slot of its own and only then does the in-memory
-// election move to it. The slot it leaves is free at once if its image
+// frame lands in an extent of its own and only then does the in-memory
+// election move to it. The extent it leaves is free at once if its image
 // was never synced, and otherwise waits in limbo for the next fsync.
 // Write does not retain img: the pool builds the next image in the same
 // buffer.
@@ -434,7 +536,7 @@ func (d *FileDisk) Write(pid PageID, img []byte) error {
 			d.broken.Store(true)
 		}
 		if fault.IsTorn(err) {
-			// The write the fault tore lands in part, in a slot of its
+			// The write the fault tore lands in part, in an extent of its
 			// own; the prior image stays the page's stable one.
 			_ = d.writePartial(pid, img, fault.AsError(err).Frac)
 		}
@@ -451,8 +553,8 @@ func (d *FileDisk) Write(pid PageID, img []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := d.f.WriteAt(b, d.slotOff(next.slot)); err != nil {
-		d.free = append(d.free, next.slot)
+	if _, err := d.f.WriteAt(b, d.blockOff(next.start)); err != nil {
+		d.free.add(next.start, d.blocks(next.n))
 		return err
 	}
 	d.writes.Add(1)
@@ -462,19 +564,23 @@ func (d *FileDisk) Write(pid PageID, img []byte) error {
 	case p == nil:
 		p = &fdPage{}
 		d.pages[pid] = p
-	case p.slot < 0:
+	case p.start < 0:
 	case p.epoch < d.epoch:
-		d.limbo = append(d.limbo, p.slot)
+		d.limbo = append(d.limbo, extent{p.start, d.blocks(p.n)})
+		d.limboN += d.blocks(p.n)
+		d.live -= d.blocks(p.n)
 	default:
-		d.free = append(d.free, p.slot)
+		d.free.add(p.start, d.blocks(p.n))
+		d.live -= d.blocks(p.n)
 	}
 	*p = next
+	d.live += d.blocks(next.n)
 	return nil
 }
 
 // writePartial writes only a seeded prefix of the framed image into the
-// slot a Write would have taken — a genuine torn pwrite. The in-memory
-// election is NOT updated and the slot stays free: the prior image (or
+// extent a Write would have taken — a genuine torn pwrite. The in-memory
+// election is NOT updated and the extent stays free: the prior image (or
 // never-written state) remains the page's stable version, and a
 // post-crash rescan elects the same way because the partial frame fails
 // its header or content checksum.
@@ -483,7 +589,7 @@ func (d *FileDisk) writePartial(pid PageID, img []byte, frac float64) error {
 		return nil
 	}
 	// A complete frame would not be torn.
-	n := min(int(frac*float64(slotHdrLen+len(img))), slotHdrLen+len(img)-1)
+	n := min(int(frac*float64(frameHdrLen+len(img))), frameHdrLen+len(img)-1)
 	if n <= 0 {
 		return nil
 	}
@@ -493,8 +599,8 @@ func (d *FileDisk) writePartial(pid PageID, img []byte, frac float64) error {
 	if err != nil {
 		return err
 	}
-	d.free = append(d.free, next.slot)
-	if _, err := d.f.WriteAt(b[:n], d.slotOff(next.slot)); err != nil {
+	d.free.add(next.start, d.blocks(next.n))
+	if _, err := d.f.WriteAt(b[:n], d.blockOff(next.start)); err != nil {
 		return err
 	}
 	d.parts.Add(1)
@@ -519,11 +625,11 @@ func (d *FileDisk) readLocked(pid PageID) ([]byte, bool, error) {
 	if p == nil {
 		return nil, false, nil
 	}
-	if p.slot < 0 {
+	if p.start < 0 {
 		return nil, false, fmt.Errorf("storage: page %d: durable image lost: %w", pid, ErrTornPage)
 	}
 	b := make([]byte, p.n)
-	n, err := d.f.ReadAt(b, d.slotOff(p.slot))
+	n, err := d.f.ReadAt(b, d.blockOff(p.start))
 	if err != nil && err != io.EOF {
 		return nil, false, fmt.Errorf("storage: read page %d: %w", pid, err)
 	}
@@ -534,7 +640,7 @@ func (d *FileDisk) readLocked(pid PageID) ([]byte, bool, error) {
 			return img, true, nil
 		}
 	}
-	return nil, false, fmt.Errorf("storage: page %d slot %d checksum mismatch: %w", pid, p.slot, ErrTornPage)
+	return nil, false, fmt.Errorf("storage: page %d block %d checksum mismatch: %w", pid, p.start, ErrTornPage)
 }
 
 // PageIDs returns the IDs of all stable pages.
@@ -567,8 +673,10 @@ func (d *FileDisk) syncLocked() error {
 	}
 	d.syncs.Add(1)
 	d.epoch++
-	d.free = append(d.free, d.limbo...)
-	d.limbo = d.limbo[:0]
+	for _, e := range d.limbo {
+		d.free.add(e.start, e.n)
+	}
+	d.limbo, d.limboN = d.limbo[:0], 0
 	return nil
 }
 
@@ -579,25 +687,28 @@ func (d *FileDisk) Close() error {
 	return d.f.Close()
 }
 
-// Payload returns the largest page image a slot holds: the slot size less
-// the frame header.
-func (d *FileDisk) Payload() int { return d.slotSize - slotHdrLen }
+// Payload returns the largest page image a frame holds: the slot size
+// less the frame header.
+func (d *FileDisk) Payload() int { return d.slotSize - frameHdrLen }
 
 // PageFileCensus is what a read-only scan of a page file finds.
 type PageFileCensus struct {
-	// SlotSize is the file's slot size, Payload the image bytes a slot
-	// holds (FileDisk.Payload).
-	SlotSize, Payload int
-	Slots             int
-	Bytes             int64 // the file's length
-	// Free slots hold no intact frame; Stale ones an intact frame of a
-	// page that a newer frame supersedes — in the process that wrote the
-	// file, limbo or free slots not yet reused.
+	// SlotSize is the file's slot size (its largest frame), Payload the
+	// image bytes a frame holds (FileDisk.Payload), BlockSize the unit
+	// extents are made of.
+	SlotSize, Payload, BlockSize int
+	Blocks                       int   // block 0 included
+	Bytes                        int64 // the file's length
+	// Free blocks lie outside every intact frame; Stale ones inside an
+	// intact frame of a page that a newer frame supersedes — in the
+	// process that wrote the file, limbo or free blocks not yet reused.
 	Free, Stale int
-	// Images are the elected pages' image lengths; Torn counts the pages
-	// whose durable image a torn write outlived.
-	Images []int
-	Torn   int
+	// Images are the elected pages' image lengths, Extents[n] the number
+	// of them that take n blocks; Torn counts the pages whose durable
+	// image a torn write outlived.
+	Images  []int
+	Extents []int
+	Torn    int
 }
 
 // CensusPageFile scans the page file at path in fs as OpenFileDisk would,
@@ -620,22 +731,24 @@ func CensusPageFile(fs fsys.FS, path string) (PageFileCensus, error) {
 	if err := d.load(fs); err != nil {
 		return c, err
 	}
-	c = PageFileCensus{SlotSize: d.slotSize, Payload: d.Payload(), Slots: d.nslots, Bytes: size, Free: len(d.free) - d.stale, Stale: d.stale}
+	c = PageFileCensus{SlotSize: d.slotSize, Payload: d.Payload(), BlockSize: d.block, Blocks: d.nblocks, Bytes: size,
+		Free: d.free.total - d.stale, Stale: d.stale, Extents: make([]int, d.blocks(d.slotSize)+1)}
 	for _, p := range d.pages {
-		if p.slot < 0 {
+		if p.start < 0 {
 			c.Torn++
 			continue
 		}
-		c.Images = append(c.Images, p.n-slotHdrLen)
+		c.Images = append(c.Images, p.n-frameHdrLen)
+		c.Extents[d.blocks(p.n)]++
 	}
 	return c, nil
 }
 
-// Stats returns a snapshot of the physical-work counters and the slot
+// Stats returns a snapshot of the physical-work counters and the block
 // occupancy.
 func (d *FileDisk) Stats() FileDiskStats {
 	d.mu.RLock()
-	slots, free, limbo := d.nslots, len(d.free), len(d.limbo)
+	blocks, free, limbo := d.nblocks, d.free.total, d.limboN
 	d.mu.RUnlock()
 	return FileDiskStats{
 		PagesWritten:   d.writes.Load(),
@@ -645,8 +758,8 @@ func (d *FileDisk) Stats() FileDiskStats {
 		ChecksumFails:  d.fails.Load(),
 		Fsyncs:         d.syncs.Load(),
 		DemandSyncs:    d.demands.Load(),
-		Slots:          int64(slots),
-		FreeSlots:      int64(free),
-		LimboSlots:     int64(limbo),
+		Blocks:         int64(blocks),
+		FreeBlocks:     int64(free),
+		LimboBlocks:    int64(limbo),
 	}
 }

@@ -2,8 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -74,7 +76,7 @@ func TestFileDiskRoundtrip(t *testing.T) {
 // corruptContent flips two image bytes of pid's elected frame on disk.
 func corruptContent(t *testing.T, d *FileDisk, pid PageID) {
 	t.Helper()
-	if _, err := d.f.WriteAt([]byte{0xde, 0xad}, d.slotOff(d.pages[pid].slot)+slotHdrLen+10); err != nil {
+	if _, err := d.f.WriteAt([]byte{0xde, 0xad}, d.blockOff(d.pages[pid].start)+frameHdrLen+10); err != nil {
 		t.Fatalf("corrupt: %v", err)
 	}
 }
@@ -172,16 +174,16 @@ func TestFileDiskStaleImageIsNotElected(t *testing.T) {
 			t.Fatalf("sync: %v", err)
 		}
 	}
-	mustWrite(1, 'a')
 	mustWrite(2, 'a')
+	mustWrite(1, 'a')
 	mustSync()
-	stale := d.pages[1].slot
+	stale := d.pages[1].start
 	mustWrite(1, 'b')
 	mustWrite(2, 'b')
 	mustSync()
-	// Both first images are now in free slots, intact. Page 1's durable
+	// Both first images are now in one free run, intact. Page 1's durable
 	// image rots, and its next write (base = 2) is torn after the header;
-	// it lands in page 2's old slot, the free list being a stack.
+	// it lands in page 2's old extent, the run's front.
 	corruptContent(t, d, 1)
 	if err := d.writePartial(1, mkImage(1, 'c', 100), 0.5); err != nil {
 		t.Fatalf("partial: %v", err)
@@ -193,8 +195,8 @@ func TestFileDiskStaleImageIsNotElected(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer d2.Close()
-	if h, ok := d2.parseHdr(readSlot(t, d2, stale)); !ok || h.pid != 1 || h.seq != 1 {
-		t.Fatalf("test set-up: slot %d no longer holds page 1's first image", stale)
+	if h, ok := d2.parseHdr(readFrame(t, d2, stale)); !ok || h.pid != 1 || h.seq != 1 {
+		t.Fatalf("test set-up: block %d no longer holds page 1's first image", stale)
 	}
 	if _, _, err := d2.Read(1); !errors.Is(err, ErrTornPage) {
 		t.Fatalf("read with only a stale image left: %v, want ErrTornPage", err)
@@ -202,54 +204,178 @@ func TestFileDiskStaleImageIsNotElected(t *testing.T) {
 	if got, ok, err := d2.Read(2); err != nil || !ok || !bytes.Equal(got, mkImage(2, 'b', 100)) {
 		t.Fatalf("page 2: ok=%v err=%v", ok, err)
 	}
-	checkSlots(t, d2, 0)
+	checkBlocks(t, d2, 0)
 }
 
-func readSlot(t *testing.T, d *FileDisk, slot int) []byte {
+// TestFileDiskForgedFrameNotElected: a page image may hold, at a block
+// boundary, bytes laid out as a frame — a user value can be anything.
+// Once the image's extent is freed and its front reused by a shorter
+// image, Open's scan reads those bytes as a candidate frame header. The
+// header checksum starts from the file's salt, which whoever chose the
+// bytes does not know, so the forgery is not elected: the page it names
+// keeps its own image.
+func TestFileDiskForgedFrameNotElected(t *testing.T) {
+	fs := fsys.NewMem()
+	d, err := OpenFileDisk(fs, "pages", 512) // 128-byte blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The forgery claims page 1 at a sequence number no real image has
+	// reached, with a header checksum computed the only way a forger can:
+	// unsalted.
+	forged := mkImage(1, 'f', 20)
+	fr := make([]byte, frameHdrLen+len(forged))
+	binary.LittleEndian.PutUint32(fr[0:], frameMagic)
+	binary.LittleEndian.PutUint64(fr[4:], 1<<40)
+	binary.LittleEndian.PutUint64(fr[12:], 1)
+	binary.LittleEndian.PutUint32(fr[20:], uint32(len(forged)))
+	binary.LittleEndian.PutUint32(fr[32:], crc32.Checksum(forged, fdCRCTable))
+	binary.LittleEndian.PutUint32(fr[36:], crc32.Checksum(fr[:36], fdCRCTable))
+	copy(fr[frameHdrLen:], forged)
+	// Page 2's first image, a 440-byte frame in blocks 1 to 4, carries it
+	// where block 3 begins.
+	carrier := mkImage(2, 'v', 400)
+	copy(carrier[2*d.block-frameHdrLen:], fr)
+	want := map[PageID][]byte{1: mkImage(1, 'a', 100), 2: mkImage(2, 'w', 400), 3: mkImage(3, 'x', 50)}
+	for _, w := range []struct {
+		pid  PageID
+		img  []byte
+		sync bool
+	}{{2, carrier, false}, {1, want[1], true}, {2, want[2], true}, {3, want[3], false}} {
+		if err := d.Write(w.pid, w.img); err != nil {
+			t.Fatal(err)
+		}
+		if w.sync {
+			if err := d.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Page 3's one-block frame took the front of the carrier's freed
+	// extent; the forgery still lies at block 3.
+	if got := readFrame(t, d, 3); d.pages[3].start != 1 || !bytes.Equal(got[:len(fr)], fr) {
+		t.Fatalf("test set-up: page 3 at block %d, block 3 holds %x", d.pages[3].start, got[:len(fr)])
+	}
+	d.Close()
+	d2, err := OpenFileDisk(fs, "pages", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for pid, img := range want {
+		if got, ok, err := d2.Read(pid); err != nil || !ok || !bytes.Equal(got, img) {
+			t.Fatalf("page %d after reopen: ok=%v err=%v, %d bytes, want its own %d", pid, ok, err, len(got), len(img))
+		}
+	}
+	checkBlocks(t, d2, 0)
+}
+
+// readFrame reads a largest frame's worth of bytes from block start.
+func readFrame(t *testing.T, d *FileDisk, start int) []byte {
 	t.Helper()
 	b := make([]byte, d.slotSize)
-	n, _ := d.f.ReadAt(b, d.slotOff(slot))
+	n, _ := d.f.ReadAt(b, d.blockOff(start))
 	return b[:n]
 }
 
-// checkSlots checks that free, limbo and the elected images partition the
-// file's slots, and that the file is no larger than its bound (or than
-// floor, the size it was opened at).
-func checkSlots(t *testing.T, d *FileDisk, floor int) {
+// checkBlocks checks that the free runs, limbo and the elected extents
+// partition the file's blocks after block 0, that no two free runs touch,
+// that the allocator's counts and lists agree with them, and that the file
+// is no larger than its bound or than floor, a size it already had: what
+// an open found, or what the file held before an image shrank and took
+// the bound down with it.
+func checkBlocks(t *testing.T, d *FileDisk, floor int) {
 	t.Helper()
-	owner := make([]string, d.nslots)
-	claim := func(slot int, who string) {
-		if slot < 0 || slot >= d.nslots {
-			t.Fatalf("%s holds slot %d of %d", who, slot, d.nslots)
+	// owner[b] is the page whose extent holds block b, or one of:
+	const none, header, free, limbo = 0, -1, -2, -3
+	owner := make([]int64, d.nblocks)
+	owner[0] = header
+	name := func(who int64) string {
+		switch who {
+		case header:
+			return "the header"
+		case free:
+			return "free"
+		case limbo:
+			return "limbo"
 		}
-		if owner[slot] != "" {
-			t.Fatalf("slot %d held by %s and %s", slot, owner[slot], who)
+		return fmt.Sprint("page ", who)
+	}
+	claim := func(e extent, who int64) {
+		if e.n <= 0 || e.start < 1 || e.start+e.n > d.nblocks {
+			t.Fatalf("%s holds blocks [%d,%d) of %d", name(who), e.start, e.start+e.n, d.nblocks)
 		}
-		owner[slot] = who
+		for b := e.start; b < e.start+e.n; b++ {
+			if owner[b] != none {
+				t.Fatalf("block %d held by %s and %s", b, name(owner[b]), name(who))
+			}
+			owner[b] = who
+		}
 	}
-	for _, s := range d.free {
-		claim(s, "free")
+	nfree := 0
+	for start, n := range d.free.byStart {
+		claim(extent{start, n}, free)
+		if _, ok := d.free.byStart[start+n]; ok {
+			t.Fatalf("free runs at %d and %d touch", start, start+n)
+		}
+		if d.free.byEnd[start+n] != start {
+			t.Fatalf("free run [%d,%d) missing from the ends", start, start+n)
+		}
+		nfree += n
 	}
-	for _, s := range d.limbo {
-		claim(s, "limbo")
+	listed := 0
+	for n, l := range append(slices.Clone(d.free.bySize), d.free.large) {
+		for i, start := range l {
+			if m := d.free.byStart[start]; m == 0 || (n < len(d.free.bySize) && m != n) || (n == len(d.free.bySize) && m < n) ||
+				i > 0 && l[i-1] >= start {
+				t.Fatalf("list %d holds %d (run length %d) out of place: %v", n, start, m, l)
+			}
+		}
+		listed += len(l)
 	}
+	if runs := len(d.free.byStart); len(d.free.byEnd) != runs || listed != runs || d.free.total != nfree {
+		t.Fatalf("%d free runs of %d blocks, but %d ends, %d listed, %d counted", runs, nfree, len(d.free.byEnd), listed, d.free.total)
+	}
+	nlimbo := 0
+	for _, e := range d.limbo {
+		claim(e, limbo)
+		nlimbo += e.n
+	}
+	live := 0
 	for pid, p := range d.pages {
-		if p.slot >= 0 {
-			claim(p.slot, fmt.Sprintf("page %d", pid))
+		if p.start >= 0 {
+			claim(extent{p.start, d.blocks(p.n)}, int64(pid))
+			live += d.blocks(p.n)
 		}
 	}
-	for s, who := range owner {
-		if who == "" {
-			t.Fatalf("slot %d is neither free, in limbo nor elected", s)
-		}
+	if b := slices.Index(owner, none); b >= 0 {
+		t.Fatalf("block %d is neither free, in limbo nor elected", b)
 	}
-	if d.nslots > max(d.bound(), floor) {
-		t.Fatalf("%d slots for %d pages: over the bound %d", d.nslots, len(d.pages), d.bound())
+	if nlimbo != d.limboN || live != d.live {
+		t.Fatalf("limbo %d and live %d blocks, counted %d and %d", nlimbo, live, d.limboN, d.live)
+	}
+	if d.nblocks > max(d.bound(), floor) {
+		t.Fatalf("%d blocks for %d live: over the bound %d (limbo %d, free %d in %d runs, floor %d)", d.nblocks, d.live, d.bound(), d.limboN, d.free.total, len(d.free.byStart), floor)
 	}
 }
 
-// TestFileDiskLimbo pins the reuse rule: the slot of a durable image is
-// held back until a Sync has covered its replacement; the slot of an
+// freeAt reports whether block b is free.
+func freeAt(d *FileDisk, b int) bool {
+	for start, n := range d.free.byStart {
+		if start <= b && b < start+n {
+			return true
+		}
+	}
+	return false
+}
+
+// inLimbo reports whether an extent starting at block b is in limbo.
+func inLimbo(d *FileDisk, b int) bool {
+	return slices.ContainsFunc(d.limbo, func(e extent) bool { return e.start == b })
+}
+
+// TestFileDiskLimbo pins the reuse rule: the extent of a durable image is
+// held back until a Sync has covered its replacement; the extent of an
 // image written since the last Sync is free at once.
 func TestFileDiskLimbo(t *testing.T) {
 	d, err := OpenFileDisk(fsys.OS, filepath.Join(t.TempDir(), "pages.db"), 512)
@@ -262,33 +388,33 @@ func TestFileDiskLimbo(t *testing.T) {
 		if err := d.Write(9, mkImage(9, fill, 64)); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		checkSlots(t, d, 0)
-		return d.pages[9].slot
+		checkBlocks(t, d, 0)
+		return d.pages[9].start
 	}
 	s1 := write('a')
 	s2 := write('b') // 'a' was never synced
-	if len(d.limbo) != 0 || !slices.Contains(d.free, s1) {
-		t.Fatalf("unsynced superseded slot not free: free=%v limbo=%v", d.free, d.limbo)
+	if len(d.limbo) != 0 || !freeAt(d, s1) {
+		t.Fatalf("unsynced superseded extent not free: free=%v limbo=%v", d.free.byStart, d.limbo)
 	}
 	if err := d.Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
 	s3 := write('c') // 'b' is durable
-	if s3 == s2 || !slices.Contains(d.limbo, s2) || slices.Contains(d.free, s2) {
-		t.Fatalf("durable superseded slot %d not in limbo: free=%v limbo=%v", s2, d.free, d.limbo)
+	if s3 == s2 || !inLimbo(d, s2) || freeAt(d, s2) {
+		t.Fatalf("durable superseded extent %d not in limbo: free=%v limbo=%v", s2, d.free.byStart, d.limbo)
 	}
 	s4 := write('d') // 'c' is not; 'b' stays the durable image
-	if s4 == s2 || !slices.Contains(d.limbo, s2) || !slices.Contains(d.free, s3) {
-		t.Fatalf("after a second unsynced write: free=%v limbo=%v", d.free, d.limbo)
+	if s4 == s2 || !inLimbo(d, s2) || !freeAt(d, s3) {
+		t.Fatalf("after a second unsynced write: free=%v limbo=%v", d.free.byStart, d.limbo)
 	}
 	if err := d.Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
-	if len(d.limbo) != 0 || !slices.Contains(d.free, s2) {
-		t.Fatalf("sync did not release limbo: free=%v limbo=%v", d.free, d.limbo)
+	if len(d.limbo) != 0 || !freeAt(d, s2) {
+		t.Fatalf("sync did not release limbo: free=%v limbo=%v", d.free.byStart, d.limbo)
 	}
 	st := d.Stats()
-	if st.Slots != int64(d.nslots) || st.FreeSlots != int64(len(d.free)) || st.LimboSlots != 0 || st.DemandSyncs != 0 {
+	if st.Blocks != int64(d.nblocks) || st.FreeBlocks != int64(d.free.total) || st.LimboBlocks != 0 || st.DemandSyncs != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -308,8 +434,9 @@ func TestFileDiskDemandSyncBoundsFile(t *testing.T) {
 			t.Fatalf("write: %v", err)
 		}
 	}
-	if st := d.Stats(); st.DemandSyncs != 0 || st.Slots != pages {
-		t.Fatalf("set-up writes: %+v, want no demand sync and one slot per page", st)
+	// A 90-byte frame takes two 64-byte blocks.
+	if st := d.Stats(); st.DemandSyncs != 0 || st.Blocks != 1+2*pages || st.FreeBlocks != 0 {
+		t.Fatalf("set-up writes: %+v, want no demand sync and one two-block extent per page", st)
 	}
 	if err := d.Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
@@ -319,7 +446,7 @@ func TestFileDiskDemandSyncBoundsFile(t *testing.T) {
 			if err := d.Write(pid, mkImage(pid, byte('b'+round), 50)); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			checkSlots(t, d, 0)
+			checkBlocks(t, d, 0)
 		}
 	}
 	st := d.Stats()
@@ -422,6 +549,10 @@ func testTornWrite(t *testing.T, fs fsys.FS, dir string) {
 	if err := d.Write(2, prior); err != nil {
 		t.Fatalf("write: %v", err)
 	}
+	before, err := fsys.Size(fs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inj.Arm(FPDiskWrite, fault.Spec{Kind: fault.Torn})
 	err = d.Write(2, mkImage(2, 'n', 90))
 	if err == nil || !fault.IsTorn(err) {
@@ -434,8 +565,8 @@ func testTornWrite(t *testing.T, fs fsys.FS, dir string) {
 	if rerr != nil || !ok || !bytes.Equal(got, prior) {
 		t.Fatalf("read after torn write: ok=%v err=%v (want prior image)", ok, rerr)
 	}
-	if size, err := fsys.Size(fs, path); err != nil || size <= fdHdrLen+512 {
-		t.Fatalf("file is %d bytes (%v): the torn frame never reached it", size, err)
+	if size, err := fsys.Size(fs, path); err != nil || size <= before {
+		t.Fatalf("file is %d bytes (%v), %d before: the torn frame never reached it", size, err, before)
 	}
 	d2, err := OpenFileDisk(fs, path, 0)
 	if err != nil {
@@ -457,7 +588,7 @@ func TestFileDiskImageTooLarge(t *testing.T) {
 	if err := d.Write(1, make([]byte, 256)); err == nil {
 		t.Fatalf("oversized image accepted")
 	}
-	if err := d.Write(1, make([]byte, 256-slotHdrLen)); err != nil {
+	if err := d.Write(1, make([]byte, 256-frameHdrLen)); err != nil {
 		t.Fatalf("max-size image rejected: %v", err)
 	}
 }
@@ -487,7 +618,7 @@ func TestFileDiskHeaderCorruption(t *testing.T) {
 
 // recFile stands between a FileDisk and its file. It keeps the bytes the
 // last Sync made durable and every pwrite since, which is what a crash
-// image is built from, and reports a pwrite into a slot whose image that
+// image is built from, and reports a pwrite into a block of an image that
 // Sync covered — the one thing careful replacement must never do.
 type recFile struct {
 	fsys.File
@@ -521,8 +652,8 @@ func (r *recFile) mark() {
 	r.log = nil
 	r.guarded = make(map[int]bool)
 	for _, p := range r.d.pages {
-		if p.slot >= 0 {
-			r.guarded[p.slot] = true
+		for b := p.start; p.start >= 0 && b < p.start+r.d.blocks(p.n); b++ {
+			r.guarded[b] = true
 		}
 	}
 }
@@ -531,8 +662,11 @@ func (r *recFile) WriteAt(b []byte, off int64) (int, error) {
 	if r.failing {
 		return 0, errors.New("injected pwrite failure")
 	}
-	if slot := int((off - fdHdrLen) / int64(r.d.slotSize)); r.guarded[slot] {
-		r.t.Errorf("pwrite into slot %d, which holds an image the last Sync covered", slot)
+	bs := int64(r.d.block)
+	for blk := off / bs; len(b) > 0 && blk*bs < off+int64(len(b)); blk++ {
+		if r.guarded[int(blk)] {
+			r.t.Errorf("pwrite into block %d, which holds an image the last Sync covered", blk)
+		}
 	}
 	r.log = append(r.log, recWrite{off, bytes.Clone(b)})
 	return r.File.WriteAt(b, off)
@@ -584,16 +718,29 @@ func TestFileDiskFailedWriteFreesSlot(t *testing.T) {
 		t.Fatalf("first write through a failing file succeeded")
 	}
 	r.failing = false
-	checkSlots(t, d, 0)
+	checkBlocks(t, d, 0)
 	if got, ok, err := d.Read(4); err != nil || !ok || !bytes.Equal(got, prior) {
 		t.Fatalf("read after failed write: ok=%v err=%v (want prior image)", ok, err)
 	}
 	if _, ok, err := d.Read(5); ok || err != nil {
 		t.Fatalf("failed first write visible: ok=%v err=%v", ok, err)
 	}
-	if st := d.Stats(); st.Slots != 2 || st.FreeSlots != 1 {
+	// Every 130-byte frame takes two 128-byte blocks: the header's, the
+	// prior image's two and the failed target's two.
+	if st := d.Stats(); st.Blocks != 5 || st.FreeBlocks != 2 {
 		t.Fatalf("stats %+v: want the failed target back on the free list, and reused", st)
 	}
+}
+
+// legacyHeader builds the header of a page file of format version 1, 2
+// or 3: no salt, a checksum over its first 16 bytes.
+func legacyHeader(version, slotSize uint32) []byte {
+	hdr := make([]byte, fdHdrLen)
+	copy(hdr, fdMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], version)
+	binary.LittleEndian.PutUint32(hdr[12:], slotSize)
+	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], fdCRCTable))
+	return hdr
 }
 
 func TestFileDiskOpenRejects(t *testing.T) {
@@ -603,11 +750,13 @@ func TestFileDiskOpenRejects(t *testing.T) {
 		hdr  []byte
 		want error
 	}{
-		{"v1", fileHeader(1, 8192), ErrPageFileVersion},
-		{"v2", fileHeader(2, 8192), ErrPageFileVersion},
-		{"v4", fileHeader(4, 8192), ErrPageFileVersion},
-		{"slot-small", fileHeader(fdVersion, minSlotSize-1), ErrSlotSize},
-		{"slot-huge", fileHeader(fdVersion, 1<<31), ErrSlotSize},
+		{"v1", legacyHeader(1, 8192), ErrPageFileVersion},
+		{"v2", legacyHeader(2, 8192), ErrPageFileVersion},
+		{"v3", legacyHeader(3, 8192), ErrPageFileVersion},
+		{"v5", fileHeader(5, 8192, 7), ErrPageFileVersion},
+		{"v3-in-v4-layout", fileHeader(3, 8192, 7), ErrTornPage},
+		{"slot-small", fileHeader(fdVersion, minSlotSize-1, 7), ErrSlotSize},
+		{"slot-huge", fileHeader(fdVersion, 1<<31, 7), ErrSlotSize},
 	} {
 		path := filepath.Join(dir, c.name)
 		// Bytes after the header: a huge slot size must not size a buffer.
@@ -625,11 +774,12 @@ func TestFileDiskOpenRejects(t *testing.T) {
 	}
 }
 
-// TestFileDiskRefusesVersion2: a page file a version-2 build wrote — pages
-// in their slots under a header whose magic and checksum hold — opens with
-// ErrPageFileVersion and is left byte for byte as it was: its node images
-// hold records with the fields of both levels, which this build does not
-// read.
+// TestFileDiskRefusesVersion2: a page file a version-2 or version-3 build
+// wrote — pages under a header whose magic and checksum hold — opens with
+// ErrPageFileVersion and is left byte for byte as it was: the node images
+// of version 2 hold records with the fields of both levels, and version 3
+// gave every image a whole slot and checksummed frame headers unsalted;
+// this build reads neither.
 func TestFileDiskRefusesVersion2(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store-1.pages")
 	d, err := OpenFileDisk(fsys.OS, path, 128)
@@ -649,66 +799,82 @@ func TestFileDiskRefusesVersion2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := append(fileHeader(2, 128), b[fdHdrLen:]...)
-	if err := os.WriteFile(path, v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if d, err := OpenFileDisk(fsys.OS, path, 0); !errors.Is(err, ErrPageFileVersion) {
-		if d != nil {
-			d.Close()
+	for _, v := range []uint32{2, 3} {
+		old := append(legacyHeader(v, 128), b[fdHdrLen:]...)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("open of a version-2 file: %v, want ErrPageFileVersion", err)
-	}
-	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, v2) {
-		t.Fatalf("the version-2 file changed by the open (%v)", err)
+		if d, err := OpenFileDisk(fsys.OS, path, 0); !errors.Is(err, ErrPageFileVersion) {
+			if d != nil {
+				d.Close()
+			}
+			t.Fatalf("open of a version-%d file: %v, want ErrPageFileVersion", v, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+			t.Fatalf("the version-%d file changed by the open (%v)", v, err)
+		}
 	}
 }
 
-// FuzzOpenFileDisk feeds OpenFileDisk arbitrary bytes. It must return one
-// of its sentinel errors or a disk on which the slots are partitioned,
-// every elected page reads back checksum-clean and a write works. It must
-// never panic or hang; what it allocates is bounded by the file's size
-// because a slot size from the header is range-checked before use and the
-// scan buffer is capped at the file's length.
-func FuzzOpenFileDisk(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(fileHeader(1, 8192))
-	f.Add(fileHeader(fdVersion, 1<<20))
-	f.Add(append(fileHeader(fdVersion, 64), make([]byte, 300)...))
-	{
-		path := filepath.Join(f.TempDir(), "seed.db")
-		d, err := OpenFileDisk(fsys.OS, path, 128)
-		if err != nil {
+// fuzzSeedFile writes pages of 1 to 4 blocks to a page file on fs,
+// syncing now and then and tearing a write after each sync, and returns
+// the file's bytes.
+func fuzzSeedFile(f *testing.F, fs fsys.FS, slotSize int) []byte {
+	d, err := OpenFileDisk(fs, "seed.db", slotSize)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		pid := PageID(1 + i%5)
+		n := 30 + i
+		if slotSize > 1024 {
+			n = (i*slotSize/7)%(slotSize-frameHdrLen) + 1
+		}
+		if err := d.Write(pid, mkImage(pid, byte(i), n)); err != nil {
 			f.Fatal(err)
 		}
-		for i := 0; i < 12; i++ {
-			pid := PageID(1 + i%5)
-			if err := d.Write(pid, mkImage(pid, byte(i), 30+i)); err != nil {
+		if i%4 == 3 {
+			if err := d.Sync(); err != nil {
 				f.Fatal(err)
 			}
-			if i%4 == 3 {
-				if err := d.Sync(); err != nil {
-					f.Fatal(err)
-				}
-				if err := d.writePartial(pid, mkImage(pid, 'z', 60), 0.7); err != nil {
-					f.Fatal(err)
-				}
+			if err := d.writePartial(pid, mkImage(pid, 'z', min(2*n, slotSize-frameHdrLen)), 0.7); err != nil {
+				f.Fatal(err)
 			}
 		}
-		d.Close()
-		valid, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(valid)
-		f.Add(valid[:len(valid)-50])
 	}
+	d.Close()
+	b, err := fsys.ReadFile(fs, "seed.db")
+	if err != nil {
+		f.Fatal(err)
+	}
+	return b
+}
+
+// FuzzOpenFileDisk feeds OpenFileDisk arbitrary bytes, on an in-memory
+// file system. It must return one of its sentinel errors or a disk whose
+// blocks are partitioned, every elected page reads back checksum-clean,
+// and a write of a small and of a largest image works. It must never
+// panic or hang; what it allocates is bounded by the file's size because
+// a slot size from the header is range-checked before use and the scan
+// buffer is capped at the file's length. Its seeds include a file of
+// 16 KiB slots, whose frames take 1 to 4 blocks.
+func FuzzOpenFileDisk(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(legacyHeader(1, 8192))
+	f.Add(fileHeader(fdVersion, 1<<20, 7))
+	f.Add(append(fileHeader(fdVersion, 128, 7), make([]byte, 300)...))
+	valid := fuzzSeedFile(f, fsys.NewMem(), 128)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-50])
+	valid = fuzzSeedFile(f, fsys.NewMem(), 16<<10)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5000])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "pages.db")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		fs := fsys.NewMem()
+		if err := fsys.WriteFile(fs, "pages.db", data); err != nil {
 			t.Fatal(err)
 		}
-		d, err := OpenFileDisk(fsys.OS, path, 0)
+		d, err := OpenFileDisk(fs, "pages.db", 0)
 		if err != nil {
 			if !errors.Is(err, ErrTornPage) && !errors.Is(err, ErrPageFileVersion) && !errors.Is(err, ErrSlotSize) {
 				t.Fatalf("open: %v, want a sentinel error", err)
@@ -716,44 +882,48 @@ func FuzzOpenFileDisk(f *testing.F) {
 			return
 		}
 		defer d.Close()
-		checkSlots(t, d, d.nslots)
+		checkBlocks(t, d, d.nblocks)
 		for pid, p := range d.pages {
 			_, ok, err := d.Read(pid)
-			if lost := p.slot < 0; lost != errors.Is(err, ErrTornPage) || ok == lost {
-				t.Fatalf("page %d (slot %d): ok=%v err=%v", pid, p.slot, ok, err)
+			if lost := p.start < 0; lost != errors.Is(err, ErrTornPage) || ok == lost {
+				t.Fatalf("page %d (block %d): ok=%v err=%v", pid, p.start, ok, err)
 			}
 		}
-		img := mkImage(1, 'w', 8)
-		if err := d.Write(1, img); err != nil {
-			t.Fatalf("write: %v", err)
+		for i, img := range [][]byte{mkImage(1, 'w', 8), mkImage(2, 'w', d.Payload())} {
+			pid := PageID(1 + i)
+			if err := d.Write(pid, img); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			if got, ok, err := d.Read(pid); err != nil || !ok || !bytes.Equal(got, img) {
+				t.Fatalf("read back: ok=%v err=%v", ok, err)
+			}
+			checkBlocks(t, d, d.nblocks)
 		}
-		if got, ok, err := d.Read(1); err != nil || !ok || !bytes.Equal(got, img) {
-			t.Fatalf("read back: ok=%v err=%v", ok, err)
-		}
-		checkSlots(t, d, d.nslots)
 	})
 }
 
-// TestFileDiskCrashModel drives the slot allocator with seeded sequences
+// TestFileDiskCrashModel drives the block allocator with seeded sequences
 // of Write, WritePartial, Sync and crash, and checks it against a model
 // that knows only what careful replacement promises: after a crash every
 // page reads as one of its completely written versions no older than the
 // one the last Sync covered (a page never synced may be absent), and
-// never as ErrTornPage. recFile checks on every pwrite that no slot is
+// never as ErrTornPage. recFile checks on every pwrite that no block is
 // reused before a Sync has covered the image that replaced it.
 //
-// It runs on the operating system's file system and on an in-memory one.
+// It runs with 256-byte slots on the operating system's file system and
+// on an in-memory one, and with 16 KiB slots on an in-memory one: frames
+// of 1 to 4 blocks either way, of 64 bytes or of 4 KiB.
 func TestFileDiskCrashModel(t *testing.T) {
-	onBoth(t, testFileDiskCrashModel)
+	onBoth(t, func(t *testing.T, fs fsys.FS, dir string) { testFileDiskCrashModel(t, fs, dir, 256) })
+	t.Run("mem-16k", func(t *testing.T) { testFileDiskCrashModel(t, fsys.NewMem(), ".", 16<<10) })
 }
 
-func testFileDiskCrashModel(t *testing.T, fs fsys.FS, root string) {
-	// Limbo holds at most one slot per page, so only a file of more than
-	// 8/7 * 64 pages can reach its bound and sync on demand.
+func testFileDiskCrashModel(t *testing.T, fs fsys.FS, root string, slotSize int) {
+	// Limbo holds at most one extent per page, so only a file of more
+	// than 8/7 * 256 live blocks can reach its bound and sync on demand.
 	const (
-		pages    = 120
-		slotSize = 256
-		steps    = 2500
+		pages = 160
+		steps = 2500
 	)
 	demandSyncs := int64(0)
 	for seed := int64(1); seed <= 4; seed++ {
@@ -767,14 +937,14 @@ func testFileDiskCrashModel(t *testing.T, fs fsys.FS, root string) {
 			t.Fatalf("open: %v", err)
 		}
 		r := record(t, fs, d)
-		floor, crashes := 0, 0
+		crashes := 0
 		cur := map[PageID][]byte{}     // what Read must return now
 		durable := map[PageID][]byte{} // what the last Sync covered
 		// since holds every image handed to Write or WritePartial after
 		// the last Sync; a torn write that lands whole is a version too.
 		since := map[PageID][][]byte{}
 		randImage := func() []byte {
-			img := make([]byte, 1+rng.Intn(slotSize-slotHdrLen))
+			img := make([]byte, 1+rng.Intn(slotSize-frameHdrLen))
 			rng.Read(img)
 			return img
 		}
@@ -788,6 +958,7 @@ func testFileDiskCrashModel(t *testing.T, fs fsys.FS, root string) {
 		syncs := d.Stats().Fsyncs
 		for step := 0; step < steps; step++ {
 			pid := PageID(1 + rng.Intn(pages))
+			had := d.nblocks
 			switch op := rng.Intn(1000); {
 			case op < 750:
 				img := randImage()
@@ -846,10 +1017,10 @@ func testFileDiskCrashModel(t *testing.T, fs fsys.FS, root string) {
 					}
 				}
 				r = record(t, fs, d)
-				floor, syncs = d.nslots, 0
+				had, syncs = d.nblocks, 0
 				synced()
 			}
-			checkSlots(t, d, floor)
+			checkBlocks(t, d, had)
 			if got, ok, err := d.Read(pid); err != nil || ok != (cur[pid] != nil) || !bytes.Equal(got, cur[pid]) {
 				t.Fatalf("seed %d step %d: page %d: ok=%v err=%v, want the last complete write", seed, step, pid, ok, err)
 			}
@@ -919,13 +1090,13 @@ func TestFileDiskReadDuringDemandSync(t *testing.T) {
 	if st := d.Stats(); st.DemandSyncs < 3 {
 		t.Fatalf("stats %+v: writer never had to sync on demand", st)
 	}
-	checkSlots(t, d, 0)
+	checkBlocks(t, d, 0)
 }
 
-// TestCensusPageFile: a read-only scan of a page file counts its slots,
-// its pages with their image lengths, its free slots and its stale ones
-// (the synced images that newer writes superseded), and leaves the file's
-// bytes as they were.
+// TestCensusPageFile: a read-only scan of a page file counts its blocks,
+// its pages with their image lengths and extents, its free blocks and its
+// stale ones (the synced images that newer writes superseded), and leaves
+// the file's bytes as they were.
 func TestCensusPageFile(t *testing.T) {
 	fs := fsys.NewMem()
 	d, err := OpenFileDisk(fs, "pages", 512)
@@ -951,7 +1122,7 @@ func TestCensusPageFile(t *testing.T) {
 		}
 		want = append(want, n)
 	}
-	slots := int(d.Stats().Slots)
+	blocks := int(d.Stats().Blocks)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -965,9 +1136,11 @@ func TestCensusPageFile(t *testing.T) {
 	}
 	slices.Sort(want)
 	slices.Sort(c.Images)
-	if c.SlotSize != 512 || c.Payload != 512-slotHdrLen || c.Slots != slots || c.Bytes != int64(len(before)) ||
-		!slices.Equal(c.Images, want) || c.Stale != 3 || c.Free+c.Stale+len(c.Images) != c.Slots || c.Torn != 0 {
-		t.Fatalf("census %+v; want %d slots of 512 B, images %v, 3 stale", c, slots, want)
+	// Frames of 105 to 114 bytes take one 128-byte block, of 240 two.
+	if c.SlotSize != 512 || c.BlockSize != 128 || c.Payload != 512-frameHdrLen || c.Blocks != blocks || c.Bytes != int64(len(before)) ||
+		!slices.Equal(c.Images, want) || !slices.Equal(c.Extents, []int{0, 7, 3, 0, 0}) || c.Stale != 3 ||
+		c.Free+c.Stale+7+2*3 != c.Blocks-1 || c.Torn != 0 {
+		t.Fatalf("census %+v; want %d blocks of 128 B, images %v, 3 stale blocks", c, blocks, want)
 	}
 	if after, err := fsys.ReadFile(fs, "pages"); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("the census changed the file (err %v)", err)

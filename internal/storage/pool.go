@@ -549,8 +549,9 @@ func (p *Pool) shard(pid PageID) *poolShard {
 func (p *Pool) Disk() *FileDisk { return p.disk }
 
 // Room returns the largest codec content a page of this pool holds: the
-// page file's slot payload less the image's (pageLSN, tag) prefix. A node
-// whose encoded size passes it is an image Write refuses.
+// page file's payload (the slot size less the frame header) less the
+// image's (pageLSN, tag) prefix. A node whose encoded size passes it is an
+// image Write refuses.
 func (p *Pool) Room() int { return p.disk.Payload() - imageHdrLen }
 
 // SetInjector attaches a fault injector whose pool.evict failpoint

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -94,6 +95,53 @@ func testPermanentSyncRewinds(t *testing.T, fs fsys.FS, dir string, crash func(f
 	}
 	if rd2.EndLSN() != stable {
 		t.Fatalf("file replay ends at %d, want the stable point %d", rd2.EndLSN(), stable)
+	}
+}
+
+// TestPermanentSyncThenMoreAppends: after a permanent sync failure the
+// log keeps taking appends, and every force of them is refused — by
+// Force, ForceGroup and ForceAll alike. A reopen of the files, as they
+// are and as a crash leaves them, must find exactly the stable prefix:
+// every record below it, none past it, and no gap. The sync's rewind
+// leaves the written point where the failed round put it, above the
+// stable one; this holds the files to the stable point regardless.
+func TestPermanentSyncThenMoreAppends(t *testing.T) {
+	fs := fsys.NewMem()
+	fw, _, err := Open(fs, "wal", 0, SyncAlways)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	l := New()
+	l.SetSink(fw)
+	inj := fault.New(9)
+	l.SetInjector(inj)
+	want := fileAppendN(t, l, 20, 'd')
+	stable := l.StableLSN()
+
+	inj.Arm(FPSync, fault.Spec{Kind: fault.Permanent})
+	for round := 0; round < 4; round++ {
+		lsns := appendN(l, 3)
+		for i, force := range []func() error{
+			func() error { return l.Force(lsns[0]) },
+			func() error { return l.ForceGroup(lsns[2]) },
+			l.ForceAll,
+		} {
+			if err := force(); err == nil {
+				t.Fatalf("round %d force %d acked on a dead device", round, i)
+			}
+		}
+	}
+	if got := l.StableLSN(); got != stable {
+		t.Fatalf("stable point moved %d -> %d", stable, got)
+	}
+	fw.Close()
+
+	for name, fs := range map[string]fsys.FS{"as left": fs, "after a crash": fs.Crash(fsys.DropUnsynced)} {
+		fw2, rd, got := replayRecords(t, fs, "wal", 0)
+		fw2.Close()
+		if rd == nil || rd.EndLSN() != stable || !slices.Equal(got, want) {
+			t.Fatalf("%s: replay of %d records, want the %d below the stable point %d", name, len(got), len(want), stable)
+		}
 	}
 }
 
