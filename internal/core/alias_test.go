@@ -134,22 +134,22 @@ func TestNoResultAliasesANode(t *testing.T) {
 			t.Fatalf("%s of key %d points into a node's records", r.api, r.key)
 		}
 	}
-	// The log: each update record carries the value it replaced and the one
-	// it wrote, as they were then.
+	// The log: each update record's delta turns the value it replaced into
+	// the one it wrote, as they were then.
 	updates := map[uint64]int{}
 	fx.e.Log.FullImage().Scan(from, func(r wal.Record) bool {
 		if r.Type != wal.RecUpdate || r.Kind != KindUpdateRecord {
 			return true
 		}
-		k, nv, ov, err := decKVV(r.Payload)
+		d, err := decUpdate(r.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := keys.ToUint64(k)
+		key := keys.ToUint64(d.key)
 		updates[key]++
 		gen := byte(updates[key])
-		if !bytes.Equal(ov, value(key, gen)) || !bytes.Equal(nv, value(key, gen+1)) {
-			t.Fatalf("update %d of key %d logged %x -> %x", gen, key, ov, nv)
+		if got, err := d.apply(nil, value(key, gen)); err != nil || !bytes.Equal(got, value(key, gen+1)) {
+			t.Fatalf("update %d of key %d logged a delta that makes %x of %x (%v), want %x", gen, key, got, value(key, gen), err, value(key, gen+1))
 		}
 		return true
 	})

@@ -15,21 +15,19 @@ import (
 // The golden directory is a small file-backed engine directory — WAL
 // segments, master record, page file — abandoned without a Close: page
 // images from a checkpoint, a log tail to redo on top of them, and a loser
-// to undo, in page file format 4 and log format 4 (frames in extents of
+// to undo, in page file format 4 and log format 5 (frames in extents of
 // blocks; node images whose records hold only their level's fields; each
-// page's records chained). The commit that introduced the log format wrote
-// it, in its own tree, with
+// page's records chained; an update logged as one delta). The commit that introduced log
+// format 5 wrote it, in its own tree, with
 //
-//	go test ./internal/core -run TestWriteGoldenDir -golden-out <repo>/internal/core/testdata/golden-v4
+//	go test ./internal/core -run TestWriteGoldenDir -golden-out <repo>/internal/core/testdata/golden-v5
 //
-// and the commit that introduced page file format 4 re-made it the same
-// way, the log's files byte for byte as they were. TestGoldenDir
-// (golden_test.go) holds later code to it: neither format has moved since.
-// A change that bumps a format version re-makes the directory the same way,
-// named for the new versions, and deletes the old one.
+// TestGoldenDir (golden_test.go) holds later code to it: neither format has
+// moved since. A change that bumps a format version re-makes the directory
+// the same way, named for the new versions, and deletes the old one.
 var goldenOut = flag.String("golden-out", "", "write the golden data directory there")
 
-const goldenDir = "testdata/golden-v4"
+const goldenDir = "testdata/golden-v5"
 
 var goldenEngine = engine.Options{SegmentSize: 16 << 10, SlotSize: 1 << 10}
 var goldenTree = Options{LeafCapacity: 8, IndexCapacity: 6, SyncCompletion: true}

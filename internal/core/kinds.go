@@ -1,6 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+
 	"repro/internal/enc"
 	"repro/internal/keys"
 	"repro/internal/pitree"
@@ -53,21 +57,96 @@ const (
 
 // --- payload codecs -----------------------------------------------------
 
-func encKVV(key keys.Key, newVal, oldVal []byte) []byte {
-	var w enc.Writer
-	w.Bytes32(key)
-	w.Bytes32(newVal)
-	w.Bytes32(oldVal)
-	return w.Bytes()
+// An update's payload is one delta that turns the old value into the new
+// one (DESIGN.md §16): the key, the old and new lengths as uvarints, the
+// offset of the first byte kept, and old ⊕ new — the shorter value
+// zero-padded, the leading and trailing zero bytes trimmed — to the end.
+// XOR is its own inverse: the delta with its two lengths swapped turns the
+// new value back into the old, and that is the compensation of both undo
+// disciplines. A delta applied twice corrupts the value, so it is applied
+// only behind the pageLSN test (storage.Registry's redo, which restart redo,
+// write elision's replay and a rollback's CLR all go through) or, by a
+// logical undo, under the latch of the leaf whose CLR logs it.
+type valueDelta struct {
+	key keys.Key
+	// from and to are the lengths of the value the delta applies to and of
+	// the value it makes.
+	from, to int
+	// x is old ⊕ new from offset off on; it aliases the payload.
+	off int
+	x   []byte
 }
 
-// decKVV decodes an update's key, new value and old value; they alias b.
-func decKVV(b []byte) (keys.Key, []byte, []byte, error) {
+// errBadDelta reports an update payload whose lengths do not hold together.
+var errBadDelta = errors.New("core: malformed update delta")
+
+// appendDelta appends d's payload to dst.
+func appendDelta(dst []byte, d valueDelta) []byte {
+	dst = enc.AppendBytes32(dst, d.key)
+	dst = binary.AppendUvarint(dst, uint64(d.from))
+	dst = binary.AppendUvarint(dst, uint64(d.to))
+	dst = binary.AppendUvarint(dst, uint64(d.off))
+	return append(dst, d.x...)
+}
+
+// appendUpdate appends the payload of an update of key's value from old to
+// new.
+func appendUpdate(dst []byte, key keys.Key, old, new []byte) []byte {
+	at := func(v []byte, i int) byte {
+		if i < len(v) {
+			return v[i]
+		}
+		return 0
+	}
+	lo, hi := 0, max(len(old), len(new))
+	for lo < hi && at(old, lo) == at(new, lo) {
+		lo++
+	}
+	for hi > lo && at(old, hi-1) == at(new, hi-1) {
+		hi--
+	}
+	dst = appendDelta(dst, valueDelta{key: key, from: len(old), to: len(new), off: lo})
+	for i := lo; i < hi; i++ {
+		dst = append(dst, at(old, i)^at(new, i))
+	}
+	return dst
+}
+
+// decUpdate decodes an update's delta. Both lengths are bounded by the
+// largest record a tree admits before anything is sized by them.
+func decUpdate(b []byte) (valueDelta, error) {
 	r := enc.NewReader(b)
-	k := r.View32()
-	nv := r.View32()
-	ov := r.View32()
-	return k, nv, ov, r.Err()
+	key := r.View32()
+	from, to, off := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	x := r.Rest()
+	if err := r.Err(); err != nil {
+		return valueDelta{}, err
+	}
+	span := max(from, to)
+	if span > pitree.MaxRecord || off > span || uint64(len(x)) > span-off {
+		return valueDelta{}, fmt.Errorf("%w: lengths %d -> %d, %d bytes at %d", errBadDelta, from, to, len(x), off)
+	}
+	return valueDelta{key: key, from: int(from), to: int(to), off: int(off), x: x}, nil
+}
+
+// inverse is the delta that undoes d.
+func (d valueDelta) inverse() valueDelta {
+	d.from, d.to = d.to, d.from
+	return d
+}
+
+// apply appends to dst[:0] the value d makes of cur, which must be the
+// length of the value d applies to.
+func (d valueDelta) apply(dst, cur []byte) ([]byte, error) {
+	if len(cur) != d.from {
+		return nil, fmt.Errorf("%w: key %x holds %d bytes, the delta applies to %d", errBadDelta, d.key, len(cur), d.from)
+	}
+	keep := min(d.from, d.to)
+	dst = append(append(dst[:0], cur[:keep]...), make([]byte, d.to-keep)...)
+	for i := d.off; i < min(d.off+len(d.x), d.to); i++ {
+		dst[i] ^= d.x[i-d.off]
+	}
+	return dst, nil
 }
 
 func encNodeImage(n *Node) []byte {
@@ -148,20 +227,20 @@ type Binding struct {
 func (b *Binding) PageOriented() bool { return b.pageOriented }
 
 // logicalUndo returns the logical undo of a data record (§4.2, §6): the
-// write op of the key and value dec reads from its payload, applied by the
-// kernel's Compensate to whatever leaf holds the key now.
-func (b *Binding) logicalUndo(op writeOp, dec func([]byte) (Entry, error)) func(*wal.Record, storage.CLRLogger) error {
+// leaf write dec reads from its payload, applied by the kernel's Compensate
+// to whatever leaf holds the key now.
+func (b *Binding) logicalUndo(dec func([]byte) (leafWrite, error)) func(*wal.Record, storage.CLRLogger) error {
 	return func(rec *wal.Record, tx storage.CLRLogger) error {
 		t, err := b.Tree(rec.StoreID)
 		if err != nil {
 			return err
 		}
-		e, err := dec(rec.Payload)
+		w, err := dec(rec.Payload)
 		if err != nil {
 			return err
 		}
-		w := &leafWrite{t: t, op: op, ks: []keys.Key{e.Key}, vals: [][]byte{e.Value}, undo: true}
-		return t.kern.Compensate(tx, rec.PrevLSN, w)
+		w.t, w.undo = t, true
+		return t.kern.Compensate(tx, rec.PrevLSN, &w)
 	}
 }
 
@@ -232,23 +311,30 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 		}),
 		MakeUndo: inverse(KindInsertRecord),
 	}
+	// An update's redo applies its delta to the value found, and its
+	// undo is the inverse delta.
 	updateHandler := storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			k, nv, _, err := decKVV(rec.Payload)
+			d, err := decUpdate(rec.Payload)
 			if err != nil {
 				return err
 			}
-			if i, ok := n.search(k); ok {
-				n.setValue(i, nv)
+			if i, ok := n.search(d.key); ok {
+				var scratch [256]byte
+				v, err := d.apply(scratch[:0], n.entry(i).Value)
+				if err != nil {
+					return err
+				}
+				n.setValue(i, enc.NilIfEmpty(v))
 			}
 			return nil
 		}),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
-			k, nv, ov, err := decKVV(rec.Payload)
+			d, err := decUpdate(rec.Payload)
 			if err != nil {
 				return storage.Compensation{}, err
 			}
-			return storage.Compensation{Kind: KindUpdateRecord, Payload: encKVV(k, ov, nv)}, nil
+			return storage.Compensation{Kind: KindUpdateRecord, Payload: appendDelta(nil, d.inverse())}, nil
 		},
 	}
 	if !pageOriented {
@@ -256,11 +342,18 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 		// tree to wherever the record lives now. Structure changes never
 		// need undoing against moved records, which is why this mode lets
 		// even data-node splits run outside the transaction (§6).
-		insertHandler.LogicalUndo = b.logicalUndo(opDelete, leafRecord)
-		deleteHandler.LogicalUndo = b.logicalUndo(opInsert, leafRecord)
-		updateHandler.LogicalUndo = b.logicalUndo(opUpdate, func(p []byte) (Entry, error) {
-			k, _, ov, err := decKVV(p)
-			return Entry{Key: k, Value: ov}, err
+		undoBy := func(op writeOp) func([]byte) (leafWrite, error) {
+			return func(p []byte) (leafWrite, error) {
+				e, err := leafRecord(p)
+				return leafWrite{op: op, ks: []keys.Key{e.Key}, vals: [][]byte{e.Value}}, err
+			}
+		}
+		insertHandler.LogicalUndo = b.logicalUndo(undoBy(opDelete))
+		deleteHandler.LogicalUndo = b.logicalUndo(undoBy(opInsert))
+		updateHandler.LogicalUndo = b.logicalUndo(func(p []byte) (leafWrite, error) {
+			d, err := decUpdate(p)
+			inv := d.inverse()
+			return leafWrite{op: opUpdate, ks: []keys.Key{d.key}, delta: &inv}, err
 		})
 	}
 	reg.Register(KindInsertRecord, insertHandler)

@@ -103,6 +103,10 @@ type leafWrite struct {
 	// undo marks a compensation (§4.2): a key already as the undo would
 	// leave it is skipped, not refused, and only an insert needs room.
 	undo bool
+	// delta, in the logical undo of an update, stands for the one value
+	// in vals: the inverse of the update's delta, applied to the value the
+	// key holds now.
+	delta *valueDelta
 	// path is the current attempt's saved path, for the posting a split
 	// schedules.
 	path *Path
@@ -144,7 +148,7 @@ func (w *leafWrite) Full(n *Node, i int) bool {
 	if w.op == opDelete || w.op == opRemove {
 		return false
 	}
-	need := leafSize(w.ks[i], w.vals[i])
+	need := leafSize(w.ks[i], nil) + w.valueLen(i)
 	if w.t.kern.Fits(n, need) {
 		return false
 	}
@@ -155,6 +159,14 @@ func (w *leafWrite) Full(n *Node, i int) bool {
 		need -= len(n.recs.At(j))
 	}
 	return !w.t.kern.Fits(n, need)
+}
+
+// valueLen is the length of the value item i writes.
+func (w *leafWrite) valueLen(i int) int {
+	if w.delta != nil {
+		return w.delta.to
+	}
+	return len(w.vals[i])
 }
 
 func (w *leafWrite) Split(o *opCtx, leaf nref) error { return w.t.splitLeaf(o, &leaf, w.path) }
@@ -190,8 +202,18 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 		if w.op == opInsert {
 			return w.miss(ErrKeyExists)
 		}
-		up = txn.GroupUpdate{Kind: KindUpdateRecord, Payload: encKVV(k, w.vals[i], n.entry(j).Value)}
-		n.setValue(j, enc.NilIfEmpty(w.vals[i]))
+		if cur := n.entry(j).Value; w.delta != nil {
+			var scratch [256]byte
+			v, err := w.delta.apply(scratch[:0], cur)
+			if err != nil {
+				return txn.GroupUpdate{}, err
+			}
+			up = txn.GroupUpdate{Kind: KindUpdateRecord, Payload: appendDelta(nil, *w.delta)}
+			n.setValue(j, enc.NilIfEmpty(v))
+		} else {
+			up = txn.GroupUpdate{Kind: KindUpdateRecord, Payload: appendUpdate(nil, k, cur, w.vals[i])}
+			n.setValue(j, enc.NilIfEmpty(w.vals[i]))
+		}
 		if batched {
 			t.Stats.Updates.Add(1)
 		}

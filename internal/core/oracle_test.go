@@ -215,7 +215,8 @@ func oracleRestore(b []byte) []byte {
 // The logical undo as PR 24 wrote it (internal/core/undo.go): one
 // hand-written re-traversal per record kind, taking the rolling-back
 // transaction directly instead of looking it up. The reference the
-// kernel's Compensate is held to (TestCompensateCLRIdentity).
+// kernel's Compensate is held to (TestCompensateCLRIdentity). Since log
+// format 5 its update CLR carries the inverse of the update's delta.
 
 func (t *Tree) oracleUndoDelete(rec *wal.Record, tx storage.CLRLogger, k keys.Key) error {
 	return t.kern.RetryLoop(nil, func(o *opCtx) error {
@@ -263,21 +264,27 @@ func (t *Tree) oracleUndoInsert(rec *wal.Record, tx storage.CLRLogger, k keys.Ke
 	})
 }
 
-func (t *Tree) oracleUndoUpdate(rec *wal.Record, tx storage.CLRLogger, k keys.Key, oldVal []byte) error {
+func (t *Tree) oracleUndoUpdate(rec *wal.Record, tx storage.CLRLogger, d valueDelta) error {
+	inv := d.inverse()
 	return t.kern.RetryLoop(nil, func(o *opCtx) error {
-		leaf, err := t.descendTo(o, k, 0, latch.U, false, nil)
+		leaf, err := t.descendTo(o, d.key, 0, latch.U, false, nil)
 		if err != nil {
 			return err
 		}
-		i, ok := leaf.N.search(k)
+		i, ok := leaf.N.search(d.key)
 		if !ok {
 			o.Release(&leaf)
 			tx.LogCLR(nil, 0, nil, rec.PrevLSN)
 			return nil
 		}
 		o.Promote(&leaf)
-		tx.LogCLR(leaf.F, KindUpdateRecord, encKVV(k, oldVal, leaf.N.entry(i).Value), rec.PrevLSN)
-		leaf.N.setValue(i, enc.NilIfEmpty(oldVal))
+		v, err := inv.apply(nil, leaf.N.entry(i).Value)
+		if err != nil {
+			o.Release(&leaf)
+			return err
+		}
+		tx.LogCLR(leaf.F, KindUpdateRecord, appendDelta(nil, inv), rec.PrevLSN)
+		leaf.N.setValue(i, enc.NilIfEmpty(v))
 		o.Release(&leaf)
 		return nil
 	})
@@ -299,8 +306,8 @@ func (t *Tree) oracleRollback(log *wal.Log, tx *txn.Txn) error {
 			e, _ := decRecord(0, rec.Payload)
 			err = t.oracleUndoInsert(&rec, tx, e.Key, e.Value)
 		case KindUpdateRecord:
-			k, _, ov, _ := decKVV(rec.Payload)
-			err = t.oracleUndoUpdate(&rec, tx, k, ov)
+			d, _ := decUpdate(rec.Payload)
+			err = t.oracleUndoUpdate(&rec, tx, d)
 		}
 		if err != nil {
 			return err

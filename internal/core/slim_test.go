@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/enc"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/keys"
@@ -65,7 +66,7 @@ func randomNode(rng *rand.Rand, level int, low uint64) (*Node, uint64) {
 func TestSlimUndoRestoresNode(t *testing.T) {
 	reg := storage.NewRegistry()
 	Register(reg, false)
-	rng := rand.New(rand.NewSource(21))
+	rng, urng := rand.New(rand.NewSource(21)), rand.New(rand.NewSource(22))
 	for i := 0; i < 300; i++ {
 		n, high := randomNode(rng, rng.Intn(3), uint64(rng.Intn(50)))
 		want := encNodeImage(n)
@@ -94,6 +95,27 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 		}
 		if !bytes.Equal(undone, want) {
 			t.Fatalf("node %d: undo of the growth gives\n%x, want\n%x", i, undone, want)
+		}
+
+		// Update of a data record, to a value of any length but its own:
+		// the delta, then its inverse.
+		if n.Level == 0 {
+			j := urng.Intn(n.Len())
+			e := n.entry(j)
+			nv := make([]byte, urng.Intn(120))
+			urng.Read(nv)
+			if len(nv) == len(e.Value) {
+				nv = append(nv, 1)
+			}
+			applied, undone = undoRoundTrip(t, reg, n, 0, nil, KindUpdateRecord, appendUpdate(nil, e.Key, e.Value, nv))
+			updated := n.clone()
+			updated.setValue(j, enc.NilIfEmpty(nv))
+			if !bytes.Equal(applied, encNodeImage(updated)) {
+				t.Fatalf("node %d: update gives %x, want %x", i, applied, encNodeImage(updated))
+			}
+			if !bytes.Equal(undone, want) {
+				t.Fatalf("node %d: undo of the update gives\n%x, want\n%x", i, undone, want)
+			}
 		}
 
 		// Consolidate move: absorb a right neighbour, where there can be one.
@@ -425,14 +447,43 @@ func TestStructureRecordsStaySmall(t *testing.T) {
 
 // FuzzSlimPayloads: the decoders of the slimmed payloads, and the node
 // decoder under them, fail on arbitrary bytes; they do not panic or size an
-// allocation by a count they have not checked against the input.
+// allocation by a count they have not checked against the input. An
+// update's delta that decodes turns a value it applies to into one of its
+// target length, and its inverse turns that back.
 func FuzzSlimPayloads(f *testing.F) {
 	n, _ := randomNode(rand.New(rand.NewSource(3)), 0, 5)
 	f.Add(appendTerm(nil, keys.Uint64(9), 4))
 	f.Add(encConsolidateMove(4, encNodeImage(n)))
 	f.Add(encRootShrink(n, n))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xfe, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
+	long, short := bytes.Repeat([]byte("0123456789"), 10), []byte("abcdefg")
+	f.Add(appendUpdate(nil, keys.Uint64(9), long, short))
+	f.Add(appendUpdate(nil, keys.Uint64(9), short, nil))
+	f.Add(appendUpdate(nil, keys.Uint64(9), nil, long))
+	f.Add(appendUpdate(nil, keys.Uint64(9), long, append(long[:50:50], 'x')))
+	// Lengths far past any record, which must be refused unread.
+	f.Add(appendDelta(nil, valueDelta{key: keys.Uint64(9), from: 1 << 40, to: 1 << 40, x: []byte{1}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
+		if d, err := decUpdate(b); err == nil {
+			// A value the delta applies to: any bytes below its target
+			// length, and above it the old bytes a shrinking delta carries.
+			v := make([]byte, d.from)
+			for p := range v {
+				switch q := p - d.off; {
+				case p < d.to:
+					v[p] = byte(p*31 + 7)
+				case q >= 0 && q < len(d.x):
+					v[p] = d.x[q]
+				}
+			}
+			w, err := d.apply(nil, v)
+			if err != nil || len(w) != d.to {
+				t.Fatalf("delta %x made %d bytes of %d (%v), want %d", b, len(w), len(v), err, d.to)
+			}
+			if back, err := d.inverse().apply(nil, w); err != nil || !bytes.Equal(back, v) {
+				t.Fatalf("delta %x: its inverse gives %x back for %x (%v)", b, back, v, err)
+			}
+		}
 		if cut, err := decRecord(1, b); err == nil {
 			if got := appendTerm(nil, cut.Key, cut.Child); !bytes.Equal(got, b) {
 				t.Fatalf("split payload %x decodes to one that encodes as %x", b, got)

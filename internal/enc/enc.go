@@ -14,6 +14,9 @@ import (
 // ErrTruncated reports a read past the end of the buffer.
 var ErrTruncated = errors.New("enc: truncated input")
 
+// ErrVarint reports a varint longer than 64 bits.
+var ErrVarint = errors.New("enc: varint overflows 64 bits")
+
 const nilMarker = math.MaxUint32
 
 // Writer accumulates an encoded byte string.
@@ -163,6 +166,28 @@ func (r *Reader) U64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(b)
 }
+
+// Uvarint reads an unsigned varint as binary.AppendUvarint wrote it.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	switch {
+	case n == 0:
+		r.err = ErrTruncated
+	case n < 0:
+		r.err = ErrVarint
+	}
+	if n <= 0 {
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// Rest reads what remains of the input; the result aliases it.
+func (r *Reader) Rest() []byte { return r.take(r.Remaining()) }
 
 // Bytes32 reads a length-prefixed byte string. The result is a fresh copy
 // and nil-ness is preserved.

@@ -2,6 +2,8 @@ package enc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -103,5 +105,35 @@ func TestBytes32CopyIsIndependent(t *testing.T) {
 	r2 := NewReader(buf)
 	if r2.Bytes32()[0] != 1 {
 		t.Fatal("decoded slice aliases the input buffer")
+	}
+}
+
+// TestUvarintAndRest: varints read back as binary.AppendUvarint wrote them,
+// a cut one is ErrTruncated and an overlong one ErrVarint, and Rest takes
+// what is left.
+func TestUvarintAndRest(t *testing.T) {
+	var b []byte
+	vals := []uint64{0, 1, 127, 128, 1 << 20, 1<<64 - 1}
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = append(b, "tail"...)
+	r := NewReader(b)
+	for _, v := range vals {
+		if got := r.Uvarint(); got != v {
+			t.Fatalf("uvarint %d read back as %d", v, got)
+		}
+	}
+	if rest := r.Rest(); string(rest) != "tail" || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("rest %q, err %v, %d remaining", rest, r.Err(), r.Remaining())
+	}
+	if rest := r.Rest(); rest == nil || len(rest) != 0 {
+		t.Fatalf("rest of an exhausted reader is %v, want empty", rest)
+	}
+	if r := NewReader([]byte{0x80, 0x80}); r.Uvarint() != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("cut varint: %v", r.Err())
+	}
+	if r := NewReader(bytes.Repeat([]byte{0xff}, 11)); r.Uvarint() != 0 || !errors.Is(r.Err(), ErrVarint) {
+		t.Fatalf("overlong varint: %v", r.Err())
 	}
 }

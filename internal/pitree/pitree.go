@@ -228,6 +228,11 @@ func (k *Kernel[N, K]) Admit(size int) error {
 	return nil
 }
 
+// MaxRecord bounds what Admit accepts on any page size: a quarter of the
+// largest page. A log payload's decoder refuses a length above it before it
+// sizes anything by that length.
+const MaxRecord = storage.MaxSlotSize / 4
+
 // Close drops the cached root pin. A straggling operation may briefly
 // re-cache it; the pin is process-local bookkeeping, so that is harmless.
 func (k *Kernel[N, K]) Close() {

@@ -96,7 +96,6 @@ const (
 	DefaultSlotSize = 8192
 	// minSlotSize gives a block room for the file header.
 	minSlotSize  = 4 * fdHdrLen
-	maxSlotSize  = 1 << 20
 	maxBlockSize = 4 << 10
 	// blockReserve is the constant term of the file-size bound: the spare
 	// blocks a small file may hold between two fsyncs, 64 largest frames
@@ -105,6 +104,10 @@ const (
 	// scanChunk is how much of the file Open reads at a time.
 	scanChunk = 256 << 10
 )
+
+// MaxSlotSize is the largest slot size a page file takes, and so the
+// largest page image of any store.
+const MaxSlotSize = 1 << 20
 
 // ErrPageFileVersion reports a page file written in a format this build
 // does not read: version 1 gave every page a fixed pair of slots, the node
@@ -211,7 +214,7 @@ func OpenFileDisk(fs fsys.FS, path string, slotSize int) (*FileDisk, error) {
 	if slotSize <= 0 {
 		slotSize = DefaultSlotSize
 	}
-	if slotSize < minSlotSize || slotSize > maxSlotSize {
+	if slotSize < minSlotSize || slotSize > MaxSlotSize {
 		return nil, fmt.Errorf("storage: slot size %d: %w", slotSize, ErrSlotSize)
 	}
 	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR)
@@ -291,7 +294,7 @@ func (d *FileDisk) load(fs fsys.FS) error {
 	// The slot size sizes what scan allocates; nothing outside the range
 	// a FileDisk can create is taken from a file.
 	ss := binary.LittleEndian.Uint32(hdr[12:])
-	if ss < minSlotSize || ss > maxSlotSize {
+	if ss < minSlotSize || ss > MaxSlotSize {
 		return fmt.Errorf("storage: page file %s slot size %d: %w", d.path, ss, ErrSlotSize)
 	}
 	d.setLayout(int(ss), binary.LittleEndian.Uint32(hdr[16:]))

@@ -767,7 +767,7 @@ func TestFileDiskOpenRejects(t *testing.T) {
 			t.Errorf("%s: open: %v, want %v", c.name, err, c.want)
 		}
 	}
-	for _, size := range []int{minSlotSize - 1, maxSlotSize + 1} {
+	for _, size := range []int{minSlotSize - 1, MaxSlotSize + 1} {
 		if _, err := OpenFileDisk(fsys.OS, filepath.Join(dir, "new"), size); !errors.Is(err, ErrSlotSize) {
 			t.Errorf("create with slot size %d: %v, want ErrSlotSize", size, err)
 		}

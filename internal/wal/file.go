@@ -38,10 +38,12 @@
 //
 // Version 4 added the page's previous record to the kind + page address
 // group: each page's records form a chain a buffer pool replays to rebuild
-// a page it dropped dirty. A directory of another version — version 1 had
-// fixed 58-byte record headers, version 2 node images whose every record
-// had the fields of both levels, version 3 no page chain — is refused with
-// ErrLogVersion and left as it is.
+// a page it dropped dirty. Version 5 changed no frame: it marks the Π-tree's
+// update record, whose payload became one XOR delta of the old and new
+// values instead of both values. A directory of another version — version 1
+// had fixed 58-byte record headers, version 2 node images whose every record
+// had the fields of both levels, version 3 no page chain, version 4
+// two-value updates — is refused with ErrLogVersion and left as it is.
 //
 // The byte stream inside segments is exactly the in-memory log: LSN =
 // absolute byte offset, each record framed as len|crc|lsn|... with the
@@ -80,7 +82,8 @@ var ErrShortSegment = errors.New("wal: short or missing segment")
 // but whose format version is not this build's (version 1 framed every
 // record with a fixed 58-byte header; version 2's node images held records
 // with the fields of both levels; version 3's records carried no page
-// chain). The directory is left untouched.
+// chain; version 4's update records carried both values). The directory is
+// left untouched.
 var ErrLogVersion = errors.New("wal: unsupported log format version")
 
 // errNoHeader reports bytes that are not a segment header or master
@@ -122,7 +125,7 @@ const (
 	masterLen    = 32
 	segMagic     = "PITRWAL1"
 	masterMagic  = "PITRMSTR"
-	fileVersion  = 4
+	fileVersion  = 5
 	masterName   = "wal-master"
 	segPrefix    = "wal-"
 	segSuffix    = ".seg"
