@@ -50,21 +50,28 @@ test:
 ##                          repair, terminal), the history-chain undo
 ##                          Kernel.Compensate does not cover; every other
 ##                          CLR is Compensate's;
-##   BeginAtomicAction(  1  core.waitOutPageLock, a lock wait that touches
-##                          no latch; every other action begins in
-##                          Op.Atomic or in Kernel.Update;
+##   BeginAtomicAction(  0  every action begins in Op.Atomic, in
+##                          Kernel.Update, or in the kernel's wait for a new
+##                          page's stale move lock (Kernel.Split);
 ##   SpaceCheck(         0  the free-space cross-check of pitree.Kernel.Verify,
 ##                          the one well-formedness walk of every tree;
 ##   IsAllocated(        0  Kernel.Verify's, and Kernel.Responsible's, the
 ##                          re-test of a posting's child;
 ##   FPConsolidate       0  probed by pitree.Kernel.Absorb, the one action
 ##                          that frees a node in every tree;
-##   store.Free(         1  core.allocNode, giving back the page it just
-##                          allocated when its move lock is taken: that page
-##                          never held a node; every node is freed by Absorb;
+##   store.Free(         0  every node is freed by Absorb; the page a split
+##                          gives back when its move lock is taken is
+##                          Kernel.Split's;
 ##   RootGrow(           0  no tree encodes, decodes or applies a root growth:
-##                          pitree.Kernel.Grow logs it, NodeKinds.Register
-##                          redoes and undoes it;
+##                          pitree.Kernel.Split logs it at the root,
+##                          NodeKinds.Register redoes and undoes it;
+##   Grow(               0  no tree grows the root itself: Kernel.Split does;
+##   SiblingImage(       0  no tree reads a split's sibling image: the undo
+##                          NodeKinds.Register installs hands it to the cut;
+##   .LogUpdate( naming a split kind  0  every split record
+##                          (KindSplitTruncate, KindTimeSplit, KindKeySplit,
+##                          KindIndexKeySplit, KindSplitOff) is logged by
+##                          pitree.Kernel.Split, the one split of every node;
 ##   .Len() >=/< …Capacity  3  the index fan-out of each tree's Poster.Full
 ##                          (IndexCapacity). A node is full when its image
 ##                          would outgrow its page (pitree.Kernel.Fits);
@@ -75,9 +82,11 @@ KERNELONLY_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go internal/t
 kernelonly:
 	@check() { n=$$(cat $(KERNELONLY_SRC) | grep -c -F "$$1"); \
 		if [ $$n -gt $$2 ]; then echo "kernelonly: $$n call sites of $$1 in core/tsb/spatial, limit $$2"; return 1; fi; }; \
-	check 'PrefetchAsync(' 0 && check '.LogCLR(' 3 && check 'BeginAtomicAction(' 1 && \
-	check 'SpaceCheck(' 0 && check 'IsAllocated(' 0 && check 'FPConsolidate' 0 && check 'store.Free(' 1 && \
-	check 'RootGrow(' 0 && { \
+	check 'PrefetchAsync(' 0 && check '.LogCLR(' 3 && check 'BeginAtomicAction(' 0 && \
+	check 'SpaceCheck(' 0 && check 'IsAllocated(' 0 && check 'FPConsolidate' 0 && check 'store.Free(' 0 && \
+	check 'RootGrow(' 0 && check 'Grow(' 0 && check 'SiblingImage(' 0 && { \
+	n=$$(cat $(KERNELONLY_SRC) | grep -c -E '\.LogUpdate\(.*Kind(SplitTruncate|TimeSplit|KeySplit|IndexKeySplit|SplitOff)\b'); \
+	if [ $$n -gt 0 ]; then echo "kernelonly: $$n split records logged in core/tsb/spatial, limit 0"; exit 1; fi; } && { \
 	n=$$(cat $(KERNELONLY_SRC) | grep -c -E '\.Len\(\) *(>=|<) *[A-Za-z_.]*Capacity'); \
 	if [ $$n -gt 3 ]; then echo "kernelonly: $$n entry-count capacity tests in core/tsb/spatial, limit 3"; exit 1; fi; }
 

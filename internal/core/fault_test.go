@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/keys"
 	"repro/internal/maint"
+	"repro/internal/pitree"
 	"repro/internal/pitree/pitreetest"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -252,5 +253,59 @@ func TestPermanentLogFaultDegradesReadOnly(t *testing.T) {
 		if _, ok, err := fx.tree.Search(nil, keys.Uint64(uint64(i))); err != nil || !ok {
 			t.Fatalf("degraded read of key %d: ok=%v err=%v", i, ok, err)
 		}
+	}
+}
+
+// TestAbortedPostingSchedulesNoFollowUp: a posting action that has split
+// its index node and then fails must leave nothing behind — the sibling's
+// page goes back to the free map with the abort, so a posting for that
+// sibling, had it been queued before the commit, would install a term
+// naming an unallocated page one level up. Completion is synchronous and
+// the inserts are fixed, so a dry run finds the insert whose posting is the
+// first to split a (non-root) index node; the real run replays up to it
+// and makes that posting fail behind its space test.
+func TestAbortedPostingSchedulesNoFollowUp(t *testing.T) {
+	opts := defaultTestOpts()
+	opts.LeafCapacity, opts.IndexCapacity = 4, 4
+	insert := func(fx *fixture, i int) {
+		t.Helper()
+		if err := fx.tree.Insert(nil, keys.Uint64(uint64(i*7919%1009)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dry, trigger := newFixture(t, engine.Options{}, opts), -1
+	for i := 0; i < 1000 && trigger < 0; i++ {
+		insert(dry, i)
+		before := dry.tree.Stats.IndexSplits.Load()
+		dry.tree.DrainCompletions()
+		if dry.tree.Stats.IndexSplits.Load() > before {
+			trigger = i
+		}
+	}
+	if trigger < 0 {
+		t.Fatal("no posting ever split an index node")
+	}
+
+	inj := fault.New(1)
+	fx := newFixture(t, engine.Options{Injector: inj}, opts)
+	for i := 0; i < trigger; i++ {
+		insert(fx, i)
+		fx.tree.DrainCompletions()
+	}
+	insert(fx, trigger)
+	inj.Arm(pitree.FPPost, fault.Spec{Kind: fault.Transient})
+	st := &fx.tree.Stats
+	scheduled, splits := st.PostsScheduled.Load(), st.IndexSplits.Load()
+	fx.tree.DrainCompletions()
+	if st.PostsFailed.Load() != 1 || st.IndexSplits.Load() != splits+1 {
+		t.Fatalf("%d postings failed after %d index splits; want the one that split to fail",
+			st.PostsFailed.Load(), st.IndexSplits.Load()-splits)
+	}
+	if got := st.PostsScheduled.Load() - scheduled; got != 0 {
+		t.Fatalf("the aborted posting scheduled %d follow-ups for a sibling that no longer exists", got)
+	}
+	// Verify includes the store's space check: no reachable page is free.
+	if _, err := fx.tree.Verify(); err != nil {
+		t.Fatalf("after the aborted posting: %v", err)
 	}
 }

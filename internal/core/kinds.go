@@ -161,10 +161,12 @@ func decNodeImage(b []byte) (*Node, error) {
 }
 
 // nodeKinds is the kernel's description of the tree's node images. A grown
-// root spans everything over two terms, the first at its own low key.
+// root spans everything over two terms, each at its child's low key.
 var nodeKinds = pitree.NodeKinds[*Node]{
 	Format: KindFormatNode, Restore: KindRestoreImage, Grow: KindRootGrow,
 	Image: encNodeImage, Decode: decNodeImage, Layout: termLayout,
+	Splits: []pitree.Cut[*Node]{&halfCut{}},
+	Term:   func(dst []byte, n *Node, pid storage.PageID) []byte { return appendTerm(dst, n.Low, pid) },
 	Raise: func(n *Node, terms enc.Records) {
 		n.Level++
 		n.recs = terms.Clone()
@@ -253,33 +255,6 @@ func (b *Binding) logicalUndo(dec func([]byte) (leafWrite, error)) func(*wal.Rec
 func Register(reg *storage.Registry, pageOriented bool) *Binding {
 	b := &Binding{pageOriented: pageOriented}
 	nodeKinds.Register(reg)
-	reg.Register(KindSplitTruncate, storage.Handler{
-		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			cut, err := decRecord(1, rec.Payload)
-			if err != nil {
-				return err
-			}
-			i, _ := n.search(cut.Key)
-			n.recs = n.recs.Slice(0, i)
-			n.High = keys.At(keys.Clone(cut.Key))
-			n.Right = cut.Child
-			return nil
-		}),
-		// Undo takes the sibling back: its entries, high bound and side
-		// pointer are what the node lost.
-		MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
-			cut, err := decRecord(1, rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			image, err := pitree.SiblingImage(log, rec, KindFormatNode, cut.Child)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			return storage.Compensation{Kind: KindConsolidateMove, Payload: encConsolidateMove(cut.Child, image)}, nil
-		},
-	})
-
 	// An insert and a delete carry the leaf entry, which the inverse kind
 	// logs as it is.
 	leafRecord := func(p []byte) (Entry, error) { return decRecord(0, p) }

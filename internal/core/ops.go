@@ -10,6 +10,7 @@ import (
 	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // Search looks up key and returns a copy of its value. With a non-nil
@@ -254,25 +255,25 @@ func (w *leafWrite) After(applied int) {
 // lock held to end of transaction and its index-term posting deferred to
 // commit.
 func (t *Tree) splitLeaf(o *opCtx, leaf *nref, path *Path) error {
+	cut, err := t.cutOf(leaf.N, path)
+	if err != nil {
+		o.Release(leaf)
+		return err
+	}
 	tx := o.Txn
 	pageName := t.pageLockName(leaf.Pid())
-
-	inTxn := false
 	if t.binding.PageOriented() && tx != nil {
 		if _, held := t.lm.HeldMode(tx.ID, pageName); held {
-			inTxn = true
+			cut.inTxn, cut.path = true, path.clone()
+			return t.splitLeafInTxn(o, leaf, cut, pageName)
 		}
-	}
-
-	if inTxn {
-		return t.splitLeafInTxn(o, leaf, path, pageName)
 	}
 
 	// Independent atomic action. It commits before the latch drops (see
 	// pitree.Op.Atomic): the new sibling becomes reachable only once the
 	// old node's latch is released, by which time the split's commit
 	// record precedes anything a dependent action can log.
-	err := o.Atomic(func(aa *txn.Txn) error {
+	return o.Atomic(func(aa *txn.Txn) error {
 		if t.binding.PageOriented() {
 			// A conflicting move lock forces the latch down before blocking
 			// (No-Wait); the action is then abandoned and the retry
@@ -294,13 +295,8 @@ func (t *Tree) splitLeaf(o *opCtx, leaf *nref, path *Path) error {
 		}
 		o.Hold(leaf)
 		o.Promote(leaf)
-		sep, newPid, err := t.splitNode(o, leaf, aa)
-		if err == nil && newPid != storage.NilPage {
-			aa.OnCommit(func() { t.schedulePostAfterSplit(path, sep, newPid) })
-		}
-		return err
+		return t.kern.Split(o, aa, leaf, cut)
 	})
-	return t.waitOutPageLock(o, err)
 }
 
 // moveLockDance takes the MV lock on name for act under the No-Wait rule,
@@ -314,29 +310,8 @@ func (t *Tree) moveLockDance(o *opCtx, act *txn.Txn, leaf *nref, name lock.Name)
 	return err
 }
 
-// waitOutPageLock passes on the outcome of a split whose latch is already
-// released, except that for a new-page lock conflict (a stale page-granule
-// lock surviving from the page's previous incarnation) it first waits the
-// holder out and then asks for a retry. The wait needs a lock owner and
-// touches no latch, so it is the one atomic action begun outside the
-// kernel's frame.
-func (t *Tree) waitOutPageLock(o *opCtx, err error) error {
-	var pl *errPageLocked
-	if errors.As(err, &pl) {
-		t.Stats.MoveLockWaits.Add(1)
-		w := t.tm.BeginAtomicAction()
-		lerr := o.LockWait(w, pl.name, lock.MV)
-		_ = w.Abort() // empty: all it ever held was the lock
-		if lerr != nil {
-			return lerr
-		}
-		return errRetry
-	}
-	return err
-}
-
 // splitLeafInTxn performs the split inside the updating transaction.
-func (t *Tree) splitLeafInTxn(o *opCtx, leaf *nref, path *Path, pageName lock.Name) error {
+func (t *Tree) splitLeafInTxn(o *opCtx, leaf *nref, cut *halfCut, pageName lock.Name) error {
 	tx := o.Txn
 	// Upgrade our IX to the move lock; other updaters force the No-Wait
 	// dance.
@@ -351,154 +326,101 @@ func (t *Tree) splitLeafInTxn(o *opCtx, leaf *nref, path *Path, pageName lock.Na
 	// allocation is wrapped in a nested top-level action so an abort
 	// leaks the page instead of reclaiming it. Under CP, coupling makes
 	// reclamation safe and the allocation stays in tx's undo chain.
+	// §4.2.2: "The posting of the index term for splits cannot occur
+	// until and unless T commits" — the kernel queues it on tx's commit.
 	var nt txn.NestedToken
 	useNTA := !t.opts.Consolidation
 	if useNTA {
 		nt = tx.BeginNested()
 	}
-	sep, newPid, err := t.splitNode(o, leaf, tx)
+	err := t.kern.Split(o, tx, leaf, cut)
 	if useNTA {
 		tx.CommitNested(nt)
 	}
 	o.Release(leaf)
-	if err != nil {
-		return t.waitOutPageLock(o, err)
-	}
-	if newPid != storage.NilPage {
-		t.Stats.InTxnSplits.Add(1)
-		sepCopy := keys.Clone(sep)
-		p := path.clone()
-		// §4.2.2: "The posting of the index term for splits cannot occur
-		// until and unless T commits."
-		tx.OnCommit(func() { t.schedulePostAfterSplit(p, sepCopy, newPid) })
-	}
-	return nil
+	return err
 }
 
-// errPageLocked reports that a freshly allocated page's lock name is
-// still held by a transaction that knew the page's previous incarnation;
-// the split must back off and wait it out.
-type errPageLocked struct {
-	name lock.Name
+// halfCut is the tree's one split (pitree.Cut): the node's entries from the
+// middle one on go to the new sibling, whose index term — the separator and
+// the new page — is the split record (KindSplitTruncate). Its undo takes the
+// sibling back: a KindConsolidateMove of the sibling's image.
+type halfCut struct {
+	t *Tree
+	// path is the saved path the sibling's posting starts from; inTxn marks
+	// a split inside the updating transaction.
+	path  *Path
+	inTxn bool
+	// Set by Sibling: the node's level and fill, and the separator.
+	level, before int
+	sep           keys.Key
 }
 
-func (e *errPageLocked) Error() string {
-	return "core: new page's lock name still held: " + e.name.String()
+// cutOf returns the cut of the full node n.
+func (t *Tree) cutOf(n *Node, path *Path) (*halfCut, error) {
+	if n.Len() < 2 {
+		return nil, fmt.Errorf("core: split of a node with %d entries", n.Len())
+	}
+	return &halfCut{t: t, path: path}, nil
 }
 
-// allocNode allocates the page of a new node at level and, for a data
-// page under page-oriented undo, takes its move lock before the page
-// becomes reachable, so that no updater can slip a record into it before
-// the splitting action is committed (or, for an in-transaction split,
-// finished). On a stale-lock conflict the allocation is compensated
-// (freed) and errPageLocked returned.
-func (t *Tree) allocNode(o *opCtx, act *txn.Txn, level int) (storage.PageID, error) {
-	pid, err := t.store.Alloc(act, &o.Tr)
-	if err != nil || level != 0 || !t.binding.PageOriented() {
-		return pid, err
-	}
-	name := t.pageLockName(pid)
-	if act.TryLock(name, lock.MV) {
-		return pid, nil
-	}
-	if err := t.store.Free(act, &o.Tr, pid); err != nil {
-		return storage.NilPage, err
-	}
-	return storage.NilPage, &errPageLocked{name: name}
+func (*halfCut) Kind() wal.Kind { return KindSplitTruncate }
+
+func (c *halfCut) Sibling(n *Node, sib storage.PageID) (*Node, []byte) {
+	mid := n.Len() / 2
+	c.level, c.before, c.sep = n.Level, c.t.fill(n), keys.Clone(n.keyAt(mid))
+	return &Node{Level: n.Level, Low: c.sep, High: n.High, Right: n.Right, recs: n.recs.Slice(mid, n.Len())}, appendTerm(nil, c.sep, sib)
 }
 
-// splitNode performs the mechanical split of the X-latched node r,
-// logging through the acting transaction (an independent atomic action,
-// or the updating transaction itself for in-transaction splits). For a
-// non-root node it creates a sibling and returns the separator and new
-// page ID for index-term posting. For the root it grows the tree in place
-// (§5.3: the root never moves) and returns NilPage — no posting is
-// needed, both terms were installed here.
-func (t *Tree) splitNode(o *opCtx, r *nref, act *txn.Txn) (keys.Key, storage.PageID, error) {
-	n := r.N
-	count := n.Len()
-	if count < 2 {
-		return nil, storage.NilPage, fmt.Errorf("core: split of node %d with %d entries", r.Pid(), count)
-	}
-	mid := count / 2
-	sep := keys.Clone(n.keyAt(mid))
-	before := t.fill(n)
-
-	newPid, err := t.allocNode(o, act, n.Level)
-	if err != nil {
-		return nil, storage.NilPage, err
-	}
-	// The upper half is copied out while the node is still whole: the
-	// node changes only once its own record is logged, after a format
-	// that can fail.
-	upper := &Node{
-		Level: n.Level,
-		Low:   sep,
-		High:  n.High,
-		Right: n.Right,
-		recs:  n.recs.Slice(mid, count),
-	}
-	if r.Pid() == t.root {
-		return nil, storage.NilPage, t.splitRoot(o, r, act, mid, newPid, upper, before)
-	}
-	if err := t.kern.Format(o, act, newPid, upper); err != nil {
-		return nil, storage.NilPage, err
-	}
-
-	act.LogUpdate(r.F, KindSplitTruncate, appendTerm(nil, sep, newPid))
-	n.recs = n.recs.Slice(0, mid)
-	n.High = keys.At(sep)
-	n.Right = newPid
-
-	if n.Level == 0 {
-		t.Stats.LeafSplits.Add(1)
-		t.Stats.NoteLeafUtil(before, t.fill(n), t.capacity(0))
-		t.Stats.NoteLeafUtil(-1, t.fill(upper), t.capacity(0))
-	} else {
-		t.Stats.IndexSplits.Add(1)
-	}
-	return sep, newPid, nil
-}
-
-// splitRoot finishes a split of the root at mid, whose upper half is the
-// node B on the allocated page pidB: the lower half goes to a new node A
-// whose side pointer references B, and the kernel grows the root in place
-// over both (pitree.Kernel.Grow). before is the root's fill.
-func (t *Tree) splitRoot(o *opCtx, r *nref, act *txn.Txn, mid int, pidB storage.PageID, b *Node, before int) error {
-	n := r.N
-	level := n.Level
-	pidA, err := t.allocNode(o, act, level)
+func (*halfCut) Apply(n *Node, payload []byte) error {
+	cut, err := decRecord(1, payload)
 	if err != nil {
 		return err
 	}
-	a := &Node{Level: level, Low: keys.Clone(n.Low), High: keys.At(b.Low), Right: pidB, recs: n.recs.Slice(0, mid)}
-	terms := appendTerm(appendTerm(nil, n.Low, pidA), b.Low, pidB)
-	if err := t.kern.Grow(o, act, r, pidA, pidB, a, b, terms); err != nil {
-		return err
-	}
-	t.Stats.RootGrowths.Add(1)
-	if level == 0 {
-		// The root leaf's entries moved into two new leaves.
-		t.Stats.NoteLeafUtil(before, -1, t.capacity(0))
-		t.Stats.NoteLeafUtil(-1, t.fill(a), t.capacity(0))
-		t.Stats.NoteLeafUtil(-1, t.fill(b), t.capacity(0))
-	}
+	i, _ := n.search(cut.Key)
+	n.recs = n.recs.Slice(0, i)
+	n.High = keys.At(keys.Clone(cut.Key))
+	n.Right = cut.Child
 	return nil
 }
 
-// schedulePostAfterSplit queues the index-term posting atomic action for
-// a committed split (§3.2.1 step 6: "Posting occurs in a separate atomic
-// action from the action that performs the split").
-func (t *Tree) schedulePostAfterSplit(path *Path, sep keys.Key, newPid storage.PageID) {
-	if t.opts.NoCompletion {
+func (*halfCut) Undo(payload []byte, sibling func(storage.PageID) (*Node, []byte, error)) (storage.Compensation, error) {
+	cut, err := decRecord(1, payload)
+	var img []byte
+	if err == nil {
+		_, img, err = sibling(cut.Child)
+	}
+	return storage.Compensation{Kind: KindConsolidateMove, Payload: encConsolidateMove(cut.Child, img)}, err
+}
+
+func (c *halfCut) Done(n, sib *Node, grew bool) {
+	st := &c.t.Stats
+	switch {
+	case grew:
+		st.RootGrowths.Add(1)
+	case c.level > 0:
+		st.IndexSplits.Add(1)
+	default:
+		st.LeafSplits.Add(1)
+		if c.inTxn {
+			st.InTxnSplits.Add(1)
+		}
+	}
+	if c.level == 0 {
+		// The leaf's entries are in two leaves now (at the root, two new ones).
+		st.NoteLeafUtil(c.before, c.t.fill(n), c.t.capacity(0))
+		st.NoteLeafUtil(-1, c.t.fill(sib), c.t.capacity(0))
+	}
+}
+
+// Post queues the posting of the sibling's term one level up (§3.2.1 step
+// 6: "Posting occurs in a separate atomic action from the action that
+// performs the split").
+func (c *halfCut) Post(_, sib storage.PageID) {
+	if c.t.opts.NoCompletion {
 		return
 	}
-	t.schedulePost(postTask{
-		level:  1, // a leaf split posts one level up
-		sep:    sep,
-		newPid: newPid,
-		path:   path,
-	})
+	c.t.schedulePost(postTask{level: c.level + 1, sep: c.sep, newPid: sib, path: c.path})
 }
 
 // consolidationFor reports the consolidation attempt worth scheduling

@@ -189,6 +189,43 @@ func headerOf(t *testing.T, img []byte) []byte {
 	return img[:len(img)-r.Remaining()]
 }
 
+// The split as splitNode and splitRoot wrote it before Kernel.Split
+// (internal/core/ops.go): the node's upper half, from its middle entry on,
+// went to the sibling, and the split record was the sibling's index term;
+// its undo, through the sibling image, a consolidate move of that image. At
+// the root the upper half went to B and the lower to A, side pointer to B.
+// The reference the kernel's split is held to (TestSplitLogIdentity).
+
+func oracleSplit(pre *Node, newPid storage.PageID) (image, payload []byte) {
+	count := pre.Len()
+	mid := count / 2
+	sep := keys.Clone(pre.keyAt(mid))
+	upper := &Node{Level: pre.Level, Low: sep, High: pre.High, Right: pre.Right, recs: pre.recs.Slice(mid, count)}
+	return encNodeImage(upper), appendTerm(nil, sep, newPid)
+}
+
+// oracleUnsplit is the payload of the consolidate move that undid the
+// split whose sibling's image and record are given.
+func oracleUnsplit(image, payload []byte) []byte {
+	cut, err := decRecord(1, payload)
+	if err != nil {
+		panic(err)
+	}
+	var w enc.Writer
+	w.U64(uint64(cut.Child))
+	return append(w.Bytes(), image...)
+}
+
+// oracleRootSplit returns the images of the root pre's halves on pidA and
+// pidB and the growth record over them.
+func oracleRootSplit(pre *Node, pidA, pidB storage.PageID) (imageA, imageB, grow []byte) {
+	mid := pre.Len() / 2
+	sep := keys.Clone(pre.keyAt(mid))
+	b := &Node{Level: pre.Level, Low: sep, High: pre.High, Right: pre.Right, recs: pre.recs.Slice(mid, pre.Len())}
+	a := &Node{Level: pre.Level, Low: keys.Clone(pre.Low), High: keys.At(b.Low), Right: pidB, recs: pre.recs.Slice(0, mid)}
+	return encNodeImage(a), encNodeImage(b), oracleEncRootGrow(Entry{Key: pre.Low, Child: pidA}, Entry{Key: b.Low, Child: pidB}, pre)
+}
+
 // The growth record as kinds.go wrote it before Kernel.Grow: the grown
 // root's two index terms, then the root's image as it was, which its undo
 // restored. The reference the kernel's growth is held to

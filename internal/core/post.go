@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/keys"
 	"repro/internal/latch"
+	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/txn"
 )
@@ -95,28 +96,13 @@ func (p *indexPost) Full(n *Node) bool {
 	return n.Len() >= p.t.opts.IndexCapacity || !p.t.kern.Fits(n, termSize(p.key))
 }
 
-func (p *indexPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, error) {
-	sep, newPid, err := p.t.splitNode(o, node, aa)
-	if err != nil {
-		return storage.NilPage, err
-	}
-	if newPid == storage.NilPage {
-		// The root grew in place; NODE's old contents are now one level
-		// down, in whichever new node directly contains KEY.
-		e, ok := node.N.childFor(p.key)
-		if !ok {
-			return storage.NilPage, errRetry
-		}
-		return e.Child, nil
-	}
-	// The posting of this split, one level up, is queued only once the
-	// action that did it has committed.
-	up := postTask{level: node.N.Level + 1, sep: keys.Clone(sep), newPid: newPid, path: p.task.path.clone()}
-	aa.OnCommit(func() { p.t.schedulePost(up) })
-	if node.N.DirectlyContains(p.key) {
-		return node.Pid(), nil
-	}
-	return newPid, nil
+// Key is the term actually posted, as Verify chose it.
+func (p *indexPost) Key() keys.Key { return p.key }
+
+// Split cuts the full NODE in half; the sibling's posting, one level up,
+// starts from a copy of the saved path.
+func (p *indexPost) Split(node *nref) (pitree.Cut[*Node], error) {
+	return p.t.cutOf(node.N, p.task.path.clone())
 }
 
 // Apply is step 4, Update NODE.

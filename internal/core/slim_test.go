@@ -71,7 +71,7 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 		n, high := randomNode(rng, rng.Intn(3), uint64(rng.Intn(50)))
 		want := encNodeImage(n)
 
-		// Split, as splitNode does it.
+		// Split, as halfCut does it.
 		mid := n.Len() / 2
 		sep := keys.Clone(n.keyAt(mid))
 		upper := &Node{Level: n.Level, Low: sep, High: n.High, Right: n.Right, recs: n.recs.Slice(mid, n.Len())}
@@ -238,7 +238,11 @@ func (fx *fixture) splitByHand(t *testing.T) {
 	err = o.Atomic(func(aa *txn.Txn) error {
 		o.Hold(&leaf)
 		o.Promote(&leaf)
-		if _, _, err := fx.tree.splitNode(o, &leaf, aa); err != nil {
+		cut, err := fx.tree.cutOf(leaf.N, nil)
+		if err != nil {
+			return err
+		}
+		if err := fx.tree.kern.Split(o, aa, &leaf, cut); err != nil {
 			return err
 		}
 		return errAbandon
@@ -400,6 +404,127 @@ func TestSlimRecordRolledBack(t *testing.T) {
 			sameContents(t, "after restart", fx2.contents(t), want)
 		})
 	}
+}
+
+// TestSplitLogIdentity: a split rolled back at run time logs the parent
+// commit's bytes — the sibling's format, the split record and the
+// compensation that undid it (oracleSplit, oracleUnsplit), or at the root
+// both halves' formats, the growth and its restore (oracleRootSplit) — for
+// a leaf split (under logical undo, and under page-oriented undo with
+// record move locks, failed at pitree.FPSplit), an index split in a
+// posting that fails at pitree.FPPost, a root split, and a split inside a
+// transaction under page-oriented undo, with record move locks off and on,
+// that the transaction's abort undoes.
+func TestSplitLogIdentity(t *testing.T) {
+	var snap map[storage.PageID][]byte
+	var from wal.LSN
+	take := func(fx *fixture) {
+		snap, from = pitreetest.Images(fx.tree.kern, encNodeImage), fx.e.Log.EndLSN()
+	}
+	pre := func(t *testing.T, pid storage.PageID) *Node {
+		n, err := decNodeImage(snap[pid])
+		if err != nil {
+			t.Fatalf("page %d before the split: %v", pid, err)
+		}
+		return n
+	}
+	identity := func(t *testing.T, fx *fixture) {
+		t.Helper()
+		pitreetest.SplitIdentity(t, fx.e.Log, from, KindFormatNode, KindConsolidateMove, []wal.Kind{KindSplitTruncate},
+			func(page, sib storage.PageID) ([]byte, []byte) { return oracleSplit(pre(t, page), sib) }, oracleUnsplit)
+	}
+	inTxn := func(t *testing.T, moveLocks bool) *fixture {
+		opts := slimOpts()
+		opts.RecordMoveLocks = moveLocks
+		fx := newFixture(t, engine.Options{PageOriented: true}, opts)
+		for k := uint64(0); k < 400; k += 10 {
+			if err := fx.tree.Insert(nil, keys.Uint64(k), val(int(k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fx.tree.DrainCompletions()
+		tx := fx.e.TM.Begin()
+		for k := uint64(1); fx.tree.Stats.InTxnSplits.Load() == 0; k++ {
+			if k == 10 {
+				t.Fatal("the transaction never split a leaf")
+			}
+			take(fx)
+			if err := fx.tree.Insert(tx, keys.Uint64(k), val(int(k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		return fx
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) *fixture
+	}{
+		{"leaf split", func(t *testing.T) *fixture {
+			fx := newFixture(t, engine.Options{}, slimOpts())
+			growUntil(t, fx, fx.tree.Stats.LeafSplits.Load, func(uint64) {})
+			take(fx)
+			fx.splitByHand(t)
+			return fx
+		}},
+		{"leaf split, record move locks", func(t *testing.T) *fixture {
+			opts := slimOpts()
+			opts.RecordMoveLocks = true
+			inj := fault.New(1)
+			fx := newFixture(t, engine.Options{PageOriented: true, Injector: inj}, opts)
+			growUntil(t, fx, func() int64 { return int64(len(inj.Trips())) }, func(k uint64) {
+				if k == 6 {
+					take(fx)
+					inj.Arm(pitree.FPSplit, fault.Spec{Kind: fault.Transient})
+				}
+			})
+			return fx
+		}},
+		{"index split", func(t *testing.T) *fixture {
+			dry := newFixture(t, engine.Options{}, slimOpts())
+			trigger := uint64(len(growUntil(t, dry, dry.tree.Stats.IndexSplits.Load, func(uint64) {})))
+			inj := fault.New(1)
+			fx := newFixture(t, engine.Options{Injector: inj}, slimOpts())
+			growUntil(t, fx, fx.tree.Stats.IndexSplits.Load, func(k uint64) {
+				if k == trigger {
+					take(fx)
+					inj.Arm(pitree.FPPost, fault.Spec{Kind: fault.Transient})
+				}
+			})
+			if fx.tree.Stats.PostsFailed.Load() != 1 {
+				t.Fatalf("%d postings failed, want the one that split", fx.tree.Stats.PostsFailed.Load())
+			}
+			return fx
+		}},
+		{"leaf split in transaction", func(t *testing.T) *fixture { return inTxn(t, false) }},
+		{"leaf split in transaction, record move locks", func(t *testing.T) *fixture { return inTxn(t, true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := tc.run(t)
+			identity(t, fx)
+			fx.mustVerify(t)
+		})
+	}
+	t.Run("root split", func(t *testing.T) {
+		fx, _ := fullRoot(t)
+		take(fx)
+		fx.splitByHand(t)
+		root := pre(t, fx.tree.root)
+		pitreetest.GrowIdentity(t, fx.e.Log, from, KindFormatNode, KindRootGrow, KindRestoreImage,
+			func(pidA, pidB storage.PageID, imageA, imageB []byte) []byte {
+				a, b, grow := oracleRootSplit(root, pidA, pidB)
+				if !bytes.Equal(imageA, a) || !bytes.Equal(imageB, b) {
+					t.Fatalf("halves format\n%x and\n%x, want\n%x and\n%x", imageA, imageB, a, b)
+				}
+				return grow
+			}, oracleRestore)
+		if got := pitreetest.Images(fx.tree.kern, encNodeImage)[fx.tree.root]; !bytes.Equal(got, snap[fx.tree.root]) {
+			t.Fatalf("root after the rollback is\n%x, want\n%x", got, snap[fx.tree.root])
+		}
+		fx.mustVerify(t)
+	})
 }
 
 // TestStructureRecordsStaySmall: with 64-entry nodes of 100-byte values no

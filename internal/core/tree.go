@@ -448,6 +448,7 @@ func (t *Tree) start(root storage.PageID) {
 		TM:                  t.tm,
 		Root:                root,
 		PageLock:            pageLock,
+		MoveLockWaits:       &t.Stats.MoveLockWaits,
 		Couple:              t.opts.Consolidation,
 		Pessimistic:         t.opts.PessimisticDescent,
 		CheckLatchOrder:     t.opts.CheckLatchOrder,

@@ -31,8 +31,9 @@ func encLink(high int, right storage.PageID, oldHigh int, oldRight storage.PageI
 }
 
 // withSpace gives the toy a store whose free-space map has every toy page
-// allocated, and a transaction manager whose registry can undo a free and
-// a toyKindLink, so Absorb can free a toy page and roll the free back.
+// allocated, and a transaction manager whose registry (ty.reg) can undo an
+// allocation, a free and a toyKindLink, so Split can allocate a toy page and
+// Absorb free one, and either roll back.
 func (ty *toy) withSpace(t *testing.T) *storage.Store {
 	t.Helper()
 	reg := toyRegistry()
@@ -50,7 +51,7 @@ func (ty *toy) withSpace(t *testing.T) *storage.Store {
 	})
 	reg.Register(toyKindUnterm, storage.Handler{Redo: func(*storage.Frame, *wal.Record) error { return nil }})
 	st := storage.NewStore(ty.pool, reg)
-	ty.tm = txn.NewManager(ty.log, ty.lm, reg, txn.Options{})
+	ty.reg, ty.tm = reg, txn.NewManager(ty.log, ty.lm, reg, txn.Options{})
 	ty.kern.s.TM, ty.kern.s.Store = ty.tm, st
 	aa := ty.tm.BeginAtomicAction()
 	err := st.Bootstrap(aa)

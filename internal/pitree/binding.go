@@ -59,19 +59,3 @@ func RedoNode[N any](redo func(n N, rec *wal.Record) error) func(*storage.Frame,
 		return redo(n, rec)
 	}
 }
-
-// SiblingImage returns the image of the sibling a split created: the
-// payload of the format record the action logged immediately before the
-// split record rec, so reachable as rec.PrevLSN. A split record says where
-// the node was cut, not what it held; its undo reads what left from here.
-func SiblingImage(log storage.LogReader, rec *wal.Record, format wal.Kind, sib storage.PageID) ([]byte, error) {
-	f, err := log.Read(rec.PrevLSN)
-	if err != nil {
-		return nil, fmt.Errorf("pitree: undo of split at LSN %d: sibling image: %w", rec.LSN, err)
-	}
-	if f.Type != wal.RecUpdate || f.Kind != format || f.TxnID != rec.TxnID || f.StoreID != rec.StoreID || f.PageID != uint64(sib) {
-		return nil, fmt.Errorf("pitree: undo of split at LSN %d: record at %d is %s kind %d of txn %d for page %d, not the format of sibling %d",
-			rec.LSN, f.LSN, f.Type, f.Kind, f.TxnID, f.PageID, sib)
-	}
-	return f.Payload, nil
-}

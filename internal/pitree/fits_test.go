@@ -11,7 +11,7 @@ import (
 )
 
 // TestFitsAndFormatRefusal: Fits and Admit measure against the page's
-// room — the slot's payload less the image frame — and Format refuses an
+// room — the slot's payload less the image frame — and format refuses an
 // image larger than the page with ErrRecordTooLarge, logging nothing of
 // it.
 func TestFitsAndFormatRefusal(t *testing.T) {
@@ -39,7 +39,7 @@ func TestFitsAndFormatRefusal(t *testing.T) {
 	}
 	from := ty.log.EndLSN()
 	o := k.NewOp(nil)
-	err := o.Atomic(func(aa *txn.Txn) error { return k.Format(o, aa, toySplitPage, big) })
+	err := o.Atomic(func(aa *txn.Txn) error { return k.format(o, aa, toySplitPage, big) })
 	o.Done()
 	if !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("format of a %d-byte image: %v", len(toyKinds.Image(big)), err)

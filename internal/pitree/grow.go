@@ -10,9 +10,9 @@ import (
 )
 
 // NodeKinds describes a tree's node images to the kernel. One value per
-// tree drives every format (Kernel.Format, Create), the one root growth
-// (Kernel.Grow), and the redo and undo of the three record kinds that
-// carry a whole image (Register).
+// tree drives every format (Kernel.format, Create), every split and the one
+// root growth (Kernel.Split), and the redo and undo of the record kinds
+// that carry a whole image or cut a node (Register).
 type NodeKinds[N any] struct {
 	// Format installs an image on a fresh page; Restore puts a node's image
 	// back, only ever as a CLR; Grow raises the root one level (§5.3 Space
@@ -23,15 +23,23 @@ type NodeKinds[N any] struct {
 	Decode func(image []byte) (N, error)
 	// Layout is the shape of an index term's record.
 	Layout enc.Layout
+	// Term appends to dst the record of the index term for n on page pid:
+	// what a grown root holds for each of its two new children.
+	Term func(dst []byte, n N, pid storage.PageID) []byte
 	// Raise makes n an index node one level up over the two terms, in that
 	// order. The terms may alias a log payload: Raise copies what it keeps.
 	Raise func(n N, terms enc.Records)
+	// Splits holds one zero-value cut per split record kind of the tree.
+	Splits []Cut[N]
 }
 
-// Register installs the handlers of the three kinds into reg. A format or
-// a restore is redone by decoding its payload into the frame; a growth by
-// raising the node over the terms its record carries, and it is undone by
-// a restore of the pre-image the record carries as well.
+// Register installs the handlers of the image kinds and the split kinds
+// into reg. A format or a restore is redone by decoding its payload into
+// the frame; a growth by raising the node over the terms its record
+// carries, and it is undone by a restore of the pre-image the record
+// carries as well. A split is redone by its cut's Apply and undone by its
+// cut's Undo, handed the sibling's image from the format record the split
+// logged just before its own.
 func (nk *NodeKinds[N]) Register(reg *storage.Registry) {
 	image := storage.Handler{Redo: func(f *storage.Frame, rec *wal.Record) error {
 		// A copy: the node may alias its image, and the log keeps its bytes.
@@ -59,6 +67,19 @@ func (nk *NodeKinds[N]) Register(reg *storage.Registry) {
 			return storage.Compensation{Kind: nk.Restore, Payload: nk.Image(pre)}, nil
 		},
 	})
+	for _, c := range nk.Splits {
+		reg.Register(c.Kind(), storage.Handler{
+			Redo: RedoNode(func(n N, rec *wal.Record) error { return c.Apply(n, rec.Payload) }),
+			MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
+				return c.Undo(rec.Payload, func(sib storage.PageID) (n N, img []byte, err error) {
+					if img, err = siblingImage(log, rec, nk.Format, sib); err == nil {
+						n, err = nk.Decode(img)
+					}
+					return n, img, err
+				})
+			},
+		})
+	}
 }
 
 // decodeGrow reads a growth's payload: the two terms, then the root's image
@@ -71,38 +92,14 @@ func (nk *NodeKinds[N]) decodeGrow(b []byte) (terms enc.Records, pre N, err erro
 	return terms, pre, err
 }
 
-// Format installs n as the contents of the freshly allocated page pid and
+// format installs n as the contents of the freshly allocated page pid and
 // logs its image through lg (see formatPage). An image larger than the
 // page is refused with ErrRecordTooLarge before anything is logged: the
 // page file would refuse it at write-back.
-func (k *Kernel[N, K]) Format(o *Op[N], lg storage.UpdateLogger, pid storage.PageID, n N) error {
+func (k *Kernel[N, K]) format(o *Op[N], lg storage.UpdateLogger, pid storage.PageID, n N) error {
 	img := k.kinds.Image(n)
 	if len(img) > k.room {
 		return fmt.Errorf("%w: %s page %d image %dB, room %dB", ErrRecordTooLarge, k.s.Name, pid, len(img), k.room)
 	}
 	return formatPage(o.s.Store.Pool, &o.Tr, o.Rank(k.sp.Level(n)), lg, pid, n, k.kinds.Format, img)
-}
-
-// Grow is the root case of the §5.3 space test, the one growth of every
-// Π-tree: the root never moves and is never de-allocated (§5.2.2 relies on
-// it). Its contents go to two new nodes and it becomes an index node one
-// level up over them. The tree allocates pidA and pidB as part of lg's
-// action and builds their nodes: b, the part a split would hand to a new
-// sibling, and a, what that split would leave, naming b as its sibling.
-// terms are the records of their index terms, a's first. Grow formats b, then a, logs the growth — the terms and the
-// root's image as it was, for the undo — and raises the X-latched root.
-func (k *Kernel[N, K]) Grow(o *Op[N], lg storage.UpdateLogger, root *Ref[N], pidA, pidB storage.PageID, a, b N, terms []byte) error {
-	recs, _, err := enc.Load(terms, 2, k.kinds.Layout)
-	if err != nil {
-		return err
-	}
-	if err := k.Format(o, lg, pidB, b); err != nil {
-		return err
-	}
-	if err := k.Format(o, lg, pidA, a); err != nil {
-		return err
-	}
-	lg.LogUpdate(root.F, k.kinds.Grow, append(terms, k.kinds.Image(root.N)...))
-	k.kinds.Raise(root.N, recs)
-	return nil
 }

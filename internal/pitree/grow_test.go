@@ -13,20 +13,22 @@ import (
 )
 
 // The toy tree's root growth: toyRoot, full at capacity two, takes the
-// posting of (200, leafD) and grows through Kernel.Grow over B, its upper
+// posting of (200, leafD) and grows through Kernel.Split over B, its upper
 // half, and A, its lower.
 
-// TestGrowRecords: a root growth formats the upper half, then the lower,
-// then logs the growth — the two terms and the root's image as it was —
-// and the root keeps its page, one level up over the halves.
+// TestGrowRecords: a root growth allocates the upper half's page, then the
+// lower's, formats the upper half, then the lower, then logs the growth —
+// the two terms and the root's image as it was — and the root keeps its
+// page, one level up over the halves.
 func TestGrowRecords(t *testing.T) {
-	ty := newToy(t, false, false)
+	ty := newPostToy(t)
 	before := toyKinds.Image(ty.node(t, toyRoot))
 	from := ty.log.EndLSN()
 	if posted, err := ty.post(t, &toyPost{sep: 200, child: toyLeafD, level: 2, cap: 2}); !posted || err != nil {
 		t.Fatalf("posted=%v err=%v", posted, err)
 	}
-	pidB := toySplitPage + 2
+	// The first page the store hands out takes B, the next A.
+	pidB := toyLeafD + 1
 	pidA := pidB + 1
 	recs := ty.records(from)
 	want := []struct {
@@ -34,6 +36,8 @@ func TestGrowRecords(t *testing.T) {
 		page    storage.PageID
 		payload []byte
 	}{
+		{storage.KindMetaAlloc, storage.MetaPage, nil},
+		{storage.KindMetaAlloc, storage.MetaPage, nil},
 		{toyKindFormat, pidB, nil},
 		{toyKindFormat, pidA, toyKinds.Image(ty.node(t, pidA))},
 		{toyKindGrow, toyRoot, append(toyTerm(toyTerm(nil, 0, pidA), 100, pidB), before...)},
@@ -58,7 +62,7 @@ func TestGrowRecords(t *testing.T) {
 // rolled back under its latches, and the growth's undo — a restore of the
 // image the growth logged — leaves the root exactly as it was.
 func TestGrowAbortRestoresRoot(t *testing.T) {
-	ty := newToy(t, false, false)
+	ty := newPostToy(t)
 	inj := fault.New(1)
 	ty.pool.SetInjector(inj)
 	inj.Arm(FPPost, fault.Spec{Kind: fault.Transient})

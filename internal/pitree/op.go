@@ -130,10 +130,11 @@ func (o *Op[N]) Promote(r *Ref[N]) {
 //   - body returns nil: the action commits BEFORE any latch drops, so no
 //     other action can observe its changes, build on them and commit ahead
 //     of it (relative durability); then the held latches are released,
-//     last acquired first. What must wait for the commit — scheduling the
-//     posting of a node the action created — is registered with
-//     aa.OnCommit: it runs only if the commit succeeded, and still under
-//     the latches.
+//     last acquired first. A commit that cannot make the action durable
+//     rolls it back under the held latches (txn.Txn.CommitHeld). What
+//     must wait for the commit — scheduling the posting of a node the
+//     action created — is registered with aa.OnCommit: it runs only if the
+//     commit succeeded, and still under the latches.
 //   - body returns an error: the action is aborted, and only then are the
 //     held latches released, so no other action sees changes that are
 //     about to be undone — or builds on them and commits. Undo compensates
@@ -148,18 +149,16 @@ func (o *Op[N]) Promote(r *Ref[N]) {
 func (o *Op[N]) Atomic(body func(aa *txn.Txn) error) error {
 	aa := o.s.TM.BeginAtomicAction()
 	err := body(aa)
+	var latched []*storage.Frame
+	for _, r := range o.held {
+		if r.F != nil && r.Mode == latch.X {
+			latched = append(latched, r.F)
+		}
+	}
 	if err == nil {
-		err = aa.Commit()
-	} else {
-		var latched []*storage.Frame
-		for _, r := range o.held {
-			if r.F != nil && r.Mode == latch.X {
-				latched = append(latched, r.F)
-			}
-		}
-		if aerr := aa.AbortHeld(latched); aerr != nil {
-			err = fmt.Errorf("%s: action failed (%v): %w", o.s.Name, err, aerr)
-		}
+		err = aa.CommitHeld(latched)
+	} else if aerr := aa.AbortHeld(latched); aerr != nil {
+		err = fmt.Errorf("%s: action failed (%v): %w", o.s.Name, err, aerr)
 	}
 	o.unhold()
 	return err

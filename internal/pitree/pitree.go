@@ -22,12 +22,14 @@
 //   - the leaf walk of every range scan (Scan) and the logical undo of a
 //     record (Compensate, §4.2);
 //   - the bracket every structure change runs in (Op.Atomic, §4.3.1) and
-//     on it the index-term posting action (Post, §5.3), the root's growth
-//     in place (Grow, the root case of §5.3's space test) and the
-//     consolidation action that frees a node (Absorb, §3.3, §5.2.2);
-//   - every node image in the log: the format of a fresh page (Format,
-//     Create), the growth's record, and the redo and undo of both
-//     (NodeKinds.Register);
+//     on it the half split of every node (Split, §3.2.1) — its sibling's
+//     page, format and move lock, its record, and at the root the growth
+//     in place (the root case of §5.3's space test) — the index-term
+//     posting action (Post, §5.3) and the consolidation action that frees
+//     a node (Absorb, §3.3, §5.2.2);
+//   - every node image in the log: the format of a fresh page (Split,
+//     Create), the growth's record, and the redo and undo of both and of
+//     every split record (NodeKinds.Register);
 //   - the completion queue (queue.go) that schedules completing atomic
 //     actions lazily (§5.1);
 //   - the walk over every reachable page (Walk) and on it the
@@ -36,10 +38,12 @@
 // A tree supplies a Space: how to read a node's level and dead mark, how
 // to clone it for a navigation snapshot, where a key routes from it, what
 // to do when a descent follows a side pointer, and which pages a node
-// points to; and one NodeKinds: its image kinds and codec, and how a root
-// is raised over two terms. Everything else — key space, split choice,
-// clipping, version visibility, which node to consolidate, the other
-// records' codecs, what an undo changes — stays in the tree's own package.
+// points to; one NodeKinds: its image kinds and codec, how a root is raised
+// over two terms, and its split kinds; and for each split a Cut: where the
+// node is cut, what the split record says and how it is redone and undone.
+// Everything else — key space, split choice, clipping, version visibility,
+// which node to consolidate, the other records' codecs, what an undo
+// changes — stays in the tree's own package.
 package pitree
 
 import (
@@ -89,7 +93,9 @@ type Space[N, K any] interface {
 	// Dead reports a de-allocated node still marked in place (§5.2.2(b));
 	// a traversal that lands on one restarts.
 	Dead(n N) bool
-	// Clone returns an immutable deep copy for a navigation snapshot.
+	// Clone returns a deep copy: a navigation snapshot, never changed, or
+	// the lower half of a growing root, which Split cuts before it formats
+	// it.
 	Clone(n N) N
 	// Writable reports whether a leaf may take writes; a write whose
 	// descent ends on one that may not (a TSB history node) restarts.
@@ -126,7 +132,7 @@ var ErrLevelGone = errors.New("pitree: target level does not exist")
 
 // ErrRecordTooLarge reports a record no node can take: a write refused at
 // the call by Admit, before any lock or log record, or a structure change
-// that would have built a node image larger than its page (Format, and a
+// that would have built a node image larger than its page (Split, and a
 // tree's soft overflow). Nothing of the refused write or action remains.
 var ErrRecordTooLarge = errors.New("pitree: record too large for a node")
 
@@ -166,6 +172,9 @@ type Config struct {
 	// IndexHold, when set, records hold durations of U/X latches on index
 	// nodes.
 	IndexHold *latch.HoldTimer
+	// MoveLockWaits, when set, counts the waits for a new page's stale
+	// move lock (Split, under PageLock).
+	MoveLockWaits *atomic.Int64
 	// Restarts counts RetryLoop restarts; the Optimistic counters count
 	// snapshot reads served without a latch, snapshot refreshes, and
 	// descents abandoned to the latched path.

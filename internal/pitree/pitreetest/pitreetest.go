@@ -235,6 +235,62 @@ func GrowIdentity(t testing.TB, log *wal.Log, from wal.LSN, format, grow, restor
 	}
 }
 
+// SplitIdentity holds the last split logged from lsn on — a record of one
+// of the kinds splits, whose action's previous record is the format of the
+// new sibling — and the CLR of kind clr that rolled it back on its page, to
+// a reference's bytes: oracle builds the sibling's image and the split
+// record's payload from the split page and the sibling's, and undo builds
+// the CLR's payload from those two.
+func SplitIdentity(t testing.TB, log *wal.Log, from wal.LSN, format, clr wal.Kind, splits []wal.Kind,
+	oracle func(page, sib storage.PageID) (image, payload []byte), undo func(image, payload []byte) []byte) {
+	t.Helper()
+	var prev wal.Record
+	var sibling, split, comp *wal.Record
+	for _, r := range RecordsFrom(t, log, from) {
+		switch {
+		case r.Type == wal.RecUpdate && slices.Contains(splits, r.Kind):
+			if prev.Kind != format || r.PrevLSN != prev.LSN {
+				t.Fatalf("split at LSN %d does not follow its sibling's format", r.LSN)
+			}
+			f, s := prev, r
+			sibling, split, comp = &f, &s, nil
+		case r.Type == wal.RecCLR && r.Kind == clr && split != nil && r.PageID == split.PageID:
+			c := r
+			comp = &c
+		}
+		if r.Type == wal.RecUpdate {
+			prev = r
+		}
+	}
+	if split == nil || comp == nil {
+		t.Fatal("no split rolled back by a compensation of its page")
+	}
+	image, payload := oracle(storage.PageID(split.PageID), storage.PageID(sibling.PageID))
+	if !bytes.Equal(sibling.Payload, image) {
+		t.Fatalf("sibling's format logs\n%x, want\n%x", sibling.Payload, image)
+	}
+	if !bytes.Equal(split.Payload, payload) {
+		t.Fatalf("split kind %d logs\n%x, want\n%x", split.Kind, split.Payload, payload)
+	}
+	if want := undo(image, payload); !bytes.Equal(comp.Payload, want) {
+		t.Fatalf("its compensation logs\n%x, want\n%x", comp.Payload, want)
+	}
+}
+
+// Images returns the image of every node k's walk from the root reaches,
+// by page — nil if the walk fails: what a split's oracle reads the node it
+// cut from.
+func Images[N, K any](k *pitree.Kernel[N, K], image func(N) []byte) map[storage.PageID][]byte {
+	out := map[storage.PageID][]byte{}
+	if err := k.Walk(0, func(r pitree.Ref[N]) error {
+		out[r.Pid()] = image(r.N)
+		return nil
+	}); err != nil {
+		return nil
+	}
+	return out
+}
+
 // FinishAudited runs a restart's undo pass — finish, typically the
 // engine's FinishRecovery — inside the space audit: the alloc/free history
 // of e's replayed log goes through recovery's shadow model, and e's

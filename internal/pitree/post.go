@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/latch"
-	"repro/internal/storage"
 	"repro/internal/txn"
 )
 
@@ -17,7 +16,7 @@ const FPPost = "pitree.post"
 // Poster is what a tree supplies to Post: the parts of the §5.3 posting
 // action that differ between trees. One value describes one index term
 // and serves every restart of its action.
-type Poster[N any] interface {
+type Poster[N, K any] interface {
 	// Search returns, U-latched, the node at the term's level whose
 	// directly contained space includes the term's key: a plain Descend,
 	// or DescendFrom a saved path the tree may still trust (§5.2).
@@ -32,16 +31,14 @@ type Poster[N any] interface {
 	// promotion rule forbids a lower latch meanwhile). The kernel releases
 	// node after a false or an error.
 	Verify(o *Op[N], node *Ref[N]) (bool, error)
+	// Key is the term's search key, as Verify left it.
+	Key() K
 	// Full is the space test: the X-latched node has no room for the term.
 	Full(n N) bool
-	// Split makes room in the full, X-latched node as part of the action
-	// aa and says where the posting continues: node's own page when it
-	// still directly contains the term's key, else the new sibling — or,
-	// when the root grew in place, the child that now does. NilPage means
-	// no split helps (soft overflow) and the term goes into the node as it
-	// is. The posting of a sibling it created is scheduled from
-	// aa.OnCommit, never before.
-	Split(o *Op[N], aa *txn.Txn, node *Ref[N]) (storage.PageID, error)
+	// Split chooses the cut that makes room in the full, X-latched node,
+	// or nil when no split helps (soft overflow): the term then goes into
+	// the node as it is.
+	Split(node *Ref[N]) (Cut[N], error)
 	// Apply logs the term under aa and inserts it into the X-latched node.
 	// A term that describes the child's present state is built here, from
 	// the child latched S — after every index latch of the action: parents
@@ -57,11 +54,13 @@ type Poster[N any] interface {
 //  2. Verify: re-test the state, which is what makes a duplicate or stale
 //     posting a no-op — nothing is begun or logged for one;
 //  3. promote (only that one latch is held) and begin the atomic action;
-//  4. Space test: while the node is full the tree splits it inside the
-//     action, and the posting continues in whichever node directly
-//     contains the key. Every node visited stays X-latched to the end of
-//     the action (§5.3 releases all latches at the end), so no other
-//     action sees an uncommitted intermediate state;
+//  4. Space test: while the node is full it is split inside the action
+//     at the cut the tree chooses (Split), and the posting continues in
+//     whichever node directly contains the key: the node itself, its new
+//     sibling or, when the root grew in place, the child that now does.
+//     Every node visited stays X-latched to the end of the action (§5.3
+//     releases all latches at the end), so no other action sees an
+//     uncommitted intermediate state;
 //  5. probe FPPost;
 //  6. Update: log and apply the term;
 //  7. commit — postings for the siblings step 4 created are queued only
@@ -70,7 +69,7 @@ type Poster[N any] interface {
 //     step 4 on releases the latches and aborts the action (Op.Atomic).
 //
 // posted is false when the re-test found nothing to do.
-func (k *Kernel[N, K]) Post(p Poster[N]) (posted bool, err error) {
+func (k *Kernel[N, K]) Post(p Poster[N, K]) (posted bool, err error) {
 	err = k.RetryLoop(nil, func(o *Op[N]) error {
 		posted = false
 		first, err := p.Search(o)
@@ -91,19 +90,26 @@ func (k *Kernel[N, K]) Post(p Poster[N]) (posted bool, err error) {
 			// A sibling, and the root's children after it grew in place,
 			// are at the level node had before the split.
 			for lvl := k.sp.Level(node.N); p.Full(node.N); {
-				pid, err := p.Split(o, aa, node)
+				cut, err := p.Split(node)
 				if err != nil {
 					return err
 				}
-				if pid == storage.NilPage {
+				if cut == nil {
 					break
 				}
-				if pid == node.Pid() {
+				if err := k.Split(o, aa, node, cut); err != nil {
+					return err
+				}
+				r := k.sp.Route(node.N, p.Key(), k.sp.Level(node.N) == lvl)
+				switch r.Kind {
+				case Here:
 					continue
+				case Restart:
+					return ErrRetry
 				}
 				// next is a fresh variable each time round: Hold keeps its
 				// address.
-				next, err := o.Acquire(pid, latch.X, lvl)
+				next, err := o.Acquire(r.Pid, latch.X, lvl)
 				if err != nil {
 					return err
 				}

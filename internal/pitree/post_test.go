@@ -15,12 +15,12 @@ import (
 
 // The toy tree's postings: toyLeafC is unposted, so the term (75, leafC)
 // is owed to toyLeft. An index node holds up to cap separators and splits
-// in place, the root by growing (Kernel.Grow); a split and a term each log
-// one redo-only record (the toy has no recovery), so the action has a chain
-// to commit or to roll back over.
+// through Kernel.Split at the toy's cut, the root by growing in place; a
+// term logs one redo-only record, so the action has a chain to commit or to
+// roll back over. The postings run over a store with a free-space map
+// (withSpace), which the splits allocate from.
 
 const (
-	toyKindSplit = wal.Kind(201)
 	toyKindTerm  = wal.Kind(202)
 	toyKindStuck = wal.Kind(203) // its undo fails: the action is doomed
 )
@@ -30,7 +30,6 @@ var errToySplit = errors.New("toy: split refused")
 // toyPost is the toy's Poster. Its switches and hooks expose the instants
 // the kernel's Post passes through.
 type toyPost struct {
-	t     *testing.T
 	ty    *toy
 	sep   int
 	child storage.PageID
@@ -43,7 +42,7 @@ type toyPost struct {
 	onApply   func(node *Ref[*toyNode]) // runs in Apply, under every latch of the action
 
 	splits    int
-	committed int // OnCommit hooks run
+	committed int // OnCommit hooks run: the term's and the cuts' Post
 }
 
 func (p *toyPost) Search(o *Op[*toyNode]) (Ref[*toyNode], error) {
@@ -56,37 +55,17 @@ func (p *toyPost) Verify(_ *Op[*toyNode], node *Ref[*toyNode]) (bool, error) {
 
 func (p *toyPost) Full(n *toyNode) bool { return len(n.seps) >= p.cap }
 
-func (p *toyPost) Split(o *Op[*toyNode], aa *txn.Txn, node *Ref[*toyNode]) (storage.PageID, error) {
+func (p *toyPost) Key() int { return p.sep }
+
+func (p *toyPost) Split(*Ref[*toyNode]) (Cut[*toyNode], error) {
 	p.splits++
 	if p.splits == p.failSplit {
-		return storage.NilPage, errToySplit
+		return nil, errToySplit
 	}
 	if p.soft {
-		return storage.NilPage, nil
+		return nil, nil
 	}
-	aa.OnCommit(func() { p.committed++ })
-	n, mid := node.N, len(node.N.seps)/2
-	upper := &toyNode{level: n.level, low: n.seps[mid], high: n.high, right: n.right,
-		seps: slices.Clone(n.seps[mid:]), kids: slices.Clone(n.kids[mid:])}
-	pidB := toySplitPage + storage.PageID(2*p.splits)
-	low := node.Pid()
-	if node.Pid() == toyRoot {
-		// The root grows in place over two new children.
-		low = pidB + 1
-		lower := &toyNode{level: n.level, low: n.low, high: upper.low, right: pidB,
-			seps: slices.Clone(n.seps[:mid]), kids: slices.Clone(n.kids[:mid])}
-		if err := p.ty.kern.Grow(o, aa, node, low, pidB, lower, upper, toyTerm(toyTerm(nil, n.low, low), upper.low, pidB)); err != nil {
-			return storage.NilPage, err
-		}
-	} else {
-		aa.LogUpdate(node.F, toyKindSplit, nil)
-		p.ty.put(p.t, pidB, upper)
-		n.high, n.right, n.seps, n.kids = upper.low, pidB, n.seps[:mid], n.kids[:mid]
-	}
-	if p.sep >= upper.low {
-		return pidB, nil
-	}
-	return low, nil
+	return &toyCut{posted: &p.committed}, nil
 }
 
 func (p *toyPost) Apply(_ *Op[*toyNode], aa *txn.Txn, node *Ref[*toyNode]) error {
@@ -101,8 +80,15 @@ func (p *toyPost) Apply(_ *Op[*toyNode], aa *txn.Txn, node *Ref[*toyNode]) error
 	return nil
 }
 
+// newPostToy is newToy over a store with a free-space map.
+func newPostToy(t *testing.T) *toy {
+	ty := newToy(t, false, false)
+	ty.withSpace(t)
+	return ty
+}
+
 func (ty *toy) post(t *testing.T, p *toyPost) (bool, error) {
-	p.t, p.ty = t, ty
+	p.ty = ty
 	return ty.kern.Post(p)
 }
 
@@ -157,7 +143,7 @@ func TestPostNothingToDo(t *testing.T) {
 // gets the latch (the commit is stalled just before its record is
 // appended, so a latch released first would show a log without it).
 func TestPostSplitKeepsBothHalvesLatched(t *testing.T) {
-	ty := newToy(t, false, false)
+	ty := newPostToy(t)
 	inj := fault.New(1)
 	ty.tm.SetInjector(inj)
 	inj.Arm(txn.FPAACommit, fault.Spec{Delay: 20 * time.Millisecond})
@@ -199,7 +185,7 @@ func TestPostSplitKeepsBothHalvesLatched(t *testing.T) {
 // TestPostSplitKeyStays: a key below the split point is posted into the
 // node that was split, with no further latch taken.
 func TestPostSplitKeyStays(t *testing.T) {
-	ty := newToy(t, false, false)
+	ty := newPostToy(t)
 	p := &toyPost{sep: 25, child: toyLeafD, level: 1, cap: 2}
 	if posted, err := ty.post(t, p); !posted || err != nil {
 		t.Fatalf("posted=%v err=%v", posted, err)
@@ -212,7 +198,7 @@ func TestPostSplitKeyStays(t *testing.T) {
 // TestPostRootGrowth: a full root grows in place and the posting continues
 // one level down, in the new child that directly contains the key.
 func TestPostRootGrowth(t *testing.T) {
-	ty := newToy(t, false, false)
+	ty := newPostToy(t)
 	p := &toyPost{sep: 200, child: toyLeafD, level: 2, cap: 2}
 	if posted, err := ty.post(t, p); !posted || err != nil {
 		t.Fatalf("posted=%v err=%v", posted, err)
@@ -234,7 +220,7 @@ func TestPostRootGrowth(t *testing.T) {
 // TestPostSoftOverflow: when the tree says no split helps, the term still
 // goes in, into the over-full node.
 func TestPostSoftOverflow(t *testing.T) {
-	ty := newToy(t, false, false)
+	ty := newPostToy(t)
 	p := &toyPost{sep: 75, child: toyLeafC, level: 1, cap: 2, soft: true}
 	if posted, err := ty.post(t, p); !posted || err != nil {
 		t.Fatalf("posted=%v err=%v", posted, err)
@@ -259,7 +245,7 @@ func TestPostFailureAborts(t *testing.T) {
 		{name: "second split", cap: 1, failSplit: 2, want: errToySplit},
 		{name: "failpoint", cap: 2, failpoint: true, want: fault.ErrInjected},
 	} {
-		ty := newToy(t, false, false)
+		ty := newPostToy(t)
 		if tc.failpoint {
 			inj := fault.New(1)
 			ty.pool.SetInjector(inj)
@@ -270,9 +256,15 @@ func TestPostFailureAborts(t *testing.T) {
 		if posted, err := ty.post(t, p); posted || !errors.Is(err, tc.want) {
 			t.Fatalf("%s: posted=%v err=%v", tc.name, posted, err)
 		}
-		// The one split that succeeded is backed over; no term, no commit.
-		if got, want := recTypes(ty.records(from)), []wal.RecType{wal.RecUpdate, wal.RecAbort, wal.RecCLR, wal.RecEnd}; !slices.Equal(got, want) {
+		// The one split that succeeded — its page's allocation, the
+		// sibling's format and the split record — is backed over; no term,
+		// no commit.
+		if got, want := recTypes(ty.records(from)), []wal.RecType{wal.RecUpdate, wal.RecUpdate, wal.RecUpdate,
+			wal.RecAbort, wal.RecCLR, wal.RecCLR, wal.RecCLR, wal.RecEnd}; !slices.Equal(got, want) {
 			t.Fatalf("%s: log holds %v, want the aborted action %v", tc.name, got, want)
+		}
+		if left := ty.node(t, toyLeft); !slices.Equal(left.seps, []int{0, 50}) || left.right != toyRight {
+			t.Fatalf("%s: left after the abort holds %v, right %d", tc.name, left.seps, left.right)
 		}
 		if p.committed != 0 || p.splits == 0 {
 			t.Fatalf("%s: %d commit hooks after %d splits", tc.name, p.committed, p.splits)
@@ -289,8 +281,8 @@ func TestPostFailureAborts(t *testing.T) {
 // commits force the log, and the log cannot sync) the posting reports the
 // error, no commit hook runs, and the latches are released all the same.
 func TestPostCommitFailure(t *testing.T) {
-	ty := newToy(t, false, false)
-	ty.kern.s.TM = txn.NewManager(ty.log, ty.lm, toyRegistry(), txn.Options{ForceOnAACommit: true})
+	ty := newPostToy(t)
+	ty.kern.s.TM = txn.NewManager(ty.log, ty.lm, ty.reg, txn.Options{ForceOnAACommit: true})
 	inj := fault.New(1)
 	ty.log.SetInjector(inj)
 	inj.Arm(wal.FPSync, fault.Spec{Kind: fault.Permanent})

@@ -2,7 +2,9 @@ package pitree
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -34,6 +36,7 @@ type toyNode struct {
 }
 
 type toy struct {
+	reg  *storage.Registry // withSpace's
 	pool *storage.Pool
 	log  *wal.Log
 	lm   *lock.Manager
@@ -98,16 +101,21 @@ func newToy(t *testing.T, couple, pessimistic bool) *toy {
 	return ty
 }
 
-// toyRegistry knows the toy's record kinds: its node images' (the kernel's
-// handlers) and its own, which are redo-only (the toy has no recovery;
-// rollback backs its chain over them).
+// toyRegistry knows the toy's record kinds: its node images' and its
+// split's (the kernel's handlers), the split's compensation, and its own
+// kinds, which are redo-only (rollback backs its chain over them).
 func toyRegistry() *storage.Registry {
 	reg := storage.NewRegistry()
+	registerToy(reg)
+	return reg
+}
+
+func registerToy(reg *storage.Registry) {
 	toyKinds.Register(reg)
-	for _, k := range []wal.Kind{toyKindAdd, toyKindSplit, toyKindTerm} {
+	reg.Register(toyKindUnsplit, storage.Handler{Redo: RedoNode(applyToyUnsplit)})
+	for _, k := range []wal.Kind{toyKindAdd, toyKindTerm} {
 		reg.Register(k, storage.Handler{Redo: func(*storage.Frame, *wal.Record) error { return nil }})
 	}
-	return reg
 }
 
 const (
@@ -116,8 +124,9 @@ const (
 	toyKindGrow    = wal.Kind(212)
 )
 
-// toyKinds describes the toy's node images: the bounds, the side pointer
-// and the index terms, enough for a root growth and its undo.
+// toyKinds describes the toy's node images: the bounds, the side pointer,
+// the index terms and a leaf's keys, enough for a split, a root growth and
+// their undo.
 var toyKinds = NodeKinds[*toyNode]{
 	Format: toyKindFormat, Restore: toyKindRestore, Grow: toyKindGrow,
 	Image: func(n *toyNode) []byte {
@@ -128,17 +137,31 @@ var toyKinds = NodeKinds[*toyNode]{
 		for i := range n.seps {
 			w.Reset(toyTerm(w.Bytes(), n.seps[i], n.kids[i]))
 		}
+		w.U64(uint64(len(n.keys)))
+		for _, k := range n.keys {
+			w.U64(uint64(k))
+		}
 		return w.Bytes()
 	},
 	Decode: func(b []byte) (*toyNode, error) {
 		r := enc.NewReader(b)
 		n := &toyNode{level: int(r.U64()), low: int(r.U64()), high: int(r.U64()), right: storage.PageID(r.U64())}
 		setToyTerms(n, r.Records(int(r.U64()), toyTermLayout))
+		if nk := r.U64(); r.Err() == nil && nk <= uint64(r.Remaining()/8) {
+			for i := uint64(0); i < nk; i++ {
+				n.keys = append(n.keys, int(r.U64()))
+			}
+		} else {
+			return n, enc.ErrTruncated
+		}
 		return n, r.Err()
 	},
 	Layout: toyTermLayout,
+	Splits: []Cut[*toyNode]{&toyCut{}},
+	Term:   func(dst []byte, n *toyNode, pid storage.PageID) []byte { return toyTerm(dst, n.low, pid) },
 	Raise: func(n *toyNode, terms enc.Records) {
 		n.level++
+		n.keys = nil
 		setToyTerms(n, terms)
 	},
 }
@@ -285,3 +308,84 @@ func (ty *toy) Links(n *toyNode, fn func(pid storage.PageID, term int)) {
 // EncodedSize encodes the node: the toy's images are small, and O(1) is a
 // real tree's concern.
 func (ty *toy) EncodedSize(n *toyNode) int { return len(toyKinds.Image(n)) }
+
+// The toy tree's split: a node's upper half — its keys, or its index terms,
+// from the middle one on — goes to the new sibling. The split record is the
+// sibling's term, the separator and the page; its undo takes the sibling's
+// image back (toyKindUnsplit).
+
+const (
+	toyKindSplit   = wal.Kind(201)
+	toyKindUnsplit = wal.Kind(206)
+)
+
+// toyCut is the toy's Cut. posted, when set, counts its Post calls.
+type toyCut struct {
+	posted *int
+	sep    int
+}
+
+func (*toyCut) Kind() wal.Kind { return toyKindSplit }
+
+func (c *toyCut) Sibling(n *toyNode, pid storage.PageID) (*toyNode, []byte) {
+	s := &toyNode{level: n.level, high: n.high, right: n.right}
+	if n.level == 0 {
+		mid := len(n.keys) / 2
+		c.sep, s.keys = n.keys[mid], slices.Clone(n.keys[mid:])
+	} else {
+		mid := len(n.seps) / 2
+		c.sep, s.seps, s.kids = n.seps[mid], slices.Clone(n.seps[mid:]), slices.Clone(n.kids[mid:])
+	}
+	s.low = c.sep
+	return s, toyTerm(nil, c.sep, pid)
+}
+
+// decToySplit reads a split record: the separator and the sibling.
+func decToySplit(p []byte) (int, storage.PageID, error) {
+	if len(p) != 16 {
+		return 0, storage.NilPage, fmt.Errorf("toy: split record of %d bytes", len(p))
+	}
+	return int(binary.LittleEndian.Uint64(p)), storage.PageID(binary.LittleEndian.Uint64(p[8:])), nil
+}
+
+func (*toyCut) Apply(n *toyNode, payload []byte) error {
+	sep, sib, err := decToySplit(payload)
+	if err != nil {
+		return err
+	}
+	n.keys = slices.DeleteFunc(slices.Clone(n.keys), func(k int) bool { return k >= sep })
+	at, _ := slices.BinarySearch(n.seps, sep)
+	n.seps, n.kids = slices.Clone(n.seps[:at]), slices.Clone(n.kids[:at])
+	n.high, n.right = sep, sib
+	return nil
+}
+
+func (*toyCut) Undo(payload []byte, sibling func(storage.PageID) (*toyNode, []byte, error)) (storage.Compensation, error) {
+	_, sib, err := decToySplit(payload)
+	if err != nil {
+		return storage.Compensation{}, err
+	}
+	_, img, err := sibling(sib)
+	return storage.Compensation{Kind: toyKindUnsplit, Payload: img}, err
+}
+
+func (*toyCut) Done(*toyNode, *toyNode, bool) {}
+
+func (c *toyCut) Post(_, _ storage.PageID) {
+	if c.posted != nil {
+		*c.posted++
+	}
+}
+
+// applyToyUnsplit takes back into n the sibling whose image the record
+// carries.
+func applyToyUnsplit(n *toyNode, rec *wal.Record) error {
+	sib, err := toyKinds.Decode(rec.Payload)
+	if err != nil {
+		return err
+	}
+	n.keys = append(slices.Clone(n.keys), sib.keys...)
+	n.seps, n.kids = append(slices.Clone(n.seps), sib.seps...), append(slices.Clone(n.kids), sib.kids...)
+	n.high, n.right = sib.high, sib.right
+	return nil
+}

@@ -38,10 +38,10 @@ type LeafWriter[N, K any] interface {
 	// the attempt restarts; later in a run it ends the run, and the
 	// remainder re-descends into the split leaves.
 	Full(n N, i int) bool
-	// Split splits the U-latched full leaf in its own atomic action (or
-	// however the tree's undo discipline requires). The reference is the
-	// callee's from here on: it releases the latch whatever the outcome,
-	// and after a nil error the attempt restarts.
+	// Split splits the U-latched full leaf through Kernel.Split, in its own
+	// atomic action (or however the tree's undo discipline requires). The
+	// reference is the callee's from here on: it releases the latch
+	// whatever the outcome, and after a nil error the attempt restarts.
 	Split(o *Op[N], leaf Ref[N]) error
 	// Apply makes item i's change to the X-latched leaf and returns the
 	// log record describing it, which the kernel appends under the acting
@@ -192,7 +192,7 @@ func (k *Kernel[N, K]) updateRun(o *Op[N], rs *runs, w LeafWriter[N, K]) error {
 		return err
 	}
 	if w.Full(leaf.N, run[0]) {
-		if err := w.Split(o, leaf); err != nil {
+		if err := k.waitOut(o, w.Split(o, leaf)); err != nil {
 			return err
 		}
 		return ErrRetry
@@ -274,7 +274,7 @@ func (k *Kernel[N, K]) Compensate(tx storage.CLRLogger, undoNext wal.LSN, w Leaf
 			return err
 		}
 		if w.Full(leaf.N, 0) {
-			if err := w.Split(o, leaf); err != nil {
+			if err := k.waitOut(o, w.Split(o, leaf)); err != nil {
 				return err
 			}
 			return ErrRetry

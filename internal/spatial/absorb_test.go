@@ -216,10 +216,11 @@ func TestPostingSkipsUncommittedChild(t *testing.T) {
 	err = o.Atomic(func(aa *txn.Txn) error {
 		o.Hold(&node)
 		alongX, coord, _ := choosePlane(node.N)
-		sib, rect, err := fx.tree.splitOff(o, aa, &node, alongX, coord)
-		if err != nil {
+		if err := fx.tree.kern.Split(o, aa, &node, &planeCut{t: fx.tree, alongX: alongX, coord: coord}); err != nil {
 			return err
 		}
+		newest := node.N.Sibs[len(node.N.Sibs)-1]
+		sib, rect := newest.Pid, newest.Rect
 		posted := make(chan error, 1)
 		go func() {
 			ok, err := fx.tree.kern.Post(&termPost{t: fx.tree, task: postTask{parentLevel: 1, child: sib, rect: rect}})

@@ -161,6 +161,10 @@ func decAbsorbSib(b []byte, level int) (ret returning, err error) {
 var nodeKinds = pitree.NodeKinds[*Node]{
 	Format: KindFormat, Restore: KindRestore, Grow: KindRootGrow,
 	Image: encNodeImage, Decode: decNodeImage, Layout: termLayout,
+	Splits: []pitree.Cut[*Node]{&planeCut{}},
+	Term: func(dst []byte, n *Node, pid storage.PageID) []byte {
+		return appendTerm(dst, Entry{Rect: n.Direct, Child: pid})
+	},
 	Raise: func(n *Node, terms enc.Records) {
 		n.Level++
 		n.recs = terms.Clone()
@@ -206,13 +210,6 @@ func splitPick(n *Node, kept, off Rect, leaving bool) (picked enc.Records, clipp
 		setClipped(&picked, i, true)
 	}
 	return picked, len(cut)
-}
-
-// splitOffContents returns what the new sibling receives.
-func splitOffContents(n *Node, alongX bool, coord uint64) (entries enc.Records, off Rect, clipped int) {
-	kept, off := n.Direct.Split(alongX, coord)
-	entries, clipped = splitPick(n, kept, off, true)
-	return entries, off, clipped
 }
 
 // applyAbsorbSib is the shared runtime/redo semantics of KindAbsorbSib:
@@ -342,37 +339,6 @@ func Register(reg *storage.Registry) *Binding {
 	b := new(Binding)
 
 	nodeKinds.Register(reg)
-	reg.Register(KindSplitOff, storage.Handler{
-		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			alongX, coord, sib, _, err := decSplitOff(rec.Payload)
-			if err != nil {
-				return err
-			}
-			applySplitOff(n, alongX, coord, sib)
-			return nil
-		}),
-		// Undo absorbs the sibling back: region, sibling term and the
-		// entries that left.
-		MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
-			alongX, coord, sib, fates, err := decSplitOff(rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			image, err := pitree.SiblingImage(log, rec, KindFormat, sib)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			sibNode, err := decNodeImage(image)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			ret, err := unsplitOff(fates, sibNode)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			return storage.Compensation{Kind: KindAbsorbSib, Payload: encAbsorbSib(alongX, coord, sib, ret)}, nil
-		},
-	})
 	reg.Register(KindInsertPoint, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
 			e, err := decRecord(0, rec.Payload)

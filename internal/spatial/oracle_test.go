@@ -264,6 +264,55 @@ func (t *Tree) oracleRollback(log *wal.Log, tx *txn.Txn) error {
 // restored. The reference the kernel's growth is held to
 // (TestGrowLogIdentity).
 
+// The split as splitOff and splitRoot wrote it before Kernel.Split
+// (internal/spatial/smo.go) at the plane choosePlane picks, and its undo as
+// kinds.go built it from the sibling's image. The reference the kernel's
+// split is held to (TestSplitLogIdentity).
+
+// oracleSplitOff is the split of pre at its plane into sibPid: the
+// sibling's image and the split record.
+func oracleSplitOff(pre *Node, sibPid storage.PageID) (image, payload []byte) {
+	alongX, coord, _ := choosePlane(pre)
+	kept, off := pre.Direct.Split(alongX, coord)
+	entries, _ := splitPick(pre, kept, off, true)
+	var w enc.Writer
+	w.Bool(alongX)
+	w.U64(coord)
+	w.U64(uint64(sibPid))
+	w.Bytes32(splitFates(pre, alongX, coord))
+	return encNodeImage(&Node{Level: pre.Level, Direct: off, recs: entries}), w.Bytes()
+}
+
+// oracleUnsplit is the payload of the absorb that undid the split whose
+// sibling's image and record are given.
+func oracleUnsplit(image, payload []byte) []byte {
+	alongX, coord, sibPid, fates, err := decSplitOff(payload)
+	if err != nil {
+		panic(err)
+	}
+	sib, err := decNodeImage(image)
+	if err != nil {
+		panic(err)
+	}
+	ret, err := unsplitOff(fates, sib)
+	if err != nil {
+		panic(err)
+	}
+	return encAbsorbSib(alongX, coord, sibPid, ret)
+}
+
+// oracleRootSplit returns the images of the root pre's halves on pidA and
+// pidB and the growth record over them.
+func oracleRootSplit(pre *Node, pidA, pidB storage.PageID) (imageA, imageB, grow []byte) {
+	alongX, coord, _ := choosePlane(pre)
+	kept, off := pre.Direct.Split(alongX, coord)
+	entries, _ := splitPick(pre, kept, off, true)
+	a := pre.clone()
+	applySplitOff(a, alongX, coord, pidB)
+	return encNodeImage(a), encNodeImage(&Node{Level: pre.Level, Direct: off, recs: entries}),
+		oracleEncRootGrow(Entry{Rect: a.Direct, Child: pidA}, Entry{Rect: off, Child: pidB}, pre)
+}
+
 func oracleEncRootGrow(termA, termB Entry, pre *Node) []byte {
 	var w enc.Writer
 	w.Reset(appendTerm(appendTerm(nil, termA), termB))

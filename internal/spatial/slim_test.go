@@ -84,7 +84,8 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 				coord = n.Direct.X0 + (n.Direct.X1-n.Direct.X0)/2
 			}
 		}
-		entries, off, clipped := splitOffContents(n, alongX, coord)
+		kept, off := n.Direct.Split(alongX, coord)
+		entries, clipped := splitPick(n, kept, off, true)
 		axes[alongX]++
 		clippedNow += clipped
 		sib := &Node{Level: n.Level, Direct: off, recs: entries}
@@ -94,7 +95,6 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 		}
 
 		// Root growth at that plane, logged as the parent commit logged it.
-		kept, _ := n.Direct.Split(alongX, coord)
 		grow := oracleEncRootGrow(Entry{Rect: kept, Child: 903}, Entry{Rect: off, Child: 904}, n)
 		if got := undoRoundTrip(t, reg, n, 0, nil, KindRootGrow, grow); !bytes.Equal(got, want) {
 			t.Fatalf("node %d: undo of the growth gives\n%x, want\n%x", i, got, want)
@@ -212,7 +212,7 @@ var slimCases = []slimCase{
 			o.Promote(&leaf)
 			err = o.Atomic(func(aa *txn.Txn) error {
 				o.Hold(&leaf)
-				if _, _, err := tr.splitOff(o, aa, &leaf, alongX, coord); err != nil {
+				if err := tr.kern.Split(o, aa, &leaf, &planeCut{t: tr, alongX: alongX, coord: coord}); err != nil {
 					return err
 				}
 				return errFailedByHand
@@ -322,6 +322,66 @@ func TestGrowLogIdentity(t *testing.T) {
 	if got := encNodeImage(fx.rootNode(t)); !bytes.Equal(got, encNodeImage(pre)) {
 		t.Fatalf("root after the rollback is\n%x, want\n%x", got, encNodeImage(pre))
 	}
+}
+
+// TestSplitLogIdentity: a split rolled back at run time logs the parent
+// commit's bytes — the sibling's format, the split record with its terms'
+// fates and the absorb that undid it (oracleSplitOff, oracleUnsplit), or at
+// the root both halves' formats, the growth and its restore
+// (oracleRootSplit) — for a data split failed at pitree.FPSplit, and an
+// index split that clips terms and a root split, both in a posting that
+// fails at pitree.FPPost.
+func TestSplitLogIdentity(t *testing.T) {
+	var snap map[storage.PageID][]byte
+	var from wal.LSN
+	take := func(fx *fixture) {
+		snap, from = pitreetest.Images(fx.tree.kern, encNodeImage), fx.e.Log.EndLSN()
+	}
+	pre := func(t *testing.T, pid storage.PageID) *Node {
+		n, err := decNodeImage(snap[pid])
+		if err != nil {
+			t.Fatalf("page %d before the split: %v", pid, err)
+		}
+		return n
+	}
+	identity := func(t *testing.T, fx *fixture) {
+		t.Helper()
+		pitreetest.SplitIdentity(t, fx.e.Log, from, KindFormat, KindAbsorbSib, []wal.Kind{KindSplitOff},
+			func(page, sib storage.PageID) ([]byte, []byte) { return oracleSplitOff(pre(t, page), sib) }, oracleUnsplit)
+	}
+	t.Run("data split", func(t *testing.T) {
+		fx := newFixture(t, slimOpts())
+		for i := 0; i < 4; i++ {
+			insertNo(t, fx, i)
+		}
+		inj := fault.New(1)
+		fx.tree.store.Pool.SetInjector(inj)
+		inj.Arm(pitree.FPSplit, fault.Spec{Kind: fault.Transient})
+		take(fx)
+		if err := fx.tree.Insert(nil, pointNo(4), []byte("v4")); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("insert into the full node: %v", err)
+		}
+		identity(t, fx)
+	})
+	t.Run("index split", func(t *testing.T) {
+		fx, _ := postingCase(t, true, func(s *Stats) int64 { return s.IndexSplits.Load() }, take)
+		if fx.tree.Stats.ClippedTerms.Load() == 0 {
+			t.Fatal("the index split clipped no term")
+		}
+		identity(t, fx)
+	})
+	t.Run("root split", func(t *testing.T) {
+		fx, _ := postingCase(t, true, func(s *Stats) int64 { return s.RootGrowths.Load() }, take)
+		root := pre(t, fx.tree.root)
+		pitreetest.GrowIdentity(t, fx.e.Log, from, KindFormat, KindRootGrow, KindRestore,
+			func(pidA, pidB storage.PageID, imageA, imageB []byte) []byte {
+				a, b, grow := oracleRootSplit(root, pidA, pidB)
+				if !bytes.Equal(imageA, a) || !bytes.Equal(imageB, b) {
+					t.Fatalf("halves format\n%x and\n%x, want\n%x and\n%x", imageA, imageB, a, b)
+				}
+				return grow
+			}, oracleRestore)
+	})
 }
 
 // rootNode returns a copy of the root (quiescent helper).

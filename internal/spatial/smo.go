@@ -7,6 +7,7 @@ import (
 	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // postTask asks for the index term describing child (responsible for
@@ -161,50 +162,80 @@ func (t *Tree) splitNodeAction(o *opCtx, leaf *nref) error {
 	o.Promote(leaf)
 	return o.Atomic(func(aa *txn.Txn) error {
 		o.Hold(leaf)
-		_, _, err := t.splitOff(o, aa, leaf, alongX, coord)
-		return err
+		return t.kern.Split(o, aa, leaf, &planeCut{t: t, alongX: alongX, coord: coord})
 	})
 }
 
-// splitOff delegates the part of the X-latched node's direct region
-// beyond the hyperplane to a fresh sibling, as part of the action aa: the
-// one split of a data node and of an index node alike (an index node's
-// spanning terms are clipped into both halves, §3.2.2). The posting of the
-// sibling's index term, a separate action (§3.2.1 step 6), is queued when
-// and only when aa commits: a completing action must never post a term
-// for a page whose creation is then undone. Returns the sibling's page
-// and region.
-func (t *Tree) splitOff(o *opCtx, aa *txn.Txn, node *nref, alongX bool, coord uint64) (storage.PageID, Rect, error) {
-	n := node.N
-	sibPid, err := t.store.Alloc(aa, &o.Tr)
-	if err != nil {
-		return storage.NilPage, Rect{}, err
+// planeCut is the tree's one split (pitree.Cut), of a data node and of an
+// index node alike: the part of the node's direct region beyond the
+// hyperplane is delegated to a fresh sibling through a sibling term
+// (§3.2.1), an index node's spanning terms clipped into both halves
+// (§3.2.2). The record (KindSplitOff) carries the plane, the sibling and
+// the index terms' fates; its undo absorbs the sibling back
+// (KindAbsorbSib).
+type planeCut struct {
+	t      *Tree
+	alongX bool
+	coord  uint64
+	// Set by Sibling: the node's level, the clipped terms and the
+	// sibling's region.
+	level, clipped int
+	off            Rect
+}
+
+func (*planeCut) Kind() wal.Kind { return KindSplitOff }
+
+func (c *planeCut) Sibling(n *Node, sib storage.PageID) (*Node, []byte) {
+	kept, off := n.Direct.Split(c.alongX, c.coord)
+	entries, clipped := splitPick(n, kept, off, true)
+	c.level, c.clipped, c.off = n.Level, clipped, off
+	return &Node{Level: n.Level, Direct: off, recs: entries}, encSplitOff(c.alongX, c.coord, sib, splitFates(n, c.alongX, c.coord))
+}
+
+func (*planeCut) Apply(n *Node, payload []byte) error {
+	alongX, coord, sib, _, err := decSplitOff(payload)
+	if err == nil {
+		applySplitOff(n, alongX, coord, sib)
 	}
-	// The sibling's contents are copied out while the node is still whole:
-	// the node changes only once its own record is logged, after a format
-	// that can fail.
-	entries, off, clipped := splitOffContents(n, alongX, coord)
-	sib := &Node{Level: n.Level, Direct: off, recs: entries}
-	if err := t.kern.Format(o, aa, sibPid, sib); err != nil {
-		return storage.NilPage, Rect{}, err
+	return err
+}
+
+func (*planeCut) Undo(payload []byte, sibling func(storage.PageID) (*Node, []byte, error)) (storage.Compensation, error) {
+	alongX, coord, pid, fates, err := decSplitOff(payload)
+	var sib *Node
+	var ret returning
+	if err == nil {
+		sib, _, err = sibling(pid)
 	}
-	aa.LogUpdate(node.F, KindSplitOff, encSplitOff(alongX, coord, sibPid, splitFates(n, alongX, coord)))
-	applySplitOff(n, alongX, coord, sibPid)
-	if n.IsData() {
-		t.Stats.DataSplits.Add(1)
-	} else {
-		t.Stats.IndexSplits.Add(1)
+	if err == nil {
+		ret, err = unsplitOff(fates, sib)
 	}
-	t.Stats.ClippedTerms.Add(int64(clipped))
-	up := postTask{parentLevel: n.Level + 1, child: sibPid, rect: off}
-	aa.OnCommit(func() { t.schedule(up) })
-	return sibPid, off, nil
+	return storage.Compensation{Kind: KindAbsorbSib, Payload: encAbsorbSib(alongX, coord, pid, ret)}, err
+}
+
+func (c *planeCut) Done(_, _ *Node, grew bool) {
+	st := &c.t.Stats
+	switch {
+	case grew:
+		st.RootGrowths.Add(1)
+	case c.level == 0:
+		st.DataSplits.Add(1)
+	default:
+		st.IndexSplits.Add(1)
+	}
+	st.ClippedTerms.Add(int64(c.clipped))
+}
+
+// Post queues the posting of the sibling's index term, a separate action
+// (§3.2.1 step 6).
+func (c *planeCut) Post(_, sib storage.PageID) {
+	c.t.schedule(postTask{parentLevel: c.level + 1, child: sib, rect: c.off})
 }
 
 // termPost is the tree's side of the kernel's posting action
 // (pitree.Poster), the completing atomic action: post the child's index
 // term in the parent on the search path of the child's low corner,
-// splitting the parent (with clipping) or growing the root as needed.
+// splitting the parent (with clipping; the root grows in place) as needed.
 type termPost struct {
 	t    *Tree
 	task postTask
@@ -235,29 +266,24 @@ func (p *termPost) Full(n *Node) bool {
 	return n.Len() >= p.t.opts.IndexCapacity || !p.t.kern.Fits(n, termBytes)
 }
 
-func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, error) {
+// Key is the posting's search key: the child's low corner.
+func (p *termPost) Key() Point { return p.corner() }
+
+// Split chooses a plane that reduces the node. When none does (heavy
+// clipping keeps spanning terms in both halves) the node grows past the
+// fan-out rather than split unproductively — but never past the page.
+// The root always splits: it grows in place.
+func (p *termPost) Split(node *nref) (pitree.Cut[*Node], error) {
 	t := p.t
 	alongX, coord, ok := choosePlane(node.N)
-	if !ok || (node.Pid() != t.root && !splitHelps(node.N, alongX, coord)) {
-		// No cut reduces this node (heavy clipping keeps spanning terms
-		// in both halves): grow past the fan-out rather than split
-		// unproductively — but never past the page.
-		if !t.kern.Fits(node.N, termBytes) {
-			return storage.NilPage, pitree.ErrRecordTooLarge
-		}
-		t.Stats.SoftOverflows.Add(1)
-		return storage.NilPage, nil
+	if ok && (node.Pid() == t.root || splitHelps(node.N, alongX, coord)) {
+		return &planeCut{t: t, alongX: alongX, coord: coord}, nil
 	}
-	kept, sib, off, err := node.Pid(), storage.NilPage, Rect{}, error(nil)
-	if node.Pid() == t.root {
-		kept, sib, off, err = t.splitRoot(o, aa, node, alongX, coord)
-	} else {
-		sib, off, err = t.splitOff(o, aa, node, alongX, coord)
+	if !t.kern.Fits(node.N, termBytes) {
+		return nil, pitree.ErrRecordTooLarge
 	}
-	if err != nil || !off.Contains(p.corner()) {
-		return kept, err
-	}
-	return sib, nil
+	t.Stats.SoftOverflows.Add(1)
+	return nil, nil
 }
 
 func (p *termPost) Apply(_ *opCtx, aa *txn.Txn, node *nref) error {
@@ -265,29 +291,4 @@ func (p *termPost) Apply(_ *opCtx, aa *txn.Txn, node *nref) error {
 	aa.LogUpdate(node.F, KindPostTerm, appendTerm(nil, term))
 	node.N.insertAt(node.N.Len(), term)
 	return nil
-}
-
-// splitRoot splits the X-latched root at the hyperplane without moving it:
-// its contents go to two new nodes — B, the sibling a split there would
-// create, and A, what that split would leave behind, sibling term for B
-// included — and the kernel grows the root in place over a term for each
-// (pitree.Kernel.Grow). It returns A's page, B's page and B's region.
-func (t *Tree) splitRoot(o *opCtx, aa *txn.Txn, root *nref, alongX bool, coord uint64) (pidA, pidB storage.PageID, off Rect, err error) {
-	if pidB, err = t.store.Alloc(aa, &o.Tr); err == nil {
-		pidA, err = t.store.Alloc(aa, &o.Tr)
-	}
-	if err != nil {
-		return storage.NilPage, storage.NilPage, Rect{}, err
-	}
-	entries, off, clipped := splitOffContents(root.N, alongX, coord)
-	b := &Node{Level: root.N.Level, Direct: off, recs: entries}
-	a := root.N.clone()
-	applySplitOff(a, alongX, coord, pidB)
-	terms := appendTerm(appendTerm(nil, Entry{Rect: a.Direct, Child: pidA}), Entry{Rect: off, Child: pidB})
-	if err := t.kern.Grow(o, aa, root, pidA, pidB, a, b, terms); err != nil {
-		return storage.NilPage, storage.NilPage, Rect{}, err
-	}
-	t.Stats.RootGrowths.Add(1)
-	t.Stats.ClippedTerms.Add(int64(clipped))
-	return pidA, pidB, off, nil
 }

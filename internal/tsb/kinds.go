@@ -249,6 +249,10 @@ func applyCutHist(n *Node) {
 var nodeKinds = pitree.NodeKinds[*Node]{
 	Format: KindFormat, Restore: KindRestoreImage, Grow: KindRootGrow,
 	Image: encNodeImage, Decode: decNodeImage, Layout: keyTermLayout,
+	Splits: []pitree.Cut[*Node]{&splitCut{kind: KindTimeSplit}, &splitCut{kind: KindKeySplit}, &splitCut{kind: KindIndexKeySplit}},
+	Term: func(dst []byte, n *Node, pid storage.PageID) []byte {
+		return appendKeyTerm(dst, n.Rect.KeyLow, pid)
+	},
 	Raise: func(n *Node, terms enc.Records) {
 		n.Level++
 		n.recs = terms.Clone()
@@ -264,7 +268,7 @@ var nodeKinds = pitree.NodeKinds[*Node]{
 // (the latest version of each key with Start < ts stays, copied semantics)
 // plus every version with Start >= ts, then advances TimeLow and installs
 // the history sibling. The old history edge — pointer AND shared mark —
-// moved to the new history node (splitData builds its image that way), so
+// moved to the new history node (splitCut builds its image that way), so
 // the current node's new edge to it is fresh and single-referenced.
 func applyTimeSplit(n *Node, ts uint64, hist storage.PageID) {
 	n.recs = n.pick(func(i int) bool { return aliveAt(n, i, ts) })
@@ -396,21 +400,6 @@ type Binding = pitree.Binding[*Tree]
 func Register(reg *storage.Registry) *Binding {
 	b := new(Binding)
 
-	// unsplit compensates a split of rec's page that created sib: it puts
-	// back the header old and those entries of sib's image, as logged in
-	// its format record just before rec, that leavers picks.
-	unsplit := func(rec *wal.Record, log storage.LogReader, sib storage.PageID, old *Node, unclip []storage.PageID, leavers func(sib *Node) enc.Records) (storage.Compensation, error) {
-		image, err := pitree.SiblingImage(log, rec, KindFormat, sib)
-		if err != nil {
-			return storage.Compensation{}, err
-		}
-		sibNode, err := decNodeImage(image)
-		if err != nil {
-			return storage.Compensation{}, err
-		}
-		return storage.Compensation{Kind: KindUnsplit, Payload: encUnsplit(old, leavers(sibNode), unclip)}, nil
-	}
-
 	nodeKinds.Register(reg)
 	reg.Register(KindUnsplit, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
@@ -420,57 +409,6 @@ func Register(reg *storage.Registry) *Binding {
 			}
 			return applyUnsplit(n, img, unclip)
 		}),
-	})
-	reg.Register(KindTimeSplit, storage.Handler{
-		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			ts, hist, _, err := decTimeSplit(rec.Payload)
-			if err != nil {
-				return err
-			}
-			applyTimeSplit(n, ts, hist)
-			return nil
-		}),
-		MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
-			_, hist, old, err := decTimeSplit(rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			return unsplit(rec, log, hist, old, nil, timeSplitLeavers)
-		},
-	})
-	reg.Register(KindKeySplit, storage.Handler{
-		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			k, sib, _, _, err := decKeySplit(rec.Payload)
-			if err != nil {
-				return err
-			}
-			applyKeySplit(n, k, sib)
-			return nil
-		}),
-		MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
-			_, sib, old, _, err := decKeySplit(rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			return unsplit(rec, log, sib, old, nil, func(sib *Node) enc.Records { return sib.recs })
-		},
-	})
-	reg.Register(KindIndexKeySplit, storage.Handler{
-		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			k, sib, _, _, err := decKeySplit(rec.Payload)
-			if err != nil {
-				return err
-			}
-			applyIndexKeySplit(n, k, sib)
-			return nil
-		}),
-		MakeUndo: func(rec *wal.Record, log storage.LogReader) (storage.Compensation, error) {
-			k, sib, old, clipped, err := decKeySplit(rec.Payload)
-			if err != nil {
-				return storage.Compensation{}, err
-			}
-			return unsplit(rec, log, sib, old, clipped, func(sib *Node) enc.Records { return indexSplitLeavers(sib, k) })
-		},
 	})
 	reg.Register(KindPut, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {

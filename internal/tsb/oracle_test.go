@@ -196,6 +196,83 @@ func TestImageByteIdentity(t *testing.T) {
 	}
 }
 
+// The splits as splitDataIn, splitIndex and splitRoot wrote them before
+// Kernel.Split (internal/tsb/split.go), and their undo as kinds.go's
+// unsplit built it from the sibling's image. The reference the kernel's
+// split is held to (TestSplitLogIdentity).
+
+// oracleTimeSplit is the time split at ts of the data node pre into the
+// history node hist: its image and the split record.
+func oracleTimeSplit(pre *Node, ts uint64, hist storage.PageID) (image, payload []byte) {
+	newNode := &Node{Level: 0, Rect: cloneRect(pre.Rect), HistSib: pre.HistSib}
+	newNode.Rect.TimeHigh = ts
+	newNode.HistShared = pre.HistShared
+	newNode.recs = historyContents(pre, ts)
+	var w enc.Writer
+	w.U64(ts)
+	w.U64(uint64(hist))
+	encodeHeader(&w, pre)
+	return encNodeImage(newNode), w.Bytes()
+}
+
+// oracleKeySplit is the key split of the data node pre at the median of
+// its distinct keys into newPid.
+func oracleKeySplit(pre *Node, newPid storage.PageID) (image, payload []byte) {
+	k := medianKey(pre, distinctKeys(pre))
+	newNode := &Node{Level: 0, Rect: cloneRect(pre.Rect), HistSib: pre.HistSib}
+	newNode.Rect.KeyLow = keys.Clone(k)
+	newNode.KeySib = pre.KeySib
+	newNode.HistShared = pre.HistSib != storage.NilPage
+	newNode.recs = pre.recs.Slice(pre.firstKeyAtOrAbove(k), pre.Len())
+	return encNodeImage(newNode), oracleEncKeySplit(k, newPid, pre, nil)
+}
+
+// oracleIndexSplit is the key split of the index node pre into sibPid.
+func oracleIndexSplit(pre *Node, sibPid storage.PageID) (image, payload []byte) {
+	k, _ := (&Tree{}).indexSplitKey(pre)
+	sib, _ := indexSibling(pre, k)
+	return encNodeImage(sib), oracleEncKeySplit(k, sibPid, pre, newlyClipped(pre, k))
+}
+
+func oracleEncKeySplit(k keys.Key, sib storage.PageID, old *Node, clipped []storage.PageID) []byte {
+	var w enc.Writer
+	w.Bytes32(k)
+	w.U64(uint64(sib))
+	encodeHeader(&w, old)
+	encodePIDs(&w, clipped)
+	return w.Bytes()
+}
+
+// oracleUnsplit returns the payload of the unsplit that undid a split of
+// kind, given the sibling's image and the split record.
+func oracleUnsplit(kind wal.Kind) func(image, payload []byte) []byte {
+	return func(image, payload []byte) []byte {
+		sib, err := decNodeImage(image)
+		if err != nil {
+			panic(err)
+		}
+		if kind == KindTimeSplit {
+			_, _, old, _ := decTimeSplit(payload)
+			return encUnsplit(old, timeSplitLeavers(sib), nil)
+		}
+		k, _, old, clipped, _ := decKeySplit(payload)
+		if kind == KindKeySplit {
+			return encUnsplit(old, sib.recs, nil)
+		}
+		return encUnsplit(old, indexSplitLeavers(sib, k), clipped)
+	}
+}
+
+// oracleRootSplit returns the images of the root pre's halves on pidA and
+// pidB and the growth record over them.
+func oracleRootSplit(pre *Node, pidA, pidB storage.PageID) (imageA, imageB, grow []byte) {
+	k, _ := (&Tree{}).indexSplitKey(pre)
+	b, _ := indexSibling(pre, k)
+	a := pre.clone()
+	applyIndexKeySplit(a, k, pidB)
+	return encNodeImage(a), encNodeImage(b), oracleEncRootGrow(Entry{Child: pidA}, Entry{Key: k, Child: pidB}, pre)
+}
+
 // The growth record as kinds.go wrote it before Kernel.Grow: the grown
 // root's two key terms, then the root's image as it was, which its undo
 // restored. The reference the kernel's growth is held to

@@ -106,7 +106,7 @@ func TestSlimUndoRestoresNode(t *testing.T) {
 		n := randomDataNode(rng)
 		want := encNodeImage(n)
 
-		// Time split at a time inside the node's versions, as splitDataIn does.
+		// Time split at a time inside the node's versions, as splitCut does.
 		ts := n.startAt(rng.Intn(n.Len())) + uint64(rng.Intn(2))
 		hist := &Node{Rect: cloneRect(n.Rect), HistSib: n.HistSib, HistShared: n.HistShared, recs: historyContents(n, ts)}
 		hist.Rect.TimeHigh = ts
@@ -222,7 +222,11 @@ func (fx *fixture) failedSplit(t *testing.T, key uint64, timeSplit bool) {
 	o.Promote(&leaf)
 	err = o.Atomic(func(aa *txn.Txn) error {
 		o.Hold(&leaf)
-		if err := tr.splitDataIn(o, aa, &leaf, timeSplit, distinctKeys(leaf.N)); err != nil {
+		cut := &splitCut{t: tr, kind: KindTimeSplit}
+		if !timeSplit {
+			cut = &splitCut{t: tr, kind: KindKeySplit, k: medianKey(leaf.N, distinctKeys(leaf.N))}
+		}
+		if err := tr.kern.Split(o, aa, &leaf, cut); err != nil {
 			return err
 		}
 		return errFailedByHand
@@ -431,6 +435,77 @@ func TestGrowLogIdentity(t *testing.T) {
 	if got := encNodeImage(fx.rootNode(t)); !bytes.Equal(got, encNodeImage(pre)) {
 		t.Fatalf("root after the rollback is\n%x, want\n%x", got, encNodeImage(pre))
 	}
+}
+
+// TestSplitLogIdentity: a split rolled back at run time logs the parent
+// commit's bytes — the sibling's format, the split record and the unsplit
+// that undid it (oracleTimeSplit, oracleKeySplit, oracleIndexSplit,
+// oracleUnsplit), or at the root both halves' formats, the growth and its
+// restore (oracleRootSplit) — for a time split and a key split failed by
+// hand, an index key split that clips terms and a root split, both in a
+// posting that fails at pitree.FPPost.
+func TestSplitLogIdentity(t *testing.T) {
+	var snap map[storage.PageID][]byte
+	var from wal.LSN
+	take := func(fx *fixture) {
+		snap, from = pitreetest.Images(fx.tree.kern, encNodeImage), fx.e.Log.EndLSN()
+	}
+	pre := func(t *testing.T, pid storage.PageID) *Node {
+		n, err := decNodeImage(snap[pid])
+		if err != nil {
+			t.Fatalf("page %d before the split: %v", pid, err)
+		}
+		return n
+	}
+	identity := func(t *testing.T, fx *fixture, kind wal.Kind, oracle func(pre *Node, sib storage.PageID) ([]byte, []byte)) {
+		t.Helper()
+		pitreetest.SplitIdentity(t, fx.e.Log, from, KindFormat, KindUnsplit, []wal.Kind{kind},
+			func(page, sib storage.PageID) ([]byte, []byte) { return oracle(pre(t, page), sib) }, oracleUnsplit(kind))
+	}
+	t.Run("time split", func(t *testing.T) {
+		fx := newFixture(t, slimOpts())
+		for round := 0; round < 2; round++ {
+			for k := uint64(0); k < 2; k++ {
+				if err := fx.tree.Put(nil, keys.Uint64(k), []byte(sval(k, round))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		take(fx)
+		ts := fx.tree.Now() + 1
+		fx.failedSplit(t, 0, true)
+		identity(t, fx, KindTimeSplit, func(pre *Node, sib storage.PageID) ([]byte, []byte) { return oracleTimeSplit(pre, ts, sib) })
+	})
+	t.Run("key split", func(t *testing.T) {
+		fx := newFixture(t, slimOpts())
+		for k := uint64(0); k < 4; k++ {
+			if err := fx.tree.Put(nil, keys.Uint64(k), []byte(sval(k, 0))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		take(fx)
+		fx.failedSplit(t, 0, false)
+		identity(t, fx, KindKeySplit, oracleKeySplit)
+	})
+	t.Run("index key split", func(t *testing.T) {
+		fx, _, _ := postingCase(t, true, func(s *Stats) int64 { return s.IndexSplits.Load() }, take)
+		if fx.tree.Stats.ClippedTerms.Load() == 0 {
+			t.Fatal("the index split clipped no term")
+		}
+		identity(t, fx, KindIndexKeySplit, oracleIndexSplit)
+	})
+	t.Run("root split", func(t *testing.T) {
+		fx, _, _ := postingCase(t, true, func(s *Stats) int64 { return s.RootGrowths.Load() }, take)
+		root := pre(t, fx.tree.root)
+		pitreetest.GrowIdentity(t, fx.e.Log, from, KindFormat, KindRootGrow, KindRestoreImage,
+			func(pidA, pidB storage.PageID, imageA, imageB []byte) []byte {
+				a, b, grow := oracleRootSplit(root, pidA, pidB)
+				if !bytes.Equal(imageA, a) || !bytes.Equal(imageB, b) {
+					t.Fatalf("halves format\n%x and\n%x, want\n%x and\n%x", imageA, imageB, a, b)
+				}
+				return grow
+			}, oracleRestore)
+	})
 }
 
 // rootNode returns a copy of the root (quiescent helper).

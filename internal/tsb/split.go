@@ -8,6 +8,7 @@ import (
 	"repro/internal/pitree"
 	"repro/internal/storage"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // postTask asks for the index term describing a committed split to be
@@ -134,13 +135,20 @@ func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 		}
 	}
 	o.Promote(leaf)
-	n := leaf.N
+	cut := t.dataCut(leaf.N)
+	return o.Atomic(func(aa *txn.Txn) error {
+		o.Hold(leaf)
+		return t.kern.Split(o, aa, leaf, cut)
+	})
+}
+
+// dataCut chooses the split of the full data node n: by time at the
+// clock's next tick, or by key at the median of its distinct keys.
+func (t *Tree) dataCut(n *Node) *splitCut {
 	keysIn := distinctKeys(n)
 	distinct := len(keysIn)
-	timeSplit := distinct <= int(float64(n.Len())*currentFraction) && distinct < n.Len()
-	if distinct < 2 {
-		timeSplit = true // single-key node: only history can leave
-	}
+	// Only history can leave a node of a single key.
+	timeSplit := distinct < 2 || distinct <= int(float64(n.Len())*currentFraction) && distinct < n.Len()
 	if timeSplit && (distinct == n.Len() || distinct >= 2 && t.carriesRunning(n)) {
 		// Nothing would leave; or the history node would take a carried
 		// version that a rollback replaces with its predecessor, which
@@ -148,11 +156,10 @@ func (t *Tree) splitData(o *opCtx, leaf *nref) error {
 		// A key split (distinct >= 2 here).
 		timeSplit = false
 	}
-
-	return o.Atomic(func(aa *txn.Txn) error {
-		o.Hold(leaf)
-		return t.splitDataIn(o, aa, leaf, timeSplit, keysIn)
-	})
+	if timeSplit {
+		return &splitCut{t: t, kind: KindTimeSplit}
+	}
+	return &splitCut{t: t, kind: KindKeySplit, k: medianKey(n, keysIn)}
 }
 
 // prune drops, as one atomic action, the versions of the U-latched data
@@ -201,66 +208,127 @@ func distinctKeys(n *Node) []keys.Key {
 	return out
 }
 
-// splitDataIn splits the X-latched data node as part of the action aa: by
-// time at the clock's next tick, or by key at the median of keysIn, its
-// distinct keys.
-func (t *Tree) splitDataIn(o *opCtx, aa *txn.Txn, leaf *nref, timeSplit bool, keysIn []keys.Key) error {
-	n, leafPid := leaf.N, leaf.Pid()
-	newPid, err := t.store.Alloc(aa, &o.Tr)
+// splitCut is each of the tree's three splits (pitree.Cut), by its kind:
+//
+//   - KindTimeSplit: the data node's versions dead before the clock's next
+//     tick leave for a new history node, which takes over the old history
+//     edge ("new historic nodes contain copies of old history pointers",
+//     Figure 1) — its shared mark too; the current node's edge to the new
+//     node is fresh (applyTimeSplit clears its mark);
+//   - KindKeySplit: the data node's versions from key k up go to a new
+//     current node, which copies the history pointer ("the new node will
+//     contain a copy of the history sibling pointer"): both halves now
+//     reach the same chain, so both edges are marked shared (applyKeySplit
+//     marks the trimmed half);
+//   - KindIndexKeySplit: the index node's terms from k up go to a new
+//     index node, level-1 terms spanning k CLIPPED into both halves
+//     (§3.2.2).
+//
+// The undo (KindUnsplit) puts the node's header back and re-adds the
+// entries that left.
+type splitCut struct {
+	t    *Tree
+	kind wal.Kind
+	k    keys.Key // a key split's boundary
+	// Set by Sibling: the time split's time, the node's level, the clipped
+	// terms and the sibling's rectangle, copied before the sibling goes live.
+	ts      uint64
+	level   int
+	clipped int
+	rect    Rect
+}
+
+func (c *splitCut) Kind() wal.Kind { return c.kind }
+
+func (c *splitCut) Sibling(n *Node, pid storage.PageID) (*Node, []byte) {
+	sib := &Node{Rect: cloneRect(n.Rect), HistSib: n.HistSib}
+	var payload []byte
+	switch c.kind {
+	case KindTimeSplit:
+		c.ts = c.t.tick()
+		sib.Rect.TimeHigh, sib.HistShared, sib.recs = c.ts, n.HistShared, historyContents(n, c.ts)
+		payload = encTimeSplit(c.ts, pid, n)
+	case KindKeySplit:
+		sib.Rect.KeyLow, sib.KeySib, sib.HistShared = keys.Clone(c.k), n.KeySib, n.HistSib != storage.NilPage
+		sib.recs = n.recs.Slice(n.firstKeyAtOrAbove(c.k), n.Len())
+		payload = encKeySplit(c.k, pid, n, nil)
+	default:
+		sib, c.clipped = indexSibling(n, c.k)
+		payload = encKeySplit(c.k, pid, n, newlyClipped(n, c.k))
+	}
+	c.level, c.rect = n.Level, cloneRect(sib.Rect)
+	return sib, payload
+}
+
+// decode reads a split record of c's kind.
+func (c *splitCut) decode(p []byte) (k keys.Key, ts uint64, sib storage.PageID, old *Node, unclip []storage.PageID, err error) {
+	if c.kind == KindTimeSplit {
+		ts, sib, old, err = decTimeSplit(p)
+	} else {
+		k, sib, old, unclip, err = decKeySplit(p)
+	}
+	return k, ts, sib, old, unclip, err
+}
+
+func (c *splitCut) Apply(n *Node, payload []byte) error {
+	k, ts, sib, _, _, err := c.decode(payload)
+	switch {
+	case err != nil:
+	case c.kind == KindTimeSplit:
+		applyTimeSplit(n, ts, sib)
+	case c.kind == KindKeySplit:
+		applyKeySplit(n, k, sib)
+	default:
+		applyIndexKeySplit(n, k, sib)
+	}
+	return err
+}
+
+// Undo re-adds what left: of a time split's history node all but the last
+// version of each key (that one stayed, copied), of an index sibling all
+// but the clipped copies, whose marks it clears.
+func (c *splitCut) Undo(payload []byte, sibling func(storage.PageID) (*Node, []byte, error)) (storage.Compensation, error) {
+	k, _, pid, old, unclip, err := c.decode(payload)
+	var sib *Node
+	if err == nil {
+		sib, _, err = sibling(pid)
+	}
 	if err != nil {
-		return err
+		return storage.Compensation{}, err
 	}
-	// Either new node starts from the old one's rectangle (a current
-	// node's, so open-ended in time) and a copy of its history pointer.
-	newNode := &Node{Level: 0, Rect: cloneRect(n.Rect), HistSib: n.HistSib}
-	var ts uint64
-	var k keys.Key
-	if timeSplit {
-		// "New historic nodes contain copies of old history pointers"
-		// (Figure 1). The edge's shared mark transfers with it; the
-		// current node's replacement edge is fresh (applyTimeSplit
-		// clears its mark).
-		ts = t.tick()
-		newNode.Rect.TimeHigh = ts
-		newNode.HistShared = n.HistShared
-		newNode.recs = historyContents(n, ts)
-	} else {
-		// "The new node will contain a copy of the history sibling
-		// pointer": the new current node is responsible for the entire
-		// history of its key space. Both halves now reach the same
-		// chain, so both edges are marked shared (applyKeySplit marks
-		// the trimmed half).
-		k = medianKey(n, keysIn)
-		newNode.Rect.KeyLow = keys.Clone(k)
-		newNode.KeySib = n.KeySib
-		newNode.HistShared = n.HistSib != storage.NilPage
-		newNode.recs = n.recs.Slice(n.firstKeyAtOrAbove(k), n.Len())
+	readd := sib.recs
+	switch c.kind {
+	case KindTimeSplit:
+		readd = timeSplitLeavers(sib)
+	case KindIndexKeySplit:
+		readd = indexSplitLeavers(sib, k)
 	}
-	// The separate posting action (§3.2.1 step 6) is queued when and
-	// only when this one commits; its rectangle is copied now, before
-	// the new node goes live.
-	post := postTask{parentLevel: 1, child: newPid, rect: cloneRect(newNode.Rect)}
-	aa.OnCommit(func() {
-		t.schedule(post)
-		if timeSplit && t.opts.GC {
-			// The split just grew this leaf's history chain; sweep it
-			// for nodes that fell below the visibility horizon.
-			t.schedule(postTask{gcHead: leafPid})
-		}
-	})
-	if err := t.kern.Format(o, aa, newPid, newNode); err != nil {
-		return err
+	return storage.Compensation{Kind: KindUnsplit, Payload: encUnsplit(old, readd, unclip)}, nil
+}
+
+func (c *splitCut) Done(_, _ *Node, grew bool) {
+	st := &c.t.Stats
+	switch {
+	case grew:
+		st.RootGrowths.Add(1)
+	case c.kind == KindTimeSplit:
+		st.TimeSplits.Add(1)
+	case c.kind == KindKeySplit:
+		st.KeySplits.Add(1)
+	default:
+		st.IndexSplits.Add(1)
 	}
-	if timeSplit {
-		aa.LogUpdate(leaf.F, KindTimeSplit, encTimeSplit(ts, newPid, n))
-		applyTimeSplit(n, ts, newPid)
-		t.Stats.TimeSplits.Add(1)
-	} else {
-		aa.LogUpdate(leaf.F, KindKeySplit, encKeySplit(k, newPid, n, nil))
-		applyKeySplit(n, k, newPid)
-		t.Stats.KeySplits.Add(1)
+	st.ClippedTerms.Add(int64(c.clipped))
+}
+
+// Post queues the separate posting action (§3.2.1 step 6) and, after a time
+// split under GC, a sweep of the history chain it just grew for nodes that
+// fell below the visibility horizon.
+func (c *splitCut) Post(node, sib storage.PageID) {
+	c.t.schedule(postTask{parentLevel: c.level + 1, child: sib, rect: c.rect})
+	if c.kind == KindTimeSplit && c.t.opts.GC {
+		c.t.schedule(postTask{gcHead: node})
 	}
-	return nil
 }
 
 // medianKey picks the median of a data node's distinct keys (strictly
@@ -279,7 +347,8 @@ func medianKey(n *Node, distinct []keys.Key) keys.Key {
 // node whose key range covers the child's low key — a rectangle term at
 // level 1, a key-only term higher up. The kernel runs §5.3 with it:
 // Search, Verify (posted-test, then the child re-tested latched), Space
-// Test (index key split with clipping, or root growth), Update.
+// Test (an index key split with clipping, which grows the root in place),
+// Update.
 type termPost struct {
 	t    *Tree
 	task postTask
@@ -335,29 +404,24 @@ func (p *termPost) size(n *Node) int {
 	return keyTermSize(p.task.rect.KeyLow)
 }
 
-func (p *termPost) Split(o *opCtx, aa *txn.Txn, node *nref) (storage.PageID, error) {
-	t, searchKey := p.t, p.task.rect.KeyLow
-	k, ok := t.indexSplitKey(node.N)
-	if !ok {
-		// No usable boundary (e.g. the node is all history terms of one
-		// key range): soft overflow past the fan-out rather than a complex
-		// index time split; documented simplification. Never past the page.
-		if !t.kern.Fits(node.N, p.size(node.N)) {
-			return storage.NilPage, pitree.ErrRecordTooLarge
-		}
-		t.Stats.SoftOverflows.Add(1)
-		return storage.NilPage, nil
+// Key is the posting's search key: the child's low key, at the time of a
+// current node.
+func (p *termPost) Key() point { return point{key: p.task.rect.KeyLow, time: NoEnd - 1} }
+
+// Split chooses an index key split at a boundary that puts a whole term on
+// each side. With no usable boundary (e.g. the node is all history terms
+// of one key range) it soft-overflows past the fan-out rather than make a
+// complex index time split; documented simplification. Never past the page.
+func (p *termPost) Split(node *nref) (pitree.Cut[*Node], error) {
+	k, ok := p.t.indexSplitKey(node.N)
+	if ok {
+		return &splitCut{t: p.t, kind: KindIndexKeySplit, k: k}, nil
 	}
-	low, high, err := node.Pid(), storage.NilPage, error(nil)
-	if node.Pid() == t.root {
-		low, high, err = t.splitRoot(o, aa, node, k)
-	} else {
-		high, err = t.splitIndex(o, aa, node, k)
+	if !p.t.kern.Fits(node.N, p.size(node.N)) {
+		return nil, pitree.ErrRecordTooLarge
 	}
-	if err != nil || keys.Compare(searchKey, k) < 0 {
-		return low, err
-	}
-	return high, nil
+	p.t.Stats.SoftOverflows.Add(1)
+	return nil, nil
 }
 
 func (p *termPost) Apply(o *opCtx, aa *txn.Txn, node *nref) error {
@@ -447,52 +511,4 @@ func indexSibling(pre *Node, k keys.Key) (sib *Node, clipped int) {
 		setClipped(&sib.recs, i, true)
 	}
 	return sib, len(spanning)
-}
-
-// splitIndex key-splits the X-latched index node at k inside the posting
-// action aa and returns the new sibling's page. The sibling's own posting,
-// one level up, is queued when and only when aa commits (until then the
-// sibling is reachable through the side pointer only, and the whole
-// action holds its latches to commit): a completing action must never
-// post a term for a page whose creation is then undone.
-func (t *Tree) splitIndex(o *opCtx, aa *txn.Txn, node *nref, k keys.Key) (storage.PageID, error) {
-	sibPid, err := t.store.Alloc(aa, &o.Tr)
-	if err != nil {
-		return storage.NilPage, err
-	}
-	sib, clipped := indexSibling(node.N, k)
-	if err := t.kern.Format(o, aa, sibPid, sib); err != nil {
-		return storage.NilPage, err
-	}
-	up := postTask{parentLevel: node.N.Level + 1, child: sibPid, rect: cloneRect(sib.Rect)}
-	aa.OnCommit(func() { t.schedule(up) })
-	aa.LogUpdate(node.F, KindIndexKeySplit, encKeySplit(k, sibPid, node.N, newlyClipped(node.N, k)))
-	applyIndexKeySplit(node.N, k, sibPid)
-	t.Stats.IndexSplits.Add(1)
-	t.Stats.ClippedTerms.Add(int64(clipped))
-	return sibPid, nil
-}
-
-// splitRoot splits the X-latched root at k without moving it: its contents
-// go to two new nodes — B, the sibling a key split at k would create, and
-// A, what that split would leave behind, side pointer to B — and the
-// kernel grows the root in place over a key term for each
-// (pitree.Kernel.Grow). It returns A's page and B's.
-func (t *Tree) splitRoot(o *opCtx, aa *txn.Txn, root *nref, k keys.Key) (pidA, pidB storage.PageID, err error) {
-	if pidB, err = t.store.Alloc(aa, &o.Tr); err == nil {
-		pidA, err = t.store.Alloc(aa, &o.Tr)
-	}
-	if err != nil {
-		return storage.NilPage, storage.NilPage, err
-	}
-	b, clipped := indexSibling(root.N, k)
-	a := root.N.clone()
-	applyIndexKeySplit(a, k, pidB)
-	terms := appendKeyTerm(appendKeyTerm(nil, nil, pidA), k, pidB)
-	if err := t.kern.Grow(o, aa, root, pidA, pidB, a, b, terms); err != nil {
-		return storage.NilPage, storage.NilPage, err
-	}
-	t.Stats.RootGrowths.Add(1)
-	t.Stats.ClippedTerms.Add(int64(clipped))
-	return pidA, pidB, nil
 }

@@ -162,8 +162,8 @@ type Txn struct {
 	// until the stable prefix covers it. Only the owning goroutine
 	// touches it (lock acquisition and commit), so it needs no lock.
 	depLSN uint64
-	// latched are the frames the caller of AbortHeld holds X-latched for
-	// the rollback; only the aborting goroutine touches it.
+	// latched are the frames the caller of AbortHeld or CommitHeld holds
+	// X-latched for the rollback; only the aborting goroutine touches it.
 	latched []*storage.Frame
 }
 
@@ -649,6 +649,15 @@ func (t *Txn) Abort() error {
 func (t *Txn) AbortHeld(frames []*storage.Frame) error {
 	t.latched = frames
 	return t.Abort()
+}
+
+// CommitHeld is Commit for an atomic action whose caller still holds X
+// latches on frames: a commit whose force fails rolls the action back
+// (Commit), and that rollback compensates those pages under the caller's
+// latches, as AbortHeld's does.
+func (t *Txn) CommitHeld(frames []*storage.Frame) error {
+	t.latched = frames
+	return t.Commit()
 }
 
 // rollbackAndEnd undoes everything from LSN from backwards, writes the end
