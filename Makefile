@@ -4,9 +4,9 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check vet build test kernelonly fsysonly lockcpu corecpu enginecpu walcpu elide pagefile walfuzz race benchbuild expbuild benchsmoke bench torture realcrash churn loc
+.PHONY: check fmt vet build test kernelonly fsysonly lockcpu corecpu enginecpu walcpu elide pagefile walfuzz race benchbuild expbuild benchsmoke bench torture realcrash churn loc
 
-## check: everything CI runs — vet (the nested benchmark module
+## check: everything CI runs — gofmt, vet (the nested benchmark module
 ## included), build, tests, the race detector over
 ## the concurrency-critical packages (including the commit-pipeline and
 ## early-lock-release tests in internal/wal and internal/txn), a
@@ -29,7 +29,14 @@ REAL_ROUNDS ?= 20
 ## does not enter), a count of the kernel-only call sites in the three
 ## trees, and a check that the page file and the log reach the operating
 ## system only through internal/fsys.
-check: vet build test kernelonly fsysonly lockcpu corecpu enginecpu walcpu elide pagefile walfuzz race benchbuild expbuild benchsmoke torture realcrash churn
+check: fmt vet build test kernelonly fsysonly lockcpu corecpu enginecpu walcpu elide pagefile walfuzz race benchbuild expbuild benchsmoke torture realcrash churn
+
+## fmt: fails if gofmt would change any Go file of the module or of the
+## nested benchmark module, and lists them (build output and run data
+## under .bench_build/ and benchmark/out/ are not walked).
+fmt:
+	@out=$$(gofmt -l *.go cmd examples internal benchmark/*.go); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -7,12 +7,14 @@
 //	pitree-bench -exp T1,T4,T10  # run a subset
 //	pitree-bench -quick          # smaller sizes (default true)
 //	pitree-bench -full           # larger sizes for stabler numbers
+//	pitree-bench -exp T2 -cpuprofile t2.prof  # CPU profile for go tool pprof
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"repro/internal/bench"
@@ -21,6 +23,7 @@ import (
 func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids (T1..T12, F1, F2) or 'all'")
 	full := flag.Bool("full", false, "larger workload sizes (slower, stabler numbers)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiments run to this file")
 	flag.Parse()
 
 	p := bench.Quick()
@@ -57,15 +60,13 @@ func main() {
 		want[strings.ToUpper(strings.TrimSpace(id))] = true
 	}
 
-	ran := 0
-	for _, r := range runners {
+	var chosen []int
+	for i, r := range runners {
 		if all || want[r.id] {
-			fmt.Printf("\n=== %s: %s ===\n", r.id, r.doc)
-			r.fn()
-			ran++
+			chosen = append(chosen, i)
 		}
 	}
-	if ran == 0 {
+	if len(chosen) == 0 {
 		fmt.Fprintf(os.Stderr, "no experiment matched %q; known ids:", *expFlag)
 		for _, r := range runners {
 			fmt.Fprintf(os.Stderr, " %s", r.id)
@@ -73,4 +74,36 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 		os.Exit(2)
 	}
+	if *cpuprofile != "" {
+		stop, err := startCPUProfile(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pitree-bench:", err)
+			os.Exit(1)
+		}
+		defer stop()
+	}
+	for _, i := range chosen {
+		r := runners[i]
+		fmt.Printf("\n=== %s: %s ===\n", r.id, r.doc)
+		r.fn()
+	}
+}
+
+// startCPUProfile starts writing a CPU profile to path; the returned
+// function stops it and closes the file.
+func startCPUProfile(path string) (func(), error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "pitree-bench: cpu profile:", err)
+		}
+	}, nil
 }

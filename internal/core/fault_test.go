@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -307,5 +308,40 @@ func TestAbortedPostingSchedulesNoFollowUp(t *testing.T) {
 	// Verify includes the store's space check: no reachable page is free.
 	if _, err := fx.tree.Verify(); err != nil {
 		t.Fatalf("after the aborted posting: %v", err)
+	}
+}
+
+// TestAtomicWriteCommitFailureRollsBack: a write with no transaction is
+// its own atomic action, committed while its leaf is still X-latched.
+// When atomic-action commits force the log and the log cannot sync, the
+// commit rolls the action back — under that latch (txn.Txn.CommitHeld),
+// not by latching the leaf a second time and waiting for itself. The
+// write returns the error and the leaf is as it was.
+func TestAtomicWriteCommitFailureRollsBack(t *testing.T) {
+	inj := fault.New(0xF0)
+	fx := newFixture(t, engine.Options{Injector: inj, ForceOnAACommit: true, PageOriented: true}, defaultTestOpts())
+	for i := 0; i < 4; i++ {
+		if err := fx.tree.Insert(nil, keys.Uint64(uint64(i)), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.Arm(wal.FPSync, fault.Spec{Kind: fault.Permanent, Count: -1})
+	done := make(chan error, 1)
+	go func() { done <- fx.tree.Insert(nil, keys.Uint64(10), val(10)) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a write whose commit could not be forced succeeded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the write's rollback waits for the latch its own write holds")
+	}
+	if _, ok, err := fx.tree.Search(nil, keys.Uint64(10)); err != nil || ok {
+		t.Fatalf("rolled-back key found=%v err=%v", ok, err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, ok, err := fx.tree.Search(nil, keys.Uint64(uint64(i))); err != nil || !ok {
+			t.Fatalf("key %d found=%v err=%v", i, ok, err)
+		}
 	}
 }

@@ -138,12 +138,16 @@ func (n *Node) childFor(k keys.Key) (Entry, bool) {
 // an entry with the same key already existed (in which case nothing changes).
 func (n *Node) insertEntry(e Entry) bool {
 	i, exact := n.search(e.Key)
-	if exact {
-		return false
+	if !exact {
+		n.insertAt(i, e)
 	}
+	return !exact
+}
+
+// insertAt places a copy of e at position i, where search put it.
+func (n *Node) insertAt(i int, e Entry) {
 	var scratch [256]byte
 	n.recs.Insert(i, appendEntry(scratch[:0], n.Level, e))
-	return true
 }
 
 // setValue replaces entry i's value with a copy of v: in place when the
@@ -248,6 +252,9 @@ func layoutOf(level int) enc.Layout {
 // appendLeaf and appendTerm append a record to dst: plain appends, not a
 // Writer, so that a caller's scratch buffer stays on its stack.
 func appendLeaf(dst []byte, k keys.Key, v []byte) []byte {
+	if dst == nil {
+		dst = make([]byte, 0, leafSize(k, v)) // a log payload: one exact allocation
+	}
 	return enc.AppendBytes32(enc.AppendBytes32(dst, k), v)
 }
 

@@ -137,30 +137,45 @@ func (w *leafWrite) Trace() any {
 	return w.path
 }
 
-// Full: a write splits the leaf first when the bytes it adds would not
-// fit — a new record, or a replaced one's growth; a delete adds none.
-// Under an entry cap, any write to a leaf at the cap splits it as well,
-// whether or not the write itself needs room — except a compensation,
-// where only an insert does.
+// Need: a write adds a new record's bytes, or a replaced one's growth; a
+// delete adds none, nor does an insert of a key already there (Apply
+// refuses it, or a compensation skips it).
+func (w *leafWrite) Need(n *Node, i int) int {
+	need := w.most(i)
+	if need == 0 {
+		return 0
+	}
+	if j, ok := n.search(w.ks[i]); ok {
+		if w.op == opInsert {
+			return 0
+		}
+		return max(need-len(n.recs.At(j)), 0)
+	}
+	return need
+}
+
+// most is the most bytes item i can need: a new record's, none for a
+// delete.
+func (w *leafWrite) most(i int) int {
+	if w.op == opDelete || w.op == opRemove {
+		return 0
+	}
+	return leafSize(w.ks[i], nil) + w.valueLen(i)
+}
+
+// Full: a write splits the leaf first when its need would not fit — the
+// search Need makes is only paid near the leaf's room. Under an entry
+// cap, any write to a leaf at the cap splits it as well, whether or not
+// the write itself needs room — except a compensation, where only an
+// insert does.
 func (w *leafWrite) Full(n *Node, i int) bool {
 	if c := w.t.opts.LeafCapacity; c > 0 && n.Len() >= c && (!w.undo || w.op == opInsert) {
 		return true
 	}
-	if w.op == opDelete || w.op == opRemove {
-		return false
-	}
-	need := leafSize(w.ks[i], nil) + w.valueLen(i)
-	if w.t.kern.Fits(n, need) {
-		return false
-	}
-	if j, ok := n.search(w.ks[i]); ok {
-		if w.op == opInsert {
-			return false // Apply refuses it, or a compensation skips it
-		}
-		need -= len(n.recs.At(j))
-	}
-	return !w.t.kern.Fits(n, need)
+	return !w.t.kern.Fits(n, w.most(i)) && !w.t.kern.Fits(n, w.Need(n, i))
 }
+
+func (w *leafWrite) Reserve(n *Node, bytes int) { n.recs.Reserve(bytes) }
 
 // valueLen is the length of the value item i writes.
 func (w *leafWrite) valueLen(i int) int {
@@ -223,7 +238,7 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 			return w.miss(ErrKeyNotFound)
 		}
 		up = txn.GroupUpdate{Kind: KindInsertRecord, Payload: appendLeaf(nil, k, w.vals[i])}
-		n.insertEntry(Entry{Key: k, Value: enc.NilIfEmpty(w.vals[i])})
+		n.insertAt(j, Entry{Key: k, Value: enc.NilIfEmpty(w.vals[i])})
 		if batched {
 			t.Stats.Inserts.Add(1)
 		}

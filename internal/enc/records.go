@@ -68,6 +68,16 @@ func (r *Records) Delete(i int) {
 	r.shrink()
 }
 
+// Reserve grows the buffer, if it must, so that n more bytes of records
+// go in without another allocation: one buffer of exactly the size a run
+// of inserts will fill, where append would grow it several times over.
+// Holes are kept, as put keeps them while the buffer has room.
+func (r *Records) Reserve(n int) {
+	if len(r.buf)+n > cap(r.buf) {
+		r.buf = append(make([]byte, 0, len(r.buf)+n), r.buf...)
+	}
+}
+
 // put appends a copy of rec to the buffer. A full buffer with holes is
 // repacked, with an eighth of room to grow, rather than grown around them.
 // rec may alias the buffer: a repack leaves the old one intact.

@@ -183,3 +183,39 @@ func FuzzRecordsLoad(f *testing.F) {
 		}
 	})
 }
+
+// TestRecordsReserve: after Reserve(n), n bytes of inserted records go
+// into the buffer Reserve made, which is exactly that large; a Reserve
+// the buffer already has room for changes nothing.
+func TestRecordsReserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var r Records
+	var model [][]byte
+	for i := 0; i < 5; i++ {
+		model = append(model, rec(rng, 20))
+		r.Insert(i, model[i])
+	}
+	r.Delete(2) // a hole, which Reserve keeps
+	model = append(model[:2], model[3:]...)
+	var batch [][]byte
+	need := 0
+	for i := 0; i < 8; i++ {
+		batch = append(batch, rec(rng, 10+i))
+		need += len(batch[i])
+	}
+	r.Reserve(need)
+	buf := cap(r.buf)
+	if want := len(r.buf) + need; buf != want && buf != sizeClass(want) {
+		t.Fatalf("reserved capacity %d, want %d", buf, want)
+	}
+	at := &r.buf[0]
+	r.Reserve(need)
+	for _, b := range batch {
+		r.Insert(r.Len(), b)
+		model = append(model, b)
+	}
+	if &r.buf[0] != at {
+		t.Fatal("the buffer moved while the reserved records went in")
+	}
+	check(t, 0, &r, model)
+}

@@ -133,24 +133,60 @@ func TestTryLockDepBatchDep(t *testing.T) {
 
 func TestTryLockDepBatchNoAllocs(t *testing.T) {
 	m := NewManager()
-	names := make([]Name, 16)
-	for i := range names {
-		names[i] = PageName(3, uint64(i))
-	}
 	const txn = wal.TxnID(9)
-	for i := 0; i < 100; i++ {
-		if _, fail := m.TryLockDepBatch(txn, names, X); fail != -1 {
-			t.Fatalf("warm batch failed at %d", fail)
+	// 16 names, and a batch over two chunks (short enough for the
+	// stripes' free lists of lock states to hold every state it takes).
+	for _, n := range []int{16, batchChunk + 44} {
+		names := make([]Name, n)
+		for i := range names {
+			names[i] = PageName(3, uint64(i))
 		}
-		m.ReleaseAll(txn)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if _, fail := m.TryLockDepBatch(txn, names, X); fail != -1 {
-			panic("batch failed")
+		for i := 0; i < 100; i++ {
+			if _, fail := m.TryLockDepBatch(txn, names, X); fail != -1 {
+				t.Fatalf("warm batch failed at %d", fail)
+			}
+			m.ReleaseAll(txn)
 		}
-		m.ReleaseAll(txn)
-	})
-	if avg != 0 {
-		t.Fatalf("batch lock cycle allocates %.1f objects per run, want 0", avg)
+		avg := testing.AllocsPerRun(200, func() {
+			if _, fail := m.TryLockDepBatch(txn, names, X); fail != -1 {
+				panic("batch failed")
+			}
+			m.ReleaseAll(txn)
+		})
+		if avg != 0 {
+			t.Fatalf("%d-name batch lock cycle allocates %.1f objects per run, want 0", n, avg)
+		}
 	}
+}
+
+// TestTryLockDepBatchLongConflict: a conflict in a later chunk of a long
+// batch reports its index in the whole batch, and every earlier chunk was
+// granted whole.
+func TestTryLockDepBatchLongConflict(t *testing.T) {
+	m := NewManager()
+	names := make([]Name, 2*batchChunk+88)
+	for i := range names {
+		names[i] = PageName(9, uint64(i))
+	}
+	const a, b = wal.TxnID(1), wal.TxnID(2)
+	conflict := batchChunk + 144
+	if err := m.Lock(b, names[conflict], X); err != nil {
+		t.Fatal(err)
+	}
+	if _, fail := m.TryLockDepBatch(a, names, X); fail != conflict {
+		t.Fatalf("fail index = %d, want %d", fail, conflict)
+	}
+	for i, n := range names[:batchChunk] {
+		if _, held := m.HeldMode(a, n); !held {
+			t.Fatalf("name %d of the first chunk not granted", i)
+		}
+	}
+	if _, held := m.HeldMode(a, names[conflict]); held {
+		t.Fatal("conflicting name reported held")
+	}
+	m.ReleaseAll(b)
+	if _, fail := m.TryLockDepBatch(a, names, X); fail != -1 {
+		t.Fatalf("retry failed at %d", fail)
+	}
+	m.ReleaseAll(a)
 }

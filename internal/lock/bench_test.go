@@ -74,3 +74,22 @@ func BenchmarkKeyName(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkTryLockDepBatch is one batch of 256 fresh X locks, the size of
+// a preload transaction's key batch, plus its share of a ReleaseAll: the
+// per-batch cost of TryLockDepBatch's stripe pass and grants.
+func BenchmarkTryLockDepBatch(b *testing.B) {
+	m := NewManager()
+	names := make([]Name, 256)
+	for i := range names {
+		names[i] = PageName(SpaceID("bench", "t"), uint64(i))
+	}
+	txn := wal.TxnID(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, fail := m.TryLockDepBatch(txn, names, X); fail != -1 {
+			b.Fatalf("batch failed at %d", fail)
+		}
+		m.ReleaseAll(txn)
+	}
+}

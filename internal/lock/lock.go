@@ -544,13 +544,16 @@ func (m *Manager) NoteStable(lsn uint64) {
 	}
 }
 
+// maxStripes bounds the stripe count: the per-transaction stripe mask is
+// one uint64.
+const maxStripes = 64
+
 // stripeCount picks a power of two near GOMAXPROCS, at least 8 (so
-// striping is exercised even on small machines) and at most 64 (the
-// per-transaction stripe mask is one uint64).
+// striping is exercised even on small machines) and at most maxStripes.
 func stripeCount() int {
 	n := runtime.GOMAXPROCS(0)
 	c := 8
-	for c < n && c < 64 {
+	for c < n && c < maxStripes {
 		c <<= 1
 	}
 	return c
@@ -786,32 +789,68 @@ func (m *Manager) TryLockDep(txn wal.TxnID, name Name, mode Mode) (uint64, bool)
 // first failure (-1 when every name was granted). Granted names are NOT
 // rolled back on failure — the caller is two-phase and keeps them; a
 // retry finds them on the already-held fast path.
+//
+// Each name is hashed once: the batch is taken in chunks of batchChunk
+// names, and within a chunk every stripe's names are chained in batch
+// order on the stack, so the pass costs O(len(names)) and allocates
+// nothing.
 func (m *Manager) TryLockDepBatch(txn wal.TxnID, names []Name, mode Mode) (uint64, int) {
 	var maxDep uint64
-	var visited uint64 // stripes already fully processed (≤64 stripes)
-	for i := range names {
-		idx := m.stripeIndex(names[i])
-		if visited&(1<<idx) != 0 {
-			continue
+	for base := 0; base < len(names); base += batchChunk {
+		dep, fail := m.tryLockChunk(txn, names[base:min(base+batchChunk, len(names))], mode)
+		maxDep = max(maxDep, dep)
+		if fail >= 0 {
+			return m.filterDep(maxDep), base + fail
 		}
-		visited |= 1 << idx
+	}
+	return m.filterDep(maxDep), -1
+}
+
+// batchChunk is the most names tryLockChunk takes.
+const batchChunk = 256
+
+// tryLockChunk is TryLockDepBatch over at most batchChunk names: one
+// stripe at a time, in the order of each stripe's first name, the
+// stripe's names in batch order under one hold of its mutex, stopping at
+// the stripe's first name that would wait. The returned dep is
+// unfiltered.
+func (m *Manager) tryLockChunk(txn wal.TxnID, names []Name, mode Mode) (uint64, int) {
+	// next[j] is 1 + the index of the next name in j's stripe (0: none);
+	// last[s] is 1 + the index of stripe s's latest name so far; heads
+	// lists each stripe's first name, in batch order.
+	var next [batchChunk]uint16
+	var last [maxStripes]uint16
+	var heads [maxStripes]uint16
+	nheads := 0
+	for j := range names {
+		idx := m.stripeIndex(names[j])
+		if last[idx] == 0 {
+			heads[nheads] = uint16(j)
+			nheads++
+		} else {
+			next[last[idx]-1] = uint16(j + 1)
+		}
+		last[idx] = uint16(j + 1)
+	}
+	var maxDep uint64
+	for _, h := range heads[:nheads] {
+		idx := m.stripeIndex(names[h])
 		s := &m.stripes[idx]
 		newHold := false
 		fail := -1
 		s.mu.Lock()
-		for j := i; j < len(names); j++ {
-			if m.stripeIndex(names[j]) != idx {
-				continue
-			}
+		for j := int(h); ; {
 			dep, granted, fresh := s.tryGrantLocked(txn, names[j], mode)
 			if !granted {
 				fail = j
 				break
 			}
 			newHold = newHold || fresh
-			if dep > maxDep {
-				maxDep = dep
+			maxDep = max(maxDep, dep)
+			if next[j] == 0 {
+				break
 			}
+			j = int(next[j]) - 1
 		}
 		s.mu.Unlock()
 		// noteStripe only after dropping the stripe mutex (owner-table
@@ -820,10 +859,10 @@ func (m *Manager) TryLockDepBatch(txn wal.TxnID, names []Name, mode Mode) (uint6
 			m.noteStripe(txn, idx)
 		}
 		if fail >= 0 {
-			return m.filterDep(maxDep), fail
+			return maxDep, fail
 		}
 	}
-	return m.filterDep(maxDep), -1
+	return maxDep, -1
 }
 
 // tryGrantLocked is TryLockDep's grant logic for one name, run under the

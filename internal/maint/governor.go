@@ -26,8 +26,8 @@ const maxPause = 50 * time.Millisecond
 // Governor is a token-bucket admission controller for maintenance work.
 // The zero value and the nil pointer are valid, unpaced governors.
 type Governor struct {
-	budget int           // tasks per second; <= 0 means unpaced
-	high   int           // queue depth that bypasses pacing
+	budget int            // tasks per second; <= 0 means unpaced
+	high   int            // queue depth that bypasses pacing
 	press  func() float64 // foreground pressure 0..1; may be nil
 
 	mu     sync.Mutex

@@ -33,11 +33,19 @@ type LeafWriter[N, K any] interface {
 	// result is handed to Space.Edge on every edge (a tree that saves its
 	// path starts a fresh one here).
 	Trace() any
-	// Full is the space test: true when applying item i needs room the
-	// leaf lacks. Before a run's first item the leaf is then split and
-	// the attempt restarts; later in a run it ends the run, and the
-	// remainder re-descends into the split leaves.
+	// Need is the bytes applying item i adds to leaf n's image: 0 for a
+	// delete or an in-place update. A write run ends where its items'
+	// needs outgrow the leaf's free room.
+	Need(n N, i int) int
+	// Full is the space test, written on top of Need (and any entry cap
+	// the tree has): true when applying item i needs room the leaf lacks.
+	// Before a run's first item the leaf is then split and the attempt
+	// restarts; later in a run it ends the run, and the remainder
+	// re-descends into the split leaves.
 	Full(n N, i int) bool
+	// Reserve grows the X-latched leaf's record buffer by bytes ahead of
+	// a run's applies, so the run copies its records in once.
+	Reserve(n N, bytes int)
 	// Split splits the U-latched full leaf through Kernel.Split, in its own
 	// atomic action (or however the tree's undo discipline requires). The
 	// reference is the callee's from here on: it releases the latch
@@ -57,12 +65,15 @@ type LeafWriter[N, K any] interface {
 }
 
 // runs walks a batch of items in search-key order, one leaf-run at a
-// time: the items from the cursor on that one leaf directly contains.
-// Pooled, with the run's lock names and log records as scratch, so a
-// steady stream of batches allocates nothing.
+// time: the items from the cursor on that one leaf directly contains (and,
+// for a write, has room for). Pooled, with the sort's, the run's lock
+// names' and log records' scratch, so a steady stream of batches
+// allocates nothing.
 type runs struct {
 	idx   []int // item indices, sorted by key
+	tmp   []int // the sort's scratch
 	pos   int   // first item not yet done
+	need  int   // the open write run's byte need
 	names []lock.Name
 	ups   []txn.GroupUpdate
 }
@@ -70,28 +81,81 @@ type runs struct {
 var runsPool sync.Pool
 
 // takeRuns returns an iterator over items 0..n-1 ordered by less, items
-// that compare equal staying in batch order. Insertion sort: the
-// batch sizes this path is built for are modest, and sort.Slice's
-// closure is a heap allocation the zero-allocation read path cannot
-// afford.
+// that compare equal staying in batch order.
 func takeRuns(n int, less func(i, j int) bool) *runs {
 	rs, _ := runsPool.Get().(*runs)
 	if rs == nil {
 		rs = new(runs)
 	}
 	if cap(rs.idx) < n {
-		rs.idx = make([]int, n)
+		rs.idx, rs.tmp = make([]int, n), make([]int, n)
 	}
-	rs.idx, rs.pos = rs.idx[:n], 0
+	rs.idx, rs.tmp, rs.pos = rs.idx[:n], rs.tmp[:n], 0
 	for i := range rs.idx {
 		rs.idx[i] = i
 	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && less(rs.idx[j], rs.idx[j-1]); j-- {
-			rs.idx[j-1], rs.idx[j] = rs.idx[j], rs.idx[j-1]
+	sortStable(rs.idx, rs.tmp, less)
+	return rs
+}
+
+// sortBlock is the length of the blocks sortStable insertion-sorts before
+// it merges them.
+const sortBlock = 16
+
+// sortStable orders idx by less, items that compare equal keeping their
+// order, in O(n log n) comparisons: insertion sort of short blocks, then
+// bottom-up merges through tmp, a scratch slice as long as idx. A batch
+// already in order costs len(idx)-1 comparisons. Nothing is allocated:
+// sort.SliceStable's closure would be a heap allocation the
+// zero-allocation read path cannot afford.
+func sortStable(idx, tmp []int, less func(i, j int) bool) {
+	n, sorted := len(idx), 1
+	for sorted < n && !less(idx[sorted], idx[sorted-1]) {
+		sorted++
+	}
+	if sorted >= n {
+		return
+	}
+	for lo := 0; lo < n; lo += sortBlock {
+		hi := min(lo+sortBlock, n)
+		for i := lo + 1; i < hi; i++ {
+			for j := i; j > lo && less(idx[j], idx[j-1]); j-- {
+				idx[j-1], idx[j] = idx[j], idx[j-1]
+			}
 		}
 	}
-	return rs
+	src, dst := idx, tmp
+	for w := sortBlock; w < n; w *= 2 {
+		for lo := 0; lo < n; lo += 2 * w {
+			mid, hi := min(lo+w, n), min(lo+2*w, n)
+			merge(dst[lo:hi], src[lo:mid], src[mid:hi], less)
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &idx[0] {
+		copy(idx, src)
+	}
+}
+
+// merge writes the sorted a and b, merged, to dst; on a tie a's item
+// comes first.
+func merge(dst, a, b []int, less func(i, j int) bool) {
+	if len(b) == 0 || !less(b[0], a[len(a)-1]) {
+		copy(dst[copy(dst, a):], b) // already in order
+		return
+	}
+	i, j, k := 0, 0, 0
+	for ; i < len(a) && j < len(b); k++ {
+		if less(b[j], a[i]) {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 func (rs *runs) free() {
@@ -103,15 +167,21 @@ func (rs *runs) free() {
 }
 
 // openRun descends to the leaf containing the cursor item — U-latched
-// for a write, S for a read — extends the run over every following item
+// for a write, S for a read — extends the run over the following items
 // that leaf directly contains (sorted order makes them contiguous), and
 // takes the run's record locks, X or S, under the No-Wait rule — a run of
-// several in one lock-manager interaction. Every batch locks its keys in sorted order, so
-// two batches' acquisition orders agree and these locks alone cannot
-// deadlock batch against batch; a conflict with a single-key writer falls
-// back to the blocking path, where the waits-for detector is the
-// backstop.
-func (k *Kernel[N, K]) openRun(o *Op[N], rs *runs, key func(i int) K, name func(i int) lock.Name, write bool, trace any) (Ref[N], []int, error) {
+// several in one lock-manager interaction. A write (need set) also ends
+// its run where the items' byte needs, summed into rs.need, would outgrow
+// the leaf's free room: what lies beyond could not be applied there, and
+// routing and locking it now would be repeated by the run after the
+// leaf's split. So over one Update each item is routed and locked a
+// constant number of times, not once per run left in the batch. Every
+// batch locks its keys in sorted order, so two batches' acquisition
+// orders agree and these locks alone cannot deadlock batch against
+// batch; a conflict with a single-key writer falls back to the blocking
+// path, where the waits-for detector is the backstop.
+func (k *Kernel[N, K]) openRun(o *Op[N], rs *runs, key func(i int) K, name func(i int) lock.Name, need func(n N, i int) int, trace any) (Ref[N], []int, error) {
+	write := need != nil
 	lm, mode := latch.S, lock.S
 	if write {
 		lm, mode = latch.U, lock.X
@@ -124,9 +194,22 @@ func (k *Kernel[N, K]) openRun(o *Op[N], rs *runs, key func(i int) K, name func(
 		o.Release(&leaf)
 		return Ref[N]{}, nil, ErrRetry
 	}
-	end := rs.pos + 1
-	for end < len(rs.idx) && k.sp.Route(leaf.N, key(rs.idx[end]), true).Kind == Here {
-		end++
+	end, free := rs.pos+1, 0
+	if write {
+		free, rs.need = k.room-k.sp.EncodedSize(leaf.N), need(leaf.N, rs.idx[rs.pos])
+	}
+	for ; end < len(rs.idx); end++ {
+		i := rs.idx[end]
+		if k.sp.Route(leaf.N, key(i), true).Kind != Here {
+			break
+		}
+		if write {
+			b := need(leaf.N, i)
+			if rs.need+b > free {
+				break
+			}
+			rs.need += b
+		}
 	}
 	run := rs.idx[rs.pos:end]
 	if o.Txn == nil {
@@ -153,19 +236,24 @@ func (k *Kernel[N, K]) openRun(o *Op[N], rs *runs, key func(i int) K, name func(
 //
 //  1. descend with a U latch to the leaf containing the first item, let
 //     the tree admit it (Space.Writable), and extend the run over the
-//     items the leaf directly contains;
+//     items the leaf directly contains and has room for
+//     (LeafWriter.Need);
 //  2. take the run's record X locks under the No-Wait rule;
 //  3. space-test: a full leaf is split by the tree and the run restarts;
 //  4. take the tree's page-granule updater lock, if it has one
 //     (Config.PageLock) — only now that this page will be modified;
 //  5. log under tx, or with tx == nil under a fresh atomic action;
 //  6. probe FPBatchApply: nothing of the run is logged or applied yet;
-//  7. promote to X, apply item by item until the leaf fills, and append
-//     the run's records — one as a plain update, several as one group;
+//  7. promote to X, grow the leaf's record buffer once by the run's need
+//     (LeafWriter.Reserve; not for a run of one), apply item by item
+//     until the leaf fills, and append the run's records — one as a
+//     plain update, several as one group;
 //  8. commit the atomic action before unlatching: no other action may
 //     observe its changes until its commit record is in the log, or a
 //     dependent commit could force the log without it and a crash would
-//     undo a change others built on (relative durability);
+//     undo a change others built on (relative durability). A commit
+//     that cannot be made durable rolls the action back under the leaf's
+//     latch (txn.Txn.CommitHeld);
 //  9. unlatch, and let the tree count and schedule (LeafWriter.After).
 //
 // Undo and redo stay per record, so a crash mid-batch recovers each
@@ -187,7 +275,7 @@ func (k *Kernel[N, K]) Update(tx *txn.Txn, n int, less func(i, j int) bool, w Le
 // cursor moves past the items applied.
 func (k *Kernel[N, K]) updateRun(o *Op[N], rs *runs, w LeafWriter[N, K]) error {
 	tx := o.Txn
-	leaf, run, err := k.openRun(o, rs, w.Key, w.LockName, true, w.Trace())
+	leaf, run, err := k.openRun(o, rs, w.Key, w.LockName, w.Need, w.Trace())
 	if err != nil {
 		return err
 	}
@@ -211,6 +299,9 @@ func (k *Kernel[N, K]) updateRun(o *Op[N], rs *runs, w LeafWriter[N, K]) error {
 	err = k.s.Store.Pool.Probe(FPBatchApply)
 	if err == nil {
 		o.Promote(&leaf)
+		if len(run) > 1 {
+			w.Reserve(leaf.N, rs.need)
+		}
 		for _, i := range run {
 			if applied > 0 && w.Full(leaf.N, i) {
 				break
@@ -237,7 +328,7 @@ func (k *Kernel[N, K]) updateRun(o *Op[N], rs *runs, w LeafWriter[N, K]) error {
 	if tx == nil {
 		if err != nil && len(ups) == 0 {
 			_ = act.Abort() // nothing logged; an empty abort keeps the log tidy
-		} else if cerr := act.Commit(); cerr != nil {
+		} else if cerr := act.CommitHeld([]*storage.Frame{leaf.F}); cerr != nil {
 			err = cerr
 		}
 	}
@@ -305,7 +396,7 @@ func (k *Kernel[N, K]) ReadRuns(tx *txn.Txn, n int, less func(i, j int) bool, ke
 	defer rs.free()
 	for rs.pos < n {
 		o := k.NewOp(tx)
-		leaf, run, err := k.openRun(o, rs, key, name, false, nil)
+		leaf, run, err := k.openRun(o, rs, key, name, nil, nil)
 		if err == nil {
 			read(leaf.N, run)
 			o.Release(&leaf)

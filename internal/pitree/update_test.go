@@ -3,6 +3,7 @@ package pitree
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -32,12 +33,15 @@ var errToyExists = errors.New("toy: key exists")
 // toyWrite is the toy's LeafWriter. Its hooks and counters expose the
 // instants the kernel's Update passes through.
 type toyWrite struct {
-	ty      *toy
-	ks      []int
-	undo    bool // a compensation: a key already there is no change
-	splits  int
-	afters  []int                    // After's argument, per run
-	onApply func(leaf Ref[*toyNode]) // runs in Apply, under the X latch
+	ty       *toy
+	ks       []int
+	undo     bool // a compensation: a key already there is no change
+	cap      int  // the leaves' entry cap; 0 is toyCap
+	splits   int
+	locks    int                      // LockName calls
+	reserves []int                    // Reserve's argument, per call
+	afters   []int                    // After's argument, per run
+	onApply  func(leaf Ref[*toyNode]) // runs in Apply, under the X latch
 }
 
 func (w *toyWrite) less(i, j int) bool { return w.ks[i] < w.ks[j] }
@@ -45,11 +49,31 @@ func (w *toyWrite) Key(i int) int      { return w.ks[i] }
 func (w *toyWrite) Trace() any         { return nil }
 func (w *toyWrite) After(applied int)  { w.afters = append(w.afters, applied) }
 
-func (w *toyWrite) LockName(i int) lock.Name { return toyLockName(w.ks[i]) }
+func (w *toyWrite) LockName(i int) lock.Name {
+	w.locks++
+	return toyLockName(w.ks[i])
+}
 
 func toyLockName(key int) lock.Name { return lock.PageName(toyLockSpace, uint64(key)) }
 
-func (w *toyWrite) Full(n *toyNode, _ int) bool { return len(n.keys) >= toyCap }
+// Need: a new key adds its eight bytes to the leaf's image, a key already
+// there nothing.
+func (w *toyWrite) Need(n *toyNode, i int) int {
+	if _, exists := slices.BinarySearch(n.keys, w.ks[i]); exists {
+		return 0
+	}
+	return 8
+}
+
+func (w *toyWrite) Full(n *toyNode, i int) bool {
+	c := w.cap
+	if c == 0 {
+		c = toyCap
+	}
+	return len(n.keys) >= c || !w.ty.kern.Fits(n, w.Need(n, i))
+}
+
+func (w *toyWrite) Reserve(_ *toyNode, bytes int) { w.reserves = append(w.reserves, bytes) }
 
 func (w *toyWrite) Split(o *Op[*toyNode], leaf Ref[*toyNode]) error {
 	o.Promote(&leaf)
@@ -417,5 +441,102 @@ func TestCompensateTerminalCLR(t *testing.T) {
 	}
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUpdateBatchLinear: one ascending batch of 4 096 keys in one
+// transaction, into leaves that fill by bytes. Each run is bounded by the
+// leaf's room, so every key is routed and lock-requested a constant number
+// of times however often the leaf fills and splits under the batch — not
+// once for every run the rest of the batch outlives.
+func TestUpdateBatchLinear(t *testing.T) {
+	ty := newToy(t, false, false)
+	routes := 0
+	ty.onRoute = func(*toyNode) { routes++ }
+	const n = 4096
+	w := &toyWrite{ks: make([]int, n), cap: math.MaxInt}
+	for i := range w.ks {
+		w.ks[i] = 100 + i
+	}
+	tx := ty.tm.Begin()
+	if err := ty.write(tx, w); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if w.splits < 4 {
+		t.Fatalf("%d splits: the batch must fill its leaf several times", w.splits)
+	}
+	t.Logf("%d keys, %d splits, %d runs: %d routes, %d lock names", n, w.splits, len(w.afters), routes, w.locks)
+	if routes > 2*n || w.locks > 2*n {
+		t.Fatalf("%d routes and %d lock names for %d keys, want at most %d each", routes, w.locks, n, 2*n)
+	}
+	var got []int
+	for pid := storage.PageID(toyLeafD); pid != storage.NilPage; pid = ty.node(t, pid).right {
+		got = append(got, ty.node(t, pid).keys...)
+	}
+	if !slices.Equal(got, w.ks) {
+		t.Fatalf("the leaves hold %d keys, want the batch's %d in order", len(got), n)
+	}
+}
+
+// TestUpdateRunReservesOnce: a run of several keys grows its leaf once,
+// by the bytes the run adds, before its first apply; a run of one
+// reserves nothing.
+func TestUpdateRunReservesOnce(t *testing.T) {
+	ty := newToy(t, false, false)
+	w := &toyWrite{ks: []int{3, 1, 2}}
+	if err := ty.write(nil, w); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(w.reserves, []int{24}) {
+		t.Fatalf("reserved %v, want one reservation of 24 bytes", w.reserves)
+	}
+	w = &toyWrite{ks: []int{4}}
+	if err := ty.write(nil, w); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.reserves) != 0 {
+		t.Fatalf("a run of one reserved %v", w.reserves)
+	}
+}
+
+// TestTakeRunsSort: the batch sort is stable, and costs n-1 comparisons
+// on a batch already in order and O(n log n) on a reversed one. (That it
+// allocates nothing is core's TestMultiGetAllocs.)
+func TestTakeRunsSort(t *testing.T) {
+	const n = 4096
+	ks := make([]int, n)
+	calls := 0
+	less := func(i, j int) bool {
+		calls++
+		return ks[i] < ks[j]
+	}
+	for _, tc := range []struct {
+		name  string
+		key   func(i int) int
+		limit int
+	}{
+		{"sorted", func(i int) int { return i }, n - 1},
+		{"reversed", func(i int) int { return n - i }, n * 12}, // n log2 n
+		{"ties", func(i int) int { return (i * 7919) % 13 }, n * 12},
+	} {
+		for i := range ks {
+			ks[i] = tc.key(i)
+		}
+		calls = 0
+		rs := takeRuns(n, less)
+		t.Logf("%s: %d comparisons", tc.name, calls)
+		if calls > tc.limit {
+			t.Errorf("%s: %d comparisons, want at most %d", tc.name, calls, tc.limit)
+		}
+		for p := 1; p < n; p++ {
+			a, b := rs.idx[p-1], rs.idx[p]
+			if ks[a] > ks[b] || (ks[a] == ks[b] && a > b) {
+				t.Fatalf("%s: item %d (key %d) before item %d (key %d)", tc.name, a, ks[a], b, ks[b])
+			}
+		}
+		rs.free()
 	}
 }

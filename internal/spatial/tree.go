@@ -321,19 +321,32 @@ func (w *pointWrite) Key(int) Point          { return w.p }
 func (w *pointWrite) LockName(int) lock.Name { return w.t.recLockName(w.p) }
 func (w *pointWrite) Trace() any             { return nil }
 
-// Full: an insert splits the leaf first when the point would not fit, or
+// Need: an insert needs the point's bytes, a removal none.
+func (w *pointWrite) Need(*Node, int) int {
+	if w.del {
+		return 0
+	}
+	return pointSize(w.value)
+}
+
+// Full: an insert splits the leaf first when its need would not fit, or
 // under an entry cap when the leaf is at it — unless the point is already
 // there and Apply will refuse it; a removal needs no room.
-func (w *pointWrite) Full(n *Node, _ int) bool {
-	if w.del {
+func (w *pointWrite) Full(n *Node, i int) bool {
+	need := w.Need(n, i)
+	if need == 0 {
 		return false
 	}
-	if c := w.t.opts.DataCapacity; (c == 0 || n.Len() < c) && w.t.kern.Fits(n, pointSize(w.value)) {
+	if c := w.t.opts.DataCapacity; (c == 0 || n.Len() < c) && w.t.kern.Fits(n, need) {
 		return false
 	}
 	_, dup := n.findPoint(w.p)
 	return !dup
 }
+
+// Reserve: a spatial write is a run of one point, for which the kernel
+// reserves nothing.
+func (w *pointWrite) Reserve(*Node, int) {}
 
 func (w *pointWrite) Split(o *opCtx, leaf nref) error { return w.t.splitNodeAction(o, &leaf) }
 

@@ -523,7 +523,7 @@ func TestGCPinnedByMaskedWriter(t *testing.T) {
 			}
 		}
 	}
-	snap := fx.e.BeginSnapshot() // tx in flight: "mask*" invisible to snap
+	snap := fx.e.BeginSnapshot()        // tx in flight: "mask*" invisible to snap
 	if err := tx.Commit(); err != nil { // writer leaves the active set
 		t.Fatalf("commit: %v", err)
 	}

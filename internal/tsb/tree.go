@@ -433,14 +433,19 @@ func (w *leafWrite) size(i int) int {
 	return versionSize(w.ks[i], w.vals[i])
 }
 
-// Full: every write adds a version, so it needs the version's bytes, and
-// under an entry cap a free slot.
+// Need: every write adds a version, so it needs the version's bytes.
+func (w *leafWrite) Need(_ *Node, i int) int { return w.size(i) }
+
+// Full: the version's bytes would not fit, or under an entry cap the leaf
+// has no free slot.
 func (w *leafWrite) Full(n *Node, i int) bool {
 	if c := w.t.opts.DataCapacity; c > 0 && n.Len() >= c {
 		return true
 	}
-	return !w.t.kern.Fits(n, w.size(i))
+	return !w.t.kern.Fits(n, w.Need(n, i))
 }
+
+func (w *leafWrite) Reserve(n *Node, bytes int) { n.recs.Reserve(bytes) }
 
 func (w *leafWrite) Split(o *opCtx, leaf nref) error { return w.t.splitData(o, &leaf) }
 
