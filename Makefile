@@ -4,7 +4,7 @@ TORTURE_ROUNDS ?= 24
 TORTURE_SEED ?= 7
 REAL_ROUNDS ?= 20
 
-.PHONY: check fmt vet build test kernelonly fsysonly lockcpu corecpu enginecpu walcpu elide pagefile walfuzz race benchbuild expbuild benchsmoke bench torture realcrash churn loc
+.PHONY: check fmt vet build test kernelonly fsysonly lockcpu corecpu enginecpu walcpu elide pagefile walfuzz race benchbuild expbuild benchsmoke bench benchpair torture realcrash churn loc
 
 ## check: everything CI runs — gofmt, vet (the nested benchmark module
 ## included), build, tests, the race detector over
@@ -194,6 +194,40 @@ expbuild:
 ## end to end, through benchmark/'s own driver.
 benchsmoke:
 	cd benchmark && $(GO) test ./...
+
+## benchpair: alternated runs of one benchmark workload at the commits
+## PARENT and HEAD, for a claimed gain or a trajectory point. Both sides
+## are built from `git archive` in a temporary directory (set TMPDIR to
+## choose where), so a point names the two commits it measured and
+## uncommitted work is not measured: commit it first. Every run is the
+## benchmark's own, 10 s untraced. Odd pairs run the parent first, even
+## pairs the change. Each run's result file is copied to
+## benchmark/out/result-<WL>.<parent|change>.<n>.json (earlier labelled
+## files of WL are removed first), which cmd/benchtraj folds:
+##   make benchpair WL=crash-restart SEED=7 PAIRS=10 PARENT=HEAD~1
+##   go run ./cmd/benchtraj -pr <N> -parent $(git rev-parse HEAD~1) \
+##     -change $(git rev-parse HEAD) -o BENCH_pr<N>.json benchmark/out/result-*.json
+WL ?= crash-restart
+SEED ?= 1
+PAIRS ?= 10
+PARENT ?= HEAD~1
+benchpair:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	echo "benchpair: parent $$(git rev-parse $(PARENT)), change $$(git rev-parse HEAD)"; \
+	mkdir -p "$$tmp/parent" "$$tmp/change"; \
+	git archive $(PARENT) | tar -x -C "$$tmp/parent"; \
+	git archive HEAD | tar -x -C "$$tmp/change"; \
+	mkdir -p benchmark/out; \
+	rm -f benchmark/out/result-$(WL).parent.*.json benchmark/out/result-$(WL).change.*.json; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		order="parent change"; [ $$((i % 2)) -eq 0 ] && order="change parent"; \
+		for side in $$order; do \
+			(cd "$$tmp/$$side" && bash benchmark/run.sh --workload $(WL) --seed $(SEED) \
+				--seconds 10 --trace 0 >/dev/null); \
+			cp "$$tmp/$$side/benchmark/out/result-$(WL).json" benchmark/out/result-$(WL).$$side.$$i.json; \
+			echo "benchpair: $(WL) seed $(SEED) pair $$i $$side done"; \
+		done; \
+	done
 
 ## torture: seeded crash-point fault-injection rounds across all three
 ## access methods. Failures print the reproducing seed and failpoint.

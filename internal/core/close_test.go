@@ -93,12 +93,21 @@ func TestEngineCloseDrainsScheduledConsolidations(t *testing.T) {
 
 // TestCompletionHotPathAllocs: a side traversal schedules its posting
 // under the traversed node's latch, and nearly always finds it already
-// queued; folding that duplicate (and asking whether a task is live) must
-// not allocate.
+// queued; such a duplicate crossing, folding a duplicate posting and
+// asking whether a task is live must not allocate.
 func TestCompletionHotPathAllocs(t *testing.T) {
 	fx := newFixture(t, engine.Options{}, defaultTestOpts()) // SyncCompletion: queued until drained
-	task := postTask{level: 1, sep: keys.Uint64(42), newPid: 9, path: newPath()}
-	fx.tree.schedulePost(task)
+	crossed := &Node{Low: keys.Uint64(1), High: keys.At(keys.Uint64(42)), Right: 9}
+	var path Path
+	path.set(1, 3, 100)
+	fx.tree.noteIncomplete(crossed, 5, &path)
+	task := postTask{level: 1, sep: keys.Uint64(42), newPid: 9, path: path}
+	if !fx.tree.comp.Refs(postKey(task)) {
+		t.Fatal("the crossing queued no posting")
+	}
+	if a := testing.AllocsPerRun(100, func() { fx.tree.noteIncomplete(crossed, 5, &path) }); a != 0 {
+		t.Fatalf("a duplicate crossing allocates %.1f objects", a)
+	}
 	if a := testing.AllocsPerRun(100, func() { fx.tree.schedulePost(task) }); a != 0 {
 		t.Fatalf("duplicate schedulePost allocates %.1f objects", a)
 	}

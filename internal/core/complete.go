@@ -20,7 +20,7 @@ type postTask struct {
 	level  int
 	sep    keys.Key
 	newPid storage.PageID
-	path   *Path
+	path   Path
 }
 
 // consolidateTask asks for an attempt to consolidate the under-utilized
@@ -79,9 +79,6 @@ func (t *Tree) runTask(k task) {
 // schedulePost queues a posting. The dedup key carries the separator as
 // a fingerprint, so scheduling from the hot path allocates no strings.
 func (t *Tree) schedulePost(p postTask) {
-	if p.path == nil {
-		p.path = newPath()
-	}
 	t.Stats.PostsScheduled.Add(1)
 	t.comp.Schedule(postKey(p), task{kind: taskPost, post: p})
 }

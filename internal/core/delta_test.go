@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -332,6 +334,140 @@ func TestUpdateRecordsStaySmall(t *testing.T) {
 		})
 		if size == 0 || size > c.limit {
 			t.Errorf("%s: the update logged %d payload bytes, limit %d", c.name, size, c.limit)
+		}
+	}
+}
+
+// deltaRun is one run of a delta: old ⊕ new at off.
+type deltaRun struct {
+	off int
+	x   []byte
+}
+
+// runsOf lists d's runs at their offsets in the value.
+func runsOf(d valueDelta) []deltaRun {
+	var out []deltaRun
+	at := 0
+	for p := d.runs; len(p) > 0; {
+		gap, n := binary.Uvarint(p)
+		l, m := binary.Uvarint(p[n:])
+		p = p[n+m:]
+		at += int(gap)
+		out = append(out, deltaRun{at, p[:l]})
+		at += int(l)
+		p = p[l:]
+	}
+	return out
+}
+
+// TestUpdateDeltaRuns: an update logs old ⊕ new as runs of the bytes it
+// changed. A zero gap of one or two bytes stays inside a run, one of three
+// splits it; a value that grows or shrinks logs the bytes past the shorter
+// one. Each delta decodes to the runs it was made of, re-encodes to the
+// same bytes, turns the old value into the new and, inverted, back.
+func TestUpdateDeltaRuns(t *testing.T) {
+	abc := []byte("abcdefgh")
+	with := func(v []byte, at ...int) []byte {
+		v = bytes.Clone(v)
+		for _, i := range at {
+			v[i] ^= 0x5a
+		}
+		return v
+	}
+	// The benchmark's value (benchmark/gen.go): id | seq | ten words of
+	// seq ^ id | CRC-32C of the first 96 bytes. A rewrite whose sequence
+	// number changes in its last byte changes that byte of the seq word
+	// and of each filler word, and the CRC: ten one-byte runs, then the
+	// last filler byte and the CRC as one.
+	const id = 7
+	benchValue := func(seq uint64) []byte {
+		v := make([]byte, 100)
+		binary.BigEndian.PutUint64(v, id)
+		for i := 8; i < 96; i += 8 {
+			binary.BigEndian.PutUint64(v[i:], seq^id)
+		}
+		binary.BigEndian.PutUint64(v[8:], seq)
+		binary.BigEndian.PutUint32(v[96:], crc32.Checksum(v[:96], crc32.MakeTable(crc32.Castagnoli)))
+		return v
+	}
+	oldValue, newValue := benchValue(0x41), benchValue(0x42)
+	var valueRuns []deltaRun
+	for i := 15; i < 95; i += 8 {
+		valueRuns = append(valueRuns, deltaRun{i, []byte{0x41 ^ 0x42}})
+	}
+	crcRun := []byte{0x41 ^ 0x42}
+	for i := 96; i < 100; i++ {
+		crcRun = append(crcRun, oldValue[i]^newValue[i])
+	}
+	valueRuns = append(valueRuns, deltaRun{95, crcRun})
+	for _, c := range []struct {
+		name     string
+		old, new []byte
+		want     []deltaRun
+	}{
+		{"equal", abc, abc, nil},
+		{"both empty", nil, nil, nil},
+		{"one byte", abc, with(abc, 3), []deltaRun{{3, []byte{0x5a}}}},
+		{"first and last byte", abc, with(abc, 0, 7), []deltaRun{{0, []byte{0x5a}}, {7, []byte{0x5a}}}},
+		{"grow", abc[:3], abc, []deltaRun{{3, []byte("defgh")}}},
+		{"shrink", abc, abc[:3], []deltaRun{{3, []byte("defgh")}}},
+		{"to empty", abc[:2], nil, []deltaRun{{0, []byte("ab")}}},
+		{"gap of 1", abc, with(abc, 1, 3), []deltaRun{{1, []byte{0x5a, 0, 0x5a}}}},
+		{"gap of 2", abc, with(abc, 1, 4), []deltaRun{{1, []byte{0x5a, 0, 0, 0x5a}}}},
+		{"gap of 3", abc, with(abc, 1, 5), []deltaRun{{1, []byte{0x5a}}, {5, []byte{0x5a}}}},
+		{"the benchmark's value rewritten", oldValue, newValue, valueRuns},
+	} {
+		key := keys.Uint64(9)
+		p := appendUpdate(nil, key, c.old, c.new)
+		d, err := decUpdate(p)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := runsOf(d); len(got) != len(c.want) {
+			t.Errorf("%s: runs %v, want %v", c.name, got, c.want)
+		} else {
+			for i := range got {
+				if got[i].off != c.want[i].off || !bytes.Equal(got[i].x, c.want[i].x) {
+					t.Errorf("%s: runs %v, want %v", c.name, got, c.want)
+					break
+				}
+			}
+		}
+		if again := appendDelta(nil, d); !bytes.Equal(again, p) {
+			t.Errorf("%s: %x re-encodes as %x", c.name, p, again)
+		}
+		if v, err := d.apply(nil, c.old); err != nil || !bytes.Equal(v, c.new) {
+			t.Errorf("%s: the delta makes %q of %q (%v), want %q", c.name, v, c.old, err, c.new)
+		}
+		if v, err := d.inverse().apply(nil, c.new); err != nil || !bytes.Equal(v, c.old) {
+			t.Errorf("%s: its inverse makes %q of %q (%v), want %q", c.name, v, c.new, err, c.old)
+		}
+	}
+	// That rewrite logs its fifteen changed bytes and a two-byte header
+	// for each of its eleven runs: the key, two lengths and 37 bytes.
+	if p := appendUpdate(nil, keys.Uint64(9), oldValue, newValue); len(p) != 4+8+2+37 {
+		t.Errorf("the benchmark's rewritten value logs %d payload bytes, want %d", len(p), 4+8+2+37)
+	}
+	// Runs appendUpdate never writes are refused: each of these would
+	// decode to a delta that re-encodes to other bytes, or reach past the
+	// value.
+	for _, c := range []struct {
+		name string
+		runs []byte // after 8 -> 8
+	}{
+		{"runs two zeros apart", []byte{1, 1, 7, 2, 1, 7}},
+		{"a run starting at a zero", []byte{1, 2, 0, 7}},
+		{"a run ending at a zero", []byte{1, 2, 7, 0}},
+		{"three zeros inside a run", []byte{0, 5, 7, 0, 0, 0, 7}},
+		{"an empty run", []byte{1, 0}},
+		{"a run past the value", []byte{6, 3, 7, 7, 7}},
+		{"a gap past the value", []byte{9, 1, 7}},
+		{"a run cut short", []byte{1, 3, 7}},
+		{"a non-minimal gap", []byte{0x81, 0x00, 1, 7}},
+	} {
+		p := append(appendUpdate(nil, keys.Uint64(9), abc, abc), c.runs...)
+		if d, err := decUpdate(p); err == nil {
+			t.Errorf("%s: %x decodes to runs %v", c.name, c.runs, runsOf(d))
 		}
 	}
 }

@@ -58,26 +58,33 @@ const (
 // --- payload codecs -----------------------------------------------------
 
 // An update's payload is one delta that turns the old value into the new
-// one (DESIGN.md §16): the key, the old and new lengths as uvarints, the
-// offset of the first byte kept, and old ⊕ new — the shorter value
-// zero-padded, the leading and trailing zero bytes trimmed — to the end.
-// XOR is its own inverse: the delta with its two lengths swapped turns the
-// new value back into the old, and that is the compensation of both undo
-// disciplines. A delta applied twice corrupts the value, so it is applied
-// only behind the pageLSN test (storage.Registry's redo, which restart redo,
-// write elision's replay and a rollback's CLR all go through) or, by a
-// logical undo, under the latch of the leaf whose CLR logs it.
+// one (DESIGN.md §16): the key, the old and new lengths as uvarints, then
+// old ⊕ new — the shorter value zero-padded — as runs, each a uvarint gap of
+// zero bytes skipped since the previous run (or the start), a uvarint
+// length and that many bytes. A run starts and ends at a nonzero byte, and
+// a gap of at most maxRunZeros zero bytes, no longer than a run's header,
+// stays inside its run. XOR is its own inverse: the delta with its two
+// lengths swapped turns the new value back into the old, and that is the
+// compensation of both undo disciplines. A delta applied twice corrupts the
+// value, so it is applied only behind the pageLSN test (storage.Registry's
+// redo, which restart redo, write elision's replay and a rollback's CLR all
+// go through) or, by a logical undo, under the latch of the leaf whose CLR
+// logs it.
 type valueDelta struct {
 	key keys.Key
 	// from and to are the lengths of the value the delta applies to and of
 	// the value it makes.
 	from, to int
-	// x is old ⊕ new from offset off on; it aliases the payload.
-	off int
-	x   []byte
+	// runs is the encoded runs of old ⊕ new; it aliases the payload.
+	runs []byte
 }
 
-// errBadDelta reports an update payload whose lengths do not hold together.
+// maxRunZeros is the longest zero gap kept inside a run: two header bytes
+// at least would cost as much.
+const maxRunZeros = 2
+
+// errBadDelta reports an update payload whose lengths or runs do not hold
+// together.
 var errBadDelta = errors.New("core: malformed update delta")
 
 // appendDelta appends d's payload to dst.
@@ -85,48 +92,96 @@ func appendDelta(dst []byte, d valueDelta) []byte {
 	dst = enc.AppendBytes32(dst, d.key)
 	dst = binary.AppendUvarint(dst, uint64(d.from))
 	dst = binary.AppendUvarint(dst, uint64(d.to))
-	dst = binary.AppendUvarint(dst, uint64(d.off))
-	return append(dst, d.x...)
+	return append(dst, d.runs...)
 }
 
 // appendUpdate appends the payload of an update of key's value from old to
 // new.
 func appendUpdate(dst []byte, key keys.Key, old, new []byte) []byte {
-	at := func(v []byte, i int) byte {
-		if i < len(v) {
-			return v[i]
+	x := func(i int) byte {
+		var a, b byte
+		if i < len(old) {
+			a = old[i]
 		}
-		return 0
+		if i < len(new) {
+			b = new[i]
+		}
+		return a ^ b
 	}
-	lo, hi := 0, max(len(old), len(new))
-	for lo < hi && at(old, lo) == at(new, lo) {
-		lo++
-	}
-	for hi > lo && at(old, hi-1) == at(new, hi-1) {
-		hi--
-	}
-	dst = appendDelta(dst, valueDelta{key: key, from: len(old), to: len(new), off: lo})
-	for i := lo; i < hi; i++ {
-		dst = append(dst, at(old, i)^at(new, i))
+	dst = appendDelta(dst, valueDelta{key: key, from: len(old), to: len(new)})
+	n, last := max(len(old), len(new)), 0
+	for i := 0; i < n; i++ {
+		if x(i) == 0 {
+			continue
+		}
+		end := i + 1 // one past the run's last nonzero byte
+		for j := end; j < n && j-end <= maxRunZeros; j++ {
+			if x(j) != 0 {
+				end = j + 1
+			}
+		}
+		dst = binary.AppendUvarint(dst, uint64(i-last))
+		dst = binary.AppendUvarint(dst, uint64(end-i))
+		for ; i < end; i++ {
+			dst = append(dst, x(i))
+		}
+		last = end
 	}
 	return dst
 }
 
-// decUpdate decodes an update's delta. Both lengths are bounded by the
-// largest record a tree admits before anything is sized by them.
+// decUpdate decodes an update's delta. It accepts only what appendUpdate
+// writes, so a payload it accepts re-encodes to the same bytes: minimal
+// uvarints, lengths within the largest record a tree admits, and runs that
+// start and end at a nonzero byte, hold no longer zero gap than
+// maxRunZeros, lie apart by more than that and end within the longer
+// value. Each run is bounded by that length before anything is sized by it.
 func decUpdate(b []byte) (valueDelta, error) {
 	r := enc.NewReader(b)
 	key := r.View32()
-	from, to, off := r.Uvarint(), r.Uvarint(), r.Uvarint()
-	x := r.Rest()
+	p := r.Rest()
 	if err := r.Err(); err != nil {
 		return valueDelta{}, err
 	}
-	span := max(from, to)
-	if span > pitree.MaxRecord || off > span || uint64(len(x)) > span-off {
-		return valueDelta{}, fmt.Errorf("%w: lengths %d -> %d, %d bytes at %d", errBadDelta, from, to, len(x), off)
+	from, p, ok1 := minUvarint(p, pitree.MaxRecord)
+	to, p, ok2 := minUvarint(p, pitree.MaxRecord)
+	d := valueDelta{key: key, from: int(from), to: int(to), runs: p}
+	span, ok := max(from, to), ok1 && ok2
+	for at, first := uint64(0), true; ok && len(p) > 0; first = false {
+		gap, q, okGap := minUvarint(p, span-at)
+		n, q, okLen := minUvarint(q, span-at-gap)
+		ok = okGap && okLen && n > 0 && n <= uint64(len(q)) && (first || gap > maxRunZeros) && compactRun(q[:n])
+		if ok {
+			at, p = at+gap+n, q[n:]
+		}
 	}
-	return valueDelta{key: key, from: int(from), to: int(to), off: int(off), x: x}, nil
+	if !ok {
+		return valueDelta{}, fmt.Errorf("%w: lengths %d -> %d, runs %x", errBadDelta, from, to, d.runs)
+	}
+	return d, nil
+}
+
+// minUvarint reads a minimal uvarint of at most max off the front of b.
+func minUvarint(b []byte, max uint64) (uint64, []byte, bool) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || v > max || (n > 1 && b[n-1] == 0) {
+		return 0, b, false
+	}
+	return v, b[n:], true
+}
+
+// compactRun reports whether run starts and ends at a nonzero byte and
+// holds no zero gap longer than maxRunZeros.
+func compactRun(run []byte) bool {
+	zeros := 0
+	for _, c := range run {
+		if c != 0 {
+			zeros = 0
+		} else if zeros++; zeros > maxRunZeros {
+			return false
+		}
+	}
+	return run[0] != 0 && zeros == 0
 }
 
 // inverse is the delta that undoes d.
@@ -136,15 +191,26 @@ func (d valueDelta) inverse() valueDelta {
 }
 
 // apply appends to dst[:0] the value d makes of cur, which must be the
-// length of the value d applies to.
+// length of the value d applies to. d is one decUpdate accepted.
 func (d valueDelta) apply(dst, cur []byte) ([]byte, error) {
 	if len(cur) != d.from {
 		return nil, fmt.Errorf("%w: key %x holds %d bytes, the delta applies to %d", errBadDelta, d.key, len(cur), d.from)
 	}
 	keep := min(d.from, d.to)
 	dst = append(append(dst[:0], cur[:keep]...), make([]byte, d.to-keep)...)
-	for i := d.off; i < min(d.off+len(d.x), d.to); i++ {
-		dst[i] ^= d.x[i-d.off]
+	for at, p := 0, d.runs; len(p) > 0; {
+		gap, n := binary.Uvarint(p)
+		p = p[n:]
+		l, n := binary.Uvarint(p)
+		p = p[n:]
+		at += int(gap)
+		for _, c := range p[:l] {
+			if at < d.to {
+				dst[at] ^= c
+			}
+			at++
+		}
+		p = p[l:]
 	}
 	return dst, nil
 }

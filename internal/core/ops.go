@@ -110,7 +110,7 @@ type leafWrite struct {
 	delta *valueDelta
 	// path is the current attempt's saved path, for the posting a split
 	// schedules.
-	path *Path
+	path Path
 	// cons is the consolidation a delete found worthwhile under the latch;
 	// After schedules it once the run is committed.
 	cons   consolidateTask
@@ -133,8 +133,8 @@ func (w *leafWrite) Key(i int) keys.Key       { return w.ks[i] }
 func (w *leafWrite) LockName(i int) lock.Name { return w.t.recLockName(w.ks[i]) }
 
 func (w *leafWrite) Trace() any {
-	w.path = newPath()
-	return w.path
+	w.path = Path{}
+	return &w.path
 }
 
 // Need: a write adds a new record's bytes, or a replaced one's growth; a
@@ -185,7 +185,7 @@ func (w *leafWrite) valueLen(i int) int {
 	return len(w.vals[i])
 }
 
-func (w *leafWrite) Split(o *opCtx, leaf nref) error { return w.t.splitLeaf(o, &leaf, w.path) }
+func (w *leafWrite) Split(o *opCtx, leaf nref) error { return w.t.splitLeaf(o, &leaf, &w.path) }
 
 // miss is Apply's answer for a key found in the wrong state: err, or no
 // change for MultiDelete's absent key and for a compensation — repeating
@@ -279,7 +279,7 @@ func (t *Tree) splitLeaf(o *opCtx, leaf *nref, path *Path) error {
 	pageName := t.pageLockName(leaf.Pid())
 	if t.binding.PageOriented() && tx != nil {
 		if _, held := t.lm.HeldMode(tx.ID, pageName); held {
-			cut.inTxn, cut.path = true, path.clone()
+			cut.inTxn = true
 			return t.splitLeafInTxn(o, leaf, cut, pageName)
 		}
 	}
@@ -364,19 +364,24 @@ type halfCut struct {
 	t *Tree
 	// path is the saved path the sibling's posting starts from; inTxn marks
 	// a split inside the updating transaction.
-	path  *Path
+	path  Path
 	inTxn bool
 	// Set by Sibling: the node's level and fill, and the separator.
 	level, before int
 	sep           keys.Key
 }
 
-// cutOf returns the cut of the full node n.
+// cutOf returns the cut of the full node n, with a copy of the saved path
+// (nil for none).
 func (t *Tree) cutOf(n *Node, path *Path) (*halfCut, error) {
 	if n.Len() < 2 {
 		return nil, fmt.Errorf("core: split of a node with %d entries", n.Len())
 	}
-	return &halfCut{t: t, path: path}, nil
+	c := &halfCut{t: t}
+	if path != nil {
+		c.path = *path
+	}
+	return c, nil
 }
 
 func (*halfCut) Kind() wal.Kind { return KindSplitTruncate }

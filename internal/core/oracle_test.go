@@ -277,7 +277,7 @@ func (t *Tree) oracleUndoDelete(rec *wal.Record, tx storage.CLRLogger, k keys.Ke
 
 func (t *Tree) oracleUndoInsert(rec *wal.Record, tx storage.CLRLogger, k keys.Key, v []byte) error {
 	return t.kern.RetryLoop(nil, func(o *opCtx) error {
-		path := newPath()
+		path := new(Path)
 		leaf, err := t.descendTo(o, k, 0, latch.U, false, path)
 		if err != nil {
 			return err

@@ -102,7 +102,7 @@ func (p *indexPost) Key() keys.Key { return p.key }
 // Split cuts the full NODE in half; the sibling's posting, one level up,
 // starts from a copy of the saved path.
 func (p *indexPost) Split(node *nref) (pitree.Cut[*Node], error) {
-	return p.t.cutOf(node.N, p.task.path.clone())
+	return p.t.cutOf(node.N, &p.task.path)
 }
 
 // Apply is step 4, Update NODE.

@@ -250,7 +250,6 @@ func collectUnpostedSiblings(t *testing.T, tree *Tree) []postTask {
 				level:  1,
 				sep:    keys.Clone(n.High.Key),
 				newPid: n.Right,
-				path:   newPath(),
 			})
 		}
 		pid = n.Right

@@ -573,8 +573,10 @@ func TestStructureRecordsStaySmall(t *testing.T) {
 // FuzzSlimPayloads: the decoders of the slimmed payloads, and the node
 // decoder under them, fail on arbitrary bytes; they do not panic or size an
 // allocation by a count they have not checked against the input. An
-// update's delta that decodes turns a value it applies to into one of its
-// target length, and its inverse turns that back.
+// update's delta that decodes is exactly what appendUpdate writes for a
+// value it applies to and the value it makes of it: it re-encodes to the
+// same bytes either way, its runs turn that value into one of its target
+// length, and its inverse turns that back.
 func FuzzSlimPayloads(f *testing.F) {
 	n, _ := randomNode(rand.New(rand.NewSource(3)), 0, 5)
 	f.Add(appendTerm(nil, keys.Uint64(9), 4))
@@ -586,24 +588,34 @@ func FuzzSlimPayloads(f *testing.F) {
 	f.Add(appendUpdate(nil, keys.Uint64(9), short, nil))
 	f.Add(appendUpdate(nil, keys.Uint64(9), nil, long))
 	f.Add(appendUpdate(nil, keys.Uint64(9), long, append(long[:50:50], 'x')))
-	// Lengths far past any record, which must be refused unread.
-	f.Add(appendDelta(nil, valueDelta{key: keys.Uint64(9), from: 1 << 40, to: 1 << 40, x: []byte{1}}))
+	f.Add(appendUpdate(nil, keys.Uint64(9), long, bytes.Repeat([]byte("0123456780"), 10)))
+	// Lengths far past any record, which must be refused unread, and a run
+	// past its value's end.
+	f.Add(appendDelta(nil, valueDelta{key: keys.Uint64(9), from: 1 << 40, to: 1 << 40, runs: []byte{0, 1, 1}}))
+	f.Add(appendDelta(nil, valueDelta{key: keys.Uint64(9), from: 4, to: 4, runs: []byte{3, 2, 1, 1}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if d, err := decUpdate(b); err == nil {
+			if again := appendDelta(nil, d); !bytes.Equal(again, b) {
+				t.Fatalf("delta %x re-encodes as %x", b, again)
+			}
 			// A value the delta applies to: any bytes below its target
 			// length, and above it the old bytes a shrinking delta carries.
+			x := make([]byte, max(d.from, d.to))
+			for _, r := range runsOf(d) {
+				copy(x[r.off:], r.x)
+			}
 			v := make([]byte, d.from)
 			for p := range v {
-				switch q := p - d.off; {
-				case p < d.to:
+				if v[p] = x[p]; p < d.to {
 					v[p] = byte(p*31 + 7)
-				case q >= 0 && q < len(d.x):
-					v[p] = d.x[q]
 				}
 			}
 			w, err := d.apply(nil, v)
 			if err != nil || len(w) != d.to {
 				t.Fatalf("delta %x made %d bytes of %d (%v), want %d", b, len(w), len(v), err, d.to)
+			}
+			if again := appendUpdate(nil, d.key, v, w); !bytes.Equal(again, b) {
+				t.Fatalf("delta %x turns %x into %x, an update logged as %x", b, v, w, again)
 			}
 			if back, err := d.inverse().apply(nil, w); err != nil || !bytes.Equal(back, v) {
 				t.Fatalf("delta %x: its inverse gives %x back for %x (%v)", b, back, v, err)

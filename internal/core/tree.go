@@ -483,35 +483,40 @@ type pathEntry struct {
 	lsn wal.LSN
 }
 
-// Path is the remembered root-to-target path indexed by level.
+// maxPathLevels bounds the levels a saved path remembers. A posting at a
+// level above it starts from the root, as one whose parent was not on the
+// path does.
+const maxPathLevels = 16
+
+// Path is the remembered root-to-target path indexed by level. It is a
+// value: a posting task and a split's cut each hold their own copy, so
+// saving and copying one allocates nothing.
 type Path struct {
-	byLevel map[int]pathEntry
+	byLevel [maxPathLevels]pathEntry // pid NilPage: level not visited
 }
 
-func newPath() *Path { return &Path{byLevel: make(map[int]pathEntry)} }
-
 func (p *Path) set(level int, pid storage.PageID, lsn wal.LSN) {
-	p.byLevel[level] = pathEntry{pid: pid, lsn: lsn}
+	if level < maxPathLevels {
+		p.byLevel[level] = pathEntry{pid: pid, lsn: lsn}
+	}
 }
 
 func (p *Path) get(level int) (pathEntry, bool) {
-	e, ok := p.byLevel[level]
-	return e, ok
-}
-
-func (p *Path) clone() *Path {
-	c := newPath()
-	for l, e := range p.byLevel {
-		c.byLevel[l] = e
+	if level >= maxPathLevels {
+		return pathEntry{}, false
 	}
-	return c
+	e := p.byLevel[level]
+	return e, e.pid != storage.NilPage
 }
 
 // noteIncomplete schedules the completing atomic action for a detected
 // intermediate state: cur has a sibling not yet posted in the parent (or
 // the parent simply was not on our search path). Move-locked splits are
 // skipped: their posting must await the updating transaction's commit
-// (§4.2.2).
+// (§4.2.2). A crossing whose posting is already queued — nearly every
+// one — copies nothing and allocates nothing; one that finds it running
+// queues it again, since the run may have read the parent before the
+// split it must post (pitree.Queue).
 func (t *Tree) noteIncomplete(n *Node, pid storage.PageID, path *Path) {
 	if t.opts.NoCompletion {
 		return
@@ -523,16 +528,13 @@ func (t *Tree) noteIncomplete(n *Node, pid storage.PageID, path *Path) {
 		t.Stats.PostsSuppressedMV.Add(1)
 		return
 	}
-	var p *Path
-	if path != nil {
-		p = path.clone()
-	} else {
-		p = newPath()
-	}
-	t.schedulePost(postTask{
-		level:  n.Level + 1,
-		sep:    keys.Clone(n.High.Key),
-		newPid: n.Right,
-		path:   p,
+	p := postTask{level: n.Level + 1, sep: n.High.Key, newPid: n.Right}
+	t.Stats.PostsScheduled.Add(1)
+	t.comp.ScheduleFunc(postKey(p), func() task {
+		p.sep = keys.Clone(p.sep)
+		if path != nil {
+			p.path = *path
+		}
+		return task{kind: taskPost, post: p}
 	})
 }

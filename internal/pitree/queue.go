@@ -108,6 +108,13 @@ func NewQueue[T any](cfg QueueConfig[T]) *Queue[T] {
 // Schedule queues task under key unless an equal key is already queued
 // (or the queue is stopped); it reports whether the task was queued.
 func (q *Queue[T]) Schedule(key TaskKey, task T) bool {
+	return q.ScheduleFunc(key, func() T { return task })
+}
+
+// ScheduleFunc is Schedule with the task made by build, which runs under
+// the queue's lock and only when the task will be queued: a duplicate
+// request copies nothing.
+func (q *Queue[T]) ScheduleFunc(key TaskKey, build func() T) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.stopped {
@@ -117,7 +124,7 @@ func (q *Queue[T]) Schedule(key TaskKey, task T) bool {
 		return false
 	}
 	q.queued[key] = struct{}{}
-	q.tasks = append(q.tasks, queued[T]{key, task})
+	q.tasks = append(q.tasks, queued[T]{key, build()})
 	q.cond.Broadcast()
 	return true
 }

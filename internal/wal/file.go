@@ -1,6 +1,6 @@
 // File-backed WAL: fixed-size segment files named by base LSN, a master
 // record carrying the checkpoint anchor and recycle horizon, replay that
-// verifies per-record CRC + LSN continuity and truncates at the first
+// verifies each record's CRC at its position and truncates at the first
 // corrupt or torn tail record, and checkpoint-driven retirement +
 // recycling of dead segments.
 //
@@ -8,7 +8,7 @@
 //
 //	segment file "wal-<base16>.seg":
 //	  [0:8)   magic "PITRWAL1"
-//	  [8:12)  format version (4)
+//	  [8:12)  format version (6)
 //	  [12:16) data capacity in bytes (segment size)
 //	  [16:24) base LSN of the first data byte
 //	  [24:28) CRC32C over bytes [0:24)
@@ -17,16 +17,16 @@
 //
 //	master file "wal-master" (written via tmp+rename, so always atomic):
 //	  [0:8)   magic "PITRMSTR"
-//	  [8:12)  format version (4)
+//	  [8:12)  format version (6)
 //	  [12:20) checkpoint anchor LSN
 //	  [20:28) recycle horizon LSN
 //	  [28:32) CRC32C over bytes [0:28)
 //
 //	record frame (wal.go has the encoder):
 //	  [0:4)   frame length
-//	  [4:8)   CRC32C over [8:length)
-//	  [8:16)  the record's own LSN
-//	  [16]    tag: type (bits 0-3), FlagSystem (4), and present: prev (5),
+//	  [4:8)   CRC32C over the record's LSN (8 bytes, not stored: the
+//	          frame's position) followed by [8:length)
+//	  [8]     tag: type (bits 0-3), FlagSystem (4), and present: prev (5),
 //	          undo-next (6), kind + page address (7)
 //	  uvarint transaction id
 //	  prev:   uvarint PrevLSN, or 0x00 and a uvarint distance back to it
@@ -38,21 +38,27 @@
 //
 // Version 4 added the page's previous record to the kind + page address
 // group: each page's records form a chain a buffer pool replays to rebuild
-// a page it dropped dirty. Version 5 changed no frame: it marks the Π-tree's
-// update record, whose payload became one XOR delta of the old and new
-// values instead of both values. A directory of another version — version 1
-// had fixed 58-byte record headers, version 2 node images whose every record
-// had the fields of both levels, version 3 no page chain, version 4
-// two-value updates — is refused with ErrLogVersion and left as it is.
+// a page it dropped dirty. Version 5 changed no frame: it marked the
+// Π-tree's update record, whose payload became one XOR delta of the old and
+// new values instead of both values. Version 6 stopped storing each frame's
+// LSN (the CRC covers it instead) and made that delta sparse: runs of
+// changed bytes with the zero gaps between them skipped. A directory of
+// another version — version 1 had fixed 58-byte record headers, version 2
+// node images whose every record had the fields of both levels, version 3
+// no page chain, version 4 two-value updates, version 5 stored LSNs and
+// one-span deltas — is refused with ErrLogVersion and left as it is.
 //
 // The byte stream inside segments is exactly the in-memory log: LSN =
-// absolute byte offset, each record framed as len|crc|lsn|... with the
-// CRC covering the stored LSN. Replay therefore needs no segment-local
-// record index — it walks records from the horizon and stops at the
-// first frame whose CRC fails or whose stored LSN disagrees with its
-// position. The latter check is what makes recycled segments safe to
-// reuse without zeroing: stale bytes from a previous life are intact
-// records, but they carry old LSNs and self-invalidate.
+// absolute byte offset, each record framed as len|crc|tag|... with the CRC
+// covering the LSN the frame is read at. Replay therefore needs no
+// segment-local record index — it walks records from the horizon and stops
+// at the first frame whose CRC fails at its position. That is what makes
+// recycled segments safe to reuse without zeroing: stale bytes from a
+// previous life are intact records of another LSN. Segment bases are
+// multiples of the segment size, so a byte's old and new LSN differ by one:
+// below 2^32 times the largest power of two dividing the size (2^52 at the
+// default 1 MiB) they differ in a burst of at most 32 bits, which the CRC
+// always catches (DESIGN.md §16).
 package wal
 
 import (
@@ -82,7 +88,8 @@ var ErrShortSegment = errors.New("wal: short or missing segment")
 // but whose format version is not this build's (version 1 framed every
 // record with a fixed 58-byte header; version 2's node images held records
 // with the fields of both levels; version 3's records carried no page
-// chain; version 4's update records carried both values). The directory is
+// chain; version 4's update records carried both values; version 5's frames
+// stored their LSN and its update deltas were one span). The directory is
 // left untouched.
 var ErrLogVersion = errors.New("wal: unsupported log format version")
 
@@ -125,7 +132,7 @@ const (
 	masterLen    = 32
 	segMagic     = "PITRWAL1"
 	masterMagic  = "PITRMSTR"
-	fileVersion  = 5
+	fileVersion  = 6
 	masterName   = "wal-master"
 	segPrefix    = "wal-"
 	segSuffix    = ".seg"
@@ -581,8 +588,8 @@ func (fw *FileWAL) replay() (*Reader, error) {
 	pos := start
 	var rec Record
 	for pos < end {
-		n, err := decodeSharedInto(buf[pos-start:], &rec)
-		if err != nil || rec.LSN != LSN(pos) {
+		n, err := decodeSharedInto(buf[pos-start:], LSN(pos), &rec)
+		if err != nil {
 			break
 		}
 		fw.stats.ReplayRecords++
@@ -593,8 +600,7 @@ func (fw *FileWAL) replay() (*Reader, error) {
 
 	// Physically truncate the torn tail so stale bytes from this
 	// incarnation can never be misread as stable by the next one (a
-	// once-valid record at the same offset would pass both CRC and LSN
-	// checks).
+	// once-valid record at the same offset would pass its CRC there).
 	last := -1
 	for i, s := range chain {
 		if s.base < end || (i == 0 && end <= s.base) {
@@ -724,8 +730,8 @@ func (fw *FileWAL) roll() error {
 			return err
 		}
 		// Drop the previous life's bytes: stale records self-invalidate
-		// via the LSN check, but truncating keeps replay from even
-		// reading them.
+		// (their CRC covers their old LSN), but truncating keeps replay
+		// from even reading them.
 		if err = f.Truncate(segHdrLen); err != nil {
 			f.Close()
 			return err

@@ -351,7 +351,8 @@ func withVersion(b []byte, v uint32, crcAt int) []byte {
 // TestFileWALRefusesOtherVersions: a directory a build of another format
 // version wrote — version 1 (fixed record headers), version 2 (node images
 // with both levels' fields in every record), version 3 (no page chain),
-// version 4 (update records with both values) or a later one — a segment,
+// version 4 (update records with both values), version 5 (stored LSNs,
+// one-span update deltas) or a later one — a segment,
 // with or without a master record, whose magic and checksum hold, opens and
 // scans with ErrLogVersion and is left byte for byte as it was: not
 // recycled as an unparseable file, not replayed as an empty log.
@@ -359,7 +360,7 @@ func TestFileWALRefusesOtherVersions(t *testing.T) {
 	hdr := make([]byte, segHdrLen)
 	encodeSegHeader(hdr, DefaultSegmentSize, 0)
 	master := encodeMaster(1, 1)
-	for _, v := range []uint32{1, 2, 3, 4, fileVersion + 1} {
+	for _, v := range []uint32{1, 2, 3, 4, 5, fileVersion + 1} {
 		seg := append(withVersion(hdr, v, 24), bytes.Repeat([]byte{0xa5}, 300)...)
 		for _, files := range []map[string][]byte{
 			{segName(0): seg, masterName: withVersion(master[:], v, 28)},
@@ -443,8 +444,8 @@ func TestFileWALShortSegment(t *testing.T) {
 }
 
 // TestFileWALStaleRecycledBytes verifies the LSN-continuity check: a
-// recycled segment's stale-but-intact records carry their old LSNs and
-// must not replay at the new position.
+// recycled segment's stale-but-intact records were checksummed at their
+// old LSNs and must not replay at the new position.
 func TestFileWALStaleRecycledBytes(t *testing.T) {
 	dir := t.TempDir()
 	fw, _, err := OpenFileWAL(dir, 0, SyncNever)

@@ -24,13 +24,15 @@ func stream(recs ...Record) []byte {
 	return l.FullImage().buf
 }
 
-// FuzzDecodeRecord feeds arbitrary bytes to the record decoder, and to
-// segment replay as the data of a log's first segment. A record is decoded
-// or refused with ErrCorruptRecord — never a panic, and nothing is sized by
-// a length the input does not cover (a payload aliases the input) — and a
-// decoded record re-encodes to exactly the bytes it came from. Replay and
-// the read-only scan accept exactly the same prefix of whole records at
-// their own positions and cut the rest.
+// FuzzDecodeRecord feeds arbitrary bytes to the record decoder at an
+// arbitrary LSN, and to segment replay as the data of a log's first
+// segment. A record is decoded or refused with ErrCorruptRecord — never a
+// panic, and nothing is sized by a length the input does not cover (a
+// payload aliases the input) — and a decoded record re-encodes at its LSN
+// to exactly the bytes it came from. The same bytes one segment further on
+// (where a recycled segment puts them) are refused. Replay and the
+// read-only scan accept exactly the same prefix of whole records at their
+// own positions and cut the rest.
 func FuzzDecodeRecord(f *testing.F) {
 	valid := stream(
 		Record{Type: RecUpdate, Kind: 44, TxnID: 7, StoreID: 1, PageID: 9, Payload: []byte("payload")},
@@ -45,28 +47,38 @@ func FuzzDecodeRecord(f *testing.F) {
 		Record{Type: RecUpdate, Kind: 45, TxnID: 7, StoreID: 1, PageID: 9, PagePrev: 1, Payload: []byte("second")},
 		Record{Type: RecUpdate, Kind: 45, TxnID: 7, StoreID: 1, PageID: 9, Payload: []byte("third")},
 	)
-	f.Add(chained)
-	f.Add(chained[:len(chained)-2])
-	f.Add([]byte{})
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	f.Add(append(bytes.Clone(valid), 0xff, 0xff, 0xff, 0x7f))
+	// The streams start at LSN 1: their first record decodes there.
+	f.Add(chained, uint64(1))
+	f.Add(chained[:len(chained)-2], uint64(1))
+	f.Add([]byte{}, uint64(0))
+	f.Add(valid, uint64(1))
+	f.Add(valid, uint64(2))
+	f.Add(valid, uint64(1+DefaultSegmentSize))
+	f.Add(valid[:len(valid)-3], uint64(1))
+	f.Add(append(bytes.Clone(valid), 0xff, 0xff, 0xff, 0x7f), uint64(1))
 	flipped := bytes.Clone(valid)
 	flipped[framePrefix+1] ^= 1 // the first record's transaction id
-	f.Add(flipped)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(flipped, uint64(1))
+	f.Fuzz(func(t *testing.T, data []byte, at uint64) {
 		var r Record
-		n, err := decodeSharedInto(data, &r)
+		n, err := decodeSharedInto(data, LSN(at), &r)
 		switch {
 		case err != nil && !errors.Is(err, ErrCorruptRecord):
 			t.Fatalf("decode: %v, want ErrCorruptRecord", err)
-		case err == nil && (n != r.Size() || n > len(data)):
-			t.Fatalf("decoded %d bytes of %d into a record of size %d", n, len(data), r.Size())
+		case err == nil && (r.LSN != LSN(at) || n != r.Size() || n > len(data)):
+			t.Fatalf("decoded %d bytes of %d at %d into a record of size %d at %d", n, len(data), at, r.Size(), r.LSN)
 		case err == nil:
 			again := make([]byte, n)
 			encodeInto(again, &r)
 			if !bytes.Equal(again, data[:n]) {
 				t.Fatalf("%x decoded to %+v, which encodes as %x", data[:n], r, again)
+			}
+			// A segment's LSNs below 2^52 and the same ones a 1 MiB
+			// segment on differ in a burst of at most 32 bits.
+			if later := at + DefaultSegmentSize; later < 1<<52 {
+				if _, err := decodeSharedInto(data, LSN(later), &r); err == nil {
+					t.Fatalf("%x decodes at %d and at %d", data[:n], at, later)
+				}
 			}
 		}
 

@@ -103,7 +103,7 @@ func TestReadBelowHorizonFails(t *testing.T) {
 	}
 	for i := 0; i < 4000; i += 13 {
 		if rec, err := fw.AppendFrame(nil, lsns[i]); err == nil {
-			if _, _, derr := decodeShared(rec); derr == nil {
+			if _, _, derr := decodeShared(rec, lsns[i]); derr == nil {
 				t.Fatalf("retired record %d read back from the files", lsns[i])
 			}
 		}

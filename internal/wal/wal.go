@@ -146,15 +146,17 @@ type Record struct {
 // IsSystem reports whether the record belongs to an atomic action.
 func (r *Record) IsSystem() bool { return r.Flags&FlagSystem != 0 }
 
-// The record frame, since format version 2 (file.go's format comment has the
-// layout, DESIGN.md §16 the reasons): a fixed len | crc | lsn prefix that
-// the boundary walkers read without decoding, one tag byte — the type in
-// its low four bits, FlagSystem, and a presence bit per optional group —
-// then uvarints. The operation group (kind, store id, page id, and the
-// distance back to PagePrev, 0 for none) is written when any of the first
-// three is nonzero, so a commit pays for none of them.
+// The record frame, since format version 6 (file.go's format comment has the
+// layout, DESIGN.md §16 the reasons): a fixed len | crc prefix that the
+// boundary walkers read without decoding, one tag byte — the type in its low
+// four bits, FlagSystem, and a presence bit per optional group — then
+// uvarints. The operation group (kind, store id, page id, and the distance
+// back to PagePrev, 0 for none) is written when any of the first three is
+// nonzero, so a commit pays for none of them. The record's LSN is not
+// stored: it is the frame's position, which every reader knows, and the CRC
+// covers it.
 const (
-	framePrefix = 4 + 4 + 8           // len, crc, lsn
+	framePrefix = 4 + 4               // len, crc
 	minFrame    = framePrefix + 1 + 1 // tag and a one-byte txn
 
 	tagType   = 0x0f
@@ -210,17 +212,28 @@ func mustFrame(r *Record) {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// frameCRC is the CRC32C of lsn, little-endian, followed by frame, the
+// bytes of a frame from its tag on. The LSN is fed to the CRC, not stored:
+// a decoder verifies not only that the bytes are intact but that the
+// record belongs at the position it was read from, which is what gives
+// file replay its LSN continuity check (a recycled segment's stale but
+// intact record fails its CRC at its new position; DESIGN.md §16).
+func frameCRC(lsn LSN, frame []byte) uint32 {
+	// The LSN's eight bytes go through the table by hand: handing crc32 a
+	// slice of a local array would move the array to the heap.
+	crc := ^uint32(0)
+	for i := 0; i < 8; i++ {
+		crc = crcTable[byte(crc)^byte(lsn>>(8*i))] ^ crc>>8
+	}
+	return crc32.Update(^crc, crcTable, frame)
+}
+
 // encodeInto writes the wire form of r into b, which must be exactly
-// r.Size() bytes. The record's LSN is part of the frame and covered by the
-// CRC: a decoder can therefore verify not only that the bytes are intact
-// but that the record actually belongs at the position it was read from,
-// which is what gives file replay its LSN continuity check (a recycled
-// segment's stale-but-intact records carry old LSNs and are rejected).
+// r.Size() bytes, at r.LSN.
 func encodeInto(b []byte, r *Record) {
 	total := len(b)
 	binary.LittleEndian.PutUint32(b[0:], uint32(total))
-	// CRC filled below over bytes [8:total].
-	binary.LittleEndian.PutUint64(b[8:], uint64(r.LSN))
+	// CRC filled below over the LSN and bytes [framePrefix:total].
 	tag := byte(r.Type)
 	if r.IsSystem() {
 		tag |= tagSystem
@@ -250,12 +263,12 @@ func encodeInto(b []byte, r *Record) {
 	}
 	b[framePrefix] = tag
 	copy(b[off:], r.Payload)
-	crc := crc32.Checksum(b[8:total], crcTable)
-	binary.LittleEndian.PutUint32(b[4:], crc)
+	binary.LittleEndian.PutUint32(b[4:], frameCRC(r.LSN, b[framePrefix:total]))
 }
 
-// ErrCorruptRecord reports a torn or corrupt log record (bad length, CRC
-// mismatch, or a stored LSN that does not match the record's position).
+// ErrCorruptRecord reports a torn or corrupt log record (bad length, or a
+// CRC mismatch: the bytes changed, or they are a record of another
+// position).
 // Replay treats the first corrupt record as the end of the log. It is the
 // durability layer's classification sentinel: errors.Is(err,
 // ErrCorruptRecord) matches every framing failure.
@@ -295,15 +308,15 @@ const FPWrite = "wal.write"
 // maxSyncRetries bounds in-sync retries of an injected transient fault.
 const maxSyncRetries = 4
 
-// decodeShared parses one record starting at b[0]. It returns the record
-// and its encoded length. The record's Payload aliases b instead of
-// copying it, so callers must treat it as read-only for as long as b is
-// shared; restart's planner and redo workers rely on this to read a log
-// image without one allocation per record (images are immutable
-// snapshots, so the alias can never observe a mutation).
-func decodeShared(b []byte) (Record, int, error) {
+// decodeShared parses the record at lsn, whose frame starts at b[0]. It
+// returns the record and its encoded length. The record's Payload aliases
+// b instead of copying it, so callers must treat it as read-only for as
+// long as b is shared; restart's planner and redo workers rely on this to
+// read a log image without one allocation per record (images are
+// immutable snapshots, so the alias can never observe a mutation).
+func decodeShared(b []byte, lsn LSN) (Record, int, error) {
 	var r Record
-	total, err := decodeSharedInto(b, &r)
+	total, err := decodeSharedInto(b, lsn, &r)
 	return r, total, err
 }
 
@@ -314,7 +327,7 @@ func decodeShared(b []byte) (Record, int, error) {
 // Only the bytes encodeInto writes for some record are accepted: every
 // uvarint is minimal and in range, and a group the tag marks present is
 // not all zeros — so a decoded record re-encodes to the same bytes.
-func decodeSharedInto(b []byte, r *Record) (int, error) {
+func decodeSharedInto(b []byte, lsn LSN, r *Record) (int, error) {
 	if len(b) < minFrame {
 		return 0, ErrBadRecord
 	}
@@ -322,14 +335,13 @@ func decodeSharedInto(b []byte, r *Record) (int, error) {
 	if total < minFrame || total > len(b) {
 		return 0, ErrBadRecord
 	}
-	crc := binary.LittleEndian.Uint32(b[4:])
-	if crc32.Checksum(b[8:total], crcTable) != crc {
+	if frameCRC(lsn, b[framePrefix:total]) != binary.LittleEndian.Uint32(b[4:]) {
 		return 0, ErrBadRecord
 	}
 	tag := b[framePrefix]
 	f := frameReader{b: b[:total], off: framePrefix + 1}
 	*r = Record{
-		LSN:   LSN(binary.LittleEndian.Uint64(b[8:])),
+		LSN:   lsn,
 		Type:  RecType(tag & tagType),
 		TxnID: TxnID(f.uvarint(math.MaxUint64)),
 	}
@@ -1383,12 +1395,9 @@ func (l *Log) ReadAppend(lsn LSN, buf []byte) (Record, []byte, error) {
 	if err != nil {
 		return Record{}, buf[:n], err
 	}
-	r, _, err := decodeShared(buf[n:])
-	if err == nil && r.LSN != lsn {
-		err = fmt.Errorf("wal: record at %d carries LSN %d: %w", lsn, r.LSN, ErrCorruptRecord)
-	}
+	r, _, err := decodeShared(buf[n:], lsn)
 	if err != nil {
-		return Record{}, buf[:n], err
+		return Record{}, buf[:n], fmt.Errorf("wal: record %d: %w", lsn, err)
 	}
 	return r, buf, nil
 }
@@ -1470,9 +1479,8 @@ func (r *Reader) from(lsn LSN) []byte {
 
 // Scan calls fn for each record from lsn (NilLSN means the start of the
 // readable image) to the end of the image, stopping early if fn returns
-// false. A torn or corrupt record — including one whose stored LSN does
-// not match its position — terminates the scan silently, as restart
-// would.
+// false. A torn or corrupt record — including one written at another
+// position — terminates the scan silently, as restart would.
 func (r *Reader) Scan(lsn LSN, fn func(Record) bool) {
 	r.ScanShared(lsn, func(rec *Record) bool {
 		c := *rec
@@ -1492,8 +1500,8 @@ func (r *Reader) ScanShared(lsn LSN, fn func(*Record) bool) {
 	pos := max(lsn, r.base)
 	var rec Record
 	for b := r.from(pos); b != nil; b = r.from(pos) {
-		n, err := decodeSharedInto(b, &rec)
-		if err != nil || rec.LSN != pos {
+		n, err := decodeSharedInto(b, pos, &rec)
+		if err != nil {
 			return
 		}
 		if !fn(&rec) {
@@ -1523,13 +1531,8 @@ func (r *Reader) RecordAtInto(lsn LSN, rec *Record) error {
 	if b == nil {
 		return fmt.Errorf("wal: image read at invalid LSN %d", lsn)
 	}
-	if _, err := decodeSharedInto(b, rec); err != nil {
-		return err
-	}
-	if rec.LSN != lsn {
-		return fmt.Errorf("wal: record at %d carries LSN %d: %w", lsn, rec.LSN, ErrCorruptRecord)
-	}
-	return nil
+	_, err := decodeSharedInto(b, lsn, rec)
+	return err
 }
 
 // Read returns the record at lsn within the image; its payload is an

@@ -60,6 +60,25 @@ func TestPayloadRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestFrameCodecAllocs: encoding a frame at its LSN and decoding it there
+// allocate nothing — every append and every record replay, analysis and
+// redo read goes through them.
+func TestFrameCodecAllocs(t *testing.T) {
+	r := Record{LSN: 1 << 30, Type: RecUpdate, Kind: 15, TxnID: 7, StoreID: 1, PageID: 9, PagePrev: 1 << 29, Payload: make([]byte, 60)}
+	b := make([]byte, r.Size())
+	if a := testing.AllocsPerRun(100, func() { encodeInto(b, &r) }); a != 0 {
+		t.Errorf("encodeInto allocates %.1f objects", a)
+	}
+	var got Record
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := decodeSharedInto(b, r.LSN, &got); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("decodeSharedInto allocates %.1f objects", a)
+	}
+}
+
 // TestFrameRoundTrip: seeded records with every optional field present and
 // absent (a page's previous record included), the largest ids each field
 // holds and payloads of 0 B to 70 KiB, appended alone and in groups. Each reads back equal field for field, its
