@@ -48,7 +48,8 @@ var kindNames = map[wal.Kind]string{
 
 // runLogStat scans the WAL directory dir of fs read-only and prints what its
 // records are made of: count, bytes, mean size and share of the bytes per
-// (record type, kind), and of those bytes the record frame's (everything
+// (record type, kind) — tsb.Put in two rows, the puts logged as a delta from
+// the version they supersede and the literal ones — and of those bytes the record frame's (everything
 // but the payload) in total and per record; then the frame's share of the
 // log and the bytes per committed user transaction. Last it checks every
 // page's chain (chains) and prints their lengths; a broken link fails it.
@@ -57,13 +58,20 @@ func runLogStat(w io.Writer, fs fsys.FS, dir string) error {
 	type class struct {
 		typ  wal.RecType
 		kind wal.Kind
+		form string // a tsb.Put's: delta or literal
 	}
 	type tally struct{ records, bytes, header int64 }
 	rows := map[class]*tally{}
 	var total tally
 	var userCommits, actionCommits int64
 	err := wal.ScanDir(fs, dir, func(rec *wal.Record) bool {
-		c := class{rec.Type, rec.Kind}
+		c := class{typ: rec.Type, kind: rec.Kind}
+		if rec.Kind == tsb.KindPut {
+			c.form = "literal"
+			if tsb.IsPutDelta(rec.Payload) {
+				c.form = "delta"
+			}
+		}
 		t := rows[c]
 		if t == nil {
 			t = new(tally)
@@ -108,6 +116,9 @@ func runLogStat(w io.Writer, fs fsys.FS, dir string) error {
 		name, ok := kindNames[c.kind]
 		if !ok {
 			name = fmt.Sprintf("kind(%d)", c.kind)
+		}
+		if c.form != "" {
+			name += " " + c.form
 		}
 		row(c.typ.String(), name, rows[c])
 	}

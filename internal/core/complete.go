@@ -79,8 +79,9 @@ func (t *Tree) runTask(k task) {
 // schedulePost queues a posting. The dedup key carries the separator as
 // a fingerprint, so scheduling from the hot path allocates no strings.
 func (t *Tree) schedulePost(p postTask) {
-	t.Stats.PostsScheduled.Add(1)
-	t.comp.Schedule(postKey(p), task{kind: taskPost, post: p})
+	if t.comp.Schedule(postKey(p), task{kind: taskPost, post: p}) {
+		t.Stats.PostsScheduled.Add(1)
+	}
 }
 
 func postKey(p postTask) pitree.TaskKey {

@@ -348,7 +348,7 @@ type deltaRun struct {
 func runsOf(d valueDelta) []deltaRun {
 	var out []deltaRun
 	at := 0
-	for p := d.runs; len(p) > 0; {
+	for p := d.Runs; len(p) > 0; {
 		gap, n := binary.Uvarint(p)
 		l, m := binary.Uvarint(p[n:])
 		p = p[n+m:]

@@ -15,19 +15,19 @@ import (
 // The golden directory is a small file-backed engine directory — WAL
 // segments, master record, page file — abandoned without a Close: page
 // images from a checkpoint, a log tail to redo on top of them, and a loser
-// to undo, in page file format 4 and log format 6 (frames in extents of
+// to undo, in page file format 4 and log format 7 (frames in extents of
 // blocks; node images whose records hold only their level's fields; each
 // page's records chained; an update logged as one delta of runs; frames that
-// do not store their LSN). The commit that introduced log format 6 wrote it, in its own tree, with
+// do not store their LSN). The commit that introduced log format 7 wrote it, in its own tree, with
 //
-//	go test ./internal/core -run TestWriteGoldenDir -golden-out <repo>/internal/core/testdata/golden-v6
+//	go test ./internal/core -run TestWriteGoldenDir -golden-out <repo>/internal/core/testdata/golden-v7
 //
 // TestGoldenDir (golden_test.go) holds later code to it: neither format has
 // moved since. A change that bumps a format version re-makes the directory
 // the same way, named for the new versions, and deletes the old one.
 var goldenOut = flag.String("golden-out", "", "write the golden data directory there")
 
-const goldenDir = "testdata/golden-v6"
+const goldenDir = "testdata/golden-v7"
 
 var goldenEngine = engine.Options{SegmentSize: 16 << 10, SlotSize: 1 << 10}
 var goldenTree = Options{LeafCapacity: 8, IndexCapacity: 6, SyncCompletion: true}

@@ -180,7 +180,7 @@ func (w *leafWrite) Reserve(n *Node, bytes int) { n.recs.Reserve(bytes) }
 // valueLen is the length of the value item i writes.
 func (w *leafWrite) valueLen(i int) int {
 	if w.delta != nil {
-		return w.delta.to
+		return w.delta.To
 	}
 	return len(w.vals[i])
 }

@@ -591,8 +591,8 @@ func FuzzSlimPayloads(f *testing.F) {
 	f.Add(appendUpdate(nil, keys.Uint64(9), long, bytes.Repeat([]byte("0123456780"), 10)))
 	// Lengths far past any record, which must be refused unread, and a run
 	// past its value's end.
-	f.Add(appendDelta(nil, valueDelta{key: keys.Uint64(9), from: 1 << 40, to: 1 << 40, runs: []byte{0, 1, 1}}))
-	f.Add(appendDelta(nil, valueDelta{key: keys.Uint64(9), from: 4, to: 4, runs: []byte{3, 2, 1, 1}}))
+	f.Add(appendDelta(nil, valueDelta{key: keys.Uint64(9), Delta: enc.Delta{From: 1 << 40, To: 1 << 40, Runs: []byte{0, 1, 1}}}))
+	f.Add(appendDelta(nil, valueDelta{key: keys.Uint64(9), Delta: enc.Delta{From: 4, To: 4, Runs: []byte{3, 2, 1, 1}}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if d, err := decUpdate(b); err == nil {
 			if again := appendDelta(nil, d); !bytes.Equal(again, b) {
@@ -600,19 +600,19 @@ func FuzzSlimPayloads(f *testing.F) {
 			}
 			// A value the delta applies to: any bytes below its target
 			// length, and above it the old bytes a shrinking delta carries.
-			x := make([]byte, max(d.from, d.to))
+			x := make([]byte, max(d.From, d.To))
 			for _, r := range runsOf(d) {
 				copy(x[r.off:], r.x)
 			}
-			v := make([]byte, d.from)
+			v := make([]byte, d.From)
 			for p := range v {
-				if v[p] = x[p]; p < d.to {
+				if v[p] = x[p]; p < d.To {
 					v[p] = byte(p*31 + 7)
 				}
 			}
 			w, err := d.apply(nil, v)
-			if err != nil || len(w) != d.to {
-				t.Fatalf("delta %x made %d bytes of %d (%v), want %d", b, len(w), len(v), err, d.to)
+			if err != nil || len(w) != d.To {
+				t.Fatalf("delta %x made %d bytes of %d (%v), want %d", b, len(w), len(v), err, d.To)
 			}
 			if again := appendUpdate(nil, d.key, v, w); !bytes.Equal(again, b) {
 				t.Fatalf("delta %x turns %x into %x, an update logged as %x", b, v, w, again)

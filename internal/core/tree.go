@@ -127,14 +127,17 @@ func (o Options) normalized() Options {
 // Stats counts tree events; all fields are atomically updated and may be
 // read concurrently.
 type Stats struct {
-	Searches          atomic.Int64
-	Inserts           atomic.Int64
-	Deletes           atomic.Int64
-	Updates           atomic.Int64
-	LeafSplits        atomic.Int64
-	IndexSplits       atomic.Int64
-	RootGrowths       atomic.Int64
-	SideTraversals    atomic.Int64
+	Searches       atomic.Int64
+	Inserts        atomic.Int64
+	Deletes        atomic.Int64
+	Updates        atomic.Int64
+	LeafSplits     atomic.Int64
+	IndexSplits    atomic.Int64
+	RootGrowths    atomic.Int64
+	SideTraversals atomic.Int64
+	// PostsScheduled counts the postings the completion queue accepted; a
+	// crossing whose posting is already queued adds nothing, as in tsb and
+	// spatial.
 	PostsScheduled    atomic.Int64
 	PostAttempts      atomic.Int64
 	PostsPerformed    atomic.Int64
@@ -529,12 +532,13 @@ func (t *Tree) noteIncomplete(n *Node, pid storage.PageID, path *Path) {
 		return
 	}
 	p := postTask{level: n.Level + 1, sep: n.High.Key, newPid: n.Right}
-	t.Stats.PostsScheduled.Add(1)
-	t.comp.ScheduleFunc(postKey(p), func() task {
+	if t.comp.ScheduleFunc(postKey(p), func() task {
 		p.sep = keys.Clone(p.sep)
 		if path != nil {
 			p.path = *path
 		}
 		return task{kind: taskPost, post: p}
-	})
+	}) {
+		t.Stats.PostsScheduled.Add(1)
+	}
 }

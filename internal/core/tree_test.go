@@ -341,3 +341,54 @@ func TestTxnCommitAbort(t *testing.T) {
 		})
 	}
 }
+
+// TestDuplicateCrossingSchedulesNothing: PostsScheduled counts postings the
+// completion queue accepted. A split's posting is queued once; every later
+// crossing of the unposted sibling finds it queued and adds nothing, so
+// PostsPerformed / PostsScheduled is postings performed per posting
+// scheduled, as in tsb and spatial.
+func TestDuplicateCrossingSchedulesNothing(t *testing.T) {
+	fx := newFixture(t, engine.Options{}, defaultTestOpts())
+	st := &fx.tree.Stats
+	k := uint64(0)
+	insert := func() {
+		t.Helper()
+		if err := fx.tree.Insert(nil, keys.Uint64(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	}
+	// A root over leaves, every posting done.
+	for st.RootGrowths.Load() == 0 {
+		insert()
+	}
+	fx.tree.DrainCompletions()
+	// One more leaf split, its posting left queued.
+	splits, scheduled := st.LeafSplits.Load(), st.PostsScheduled.Load()
+	for st.LeafSplits.Load() == splits {
+		insert()
+	}
+	if got := st.PostsScheduled.Load() - scheduled; got != 1 {
+		t.Fatalf("a leaf split scheduled %d postings, want 1", got)
+	}
+	// Reads of the last key descend to the split leaf and cross to its
+	// unposted sibling; the posting they would schedule is already queued.
+	crossings := st.SideTraversals.Load()
+	for i := 0; i < 5; i++ {
+		if _, found, err := fx.tree.Search(nil, keys.Uint64(k-1)); err != nil || !found {
+			t.Fatalf("search: found=%v, %v", found, err)
+		}
+	}
+	if st.SideTraversals.Load() == crossings {
+		t.Fatal("no search crossed the unposted sibling")
+	}
+	if got := st.PostsScheduled.Load() - scheduled; got != 1 {
+		t.Fatalf("%d crossings of a queued posting's sibling left %d postings scheduled, want 1",
+			st.SideTraversals.Load()-crossings, got)
+	}
+	performed := st.PostsPerformed.Load()
+	fx.tree.DrainCompletions()
+	if got := st.PostsPerformed.Load() - performed; got != 1 {
+		t.Fatalf("the queued posting was performed %d times, want once", got)
+	}
+}

@@ -567,12 +567,10 @@ func analyze(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32]map[ui
 			e.lastLSN = rec.LSN
 		case wal.RecCommit:
 			// Committers stamp their version timestamp into the commit
-			// record; the running max reconstructs the clock high water
-			// (records from before the stamp existed carry no payload).
-			if len(rec.Payload) >= 8 {
-				if cts := binary.LittleEndian.Uint64(rec.Payload); cts > st.ClockHW {
-					st.ClockHW = cts
-				}
+			// record, a uvarint; the running max reconstructs the clock
+			// high water (a manager with no version clock stamps nothing).
+			if cts, n := binary.Uvarint(rec.Payload); n > 0 && cts > st.ClockHW {
+				st.ClockHW = cts
 			}
 			// A committed transaction needs nothing more from restart: its
 			// updates are redone like any others and no end record follows.

@@ -134,19 +134,25 @@ func TestNoResultAliasesANode(t *testing.T) {
 			t.Fatalf("%s of key %d points into a node's records", r.api, r.key)
 		}
 	}
-	// The log: each put record carries the version as it was written.
+	// The log: each put record, redone on a node that holds the version it
+	// supersedes, makes the version as it was written.
 	puts := map[uint64]byte{}
 	fx.e.Log.FullImage().Scan(from, func(r wal.Record) bool {
 		if r.Type != wal.RecUpdate || r.Kind != KindPut {
 			return true
 		}
-		e, err := decRecord(0, r.Payload)
+		p, err := decPut(r.Payload, r.TxnID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := keys.ToUint64(e.Key)
-		if puts[key]++; !bytes.Equal(e.Value, value(key, 1+puts[key])) {
-			t.Fatalf("put %d of key %d logged %x", puts[key], key, e.Value)
+		key := keys.ToUint64(p.Key)
+		puts[key]++
+		gen := 1 + puts[key]
+		n := &Node{}
+		n.setEntries(Entry{Key: p.Key, Start: p.Start - p.back, Value: value(key, gen-1)})
+		e, err := p.version(n, nil)
+		if err != nil || !bytes.Equal(e.Value, value(key, gen)) {
+			t.Fatalf("put %d of key %d logged %x, which redoes to %x (%v)", puts[key], key, r.Payload, e.Value, err)
 		}
 		return true
 	})

@@ -442,8 +442,9 @@ func viewRect(rec []byte, off int) (Rect, int) {
 // child, the child's rectangle (key low, unbounded, key high, the times)
 // and the clipped mark; a key term its key and child. Each level has one
 // layout, one append function and one view, and they are the codec of the
-// log payloads that carry one record as well: a put is a version, the
-// posting and removal of a term are that term.
+// log payloads that carry one record as well: the posting and removal of a
+// term are that term. (A put logs its version in a form of its own,
+// appendPut.)
 var (
 	versionLayout = enc.Layout{enc.Var, 8, enc.Var, 1 + 8}
 	termLayout    = enc.Layout{8, enc.Var, 1, enc.Var, 8 + 8, 1}

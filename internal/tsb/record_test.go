@@ -8,14 +8,18 @@ import (
 
 	"repro/internal/keys"
 	"repro/internal/pitree/pitreetest"
+	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // TestRecordBytesPerLevel: with 8-byte keys and a 100-byte value a version
 // is 133 bytes on the page — key and value with their length prefixes,
 // start, tombstone mark, writer — a level-1 term 50 (child, a rectangle of
-// two such keys, clipped mark) and a key term 20 (key, child); and every log
-// payload that carries one record is its level's page record byte for byte:
-// a put's the version, a posting's and a removal's the term.
+// two such keys, clipped mark) and a key term 20 (key, child); every log
+// payload that carries one record is its level's page record byte for byte —
+// a posting's and a removal's the term — and every logged put, redone on a
+// copy of its node without the version, makes the node's record of it, in
+// both of its forms.
 func TestRecordBytesPerLevel(t *testing.T) {
 	value := bytes.Repeat([]byte{'v'}, 100)
 	rect := Rect{KeyLow: keys.Uint64(7), KeyHigh: keys.At(keys.Uint64(9)), TimeLow: 3, TimeHigh: NoEnd}
@@ -51,17 +55,65 @@ func TestRecordBytesPerLevel(t *testing.T) {
 			}
 		}
 	}
+	forms := map[bool]int{}
 	for i := uint64(0); i < 8*120; i++ {
-		if err := fx.tree.Put(nil, keys.Uint64(i*7919%301), value); err != nil {
+		from := fx.e.Log.EndLSN()
+		// Each value differs from the base in one byte, and from the key's
+		// previous version in at most two.
+		v := bytes.Clone(value)
+		v[i%100] = byte(i % 10)
+		if err := fx.tree.Put(nil, keys.Uint64(i*7919%301), v); err != nil {
 			t.Fatal(err)
 		}
+		fx.e.Log.FullImage().Scan(from, func(r wal.Record) bool {
+			if r.Type == wal.RecUpdate && r.Kind == KindPut {
+				forms[IsPutDelta(r.Payload)]++
+				if got, want := redoPutOnCopy(t, fx.tree, r); !bytes.Equal(got, want) {
+					t.Fatalf("put at LSN %d (%x) redone makes %x, the node holds %x", r.LSN, r.Payload, got, want)
+				}
+			}
+			return true
+		})
 		fx.tree.DrainCompletions()
 		collect()
+	}
+	if forms[true] == 0 || forms[false] == 0 {
+		t.Fatalf("%d puts logged as deltas and %d as literals: want both forms", forms[true], forms[false])
 	}
 	if n, err := fx.tree.RunGC(); n == 0 || err != nil {
 		t.Fatalf("GC retired %d nodes, err=%v", n, err)
 	}
-	pitreetest.PayloadsAreRecords(t, fx.e.Log, records, KindPut, KindPostTerm, KindRemoveTerm, KindPostKeyTerm)
+	pitreetest.PayloadsAreRecords(t, fx.e.Log, records, KindPostTerm, KindRemoveTerm, KindPostKeyTerm)
+}
+
+// redoPutOnCopy redoes the logged put r on a copy of the node it was logged
+// on, with the version it put taken out again, and returns the record the
+// redo makes and the node's own record of the version.
+func redoPutOnCopy(t *testing.T, tree *Tree, r wal.Record) (got, want []byte) {
+	t.Helper()
+	p, err := decPut(r.Payload, r.TxnID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := tree.store.Pool.Fetch(storage.PageID(r.PageID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.store.Pool.Unpin(f)
+	n := f.Data.(*Node).clone()
+	i, ok := n.versionPos(p.Key, p.Start)
+	if !ok {
+		t.Fatalf("put at LSN %d: page %d holds no version of key %x at %d", r.LSN, r.PageID, p.Key, p.Start)
+	}
+	want = bytes.Clone(n.recs.At(i))
+	n.recs.Delete(i)
+	e, err := p.version(n, nil)
+	if err != nil {
+		t.Fatalf("put at LSN %d: %v", r.LSN, err)
+	}
+	n.insertVersion(e)
+	i, _ = n.versionPos(p.Key, p.Start)
+	return n.recs.At(i), want
 }
 
 // FuzzNodeImage: arbitrary bytes behind each level's header field through

@@ -457,10 +457,24 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 	if !w.deleted {
 		value = w.vals[i]
 	}
-	e := Entry{Key: w.ks[i], Start: w.t.tick(), Value: enc.NilIfEmpty(value), Deleted: w.deleted, Txn: w.writer}
-	leaf.N.insertVersion(e)
+	// An empty key is stored as nil, as the put's redo decodes it.
+	e := Entry{Key: enc.NilIfEmpty(w.ks[i]), Start: w.t.tick(), Value: enc.NilIfEmpty(value), Deleted: w.deleted, Txn: w.writer}
+	// The version goes behind every version of its key the leaf holds: its
+	// start is a fresh tick. The payload names the one before it, the
+	// key's newest, before the insert moves the node's records. A nonzero
+	// writer is the transaction the kernel logs the record under.
+	at, dup := leaf.N.versionPos(e.Key, e.Start)
+	var pred *Entry
+	if at > 0 && keys.Equal(leaf.N.keyAt(at-1), e.Key) {
+		p := leaf.N.entry(at - 1)
+		pred = &p
+	}
+	payload := appendPut(make([]byte, 0, versionSize(e.Key, e.Value)), e, w.writer, pred)
+	if !dup {
+		leaf.N.insertAt(at, e)
+	}
 	w.t.Stats.Puts.Add(1)
-	return txn.GroupUpdate{Kind: KindPut, Payload: appendVersion(nil, e)}, nil
+	return txn.GroupUpdate{Kind: KindPut, Payload: payload}, nil
 }
 
 func (w *leafWrite) After(applied int) {
@@ -532,7 +546,8 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 // observes a carry-broken node. The re-carry is logged first: a crash
 // between the two CLRs re-runs this undo, which finds the version beside
 // its re-carried predecessor and only removes it (DESIGN.md §19).
-func (t *Tree) logicalUndoPut(rec *wal.Record, tx storage.CLRLogger, e Entry) error {
+func (t *Tree) logicalUndoPut(rec *wal.Record, tx storage.CLRLogger, key keys.Key, start uint64) error {
+	e := Entry{Key: key, Start: start}
 	return t.kern.RetryLoop(nil, func(o *opCtx) error {
 		cur, err := t.descend(o, e.Key, NoEnd-1, 0, latch.U, false)
 		if err != nil {
@@ -563,7 +578,9 @@ func (t *Tree) logicalUndoPut(rec *wal.Record, tx storage.CLRLogger, e Entry) er
 				}
 				o.Promote(&cur)
 				if repaired {
-					tx.LogCLR(cur.F, KindPut, appendVersion(nil, repair), rec.LSN)
+					// Literal: the re-carried version is older than the
+					// node's newest one of its key.
+					tx.LogCLR(cur.F, KindPut, appendPut(nil, repair, rec.TxnID, nil), rec.LSN)
 					cur.N.insertVersion(repair)
 				}
 				tx.LogCLR(cur.F, KindRemoveVersion, encVersionRef(e.Key, e.Start), rec.LSN)

@@ -556,14 +556,13 @@ func (t *Txn) Commit() error {
 	// analysis can reconstruct the clock high water from commit records
 	// alone — every surviving version belongs to a stamped committer, and
 	// losers' versions are removed by undo. Atomic actions are stamped too:
-	// their commits cover the time-split boundaries they cut.
+	// their commits cover the time-split boundaries they cut. The stamp is
+	// a uvarint (log format 7).
 	var cts uint64
 	var payload []byte
 	if tick := t.mgr.clockTick; tick != nil {
 		cts = tick()
-		b := make([]byte, 8)
-		binary.LittleEndian.PutUint64(b, cts)
-		payload = b
+		payload = binary.AppendUvarint(nil, cts)
 	}
 	lsn := t.mgr.Log.Append(&wal.Record{Type: wal.RecCommit, Flags: t.flags(), TxnID: t.ID, PrevLSN: prev, Payload: payload})
 	t.mu.Lock()

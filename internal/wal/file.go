@@ -8,7 +8,7 @@
 //
 //	segment file "wal-<base16>.seg":
 //	  [0:8)   magic "PITRWAL1"
-//	  [8:12)  format version (6)
+//	  [8:12)  format version (7)
 //	  [12:16) data capacity in bytes (segment size)
 //	  [16:24) base LSN of the first data byte
 //	  [24:28) CRC32C over bytes [0:24)
@@ -17,7 +17,7 @@
 //
 //	master file "wal-master" (written via tmp+rename, so always atomic):
 //	  [0:8)   magic "PITRMSTR"
-//	  [8:12)  format version (6)
+//	  [8:12)  format version (7)
 //	  [12:20) checkpoint anchor LSN
 //	  [20:28) recycle horizon LSN
 //	  [28:32) CRC32C over bytes [0:28)
@@ -42,11 +42,17 @@
 // Π-tree's update record, whose payload became one XOR delta of the old and
 // new values instead of both values. Version 6 stopped storing each frame's
 // LSN (the CRC covers it instead) and made that delta sparse: runs of
-// changed bytes with the zero gaps between them skipped. A directory of
-// another version — version 1 had fixed 58-byte record headers, version 2
-// node images whose every record had the fields of both levels, version 3
-// no page chain, version 4 two-value updates, version 5 stored LSNs and
-// one-span deltas — is refused with ErrLogVersion and left as it is.
+// changed bytes with the zero gaps between them skipped. Version 7 changed
+// no frame either: the TSB tree's put record names its value as the same
+// sparse delta from the version of its key it supersedes, with its fixed
+// fields as uvarints and its writer taken from the frame's transaction
+// where they are equal, and the commit record's version-clock stamp became
+// a uvarint. A directory of another version — version 1 had fixed 58-byte
+// record headers, version 2 node images whose every record had the fields
+// of both levels, version 3 no page chain, version 4 two-value updates,
+// version 5 stored LSNs and one-span deltas, version 6 whole-version puts
+// and 8-byte commit stamps — is refused with ErrLogVersion and left as it
+// is.
 //
 // The byte stream inside segments is exactly the in-memory log: LSN =
 // absolute byte offset, each record framed as len|crc|tag|... with the CRC
@@ -132,7 +138,7 @@ const (
 	masterLen    = 32
 	segMagic     = "PITRWAL1"
 	masterMagic  = "PITRMSTR"
-	fileVersion  = 6
+	fileVersion  = 7
 	masterName   = "wal-master"
 	segPrefix    = "wal-"
 	segSuffix    = ".seg"
