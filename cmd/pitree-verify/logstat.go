@@ -51,8 +51,11 @@ var kindNames = map[wal.Kind]string{
 // (record type, kind) — tsb.Put in two rows, the puts logged as a delta from
 // the version they supersede and the literal ones — and of those bytes the record frame's (everything
 // but the payload) in total and per record; then the frame's share of the
-// log and the bytes per committed user transaction. Last it checks every
-// page's chain (chains) and prints their lengths; a broken link fails it.
+// log and the bytes per committed user transaction, over the whole scan and
+// again from the newest checkpoint record on (in a benchmark directory the
+// whole scan starts inside the set-up, and the set-up's last checkpoint
+// opens the measured phase). Last it checks every page's chain (chains) and
+// prints their lengths; a broken link fails it.
 func runLogStat(w io.Writer, fs fsys.FS, dir string) error {
 	var ch chains
 	type class struct {
@@ -64,7 +67,17 @@ func runLogStat(w io.Writer, fs fsys.FS, dir string) error {
 	rows := map[class]*tally{}
 	var total tally
 	var userCommits, actionCommits int64
+	// tail counts from the newest checkpoint record seen, that record
+	// included.
+	var tail struct {
+		tally
+		at          wal.LSN
+		userCommits int64
+	}
 	err := wal.ScanDir(fs, dir, func(rec *wal.Record) bool {
+		if rec.Type == wal.RecCheckpoint {
+			tail.tally, tail.at, tail.userCommits = tally{}, rec.LSN, 0
+		}
 		c := class{typ: rec.Type, kind: rec.Kind}
 		if rec.Kind == tsb.KindPut {
 			c.form = "literal"
@@ -86,11 +99,14 @@ func runLogStat(w io.Writer, fs fsys.FS, dir string) error {
 		total.records++
 		total.bytes += n
 		total.header += h
+		tail.records++
+		tail.bytes += n
 		if rec.Type == wal.RecCommit {
 			if rec.IsSystem() {
 				actionCommits++
 			} else {
 				userCommits++
+				tail.userCommits++
 			}
 		}
 		return true
@@ -129,6 +145,17 @@ func runLogStat(w io.Writer, fs fsys.FS, dir string) error {
 	if userCommits > 0 {
 		fmt.Fprintf(w, "per committed user transaction: %.1f bytes, %.2f records\n",
 			float64(total.bytes)/float64(userCommits), float64(total.records)/float64(userCommits))
+	}
+	switch {
+	case tail.at == wal.NilLSN:
+		fmt.Fprintln(w, "from the newest checkpoint: no checkpoint record in the scan")
+	case tail.userCommits == 0:
+		fmt.Fprintf(w, "from the newest checkpoint (LSN %d): %d records, %d bytes, no committed user transaction\n",
+			tail.at, tail.records, tail.bytes)
+	default:
+		fmt.Fprintf(w, "from the newest checkpoint (LSN %d): %d records, %d bytes, %d user transactions; per committed one %.1f bytes, %.2f records\n",
+			tail.at, tail.records, tail.bytes, tail.userCommits,
+			float64(tail.bytes)/float64(tail.userCommits), float64(tail.records)/float64(tail.userCommits))
 	}
 	return ch.report(w)
 }

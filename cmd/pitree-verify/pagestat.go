@@ -14,8 +14,10 @@ import (
 // intact frames a newer image of their page supersedes: limbo, or freed
 // and not yet reused, in the process that wrote the file); how many of
 // the pages' extents take each number of blocks; the mean, median and
-// 99th percentile of the pages' image bytes; and the fill — the pages'
-// image bytes over the file's bytes.
+// 99th percentile of the pages' image bytes; the fill — the pages' image
+// bytes over the file's bytes; and the blocks the elected images would
+// take packed, the header's included, which Close compacts the file
+// toward.
 func runPageStat(w io.Writer, fs fsys.FS, path string) error {
 	c, err := storage.CensusPageFile(fs, path)
 	if err != nil {
@@ -44,5 +46,11 @@ func runPageStat(w io.Writer, fs fsys.FS, path string) error {
 		total, float64(total)/float64(len(c.Images)), pct(50), pct(99), c.Images[len(c.Images)-1])
 	fmt.Fprintf(w, "  fill %.3f (image bytes / file bytes); file %d B for %d image bytes\n",
 		float64(total)/float64(c.Bytes), c.Bytes, total)
+	packed := 1
+	for n, k := range c.Extents {
+		packed += n * k
+	}
+	fmt.Fprintf(w, "  packed: %d blocks, %d B, %.3f of the file\n",
+		packed, int64(packed)*int64(c.BlockSize), float64(packed)/float64(c.Blocks))
 	return nil
 }

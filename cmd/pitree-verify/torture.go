@@ -357,13 +357,15 @@ func tortureMenu() []menuEntry {
 		{"crash-mid-batch-apply", core.FPBatchApply, fault.Spec{Kind: fault.None, Crash: true}, 6, false},
 		{"transient-prefetch", storage.FPPoolPrefetch, fault.Spec{Kind: fault.Transient, Count: 3}, 6, false},
 		// Shutdown crash points. Close forces the log, flushes every page,
-		// then takes a checkpoint and recycles the whole log: the crash
-		// lands on one of Close's two log syncs (the force, the checkpoint
-		// record) or on one of its page writes, and the directory it
-		// leaves — or the clean one, when After outruns Close — must reopen
-		// to exactly the acknowledged state.
+		// takes a checkpoint and recycles the whole log, then compacts the
+		// page file: the crash lands on one of Close's two log syncs (the
+		// force, the checkpoint record), on one of its page writes, or
+		// among the compaction's moves, and the directory it leaves — or
+		// the clean one, when After outruns Close — must reopen to exactly
+		// the acknowledged state.
 		{"crash-mid-shutdown-checkpoint", wal.FPSync, fault.Spec{Kind: fault.None, Crash: true}, 2, true},
 		{"crash-mid-shutdown-flush", storage.FPDiskWrite, fault.Spec{Kind: fault.None, Crash: true}, 6, true},
+		{"crash-mid-compaction", storage.FPDiskCompact, fault.Spec{Kind: fault.None, Crash: true}, 6, true},
 		// A posting action fails once its space test is done — after any
 		// index split it needed — and before its term: the action, split
 		// included, is undone under its latches, and lazy completion must

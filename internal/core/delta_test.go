@@ -360,6 +360,31 @@ func runsOf(d valueDelta) []deltaRun {
 	return out
 }
 
+// TestUpdatePayloadOneAllocation: an update's payload is built in one
+// allocation sized for it — for a value whose rewrite changes a few bytes,
+// one rewritten whole, one that grows and one that shrinks — and holds the
+// bytes appendUpdate makes.
+func TestUpdatePayloadOneAllocation(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	old := make([]byte, 100)
+	rng.Read(old)
+	few := bytes.Clone(old)
+	for i := 7; i < len(few); i += 9 {
+		few[i]++
+	}
+	whole := make([]byte, 100)
+	rng.Read(whole)
+	key := keys.Uint64(12345)
+	for _, new := range [][]byte{few, whole, append(bytes.Clone(old), whole[:60]...), old[:30]} {
+		if got, want := updatePayload(key, old, new), appendUpdate(nil, key, old, new); !bytes.Equal(got, want) {
+			t.Fatalf("payload %x, want %x", got, want)
+		}
+		if a := testing.AllocsPerRun(100, func() { updatePayload(key, old, new) }); a != 1 {
+			t.Fatalf("%d-byte value to %d bytes: %v allocations, want 1", len(old), len(new), a)
+		}
+	}
+}
+
 // TestUpdateDeltaRuns: an update logs old ⊕ new as runs of the bytes it
 // changed. A zero gap of one or two bytes stays inside a run, one of three
 // splits it; a value that grows or shrinks logs the bytes past the shorter

@@ -15,16 +15,19 @@ import (
 // The golden directory is a small file-backed engine directory — WAL
 // segments, master record, page file — abandoned without a Close: page
 // images from a checkpoint, a log tail to redo on top of them, and a loser
-// to undo, in page file format 4 and log format 7 (frames in extents of
-// blocks; node images whose records hold only their level's fields; each
+// to undo, in page file format 5 and log format 7 (frames in extents of
+// blocks a sixteenth of the slot; node images whose records hold only their level's fields; each
 // page's records chained; an update logged as one delta of runs; frames that
 // do not store their LSN). The commit that introduced log format 7 wrote it, in its own tree, with
 //
 //	go test ./internal/core -run TestWriteGoldenDir -golden-out <repo>/internal/core/testdata/golden-v7
 //
+// The commit that introduced page file format 5 re-made it the same way;
+// its WAL files came out byte-identical and only the page file changed.
 // TestGoldenDir (golden_test.go) holds later code to it: neither format has
-// moved since. A change that bumps a format version re-makes the directory
-// the same way, named for the new versions, and deletes the old one.
+// moved since. A change that bumps the log format re-makes the directory
+// the same way, named for the new version, and deletes the old one; one
+// that bumps the page file format re-makes its page file.
 var goldenOut = flag.String("golden-out", "", "write the golden data directory there")
 
 const goldenDir = "testdata/golden-v7"

@@ -79,6 +79,12 @@ func appendUpdate(dst []byte, key keys.Key, old, new []byte) []byte {
 	return enc.AppendXOR(enc.AppendBytes32(dst, key), old, new)
 }
 
+// updatePayload is the payload of an update of key's value from old to
+// new, in one allocation sized for it.
+func updatePayload(key keys.Key, old, new []byte) []byte {
+	return appendUpdate(make([]byte, 0, 4+len(key)+enc.MaxXORLen(len(old), len(new))), key, old, new)
+}
+
 // decUpdate decodes an update's payload. It accepts only what appendUpdate
 // writes (enc.DecodeDelta), with lengths within the largest record a tree
 // admits, so a payload it accepts re-encodes to the same bytes.

@@ -227,7 +227,7 @@ func (w *leafWrite) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
 			up = txn.GroupUpdate{Kind: KindUpdateRecord, Payload: appendDelta(nil, *w.delta)}
 			n.setValue(j, enc.NilIfEmpty(v))
 		} else {
-			up = txn.GroupUpdate{Kind: KindUpdateRecord, Payload: appendUpdate(nil, k, cur, w.vals[i])}
+			up = txn.GroupUpdate{Kind: KindUpdateRecord, Payload: updatePayload(k, cur, w.vals[i])}
 			n.setValue(j, enc.NilIfEmpty(w.vals[i]))
 		}
 		if batched {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // A Delta turns one value into another (DESIGN.md §16): the old and new
@@ -71,6 +72,17 @@ func AppendXOR(dst, old, new []byte) []byte {
 		i, last = end, end
 	}
 	return dst
+}
+
+// MaxXORLen bounds what AppendXOR appends for values of from and to bytes:
+// both lengths, then runs over at most n = max(from, to) bytes, at most
+// (n+MaxRunZeros+1)/(MaxRunZeros+2) of them since a run is at least one
+// byte and more than MaxRunZeros zero bytes lie between two, each with a
+// gap and a length of at most n.
+func MaxXORLen(from, to int) int {
+	n := max(from, to)
+	l := (bits.Len(uint(n|1)) + 6) / 7 // bytes of a uvarint of at most n
+	return 2*l + n + 2*l*((n+MaxRunZeros+1)/(MaxRunZeros+2))
 }
 
 // DecodeDelta decodes a delta that takes all of b. It accepts only what

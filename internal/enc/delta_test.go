@@ -39,6 +39,9 @@ func TestDeltaRoundTrip(t *testing.T) {
 			new = bytes.Clone(old)
 		}
 		p := AppendXOR(nil, old, new)
+		if len(p) > MaxXORLen(len(old), len(new)) {
+			t.Fatalf("%x -> %x: %d bytes, over MaxXORLen %d", old, new, len(p), MaxXORLen(len(old), len(new)))
+		}
 		d, err := DecodeDelta(p, 1<<20)
 		if err != nil {
 			t.Fatalf("%x -> %x: %x does not decode: %v", old, new, p, err)
@@ -61,6 +64,24 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeDelta([]byte{4, 4, 0, 2, 1, 0}, 1<<20); err == nil {
 		t.Fatal("a run that ends at a zero byte decoded")
+	}
+}
+
+// TestMaxXORLenBounds: MaxXORLen holds what AppendXOR writes for the
+// value that makes the most runs — one nonzero byte, then MaxRunZeros+1
+// zero bytes, and again — and for one long run, at every length up to
+// 1 000 bytes, where the uvarints grow to two bytes.
+func TestMaxXORLenBounds(t *testing.T) {
+	for n := 0; n <= 1000; n++ {
+		sparse, dense := make([]byte, n), bytes.Repeat([]byte{1}, n)
+		for i := 0; i < n; i += MaxRunZeros + 2 {
+			sparse[i] = 1
+		}
+		for _, x := range [][]byte{sparse, dense} {
+			if got, bound := len(AppendXOR(nil, nil, x)), MaxXORLen(0, n); got > bound {
+				t.Fatalf("%d bytes: AppendXOR writes %d, MaxXORLen is %d", n, got, bound)
+			}
+		}
 	}
 }
 

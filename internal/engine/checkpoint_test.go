@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/fsys"
 	"repro/internal/keys"
 	"repro/internal/recovery"
 	"repro/internal/storage"
@@ -32,6 +34,110 @@ func walFiles(t *testing.T, dir string) (segs, free int) {
 		}
 	}
 	return segs, free
+}
+
+// TestCloseCompactsPageFile: a Close after rewrites that left superseded
+// images all over the page file packs it: the closed file holds no stale
+// block, ends at its last image, and keeps under 2 % of its blocks free —
+// the gap between 1 + live blocks and the start of the lowest image that
+// had to move, which the one fsync of a compaction cannot close — and
+// every record reads back after a reopen.
+func TestCloseCompactsPageFile(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{DataDir: dir, SegmentSize: wbSegment, Sync: wal.SyncNever}
+	e, _, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := core.Create(e.AddStore(1, core.Codec{}), e.TM, e.Locks, core.Register(e.Reg, false), "t", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RegisterCloser(tree.Close)
+	const records = 20_000
+	want := make([][]byte, records)
+	put := func(step uint64, round int, insert bool) {
+		t.Helper()
+		for k := uint64(0); k < records; k += 100 * step {
+			tx := e.TM.Begin()
+			for i := k; i < min(k+100*step, records); i += step {
+				v := val256(storage.PageID(i), round)[:60+(int(i)+round*7)%90]
+				op := tree.Update
+				if insert {
+					op = tree.Insert
+				}
+				if err := op(tx, keys.Uint64(i), v); err != nil {
+					t.Fatal(err)
+				}
+				want[i] = v
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(1, 0, true)
+	put(3, 1, false)
+	put(7, 2, false)
+	path := filepath.Join(dir, "store-1.pages")
+	before, err := storage.CensusPageFile(fsys.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := storage.CensusPageFile(fsys.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for n, k := range c.Extents {
+		live += n * k
+	}
+	t.Logf("before Close: %d blocks, %d free, %d stale; after: %d blocks, %d live", before.Blocks, before.Free, before.Stale, c.Blocks, live)
+	if before.Free+before.Stale == 0 {
+		t.Fatalf("the rewrites left no superseded image: nothing to compact")
+	}
+	if c.Stale != 0 || c.Blocks != 1+live+c.Free || 50*c.Free >= c.Blocks || c.Bytes != int64(c.Blocks*c.BlockSize) || len(c.Images) != len(before.Images) {
+		t.Fatalf("closed page file: %d blocks of %d B (%d bytes), %d free, %d stale, %d pages; want 1 + %d live blocks and under 2 %% free, %d pages",
+			c.Blocks, c.BlockSize, c.Bytes, c.Free, c.Stale, len(c.Images), live, len(before.Images))
+	}
+
+	e2, _, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	b := core.Register(e2.Reg, false)
+	st := e2.AddStore(1, core.Codec{})
+	p, err := e2.AnalyzeAndRedo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree2, err := core.Open(st, e2.TM, e2.Locks, b, "t", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2.RegisterCloser(tree2.Close)
+	if err := e2.FinishRecovery(p); err != nil {
+		t.Fatal(err)
+	}
+	tx := e2.TM.Begin()
+	for i, v := range want {
+		if got, ok, err := tree2.Search(tx, keys.Uint64(uint64(i))); err != nil || !ok || !bytes.Equal(got, v) {
+			t.Fatalf("key %d after reopen: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tree2.Verify(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // openFDsUnder counts this process's open descriptors on files below dir.

@@ -34,6 +34,9 @@ const (
 	FPDiskWrite = "disk.write"
 	// FPDiskRead fires inside FileDisk.Read before the file read.
 	FPDiskRead = "disk.read"
+	// FPDiskCompact fires inside FileDisk.Compact before each image it
+	// moves; a Crash spec freezes the file among the moves.
+	FPDiskCompact = "disk.compact"
 )
 
 // ErrDiskFailed is wrapped by every error a permanently-failed or
