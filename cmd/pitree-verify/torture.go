@@ -71,6 +71,11 @@ type tortDraws struct {
 	consolidation bool // core: utilization-triggered merges
 	reclaim       bool // spatial: free empty pages (tsb's GC always does)
 	govBudget     int  // pages/sec for background maintenance; 0 = unpaced
+	// forceAA forces the log at every atomic action's commit
+	// (engine.Options.ForceOnAACommit), and the workers then write some
+	// keys with no transaction: an acked atomic write is durable, and one
+	// whose forced commit fails rolls back under the leaf latch it holds.
+	forceAA bool
 }
 
 // governor builds a fresh pacing governor for one tree instance (create
@@ -89,7 +94,7 @@ func (d tortDraws) label(tree string) string {
 	if strings.HasPrefix(tree, "spatial") {
 		reclaim = fmt.Sprintf(" reclaim=%v", d.reclaim)
 	}
-	return fmt.Sprintf("consol=%v%s budget=%d", d.consolidation, reclaim, d.govBudget)
+	return fmt.Sprintf("consol=%v%s budget=%d force_aa=%v", d.consolidation, reclaim, d.govBudget, d.forceAA)
 }
 
 // treeKind builds and reopens one access method over an engine.
@@ -640,6 +645,9 @@ func runTorture(cfg tortureConfig) error {
 			consolidation: rng.Intn(2) == 0,
 			reclaim:       rng.Intn(2) == 0,
 			govBudget:     []int{0, 64, 256}[rng.Intn(3)],
+			// From a generator of its own, so the shared one, and with it
+			// every draw a seed made before this one existed, is unchanged.
+			forceAA: rand.New(rand.NewSource(seed*15485863)).Intn(4) == 0,
 		}
 		restart, counts, err := tortureRound(seed, kind, entry, recWorkers, draws, rng, cfg)
 		c := cov[entry.name]
@@ -740,7 +748,7 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 	spec.After = 1 + int64(rng.Intn(entry.spread))
 
 	eopts := engine.Options{Injector: inj, PoolCapacity: 40, PageOriented: cfg.pageOriented,
-		PrefetchWindow: 8}
+		PrefetchWindow: 8, ForceOnAACommit: draws.forceAA}
 	var e *engine.Engine
 	if entry.atClose {
 		dir, err := os.MkdirTemp("", "pitree-tort-*")
@@ -829,6 +837,23 @@ func tortureRound(seed int64, kind treeKind, entry menuEntry, recWorkers int, dr
 				}
 				k := uint64(w + cfg.workers*wrng.Intn(cfg.ops/2+1))
 				present := oracle[w][k].present
+				if draws.forceAA && wrng.Intn(4) == 0 {
+					// An atomic write: its commit is forced, so an ack is
+					// durable and an error leaves the key as it was.
+					attempted[w][k] = true
+					if present && wrng.Intn(2) == 0 {
+						if tree.remove(nil, k) == nil {
+							oracle[w][k] = oracleVal{}
+						}
+						continue
+					}
+					seq++
+					val := fmt.Sprintf("v%d.%d.%d", w, k, seq)
+					if tree.insert(nil, k, []byte(val)) == nil {
+						oracle[w][k] = oracleVal{present: true, val: val}
+					}
+					continue
+				}
 				tx := e.TM.Begin()
 				var opErr error
 				del := false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,9 @@ import (
 	"repro/internal/maint"
 	"repro/internal/pitree"
 	"repro/internal/pitree/pitreetest"
+	"repro/internal/spatial"
 	"repro/internal/storage"
+	"repro/internal/tsb"
 	"repro/internal/txn"
 	"repro/internal/wal"
 )
@@ -314,34 +317,117 @@ func TestAbortedPostingSchedulesNoFollowUp(t *testing.T) {
 // TestAtomicWriteCommitFailureRollsBack: a write with no transaction is
 // its own atomic action, committed while its leaf is still X-latched.
 // When atomic-action commits force the log and the log cannot sync, the
-// commit rolls the action back — under that latch (txn.Txn.CommitHeld),
-// not by latching the leaf a second time and waiting for itself. The
-// write returns the error and the leaf is as it was.
+// commit rolls the action back under that latch (txn.Txn.CommitHeld), not
+// by latching the leaf a second time and waiting for itself — whether the
+// record's undo is page-oriented or the kernel's Compensate, which applies
+// it in the held leaf. For every tree and undo discipline a single write
+// and a batch write (spatial has none) return the error and leave their
+// keys absent, and the keys written before stay.
 func TestAtomicWriteCommitFailureRollsBack(t *testing.T) {
-	inj := fault.New(0xF0)
-	fx := newFixture(t, engine.Options{Injector: inj, ForceOnAACommit: true, PageOriented: true}, defaultTestOpts())
-	for i := 0; i < 4; i++ {
-		if err := fx.tree.Insert(nil, keys.Uint64(uint64(i)), val(i)); err != nil {
+	type tree struct {
+		write func(is ...int) error // one write of keys is, a batch for more than one
+		has   func(i int) (bool, error)
+	}
+	ks := func(is []int) ([]keys.Key, [][]byte) {
+		var ks []keys.Key
+		var vs [][]byte
+		for _, i := range is {
+			ks, vs = append(ks, keys.Uint64(uint64(i))), append(vs, val(i))
+		}
+		return ks, vs
+	}
+	openCore := func(t *testing.T, e *engine.Engine, po bool) tree {
+		tr, err := Create(e.AddStore(testStoreID, Codec{}), e.TM, e.Locks, Register(e.Reg, po), "test", defaultTestOpts())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	inj.Arm(wal.FPSync, fault.Spec{Kind: fault.Permanent, Count: -1})
-	done := make(chan error, 1)
-	go func() { done <- fx.tree.Insert(nil, keys.Uint64(10), val(10)) }()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("a write whose commit could not be forced succeeded")
+		t.Cleanup(tr.Close)
+		return tree{
+			write: func(is ...int) error {
+				if len(is) == 1 {
+					return tr.Insert(nil, keys.Uint64(uint64(is[0])), val(is[0]))
+				}
+				k, v := ks(is)
+				return tr.MultiPut(nil, k, v)
+			},
+			has: func(i int) (bool, error) { _, ok, err := tr.Search(nil, keys.Uint64(uint64(i))); return ok, err },
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the write's rollback waits for the latch its own write holds")
 	}
-	if _, ok, err := fx.tree.Search(nil, keys.Uint64(10)); err != nil || ok {
-		t.Fatalf("rolled-back key found=%v err=%v", ok, err)
+	cases := []struct {
+		name  string
+		batch bool
+		open  func(t *testing.T, e *engine.Engine) tree
+	}{
+		{"core-page-oriented", true, func(t *testing.T, e *engine.Engine) tree { return openCore(t, e, true) }},
+		{"core-logical", true, func(t *testing.T, e *engine.Engine) tree { return openCore(t, e, false) }},
+		{"tsb", true, func(t *testing.T, e *engine.Engine) tree {
+			tr, err := tsb.Create(e.AddStore(testStoreID, tsb.Codec{}), e.TM, e.Locks, tsb.Register(e.Reg), "test",
+				tsb.Options{DataCapacity: 8, IndexCapacity: 8, SyncCompletion: true, CheckLatchOrder: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(tr.Close)
+			return tree{
+				write: func(is ...int) error {
+					if len(is) == 1 {
+						return tr.Put(nil, keys.Uint64(uint64(is[0])), val(is[0]))
+					}
+					k, v := ks(is)
+					return tr.MultiPut(nil, k, v)
+				},
+				has: func(i int) (bool, error) { _, ok, err := tr.Get(nil, keys.Uint64(uint64(i))); return ok, err },
+			}
+		}},
+		{"spatial", false, func(t *testing.T, e *engine.Engine) tree {
+			tr, err := spatial.Create(e.AddStore(testStoreID, spatial.Codec{}), e.TM, e.Locks, spatial.Register(e.Reg), "test",
+				spatial.Options{DataCapacity: 8, IndexCapacity: 8, SyncCompletion: true, CheckLatchOrder: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(tr.Close)
+			p := func(i int) spatial.Point { return spatial.Point{X: uint64(i), Y: uint64(i)} }
+			return tree{
+				write: func(is ...int) error { return tr.Insert(nil, p(is[0]), val(is[0])) },
+				has:   func(i int) (bool, error) { _, ok, err := tr.Search(nil, p(i)); return ok, err },
+			}
+		}},
 	}
-	for i := 0; i < 4; i++ {
-		if _, ok, err := fx.tree.Search(nil, keys.Uint64(uint64(i))); err != nil || !ok {
-			t.Fatalf("key %d found=%v err=%v", i, ok, err)
+	for _, c := range cases {
+		for _, doomed := range [][]int{{10}, {11, 12}} {
+			if len(doomed) > 1 && !c.batch {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/%d-keys", c.name, len(doomed)), func(t *testing.T) {
+				inj := fault.New(0xF0)
+				e := engine.New(engine.Options{Injector: inj, ForceOnAACommit: true})
+				tr := c.open(t, e)
+				for i := 0; i < 4; i++ {
+					if err := tr.write(i); err != nil {
+						t.Fatal(err)
+					}
+				}
+				inj.Arm(wal.FPSync, fault.Spec{Kind: fault.Permanent, Count: -1})
+				done := make(chan error, 1)
+				go func() { done <- tr.write(doomed...) }()
+				select {
+				case err := <-done:
+					if err == nil {
+						t.Fatal("a write whose commit could not be forced succeeded")
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("the write's rollback waits for the latch its own write holds")
+				}
+				for _, i := range doomed {
+					if ok, err := tr.has(i); err != nil || ok {
+						t.Fatalf("rolled-back key %d found=%v err=%v", i, ok, err)
+					}
+				}
+				for i := 0; i < 4; i++ {
+					if ok, err := tr.has(i); err != nil || !ok {
+						t.Fatalf("key %d found=%v err=%v", i, ok, err)
+					}
+				}
+			})
 		}
 	}
 }

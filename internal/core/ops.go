@@ -177,6 +177,9 @@ func (w *leafWrite) Full(n *Node, i int) bool {
 
 func (w *leafWrite) Reserve(n *Node, bytes int) { n.recs.Reserve(bytes) }
 
+// Next: a compensation is one item.
+func (w *leafWrite) Next(*Node, int) bool { return false }
+
 // valueLen is the length of the value item i writes.
 func (w *leafWrite) valueLen(i int) int {
 	if w.delta != nil {

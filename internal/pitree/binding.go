@@ -12,30 +12,26 @@ import (
 // trees, by store ID, so that logical (non-page-oriented) undo can
 // re-traverse the tree a log record belongs to. One Binding serves every
 // tree of its kind in an engine; the zero value is ready for use.
-type Binding[T any] struct {
-	mu    sync.RWMutex
-	trees map[uint32]T
-}
+type Binding[T any] struct{ trees sync.Map } // store ID → T
 
 // Bind registers t as the tree living in store storeID.
-func (b *Binding[T]) Bind(storeID uint32, t T) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.trees == nil {
-		b.trees = make(map[uint32]T)
-	}
-	b.trees[storeID] = t
-}
+func (b *Binding[T]) Bind(storeID uint32, t T) { b.trees.Store(storeID, t) }
 
-// Tree returns the tree bound to storeID.
-func (b *Binding[T]) Tree(storeID uint32) (T, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	t, ok := b.trees[storeID]
-	if !ok {
-		return t, fmt.Errorf("pitree: no tree bound for store %d", storeID)
+// LogicalUndo is the LogicalUndo handler of a record kind of the trees
+// bound in b (§4.2, §6): undo reads from the record the kernel of the tree
+// bound to its store and the Undoer of the record, which Compensate runs.
+func LogicalUndo[T, N, K any](b *Binding[T], undo func(t T, rec *wal.Record) (*Kernel[N, K], Undoer[N, K], error)) func(*wal.Record, storage.CLRLogger) error {
+	return func(rec *wal.Record, tx storage.CLRLogger) error {
+		t, ok := b.trees.Load(rec.StoreID)
+		if !ok {
+			return fmt.Errorf("pitree: no tree bound for store %d", rec.StoreID)
+		}
+		k, w, err := undo(t.(T), rec)
+		if err != nil {
+			return err
+		}
+		return k.Compensate(tx, rec, w)
 	}
-	return t, nil
 }
 
 // NodeOf returns the node of type N held in f; redo and undo handlers

@@ -19,8 +19,8 @@ import (
 // restore. (The name predates the kernel; torture rounds arm it by name.)
 const FPBatchApply = "core.batchapply"
 
-// LeafWriter is what a tree supplies to Update (and, for the one item of a
-// compensation, to Compensate): the parts of a leaf write that differ
+// LeafWriter is what a tree supplies to Update (and, with a Next, to
+// Compensate as an Undoer): the parts of a leaf write that differ
 // between trees and between operations. Item i is the i-th key of the
 // caller's batch; a single-key write is a batch of one.
 // Methods handed a node or a reference run under its latch and, Split
@@ -341,47 +341,85 @@ func (k *Kernel[N, K]) updateRun(o *Op[N], rs *runs, w LeafWriter[N, K]) error {
 	return nil
 }
 
-// Compensate is the logical undo of one record (§4.2, §6): item 0 of w
-// changes back on whatever leaf holds it now, found by a fresh descent,
-// and the change is logged as a CLR of tx, the transaction rolling back,
-// with UndoNext undoNext. It is Update's leaf step for one item:
-//
-//  1. descend with a U latch to the leaf containing the item, scheduling
-//     no completions;
-//  2. space-test: a full leaf is split by the tree (an atomic action of
-//     its own: the operation runs for no transaction) and the descent
-//     restarts;
-//  3. promote, Apply, and append the item's record as the CLR — or, when
-//     Apply finds nothing to do, a terminal CLR that only moves the undo
-//     chain past the record.
-//
-// What belongs to a forward write stays out: no record lock (the item is
-// tx's own write), no atomic action of its own (the CLR is tx's), no
-// FPBatchApply probe and no After — a rollback is not a user operation.
-func (k *Kernel[N, K]) Compensate(tx storage.CLRLogger, undoNext wal.LSN, w LeafWriter[N, K]) error {
-	return k.RetryLoop(nil, func(o *Op[N]) error {
-		leaf, err := k.Descend(o, w.Key(0), 0, latch.U, false, w.Trace())
+// Undoer is what a tree supplies to Compensate: the logical undo of one
+// record as items, each changed back on whatever leaf holds its key now.
+// The methods are LeafWriter's (but Full may latch nodes ranked after the
+// leaf: a TSB put's undo fetches what it re-carries); Next reports, under
+// the latch of the leaf item i was applied to, whether item i+1 follows.
+type Undoer[N, K any] interface {
+	Key(i int) K
+	Trace() any
+	Full(n N, i int) bool
+	Split(o *Op[N], leaf Ref[N]) error
+	Apply(leaf Ref[N], i int) (txn.GroupUpdate, error)
+	Next(n N, i int) bool
+}
+
+// Compensate is the logical undo of rec (§4.2, §6): w's items, from item 0
+// on, logged as CLRs of tx, the transaction rolling back. For each, as in
+// Update's leaf step: find the leaf its key routes Here in — one the
+// rolling-back action holds X-latched (tx.Latched: a write whose commit
+// failed rolls back under the write's latch), else by a U descent that
+// schedules no completions; split a full leaf (an atomic action of its
+// own; a held leaf cannot be) and restart; promote, Apply, and log the
+// record as a CLR. The items that follow and route Here in that leaf go
+// under the same latch. Every CLR but the last has UndoNext rec.LSN — a
+// crash between them re-runs the whole undo, so items are idempotent —
+// and the last rec.PrevLSN: a terminal CLR of no page when the last item
+// changes nothing. No record lock, atomic action, FPBatchApply probe or
+// After: a rollback is not a user operation.
+func (k *Kernel[N, K]) Compensate(tx storage.CLRLogger, rec *wal.Record, w Undoer[N, K]) error {
+	for i, more := 0, true; more; {
+		err := k.RetryLoop(nil, func(o *Op[N]) (err error) {
+			var leaf Ref[N]
+			for _, f := range tx.Latched() {
+				if n, ok := f.Data.(N); ok && k.sp.Level(n) == 0 && k.sp.Route(n, w.Key(i), true).Kind == Here {
+					leaf = Ref[N]{F: f, N: n, Mode: latch.X}
+				}
+			}
+			held := leaf.F != nil
+			if !held {
+				if leaf, err = k.Descend(o, w.Key(i), 0, latch.U, false, w.Trace()); err != nil {
+					return err
+				}
+			}
+			if w.Full(leaf.N, i) {
+				if held {
+					return errors.New("pitree: no room to compensate in a leaf the rollback holds latched")
+				}
+				if err := k.waitOut(o, w.Split(o, leaf)); err != nil {
+					return err
+				}
+				return ErrRetry
+			}
+			if !held {
+				o.Promote(&leaf)
+				defer o.Release(&leaf)
+			}
+			for {
+				up, err := w.Apply(leaf, i)
+				if err != nil {
+					return err
+				}
+				undoNext := rec.PrevLSN
+				if more = w.Next(leaf.N, i); more {
+					undoNext = rec.LSN
+				}
+				if up.Payload != nil {
+					tx.LogCLR(leaf.F, up.Kind, up.Payload, undoNext)
+				} else if !more {
+					tx.LogCLR(nil, 0, nil, undoNext)
+				}
+				if i++; !more || k.sp.Route(leaf.N, w.Key(i), true).Kind != Here || w.Full(leaf.N, i) {
+					return nil
+				}
+			}
+		})
 		if err != nil {
 			return err
 		}
-		if w.Full(leaf.N, 0) {
-			if err := k.waitOut(o, w.Split(o, leaf)); err != nil {
-				return err
-			}
-			return ErrRetry
-		}
-		o.Promote(&leaf)
-		up, err := w.Apply(leaf, 0)
-		switch {
-		case err != nil:
-		case up.Payload == nil:
-			tx.LogCLR(nil, 0, nil, undoNext)
-		default:
-			tx.LogCLR(leaf.F, up.Kind, up.Payload, undoNext)
-		}
-		o.Release(&leaf)
-		return err
-	})
+	}
+	return nil
 }
 
 // ReadRuns is the read-side counterpart of Update: items 0..n-1, ordered

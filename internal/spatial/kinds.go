@@ -315,29 +315,17 @@ func splitHelps(n *Node, alongX bool, coord uint64) bool {
 // Binding connects record kinds to live trees for logical undo.
 type Binding = pitree.Binding[*Tree]
 
-// logicalUndo returns the logical undo of a point record (§4.2): with del
-// the removal of the point it names, else its re-insertion, applied by the
-// kernel's Compensate to whatever data node holds the point now.
-func logicalUndo(b *Binding, del bool) func(*wal.Record, storage.CLRLogger) error {
-	return func(rec *wal.Record, tx storage.CLRLogger) error {
-		t, err := b.Tree(rec.StoreID)
-		if err != nil {
-			return err
-		}
-		e, err := decRecord(0, rec.Payload)
-		if err != nil {
-			return err
-		}
-		return t.kern.Compensate(tx, rec.PrevLSN, &pointWrite{t: t, p: e.P, value: e.Value, del: del, undo: true})
-	}
-}
-
 // Register installs the spatial record kinds. Point undo is logical
 // (re-traversal), so every structure change is an independent atomic
 // action.
 func Register(reg *storage.Registry) *Binding {
 	b := new(Binding)
-
+	// A point record's undo: an insert's removes the point, a removal's
+	// puts it back.
+	undo := pitree.LogicalUndo(b, func(t *Tree, rec *wal.Record) (*pitree.Kernel[*Node, Point], pitree.Undoer[*Node, Point], error) {
+		e, err := decRecord(0, rec.Payload)
+		return t.kern, &pointWrite{t: t, p: e.P, value: e.Value, del: rec.Kind == KindInsertPoint, undo: true}, err
+	})
 	nodeKinds.Register(reg)
 	reg.Register(KindInsertPoint, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
@@ -348,7 +336,7 @@ func Register(reg *storage.Registry) *Binding {
 			n.insertPoint(e)
 			return nil
 		}),
-		LogicalUndo: logicalUndo(b, true), // removes the point again
+		LogicalUndo: undo,
 	})
 	reg.Register(KindRemovePoint, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
@@ -361,7 +349,7 @@ func Register(reg *storage.Registry) *Binding {
 			}
 			return nil
 		}),
-		LogicalUndo: logicalUndo(b, false), // puts the point back
+		LogicalUndo: undo,
 	})
 	reg.Register(KindPostTerm, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {

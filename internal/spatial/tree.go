@@ -350,6 +350,9 @@ func (w *pointWrite) Reserve(*Node, int) {}
 
 func (w *pointWrite) Split(o *opCtx, leaf nref) error { return w.t.splitNodeAction(o, &leaf) }
 
+// Next: a compensation is one item.
+func (w *pointWrite) Next(*Node, int) bool { return false }
+
 // miss is Apply's answer for a point found in the wrong state: err, or no
 // change for a compensation.
 func (w *pointWrite) miss(err error) (txn.GroupUpdate, error) {

@@ -205,6 +205,11 @@ type FileDisk struct {
 	// epoch counts fsyncs; an image written in an earlier epoch is durable.
 	epoch uint64
 	frame []byte // Write's framing buffer
+	// spent is, per page, the sequence number of a write whose pwrite
+	// failed: its frame may have landed whole all the same, so the page's
+	// next write takes a higher one and a reopen cannot elect the failed
+	// frame over it.
+	spent map[PageID]uint64
 
 	checks  atomic.Int64
 	fails   atomic.Int64
@@ -522,9 +527,9 @@ func (d *FileDisk) stage(pid PageID, img []byte, start int) (b []byte, next fdPa
 	} else {
 		d.free.split(start, d.blocks(n))
 	}
-	next = fdPage{start: start, n: n, seq: 1, epoch: d.epoch}
+	next = fdPage{start: start, n: n, seq: d.spent[pid] + 1, epoch: d.epoch}
 	if p != nil {
-		next.seq = p.seq + 1
+		next.seq = max(next.seq, p.seq+1)
 		switch {
 		case p.start < 0: // lost: nothing durable to supersede
 		case p.epoch < d.epoch:
@@ -591,8 +596,13 @@ func (d *FileDisk) write(pid PageID, img []byte, start int) error {
 	}
 	if _, err := d.f.WriteAt(b, d.blockOff(next.start)); err != nil {
 		d.free.add(next.start, d.blocks(next.n))
+		if d.spent == nil {
+			d.spent = make(map[PageID]uint64)
+		}
+		d.spent[pid] = next.seq
 		return err
 	}
+	delete(d.spent, pid)
 	d.writes.Add(1)
 	d.bytes.Add(int64(len(b)))
 	p := d.pages[pid]

@@ -775,6 +775,67 @@ func TestFileDiskFailedWriteFreesSlot(t *testing.T) {
 	}
 }
 
+// landedFailFile reports every WriteAt failed after writing all of its
+// bytes, as a pwrite may whose data reached the file before the error.
+type landedFailFile struct{ fsys.File }
+
+func (f landedFailFile) WriteAt(b []byte, off int64) (int, error) {
+	if _, err := f.File.WriteAt(b, off); err != nil {
+		return 0, err
+	}
+	return 0, errors.New("pwrite failed after its bytes landed")
+}
+
+// TestFileDiskFailedWriteSpendsSeq: a Write whose pwrite fails after its
+// frame landed whole leaves an intact frame in the extent it gives back.
+// The page's next write must take a higher sequence number than that
+// frame's: with the same one, a reopen elects whichever of the two frames
+// lies first in the file — here the failed write's, the older content.
+func TestFileDiskFailedWriteSpendsSeq(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	d, err := OpenFileDisk(fsys.OS, path, 512)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	// Page 6's first image, rewritten and synced, leaves a two-block hole
+	// at the file's front, which the failed write takes.
+	for _, w := range []struct {
+		pid  PageID
+		fill byte
+		n    int
+	}{{6, 'x', 10}, {4, 'a', 90}, {6, 'y', 10}} {
+		if err := d.Write(w.pid, mkImage(w.pid, w.fill, w.n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := d.f
+	d.f = landedFailFile{f}
+	if err := d.Write(4, mkImage(4, 'b', 10)); err == nil {
+		t.Fatal("a write through a failing file succeeded")
+	}
+	d.f = f
+	// The retry's frame outgrows the failed one's extent, so it lands at
+	// the file's end and leaves that frame intact.
+	want := mkImage(4, 'c', 200)
+	if err := d.Write(4, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = OpenFileDisk(fsys.OS, path, 512)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer d.Close()
+	if got, ok, err := d.Read(4); err != nil || !ok || !bytes.Equal(got, want) {
+		t.Fatalf("after reopen: %d bytes, ok=%v err=%v; want the retry's %d-byte image", len(got), ok, err, len(want))
+	}
+}
+
 // legacyHeader builds the header of a page file of format version 1, 2
 // or 3: no salt, a checksum over its first 16 bytes.
 func legacyHeader(version, slotSize uint32) []byte {

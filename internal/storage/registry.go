@@ -55,9 +55,12 @@ type Handler struct {
 // CLRLogger is the slice of a rolling-back transaction that logical undo
 // needs: append a compensation record to its chain, addressed to the page
 // f buffers (X-latched; nil for a record of no page), and mark f dirty at
-// it as UpdateLogger.LogUpdate does. *txn.Txn implements it.
+// it as UpdateLogger.LogUpdate does; and name the frames the rollback's
+// caller holds X-latched already (AbortHeld, CommitHeld), where undo
+// applies without latching again. *txn.Txn implements it.
 type CLRLogger interface {
 	LogCLR(f *Frame, kind wal.Kind, payload []byte, undoNext wal.LSN) wal.LSN
+	Latched() []*Frame
 }
 
 // Registry maps record Kinds to Handlers and store IDs to Pools. One

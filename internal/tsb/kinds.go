@@ -583,17 +583,10 @@ func Register(reg *storage.Registry) *Binding {
 		}),
 		// The undo removes the version by its key and start; the value, or
 		// the delta that makes it, is not read.
-		LogicalUndo: func(rec *wal.Record, tx storage.CLRLogger) error {
-			t, err := b.Tree(rec.StoreID)
-			if err != nil {
-				return err
-			}
+		LogicalUndo: pitree.LogicalUndo(b, func(t *Tree, rec *wal.Record) (*pitree.Kernel[*Node, point], pitree.Undoer[*Node, point], error) {
 			p, err := decPut(rec.Payload, rec.TxnID)
-			if err != nil {
-				return err
-			}
-			return t.logicalUndoPut(rec, tx, p.Key, p.Start)
-		},
+			return t.kern, &undoPut{t: t, e: Entry{Key: p.Key, Start: p.Start}, txn: rec.TxnID, at: []uint64{NoEnd - 1}}, err
+		}),
 	})
 	reg.Register(KindRemoveVersion, storage.Handler{
 		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {

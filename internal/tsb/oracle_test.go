@@ -384,3 +384,72 @@ func (t *Tree) oracleReclaimTail(head storage.PageID) (int, error) {
 	t.Stats.GCFreedPages.Add(1)
 	return 1, nil
 }
+
+// oracleUndoPut is the logical undo of a put as it was written before the
+// kernel's Compensate took it over: one hand-written descent that walks
+// the history chain under latch coupling, re-carrying and removing in each
+// node that holds the version, then the terminal CLR. The reference the
+// Compensate items of undoPut are held to (TestCompensateCLRIdentity).
+func (t *Tree) oracleUndoPut(rec *wal.Record, tx storage.CLRLogger, e Entry) error {
+	return t.kern.RetryLoop(nil, func(o *opCtx) error {
+		cur, err := t.descend(o, e.Key, NoEnd-1, 0, latch.U, false)
+		if err != nil {
+			return err
+		}
+		for {
+			if _, ok := cur.N.versionPos(e.Key, e.Start); ok {
+				repair, err := t.carryRepair(o, cur.N, e)
+				if err != nil {
+					o.Release(&cur)
+					return err
+				}
+				if repair != nil && cur.N.Current() && !t.kern.Fits(cur.N, versionSize(repair.Key, repair.Value)) {
+					if err := t.splitData(o, &cur); err != nil {
+						return err
+					}
+					return errRetry
+				}
+				o.Promote(&cur)
+				if repair != nil {
+					tx.LogCLR(cur.F, KindPut, appendPut(nil, *repair, rec.TxnID, nil), rec.LSN)
+					cur.N.insertVersion(*repair)
+				}
+				tx.LogCLR(cur.F, KindRemoveVersion, encVersionRef(e.Key, e.Start), rec.LSN)
+				cur.N.removeVersion(e.Key, e.Start)
+			}
+			if cur.N.Rect.TimeLow <= e.Start || cur.N.HistSib == storage.NilPage {
+				break
+			}
+			next, err := t.kern.Step(o, &cur, cur.N.HistSib, latch.U, 0)
+			if err != nil {
+				return err
+			}
+			cur = next
+		}
+		o.Release(&cur)
+		tx.LogCLR(nil, 0, nil, rec.PrevLSN)
+		return nil
+	})
+}
+
+// oracleRollback undoes tx's puts through the oracle, newest first, as
+// txn's rollback walks the chain.
+func (t *Tree) oracleRollback(log *wal.Log, tx *txn.Txn) error {
+	for lsn := tx.LastLSN(); lsn != wal.NilLSN; {
+		rec, err := log.Read(lsn)
+		if err != nil {
+			return err
+		}
+		if rec.Kind == KindPut {
+			p, err := decPut(rec.Payload, rec.TxnID)
+			if err != nil {
+				return err
+			}
+			if err := t.oracleUndoPut(&rec, tx, Entry{Key: p.Key, Start: p.Start}); err != nil {
+				return err
+			}
+		}
+		lsn = rec.PrevLSN
+	}
+	return nil
+}

@@ -181,7 +181,7 @@ func (t *Tree) prune(o *opCtx, leaf *nref, horizon uint64) error {
 // carriesRunning reports whether n holds a version carried over from
 // before its time low bound whose writer is still running: its rollback
 // re-carries the predecessor into every node whose time range starts
-// after the version (logicalUndoPut).
+// after the version (undoPut).
 func (t *Tree) carriesRunning(n *Node) bool {
 	for i := 0; i < n.Len(); i++ {
 		if n.startAt(i) >= n.Rect.TimeLow {

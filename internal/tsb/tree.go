@@ -525,114 +525,106 @@ func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []by
 	return t.kern.Scan(nil, point{keys.Clone(lo), time}, &keyScan{t: t, hi: hi, fn: fn, time: time})
 }
 
-// logicalUndoPut compensates a Put by removing the exact version from
-// wherever it now lives. A time split performed after the put may have
-// COPIED the version into a history node (alive-across versions exist in
-// both nodes), so the undo walks the history chain from the current node
-// back past Start, removing every copy; each removal is its own CLR with
-// the same UndoNext, keeping restart idempotent.
+// undoPut is the logical undo of a put (§4.2, §6) as Compensate's items.
+// A time split after the put may have COPIED the version into a history
+// node, so every copy goes, node by node down the history chain from the
+// current node to the first that starts at or before the version: in node
+// j item 2j re-carries what the removal needs and item 2j+1 removes the
+// version, under one latch; the item after the last removal ends the undo
+// with the terminal CLR.
 //
-// Each removal must also preserve the carryover invariant snapshot reads
-// depend on: a node holds, per key it knows, the newest version older
-// than its TimeLow, so "key group empty / oldest entry at or above
-// TimeLow" proves no older version exists anywhere. If the version being
-// undone is a node's only below-TimeLow copy of the key (a time split
-// carried the doomed version), plain removal would leave the node
-// asserting that older versions don't exist while a committed
-// predecessor still lives in the history chain — a lock-free snapshot
-// reader would then return not-found for a key it should see. The undo
-// therefore fetches the predecessor from the chain first and re-carries
-// it in the same X-latched mutation as the removal, so no reader ever
-// observes a carry-broken node. The re-carry is logged first: a crash
-// between the two CLRs re-runs this undo, which finds the version beside
-// its re-carried predecessor and only removes it (DESIGN.md §19).
-func (t *Tree) logicalUndoPut(rec *wal.Record, tx storage.CLRLogger, key keys.Key, start uint64) error {
-	e := Entry{Key: key, Start: start}
-	return t.kern.RetryLoop(nil, func(o *opCtx) error {
-		cur, err := t.descend(o, e.Key, NoEnd-1, 0, latch.U, false)
-		if err != nil {
-			return err
-		}
-		// Intermediate removal CLRs point back AT rec (UndoNext=rec.LSN):
-		// a crash mid-undo re-runs the whole logical undo, which is
-		// idempotent. Only the terminal CLR advances past rec.
-		for {
-			if _, ok := cur.N.versionPos(e.Key, e.Start); ok {
-				// Fetch the carryover repair before mutating anything:
-				// the chain walk can fail with errRetry, and the whole
-				// undo must be restartable with the node still intact.
-				repair, repaired, err := t.carryRepair(o, &cur, e)
-				if err != nil {
-					o.Release(&cur)
-					return err
-				}
-				if repaired && cur.N.Current() && !t.kern.Fits(cur.N, versionSize(repair.Key, repair.Value)) {
-					// The node holds the predecessor beside the version
-					// until the removal: make room first, like
-					// Compensate's split (a key split where it can be: cur
-					// carries e, whose writer is rolling back).
-					if err := t.splitData(o, &cur); err != nil {
-						return err
-					}
-					return errRetry
-				}
-				o.Promote(&cur)
-				if repaired {
-					// Literal: the re-carried version is older than the
-					// node's newest one of its key.
-					tx.LogCLR(cur.F, KindPut, appendPut(nil, repair, rec.TxnID, nil), rec.LSN)
-					cur.N.insertVersion(repair)
-				}
-				tx.LogCLR(cur.F, KindRemoveVersion, encVersionRef(e.Key, e.Start), rec.LSN)
-				cur.N.removeVersion(e.Key, e.Start)
-			}
-			if cur.N.Rect.TimeLow <= e.Start || cur.N.HistSib == storage.NilPage {
-				break
-			}
-			hist := cur.N.HistSib
-			next, err := t.kern.Step(o, &cur, hist, latch.U, 0)
-			if err != nil {
-				return err
-			}
-			cur = next
-		}
-		o.Release(&cur)
-		tx.LogCLR(nil, 0, nil, rec.PrevLSN)
-		return nil
-	})
+// The re-carry keeps the carryover invariant snapshot reads depend on: a
+// node holds, per key it knows, the newest version older than its
+// TimeLow, so a key group that is empty, or whose oldest entry is at or
+// above TimeLow, proves no older version exists anywhere. Removing a
+// node's only below-TimeLow copy of the key (the doomed version, carried
+// by a time split) would hide a committed predecessor in the chain from a
+// lock-free snapshot reader, so the predecessor is re-carried under the
+// same X latch. It is logged first: a crash between the two CLRs re-runs
+// this undo, which finds the version beside its re-carried predecessor
+// and only removes it (DESIGN.md §19).
+type undoPut struct {
+	t      *Tree
+	e      Entry     // the version, by key and start
+	txn    wal.TxnID // the put's transaction, which logs the re-carry
+	at     []uint64  // at[j]: a time chain node j covers, its items' descent
+	repair *Entry    // the predecessor the open node's re-carry inserts
+	err    error     // Full's failure to fetch it, which Apply returns
 }
 
-// carryRepair decides whether removing version e from cur would break
-// the carryover invariant, and if so returns a clone of the predecessor
-// to re-carry: the newest surviving version of e.Key older than e.Start.
-// The predecessor is found by walking the history chain from cur with
-// the same stop rules snapshot reads use; chain nodes are latched S in
-// newer→older order while cur stays held — the acquisition order every
-// chain walker follows, so ranks ascend and no cycle can form. The walk
-// latch-couples (each node held until its successor is latched): version
-// GC frees retired tails, so a saved chain pointer may name a freed page,
-// and the coupling is what serializes against the reaper's edge cut. An
-// empty group or an all-at-or-above-TimeLow group in a chain node ends
-// the walk: by induction that node's carryover proves nothing older
-// exists (a retired node reads as empty, which is sound — retirement
-// required every newer live node to carry the survivors' newest copies,
-// so the predecessor would have been found before reaching it).
-func (t *Tree) carryRepair(o *opCtx, cur *nref, e Entry) (Entry, bool, error) {
-	if e.Start >= cur.N.Rect.TimeLow || cur.N.HistSib == storage.NilPage {
-		return Entry{}, false, nil
+func (u *undoPut) Key(i int) point { return point{u.e.Key, u.at[min(i/2, len(u.at)-1)]} }
+func (u *undoPut) Trace() any      { return nil }
+
+// Full: a re-carry item fetches the predecessor; a current node without
+// room for it beside the version splits first (by key where it can: it
+// carries the version, whose writer is rolling back).
+func (u *undoPut) Full(n *Node, i int) bool {
+	u.repair, u.err = nil, nil
+	if i%2 != 0 || i/2 >= len(u.at) {
+		return false
 	}
-	lo, hi := keyGroup(cur.N, e.Key)
+	if _, ok := n.versionPos(u.e.Key, u.e.Start); ok {
+		o := u.t.kern.NewOp(nil)
+		u.repair, u.err = u.t.carryRepair(o, n, u.e)
+		o.Done()
+	}
+	return u.repair != nil && n.Current() && !u.t.kern.Fits(n, versionSize(u.repair.Key, u.repair.Value))
+}
+
+func (u *undoPut) Split(o *opCtx, leaf nref) error { return u.t.splitData(o, &leaf) }
+
+func (u *undoPut) Apply(leaf nref, i int) (txn.GroupUpdate, error) {
+	_, found := leaf.N.versionPos(u.e.Key, u.e.Start)
+	switch {
+	case i/2 >= len(u.at) || i%2 == 1 && !found:
+		return txn.GroupUpdate{}, nil
+	case i%2 == 1:
+		leaf.N.removeVersion(u.e.Key, u.e.Start)
+		return txn.GroupUpdate{Kind: KindRemoveVersion, Payload: encVersionRef(u.e.Key, u.e.Start)}, nil
+	case u.repair == nil:
+		return txn.GroupUpdate{}, u.err
+	}
+	// Literal: the re-carried version is older than the node's newest one
+	// of its key.
+	leaf.N.insertVersion(*u.repair)
+	return txn.GroupUpdate{Kind: KindPut, Payload: appendPut(nil, *u.repair, u.txn, nil)}, nil
+}
+
+// Next: after a removal the undo goes on to the node's history sibling if
+// it starts after the version, else to the item that ends it.
+func (u *undoPut) Next(n *Node, i int) bool {
+	if i%2 == 1 && n.Rect.TimeLow > u.e.Start && n.HistSib != storage.NilPage {
+		u.at = append(u.at, n.Rect.TimeLow-1)
+	}
+	return i/2 < len(u.at)
+}
+
+// carryRepair returns, if removing version e from n would break the
+// carryover invariant, a clone of the predecessor to re-carry: the newest
+// surviving version of e.Key older than e.Start. It walks the history
+// chain from n with the stop rules snapshot reads use, latching S newer
+// to older while n stays held (the order every chain walker follows) and
+// latch-coupling, which serializes it against version GC's edge cut. An
+// empty group, or one all at or above TimeLow, ends the walk: by induction
+// that node's carryover proves nothing older exists (a retired node reads
+// as empty, which is sound: retirement required every newer live node to
+// carry the survivors' newest copies).
+func (t *Tree) carryRepair(o *opCtx, n *Node, e Entry) (*Entry, error) {
+	if e.Start >= n.Rect.TimeLow || n.HistSib == storage.NilPage {
+		return nil, nil
+	}
+	lo, hi := keyGroup(n, e.Key)
 	for i := lo; i < hi; i++ {
-		if s := cur.N.startAt(i); s < cur.N.Rect.TimeLow && s != e.Start {
-			return Entry{}, false, nil // another below-TimeLow copy remains
+		if s := n.startAt(i); s < n.Rect.TimeLow && s != e.Start {
+			return nil, nil // another below-TimeLow copy remains
 		}
 	}
 	var prev nref
-	for pid := cur.N.HistSib; pid != storage.NilPage; {
+	for pid := n.HistSib; pid != storage.NilPage; {
 		h, err := o.Acquire(pid, latch.S, 0)
-		o.Release(&prev) // no-op on the first edge: cur itself stays held
+		o.Release(&prev) // no-op on the first edge
 		if err != nil {
-			return Entry{}, false, err
+			return nil, err
 		}
 		lo, hi := keyGroup(h.N, e.Key)
 		for i := hi - 1; i >= lo; i-- {
@@ -640,16 +632,16 @@ func (t *Tree) carryRepair(o *opCtx, cur *nref, e Entry) (Entry, bool, error) {
 				out := h.N.entry(i) // a version, copied out of its node
 				out.Key, out.Value = keys.Clone(out.Key), bytes.Clone(out.Value)
 				o.Release(&h)
-				return out, true, nil
+				return &out, nil
 			}
 		}
 		if hi == lo || h.N.startAt(lo) >= h.N.Rect.TimeLow {
 			o.Release(&h)
-			return Entry{}, false, nil
+			return nil, nil
 		}
 		pid = h.N.HistSib
 		prev = h
 	}
 	o.Release(&prev)
-	return Entry{}, false, nil
+	return nil, nil
 }

@@ -659,6 +659,10 @@ func (t *Txn) CommitHeld(frames []*storage.Frame) error {
 	return t.Commit()
 }
 
+// Latched returns the frames the caller of AbortHeld or CommitHeld holds
+// X-latched: a logical undo applies to a page among them in place.
+func (t *Txn) Latched() []*storage.Frame { return t.latched }
+
 // rollbackAndEnd undoes everything from LSN from backwards, writes the end
 // record — a rolled-back transaction, unlike a committed one, is still in
 // restart's table until its rollback is known complete — and releases the
