@@ -14,7 +14,7 @@ import (
 // writer made deterministic (the shape B of its durability family: an
 // acked round's key missing after restart). Round N commits a version of
 // every snapshot key; round N+1 writes the same keys and aborts, its puts
-// undone by logicalUndoPut; then the engine crashes — at once, or inside a
+// undone by undoPut; then the engine crashes — at once, or inside a
 // later commit's early lock release (txn.elr). After restart every key must
 // hold round N's version, in a bounded pool and an unbounded one.
 func TestAbortedRoundKeepsCommittedVersions(t *testing.T) {
