@@ -238,8 +238,17 @@ benchdiff:
 
 ## torture: seeded crash-point fault-injection rounds across all three
 ## access methods. Failures print the reproducing seed and failpoint.
+## Then five runs of seed 11, 13 rounds, at GOMAXPROCS=2 (well under a
+## second each; a 30 s timeout ends a hung one): the reproducer of a
+## merge whose failed commit waited for the parent latch its own sweep
+## held, which hung about one run in five.
 torture:
 	$(GO) run ./cmd/pitree-verify -torture -rounds $(TORTURE_ROUNDS) -seed $(TORTURE_SEED)
+	@d=$$(mktemp -d) && $(GO) build -o $$d/pitree-verify ./cmd/pitree-verify && \
+	for i in 1 2 3 4 5; do \
+		GOMAXPROCS=2 timeout 30 $$d/pitree-verify -torture -seed 11 -rounds 13 > $$d/out 2>&1 || \
+			{ cat $$d/out; rm -rf $$d; echo "torture: seed 11 run $$i failed"; exit 1; }; \
+	done; rm -rf $$d; echo "torture: seed 11, 13 rounds, 5 runs at GOMAXPROCS=2 ok"
 
 ## realcrash: each round runs a seeded workload in a forked child
 ## against real WAL segments and page files, SIGKILLs it at a seeded

@@ -649,6 +649,12 @@ func runTorture(cfg tortureConfig) error {
 			// every draw a seed made before this one existed, is unchanged.
 			forceAA: rand.New(rand.NewSource(seed*15485863)).Intn(4) == 0,
 		}
+		// The round is named before it runs: a runtime fatal inside it (a
+		// deadlock of every goroutine) ends the process with no error to
+		// print, and still leaves the round and its replay line behind.
+		label := fmt.Sprintf("tree=%s fault=%s workers=%d %v", kind.name, entry.name, recWorkers, draws.label(kind.name))
+		replay := fmt.Sprintf("reproduce with: pitree-verify -torture -seed %d -rounds %d", cfg.seed, round+1)
+		fmt.Fprintf(os.Stderr, "torture round %d start (%s seed=%d)\n%s\n", round, label, seed, replay)
 		restart, counts, err := tortureRound(seed, kind, entry, recWorkers, draws, rng, cfg)
 		c := cov[entry.name]
 		c.draws++
@@ -657,13 +663,12 @@ func runTorture(cfg tortureConfig) error {
 			c.trips += counts.trips
 		}
 		if err != nil {
-			return fmt.Errorf("round %d (tree=%s fault=%s workers=%d %v seed=%d %v): %w\nreproduce with: pitree-verify -torture -seed %d -rounds %d",
-				round, kind.name, entry.name, recWorkers, draws.label(kind.name), seed, counts, err, cfg.seed, round+1)
+			return fmt.Errorf("round %d (%s seed=%d %v): %w\n%s", round, label, seed, counts, err, replay)
 		}
 		total.elisions += counts.elisions
 		total.replays += counts.replays
-		fmt.Printf("torture round %d ok (tree=%s fault=%s workers=%d %v restart=%v trips=%d %v)\n",
-			round, kind.name, entry.name, recWorkers, draws.label(kind.name), restart.Round(10*time.Microsecond), counts.trips, counts)
+		fmt.Printf("torture round %d ok (%s restart=%v trips=%d %v)\n",
+			round, label, restart.Round(10*time.Microsecond), counts.trips, counts)
 	}
 	if total.elisions == 0 {
 		return errNoElision

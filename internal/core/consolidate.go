@@ -20,8 +20,8 @@ func (t *Tree) markDead(aa *txn.Txn, victim *nref) {
 	}
 }
 
-// consolidate attempts to absorb an under-utilized node into an adjacent
-// node at the same level (§3.3, §5): contents always move from the
+// consolidate attempts to absorb under-utilized nodes into adjacent
+// nodes at the same level (§3.3, §5): contents always move from the
 // contained node into its containing node, the contained node's index
 // term is deleted from their (single, shared) parent, and the contained
 // node is de-allocated — all in ONE atomic action spanning two levels.
@@ -32,160 +32,153 @@ func (t *Tree) markDead(aa *txn.Txn, victim *nref) {
 // never have multiple parents, so the second condition is structural
 // here; the multi-attribute tree in internal/spatial has to check its
 // multi-parent marks).
+//
+// The task names an index term. A sweep tries it with the term before it
+// as the container, then moves right along the parent, one action per
+// pair, each latching the parent afresh (merge.Survivors).
 func (t *Tree) consolidate(task consolidateTask) {
 	if !t.opts.Consolidation {
 		return
 	}
 	t.Stats.ConsolidateTries.Add(1)
+	m := &merge{t: t, c: task, capacity: t.capacity(task.level)}
+	merges := 0
 	_ = t.kern.RetryLoop(nil, func(o *opCtx) error {
-		parent, err := t.descendTo(o, task.low, task.level+1, latch.U, false, nil)
-		if err != nil {
-			if errors.Is(err, errLevelGone) {
-				return nil
-			}
-			return err
-		}
-
-		// Locate the task's index term; its node is the merge seed.
-		i, exact := parent.N.search(task.low)
-		if !exact || parent.N.entry(i).Child != task.pid {
-			o.Release(&parent)
-			return nil // already consolidated or never posted: obsolete
-		}
-		// Promote the parent before latching any child (§4.1.1 promotion
-		// rule); the whole batched sweep below runs under this one X hold,
-		// which is what amortizes the parent pin+latch over several merges.
-		o.Promote(&parent)
-
-		// Batched sweep: starting one term left of the seed, try adjacent
-		// pairs under the single parent hold. A committed merge keeps the
-		// index in place (the removed term shifted its successor in); a
-		// skipped pair moves right. Both the merge count and the probe
-		// count are bounded so one sweep cannot monopolize the parent.
-		budget := mergeBatch
-		merges, probes := 0, 0
-		idx := i - 1
-		if idx < 0 {
-			idx = 0
-		}
-		for idx+1 < parent.N.Len() && merges < budget && probes < 2*budget {
-			probes++
-			merged, stop, err := t.tryMerge(o, &parent, idx, idx+1)
-			if err != nil {
-				o.Release(&parent)
-				return err
-			}
-			if stop {
-				break
-			}
-			if merged {
-				merges++
-			} else {
-				idx++
-			}
-		}
-
-		parentEntries := parent.N.Len()
-		parentIsRoot := parent.Pid() == t.root
-		parentPid := parent.Pid()
-		parentLow := keys.Clone(parent.N.Low)
-		parentLevel := parent.N.Level
-		// A sweep cut short — batch budget, probe cap, or move-lock
-		// contention — may leave qualifying pairs behind, and nothing
-		// re-triggers them: the drained leaves' deletes are done, so without
-		// a continuation the remainder is stranded until the next structure
-		// change happens to land under this parent (under churn: never).
-		// Re-seed a task at the stopping position; a task only reschedules
-		// after freeing at least one node, so the chain terminates.
-		if merges > 0 && idx+1 < parent.N.Len() {
-			e := parent.N.entry(idx)
-			t.scheduleConsolidate(consolidateTask{level: task.level, low: keys.Clone(e.Key), pid: e.Child})
-		}
-		o.Release(&parent)
-
-		if merges == 0 {
-			return nil
-		}
-		if merges > 1 {
-			t.Stats.MergeBatches.Add(1)
-		}
-		// Escalate (§5: "Consolidation of index terms can lead to further
-		// node consolidation, escalating tree changes to the next level").
-		if parentIsRoot {
-			if parentEntries == 1 {
-				t.scheduleRootShrink()
-			}
-		} else if parentEntries < minEntries(t.opts.IndexCapacity) {
-			t.scheduleConsolidate(consolidateTask{level: parentLevel, low: parentLow, pid: parentPid})
-		}
-		return nil
+		n, err := m.sweep(o, mergeBatch-merges)
+		merges += n
+		return err
 	})
+	if merges == 0 {
+		return
+	}
+	if merges > 1 {
+		t.Stats.MergeBatches.Add(1)
+	}
+	// A sweep cut short — batch budget, probe cap, a failed parent re-test
+	// or move-lock contention — may leave qualifying pairs behind, and
+	// nothing re-triggers them: the drained leaves' deletes are done, so
+	// without a continuation the remainder is stranded until the next
+	// structure change happens to land under this parent (under churn:
+	// never). Re-seed a task at the stopping position; a task only
+	// reschedules after freeing at least one node, so the chain terminates.
+	if m.c.pid != storage.NilPage {
+		t.scheduleConsolidate(m.c)
+	}
+	// Escalate (§5: "Consolidation of index terms can lead to further
+	// node consolidation, escalating tree changes to the next level"),
+	// from the parent as the last merge left it.
+	if m.up.pid == t.root {
+		if m.upLen == 1 {
+			t.scheduleRootShrink()
+		}
+	} else if m.upLen < minEntries(t.opts.IndexCapacity) {
+		t.scheduleConsolidate(m.up)
+	}
 }
 
-// tryMerge merges parent's children at term positions bIdx (container)
-// and cIdx (contained) if every §3.3 precondition still holds, as the
-// kernel's consolidation action (pitree.Kernel.Absorb). It reports whether
-// a merge was committed and whether the caller's sweep should stop
-// (move-lock contention: the action's pages are busy and further pairs
-// under this parent will likely hit the same transactions). The parent
-// stays latched in every case — the caller owns its release — so one
-// parent visit can try several pairs.
-func (t *Tree) tryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bool, err error) {
-	m := &merge{t: t, parent: parent, bIdx: bIdx, cIdx: cIdx, level: parent.N.Level - 1}
-	m.capacity = t.capacity(m.level)
-	freed, err := t.kern.Absorb(o, m)
-	if err != nil || m.busy {
-		return false, true, err
-	}
-	if !freed {
-		return false, false, nil
-	}
-	t.Stats.Consolidations.Add(1)
-	if m.level == 0 {
-		t.Stats.NoteLeafUtil(m.bLen, m.merged, m.capacity)
-		t.Stats.NoteLeafUtil(m.cLen, -1, m.capacity)
-	} else {
-		// Downward cascade, the counterpart of the upward escalation: the
-		// absorbing index node now holds the absorbed node's child terms
-		// adjacent to its own, so children separated by the old node
-		// boundary can pair up for the first time. Nothing else re-triggers
-		// them — their deletes are long done — so under sustained churn
-		// each index merge would otherwise strand one under-filled child
-		// per junction. Seed a task at the junction's left term.
-		t.scheduleConsolidate(m.junction)
-	}
-	return true, false, nil
-}
-
-// merge is tryMerge's side of the consolidation action (pitree.Absorber):
-// the contained node c, named by the parent's term cIdx, moves into its
-// containing node b, term bIdx, and c's term leaves the parent — last,
-// since the parent stays latched by the caller's sweep. The terms are
-// read as views: the parent is X-latched throughout, and cIdx's key is
-// logged (copied) before its term is deleted, the last use of either.
+// merge is consolidate's side of the consolidation action
+// (pitree.Absorber), one pair per action: the contained node c, named by
+// the parent's term cIdx, moves into its containing node b, term cIdx-1,
+// and c's term leaves the parent. The parent, b and c are held to the
+// action's end, so an abort's undo finds every page it compensates
+// latched already. The terms are read as views: the parent is X-latched
+// throughout, and cIdx's key is logged (copied) before its term is
+// deleted, the last use of either.
 type merge struct {
-	t               *Tree
-	parent          *nref
-	bIdx, cIdx      int
-	level, capacity int
+	t        *Tree
+	capacity int
+	// c is the pair to try next, by its contained term; NilPage when the
+	// sweep reached the parent's last term. next is the term after the
+	// pair being tried, read under the parent's latch.
+	c, next consolidateTask
+	// stop: the parent no longer holds c's term, or a move lock was not
+	// free; the sweep ends.
+	stop bool
 
-	b nref
+	parent, b nref
+	cIdx      int
 	// bLen and cLen are b's and c's fills (t.fill), merged b's once it
 	// has taken c in.
 	bLen, cLen, merged int
 	// junction is an index container's last own term, read while it is
 	// latched: the cascade starts from it.
 	junction consolidateTask
-	// busy: a move lock was not free; the sweep stops.
-	busy bool
+	// up is the parent as a consolidation task, and upLen its terms, as
+	// the last merge left them: the escalation starts from it.
+	up    consolidateTask
+	upLen int
 }
 
-// Survivors latches b U, re-tests that its side pointer and high key
-// still lead to c, and promotes it — top-down under the X parent, so
-// coupled readers drain downward through latches not yet taken (§4.1.1).
+// sweep tries m's pairs left to right, one consolidation action each
+// (pitree.Kernel.Absorb), until budget merges, twice as many tries, the
+// parent's last term or a stop. A committed merge keeps the container
+// (the removed term's successor shifted in); a skipped pair moves right.
+// It returns the merges committed, and leaves m.c at the pair it did not
+// try.
+func (m *merge) sweep(o *opCtx, budget int) (merges int, err error) {
+	t := m.t
+	for probes := 0; m.c.pid != storage.NilPage && merges < budget && probes < 2*budget; probes++ {
+		freed, err := t.kern.Absorb(o, m)
+		if err != nil || m.stop {
+			return merges, err
+		}
+		if freed {
+			merges++
+			t.Stats.Consolidations.Add(1)
+			if m.c.level == 0 {
+				t.Stats.NoteLeafUtil(m.bLen, m.merged, m.capacity)
+				t.Stats.NoteLeafUtil(m.cLen, -1, m.capacity)
+			} else {
+				// Downward cascade, the counterpart of the upward
+				// escalation: the absorbing index node now holds the
+				// absorbed node's child terms adjacent to its own, so
+				// children separated by the old node boundary can pair up
+				// for the first time. Nothing else re-triggers them —
+				// their deletes are long done — so under sustained churn
+				// each index merge would otherwise strand one under-filled
+				// child per junction. Seed a task at the junction's left
+				// term.
+				t.scheduleConsolidate(m.junction)
+			}
+		}
+		m.c = m.next
+	}
+	return merges, nil
+}
+
+// Survivors re-finds the parent by a descent to c's key — a parent
+// remembered by page id cannot be proven allocated (§5.2.2, strategy (a))
+// — latches it U, and re-tests that it still holds c's term after
+// another; it promotes the parent before latching b U, re-tests that b's
+// side pointer and high key still lead to c, and promotes b — top-down,
+// so coupled readers drain downward through latches not yet taken
+// (§4.1.1).
 func (m *merge) Survivors(o *opCtx) (victim storage.PageID, level int, err error) {
-	bEntry, cEntry := m.parent.N.entry(m.bIdx), m.parent.N.entry(m.cIdx)
-	if m.b, err = o.Acquire(bEntry.Child, latch.U, m.level); err != nil {
+	t, level := m.t, m.c.level
+	m.stop = true
+	if m.parent, err = t.descendTo(o, m.c.low, level+1, latch.U, false, nil); err != nil {
+		if errors.Is(err, errLevelGone) {
+			err = nil
+		}
+		return storage.NilPage, 0, err
+	}
+	o.Hold(&m.parent)
+	p := m.parent.N
+	i, exact := p.search(m.c.low)
+	if !exact || p.entry(i).Child != m.c.pid || p.Len() < 2 {
+		return storage.NilPage, 0, nil
+	}
+	m.stop = false
+	// The task's term may be the parent's first: it is then the container.
+	m.cIdx = max(i, 1)
+	m.next = consolidateTask{}
+	if m.cIdx+1 < p.Len() {
+		e := p.entry(m.cIdx + 1)
+		m.next = consolidateTask{level: level, low: keys.Clone(e.Key), pid: e.Child}
+	}
+	o.Promote(&m.parent)
+	bEntry, cEntry := p.entry(m.cIdx-1), p.entry(m.cIdx)
+	if m.b, err = o.Acquire(bEntry.Child, latch.U, level); err != nil {
 		return storage.NilPage, 0, err
 	}
 	o.Hold(&m.b)
@@ -193,7 +186,7 @@ func (m *merge) Survivors(o *opCtx) (victim storage.PageID, level int, err error
 		return storage.NilPage, 0, nil
 	}
 	o.Promote(&m.b)
-	return cEntry.Child, m.level, nil
+	return cEntry.Child, level, nil
 }
 
 // Victim: c still starts at its term's key, and together the two fit in
@@ -204,7 +197,7 @@ func (m *merge) Victim(c *Node) bool {
 	// b takes c's records, and c's high bound for its own.
 	grow := c.recs.Size() + len(c.High.Key) - len(b.High.Key)
 	m.merged = m.bLen + m.cLen
-	if t.byBytes(m.level) {
+	if t.byBytes(m.c.level) {
 		m.merged = m.bLen + grow
 	}
 	threshold := minEntries(m.capacity)
@@ -213,34 +206,32 @@ func (m *merge) Victim(c *Node) bool {
 }
 
 func (m *merge) Cut(aa *txn.Txn, c *nref) (bool, error) {
-	t, b := m.t, &m.b
-	if m.level == 0 && t.binding.PageOriented() {
+	t, b, p := m.t, &m.b, &m.parent
+	if m.c.level == 0 && t.binding.PageOriented() {
 		// Records move between pages: the move lock must exclude every
 		// transaction with undoable updates on either page. TryLock only —
 		// holding three latches while waiting for locks would break the
-		// No-Wait rule; contention simply defers the consolidation.
+		// No-Wait rule; contention ends the sweep.
 		if !aa.TryLock(t.pageLockName(b.Pid()), lock.MV) || !aa.TryLock(t.pageLockName(c.Pid()), lock.MV) {
-			m.busy = true
+			m.stop = true
 			return false, nil
 		}
 	}
-	if m.level > 0 {
+	if m.c.level > 0 {
 		j := b.N.entry(m.bLen - 1)
-		m.junction = consolidateTask{level: m.level - 1, low: keys.Clone(j.Key), pid: j.Child}
+		m.junction = consolidateTask{level: m.c.level - 1, low: keys.Clone(j.Key), pid: j.Child}
 	}
 	aa.LogUpdate(b.F, KindConsolidateMove, encConsolidateMove(c.Pid(), encNodeImage(c.N)))
 	b.N.absorb(c.N)
 	b.N.High = c.N.High
 	b.N.Right = c.N.Right
+	e := p.N.entry(m.cIdx)
+	aa.LogUpdate(p.F, KindRemoveIndexTerm, appendTerm(nil, e.Key, e.Child))
+	p.N.recs.Delete(m.cIdx)
 	t.markDead(aa, c)
+	m.up = consolidateTask{level: p.N.Level, low: keys.Clone(p.N.Low), pid: p.Pid()}
+	m.upLen = p.N.Len()
 	return true, nil
-}
-
-// Last removes c's term from the parent.
-func (m *merge) Last(aa *txn.Txn) {
-	e := m.parent.N.entry(m.cIdx)
-	aa.LogUpdate(m.parent.F, KindRemoveIndexTerm, appendTerm(nil, e.Key, e.Child))
-	m.parent.N.recs.Delete(m.cIdx)
 }
 
 // shrinkRoot reduces tree height by absorbing the root's single remaining
@@ -300,5 +291,3 @@ func (s *rootShrink) Cut(aa *txn.Txn, child *nref) (bool, error) {
 	t.markDead(aa, child)
 	return true, nil
 }
-
-func (*rootShrink) Last(*txn.Txn) {}

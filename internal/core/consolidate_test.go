@@ -13,34 +13,32 @@ import (
 	"repro/internal/wal"
 )
 
-// mergeFunc is tryMerge's signature: the free action of a merge sweep.
-type mergeFunc func(o *opCtx, parent *nref, bIdx, cIdx int) (merged, stop bool, err error)
+// sweepFunc runs the merge sweep under one parent from the pair whose
+// contained term is c, with no batch budget.
+type sweepFunc func(o *opCtx, c consolidateTask) error
 
-// sweepLevel runs the merge sweep of consolidate over every node at level,
-// left to right, each X-latched across all its pairs as the task's sweep
-// holds it, with merge as the free action and no batch budget.
-func (fx *fixture) sweepLevel(level int, merge mergeFunc) error {
+// sweep is consolidate's sweep as a sweepFunc.
+func (t *Tree) sweep(o *opCtx, c consolidateTask) error {
+	_, err := (&merge{t: t, c: c, capacity: t.capacity(c.level)}).sweep(o, 1<<20)
+	return err
+}
+
+// sweepLevel runs a merge sweep over every node at level, left to right,
+// each from its first pair to its last.
+func (fx *fixture) sweepLevel(level int, sweep sweepFunc) error {
 	low := keys.Uint64(0)
 	for {
 		var high keys.Bound
 		err := fx.tree.kern.RetryLoop(nil, func(o *opCtx) error {
-			parent, err := fx.tree.descendTo(o, low, level, latch.U, false, nil)
+			parent, err := fx.tree.descendTo(o, low, level, latch.S, false, nil)
 			if err != nil {
 				return err
 			}
-			o.Promote(&parent)
-			defer o.Release(&parent)
-			for idx := 0; idx+1 < parent.N.Len(); {
-				merged, stop, err := merge(o, &parent, idx, idx+1)
-				if err != nil || stop {
-					return err
-				}
-				if !merged {
-					idx++
-				}
-			}
+			e := parent.N.entry(0)
+			c := consolidateTask{level: level - 1, low: keys.Clone(e.Key), pid: e.Child}
 			high = keys.Bound{Unbounded: parent.N.High.Unbounded, Key: keys.Clone(parent.N.High.Key)}
-			return nil
+			o.Release(&parent)
+			return sweep(o, c)
 		})
 		if errors.Is(err, errLevelGone) || (err == nil && high.Unbounded) {
 			return nil
@@ -56,6 +54,8 @@ func (fx *fixture) sweepLevel(level int, merge mergeFunc) error {
 type freeCase struct {
 	name                  string
 	pageOriented, dealloc bool
+	// forceAA: every atomic-action commit forces the log.
+	forceAA bool
 }
 
 var freeCases = []freeCase{
@@ -71,7 +71,7 @@ func seedFree(t *testing.T, tc freeCase, inj *fault.Injector, n int) *fixture {
 	t.Helper()
 	opts := defaultTestOpts()
 	opts.DeallocIsUpdate = tc.dealloc
-	fx := newFixture(t, engine.Options{PageOriented: tc.pageOriented, Injector: inj}, opts)
+	fx := newFixture(t, engine.Options{PageOriented: tc.pageOriented, Injector: inj, ForceOnAACommit: tc.forceAA}, opts)
 	for k := 0; k < n; k++ {
 		if err := fx.tree.Insert(nil, keys.Uint64(uint64(k)), val(k)); err != nil {
 			t.Fatal(err)
@@ -90,11 +90,11 @@ func seedFree(t *testing.T, tc freeCase, inj *fault.Injector, n int) *fixture {
 }
 
 // consolidateAll sweeps every level and shrinks the root, three times over.
-func (fx *fixture) consolidateAll(t *testing.T, merge mergeFunc, shrink func()) {
+func (fx *fixture) consolidateAll(t *testing.T, sweep sweepFunc, shrink func()) {
 	t.Helper()
 	for round := 0; round < 3; round++ {
 		for level := 1; level <= 3; level++ {
-			if err := fx.sweepLevel(level, merge); err != nil {
+			if err := fx.sweepLevel(level, sweep); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -112,12 +112,12 @@ func TestFreeActionLogIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(oracle bool) []wal.Record {
 				fx := seedFree(t, tc, nil, 200)
-				merge, shrink := mergeFunc(fx.tree.tryMerge), fx.tree.shrinkRoot
+				sweep, shrink := fx.tree.sweep, fx.tree.shrinkRoot
 				if oracle {
-					merge, shrink = fx.tree.oracleTryMerge, fx.tree.oracleShrinkRoot
+					sweep, shrink = fx.tree.oracleSweep, fx.tree.oracleShrinkRoot
 				}
 				from := fx.e.Log.EndLSN()
-				fx.consolidateAll(t, merge, shrink)
+				fx.consolidateAll(t, sweep, shrink)
 				recs := pitreetest.RecordsFrom(t, fx.e.Log, from)
 				fx.mustVerify(t)
 				return recs
@@ -161,7 +161,7 @@ func TestCrashInsideFree(t *testing.T) {
 				}
 				fx := seedFree(t, tc, inj, n)
 				if shrink {
-					if err := fx.sweepLevel(1, fx.tree.tryMerge); err != nil {
+					if err := fx.sweepLevel(1, fx.tree.sweep); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -170,7 +170,7 @@ func TestCrashInsideFree(t *testing.T) {
 				inj.Arm(fp, fault.Spec{Kind: fault.Transient})
 				if shrink {
 					fx.tree.shrinkRoot()
-				} else if err := fx.sweepLevel(1, fx.tree.tryMerge); !errors.Is(err, fault.ErrInjected) {
+				} else if err := fx.sweepLevel(1, fx.tree.sweep); !errors.Is(err, fault.ErrInjected) {
 					t.Fatalf("sweep: %v", err)
 				}
 				if len(inj.Trips()) != 1 {

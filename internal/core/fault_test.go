@@ -431,3 +431,51 @@ func TestAtomicWriteCommitFailureRollsBack(t *testing.T) {
 		}
 	}
 }
+
+// TestFreeCommitFailureRollsBack: a free whose commit cannot be forced —
+// ForceOnAACommit and a dead log device — rolls back under the latches its
+// action holds and returns the error: the first merge of a sweep, whose
+// parent loses a term in the action, the second merge of a sweep under
+// one parent, and a root shrink (tsb's and spatial's frees have the same
+// test in their packages). A restart then leaves a well-formed tree whose
+// space map matches the log, holding every key.
+func TestFreeCommitFailureRollsBack(t *testing.T) {
+	sweep := func(fx *fixture) error { return fx.sweepLevel(1, fx.tree.sweep) }
+	for _, tc := range []struct {
+		name string
+		n    int
+		// merges is how many merges commit before the one that fails.
+		merges int64
+		free   func(fx *fixture) error
+	}{
+		{"merge", 200, 0, sweep},
+		{"second-merge", 200, 1, sweep},
+		{"root-shrink", 30, 0, func(fx *fixture) error {
+			return fx.tree.kern.RetryLoop(nil, func(o *opCtx) error {
+				_, err := fx.tree.kern.Absorb(o, &rootShrink{t: fx.tree})
+				return err
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := fault.New(1)
+			fx := seedFree(t, freeCase{forceAA: true}, inj, tc.n)
+			if tc.name == "root-shrink" {
+				if err := sweep(fx); err != nil { // leaves the root one child
+					t.Fatal(err)
+				}
+			}
+			want, merged := fx.contents(t), fx.tree.Stats.Consolidations.Load()
+			inj.Arm(wal.FPSync, fault.Spec{Kind: fault.Permanent, Count: -1, After: tc.merges + 1})
+			pitreetest.FailedCommitReturns(t, func() error { return tc.free(fx) })
+			if got := fx.tree.Stats.Consolidations.Load() - merged; got != tc.merges {
+				t.Fatalf("%d merges committed before the failure, want %d", got, tc.merges)
+			}
+			fx.e.Opts.Injector = nil
+			fx2 := fx.crashRestart(t, nil)
+			fx2.mustVerify(t)
+			pitreetest.FreeIffUnlinked(t, fx2.tree.kern, fx2.tree.store)
+			sameContents(t, "after restart", fx2.contents(t), want)
+		})
+	}
+}

@@ -450,6 +450,12 @@ func (t *Tree) oracleTryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, s
 		b.N.absorb(c.N)
 		b.N.High = c.N.High
 		b.N.Right = c.N.Right
+		// The parent loses c's term beside the move, in the order merge.Cut
+		// logs it. The caller's sweep keeps the parent latched across
+		// pairs, so an abort's undo here would wait for that latch: the
+		// oracle runs only where nothing fails.
+		aa.LogUpdate(parent.F, KindRemoveIndexTerm, appendTerm(nil, cEntry.Key, cEntry.Child))
+		parent.N.recs.Delete(cIdx)
 
 		if err := t.oracleFreeNode(o, aa, &c); err != nil {
 			return err
@@ -457,11 +463,6 @@ func (t *Tree) oracleTryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, s
 		if err := t.store.Pool.Probe(storage.FPConsolidate); err != nil {
 			return err
 		}
-		// The parent is changed last, once nothing can fail any more: it
-		// stays latched by the caller's sweep, so an abort's undo — which
-		// X-latches every page it compensates — must never reach it.
-		aa.LogUpdate(parent.F, KindRemoveIndexTerm, appendTerm(nil, cEntry.Key, cEntry.Child))
-		parent.N.recs.Delete(cIdx)
 		return nil
 	})
 	if err != nil {
@@ -485,6 +486,29 @@ func (t *Tree) oracleTryMerge(o *opCtx, parent *nref, bIdx, cIdx int) (merged, s
 		t.scheduleConsolidate(junction)
 	}
 	return true, false, nil
+}
+
+// oracleSweep is the merge sweep as it was written before Absorb, with no
+// batch budget: it X-latches the parent of c's term once and tries the
+// pairs from c's left neighbour to the parent's last term under that hold.
+func (t *Tree) oracleSweep(o *opCtx, c consolidateTask) error {
+	parent, err := t.descendTo(o, c.low, c.level+1, latch.U, false, nil)
+	if err != nil {
+		return err
+	}
+	o.Promote(&parent)
+	defer o.Release(&parent)
+	i, _ := parent.N.search(c.low)
+	for idx := max(i-1, 0); idx+1 < parent.N.Len(); {
+		merged, stop, err := t.oracleTryMerge(o, &parent, idx, idx+1)
+		if err != nil || stop {
+			return err
+		}
+		if !merged {
+			idx++
+		}
+	}
+	return nil
 }
 
 // oracleShrinkRoot reduces tree height by absorbing the root's single remaining

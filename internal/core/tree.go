@@ -74,8 +74,8 @@ type Options struct {
 }
 
 // mergeBatch bounds how many adjacent-pair merges one consolidation
-// task may commit under a single parent X hold, amortizing the parent
-// latch and descent over several merges.
+// task may commit, each its own action, before it hands the rest of its
+// parent to a continuation task.
 const mergeBatch = 4
 
 // minEntries is the fill below which a node of the given capacity is

@@ -91,6 +91,20 @@ func (t *Tracker) Released(l *Latch) {
 	panic("latch: Released on unheld latch")
 }
 
+// Holds reports whether the operation holds l in any mode; false when
+// checking is off, as it knows nothing then.
+func (t *Tracker) Holds(l *Latch) bool {
+	if t == nil || !t.Enabled {
+		return false
+	}
+	for _, h := range t.held {
+		if h.l == l {
+			return true
+		}
+	}
+	return false
+}
+
 // Reset prepares the tracker for reuse by a new operation, keeping the
 // held-slice capacity so pooled operation contexts stay allocation-free.
 func (t *Tracker) Reset(enabled bool) {

@@ -16,8 +16,7 @@ type Absorber[N any] interface {
 	// Survivors latches the nodes that stay, each handed to o.Hold, and
 	// re-tests them: parents before children, each promoted to X before
 	// the next is latched (§4.1.1). It returns the page to free and its
-	// level, or NilPage when a re-test failed. A parent the caller keeps
-	// latched across actions is not held.
+	// level, or NilPage when a re-test failed.
 	Survivors(o *Op[N]) (victim storage.PageID, level int, err error)
 	// Victim re-tests the victim, U-latched behind the survivors: a failed
 	// re-test never waits out the victim's readers.
@@ -27,11 +26,6 @@ type Absorber[N any] interface {
 	// abandons the action before anything is logged: a move lock that the
 	// No-Wait rule (§4.1.2) forbids waiting for with latches held.
 	Cut(aa *txn.Txn, victim *Ref[N]) (bool, error)
-	// Last changes the parent the caller keeps latched across actions, once
-	// nothing in the action can fail any more: an abort's undo runs under
-	// the action's own latches and must never need one its caller holds. A
-	// no-op for a tree whose parent is a survivor.
-	Last(aa *txn.Txn)
 }
 
 // errAbandoned ends an action whose Cut declined to log.
@@ -50,10 +44,10 @@ var errAbandoned = errors.New("pitree: consolidation abandoned")
 //  4. in one atomic action holding every node: Cut logs and applies the
 //     unlink, the page goes back to the free-space map (Store.Free), and
 //     the failpoint storage.FPConsolidate is probed;
-//  5. only then Last changes a parent the caller holds across actions;
-//  6. commit, then unlatch (Op.Atomic). Redo replays the unlink and the
-//     free, an incomplete action undoes both: a page is free if and only
-//     if it is unlinked.
+//  5. commit, then unlatch (Op.Atomic). Redo replays the unlink and the
+//     free, an incomplete action undoes both — under the latches the
+//     action holds, which are every node it changed: a page is free if
+//     and only if it is unlinked.
 //
 // freed is false when the attempt came to nothing: a failed re-test or a
 // deferral begins no action, and an abandoned Cut aborts an empty one;
@@ -82,11 +76,7 @@ func (k *Kernel[N, K]) Absorb(o *Op[N], a Absorber[N]) (freed bool, err error) {
 		if err := k.s.Store.Free(aa, &o.Tr, pid); err != nil {
 			return err
 		}
-		err := k.s.Store.Pool.Probe(storage.FPConsolidate)
-		if err == nil {
-			a.Last(aa)
-		}
-		return err
+		return k.s.Store.Pool.Probe(storage.FPConsolidate)
 	})
 	if err == errAbandoned {
 		return false, nil

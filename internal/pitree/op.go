@@ -139,7 +139,10 @@ func (o *Op[N]) Promote(r *Ref[N]) {
 //     held latches released, so no other action sees changes that are
 //     about to be undone — or builds on them and commits. Undo compensates
 //     the pages the action changed under the X latches held on them
-//     (txn.Txn.AbortHeld). The error is returned as it came, unless the
+//     (txn.Txn.AbortHeld). Every node an action changes is held, so undo
+//     never waits for a latch the operation keeps; where the tracker
+//     checks (Config.CheckLatchOrder), an undo that would is an error
+//     naming the page. The error is returned as it came, unless the
 //     rollback failed too: the action is then doomed (txn.ErrDoomed) and
 //     that is the error returned, naming body's in its text only, so that
 //     a retry body asked for cannot restart an operation on a degraded
@@ -156,8 +159,8 @@ func (o *Op[N]) Atomic(body func(aa *txn.Txn) error) error {
 		}
 	}
 	if err == nil {
-		err = aa.CommitHeld(latched)
-	} else if aerr := aa.AbortHeld(latched); aerr != nil {
+		err = aa.CommitHeld(latched, &o.Tr)
+	} else if aerr := aa.AbortHeld(latched, &o.Tr); aerr != nil {
 		err = fmt.Errorf("%s: action failed (%v): %w", o.s.Name, err, aerr)
 	}
 	o.unhold()

@@ -111,6 +111,25 @@ func CutAtFailure(t testing.TB, log *wal.Log, from wal.LSN) (cut wal.LSN, last w
 	return cut, last
 }
 
+// FailedCommitReturns runs free, an action whose commit cannot be forced
+// (ForceOnAACommit and a dead log device), and fails the test unless it
+// returns the failed force within a deadline, rolled back: its rollback
+// ran under the latches the action holds, none of them waited for by its
+// own operation.
+func FailedCommitReturns(t testing.TB, free func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- free() }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, wal.ErrLogFailed) || errors.Is(err, txn.ErrDoomed) {
+			t.Fatalf("free: %v, want the failed force, rolled back", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the free's rollback waits for a latch its own operation holds")
+	}
+}
+
 // FreeIffUnlinked fails the test unless the pages k's walk from the root
 // reaches are exactly the pages st's free-space map holds allocated.
 func FreeIffUnlinked[N, K any](t testing.TB, k *pitree.Kernel[N, K], st *storage.Store) {

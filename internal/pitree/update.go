@@ -328,7 +328,7 @@ func (k *Kernel[N, K]) updateRun(o *Op[N], rs *runs, w LeafWriter[N, K]) error {
 	if tx == nil {
 		if err != nil && len(ups) == 0 {
 			_ = act.Abort() // nothing logged; an empty abort keeps the log tidy
-		} else if cerr := act.CommitHeld([]*storage.Frame{leaf.F}); cerr != nil {
+		} else if cerr := act.CommitHeld([]*storage.Frame{leaf.F}, &o.Tr); cerr != nil {
 			err = cerr
 		}
 	}

@@ -221,5 +221,3 @@ func (a *absorber) Cut(aa *txn.Txn, _ *nref) (bool, error) {
 	a.parent.N.recs.Delete(a.i)
 	return true, nil
 }
-
-func (*absorber) Last(*txn.Txn) {}

@@ -425,13 +425,14 @@ func TestCompletionHotPathAllocs(t *testing.T) {
 	}
 }
 
-// seedAbsorb fills 300 points and deletes all but the first ten, with
-// completions off from then on, so nothing is absorbed until a test asks.
-func seedAbsorb(t *testing.T) (*fixture, []Point) {
+// seedAbsorb fills 300 points over an engine with eopts and deletes all
+// but the first ten, with completions off from then on, so nothing is
+// absorbed until a test asks.
+func seedAbsorb(t *testing.T, eopts engine.Options) (*fixture, []Point) {
 	t.Helper()
 	opts := smallOpts()
 	opts.Reclaim = true
-	fx := newFixture(t, opts)
+	fx := newEngineFixture(t, eopts, opts)
 	pts := fillPoints(t, fx, rand.New(rand.NewSource(17)), 300)
 	fx.tree.DrainCompletions()
 	fx.tree.opts.NoCompletion = true
@@ -471,7 +472,7 @@ func (fx *fixture) absorbAll(absorb func(absorbCand) (int, error)) error {
 // (kept in oracle_test.go).
 func TestFreeActionLogIdentity(t *testing.T) {
 	run := func(oracle bool) []wal.Record {
-		fx, _ := seedAbsorb(t)
+		fx, _ := seedAbsorb(t, engine.Options{})
 		absorb := fx.tree.absorbAction
 		if oracle {
 			absorb = fx.tree.oracleAbsorbAction
@@ -505,7 +506,7 @@ func TestFreeActionLogIdentity(t *testing.T) {
 func TestCrashInsideFree(t *testing.T) {
 	for _, fp := range []string{storage.FPStoreFree, storage.FPConsolidate} {
 		t.Run(fp, func(t *testing.T) {
-			fx, kept := seedAbsorb(t)
+			fx, kept := seedAbsorb(t, engine.Options{})
 			inj := fault.New(1)
 			fx.tree.store.Pool.SetInjector(inj)
 			inj.Arm(fp, fault.Spec{Kind: fault.Transient})
@@ -526,5 +527,26 @@ func TestCrashInsideFree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFreeCommitFailureRollsBack: an absorb whose commit cannot be forced —
+// ForceOnAACommit and a dead log device — rolls back under the latches its
+// action holds, the parent's among them, and returns the error. A restart
+// then leaves a well-formed tree whose space map matches the log, holding
+// every point it held.
+func TestFreeCommitFailureRollsBack(t *testing.T) {
+	inj := fault.New(1)
+	fx, kept := seedAbsorb(t, engine.Options{Injector: inj, ForceOnAACommit: true})
+	inj.Arm(wal.FPSync, fault.Spec{Kind: fault.Permanent, Count: -1})
+	pitreetest.FailedCommitReturns(t, func() error { return fx.absorbAll(fx.tree.absorbAction) })
+	fx.e.Opts.Injector = nil
+	fx2 := fx.crashRestart(t)
+	fx2.mustVerify(t)
+	pitreetest.FreeIffUnlinked(t, fx2.tree.kern, fx2.tree.store)
+	for i, p := range kept {
+		if v, ok, err := fx2.tree.Search(nil, p); err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
+			t.Fatalf("point %v after restart: %q ok=%v err=%v", p, v, ok, err)
+		}
 	}
 }

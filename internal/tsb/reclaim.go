@@ -149,8 +149,6 @@ func (c *tailCut) Cut(aa *txn.Txn, _ *nref) (bool, error) {
 	return true, nil
 }
 
-func (*tailCut) Last(*txn.Txn) {}
-
 // findTail walks the chain from head (gcMu holds interior nodes
 // immutable) and returns the last node, its referencer, and the facts the
 // caller screens on. tailPid == head means no history.

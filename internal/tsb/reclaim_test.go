@@ -366,13 +366,13 @@ func firstChild(t *testing.T, pool *storage.Pool, pid storage.PageID) storage.Pa
 	return f.Data.(*Node).entry(0).Child
 }
 
-// seedReclaim churns eight keys into history chains and retires what lies
-// below the horizon, returning the chain heads: each chain's retired tail
-// is left for a test to reclaim.
-func seedReclaim(t *testing.T) (*fixture, []storage.PageID) {
+// seedReclaim churns eight keys into history chains over an engine with
+// eopts and retires what lies below the horizon, returning the chain
+// heads: each chain's retired tail is left for a test to reclaim.
+func seedReclaim(t *testing.T, eopts engine.Options) (*fixture, []storage.PageID) {
 	t.Helper()
 	opts := smallOpts()
-	fx := newFixture(t, opts)
+	fx := newEngineFixture(t, eopts, opts)
 	churn(t, fx, 8, 0, 60)
 	fx.tree.DrainCompletions()
 	var heads []storage.PageID
@@ -415,7 +415,7 @@ func reclaimAll(heads []storage.PageID, reclaim func(head storage.PageID) (int, 
 // oracle_test.go).
 func TestFreeActionLogIdentity(t *testing.T) {
 	run := func(oracle bool) []wal.Record {
-		fx, heads := seedReclaim(t)
+		fx, heads := seedReclaim(t, engine.Options{})
 		reclaim := fx.tree.reclaimTail
 		if oracle {
 			reclaim = fx.tree.oracleReclaimTail
@@ -448,7 +448,7 @@ func TestFreeActionLogIdentity(t *testing.T) {
 func TestCrashInsideFree(t *testing.T) {
 	for _, fp := range []string{storage.FPStoreFree, storage.FPConsolidate} {
 		t.Run(fp, func(t *testing.T) {
-			fx, heads := seedReclaim(t)
+			fx, heads := seedReclaim(t, engine.Options{})
 			inj := fault.New(1)
 			fx.tree.store.Pool.SetInjector(inj)
 			inj.Arm(fp, fault.Spec{Kind: fault.Transient})
@@ -469,5 +469,25 @@ func TestCrashInsideFree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFreeCommitFailureRollsBack: a tail cut whose commit cannot be forced —
+// ForceOnAACommit and a dead log device — rolls back under the latches its
+// action holds and returns the error. A restart then leaves a well-formed
+// tree whose space map matches the log, every key reading its last value.
+func TestFreeCommitFailureRollsBack(t *testing.T) {
+	inj := fault.New(1)
+	fx, heads := seedReclaim(t, engine.Options{Injector: inj, ForceOnAACommit: true})
+	inj.Arm(wal.FPSync, fault.Spec{Kind: fault.Permanent, Count: -1})
+	pitreetest.FailedCommitReturns(t, func() error { return reclaimAll(heads, fx.tree.reclaimTail) })
+	fx.e.Opts.Injector = nil
+	fx2 := fx.restartFrom(t, fx.e.Crash(nil))
+	fx2.mustVerify(t)
+	pitreetest.FreeIffUnlinked(t, fx2.tree.kern, fx2.tree.store)
+	for i := 0; i < 8; i++ {
+		if v, ok, err := fx2.tree.Get(nil, keys.Uint64(uint64(i))); err != nil || !ok || string(v) != "r59" {
+			t.Fatalf("key %d after restart: %q ok=%v err=%v", i, v, ok, err)
+		}
 	}
 }

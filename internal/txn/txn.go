@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
+	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -163,8 +164,11 @@ type Txn struct {
 	// touches it (lock acquisition and commit), so it needs no lock.
 	depLSN uint64
 	// latched are the frames the caller of AbortHeld or CommitHeld holds
-	// X-latched for the rollback; only the aborting goroutine touches it.
+	// X-latched for the rollback, and tracker the latches its operation
+	// holds, when it checks them; only the aborting goroutine touches
+	// either.
 	latched []*storage.Frame
+	tracker *latch.Tracker
 }
 
 // OnCommit registers fn to run after the transaction commits and its locks
@@ -644,9 +648,12 @@ func (t *Txn) Abort() error {
 // latches on frames, the pages the action changed: undo compensates those
 // pages under the caller's latches instead of taking its own, so no other
 // operation sees the action's changes before they are undone. A page
-// outside frames — a store's meta page — undo latches itself.
-func (t *Txn) AbortHeld(frames []*storage.Frame) error {
-	t.latched = frames
+// outside frames — a store's meta page — undo latches itself, unless tr,
+// the caller's latch tracker, says the caller holds it: that undo is an
+// error rather than a wait for itself (a disabled or nil tr knows
+// nothing).
+func (t *Txn) AbortHeld(frames []*storage.Frame, tr *latch.Tracker) error {
+	t.latched, t.tracker = frames, tr
 	return t.Abort()
 }
 
@@ -654,8 +661,8 @@ func (t *Txn) AbortHeld(frames []*storage.Frame) error {
 // latches on frames: a commit whose force fails rolls the action back
 // (Commit), and that rollback compensates those pages under the caller's
 // latches, as AbortHeld's does.
-func (t *Txn) CommitHeld(frames []*storage.Frame) error {
-	t.latched = frames
+func (t *Txn) CommitHeld(frames []*storage.Frame, tr *latch.Tracker) error {
+	t.latched, t.tracker = frames, tr
 	return t.Commit()
 }
 
@@ -799,8 +806,12 @@ func (t *Txn) undoOne(rec *wal.Record) error {
 	// pageLSN guard would then drop the lower-LSN compensation from the
 	// buffered page. Restart's concurrent loser-undo workers hit exactly
 	// that interleaving. A page the aborting caller holds latched
-	// (AbortHeld) is latched already.
+	// (AbortHeld) is latched already; one its operation holds otherwise
+	// would be waited for by that operation itself.
 	if !slices.Contains(t.latched, f) {
+		if t.tracker.Holds(&f.Latch) {
+			return fmt.Errorf("txn %d: undo of kind %d on page %d needs a latch its own operation holds", t.ID, rec.Kind, rec.PageID)
+		}
 		f.Latch.AcquireX()
 		defer f.Latch.ReleaseX()
 	}
