@@ -140,7 +140,7 @@ walcpu:
 ## on another's replay, and an eviction that drops a page while another
 ## shard scans the elided entries, need a second CPU to meet.
 elide:
-	$(GO) test -cpu 1,2,4 -count 10 ./internal/storage -run 'TestPoolModel|TestElide'
+	$(GO) test -cpu 1,2,4 -count 10 ./internal/storage -run 'TestPoolModel|TestElide|TestPrefetch'
 	$(GO) test -cpu 1,2,4 -count 10 ./internal/engine -run 'TestElidedPageHoldsHorizon|TestCloseLeavesNothingElided'
 
 ## pagefile: the page file's tests at -cpu 1,2,4, repeated (the model-based

@@ -317,11 +317,14 @@ func (Codec) AppendPage(dst []byte, v any) ([]byte, error) {
 func (Codec) DecodePage(b []byte) (any, error) { return decNodeImage(b) }
 
 // SuccessorHint implements storage.SuccessorCodec: a leaf's scan-order
-// successor is its side pointer, which is what RangeScan follows. Index
-// nodes return no hint — read-ahead chains along the leaf level only.
-func (Codec) SuccessorHint(data any) storage.PageID {
-	if n, ok := data.(*Node); ok && n.Level == 0 {
-		return n.Right
+// successor is its side pointer, which is what RangeScan follows, unless
+// the leaf covers the scan's end (its high bound is at or past end), where
+// a RangeScan to end stops. Index nodes return no hint — read-ahead
+// chains along the leaf level only.
+func (Codec) SuccessorHint(data any, end []byte) storage.PageID {
+	n, ok := data.(*Node)
+	if !ok || n.Level != 0 || end != nil && !n.High.LessHigh(keys.Bound{Key: end}) {
+		return storage.NilPage
 	}
-	return storage.NilPage
+	return n.Right
 }

@@ -465,7 +465,7 @@ func (t *Tree) consolidationFor(r *nref) (consolidateTask, bool) {
 // uncommitted writer left; what was delivered is repeatable, and there is
 // no phantom protection. Keys and values passed to fn are copies.
 func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
-	return t.kern.Scan(tx, keys.Clone(lo), &rangeScan{t: t, hi: hi, fn: fn})
+	return t.kern.Scan(tx, keys.Clone(lo), hi, &rangeScan{t: t, hi: hi, fn: fn})
 }
 
 // rangeScan is RangeScan's side of the kernel's leaf walk

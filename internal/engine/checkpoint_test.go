@@ -56,6 +56,7 @@ func TestCloseCompactsPageFile(t *testing.T) {
 	e.RegisterCloser(tree.Close)
 	const records = 20_000
 	want := make([][]byte, records)
+	filler := keys.Uint64(records) // past the checked keys
 	put := func(step uint64, round int, insert bool) {
 		t.Helper()
 		for k := uint64(0); k < records; k += 100 * step {
@@ -70,6 +71,23 @@ func TestCloseCompactsPageFile(t *testing.T) {
 					t.Fatal(err)
 				}
 				want[i] = v
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Log a redo window past the round, so its checkpoint finds every
+		// page the round dirtied due and writes it: the next round's
+		// rewrites then supersede those images.
+		from := e.Log.EndLSN()
+		for i := 0; e.Log.EndLSN() <= from+wbWindow; i++ {
+			op := tree.Update
+			if insert && i == 0 {
+				op = tree.Insert
+			}
+			tx := e.TM.Begin()
+			if err := op(tx, filler, bytes.Repeat([]byte{byte(i)}, 1000)); err != nil {
+				t.Fatal(err)
 			}
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
@@ -367,12 +385,16 @@ func TestCheckpointWriteBackStopsOnPermanentFault(t *testing.T) {
 		pid := storage.PageID(2 + i)
 		v.put(pid, val256(pid, 0))
 	}
-	// Every page above predates this checkpoint, so the next one owes them
-	// all a write.
+	// Every page above is inside the window: this checkpoint leaves them
+	// dirty. A window of log past them makes them all due at the next.
 	if _, err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	v.logPastWindow(storage.PageID(2 + 3*maxWriteBackPerTick))
 	before := e.WriteBackStats()
+	if before.Flushed != 0 {
+		t.Fatalf("the checkpoint wrote in-window pages: %+v", before)
+	}
 	inj.Arm(storage.FPDiskWrite, fault.Spec{Kind: fault.Permanent, Count: -1})
 	done := make(chan error, 1)
 	go func() {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -100,6 +101,17 @@ func (v *wbEnv) put(pid storage.PageID, val []byte) {
 	}
 }
 
+// logPastWindow puts 2 000-byte values to pid until the log has grown by
+// more than one redo window, so every page dirtied before the call is
+// due under the write-back rule.
+func (v *wbEnv) logPastWindow(pid storage.PageID) {
+	v.t.Helper()
+	from := v.e.Log.EndLSN()
+	for round := 0; v.e.Log.EndLSN() <= from+wbWindow; round++ {
+		v.put(pid, bytes.Repeat([]byte{byte(round)}, 2000))
+	}
+}
+
 func (v *wbEnv) read(pid storage.PageID) string {
 	v.t.Helper()
 	f, err := v.st.Pool.Fetch(pid)
@@ -170,6 +182,36 @@ func TestWriteBackHoldsTheRedoWindow(t *testing.T) {
 	}
 	if after.IdleTicks == ws.IdleTicks || after.SkippedInWindow == ws.SkippedInWindow {
 		t.Fatalf("idle ticks were not short-circuited: %+v -> %+v", ws, after)
+	}
+}
+
+// TestCheckpointLeavesInWindowPageAlone: the redo window is the only
+// write-back rule. A checkpoint taken while a dirty page is inside the
+// window leaves it dirty, a second checkpoint does too, and the first
+// tick after a window of log has passed it writes it.
+func TestCheckpointLeavesInWindowPageAlone(t *testing.T) {
+	v, _ := openWB(t, t.TempDir(), time.Hour) // ticks only when the test calls them
+	defer v.e.Close()
+	v.put(2, []byte("in window"))
+	dirty := func() bool { _, ok := v.st.Pool.DirtyPages()[2]; return ok }
+	for i := 0; i < 2; i++ {
+		if _, err := v.e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if ws := v.e.WriteBackStats(); !dirty() || ws.Flushed != 0 {
+			t.Fatalf("checkpoint %d wrote an in-window page: dirty %v, %+v", i+1, dirty(), ws)
+		}
+	}
+	v.logPastWindow(3)
+	if !dirty() {
+		t.Fatal("page 2 was written with no tick and no checkpoint")
+	}
+	v.e.bg.tick()
+	if ws := v.e.WriteBackStats(); dirty() || ws.Flushed == 0 {
+		t.Fatalf("the tick left page 2 dirty out of the window: %+v", ws)
+	}
+	if got := v.read(2); got != "in window" {
+		t.Fatalf("page 2 = %q", got)
 	}
 }
 

@@ -532,3 +532,52 @@ func BoundedTwin(t *testing.T, seed int64, capacity, ops, keySpace int, open fun
 		t.Fatalf("the bounded twin scans %d entries, the unbounded one %d; they differ", len(scans[0]), len(scans[1]))
 	}
 }
+
+// ScanReadAhead holds a tree's scan read-ahead to the scan's end. pool is
+// the tree's store pool with read-ahead enabled at window; low holds the
+// low key of each leaf of the tree's leaf chain in key order (low[0] is
+// the chain's first leaf and is not used), and every one of those leaves
+// is cold. scan(lo, hi, first) scans the tree from lo to hi (exclusive;
+// nil for no end), delivering only the first key when first is set.
+//
+// A scan from low[1] to low[4] reads leaves 1 to 3, so read-ahead may read
+// at most leaves 2 and 3: nothing past the leaf whose high bound is the
+// end. A scan with no end that stops at its first key still has its
+// successor warmed and walked for a full window of reads.
+func ScanReadAhead(t testing.TB, pool *storage.Pool, window int, low [][]byte, scan func(lo, hi []byte, first bool) error) {
+	t.Helper()
+	if len(low) < 12+window {
+		t.Fatalf("a leaf chain of %d leaves; want at least %d", len(low), 12+window)
+	}
+	issued := func() int64 { return pool.Stats().PrefetchIssued }
+	// settled waits until the prefetcher has issued no read for 20 ms.
+	settled := func() int64 {
+		last := issued()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+			time.Sleep(20 * time.Millisecond)
+			cur := issued()
+			if cur == last {
+				return cur
+			}
+			last = cur
+		}
+		t.Fatalf("read-ahead never settled: %d reads", last)
+		return 0
+	}
+	if err := scan(low[1], low[4], false); err != nil {
+		t.Fatal(err)
+	}
+	if got := settled(); got > 2 {
+		t.Fatalf("a scan over leaves 1 to 3 read ahead %d leaves; want at most 2, none past its end", got)
+	}
+	before := issued()
+	if err := scan(low[10], nil, true); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); issued()-before < int64(window) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := settled() - before; got != int64(window) {
+		t.Fatalf("a scan with no end read ahead %d leaves; want the full window of %d", got, window)
+	}
+}

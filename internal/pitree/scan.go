@@ -1,6 +1,8 @@
 package pitree
 
 import (
+	"bytes"
+
 	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/storage"
@@ -37,13 +39,20 @@ type Scanner[N, K any] interface {
 //     under the No-Wait rule (§4.1.2): when one must be waited for, the
 //     latch goes first and the attempt then re-descends and collects
 //     again, so every value delivered was read under its lock;
-//  4. hand the successor leaf to read-ahead, and unlatch;
+//  4. hand the successor leaf to read-ahead with the scan's end, and
+//     unlatch;
 //  5. Emit, with no latch held, and continue at the leaf's high bound.
 //
 // The locks are held to transaction end: what was delivered is
 // repeatable, and nothing guards the gaps between keys — no phantom
 // protection (DESIGN.md §16). Without a transaction nothing is locked.
-func (k *Kernel[N, K]) Scan(tx *txn.Txn, from K, s Scanner[N, K]) error {
+//
+// end is the scan's exclusive end key as the store's codec reads it
+// (storage.SuccessorCodec), nil for a scan with none: read-ahead walks no
+// further than the leaf that covers it. Scan hands read-ahead its own
+// copy, so the caller may reuse end's bytes once Scan returns.
+func (k *Kernel[N, K]) Scan(tx *txn.Txn, from K, end []byte, s Scanner[N, K]) error {
+	end = bytes.Clone(end)
 	var names []lock.Name
 	cursor := from
 	for {
@@ -67,7 +76,7 @@ func (k *Kernel[N, K]) Scan(tx *txn.Txn, from K, s Scanner[N, K]) error {
 				}
 			}
 			if more {
-				k.s.Store.Pool.PrefetchAsync(succ)
+				k.s.Store.Pool.PrefetchAsync(succ, end)
 			}
 			o.Release(&leaf)
 			return nil

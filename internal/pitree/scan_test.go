@@ -23,7 +23,7 @@ func (toyCodec) AppendPage([]byte, any) ([]byte, error) {
 
 func (toyCodec) DecodePage([]byte) (any, error) { return nil, errors.New("toy: pages are never read") }
 
-func (c toyCodec) SuccessorHint(data any) storage.PageID {
+func (c toyCodec) SuccessorHint(data any, _ []byte) storage.PageID {
 	if c.ty.warmed != nil {
 		c.ty.warmed <- data.(*toyNode)
 	}
@@ -107,7 +107,7 @@ func TestScanCrossesUnpostedSibling(t *testing.T) {
 	ty := newToy(t, false, false)
 	want := fillAll(t, ty)
 	s := &toyScan{}
-	if err := ty.kern.Scan(nil, 0, s); err != nil {
+	if err := ty.kern.Scan(nil, 0, nil, s); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(keysOf(s.got), want) || s.collects != 4 {
@@ -124,7 +124,7 @@ func TestScanStopsWhenEmitSays(t *testing.T) {
 	ty := newToy(t, false, false)
 	fillAll(t, ty)
 	s := &toyScan{stop: 3}
-	if err := ty.kern.Scan(nil, 0, s); err != nil {
+	if err := ty.kern.Scan(nil, 0, nil, s); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(keysOf(s.got), []int{10, 20, 60}) || s.collects != 2 {
@@ -159,7 +159,7 @@ func TestScanReadsAhead(t *testing.T) {
 			return
 		}
 	}}
-	if err := ty.kern.Scan(nil, 0, s); err != nil {
+	if err := ty.kern.Scan(nil, 0, nil, s); err != nil {
 		t.Fatal(err)
 	}
 	if want := []storage.PageID{toyLeafB, toyLeafC, toyLeafD}; !slices.Equal(warmed, want) {
@@ -187,7 +187,7 @@ func TestScanLocksLeafOnce(t *testing.T) {
 			t.Fatalf("leaf of %d keys: grants %d → %d", n, asked[len(asked)-1], got)
 		}
 	}
-	if err := ty.kern.Scan(tx, 0, s); err != nil {
+	if err := ty.kern.Scan(tx, 0, nil, s); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(keysOf(s.got), want) || len(asked) != len(want) {
@@ -221,7 +221,7 @@ func TestScanRereadsAfterWait(t *testing.T) {
 	}
 	s := &toyScan{}
 	done := make(chan error, 1)
-	go func() { done <- ty.kern.Scan(tx, 0, s) }()
+	go func() { done <- ty.kern.Scan(tx, 0, nil, s) }()
 
 	deadline := time.Now().Add(toyWaitForBlocking)
 	for waits, _ := ty.lm.Stats(); waits == 0; waits, _ = ty.lm.Stats() {

@@ -18,7 +18,7 @@ func (chainCodec) AppendPage(dst []byte, v any) ([]byte, error) {
 func (chainCodec) DecodePage(b []byte) (any, error) {
 	return append([]byte(nil), b...), nil
 }
-func (chainCodec) SuccessorHint(data any) PageID {
+func (chainCodec) SuccessorHint(data any, _ []byte) PageID {
 	b, ok := data.([]byte)
 	if !ok || len(b) < 8 {
 		return NilPage
@@ -50,7 +50,7 @@ func TestPrefetchChainWalksSuccessors(t *testing.T) {
 
 	p.EnablePrefetch(8)
 	defer p.StopPrefetch()
-	p.PrefetchAsync(1)
+	p.PrefetchAsync(1, nil)
 
 	deadline := time.Now().Add(2 * time.Second)
 	for p.Stats().PrefetchIssued < 8 && time.Now().Before(deadline) {

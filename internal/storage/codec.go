@@ -23,11 +23,14 @@ type Codec interface {
 // SuccessorCodec is an optional Codec extension for scan read-ahead: it
 // extracts the forward side pointer from a decoded page so the pool's
 // prefetcher can chain along a scan's traversal order without help from
-// the access method. Return NilPage when the page has no successor (or
-// is not a scannable leaf). The pool calls it under the frame's S latch;
-// the implementation must only read data.
+// the access method. end is the scan's exclusive end key, nil for a scan
+// with none. Return NilPage when the page has no successor (or is not a
+// scannable leaf), or when it covers end — its high bound is at or past
+// end — so the walk stops at the last leaf the scan reads. The pool
+// calls it under the frame's S latch; the implementation must only read
+// data.
 type SuccessorCodec interface {
-	SuccessorHint(data any) PageID
+	SuccessorHint(data any, end []byte) PageID
 }
 
 // Page images on disk are framed as:

@@ -12,17 +12,18 @@ const FPPoolPrefetch = "pool.prefetch"
 
 // prefetcher is the pool's bounded-window async read-ahead worker. Scans
 // feed it leaf successor hints (the next leaf's page ID, known from the
-// current leaf's side pointer). A single-step hint arrives only a
-// callback's width ahead of the foreground fetch — too late to hide a
-// disk read — so the worker treats each hint as a chain seed: it walks
-// the side-pointer chain (via the codec's SuccessorHint, when the codec
-// provides one) up to `depth` pages past the scan's position, reading
-// ahead of the foreground rather than trailing it. Hints that arrive
-// while the worker is mid-chain are dropped rather than queued —
-// read-ahead is advisory and must never apply backpressure to the scan
-// driving it.
+// current leaf's side pointer) with the scan's end key. A single-step
+// hint arrives only a callback's width ahead of the foreground fetch —
+// too late to hide a disk read — so the worker treats each hint as a
+// chain seed: it walks the side-pointer chain (via the codec's
+// SuccessorHint, when the codec provides one) up to `depth` pages past
+// the scan's position, reading ahead of the foreground rather than
+// trailing it, and no further than the leaf that covers the scan's end.
+// Hints that arrive while the worker is mid-chain are dropped rather
+// than queued — read-ahead is advisory and must never apply backpressure
+// to the scan driving it.
 type prefetcher struct {
-	req   chan PageID
+	req   chan prefetchReq
 	done  chan struct{}
 	depth int
 	wg    sync.WaitGroup
@@ -37,7 +38,7 @@ func (p *Pool) EnablePrefetch(window int) {
 		return
 	}
 	pf := &prefetcher{
-		req:   make(chan PageID, window),
+		req:   make(chan prefetchReq, window),
 		done:  make(chan struct{}),
 		depth: window,
 	}
@@ -49,7 +50,7 @@ func (p *Pool) EnablePrefetch(window int) {
 			select {
 			case <-pf.done:
 				return
-			case pid := <-pf.req:
+			case r := <-pf.req:
 				// Drain to the newest hint: queued hints are stale
 				// position fixes from leaves the scan already passed,
 				// and a chain from a stale seed spends its whole step
@@ -59,12 +60,12 @@ func (p *Pool) EnablePrefetch(window int) {
 			drain:
 				for {
 					select {
-					case pid = <-pf.req:
+					case r = <-pf.req:
 					default:
 						break drain
 					}
 				}
-				p.prefetchChain(pid, pf)
+				p.prefetchChain(r, pf)
 			}
 		}
 	}()
@@ -82,15 +83,24 @@ func (p *Pool) StopPrefetch() {
 	pf.wg.Wait()
 }
 
-// PrefetchAsync requests an async read-ahead of pid. Non-blocking: with
+// prefetchReq is one read-ahead hint: the page to warm and the end key
+// of the scan that gave it.
+type prefetchReq struct {
+	pid PageID
+	end []byte
+}
+
+// PrefetchAsync requests an async read-ahead of pid for a scan that ends
+// at end (exclusive; nil: no end). The worker reads end after the call
+// returns, so the caller must not change its bytes. Non-blocking: with
 // prefetching disabled, pid nil, or the window full, the hint is dropped.
-func (p *Pool) PrefetchAsync(pid PageID) {
+func (p *Pool) PrefetchAsync(pid PageID, end []byte) {
 	pf := p.pf
 	if pf == nil || pid == NilPage {
 		return
 	}
 	select {
-	case pf.req <- pid:
+	case pf.req <- prefetchReq{pid, end}:
 	default:
 		// Window full: the worker is behind; dropping the hint just means
 		// the scan's own fetch does the read synchronously.
@@ -112,16 +122,18 @@ func (p *Pool) PrefetchAsync(pid PageID) {
 // warmed pages until the scan arrives (an uncapped walk laps the scan
 // and its pages are evicted unconsumed). The walk also stops at the
 // chain's end, at the first failed read, or when the codec cannot
-// supply successors (chain length 1 — the single-page behavior).
-func (p *Pool) prefetchChain(pid PageID, pf *prefetcher) {
-	issued := 0
+// supply successors (chain length 1 — the single-page behavior), and
+// after the page that covers the scan's end: the codec gives no
+// successor past it.
+func (p *Pool) prefetchChain(r prefetchReq, pf *prefetcher) {
+	pid, issued := r.pid, 0
 	for steps := 0; issued < pf.depth && steps < pf.depth*2 && pid != NilPage; steps++ {
 		select {
 		case <-pf.done:
 			return
 		default:
 		}
-		next, didIO, ok := p.warmOne(pid)
+		next, didIO, ok := p.warmOne(pid, r.end)
 		if !ok {
 			return
 		}
@@ -133,13 +145,13 @@ func (p *Pool) prefetchChain(pid PageID, pf *prefetcher) {
 }
 
 // warmOne makes pid resident (reading it from disk if needed) and
-// returns its successor page for the chain walk. A page read here is
-// tagged so the foreground fetch that consumes it counts as a prefetch
-// hit. A failed read (injected or real) only counts as wasted — the
+// returns its successor page for the chain walk toward end. A page read
+// here is tagged so the foreground fetch that consumes it counts as a
+// prefetch hit. A failed read (injected or real) only counts as wasted — the
 // foreground path repeats it and owns the error. didIO reports whether
 // a read was issued; ok is false when the walk cannot continue (read
 // failed or faulted).
-func (p *Pool) warmOne(pid PageID) (next PageID, didIO, ok bool) {
+func (p *Pool) warmOne(pid PageID, end []byte) (next PageID, didIO, ok bool) {
 	f := p.peek(pid)
 	if f == nil {
 		if err := p.inj.Check(FPPoolPrefetch); err != nil {
@@ -162,7 +174,7 @@ func (p *Pool) warmOne(pid PageID) (next PageID, didIO, ok bool) {
 		// The successor lives in the decoded page, which writers mutate
 		// under the frame's X latch; a brief S hold makes the read safe.
 		f.Latch.AcquireS()
-		next = sc.SuccessorHint(f.Data)
+		next = sc.SuccessorHint(f.Data, end)
 		f.Latch.ReleaseS()
 	}
 	p.Unpin(f)

@@ -43,7 +43,7 @@ func TestPrefetchWarmsAndCounts(t *testing.T) {
 	p.EnablePrefetch(4)
 	defer p.StopPrefetch()
 
-	p.PrefetchAsync(3)
+	p.PrefetchAsync(3, nil)
 	waitPrefetch(t, p, 3)
 	st := p.Stats()
 	if st.PrefetchIssued != 1 {
@@ -70,16 +70,16 @@ func TestPrefetchWarmsAndCounts(t *testing.T) {
 	}
 
 	// Prefetching a resident page is a no-op.
-	p.PrefetchAsync(3)
+	p.PrefetchAsync(3, nil)
 	time.Sleep(10 * time.Millisecond)
 	if st := p.Stats(); st.PrefetchIssued != 1 {
 		t.Fatalf("resident prefetch issued a read: %d", st.PrefetchIssued)
 	}
 
 	// NilPage and disabled-pool hints are dropped silently.
-	p.PrefetchAsync(NilPage)
+	p.PrefetchAsync(NilPage, nil)
 	p.StopPrefetch()
-	p.PrefetchAsync(5)
+	p.PrefetchAsync(5, nil)
 	p.StopPrefetch() // idempotent
 }
 
@@ -97,7 +97,7 @@ func TestPrefetchFaultDegradesToSyncFetch(t *testing.T) {
 	defer p.StopPrefetch()
 
 	inj.Arm(FPPoolPrefetch, fault.Spec{Kind: fault.Transient, Count: -1})
-	p.PrefetchAsync(2)
+	p.PrefetchAsync(2, nil)
 	deadline := time.Now().Add(2 * time.Second)
 	for p.Stats().PrefetchWasted == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -138,7 +138,7 @@ func TestPrefetchEvictedBeforeUseCountsWasted(t *testing.T) {
 	p.EnablePrefetch(2)
 	defer p.StopPrefetch()
 
-	p.PrefetchAsync(1)
+	p.PrefetchAsync(1, nil)
 	waitPrefetch(t, p, 1)
 	// Flood the tiny pool so the warmed frame is evicted unused.
 	for i := 2; i <= 6; i++ {

@@ -59,7 +59,7 @@ type gcVictim struct {
 // committed time splits; RunGC is the on-demand whole-tree form.
 func (t *Tree) RunGC() (int, error) {
 	g := &gcSweep{t: t}
-	err := t.kern.Scan(nil, point{nil, NoEnd - 1}, g)
+	err := t.kern.Scan(nil, point{nil, NoEnd - 1}, nil, g)
 	return g.retired, err
 }
 

@@ -635,11 +635,13 @@ func (Codec) DecodePage(b []byte) (any, error) { return decNodeImage(b) }
 
 // SuccessorHint implements storage.SuccessorCodec: a data node's
 // key-order successor is its key sibling, the pointer a key-ordered
-// scan at any time slice follows next. Index nodes and retired pages
-// return no hint.
-func (Codec) SuccessorHint(data any) storage.PageID {
-	if n, ok := data.(*Node); ok && n.IsData() && !n.Retired {
-		return n.KeySib
+// scan at any time slice follows next, unless the node covers the scan's
+// end (its key high bound is at or past end), where a scan to end stops.
+// Index nodes and retired pages return no hint.
+func (Codec) SuccessorHint(data any, end []byte) storage.PageID {
+	n, ok := data.(*Node)
+	if !ok || !n.IsData() || n.Retired || end != nil && !n.Rect.KeyHigh.LessHigh(keys.Bound{Key: end}) {
+		return storage.NilPage
 	}
-	return storage.NilPage
+	return n.KeySib
 }

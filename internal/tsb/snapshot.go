@@ -127,7 +127,7 @@ func (t *Tree) snapshotGetOnce(snap *txn.Snapshot, key keys.Key, buf []byte) ([]
 // copies.
 func (t *Tree) SnapshotScan(snap *txn.Snapshot, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
 	t.Stats.SnapshotScans.Add(1)
-	return t.kern.Scan(nil, point{keys.Clone(lo), NoEnd - 1}, &keyScan{t: t, hi: hi, fn: fn, snap: snap})
+	return t.kern.Scan(nil, point{keys.Clone(lo), NoEnd - 1}, hi, &keyScan{t: t, hi: hi, fn: fn, snap: snap})
 }
 
 // keyScan is ScanAsOf's and SnapshotScan's side of the kernel's leaf walk

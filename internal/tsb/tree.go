@@ -522,7 +522,7 @@ func (t *Tree) GetAsOf(tx *txn.Txn, key keys.Key, time uint64) ([]byte, bool, er
 // order. hi may be nil for an unbounded scan. Keys and values passed to fn
 // are copies.
 func (t *Tree) ScanAsOf(time uint64, lo, hi keys.Key, fn func(k keys.Key, v []byte) bool) error {
-	return t.kern.Scan(nil, point{keys.Clone(lo), time}, &keyScan{t: t, hi: hi, fn: fn, time: time})
+	return t.kern.Scan(nil, point{keys.Clone(lo), time}, hi, &keyScan{t: t, hi: hi, fn: fn, time: time})
 }
 
 // undoPut is the logical undo of a put (§4.2, §6) as Compensate's items.
