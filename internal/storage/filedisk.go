@@ -685,8 +685,9 @@ type move struct {
 // all of them fit, taken largest first, each into the shortest run that
 // holds it — by an ordinary careful replacement: the frame restaged with
 // seq+1 and the durable base, the old extent to limbo. Then one fsync,
-// which frees limbo, and the file is truncated after its highest elected
-// image. A crash anywhere in it leaves what a crash among Writes leaves:
+// which frees limbo, the file is truncated after its highest elected
+// image, and the old frames left in the free runs below are erased
+// (scrub). A crash anywhere in it leaves what a crash among Writes leaves:
 // every page's synced image intact. No page's bytes change. Each move
 // probes disk.compact, then disk.write as Write does.
 //
@@ -713,18 +714,54 @@ func (d *FileDisk) Compact() error {
 			return err
 		}
 	}
-	start, n := d.free.tail(d.nblocks)
-	if n == 0 {
-		return nil
+	if start, n := d.free.tail(d.nblocks); n > 0 {
+		if d.inj.Crashed() {
+			return fmt.Errorf("storage: truncate after crash: %w", ErrDiskFailed)
+		}
+		if err := d.f.Truncate(d.blockOff(start)); err != nil {
+			return err
+		}
+		d.free.remove(start)
+		d.nblocks = start
 	}
-	if d.inj.Crashed() {
-		return fmt.Errorf("storage: truncate after crash: %w", ErrDiskFailed)
+	return d.scrub()
+}
+
+// scrub erases the header of every intact frame left in a free run. A
+// hole no moved image fills can keep an old frame of a page whose newer
+// image is elected elsewhere: harmless, as a reopen elects the newer, but
+// a census of the closed file would count it stale. Every image is
+// durable and limbo empty by now, so the free runs hold nothing a crash
+// could need.
+func (d *FileDisk) scrub() error {
+	var buf []byte
+	zero := make([]byte, frameHdrLen)
+	for start, n := range d.free.byStart {
+		buf = slices.Grow(buf[:0], int(d.blockOff(n)))[:d.blockOff(n)]
+		m, err := d.f.ReadAt(buf, d.blockOff(start))
+		if err != nil && err != io.EOF {
+			return err
+		}
+		buf = buf[:m]
+		for b := 0; d.blockOff(b) < int64(m); {
+			fr := buf[d.blockOff(b):]
+			h, ok := d.parseHdr(fr)
+			if ok {
+				_, ok = d.content(fr, h)
+			}
+			if !ok {
+				b++
+				continue
+			}
+			if d.inj.Crashed() {
+				return fmt.Errorf("storage: scrub after crash: %w", ErrDiskFailed)
+			}
+			if _, err := d.f.WriteAt(zero, d.blockOff(start+b)); err != nil {
+				return err
+			}
+			b += d.blocks(frameHdrLen + h.n)
+		}
 	}
-	if err := d.f.Truncate(d.blockOff(start)); err != nil {
-		return err
-	}
-	d.free.remove(start)
-	d.nblocks = start
 	return nil
 }
 

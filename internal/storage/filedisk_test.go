@@ -1028,6 +1028,46 @@ func TestFileDiskCompact(t *testing.T) {
 	})
 }
 
+// TestFileDiskCompactScrubsUnfilledHoles: a page rewritten with a larger
+// image leaves its old frame in a hole no image fits, so Compact moves
+// nothing; the closed file still holds no stale frame, and the page
+// reads its newer image after a reopen.
+func TestFileDiskCompactScrubsUnfilledHoles(t *testing.T) {
+	onBoth(t, func(t *testing.T, fs fsys.FS, dir string) {
+		path := filepath.Join(dir, "pages.db")
+		d, err := OpenFileDisk(fs, path, 512) // 32-byte blocks
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{20, 200} { // 2 blocks, then 8
+			if err := d.Write(1, mkImage(1, byte(n), n)); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+		c, err := CensusPageFile(fs, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Stale != 0 || c.Free != 2 || c.Blocks != 1+2+8 {
+			t.Fatalf("census after Compact %+v, want the 2-block hole free and no stale block", c)
+		}
+		if d, err = OpenFileDisk(fs, path, 0); err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if got, ok, err := d.Read(1); err != nil || !ok || !bytes.Equal(got, mkImage(1, 200, 200)) {
+			t.Fatalf("page 1 after Compact and reopen: ok=%v err=%v", ok, err)
+		}
+	})
+}
+
 // fuzzSeedFile writes pages of 1 to 4 blocks to a page file on fs,
 // syncing now and then and tearing a write after each sync, and returns
 // the file's bytes.
