@@ -135,12 +135,13 @@ walcpu:
 
 ## elide: write elision at -cpu 1,2,4, repeated: the pool's model test
 ## (fetch, update, evict, flush, drop, crash and restart against a map,
-## with failing writes and replays), its chain-cap, reuse and broken-chain
-## tests, and the engine's horizon and shutdown tests. A fetch that waits
-## on another's replay, and an eviction that drops a page while another
-## shard scans the elided entries, need a second CPU to meet.
+## with failing writes and replays), its chain-cap, reuse, broken-chain
+## and drop-during-write-back tests, the dirty page table's tests (its
+## heap holds the elided pages too), and the engine's horizon and shutdown
+## tests. A fetch that waits on another's replay, and a Drop that lands
+## while the writer rebuilds the page, need a second CPU to meet.
 elide:
-	$(GO) test -cpu 1,2,4 -count 10 ./internal/storage -run 'TestPoolModel|TestElide|TestPrefetch'
+	$(GO) test -cpu 1,2,4 -count 10 ./internal/storage -run 'TestPoolModel|TestElide|TestPrefetch|TestDirty'
 	$(GO) test -cpu 1,2,4 -count 10 ./internal/engine -run 'TestElidedPageHoldsHorizon|TestCloseLeavesNothingElided'
 
 ## pagefile: the page file's tests at -cpu 1,2,4, repeated (the model-based

@@ -144,7 +144,7 @@ func (a coreTort) scanSome() error {
 
 func coreTortOpts(pessimistic bool, d tortDraws) core.Options {
 	return core.Options{LeafCapacity: 6, IndexCapacity: 6, Consolidation: d.consolidation,
-		CompletionWorkers: 2, PessimisticDescent: pessimistic, Governor: d.governor()}
+		PessimisticDescent: pessimistic, Governor: d.governor()}
 }
 
 // --- TSB-tree adapter ---------------------------------------------------
@@ -178,7 +178,7 @@ func tsbTortOpts(pessimistic bool, d tortDraws) tsb.Options {
 	// GC is on: version garbage collection runs off committed time splits
 	// while the snapshot readers race it, so every round reaps retired
 	// history tails too.
-	return tsb.Options{DataCapacity: 6, IndexCapacity: 6, CompletionWorkers: 2,
+	return tsb.Options{DataCapacity: 6, IndexCapacity: 6,
 		PessimisticDescent: pessimistic, GC: true, Governor: d.governor()}
 }
 
@@ -208,7 +208,7 @@ func (a spatialTort) close()        { a.t.Close() }
 func (a spatialTort) verify() error { _, err := a.t.Verify(); return err }
 
 func spatialTortOpts(pessimistic bool, d tortDraws) spatial.Options {
-	return spatial.Options{DataCapacity: 6, IndexCapacity: 6, CompletionWorkers: 2,
+	return spatial.Options{DataCapacity: 6, IndexCapacity: 6,
 		PessimisticDescent: pessimistic, Reclaim: d.reclaim, Governor: d.governor()}
 }
 

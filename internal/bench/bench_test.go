@@ -83,7 +83,6 @@ func benchmarkSearchDescent(b *testing.B, pessimistic bool) {
 		LeafCapacity:       64,
 		IndexCapacity:      64,
 		Consolidation:      true,
-		CompletionWorkers:  2,
 		PessimisticDescent: pessimistic,
 	})
 	defer pi.Close()

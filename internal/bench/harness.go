@@ -6,8 +6,6 @@
 package bench
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -188,34 +186,6 @@ func Run(kv KV, threads, opsPerThread, preloaded int, mix Mix) Result {
 	}
 	wg.Wait()
 	return Result{Method: kv.Label(), Threads: threads, Ops: threads * opsPerThread, Elapsed: time.Since(start)}
-}
-
-// Table prints a threads-by-method throughput matrix (ops/sec, thousands)
-// with a speedup-vs-1-thread column per method.
-func Table(w io.Writer, title string, threadCounts []int, rows map[string][]Result) {
-	fmt.Fprintf(w, "\n%s\n", title)
-	fmt.Fprintf(w, "%-16s", "method")
-	for _, tc := range threadCounts {
-		fmt.Fprintf(w, "%12s", fmt.Sprintf("%d thr", tc))
-	}
-	fmt.Fprintf(w, "%12s\n", "scale")
-	for method, results := range rows {
-		fmt.Fprintf(w, "%-16s", method)
-		var first, last float64
-		for i, r := range results {
-			ops := r.OpsPerSec()
-			if i == 0 {
-				first = ops
-			}
-			last = ops
-			fmt.Fprintf(w, "%12.1f", ops/1000)
-		}
-		scale := 0.0
-		if first > 0 {
-			scale = last / first
-		}
-		fmt.Fprintf(w, "%11.2fx\n", scale)
-	}
 }
 
 // Method is a comparison-set entry: a named constructor producing a

@@ -53,7 +53,6 @@ func newCompleter(t *Tree) *completer {
 		// foreground is already navigating around.
 		Paced:    func(k task) bool { return k.kind != taskPost },
 		Governor: t.opts.Governor,
-		Workers:  t.opts.CompletionWorkers,
 		Sync:     t.opts.SyncCompletion,
 	})
 }

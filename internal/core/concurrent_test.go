@@ -15,11 +15,10 @@ import (
 // concurrentOpts uses background completion workers, as production would.
 func concurrentOpts() Options {
 	return Options{
-		LeafCapacity:      16,
-		IndexCapacity:     16,
-		Consolidation:     true,
-		CompletionWorkers: 2,
-		CheckLatchOrder:   true,
+		LeafCapacity:    16,
+		IndexCapacity:   16,
+		Consolidation:   true,
+		CheckLatchOrder: true,
 	}
 }
 

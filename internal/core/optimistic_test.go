@@ -15,10 +15,9 @@ import (
 // completion, no latch-order tracking overhead, optimistic descent on.
 func optimisticOpts() Options {
 	return Options{
-		LeafCapacity:      16,
-		IndexCapacity:     16,
-		Consolidation:     true,
-		CompletionWorkers: 2,
+		LeafCapacity:  16,
+		IndexCapacity: 16,
+		Consolidation: true,
 	}
 }
 

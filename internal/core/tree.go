@@ -39,9 +39,6 @@ type Options struct {
 	// after the operation that scheduled them, instead of on background
 	// workers. Deterministic tests use it.
 	SyncCompletion bool
-	// CompletionWorkers is the background completion pool size (ignored
-	// with SyncCompletion). Default 2.
-	CompletionWorkers int
 	// NoCompletion suppresses all scheduled completions; experiment T5
 	// uses it to hold the tree in intermediate states.
 	NoCompletion bool
@@ -117,9 +114,6 @@ func (o Options) normalized() Options {
 	}
 	if o.IndexCapacity < 4 {
 		o.IndexCapacity = 4
-	}
-	if o.CompletionWorkers <= 0 {
-		o.CompletionWorkers = 2
 	}
 	return o
 }
@@ -343,9 +337,6 @@ func (t *Tree) DrainCompletions() {
 
 // Options returns the tree's normalized options.
 func (t *Tree) Options() Options { return t.opts }
-
-// RootPID returns the root's page ID (fixed for the tree's lifetime).
-func (t *Tree) RootPID() storage.PageID { return t.root }
 
 // Store returns the underlying store (verifier and tests use it).
 func (t *Tree) Store() *storage.Store { return t.store }

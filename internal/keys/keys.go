@@ -91,54 +91,6 @@ func ToFloat64(k Key) float64 {
 // lexicographically, so the encoding is the identity copy.
 func String(s string) Key { return Key(s) }
 
-// ToString decodes a key produced by String.
-func ToString(k Key) string { return string(k) }
-
-// Composite concatenates parts into one key using escaped 0x00 separators:
-// 0x00 bytes inside a part are encoded as 0x00 0xFF, and parts are joined
-// with 0x00 0x01. The encoding preserves order part-by-part and never lets
-// a longer first part sort between two keys that share a shorter first part.
-func Composite(parts ...Key) Key {
-	var out Key
-	for i, p := range parts {
-		if i > 0 {
-			out = append(out, 0x00, 0x01)
-		}
-		for _, b := range p {
-			if b == 0x00 {
-				out = append(out, 0x00, 0xFF)
-			} else {
-				out = append(out, b)
-			}
-		}
-	}
-	return out
-}
-
-// SplitComposite undoes Composite, returning the original parts.
-func SplitComposite(k Key) []Key {
-	var parts []Key
-	cur := Key{}
-	for i := 0; i < len(k); i++ {
-		if k[i] == 0x00 && i+1 < len(k) {
-			switch k[i+1] {
-			case 0x01:
-				parts = append(parts, cur)
-				cur = Key{}
-				i++
-				continue
-			case 0xFF:
-				cur = append(cur, 0x00)
-				i++
-				continue
-			}
-		}
-		cur = append(cur, k[i])
-	}
-	parts = append(parts, cur)
-	return parts
-}
-
 // Bound is a one-sided boundary of a key interval. The zero Bound is the
 // interval's "unbounded" side: -infinity for a low bound, +infinity for a
 // high bound, depending on context.
@@ -174,14 +126,6 @@ func (a Bound) ContainsBelow(k Key) bool {
 	return a.Unbounded || Compare(k, a.Key) < 0
 }
 
-// EqualBound reports whether two bounds are identical.
-func (a Bound) EqualBound(b Bound) bool {
-	if a.Unbounded || b.Unbounded {
-		return a.Unbounded == b.Unbounded
-	}
-	return Equal(a.Key, b.Key)
-}
-
 // Interval is the half-open key interval [Low, High). A node's
 // responsibility and its directly-contained space are both Intervals.
 type Interval struct {
@@ -198,17 +142,6 @@ func (iv Interval) Contains(k Key) bool {
 		return false
 	}
 	return iv.High.ContainsBelow(k)
-}
-
-// ContainsInterval reports whether other lies entirely within iv.
-func (iv Interval) ContainsInterval(other Interval) bool {
-	if iv.Low != nil && (other.Low == nil || Compare(other.Low, iv.Low) < 0) {
-		return false
-	}
-	if !iv.High.Unbounded && (other.High.Unbounded || Compare(other.High.Key, iv.High.Key) > 0) {
-		return false
-	}
-	return true
 }
 
 // Empty reports whether the interval contains no keys.

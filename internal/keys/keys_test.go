@@ -1,7 +1,6 @@
 package keys
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -78,41 +77,6 @@ func TestFloat64OrderPreserving(t *testing.T) {
 	}
 }
 
-func TestCompositeRoundTrip(t *testing.T) {
-	f := func(a, b, c []byte) bool {
-		parts := SplitComposite(Composite(Key(a), Key(b), Key(c)))
-		if len(parts) != 3 {
-			return false
-		}
-		eq := func(x []byte, y Key) bool {
-			return bytes.Equal(x, y) || (len(x) == 0 && len(y) == 0)
-		}
-		return eq(a, parts[0]) && eq(b, parts[1]) && eq(c, parts[2])
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompositeOrdering(t *testing.T) {
-	// Part-wise order must be preserved: a shorter first part never sorts
-	// between two keys sharing a longer first part.
-	k1 := Composite(String("ab"), String("z"))
-	k2 := Composite(String("abc"), String("a"))
-	k3 := Composite(String("abd"), String("a"))
-	if !(Compare(k1, k2) < 0 && Compare(k2, k3) < 0) {
-		t.Fatalf("composite ordering broken: %x %x %x", k1, k2, k3)
-	}
-	// Embedded zero bytes must not confuse part boundaries.
-	a := Composite(Key{0x00}, Key{0x01})
-	b := Composite(Key{0x00, 0x00}, Key{})
-	pa := SplitComposite(a)
-	pb := SplitComposite(b)
-	if len(pa) != 2 || len(pb) != 2 || !Equal(pa[0], Key{0x00}) || !Equal(pb[0], Key{0x00, 0x00}) {
-		t.Fatalf("zero-byte parts mangled: %v %v", pa, pb)
-	}
-}
-
 func TestIntervalContains(t *testing.T) {
 	iv := Interval{Low: Uint64(10), High: At(Uint64(20))}
 	for _, tc := range []struct {
@@ -128,23 +92,6 @@ func TestIntervalContains(t *testing.T) {
 	}
 }
 
-func TestIntervalContainsInterval(t *testing.T) {
-	outer := Interval{Low: Uint64(10), High: At(Uint64(50))}
-	inner := Interval{Low: Uint64(20), High: At(Uint64(30))}
-	if !outer.ContainsInterval(inner) {
-		t.Fatal("outer should contain inner")
-	}
-	if inner.ContainsInterval(outer) {
-		t.Fatal("inner should not contain outer")
-	}
-	if !EntireSpace.ContainsInterval(outer) {
-		t.Fatal("entire space contains all")
-	}
-	if outer.ContainsInterval(EntireSpace) {
-		t.Fatal("bounded interval cannot contain the entire space")
-	}
-}
-
 func TestBounds(t *testing.T) {
 	if !At(Uint64(5)).LessHigh(Inf) {
 		t.Fatal("finite < +inf")
@@ -157,9 +104,6 @@ func TestBounds(t *testing.T) {
 	}
 	if !Inf.ContainsBelow(Uint64(math.MaxUint64)) {
 		t.Fatal("+inf bound contains all")
-	}
-	if !At(Uint64(5)).EqualBound(At(Uint64(5))) || At(Uint64(5)).EqualBound(Inf) {
-		t.Fatal("EqualBound broken")
 	}
 }
 

@@ -340,11 +340,3 @@ func (l *Latch) Validate(version uint64) bool {
 func (l *Latch) Version() uint64 {
 	return l.version.Load()
 }
-
-// Held reports a snapshot of whether any holder exists, for diagnostics
-// and well-formedness checks only; the answer may be stale immediately.
-func (l *Latch) Held() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.xHeld || l.uHeld || l.readers > 0
-}

@@ -55,11 +55,13 @@ type QueueConfig[T any] struct {
 	Paced func(T) bool
 	// Governor paces Paced tasks; nil admits immediately.
 	Governor *maint.Governor
-	// Workers is the background pool size. Sync starts none: tasks then
-	// run on whichever goroutine calls Drain.
-	Workers int
-	Sync    bool
+	// Sync starts no workers: tasks then run on whichever goroutine calls
+	// Drain.
+	Sync bool
 }
+
+// queueWorkers is a queue's background pool size.
+const queueWorkers = 2
 
 // Queue schedules and executes completing atomic actions (§5.1).
 // Scheduling is non-blocking and safe to call while holding latches;
@@ -93,12 +95,9 @@ type queued[T any] struct {
 
 // NewQueue returns a queue with its workers started.
 func NewQueue[T any](cfg QueueConfig[T]) *Queue[T] {
-	if cfg.Sync {
-		cfg.Workers = 0
-	}
 	q := &Queue[T]{cfg: cfg, queued: make(map[TaskKey]struct{})}
 	q.cond = sync.NewCond(&q.mu)
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < queueWorkers && !cfg.Sync; i++ {
 		q.wg.Add(1)
 		go q.worker()
 	}

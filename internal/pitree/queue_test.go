@@ -13,7 +13,6 @@ func countKey(t countTask) TaskKey { return TaskKey{Kind: 1, Pid: 1, Level: t.id
 // so a task that asks for its own continuation while it runs — the
 // consolidation sweep's pattern — gets another run.
 func TestQueueRescheduleFromRun(t *testing.T) {
-	const workers = 2
 	for _, inline := range []bool{true, false} {
 		var q *Queue[countTask]
 		var mu sync.Mutex
@@ -23,7 +22,7 @@ func TestQueueRescheduleFromRun(t *testing.T) {
 		// still queued then, whatever the scheduling.
 		gate := make(chan struct{})
 		q = NewQueue(QueueConfig[countTask]{
-			Workers: workers, Sync: inline,
+			Sync:  inline,
 			Paced: func(countTask) bool { return false },
 			Run: func(task countTask) {
 				if task.id < 0 {
@@ -38,7 +37,7 @@ func TestQueueRescheduleFromRun(t *testing.T) {
 				}
 			},
 		})
-		for w := 1; w <= workers; w++ {
+		for w := 1; w <= queueWorkers; w++ {
 			q.Schedule(countKey(countTask{id: -w}), countTask{id: -w})
 		}
 		if !q.Schedule(countKey(countTask{}), countTask{left: 3}) {
@@ -93,7 +92,7 @@ func TestQueueCloseDrainDiscardsNothing(t *testing.T) {
 		var mu sync.Mutex
 		ran := map[int]int{}
 		q = NewQueue(QueueConfig[countTask]{
-			Workers: 3, Sync: inline,
+			Sync:  inline,
 			Paced: func(task countTask) bool { return task.id%2 == 0 }, // nil governor admits at once
 			Run: func(task countTask) {
 				mu.Lock()

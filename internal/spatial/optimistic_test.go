@@ -11,7 +11,7 @@ import (
 // TestSpatialOptimisticHitRatio checks that a warm read-only workload
 // serves interior navigation almost entirely from validated snapshots.
 func TestSpatialOptimisticHitRatio(t *testing.T) {
-	opts := Options{DataCapacity: 16, IndexCapacity: 16, CompletionWorkers: 2}
+	opts := Options{DataCapacity: 16, IndexCapacity: 16}
 	fx := newFixture(t, opts)
 	rng := rand.New(rand.NewSource(42))
 	var pts []Point
@@ -51,7 +51,7 @@ func TestSpatialOptimisticHitRatio(t *testing.T) {
 // continuous data and index splits (with clipping producing multi-parent
 // nodes). Every stable point must stay reachable at every moment.
 func TestSpatialOptimisticSMOStorm(t *testing.T) {
-	opts := Options{DataCapacity: 8, IndexCapacity: 8, CompletionWorkers: 2}
+	opts := Options{DataCapacity: 8, IndexCapacity: 8}
 	fx := newFixture(t, opts)
 
 	// Stable points on a sparse grid; churn happens everywhere around

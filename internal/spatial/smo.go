@@ -46,7 +46,6 @@ func newCompleter(t *Tree) *completer {
 		// never convoys foreground writers.
 		Paced:    func(task postTask) bool { return task.absorb },
 		Governor: t.opts.Governor,
-		Workers:  t.opts.CompletionWorkers,
 		Sync:     t.opts.SyncCompletion,
 	})
 }

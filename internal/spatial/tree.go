@@ -24,11 +24,10 @@ type Options struct {
 	// IndexCapacity is an index node's fan-out in terms (default 64,
 	// minimum 4); an index node also splits before it outgrows its page.
 	IndexCapacity int
-	// SyncCompletion, CompletionWorkers and NoCompletion mirror the
-	// other trees' lazy-completion controls.
-	SyncCompletion    bool
-	CompletionWorkers int
-	NoCompletion      bool
+	// SyncCompletion and NoCompletion mirror the other trees'
+	// lazy-completion controls.
+	SyncCompletion bool
+	NoCompletion   bool
 	// CheckLatchOrder enables per-operation latch order assertions.
 	CheckLatchOrder bool
 	// PessimisticDescent disables the optimistic (version-validated)
@@ -57,9 +56,6 @@ func (o Options) normalized() Options {
 	}
 	if o.IndexCapacity < 4 {
 		o.IndexCapacity = 4
-	}
-	if o.CompletionWorkers <= 0 {
-		o.CompletionWorkers = 2
 	}
 	return o
 }

@@ -25,7 +25,7 @@ func dirtyAt(t *testing.T, p *Pool, pid PageID, lsn wal.LSN) {
 // checkDirtyIndex compares the incremental dirty index with the full scan
 // the checkpoint takes: same count, and the watermark is the scan's
 // minimum recLSN.
-func checkDirtyIndex(t *testing.T, p *Pool) {
+func checkDirtyIndex(t testing.TB, p *Pool) {
 	t.Helper()
 	dpt := p.DirtyPages()
 	oldest, n := p.DirtyWatermark()

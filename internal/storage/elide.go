@@ -1,11 +1,8 @@
 package storage
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/fault"
@@ -40,89 +37,25 @@ const FPPoolReplay = "pool.replay"
 // fetch that finds it fails and the page stays elided.
 var ErrBrokenChain = errors.New("storage: broken page chain")
 
-// elidedPage is the dirty page table's entry for a page an eviction
-// dropped: its pageLSN, its recLSN as a distance back from the pageLSN,
-// and the length of its chain since the stable image. 16 bytes, beside an
-// 8-byte key.
+// elidedPage is the entry of a page an eviction dropped: its pageLSN, its
+// recLSN as a distance back from the pageLSN, and the length of its chain
+// since the stable image, beside the position of the dirty page table
+// entry it took over from the frame (dirtyEntry.pos). 24 bytes.
 type elidedPage struct {
+	pos   int
 	page  wal.LSN
 	back  uint32 // page - recLSN
 	chain uint32
 }
 
-func (e elidedPage) rec() wal.LSN { return e.page - wal.LSN(e.back) }
+func (e *elidedPage) rec() wal.LSN { return e.page - wal.LSN(e.back) }
 
-// elidedStripes splits a shard's elided entries so that the writer's scan
-// of them (elidedBelow) holds one stripe's mutex at a time, never the
-// shard's: a fetch waits on a scan only when it changes an entry of the
-// stripe being scanned, and then for a sixteenth of the scan.
-const elidedStripes = 16
-
-// elidedSet is one shard's elided entries. Its maps change only under the
-// shard's mu and their stripe's mu both, so a reader holding either one
-// sees them still.
-type elidedSet [elidedStripes]struct {
-	mu sync.Mutex
-	m  map[PageID]elidedPage
-}
-
-func (s *elidedSet) stripe(pid PageID) int { return int(pid % elidedStripes) }
-
-// get looks pid up. Caller holds the shard's mu.
-func (s *elidedSet) get(pid PageID) (elidedPage, bool) {
-	e, ok := s[s.stripe(pid)].m[pid]
-	return e, ok
-}
-
-// put records pid elided. Caller holds the shard's mu.
-func (s *elidedSet) put(pid PageID, e elidedPage) {
-	st := &s[s.stripe(pid)]
-	st.mu.Lock()
-	if st.m == nil {
-		st.m = make(map[PageID]elidedPage)
-	}
-	st.m[pid] = e
-	st.mu.Unlock()
-}
-
-// drop forgets pid and reports whether it was elided. Caller holds the
-// shard's mu.
-func (s *elidedSet) drop(pid PageID) bool {
-	st := &s[s.stripe(pid)]
-	if _, ok := st.m[pid]; !ok {
-		return false
-	}
-	st.mu.Lock()
-	delete(st.m, pid)
-	st.mu.Unlock()
-	return true
-}
-
-// each calls fn for every entry. Caller holds the shard's mu.
-func (s *elidedSet) each(fn func(PageID, elidedPage)) {
-	for i := range s {
-		for pid, e := range s[i].m {
-			fn(pid, e)
-		}
-	}
-}
-
-// scan is each for a caller without the shard's mu: it holds each
-// stripe's mu in turn.
-func (s *elidedSet) scan(fn func(PageID, elidedPage)) {
-	for i := range s {
-		st := &s[i]
-		st.mu.Lock()
-		for pid, e := range st.m {
-			fn(pid, e)
-		}
-		st.mu.Unlock()
-	}
-}
-
-// forget drops pid's elided entry, if any. Caller holds sh.mu.
+// forget drops pid's elided entry, if any, and its dirty page table entry
+// unless a replay has taken that over. Caller holds sh.mu.
 func (p *Pool) forget(sh *poolShard, pid PageID) {
-	if sh.elided.drop(pid) {
+	if e, ok := sh.elided[pid]; ok {
+		delete(sh.elided, pid)
+		p.dirty.leave(&e.pos)
 		p.elidedN.Add(-1)
 	}
 }
@@ -136,15 +69,10 @@ func (p *Pool) elide(sh *poolShard, f *Frame) bool {
 	if p.reg == nil || !dirty || f.Data == nil || n == 0 || n > maxElideChain || page-rec >= 1<<32 {
 		return false
 	}
-	sh.elided.put(f.ID, elidedPage{page: page, back: uint32(page - rec), chain: n})
-	p.dirty.leave(f)
+	e := &elidedPage{page: page, back: uint32(page - rec), chain: n}
+	p.dirty.move(&f.dirtyPos, &e.pos)
+	sh.elided[f.ID] = e
 	p.elidedN.Add(1)
-	p.floorMu.Lock()
-	if uint64(rec) < p.elidedFloor.Load() {
-		p.elidedFloor.Store(uint64(rec))
-	}
-	p.floorEpoch++
-	p.floorMu.Unlock()
 	p.elisions.Add(1)
 	return true
 }
@@ -152,11 +80,11 @@ func (p *Pool) elide(sh *poolShard, f *Frame) bool {
 // replay rebuilds the elided page e into the loading placeholder f (pinned,
 // published, invisible to every other fetcher): the stable image, then the
 // chain from it forward through Registry.redo. On success f is dirty with
-// e's recLSN and in the dirty index; the caller retires e. On failure f is
-// empty and clean again — a half-replayed page is never installed — and e
-// stays. A transient fault restarts the replay, as readPage retries a
-// transient read.
-func (p *Pool) replay(f *Frame, e elidedPage) error {
+// e's recLSN and owns e's dirty page table entry; the caller retires e. On
+// failure f is empty and clean again — a half-replayed page is never
+// installed — and e keeps its entry. A transient fault restarts the
+// replay, as readPage retries a transient read.
+func (p *Pool) replay(f *Frame, e *elidedPage) error {
 	for attempt := 0; ; attempt++ {
 		err := p.replayOnce(f, e)
 		if err == nil || !fault.IsTransient(err) || attempt >= diskRetries {
@@ -166,7 +94,7 @@ func (p *Pool) replay(f *Frame, e elidedPage) error {
 	}
 }
 
-func (p *Pool) replayOnce(f *Frame, e elidedPage) error {
+func (p *Pool) replayOnce(f *Frame, e *elidedPage) error {
 	stable, data, err := p.readPage(f.ID)
 	imaged := err == nil
 	if errors.Is(err, ErrPageNotFound) {
@@ -211,7 +139,7 @@ func (p *Pool) replayOnce(f *Frame, e elidedPage) error {
 			return err
 		}
 	}
-	p.dirty.enter(f, e.rec())
+	p.dirty.move(&e.pos, &f.dirtyPos)
 	p.replays.Add(1)
 	p.replayedRecords.Add(int64(len(chain)))
 	return nil
@@ -231,7 +159,7 @@ const frameGuess = 192
 // kept between replays; the frames their payloads alias are this walk's
 // own — a redo handler copies what it keeps of a payload, but a buffer no
 // later replay writes over does not depend on that.
-func (p *Pool) chainOf(recs *[]wal.Record, pid PageID, e elidedPage, stable wal.LSN) (chain []wal.Record, full bool, err error) {
+func (p *Pool) chainOf(recs *[]wal.Record, pid PageID, e *elidedPage, stable wal.LSN) (chain []wal.Record, full bool, err error) {
 	chain = (*recs)[:0]
 	defer func() { *recs = chain[:0] }()
 	buf := make([]byte, 0, frameGuess*int(e.chain))
@@ -271,11 +199,12 @@ func (p *Pool) chainOf(recs *[]wal.Record, pid PageID, e elidedPage, stable wal.
 // victim does, so a fetch of the page waits for the write. It reports
 // whether it wrote the page: one fetched since it was found elided is
 // buffered and dirty, and is written like any other; one another writer
-// is writing is left to it.
+// is writing is left to it. A failed write hands the dirty page table entry
+// back to the elided entry, unless a Drop has forgotten the page meanwhile.
 func (p *Pool) writeElided(pid PageID) (bool, error) {
 	sh := p.shard(pid)
 	sh.mu.Lock()
-	e, ok := sh.elided.get(pid)
+	e, ok := sh.elided[pid]
 	_, buffered := sh.frames[pid]
 	if _, writing := sh.flushing[pid]; !ok || buffered || writing {
 		sh.mu.Unlock()
@@ -288,14 +217,16 @@ func (p *Pool) writeElided(pid PageID) (bool, error) {
 	err := p.replay(f, e)
 	if err == nil {
 		err = p.flush(f)
-		if err != nil {
-			p.dirty.leave(f) // the entry, still elided, keeps the page dirty
-		}
 	}
 	sh.mu.Lock()
 	delete(sh.flushing, pid)
-	if err == nil {
+	switch {
+	case err == nil:
 		p.forget(sh, pid)
+	case sh.elided[pid] == e:
+		p.dirty.move(&f.dirtyPos, &e.pos)
+	default:
+		p.dirty.leave(&f.dirtyPos)
 	}
 	ch := op.done
 	sh.mu.Unlock()
@@ -312,55 +243,9 @@ func (p *Pool) isElided(pid PageID) bool {
 	}
 	sh := p.shard(pid)
 	sh.mu.Lock()
-	_, ok := sh.elided.get(pid)
+	_, ok := sh.elided[pid]
 	sh.mu.Unlock()
 	return ok
-}
-
-// elidedBelow returns the elided pages whose recLSN is below cutoff, the
-// oldest limit of them when more qualify. The entries are not indexed by
-// recLSN: the scan visits every one, a stripe at a time (elidedSet), and
-// refreshes elidedFloor to the exact oldest recLSN it saw, so a floor left
-// low by entries fetched since costs one scan, not one per pass. It raises
-// the floor only if no elision was recorded while it scanned: one that put
-// its entry into a stripe already passed would otherwise be left below the
-// floor. An elision recorded after the raise lowers the floor itself.
-func (p *Pool) elidedBelow(cutoff wal.LSN, limit int) []PageID {
-	if limit <= 0 || p.elidedN.Load() == 0 || wal.LSN(p.elidedFloor.Load()) >= cutoff {
-		return nil
-	}
-	type due struct {
-		rec wal.LSN
-		pid PageID
-	}
-	var found []due
-	p.floorMu.Lock()
-	epoch := p.floorEpoch
-	p.floorMu.Unlock()
-	oldest := ^uint64(0)
-	for i := range p.shards {
-		p.shards[i].elided.scan(func(pid PageID, e elidedPage) {
-			rec := e.rec()
-			oldest = min(oldest, uint64(rec))
-			if rec < cutoff {
-				found = append(found, due{rec, pid})
-			}
-		})
-	}
-	p.floorMu.Lock()
-	if p.floorEpoch == epoch {
-		p.elidedFloor.Store(oldest)
-	}
-	p.floorMu.Unlock()
-	if len(found) > limit {
-		slices.SortFunc(found, func(a, b due) int { return cmp.Compare(a.rec, b.rec) })
-		found = found[:limit]
-	}
-	out := make([]PageID, len(found))
-	for i, d := range found {
-		out[i] = d.pid
-	}
-	return out
 }
 
 // ElidedCount returns the number of elided pages the pool holds now.

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -129,33 +131,47 @@ func (e *elideEnv) restart(capacity int, seed int64) *elideEnv {
 	return n
 }
 
-// checkTable holds the dirty page table's views to the elided entries:
-// every elided page is in DirtyPages and counted by DirtyWatermark, no
-// page is both elided and buffered, and the count is the entries'.
+// checkTable holds the dirty page table to the pool it indexes: its count
+// and oldest recLSN are DirtyPages' (checkDirtyIndex); every elided page
+// owns a heap entry at its recLSN, and no page is both elided and
+// buffered; and the heap holds one entry per dirty frame, in-flight victim
+// and elided page. Call it on a quiet pool.
 func (e *elideEnv) checkTable() {
 	e.t.Helper()
-	dpt := e.p.DirtyPages()
-	oldest, n := e.p.DirtyWatermark()
-	count := 0
+	checkDirtyIndex(e.t, e.p)
+	for i := range e.p.shards {
+		e.p.shards[i].mu.Lock()
+		defer e.p.shards[i].mu.Unlock()
+	}
+	t := &e.p.dirty
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	elided, dirty := 0, 0
 	for i := range e.p.shards {
 		sh := &e.p.shards[i]
-		sh.mu.Lock()
-		sh.elided.each(func(pid PageID, en elidedPage) {
-			count++
+		for _, f := range sh.frames {
+			if f.Dirty() {
+				dirty++
+			}
+		}
+		for _, op := range sh.flushing {
+			if op.f.Dirty() {
+				dirty++
+			}
+		}
+		for pid, en := range sh.elided {
+			elided++
 			if f, ok := sh.frames[pid]; ok && !f.loading {
 				e.t.Fatalf("page %d is both elided and buffered", pid)
 			}
-			if rec, ok := dpt[pid]; !ok || rec > en.rec() {
-				e.t.Fatalf("elided page %d (recLSN %d) is in the dirty page table as %d, %v", pid, en.rec(), rec, ok)
+			if i := en.pos - 1; i < 0 || i >= len(t.heap) || t.heap[i].pos != &en.pos || t.heap[i].rec != en.rec() || t.heap[i].pid != pid {
+				e.t.Fatalf("elided page %d (recLSN %d) does not own a heap entry at its recLSN (position %d)", pid, en.rec(), en.pos)
 			}
-			if en.rec() < oldest {
-				e.t.Fatalf("elided page %d's recLSN %d is below the watermark %d", pid, en.rec(), oldest)
-			}
-		})
-		sh.mu.Unlock()
+		}
 	}
-	if count != e.p.ElidedCount() || n < count {
-		e.t.Fatalf("%d elided entries, ElidedCount %d, watermark count %d", count, e.p.ElidedCount(), n)
+	if elided != e.p.ElidedCount() || len(t.heap) != dirty+elided {
+		e.t.Fatalf("%d elided entries, ElidedCount %d; %d dirty frames and victims; %d heap entries",
+			elided, e.p.ElidedCount(), dirty, len(t.heap))
 	}
 }
 
@@ -456,11 +472,11 @@ func TestElideBrokenChain(t *testing.T) {
 	}
 	sh := e.p.shard(2)
 	sh.mu.Lock()
-	en, _ := sh.elided.get(2)
-	// Name a record of page 3 as page 2's last.
+	en := sh.elided[2]
+	// Name a record of page 3 as page 2's last, at the same recLSN.
+	rec := en.rec()
 	en.page = e.log.EndLSN() - 1
-	en.back = 0
-	sh.elided.put(2, en)
+	en.back = uint32(en.page - rec)
 	sh.mu.Unlock()
 	if _, err := e.read(2); err == nil {
 		t.Fatal("a fetch over a broken chain succeeded")
@@ -532,51 +548,112 @@ func (e *elideEnv) evict(pid PageID) bool {
 	return true
 }
 
-// TestElidedFloorScanRace: an elision whose entry lands in a stripe the
-// writer's scan (elidedBelow) has already passed must not be left below the
-// floor the scan then publishes. The test holds the scan at the last stripe
-// it visits, elides a page older than every entry the scan has seen into an
-// earlier stripe, then lets the scan finish: DirtyWatermark must still be
-// at or below that page's recLSN. (If the scan has not reached the held
-// stripe when the page is elided, it sees the page, and the test passes
-// without exercising the race; it never fails a correct pool.)
-func TestElidedFloorScanRace(t *testing.T) {
-	e := newElideEnv(t, 4, fsys.NewMem(), 1)
-	last := &e.p.shards[len(e.p.shards)-1]
-	held := &last.elided[elidedStripes-1]
-	pick := func(from PageID) PageID { // a page outside the held stripe
-		for pid := from; ; pid++ {
-			if e.p.shard(pid) != last || last.elided.stripe(pid) != elidedStripes-1 {
-				return pid
-			}
+// elideAll formats pids in order, one log record each (so their recLSNs
+// rise in that order), and elides each of them.
+func (e *elideEnv) elideAll(pids ...PageID) {
+	e.t.Helper()
+	for _, pid := range pids {
+		if err := e.format(pid, []byte{byte(pid)}); err != nil {
+			e.t.Fatal(err)
 		}
 	}
-	old := pick(2)
-	young := pick(old + 1)
-	for _, pid := range []PageID{old, young} { // old's recLSN is the lower
+	for _, pid := range pids {
+		if !e.evict(pid) {
+			e.t.Fatalf("page %d was not elided", pid)
+		}
+	}
+}
+
+// TestDirtyBelowOldestElided: the writer's batch is the oldest due pages
+// of either kind. Two elided pages older than every buffered one must come
+// back even when more buffered pages than the limit are due too.
+func TestDirtyBelowOldestElided(t *testing.T) {
+	e := newElideEnv(t, 64, fsys.NewMem(), 1)
+	e.elideAll(2, 3)
+	for pid := PageID(10); pid < 20; pid++ {
 		if err := e.format(pid, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !e.evict(young) {
-		t.Fatal("the younger page was not elided")
+	recOf := e.p.DirtyPages()
+	got := e.p.DirtyBelow(e.log.EndLSN(), 4, nil)
+	if len(got) != 4 {
+		t.Fatalf("limit 4 returned %v", got)
 	}
-	held.mu.Lock()
-	scanned := make(chan struct{})
-	go func() {
-		defer close(scanned)
-		e.p.elidedBelow(^wal.LSN(0), 8)
-	}()
-	time.Sleep(20 * time.Millisecond) // the scan passes every other stripe
-	ok := e.evict(old)
-	held.mu.Unlock()
-	<-scanned
-	if !ok {
-		t.Fatal("the older page was not elided")
-	}
-	en, _ := e.p.shard(old).elided.get(old)
-	if oldest, _ := e.p.DirtyWatermark(); oldest > en.rec() {
-		t.Fatalf("DirtyWatermark %d is above elided page %d's recLSN %d", oldest, old, en.rec())
+	slices.SortFunc(got, func(a, b PageID) int { return cmp.Compare(recOf[a], recOf[b]) })
+	if got[0] != 2 || got[1] != 3 || got[2] != 10 || got[3] != 11 {
+		t.Fatalf("DirtyBelow returned %v, want the oldest four: [2 3 10 11]", got)
 	}
 	e.checkTable()
+}
+
+// TestDirtyWatermarkFollowsElided: once the oldest elided page is written
+// back, or dropped, the watermark moves to the next-oldest dirty page at
+// once.
+func TestDirtyWatermarkFollowsElided(t *testing.T) {
+	e := newElideEnv(t, 64, fsys.NewMem(), 1)
+	e.elideAll(2, 3)
+	if err := e.format(4, nil); err != nil {
+		t.Fatal(err)
+	}
+	recOf := e.p.DirtyPages()
+	want := func(pid PageID, n int) {
+		t.Helper()
+		if oldest, got := e.p.DirtyWatermark(); oldest != recOf[pid] || got != n {
+			t.Fatalf("watermark %d over %d pages, want page %d's recLSN %d over %d", oldest, got, pid, recOf[pid], n)
+		}
+		e.checkTable()
+	}
+	want(2, 3)
+	if n, failed, err := e.p.FlushBatch([]PageID{2}); n != 1 || len(failed) != 0 || err != nil {
+		t.Fatalf("FlushBatch of elided page 2: %d written, failed %v, %v", n, failed, err)
+	}
+	want(3, 2)
+	e.p.Drop(3)
+	want(4, 1)
+}
+
+// TestElideDropRacesFailedWrite: a Drop of an elided page while the writer
+// is rebuilding and writing it (writeElided) forgets the page, and the
+// write's failure must not hand the dirty page table entry back to the
+// forgotten entry. The Drop lands while the replay stalls, before the
+// replayed frame takes over the entry, or while the disk write stalls,
+// after it. (If the Drop comes late it finds the page elided again and
+// the test passes without the race; it never fails a correct pool.)
+func TestElideDropRacesFailedWrite(t *testing.T) {
+	for _, stall := range []string{FPPoolReplay, FPDiskWrite} {
+		t.Run(stall, func(t *testing.T) {
+			e := newElideEnv(t, 64, fsys.NewMem(), 1)
+			e.elideAll(2)
+			if err := e.format(3, nil); err != nil {
+				t.Fatal(err)
+			}
+			e.inj.Arm(FPDiskWrite, fault.Spec{Kind: fault.Torn, Delay: 50 * time.Millisecond})
+			if stall == FPPoolReplay {
+				e.inj.Arm(FPPoolReplay, fault.Spec{Kind: fault.None, Delay: 50 * time.Millisecond})
+			}
+			done := make(chan []PageID)
+			go func() {
+				_, failed, _ := e.p.FlushBatch([]PageID{2})
+				done <- failed
+			}()
+			for e.inj.Hits(stall) == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			e.p.Drop(2)
+			if failed := <-done; len(failed) != 1 {
+				t.Fatalf("the torn write of page 2 did not fail: failed %v", failed)
+			}
+			if e.p.isElided(2) {
+				t.Fatal("page 2 is elided after its Drop")
+			}
+			if _, ok := e.p.DirtyPages()[2]; ok {
+				t.Fatal("a dropped page is still in the dirty page table")
+			}
+			e.checkTable()
+			if _, n := e.p.DirtyWatermark(); n != 1 {
+				t.Fatalf("%d dirty pages, want page 3 alone", n)
+			}
+		})
+	}
 }

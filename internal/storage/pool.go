@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -184,7 +183,7 @@ func (f *Frame) markDirty(lsn wal.LSN) {
 		}
 		if f.meta.CompareAndSwap(old, dirtyBit|uint64(lsn)) {
 			if old&dirtyBit == 0 {
-				f.pool.dirty.enter(f, lsn)
+				f.pool.dirty.enter(&f.dirtyPos, f.ID, lsn)
 			}
 			return
 		}
@@ -381,16 +380,11 @@ type Pool struct {
 	shards    []poolShard
 	shardMask uint64
 
-	// dirty indexes the dirty frames by recLSN (dirty.go) in both regimes.
-	// The bounded regime's elided pages (elide.go) are dirty too: they are
-	// counted in elidedN, and elidedFloor is a lower bound on their recLSNs,
-	// exact after elidedBelow's scan. elidedFloor is written under floorMu,
-	// and floorEpoch counts the elisions recorded in it (see elidedBelow).
-	dirty       dirtyTable
-	elidedN     atomic.Int64
-	elidedFloor atomic.Uint64
-	floorMu     sync.Mutex
-	floorEpoch  uint64
+	// dirty is the dirty page table (dirty.go) in both regimes: every dirty
+	// page by recLSN, the bounded regime's elided pages (elide.go) among
+	// them. elidedN counts the elided ones.
+	dirty   dirtyTable
+	elidedN atomic.Int64
 
 	elisions        atomic.Int64
 	replays         atomic.Int64
@@ -431,10 +425,11 @@ type poolShard struct {
 	// stable image, or a fetch could resurrect the pre-flush contents.
 	flushing map[PageID]*flushOp
 	// elided holds the dirty pages an eviction dropped instead of writing
-	// (elide.go). A page is in frames, in flushing or here, never in two —
-	// except while a fetch replays it: the entry stays until the replayed
-	// frame is in the dirty index, so the dirty page table never loses it.
-	elided elidedSet
+	// (elide.go), for the fetches and creates that look them up. A page is
+	// in frames, in flushing or here, never in two — except while a fetch
+	// or a write-back replays it: the entry stays until the replayed frame
+	// has taken over its place in the dirty page table.
+	elided map[PageID]*elidedPage
 	// Counters kept plain (not atomic): they are only touched under mu,
 	// which keeps the hit path free of cross-shard cache-line traffic.
 	hits      int64
@@ -530,6 +525,7 @@ func NewPool(storeID uint32, disk *FileDisk, log *wal.Log, codec Codec, capacity
 			sh := &p.shards[i]
 			sh.frames = make(map[PageID]*Frame)
 			sh.flushing = make(map[PageID]*flushOp)
+			sh.elided = make(map[PageID]*elidedPage)
 			sh.cap = capacity / n
 			if i < capacity%n {
 				sh.cap++
@@ -658,7 +654,7 @@ func (p *Pool) fetch(pid PageID, warm bool) (*Frame, error) {
 	if warm {
 		f.preloaded.Store(true)
 	}
-	e, elided := sh.elided.get(pid)
+	e, elided := sh.elided[pid]
 	victims := sh.install(f)
 	sh.mu.Unlock()
 	err := p.writeBack(sh, victims)
@@ -795,15 +791,15 @@ func (p *Pool) Create(pid PageID) (*Frame, error) {
 	f.Data = nil
 	f.meta.Store(0)
 	f.pins.Add(1)
-	if e, ok := sh.elided.get(pid); ok {
+	if e, ok := sh.elided[pid]; ok {
 		// The caller formats the page, so nothing of the elided chain is
-		// replayed; the frame only inherits the entry's place in the dirty
+		// replayed; the frame only takes over the entry's place in the dirty
 		// page table, whose recLSN keeps the chain in the redo window.
-		p.forget(sh, pid)
 		f.recLSN.Store(uint64(e.rec()))
 		f.meta.Store(dirtyBit | uint64(e.page))
 		f.chain.Store(e.chain)
-		p.dirty.enter(f, e.rec())
+		p.dirty.move(&e.pos, &f.dirtyPos)
+		p.forget(sh, pid)
 	}
 	victims := sh.install(f)
 	sh.mu.Unlock()
@@ -994,7 +990,7 @@ func (p *Pool) flush(f *Frame) error {
 	if f.meta.CompareAndSwap(m, uint64(lsn)) {
 		f.chain.Store(0)
 		p.flushCount.Add(1)
-		p.dirty.leave(f)
+		p.dirty.leave(&f.dirtyPos)
 	}
 	return nil
 }
@@ -1059,7 +1055,7 @@ func (p *Pool) Drop(pid PageID) {
 				panic(fmt.Sprintf("storage: drop of pinned page %d", pid))
 			}
 			p.ftab.delete(pid)
-			p.dirty.leave(f)
+			p.dirty.leave(&f.dirtyPos)
 		}
 		return
 	}
@@ -1071,7 +1067,7 @@ func (p *Pool) Drop(pid PageID) {
 			panic(fmt.Sprintf("storage: drop of pinned page %d", pid))
 		}
 		sh.removeAt(f.clockIdx)
-		p.dirty.leave(f)
+		p.dirty.leave(&f.dirtyPos)
 		sh.recycle(f)
 	} else {
 		p.forget(sh, pid)
@@ -1246,7 +1242,16 @@ func (p *Pool) FlushAll() (int, error) {
 	// the elided pages again, a bounded number of times, so that a FlushAll
 	// beside a busy workload still returns.
 	for sweep := 0; sweep < maxElidedSweeps && p.ElidedCount() > 0; sweep++ {
-		for _, pid := range p.elidedBelow(^wal.LSN(0), math.MaxInt) {
+		var pids []PageID
+		for i := range p.shards {
+			sh := &p.shards[i]
+			sh.mu.Lock()
+			for pid := range sh.elided {
+				pids = append(pids, pid)
+			}
+			sh.mu.Unlock()
+		}
+		for _, pid := range pids {
 			wrote, err := p.writeElided(pid)
 			if err != nil && first == nil {
 				first = err
@@ -1289,13 +1294,13 @@ func (p *Pool) DirtyPages() map[PageID]wal.LSN {
 				out[pid] = rec
 			}
 		}
-		// An elided page is dirty until a fetch replays it into a frame,
-		// which enters the dirty index before the entry goes.
-		sh.elided.each(func(pid PageID, e elidedPage) {
+		// An elided page is dirty until a replay rebuilds it into a frame,
+		// which takes over its entry before the elided one goes.
+		for pid, e := range sh.elided {
 			if _, buffered := out[pid]; !buffered {
 				out[pid] = e.rec()
 			}
-		})
+		}
 		sh.mu.Unlock()
 	}
 	return out
@@ -1303,28 +1308,16 @@ func (p *Pool) DirtyPages() map[PageID]wal.LSN {
 
 // DirtyWatermark returns the oldest recLSN among the pool's dirty pages
 // (NilLSN when none is dirty) and the dirty count, elided pages included,
-// from the incrementally maintained dirty index and elided-page counters:
-// atomic loads, no lock, pin or scan. For elided pages the oldest recLSN is
-// a lower bound until DirtyBelow's next scan makes it exact.
+// from the dirty page table's mirrors: atomic loads, no lock, pin or scan.
 func (p *Pool) DirtyWatermark() (oldest wal.LSN, n int) {
-	oldest, n = wal.LSN(p.dirty.oldest.Load()), int(p.dirty.count.Load())
-	if m := int(p.elidedN.Load()); m > 0 {
-		if fl := wal.LSN(p.elidedFloor.Load()); n == 0 || fl < oldest {
-			oldest = fl
-		}
-		n += m
-	}
-	return oldest, n
+	return wal.LSN(p.dirty.oldest.Load()), int(p.dirty.count.Load())
 }
 
-// DirtyBelow appends to dst the IDs of the dirty pages whose recLSN is
-// below cutoff, at most limit of them: the buffered ones first, oldest
-// first, then the oldest elided ones (see elidedBelow). For the buffered
-// pages the cost follows the number that qualify, not the pool size.
+// DirtyBelow appends to dst the IDs of the dirty pages, buffered or elided,
+// whose recLSN is below cutoff: the oldest limit of them when more qualify.
+// The cost follows the number that qualify, not the pool size.
 func (p *Pool) DirtyBelow(cutoff wal.LSN, limit int, dst []PageID) []PageID {
-	n := len(dst)
-	dst = p.dirty.below(cutoff, limit, dst)
-	return append(dst, p.elidedBelow(cutoff, limit-(len(dst)-n))...)
+	return p.dirty.below(cutoff, limit, dst)
 }
 
 // Capacity returns the pool's frame bound (0 = unbounded).

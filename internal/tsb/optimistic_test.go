@@ -13,7 +13,7 @@ import (
 // TestTSBOptimisticHitRatio checks that a warm read-only workload serves
 // interior navigation almost entirely from validated snapshots.
 func TestTSBOptimisticHitRatio(t *testing.T) {
-	opts := Options{DataCapacity: 16, IndexCapacity: 16, CompletionWorkers: 2}
+	opts := Options{DataCapacity: 16, IndexCapacity: 16}
 	fx := newFixture(t, opts)
 	const n = 1500
 	for i := 0; i < n; i++ {
@@ -48,7 +48,7 @@ func TestTSBOptimisticHitRatio(t *testing.T) {
 // every moment — a ghost miss means an unlatched traversal escaped the
 // tree's key-space responsibility chain.
 func TestTSBOptimisticSMOStorm(t *testing.T) {
-	opts := Options{DataCapacity: 8, IndexCapacity: 8, CompletionWorkers: 2}
+	opts := Options{DataCapacity: 8, IndexCapacity: 8}
 	fx := newFixture(t, opts)
 
 	const stable = 300

@@ -43,7 +43,6 @@ func newCompleter(t *Tree) *completer {
 		// sweeps never convoy foreground writers.
 		Paced:    func(task postTask) bool { return task.gcHead != storage.NilPage },
 		Governor: t.opts.Governor,
-		Workers:  t.opts.CompletionWorkers,
 		Sync:     t.opts.SyncCompletion,
 	})
 }

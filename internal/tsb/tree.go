@@ -27,11 +27,10 @@ type Options struct {
 	// IndexCapacity is an index node's fan-out in terms (default 64,
 	// minimum 4); an index node also splits before it outgrows its page.
 	IndexCapacity int
-	// SyncCompletion, CompletionWorkers and NoCompletion mirror the core
-	// tree's lazy-completion controls.
-	SyncCompletion    bool
-	CompletionWorkers int
-	NoCompletion      bool
+	// SyncCompletion and NoCompletion mirror the core tree's
+	// lazy-completion controls.
+	SyncCompletion bool
+	NoCompletion   bool
 	// CheckLatchOrder enables per-operation latch order assertions.
 	CheckLatchOrder bool
 	// PessimisticDescent disables the optimistic (version-validated)
@@ -68,9 +67,6 @@ func (o Options) normalized() Options {
 		} else {
 			o.IndexCapacity = 4
 		}
-	}
-	if o.CompletionWorkers <= 0 {
-		o.CompletionWorkers = 2
 	}
 	return o
 }

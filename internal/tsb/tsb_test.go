@@ -410,7 +410,6 @@ func TestAbortAcrossTimeSplit(t *testing.T) {
 func TestConcurrentPuts(t *testing.T) {
 	opts := smallOpts()
 	opts.SyncCompletion = false
-	opts.CompletionWorkers = 2
 	fx := newFixture(t, opts)
 	const workers = 6
 	const perWorker = 150
