@@ -112,13 +112,14 @@ fsysonly:
 lockcpu:
 	$(GO) test -cpu 1,2,4 -count 10 ./internal/lock
 
-## corecpu: the three trees and the protocol kernel at -cpu 1,2,4,
+## corecpu: the three trees, the protocol kernel and the latches with
+## the tracker every operation records its holds in, at -cpu 1,2,4,
 ## repeated: a deadlock between two transactions' splits (each atomic
 ## action waiting for the other transaction's page lock), or a completion
 ## worker running a posting that was queued too early, needs a second CPU
 ## to form.
 corecpu:
-	$(GO) test -cpu 1,2,4 -count 5 ./internal/core ./internal/pitree ./internal/tsb ./internal/spatial
+	$(GO) test -cpu 1,2,4 -count 5 ./internal/core ./internal/pitree ./internal/tsb ./internal/spatial ./internal/latch
 
 ## enginecpu: the engine at -cpu 1,2,4, repeated: Checkpoint and the
 ## background writer's tick apply one write-back rule to the same pools,

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -621,6 +622,29 @@ func printCoverage(menu []menuEntry, cov map[string]*entryCoverage) {
 	}
 }
 
+// roundDeadline is how long a torture round may run before its watchdog
+// calls it hung; a green round takes a few tens of milliseconds.
+const roundDeadline = 15 * time.Second
+
+// watchRound arms the watchdog of one round; the caller stops the timer
+// it returns when the round ends. If it fires first, it prints the
+// round's label, its replay line and every goroutine's stack to stderr
+// and exits with status 1. While the timer is pending the runtime sees a
+// way for the process to go on, so a round in which every goroutine
+// blocks is named this way too, not ended by "all goroutines are asleep".
+func watchRound(round int, label, replay string) *time.Timer {
+	return time.AfterFunc(roundDeadline, func() {
+		buf := make([]byte, 1<<20)
+		n := runtime.Stack(buf, true)
+		for n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			n = runtime.Stack(buf, true)
+		}
+		fmt.Fprintf(os.Stderr, "torture round %d hung: not done after %v (%s)\n%s\n\n%s\n", round, roundDeadline, label, replay, buf[:n])
+		os.Exit(1)
+	})
+}
+
 func runTorture(cfg tortureConfig) error {
 	kinds := tortureKinds()
 	menu := tortureMenu()
@@ -650,12 +674,15 @@ func runTorture(cfg tortureConfig) error {
 			forceAA: rand.New(rand.NewSource(seed*15485863)).Intn(4) == 0,
 		}
 		// The round is named before it runs: a runtime fatal inside it (a
-		// deadlock of every goroutine) ends the process with no error to
-		// print, and still leaves the round and its replay line behind.
+		// concurrent map write, say) ends the process with no error to
+		// print, and still leaves the round and its replay line behind; a
+		// hang is named by the round's watchdog.
 		label := fmt.Sprintf("tree=%s fault=%s workers=%d %v", kind.name, entry.name, recWorkers, draws.label(kind.name))
 		replay := fmt.Sprintf("reproduce with: pitree-verify -torture -seed %d -rounds %d", cfg.seed, round+1)
 		fmt.Fprintf(os.Stderr, "torture round %d start (%s seed=%d)\n%s\n", round, label, seed, replay)
+		watchdog := watchRound(round, label, replay)
 		restart, counts, err := tortureRound(seed, kind, entry, recWorkers, draws, rng, cfg)
+		watchdog.Stop()
 		c := cov[entry.name]
 		c.draws++
 		if counts.trips > 0 {

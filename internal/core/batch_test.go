@@ -274,7 +274,6 @@ func TestMultiGetAllocs(t *testing.T) {
 	opts := defaultTestOpts()
 	opts.LeafCapacity = 64
 	opts.IndexCapacity = 64
-	opts.CheckLatchOrder = false
 	fx := newFixture(t, engine.Options{}, opts)
 	const n = 2000
 	for i := 0; i < n; i++ {

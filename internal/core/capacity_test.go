@@ -53,7 +53,7 @@ func maxValue(tree *Tree, k keys.Key) []byte {
 // records at the limit are taken, split their leaves, and survive a
 // rollback whose compensations need those splits again.
 func TestRecordTooLarge(t *testing.T) {
-	fx := newFixture(t, engine.Options{}, Options{Consolidation: true, SyncCompletion: true, CheckLatchOrder: true})
+	fx := newFixture(t, engine.Options{}, Options{Consolidation: true, SyncCompletion: true})
 	tree := fx.tree
 	k := keys.Uint64(1)
 	big := append(maxValue(tree, k), 'x')

@@ -19,10 +19,9 @@ func TestEngineCloseDrainsScheduledConsolidations(t *testing.T) {
 	b := Register(e.Reg, false)
 	st := e.AddStore(testStoreID, Codec{})
 	opts := Options{
-		LeafCapacity:    8,
-		IndexCapacity:   8,
-		Consolidation:   true,
-		CheckLatchOrder: true,
+		LeafCapacity:  8,
+		IndexCapacity: 8,
+		Consolidation: true,
 		// One admission per second: without the drain bypass the backlog
 		// below would take (bounded-pause) ages; with it, Close is quick.
 		Governor: maint.New(1, 1<<30, nil),

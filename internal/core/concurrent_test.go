@@ -15,10 +15,9 @@ import (
 // concurrentOpts uses background completion workers, as production would.
 func concurrentOpts() Options {
 	return Options{
-		LeafCapacity:    16,
-		IndexCapacity:   16,
-		Consolidation:   true,
-		CheckLatchOrder: true,
+		LeafCapacity:  16,
+		IndexCapacity: 16,
+		Consolidation: true,
 	}
 }
 

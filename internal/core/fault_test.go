@@ -362,7 +362,7 @@ func TestAtomicWriteCommitFailureRollsBack(t *testing.T) {
 		{"core-logical", true, func(t *testing.T, e *engine.Engine) tree { return openCore(t, e, false) }},
 		{"tsb", true, func(t *testing.T, e *engine.Engine) tree {
 			tr, err := tsb.Create(e.AddStore(testStoreID, tsb.Codec{}), e.TM, e.Locks, tsb.Register(e.Reg), "test",
-				tsb.Options{DataCapacity: 8, IndexCapacity: 8, SyncCompletion: true, CheckLatchOrder: true})
+				tsb.Options{DataCapacity: 8, IndexCapacity: 8, SyncCompletion: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -380,7 +380,7 @@ func TestAtomicWriteCommitFailureRollsBack(t *testing.T) {
 		}},
 		{"spatial", false, func(t *testing.T, e *engine.Engine) tree {
 			tr, err := spatial.Create(e.AddStore(testStoreID, spatial.Codec{}), e.TM, e.Locks, spatial.Register(e.Reg), "test",
-				spatial.Options{DataCapacity: 8, IndexCapacity: 8, SyncCompletion: true, CheckLatchOrder: true})
+				spatial.Options{DataCapacity: 8, IndexCapacity: 8, SyncCompletion: true})
 			if err != nil {
 				t.Fatal(err)
 			}

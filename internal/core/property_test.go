@@ -120,9 +120,9 @@ func TestRandomOpsVsOracle(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"cns", Options{LeafCapacity: 5, IndexCapacity: 5, SyncCompletion: true, CheckLatchOrder: true}},
-		{"cp-a", Options{LeafCapacity: 5, IndexCapacity: 5, Consolidation: true, SyncCompletion: true, CheckLatchOrder: true}},
-		{"cp-b", Options{LeafCapacity: 5, IndexCapacity: 5, Consolidation: true, DeallocIsUpdate: true, SyncCompletion: true, CheckLatchOrder: true}},
+		{"cns", Options{LeafCapacity: 5, IndexCapacity: 5, SyncCompletion: true}},
+		{"cp-a", Options{LeafCapacity: 5, IndexCapacity: 5, Consolidation: true, SyncCompletion: true}},
+		{"cp-b", Options{LeafCapacity: 5, IndexCapacity: 5, Consolidation: true, DeallocIsUpdate: true, SyncCompletion: true}},
 	} {
 		t.Run(rg.name, func(t *testing.T) {
 			fx := newFixture(t, engine.Options{}, rg.opts)
@@ -215,7 +215,7 @@ func TestRandomOpsVsOracle(t *testing.T) {
 // completion disabled entirely, arbitrarily long unposted sibling chains
 // still serve correct searches and scans.
 func TestIntermediateStatesAreAlwaysSearchable(t *testing.T) {
-	opts := Options{LeafCapacity: 4, IndexCapacity: 4, SyncCompletion: true, NoCompletion: true, CheckLatchOrder: true}
+	opts := Options{LeafCapacity: 4, IndexCapacity: 4, SyncCompletion: true, NoCompletion: true}
 	fx := newFixture(t, engine.Options{}, opts)
 	const n = 300
 	for i := 0; i < n; i++ {

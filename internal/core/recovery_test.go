@@ -24,10 +24,10 @@ func TestCrashMatrix(t *testing.T) {
 		o    Options
 	}
 	combos := []combo{
-		{"cp-logical", engine.Options{}, Options{LeafCapacity: 4, IndexCapacity: 4, Consolidation: true, SyncCompletion: true, CheckLatchOrder: true}},
-		{"cp-pageoriented", engine.Options{PageOriented: true}, Options{LeafCapacity: 4, IndexCapacity: 4, Consolidation: true, SyncCompletion: true, CheckLatchOrder: true}},
-		{"cns-logical", engine.Options{}, Options{LeafCapacity: 4, IndexCapacity: 4, Consolidation: false, SyncCompletion: true, CheckLatchOrder: true}},
-		{"cp-deallocupd", engine.Options{PageOriented: true}, Options{LeafCapacity: 4, IndexCapacity: 4, Consolidation: true, DeallocIsUpdate: true, SyncCompletion: true, CheckLatchOrder: true}},
+		{"cp-logical", engine.Options{}, Options{LeafCapacity: 4, IndexCapacity: 4, Consolidation: true, SyncCompletion: true}},
+		{"cp-pageoriented", engine.Options{PageOriented: true}, Options{LeafCapacity: 4, IndexCapacity: 4, Consolidation: true, SyncCompletion: true}},
+		{"cns-logical", engine.Options{}, Options{LeafCapacity: 4, IndexCapacity: 4, Consolidation: false, SyncCompletion: true}},
+		{"cp-deallocupd", engine.Options{PageOriented: true}, Options{LeafCapacity: 4, IndexCapacity: 4, Consolidation: true, DeallocIsUpdate: true, SyncCompletion: true}},
 	}
 	for _, c := range combos {
 		t.Run(c.name, func(t *testing.T) {

@@ -53,8 +53,6 @@ type Options struct {
 	// lock ("once granted, no update activity can alter the locking
 	// required. This one lock is sufficient.").
 	RecordMoveLocks bool
-	// CheckLatchOrder enables per-operation latch order assertions.
-	CheckLatchOrder bool
 	// IndexHold, when set, records hold durations of U/X latches on index
 	// nodes (levels >= 1) for experiment T6.
 	IndexHold *latch.HoldTimer
@@ -445,7 +443,6 @@ func (t *Tree) start(root storage.PageID) {
 		MoveLockWaits:       &t.Stats.MoveLockWaits,
 		Couple:              t.opts.Consolidation,
 		Pessimistic:         t.opts.PessimisticDescent,
-		CheckLatchOrder:     t.opts.CheckLatchOrder,
 		IndexHold:           t.opts.IndexHold,
 		Restarts:            &t.Stats.Restarts,
 		OptimisticHits:      &t.Stats.OptimisticHits,

@@ -24,11 +24,10 @@ const testStoreID = 7
 
 func defaultTestOpts() Options {
 	return Options{
-		LeafCapacity:    8,
-		IndexCapacity:   8,
-		Consolidation:   true,
-		SyncCompletion:  true,
-		CheckLatchOrder: true,
+		LeafCapacity:   8,
+		IndexCapacity:  8,
+		Consolidation:  true,
+		SyncCompletion: true,
 	}
 }
 

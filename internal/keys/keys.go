@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Key is an opaque, lexicographically ordered byte string.
@@ -50,41 +49,6 @@ func ToUint64(k Key) uint64 {
 		panic(fmt.Sprintf("keys: ToUint64 on %d-byte key", len(k)))
 	}
 	return binary.BigEndian.Uint64(k)
-}
-
-// Int64 encodes v order-preservingly by flipping the sign bit, so negative
-// values sort before positive ones.
-func Int64(v int64) Key {
-	return Uint64(uint64(v) ^ (1 << 63))
-}
-
-// ToInt64 decodes a key produced by Int64.
-func ToInt64(k Key) int64 {
-	return int64(ToUint64(k) ^ (1 << 63))
-}
-
-// Float64 encodes v order-preservingly (IEEE 754 total order for non-NaN
-// values): positive floats get the sign bit set, negative floats are
-// bit-complemented.
-func Float64(v float64) Key {
-	u := math.Float64bits(v)
-	if u&(1<<63) != 0 {
-		u = ^u
-	} else {
-		u |= 1 << 63
-	}
-	return Uint64(u)
-}
-
-// ToFloat64 decodes a key produced by Float64.
-func ToFloat64(k Key) float64 {
-	u := ToUint64(k)
-	if u&(1<<63) != 0 {
-		u &^= 1 << 63
-	} else {
-		u = ^u
-	}
-	return math.Float64frombits(u)
 }
 
 // String encodes s as a key. Plain byte strings already compare

@@ -30,53 +30,6 @@ func TestUint64RoundTrip(t *testing.T) {
 	}
 }
 
-func TestInt64OrderPreserving(t *testing.T) {
-	f := func(a, b int64) bool {
-		cmp := Compare(Int64(a), Int64(b))
-		switch {
-		case a < b:
-			return cmp < 0
-		case a > b:
-			return cmp > 0
-		default:
-			return cmp == 0
-		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []int64{math.MinInt64, -1, 0, 1, math.MaxInt64} {
-		if ToInt64(Int64(v)) != v {
-			t.Fatalf("round trip %d", v)
-		}
-	}
-}
-
-func TestFloat64OrderPreserving(t *testing.T) {
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		cmp := Compare(Float64(a), Float64(b))
-		switch {
-		case a < b:
-			return cmp < 0
-		case a > b:
-			return cmp > 0
-		default:
-			return cmp == 0
-		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{math.Inf(-1), -1.5, -0.0, 0.0, 2.25, math.Inf(1)} {
-		if got := ToFloat64(Float64(v)); got != v && !(v == 0 && got == 0) {
-			t.Fatalf("round trip %v -> %v", v, got)
-		}
-	}
-}
-
 func TestIntervalContains(t *testing.T) {
 	iv := Interval{Low: Uint64(10), High: At(Uint64(20))}
 	for _, tc := range []struct {

@@ -242,7 +242,7 @@ func TestReleasePanics(t *testing.T) {
 }
 
 func TestTrackerOrderViolation(t *testing.T) {
-	tr := &Tracker{Enabled: true}
+	tr := &Tracker{}
 	var a, b Latch
 	a.AcquireS()
 	b.AcquireS()
@@ -261,7 +261,7 @@ func TestTrackerOrderViolation(t *testing.T) {
 }
 
 func TestTrackerPromotionRule(t *testing.T) {
-	tr := &Tracker{Enabled: true}
+	tr := &Tracker{}
 	var low, high Latch
 	low.AcquireU()
 	high.AcquireU()
@@ -281,10 +281,13 @@ func TestTrackerPromotionRule(t *testing.T) {
 	// holds do not matter.
 	var lower Latch
 	lower.AcquireX()
-	tr2 := &Tracker{Enabled: true}
+	tr2 := &Tracker{}
 	tr2.Acquired(&lower, 0, X)
 	tr2.Acquired(&low, 1, U)
 	tr2.Promoted(&low) // must not panic
+	if m, ok := tr2.Holds(&low); !ok || m != X {
+		t.Fatalf("after the promotion the tracker reads %v, %v", m, ok)
+	}
 	tr2.Released(&low)
 	tr2.Released(&lower)
 	lower.ReleaseX()
@@ -293,7 +296,7 @@ func TestTrackerPromotionRule(t *testing.T) {
 }
 
 func TestTrackerLeakDetection(t *testing.T) {
-	tr := &Tracker{Enabled: true}
+	tr := &Tracker{}
 	var l Latch
 	l.AcquireS()
 	tr.Acquired(&l, 1, S)

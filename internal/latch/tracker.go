@@ -14,29 +14,28 @@ import (
 // side pointers reference, and space-management information last (highest).
 type Rank uint64
 
-// Tracker is an optional per-operation order checker. Each tree operation
-// that participates in checking creates one Tracker (they are not shared
-// between goroutines) and reports acquisitions and releases to it. When
-// Enabled is false every method is a cheap no-op, so production paths can
-// keep the calls in place.
+// Tracker is one operation's record of the latches it holds — each
+// hold's owner (the guarded resource, a *storage.Frame in the trees,
+// compared by identity), rank and mode — checked against the §4.1.1
+// ordering rules as it changes; the operation's atomic actions commit and
+// undo under what it records (§4.3.1). It is not shared between
+// goroutines. A nil Tracker records and holds nothing.
 type Tracker struct {
-	// Enabled turns checking on. The zero Tracker is disabled.
-	Enabled bool
-	held    []trackedHold
+	held []trackedHold
 }
 
 type trackedHold struct {
-	l    *Latch
-	rank Rank
-	mode Mode
+	owner any
+	rank  Rank
+	mode  Mode
 }
 
-// Acquired records that the operation now holds l at rank in mode, and
-// panics if the acquisition violates resource ordering. Equal ranks are
-// permitted (latch coupling holds parent and child briefly; the child's
-// rank must be >= the parent's).
-func (t *Tracker) Acquired(l *Latch, rank Rank, mode Mode) {
-	if t == nil || !t.Enabled {
+// Acquired records that the operation now holds owner's latch at rank in
+// mode, and panics if the acquisition violates resource ordering. Equal
+// ranks are permitted (latch coupling holds parent and child briefly; the
+// child's rank must be >= the parent's).
+func (t *Tracker) Acquired(owner any, rank Rank, mode Mode) {
+	if t == nil {
 		return
 	}
 	for _, h := range t.held {
@@ -44,24 +43,24 @@ func (t *Tracker) Acquired(l *Latch, rank Rank, mode Mode) {
 			panic(fmt.Sprintf("latch: order violation: acquiring rank %d while holding rank %d", rank, h.rank))
 		}
 	}
-	t.held = append(t.held, trackedHold{l, rank, mode})
+	t.held = append(t.held, trackedHold{owner, rank, mode})
 }
 
-// Promoted records a U->X promotion of l and panics if the operation
-// holds ANY latch ranked above l — the §4.1.1 rule: "the promotion
-// request is not made while the requester holds latches on higher ordered
-// resources". The rule is load-bearing: promotion waits for S holders to
-// drain, and a coupled reader drains by acquiring the next latch DOWN the
-// order — if the promoter already holds that latch (in any conflicting
-// mode), reader and promoter wait on each other forever. Multi-node
-// structure changes therefore promote strictly top-down, finishing each
-// node's promotion before latching the next.
-func (t *Tracker) Promoted(l *Latch) {
-	if t == nil || !t.Enabled {
+// Promoted records a U->X promotion of owner's latch and panics if the
+// operation holds ANY latch ranked above it — the §4.1.1 rule: "the
+// promotion request is not made while the requester holds latches on
+// higher ordered resources". The rule is load-bearing: promotion waits
+// for S holders to drain, and a coupled reader drains by acquiring the
+// next latch DOWN the order — if the promoter already holds that latch
+// (in any conflicting mode), reader and promoter wait on each other
+// forever. Multi-node structure changes therefore promote strictly
+// top-down, finishing each node's promotion before latching the next.
+func (t *Tracker) Promoted(owner any) {
+	if t == nil {
 		return
 	}
 	for i := range t.held {
-		if t.held[i].l == l {
+		if t.held[i].owner == owner {
 			if t.held[i].mode != U {
 				panic("latch: Promoted on a non-U hold")
 			}
@@ -77,13 +76,13 @@ func (t *Tracker) Promoted(l *Latch) {
 	panic("latch: Promoted on unheld latch")
 }
 
-// Released records that the operation dropped its hold on l.
-func (t *Tracker) Released(l *Latch) {
-	if t == nil || !t.Enabled {
+// Released records that the operation dropped its hold on owner's latch.
+func (t *Tracker) Released(owner any) {
+	if t == nil {
 		return
 	}
 	for i := range t.held {
-		if t.held[i].l == l {
+		if t.held[i].owner == owner {
 			t.held = append(t.held[:i], t.held[i+1:]...)
 			return
 		}
@@ -91,26 +90,26 @@ func (t *Tracker) Released(l *Latch) {
 	panic("latch: Released on unheld latch")
 }
 
-// Holds reports whether the operation holds l in any mode; false when
-// checking is off, as it knows nothing then.
-func (t *Tracker) Holds(l *Latch) bool {
-	if t == nil || !t.Enabled {
-		return false
-	}
-	for _, h := range t.held {
-		if h.l == l {
-			return true
+// Holds reports whether the operation holds owner's latch, and in which
+// mode.
+func (t *Tracker) Holds(owner any) (Mode, bool) {
+	for i := 0; i < t.HeldCount(); i++ {
+		if h := t.held[i]; h.owner == owner {
+			return h.mode, true
 		}
 	}
-	return false
+	return 0, false
+}
+
+// Hold returns the owner and mode of the i-th hold, 0 <= i < HeldCount(),
+// in acquisition order.
+func (t *Tracker) Hold(i int) (owner any, mode Mode) {
+	return t.held[i].owner, t.held[i].mode
 }
 
 // Reset prepares the tracker for reuse by a new operation, keeping the
 // held-slice capacity so pooled operation contexts stay allocation-free.
-func (t *Tracker) Reset(enabled bool) {
-	t.Enabled = enabled
-	t.held = t.held[:0]
-}
+func (t *Tracker) Reset() { t.held = t.held[:0] }
 
 // HeldCount returns the number of holds currently recorded.
 func (t *Tracker) HeldCount() int {
@@ -121,19 +120,17 @@ func (t *Tracker) HeldCount() int {
 }
 
 // AssertNoneHeld panics if the operation still records any holds. Tree
-// operations call this on exit to catch latch leaks in tests.
+// operations call this on exit to catch latch leaks.
 func (t *Tracker) AssertNoneHeld() {
-	if t == nil || !t.Enabled {
+	if t == nil || len(t.held) == 0 {
 		return
 	}
-	if len(t.held) != 0 {
-		modes := make([]string, len(t.held))
-		for i, h := range t.held {
-			modes[i] = fmt.Sprintf("rank=%d mode=%v", h.rank, h.mode)
-		}
-		sort.Strings(modes)
-		panic(fmt.Sprintf("latch: %d latches leaked: %v", len(t.held), modes))
+	modes := make([]string, len(t.held))
+	for i, h := range t.held {
+		modes[i] = fmt.Sprintf("rank=%d mode=%v", h.rank, h.mode)
 	}
+	sort.Strings(modes)
+	panic(fmt.Sprintf("latch: %d latches leaked: %v", len(t.held), modes))
 }
 
 // HoldTimer measures latch hold durations for experiment T6 (atomic

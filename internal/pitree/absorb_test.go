@@ -200,7 +200,7 @@ func TestAbsorbFrees(t *testing.T) {
 // action, and a completion task that names the victim — queued, or running
 // — defers the free the same way, counted in Config.Deferred; an abandoned
 // cut aborts an empty action. None logs anything or leaves a latch behind
-// (the operation context checks that: CheckLatchOrder is on).
+// (the operation context's latch tracker checks that on Done).
 func TestAbsorbNothingToDo(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -338,8 +338,8 @@ func TestAbsorbCommitFailureRollsBack(t *testing.T) {
 }
 
 // callerHeldParent is toyAbsorb with the parent left out of the action:
-// the caller keeps left X-latched around Absorb, and Cut changes it all the
-// same.
+// the caller keeps left latched around Absorb, in mode, and Cut changes it
+// all the same.
 type callerHeldParent struct{ toyAbsorb }
 
 func (m *callerHeldParent) Survivors(o *Op[*toyNode]) (storage.PageID, int, error) {
@@ -352,25 +352,52 @@ func (m *callerHeldParent) Survivors(o *Op[*toyNode]) (storage.PageID, int, erro
 	return toyLeafB, 0, nil
 }
 
-// TestUndoOfAnUnheldLatchFails: with the parent outside the action's held
-// latches, the rollback of a failed commit would latch the parent its own
-// operation holds and wait for itself. The operation's latch tracker
-// (CheckLatchOrder, on for the toy) turns that wait into an error naming
-// the page, and the action is doomed.
-func TestUndoOfAnUnheldLatchFails(t *testing.T) {
-	ty := newToy(t, true, false)
-	ty.withSpace(t)
-	ty.forceAACommits()
+// absorbUnderCallersParent runs a callerHeldParent absorb whose commit
+// fails, with the caller holding left in mode across it, and returns
+// the absorb's error.
+func (ty *toy) absorbUnderCallersParent(t *testing.T, mode latch.Mode) error {
+	t.Helper()
 	o := ty.kern.NewOp(nil)
 	left, err := o.Acquire(toyLeft, latch.U, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Promote(&left)
+	if mode == latch.X {
+		o.Promote(&left)
+	}
 	err = errWithin(t, func() error { _, err := ty.kern.Absorb(o, &callerHeldParent{toyAbsorb{left: left}}); return err })
 	o.Release(&left)
 	o.Done()
+	return err
+}
+
+// TestUndoOfAnUnheldLatchFails: with the parent outside the action's held
+// latches and held by its operation in U, the rollback of a failed commit
+// would latch the parent its own operation holds and wait for itself. The
+// operation's latch tracker, which always records, turns that wait into
+// an error naming the page, and the action is doomed.
+func TestUndoOfAnUnheldLatchFails(t *testing.T) {
+	ty := newToy(t, true, false)
+	ty.withSpace(t)
+	ty.forceAACommits()
+	err := ty.absorbUnderCallersParent(t, latch.U)
 	if !errors.Is(err, txn.ErrDoomed) || !strings.Contains(err.Error(), fmt.Sprintf("kind %d on page %d", toyKindUnterm, toyLeft)) {
 		t.Fatalf("absorb: %v, want a doomed rollback naming page %d", err, toyLeft)
 	}
+}
+
+// TestUndoInTheOperationsXLatch: with the parent outside the action's held
+// latches but held by its operation in X, the rollback of a failed commit
+// compensates the parent in place, under the operation's latch as its
+// tracker records it: the failed force is returned, nothing is doomed, and
+// the toy reads as it did.
+func TestUndoInTheOperationsXLatch(t *testing.T) {
+	ty := newToy(t, true, false)
+	st := ty.withSpace(t)
+	ty.forceAACommits()
+	err := ty.absorbUnderCallersParent(t, latch.X)
+	if !errors.Is(err, wal.ErrLogFailed) || errors.Is(err, txn.ErrDoomed) {
+		t.Fatalf("absorb: %v, want the failed force, rolled back", err)
+	}
+	ty.unchanged(t, st)
 }

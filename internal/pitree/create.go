@@ -61,10 +61,10 @@ func formatPage(pool *storage.Pool, tr *latch.Tracker, rank latch.Rank, lg stora
 		return err
 	}
 	f.Latch.AcquireX()
-	tr.Acquired(&f.Latch, rank, latch.X)
+	tr.Acquired(f, rank, latch.X)
 	lg.LogUpdate(f, kind, image)
 	f.Data = data
-	tr.Released(&f.Latch)
+	tr.Released(f)
 	f.Latch.ReleaseX()
 	pool.Unpin(f)
 	return nil

@@ -167,8 +167,6 @@ type Config struct {
 	// consolidation holds X (core).
 	Tasks    interface{ Refs(TaskKey) bool }
 	Deferred *atomic.Int64
-	// CheckLatchOrder enables the per-operation latch order assertions.
-	CheckLatchOrder bool
 	// IndexHold, when set, records hold durations of U/X latches on index
 	// nodes.
 	IndexHold *latch.HoldTimer

@@ -232,8 +232,8 @@ func TestPostSoftOverflow(t *testing.T) {
 
 // TestPostFailureAborts: an error after the action began — from the second
 // Split, or from the failpoint behind the space test — releases every
-// latch (the operation context checks that itself: CheckLatchOrder is
-// on), aborts the action, and runs no commit hook.
+// latch (the operation context's latch tracker checks that itself on
+// Done), aborts the action, and runs no commit hook.
 func TestPostFailureAborts(t *testing.T) {
 	for _, tc := range []struct {
 		name      string

@@ -61,7 +61,7 @@ func newSplitToy(t *testing.T, rootLeaf bool) *splitToy {
 	}
 	ty := &toy{clones: map[*toyNode]int{}}
 	sy.kern = New[*toyNode, int](Config{
-		Name: "toy", Store: st, TM: e.TM, Root: root, CheckLatchOrder: true,
+		Name: "toy", Store: st, TM: e.TM, Root: root,
 		Restarts: &ty.restarts, OptimisticHits: &ty.hits, OptimisticRetries: &ty.retries, OptimisticFallbacks: &ty.fallbacks,
 	}, ty, &toyKinds)
 	return sy

@@ -94,7 +94,7 @@ func newToy(t *testing.T, couple, pessimistic bool) *toy {
 	ty.put(t, toyLeafC, &toyNode{low: 75, high: 100, right: toyLeafD})
 	ty.put(t, toyLeafD, &toyNode{low: 100, high: inf})
 	ty.kern = New[*toyNode, int](Config{
-		Name: "toy", Store: &storage.Store{Pool: ty.pool}, TM: ty.tm, Root: toyRoot, Couple: couple, Pessimistic: pessimistic, CheckLatchOrder: true,
+		Name: "toy", Store: &storage.Store{Pool: ty.pool}, TM: ty.tm, Root: toyRoot, Couple: couple, Pessimistic: pessimistic,
 		Restarts: &ty.restarts, OptimisticHits: &ty.hits, OptimisticRetries: &ty.retries, OptimisticFallbacks: &ty.fallbacks,
 	}, ty, &toyKinds)
 	t.Cleanup(ty.kern.Close)

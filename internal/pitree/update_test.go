@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -492,19 +493,19 @@ func TestCompensateItems(t *testing.T) {
 	}
 }
 
-// heldTx is a rolling-back transaction whose caller holds frames
-// X-latched, as AbortHeld's and CommitHeld's callers do.
+// heldTx is a rolling-back transaction whose caller's operation holds
+// the latches tr records, as AbortHeld's and CommitHeld's callers do.
 type heldTx struct {
 	*txn.Txn
-	frames []*storage.Frame
+	tr *latch.Tracker
 }
 
-func (h heldTx) Latched() []*storage.Frame { return h.frames }
+func (h heldTx) Held() *latch.Tracker { return h.tr }
 
 // TestCompensateInHeldLeaf: an item whose key routes to a leaf the
-// rolling-back action holds X-latched is applied there, without a latch
-// of its own — a descent would wait for the caller's latch forever — and
-// an item bound elsewhere still descends.
+// rolling-back action's operation holds X-latched, as its tracker records,
+// is applied there, without a latch of its own — a descent would wait for
+// the caller's latch forever — and an item bound elsewhere still descends.
 func TestCompensateInHeldLeaf(t *testing.T) {
 	ty := newToy(t, false, false)
 	f, err := ty.pool.Fetch(toyLeafA)
@@ -515,12 +516,15 @@ func TestCompensateInHeldLeaf(t *testing.T) {
 	tx := ty.tm.Begin()
 	from := ty.log.EndLSN()
 	done := make(chan error, 1)
+	var tr latch.Tracker
 	f.Latch.AcquireX()
+	tr.Acquired(f, 0, latch.X)
 	go func() {
-		done <- ty.kern.Compensate(heldTx{tx, []*storage.Frame{f}}, &wal.Record{}, &toyWrite{ty: ty, ks: []int{10, 60}, undo: true})
+		done <- ty.kern.Compensate(heldTx{tx, &tr}, &wal.Record{}, &toyWrite{ty: ty, ks: []int{10, 60}, undo: true})
 	}()
 	select {
 	case err := <-done:
+		tr.Released(f)
 		f.Latch.ReleaseX()
 		if err != nil {
 			t.Fatal(err)

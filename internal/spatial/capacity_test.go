@@ -56,7 +56,7 @@ func maxValue(tree *Tree) []byte {
 // taken, split their nodes, and survive a rollback whose compensations
 // need those splits again.
 func TestRecordTooLarge(t *testing.T) {
-	fx := newFixture(t, Options{SyncCompletion: true, CheckLatchOrder: true})
+	fx := newFixture(t, Options{SyncCompletion: true})
 	tree := fx.tree
 	big := append(maxValue(tree), 'x')
 	tx := fx.e.TM.Begin()

@@ -12,7 +12,7 @@ import (
 // workload and verifies the recovered tree partitions the space exactly
 // with only committed points visible.
 func TestSpatialCrashMatrix(t *testing.T) {
-	fx := newFixture(t, Options{DataCapacity: 4, IndexCapacity: 4, SyncCompletion: true, CheckLatchOrder: true})
+	fx := newFixture(t, Options{DataCapacity: 4, IndexCapacity: 4, SyncCompletion: true})
 	rng := rand.New(rand.NewSource(21))
 
 	type insertion struct {

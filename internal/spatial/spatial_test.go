@@ -21,10 +21,9 @@ type fixture struct {
 
 func smallOpts() Options {
 	return Options{
-		DataCapacity:    8,
-		IndexCapacity:   8,
-		SyncCompletion:  true,
-		CheckLatchOrder: true,
+		DataCapacity:   8,
+		IndexCapacity:  8,
+		SyncCompletion: true,
 	}
 }
 

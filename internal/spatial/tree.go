@@ -28,8 +28,6 @@ type Options struct {
 	// lazy-completion controls.
 	SyncCompletion bool
 	NoCompletion   bool
-	// CheckLatchOrder enables per-operation latch order assertions.
-	CheckLatchOrder bool
 	// PessimisticDescent disables the optimistic (version-validated)
 	// interior navigation, forcing every descent through the latched
 	// path. For comparison runs and targeted tests.
@@ -264,7 +262,6 @@ func (t *Tree) start(root storage.PageID) {
 		Pessimistic:         t.opts.PessimisticDescent,
 		Tasks:               t.comp,
 		Deferred:            &t.Stats.AbsorbDeferred,
-		CheckLatchOrder:     t.opts.CheckLatchOrder,
 		Restarts:            &t.Stats.Restarts,
 		OptimisticHits:      &t.Stats.OptimisticHits,
 		OptimisticRetries:   &t.Stats.OptimisticRetries,

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/latch"
 	"repro/internal/wal"
 )
 
@@ -55,12 +56,13 @@ type Handler struct {
 // CLRLogger is the slice of a rolling-back transaction that logical undo
 // needs: append a compensation record to its chain, addressed to the page
 // f buffers (X-latched; nil for a record of no page), and mark f dirty at
-// it as UpdateLogger.LogUpdate does; and name the frames the rollback's
-// caller holds X-latched already (AbortHeld, CommitHeld), where undo
-// applies without latching again. *txn.Txn implements it.
+// it as UpdateLogger.LogUpdate does; and name the latches the rollback's
+// caller holds (AbortHeld, CommitHeld): the tracker of its operation, nil
+// when no operation holds any. A page whose frame it holds in X undo
+// changes without latching again. *txn.Txn implements it.
 type CLRLogger interface {
 	LogCLR(f *Frame, kind wal.Kind, payload []byte, undoNext wal.LSN) wal.LSN
-	Latched() []*Frame
+	Held() *latch.Tracker
 }
 
 // Registry maps record Kinds to Handlers and store IDs to Pools. One

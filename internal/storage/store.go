@@ -221,9 +221,9 @@ func (s *Store) withMeta(t *latch.Tracker, fn func(f *Frame, m *Meta) error) err
 	}
 	defer s.Pool.Unpin(f)
 	f.Latch.AcquireX()
-	t.Acquired(&f.Latch, MetaRank, latch.X)
+	t.Acquired(f, MetaRank, latch.X)
 	defer func() {
-		t.Released(&f.Latch)
+		t.Released(f)
 		f.Latch.ReleaseX()
 	}()
 	m, ok := f.Data.(*Meta)

@@ -72,7 +72,7 @@ func currentLeaf(t *testing.T, tree *Tree, k keys.Key) (size int, timeLow uint64
 // split carried over, whose predecessor at the limit takes more room than
 // the node has left, splits the node — by key — to re-carry it.
 func TestRecordTooLarge(t *testing.T) {
-	fx := newFixture(t, Options{SyncCompletion: true, CheckLatchOrder: true})
+	fx := newFixture(t, Options{SyncCompletion: true})
 	tree := fx.tree
 	k := keys.Uint64(5)
 	big := append(maxValue(tree, k), 'x')
@@ -143,7 +143,7 @@ func TestRecordTooLarge(t *testing.T) {
 // room. Filler versions of other keys fill the node many times over; the
 // rollback then leaves every page within its slot.
 func TestRollbackRecarryFitsHistory(t *testing.T) {
-	fx := newFixture(t, Options{SyncCompletion: true, CheckLatchOrder: true})
+	fx := newFixture(t, Options{SyncCompletion: true})
 	tree := fx.tree
 	k := keys.Uint64(5)
 	prev := maxValue(tree, k)

@@ -20,7 +20,7 @@ func TestCompensateCLRIdentity(t *testing.T) {
 	run := func(t *testing.T, split, oracle bool) (recs []wal.Record, splits int64) {
 		fx := newFixture(t, smallOpts())
 		if split {
-			fx = newFixture(t, Options{SyncCompletion: true, CheckLatchOrder: true})
+			fx = newFixture(t, Options{SyncCompletion: true})
 		}
 		tree := fx.tree
 		doomedKeys := []keys.Key{keys.Uint64(5), keys.Uint64(6), keys.Uint64(7)}

@@ -320,7 +320,7 @@ func TestPruneCrashSafe(t *testing.T) {
 // that filler versions fill past the room its larger predecessor needs;
 // the crash leaves the transaction a loser, and its undo has to split.
 func TestPruneWaitsForAdoptedLoser(t *testing.T) {
-	fx := newFixture(t, Options{SyncCompletion: true, CheckLatchOrder: true, GC: true})
+	fx := newFixture(t, Options{SyncCompletion: true, GC: true})
 	tree := fx.tree
 	k := keys.Uint64(5)
 	prev := maxValue(tree, k)

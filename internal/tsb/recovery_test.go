@@ -13,7 +13,7 @@ import (
 // workload and verifies the recovered TSB tree is well-formed with
 // exactly the surviving committed versions visible.
 func TestTSBCrashMatrix(t *testing.T) {
-	fx := newFixture(t, Options{DataCapacity: 4, IndexCapacity: 4, SyncCompletion: true, CheckLatchOrder: true})
+	fx := newFixture(t, Options{DataCapacity: 4, IndexCapacity: 4, SyncCompletion: true})
 	const n = 30
 
 	committedBy := make(map[int]wal.LSN)

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -163,11 +162,8 @@ type Txn struct {
 	// until the stable prefix covers it. Only the owning goroutine
 	// touches it (lock acquisition and commit), so it needs no lock.
 	depLSN uint64
-	// latched are the frames the caller of AbortHeld or CommitHeld holds
-	// X-latched for the rollback, and tracker the latches its operation
-	// holds, when it checks them; only the aborting goroutine touches
-	// either.
-	latched []*storage.Frame
+	// tracker records the latches held by the operation that called
+	// AbortHeld or CommitHeld; only the aborting goroutine touches it.
 	tracker *latch.Tracker
 }
 
@@ -644,31 +640,31 @@ func (t *Txn) Abort() error {
 	return t.rollbackAndEnd(from)
 }
 
-// AbortHeld is Abort for an atomic action whose caller still holds X
-// latches on frames, the pages the action changed: undo compensates those
-// pages under the caller's latches instead of taking its own, so no other
-// operation sees the action's changes before they are undone. A page
-// outside frames — a store's meta page — undo latches itself, unless tr,
-// the caller's latch tracker, says the caller holds it: that undo is an
-// error rather than a wait for itself (a disabled or nil tr knows
-// nothing).
-func (t *Txn) AbortHeld(frames []*storage.Frame, tr *latch.Tracker) error {
-	t.latched, t.tracker = frames, tr
+// AbortHeld is Abort for an atomic action whose caller's operation still
+// holds latches, tr its record of them: undo compensates a page whose
+// frame tr holds in X — every page the action changed — under that latch
+// instead of taking its own, so no other operation sees the action's
+// changes before they are undone. A page tr does not hold — a store's
+// meta page — undo latches itself; one tr holds in another mode is an
+// error rather than a wait for itself.
+func (t *Txn) AbortHeld(tr *latch.Tracker) error {
+	t.tracker = tr
 	return t.Abort()
 }
 
-// CommitHeld is Commit for an atomic action whose caller still holds X
-// latches on frames: a commit whose force fails rolls the action back
-// (Commit), and that rollback compensates those pages under the caller's
-// latches, as AbortHeld's does.
-func (t *Txn) CommitHeld(frames []*storage.Frame, tr *latch.Tracker) error {
-	t.latched, t.tracker = frames, tr
+// CommitHeld is Commit for an atomic action whose caller's operation
+// still holds latches, tr its record of them: a commit whose force fails
+// rolls the action back (Commit), and that rollback compensates under the
+// held latches, as AbortHeld's does.
+func (t *Txn) CommitHeld(tr *latch.Tracker) error {
+	t.tracker = tr
 	return t.Commit()
 }
 
-// Latched returns the frames the caller of AbortHeld or CommitHeld holds
-// X-latched: a logical undo applies to a page among them in place.
-func (t *Txn) Latched() []*storage.Frame { return t.latched }
+// Held returns the latch tracker of the operation that called AbortHeld
+// or CommitHeld, nil before either: a logical undo applies in place to a
+// page whose frame it holds in X.
+func (t *Txn) Held() *latch.Tracker { return t.tracker }
 
 // rollbackAndEnd undoes everything from LSN from backwards, writes the end
 // record — a rolled-back transaction, unlike a committed one, is still in
@@ -805,15 +801,14 @@ func (t *Txn) undoOne(rec *wal.Record) error {
 	// the same page append in one order and apply in the other, and the
 	// pageLSN guard would then drop the lower-LSN compensation from the
 	// buffered page. Restart's concurrent loser-undo workers hit exactly
-	// that interleaving. A page the aborting caller holds latched
-	// (AbortHeld) is latched already; one its operation holds otherwise
-	// would be waited for by that operation itself.
-	if !slices.Contains(t.latched, f) {
-		if t.tracker.Holds(&f.Latch) {
-			return fmt.Errorf("txn %d: undo of kind %d on page %d needs a latch its own operation holds", t.ID, rec.Kind, rec.PageID)
-		}
+	// that interleaving. A page the aborting caller's operation holds in
+	// X (AbortHeld) is latched already; one it holds in another mode it
+	// would wait for itself.
+	if mode, held := t.tracker.Holds(f); !held {
 		f.Latch.AcquireX()
 		defer f.Latch.ReleaseX()
+	} else if mode != latch.X {
+		return fmt.Errorf("txn %d: undo of kind %d on page %d needs a latch its own operation holds in %v", t.ID, rec.Kind, rec.PageID, mode)
 	}
 	t.mu.Lock()
 	clr := pageRecord(wal.RecCLR, f, comp.Kind, comp.Payload)

@@ -2,10 +2,14 @@ package txn
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fsys"
+	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -208,6 +212,55 @@ func TestAbortWritesCLRChain(t *testing.T) {
 	// compensates it ends the undo chain.
 	if lastUndoNext != wal.NilLSN {
 		t.Fatalf("final UndoNext = %d, want NilLSN", lastUndoNext)
+	}
+}
+
+// TestAbortHeldUndoesUnderTheTrackersLatches: AbortHeld is given only the
+// caller's latch tracker. A page the tracker holds in X is compensated in
+// place, under the caller's latch — latching it again would wait forever
+// — and a page it holds in U is an error naming the record's kind and the
+// page, which dooms the action.
+func TestAbortHeldUndoesUnderTheTrackersLatches(t *testing.T) {
+	for _, tc := range []struct {
+		mode latch.Mode
+		want string // "" for an undo that succeeds
+	}{
+		{mode: latch.X},
+		{mode: latch.U, want: fmt.Sprintf("undo of kind %d on page 5 needs a latch its own operation holds in U", counterKind)},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			e := newEnv(t, Options{})
+			aa := e.tm.BeginAtomicAction()
+			e.add(aa, 5, 10)
+			f, err := e.pool.Fetch(5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.pool.Unpin(f)
+			var tr latch.Tracker
+			f.Latch.Acquire(tc.mode)
+			tr.Acquired(f, 0, tc.mode)
+			done := make(chan error, 1)
+			go func() { done <- aa.AbortHeld(&tr) }()
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the undo waits for a latch its caller holds")
+			}
+			if tc.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v := f.Data.(*counter).v; v != 0 {
+					t.Fatalf("page 5 = %d after the abort", v)
+				}
+			} else if !errors.Is(err, ErrDoomed) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("abort: %v, want a doomed rollback: %s", err, tc.want)
+			}
+			tr.Released(f)
+			f.Latch.Release(tc.mode)
+			tr.AssertNoneHeld()
+		})
 	}
 }
 
