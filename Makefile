@@ -140,10 +140,13 @@ walcpu:
 ## and drop-during-write-back tests, the dirty page table's tests (its
 ## heap holds the elided pages too), and the engine's horizon and shutdown
 ## tests. A fetch that waits on another's replay, and a Drop that lands
-## while the writer rebuilds the page, need a second CPU to meet.
+## while the writer rebuilds the page, need a second CPU to meet. Then one
+## iteration of core's replay benchmark (BenchmarkReplay: ns per replayed
+## record of an elided leaf), so that it keeps building and running.
 elide:
 	$(GO) test -cpu 1,2,4 -count 10 ./internal/storage -run 'TestPoolModel|TestElide|TestPrefetch|TestDirty'
 	$(GO) test -cpu 1,2,4 -count 10 ./internal/engine -run 'TestElidedPageHoldsHorizon|TestCloseLeavesNothingElided'
+	$(GO) test ./internal/core -run '^$$' -bench Replay -benchtime 1x
 
 ## pagefile: the page file's tests at -cpu 1,2,4, repeated (the model-based
 ## crash test of the block allocator, with 256-byte and 16 KiB slots so that

@@ -45,6 +45,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -445,6 +446,8 @@ func runRealCrash(cfg tortureConfig) error {
 	}
 	kinds := tortureKinds()
 	var total roundCounts
+	var slowest time.Duration
+	slowestRound := 0
 	for round := 0; round < cfg.rounds; round++ {
 		seed := cfg.seed + int64(round)*999983
 		kind := kinds[round%len(kinds)]
@@ -458,10 +461,25 @@ func runRealCrash(cfg tortureConfig) error {
 			killAfter = time.Duration(rng.Intn(2500)) * time.Microsecond
 			rcfg.ops, at = cfg.ops/4, "closing"
 		}
-		clean, counts, err := realCrashRound(bin, seed, kind, syncPol, killAfter, atClose, recWorkers, rcfg)
+		// Named before it runs, as a torture round is; its watchdog kills
+		// the child before it ends the process.
+		label := fmt.Sprintf("tree=%s sync=%s kill=%s+%v workers=%d seed=%d", kind.name, syncPol, at, killAfter, recWorkers, seed)
+		replay := fmt.Sprintf("reproduce with: pitree-verify -torture -real -seed %d -rounds %d", cfg.seed, round+1)
+		fmt.Fprintf(os.Stderr, "real round %d start (%s)\n%s\n", round, label, replay)
+		var child atomic.Pointer[os.Process]
+		watchdog := watchRound(fmt.Sprintf("real round %d", round), label, replay, func() {
+			if p := child.Load(); p != nil {
+				_ = p.Kill()
+			}
+		})
+		start := time.Now()
+		clean, counts, err := realCrashRound(bin, seed, kind, syncPol, killAfter, atClose, recWorkers, rcfg, &child)
+		watchdog.Stop()
+		if took := time.Since(start); took > slowest {
+			slowest, slowestRound = took, round
+		}
 		if err != nil {
-			return fmt.Errorf("real round %d (tree=%s sync=%s kill=%s+%v workers=%d seed=%d): %w\nreproduce with: pitree-verify -torture -real -seed %d -rounds %d",
-				round, kind.name, syncPol, at, killAfter, recWorkers, seed, err, cfg.seed, round+1)
+			return fmt.Errorf("real round %d (%s): %w\n%s", round, label, err, replay)
 		}
 		outcome := "killed"
 		if clean {
@@ -475,6 +493,7 @@ func runRealCrash(cfg tortureConfig) error {
 	if total.elisions == 0 {
 		return errNoElision
 	}
+	fmt.Printf("slowest real round: %d, %v (watchdog at %v)\n", slowestRound, slowest.Round(time.Millisecond), roundDeadline)
 	fmt.Println("all real-crash rounds verified: acked commits durable, no ghosts, trees well-formed")
 	return nil
 }
@@ -501,8 +520,10 @@ func (w *closeWatch) Write(p []byte) (int, error) {
 
 // realCrashRound runs one child and kills it killAfter after its start,
 // or with atClose after its closing line. counts is what the child's pools
-// (as of its last report) and the restart's did with dirty victims.
-func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killAfter time.Duration, atClose bool, recWorkers int, cfg tortureConfig) (clean bool, counts roundCounts, err error) {
+// (as of its last report) and the restart's did with dirty victims. The
+// child's process goes into child once it has started, for the round's
+// watchdog to kill.
+func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killAfter time.Duration, atClose bool, recWorkers int, cfg tortureConfig, child *atomic.Pointer[os.Process]) (clean bool, counts roundCounts, err error) {
 	dir, err := os.MkdirTemp("", "pitree-real-*")
 	if err != nil {
 		return false, counts, err
@@ -525,6 +546,7 @@ func realCrashRound(bin string, seed int64, kind treeKind, syncPol string, killA
 	if err := cmd.Start(); err != nil {
 		return false, counts, fmt.Errorf("fork child: %v", err)
 	}
+	child.Store(cmd.Process)
 	waitErr := make(chan error, 1)
 	go func() { waitErr <- cmd.Wait() }()
 	// The kill timer starts with the child, or — a nil channel never

@@ -626,21 +626,27 @@ func printCoverage(menu []menuEntry, cov map[string]*entryCoverage) {
 // calls it hung; a green round takes a few tens of milliseconds.
 const roundDeadline = 15 * time.Second
 
-// watchRound arms the watchdog of one round; the caller stops the timer
-// it returns when the round ends. If it fires first, it prints the
-// round's label, its replay line and every goroutine's stack to stderr
-// and exits with status 1. While the timer is pending the runtime sees a
-// way for the process to go on, so a round in which every goroutine
-// blocks is named this way too, not ended by "all goroutines are asleep".
-func watchRound(round int, label, replay string) *time.Timer {
+// watchRound arms the watchdog of one round, named by round ("torture
+// round 3", "real round 3"); the caller stops the timer it returns when
+// the round ends. If it fires first, it runs stop, if any (a real round
+// kills its child there, so that no process outlives this one), prints
+// the round's label, its replay line and every goroutine's stack to
+// stderr and exits with status 1. While the timer is pending the runtime
+// sees a way for the process to go on, so a round in which every
+// goroutine blocks is named this way too, not ended by "all goroutines
+// are asleep".
+func watchRound(round, label, replay string, stop func()) *time.Timer {
 	return time.AfterFunc(roundDeadline, func() {
+		if stop != nil {
+			stop()
+		}
 		buf := make([]byte, 1<<20)
 		n := runtime.Stack(buf, true)
 		for n == len(buf) {
 			buf = make([]byte, 2*len(buf))
 			n = runtime.Stack(buf, true)
 		}
-		fmt.Fprintf(os.Stderr, "torture round %d hung: not done after %v (%s)\n%s\n\n%s\n", round, roundDeadline, label, replay, buf[:n])
+		fmt.Fprintf(os.Stderr, "%s hung: not done after %v (%s)\n%s\n\n%s\n", round, roundDeadline, label, replay, buf[:n])
 		os.Exit(1)
 	})
 }
@@ -680,7 +686,7 @@ func runTorture(cfg tortureConfig) error {
 		label := fmt.Sprintf("tree=%s fault=%s workers=%d %v", kind.name, entry.name, recWorkers, draws.label(kind.name))
 		replay := fmt.Sprintf("reproduce with: pitree-verify -torture -seed %d -rounds %d", cfg.seed, round+1)
 		fmt.Fprintf(os.Stderr, "torture round %d start (%s seed=%d)\n%s\n", round, label, seed, replay)
-		watchdog := watchRound(round, label, replay)
+		watchdog := watchRound(fmt.Sprintf("torture round %d", round), label, replay, nil)
 		restart, counts, err := tortureRound(seed, kind, entry, recWorkers, draws, rng, cfg)
 		watchdog.Stop()
 		c := cov[entry.name]

@@ -53,12 +53,12 @@ func (t *Tree) MultiPut(tx *txn.Txn, ks []keys.Key, vals [][]byte) error {
 	if len(vals) != len(ks) {
 		return errBatchArgs
 	}
-	return t.write(tx, opUpsert, ks, vals)
+	return t.write(tx, &leafWrite{t: t, op: opUpsert, ks: ks, vals: vals})
 }
 
 // MultiDelete removes a batch of keys, grouped into leaf-runs like
 // MultiPut. Keys not present are skipped, not errors: the batch's
 // postcondition is absence.
 func (t *Tree) MultiDelete(tx *txn.Txn, ks []keys.Key) error {
-	return t.write(tx, opRemove, ks, nil)
+	return t.write(tx, &leafWrite{t: t, op: opRemove, ks: ks})
 }

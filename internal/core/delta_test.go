@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -163,7 +162,7 @@ func TestUpdateDeltaCrashAtEveryPrefix(t *testing.T) {
 }
 
 // leafOf returns the page of the leaf that holds key now.
-func (fx *fixture) leafOf(t *testing.T, key keys.Key) storage.PageID {
+func (fx *fixture) leafOf(t testing.TB, key keys.Key) storage.PageID {
 	t.Helper()
 	o := fx.tree.kern.NewOp(nil)
 	defer o.Done()
@@ -290,6 +289,11 @@ func TestUpdateDeltaReplay(t *testing.T) {
 	if s.Elisions == base.Elisions || s.Replays == base.Replays || s.ReplayedRecords == base.ReplayedRecords {
 		t.Fatalf("no update chain was elided and replayed: %+v, from %+v", s, base)
 	}
+	// The updates are atomic actions, whose commits do not force the log
+	// (§4.3.1): force it, or the crash loses what no page write forced.
+	if err := fx.e.Log.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
 	fx2 := fx.crashRestart(t, nil)
 	fx2.mustVerify(t)
 	check(fx2, "after restart")
@@ -399,23 +403,11 @@ func TestUpdateDeltaRuns(t *testing.T) {
 		}
 		return v
 	}
-	// The benchmark's value (benchmark/gen.go): id | seq | ten words of
-	// seq ^ id | CRC-32C of the first 96 bytes. A rewrite whose sequence
+	// The benchmark's value (workloadValue). A rewrite whose sequence
 	// number changes in its last byte changes that byte of the seq word
 	// and of each filler word, and the CRC: ten one-byte runs, then the
 	// last filler byte and the CRC as one.
-	const id = 7
-	benchValue := func(seq uint64) []byte {
-		v := make([]byte, 100)
-		binary.BigEndian.PutUint64(v, id)
-		for i := 8; i < 96; i += 8 {
-			binary.BigEndian.PutUint64(v[i:], seq^id)
-		}
-		binary.BigEndian.PutUint64(v[8:], seq)
-		binary.BigEndian.PutUint32(v[96:], crc32.Checksum(v[:96], crc32.MakeTable(crc32.Castagnoli)))
-		return v
-	}
-	oldValue, newValue := benchValue(0x41), benchValue(0x42)
+	oldValue, newValue := workloadValue(7, 0x41), workloadValue(7, 0x42)
 	var valueRuns []deltaRun
 	for i := 15; i < 95; i += 8 {
 		valueRuns = append(valueRuns, deltaRun{i, []byte{0x41 ^ 0x42}})

@@ -99,6 +99,34 @@ func decUpdate(b []byte) (valueDelta, error) {
 	return valueDelta{key: key, Delta: d}, err
 }
 
+// redoUpdate applies an update's payload to n. It makes decUpdate's checks
+// and applies the delta in the same walk of its runs (enc.ApplyDelta): in
+// the node's record buffer when the value keeps its length, as most
+// updates' values do. A payload refused leaves n as it was.
+func redoUpdate(n *Node, b []byte) error {
+	r := enc.NewReader(b)
+	key := r.View32()
+	p := r.Rest()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	i, ok := n.search(key)
+	if !ok {
+		_, err := enc.DecodeDelta(p, pitree.MaxRecord)
+		return err
+	}
+	cur := n.entry(i).Value
+	var scratch [256]byte
+	v, err := enc.ApplyDelta(scratch[:0], cur, p, pitree.MaxRecord)
+	if err != nil {
+		return fmt.Errorf("key %x: %w", key, err)
+	}
+	if len(v) != len(cur) || len(v) == 0 {
+		n.setValue(i, enc.NilIfEmpty(v))
+	}
+	return nil
+}
+
 // inverse is the delta that undoes d.
 func (d valueDelta) inverse() valueDelta {
 	d.Delta = d.Delta.Inverse()
@@ -237,21 +265,7 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 	// An update's redo applies its delta to the value found, and its
 	// undo is the inverse delta.
 	updateHandler := storage.Handler{
-		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error {
-			d, err := decUpdate(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if i, ok := n.search(d.key); ok {
-				var scratch [256]byte
-				v, err := d.apply(scratch[:0], n.entry(i).Value)
-				if err != nil {
-					return err
-				}
-				n.setValue(i, enc.NilIfEmpty(v))
-			}
-			return nil
-		}),
+		Redo: pitree.RedoNode(func(n *Node, rec *wal.Record) error { return redoUpdate(n, rec.Payload) }),
 		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
 			d, err := decUpdate(rec.Payload)
 			if err != nil {
@@ -267,18 +281,20 @@ func Register(reg *storage.Registry, pageOriented bool) *Binding {
 		// even data-node splits run outside the transaction (§6).
 		// An insert's undo deletes its entry, a delete's re-inserts it, an update's applies the inverse delta.
 		undo := pitree.LogicalUndo(&b.Binding, func(t *Tree, rec *wal.Record) (*pitree.Kernel[*Node, keys.Key], pitree.Undoer[*Node, keys.Key], error) {
-			w := &leafWrite{t: t, undo: true, op: opInsert}
 			if rec.Kind == KindUpdateRecord {
 				d, err := decUpdate(rec.Payload)
 				inv := d.inverse()
-				w.op, w.ks, w.delta = opUpdate, []keys.Key{d.key}, &inv
+				w := t.oneWrite(opUpdate, d.key, nil)
+				w.undo, w.delta = true, &inv
 				return t.kern, w, err
 			}
+			op := opInsert
 			if rec.Kind == KindInsertRecord {
-				w.op = opDelete
+				op = opDelete
 			}
 			e, err := leafRecord(rec.Payload)
-			w.ks, w.vals = []keys.Key{e.Key}, [][]byte{e.Value}
+			w := t.oneWrite(op, e.Key, e.Value)
+			w.undo = true
 			return t.kern, w, err
 		})
 		insertHandler.LogicalUndo, deleteHandler.LogicalUndo, updateHandler.LogicalUndo = undo, undo, undo

@@ -61,20 +61,20 @@ func (t *Tree) SearchInto(tx *txn.Txn, key keys.Key, buf []byte) (val []byte, fo
 // commit).
 func (t *Tree) Insert(tx *txn.Txn, key keys.Key, value []byte) error {
 	t.Stats.Inserts.Add(1)
-	return t.write(tx, opInsert, []keys.Key{key}, [][]byte{value})
+	return t.write(tx, t.oneWrite(opInsert, key, value))
 }
 
 // Update replaces the value of an existing key; ErrKeyNotFound otherwise.
 func (t *Tree) Update(tx *txn.Txn, key keys.Key, value []byte) error {
 	t.Stats.Updates.Add(1)
-	return t.write(tx, opUpdate, []keys.Key{key}, [][]byte{value})
+	return t.write(tx, t.oneWrite(opUpdate, key, value))
 }
 
 // Delete removes key; ErrKeyNotFound if absent. Under the CP invariant a
 // leaf left under-utilized schedules a consolidation attempt (§5.1).
 func (t *Tree) Delete(tx *txn.Txn, key keys.Key) error {
 	t.Stats.Deletes.Add(1)
-	return t.write(tx, opDelete, []keys.Key{key}, nil)
+	return t.write(tx, t.oneWrite(opDelete, key, nil))
 }
 
 // writeOp says what a leaf write does with a key it finds or misses.
@@ -101,6 +101,10 @@ type leafWrite struct {
 	op   writeOp
 	ks   []keys.Key
 	vals [][]byte
+	// key and val hold a single-key write's key and value, which ks and
+	// vals then slice (oneWrite).
+	key [1]keys.Key
+	val [1][]byte
 	// undo marks a compensation (§4.2): a key already as the undo would
 	// leave it is skipped, not refused, and only an insert needs room.
 	undo bool
@@ -117,15 +121,26 @@ type leafWrite struct {
 	shrunk bool
 }
 
-func (t *Tree) write(tx *txn.Txn, op writeOp, ks []keys.Key, vals [][]byte) error {
-	for i := range vals {
+func (t *Tree) write(tx *txn.Txn, w *leafWrite) error {
+	for i := range w.vals {
 		// A node's bounds and an index term may each hold the key again.
-		if err := t.kern.Admit(leafSize(ks[i], vals[i]) + len(ks[i])); err != nil {
+		if err := t.kern.Admit(leafSize(w.ks[i], w.vals[i]) + len(w.ks[i])); err != nil {
 			return err
 		}
 	}
-	w := &leafWrite{t: t, op: op, ks: ks, vals: vals}
-	return t.kern.Update(tx, len(ks), w.less, w)
+	return t.kern.Update(tx, len(w.ks), w.less, w)
+}
+
+// oneWrite is the leafWrite of key alone, with value unless op deletes:
+// both are held in the leafWrite, so a single-key write allocates nothing
+// else for them.
+func (t *Tree) oneWrite(op writeOp, key keys.Key, value []byte) *leafWrite {
+	w := &leafWrite{t: t, op: op}
+	w.key[0], w.ks = key, w.key[:]
+	if op != opDelete {
+		w.val[0], w.vals = value, w.val[:]
+	}
+	return w
 }
 
 func (w *leafWrite) less(i, j int) bool       { return keys.Compare(w.ks[i], w.ks[j]) < 0 }

@@ -576,7 +576,11 @@ func TestStructureRecordsStaySmall(t *testing.T) {
 // update's delta that decodes is exactly what appendUpdate writes for a
 // value it applies to and the value it makes of it: it re-encodes to the
 // same bytes either way, its runs turn that value into one of its target
-// length, and its inverse turns that back.
+// length, and its inverse turns that back. The redo's one walk of the runs
+// (redoUpdate) agrees: it applies what decUpdate accepts to a value of the
+// delta's From length and makes what the decoded delta makes, and any other
+// payload, or a value of another length, it refuses and leaves the node as
+// it was.
 func FuzzSlimPayloads(f *testing.F) {
 	n, _ := randomNode(rand.New(rand.NewSource(3)), 0, 5)
 	f.Add(appendTerm(nil, keys.Uint64(9), 4))
@@ -589,6 +593,8 @@ func FuzzSlimPayloads(f *testing.F) {
 	f.Add(appendUpdate(nil, keys.Uint64(9), nil, long))
 	f.Add(appendUpdate(nil, keys.Uint64(9), long, append(long[:50:50], 'x')))
 	f.Add(appendUpdate(nil, keys.Uint64(9), long, bytes.Repeat([]byte("0123456780"), 10)))
+	// A shrinking delta with a run that starts past the new value.
+	f.Add(appendUpdate(nil, keys.Uint64(9), []byte("abcdefgh\x00\x00\x00\x00\x00xyz"), []byte("abcdefgh")))
 	// Lengths far past any record, which must be refused unread, and a run
 	// past its value's end.
 	f.Add(appendDelta(nil, valueDelta{key: keys.Uint64(9), Delta: enc.Delta{From: 1 << 40, To: 1 << 40, Runs: []byte{0, 1, 1}}}))
@@ -621,6 +627,7 @@ func FuzzSlimPayloads(f *testing.F) {
 				t.Fatalf("delta %x: its inverse gives %x back for %x (%v)", b, back, v, err)
 			}
 		}
+		checkRedoUpdate(t, b)
 		if cut, err := decRecord(1, b); err == nil {
 			if got := appendTerm(nil, cut.Key, cut.Child); !bytes.Equal(got, b) {
 				t.Fatalf("split payload %x decodes to one that encodes as %x", b, got)
@@ -631,6 +638,47 @@ func FuzzSlimPayloads(f *testing.F) {
 		}
 		_, _, _ = decRootShrink(b)
 	})
+}
+
+// checkRedoUpdate holds redoUpdate to decUpdate and valueDelta.apply for
+// the update payload b, over a leaf that holds b's key beside two others,
+// valued with each of a few lengths and the delta's From length.
+func checkRedoUpdate(t *testing.T, b []byte) {
+	key := enc.NewReader(b).View32()
+	if key == nil {
+		return
+	}
+	d, decErr := decUpdate(b)
+	lengths := []int{0, 1, 7, 100}
+	if decErr == nil && d.From <= 4096 {
+		lengths = append(lengths, d.From)
+	}
+	for _, l := range lengths {
+		v := make([]byte, l)
+		for i := range v {
+			v[i] = byte(i*131 + 17)
+		}
+		n := &Node{High: keys.Inf}
+		for _, e := range []Entry{{Key: key, Value: v}, {Key: append(bytes.Clone(key), 0), Value: []byte("after")}, {Key: nil, Value: []byte("first")}} {
+			n.insertEntry(e)
+		}
+		before := encNodeImage(n)
+		err := redoUpdate(n, b)
+		if decErr != nil || l != d.From {
+			if err == nil {
+				t.Fatalf("payload %x over a %d-byte value: redone, though decUpdate says %v (From %d)", b, l, decErr, d.From)
+			}
+			if after := encNodeImage(n); !bytes.Equal(after, before) {
+				t.Fatalf("payload %x refused (%v) changed the node: %x, was %x", b, err, after, before)
+			}
+			continue
+		}
+		want, werr := d.apply(nil, v)
+		i, _ := n.search(key)
+		if got := n.entry(i).Value; err != nil || werr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("payload %x over %x: redo made %x (%v), the decoded delta %x (%v)", b, v, got, err, want, werr)
+		}
+	}
 }
 
 // TestGrowLogIdentity: the growth of a full root leaf, rolled back, logs

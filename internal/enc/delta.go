@@ -112,6 +112,9 @@ func DecodeDelta(b []byte, maxLen uint64) (Delta, error) {
 
 // MinUvarint reads a minimal uvarint of at most max off the front of b.
 func MinUvarint(b []byte, max uint64) (uint64, []byte, bool) {
+	if len(b) > 0 && b[0] < 0x80 && uint64(b[0]) <= max { // one byte, as most of a delta's are
+		return uint64(b[0]), b[1:], true
+	}
 	v, n := binary.Uvarint(b)
 	if n <= 0 || v > max || (n > 1 && b[n-1] == 0) {
 		return 0, b, false
@@ -147,21 +150,71 @@ func (d Delta) Apply(dst, cur []byte) ([]byte, error) {
 	}
 	keep := min(d.From, d.To)
 	dst = append(append(dst[:0], cur[:keep]...), make([]byte, d.To-keep)...)
-	for at, p := 0, d.Runs; len(p) > 0; {
+	xorRuns(dst, d.Runs)
+	return dst, nil
+}
+
+// ApplyDelta is DecodeDelta and Delta.Apply in one walk of the runs: it
+// makes every check DecodeDelta makes of the delta encoded in b, and applies
+// each run as it passes it. cur must hold the delta's From bytes. A delta
+// that keeps the value's length is applied to cur in place, and the result
+// is cur; any other is appended to dst[:0]. A delta refused leaves cur as it
+// was: the runs already applied are applied once more, which XOR undoes.
+func ApplyDelta(dst, cur, b []byte, maxLen uint64) ([]byte, error) {
+	from, p, ok1 := MinUvarint(b, maxLen)
+	to, p, ok2 := MinUvarint(p, maxLen)
+	if !ok1 || !ok2 {
+		return nil, fmt.Errorf("%w: lengths %d -> %d, runs %x", ErrBadDelta, from, to, p)
+	}
+	if uint64(len(cur)) != from {
+		return nil, fmt.Errorf("%w: the value holds %d bytes, the delta applies to %d", ErrBadDelta, len(cur), from)
+	}
+	out := cur
+	if from != to {
+		keep := min(from, to)
+		out = append(append(dst[:0], cur[:keep]...), make([]byte, to-keep)...)
+	}
+	runs, span := p, max(from, to)
+	for at, first := uint64(0), true; len(p) > 0; first = false {
+		gap, q, okGap := MinUvarint(p, span-at)
+		n, q, okLen := MinUvarint(q, span-at-gap)
+		if !okGap || !okLen || n == 0 || n > uint64(len(q)) || (!first && gap <= MaxRunZeros) || !compactRun(q[:n]) {
+			if from == to {
+				xorRuns(out, runs[:len(runs)-len(p)])
+			}
+			return nil, fmt.Errorf("%w: lengths %d -> %d, runs %x", ErrBadDelta, from, to, runs)
+		}
+		// A shrinking delta's runs may reach past the new value: old's
+		// tail XOR zero, which nothing keeps.
+		if at += gap; at < to {
+			xorRun(out[at:], q[:min(n, to-at)])
+		}
+		at, p = at+n, q[n:]
+	}
+	return out, nil
+}
+
+// xorRuns applies runs, which DecodeDelta or ApplyDelta checked, to v. A
+// shrinking delta's runs may reach past v: old's tail XOR zero, which
+// nothing keeps.
+func xorRuns(v, runs []byte) {
+	for at, p := 0, runs; len(p) > 0; {
 		gap, n := binary.Uvarint(p)
 		p = p[n:]
 		l, n := binary.Uvarint(p)
 		p = p[n:]
 		at += int(gap)
-		// A shrinking delta's runs may reach past the new value: old's
-		// tail XOR zero, which nothing keeps.
-		for _, c := range p[:l] {
-			if at < d.To {
-				dst[at] ^= c
-			}
-			at++
+		if at < len(v) {
+			xorRun(v[at:], p[:min(int(l), len(v)-at)])
 		}
-		p = p[l:]
+		at, p = at+int(l), p[l:]
 	}
-	return dst, nil
+}
+
+// xorRun XORs run into the front of v, which is at least as long. A
+// plain loop: a delta's runs are mostly a byte or a few (DESIGN.md §16).
+func xorRun(v, run []byte) {
+	for i, c := range run {
+		v[i] ^= c
+	}
 }

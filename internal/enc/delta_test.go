@@ -87,7 +87,9 @@ func TestMaxXORLenBounds(t *testing.T) {
 
 // BenchmarkDeltaApply: a delta of the repository benchmark's update (ten
 // one-byte runs and one of five) and one that rewrites a whole 100-byte
-// value, so one long run.
+// value, so one long run. decode+apply is what redo did before ApplyDelta
+// (DecodeDelta's checking walk, then Apply's into a copy), one-walk is
+// ApplyDelta in place; both start from the encoded delta.
 func BenchmarkDeltaApply(b *testing.B) {
 	value := func(seq uint64) []byte {
 		v := binary.BigEndian.AppendUint64(nil, 77)
@@ -105,7 +107,8 @@ func BenchmarkDeltaApply(b *testing.B) {
 		{"update", value(1000), value(1001)},
 		{"whole", make([]byte, 100), whole},
 	} {
-		d, err := DecodeDelta(AppendXOR(nil, c.old, c.new), 1<<20)
+		enc := AppendXOR(nil, c.old, c.new)
+		d, err := DecodeDelta(enc, 1<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,6 +116,27 @@ func BenchmarkDeltaApply(b *testing.B) {
 			var scratch [256]byte
 			for i := 0; i < b.N; i++ {
 				if _, err := d.Apply(scratch[:0], c.old); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/decode+apply", func(b *testing.B) {
+			var scratch [256]byte
+			for i := 0; i < b.N; i++ {
+				d, err := DecodeDelta(enc, 1<<20)
+				if err == nil {
+					_, err = d.Apply(scratch[:0], c.old)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/one-walk", func(b *testing.B) {
+			v := bytes.Clone(c.old)
+			for i := 0; i < b.N; i++ {
+				// Applied twice, the delta turns v back: v alternates.
+				if _, err := ApplyDelta(nil, v, enc, 1<<20); err != nil {
 					b.Fatal(err)
 				}
 			}

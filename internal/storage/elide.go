@@ -25,7 +25,7 @@ import (
 // an elided page replays its chain, one log read and one redo per record,
 // so the bound weighs that against one page write (the measurement is in
 // DESIGN.md §18).
-const maxElideChain = 3
+const maxElideChain = 8
 
 // FPPoolReplay is the failpoint probed before each record a fetch replays
 // onto an elided page. A transient fault is retried as a disk read is; any
@@ -94,6 +94,19 @@ func (p *Pool) replay(f *Frame, e *elidedPage) error {
 	}
 }
 
+// chainScratch is what a replay reads its chain into, kept between replays
+// (Pool.replayScratch): the records, newest first, each beside its kind's
+// handler, and the buffer of the frames their payloads alias.
+type chainScratch struct {
+	links []chainLink
+	buf   []byte
+}
+
+type chainLink struct {
+	rec wal.Record
+	h   Handler
+}
+
 func (p *Pool) replayOnce(f *Frame, e *elidedPage) error {
 	stable, data, err := p.readPage(f.ID)
 	imaged := err == nil
@@ -103,12 +116,12 @@ func (p *Pool) replayOnce(f *Frame, e *elidedPage) error {
 	if err != nil {
 		return err
 	}
-	recs, _ := p.replayScratch.Get().(*[]wal.Record)
-	if recs == nil {
-		recs = new([]wal.Record)
+	cs, _ := p.replayScratch.Get().(*chainScratch)
+	if cs == nil {
+		cs = new(chainScratch)
 	}
-	defer p.replayScratch.Put(recs)
-	chain, full, err := p.chainOf(recs, f.ID, e, wal.LSN(stable))
+	defer p.replayScratch.Put(cs)
+	full, err := p.chainOf(cs, f.ID, e, wal.LSN(stable))
 	if err == nil && !full && !imaged {
 		err = fmt.Errorf("%w: page %d has no stable image and its chain from %d reaches no page image", ErrBrokenChain, f.ID, e.page)
 	}
@@ -124,12 +137,13 @@ func (p *Pool) replayOnce(f *Frame, e *elidedPage) error {
 	f.recLSN.Store(uint64(e.rec()))
 	f.meta.Store(dirtyBit | stable)
 	f.chain.Store(0)
-	for i := len(chain) - 1; i >= 0; i-- {
+	for i := len(cs.links) - 1; i >= 0; i-- {
+		l := &cs.links[i]
 		err = p.inj.Check(FPPoolReplay)
 		if err == nil {
 			var applied bool
-			if applied, err = p.reg.redo(f, &chain[i]); err == nil && !applied {
-				err = fmt.Errorf("%w: page %d record %d at or below pageLSN %d", ErrBrokenChain, f.ID, chain[i].LSN, f.PageLSN())
+			if applied, err = redoWith(f, l.h, &l.rec); err == nil && !applied {
+				err = fmt.Errorf("%w: page %d record %d at or below pageLSN %d", ErrBrokenChain, f.ID, l.rec.LSN, f.PageLSN())
 			}
 		}
 		if err != nil {
@@ -141,55 +155,53 @@ func (p *Pool) replayOnce(f *Frame, e *elidedPage) error {
 	}
 	p.dirty.move(&e.pos, &f.dirtyPos)
 	p.replays.Add(1)
-	p.replayedRecords.Add(int64(len(chain)))
+	p.replayedRecords.Add(int64(len(cs.links)))
 	return nil
 }
 
-// frameGuess is a chain record's expected frame size, which sizes a
-// replay's frame buffer: an update of a 100-byte value and its header.
-const frameGuess = 192
-
 // chainOf walks the elided page's chain back from its pageLSN, newest
 // record first, reading each from the log (or, below the log's buffer,
-// from its files). The walk stops at the stable image's pageLSN, or at a
-// record that carries a whole page image (full: the stable image is not
-// needed); anything else — a record of another page, a link that passes
-// the stable image or ends without reaching it, a chain longer or shorter
-// than the entry counted — is ErrBrokenChain. The records go into *recs, a slice
-// kept between replays; the frames their payloads alias are this walk's
-// own — a redo handler copies what it keeps of a payload, but a buffer no
-// later replay writes over does not depend on that.
-func (p *Pool) chainOf(recs *[]wal.Record, pid PageID, e *elidedPage, stable wal.LSN) (chain []wal.Record, full bool, err error) {
-	chain = (*recs)[:0]
-	defer func() { *recs = chain[:0] }()
-	buf := make([]byte, 0, frameGuess*int(e.chain))
+// from its files) into cs, and looks up each record's handler once. The
+// walk stops at the stable image's pageLSN, or at a record that carries a
+// whole page image (full: the stable image is not needed); anything else —
+// a record of another page, a link that passes the stable image or ends
+// without reaching it, a chain longer or shorter than the entry counted —
+// is ErrBrokenChain. The payloads alias cs.buf, which the next replay to
+// take cs writes over: every Redo handler copies what it keeps of a
+// payload, as restart redo, whose payloads alias the log image, needs too.
+func (p *Pool) chainOf(cs *chainScratch, pid PageID, e *elidedPage, stable wal.LSN) (full bool, err error) {
+	cs.links, cs.buf = cs.links[:0], cs.buf[:0]
 	for lsn := e.page; lsn != stable; {
-		if lsn < stable || lsn == wal.NilLSN || len(chain) == int(e.chain) {
-			return nil, false, fmt.Errorf("%w: page %d, walking back from %d, reached %d without its stable image at %d",
+		if lsn < stable || lsn == wal.NilLSN || len(cs.links) == int(e.chain) {
+			return false, fmt.Errorf("%w: page %d, walking back from %d, reached %d without its stable image at %d",
 				ErrBrokenChain, pid, e.page, lsn, stable)
 		}
 		var rec wal.Record
-		rec, buf, err = p.log.ReadAppend(lsn, buf)
+		rec, cs.buf, err = p.log.ReadAppend(lsn, cs.buf)
 		if err != nil {
-			return nil, false, fmt.Errorf("page %d chain: %w", pid, err)
+			return false, fmt.Errorf("page %d chain: %w", pid, err)
 		}
 		if rec.StoreID != p.StoreID || PageID(rec.PageID) != pid {
-			return nil, false, fmt.Errorf("%w: page %d chain reaches record %d of store %d page %d",
+			return false, fmt.Errorf("%w: page %d chain reaches record %d of store %d page %d",
 				ErrBrokenChain, pid, lsn, rec.StoreID, rec.PageID)
 		}
-		chain = append(chain, rec)
-		if h, err := p.reg.Handler(rec.Kind); err == nil && h.Image {
-			return chain, true, nil
+		h, err := p.reg.Handler(rec.Kind)
+		if err != nil {
+			return false, err
+		}
+		cs.links = append(cs.links, chainLink{rec, h})
+		if h.Image {
+			return true, nil
 		}
 		lsn = rec.PagePrev
 	}
-	if len(chain) != int(e.chain) {
+	if len(cs.links) != int(e.chain) {
 		// A record that skipped its predecessor: two records logged against
 		// the page before it was marked once.
-		return nil, false, fmt.Errorf("%w: page %d reaches its stable image at %d in %d records, not the %d it counted",
-			ErrBrokenChain, pid, stable, len(chain), e.chain)
+		return false, fmt.Errorf("%w: page %d reaches its stable image at %d in %d records, not the %d it counted",
+			ErrBrokenChain, pid, stable, len(cs.links), e.chain)
 	}
-	return chain, false, nil
+	return false, nil
 }
 
 // writeElided writes the elided page pid back without buffering it: it

@@ -392,8 +392,8 @@ type Pool struct {
 
 	// scratch holds the image buffers (*[]byte) flush builds pages in.
 	scratch sync.Pool
-	// replayScratch holds the record slices (*[]wal.Record) a replay reads
-	// its chain into.
+	// replayScratch holds the buffers (*chainScratch) a replay reads its
+	// chain into.
 	replayScratch sync.Pool
 
 	flushCount atomic.Int64

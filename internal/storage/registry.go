@@ -72,8 +72,8 @@ type Registry struct {
 	mu    sync.RWMutex
 	pools map[uint32]*Pool
 	// handlers is replaced, never changed, by Register (under mu), so a
-	// lookup — one or two per record every redo, undo and replay applies —
-	// takes no lock.
+	// lookup — one per record every redo, undo and replay applies — takes
+	// no lock.
 	handlers atomic.Pointer[map[wal.Kind]Handler]
 }
 
@@ -167,6 +167,11 @@ func (r *Registry) redo(f *Frame, rec *wal.Record) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return redoWith(f, h, rec)
+}
+
+// redoWith is redo with rec's handler already looked up.
+func redoWith(f *Frame, h Handler, rec *wal.Record) (bool, error) {
 	if f.PageLSN() >= rec.LSN {
 		return false, nil // already reflected
 	}

@@ -181,6 +181,11 @@ func TestPutDeltaRedo(t *testing.T) {
 		t.Fatalf("no leaf was elided and replayed: %+v, from %+v", s, base)
 	}
 	last := tree.Now()
+	// The puts are atomic actions, whose commits do not force the log
+	// (§4.3.1): force it, or the crash loses what no page write forced.
+	if err := fx.e.Log.ForceAll(); err != nil {
+		t.Fatal(err)
+	}
 	fx2 := fx.crashRestart(t)
 	fx2.mustVerify(t)
 	check(fx2.tree, "after restart")
