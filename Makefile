@@ -140,12 +140,15 @@ walcpu:
 ## and drop-during-write-back tests, the dirty page table's tests (its
 ## heap holds the elided pages too), and the engine's horizon and shutdown
 ## tests. A fetch that waits on another's replay, and a Drop that lands
-## while the writer rebuilds the page, need a second CPU to meet. Then one
+## while the writer rebuilds the page, need a second CPU to meet. The
+## chain walk a replay runs has a second user, restart redo, so the
+## serial/parallel restart equivalence test runs likewise. Then one
 ## iteration of core's replay benchmark (BenchmarkReplay: ns per replayed
 ## record of an elided leaf), so that it keeps building and running.
 elide:
 	$(GO) test -cpu 1,2,4 -count 10 ./internal/storage -run 'TestPoolModel|TestElide|TestPrefetch|TestDirty'
 	$(GO) test -cpu 1,2,4 -count 10 ./internal/engine -run 'TestElidedPageHoldsHorizon|TestCloseLeavesNothingElided'
+	$(GO) test -cpu 1,2,4 -count 10 ./internal/recovery -run TestSerialParallelEquivalence
 	$(GO) test ./internal/core -run '^$$' -bench Replay -benchtime 1x
 
 ## pagefile: the page file's tests at -cpu 1,2,4, repeated (the model-based

@@ -35,9 +35,10 @@ type Options struct {
 	// remembered parent. With strategy (a) re-traversals start at the
 	// root, which never moves and is never de-allocated.
 	DeallocIsUpdate bool
-	// SyncCompletion runs completing atomic actions inline, immediately
-	// after the operation that scheduled them, instead of on background
-	// workers. Deterministic tests use it.
+	// SyncCompletion starts no background completion workers: a
+	// completing atomic action an operation schedules waits in the queue
+	// and runs only when DrainCompletions or Close is called, on the
+	// calling goroutine. Deterministic tests use it.
 	SyncCompletion bool
 	// NoCompletion suppresses all scheduled completions; experiment T5
 	// uses it to hold the tree in intermediate states.

@@ -389,3 +389,38 @@ func sortStrings(s []string) {
 		}
 	}
 }
+
+// BenchmarkMemWriteSync is an in-memory engine's write pattern: N page
+// writes to one file that is never synced, each followed by a log append
+// and a forcing Sync of another. A Sync settles only its own file's
+// writes, so the cost per write does not grow with N. Reports ns/write.
+func BenchmarkMemWriteSync(b *testing.B) {
+	page, rec := make([]byte, 1024), make([]byte, 128)
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m := NewMem()
+				pages, err := m.OpenFile("pages", os.O_RDWR|os.O_CREATE)
+				if err != nil {
+					b.Fatal(err)
+				}
+				log, err := m.OpenFile("log", os.O_RDWR|os.O_CREATE)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for w := 0; w < n; w++ {
+					if _, err := pages.WriteAt(page, int64(w%512)*int64(len(page))); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := log.WriteAt(rec, int64(w)*int64(len(rec))); err != nil {
+						b.Fatal(err)
+					}
+					if err := log.Sync(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/write")
+		})
+	}
+}

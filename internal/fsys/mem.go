@@ -28,13 +28,17 @@ const SectorSize = 512
 //
 // The two images of a file share the blocks neither has changed since the
 // last Sync, so a Sync costs a pointer per block, not a copy of the file.
+// Each file keeps its own unsynced writes, so a Sync settles only those.
 // Mem is safe for concurrent use.
 type Mem struct {
-	mu   sync.RWMutex
-	vol  map[string]*inode // volatile names
-	dur  map[string]*inode // durable names
-	dirs map[string]bool
-	pend []op // unsynced operations, in issue order
+	mu    sync.RWMutex
+	vol   map[string]*inode // volatile names
+	dur   map[string]*inode // durable names
+	dirs  map[string]bool
+	ns    []op                // unsynced creates, renames and unlinks, in issue order
+	files map[*inode]struct{} // the files with unsynced writes or truncations
+	seq   uint64              // issue number of the next operation
+	n     int                 // unsynced operations
 }
 
 // inode is one file's contents.
@@ -43,6 +47,7 @@ type inode struct {
 	size   int64
 	dblk   []*block // durable image
 	dsize  int64
+	pend   []op // unsynced writes and truncations, in issue order
 }
 
 // block is blockSize bytes of a file. A shared block is in some durable
@@ -55,6 +60,7 @@ type block struct {
 
 // op is an unsynced operation.
 type op struct {
+	seq  uint64 // issue order across every file and directory
 	kind opKind
 	ino  *inode
 	off  int64  // write: offset; truncate: new size
@@ -75,7 +81,22 @@ const (
 
 // NewMem returns an empty file system.
 func NewMem() *Mem {
-	return &Mem{vol: map[string]*inode{}, dur: map[string]*inode{}, dirs: map[string]bool{".": true, "/": true}}
+	return &Mem{vol: map[string]*inode{}, dur: map[string]*inode{}, dirs: map[string]bool{".": true, "/": true},
+		files: map[*inode]struct{}{}}
+}
+
+// issue records o as unsynced: a write or truncation with its file, a
+// namespace operation with the others. Caller holds m.mu.
+func (m *Mem) issue(o op) {
+	o.seq = m.seq
+	m.seq++
+	m.n++
+	if o.kind <= opTruncate {
+		o.ino.pend = append(o.ino.pend, o)
+		m.files[o.ino] = struct{}{}
+	} else {
+		m.ns = append(m.ns, o)
+	}
 }
 
 func clean(name string) string { return filepath.Clean(name) }
@@ -101,7 +122,7 @@ func (m *Mem) OpenFile(name string, flag int) (File, error) {
 		}
 		ino = &inode{}
 		m.vol[name] = ino
-		m.pend = append(m.pend, op{kind: opCreate, ino: ino, name: name})
+		m.issue(op{kind: opCreate, ino: ino, name: name})
 	case flag&os.O_TRUNC != 0:
 		m.truncate(ino, 0)
 	}
@@ -122,7 +143,7 @@ func (m *Mem) Rename(oldname, newname string) error {
 	}
 	delete(m.vol, oldname)
 	m.vol[newname] = ino
-	m.pend = append(m.pend, op{kind: opRename, ino: ino, name: oldname, to: newname})
+	m.issue(op{kind: opRename, ino: ino, name: oldname, to: newname})
 	return nil
 }
 
@@ -135,7 +156,7 @@ func (m *Mem) Remove(name string) error {
 		return pathErr("remove", name, fs.ErrNotExist)
 	}
 	delete(m.vol, name)
-	m.pend = append(m.pend, op{kind: opRemove, name: name})
+	m.issue(op{kind: opRemove, name: name})
 	return nil
 }
 
@@ -175,27 +196,18 @@ func (m *Mem) SyncDir(dir string) error {
 	if !m.dirs[dir] {
 		return pathErr("sync", dir, fs.ErrNotExist)
 	}
-	m.settle(func(o op) bool {
-		if o.kind < opCreate || filepath.Dir(o.name) != dir {
-			return false
-		}
-		applyNS(m.dur, o, o.ino)
-		return true
-	})
-	return nil
-}
-
-// settle drops the unsynced operations a sync covers: those done reports,
-// once it has published them.
-func (m *Mem) settle(done func(op) bool) {
-	keep := m.pend[:0]
-	for _, o := range m.pend {
-		if !done(o) {
+	keep := m.ns[:0]
+	for _, o := range m.ns {
+		if filepath.Dir(o.name) == dir {
+			applyNS(m.dur, o, o.ino)
+		} else {
 			keep = append(keep, o)
 		}
 	}
-	clear(m.pend[len(keep):])
-	m.pend = keep
+	m.n -= len(m.ns) - len(keep)
+	clear(m.ns[len(keep):])
+	m.ns = keep
+	return nil
 }
 
 // applyNS applies a namespace op to names, binding ino.
@@ -257,7 +269,7 @@ func TearLast(seed int64) Policy { return Policy{Mode: Tear, Seed: seed} }
 func (m *Mem) Unsynced() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.pend)
+	return m.n
 }
 
 // Crash returns the state a crash now leaves, under p, as a new Mem whose
@@ -265,7 +277,11 @@ func (m *Mem) Unsynced() int {
 func (m *Mem) Crash(p Policy) *Mem {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	ops := m.pend
+	ops := append(make([]op, 0, m.n), m.ns...)
+	for ino := range m.files {
+		ops = append(ops, ino.pend...)
+	}
+	sort.Slice(ops, func(i, j int) bool { return ops[i].seq < ops[j].seq })
 	keep, tear := 0, -1
 	rng := rand.New(rand.NewSource(p.Seed))
 	switch p.Mode {
@@ -389,6 +405,16 @@ func (ino *inode) read(b []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// sync makes ino's volatile image durable and settles its unsynced writes
+// and truncations. Caller holds m.mu.
+func (m *Mem) sync(ino *inode) {
+	ino.publish()
+	m.n -= len(ino.pend)
+	clear(ino.pend)
+	ino.pend = ino.pend[:0]
+	delete(m.files, ino)
+}
+
 // publish makes the volatile image durable.
 func (ino *inode) publish() {
 	for _, blk := range ino.blocks {
@@ -402,7 +428,7 @@ func (ino *inode) publish() {
 
 func (m *Mem) truncate(ino *inode, size int64) {
 	ino.truncate(size)
-	m.pend = append(m.pend, op{kind: opTruncate, ino: ino, off: size})
+	m.issue(op{kind: opTruncate, ino: ino, off: size})
 }
 
 // memFile is an open Mem file, and a Mem mapping.
@@ -455,7 +481,7 @@ func (f *memFile) WriteV(bufs [][]byte, off int64) error {
 		data = append(data, b...)
 	}
 	if len(data) > 0 {
-		f.m.pend = append(f.m.pend, op{kind: opWrite, ino: f.ino, off: off, data: data})
+		f.m.issue(op{kind: opWrite, ino: f.ino, off: off, data: data})
 	}
 	return nil
 }
@@ -466,8 +492,7 @@ func (f *memFile) Sync() error {
 	if err := f.check("sync", false); err != nil {
 		return err
 	}
-	f.ino.publish()
-	f.m.settle(func(o op) bool { return o.ino == f.ino && o.kind <= opTruncate })
+	f.m.sync(f.ino)
 	return nil
 }
 

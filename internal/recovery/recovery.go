@@ -10,19 +10,20 @@
 // intermediate state — and rolls back only actions that had not committed.
 // The tree completes the change lazily during normal processing.
 //
-// Restart itself is parallel (DESIGN.md §7). The analysis scan doubles as
-// a redo planner — it records, per dirty page, the offsets of the
-// update/CLR records past that page's recLSN — so the log image is decoded
-// once instead of twice, with zero payload copies. The plan is then
-// executed by page-partitioned workers: redo is page-oriented, so LSN
-// order matters only within a page and workers never coordinate. Losers
-// are likewise independent (their surviving updates were protected by
-// locks at the crash, and atomic-action compensations commute, §4.3), so
-// undo drains them from a work queue, preserving backward order only
-// within each transaction. The classic two-scan serial restart is kept
-// behind Opts.Serial as the oracle the pipeline is equivalence-tested
-// against and as the fallback when the redo plan outgrows its memory
-// budget.
+// Restart itself is parallel (DESIGN.md §7). The analysis scan also finds,
+// per dirty page, its newest record and how many of its records redo
+// applies, so the log is scanned once, not twice. Redo is then single-page
+// redo by page-partitioned workers: every record names the page's previous
+// one, so a worker walks each page's chain back from its newest record to
+// the state its stable image holds and applies it forward — the walk an
+// elided page's fetch runs (storage.Pool.RedoChain). Redo is
+// page-oriented, so LSN order matters only within a page and workers never
+// coordinate. Losers are likewise independent (their surviving updates
+// were protected by locks at the crash, and atomic-action compensations
+// commute, §4.3), so undo drains them from a work queue, preserving
+// backward order only within each transaction. The classic two-scan
+// serial restart is kept behind Opts.Serial as the oracle the pipeline is
+// equivalence-tested against.
 package recovery
 
 import (
@@ -180,25 +181,17 @@ func TakeCheckpointHorizon(log *wal.Log, tm *txn.Manager, pools ...*storage.Pool
 
 // Opts configures a restart.
 type Opts struct {
-	// Workers is the restart parallelism: the redo plan is partitioned
-	// across this many workers by (store,page) hash, and the undo pass
+	// Workers is the restart parallelism: the dirty pages are partitioned
+	// across this many redo workers by (store,page) hash, and the undo pass
 	// rolls losers back from a queue drained by this many workers.
 	// 0 means GOMAXPROCS.
 	Workers int
 	// Serial selects the classic two-scan restart: separate analysis and
 	// redo passes over the log, records applied one at a time, losers
 	// undone one after another in descending last-LSN order. It is the
-	// oracle the parallel pipeline is equivalence-tested against, and the
-	// path the spill fallback reuses.
+	// oracle the parallel pipeline is equivalence-tested against.
 	Serial bool
-	// PlanBudget bounds the fused scan's in-memory redo plan in bytes
-	// (~8 per planned record plus a per-page overhead). If the plan would
-	// exceed it, planning stops and redo falls back to the serial scan
-	// over the already-built dirty page table. 0 means 256 MiB.
-	PlanBudget int
 }
-
-const defaultPlanBudget = 256 << 20
 
 func (o Opts) withDefaults() Opts {
 	if o.Workers <= 0 {
@@ -206,9 +199,6 @@ func (o Opts) withDefaults() Opts {
 	}
 	if o.Serial {
 		o.Workers = 1
-	}
-	if o.PlanBudget <= 0 {
-		o.PlanBudget = defaultPlanBudget
 	}
 	return o
 }
@@ -227,28 +217,30 @@ type Stats struct {
 	LoserTxns    int
 	LoserActions int
 	// RedoStartLSN is where the serial redo scan begins (the earliest
-	// recLSN in the final dirty page table); the fused path reports the
-	// same value for comparability even though its plan already carries
-	// exact per-page offsets.
+	// recLSN in the final dirty page table); the parallel path, which
+	// starts each page at its own chain, reports the same value for
+	// comparability.
 	RedoStartLSN wal.LSN
 
 	// Workers is the parallelism redo and undo ran with.
 	Workers int
-	// PlannedPages / PlannedRecords describe the fused scan's redo plan
-	// (zero on the serial path and after a spill).
-	PlannedPages   int
-	PlannedRecords int
-	// PlanSpilled reports that the plan exceeded Opts.PlanBudget and redo
-	// fell back to the serial scan.
+	// PlanSpilled is always false: restart keeps no redo plan that could
+	// outgrow memory. The field stays for readers that report it.
 	PlanSpilled bool
-	// FetchSkippedPages / FetchSkippedRecords count planned pages whose
-	// stable image already covered every planned record and were dropped
-	// from the plan without being fetched through the pool. Their records
-	// still count as RedoneRecords — they were conditionally reapplied
-	// with the condition false — keeping the counter comparable with the
-	// serial path, where the pageLSN guard makes the same records no-ops.
+	// FetchSkippedPages / FetchSkippedRecords count dirty pages whose
+	// stable image already covered every record to redo and were skipped
+	// without being fetched through the pool. Their records still count
+	// as RedoneRecords — they were conditionally reapplied with the
+	// condition false — keeping the counter comparable with the serial
+	// path, where the pageLSN guard makes the same records no-ops.
 	FetchSkippedPages   int
 	FetchSkippedRecords int
+	// ImageStarts counts pages whose chain walk stopped at a record that
+	// carries a whole page image, and MidChainPages pages whose walk
+	// stopped at a stable image written after the page's recLSN. Both are
+	// zero on the serial path.
+	ImageStarts   int
+	MidChainPages int
 	// AnalysisTime, RedoTime, UndoTime are per-phase wall times.
 	AnalysisTime time.Duration
 	RedoTime     time.Duration
@@ -280,10 +272,7 @@ func (s Stats) RedoRate() float64     { return recsPerSec(s.RedoneRecords, s.Red
 func (s Stats) Summary() string {
 	redo := fmt.Sprintf("redo %v (%d rec, %.2fM rec/s, %d workers",
 		s.RedoTime.Round(time.Microsecond), s.RedoneRecords, s.RedoRate()/1e6, s.Workers)
-	switch {
-	case s.PlanSpilled:
-		redo += ", plan spilled"
-	case s.FetchSkippedPages > 0:
+	if s.FetchSkippedPages > 0 {
 		redo += fmt.Sprintf(", %d pages fetch-skipped", s.FetchSkippedPages)
 	}
 	redo += ")"
@@ -332,43 +321,25 @@ func AnalyzeAndRedoImage(img *wal.Reader, reg *storage.Registry, o Opts) (*Pendi
 	st := &p.Stats
 	st.Workers = o.Workers
 
-	// --- Analysis (fused with redo planning unless Serial) ------------
+	// --- Analysis ----------------------------------------------------
 	began := time.Now()
 	att := make(map[wal.TxnID]*attState)
-	dpt := make(map[uint32]map[uint64]wal.LSN) // store -> page -> recLSN
+	dpt := make(dirtyTable)
 	scanFrom, err := loadCheckpoint(img, att, dpt, st)
 	if err != nil {
 		return p, err
 	}
-	var plan *redoPlan
-	if !o.Serial {
-		plan = newRedoPlan(o.PlanBudget)
-	}
-	analyze(img, att, dpt, scanFrom, plan, st)
+	analyze(img, att, dpt, scanFrom, !o.Serial, st)
 	st.AnalysisTime = time.Since(began)
 
 	// --- Redo: repeat history -----------------------------------------
 	began = time.Now()
 	st.RedoStartLSN = redoStart(img, dpt)
-	if plan != nil && plan.spilled {
-		// The plan outgrew its budget mid-scan. Analysis is complete, so
-		// fall back to the classic redo scan over the final DPT; its skip
-		// counting replaces the partial plan's.
-		st.PlanSpilled = true
-		st.RedoSkipped = 0
-		plan = nil
-	}
 	var rerr error
-	if plan != nil {
-		st.PlannedPages = len(plan.pages)
-		st.PlannedRecords = plan.records
-		// Planned records are exactly those the serial redo scan would
-		// apply; record the count up front — fetch-skipped pages still
-		// count as conditionally reapplied (see Stats).
-		st.RedoneRecords = plan.records
-		rerr = plan.execute(img, reg, o.Workers, st)
-	} else {
+	if o.Serial {
 		rerr = redoScan(img, reg, dpt, st)
+	} else {
+		rerr = redoChains(img, reg, dpt, o.Workers, st)
 	}
 	st.RedoTime = time.Since(began)
 	if rerr != nil {
@@ -392,7 +363,7 @@ func AnalyzeAndRedoImage(img *wal.Reader, reg *storage.Registry, o Opts) (*Pendi
 
 // loadCheckpoint decodes the image's checkpoint anchor (if any) into att
 // and dpt and returns where the analysis scan must begin.
-func loadCheckpoint(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32]map[uint64]wal.LSN, st *Stats) (wal.LSN, error) {
+func loadCheckpoint(img *wal.Reader, att map[wal.TxnID]*attState, dpt dirtyTable, st *Stats) (wal.LSN, error) {
 	ckpt := img.CheckpointLSN()
 	if ckpt == wal.NilLSN {
 		return wal.NilLSN, nil
@@ -411,9 +382,9 @@ func loadCheckpoint(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32
 		att[e.ID] = &attState{lastLSN: e.LastLSN, system: e.System}
 	}
 	for store, pages := range c.DPT {
-		dpt[store] = make(map[uint64]wal.LSN, len(pages))
+		dpt[store] = make(map[uint64]*dirtyPage, len(pages))
 		for pid, rec := range pages {
-			dpt[store][pid] = rec
+			dpt[store][pid] = &dirtyPage{recLSN: rec}
 		}
 	}
 	scanFrom := ckpt
@@ -430,14 +401,14 @@ func loadCheckpoint(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32
 }
 
 // analyze runs the analysis scan from scanFrom, mutating att and dpt in
-// place. With plan non-nil it is the fused pass: every update/CLR at or
-// past its page's recLSN is planned inline (the ones the serial redo scan
-// would apply) and skips are counted exactly as the serial scan would
-// count them, so the two paths report identical stats. The fused pass
-// reads the image through the zero-copy scan; analysis retains no
-// payloads.
-func analyze(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32]map[uint64]wal.LSN,
-	scanFrom wal.LSN, plan *redoPlan, st *Stats) {
+// place: every update/CLR of a page enters the page at its LSN if the table
+// has no row for it, and counts in the row when it lies at or past the
+// page's recLSN (dirtyPage.note). With parallel it also counts the records
+// below their page's recLSN exactly as the serial redo scan would skip
+// them, so the two paths report identical stats. The scan reads the image
+// zero-copy; analysis retains no payloads.
+func analyze(img *wal.Reader, att map[wal.TxnID]*attState, dpt dirtyTable,
+	scanFrom wal.LSN, parallel bool, st *Stats) {
 
 	// minCkpt is the earliest recLSN carried in from the checkpoint DPT
 	// (max LSN when it is empty). The serial redo scan starts at the
@@ -445,20 +416,18 @@ func analyze(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32]map[ui
 	// when a checkpoint-DPT page was dirtied before the checkpoint began.
 	minCkpt := ^wal.LSN(0)
 	for _, pages := range dpt {
-		for _, rec := range pages {
-			if rec < minCkpt {
-				minCkpt = rec
-			}
+		for _, e := range pages {
+			minCkpt = min(minCkpt, e.recLSN)
 		}
 	}
 
-	if plan != nil && minCkpt < scanFrom {
-		// Planning pre-scan over [minCkpt, scanFrom): the serial path's
-		// redo scan re-reads this window for checkpoint-DPT pages; the
-		// fused path reads it here, planning records at or past their
-		// page's recLSN and counting the rest as skipped, exactly as the
-		// serial scan would. Analysis stays off: the checkpoint tables
-		// already summarize this prefix.
+	if parallel && minCkpt < scanFrom {
+		// Pre-scan over [minCkpt, scanFrom): the serial path's redo scan
+		// re-reads this window for checkpoint-DPT pages; the parallel path
+		// reads it here to find those pages' newest records and counts,
+		// counting the records it leaves as skipped, exactly as the serial
+		// scan would. Analysis stays off: the checkpoint tables already
+		// summarize this prefix.
 		img.ScanShared(minCkpt, func(rec *wal.Record) bool {
 			if rec.LSN >= scanFrom {
 				return false
@@ -466,9 +435,7 @@ func analyze(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32]map[ui
 			if (rec.Type != wal.RecUpdate && rec.Type != wal.RecCLR) || rec.PageID == uint64(storage.NilPage) {
 				return true
 			}
-			if recLSN, ok := dpt[rec.StoreID][rec.PageID]; ok && rec.LSN >= recLSN {
-				plan.add(rec.StoreID, rec.PageID, rec.LSN)
-			} else {
+			if e := dpt[rec.StoreID][rec.PageID]; e == nil || !e.note(rec.LSN) {
 				st.RedoSkipped++
 			}
 			return true
@@ -497,17 +464,7 @@ func analyze(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32]map[ui
 	// below the current position, so the serial redo scan would see — and
 	// count — every subsequent filtered record.
 	anyAdded := false
-	// One-entry cache of the last planned page: updates arrive in long
-	// same-page runs (consecutive inserts hit one leaf until it splits),
-	// and a hit bypasses both the DPT lookup and the plan's map lookup.
-	var (
-		cValid  bool
-		cStore  uint32
-		cPage   uint64
-		cRecLSN wal.LSN
-		cPlan   *pagePlan
-	)
-	fn := func(rec *wal.Record) bool {
+	img.ScanShared(scanFrom, func(rec *wal.Record) bool {
 		st.AnalyzedRecords++
 		if rec.TxnID > st.MaxTxnID {
 			st.MaxTxnID = rec.TxnID
@@ -523,39 +480,21 @@ func analyze(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32]map[ui
 			if rec.PageID == uint64(storage.NilPage) {
 				break
 			}
-			var recLSN wal.LSN
-			if cValid && rec.StoreID == cStore && rec.PageID == cPage {
-				recLSN = cRecLSN
-			} else {
-				m := dpt[rec.StoreID]
-				if m == nil {
-					m = make(map[uint64]wal.LSN)
-					dpt[rec.StoreID] = m
-				}
-				var ok bool
-				recLSN, ok = m[rec.PageID]
-				if !ok {
-					recLSN = rec.LSN
-					m[rec.PageID] = recLSN
-					anyAdded = true
-				}
-				cValid, cStore, cPage, cRecLSN, cPlan = true, rec.StoreID, rec.PageID, recLSN, nil
+			m := dpt[rec.StoreID]
+			if m == nil {
+				m = make(map[uint64]*dirtyPage)
+				dpt[rec.StoreID] = m
 			}
-			if plan == nil {
-				break
+			d := m[rec.PageID]
+			if d == nil {
+				d = &dirtyPage{recLSN: rec.LSN}
+				m[rec.PageID] = d
+				anyAdded = true
 			}
-			if rec.LSN >= recLSN {
-				if cPlan == nil {
-					cPlan = plan.page(rec.StoreID, rec.PageID)
-				}
-				plan.appendTo(cPlan, rec.LSN)
-				if plan.spilled {
-					cValid, cPlan = false, nil
-				}
-			} else if rec.LSN >= minCkpt || anyAdded {
-				// Count the skip only if the serial redo scan (starting
-				// at the final DPT's earliest recLSN) would reach this
-				// record and filter it.
+			// Count the skip only if the serial redo scan (starting at the
+			// final DPT's earliest recLSN) would reach this record and
+			// filter it.
+			if !d.note(rec.LSN) && parallel && (rec.LSN >= minCkpt || anyAdded) {
 				st.RedoSkipped++
 			}
 		case wal.RecDummyCLR, wal.RecAbort:
@@ -586,24 +525,17 @@ func analyze(img *wal.Reader, att map[wal.TxnID]*attState, dpt map[uint32]map[ui
 			// checkpoint record adds nothing.
 		}
 		return true
-	}
-	if plan != nil {
-		img.ScanShared(scanFrom, fn)
-	} else {
-		img.Scan(scanFrom, func(rec wal.Record) bool { return fn(&rec) })
-	}
+	})
 }
 
 // redoStart returns where the serial redo scan begins: the earliest
 // recLSN in the final dirty page table, or the image end when nothing is
 // dirty.
-func redoStart(img *wal.Reader, dpt map[uint32]map[uint64]wal.LSN) wal.LSN {
+func redoStart(img *wal.Reader, dpt dirtyTable) wal.LSN {
 	start := img.EndLSN()
 	for _, pages := range dpt {
-		for _, rec := range pages {
-			if rec < start {
-				start = rec
-			}
+		for _, e := range pages {
+			start = min(start, e.recLSN)
 		}
 	}
 	return start
@@ -611,8 +543,8 @@ func redoStart(img *wal.Reader, dpt map[uint32]map[uint64]wal.LSN) wal.LSN {
 
 // redoScan is the classic second pass: scan forward from the earliest
 // recLSN, applying every update/CLR the dirty page table admits, one
-// record at a time. The serial oracle and the spill fallback run it.
-func redoScan(img *wal.Reader, reg *storage.Registry, dpt map[uint32]map[uint64]wal.LSN, st *Stats) error {
+// record at a time. The serial oracle runs it.
+func redoScan(img *wal.Reader, reg *storage.Registry, dpt dirtyTable, st *Stats) error {
 	var redoErr error
 	img.Scan(st.RedoStartLSN, func(rec wal.Record) bool {
 		if rec.Type != wal.RecUpdate && rec.Type != wal.RecCLR {
@@ -621,9 +553,8 @@ func redoScan(img *wal.Reader, reg *storage.Registry, dpt map[uint32]map[uint64]
 		if rec.PageID == uint64(storage.NilPage) {
 			return true
 		}
-		pages := dpt[rec.StoreID]
-		recLSN, dirty := pages[rec.PageID]
-		if !dirty || rec.LSN < recLSN {
+		e := dpt[rec.StoreID][rec.PageID]
+		if e == nil || rec.LSN < e.recLSN {
 			st.RedoSkipped++
 			return true
 		}

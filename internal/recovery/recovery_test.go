@@ -1,7 +1,9 @@
 package recovery
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"slices"
 	"testing"
 
@@ -15,6 +17,11 @@ import (
 // The counter fixture mirrors the one in package txn: pages hold a single
 // int64 and records carry deltas, so recovered states are easy to assert.
 const counterKind wal.Kind = 200
+
+// counterSetKind sets a counter page to a value. Its record carries the
+// page's whole contents (and the value before, for its undo), so it is an
+// image kind: a chain walk may start from it.
+const counterSetKind wal.Kind = 201
 
 type counter struct{ v int64 }
 
@@ -47,6 +54,17 @@ func registerCounter(reg *storage.Registry) {
 			d := int64(binary.LittleEndian.Uint64(rec.Payload))
 			return storage.Compensation{Kind: counterKind, Payload: delta(-d)}, nil
 		},
+	})
+	reg.Register(counterSetKind, storage.Handler{
+		Redo: func(f *storage.Frame, rec *wal.Record) error {
+			f.Data = &counter{v: int64(binary.LittleEndian.Uint64(rec.Payload))}
+			return nil
+		},
+		MakeUndo: func(rec *wal.Record, _ storage.LogReader) (storage.Compensation, error) {
+			p := rec.Payload
+			return storage.Compensation{Kind: counterSetKind, Payload: append(slices.Clone(p[8:16]), p[:8]...)}, nil
+		},
+		Image: true,
 	})
 }
 
@@ -93,6 +111,23 @@ func (e *env) add(t *txn.Txn, pid storage.PageID, d int64) {
 	}
 	t.LogUpdate(f, counterKind, delta(d))
 	f.Data.(*counter).v += d
+	f.Latch.ReleaseX()
+	e.pool.Unpin(f)
+}
+
+// set logs and applies a set of page pid to v under t.
+func (e *env) set(t *txn.Txn, pid storage.PageID, v int64) {
+	f, err := e.pool.FetchOrCreate(pid)
+	if err != nil {
+		panic(err)
+	}
+	f.Latch.AcquireX()
+	if f.Data == nil {
+		f.Data = &counter{}
+	}
+	c := f.Data.(*counter)
+	t.LogUpdate(f, counterSetKind, append(delta(v), delta(c.v)...))
+	c.v = v
 	f.Latch.ReleaseX()
 	e.pool.Unpin(f)
 }
@@ -366,5 +401,87 @@ func TestFlushedLoserPagesUndone(t *testing.T) {
 	}
 	if e2.value(t, 5) != 0 {
 		t.Fatalf("page 5 = %d after undo of flushed loser", e2.value(t, 5))
+	}
+}
+
+// TestRestartBrokenChainFails: a restart whose redo walks a page chain that
+// does not lead back to the page's stable image fails with ErrBrokenChain,
+// and leaves the page as its stable image holds it. One chain jumps past
+// the stable image; in the other, two records name the stable image as
+// their predecessor, so the walk reaches it in fewer records than analysis
+// counted at or past the page's recLSN.
+func TestRestartBrokenChainFails(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// prev is the PagePrev of the i-th of two records logged against
+		// page 5 after its stable image, given the LSN of the page's first
+		// record, the stable image's pageLSN, and the first of the two.
+		prev func(i int, first, stable, rec0 wal.LSN) wal.LSN
+	}{
+		{"jumps-past-stable", func(i int, first, _, rec0 wal.LSN) wal.LSN {
+			if i == 0 {
+				return first
+			}
+			return rec0
+		}},
+		{"shorter-than-counted", func(_ int, _, stable, _ wal.LSN) wal.LSN { return stable }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(nil)
+			tx := e.tm.Begin()
+			first := e.log.EndLSN()
+			e.add(tx, 5, 10)
+			e.add(tx, 5, 2)
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.pool.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			stable, ok := e.pool.StablePageLSN(5)
+			if !ok || stable <= first {
+				t.Fatalf("stable pageLSN %d %v, want past %d", stable, ok, first)
+			}
+			// Page 5 is clean at the checkpoint, so the restart's dirty page
+			// table enters it at the first record below, past its pageLSN.
+			if _, err := TakeCheckpoint(e.log, e.tm, e.pool); err != nil {
+				t.Fatal(err)
+			}
+			var rec0 wal.LSN
+			for i := 0; i < 2; i++ {
+				lsn := e.log.Append(&wal.Record{Type: wal.RecUpdate, Kind: counterKind, TxnID: 99,
+					StoreID: 1, PageID: 5, PagePrev: tc.prev(i, first, stable, rec0), Payload: delta(100)})
+				if i == 0 {
+					rec0 = lsn
+				}
+			}
+			if err := e.log.ForceAll(); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				e2 := e.crash(nil)
+				want, _, _ := e2.pool.Disk().Read(5)
+				want = bytes.Clone(want)
+				if _, err := e2.analyzeAndRedo(Opts{Workers: workers}); !errors.Is(err, storage.ErrBrokenChain) {
+					t.Fatalf("workers=%d: restart over a broken chain: %v, want ErrBrokenChain", workers, err)
+				}
+				f, err := e2.pool.Fetch(5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lsn, dirty, v := f.PageLSN(), f.Dirty(), f.Data.(*counter).v
+				e2.pool.Unpin(f)
+				if lsn != stable || dirty || v != 12 {
+					t.Fatalf("workers=%d: page 5 left at pageLSN %d (dirty %v) holding %d; want its stable image, %d holding 12",
+						workers, lsn, dirty, v, stable)
+				}
+				if _, err := e2.pool.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+				if got, _, _ := e2.pool.Disk().Read(5); !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d: page 5's stable image changed", workers)
+				}
+			}
+		})
 	}
 }

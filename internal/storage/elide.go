@@ -2,7 +2,6 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/fault"
@@ -31,11 +30,6 @@ const maxElideChain = 8
 // onto an elided page. A transient fault is retried as a disk read is; any
 // other fails the fetch and leaves the page elided.
 const FPPoolReplay = "pool.replay"
-
-// ErrBrokenChain reports an elided page whose chain does not lead back to
-// its stable image or to a record that carries a whole page image. The
-// fetch that finds it fails and the page stays elided.
-var ErrBrokenChain = errors.New("storage: broken page chain")
 
 // elidedPage is the entry of a page an eviction dropped: its pageLSN, its
 // recLSN as a distance back from the pageLSN, and the length of its chain
@@ -79,8 +73,8 @@ func (p *Pool) elide(sh *poolShard, f *Frame) bool {
 
 // replay rebuilds the elided page e into the loading placeholder f (pinned,
 // published, invisible to every other fetcher): the stable image, then the
-// chain from it forward through Registry.redo. On success f is dirty with
-// e's recLSN and owns e's dirty page table entry; the caller retires e. On
+// chain from it forward through redoChain. On success f is dirty with e's
+// recLSN and owns e's dirty page table entry; the caller retires e. On
 // failure f is empty and clean again — a half-replayed page is never
 // installed — and e keeps its entry. A transient fault restarts the
 // replay, as readPage retries a transient read.
@@ -94,19 +88,6 @@ func (p *Pool) replay(f *Frame, e *elidedPage) error {
 	}
 }
 
-// chainScratch is what a replay reads its chain into, kept between replays
-// (Pool.replayScratch): the records, newest first, each beside its kind's
-// handler, and the buffer of the frames their payloads alias.
-type chainScratch struct {
-	links []chainLink
-	buf   []byte
-}
-
-type chainLink struct {
-	rec wal.Record
-	h   Handler
-}
-
 func (p *Pool) replayOnce(f *Frame, e *elidedPage) error {
 	stable, data, err := p.readPage(f.ID)
 	imaged := err == nil
@@ -116,92 +97,29 @@ func (p *Pool) replayOnce(f *Frame, e *elidedPage) error {
 	if err != nil {
 		return err
 	}
-	cs, _ := p.replayScratch.Get().(*chainScratch)
-	if cs == nil {
-		cs = new(chainScratch)
-	}
-	defer p.replayScratch.Put(cs)
-	full, err := p.chainOf(cs, f.ID, e, wal.LSN(stable))
-	if err == nil && !full && !imaged {
-		err = fmt.Errorf("%w: page %d has no stable image and its chain from %d reaches no page image", ErrBrokenChain, f.ID, e.page)
-	}
-	if err != nil {
-		return err
-	}
-	if full {
-		stable, data = 0, nil
-	}
 	f.Latch.AcquireX()
 	defer f.Latch.ReleaseX()
 	f.Data = data
 	f.recLSN.Store(uint64(e.rec()))
 	f.meta.Store(dirtyBit | stable)
 	f.chain.Store(0)
-	for i := len(cs.links) - 1; i >= 0; i-- {
-		l := &cs.links[i]
-		err = p.inj.Check(FPPoolReplay)
-		if err == nil {
-			var applied bool
-			if applied, err = redoWith(f, l.h, &l.rec); err == nil && !applied {
-				err = fmt.Errorf("%w: page %d record %d at or below pageLSN %d", ErrBrokenChain, f.ID, l.rec.LSN, f.PageLSN())
-			}
-		}
-		if err != nil {
-			f.Data = nil
-			f.meta.Store(0)
-			f.chain.Store(0)
-			return err
-		}
+	cs, _ := p.chainScratch.Get().(*ChainScratch)
+	if cs == nil {
+		cs = new(ChainScratch)
+	}
+	defer p.chainScratch.Put(cs)
+	w := chainWalk{read: p.log.ReadAppend, last: e.page, limit: int(e.chain), exact: true, image: !imaged, probe: true}
+	n, _, err := p.redoChain(f, cs, w)
+	if err != nil {
+		f.Data = nil
+		f.meta.Store(0)
+		f.chain.Store(0)
+		return err
 	}
 	p.dirty.move(&e.pos, &f.dirtyPos)
 	p.replays.Add(1)
-	p.replayedRecords.Add(int64(len(cs.links)))
+	p.replayedRecords.Add(int64(n))
 	return nil
-}
-
-// chainOf walks the elided page's chain back from its pageLSN, newest
-// record first, reading each from the log (or, below the log's buffer,
-// from its files) into cs, and looks up each record's handler once. The
-// walk stops at the stable image's pageLSN, or at a record that carries a
-// whole page image (full: the stable image is not needed); anything else —
-// a record of another page, a link that passes the stable image or ends
-// without reaching it, a chain longer or shorter than the entry counted —
-// is ErrBrokenChain. The payloads alias cs.buf, which the next replay to
-// take cs writes over: every Redo handler copies what it keeps of a
-// payload, as restart redo, whose payloads alias the log image, needs too.
-func (p *Pool) chainOf(cs *chainScratch, pid PageID, e *elidedPage, stable wal.LSN) (full bool, err error) {
-	cs.links, cs.buf = cs.links[:0], cs.buf[:0]
-	for lsn := e.page; lsn != stable; {
-		if lsn < stable || lsn == wal.NilLSN || len(cs.links) == int(e.chain) {
-			return false, fmt.Errorf("%w: page %d, walking back from %d, reached %d without its stable image at %d",
-				ErrBrokenChain, pid, e.page, lsn, stable)
-		}
-		var rec wal.Record
-		rec, cs.buf, err = p.log.ReadAppend(lsn, cs.buf)
-		if err != nil {
-			return false, fmt.Errorf("page %d chain: %w", pid, err)
-		}
-		if rec.StoreID != p.StoreID || PageID(rec.PageID) != pid {
-			return false, fmt.Errorf("%w: page %d chain reaches record %d of store %d page %d",
-				ErrBrokenChain, pid, lsn, rec.StoreID, rec.PageID)
-		}
-		h, err := p.reg.Handler(rec.Kind)
-		if err != nil {
-			return false, err
-		}
-		cs.links = append(cs.links, chainLink{rec, h})
-		if h.Image {
-			return true, nil
-		}
-		lsn = rec.PagePrev
-	}
-	if len(cs.links) != int(e.chain) {
-		// A record that skipped its predecessor: two records logged against
-		// the page before it was marked once.
-		return false, fmt.Errorf("%w: page %d reaches its stable image at %d in %d records, not the %d it counted",
-			ErrBrokenChain, pid, stable, len(cs.links), e.chain)
-	}
-	return false, nil
 }
 
 // writeElided writes the elided page pid back without buffering it: it

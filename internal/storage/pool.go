@@ -392,9 +392,9 @@ type Pool struct {
 
 	// scratch holds the image buffers (*[]byte) flush builds pages in.
 	scratch sync.Pool
-	// replayScratch holds the buffers (*chainScratch) a replay reads its
-	// chain into.
-	replayScratch sync.Pool
+	// chainScratch holds the buffers (*ChainScratch) an elided page's
+	// replay reads its chain into.
+	chainScratch sync.Pool
 
 	flushCount atomic.Int64
 	missCount  atomic.Int64

@@ -181,36 +181,3 @@ func redoWith(f *Frame, h Handler, rec *wal.Record) (bool, error) {
 	f.SetPageLSN(rec.LSN)
 	return true, nil
 }
-
-// ApplyRedoBatch applies one page's planned redo records — ascending LSN,
-// all addressed to (storeID, pid) — fetching, pinning and X-latching the
-// frame once for the whole batch instead of once per record. Every record
-// still takes the pageLSN test individually and advances pageLSN as it
-// applies, so the resulting page state is byte-identical with a loop of
-// ApplyRedo calls. Restart's page-partitioned redo workers drive it;
-// rec.Payload may alias the log image (Redo handlers treat payloads as
-// read-only). It returns how many records actually applied.
-func (r *Registry) ApplyRedoBatch(storeID uint32, pid PageID, recs []wal.Record) (int, error) {
-	p, err := r.Pool(storeID)
-	if err != nil {
-		return 0, err
-	}
-	f, err := p.FetchOrCreate(pid)
-	if err != nil {
-		return 0, err
-	}
-	defer p.Unpin(f)
-	f.Latch.AcquireX()
-	defer f.Latch.ReleaseX()
-	applied := 0
-	for i := range recs {
-		ok, err := r.redo(f, &recs[i])
-		if err != nil {
-			return applied, err
-		}
-		if ok {
-			applied++
-		}
-	}
-	return applied, nil
-}

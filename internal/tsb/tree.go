@@ -28,7 +28,8 @@ type Options struct {
 	// minimum 4); an index node also splits before it outgrows its page.
 	IndexCapacity int
 	// SyncCompletion and NoCompletion mirror the core tree's
-	// lazy-completion controls.
+	// lazy-completion controls: under SyncCompletion scheduled completions
+	// wait until DrainCompletions or Close runs them.
 	SyncCompletion bool
 	NoCompletion   bool
 	// PessimisticDescent disables the optimistic (version-validated)
