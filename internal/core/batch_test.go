@@ -329,8 +329,8 @@ func TestBatchArgMismatch(t *testing.T) {
 // publish a recLSN covering its FIRST record when it dirties a clean
 // page. A fuzzy checkpoint lands between the run and the page's next
 // flush; if the page's dirty-table entry carried the group's LAST LSN,
-// analysis would drop the earlier records of the run from the redo plan
-// and the crash would silently lose committed updates.
+// analysis would drop the earlier records of the run from redo and the
+// crash would lose committed updates.
 func TestBatchCheckpointRecLSN(t *testing.T) {
 	fx := newFixture(t, engine.Options{}, defaultTestOpts())
 	var ks []keys.Key

@@ -1021,11 +1021,11 @@ func (p *Pool) Prefetch(pid PageID) {
 // StablePageLSN returns the pageLSN recorded in pid's stable image without
 // buffering or decoding the page, or ok=false if the page was never
 // flushed (or the read failed — conservative; the caller's fetch will
-// surface a persistent error). Restart redo uses it to drop pages whose
-// stable image already covers every planned record: flushes only ever
+// surface a persistent error). Restart redo uses it to skip pages whose
+// stable image already covers every record to redo: flushes only ever
 // write buffered state, so a buffered frame can never be behind the stable
-// image, and a covering stable pageLSN proves the planned records are
-// reflected wherever the page currently lives.
+// image, and a covering stable pageLSN proves those records are reflected
+// wherever the page currently lives.
 func (p *Pool) StablePageLSN(pid PageID) (wal.LSN, bool) {
 	img, ok, err := p.disk.Read(pid)
 	if err != nil || !ok {
