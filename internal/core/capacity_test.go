@@ -43,9 +43,14 @@ func TestLargeValuesFitTheirSlots(t *testing.T) {
 	}
 }
 
-// maxValue returns the longest value Admit lets key k carry.
+// maxValue returns the longest value Admit lets key k carry: its length
+// prefix grows with it.
 func maxValue(tree *Tree, k keys.Key) []byte {
-	return bytes.Repeat([]byte{'m'}, tree.kern.Room()/4-leafSize(k, nil)-len(k))
+	n := tree.kern.Room()/4 - leafSize(k, nil) - len(k)
+	for leafSize(k, make([]byte, n))+len(k) > tree.kern.Room()/4 {
+		n--
+	}
+	return bytes.Repeat([]byte{'m'}, n)
 }
 
 // TestRecordTooLarge: a record one byte past the limit is refused with

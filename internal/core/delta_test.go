@@ -462,8 +462,8 @@ func TestUpdateDeltaRuns(t *testing.T) {
 	}
 	// That rewrite logs its fifteen changed bytes and a two-byte header
 	// for each of its eleven runs: the key, two lengths and 37 bytes.
-	if p := appendUpdate(nil, keys.Uint64(9), oldValue, newValue); len(p) != 4+8+2+37 {
-		t.Errorf("the benchmark's rewritten value logs %d payload bytes, want %d", len(p), 4+8+2+37)
+	if p := appendUpdate(nil, keys.Uint64(9), oldValue, newValue); len(p) != 1+8+2+37 {
+		t.Errorf("the benchmark's rewritten value logs %d payload bytes, want %d", len(p), 1+8+2+37)
 	}
 	// Runs appendUpdate never writes are refused: each of these would
 	// decode to a delta that re-encodes to other bytes, or reach past the

@@ -2,11 +2,18 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/fsys"
 	"repro/internal/keys"
 	"repro/internal/pitree/pitreetest"
+	"repro/internal/storage"
+	"repro/internal/wal"
 )
 
 // TestGoldenDir: the directory an earlier binary wrote
@@ -62,5 +69,54 @@ func TestGoldenDir(t *testing.T) {
 	tree.Close()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOlderFormatRefused: the golden directory of the build before page
+// file format 6 and log format 8 — page file format 5 and log format 7,
+// whose fields had 4-byte lengths, kept as testdata/format-v7 — is
+// refused, its log by engine.Open with wal.ErrLogVersion and its page file
+// by storage.OpenFileDisk with storage.ErrPageFileVersion, and both are
+// left byte for byte as they were: nothing converts or recycles them.
+func TestOlderFormatRefused(t *testing.T) {
+	dir := pitreetest.CopyDir(t, "testdata/format-v7")
+	files := func() map[string]string {
+		out := map[string]string{}
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			out[path] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := files()
+	opts := goldenEngine
+	opts.DataDir = dir
+	if e, _, err := engine.Open(opts); !errors.Is(err, wal.ErrLogVersion) {
+		if e != nil {
+			e.Close()
+		}
+		t.Fatalf("engine.Open of a format-7 log: %v, want wal.ErrLogVersion", err)
+	}
+	if d, err := storage.OpenFileDisk(fsys.OS, filepath.Join(dir, "store-1.pages"), 0); !errors.Is(err, storage.ErrPageFileVersion) {
+		if d != nil {
+			d.Close()
+		}
+		t.Fatalf("OpenFileDisk of a format-5 page file: %v, want storage.ErrPageFileVersion", err)
+	}
+	after := files()
+	if len(after) != len(before) {
+		t.Fatalf("the directory held %d files, %d after the opens", len(before), len(after))
+	}
+	for path, b := range before {
+		if after[path] != b {
+			t.Fatalf("%s changed by the opens", path)
+		}
 	}
 }

@@ -70,13 +70,13 @@ type valueDelta struct {
 
 // appendDelta appends d's payload to dst.
 func appendDelta(dst []byte, d valueDelta) []byte {
-	return enc.AppendDelta(enc.AppendBytes32(dst, d.key), d.Delta)
+	return enc.AppendDelta(enc.AppendField(dst, d.key), d.Delta)
 }
 
 // appendUpdate appends the payload of an update of key's value from old to
 // new.
 func appendUpdate(dst []byte, key keys.Key, old, new []byte) []byte {
-	return enc.AppendXOR(enc.AppendBytes32(dst, key), old, new)
+	return enc.AppendXOR(enc.AppendField(dst, key), old, new)
 }
 
 // updatePayload is the payload of an update of key's value from old to
@@ -90,7 +90,7 @@ func updatePayload(key keys.Key, old, new []byte) []byte {
 // admits, so a payload it accepts re-encodes to the same bytes.
 func decUpdate(b []byte) (valueDelta, error) {
 	r := enc.NewReader(b)
-	key := r.View32()
+	key := r.ViewField()
 	p := r.Rest()
 	if err := r.Err(); err != nil {
 		return valueDelta{}, err
@@ -105,7 +105,7 @@ func decUpdate(b []byte) (valueDelta, error) {
 // updates' values do. A payload refused leaves n as it was.
 func redoUpdate(n *Node, b []byte) error {
 	r := enc.NewReader(b)
-	key := r.View32()
+	key := r.ViewField()
 	p := r.Rest()
 	if err := r.Err(); err != nil {
 		return err

@@ -91,7 +91,7 @@ func (n *Node) Len() int { return n.recs.Len() }
 
 // keyAt returns entry i's key, and entry all of it, as views.
 func (n *Node) keyAt(i int) keys.Key {
-	k, _ := enc.Field32(n.recs.At(i), 0)
+	k, _ := enc.Field(n.recs.At(i), 0)
 	return k
 }
 
@@ -189,28 +189,28 @@ func (n *Node) String() string {
 }
 
 // nodeHdrLen is the fixed part of encodeNode's header: the level, the dead
-// mark, the bounds' length prefixes and unbounded mark, the side pointer
-// and the record count.
-const nodeHdrLen = 2 + 1 + 4 + 1 + 4 + 8 + 4
+// mark, the unbounded mark, the side pointer and the record count; the
+// bounds are fields beside it.
+const nodeHdrLen = 2 + 1 + 1 + 8 + 4
 
 // EncodedSize is the length of the node's image, in O(1).
 func (n *Node) EncodedSize() int {
-	return nodeHdrLen + len(n.Low) + len(n.High.Key) + n.recs.Size()
+	return nodeHdrLen + enc.FieldSize(n.Low) + enc.FieldSize(n.High.Key) + n.recs.Size()
 }
 
 // leafSize is the encoded size of a leaf record (appendLeaf).
-func leafSize(k keys.Key, v []byte) int { return 4 + len(k) + 4 + len(v) }
+func leafSize(k keys.Key, v []byte) int { return enc.FieldSize(k) + enc.FieldSize(v) }
 
 // termSize is the encoded size of an index term (appendTerm).
-func termSize(k keys.Key) int { return 4 + len(k) + 8 }
+func termSize(k keys.Key) int { return enc.FieldSize(k) + 8 }
 
 // encodeNode serializes a node (page image or log payload).
 func encodeNode(w *enc.Writer, n *Node) {
 	w.U16(uint16(n.Level))
 	w.Bool(n.Dead)
-	w.Bytes32(n.Low)
+	w.Field(n.Low)
 	w.Bool(n.High.Unbounded)
-	w.Bytes32(n.High.Key)
+	w.Field(n.High.Key)
 	w.U64(uint64(n.Right))
 	w.U32(uint32(n.Len()))
 	w.Reset(n.recs.AppendTo(w.Bytes()))
@@ -224,9 +224,9 @@ func decodeNode(r *enc.Reader) (*Node, error) {
 	n := &Node{}
 	n.Level = int(r.U16())
 	n.Dead = r.Bool()
-	n.Low = r.Bytes32()
+	n.Low = r.Field()
 	n.High.Unbounded = r.Bool()
-	n.High.Key = r.Bytes32()
+	n.High.Key = r.Field()
 	n.Right = storage.PageID(r.U64())
 	n.recs = r.Records(int(r.U32()), layoutOf(n.Level))
 	return n, r.Err()
@@ -255,22 +255,22 @@ func appendLeaf(dst []byte, k keys.Key, v []byte) []byte {
 	if dst == nil {
 		dst = make([]byte, 0, leafSize(k, v)) // a log payload: one exact allocation
 	}
-	return enc.AppendBytes32(enc.AppendBytes32(dst, k), v)
+	return enc.AppendField(enc.AppendField(dst, k), v)
 }
 
 func appendTerm(dst []byte, k keys.Key, child storage.PageID) []byte {
-	return binary.LittleEndian.AppendUint64(enc.AppendBytes32(dst, k), uint64(child))
+	return binary.LittleEndian.AppendUint64(enc.AppendField(dst, k), uint64(child))
 }
 
 // viewLeaf and viewTerm read a record of their level; Key and Value alias it.
 func viewLeaf(rec []byte) Entry {
-	k, off := enc.Field32(rec, 0)
-	v, _ := enc.Field32(rec, off)
+	k, off := enc.Field(rec, 0)
+	v, _ := enc.Field(rec, off)
 	return Entry{Key: k, Value: v}
 }
 
 func viewTerm(rec []byte) Entry {
-	k, off := enc.Field32(rec, 0)
+	k, off := enc.Field(rec, 0)
 	return Entry{Key: k, Child: storage.PageID(binary.LittleEndian.Uint64(rec[off:]))}
 }
 

@@ -175,7 +175,7 @@ func (w *leafWrite) most(i int) int {
 	if w.op == opDelete || w.op == opRemove {
 		return 0
 	}
-	return leafSize(w.ks[i], nil) + w.valueLen(i)
+	return enc.FieldSize(w.ks[i]) + enc.FieldLen(w.valueLen(i))
 }
 
 // Full: a write splits the leaf first when its need would not fit — the
@@ -484,7 +484,8 @@ func (t *Tree) RangeScan(tx *txn.Txn, lo, hi keys.Key, fn func(k keys.Key, v []b
 }
 
 // rangeScan is RangeScan's side of the kernel's leaf walk
-// (pitree.Scanner): batch holds copies of one leaf's records in the range.
+// (pitree.Scanner): batch holds copies of one leaf's records in the range,
+// all in one buffer of their size.
 type rangeScan struct {
 	t     *Tree
 	hi    keys.Key
@@ -496,12 +497,23 @@ func (s *rangeScan) Collect(leaf nref, cursor keys.Key) (int, keys.Key, storage.
 	n := leaf.N
 	s.batch = s.batch[:0]
 	first, _ := n.search(cursor)
+	size, end := 0, false
 	for i := first; i < n.Len(); i++ {
 		e := n.entry(i)
-		if s.hi != nil && keys.Compare(e.Key, s.hi) >= 0 {
-			return len(s.batch), nil, storage.NilPage, false
+		if end = s.hi != nil && keys.Compare(e.Key, s.hi) >= 0; end {
+			break
 		}
-		s.batch = append(s.batch, Entry{Key: keys.Clone(e.Key), Value: append([]byte(nil), e.Value...)})
+		s.batch = append(s.batch, Entry{Key: e.Key, Value: e.Value}) // views, copied below
+		size += len(e.Key) + len(e.Value)
+	}
+	buf := make([]byte, 0, size)
+	for i := range s.batch {
+		e := &s.batch[i]
+		buf, e.Key = enc.Carve(buf, e.Key)
+		buf, e.Value = enc.Carve(buf, e.Value)
+	}
+	if end {
+		return len(s.batch), nil, storage.NilPage, false
 	}
 	if n.High.Unbounded || (s.hi != nil && keys.Compare(n.High.Key, s.hi) >= 0) {
 		return len(s.batch), nil, storage.NilPage, false

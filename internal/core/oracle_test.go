@@ -46,14 +46,14 @@ type oracleNode struct {
 func oracleEncodeNode(w *enc.Writer, n *oracleNode) {
 	w.U16(uint16(n.Level))
 	w.Bool(n.Dead)
-	w.Bytes32(n.Low)
+	w.Field(n.Low)
 	w.Bool(n.High.Unbounded)
-	w.Bytes32(n.High.Key)
+	w.Field(n.High.Key)
 	w.U64(uint64(n.Right))
 	w.U32(uint32(len(n.Entries)))
 	for _, e := range n.Entries {
-		w.Bytes32(e.Key)
-		w.Bytes32(e.Value)
+		w.Field(e.Key)
+		w.Field(e.Value)
 		w.U64(uint64(e.Child))
 	}
 }
@@ -62,20 +62,20 @@ func oracleDecodeNode(r *enc.Reader) (*oracleNode, error) {
 	n := &oracleNode{}
 	n.Level = int(r.U16())
 	n.Dead = r.Bool()
-	n.Low = r.Bytes32()
+	n.Low = r.Field()
 	n.High.Unbounded = r.Bool()
-	n.High.Key = r.Bytes32()
+	n.High.Key = r.Field()
 	n.Right = storage.PageID(r.U64())
 	cnt := int(r.U32())
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if cnt > r.Remaining()/(4+4+8) {
+	if cnt > r.Remaining()/(1+1+8) {
 		return nil, enc.ErrTruncated
 	}
 	n.Entries = make([]Entry, 0, cnt)
 	for i := 0; i < cnt; i++ {
-		e := Entry{Key: r.Bytes32(), Value: r.Bytes32()}
+		e := Entry{Key: r.Field(), Value: r.Field()}
 		e.Child = storage.PageID(r.U64())
 		if r.Err() != nil {
 			return nil, r.Err()
@@ -93,7 +93,7 @@ func sameBytes(a, b []byte) bool { return bytes.Equal(a, b) && (a == nil) == (b 
 // old codec (the oracle, every field in every entry) and by the node codec
 // (each level's fields only) read the same, header and entries field by
 // field; the node's image is smaller by exactly what the level leaves out,
-// 8 bytes a leaf entry (the child) and 4 an index term (the nil value); and
+// 8 bytes a leaf entry (the child) and 1 an index term (the nil value); and
 // it decodes and re-encodes to itself, also after every record was taken
 // out of the buffer and put back in random order.
 func TestImageByteIdentity(t *testing.T) {
@@ -132,7 +132,7 @@ func TestImageByteIdentity(t *testing.T) {
 		built := &Node{Level: o.Level, Low: o.Low, High: o.High, Right: o.Right, Dead: o.Dead}
 		appendEntries(built, o.Entries...)
 		img, _ := (Codec{}).AppendPage(nil, built)
-		if saved, per := len(old)-len(img), []int{8, 4}[min(o.Level, 1)]; saved != per*len(o.Entries) {
+		if saved, per := len(old)-len(img), []int{8, 1}[min(o.Level, 1)]; saved != per*len(o.Entries) {
 			t.Fatalf("node %d (level %d, %d entries): the image is %d bytes smaller, want %d", i, o.Level, len(o.Entries), saved, per*len(o.Entries))
 		}
 		dec, err := (Codec{}).DecodePage(bytes.Clone(img))
@@ -178,9 +178,9 @@ func headerOf(t *testing.T, img []byte) []byte {
 	r := enc.NewReader(img)
 	r.U16()
 	r.Bool()
-	r.Bytes32()
+	r.Field()
 	r.Bool()
-	r.Bytes32()
+	r.Field()
 	r.U64()
 	r.U32()
 	if r.Err() != nil {

@@ -12,8 +12,8 @@ import (
 )
 
 // TestRecordBytesPerLevel: with an 8-byte key and a 100-byte value a leaf
-// entry is 116 bytes on the page — key and value with their length prefixes
-// — and an index term 20, key and child; and every log payload that carries
+// entry is 110 bytes on the page — key and value with their one-byte length
+// prefixes — and an index term 17, key and child; and every log payload that carries
 // one record is its level's page record byte for byte: an insert's and a
 // delete's the leaf entry, a posting's, a removal's and a split's cut the
 // index term.
@@ -23,8 +23,8 @@ func TestRecordBytesPerLevel(t *testing.T) {
 		level, size int
 		rec         []byte
 	}{
-		{0, 116, appendLeaf(nil, keys.Uint64(7), value)},
-		{1, 20, appendTerm(nil, keys.Uint64(7), 9)},
+		{0, 110, appendLeaf(nil, keys.Uint64(7), value)},
+		{1, 17, appendTerm(nil, keys.Uint64(7), 9)},
 	} {
 		n := &Node{Level: c.level}
 		n.insertEntry(viewEntry(c.level, c.rec))

@@ -587,6 +587,12 @@ func FuzzSlimPayloads(f *testing.F) {
 	f.Add(encConsolidateMove(4, encNodeImage(n)))
 	f.Add(encRootShrink(n, n))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xfe, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
+	// Field prefixes: a nil key beside an empty value, a prefix cut short,
+	// one past 64 bits, and a length past the input.
+	f.Add(appendLeaf(nil, nil, []byte{}))
+	f.Add([]byte{0x89, 0x80})
+	f.Add(append(bytes.Repeat([]byte{0xff}, 10), 1, 9))
+	f.Add(append([]byte{0xff, 0xff, 0x7f}, appendTerm(nil, keys.Uint64(9), 4)[1:]...))
 	long, short := bytes.Repeat([]byte("0123456789"), 10), []byte("abcdefg")
 	f.Add(appendUpdate(nil, keys.Uint64(9), long, short))
 	f.Add(appendUpdate(nil, keys.Uint64(9), short, nil))
@@ -644,7 +650,7 @@ func FuzzSlimPayloads(f *testing.F) {
 // the update payload b, over a leaf that holds b's key beside two others,
 // valued with each of a few lengths and the delta's From length.
 func checkRedoUpdate(t *testing.T, b []byte) {
-	key := enc.NewReader(b).View32()
+	key := enc.NewReader(b).ViewField()
 	if key == nil {
 		return
 	}

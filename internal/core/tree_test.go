@@ -427,3 +427,44 @@ func TestSingleKeyWriteAllocs(t *testing.T) {
 		t.Errorf("an insert and a delete allocate %v objects, want 6", a)
 	}
 }
+
+// TestScanAllocsPerLeaf: a scan copies each leaf's records in the range into
+// one buffer, so a 100-record scan allocates in proportion to the leaves it
+// visits, not the records it delivers — and what it delivers stays a copy
+// (TestNoResultAliasesANode).
+func TestScanAllocsPerLeaf(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; alloc counts are meaningless")
+	}
+	fx := newFixture(t, engine.Options{}, Options{LeafCapacity: 16, SyncCompletion: true})
+	for i := 0; i < 1000; i++ {
+		if err := fx.tree.Insert(nil, keys.Uint64(uint64(i)), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fx.tree.DrainCompletions()
+	lo, hi := keys.Uint64(400), keys.Uint64(500)
+	nodes, _ := nodeRecords(t, fx.tree)
+	leaves := 0
+	for _, n := range nodes {
+		if n.Level == 0 && !n.Dead && keys.Compare(n.Low, hi) < 0 &&
+			(n.High.Unbounded || keys.Compare(n.High.Key, lo) > 0) {
+			leaves++
+		}
+	}
+	got := 0
+	scan := func() {
+		got = 0
+		if err := fx.tree.RangeScan(nil, lo, hi, func(keys.Key, []byte) bool { got++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := testing.AllocsPerRun(100, scan)
+	if got != 100 {
+		t.Fatalf("the scan delivered %d records, want 100", got)
+	}
+	t.Logf("a 100-record scan over %d leaves allocates %.1f objects", leaves, a)
+	if a > float64(4*leaves+4) {
+		t.Fatalf("a 100-record scan over %d leaves allocates %.1f objects, want at most %d", leaves, a, 4*leaves+4)
+	}
+}

@@ -16,9 +16,9 @@ func TestRoundTripAllTypes(t *testing.T) {
 	w.U16(0xBEEF)
 	w.U32(0xDEADBEEF)
 	w.U64(0x0102030405060708)
-	w.Bytes32([]byte("hello"))
-	w.Bytes32(nil)
-	w.Bytes32([]byte{})
+	w.Field([]byte("hello"))
+	w.Field(nil)
+	w.Field([]byte{})
 
 	r := NewReader(w.Bytes())
 	if r.U8() != 7 || !r.Bool() || r.Bool() {
@@ -27,13 +27,13 @@ func TestRoundTripAllTypes(t *testing.T) {
 	if r.U16() != 0xBEEF || r.U32() != 0xDEADBEEF || r.U64() != 0x0102030405060708 {
 		t.Fatal("integer round trip")
 	}
-	if string(r.Bytes32()) != "hello" {
+	if string(r.Field()) != "hello" {
 		t.Fatal("bytes round trip")
 	}
-	if r.Bytes32() != nil {
+	if r.Field() != nil {
 		t.Fatal("nil-ness not preserved")
 	}
-	if b := r.Bytes32(); b == nil || len(b) != 0 {
+	if b := r.Field(); b == nil || len(b) != 0 {
 		t.Fatal("empty slice not preserved")
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
@@ -45,14 +45,14 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(a uint64, b []byte, c uint16, d []byte) bool {
 		var w Writer
 		w.U64(a)
-		w.Bytes32(b)
+		w.Field(b)
 		w.U16(c)
-		w.Bytes32(d)
+		w.Field(d)
 		r := NewReader(w.Bytes())
 		ga := r.U64()
-		gb := r.Bytes32()
+		gb := r.Field()
 		gc := r.U16()
-		gd := r.Bytes32()
+		gd := r.Field()
 		if r.Err() != nil {
 			return false
 		}
@@ -72,12 +72,12 @@ func TestRoundTripProperty(t *testing.T) {
 func TestTruncationDetected(t *testing.T) {
 	var w Writer
 	w.U64(42)
-	w.Bytes32([]byte("payload"))
+	w.Field([]byte("payload"))
 	full := w.Bytes()
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
 		_ = r.U64()
-		_ = r.Bytes32()
+		_ = r.Field()
 		if cut < len(full) && r.Err() == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
@@ -90,20 +90,20 @@ func TestReadsAfterErrorReturnZero(t *testing.T) {
 	if r.Err() == nil {
 		t.Fatal("expected error")
 	}
-	if r.U32() != 0 || r.Bytes32() != nil || r.Bool() {
+	if r.U32() != 0 || r.Field() != nil || r.Bool() {
 		t.Fatal("post-error reads must be zero values")
 	}
 }
 
-func TestBytes32CopyIsIndependent(t *testing.T) {
+func TestFieldCopyIsIndependent(t *testing.T) {
 	var w Writer
-	w.Bytes32([]byte{1, 2, 3})
+	w.Field([]byte{1, 2, 3})
 	buf := w.Bytes()
 	r := NewReader(buf)
-	got := r.Bytes32()
+	got := r.Field()
 	got[0] = 99
 	r2 := NewReader(buf)
-	if r2.Bytes32()[0] != 1 {
+	if r2.Field()[0] != 1 {
 		t.Fatal("decoded slice aliases the input buffer")
 	}
 }

@@ -134,9 +134,10 @@ func TestTryLockDepBatchDep(t *testing.T) {
 func TestTryLockDepBatchNoAllocs(t *testing.T) {
 	m := NewManager()
 	const txn = wal.TxnID(9)
-	// 16 names, and a batch over two chunks (short enough for the
-	// stripes' free lists of lock states to hold every state it takes).
-	for _, n := range []int{16, batchChunk + 44} {
+	// 16 names, a batch over two chunks, and one over three, larger than
+	// maxFreeStates states in every stripe: a stripe's free list keeps as
+	// many states as the last transaction released there.
+	for _, n := range []int{16, batchChunk + 44, 600} {
 		names := make([]Name, n)
 		for i := range names {
 			names[i] = PageName(3, uint64(i))

@@ -196,7 +196,9 @@ func (ls *lockState) removeWaiter(w *waiter) {
 	}
 }
 
-// Freelist bounds, per stripe. Beyond these, retired objects go to the GC.
+// Freelist bounds, per stripe. Beyond these, retired objects go to the GC;
+// a stripe keeps more free states while its last ReleaseAll released more
+// (stripe.keep).
 const (
 	maxFreeStates = 64
 	maxFreeNames  = 32
@@ -212,9 +214,14 @@ type stripe struct {
 	byTxn map[wal.TxnID][]Name
 
 	// freeStates and freeNames recycle lockState structs and name slices
-	// so the steady-state acquire/release cycle does not allocate.
+	// so the steady-state acquire/release cycle does not allocate. keep is
+	// how many names the last ReleaseAll released in this stripe: the free
+	// list holds up to that many states, at least maxFreeStates, so that a
+	// batch of any size repeated takes back the states its predecessor
+	// freed, and a smaller release trims what a larger one left.
 	freeStates []*lockState
 	freeNames  [][]Name
+	keep       int
 
 	// pending is the queue of retained dependency-only entries, in rough
 	// park order: pending[pendHead:] are parked, the slots before are
@@ -297,7 +304,7 @@ func (s *stripe) maybeFree(name Name, ls *lockState, stable uint64) {
 // holds s.mu; the entry must not be on the pending list.
 func (s *stripe) freeState(name Name, ls *lockState) {
 	delete(s.locks, name)
-	if len(s.freeStates) < maxFreeStates {
+	if len(s.freeStates) < max(maxFreeStates, s.keep) {
 		ls.holders = ls.holders[:0]
 		ls.queue = ls.queue[:0]
 		ls.depLSN = 0
@@ -969,8 +976,13 @@ func (m *Manager) releaseAll(txn wal.TxnID, depLSN uint64) {
 		s.sweepPending(st, sweepBase+2*len(s.byTxn[txn]))
 		if ns, ok := s.byTxn[txn]; ok {
 			delete(s.byTxn, txn)
+			s.keep = len(ns)
 			for _, name := range ns {
 				s.releaseLocked(txn, name, depLSN, st)
+			}
+			if k := max(maxFreeStates, s.keep); len(s.freeStates) > k {
+				clear(s.freeStates[k:])
+				s.freeStates = s.freeStates[:k]
 			}
 			s.recycleNames(ns)
 		}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/fsys"
 	"repro/internal/lock"
 	"repro/internal/storage"
@@ -483,5 +484,62 @@ func TestRestartBrokenChainFails(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRedoReadsEachPageOnce: restart reads the stable image of each page it
+// redoes once — through the worker's prefetch or its fetch, with no probe
+// of the image beside them — both for a page whose image already holds its
+// records (skipped on the fetched frame) and for one that needs them.
+func TestRedoReadsEachPageOnce(t *testing.T) {
+	const pages = 200
+	e := newEnv(nil)
+	tx := e.tm.Begin()
+	for pid := storage.PageID(2); pid < 2+pages; pid++ {
+		e.add(tx, pid, 1)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TakeCheckpoint(e.log, e.tm, e.pool); err != nil {
+		t.Fatal(err)
+	}
+	// A second record on every page, and half the pages written after it:
+	// analysis finds all of them dirty.
+	tx = e.tm.Begin()
+	for pid := storage.PageID(2); pid < 2+pages; pid++ {
+		e.add(tx, pid, 10)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for pid := storage.PageID(2); pid < 2+pages; pid += 2 {
+		if err := e.pool.FlushPage(pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		e2 := e.crash(nil)
+		inj := fault.New(1)
+		inj.Arm(storage.FPDiskRead, fault.Spec{After: 1 << 62}) // counts, never fires
+		e2.pool.Disk().SetInjector(inj)
+		p, err := e2.analyzeAndRedo(Opts{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reads := inj.Hits(storage.FPDiskRead); reads > pages {
+			t.Errorf("workers=%d: redo of %d pages read %d images", workers, pages, reads)
+		}
+		if p.Stats.FetchSkippedPages != pages/2 {
+			t.Errorf("workers=%d: %d pages skipped, want the %d written after their records", workers, p.Stats.FetchSkippedPages, pages/2)
+		}
+		for pid := storage.PageID(2); pid < 2+pages; pid++ {
+			if v := e2.value(t, pid); v != 11 {
+				t.Fatalf("workers=%d: page %d = %d after redo, want 11", workers, pid, v)
+			}
+		}
 	}
 }

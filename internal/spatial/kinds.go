@@ -90,14 +90,14 @@ func encSplitOff(alongX bool, coord uint64, sib storage.PageID, fates []byte) []
 	w.Bool(alongX)
 	w.U64(coord)
 	w.U64(uint64(sib))
-	w.Bytes32(fates)
+	w.Field(fates)
 	return w.Bytes()
 }
 
 func decSplitOff(b []byte) (alongX bool, coord uint64, sib storage.PageID, fates []byte, err error) {
 	r := enc.NewReader(b)
 	alongX, coord, sib = readCut(r)
-	fates = r.Bytes32()
+	fates = r.Field()
 	return alongX, coord, sib, fates, r.Err()
 }
 

@@ -317,13 +317,13 @@ func layoutOf(level int) enc.Layout {
 func appendPoint(dst []byte, e Entry) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, e.P.X)
 	dst = binary.LittleEndian.AppendUint64(dst, e.P.Y)
-	return enc.AppendBytes32(dst, e.Value)
+	return enc.AppendField(dst, e.Value)
 }
 
 // viewPoint and viewTerm read a record of their level; Value aliases it.
 func viewPoint(rec []byte) Entry {
 	e := Entry{P: Point{X: binary.LittleEndian.Uint64(rec), Y: binary.LittleEndian.Uint64(rec[8:])}}
-	e.Value, _ = enc.Field32(rec, 16)
+	e.Value, _ = enc.Field(rec, 16)
 	return e
 }
 
@@ -372,7 +372,7 @@ func (n *Node) EncodedSize() int {
 
 // pointSize and termBytes are the encoded sizes of a point (appendPoint)
 // and of a term (appendTerm).
-func pointSize(v []byte) int { return 8 + 8 + 4 + len(v) }
+func pointSize(v []byte) int { return 8 + 8 + enc.FieldSize(v) }
 
 const termBytes = 4*8 + 8 + 1
 

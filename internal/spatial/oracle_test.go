@@ -57,7 +57,7 @@ func oracleEncodeNode(w *enc.Writer, n *oracleNode) {
 	for _, e := range n.Entries {
 		w.U64(e.P.X)
 		w.U64(e.P.Y)
-		w.Bytes32(e.Value)
+		w.Field(e.Value)
 		oracleEncodeRect(w, e.Rect)
 		w.U64(uint64(e.Child))
 		w.Bool(e.Clipped)
@@ -78,7 +78,7 @@ func oracleDecodeNode(r *enc.Reader) (*oracleNode, error) {
 		n.Sibs = append(n.Sibs, s)
 	}
 	ne := int(r.U32())
-	if r.Err() != nil || ne > r.Remaining()/(8+8+4+4*8+8+1) {
+	if r.Err() != nil || ne > r.Remaining()/(8+8+1+4*8+8+1) {
 		return nil, enc.ErrTruncated
 	}
 	n.Entries = make([]Entry, 0, ne)
@@ -86,7 +86,7 @@ func oracleDecodeNode(r *enc.Reader) (*oracleNode, error) {
 		var e Entry
 		e.P.X = r.U64()
 		e.P.Y = r.U64()
-		e.Value = r.Bytes32()
+		e.Value = r.Field()
 		e.Rect = decodeRect(r)
 		e.Child = storage.PageID(r.U64())
 		e.Clipped = r.Bool()
@@ -101,7 +101,7 @@ func oracleDecodeNode(r *enc.Reader) (*oracleNode, error) {
 // fields only) read the same, header and entries field by field, through
 // the entry view and through the level's single-field accessor; the node's
 // image is smaller by exactly what the level leaves out, 41 bytes a point
-// and 20 a term; and it decodes and re-encodes to itself, also after every
+// and 17 a term; and it decodes and re-encodes to itself, also after every
 // record was taken out of the buffer and put back in random order.
 func TestImageByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
@@ -137,7 +137,7 @@ func TestImageByteIdentity(t *testing.T) {
 		built := &Node{Level: o.Level, Direct: o.Direct, Sibs: o.Sibs}
 		appendEntries(built, o.Entries...)
 		img, _ := (Codec{}).AppendPage(nil, built)
-		if saved, per := len(old)-len(img), []int{41, 20}[min(o.Level, 1)]; saved != per*len(o.Entries) {
+		if saved, per := len(old)-len(img), []int{41, 17}[min(o.Level, 1)]; saved != per*len(o.Entries) {
 			t.Fatalf("node %d (level %d, %d entries): the image is %d bytes smaller, want %d", i, o.Level, len(o.Entries), saved, per*len(o.Entries))
 		}
 		dec, err := (Codec{}).DecodePage(bytes.Clone(img))
@@ -279,7 +279,7 @@ func oracleSplitOff(pre *Node, sibPid storage.PageID) (image, payload []byte) {
 	w.Bool(alongX)
 	w.U64(coord)
 	w.U64(uint64(sibPid))
-	w.Bytes32(splitFates(pre, alongX, coord))
+	w.Field(splitFates(pre, alongX, coord))
 	return encNodeImage(&Node{Level: pre.Level, Direct: off, recs: entries}), w.Bytes()
 }
 

@@ -9,8 +9,8 @@ import (
 	"repro/internal/pitree/pitreetest"
 )
 
-// TestRecordBytesPerLevel: with a 100-byte value a point is 120 bytes on
-// the page — coordinates, value and its length prefix — and a term 41
+// TestRecordBytesPerLevel: with a 100-byte value a point is 117 bytes on
+// the page — coordinates, value and its one-byte length prefix — and a term 41
 // (rectangle, child, clipped mark); and every log payload that carries one
 // record is its level's page record byte for byte: a point's insert and
 // removal the point, a term's posting and removal the term.
@@ -20,7 +20,7 @@ func TestRecordBytesPerLevel(t *testing.T) {
 		level, size int
 		rec         []byte
 	}{
-		{0, 120, appendPoint(nil, Entry{P: Point{X: 7, Y: 9}, Value: value})},
+		{0, 117, appendPoint(nil, Entry{P: Point{X: 7, Y: 9}, Value: value})},
 		{1, 41, appendTerm(nil, Entry{Rect: Rect{X0: 1, Y0: 2, X1: 3, Y1: 4}, Child: 9, Clipped: true})},
 	} {
 		n := &Node{Level: c.level}

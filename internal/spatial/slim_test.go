@@ -455,6 +455,12 @@ func FuzzSlimPayloads(f *testing.F) {
 	f.Add(encAbsorbSib(true, 500, 4, returning{}))
 	f.Add(encAbsorbSib(true, 500, 4, returning{entries: in.recs.Slice(0, 3), pos: []uint16{0, 2, 5}, unclip: []uint16{1}}))
 	f.Add(encNodeImage(n))
+	// Field prefixes: a nil value beside an empty one, a prefix cut short,
+	// one past 64 bits, and a length past the input.
+	f.Add(append(appendPoint(nil, Entry{P: Point{X: 1, Y: 2}}), appendPoint(nil, Entry{Value: []byte{}})...))
+	f.Add([]byte{0x89, 0x80})
+	f.Add(append(bytes.Repeat([]byte{0xff}, 10), 1, 9))
+	f.Add(append(bytes.Repeat([]byte{7}, 16), 0xff, 0xff, 0x7f, 'v'))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if _, _, _, fates, err := decSplitOff(b); err == nil {
 			_, _ = unsplitOff(fates, in)

@@ -97,7 +97,7 @@ import (
 const (
 	fdHdrLen    = 32
 	fdMagic     = "PITRPAGE"
-	fdVersion   = 5
+	fdVersion   = 6
 	frameHdrLen = 40
 	frameMagic  = 0x4c534750 // "PGSL"
 	// DefaultSlotSize is the default slot size, the largest frame: an
@@ -121,8 +121,9 @@ const MaxSlotSize = 1 << 20
 // ErrPageFileVersion reports a page file written in a format this build
 // does not read: version 1 gave every page a fixed pair of slots, the node
 // images of version 2 gave every record the fields of both levels, version
-// 3 gave every image a whole slot, and version 4 made a block a quarter of
-// the slot.
+// 3 gave every image a whole slot, version 4 made a block a quarter of
+// the slot, and the node images of version 5 prefixed every byte string
+// with a 4-byte length where version 6 has a uvarint.
 var ErrPageFileVersion = errors.New("storage: unsupported page file format version")
 
 // ErrSlotSize reports a slot size, passed in or read from a page file's

@@ -858,7 +858,8 @@ func TestFileDiskOpenRejects(t *testing.T) {
 		{"v2", legacyHeader(2, 8192), ErrPageFileVersion},
 		{"v3", legacyHeader(3, 8192), ErrPageFileVersion},
 		{"v4", fileHeader(4, 8192, 7), ErrPageFileVersion},
-		{"v6", fileHeader(6, 8192, 7), ErrPageFileVersion},
+		{"v5", fileHeader(5, 8192, 7), ErrPageFileVersion},
+		{"v7", fileHeader(7, 8192, 7), ErrPageFileVersion},
 		{"v3-in-v4-layout", fileHeader(3, 8192, 7), ErrTornPage},
 		{"slot-small", fileHeader(fdVersion, minSlotSize-1, 7), ErrSlotSize},
 		{"slot-huge", fileHeader(fdVersion, 1<<31, 7), ErrSlotSize},

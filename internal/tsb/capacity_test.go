@@ -42,9 +42,14 @@ func TestLargeValuesFitTheirSlots(t *testing.T) {
 	}
 }
 
-// maxValue returns the longest value Admit lets key k carry.
+// maxValue returns the longest value Admit lets key k carry: its length
+// prefix grows with it.
 func maxValue(tree *Tree, k keys.Key) []byte {
-	return bytes.Repeat([]byte{'m'}, tree.kern.Room()/4-versionSize(k, nil)-len(k))
+	n := tree.kern.Room()/4 - versionSize(k, nil) - len(k)
+	for versionSize(k, make([]byte, n))+len(k) > tree.kern.Room()/4 {
+		n--
+	}
+	return bytes.Repeat([]byte{'m'}, n)
 }
 
 // currentLeaf reports the encoded size and time low bound of the current

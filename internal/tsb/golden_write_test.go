@@ -17,24 +17,24 @@ import (
 // The golden directory is a small file-backed engine directory — WAL
 // segments, master record, page file — abandoned without a Close: page
 // images from a checkpoint, a log tail to redo on top of them, and a loser
-// to undo, in page file format 5 and log format 7 (frames in extents of
-// blocks a sixteenth of the slot; node images whose records hold only their level's fields; each
+// to undo, in page file format 6 and log format 8 (frames in extents of
+// blocks a sixteenth of the slot; every byte string prefixed by the uvarint
+// of its length plus one; node images whose records hold only their level's fields; each
 // page's records chained; frames that do not store their LSN; a put logged
 // as the delta from the version it supersedes); beside it, in
 // asof.txt, the tree's clock at the checkpoint. The commit that introduced
-// log format 7 wrote it, in its own tree, with
+// log format 8 wrote it, in its own tree, with
 //
-//	go test ./internal/tsb -run TestWriteGoldenDir -golden-out <repo>/internal/tsb/testdata/golden-v7
+//	go test ./internal/tsb -run TestWriteGoldenDir -golden-out <repo>/internal/tsb/testdata/golden-v8
 //
-// The commit that introduced page file format 5 re-made it the same way;
-// its WAL files came out byte-identical and only the page file changed.
-// TestGoldenDir (golden_test.go) holds later code to it: neither format has
-// moved since. A change that bumps the log format re-makes the directory
+// The same commit introduced page file format 6. TestGoldenDir
+// (golden_test.go) holds later code to it: neither format has moved
+// since. A change that bumps the log format re-makes the directory
 // the same way, named for the new version, and deletes the old one; one
 // that bumps the page file format re-makes its page file.
 var goldenOut = flag.String("golden-out", "", "write the golden data directory there")
 
-const goldenDir = "testdata/golden-v7"
+const goldenDir = "testdata/golden-v8"
 
 var goldenEngine = engine.Options{SegmentSize: 16 << 10, SlotSize: 2 << 10}
 var goldenTree = Options{DataCapacity: 8, IndexCapacity: 6, SyncCompletion: true}

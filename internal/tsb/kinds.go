@@ -106,7 +106,7 @@ func decTimeSplit(b []byte) (ts uint64, hist storage.PageID, old *Node, err erro
 // marked clipped (a data node's list is empty).
 func encKeySplit(k keys.Key, sib storage.PageID, old *Node, clipped []storage.PageID) []byte {
 	var w enc.Writer
-	w.Bytes32(k)
+	w.Field(k)
 	w.U64(uint64(sib))
 	encodeHeader(&w, old)
 	encodePIDs(&w, clipped)
@@ -115,7 +115,7 @@ func encKeySplit(k keys.Key, sib storage.PageID, old *Node, clipped []storage.Pa
 
 func decKeySplit(b []byte) (k keys.Key, sib storage.PageID, old *Node, clipped []storage.PageID, err error) {
 	r := enc.NewReader(b)
-	k = r.Bytes32()
+	k = r.Field()
 	sib = storage.PageID(r.U64())
 	old = decodeHeader(r)
 	clipped, err = decodePIDs(r)
@@ -342,14 +342,14 @@ func IsPutDelta(payload []byte) bool { return len(payload) > 0 && payload[0]&put
 
 func encVersionRef(k keys.Key, start uint64) []byte {
 	var w enc.Writer
-	w.Bytes32(k)
+	w.Field(k)
 	w.U64(start)
 	return w.Bytes()
 }
 
 func decVersionRef(b []byte) (keys.Key, uint64, error) {
 	r := enc.NewReader(b)
-	k := r.Bytes32()
+	k := r.Field()
 	s := r.U64()
 	return k, s, r.Err()
 }

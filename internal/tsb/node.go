@@ -178,13 +178,13 @@ func (n *Node) Len() int { return n.recs.Len() }
 func (n *Node) entry(i int) Entry { return viewEntry(n.Level, n.recs.At(i)) }
 
 func (n *Node) keyAt(i int) keys.Key {
-	k, _ := enc.Field32(n.recs.At(i), 0)
+	k, _ := enc.Field(n.recs.At(i), 0)
 	return k
 }
 
 func (n *Node) startAt(i int) uint64 {
 	rec := n.recs.At(i)
-	_, off := enc.Field32(rec, 0)
+	_, off := enc.Field(rec, 0)
 	return binary.LittleEndian.Uint64(rec[off:])
 }
 
@@ -407,9 +407,9 @@ func cloneRect(r Rect) Rect {
 // The encoders are plain appends, not Writer methods, so that a caller's
 // scratch buffer stays on its stack.
 func appendRect(dst []byte, r Rect) []byte {
-	dst = enc.AppendBytes32(dst, r.KeyLow)
+	dst = enc.AppendField(dst, r.KeyLow)
 	dst = append(dst, enc.Bit(r.KeyHigh.Unbounded))
-	dst = enc.AppendBytes32(dst, r.KeyHigh.Key)
+	dst = enc.AppendField(dst, r.KeyHigh.Key)
 	dst = binary.LittleEndian.AppendUint64(dst, r.TimeLow)
 	return binary.LittleEndian.AppendUint64(dst, r.TimeHigh)
 }
@@ -418,9 +418,9 @@ func encodeRect(w *enc.Writer, r Rect) { w.Reset(appendRect(w.Bytes(), r)) }
 
 func decodeRect(r *enc.Reader) Rect {
 	var out Rect
-	out.KeyLow = r.Bytes32()
+	out.KeyLow = r.Field()
 	out.KeyHigh.Unbounded = r.Bool()
-	out.KeyHigh.Key = r.Bytes32()
+	out.KeyHigh.Key = r.Field()
 	out.TimeLow = r.U64()
 	out.TimeHigh = r.U64()
 	return out
@@ -429,9 +429,9 @@ func decodeRect(r *enc.Reader) Rect {
 // viewRect reads the rectangle at rec[off:], its keys aliasing rec.
 func viewRect(rec []byte, off int) (Rect, int) {
 	var r Rect
-	r.KeyLow, off = enc.Field32(rec, off)
+	r.KeyLow, off = enc.Field(rec, off)
 	r.KeyHigh.Unbounded = rec[off] != 0
-	r.KeyHigh.Key, off = enc.Field32(rec, off+1)
+	r.KeyHigh.Key, off = enc.Field(rec, off+1)
 	r.TimeLow = binary.LittleEndian.Uint64(rec[off:])
 	r.TimeHigh = binary.LittleEndian.Uint64(rec[off+8:])
 	return r, off + 16
@@ -462,9 +462,9 @@ func layoutOf(level int) enc.Layout {
 }
 
 func appendVersion(dst []byte, e Entry) []byte {
-	dst = enc.AppendBytes32(dst, e.Key)
+	dst = enc.AppendField(dst, e.Key)
 	dst = binary.LittleEndian.AppendUint64(dst, e.Start)
-	dst = enc.AppendBytes32(dst, e.Value)
+	dst = enc.AppendField(dst, e.Value)
 	dst = append(dst, enc.Bit(e.Deleted))
 	return binary.LittleEndian.AppendUint64(dst, uint64(e.Txn))
 }
@@ -474,9 +474,9 @@ func appendVersion(dst []byte, e Entry) []byte {
 func viewVersion(rec []byte) Entry {
 	var e Entry
 	var off int
-	e.Key, off = enc.Field32(rec, 0)
+	e.Key, off = enc.Field(rec, 0)
 	e.Start = binary.LittleEndian.Uint64(rec[off:])
-	e.Value, off = enc.Field32(rec, off+8)
+	e.Value, off = enc.Field(rec, off+8)
 	e.Deleted = rec[off] != 0
 	e.Txn = wal.TxnID(binary.LittleEndian.Uint64(rec[off+1:]))
 	return e
@@ -497,11 +497,11 @@ func viewTerm(rec []byte) Entry {
 }
 
 func appendKeyTerm(dst []byte, k keys.Key, child storage.PageID) []byte {
-	return binary.LittleEndian.AppendUint64(enc.AppendBytes32(dst, k), uint64(child))
+	return binary.LittleEndian.AppendUint64(enc.AppendField(dst, k), uint64(child))
 }
 
 func viewKeyTerm(rec []byte) Entry {
-	k, off := enc.Field32(rec, 0)
+	k, off := enc.Field(rec, 0)
 	return Entry{Key: k, Child: storage.PageID(binary.LittleEndian.Uint64(rec[off:]))}
 }
 
@@ -566,27 +566,29 @@ func (n *Node) setHeader(hdr *Node) {
 }
 
 // nodeHdrLen is the fixed part of an image's header: encodeHeader's level,
-// rectangle without its keys, sibling pointers and marks, and the record
-// count.
+// the fixed part of its rectangle, sibling pointers and marks, and the
+// record count.
 const nodeHdrLen = 2 + rectLen + 8 + 8 + 1 + 1 + 4
 
-// rectLen is the fixed part of an encoded rectangle: the keys' length
-// prefixes, the unbounded mark and the times.
-const rectLen = 4 + 1 + 4 + 8 + 8
+// rectLen is the fixed part of an encoded rectangle: the unbounded mark
+// and the times; the keys are fields beside it (rectSize).
+const rectLen = 1 + 8 + 8
+
+func rectSize(r Rect) int { return rectLen + enc.FieldSize(r.KeyLow) + enc.FieldSize(r.KeyHigh.Key) }
 
 // EncodedSize is the length of the node's image, in O(1).
 func (n *Node) EncodedSize() int {
-	return nodeHdrLen + len(n.Rect.KeyLow) + len(n.Rect.KeyHigh.Key) + n.recs.Size()
+	return nodeHdrLen + enc.FieldSize(n.Rect.KeyLow) + enc.FieldSize(n.Rect.KeyHigh.Key) + n.recs.Size()
 }
 
 // versionSize, termSize and keyTermSize are the encoded sizes of a version
 // (appendVersion), a level-1 term (appendTerm) and a key term
 // (appendKeyTerm).
-func versionSize(k keys.Key, v []byte) int { return 4 + len(k) + 8 + 4 + len(v) + 1 + 8 }
+func versionSize(k keys.Key, v []byte) int { return enc.FieldSize(k) + 8 + enc.FieldSize(v) + 1 + 8 }
 
-func termSize(r Rect) int { return 8 + rectLen + len(r.KeyLow) + len(r.KeyHigh.Key) + 1 }
+func termSize(r Rect) int { return 8 + rectSize(r) + 1 }
 
-func keyTermSize(k keys.Key) int { return 4 + len(k) + 8 }
+func keyTermSize(k keys.Key) int { return enc.FieldSize(k) + 8 }
 
 func encodeNode(w *enc.Writer, n *Node) {
 	encodeHeader(w, n)

@@ -38,9 +38,9 @@ type oracleNode struct {
 }
 
 func oracleEncodeRect(w *enc.Writer, r Rect) {
-	w.Bytes32(r.KeyLow)
+	w.Field(r.KeyLow)
 	w.Bool(r.KeyHigh.Unbounded)
-	w.Bytes32(r.KeyHigh.Key)
+	w.Field(r.KeyHigh.Key)
 	w.U64(r.TimeLow)
 	w.U64(r.TimeHigh)
 }
@@ -54,9 +54,9 @@ func oracleEncodeNode(w *enc.Writer, n *oracleNode) {
 	w.Bool(n.hdr.HistShared)
 	w.U32(uint32(len(n.Entries)))
 	for _, e := range n.Entries {
-		w.Bytes32(e.Key)
+		w.Field(e.Key)
 		w.U64(e.Start)
-		w.Bytes32(e.Value)
+		w.Field(e.Value)
 		w.Bool(e.Deleted)
 		w.U64(uint64(e.Txn))
 		w.U64(uint64(e.Child))
@@ -71,15 +71,15 @@ func oracleDecodeNode(r *enc.Reader) (*oracleNode, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if cnt > r.Remaining()/(4+8+4+1+8+8+(4+1+4+8+8)+1) {
+	if cnt > r.Remaining()/(1+8+1+1+8+8+(1+1+1+8+8)+1) {
 		return nil, enc.ErrTruncated
 	}
 	n.Entries = make([]Entry, 0, cnt)
 	for i := 0; i < cnt; i++ {
 		var e Entry
-		e.Key = r.Bytes32()
+		e.Key = r.Field()
 		e.Start = r.U64()
-		e.Value = r.Bytes32()
+		e.Value = r.Field()
 		e.Deleted = r.Bool()
 		e.Txn = wal.TxnID(r.U64())
 		e.Child = storage.PageID(r.U64())
@@ -103,7 +103,7 @@ func sameRect(a, b Rect) bool {
 // the node codec (each level's fields only) read the same, header and
 // entries field by field, through the entry view and through the level's
 // single-field accessors; the node's image is smaller by exactly what the
-// level leaves out, 34 bytes a version, 25 a level-1 term and 47 a key term;
+// level leaves out, 28 bytes a version, 19 a level-1 term and 38 a key term;
 // and it decodes and re-encodes to itself, also after every record was
 // taken out of the buffer and put back in random order.
 func TestImageByteIdentity(t *testing.T) {
@@ -148,7 +148,7 @@ func TestImageByteIdentity(t *testing.T) {
 		built := o.hdr
 		appendEntries(&built, o.Entries...)
 		img, _ := (Codec{}).AppendPage(nil, &built)
-		if saved, per := len(old)-len(img), []int{34, 25, 47}[min(o.hdr.Level, 2)]; saved != per*len(o.Entries) {
+		if saved, per := len(old)-len(img), []int{28, 19, 38}[min(o.hdr.Level, 2)]; saved != per*len(o.Entries) {
 			t.Fatalf("node %d (level %d, %d entries): the image is %d bytes smaller, want %d", i, o.hdr.Level, len(o.Entries), saved, per*len(o.Entries))
 		}
 		dec, err := (Codec{}).DecodePage(bytes.Clone(img))
@@ -236,7 +236,7 @@ func oracleIndexSplit(pre *Node, sibPid storage.PageID) (image, payload []byte) 
 
 func oracleEncKeySplit(k keys.Key, sib storage.PageID, old *Node, clipped []storage.PageID) []byte {
 	var w enc.Writer
-	w.Bytes32(k)
+	w.Field(k)
 	w.U64(uint64(sib))
 	encodeHeader(&w, old)
 	encodePIDs(&w, clipped)

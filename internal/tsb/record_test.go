@@ -13,9 +13,9 @@ import (
 )
 
 // TestRecordBytesPerLevel: with 8-byte keys and a 100-byte value a version
-// is 133 bytes on the page — key and value with their length prefixes,
-// start, tombstone mark, writer — a level-1 term 50 (child, a rectangle of
-// two such keys, clipped mark) and a key term 20 (key, child); every log
+// is 127 bytes on the page — key and value with their one-byte length
+// prefixes, start, tombstone mark, writer — a level-1 term 44 (child, a
+// rectangle of two such keys, clipped mark) and a key term 17 (key, child); every log
 // payload that carries one record is its level's page record byte for byte —
 // a posting's and a removal's the term — and every logged put, redone on a
 // copy of its node without the version, makes the node's record of it, in
@@ -27,9 +27,9 @@ func TestRecordBytesPerLevel(t *testing.T) {
 		level, size int
 		rec         []byte
 	}{
-		{0, 133, appendVersion(nil, Entry{Key: keys.Uint64(7), Start: 3, Value: value, Txn: 5})},
-		{1, 50, appendTerm(nil, Entry{Child: 9, ChildRect: rect})},
-		{2, 20, appendKeyTerm(nil, keys.Uint64(7), 9)},
+		{0, 127, appendVersion(nil, Entry{Key: keys.Uint64(7), Start: 3, Value: value, Txn: 5})},
+		{1, 44, appendTerm(nil, Entry{Child: 9, ChildRect: rect})},
+		{2, 17, appendKeyTerm(nil, keys.Uint64(7), 9)},
 	} {
 		n := &Node{Level: c.level}
 		n.insertAt(0, viewEntry(c.level, c.rec))

@@ -742,6 +742,12 @@ func FuzzSlimPayloads(f *testing.F) {
 	f.Add(encUnsplit(in, in.recs.Slice(0, 1), []storage.PageID{1001}))
 	f.Add(encCutHist(n))
 	f.Add(encPrune(9))
+	// Field prefixes: a nil key beside an empty value, a prefix cut short,
+	// one past 64 bits, and a length past the input.
+	f.Add(appendPut(nil, Entry{Start: 3, Value: []byte{}}, recTxn, nil))
+	f.Add([]byte{0x89, 0x80})
+	f.Add(append(bytes.Repeat([]byte{0xff}, 10), 1, 9))
+	f.Add(append([]byte{0xff, 0xff, 0x7f}, appendKeyTerm(nil, keys.Uint64(9), 4)[1:]...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, _, _, _ = decTimeSplit(b)
 		if _, _, _, clipped, err := decKeySplit(b); err == nil && len(clipped) > len(b) {

@@ -29,6 +29,7 @@ package tsb
 import (
 	"errors"
 
+	"repro/internal/enc"
 	"repro/internal/keys"
 	"repro/internal/latch"
 	"repro/internal/lock"
@@ -143,7 +144,8 @@ type keyScan struct {
 }
 
 // scanItem is a copy of a key and its value, or, with chase, a key whose
-// visible version lies behind the leaf's history chain.
+// visible version lies behind the leaf's history chain. Collect copies a
+// leaf's items into one buffer of their size.
 type scanItem struct {
 	k     keys.Key
 	v     []byte
@@ -153,6 +155,7 @@ type scanItem struct {
 func (s *keyScan) Collect(leaf nref, cursor point) (int, point, storage.PageID, bool) {
 	n := leaf.N
 	s.items = s.items[:0]
+	size := 0
 	for i := n.firstKeyAtOrAbove(cursor.key); i < n.Len(); {
 		k := n.keyAt(i)
 		if s.hi != nil && keys.Compare(k, s.hi) >= 0 {
@@ -164,12 +167,20 @@ func (s *keyScan) Collect(leaf nref, cursor point) (int, point, storage.PageID, 
 		}
 		if p := s.seen(n, i, j); p >= i {
 			if e := n.entry(p); !e.Deleted {
-				s.items = append(s.items, scanItem{k: keys.Clone(k), v: append([]byte(nil), e.Value...)})
+				s.items = append(s.items, scanItem{k: k, v: e.Value}) // views, copied below
+				size += len(k) + len(e.Value)
 			}
 		} else if s.snap != nil && n.startAt(i) < n.Rect.TimeLow && n.HistSib != storage.NilPage {
-			s.items = append(s.items, scanItem{k: keys.Clone(k), chase: true})
+			s.items = append(s.items, scanItem{k: k, chase: true})
+			size += len(k)
 		}
 		i = j
+	}
+	buf := make([]byte, 0, size)
+	for i := range s.items {
+		it := &s.items[i]
+		buf, it.k = enc.Carve(buf, it.k)
+		buf, it.v = enc.Carve(buf, it.v)
 	}
 	next, succ, more := scanNext(n, cursor, s.hi)
 	return len(s.items), next, succ, more

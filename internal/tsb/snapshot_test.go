@@ -556,3 +556,42 @@ func TestGCPinnedByMaskedWriter(t *testing.T) {
 	}
 	fx.mustVerify(t)
 }
+
+// TestSnapshotScanAllocsPerLeaf: a scan copies each leaf's items into one
+// buffer, so a 100-key snapshot scan allocates in proportion to the
+// current leaves it visits, not the keys it delivers — and what it
+// delivers stays a copy (TestNoResultAliasesANode).
+func TestSnapshotScanAllocsPerLeaf(t *testing.T) {
+	fx := newFixture(t, Options{DataCapacity: 16, IndexCapacity: 64, SyncCompletion: true})
+	for i := 0; i < 1000; i++ {
+		if err := fx.tree.Put(nil, keys.Uint64(uint64(i)), []byte(fmt.Sprintf("value-%d", i))); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	fx.tree.DrainCompletions()
+	snap := fx.e.BeginSnapshot()
+	defer snap.Release()
+	lo, hi := keys.Uint64(400), keys.Uint64(500)
+	nodes, _ := nodeRecords(t, fx.tree)
+	leaves := 0
+	for _, n := range nodes {
+		if n.Level == 0 && n.Current() && keys.Compare(n.Rect.KeyLow, hi) < 0 &&
+			(n.Rect.KeyHigh.Unbounded || keys.Compare(n.Rect.KeyHigh.Key, lo) > 0) {
+			leaves++
+		}
+	}
+	got := 0
+	a := testing.AllocsPerRun(100, func() {
+		got = 0
+		if err := fx.tree.SnapshotScan(snap, lo, hi, func(keys.Key, []byte) bool { got++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 100 {
+		t.Fatalf("the scan delivered %d keys, want 100", got)
+	}
+	t.Logf("a 100-key snapshot scan over %d leaves allocates %.1f objects", leaves, a)
+	if a > float64(4*leaves+4) {
+		t.Fatalf("a 100-key snapshot scan over %d leaves allocates %.1f objects, want at most %d", leaves, a, 4*leaves+4)
+	}
+}

@@ -47,12 +47,15 @@
 // sparse delta from the version of its key it supersedes, with its fixed
 // fields as uvarints and its writer taken from the frame's transaction
 // where they are equal, and the commit record's version-clock stamp became
-// a uvarint. A directory of another version — version 1 had fixed 58-byte
-// record headers, version 2 node images whose every record had the fields
-// of both levels, version 3 no page chain, version 4 two-value updates,
-// version 5 stored LSNs and one-span deltas, version 6 whole-version puts
-// and 8-byte commit stamps — is refused with ErrLogVersion and left as it
-// is.
+// a uvarint. Version 8 changed no frame: every byte string inside a
+// payload — a key, a value, a node image's record — is prefixed by the
+// uvarint of its length plus one (0 for nil) instead of 4 bytes
+// (enc.AppendField). A directory of another version — version 1 had fixed
+// 58-byte record headers, version 2 node images whose every record had
+// the fields of both levels, version 3 no page chain, version 4 two-value
+// updates, version 5 stored LSNs and one-span deltas, version 6
+// whole-version puts and 8-byte commit stamps, version 7 4-byte string
+// lengths — is refused with ErrLogVersion and left as it is.
 //
 // The byte stream inside segments is exactly the in-memory log: LSN =
 // absolute byte offset, each record framed as len|crc|tag|... with the CRC
@@ -95,8 +98,9 @@ var ErrShortSegment = errors.New("wal: short or missing segment")
 // record with a fixed 58-byte header; version 2's node images held records
 // with the fields of both levels; version 3's records carried no page
 // chain; version 4's update records carried both values; version 5's frames
-// stored their LSN and its update deltas were one span). The directory is
-// left untouched.
+// stored their LSN and its update deltas were one span; version 6's puts
+// carried whole versions; version 7's payloads prefixed byte strings with
+// 4-byte lengths). The directory is left untouched.
 var ErrLogVersion = errors.New("wal: unsupported log format version")
 
 // errNoHeader reports bytes that are not a segment header or master
@@ -138,7 +142,7 @@ const (
 	masterLen    = 32
 	segMagic     = "PITRWAL1"
 	masterMagic  = "PITRMSTR"
-	fileVersion  = 7
+	fileVersion  = 8
 	masterName   = "wal-master"
 	segPrefix    = "wal-"
 	segSuffix    = ".seg"

@@ -353,7 +353,7 @@ func withVersion(b []byte, v uint32, crcAt int) []byte {
 // with both levels' fields in every record), version 3 (no page chain),
 // version 4 (update records with both values), version 5 (stored LSNs,
 // one-span update deltas), version 6 (whole-version puts, 8-byte commit
-// stamps) or a later one — a segment,
+// stamps), version 7 (4-byte string lengths) or a later one — a segment,
 // with or without a master record, whose magic and checksum hold, opens and
 // scans with ErrLogVersion and is left byte for byte as it was: not
 // recycled as an unparseable file, not replayed as an empty log.
@@ -361,7 +361,7 @@ func TestFileWALRefusesOtherVersions(t *testing.T) {
 	hdr := make([]byte, segHdrLen)
 	encodeSegHeader(hdr, DefaultSegmentSize, 0)
 	master := encodeMaster(1, 1)
-	for _, v := range []uint32{1, 2, 3, 4, 5, 6, fileVersion + 1} {
+	for _, v := range []uint32{1, 2, 3, 4, 5, 6, 7, fileVersion + 1} {
 		seg := append(withVersion(hdr, v, 24), bytes.Repeat([]byte{0xa5}, 300)...)
 		for _, files := range []map[string][]byte{
 			{segName(0): seg, masterName: withVersion(master[:], v, 28)},
