@@ -1,6 +1,10 @@
 package storage
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/wal"
+)
 
 // FPPoolPrefetch is the failpoint probed before every asynchronous
 // read-ahead issued by the pool's prefetcher. A fault here only drops the
@@ -163,7 +167,7 @@ func (p *Pool) warmOne(pid PageID, end []byte) (next PageID, didIO, ok bool) {
 		var err error
 		// Warm mode tags the loading placeholder before the read, so a
 		// foreground fetch overlapping the read still counts as a hit.
-		f, err = p.fetch(pid, true)
+		f, err = p.fetch(pid, true, wal.NilLSN)
 		if err != nil {
 			p.prefetchWasted.Add(1)
 			return NilPage, true, false
